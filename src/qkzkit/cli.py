@@ -518,7 +518,8 @@ def cmd_rmat(config: RunConfig) -> int:
     payload = {
         "site_dims_out": [d, d],
         "site_dims_in": [d, d],
-        "data": [[float(v.real), float(v.imag)] for v in res.R.reshape(-1)],
+        # + 0.0 writes signed zeros as 0
+        "data": [[float(v.real), float(v.imag)] for v in res.R.reshape(-1) + 0.0],
     }
     _emit(_to_json(payload) + "\n", config)
     return 0
@@ -613,6 +614,8 @@ def main(argv=None) -> int:
     handlers = {"suite": cmd_suite, "verify": cmd_verify, "rmat": cmd_rmat,
                 "scalars": cmd_scalars}
     try:
+        if config.samples < 1:
+            raise ConfigError("--samples must be at least 1")
         return handlers[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

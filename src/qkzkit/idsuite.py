@@ -71,7 +71,7 @@ def check_ybe(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-9,
     def emb(a, b):
         res = r_matrix(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx,
                        normalization=normalization, cache=cache, check_invertible=False)
-        return embed_pair(res.R, a, b, dims).data
+        return embed_pair(res.R, a, b, dims)
 
     r12, r13, r23 = emb(0, 1), emb(0, 2), emb(1, 2)
     left = r12 @ r13 @ r23

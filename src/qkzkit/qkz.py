@@ -19,7 +19,8 @@ from .report import VerificationReport
 from .reps import (GradingChoice, antipode_dual, build_eval_rep, operator_a,
                    operator_x, operator_xtilde)
 from .rsolve import r_matrix, rcheck_continued
-from .tensorops import TensorOperator, cyclic_left_shift, embedded_matmul, permuted_matmul
+from .tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, permuted_matmul,
+                        site_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
 
@@ -32,7 +33,6 @@ class DeltaAssignment:
       self_dual_pair: d^{n-1} phi(zeta) (Xtilde^-1)^t Xtilde A_alpha, d = (-1)^m
       general_v:      phi(zeta) X_V A_alpha
       general_vstar:  phi*(zeta) X_{V*} A_alpha^{V*}
-      custom:         user-supplied matrix function of zeta
     phi_hook defaults to the constant 1.
     """
 
@@ -40,17 +40,14 @@ class DeltaAssignment:
     alpha: complex = 0.0
     n: int = 1
     phi_hook: object = None
-    custom: object = None
 
     def __post_init__(self):
-        if self.source not in ("self_dual_pair", "general_v", "general_vstar", "custom"):
+        if self.source not in ("self_dual_pair", "general_v", "general_vstar"):
             raise ConfigError(f"unknown delta source {self.source!r}")
 
 
 def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice, ctx: QContext):
     """Matrix-valued function of zeta implementing the assignment."""
-    if assign.source == "custom":
-        return assign.custom
     hook = assign.phi_hook or (lambda zeta: 1.0)
     rep = build_eval_rep(m, grading, ctx)
     if assign.source == "self_dual_pair":
@@ -129,8 +126,8 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
-def _rcheck_factor(chain, kind1, z1, kind2, z2, cache):
-    """Rcheck for a factor, continuing through removable like-kind poles."""
+def rcheck_factor(chain, kind1, z1, kind2, z2, cache=None) -> np.ndarray:
+    """Rcheck for a chain factor, continuing through removable like-kind poles."""
     try:
         return r_matrix(kind1, z1, kind2, z2, chain.m, chain.grading, chain.ctx,
                         normalization=chain.normalization, cache=cache).Rcheck
@@ -139,13 +136,6 @@ def _rcheck_factor(chain, kind1, z1, kind2, z2, cache):
             raise
         return rcheck_continued(kind1, z1, kind2, z2, chain.m, chain.grading,
                                 chain.ctx, cache=cache)
-
-
-def _r_factor(chain, kind1, z1, kind2, z2, cache):
-    """Plain R for a factor, via the same continuation fallback (R = P Rcheck)."""
-    d = chain.m + 1
-    rc = _rcheck_factor(chain, kind1, z1, kind2, z2, cache)
-    return rc.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 def lambda_factor_specs(chain: ChainSpec, i: int):
@@ -180,13 +170,9 @@ def materialize_factors(chain: ChainSpec, specs, cache=None) -> np.ndarray:
             M = permuted_matmul(lam, dims, M)
         elif tag == "delta":
             # twist of site `slot`, always embedded at chain position 0
-            dm = chain.delta_matrix(slot)
-            T = M.reshape((dims[0], -1))
-            M = np.ascontiguousarray(dm @ T).reshape(D, D)
+            M = site_matmul(chain.delta_matrix(slot), 0, dims, M)
         elif tag == "rcheck":
-            k1, z1, k2, z2 = info
-            M = embedded_matmul(_rcheck_factor(chain, k1, z1, k2, z2, cache),
-                                slot, slot + 1, dims, M)
+            M = embedded_matmul(rcheck_factor(chain, *info, cache), slot, slot + 1, dims, M)
         else:
             raise ConfigError(f"unknown factor tag {tag!r}")
     return M
@@ -199,8 +185,8 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, dense=False) -> np.nd
     by matrix products, an evaluation route with independent rounding.
     """
     dims = chain.dims
-    D = prod(dims)
-    M = np.eye(D, dtype=complex)
+    d = chain.m + 1
+    M = np.eye(prod(dims), dtype=complex)
     factors = []
     for k in range(i + 1, chain.N):
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
@@ -210,7 +196,6 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, dense=False) -> np.nd
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
                                       chain.kinds[i], chain.etas[i])))
     if dense:
-        from .tensorops import embed_pair
         for tag, where, info in factors:
             if tag == "delta":
                 sl = where[0]
@@ -219,38 +204,21 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, dense=False) -> np.nd
                 after = prod(dims[sl + 1:]) if sl + 1 < chain.N else 1
                 M = M @ np.kron(np.eye(before), np.kron(dm, np.eye(after)))
             else:
-                k1, z1, k2, z2 = info
-                M = M @ embed_pair(_r_factor(chain, k1, z1, k2, z2, cache),
-                                   where[0], where[1], dims).data
+                M = M @ embed_pair(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
+                                   *where, dims)
         return M
     for tag, where, info in reversed(factors):
         if tag == "delta":
-            sl = where[0]
-            dm = chain.delta_matrix(sl)
-            T = np.moveaxis(M.reshape(dims + (D,)), sl, 0)
-            T = np.tensordot(dm, T, axes=(1, 0))
-            M = np.ascontiguousarray(np.moveaxis(T, 0, sl)).reshape(D, D)
+            M = site_matmul(chain.delta_matrix(where[0]), where[0], dims, M)
         else:
-            k1, z1, k2, z2 = info
-            M = embedded_matmul(_r_factor(chain, k1, z1, k2, z2, cache),
-                                where[0], where[1], dims, M)
+            M = embedded_matmul(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
+                                *where, dims, M)
     return M
 
 
-def lambda_op(chain: ChainSpec, i: int, cache=None, verify_forms=True,
-              forms_tol=1e-10) -> TensorOperator:
-    """Materialized one-step qKZ operator for site i.
-
-    With verify_forms the rewritten R-only form is also assembled and the
-    two are required to agree to forms_tol.
-    """
-    M = materialize_factors(chain, lambda_factor_specs(chain, i), cache)
-    if verify_forms:
-        M2 = lambda_rewritten(chain, i, cache)
-        err = float(np.linalg.norm(M - M2) / max(np.linalg.norm(M), 1e-300))
-        if err > forms_tol:
-            raise DegeneratePointError(f"one-step operator forms disagree: {err:.3g}")
-    return TensorOperator(chain.dims, chain.dims, M)
+def lambda_op(chain: ChainSpec, i: int, cache=None) -> np.ndarray:
+    """Materialized one-step qKZ operator for site i."""
+    return materialize_factors(chain, lambda_factor_specs(chain, i), cache)
 
 
 def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
@@ -315,12 +283,10 @@ def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, tol=1e-9,
                             cache=None) -> VerificationReport:
     """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i."""
     t0 = time.perf_counter()
-    Li = lambda_op(chain, i, cache, verify_forms=False).data
-    Lj = lambda_op(chain, j, cache, verify_forms=False).data
-    Li_shift = lambda_op(chain.with_eta(j, chain.p * chain.etas[j]), i, cache,
-                         verify_forms=False).data
-    Lj_shift = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache,
-                         verify_forms=False).data
+    Li = lambda_op(chain, i, cache)
+    Lj = lambda_op(chain, j, cache)
+    Li_shift = lambda_op(chain.with_eta(j, chain.p * chain.etas[j]), i, cache)
+    Lj_shift = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache)
     left = Li_shift @ Lj
     right = Lj_shift @ Li
     resid = float(np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-300))
@@ -343,8 +309,8 @@ def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
         if not 0 <= k < chain.N - 1:
             raise ConfigError("word entry out of range")
         a, b = order[k], order[k + 1]
-        Rc = _rcheck_factor(chain, chain.kinds[a], chain.etas[a],
-                            chain.kinds[b], chain.etas[b], cache)
+        Rc = rcheck_factor(chain, chain.kinds[a], chain.etas[a],
+                           chain.kinds[b], chain.etas[b], cache)
         vec = embedded_matmul(Rc, k, k + 1, dims, vec)
         order[k], order[k + 1] = order[k + 1], order[k]
     return vec.reshape(dims), order

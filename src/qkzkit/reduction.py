@@ -17,12 +17,13 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError
-from .qkz import (ChainSpec, DeltaAssignment, build_delta, lambda_factor_specs,
-                  lambda_product_regularized, lambda_rewritten, materialize_factors)
+from .qkz import (ChainSpec, DeltaAssignment, lambda_factor_specs,
+                  lambda_product_regularized, lambda_rewritten, materialize_factors,
+                  rcheck_factor)
 from .report import VerificationReport
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
 from .rsolve import r_matrix
-from .tensorops import embed_pair, embedded_matmul, permuted_matmul
+from .tensorops import embed_pair, embedded_matmul, permuted_matmul, site_matmul
 
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_operator_selfdual",
@@ -96,19 +97,14 @@ def chain_for(case: ReductionCase, etas) -> ChainSpec:
                      case.p, deltas, case.normalization)
 
 
-def _apply_delta_at(case, chain, site, slot, M):
-    dm = chain.delta_matrix(site)
-    dims = case.dims
-    D = prod(dims)
-    T = np.moveaxis(M.reshape(dims + (M.shape[1],)), slot, 0)
-    T = np.tensordot(dm, T, axes=(1, 0))
-    return np.ascontiguousarray(np.moveaxis(T, 0, slot)).reshape(D, M.shape[1])
+def _factor(case, k1, z1, k2, z2, cache):
+    """R-operator of one composite factor; singular factors stay in the product."""
+    return r_matrix(k1, z1, k2, z2, case.m, case.grading, case.ctx,
+                    normalization=case.normalization, cache=cache, check_invertible=False)
 
 
 def _apply_R(case, k1, z1, k2, z2, i, j, M, cache):
-    res = r_matrix(k1, z1, k2, z2, case.m, case.grading, case.ctx,
-                   normalization=case.normalization, cache=cache, check_invertible=False)
-    return embedded_matmul(res.R, i, j, case.dims, M)
+    return embedded_matmul(_factor(case, k1, z1, k2, z2, cache).R, i, j, case.dims, M)
 
 
 def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None) -> np.ndarray:
@@ -129,7 +125,7 @@ def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None) -> np.ndarray:
     # left-multiplication: iterate the written factor order right to left
     for j in range(n - 1, 0, -1):
         M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
-    M = _apply_delta_at(case, chain, n - 1, n - 1, M)
+    M = site_matmul(chain.delta_matrix(n - 1), n - 1, dims, M)
     swap = list(range(2 * n))
     swap[n - 1], swap[n] = swap[n], swap[n - 1]
     M = permuted_matmul(swap, dims, M)
@@ -164,51 +160,25 @@ def rhs_operator_general(case: ReductionCase, zetas, cache=None, insertion=None)
     # first (rightmost) block: plain modules against the moving site n
     for j in range(n - 1, 0, -1):
         M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
-    M = _apply_delta_at(case, chain, n - 1, n - 1, M)
+    M = site_matmul(chain.delta_matrix(n - 1), n - 1, dims, M)
     M = permuted_matmul(swap, dims, M)
     for j in range(2 * n, n + 1, -1):
         M = _apply_R(case, "V*", e * zetas[2 * n - j], "V", e * zetas[n - 1],
                      j - 1, n, M, cache)
     if insertion is not None:
         u, v = insertion
-        ra = r_matrix("V*", v, "V", u, case.m, case.grading, case.ctx,
-                      normalization=case.normalization, cache=cache,
-                      check_invertible=False).Rcheck
-        rb = r_matrix("V", u, "V*", v, case.m, case.grading, case.ctx,
-                      normalization=case.normalization, cache=cache,
-                      check_invertible=False).Rcheck
-        M = embedded_matmul(ra, n - 1, n, dims, M)
-        M = embedded_matmul(rb, n - 1, n, dims, M)
+        M = embedded_matmul(_factor(case, "V*", v, "V", u, cache).Rcheck, n - 1, n, dims, M)
+        M = embedded_matmul(_factor(case, "V", u, "V*", v, cache).Rcheck, n - 1, n, dims, M)
     # second block: sites against the dual moving site, now at slot n-1 after the swap
     for j in range(n - 1, 0, -1):
         M = _apply_R(case, "V", zetas[j - 1], "V*", e * zetas[n - 1], j - 1, n - 1, M, cache)
-    M = _apply_delta_star(case, n - 1, M, e * zetas[n - 1])
+    # the dual twist Delta*(q^e z_n) is the one of chain site n
+    M = site_matmul(chain.delta_matrix(n), n - 1, dims, M)
     M = permuted_matmul(swap, dims, M)
     for j in range(2 * n, n + 1, -1):
         M = _apply_R(case, "V*", e * zetas[2 * n - j], "V*", e * e * zetas[n - 1],
                      j - 1, n, M, cache)
     return M
-
-
-def _apply_delta_star(case, slot, M, zeta):
-    fn = build_delta(case.delta_assignment("V*"), case.m, case.grading, case.ctx)
-    dm = fn(zeta)
-    dims = case.dims
-    D = prod(dims)
-    T = np.moveaxis(M.reshape(dims + (M.shape[1],)), slot, 0)
-    T = np.tensordot(dm, T, axes=(1, 0))
-    return np.ascontiguousarray(np.moveaxis(T, 0, slot)).reshape(D, M.shape[1])
-
-
-def _resonant_lhs_factor(case: ReductionCase, zetas, cache=None) -> np.ndarray:
-    """Rcheck(q^w z_n | q^{2w} z_n) embedded at (n-1, n): the like-kind factor
-    multiplying the shifted value in the reduced equation (removable point)."""
-    from .qkz import _rcheck_factor
-    n = case.n
-    w = complex(case.ctx.q) ** case.shift
-    chain = chain_for(case, mirrored_args(case, zetas))
-    rc = _rcheck_factor(chain, "V", w * zetas[n - 1], "V", case.p * zetas[n - 1], cache)
-    return rc
 
 
 def psi_extract(case: ReductionCase, phi) -> np.ndarray:
@@ -219,24 +189,22 @@ def psi_extract(case: ReductionCase, phi) -> np.ndarray:
     flattening into the column index.
     """
     n, d = case.n, case.m + 1
-    C = case.contraction_matrix()
-    T = np.asarray(phi, dtype=complex).reshape([d] * (2 * n))
+    Ct = case.contraction_matrix().T
+    T = np.asarray(phi, dtype=complex).reshape(-1, 1)
     for r in range(n):
-        T = np.tensordot(T, C, axes=([n + r], [0]))
-        T = np.moveaxis(T, -1, n + r)
-    T = T.transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
+        T = site_matmul(Ct, n + r, case.dims, T)
+    T = T.reshape([d] * (2 * n)).transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
     return T.reshape(d**n, d**n)
 
 
 def psi_inject(case: ReductionCase, psi) -> np.ndarray:
     """Inverse of psi_extract (the contraction matrix is invertible)."""
     n, d = case.n, case.m + 1
-    Cinv = np.linalg.inv(case.contraction_matrix())
+    Cinv_t = np.linalg.inv(case.contraction_matrix()).T
     T = np.asarray(psi, dtype=complex).reshape([d] * (2 * n))
-    T = T.transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
+    T = T.transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1))).reshape(-1, 1)
     for r in range(n):
-        T = np.tensordot(T, Cinv, axes=([n + r], [0]))
-        T = np.moveaxis(T, -1, n + r)
+        T = site_matmul(Cinv_t, n + r, case.dims, T)
     return T.reshape(-1)
 
 
@@ -263,9 +231,11 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     t0 = time.perf_counter()
     n = case.n
     dims = case.dims
+    w = complex(case.ctx.q) ** case.shift
     rhs = rhs_operator_selfdual(case, zetas, cache)
-    lhs = embedded_matmul(_resonant_lhs_factor(case, zetas, cache), n - 1, n, dims, rhs)
     chain = chain_for(case, mirrored_args(case, zetas))
+    resonant = rcheck_factor(chain, "V", w * zetas[n - 1], "V", case.p * zetas[n - 1], cache)
+    lhs = embedded_matmul(resonant, n - 1, n, dims, rhs)
     lam = lambda_rewritten(chain, n - 1, cache, dense=prod(dims) <= 128)
     lam_check_form = materialize_factors(chain, lambda_factor_specs(chain, n - 1), cache)
     forms_resid = float(np.linalg.norm(lam - lam_check_form) / max(np.linalg.norm(lam), 1e-300))
@@ -340,18 +310,13 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, tol=1e-9,
     phi0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     mk = "V" if case.mode == "self_dual" else "V*"
 
-    def rc(k1, z1, k2, z2):
-        return r_matrix(k1, z1, k2, z2, case.m, case.grading, case.ctx,
-                        normalization=case.normalization, cache=cache,
-                        check_invertible=False).Rcheck
-
-    front = rc("V", zetas[i - 1], "V", zetas[i])
-    mirror = rc(mk, w * zetas[i], mk, w * zetas[i - 1])
+    front = _factor(case, "V", zetas[i - 1], "V", zetas[i], cache).Rcheck
+    mirror = _factor(case, mk, w * zetas[i], mk, w * zetas[i - 1], cache).Rcheck
     phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
     phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
     psi0 = psi_extract(case, phi0)
     psi1 = psi_extract(case, phi1)
-    small = embed_pair(front, i - 1, i, (d,) * n).data
+    small = embed_pair(front, i - 1, i, (d,) * n)
     lhs = small @ psi0
     rhs = psi1 @ small
     resid = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))

@@ -11,7 +11,7 @@ Normalization modes:
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .context import QContext
 from .errors import ConfigError, DegeneratePointError
 from .reps import GENERATOR_TAGS, SiteModule, coproduct_image, make_site
 from .scalars import kappa_sl2
+from .tensorops import swap_outputs
 
 GAP_THRESHOLD = 1e6
 _HW_TOL = 1e-8
@@ -54,37 +55,36 @@ class RResult:
     nullspace_gap: float
     norm_scalar_applied: complex
     intertwine_residual: float
+    cond_ratio: float  # sigma_min / sigma_max of Rcheck; 0 for a zero operator
 
 
 class RCache:
-    """Memoizes solves; concurrent reads, exclusive writes."""
+    """Memoizes solves and continued values by key; concurrent reads, exclusive writes."""
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self._store = {}
         self._lock = threading.Lock()
 
-    def get(self, req: RRequest):
-        if not self.enabled:
-            return None
-        return self._store.get(req.key())
+    def get(self, key):
+        return self._store.get(key)
 
-    def put(self, req: RRequest, res: RResult):
-        if self.enabled:
-            with self._lock:
-                self._store[req.key()] = res
+    def put(self, key, value):
+        with self._lock:
+            self._store[key] = value
 
     def clear(self):
         with self._lock:
             self._store.clear()
 
 
-def _swap(d1: int, d2: int) -> np.ndarray:
-    P = np.zeros((d1 * d2, d1 * d2))
-    for a in range(d1):
-        for b in range(d2):
-            P[b * d1 + a, a * d2 + b] = 1.0
-    return P
+def _memoized(cache, key, compute):
+    if cache is None:
+        return compute()
+    hit = cache.get(key)
+    if hit is None:
+        hit = compute()
+        cache.put(key, hit)
+    return hit
 
 
 def _raw_nullvector(req: RRequest):
@@ -119,6 +119,8 @@ def _raw_nullvector(req: RRequest):
 def _intertwine_residual(Rc, pairs) -> float:
     worst = 0.0
     nr = np.linalg.norm(Rc)
+    if nr == 0:
+        return np.inf
     for M, N in pairs:
         nm = np.linalg.norm(M)
         if nm == 0:
@@ -134,7 +136,7 @@ def normalize_hw(Rc_raw: np.ndarray, req: RRequest) -> tuple:
     R(v0 x v0) is not proportional to v0 x v0.
     """
     d1, d2 = req.site1.rep.dim, req.site2.rep.dim
-    R_raw = _swap(d1, d2) @ Rc_raw
+    R_raw = swap_outputs(Rc_raw, d2, d1)
     idx = req.site1.hw_index * d2 + req.site2.hw_index
     col = R_raw[:, idx]
     c = col[idx]
@@ -165,23 +167,12 @@ def apply_kappa(res: RResult, req: RRequest) -> RResult:
     dual-pair normalization factors are the inverses of the like-pair one).
     """
     k = _kappa_scalar(req)
-    return RResult(R=res.R * k, Rcheck=res.Rcheck * k,
-                   nullspace_gap=res.nullspace_gap,
+    return replace(res, R=res.R * k, Rcheck=res.Rcheck * k,
                    norm_scalar_applied=res.norm_scalar_applied * k,
-                   intertwine_residual=res.intertwine_residual)
+                   cond_ratio=res.cond_ratio if k != 0 else 0.0)
 
 
-def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True) -> RResult:
-    """Solve, normalize and validate the R-operator for a site pair.
-
-    Degenerate spectral points are reported through DegeneratePointError:
-    either the nullspace gap collapses, the hw normalization fails, or
-    the normalized operator is numerically singular.
-    """
-    if cache is not None:
-        hit = cache.get(req)
-        if hit is not None:
-            return hit
+def _solve(req: RRequest) -> RResult:
     Rc_raw, gap, pairs = _raw_nullvector(req)
     if gap < GAP_THRESHOLD:
         raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold {GAP_THRESHOLD:.1g}")
@@ -191,21 +182,30 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
         k = _kappa_scalar(req)
         Rc = Rc * k
         applied = applied * k
-    if check_invertible and Rc.shape[0] > 1:
-        sv = np.linalg.svd(Rc, compute_uv=False)
-        if sv[-1] < _SINGULAR_TOL * sv[0]:  # rank drop on the resonance lattice
-            raise DegeneratePointError(
-                f"normalized R is numerically singular (cond ratio {sv[-1]/sv[0]:.3g})")
+    sv = np.linalg.svd(Rc, compute_uv=False)
     d1, d2 = req.site1.rep.dim, req.site2.rep.dim
-    res = RResult(
-        R=_swap(d1, d2) @ Rc,
+    return RResult(
+        R=swap_outputs(Rc, d2, d1),
         Rcheck=Rc,
         nullspace_gap=gap,
         norm_scalar_applied=complex(applied),
         intertwine_residual=_intertwine_residual(Rc, pairs),
+        cond_ratio=float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0,
     )
-    if cache is not None:
-        cache.put(req, res)
+
+
+def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True) -> RResult:
+    """Solve, normalize and validate the R-operator for a site pair.
+
+    Degenerate spectral points are reported through DegeneratePointError:
+    either the nullspace gap collapses, the hw normalization fails, or
+    the normalized operator is numerically singular.  The invertibility
+    check applies to cached results as well.
+    """
+    res = _memoized(cache, req.key(), lambda: _solve(req))
+    if check_invertible and res.cond_ratio <= _SINGULAR_TOL:  # rank drop on the resonance lattice
+        raise DegeneratePointError(
+            f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")
     return res
 
 
@@ -218,10 +218,6 @@ def r_matrix(kind1, zeta1, kind2, zeta2, m, grading, ctx,
              normalization="hw", cache=None, check_invertible=True) -> RResult:
     req = make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization)
     return solve_intertwiner(req, cache=cache, check_invertible=check_invertible)
-
-
-_continued_store = {}
-_continued_lock = threading.Lock()
 
 
 def _ratio_key(ratio: complex) -> tuple:
@@ -243,12 +239,8 @@ def rcheck_continued(kind1, zeta1, kind2, zeta2, m, grading, ctx,
     The Laurent moments and a second radius validate removability.
     """
     ratio = zeta1 / zeta2  # R depends on the arguments only through this
-    store_key = (kind1, kind2, m, grading.s0, grading.s1, complex(ctx.q),
-                 ctx.trunc_terms, _ratio_key(ratio), radius, nodes)
-    with _continued_lock:
-        hit = _continued_store.get(store_key)
-    if hit is not None:
-        return hit
+    key = ("continued", kind1, kind2, m, grading.s0, grading.s1, complex(ctx.q),
+           ctx.trunc_terms, _ratio_key(ratio), radius, nodes)
 
     def circle_moments(r):
         mean = first = second = None
@@ -267,17 +259,18 @@ def rcheck_continued(kind1, zeta1, kind2, zeta2, m, grading, ctx,
                 second += v * w * w
         return mean / nodes, first / nodes, second / nodes, vscale
 
-    # a circle centered on a pole averages the principal part away, so the
-    # Laurent moments c_{-1}, c_{-2} are checked explicitly
-    v1, c1, c2, vscale = circle_moments(radius)
-    if max(float(np.abs(c1).max()), float(np.abs(c2).max())) > 1e-7 * radius * vscale:
-        raise DegeneratePointError(
-            "nonzero principal part: singular point is not removable in kappa normalization")
-    v2, _, _, _ = circle_moments(radius / 2.0)
-    scale = max(float(np.abs(v1).max()), 1e-300)
-    if float(np.abs(v1 - v2).max()) > 1e-9 * scale:
-        raise DegeneratePointError(
-            "circle means disagree: singular point is not removable in kappa normalization")
-    with _continued_lock:
-        _continued_store[store_key] = v2
-    return v2
+    def evaluate():
+        # a circle centered on a pole averages the principal part away, so the
+        # Laurent moments c_{-1}, c_{-2} are checked explicitly
+        v1, c1, c2, vscale = circle_moments(radius)
+        if max(float(np.abs(c1).max()), float(np.abs(c2).max())) > 1e-7 * radius * vscale:
+            raise DegeneratePointError(
+                "nonzero principal part: singular point is not removable in kappa normalization")
+        v2, _, _, _ = circle_moments(radius / 2.0)
+        scale = max(float(np.abs(v1).max()), 1e-300)
+        if float(np.abs(v1 - v2).max()) > 1e-9 * scale:
+            raise DegeneratePointError(
+                "circle means disagree: singular point is not removable in kappa normalization")
+        return v2
+
+    return _memoized(cache, key, evaluate)

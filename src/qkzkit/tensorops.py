@@ -1,12 +1,11 @@
 """Dense operator algebra on tensor products of site spaces.
 
 Site indices are 0-based throughout.  Operators are stored as dense
-matrices of shape (prod dims_out, prod dims_in); `embedded_matmul`
-applies a two-site factor to a big matrix without forming the embedded
-operator, which keeps long factor products cheap.
+matrices of shape (prod dims_out, prod dims_in); `embedded_matmul` and
+`site_matmul` apply a two-site or one-site factor to a big matrix without
+forming the embedded operator, which keeps long factor products cheap.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -14,41 +13,7 @@ import numpy as np
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class TensorOperator:
-    """Dense linear operator with per-site dimension metadata."""
-
-    site_dims_out: tuple
-    site_dims_in: tuple
-    data: np.ndarray
-
-    def __post_init__(self):
-        do, di = prod(self.site_dims_out), prod(self.site_dims_in)
-        if self.data.shape != (do, di):
-            raise ConfigError(f"data shape {self.data.shape} does not match site dims")
-
-    @classmethod
-    def identity(cls, site_dims) -> "TensorOperator":
-        dims = tuple(site_dims)
-        return cls(dims, dims, np.eye(prod(dims), dtype=complex))
-
-    def compose(self, other: "TensorOperator") -> "TensorOperator":
-        if self.site_dims_in != other.site_dims_out:
-            raise ConfigError("inner site dims do not match")
-        return TensorOperator(self.site_dims_out, other.site_dims_in, self.data @ other.data)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-def _as_matrix(op) -> np.ndarray:
-    return op.data if isinstance(op, TensorOperator) else np.asarray(op)
-
-
-def embed_pair(op, i: int, j: int, site_dims) -> TensorOperator:
+def embed_pair(op, i: int, j: int, site_dims) -> np.ndarray:
     """Two-site operator acting on sites (i, j), identity elsewhere.
 
     The first tensor factor of `op` is attached to site i, the second to
@@ -58,7 +23,7 @@ def embed_pair(op, i: int, j: int, site_dims) -> TensorOperator:
     N = len(dims)
     if i == j or not (0 <= i < N and 0 <= j < N):
         raise ConfigError(f"invalid site pair ({i}, {j}) for N = {N}")
-    op = _as_matrix(op)
+    op = np.asarray(op)
     if op.shape != (dims[i] * dims[j],) * 2:
         raise ConfigError(f"operator shape {op.shape} does not fit sites ({i}, {j})")
     rest = [k for k in range(N) if k not in (i, j)]
@@ -67,10 +32,10 @@ def embed_pair(op, i: int, j: int, site_dims) -> TensorOperator:
     inv = [order.index(k) for k in range(N)]
     tdims = [dims[k] for k in order]
     data = full.reshape(tdims + tdims).transpose(inv + [N + a for a in inv]).reshape(prod(dims), prod(dims))
-    return TensorOperator(dims, dims, np.ascontiguousarray(data))
+    return np.ascontiguousarray(data)
 
 
-def permutation_op(sigma, site_dims) -> TensorOperator:
+def permutation_op(sigma, site_dims) -> np.ndarray:
     """P_sigma moving the object at position i to position sigma[i].
 
     On product vectors, slot k of the image holds the object that was at
@@ -82,13 +47,12 @@ def permutation_op(sigma, site_dims) -> TensorOperator:
     if sorted(sigma) != list(range(N)):
         raise ConfigError("sigma is not a permutation of 0..N-1")
     inv = _inverse(sigma)
-    dims_out = tuple(dims[inv[k]] for k in range(N))
     D = prod(dims)
     cols = np.arange(D).reshape(dims)
     src = np.transpose(cols, inv).reshape(-1)
     data = np.zeros((D, D), dtype=complex)
     data[np.arange(D), src] = 1.0
-    return TensorOperator(dims_out, dims, data)
+    return data
 
 
 def _inverse(sigma):
@@ -111,7 +75,7 @@ def compose_permutations(s1, s2):
 def partial_transpose(op, which: str, dims) -> np.ndarray:
     """Transpose over one tensor factor of a two-site matrix."""
     dA, dB = dims
-    op = _as_matrix(op)
+    op = np.asarray(op)
     if op.shape != (dA * dB, dA * dB):
         raise ConfigError("partial transpose needs a square two-site matrix")
     T = op.reshape(dA, dB, dA, dB)
@@ -124,9 +88,16 @@ def partial_transpose(op, which: str, dims) -> np.ndarray:
     return np.ascontiguousarray(T.reshape(dA * dB, dA * dB))
 
 
+def swap_outputs(op, d1: int, d2: int) -> np.ndarray:
+    """Swap the two output tensor factors of `op`, rows indexed (d1, d2).
+
+    Equals permutation_op([1, 0], (d1, d2)) @ op, e.g. R = P Rcheck.
+    """
+    return op.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(d1 * d2, -1)
+
+
 def scalar_ratio(A, B) -> tuple:
     """(lambda, residual) minimizing ||A - lambda B||_F; residual relative to ||A||."""
-    A, B = _as_matrix(A), _as_matrix(B)
     nb = np.linalg.norm(B)
     if nb == 0:
         raise ConfigError("B must be nonzero")
@@ -141,11 +112,11 @@ def scalar_ratio(A, B) -> tuple:
 def embedded_matmul(op, i, j, site_dims, M):
     """Left-multiply matrix M by the embedding of two-site `op` at (i, j).
 
-    Equivalent to embed_pair(op, i, j, dims).data @ M at cost O(D^2 d_i d_j).
+    Equivalent to embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j).
     """
     dims = tuple(site_dims)
     N = len(dims)
-    op = _as_matrix(op)
+    op = np.asarray(op)
     D = prod(dims)
     cols = M.shape[1]
     T = M.reshape(dims + (cols,))
@@ -163,6 +134,15 @@ def embedded_matmul(op, i, j, site_dims, M):
             nxt += 1
     order.append(N)
     return np.ascontiguousarray(out.transpose(order)).reshape(D, cols)
+
+
+def site_matmul(mat, slot, site_dims, M):
+    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`."""
+    dims = tuple(site_dims)
+    cols = M.shape[1]
+    T = np.moveaxis(M.reshape(dims + (cols,)), slot, 0)
+    T = np.tensordot(mat, T, axes=(1, 0))
+    return np.ascontiguousarray(np.moveaxis(T, 0, slot)).reshape(prod(dims), cols)
 
 
 def permuted_matmul(sigma, site_dims, M):

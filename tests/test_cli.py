@@ -23,6 +23,10 @@ class TestParsing:
     def test_bad_q_exits_2(self):
         assert main(["suite", "--q", "1.5"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_bad_samples_exits_2(self, samples):
+        assert main(["suite", "--samples", samples]) == 2
+
     def test_root_unity_proxy_exits_2(self):
         q = 0.9999999999999999 * np.exp(2j * np.pi / 3)
         assert main(["suite", f"--q={q.real},{q.imag}"]) == 2

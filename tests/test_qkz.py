@@ -54,10 +54,10 @@ class TestLambdaOp:
         # Lambda_1 at N=2: Rcheck^{(1,2)}(eta2|p eta1) P_lambda Delta^{(1)}(eta1)
         rng = np.random.default_rng(51)
         chain = general_chain(ctx, grading, ("V", "V"), rng)
-        lam = lambda_op(chain, 0, cache).data
+        lam = lambda_op(chain, 0, cache)
         rc = r_matrix("V", chain.etas[1], "V", chain.p * chain.etas[0], 1,
                       grading, ctx, normalization="kappa", cache=cache).Rcheck
-        P = permutation_op(cyclic_left_shift(2), chain.dims).data
+        P = permutation_op(cyclic_left_shift(2), chain.dims)
         D1 = np.kron(chain.delta_matrix(0), np.eye(2))
         assert np.abs(lam - rc @ P @ D1).max() < 1e-12
 
@@ -151,11 +151,11 @@ class TestTransport:
         word = [0, 2]
         out1, order1 = transport_phi(chain, phi, word, cache)
         out2, order2 = transport_phi(chain, phi, word + [1], cache)
-        from qkzkit.qkz import _rcheck_factor
+        from qkzkit.qkz import rcheck_factor
         from qkzkit.tensorops import embedded_matmul
         a, b = order1[1], order1[2]
-        rc = _rcheck_factor(chain, chain.kinds[a], chain.etas[a],
-                            chain.kinds[b], chain.etas[b], cache)
+        rc = rcheck_factor(chain, chain.kinds[a], chain.etas[a],
+                           chain.kinds[b], chain.etas[b], cache)
         stepped = embedded_matmul(rc, 1, 2, chain.dims, out1.reshape(-1, 1)).reshape(-1)
         assert order2 == [order1[k] for k in (0, 2, 1, 3)]
         assert np.abs(stepped - out2.reshape(-1)).max() < 1e-12
@@ -167,6 +167,5 @@ class TestRegularizedProduct:
         rng = np.random.default_rng(63)
         chain = general_chain(ctx, grading, ("V", "V*"), rng)
         a = lambda_product_regularized(chain, 1, chain, 0, cache)
-        b = lambda_op(chain, 1, cache, verify_forms=False).data @ \
-            lambda_op(chain, 0, cache, verify_forms=False).data
+        b = lambda_op(chain, 1, cache) @ lambda_op(chain, 0, cache)
         assert np.abs(a - b).max() < 1e-11

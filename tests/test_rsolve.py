@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from qkzkit import rsolve
 from qkzkit.errors import DegeneratePointError
 from qkzkit.reps import GENERATOR_TAGS, coproduct_image, make_site
 from qkzkit.rsolve import (GAP_THRESHOLD, RCache, apply_kappa, make_request,
@@ -135,6 +138,19 @@ class TestDegenerateDetection:
         with pytest.raises(DegeneratePointError):
             r_matrix("V*", 1.3, "V", 1.3, 1, grading, ctx)
 
+    @pytest.mark.parametrize("m, power", [(1, 2), (2, 2), (1, 6)])
+    def test_zero_operator_is_singular(self, ctx, grading, m, power):
+        # kappa vanishes for the mixed pair at z = q^power, so R is all zero
+        ratio = complex(ctx.q) ** (power / grading.s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePointError):
+                r_matrix("V", ratio, "V*", 1.0, m, grading, ctx, normalization="kappa")
+            res = r_matrix("V", ratio, "V*", 1.0, m, grading, ctx, normalization="kappa",
+                           check_invertible=False)
+        assert np.abs(res.R).max() == 0.0
+        assert res.cond_ratio == 0.0 and res.intertwine_residual == np.inf
+
     def test_near_lattice_is_fine(self, ctx, grading):
         q = complex(ctx.q)
         ratio = q ** (-2.0 / grading.s) * 1.01
@@ -170,6 +186,23 @@ class TestContinuation:
         with pytest.raises(DegeneratePointError):
             rcheck_continued("V*", 1.0, "V", 1.0, 1, grading, ctx, cache=cache)
 
+    def test_value_lives_in_the_cache(self, ctx, grading, monkeypatch):
+        solves = []
+        raw = rsolve._raw_nullvector
+        monkeypatch.setattr(rsolve, "_raw_nullvector", lambda req: solves.append(req) or raw(req))
+        args = ("V", complex(ctx.q) ** (-2.0 / grading.s), "V", 1.0, 1, grading, ctx)
+        cache = RCache()
+        a = rcheck_continued(*args, cache=cache)
+        per_point = len(solves)
+        assert per_point > 0
+        assert rcheck_continued(*args, cache=cache) is a
+        assert len(solves) == per_point
+        rcheck_continued(*args, cache=RCache())
+        assert len(solves) == 2 * per_point
+        cache.clear()
+        rcheck_continued(*args, cache=cache)
+        assert len(solves) == 3 * per_point
+
 
 class TestCache:
     def test_hit_is_bit_identical(self, ctx, grading):
@@ -179,11 +212,17 @@ class TestCache:
         b = solve_intertwiner(req, cache=cache)
         assert b is a
 
-    def test_disabled_cache_reproduces(self, ctx, grading):
-        req = make_request("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, "kappa")
-        a = solve_intertwiner(req, cache=RCache(enabled=False))
-        b = solve_intertwiner(req, cache=None)
-        assert np.abs(a.R - b.R).max() == 0.0
+    @pytest.mark.parametrize("checked_first", [True, False])
+    def test_hit_keeps_invertibility_check(self, ctx, grading, checked_first):
+        # hw-normalized like pair on the resonance lattice: solvable, but singular
+        args = ("V", complex(ctx.q) ** (2.0 / grading.s), "V", 1.0, 1, grading, ctx, "hw")
+        cache = RCache()
+        if checked_first:
+            with pytest.raises(DegeneratePointError):
+                r_matrix(*args, cache=cache)
+        assert r_matrix(*args, cache=cache, check_invertible=False).cond_ratio < 1e-8
+        with pytest.raises(DegeneratePointError):
+            r_matrix(*args, cache=cache)
 
     def test_eviction_never_changes_results(self, ctx, grading):
         cache = RCache()

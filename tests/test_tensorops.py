@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from qkzkit.errors import ConfigError
-from qkzkit.tensorops import (TensorOperator, compose_permutations,
-                              cyclic_left_shift, embed_pair, embedded_matmul,
-                              partial_transpose, permutation_op, permuted_matmul,
-                              scalar_ratio)
+from qkzkit.tensorops import (compose_permutations, cyclic_left_shift, embed_pair,
+                              embedded_matmul, partial_transpose, permutation_op,
+                              permuted_matmul, scalar_ratio, site_matmul, swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -18,7 +17,7 @@ class TestEmbedPair:
     def test_identity(self):
         dims = (2, 3, 2)
         out = embed_pair(np.eye(6), 0, 1, dims)
-        assert np.abs(out.data - np.eye(12)).max() == 0.0
+        assert np.abs(out - np.eye(12)).max() == 0.0
 
     def test_adjacent_swap_equals_permutation(self):
         dims = (2, 2, 2)
@@ -26,15 +25,15 @@ class TestEmbedPair:
         for a in range(2):
             for b in range(2):
                 P[b * 2 + a, a * 2 + b] = 1.0
-        lhs = embed_pair(P, 0, 1, dims).data
-        rhs = permutation_op([1, 0, 2], dims).data
+        lhs = embed_pair(P, 0, 1, dims)
+        rhs = permutation_op([1, 0, 2], dims)
         assert np.abs(lhs - rhs).max() == 0.0
 
     def test_reversed_pair_brute_force(self):
         # op attached to sites (2, 0): compare against explicit index loops
         dims = (2, 2, 2)
         A = rand_c(4, 4)
-        got = embed_pair(A, 2, 0, dims).data
+        got = embed_pair(A, 2, 0, dims)
         want = np.zeros((8, 8), complex)
         for a in range(2):
             for b in range(2):
@@ -52,9 +51,9 @@ class TestEmbedPair:
         dims = (2, 2, 2)
         A = rand_c(4, 4)
         sigma = [2, 1, 0]
-        P = permutation_op(sigma, dims).data
-        lhs = embed_pair(A, 2, 0, dims).data
-        rhs = P @ embed_pair(A, 0, 2, dims).data @ np.linalg.inv(P)
+        P = permutation_op(sigma, dims)
+        lhs = embed_pair(A, 2, 0, dims)
+        rhs = P @ embed_pair(A, 0, 2, dims) @ np.linalg.inv(P)
         assert np.abs(lhs - rhs).max() < 1e-14
 
     def test_shape_mismatch(self):
@@ -64,13 +63,13 @@ class TestEmbedPair:
 
 class TestPermutationOp:
     def test_identity(self):
-        assert np.abs(permutation_op([0, 1], (2, 3)).data - np.eye(6)).max() == 0.0
+        assert np.abs(permutation_op([0, 1], (2, 3)) - np.eye(6)).max() == 0.0
 
     def test_action_on_product_vector(self):
         dims = (2, 2, 2)
         vs = [rand_c(2) for _ in range(3)]
         sigma = [1, 2, 0]  # object i -> position sigma[i]
-        P = permutation_op(sigma, dims).data
+        P = permutation_op(sigma, dims)
         got = P @ np.kron(np.kron(vs[0], vs[1]), vs[2])
         want = np.kron(np.kron(vs[2], vs[0]), vs[1])
         assert np.abs(got - want).max() < 1e-14
@@ -81,20 +80,20 @@ class TestPermutationOp:
         for _ in range(3):
             s1 = list(rng2.permutation(4))
             s2 = list(rng2.permutation(4))
-            P1 = permutation_op(s1, dims).data
-            P2 = permutation_op(s2, dims).data
-            P12 = permutation_op(compose_permutations(s1, s2), dims).data
+            P1 = permutation_op(s1, dims)
+            P2 = permutation_op(s2, dims)
+            P12 = permutation_op(compose_permutations(s1, s2), dims)
             assert np.abs(P1 @ P2 - P12).max() == 0.0
 
     def test_cyclic_factorization(self):
         # P_lambda = P^{(N-1,N)} ... P^{(1,2)} for N = 4
         dims = (2,) * 4
-        lam = permutation_op(cyclic_left_shift(4), dims).data
+        lam = permutation_op(cyclic_left_shift(4), dims)
         prod = np.eye(16)
         for k in (2, 1, 0):
             sig = list(range(4))
             sig[k], sig[k + 1] = sig[k + 1], sig[k]
-            prod = prod @ permutation_op(sig, dims).data
+            prod = prod @ permutation_op(sig, dims)
         # written order: adjacent swaps from (N-1,N) down to (1,2)
         assert np.abs(lam - prod).max() == 0.0
 
@@ -102,10 +101,10 @@ class TestPermutationOp:
         dims = (2,) * 4
         A = rand_c(4, 4)
         sigma = [2, 0, 3, 1]
-        P = permutation_op(sigma, dims).data
+        P = permutation_op(sigma, dims)
         for (i, j) in ((0, 2), (3, 1)):
-            lhs = P @ embed_pair(A, i, j, dims).data
-            rhs = embed_pair(A, sigma[i], sigma[j], dims).data @ P
+            lhs = P @ embed_pair(A, i, j, dims)
+            rhs = embed_pair(A, sigma[i], sigma[j], dims) @ P
             assert np.abs(lhs - rhs).max() == 0.0
 
 
@@ -149,7 +148,7 @@ class TestFastApply:
         M = rand_c(12, 12)
         A = rand_c(4, 4)
         got = embedded_matmul(A, 2, 0, dims, M)
-        want = embed_pair(A, 2, 0, dims).data @ M
+        want = embed_pair(A, 2, 0, dims) @ M
         assert np.abs(got - want).max() < 1e-13
 
     def test_permuted_matmul_matches_dense(self):
@@ -157,16 +156,22 @@ class TestFastApply:
         M = rand_c(12, 12)
         sigma = [2, 0, 1]
         got = permuted_matmul(sigma, dims, M)
-        want = permutation_op(sigma, dims).data @ M
+        want = permutation_op(sigma, dims) @ M
         assert np.abs(got - want).max() == 0.0
 
+    @pytest.mark.parametrize("cols", [12, 1])
+    def test_site_matmul_matches_kron(self, cols):
+        dims = (2, 3, 2)
+        M = rand_c(12, cols)
+        for slot, d in enumerate(dims):
+            A = rand_c(d, d)
+            dense = np.kron(np.kron(np.eye(int(np.prod(dims[:slot]))), A),
+                            np.eye(int(np.prod(dims[slot + 1:]))))
+            got = site_matmul(A, slot, dims, M)
+            assert got.shape == (12, cols)
+            assert np.abs(got - dense @ M).max() < 1e-13
 
-class TestTensorOperator:
-    def test_compose_shape_check(self):
-        a = TensorOperator.identity((2, 2))
-        b = TensorOperator.identity((4,))
-        with pytest.raises(ConfigError):
-            a.compose(b)
-
-    def test_norm(self):
-        assert TensorOperator.identity((2, 2)).norm() == pytest.approx(2.0)
+    def test_swap_outputs_is_exact_permutation(self):
+        op = rand_c(6, 6)
+        want = permutation_op([1, 0], (2, 3)) @ op
+        assert np.array_equal(swap_outputs(op, 2, 3), want)
