@@ -14,11 +14,11 @@ from math import prod
 import numpy as np
 
 from .context import QContext
-from .errors import ConfigError, DegeneratePointError
+from .errors import ConfigError
 from .report import VerificationReport
 from .reps import (GradingChoice, antipode_dual, build_eval_rep, operator_a,
-                   operator_x, operator_xtilde)
-from .rsolve import r_matrix, rcheck_continued
+                   operator_x, operator_xtilde, sl2_constants)
+from .rsolve import r_matrix, rcheck_resonant
 from .tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, permuted_matmul,
                         site_matmul, swap_outputs)
 
@@ -127,15 +127,14 @@ class ChainSpec:
 
 
 def rcheck_factor(chain, kind1, z1, kind2, z2, cache=None) -> np.ndarray:
-    """Rcheck for a chain factor, continuing through removable like-kind poles."""
-    try:
-        return r_matrix(kind1, z1, kind2, z2, chain.m, chain.grading, chain.ctx,
-                        normalization=chain.normalization, cache=cache).Rcheck
-    except DegeneratePointError:
-        if chain.normalization != "kappa" or kind1 != kind2:
-            raise
-        return rcheck_continued(kind1, z1, kind2, z2, chain.m, chain.grading,
-                                chain.ctx, cache=cache)
+    """Rcheck for a chain factor; the removable (V,V) resonance z1 = q^delta z2
+    of the kappa-normalized family takes its closed form."""
+    qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
+    if (chain.normalization == "kappa" and kind1 == kind2 == "V"
+            and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1)):
+        return rcheck_resonant(chain.m, chain.grading, chain.ctx)
+    return r_matrix(kind1, z1, kind2, z2, chain.m, chain.grading, chain.ctx,
+                    normalization=chain.normalization, cache=cache).Rcheck
 
 
 def lambda_factor_specs(chain: ChainSpec, i: int):

@@ -222,8 +222,10 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     """Operator identity Rcheck(res) rhs = Lambda_n at the mirrored tuple,
     plus the random-tensor implication through psi_extract.
 
-    The like-kind factor at ratio q^-w sits on the removable resonance of
-    the kappa-normalized family and is evaluated by analytic continuation.
+    The like-kind factor at ratio q^-w = q^delta sits on the removable
+    resonance of the kappa-normalized family and takes its closed crossing
+    form (rsolve.rcheck_resonant).  The same factor also leads Lambda_n, so
+    this identity does not test its value.
     The one-step operator is materialized in both of its forms; the
     identity is checked against the rewritten (plain-R) form, whose
     contraction pattern shares nothing with the composite's assembly.

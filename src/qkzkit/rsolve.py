@@ -8,6 +8,10 @@ Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
+
+At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
+pole that no nullspace solve reaches; rcheck_resonant gives its value in
+closed form from the crossing relation.
 """
 
 import threading
@@ -17,7 +21,8 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError, DegeneratePointError
-from .reps import GENERATOR_TAGS, SiteModule, coproduct_image, make_site
+from .reps import (GENERATOR_TAGS, SiteModule, coproduct_image, make_site, operator_o,
+                   operator_o_inverse)
 from .scalars import kappa_sl2
 from .tensorops import swap_outputs
 
@@ -59,7 +64,7 @@ class RResult:
 
 
 class RCache:
-    """Memoizes solves and continued values by key; concurrent reads, exclusive writes."""
+    """Memoizes solves by request key; concurrent reads, exclusive writes."""
 
     def __init__(self):
         self._store = {}
@@ -75,16 +80,6 @@ class RCache:
     def clear(self):
         with self._lock:
             self._store.clear()
-
-
-def _memoized(cache, key, compute):
-    if cache is None:
-        return compute()
-    hit = cache.get(key)
-    if hit is None:
-        hit = compute()
-        cache.put(key, hit)
-    return hit
 
 
 def _raw_nullvector(req: RRequest):
@@ -156,6 +151,8 @@ def _kappa_scalar(req: RRequest) -> complex:
     z = (req.site1.zeta / req.site2.zeta) ** g.s
     k = kappa_sl2(req.site1.rep.m, z, req.ctx)
     if req.site1.kind == req.site2.kind:
+        if k == 0:
+            raise DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
         return 1.0 / k
     return k
 
@@ -202,7 +199,12 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
     the normalized operator is numerically singular.  The invertibility
     check applies to cached results as well.
     """
-    res = _memoized(cache, req.key(), lambda: _solve(req))
+    key = req.key()
+    res = cache.get(key) if cache is not None else None
+    if res is None:
+        res = _solve(req)
+        if cache is not None:
+            cache.put(key, res)
     if check_invertible and res.cond_ratio <= _SINGULAR_TOL:  # rank drop on the resonance lattice
         raise DegeneratePointError(
             f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")
@@ -220,57 +222,17 @@ def r_matrix(kind1, zeta1, kind2, zeta2, m, grading, ctx,
     return solve_intertwiner(req, cache=cache, check_invertible=check_invertible)
 
 
-def _ratio_key(ratio: complex) -> tuple:
-    # collapse ulp-level differences so theorem runs share the cached value
-    scale = abs(ratio)
-    if scale == 0:
-        return (0.0, 0.0)
-    return (round(ratio.real / scale, 12), round(ratio.imag / scale, 12),
-            round(np.log10(scale), 12))
+def rcheck_resonant(m, grading, ctx) -> np.ndarray:
+    """Kappa-normalized Rcheck_{V|V}(q^delta zeta | zeta), the removable resonance.
 
-
-def rcheck_continued(kind1, zeta1, kind2, zeta2, m, grading, ctx,
-                     cache=None, radius=0.03, nodes=32) -> np.ndarray:
-    """Rcheck of the kappa-normalized family at a removable singular point.
-
-    Trapezoidal Cauchy mean over a circle in zeta1; valid when the pole of
-    the raw family is cancelled by the kappa zero (the like-kind shift
-    lattice), in which case the family is analytic inside the circle.
-    The Laurent moments and a second radius validate removability.
+    Crossing relation (iii) of idsuite.check_crossing at z1 = z2, where
+    R(zeta|zeta) = P, gives R = (-1)^m (O^-1 x 1) P^t1 (O x 1) with
+    P^t1 = |Omega><Omega|, Omega = sum_i e_i x e_i.  Rcheck = P R is rank
+    one and does not depend on zeta.
     """
-    ratio = zeta1 / zeta2  # R depends on the arguments only through this
-    key = ("continued", kind1, kind2, m, grading.s0, grading.s1, complex(ctx.q),
-           ctx.trunc_terms, _ratio_key(ratio), radius, nodes)
-
-    def circle_moments(r):
-        mean = first = second = None
-        vscale = 0.0
-        for k in range(nodes):
-            w = r * np.exp(2j * np.pi * k / nodes)
-            res = r_matrix(kind1, ratio * (1.0 + w), kind2, 1.0, m, grading, ctx,
-                           normalization="kappa", cache=cache, check_invertible=False)
-            v = res.Rcheck
-            vscale = max(vscale, float(np.abs(v).max()))
-            if mean is None:
-                mean, first, second = v.copy(), v * w, v * w * w
-            else:
-                mean += v
-                first += v * w
-                second += v * w * w
-        return mean / nodes, first / nodes, second / nodes, vscale
-
-    def evaluate():
-        # a circle centered on a pole averages the principal part away, so the
-        # Laurent moments c_{-1}, c_{-2} are checked explicitly
-        v1, c1, c2, vscale = circle_moments(radius)
-        if max(float(np.abs(c1).max()), float(np.abs(c2).max())) > 1e-7 * radius * vscale:
-            raise DegeneratePointError(
-                "nonzero principal part: singular point is not removable in kappa normalization")
-        v2, _, _, _ = circle_moments(radius / 2.0)
-        scale = max(float(np.abs(v1).max()), 1e-300)
-        if float(np.abs(v1 - v2).max()) > 1e-9 * scale:
-            raise DegeneratePointError(
-                "circle means disagree: singular point is not removable in kappa normalization")
-        return v2
-
-    return _memoized(cache, key, evaluate)
+    d = m + 1
+    eye = np.eye(d)
+    omega = eye.reshape(-1)
+    R = (-1) ** m * np.kron(operator_o_inverse(m, grading, ctx), eye) \
+        @ np.outer(omega, omega) @ np.kron(operator_o(m, grading, ctx), eye)
+    return swap_outputs(R, d, d)

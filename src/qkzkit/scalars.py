@@ -73,8 +73,8 @@ def f_series(m: int, zeta_arg: complex, ctx: QContext) -> SeriesResult:
     last = 0.0
     for n in range(1, ctx.trunc_terms + 1):
         zn *= zeta_arg
-        qn = q**n
-        term = zn / (n * (qn**m - qn ** (-m)) / (qn - 1.0 / qn))
+        # 1/[m]_{q^n} = q^{n(m-1)} (1 - q^{2n}) / (1 - q^{2nm}); no negative powers of q
+        term = zn * q ** (n * (m - 1)) * (1.0 - q ** (2 * n)) / (n * (1.0 - q ** (2 * n * m)))
         total += term
         last = abs(term)
     r = abs(zeta_arg)

@@ -111,3 +111,13 @@ class TestDeterminism:
         assert main(["suite", "--seed", "3", "--samples", "1", "--jobs", "4",
                      "--out", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestSuiteAcrossQ:
+    @pytest.mark.parametrize("q", ["0.95", "0.3"])
+    def test_suite_completes(self, q, capsys):
+        # q near 1 puts resonances close together; small q used to overflow f_series
+        code, out = run_cli(["suite", "--m", "1", "--q", q, "--format", "json"], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert len(data) == 71 and all(rec["passed"] for rec in data)

@@ -9,7 +9,7 @@ from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
                               rhs_operator_selfdual, scaling_covariance_residual,
                               theorem_check_general, theorem_check_selfdual)
 from qkzkit.reps import operator_xtilde
-from qkzkit.rsolve import r_matrix, rcheck_continued
+from qkzkit.rsolve import r_matrix, rcheck_resonant
 from qkzkit.tensorops import embed_pair, permutation_op
 
 
@@ -86,10 +86,7 @@ class TestTheoremSelfDual:
         case = case_sd(2, 1, grading, ctx)
         rng = np.random.default_rng(71)
         zetas = [zeta_sample(rng) for _ in range(2)]
-        q = complex(ctx.q)
-        w = q ** case.shift
-        rc = rcheck_continued("V", w * zetas[1], "V", case.p * zetas[1], 1,
-                              grading, ctx, cache=cache)
+        rc = rcheck_resonant(1, grading, ctx)
         rhs = rhs_operator_selfdual(case, zetas, cache)
         lhs = embed_pair(rc, 1, 2, case.dims) @ rhs
         chain = chain_for(case, mirrored_args(case, zetas))

@@ -5,10 +5,14 @@ import pytest
 
 from conftest import zeta_sample
 from qkzkit import rsolve
+from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError
-from qkzkit.reps import GENERATOR_TAGS, coproduct_image, make_site
+from qkzkit.qkz import rcheck_factor
+from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
+from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_image, make_site,
+                         operator_o, operator_o_inverse, sl2_constants)
 from qkzkit.rsolve import (GAP_THRESHOLD, RCache, apply_kappa, make_request,
-                           r_matrix, rcheck_continued, solve_intertwiner)
+                           r_matrix, rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
 
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
@@ -151,6 +155,11 @@ class TestDegenerateDetection:
         assert np.abs(res.R).max() == 0.0
         assert res.cond_ratio == 0.0 and res.intertwine_residual == np.inf
 
+    def test_kappa_zero_like_pair_is_degenerate(self):
+        # kappa(q^2) is exactly 0 at m = 1: a pole of the like pair, not a division error
+        with pytest.raises(DegeneratePointError):
+            r_matrix("V", 0.7, "V", 1.0, 1, GradingChoice(1, 1), QContext(0.7), "kappa")
+
     def test_near_lattice_is_fine(self, ctx, grading):
         q = complex(ctx.q)
         ratio = q ** (-2.0 / grading.s) * 1.01
@@ -159,12 +168,12 @@ class TestDegenerateDetection:
 
 
 class TestContinuation:
-    def test_matches_closed_form_m1(self, ctx, grading, cache):
+    def test_matches_closed_form_m1(self, ctx, grading):
         # kappa-normalized value at the removable like-kind resonance;
         # the limit scalar is h0 = q (q^6; q^4)/(q^2; q^4)
         q = complex(ctx.q)
         x0 = q ** (-1.0)
-        got = rcheck_continued("V", x0, "V", 1.0, 1, grading, ctx, cache=cache)
+        got = rcheck_resonant(1, grading, ctx)
         num = den = 1.0
         for k in range(ctx.trunc_terms):
             num *= 1 - q ** (6 + 4 * k)
@@ -175,33 +184,54 @@ class TestContinuation:
         want[1, 2] = want[2, 1] = q * (1 - q ** (-2)) * h0
         assert np.abs(got - want).max() < 1e-12
 
-    def test_scale_invariance(self, ctx, grading, cache):
-        q = complex(ctx.q)
-        a = rcheck_continued("V", q ** (-1.0) * 2.0, "V", 2.0, 1, grading, ctx, cache=cache)
-        b = rcheck_continued("V", q ** (-1.0), "V", 1.0, 1, grading, ctx, cache=cache)
-        assert np.abs(a - b).max() < 1e-12
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j])
+    @pytest.mark.parametrize("s0, s1", [(1, 1), (1, 0), (2, 1)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_is_the_limit_of_the_solved_family(self, q, s0, s1, m, monkeypatch):
+        # the solver approaches the resonance q^delta zeta along (1 + h); the
+        # closed form is its limit, and a negated or O-transposed form is not
+        ctx, grading = QContext(q), GradingChoice(s0, s1)
+        zeta = 1.3
+        qd = complex(q) ** sl2_constants(grading)["delta"]
+        closed = rcheck_resonant(m, grading, ctx)
+        with monkeypatch.context() as mp:
+            mp.setattr(rsolve, "operator_o", lambda *a: operator_o(*a).T)
+            mp.setattr(rsolve, "operator_o_inverse", lambda *a: operator_o_inverse(*a).T)
+            transposed = rcheck_resonant(m, grading, ctx)
 
-    def test_non_removable_point_rejected(self, ctx, grading, cache):
+        def dist(near, form):
+            return np.linalg.norm(near - form) / np.linalg.norm(form)
+
+        for h in (1e-2, 1e-3, 1e-4):
+            near = r_matrix("V", qd * (1 + h) * zeta, "V", zeta, m, grading, ctx,
+                            normalization="kappa", check_invertible=False).Rcheck
+            assert dist(near, closed) <= 20 * h
+        # at the smallest h the bound is tight enough to reject a wrong form
+        assert dist(near, -closed) > 20 * h
+        if s0 == s1:
+            # O^t = (-1)^m O when s0 = s1, so transposing O changes nothing to detect
+            assert np.abs(transposed - closed).max() < 1e-14
+        else:
+            assert dist(near, transposed) > 20 * h
+
+    def test_non_removable_point_rejected(self, ctx, grading):
         # the mixed pair at equal arguments stays a genuine pole in kappa mode
+        chain = chain_for(ReductionCase("self_dual", 1, 1, grading, ctx), [1.0, 1.0])
         with pytest.raises(DegeneratePointError):
-            rcheck_continued("V*", 1.0, "V", 1.0, 1, grading, ctx, cache=cache)
+            rcheck_factor(chain, "V*", 1.0, "V", 1.0)
 
-    def test_value_lives_in_the_cache(self, ctx, grading, monkeypatch):
+    def test_resonance_runs_no_solve(self, ctx, grading, monkeypatch):
+        # the factor the self-dual theorem needs comes from the closed form
         solves = []
         raw = rsolve._raw_nullvector
         monkeypatch.setattr(rsolve, "_raw_nullvector", lambda req: solves.append(req) or raw(req))
-        args = ("V", complex(ctx.q) ** (-2.0 / grading.s), "V", 1.0, 1, grading, ctx)
-        cache = RCache()
-        a = rcheck_continued(*args, cache=cache)
-        per_point = len(solves)
-        assert per_point > 0
-        assert rcheck_continued(*args, cache=cache) is a
-        assert len(solves) == per_point
-        rcheck_continued(*args, cache=RCache())
-        assert len(solves) == 2 * per_point
-        cache.clear()
-        rcheck_continued(*args, cache=cache)
-        assert len(solves) == 3 * per_point
+        case = ReductionCase("self_dual", 1, 2, grading, ctx)
+        z = 1.3 + 0.2j
+        chain = chain_for(case, mirrored_args(case, [z]))
+        w = complex(ctx.q) ** case.shift
+        got = rcheck_factor(chain, "V", w * z, "V", case.p * z, cache=RCache())
+        assert solves == []
+        assert np.abs(got - rcheck_resonant(2, grading, ctx)).max() == 0.0
 
 
 class TestCache:

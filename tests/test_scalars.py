@@ -69,6 +69,23 @@ class TestFSeries:
             rhs = rho0_sllpo(1, z, ctx) / q ** (-0.5)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_finite_for_small_q(self, m):
+        # negative powers of q^n overflowed here for large n
+        for z in (0.5, -0.2 + 0.3j):
+            got = f_series(m, z, QContext(0.3))
+            assert np.isfinite(got.value) and np.isfinite(got.tail_bound)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_q_number_form(self, ctx, m):
+        q = complex(ctx.q)
+        for z in (0.5, -0.2 + 0.3j):
+            want = 0.0
+            for n in range(1, ctx.trunc_terms + 1):
+                qn = q**n
+                want += z**n / (n * (qn**m - qn ** (-m)) / (qn - 1.0 / qn))
+            assert f_series(m, z, ctx).value == pytest.approx(want, rel=1e-13)
+
     def test_divergence_guard(self, ctx):
         with pytest.raises(DivergentBaseError):
             f_series(2, 1.2, ctx)
