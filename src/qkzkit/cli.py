@@ -8,6 +8,7 @@ text mode only).
 
 import argparse
 import sys
+import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -88,6 +89,7 @@ def _zsample(rng):
 def _chk_scalar_identities(config, cache):
     ctx = config.context()
     rng = _rng_for(config, "scalar_identities")
+    t0 = time.perf_counter()
     out = []
     worst_kappa = 0.0
     worst_ratio = 0.0
@@ -103,9 +105,9 @@ def _chk_scalar_identities(config, cache):
                 worst_even = max(worst_even, abs(
                     kappa_sl2_even_rational(m // 2, z, ctx) - kappa_sl2(m, z, ctx)))
     tol = 1e-10
-    out.append(VerificationReport.make("scalar_kappa_identities", {"family": "sl2"}, worst_kappa, tol))
-    out.append(VerificationReport.make("scalar_rho0_ratio", {"family": "sl2"}, worst_ratio, tol))
-    out.append(VerificationReport.make("scalar_kappa_even_rational", {"family": "sl2"}, worst_even, tol))
+    for name, worst in (("scalar_kappa_identities", worst_kappa), ("scalar_rho0_ratio", worst_ratio),
+                        ("scalar_kappa_even_rational", worst_even)):
+        out.append(VerificationReport.make(name, {"family": "sl2"}, worst, tol, t0))
     return out
 
 
@@ -114,6 +116,7 @@ def _chk_scalar_difference(config, cache):
     rng = _rng_for(config, "scalar_difference")
     out = []
     for m in (1, 2, 3):
+        t0 = time.perf_counter()
         vals = []
         for _ in range(max(config.samples, 3)):
             z = _zsample(rng)
@@ -122,9 +125,10 @@ def _chk_scalar_difference(config, cache):
         resid = float(max(np.abs(vals - (-1.0) ** m).max(),
                           np.abs(vals - vals.mean()).max()))
         out.append(VerificationReport.make(
-            "scalar_difference_sl2", {"m": m, "constant": (-1.0) ** m}, resid, 1e-10,
+            "scalar_difference_sl2", {"m": m, "constant": (-1.0) ** m}, resid, 1e-10, t0,
             extracted_scalars=[complex(vals.mean())]))
     for l in (1, 2, 3):
+        t0 = time.perf_counter()
         vals = []
         for _ in range(max(config.samples, 3)):
             z = _zsample(rng)
@@ -132,7 +136,7 @@ def _chk_scalar_difference(config, cache):
         vals = np.array(vals)
         resid = float(max(np.abs(vals - 1.0).max(), np.abs(vals - vals.mean()).max()))
         out.append(VerificationReport.make(
-            "scalar_difference_sllpo", {"l": l, "constant": 1.0}, resid, 1e-10,
+            "scalar_difference_sllpo", {"l": l, "constant": 1.0}, resid, 1e-10, t0,
             extracted_scalars=[complex(vals.mean())]))
     return out
 
@@ -140,6 +144,7 @@ def _chk_scalar_difference(config, cache):
 def _chk_scalar_series(config, cache):
     ctx = config.context()
     rng = _rng_for(config, "scalar_series")
+    t0 = time.perf_counter()
     worst = 0.0
     for l in (1, 2, 3):
         for _ in range(config.samples):
@@ -150,13 +155,15 @@ def _chk_scalar_series(config, cache):
             fb = f_series(l + 1, q**l * z, ctx).value
             series_form = q ** (-l / (l + 1)) * np.exp(fa - fb)
             worst = max(worst, abs(series_form - rho0_sllpo(l, z, ctx)))
-    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
+    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10,
+                                    t0)]
 
 
 def _chk_rep_invariants(config, cache):
     ctx = config.context()
     g = config.grading()
     rng = _rng_for(config, "rep_invariants")
+    t0 = time.perf_counter()
     q = complex(ctx.q)
     worst = 0.0
     worst_hopf = 0.0
@@ -180,8 +187,8 @@ def _chk_rep_invariants(config, cache):
             worst = max(worst, float(np.abs(cov).max()))
             worst_hopf = max(worst_hopf, hopf_antipode_residual(r, zeta))
     return [
-        VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12),
-        VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12),
+        VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12, t0),
+        VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12, t0),
     ]
 
 
@@ -217,6 +224,7 @@ def _chk_degenerate_detection(config, cache):
     ctx = config.context()
     g = config.grading()
     q = complex(ctx.q)
+    t0 = time.perf_counter()
     fired = 0
     lattice = [q ** (2.0 / g.s), q ** (-2.0 / g.s)]
     for point in lattice:
@@ -226,7 +234,7 @@ def _chk_degenerate_detection(config, cache):
             fired += 1
     resid = float(len(lattice) - fired)
     return [VerificationReport.make("degenerate_detection",
-                                    {"m": 1, "scanned": len(lattice)}, resid, 0.0)]
+                                    {"m": 1, "scanned": len(lattice)}, resid, 0.0, t0)]
 
 
 def _chk_ybe(config, cache):
@@ -235,6 +243,7 @@ def _chk_ybe(config, cache):
     rng = _rng_for(config, "ybe")
     out = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
+        t0 = time.perf_counter()
         worst = 0.0
         for _ in range(config.samples):
             zetas = tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
@@ -242,7 +251,7 @@ def _chk_ybe(config, cache):
                                     normalization=config.norm, cache=cache)
             worst = max(worst, rep.residual)
         out.append(VerificationReport.make(
-            "ybe", {"m": config.m, "kinds": list(kinds), "norm": config.norm}, worst, 1e-9))
+            "ybe", {"m": config.m, "kinds": list(kinds), "norm": config.norm}, worst, 1e-9, t0))
     return out
 
 
@@ -252,6 +261,7 @@ def _chk_crossing(config, cache):
     rng = _rng_for(config, "crossing")
     out = []
     for m in (1, 2):
+        t0 = time.perf_counter()
         scal = []
         worst = 0.0
         for _ in range(config.samples):
@@ -263,7 +273,7 @@ def _chk_crossing(config, cache):
             np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
             for i in (2, 3, 4, 5)))
         out.append(VerificationReport.make(
-            "crossing", {"m": m, "scalar_spread": spread}, worst, 1e-9,
+            "crossing", {"m": m, "scalar_spread": spread}, worst, 1e-9, t0,
             extracted_scalars=list(scal[-1])))
     return out
 
@@ -323,10 +333,11 @@ def _chk_qkz(config, cache):
     ctx = config.context()
     g = config.grading()
     rng = _rng_for(config, "qkz")
+    t0 = time.perf_counter()
     out = []
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
     worst = max(qkz.lambda_forms_residual(chain4, i, cache) for i in range(4))
-    out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10))
+    out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10, t0))
     sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha1(), n=config.n)
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)
     out.append(qkz.check_ddr(chain_sd, 0, 2, cache=cache))
@@ -363,11 +374,12 @@ def _chk_theorems(config, cache):
         case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha1())
         zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
         out.append(reduction.check_rpr(case, 1, zetas, seed=config.seed, cache=cache))
+        t0 = time.perf_counter()
         resid = reduction.scaling_covariance_residual(case, zetas,
                                                       1.3 * np.exp(0.4j), cache)
         out.append(VerificationReport.make("scaling_covariance",
                                            {"mode": mode, "n": 2, "m": config.m},
-                                           resid, 1e-10))
+                                           resid, 1e-10, t0))
     return out
 
 
@@ -410,7 +422,8 @@ def _to_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # JSON has no inf or nan; a group that raised reports an infinite residual
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     if isinstance(obj, (complex, np.complexfloating)):
         return _to_json([obj.real, obj.imag])
     if isinstance(obj, str):
@@ -475,6 +488,18 @@ def _emit(text: str, config: RunConfig):
 
 # --- commands --------------------------------------------------------------------
 
+def _run_group(name, config, cache):
+    """One check group; a numerical failure becomes one failing report."""
+    t0 = time.perf_counter()
+    try:
+        return CHECKS[name](config, cache)
+    except ConfigError:
+        raise
+    except QkzError as exc:
+        return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0, t0,
+                                        note=f"{type(exc).__name__}: {exc}")]
+
+
 def cmd_suite(config: RunConfig) -> int:
     config.context()  # validate q and grading before running anything
     config.grading()
@@ -485,12 +510,12 @@ def cmd_suite(config: RunConfig) -> int:
         # not depend on scheduling; the final sort restores a fixed order
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(CHECKS[name], config, cache) for name in sorted(CHECKS)]
+            futures = [pool.submit(_run_group, name, config, cache) for name in sorted(CHECKS)]
             for fut in futures:
                 reports.extend(fut.result())
     else:
         for name in sorted(CHECKS):
-            reports.extend(CHECKS[name](config, cache))
+            reports.extend(_run_group(name, config, cache))
     reports = _apply_tol_override(reports, config.tol)
     _emit(serialize_reports(reports, config.fmt), config)
     return 0 if all(r.passed for r in reports) else 1

@@ -56,6 +56,13 @@ class EvalRep:
         return "V" if self.dual_level % 2 == 0 else "V*"
 
     @property
+    def weights(self) -> np.ndarray:
+        """h1-weights of the basis vectors (a read-only view)."""
+        w = self._w.view()
+        w.flags.writeable = False
+        return w
+
+    @property
     def hw_index(self) -> int:
         """Index of the weight-maximal basis vector."""
         return int(np.argmax(self._w.real))

@@ -214,12 +214,17 @@ def kappa_sllpo(l: int, z: complex, ctx: QContext) -> complex:
     """
     if z == 0:
         raise ScalarDomainError("kappa requires z != 0")
+    return z ** (l / (l + 1)) * _kappa_sllpo_products(l, z, ctx)
+
+
+def _kappa_sllpo_products(l: int, z: complex, ctx: QContext) -> complex:
+    """kappa_sllpo without its z^{l/(l+1)} prefactor."""
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
     num = _poch(q**2 / z, Q, ctx) * _poch(Q * z, Q, ctx)
     den = _poch(q**2 * z, Q, ctx, guard_zero=True, what="kappa denominator") * \
         _poch(Q / z, Q, ctx, guard_zero=True, what="kappa denominator")
-    return z ** (l / (l + 1)) * num / den
+    return num / den
 
 
 def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:
@@ -228,12 +233,15 @@ def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:
     'mixed':         rho0(Q^-1 z)^-1 rho0(z) kappa(Q^-1 z)^-1 kappa(z)
     'all_inverted':  [rho0(Q^-1 z) rho0(z) kappa(Q^-1 z) kappa(z)]^-1
 
-    Here the mixed pattern is the constant one, equal to 1.
+    Here the mixed pattern is the constant one, equal to 1.  The prefactor
+    z^{l/(l+1)} of kappa(Q^-1 z) is continued from z, as z^{l/(l+1)} q^{-2l}:
+    its principal branch at the shifted point can lie across the cut.
     """
     q = complex(ctx.q)
     zs = z * q ** (-2 * (l + 1))
     r0, r1 = rho0_sllpo(l, zs, ctx), rho0_sllpo(l, z, ctx)
-    k0, k1 = kappa_sllpo(l, zs, ctx), kappa_sllpo(l, z, ctx)
+    k1 = kappa_sllpo(l, z, ctx)
+    k0 = z ** (l / (l + 1)) * q ** (-2 * l) * _kappa_sllpo_products(l, zs, ctx)
     return {
         "mixed": (r1 / r0) * (k1 / k0),
         "all_inverted": 1.0 / (r0 * r1 * k0 * k1),

@@ -114,10 +114,30 @@ class TestDeterminism:
 
 
 class TestSuiteAcrossQ:
-    @pytest.mark.parametrize("q", ["0.95", "0.3"])
+    @pytest.mark.parametrize("q", ["0.95", "0.3", "0.5,0.5"])
     def test_suite_completes(self, q, capsys):
-        # q near 1 puts resonances close together; small q used to overflow f_series
+        # q near 1 puts resonances close together; small q used to overflow f_series;
+        # at arg q = pi/4 the sllpo difference shift crosses the branch cut
         code, out = run_cli(["suite", "--m", "1", "--q", q, "--format", "json"], capsys)
         data = json.loads(out)
         assert code == 0
         assert len(data) == 71 and all(rec["passed"] for rec in data)
+
+
+class TestSuiteReporting:
+    def test_failing_group_keeps_the_others(self, capsys):
+        # --trunc 8 is too short for the Pochhammer products: the groups that
+        # need them fail one report each, and every other group still reports
+        code = main(["suite", "--m", "1", "--trunc", "8"])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert code == 1 and captured.err == ""
+        failing = [rec for rec in data if not rec["passed"]]
+        assert failing and all(rec["params"] == {"group": rec["name"]} and
+                               rec["note"].startswith("TruncationError") for rec in failing)
+        assert {"double_dual", "self_dual", "rep_invariants"} <= {rec["name"] for rec in data}
+
+    def test_text_mode_times_every_report(self, capsys):
+        code, out = run_cli(["suite", "--m", "1", "--format", "text"], capsys)
+        assert code == 0
+        assert "(0.0 ms)" not in out

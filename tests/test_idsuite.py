@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
 from qkzkit import idsuite
 from qkzkit.reps import operator_x, operator_xtilde
-from qkzkit.rsolve import r_matrix
+from qkzkit.rsolve import RCache, make_request, r_matrix, solve_intertwiner
 
 
 class TestYangBaxter:
@@ -150,6 +152,22 @@ class TestInvariances:
                                                  (zeta_sample(rng), zeta_sample(rng)),
                                                  grading, ctx, cache=cache)
                 assert rep.passed, rep.residual
+
+    @pytest.mark.parametrize("kinds", [("V", "V"), ("V*", "V")])
+    def test_a_invariance_sees_an_off_sector_entry(self, ctx, grading, kinds):
+        # R conserves the h1-weight, so it commutes exactly with the diagonal
+        # twist; one entry linking two weights must break the check
+        zetas = (1.2 + 0.3j, 0.8 - 0.2j)
+        alpha = 0.41 - 0.27j
+        req = make_request(kinds[0], zetas[0], kinds[1], zetas[1], 2, grading, ctx, "hw")
+        res = solve_intertwiner(req)
+        assert idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx).residual < 1e-15
+        R = res.R.copy()
+        R[0, 1] += 1e-6  # basis vectors 0 and 1 differ in h1-weight by 2
+        cache = RCache()
+        cache.put(req.key(), replace(res, R=R))
+        assert not idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx,
+                                              cache=cache).passed
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_xtilde_invariance(self, m, ctx, grading, cache):

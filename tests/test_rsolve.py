@@ -18,6 +18,31 @@ from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
 
 
+def _commutant_oracle(s1, s2):
+    """Nullvector of X M - N X = 0 over all six generators, built by naive loops."""
+    D = s1.rep.dim * s2.rep.dim
+    rows = []
+    for tag in GENERATOR_TAGS:
+        M = coproduct_image(tag, s1, s2)
+        N = coproduct_image(tag, s2, s1)
+        K = np.zeros((D * D, D * D), dtype=complex)
+        for r in range(D):          # row index of X
+            for c in range(D):      # column index of X
+                # coefficient of X[a, b] in (X M - N X)[r, c]
+                for a in range(D):
+                    for b in range(D):
+                        coeff = 0.0
+                        if a == r:
+                            coeff += M[b, c]
+                        if b == c:
+                            coeff -= N[r, a]
+                        K[r * D + c, a * D + b] += coeff
+        rows.append(K)
+    _, svals, vh = np.linalg.svd(np.vstack(rows))
+    assert svals[-2] / svals[-1] > 1e10
+    return vh[-1].conj().reshape(D, D)
+
+
 class TestSolveBasics:
     def test_equal_arguments_give_identity(self, ctx, grading, cache):
         res = r_matrix("V", 1.1 + 0.3j, "V", 1.1 + 0.3j, 1, grading, ctx, cache=cache)
@@ -37,35 +62,29 @@ class TestSolveBasics:
                            2, grading, ctx, cache=cache)
             assert res.intertwine_residual < 1e-11
 
-    def test_brute_force_commutant_oracle(self, ctx, grading):
-        # independent assembly of the 16x16 commutant system by naive loops
+    def test_brute_force_commutant_oracle(self, grading):
+        # independent assembly by naive loops: all (m+1)^4 entries of Rcheck
+        # are unknowns and all six generators give equations, no weight assumed
         z1, z2 = 1.37 + 0.21j, 0.77 - 0.43j
-        s1 = make_site("V", 1, grading, ctx, z1)
-        s2 = make_site("V", 1, grading, ctx, z2)
-        rows = []
-        for tag in GENERATOR_TAGS:
-            M = coproduct_image(tag, s1, s2)
-            N = coproduct_image(tag, s2, s1)
-            K = np.zeros((16, 16), dtype=complex)
-            for r in range(4):          # row index of X
-                for c in range(4):      # column index of X
-                    # coefficient of X[a, b] in (X M - N X)[r, c]
-                    for a in range(4):
-                        for b in range(4):
-                            coeff = 0.0
-                            if a == r:
-                                coeff += M[b, c]
-                            if b == c:
-                                coeff -= N[r, a]
-                            K[r * 4 + c, a * 4 + b] += coeff
-            rows.append(K)
-        K = np.vstack(rows)
-        _, svals, vh = np.linalg.svd(K)
-        assert svals[-2] / svals[-1] > 1e10
-        oracle = vh[-1].conj().reshape(4, 4)
-        res = r_matrix("V", z1, "V", z2, 1, grading, ctx)
-        lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
-        assert np.abs(res.Rcheck - lam * oracle).max() < 1e-12
+        for q in (0.7, 0.6 + 0.09j, 0.5 + 0.5j):
+            ctx = QContext(q)
+            for m in (1, 2):
+                for kinds in ALL_PAIRS:
+                    oracle = _commutant_oracle(make_site(kinds[0], m, grading, ctx, z1),
+                                               make_site(kinds[1], m, grading, ctx, z2))
+                    res = r_matrix(kinds[0], z1, kinds[1], z2, m, grading, ctx)
+                    lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
+                    assert np.abs(res.Rcheck - lam * oracle).max() <= \
+                        1e-11 * np.abs(res.Rcheck).max(), (q, m, kinds)
+
+    def test_unknowns_are_the_weight_sectors(self, ctx, grading, monkeypatch):
+        # the normal matrix has one row per weight-conserving entry of Rcheck
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: sizes.append(A.shape[0]) or eigh(A))
+        for m in (1, 2, 3, 4):
+            r_matrix("V", 1.3 + 0.2j, "V*", 0.8 - 0.1j, m, grading, ctx)
+        assert sizes == [6, 19, 44, 85]
 
     def test_depends_only_on_ratio(self, ctx, grading10, cache):
         rng = np.random.default_rng(2)
@@ -160,6 +179,20 @@ class TestDegenerateDetection:
         with pytest.raises(DegeneratePointError):
             r_matrix("V", 0.7, "V", 1.0, 1, GradingChoice(1, 1), QContext(0.7), "kappa")
 
+    @pytest.mark.parametrize("dead", [("e0", "f0"), ("e1", "f1")])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_widened_nullspace_fires_the_gap(self, ctx, grading, monkeypatch, dead, m):
+        # without one e/f pair the remaining U_q(sl2) has an (m+1)-dimensional
+        # commutant; the gap check must see it at every m
+        raw = coproduct_image
+
+        def mutated(tag, site1, site2, nu=1.0):
+            M = raw(tag, site1, site2, nu)
+            return 0.0 * M if tag in dead else M
+        monkeypatch.setattr(rsolve, "coproduct_image", mutated)
+        with pytest.raises(DegeneratePointError, match="nullspace gap"):
+            r_matrix("V", 1.3 + 0.2j, "V", 0.8 - 0.1j, m, grading, ctx)
+
     def test_near_lattice_is_fine(self, ctx, grading):
         q = complex(ctx.q)
         ratio = q ** (-2.0 / grading.s) * 1.01
@@ -213,6 +246,18 @@ class TestContinuation:
             assert np.abs(transposed - closed).max() < 1e-14
         else:
             assert dist(near, transposed) > 20 * h
+
+    def test_regular_close_to_the_resonance(self):
+        # hw x hw is alone in its weight sector, so the hw normalization holds
+        # arbitrarily close to the resonance and the family reaches its limit
+        ctx, grading, m = QContext(0.6 + 0.09j), GradingChoice(1, 0), 3
+        zeta = 1.1 - 0.4j
+        qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
+        closed = rcheck_resonant(m, grading, ctx)
+        for h in (1e-4, 1e-5, 1e-6):
+            near = r_matrix("V", qd * (1 + h) * zeta, "V", zeta, m, grading, ctx,
+                            normalization="kappa", check_invertible=False).Rcheck
+            assert np.linalg.norm(near - closed) <= 20 * h * np.linalg.norm(closed)
 
     def test_non_removable_point_rejected(self, ctx, grading):
         # the mixed pair at equal arguments stays a genuine pole in kappa mode

@@ -215,6 +215,14 @@ class TestSllpoFamily:
             for _ in range(5):
                 assert kappa_difference_check_sllpo(l, z_sample(rng), ctx) < 1e-10
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_difference_constant_across_the_branch_cut(self, l):
+        # the shift z -> q^{-2(l+1)} z turns arg z by more than pi at this q
+        ctx = QContext(0.5 + 0.5j)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            assert kappa_difference_check_sllpo(l, z_sample(rng), ctx) < 1e-10
+
     def test_difference_spread(self, ctx):
         rng = np.random.default_rng(16)
         for l in (1, 2):
