@@ -45,7 +45,6 @@ class RunConfig:
     norm: str = "kappa"
     fmt: str = "json"
     out: str = None
-    jobs: int = 1
     check: str = None
     kinds: str = "VV"
     zeta1: complex = 1.0
@@ -505,17 +504,8 @@ def cmd_suite(config: RunConfig) -> int:
     config.grading()
     cache = RCache()
     reports = []
-    if config.jobs > 1:
-        # check groups are independent and seeded per name, so results do
-        # not depend on scheduling; the final sort restores a fixed order
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_run_group, name, config, cache) for name in sorted(CHECKS)]
-            for fut in futures:
-                reports.extend(fut.result())
-    else:
-        for name in sorted(CHECKS):
-            reports.extend(_run_group(name, config, cache))
+    for name in sorted(CHECKS):
+        reports.extend(_run_group(name, config, cache))
     reports = _apply_tol_override(reports, config.tol)
     _emit(serialize_reports(reports, config.fmt), config)
     return 0 if all(r.passed for r in reports) else 1
@@ -604,8 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", choices=("hw", "kappa"), default="kappa")
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="run check groups concurrently (reports stay deterministic)")
+        # accepted for old command lines (the benchmark's among them); the
+        # suite always runs sequentially, so 1 is the only value
+        p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
 
     add_common(sub.add_parser("suite", help="run the full check battery"))
     pv = sub.add_parser("verify", help="run one named check group")
@@ -624,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("m", "l", "n", "q", "s0", "s1", "alpha", "seed", "tol", "trunc",
-                 "samples", "norm", "fmt", "out", "jobs"):
+                 "samples", "norm", "fmt", "out"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     for name in ("check", "kinds", "zeta1", "zeta2"):

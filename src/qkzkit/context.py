@@ -1,4 +1,4 @@
-"""Deformation-parameter context and Lie-algebra constants."""
+"""Deformation-parameter context."""
 
 from dataclasses import dataclass
 
@@ -7,21 +7,20 @@ import numpy as np
 from .errors import ConfigError
 
 _MACH_EPS = float(np.finfo(float).eps)
+_ROOT_UNITY_GUARD = 48
 
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter q plus the numeric policy used everywhere.
+    """Deformation parameter q plus the truncation length of every product.
 
     q must satisfy 0 < |q| < 1 (all infinite products and series converge
     inside the unit disk) and must not be numerically close to a root of
-    unity: |q^k - 1| > 10*eps for 1 <= k <= root_unity_guard.
+    unity: |q^k - 1| > 10*eps for 1 <= k <= 48.
     """
 
     q: complex
-    eps_residual: float = 1e-10
     trunc_terms: int = 256
-    root_unity_guard: int = 48
 
     def __post_init__(self):
         q = complex(self.q)
@@ -31,52 +30,8 @@ class QContext:
             raise ConfigError(f"|q| must be < 1, got |q| = {abs(q):.6g}")
         if self.trunc_terms < 1:
             raise ConfigError("trunc_terms must be positive")
-        if self.root_unity_guard < 1:
-            raise ConfigError("root_unity_guard must be positive")
         qk = 1.0 + 0.0j
-        for k in range(1, self.root_unity_guard + 1):
+        for k in range(1, _ROOT_UNITY_GUARD + 1):
             qk *= q
             if abs(qk - 1.0) <= 10.0 * _MACH_EPS:
                 raise ConfigError(f"q is numerically a root of unity: |q^{k} - 1| <= 10*eps")
-
-
-def _inverse_cartan_a(l: int) -> tuple:
-    # b_ij = min(i,j) * (l + 1 - max(i,j)) / (l + 1) for type A_l
-    rows = []
-    for i in range(1, l + 1):
-        rows.append(tuple(min(i, j) * (l + 1 - max(i, j)) / (l + 1) for j in range(1, l + 1)))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class LieData:
-    """Constants of the underlying simple Lie algebra (type A only).
-
-    kac_labels are the marks of the extended Dynkin diagram (a_0 = 1 is
-    kept implicit), d_coeffs the symmetrizing integers, b_matrix the
-    inverse Cartan matrix, theta_norm = (theta|theta) and dual_coxeter
-    the dual Coxeter number.
-    """
-
-    algebra: str
-    rank: int
-    kac_labels: tuple
-    d_coeffs: tuple
-    b_matrix: tuple
-    theta_norm: float
-    dual_coxeter: int
-
-    @classmethod
-    def sl2(cls) -> "LieData":
-        return cls("A1", 1, (1,), (1,), ((0.5,),), 2.0, 2)
-
-    @classmethod
-    def sl_lplus1(cls, l: int) -> "LieData":
-        if l < 1:
-            raise ConfigError("rank l must be >= 1")
-        return cls(f"A{l}", l, (1,) * l, (1,) * l, _inverse_cartan_a(l), 2.0, l + 1)
-
-    @property
-    def epsilon_times_s(self) -> float:
-        """(theta|theta) * dual Coxeter number; dividing by s gives epsilon."""
-        return self.theta_norm * self.dual_coxeter

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from .report import CheckSpec, VerificationReport
+from .report import VerificationReport
 from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_a,
                    operator_o, operator_x, operator_xtilde, sl2_constants)
 from .rsolve import r_matrix
@@ -18,7 +18,7 @@ from .qkz import ChainSpec, DeltaAssignment, permutation_of_word, transport_phi
 from .tensorops import embed_pair, partial_transpose, scalar_ratio
 
 __all__ = [
-    "CheckSpec", "VerificationReport", "check_ybe", "check_unitarity",
+    "VerificationReport", "check_ybe", "check_unitarity",
     "check_initial_condition", "check_crossing", "check_double_dual",
     "check_self_dual", "check_invariance_x", "check_invariance_a",
     "check_invariance_xtilde", "check_braid_welldefined", "random_zeta",

@@ -30,56 +30,38 @@ class DeltaAssignment:
     """Recipe for a per-site twist map.
 
     sources:
-      self_dual_pair: d^{n-1} phi(zeta) (Xtilde^-1)^t Xtilde A_alpha, d = (-1)^m
-      general_v:      phi(zeta) X_V A_alpha
-      general_vstar:  phi*(zeta) X_{V*} A_alpha^{V*}
-    phi_hook defaults to the constant 1.
+      self_dual_pair: d^{n-1} (Xtilde^-1)^t Xtilde A_alpha, d = (-1)^m
+      general_v:      X_V A_alpha
+      general_vstar:  X_{V*} A_alpha^{V*}
+    A scalar phi(zeta) in front would multiply both sides of every checked
+    identity alike, so it is left out.
     """
 
     source: str
     alpha: complex = 0.0
     n: int = 1
-    phi_hook: object = None
 
     def __post_init__(self):
         if self.source not in ("self_dual_pair", "general_v", "general_vstar"):
             raise ConfigError(f"unknown delta source {self.source!r}")
 
 
-def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice, ctx: QContext):
-    """Matrix-valued function of zeta implementing the assignment."""
-    hook = assign.phi_hook or (lambda zeta: 1.0)
+def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice,
+                ctx: QContext) -> np.ndarray:
+    """Twist matrix of the assignment (it does not depend on zeta)."""
     rep = build_eval_rep(m, grading, ctx)
     if assign.source == "self_dual_pair":
         xt = operator_xtilde(m, grading, ctx)
-        core = np.linalg.inv(xt).T @ xt
-        d_const = (-1.0) ** m
-        amat = operator_a(assign.alpha, rep)
-        pref = d_const ** (assign.n - 1)
-
-        def delta(zeta):
-            return pref * hook(zeta) * core @ amat
+        pref = ((-1.0) ** m) ** (assign.n - 1)
+        mat = pref * (np.linalg.inv(xt).T @ xt) @ operator_a(assign.alpha, rep)
     elif assign.source == "general_v":
-        core = operator_x(m, grading, ctx, kind="V")
-        amat = operator_a(assign.alpha, rep)
-
-        def delta(zeta):
-            return hook(zeta) * core @ amat
+        mat = operator_x(m, grading, ctx, kind="V") @ operator_a(assign.alpha, rep)
     else:
         dual = antipode_dual(rep)
-        core = operator_x(m, grading, ctx, kind="V*")
-        amat = operator_a(assign.alpha, dual)
-
-        def delta(zeta):
-            return hook(zeta) * core @ amat
-
-    def wrapped(zeta):
-        mat = np.asarray(delta(zeta), dtype=complex)
-        if abs(np.linalg.det(mat)) < 1e-12:
-            raise ConfigError("site twist map is singular")
-        return mat
-
-    return wrapped
+        mat = operator_x(m, grading, ctx, kind="V*") @ operator_a(assign.alpha, dual)
+    if abs(np.linalg.det(mat)) < 1e-12:
+        raise ConfigError("site twist map is singular")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -116,8 +98,7 @@ class ChainSpec:
         return (self.m + 1,) * self.N
 
     def delta_matrix(self, i: int) -> np.ndarray:
-        fn = build_delta(self.deltas[i], self.m, self.grading, self.ctx)
-        return fn(self.etas[i])
+        return build_delta(self.deltas[i], self.m, self.grading, self.ctx)
 
     def with_eta(self, i: int, value: complex) -> "ChainSpec":
         etas = list(self.etas)

@@ -1,7 +1,7 @@
 """Verification report record shared by all check layers."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -24,13 +24,3 @@ class VerificationReport:
         return cls(name=name, params=dict(params), residual=float(residual),
                    tolerance=float(tolerance), passed=bool(residual <= tolerance),
                    wall_ms=wall, extracted_scalars=extracted_scalars, note=note)
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """Declarative description of one check run (deterministic given seed)."""
-
-    name: str
-    tolerance: float
-    params: dict = field(default_factory=dict)
-    seed: int = 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import LieData, QContext
+from .context import QContext
 from .errors import ConfigError
 from .scalars import q_number
 
@@ -205,7 +205,7 @@ def hopf_antipode_residual(rep: EvalRep, zeta: complex) -> float:
 def sl2_constants(grading: GradingChoice) -> dict:
     """epsilon, delta and omega = epsilon + delta for the sl2 family."""
     s = grading.s
-    eps = LieData.sl2().epsilon_times_s / s
+    eps = 4.0 / s  # (theta|theta) * dual Coxeter number = 2 * 2 for sl2
     delta = -2.0 / s
     return {"epsilon": eps, "delta": delta, "omega": eps + delta}
 
@@ -254,28 +254,3 @@ def operator_xtilde(m: int, grading: GradingChoice, ctx: QContext) -> np.ndarray
 def operator_a(alpha: complex, rep: EvalRep) -> np.ndarray:
     """Twist operator phi(q^{alpha h1}) (dual modules get the dual image)."""
     return rep.qh1(alpha)
-
-
-@dataclass(frozen=True)
-class DistinguishedOps:
-    X: np.ndarray
-    O: np.ndarray
-    Xtilde: np.ndarray
-    A_alpha: np.ndarray
-    alpha: complex
-    epsilon: float
-    delta: float
-    omega: float
-
-
-def distinguished_ops(m, grading, ctx, alpha=0.0) -> DistinguishedOps:
-    consts = sl2_constants(grading)
-    rep = build_eval_rep(m, grading, ctx)
-    return DistinguishedOps(
-        X=operator_x(m, grading, ctx),
-        O=operator_o(m, grading, ctx),
-        Xtilde=operator_xtilde(m, grading, ctx),
-        A_alpha=operator_a(alpha, rep),
-        alpha=alpha,
-        **consts,
-    )

@@ -16,7 +16,6 @@ pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,22 +65,19 @@ class RResult:
 
 
 class RCache:
-    """Memoizes solves by request key; concurrent reads, exclusive writes."""
+    """Memoizes solves by request key."""
 
     def __init__(self):
         self._store = {}
-        self._lock = threading.Lock()
 
     def get(self, key):
         return self._store.get(key)
 
     def put(self, key, value):
-        with self._lock:
-            self._store[key] = value
+        self._store[key] = value
 
     def clear(self):
-        with self._lock:
-            self._store.clear()
+        self._store.clear()
 
 
 def _raw_nullvector(req: RRequest):

@@ -15,6 +15,7 @@ PochhammerResult = namedtuple("PochhammerResult", ["value", "tail_bound"])
 SeriesResult = namedtuple("SeriesResult", ["value", "tail_bound"])
 
 _POLE_TOL = 1e-9
+_TAIL_TOL = 1e-10  # largest accepted truncation tail bound of a product
 
 
 def q_number(nu: complex, ctx: QContext) -> complex:
@@ -54,8 +55,8 @@ def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
 
 def _poch(a, p, ctx, guard_zero=False, what="Pochhammer factor"):
     value, tail, min_factor = _poch_scan(a, p, ctx)
-    if tail > ctx.eps_residual:
-        raise TruncationError(f"tail bound {tail:.3g} exceeds eps_residual for {what}")
+    if tail > _TAIL_TOL:
+        raise TruncationError(f"tail bound {tail:.3g} exceeds {_TAIL_TOL:.0e} for {what}")
     if guard_zero and min_factor < _POLE_TOL:
         raise PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {min_factor:.3g})")
     return value

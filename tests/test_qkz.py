@@ -24,23 +24,18 @@ def general_chain(ctx, grading, kinds, rng, p=None, norm="kappa", alpha=0.0):
 class TestBuildDelta:
     def test_self_dual_m1_hand_value(self, ctx, grading):
         # (Xtilde^-1)^t Xtilde = -id at m=1; with d = -1 and n = 2 the map is +id
-        fn = build_delta(DeltaAssignment("self_dual_pair", n=2), 1, grading, ctx)
-        assert np.abs(fn(1.7) - np.eye(2) * ((-1.0) ** 1) ** (2 - 1) * (-1.0)).max() < 1e-14
+        mat = build_delta(DeltaAssignment("self_dual_pair", n=2), 1, grading, ctx)
+        assert np.abs(mat - np.eye(2) * ((-1.0) ** 1) ** (2 - 1) * (-1.0)).max() < 1e-14
 
     def test_general_alpha_zero_is_x(self, ctx, grading10):
-        fn = build_delta(DeltaAssignment("general_v"), 2, grading10, ctx)
-        assert np.abs(fn(0.9) - operator_x(2, grading10, ctx)).max() < 1e-14
-        fns = build_delta(DeltaAssignment("general_vstar"), 2, grading10, ctx)
-        assert np.abs(fns(0.9) - operator_x(2, grading10, ctx, kind="V*")).max() < 1e-14
+        mat = build_delta(DeltaAssignment("general_v"), 2, grading10, ctx)
+        assert np.abs(mat - operator_x(2, grading10, ctx)).max() < 1e-14
+        mats = build_delta(DeltaAssignment("general_vstar"), 2, grading10, ctx)
+        assert np.abs(mats - operator_x(2, grading10, ctx, kind="V*")).max() < 1e-14
 
     def test_balanced_grading_gives_identity(self, ctx, grading):
-        fn = build_delta(DeltaAssignment("general_v"), 1, grading, ctx)
-        assert np.abs(fn(2.2) - np.eye(2)).max() < 1e-15
-
-    def test_phi_hook(self, ctx, grading):
-        fn = build_delta(DeltaAssignment("general_v", phi_hook=lambda z: 2.0 * z),
-                         1, grading, ctx)
-        assert np.abs(fn(3.0) - 6.0 * np.eye(2)).max() < 1e-14
+        mat = build_delta(DeltaAssignment("general_v"), 1, grading, ctx)
+        assert np.abs(mat - np.eye(2)).max() < 1e-15
 
 
 class TestLambdaOp:

@@ -114,13 +114,11 @@ class TestRhsGeneral:
         case = case_gen(1, 1, grading, ctx)
         z = 1.2 - 0.3j
         got = rhs_operator_general(case, [z], cache)
-        q = complex(ctx.q)
-        e = q ** case.shift
         chain = chain_for(case, mirrored_args(case, [z]))
         P = permutation_op([1, 0], (2, 2))
         from qkzkit.qkz import build_delta
-        dv = build_delta(case.delta_assignment("V"), 1, grading, ctx)(z)
-        dvs = build_delta(case.delta_assignment("V*"), 1, grading, ctx)(e * z)
+        dv = build_delta(case.delta_assignment("V"), 1, grading, ctx)
+        dvs = build_delta(case.delta_assignment("V*"), 1, grading, ctx)
         want = P @ np.kron(dvs, np.eye(2)) @ P @ np.kron(dv, np.eye(2))
         assert np.abs(got - want).max() < 1e-13
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit.context import LieData
 from qkzkit.reps import (GradingChoice, SiteModule, antipode_dual, build_eval_rep,
-                         coproduct_image, distinguished_ops, hopf_antipode_residual,
+                         coproduct_image, hopf_antipode_residual,
                          make_site, operator_a, operator_o, operator_o_inverse,
                          operator_x, operator_xtilde, sl2_constants)
 
@@ -227,26 +226,6 @@ class TestDistinguishedOperators:
             xt = operator_xtilde(m, grading, ctx)
             core = np.linalg.inv(xt).T @ xt
             assert np.abs(core - (-1.0) ** m * np.eye(m + 1)).max() < 1e-13
-
-    def test_bundle(self, ctx, grading):
-        ops = distinguished_ops(2, grading, ctx, alpha=0.3)
-        assert ops.omega == pytest.approx(1.0)
-        assert np.abs(ops.Xtilde - ops.O.T @ ops.X).max() == 0.0
-
-
-class TestLieData:
-    def test_sl2_constants(self):
-        lie = LieData.sl2()
-        assert lie.b_matrix[0][0] == pytest.approx(0.5)
-        assert lie.dual_coxeter == 2
-        assert lie.epsilon_times_s == pytest.approx(4.0)
-
-    def test_sllpo_constants(self):
-        lie = LieData.sl_lplus1(3)
-        assert lie.dual_coxeter == 4
-        assert lie.epsilon_times_s == pytest.approx(8.0)
-        # inverse Cartan entry b_13 = 1*1/4 for A3
-        assert lie.b_matrix[0][2] == pytest.approx(0.25)
 
 
 class TestSiteModule:

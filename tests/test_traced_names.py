@@ -1,6 +1,10 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
+
+from qkzkit import cli
 
 # perfbench/spans.py wraps these by name; a rename would make their layer
 # metrics read 0 and be listed as absent instead of failing
@@ -15,3 +19,23 @@ def test_traced_name_exists(name):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.SUITE_ARGS))
+def test_benchmark_command_line_parses(workload):
+    # the benchmark drives the CLI with these argument lists; removing an
+    # option they use must fail here rather than in the benchmark
+    argv = WORKLOADS.suite_argv(workload, 1, "x.json")
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == "suite"
