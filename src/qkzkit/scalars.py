@@ -120,12 +120,17 @@ def kappa_sl2(m: int, z: complex, ctx: QContext) -> complex:
     """
     if z == 0:
         raise ScalarDomainError("kappa requires z != 0")
+    return z ** (m / 2.0) * _kappa_sl2_products(m, z, ctx)
+
+
+def _kappa_sl2_products(m: int, z: complex, ctx: QContext) -> complex:
+    """kappa_sl2 without its z^{m/2} prefactor."""
     q = complex(ctx.q)
     p = q**4
     num = _poch(q ** (2 * m + 2) * z, p, ctx) * _poch(q**2 / z, p, ctx)
     den = _poch(q ** (2 * m + 2) / z, p, ctx, guard_zero=True, what="kappa denominator") * \
         _poch(q**2 * z, p, ctx, guard_zero=True, what="kappa denominator")
-    return z ** (m / 2.0) * num / den
+    return num / den
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -156,12 +161,15 @@ def difference_patterns_sl2(m: int, z: complex, ctx: QContext) -> dict:
 
     The first is constant in z and equals (-1)^m; the second is not
     constant for odd m.  Both are returned so the sign convention can be
-    probed rather than assumed.
+    probed rather than assumed.  The prefactor z^{m/2} of kappa(q^-2 z) is
+    continued from z, as z^{m/2} q^{-m}: its principal branch at the
+    shifted point can lie across the cut.
     """
     q = complex(ctx.q)
     zs = q ** (-2) * z
     r0, r1 = rho0_sl2(m, zs, ctx), rho0_sl2(m, z, ctx)
-    k0, k1 = kappa_sl2(m, zs, ctx), kappa_sl2(m, z, ctx)
+    k1 = kappa_sl2(m, z, ctx)
+    k0 = z ** (m / 2.0) * q ** (-m) * _kappa_sl2_products(m, zs, ctx)
     return {
         "all_inverted": 1.0 / (r0 * r1 * k0 * k1),
         "mixed": (r1 / r0) * (k1 / k0),

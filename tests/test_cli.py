@@ -114,10 +114,11 @@ class TestDeterminism:
 
 
 class TestSuiteAcrossQ:
-    @pytest.mark.parametrize("q", ["0.95", "0.3", "0.5,0.5"])
+    @pytest.mark.parametrize("q", ["0.95", "0.3", "0.5,0.5", "0.3,0.6"])
     def test_suite_completes(self, q, capsys):
         # q near 1 puts resonances close together; small q used to overflow f_series;
-        # at arg q = pi/4 the sllpo difference shift crosses the branch cut
+        # at arg q = pi/4 the sllpo difference shift crosses the branch cut, and at
+        # q = 0.3+0.6i the sl2 one does
         code, out = run_cli(["suite", "--m", "1", "--q", q, "--format", "json"], capsys)
         data = json.loads(out)
         assert code == 0

@@ -163,6 +163,14 @@ class TestDifferenceEquationSl2:
                 z = z_sample(rng)
                 assert kappa_difference_check_sl2(m, z, ctx_complex) < 1e-10
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_difference_constant_across_the_branch_cut(self, m):
+        # the shift z -> q^-2 z turns arg z by -2 arg q, past -pi for some z at this q
+        ctx = QContext(0.3 + 0.6j)
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            assert kappa_difference_check_sl2(m, z_sample(rng), ctx) < 1e-10
+
     def test_constant_independent_of_z(self, ctx):
         rng = np.random.default_rng(10)
         for m in (1, 2):
