@@ -90,8 +90,11 @@ def _raw_nullvector(req: RRequest):
     assembled column by column: the coefficient of X[a, b] in
     (X M - N X)[i, j] is delta_ia M[b, j] - N[i, a] delta_bj.
 
-    Computed from the normal equations; the two smallest singular values
-    are re-estimated as ||K v|| because squaring pushes them below the
+    Each row of K is divided by its norm first: zeta^{+-s} and the
+    q-numbers spread the rows over many orders of magnitude, and the
+    gap of the unscaled system was set by rounding.  The nullvector comes
+    from the normal equations; the two smallest singular values are
+    re-estimated as ||K v|| because squaring pushes them below the
     eigensolver's noise floor, where a two-dimensional nullspace would
     still show a gap of about 1e7.
     """
@@ -112,6 +115,8 @@ def _raw_nullvector(req: RRequest):
             blocks.append((np.einsum("ki,kj->ijk", eye[a], M[b])
                            - np.einsum("ik,kj->ijk", N[:, a], eye[b])).reshape(D * D, -1))
     K = np.vstack(blocks)
+    rows = np.linalg.norm(K, axis=1)
+    K = K[rows > 0] / rows[rows > 0, None]  # unit rows; the nullspace is unchanged
     _, V = np.linalg.eigh(K.conj().T @ K)
     sigma_min, sigma_2 = np.linalg.norm(K @ V[:, :2], axis=0)
     gap = float(sigma_2 / max(sigma_min, 1e-300))

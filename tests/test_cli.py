@@ -124,6 +124,15 @@ class TestSuiteAcrossQ:
         assert code == 0
         assert len(data) == 71 and all(rec["passed"] for rec in data)
 
+    @pytest.mark.parametrize("s0, s1", [(1, 0), (2, 1), (0, 1)])
+    def test_small_q_unbalanced_grading(self, s0, s1, capsys):
+        # badly scaled commutant rows used to make regular points fail the gap check
+        code, out = run_cli(["suite", "--m", "2", "--q", "0.3", "--s0", str(s0),
+                             "--s1", str(s1)], capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert len(data) == 71 and all(rec["passed"] for rec in data)
+
 
 class TestSuiteReporting:
     def test_failing_group_keeps_the_others(self, capsys):

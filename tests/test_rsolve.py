@@ -199,6 +199,26 @@ class TestDegenerateDetection:
         res = r_matrix("V", ratio, "V", 1.0, 1, grading, ctx)
         assert res.nullspace_gap > GAP_THRESHOLD
 
+    @pytest.mark.parametrize("z", [complex(0.3) ** 8, 0.3**8, 0.3**8 * (1 + 1e-15)],
+                             ids=["complex", "real", "perturbed"])
+    def test_badly_scaled_regular_point_has_a_clean_gap(self, z):
+        # zeta^{+-s} and the q-numbers spread the commutant rows over many orders
+        # of magnitude here; without equilibration the gap was rounding noise
+        res = r_matrix("V", z, "V", 1.0, 3, GradingChoice(1, 0), QContext(0.3))
+        assert res.nullspace_gap > 1e10
+
+    @pytest.mark.parametrize("kind", ["V", "V*"])
+    def test_small_q_shell_is_regular(self, kind):
+        # (zeta1/zeta2)^s = q^{+-2(m+1)} at q = 0.3 is off the resonance lattice
+        ctx = QContext(0.3)
+        for s0, s1 in ((1, 1), (1, 0), (2, 1), (0, 1)):
+            g = GradingChoice(s0, s1)
+            for m in (1, 2, 3):
+                for sign in (1, -1):
+                    zeta = complex(0.3) ** (sign * 2 * (m + 1) / g.s)
+                    res = r_matrix(kind, zeta, kind, 1.0, m, g, ctx, check_invertible=False)
+                    assert res.nullspace_gap > 1e9
+
 
 class TestContinuation:
     def test_matches_closed_form_m1(self, ctx, grading):
