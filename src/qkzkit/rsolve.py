@@ -91,8 +91,8 @@ def _raw_nullvector(req: RRequest):
     (X M - N X)[i, j] is delta_ia M[b, j] - N[i, a] delta_bj.
 
     Each row of K is divided by its norm first: zeta^{+-s} and the
-    q-numbers spread the rows over many orders of magnitude, and the
-    gap of the unscaled system was set by rounding.  The nullvector comes
+    q-numbers spread the rows over many orders of magnitude, and without
+    the scaling the gap would be set by rounding.  The nullvector comes
     from the normal equations; the two smallest singular values are
     re-estimated as ||K v|| because squaring pushes them below the
     eigensolver's noise floor, where a two-dimensional nullspace would
