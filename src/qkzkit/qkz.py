@@ -3,8 +3,14 @@
 A chain is N sites, each a spin-m module V or its dual V*, with spectral
 parameters eta_i and a multiplicative shift p.  The one-step operator for
 site i is a product of two-site Rcheck factors, the cyclic left shift and
-the site twist embedded at slot 0; it is also materialized in the
-rewritten form with R factors only, and both must agree.
+the site twist embedded at slot 0; it also has a rewritten form with R
+factors only, and both must agree.
+
+Every operator is applied to a start block of columns, the identity by
+default (which gives the dense matrix).  The checks apply both sides of
+an identity A = B to the same seeded complex Gaussian probe block X of
+PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X|| estimates
+the relative Frobenius residual without forming A or B.
 """
 
 import time
@@ -23,6 +29,21 @@ from .tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, permuted
                         site_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
+PROBE_COLUMNS = 8
+
+
+def probe_block(D: int, seed=0) -> np.ndarray:
+    """D x min(PROBE_COLUMNS, D) complex Gaussian block drawn from default_rng(seed).
+
+    Column 0 is drawn first, as one standard_normal(D) real and one
+    imaginary part, so it is the single probe vector phi0 that a seeded
+    check draws from that rng; the other columns follow.
+    """
+    rng = np.random.default_rng(seed)
+    first = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    shape = (D, min(PROBE_COLUMNS, D) - 1)
+    rest = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.column_stack([first, rest])
 
 
 @dataclass(frozen=True)
@@ -139,11 +160,13 @@ def lambda_factor_specs(chain: ChainSpec, i: int):
     return specs
 
 
-def materialize_factors(chain: ChainSpec, specs, cache=None) -> np.ndarray:
-    """Dense matrix of a factor list (written order: leftmost factor applied last)."""
+def materialize_factors(chain: ChainSpec, specs, cache=None, block=None) -> np.ndarray:
+    """A factor list applied to `block`, the identity (dense matrix) by default.
+
+    Written order: the leftmost factor is applied last.
+    """
     dims = chain.dims
-    D = prod(dims)
-    M = np.eye(D, dtype=complex)
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
     lam = cyclic_left_shift(chain.N)
     for tag, slot, info in reversed(specs):
         if tag == "perm_lambda":
@@ -158,15 +181,18 @@ def materialize_factors(chain: ChainSpec, specs, cache=None) -> np.ndarray:
     return M
 
 
-def lambda_rewritten(chain: ChainSpec, i: int, cache=None, dense=False) -> np.ndarray:
-    """The same operator assembled from plain R factors and no permutation.
+def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
+    """The same operator assembled from plain R factors and no permutation,
+    applied to `block` (the identity by default).
 
-    With dense=True every factor is embedded as a full matrix and composed
-    by matrix products, an evaluation route with independent rounding.
+    Every factor is embedded as a full matrix by Kronecker products
+    (`embed_pair` for the R factors) and multiplied onto the block, an
+    evaluation route that shares no code with the `embedded_matmul`
+    application of `materialize_factors`.
     """
     dims = chain.dims
     d = chain.m + 1
-    M = np.eye(prod(dims), dtype=complex)
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
     factors = []
     for k in range(i + 1, chain.N):
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
@@ -175,35 +201,28 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, dense=False) -> np.nd
     for k in range(0, i):
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
                                       chain.kinds[i], chain.etas[i])))
-    if dense:
-        for tag, where, info in factors:
-            if tag == "delta":
-                sl = where[0]
-                dm = chain.delta_matrix(sl)
-                before = prod(dims[:sl]) if sl else 1
-                after = prod(dims[sl + 1:]) if sl + 1 < chain.N else 1
-                M = M @ np.kron(np.eye(before), np.kron(dm, np.eye(after)))
-            else:
-                M = M @ embed_pair(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
-                                   *where, dims)
-        return M
+    # no name holds a factor, so each D x D embedding is freed before the next
     for tag, where, info in reversed(factors):
         if tag == "delta":
-            M = site_matmul(chain.delta_matrix(where[0]), where[0], dims, M)
+            sl = where[0]
+            M = np.kron(np.eye(prod(dims[:sl])),
+                        np.kron(chain.delta_matrix(sl), np.eye(prod(dims[sl + 1:])))) @ M
         else:
-            M = embedded_matmul(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
-                                *where, dims, M)
+            M = embed_pair(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
+                           *where, dims) @ M
     return M
 
 
-def lambda_op(chain: ChainSpec, i: int, cache=None) -> np.ndarray:
-    """Materialized one-step qKZ operator for site i."""
-    return materialize_factors(chain, lambda_factor_specs(chain, i), cache)
+def lambda_op(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
+    """One-step qKZ operator for site i applied to `block` (default: its dense matrix)."""
+    return materialize_factors(chain, lambda_factor_specs(chain, i), cache, block)
 
 
 def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
-    M = materialize_factors(chain, lambda_factor_specs(chain, i), cache)
-    M2 = lambda_rewritten(chain, i, cache, dense=True)
+    """Relative residual between the two forms of Lambda_i on the probe block."""
+    X = probe_block(prod(chain.dims))
+    M = lambda_op(chain, i, cache, X)
+    M2 = lambda_rewritten(chain, i, cache, X)
     return float(np.linalg.norm(M - M2) / max(np.linalg.norm(M), 1e-300))
 
 
@@ -221,10 +240,11 @@ def _cancels(spec_a, spec_b) -> bool:
     return same
 
 
-def lambda_product_regularized(chain_a: ChainSpec, i_a: int,
-                               chain_b: ChainSpec, i_b: int, cache=None) -> np.ndarray:
+def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
+                               i_b: int, cache=None, block=None) -> np.ndarray:
     """Product Lambda_a(chain_a) Lambda_b(chain_b) with the adjacent
-    mutually-inverse Rcheck pair at the junction cancelled exactly.
+    mutually-inverse Rcheck pair at the junction cancelled exactly, applied
+    to `block` (default: the dense product).
 
     At the mirrored argument tuples of the reduction construction the two
     junction factors are mixed-kind operators at coincident arguments;
@@ -238,8 +258,8 @@ def lambda_product_regularized(chain_a: ChainSpec, i_a: int,
     if specs_a and specs_b and _cancels(specs_a[-1], specs_b[0]):
         specs_a = specs_a[:-1]
         specs_b = specs_b[1:]
-    return materialize_factors(chain_a, specs_a, cache) @ \
-        materialize_factors(chain_b, specs_b, cache)
+    return materialize_factors(chain_a, specs_a, cache,
+                               materialize_factors(chain_b, specs_b, cache, block))
 
 
 def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> VerificationReport:
@@ -261,14 +281,14 @@ def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> Verifi
 
 def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, tol=1e-9,
                             cache=None) -> VerificationReport:
-    """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i."""
+    """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i
+    on the probe block X: Li_shift(Lj X) against Lj_shift(Li X)."""
     t0 = time.perf_counter()
-    Li = lambda_op(chain, i, cache)
-    Lj = lambda_op(chain, j, cache)
-    Li_shift = lambda_op(chain.with_eta(j, chain.p * chain.etas[j]), i, cache)
-    Lj_shift = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache)
-    left = Li_shift @ Lj
-    right = Lj_shift @ Li
+    X = probe_block(prod(chain.dims))
+    left = lambda_op(chain.with_eta(j, chain.p * chain.etas[j]), i, cache,
+                     lambda_op(chain, j, cache, X))
+    right = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache,
+                      lambda_op(chain, i, cache, X))
     resid = float(np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-300))
     return VerificationReport.make(
         "qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m}, resid, tol, t0)

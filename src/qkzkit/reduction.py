@@ -3,10 +3,12 @@
 Two constructions are covered: a chain of 2n like modules with mirrored
 arguments (w1..wn, q^w wn .. q^w w1) and shift p = q^{2w} ("self-dual"),
 and a chain of n modules plus n duals with the q^eps mirror and p = q^eps
-("general").  In each case the composite reduction operator is assembled
-from its factor strings and compared, as a dense matrix, with
-the one-step qKZ operators; a random-tensor route through the contraction
-map realizes the implication concretely.
+("general").  In each case the composite reduction operator and the
+one-step qKZ operators are applied, factor by factor, to the same seeded
+complex Gaussian probe block (`qkz.probe_block`), and the two results are
+compared; no composite is formed as a D x D matrix.  The first probe
+column goes through the contraction map, which realizes the implication
+concretely.
 """
 
 import time
@@ -19,7 +21,7 @@ from .context import QContext
 from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, lambda_factor_specs,
                   lambda_product_regularized, lambda_rewritten, materialize_factors,
-                  rcheck_factor)
+                  probe_block, rcheck_factor)
 from .report import VerificationReport
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
 from .rsolve import r_matrix
@@ -107,8 +109,9 @@ def _apply_R(case, k1, z1, k2, z2, i, j, M, cache):
     return embedded_matmul(_factor(case, k1, z1, k2, z2, cache).R, i, j, case.dims, M)
 
 
-def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None) -> np.ndarray:
-    """Reduction composite for the like-kind chain (written order, leftmost applied last):
+def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None, block=None) -> np.ndarray:
+    """Reduction composite for the like-kind chain applied to `block` (default:
+    the identity, giving its dense matrix); written order, leftmost applied last:
 
     R^{(n+2,n+1)}(q^w z_{n-1}|q^{2w} z_n) .. R^{(2n,n+1)}(q^w z_1|q^{2w} z_n)
     P^{(n,n+1)} Delta^{(n)}(z_n) R^{(1,n)}(z_1|z_n) .. R^{(n-1,n)}(z_{n-1}|z_n)
@@ -120,8 +123,7 @@ def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None) -> np.ndarray:
     w = q ** case.shift
     chain = chain_for(case, mirrored_args(case, zetas))
     dims = case.dims
-    D = prod(dims)
-    M = np.eye(D, dtype=complex)
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
     # left-multiplication: iterate the written factor order right to left
     for j in range(n - 1, 0, -1):
         M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
@@ -135,8 +137,10 @@ def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None) -> np.ndarray:
     return M
 
 
-def rhs_operator_general(case: ReductionCase, zetas, cache=None, insertion=None) -> np.ndarray:
-    """Two-block reduction composite for the mixed chain (written order, leftmost applied last):
+def rhs_operator_general(case: ReductionCase, zetas, cache=None, insertion=None,
+                         block=None) -> np.ndarray:
+    """Two-block reduction composite for the mixed chain applied to `block`
+    (default: the identity); written order, leftmost applied last:
 
     [V*|V* string](.. |q^{2e} z_n) P^{(n,n+1)} Delta*^{(n)}(q^e z_n) [V|V* string]
     [V*|V  string](.. |q^e z_n)    P^{(n,n+1)} Delta^{(n)}(z_n)      [V|V string]
@@ -152,11 +156,10 @@ def rhs_operator_general(case: ReductionCase, zetas, cache=None, insertion=None)
     etas = mirrored_args(case, zetas)
     chain = chain_for(case, etas)
     dims = case.dims
-    D = prod(dims)
     swap = list(range(2 * n))
     swap[n - 1], swap[n] = swap[n], swap[n - 1]
 
-    M = np.eye(D, dtype=complex)
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
     # first (rightmost) block: plain modules against the moving site n
     for j in range(n - 1, 0, -1):
         M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
@@ -226,27 +229,30 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     resonance of the kappa-normalized family and takes its closed crossing
     form (rsolve.rcheck_resonant).  The same factor also leads Lambda_n, so
     this identity does not test its value.
-    The one-step operator is materialized in both of its forms; the
-    identity is checked against the rewritten (plain-R) form, whose
-    contraction pattern shares nothing with the composite's assembly.
+    Both sides, and both forms of the one-step operator, are applied to the
+    same probe block drawn from `seed`; its first column is the random
+    tensor of the implication.  The identity and the implication are
+    checked against the rewritten (plain-R) form, whose Kronecker-embedded
+    factors share no code with the composite's factor application; the
+    factor-list form goes through the same helpers as the composite side
+    and can agree with it bit for bit.  `forms_residual` compares the two
+    forms.
     """
     t0 = time.perf_counter()
     n = case.n
     dims = case.dims
     w = complex(case.ctx.q) ** case.shift
-    rhs = rhs_operator_selfdual(case, zetas, cache)
+    X = probe_block(prod(dims), seed)
+    rhs = rhs_operator_selfdual(case, zetas, cache, X)
     chain = chain_for(case, mirrored_args(case, zetas))
     resonant = rcheck_factor(chain, "V", w * zetas[n - 1], "V", case.p * zetas[n - 1], cache)
     lhs = embedded_matmul(resonant, n - 1, n, dims, rhs)
-    lam = lambda_rewritten(chain, n - 1, cache, dense=prod(dims) <= 128)
-    lam_check_form = materialize_factors(chain, lambda_factor_specs(chain, n - 1), cache)
+    lam = lambda_rewritten(chain, n - 1, cache, X)
+    lam_check_form = materialize_factors(chain, lambda_factor_specs(chain, n - 1), cache, X)
     forms_resid = float(np.linalg.norm(lam - lam_check_form) / max(np.linalg.norm(lam), 1e-300))
     resid_op = float(np.linalg.norm(lhs - lam) / max(np.linalg.norm(lam), 1e-300))
-    rng = np.random.default_rng(seed)
-    D = prod(dims)
-    phi0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    psi_lam = psi_extract(case, lam_check_form @ phi0)
-    psi_red = psi_extract(case, lhs @ phi0)
+    psi_lam = psi_extract(case, lam[:, 0])
+    psi_red = psi_extract(case, lhs[:, 0])
     resid_e2e = float(np.linalg.norm(psi_lam - psi_red) / max(np.linalg.norm(psi_lam), 1e-300))
     return _combined_report(
         "theorem_selfdual", {"n": n, "m": case.m, "seed": seed,
@@ -258,23 +264,28 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
                           tol_e2e=1e-8, cache=None) -> VerificationReport:
     """Operator identity rhs = Lambda_{n+1}(shifted tuple) Lambda_n(tuple),
     with the singular junction pair cancelled by unitarity, plus the
-    random-tensor implication through psi_extract."""
+    random-tensor implication through psi_extract.
+
+    Both sides are applied to the same probe block drawn from `seed`; its
+    first column is the random tensor of the implication.  At n = 1 the
+    junction cancellation leaves both sides the same factor string
+    P Delta* P Delta on the same block, so the residual reads exactly 0:
+    there the identity is bookkeeping, not an independent check.
+    """
     t0 = time.perf_counter()
     n = case.n
     e = complex(case.ctx.q) ** case.shift
-    rhs = rhs_operator_general(case, zetas, cache)
+    X = probe_block(prod(case.dims), seed)
+    rhs = rhs_operator_general(case, zetas, cache, block=X)
     eta = mirrored_args(case, zetas)
     eta_shift = list(zetas[:n - 1]) + [e * zetas[n - 1], e * zetas[n - 1]] + \
         [e * z for z in reversed(zetas[:n - 1])]
     chain_b = chain_for(case, eta)
     chain_a = chain_for(case, eta_shift)
-    prod_ops = lambda_product_regularized(chain_a, n, chain_b, n - 1, cache)
+    prod_ops = lambda_product_regularized(chain_a, n, chain_b, n - 1, cache, X)
     resid_op = float(np.linalg.norm(prod_ops - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    rng = np.random.default_rng(seed)
-    D = prod(case.dims)
-    phi0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    psi_lam = psi_extract(case, prod_ops @ phi0)
-    psi_red = psi_extract(case, rhs @ phi0)
+    psi_lam = psi_extract(case, prod_ops[:, 0])
+    psi_red = psi_extract(case, rhs[:, 0])
     resid_e2e = float(np.linalg.norm(psi_lam - psi_red) / max(np.linalg.norm(psi_lam), 1e-300))
     return _combined_report(
         "theorem_general", {"n": n, "m": case.m, "seed": seed},
@@ -284,10 +295,12 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
 def insertion_invariance_check(case: ReductionCase, zetas, u, v, tol=1e-10,
                                cache=None) -> VerificationReport:
     """rhs_operator_general is unchanged by inserting the unitarity pair at
-    the block boundary (arguments (u, v) kept off the singular diagonal)."""
+    the block boundary (arguments (u, v) kept off the singular diagonal);
+    both are applied to the same probe block."""
     t0 = time.perf_counter()
-    base = rhs_operator_general(case, zetas, cache)
-    ins = rhs_operator_general(case, zetas, cache, insertion=(u, v))
+    X = probe_block(prod(case.dims))
+    base = rhs_operator_general(case, zetas, cache, block=X)
+    ins = rhs_operator_general(case, zetas, cache, insertion=(u, v), block=X)
     resid = float(np.linalg.norm(base - ins) / max(np.linalg.norm(base), 1e-300))
     return VerificationReport.make(
         "insertion_invariance", {"n": case.n, "m": case.m}, resid, tol, t0)
@@ -329,8 +342,9 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, tol=1e-9,
 
 def scaling_covariance_residual(case: ReductionCase, zetas, nu, cache=None) -> float:
     """Composite operators depend only on ratios: rescaling all arguments
-    by nu leaves the reduction composite unchanged."""
+    by nu leaves the reduction composite unchanged (compared on one probe block)."""
     build = rhs_operator_selfdual if case.mode == "self_dual" else rhs_operator_general
-    a = build(case, list(zetas), cache)
-    b = build(case, [nu * z for z in zetas], cache)
+    X = probe_block(prod(case.dims))
+    a = build(case, list(zetas), cache, block=X)
+    b = build(case, [nu * z for z in zetas], cache, block=X)
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))

@@ -1,9 +1,12 @@
-"""Dense operator algebra on tensor products of site spaces.
+"""Operator algebra on tensor products of site spaces.
 
-Site indices are 0-based throughout.  Operators are stored as dense
-matrices of shape (prod dims_out, prod dims_in); `embedded_matmul` and
-`site_matmul` apply a two-site or one-site factor to a big matrix without
-forming the embedded operator, which keeps long factor products cheap.
+Site indices are 0-based throughout.  An operator acts on a block of
+columns of shape (prod dims, k).  `embedded_matmul`, `site_matmul` and
+`permuted_matmul` apply a two-site factor, a one-site matrix or a site
+permutation to such a block without forming the embedded operator, at a
+cost linear in k: on the identity block they give the operator's matrix,
+on a probe block of a few columns they test an identity at O(D) cost per
+factor.  `embed_pair` and `permutation_op` form the full D x D embedding.
 """
 
 from math import prod
