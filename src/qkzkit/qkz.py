@@ -25,8 +25,8 @@ from .report import VerificationReport
 from .reps import (GradingChoice, antipode_dual, build_eval_rep, operator_a,
                    operator_x, operator_xtilde, sl2_constants)
 from .rsolve import r_matrix, rcheck_resonant
-from .tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, permuted_matmul,
-                        site_matmul, swap_outputs)
+from .tensorops import (cyclic_left_shift, embedded_matmul, permuted_matmul, site_matmul,
+                        swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
@@ -185,10 +185,11 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.nda
     """The same operator assembled from plain R factors and no permutation,
     applied to `block` (the identity by default).
 
-    Every factor is embedded as a full matrix by Kronecker products
-    (`embed_pair` for the R factors) and multiplied onto the block, an
-    evaluation route that shares no code with the `embedded_matmul`
-    application of `materialize_factors`.
+    Every factor, an R factor on its two sites or the twist on its site,
+    is contracted into the block reshaped to (d, ..., d, k) by one
+    `np.einsum` (`_einsum_apply`), an evaluation route that shares no
+    code with the `embedded_matmul`/`site_matmul` application of
+    `materialize_factors` and forms no D x D matrix.
     """
     dims = chain.dims
     d = chain.m + 1
@@ -201,16 +202,27 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.nda
     for k in range(0, i):
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
                                       chain.kinds[i], chain.etas[i])))
-    # no name holds a factor, so each D x D embedding is freed before the next
     for tag, where, info in reversed(factors):
         if tag == "delta":
-            sl = where[0]
-            M = np.kron(np.eye(prod(dims[:sl])),
-                        np.kron(chain.delta_matrix(sl), np.eye(prod(dims[sl + 1:])))) @ M
+            M = _einsum_apply(chain.delta_matrix(where[0]), where, dims, M)
         else:
-            M = embed_pair(swap_outputs(rcheck_factor(chain, *info, cache), d, d),
-                           *where, dims) @ M
+            R = swap_outputs(rcheck_factor(chain, *info, cache), d, d)
+            M = _einsum_apply(R, where, dims, M)
     return M
+
+
+def _einsum_apply(op, sites, dims, M):
+    """Left-multiply M by the matrix `op` acting on `sites` (first factor on
+    sites[0]), through one einsum over the block reshaped to (dims..., k)."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    block = letters[:len(dims) + 1]
+    fresh = letters[len(dims) + 1:len(dims) + 1 + len(sites)]
+    out = list(block)
+    for s, f in zip(sites, fresh):
+        out[s] = f
+    spec = f"{fresh}{''.join(block[s] for s in sites)},{block}->{''.join(out)}"
+    T = op.reshape(tuple(dims[s] for s in sites) * 2)
+    return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
 
 
 def lambda_op(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:

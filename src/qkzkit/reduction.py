@@ -232,7 +232,7 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     Both sides, and both forms of the one-step operator, are applied to the
     same probe block drawn from `seed`; its first column is the random
     tensor of the implication.  The identity and the implication are
-    checked against the rewritten (plain-R) form, whose Kronecker-embedded
+    checked against the rewritten (plain-R) form, whose einsum-applied
     factors share no code with the composite's factor application; the
     factor-list form goes through the same helpers as the composite side
     and can agree with it bit for bit.  `forms_residual` compares the two

@@ -154,14 +154,20 @@ def coproduct_image(tag: str, site1: SiteModule, site2: SiteModule, nu=1.0) -> n
     r1, r2 = site1.rep, site2.rep
     z1, z2 = site1.zeta, site2.zeta
     if tag.startswith("qh"):
-        return np.kron(r1.gen(tag, z1, nu), r2.gen(tag, z2, nu))
+        return _kron(r1.gen(tag, z1, nu), r2.gen(tag, z2, nu))
     i = int(tag[1])
     qh_tag = f"qh{i}"
     if tag.startswith("e"):
-        return np.kron(r1.gen(tag, z1), np.eye(r2.dim)) + \
-            np.kron(r1.gen(qh_tag, z1, 1.0), r2.gen(tag, z2))
-    return np.kron(r1.gen(tag, z1), r2.gen(qh_tag, z2, -1.0)) + \
-        np.kron(np.eye(r1.dim), r2.gen(tag, z2))
+        return _kron(r1.gen(tag, z1), np.eye(r2.dim)) + \
+            _kron(r1.gen(qh_tag, z1, 1.0), r2.gen(tag, z2))
+    return _kron(r1.gen(tag, z1), r2.gen(qh_tag, z2, -1.0)) + \
+        _kron(np.eye(r1.dim), r2.gen(tag, z2))
+
+
+def _kron(A, B):
+    """np.kron of two matrices: the same elementwise products, one broadcast."""
+    (a0, a1), (b0, b1) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1)
 
 
 def antipode_image(rep: EvalRep, tag: str, zeta: complex, nu=1.0) -> np.ndarray:

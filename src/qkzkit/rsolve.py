@@ -30,6 +30,8 @@ from .tensorops import swap_outputs
 GAP_THRESHOLD = 1e6
 _HW_TOL = 1e-8
 _SINGULAR_TOL = 1e-8
+# h1-weight that each generator adds, on every module kind
+_WEIGHT_SHIFT = {"e0": -2.0, "e1": 2.0, "f0": 2.0, "f1": -2.0}
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,13 @@ def _raw_nullvector(req: RRequest):
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
     input b (in V1 x V2) carry the same weight.  On them the Cartan
-    equations hold identically, and the e0/e1/f0/f1 equations are
-    assembled column by column: the coefficient of X[a, b] in
-    (X M - N X)[i, j] is delta_ia M[b, j] - N[i, a] delta_bj.
+    equations hold identically.  Each of e0/e1/f0/f1 adds a fixed
+    h1-weight (-2, +2, +2, -2), and so do its coproduct images M on
+    V1 x V2 and N on V2 x V1; so (X M - N X)[i, j] can only be nonzero
+    where w_out(i) - w_in(j) is that shift.  Only those rows are
+    assembled, in row-major (i, j) order, and rows that still vanish are
+    dropped.  The coefficient of X[a, b] in row (i, j) is
+    delta_ia M[b, j] - N[i, a] delta_bj, scattered by index arrays.
 
     Each row of K is divided by its norm first: zeta^{+-s} and the
     q-numbers spread the rows over many orders of magnitude, and without
@@ -102,27 +108,41 @@ def _raw_nullvector(req: RRequest):
     D = s1.rep.dim * s2.rep.dim
     if D == 1:
         return np.ones((1, 1), dtype=complex), np.inf, []
-    w1, w2 = s1.rep.weights.real, s2.rep.weights.real
-    a, b = np.nonzero(np.add.outer(w2, w1).reshape(-1, 1) == np.add.outer(w1, w2).reshape(1, -1))
-    eye = np.eye(D)
-    blocks = []
-    pairs = []
-    for tag in GENERATOR_TAGS:
-        M = coproduct_image(tag, s1, s2)
-        N = coproduct_image(tag, s2, s1)
-        pairs.append((M, N))
-        if not tag.startswith("qh"):
-            blocks.append((np.einsum("ki,kj->ijk", eye[a], M[b])
-                           - np.einsum("ik,kj->ijk", N[:, a], eye[b])).reshape(D * D, -1))
-    K = np.vstack(blocks)
+    K, (a, b), pairs = _commutant_rows(s1, s2)
     rows = np.linalg.norm(K, axis=1)
-    K = K[rows > 0] / rows[rows > 0, None]  # unit rows; the nullspace is unchanged
+    K = K[rows > 0]
+    K /= rows[rows > 0, None]  # unit rows; the nullspace is unchanged
     _, V = np.linalg.eigh(K.conj().T @ K)
     sigma_min, sigma_2 = np.linalg.norm(K @ V[:, :2], axis=0)
     gap = float(sigma_2 / max(sigma_min, 1e-300))
     X = np.zeros((D, D), dtype=complex)
     X[a, b] = V[:, 0]
     return X, gap, pairs
+
+
+def _commutant_rows(s1: SiteModule, s2: SiteModule):
+    """Unscaled rows of K by weight shift, the unknowns' (a, b) and the
+    (M, N) coproduct image pairs of all six generators."""
+    w1, w2 = s1.rep.weights.real, s2.rep.weights.real
+    w_in, w_out = np.add.outer(w1, w2).reshape(-1), np.add.outer(w2, w1).reshape(-1)
+    shift = w_out[:, None] - w_in[None, :]
+    a, b = np.nonzero(shift == 0)
+    by_shift = {}  # rows (i, j) and the (row, unknown) positions of both terms
+    for d in set(_WEIGHT_SHIFT.values()):
+        i, j = np.nonzero(shift == d)
+        by_shift[d] = i, j, np.nonzero(i[:, None] == a), np.nonzero(j[:, None] == b)
+    pairs = [(coproduct_image(tag, s1, s2), coproduct_image(tag, s2, s1))
+             for tag in GENERATOR_TAGS]
+    K = np.zeros((sum(len(by_shift[d][0]) for d in _WEIGHT_SHIFT.values()), len(a)),
+                 dtype=complex)
+    start = 0
+    for tag, (M, N) in zip(GENERATOR_TAGS, pairs):
+        if tag in _WEIGHT_SHIFT:
+            i, j, (r, k), (r2, k2) = by_shift[_WEIGHT_SHIFT[tag]]
+            K[start + r, k] = M[b[k], j[r]]
+            K[start + r2, k2] -= N[i[r2], a[k2]]
+            start += len(i)
+    return K, (a, b), pairs
 
 
 def _intertwine_residual(Rc, pairs) -> float:

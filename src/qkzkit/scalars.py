@@ -1,7 +1,8 @@
 """q-numbers, q-Pochhammer products and closed-form normalization scalars.
 
-All infinite products are truncated at ctx.trunc_terms with a geometric
-tail estimate; evaluation aborts rather than silently returning an
+All infinite products are truncated at ctx.trunc_terms factors or at
+working precision, whichever comes first, with a geometric tail
+estimate; evaluation aborts rather than silently returning an
 under-resolved value.  Arguments named ``z`` are the combination
 zeta12^s of the two spectral parameters.
 """
@@ -28,22 +29,32 @@ def q_number(nu: complex, ctx: QContext) -> complex:
 
 
 def _poch_scan(a: complex, p: complex, ctx: QContext):
-    """Partial product of (1 - a p^k) with tail bound and smallest factor."""
-    if abs(p) >= 1.0:
-        raise DivergentBaseError(f"|p| must be < 1, got {abs(p):.6g}")
+    """Partial product of (1 - a p^k) with tail bound and smallest factor.
+
+    The scan stops after ctx.trunc_terms factors, or earlier once
+    |a p^k| / (1 - |p|) < 2^-54: the factors from there on move the
+    product by less than half an ulp.
+    """
+    abs_p = abs(p)
+    if abs_p >= 1.0:
+        raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
     value = 1.0 + 0.0j
     pk = 1.0 + 0.0j
+    abs_a = head = abs(a)
+    negligible = 2.0**-54 * (1.0 - abs_p)
     min_factor = float("inf")
     for _ in range(ctx.trunc_terms):
+        if head < negligible:
+            break
         f = 1.0 - a * pk
         min_factor = min(min_factor, abs(f))
         value *= f
         pk *= p
+        head = abs_a * abs(pk)
     # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
-    head = abs(a) * abs(pk)
     if head >= 0.5:
         raise TruncationError("trunc_terms too small for this Pochhammer argument")
-    tail = 2.0 * head / (1.0 - abs(p))
+    tail = 2.0 * head / (1.0 - abs_p)
     return value, tail, min_factor
 
 

@@ -213,5 +213,5 @@ class TestFailability:
     def test_lambda_forms(self, monkeypatch, ctx, grading, cache):
         chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), 1, np.random.default_rng(100))
         assert lambda_forms_residual(chain, 1, cache) <= 1e-10
-        plant_defect(monkeypatch, qkz, "embed_pair", first_call())
+        plant_defect(monkeypatch, qkz, "swap_outputs", first_call())
         assert lambda_forms_residual(chain, 1, cache) > 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from qkzkit import reps
 from qkzkit.reps import (GradingChoice, SiteModule, antipode_dual, build_eval_rep,
                          coproduct_image, hopf_antipode_residual,
                          make_site, operator_a, operator_o, operator_o_inverse,
@@ -163,6 +164,13 @@ class TestCoproduct:
         E12 = _unit(2, 1, 2)
         want = np.kron(E12, np.eye(2)) + np.kron(np.diag([q, 1 / q]), E12)
         assert np.abs(coproduct_image("e1", s1, s2) - want).max() < 1e-15
+
+    def test_kron_helper_is_np_kron(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        B = rng.standard_normal((4, 1)) - 1j * rng.standard_normal((4, 1))
+        for X, Y in [(A, B), (B, A), (A, np.eye(3)), (np.eye(2), A), (A.real, B)]:
+            assert np.array_equal(reps._kron(X, Y), np.kron(X, Y))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_hopf_axiom(self, m, ctx_complex, grading):

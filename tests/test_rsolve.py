@@ -43,6 +43,23 @@ def _commutant_oracle(s1, s2):
     return vh[-1].conj().reshape(D, D)
 
 
+def _full_assembly_rows(s1, s2):
+    """Nonzero rows of the commutant system on the weight-sector unknowns, assembled
+    over all D^2 entries (i, j) of each e0/e1/f0/f1 equation against np.eye(D)."""
+    D = s1.rep.dim * s2.rep.dim
+    w1, w2 = s1.rep.weights.real, s2.rep.weights.real
+    a, b = np.nonzero(np.add.outer(w2, w1).reshape(-1, 1) == np.add.outer(w1, w2).reshape(1, -1))
+    eye = np.eye(D)
+    blocks = []
+    for tag in ("e0", "e1", "f0", "f1"):
+        M = coproduct_image(tag, s1, s2)
+        N = coproduct_image(tag, s2, s1)
+        blocks.append((np.einsum("ki,kj->ijk", eye[a], M[b])
+                       - np.einsum("ik,kj->ijk", N[:, a], eye[b])).reshape(D * D, -1))
+    K = np.vstack(blocks)
+    return K[np.linalg.norm(K, axis=1) > 0]
+
+
 class TestSolveBasics:
     def test_equal_arguments_give_identity(self, ctx, grading, cache):
         res = r_matrix("V", 1.1 + 0.3j, "V", 1.1 + 0.3j, 1, grading, ctx, cache=cache)
@@ -76,6 +93,17 @@ class TestSolveBasics:
                     lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
                     assert np.abs(res.Rcheck - lam * oracle).max() <= \
                         1e-11 * np.abs(res.Rcheck).max(), (q, m, kinds)
+
+    @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
+    def test_rows_by_weight_shift_match_the_full_assembly(self, g, ctx):
+        # same rows, same order, same bits as the D^2-row assembly, before scaling
+        for m in (1, 2, 3, 4):
+            for kinds in ALL_PAIRS:
+                s1 = make_site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
+                s2 = make_site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
+                K = rsolve._commutant_rows(s1, s2)[0]
+                assert np.array_equal(K[np.linalg.norm(K, axis=1) > 0],
+                                      _full_assembly_rows(s1, s2)), (m, kinds)
 
     def test_unknowns_are_the_weight_sectors(self, ctx, grading, monkeypatch):
         # the normal matrix has one row per weight-conserving entry of Rcheck

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import z_sample
+from qkzkit import scalars
 from qkzkit.context import QContext
-from qkzkit.errors import ConfigError, DivergentBaseError, PoleError
+from qkzkit.errors import ConfigError, DivergentBaseError, PoleError, TruncationError
 from qkzkit.scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                             f_series, kappa_difference_check_sl2,
                             kappa_difference_check_sllpo, kappa_sl2,
@@ -48,6 +49,36 @@ class TestQPochhammer:
     def test_divergent_base(self, ctx):
         with pytest.raises(DivergentBaseError):
             q_pochhammer(0.5, 1.1, ctx)
+
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.5 + 0.5j, 0.95, 0.3, 0.3 + 0.6j])
+    def test_stopped_scan_matches_the_full_product(self, q):
+        # the scan stops at working precision (about 190 factors at q = 0.95,
+        # p = q^4); the oracle multiplies all 256 factors
+        ctx = QContext(q)
+        rng = np.random.default_rng(11)
+        for power in (4, 6, 8):
+            p = q**power
+            for _ in range(50):
+                a = np.exp(rng.uniform(np.log(0.05), np.log(20.0)) + 2j * np.pi * rng.random())
+                oracle, pk = 1.0 + 0.0j, 1.0 + 0.0j
+                for _ in range(256):
+                    oracle *= 1.0 - a * pk
+                    pk *= p
+                got = q_pochhammer(a, p, ctx).value
+                assert abs(got - oracle) <= 2 * np.finfo(float).eps * abs(oracle), (q, power, a)
+
+    def test_short_truncation_still_raises(self):
+        # eight factors leave the tail bound 2 |a| |p|^8 / (1 - |p|)
+        ctx = QContext(0.7, trunc_terms=8)
+        a, p = 0.49, 0.7**4
+        tail = 2.0 * a * p**8 / (1.0 - p)
+        with pytest.raises(TruncationError, match=f"tail bound {tail:.3g} exceeds 1e-10 for kappa"):
+            scalars._poch(a, p, ctx, guard_zero=True, what="kappa denominator")
+
+    def test_vanishing_factor_at_k3_is_a_pole(self, ctx):
+        p = complex(ctx.q) ** 4
+        with pytest.raises(PoleError, match="closest"):
+            scalars._poch(p**-3, p, ctx, guard_zero=True)
 
 
 class TestFSeries:

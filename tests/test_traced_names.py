@@ -6,10 +6,13 @@ import pytest
 
 from qkzkit import cli
 
-# perfbench/spans.py wraps these by name; a rename would make their layer
-# metrics read 0 and be listed as absent instead of failing
+# perfbench/spans.py wraps these by name and prices the four tensorops ones in
+# spans.COSTS; a rename would make their layer metrics, or
+# tensorops.flops_computed and bytes_computed, read 0 instead of failing
 TRACED = ("rsolve._raw_nullvector", "rsolve.solve_intertwiner", "rsolve.normalize_hw",
-          "rsolve.apply_kappa", "rsolve.RCache.get", "cli.serialize_reports")
+          "rsolve.apply_kappa", "rsolve.RCache.get", "cli.serialize_reports",
+          "tensorops.embedded_matmul", "tensorops.permuted_matmul", "tensorops.embed_pair",
+          "tensorops.permutation_op")
 
 
 @pytest.mark.parametrize("name", TRACED)
