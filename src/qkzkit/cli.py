@@ -451,8 +451,16 @@ def report_payload(rep: VerificationReport) -> dict:
     return payload
 
 
+# params that carry a measured residual; they do not take part in the report order
+_RESIDUAL_PARAMS = ("operator_residual", "e2e_residual", "forms_residual", "scalar_spread")
+
+
+def _report_order(r):
+    return r.name, _to_json({k: v for k, v in r.params.items() if k not in _RESIDUAL_PARAMS})
+
+
 def serialize_reports(reports, fmt: str) -> str:
-    ordered = sorted(reports, key=lambda r: (r.name, _to_json(r.params)))
+    ordered = sorted(reports, key=_report_order)
     if fmt == "json":
         return "[" + ",".join(_to_json(report_payload(r)) for r in ordered) + "]\n"
     lines = []

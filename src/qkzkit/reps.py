@@ -79,10 +79,14 @@ class EvalRep:
             return self.qh1(nu)
         if tag == "qh0":
             return self.qh0(nu)
+        return complex(zeta) ** self.exponent(tag) * self._mats[tag]
+
+    def exponent(self, tag: str) -> int:
+        """Power p of zeta in the e/f generator: gen(tag, zeta) = zeta^p gen(tag, 1)."""
         g = self.grading
         exps = {"e0": g.s0, "e1": g.s1, "f0": -g.s0, "f1": -g.s1}
         try:
-            return complex(zeta) ** exps[tag] * self._mats[tag]
+            return exps[tag]
         except KeyError:
             raise ConfigError(f"unknown generator tag {tag!r}") from None
 
@@ -145,23 +149,33 @@ def make_site(kind, m, grading, ctx, zeta) -> SiteModule:
     return SiteModule(kind, rep, zeta)
 
 
-def coproduct_image(tag: str, site1: SiteModule, site2: SiteModule, nu=1.0) -> np.ndarray:
-    """(phi1 x phi2)(Delta(a)) on the pair of sites.
+def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep, nu=1.0):
+    """Zeta-independent parts (p, A, B) of (phi1 x phi2)(Delta(a)).
+
+    For e_i and f_i the image at (zeta1, zeta2) is zeta1^p A + zeta2^p B;
+    Delta(q^{nu h_i}) does not depend on zeta and comes as (0, A, None).
 
     Delta(e_i) = e_i x 1 + q^{h_i} x e_i,  Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
     Delta(q^{nu h_i}) = q^{nu h_i} x q^{nu h_i}.
     """
-    r1, r2 = site1.rep, site2.rep
-    z1, z2 = site1.zeta, site2.zeta
     if tag.startswith("qh"):
-        return _kron(r1.gen(tag, z1, nu), r2.gen(tag, z2, nu))
-    i = int(tag[1])
-    qh_tag = f"qh{i}"
+        return 0, _kron(rep1.gen(tag, 1.0, nu), rep2.gen(tag, 1.0, nu)), None
+    p = rep1.exponent(tag)
+    qh_tag = f"qh{tag[1]}"
     if tag.startswith("e"):
-        return _kron(r1.gen(tag, z1), np.eye(r2.dim)) + \
-            _kron(r1.gen(qh_tag, z1, 1.0), r2.gen(tag, z2))
-    return _kron(r1.gen(tag, z1), r2.gen(qh_tag, z2, -1.0)) + \
-        _kron(np.eye(r1.dim), r2.gen(tag, z2))
+        return p, _kron(rep1._mats[tag], np.eye(rep2.dim)), \
+            _kron(rep1.gen(qh_tag, 1.0), rep2._mats[tag])
+    return p, _kron(rep1._mats[tag], rep2.gen(qh_tag, 1.0, -1.0)), \
+        _kron(np.eye(rep1.dim), rep2._mats[tag])
+
+
+def coproduct_image(tag: str, site1: SiteModule, site2: SiteModule, nu=1.0) -> np.ndarray:
+    """(phi1 x phi2)(Delta(a)) on the pair of sites: the zeta-weighted sum of
+    the coproduct_parts."""
+    p, A, B = coproduct_parts(tag, site1.rep, site2.rep, nu)
+    if B is None:
+        return A
+    return complex(site1.zeta) ** p * A + complex(site2.zeta) ** p * B
 
 
 def _kron(A, B):

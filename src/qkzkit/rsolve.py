@@ -6,10 +6,17 @@ one-dimensional nullspace of the e0/e1/f0/f1 commutant equations on its
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
 (m+1)^4 for the full operator).  R = P * Rcheck.
 
+Everything in that system that does not depend on zeta (the unknowns, and
+the nonzero entries of K and of the coproduct images, split by zeta power)
+is a CommutantTemplate, built once per module pair; a solve only forms K
+and the images at its zeta pair.
+
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
+Each zeta pair is solved once, hw-normalized; a kappa request rescales
+that solve.
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
@@ -22,7 +29,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError, DegeneratePointError
-from .reps import (GENERATOR_TAGS, SiteModule, coproduct_image, make_site, operator_o,
+from .reps import (GENERATOR_TAGS, SiteModule, coproduct_parts, make_site, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
 from .tensorops import swap_outputs
@@ -50,10 +57,11 @@ class RRequest:
             raise ConfigError("both sites must share the grading")
 
     def key(self):
+        """Key of the hw solve at this zeta pair, which serves both normalizations."""
         g = self.site1.rep.grading
         return (self.site1.kind, self.site2.kind, self.site1.rep.m, g.s0, g.s1,
                 complex(self.site1.zeta), complex(self.site2.zeta),
-                self.normalization, complex(self.ctx.q), self.ctx.trunc_terms)
+                complex(self.ctx.q), self.ctx.trunc_terms)
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,93 @@ class RResult:
     cond_ratio: float  # sigma_min / sigma_max of Rcheck; 0 for a zero operator
 
 
+class CommutantTemplate:
+    """The zeta-independent part of the commutant system of one module pair.
+
+    Every coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts;
+    p = 0 and B = 0 for the Cartans), so each entry of K and of the twelve
+    images M, N of the six generators is zeta1^p v1 + zeta2^p v2 with
+    fixed v1, v2 and p.  The template holds the unknowns (a, b) and, for K
+    and for the stacked images, only the entries where v1 or v2 is
+    nonzero: their flat positions, the generator that sets p, and v1, v2.
+    Rows of K that are zero for every zeta are left out.  A solve forms K
+    and the images by one scatter each.
+    """
+
+    def __init__(self, rep1, rep2):
+        w1, w2 = rep1.weights.real, rep2.weights.real
+        w_in, w_out = np.add.outer(w1, w2).reshape(-1), np.add.outer(w2, w1).reshape(-1)
+        shift = w_out[:, None] - w_in[None, :]
+        a, b = np.nonzero(shift == 0)
+        self.a, self.b, self.dim = a, b, len(w_in)
+        # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by generator
+        one, two, self.exps = [], [], []
+        for tag in GENERATOR_TAGS:
+            p, A12, B12 = coproduct_parts(tag, rep1, rep2)
+            _, A21, B21 = coproduct_parts(tag, rep2, rep1)
+            if B12 is None:
+                zero = np.zeros_like(A12)
+                one += [A12, A21]
+                two += [zero, zero]
+            else:  # N = zeta2^p A21 + zeta1^p B21
+                one += [A12, B21]
+                two += [B12, A21]
+            self.exps.append(p)
+        one, two = np.array(one), np.array(two)
+        at = np.flatnonzero((one != 0) | (two != 0))
+        self.images = at, at // (2 * self.dim**2), one.reshape(-1)[at], two.reshape(-1)[at]
+        # row (i, j) of X M - N X has coefficient M[b, j] at a = i and
+        # -N[i, a] at b = j, never both
+        rows, cols, gens, v1, v2 = [], [], [], [], []
+        start = 0
+        for g, tag in enumerate(GENERATOR_TAGS):
+            if tag not in _WEIGHT_SHIFT:
+                continue
+            i, j = np.nonzero(shift == _WEIGHT_SHIFT[tag])
+            r, k = np.nonzero(i[:, None] == a)
+            r2, k2 = np.nonzero(j[:, None] == b)
+            rows += [start + r, start + r2]
+            cols += [k, k2]
+            gens.append(np.full(len(r) + len(r2), g))
+            v1 += [one[2 * g][b[k], j[r]], -one[2 * g + 1][i[r2], a[k2]]]
+            v2 += [two[2 * g][b[k], j[r]], -two[2 * g + 1][i[r2], a[k2]]]
+            start += len(i)
+        v1, v2 = np.concatenate(v1), np.concatenate(v2)
+        keep = (v1 != 0) | (v2 != 0)
+        used, rows = np.unique(np.concatenate(rows)[keep], return_inverse=True)  # order kept
+        self.n_rows = len(used)
+        self.entries = (rows * len(a) + np.concatenate(cols)[keep], np.concatenate(gens)[keep],
+                        v1[keep], v2[keep])
+
+    def _scatter(self, shape, terms, z1, z2) -> np.ndarray:
+        at, gen, v1, v2 = terms
+        z1p = np.array([complex(z1) ** p for p in self.exps])
+        z2p = np.array([complex(z2) ** p for p in self.exps])
+        out = np.zeros(shape, dtype=complex)
+        out.reshape(-1)[at] = z1p[gen] * v1 + z2p[gen] * v2
+        return out
+
+    def commutant_rows(self, z1, z2) -> np.ndarray:
+        """Unscaled rows of K at (zeta1, zeta2)."""
+        return self._scatter((self.n_rows, len(self.a)), self.entries, z1, z2)
+
+    def pairs(self, z1, z2) -> list:
+        """The coproduct image pairs (M on V1 x V2, N on V2 x V1) of all six generators."""
+        MN = self._scatter((2 * len(self.exps), self.dim, self.dim), self.images, z1, z2)
+        return list(zip(MN[0::2], MN[1::2]))
+
+
 class RCache:
-    """Memoizes solves by request key."""
+    """Memoizes hw-normalized solves by request key, and keeps one
+    CommutantTemplate per module pair.
+
+    A kappa request reads the hw entry of its zeta pair and rescales it, so
+    each zeta pair is solved once; get/put count solves only.
+    """
 
     def __init__(self):
         self._store = {}
+        self._templates = {}
 
     def get(self, key):
         return self._store.get(key)
@@ -78,11 +168,19 @@ class RCache:
     def put(self, key, value):
         self._store[key] = value
 
+    def template(self, req: RRequest) -> CommutantTemplate:
+        """The commutant template of the request's module pair, built on first use."""
+        key = req.key()[:5] + (complex(req.ctx.q),)  # kinds, m, grading and q
+        if key not in self._templates:
+            self._templates[key] = CommutantTemplate(req.site1.rep, req.site2.rep)
+        return self._templates[key]
+
     def clear(self):
         self._store.clear()
+        self._templates.clear()
 
 
-def _raw_nullvector(req: RRequest):
+def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     """Nullvector of the commutant system on the h1-weight sectors, with the spectral gap.
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
@@ -91,10 +189,11 @@ def _raw_nullvector(req: RRequest):
     equations hold identically.  Each of e0/e1/f0/f1 adds a fixed
     h1-weight (-2, +2, +2, -2), and so do its coproduct images M on
     V1 x V2 and N on V2 x V1; so (X M - N X)[i, j] can only be nonzero
-    where w_out(i) - w_in(j) is that shift.  Only those rows are
-    assembled, in row-major (i, j) order, and rows that still vanish are
-    dropped.  The coefficient of X[a, b] in row (i, j) is
-    delta_ia M[b, j] - N[i, a] delta_bj, scattered by index arrays.
+    where w_out(i) - w_in(j) is that shift.  Only those rows enter, in
+    row-major (i, j) order, and rows that still vanish are dropped.  The
+    coefficient of X[a, b] in row (i, j) is delta_ia M[b, j] - N[i, a] delta_bj.
+    The module pair's template holds these entries split by zeta power, so
+    here K is one scatter.
 
     Each row of K is divided by its norm first: zeta^{+-s} and the
     q-numbers spread the rows over many orders of magnitude, and without
@@ -107,8 +206,8 @@ def _raw_nullvector(req: RRequest):
     s1, s2 = req.site1, req.site2
     D = s1.rep.dim * s2.rep.dim
     if D == 1:
-        return np.ones((1, 1), dtype=complex), np.inf, []
-    K, (a, b), pairs = _commutant_rows(s1, s2)
+        return np.ones((1, 1), dtype=complex), np.inf
+    K = template.commutant_rows(s1.zeta, s2.zeta)
     rows = np.linalg.norm(K, axis=1)
     K = K[rows > 0]
     K /= rows[rows > 0, None]  # unit rows; the nullspace is unchanged
@@ -116,33 +215,8 @@ def _raw_nullvector(req: RRequest):
     sigma_min, sigma_2 = np.linalg.norm(K @ V[:, :2], axis=0)
     gap = float(sigma_2 / max(sigma_min, 1e-300))
     X = np.zeros((D, D), dtype=complex)
-    X[a, b] = V[:, 0]
-    return X, gap, pairs
-
-
-def _commutant_rows(s1: SiteModule, s2: SiteModule):
-    """Unscaled rows of K by weight shift, the unknowns' (a, b) and the
-    (M, N) coproduct image pairs of all six generators."""
-    w1, w2 = s1.rep.weights.real, s2.rep.weights.real
-    w_in, w_out = np.add.outer(w1, w2).reshape(-1), np.add.outer(w2, w1).reshape(-1)
-    shift = w_out[:, None] - w_in[None, :]
-    a, b = np.nonzero(shift == 0)
-    by_shift = {}  # rows (i, j) and the (row, unknown) positions of both terms
-    for d in set(_WEIGHT_SHIFT.values()):
-        i, j = np.nonzero(shift == d)
-        by_shift[d] = i, j, np.nonzero(i[:, None] == a), np.nonzero(j[:, None] == b)
-    pairs = [(coproduct_image(tag, s1, s2), coproduct_image(tag, s2, s1))
-             for tag in GENERATOR_TAGS]
-    K = np.zeros((sum(len(by_shift[d][0]) for d in _WEIGHT_SHIFT.values()), len(a)),
-                 dtype=complex)
-    start = 0
-    for tag, (M, N) in zip(GENERATOR_TAGS, pairs):
-        if tag in _WEIGHT_SHIFT:
-            i, j, (r, k), (r2, k2) = by_shift[_WEIGHT_SHIFT[tag]]
-            K[start + r, k] = M[b[k], j[r]]
-            K[start + r2, k2] -= N[i[r2], a[k2]]
-            start += len(i)
-    return K, (a, b), pairs
+    X[template.a, template.b] = V[:, 0]
+    return X, gap
 
 
 def _intertwine_residual(Rc, pairs) -> float:
@@ -189,31 +263,31 @@ def apply_kappa(res: RResult, req: RRequest) -> RResult:
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
+    The nullspace gap, the residual and the condition ratio do not depend
+    on the scale; at kappa = 0 the operator is zero, with residual inf and
+    condition ratio 0.
     """
     k = _kappa_scalar(req)
     return replace(res, R=res.R * k, Rcheck=res.Rcheck * k,
                    norm_scalar_applied=res.norm_scalar_applied * k,
+                   intertwine_residual=res.intertwine_residual if k != 0 else np.inf,
                    cond_ratio=res.cond_ratio if k != 0 else 0.0)
 
 
-def _solve(req: RRequest) -> RResult:
-    Rc_raw, gap, pairs = _raw_nullvector(req)
+def _solve(req: RRequest, template: CommutantTemplate) -> RResult:
+    """The hw-normalized result at the request's zeta pair."""
+    Rc_raw, gap = _raw_nullvector(req, template)
     if gap < GAP_THRESHOLD:
         raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold {GAP_THRESHOLD:.1g}")
     Rc, scale = normalize_hw(Rc_raw, req)
-    applied = 1.0 / scale
-    if req.normalization == "kappa":
-        k = _kappa_scalar(req)
-        Rc = Rc * k
-        applied = applied * k
     sv = np.linalg.svd(Rc, compute_uv=False)
-    d1, d2 = req.site1.rep.dim, req.site2.rep.dim
+    s1, s2 = req.site1, req.site2
     return RResult(
-        R=swap_outputs(Rc, d2, d1),
+        R=swap_outputs(Rc, s2.rep.dim, s1.rep.dim),
         Rcheck=Rc,
         nullspace_gap=gap,
-        norm_scalar_applied=complex(applied),
-        intertwine_residual=_intertwine_residual(Rc, pairs),
+        norm_scalar_applied=complex(1.0 / scale),
+        intertwine_residual=_intertwine_residual(Rc, template.pairs(s1.zeta, s2.zeta)),
         cond_ratio=float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0,
     )
 
@@ -221,17 +295,23 @@ def _solve(req: RRequest) -> RResult:
 def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True) -> RResult:
     """Solve, normalize and validate the R-operator for a site pair.
 
+    The hw-normalized solve is cached per zeta pair and serves both
+    normalizations; a kappa request rescales it by apply_kappa.
     Degenerate spectral points are reported through DegeneratePointError:
-    either the nullspace gap collapses, the hw normalization fails, or
-    the normalized operator is numerically singular.  The invertibility
-    check applies to cached results as well.
+    either the nullspace gap collapses, the hw normalization fails, kappa
+    has a pole, or the normalized operator is numerically singular.  The
+    invertibility check applies to cached results as well.
     """
     key = req.key()
     res = cache.get(key) if cache is not None else None
     if res is None:
-        res = _solve(req)
+        template = cache.template(req) if cache is not None else \
+            CommutantTemplate(req.site1.rep, req.site2.rep)
+        res = _solve(req, template)
         if cache is not None:
             cache.put(key, res)
+    if req.normalization == "kappa":
+        res = apply_kappa(res, req)
     if check_invertible and res.cond_ratio <= _SINGULAR_TOL:  # rank drop on the resonance lattice
         raise DegeneratePointError(
             f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qkzkit.cli import main, parse_complex
+from qkzkit.cli import main, parse_complex, serialize_reports
+from qkzkit.report import VerificationReport
 
 
 def run_cli(args, capsys):
@@ -106,6 +107,22 @@ class TestDeterminism:
         assert main(["verify", "ybe", "--seed", "1", "--out", str(out1)]) == 0
         assert main(["verify", "ybe", "--seed", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("param", ["operator_residual", "e2e_residual", "forms_residual",
+                                       "scalar_spread"])
+    def test_residual_params_do_not_reorder_reports(self, param):
+        # reports of one name are ordered by their other params, so residuals
+        # that move in their last bits cannot swap them ("seed" sorts after
+        # every residual key)
+        def reports(scale):
+            return [VerificationReport.make("theorem_selfdual",
+                                            {"seed": seed, param: r * scale[seed]}, r, 1e-10)
+                    for seed, r in ((2, 3e-15), (1, 2e-15))]
+        seeds = []
+        for scale in ({1: 1.0, 2: 1.0}, {1: 4.0, 2: 1.0}, {1: 1.0, 2: 0.1}):
+            seeds.append([rec["params"]["seed"]
+                          for rec in json.loads(serialize_reports(reports(scale), "json"))])
+        assert seeds == [[1, 2]] * 3
 
     def test_text_format_runs(self, capsys):
         code, out = run_cli(["verify", "scalars", "--format", "text"], capsys)

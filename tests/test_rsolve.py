@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError
 from qkzkit.qkz import rcheck_factor
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
-from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_image, make_site,
-                         operator_o, operator_o_inverse, sl2_constants)
+from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_image, coproduct_parts,
+                         make_site, operator_o, operator_o_inverse, sl2_constants)
 from qkzkit.rsolve import (GAP_THRESHOLD, RCache, apply_kappa, make_request,
                            r_matrix, rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
@@ -43,6 +44,17 @@ def _commutant_oracle(s1, s2):
     return vh[-1].conj().reshape(D, D)
 
 
+def _kron_coproduct(tag, s1, s2):
+    """Delta(e_i) = e_i x 1 + q^{h_i} x e_i, Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
+    by np.kron of the generators at each site's own zeta."""
+    r1, r2, i = s1.rep, s2.rep, tag[1]
+    if tag[0] == "e":
+        return np.kron(r1.gen(tag, s1.zeta), np.eye(r2.dim)) + \
+            np.kron(r1.gen(f"qh{i}", s1.zeta), r2.gen(tag, s2.zeta))
+    return np.kron(r1.gen(tag, s1.zeta), r2.gen(f"qh{i}", s2.zeta, -1.0)) + \
+        np.kron(np.eye(r1.dim), r2.gen(tag, s2.zeta))
+
+
 def _full_assembly_rows(s1, s2):
     """Nonzero rows of the commutant system on the weight-sector unknowns, assembled
     over all D^2 entries (i, j) of each e0/e1/f0/f1 equation against np.eye(D)."""
@@ -52,12 +64,21 @@ def _full_assembly_rows(s1, s2):
     eye = np.eye(D)
     blocks = []
     for tag in ("e0", "e1", "f0", "f1"):
-        M = coproduct_image(tag, s1, s2)
-        N = coproduct_image(tag, s2, s1)
+        M = _kron_coproduct(tag, s1, s2)
+        N = _kron_coproduct(tag, s2, s1)
         blocks.append((np.einsum("ki,kj->ijk", eye[a], M[b])
                        - np.einsum("ik,kj->ijk", N[:, a], eye[b])).reshape(D * D, -1))
     K = np.vstack(blocks)
     return K[np.linalg.norm(K, axis=1) > 0]
+
+
+def _count_solves(monkeypatch):
+    """The requests that reach _raw_nullvector from here on."""
+    solves = []
+    raw = rsolve._raw_nullvector
+    monkeypatch.setattr(rsolve, "_raw_nullvector",
+                        lambda req, *rest: solves.append(req) or raw(req, *rest))
+    return solves
 
 
 class TestSolveBasics:
@@ -95,15 +116,21 @@ class TestSolveBasics:
                         1e-11 * np.abs(res.Rcheck).max(), (q, m, kinds)
 
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
-    def test_rows_by_weight_shift_match_the_full_assembly(self, g, ctx):
-        # same rows, same order, same bits as the D^2-row assembly, before scaling
-        for m in (1, 2, 3, 4):
-            for kinds in ALL_PAIRS:
-                s1 = make_site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
-                s2 = make_site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
-                K = rsolve._commutant_rows(s1, s2)[0]
-                assert np.array_equal(K[np.linalg.norm(K, axis=1) > 0],
-                                      _full_assembly_rows(s1, s2)), (m, kinds)
+    def test_rows_by_weight_shift_match_the_full_assembly(self, g):
+        # the template's rows at a zeta pair: same rows, same order and zero
+        # pattern as the D^2-row assembly from np.kron coproducts, before
+        # scaling; entries within 2 ulp
+        for q, m, kinds in itertools.product((0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j), (1, 2, 3, 4),
+                                             ALL_PAIRS):
+            ctx = QContext(q)
+            s1 = make_site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
+            s2 = make_site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
+            K = rsolve.CommutantTemplate(s1.rep, s2.rep).commutant_rows(s1.zeta, s2.zeta)
+            K = K[np.linalg.norm(K, axis=1) > 0]
+            full = _full_assembly_rows(s1, s2)
+            assert K.shape == full.shape and np.array_equal(K != 0, full != 0), (q, m, kinds)
+            assert np.all(np.abs(K - full) <= 2 * np.finfo(float).eps * np.abs(full)), \
+                (q, m, kinds)
 
     def test_unknowns_are_the_weight_sectors(self, ctx, grading, monkeypatch):
         # the normal matrix has one row per weight-conserving entry of Rcheck
@@ -212,12 +239,12 @@ class TestDegenerateDetection:
     def test_widened_nullspace_fires_the_gap(self, ctx, grading, monkeypatch, dead, m):
         # without one e/f pair the remaining U_q(sl2) has an (m+1)-dimensional
         # commutant; the gap check must see it at every m
-        raw = coproduct_image
+        raw = coproduct_parts
 
-        def mutated(tag, site1, site2, nu=1.0):
-            M = raw(tag, site1, site2, nu)
-            return 0.0 * M if tag in dead else M
-        monkeypatch.setattr(rsolve, "coproduct_image", mutated)
+        def mutated(tag, rep1, rep2, nu=1.0):
+            p, A, B = raw(tag, rep1, rep2, nu)
+            return (p, 0.0 * A, 0.0 * B) if tag in dead else (p, A, B)
+        monkeypatch.setattr(rsolve, "coproduct_parts", mutated)
         with pytest.raises(DegeneratePointError, match="nullspace gap"):
             r_matrix("V", 1.3 + 0.2j, "V", 0.8 - 0.1j, m, grading, ctx)
 
@@ -315,9 +342,7 @@ class TestContinuation:
 
     def test_resonance_runs_no_solve(self, ctx, grading, monkeypatch):
         # the factor the self-dual theorem needs comes from the closed form
-        solves = []
-        raw = rsolve._raw_nullvector
-        monkeypatch.setattr(rsolve, "_raw_nullvector", lambda req: solves.append(req) or raw(req))
+        solves = _count_solves(monkeypatch)
         case = ReductionCase("self_dual", 1, 2, grading, ctx)
         z = 1.3 + 0.2j
         chain = chain_for(case, mirrored_args(case, [z]))
@@ -328,12 +353,40 @@ class TestContinuation:
 
 
 class TestCache:
-    def test_hit_is_bit_identical(self, ctx, grading):
+    def test_hit_is_bit_identical(self, ctx, grading, monkeypatch):
+        # a repeated kappa request rescales the stored hw solve: no second solve
         cache = RCache()
         req = make_request("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, "kappa")
         a = solve_intertwiner(req, cache=cache)
+        solves = _count_solves(monkeypatch)
         b = solve_intertwiner(req, cache=cache)
-        assert b is a
+        assert solves == []
+        for field in ("R", "Rcheck"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.norm_scalar_applied == b.norm_scalar_applied
+
+    @pytest.mark.parametrize("order", [("hw", "kappa"), ("kappa", "hw")])
+    def test_one_solve_per_zeta_pair(self, ctx, grading, monkeypatch, order):
+        cache = RCache()
+        solves = _count_solves(monkeypatch)
+        res = {norm: r_matrix("V", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx,
+                              normalization=norm, cache=cache) for norm in order}
+        assert len(solves) == 1
+        k = 1.0 / kappa_sl2(2, ((1.2 + 0.1j) / 0.8) ** grading.s, ctx)
+        assert np.array_equal(res["kappa"].Rcheck, res["hw"].Rcheck * k)
+        assert res["kappa"].norm_scalar_applied == res["hw"].norm_scalar_applied * k
+
+    def test_second_zeta_pair_builds_no_template(self, ctx, grading, monkeypatch):
+        cache = RCache()
+        r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, cache=cache)
+        built = []
+        raw = rsolve.CommutantTemplate
+        monkeypatch.setattr(rsolve, "CommutantTemplate",
+                            lambda *reps: built.append(reps) or raw(*reps))
+        r_matrix("V*", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
+        assert built == []
+        r_matrix("V", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("checked_first", [True, False])
     def test_hit_keeps_invertibility_check(self, ctx, grading, checked_first):
