@@ -169,15 +169,6 @@ def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep, nu=1.0):
         _kron(np.eye(rep1.dim), rep2._mats[tag])
 
 
-def coproduct_image(tag: str, site1: SiteModule, site2: SiteModule, nu=1.0) -> np.ndarray:
-    """(phi1 x phi2)(Delta(a)) on the pair of sites: the zeta-weighted sum of
-    the coproduct_parts."""
-    p, A, B = coproduct_parts(tag, site1.rep, site2.rep, nu)
-    if B is None:
-        return A
-    return complex(site1.zeta) ** p * A + complex(site2.zeta) ** p * B
-
-
 def _kron(A, B):
     """np.kron of two matrices: the same elementwise products, one broadcast."""
     (a0, a1), (b0, b1) = A.shape, B.shape

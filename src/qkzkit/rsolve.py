@@ -56,12 +56,16 @@ class RRequest:
         if self.site1.rep.grading != self.site2.rep.grading:
             raise ConfigError("both sites must share the grading")
 
-    def key(self):
-        """Key of the hw solve at this zeta pair, which serves both normalizations."""
+    def module_key(self):
+        """Key of the module pair (kinds, m, grading, q): one CommutantTemplate each."""
         g = self.site1.rep.grading
         return (self.site1.kind, self.site2.kind, self.site1.rep.m, g.s0, g.s1,
-                complex(self.site1.zeta), complex(self.site2.zeta),
-                complex(self.ctx.q), self.ctx.trunc_terms)
+                complex(self.ctx.q))
+
+    def key(self):
+        """Key of the hw solve at this zeta pair, which serves both normalizations."""
+        return self.module_key() + (complex(self.site1.zeta), complex(self.site2.zeta),
+                                    self.ctx.trunc_terms)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class RCache:
 
     def template(self, req: RRequest) -> CommutantTemplate:
         """The commutant template of the request's module pair, built on first use."""
-        key = req.key()[:5] + (complex(req.ctx.q),)  # kinds, m, grading and q
+        key = req.module_key()
         if key not in self._templates:
             self._templates[key] = CommutantTemplate(req.site1.rep, req.site2.rep)
         return self._templates[key]

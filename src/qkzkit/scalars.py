@@ -3,15 +3,11 @@
 All infinite products are truncated at ctx.trunc_terms factors or at
 working precision, whichever comes first, with a geometric tail
 estimate; evaluation aborts rather than silently returning an
-under-resolved value.  The Pochhammer factors of one scalar share their
-base, so they are evaluated in one scan over an array of arguments, each
-stopping on its own; errors name the first failing factor.  Arguments
-named ``z`` are the combination zeta12^s of the two spectral parameters.
+under-resolved value.  Arguments named ``z`` are the combination
+zeta12^s of the two spectral parameters.
 """
 
 from collections import namedtuple
-
-import numpy as np
 
 from .context import QContext
 from .errors import DivergentBaseError, PoleError, ScalarDomainError, TruncationError
@@ -32,79 +28,49 @@ def q_number(nu: complex, ctx: QContext) -> complex:
     return (q**nu - q ** (-nu)) / den
 
 
-def _poch_scan(a: np.ndarray, p: complex, ctx: QContext):
-    """Partial products of (1 - a_j p^k) for each entry a_j of an array, in one scan.
+def _poch_scan(a: complex, p: complex, ctx: QContext):
+    """Partial product of (1 - a p^k) with tail bound and smallest factor.
 
-    Each product stops after ctx.trunc_terms factors, or earlier once
-    |a_j p^k| / (1 - |p|) < 2^-54: the factors from there on move it by
-    less than half an ulp.  Returns the products, their geometric tail
-    bounds, their smallest factors |1 - a_j p^k| and whether trunc_terms
-    stopped a product with |a_j p^k| >= 0.5 still ahead.  The arithmetic
-    is that of a factor-by-factor loop over Python complex numbers: a p^k
-    is formed from real and imaginary parts (numpy's vectorized complex
-    product may fuse its multiply-adds), moduli come from hypot, and the
-    running products are sequential reductions.
+    The scan stops after ctx.trunc_terms factors, or earlier once
+    |a p^k| / (1 - |p|) < 2^-54: the factors from there on move the
+    product by less than half an ulp.
     """
     abs_p = abs(p)
     if abs_p >= 1.0:
         raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
-    T = ctx.trunc_terms
-    pk = np.full(T + 1, complex(p))
-    pk[0] = 1.0
-    pk = np.multiply.accumulate(pk)  # p^k, k = 0..T
-    heads = np.multiply.outer(np.hypot(a.real, a.imag), np.hypot(pk.real, pk.imag))
-    stop = heads < 2.0**-54 * (1.0 - abs_p)
-    stop[:, T] = True
-    n = stop.argmax(axis=1)  # factors taken: the first k that stops, at most T
-    head = heads[np.arange(len(a)), n]
-    L = n.max()
-    ar, ai, pr, pi = a.real[:, None], a.imag[:, None], pk.real[:L], pk.imag[:L]
-    f = np.empty((len(a), L), dtype=complex)
-    f.real = 1.0 - (ar * pr - ai * pi)
-    f.imag = 0.0 - (ar * pi + ai * pr)
-    taken = np.arange(L) < n[:, None]
-    value = np.multiply.reduce(f, axis=1, where=taken)
-    min_factor = np.minimum.reduce(np.hypot(f.real, f.imag), axis=1, where=taken,
-                                   initial=np.inf)
-    # |log prod_{k>=n}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
-    return value, 2.0 * head / (1.0 - abs_p), min_factor, head >= 0.5
+    value = 1.0 + 0.0j
+    pk = 1.0 + 0.0j
+    abs_a = head = abs(a)
+    negligible = 2.0**-54 * (1.0 - abs_p)
+    min_factor = float("inf")
+    for _ in range(ctx.trunc_terms):
+        if head < negligible:
+            break
+        f = 1.0 - a * pk
+        min_factor = min(min_factor, abs(f))
+        value *= f
+        pk *= p
+        head = abs_a * abs(pk)
+    # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
+    if head >= 0.5:
+        raise TruncationError("trunc_terms too small for this Pochhammer argument")
+    tail = 2.0 * head / (1.0 - abs_p)
+    return value, tail, min_factor
 
 
 def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
     """(a; p)_infinity = prod_{k>=0} (1 - a p^k), truncated, with tail bound."""
-    value, tail, _, short = (x.tolist() for x in _poch_scan(np.array([a], dtype=complex), p, ctx))
-    if short[0]:
-        raise TruncationError("trunc_terms too small for this Pochhammer argument")
-    return PochhammerResult(value[0], tail[0])
-
-
-def _pochs(p, ctx, plain=(), guarded=(), what="Pochhammer factor") -> list:
-    """(a; p)_infinity for each a in `plain` and then in `guarded`, from one scan.
-
-    Errors are raised for the first failing factor in that order, with
-    the checks of each factor in turn: a too short truncation, a tail
-    bound above _TAIL_TOL, and for the guarded factors (named `what`) a
-    vanishing factor.
-    """
-    scan = _poch_scan(np.array([*plain, *guarded], dtype=complex), p, ctx)
-    value, tail, min_factor, short = (x.tolist() for x in scan)
-    for j in range(len(value)):
-        name = what if j >= len(plain) else "Pochhammer factor"
-        if short[j]:
-            raise TruncationError("trunc_terms too small for this Pochhammer argument")
-        if tail[j] > _TAIL_TOL:
-            raise TruncationError(f"tail bound {tail[j]:.3g} exceeds {_TAIL_TOL:.0e} for {name}")
-        if j >= len(plain) and min_factor[j] < _POLE_TOL:
-            raise PoleError(
-                f"{name} has a vanishing factor (closest |1-a p^k| = {min_factor[j]:.3g})")
-    return value
+    value, tail, _ = _poch_scan(a, p, ctx)
+    return PochhammerResult(value, tail)
 
 
 def _poch(a, p, ctx, guard_zero=False, what="Pochhammer factor"):
-    """One checked (a; p)_infinity; `what` names it when guard_zero is set."""
-    if guard_zero:
-        return _pochs(p, ctx, guarded=[a], what=what)[0]
-    return _pochs(p, ctx, plain=[a])[0]
+    value, tail, min_factor = _poch_scan(a, p, ctx)
+    if tail > _TAIL_TOL:
+        raise TruncationError(f"tail bound {tail:.3g} exceeds {_TAIL_TOL:.0e} for {what}")
+    if guard_zero and min_factor < _POLE_TOL:
+        raise PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {min_factor:.3g})")
+    return value
 
 
 def f_series(m: int, zeta_arg: complex, ctx: QContext) -> SeriesResult:
@@ -136,9 +102,11 @@ def rho0_sl2(m: int, z: complex, ctx: QContext) -> complex:
     q^{-m^2/2} (q^2 z; q^4)^2 / ((q^{2m+2} z; q^4) (q^{-2m+2} z; q^4)).
     """
     q = complex(ctx.q)
-    num, den1, den2 = _pochs(q**4, ctx, [q**2 * z], [q ** (2 * m + 2) * z, q ** (-2 * m + 2) * z],
-                             what="rho0 denominator")
-    return q ** (-m * m / 2.0) * num**2 / (den1 * den2)
+    p = q**4
+    num = _poch(q**2 * z, p, ctx) ** 2
+    den1 = _poch(q ** (2 * m + 2) * z, p, ctx, guard_zero=True, what="rho0 denominator")
+    den2 = _poch(q ** (-2 * m + 2) * z, p, ctx, guard_zero=True, what="rho0 denominator")
+    return q ** (-m * m / 2.0) * num / (den1 * den2)
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -169,9 +137,11 @@ def kappa_sl2(m: int, z: complex, ctx: QContext) -> complex:
 def _kappa_sl2_products(m: int, z: complex, ctx: QContext) -> complex:
     """kappa_sl2 without its z^{m/2} prefactor."""
     q = complex(ctx.q)
-    n1, n2, d1, d2 = _pochs(q**4, ctx, [q ** (2 * m + 2) * z, q**2 / z],
-                            [q ** (2 * m + 2) / z, q**2 * z], what="kappa denominator")
-    return n1 * n2 / (d1 * d2)
+    p = q**4
+    num = _poch(q ** (2 * m + 2) * z, p, ctx) * _poch(q**2 / z, p, ctx)
+    den = _poch(q ** (2 * m + 2) / z, p, ctx, guard_zero=True, what="kappa denominator") * \
+        _poch(q**2 * z, p, ctx, guard_zero=True, what="kappa denominator")
+    return num / den
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -236,9 +206,10 @@ def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
         raise ScalarDomainError("l must be >= 1")
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    n1, n2, d1, d2 = _pochs(Q, ctx, [q**2 * z, q ** (2 * l) * z], [z, Q * z],
-                            what="rho0 denominator")
-    return q ** (-l / (l + 1)) * (n1 * n2) / (d1 * d2)
+    num = _poch(q**2 * z, Q, ctx) * _poch(q ** (2 * l) * z, Q, ctx)
+    den = _poch(z, Q, ctx, guard_zero=True, what="rho0 denominator") * \
+        _poch(Q * z, Q, ctx, guard_zero=True, what="rho0 denominator")
+    return q ** (-l / (l + 1)) * num / den
 
 
 def rho0_ratio_sllpo(l: int, z: complex, ctx: QContext) -> complex:
@@ -270,9 +241,10 @@ def _kappa_sllpo_products(l: int, z: complex, ctx: QContext) -> complex:
     """kappa_sllpo without its z^{l/(l+1)} prefactor."""
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    n1, n2, d1, d2 = _pochs(Q, ctx, [q**2 / z, Q * z], [q**2 * z, Q / z],
-                            what="kappa denominator")
-    return n1 * n2 / (d1 * d2)
+    num = _poch(q**2 / z, Q, ctx) * _poch(Q * z, Q, ctx)
+    den = _poch(q**2 * z, Q, ctx, guard_zero=True, what="kappa denominator") * \
+        _poch(Q / z, Q, ctx, guard_zero=True, what="kappa denominator")
+    return num / den
 
 
 def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:

@@ -4,7 +4,7 @@ import pytest
 from conftest import zeta_sample
 from qkzkit import reps
 from qkzkit.reps import (GradingChoice, SiteModule, antipode_dual, build_eval_rep,
-                         coproduct_image, hopf_antipode_residual,
+                         coproduct_parts, hopf_antipode_residual,
                          make_site, operator_a, operator_o, operator_o_inverse,
                          operator_x, operator_xtilde, sl2_constants)
 
@@ -154,7 +154,8 @@ class TestCoproduct:
         q = complex(ctx.q)
         s1 = make_site("V", 1, grading, ctx, 1.0)
         s2 = make_site("V", 1, grading, ctx, 1.0)
-        got = coproduct_image("qh1", s1, s2, nu=1.0)
+        p, got, rest = coproduct_parts("qh1", s1.rep, s2.rep, nu=1.0)
+        assert (p, rest) == (0, None)
         assert np.abs(got - np.diag([q**2, 1, 1, q**-2])).max() < 1e-15
 
     def test_e1_structure(self, ctx, grading):
@@ -163,7 +164,9 @@ class TestCoproduct:
         s2 = make_site("V", 1, grading, ctx, 1.0)
         E12 = _unit(2, 1, 2)
         want = np.kron(E12, np.eye(2)) + np.kron(np.diag([q, 1 / q]), E12)
-        assert np.abs(coproduct_image("e1", s1, s2) - want).max() < 1e-15
+        p, A, B = coproduct_parts("e1", s1.rep, s2.rep)
+        assert p == grading.s1
+        assert np.abs(A + B - want).max() < 1e-15
 
     def test_kron_helper_is_np_kron(self):
         rng = np.random.default_rng(4)

@@ -10,7 +10,7 @@ from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError
 from qkzkit.qkz import rcheck_factor
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
-from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_image, coproduct_parts,
+from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          make_site, operator_o, operator_o_inverse, sl2_constants)
 from qkzkit.rsolve import (GAP_THRESHOLD, RCache, apply_kappa, make_request,
                            r_matrix, rcheck_resonant, solve_intertwiner)
@@ -19,13 +19,27 @@ from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
 
 
+def _kron_coproduct(tag, s1, s2):
+    """Delta(e_i) = e_i x 1 + q^{h_i} x e_i, Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
+    Delta(q^{h_i}) = q^{h_i} x q^{h_i}, by np.kron of the generators at each
+    site's own zeta."""
+    r1, r2, i = s1.rep, s2.rep, tag[-1]
+    if tag.startswith("qh"):
+        return np.kron(r1.gen(tag, s1.zeta), r2.gen(tag, s2.zeta))
+    if tag[0] == "e":
+        return np.kron(r1.gen(tag, s1.zeta), np.eye(r2.dim)) + \
+            np.kron(r1.gen(f"qh{i}", s1.zeta), r2.gen(tag, s2.zeta))
+    return np.kron(r1.gen(tag, s1.zeta), r2.gen(f"qh{i}", s2.zeta, -1.0)) + \
+        np.kron(np.eye(r1.dim), r2.gen(tag, s2.zeta))
+
+
 def _commutant_oracle(s1, s2):
     """Nullvector of X M - N X = 0 over all six generators, built by naive loops."""
     D = s1.rep.dim * s2.rep.dim
     rows = []
     for tag in GENERATOR_TAGS:
-        M = coproduct_image(tag, s1, s2)
-        N = coproduct_image(tag, s2, s1)
+        M = _kron_coproduct(tag, s1, s2)
+        N = _kron_coproduct(tag, s2, s1)
         K = np.zeros((D * D, D * D), dtype=complex)
         for r in range(D):          # row index of X
             for c in range(D):      # column index of X
@@ -42,17 +56,6 @@ def _commutant_oracle(s1, s2):
     _, svals, vh = np.linalg.svd(np.vstack(rows))
     assert svals[-2] / svals[-1] > 1e10
     return vh[-1].conj().reshape(D, D)
-
-
-def _kron_coproduct(tag, s1, s2):
-    """Delta(e_i) = e_i x 1 + q^{h_i} x e_i, Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
-    by np.kron of the generators at each site's own zeta."""
-    r1, r2, i = s1.rep, s2.rep, tag[1]
-    if tag[0] == "e":
-        return np.kron(r1.gen(tag, s1.zeta), np.eye(r2.dim)) + \
-            np.kron(r1.gen(f"qh{i}", s1.zeta), r2.gen(tag, s2.zeta))
-    return np.kron(r1.gen(tag, s1.zeta), r2.gen(f"qh{i}", s2.zeta, -1.0)) + \
-        np.kron(np.eye(r1.dim), r2.gen(tag, s2.zeta))
 
 
 def _full_assembly_rows(s1, s2):
