@@ -7,6 +7,7 @@ scalars extracted and reported.
 """
 
 import time
+from math import prod
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from .report import VerificationReport
 from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_a,
                    operator_o, operator_x, operator_xtilde, sl2_constants)
 from .rsolve import r_matrix
-from .qkz import ChainSpec, DeltaAssignment, permutation_of_word, transport_phi
-from .tensorops import embed_pair, partial_transpose, scalar_ratio
+from .qkz import ChainSpec, DeltaAssignment, permutation_of_word, probe_block, transport_phi
+from .tensorops import embedded_matmul, partial_transpose, scalar_ratio
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
@@ -64,18 +65,19 @@ def draw_generic_zetas(rng, count, m, grading, ctx, lo=0.5, hi=2.0, margin=1e-3)
 
 def check_ybe(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-9,
               cache=None) -> VerificationReport:
-    """R12 R13 R23 = R23 R13 R12 on the triple product."""
+    """R12 R13 R23 = R23 R13 R12 on the triple product, both sides applied
+    factor by factor to the seeded probe block of qkz.probe_block."""
     t0 = time.perf_counter()
     dims = (m + 1,) * 3
-
-    def emb(a, b):
-        res = r_matrix(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx,
-                       normalization=normalization, cache=cache, check_invertible=False)
-        return embed_pair(res.R, a, b, dims)
-
-    r12, r13, r23 = emb(0, 1), emb(0, 2), emb(1, 2)
-    left = r12 @ r13 @ r23
-    right = r23 @ r13 @ r12
+    pairs = ((0, 1), (0, 2), (1, 2))
+    R = {(a, b): r_matrix(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx,
+                          normalization=normalization, cache=cache, check_invertible=False).R
+         for a, b in pairs}
+    left = right = probe_block(prod(dims))
+    for a, b in reversed(pairs):
+        left = embedded_matmul(R[a, b], a, b, dims, left)
+    for a, b in pairs:
+        right = embedded_matmul(R[a, b], a, b, dims, right)
     resid = float(np.linalg.norm(left - right) / np.linalg.norm(left))
     return VerificationReport.make(
         "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, tol, t0)

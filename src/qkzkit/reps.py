@@ -142,11 +142,16 @@ class SiteModule:
         return self.rep.hw_index
 
 
-def make_site(kind, m, grading, ctx, zeta) -> SiteModule:
+def eval_module(kind, m, grading, ctx) -> EvalRep:
+    """The spin-m module of a site kind: V, or its antipode dual V*."""
+    if kind not in ("V", "V*"):
+        raise ConfigError("site kind must be 'V' or 'V*'")
     rep = build_eval_rep(m, grading, ctx)
-    if kind == "V*":
-        rep = antipode_dual(rep)
-    return SiteModule(kind, rep, zeta)
+    return antipode_dual(rep) if kind == "V*" else rep
+
+
+def make_site(kind, m, grading, ctx, zeta) -> SiteModule:
+    return SiteModule(kind, eval_module(kind, m, grading, ctx), zeta)
 
 
 def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep, nu=1.0):

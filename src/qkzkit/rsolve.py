@@ -6,10 +6,12 @@ one-dimensional nullspace of the e0/e1/f0/f1 commutant equations on its
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
 (m+1)^4 for the full operator).  R = P * Rcheck.
 
-Everything in that system that does not depend on zeta (the unknowns, and
-the nonzero entries of K and of the coproduct images, split by zeta power)
-is a CommutantTemplate, built once per module pair; a solve only forms K
-and the images at its zeta pair.
+Everything in that system that does not depend on zeta (the two modules,
+their hw indices, the unknowns, and the nonzero entries of K and of the
+coproduct images, split by zeta power) is a CommutantTemplate, built once
+per module pair; a solve only forms K and the images at its zeta pair.
+A request (RRequest) holds plain values and builds no module, so a
+cache hit costs its key, the lookup and, in kappa mode, one scalar scan.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -23,13 +25,14 @@ pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .context import QContext
 from .errors import ConfigError, DegeneratePointError
-from .reps import (GENERATOR_TAGS, SiteModule, coproduct_parts, make_site, operator_o,
+from .reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
 from .tensorops import swap_outputs
@@ -43,28 +46,32 @@ _WEIGHT_SHIFT = {"e0": -2.0, "e1": 2.0, "f0": 2.0, "f1": -2.0}
 
 @dataclass(frozen=True)
 class RRequest:
-    site1: SiteModule
-    site2: SiteModule
+    """One R request: plain values only; the modules are built with the template."""
+
+    kind1: str
+    zeta1: complex
+    kind2: str
+    zeta2: complex
+    m: int
+    grading: GradingChoice
     normalization: str
     ctx: QContext
 
     def __post_init__(self):
         if self.normalization not in ("hw", "kappa"):
             raise ConfigError("normalization must be 'hw' or 'kappa'")
-        if self.site1.rep.m != self.site2.rep.m:
-            raise ConfigError("both sites must carry the same spin family")
-        if self.site1.rep.grading != self.site2.rep.grading:
-            raise ConfigError("both sites must share the grading")
+        for zeta in (self.zeta1, self.zeta2):
+            if zeta == 0 or not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+                raise ConfigError(f"spectral parameter must be finite and nonzero, got {zeta}")
 
     def module_key(self):
         """Key of the module pair (kinds, m, grading, q): one CommutantTemplate each."""
-        g = self.site1.rep.grading
-        return (self.site1.kind, self.site2.kind, self.site1.rep.m, g.s0, g.s1,
+        return (self.kind1, self.kind2, self.m, self.grading.s0, self.grading.s1,
                 complex(self.ctx.q))
 
     def key(self):
         """Key of the hw solve at this zeta pair, which serves both normalizations."""
-        return self.module_key() + (complex(self.site1.zeta), complex(self.site2.zeta),
+        return self.module_key() + (complex(self.zeta1), complex(self.zeta2),
                                     self.ctx.trunc_terms)
 
 
@@ -88,10 +95,13 @@ class CommutantTemplate:
     and for the stacked images, only the entries where v1 or v2 is
     nonzero: their flat positions, the generator that sets p, and v1, v2.
     Rows of K that are zero for every zeta are left out.  A solve forms K
-    and the images by one scatter each.
+    and the images by one scatter each.  The template keeps the two modules
+    and their hw indices.
     """
 
     def __init__(self, rep1, rep2):
+        self.rep1, self.rep2 = rep1, rep2
+        self.hw1, self.hw2 = rep1.hw_index, rep2.hw_index
         w1, w2 = rep1.weights.real, rep2.weights.real
         w_in, w_out = np.add.outer(w1, w2).reshape(-1), np.add.outer(w2, w1).reshape(-1)
         shift = w_out[:, None] - w_in[None, :]
@@ -148,10 +158,11 @@ class CommutantTemplate:
         """Unscaled rows of K at (zeta1, zeta2)."""
         return self._scatter((self.n_rows, len(self.a)), self.entries, z1, z2)
 
-    def pairs(self, z1, z2) -> list:
-        """The coproduct image pairs (M on V1 x V2, N on V2 x V1) of all six generators."""
+    def pairs(self, z1, z2) -> tuple:
+        """The coproduct images of all six generators, stacked: M on V1 x V2 and
+        N on V2 x V1, each of shape (6, D, D)."""
         MN = self._scatter((2 * len(self.exps), self.dim, self.dim), self.images, z1, z2)
-        return list(zip(MN[0::2], MN[1::2]))
+        return MN[0::2], MN[1::2]
 
 
 class RCache:
@@ -176,12 +187,17 @@ class RCache:
         """The commutant template of the request's module pair, built on first use."""
         key = req.module_key()
         if key not in self._templates:
-            self._templates[key] = CommutantTemplate(req.site1.rep, req.site2.rep)
+            self._templates[key] = _build_template(req)
         return self._templates[key]
 
     def clear(self):
         self._store.clear()
         self._templates.clear()
+
+
+def _build_template(req: RRequest) -> CommutantTemplate:
+    return CommutantTemplate(eval_module(req.kind1, req.m, req.grading, req.ctx),
+                             eval_module(req.kind2, req.m, req.grading, req.ctx))
 
 
 def _raw_nullvector(req: RRequest, template: CommutantTemplate):
@@ -205,14 +221,17 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     from the normal equations; the two smallest singular values are
     re-estimated as ||K v|| because squaring pushes them below the
     eigensolver's noise floor, where a two-dimensional nullspace would
-    still show a gap of about 1e7.
+    still show a gap of about 1e7.  Spectral parameters so large or small
+    that K overflows raise ConfigError.
     """
-    s1, s2 = req.site1, req.site2
-    D = s1.rep.dim * s2.rep.dim
+    D = template.dim
     if D == 1:
         return np.ones((1, 1), dtype=complex), np.inf
-    K = template.commutant_rows(s1.zeta, s2.zeta)
-    rows = np.linalg.norm(K, axis=1)
+    K = template.commutant_rows(req.zeta1, req.zeta2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.linalg.norm(K, axis=1)
+    if not np.isfinite(rows).all():
+        raise ConfigError("spectral parameters out of range: the commutant matrix overflows")
     K = K[rows > 0]
     K /= rows[rows > 0, None]  # unit rows; the nullspace is unchanged
     _, V = np.linalg.eigh(K.conj().T @ K)
@@ -223,28 +242,27 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     return X, gap
 
 
-def _intertwine_residual(Rc, pairs) -> float:
-    worst = 0.0
+def _intertwine_residual(Rc, M, N) -> float:
+    """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||), M and N stacked
+    (6, D, D); generators with M = 0 are skipped."""
     nr = np.linalg.norm(Rc)
     if nr == 0:
         return np.inf
-    for M, N in pairs:
-        nm = np.linalg.norm(M)
-        if nm == 0:
-            continue
-        worst = max(worst, float(np.linalg.norm(Rc @ M - N @ Rc) / (nr * nm)))
-    return worst
+    nm = np.linalg.norm(M, axis=(1, 2))
+    live = nm != 0
+    res = np.linalg.norm(Rc @ M - N @ Rc, axis=(1, 2))
+    return float((res[live] / (nr * nm[live])).max(initial=0.0))
 
 
-def normalize_hw(Rc_raw: np.ndarray, req: RRequest) -> tuple:
+def normalize_hw(Rc_raw: np.ndarray, template: CommutantTemplate) -> tuple:
     """Scale so R fixes hw x hw; returns (Rcheck, scalar divided out).
 
     hw x hw is alone in its weight sector, so R maps it onto its own line;
-    raises DegeneratePointError when that component vanishes.
+    raises DegeneratePointError when that component vanishes.  R = P Rcheck,
+    so the entry is Rcheck[hw2 x hw1, hw1 x hw2].
     """
-    d1, d2 = req.site1.rep.dim, req.site2.rep.dim
-    idx = req.site1.hw_index * d2 + req.site2.hw_index
-    c = swap_outputs(Rc_raw, d2, d1)[idx, idx]
+    d1, d2 = template.rep1.dim, template.rep2.dim
+    c = Rc_raw[template.hw2 * d1 + template.hw1, template.hw1 * d2 + template.hw2]
     if abs(c) < _HW_TOL * np.linalg.norm(Rc_raw):
         raise DegeneratePointError(
             "highest-weight component vanishes (non-simple spectral point)")
@@ -252,10 +270,9 @@ def normalize_hw(Rc_raw: np.ndarray, req: RRequest) -> tuple:
 
 
 def _kappa_scalar(req: RRequest) -> complex:
-    g = req.site1.rep.grading
-    z = (req.site1.zeta / req.site2.zeta) ** g.s
-    k = kappa_sl2(req.site1.rep.m, z, req.ctx)
-    if req.site1.kind == req.site2.kind:
+    z = (req.zeta1 / req.zeta2) ** req.grading.s
+    k = kappa_sl2(req.m, z, req.ctx)
+    if req.kind1 == req.kind2:
         if k == 0:
             raise DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
         return 1.0 / k
@@ -283,15 +300,14 @@ def _solve(req: RRequest, template: CommutantTemplate) -> RResult:
     Rc_raw, gap = _raw_nullvector(req, template)
     if gap < GAP_THRESHOLD:
         raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold {GAP_THRESHOLD:.1g}")
-    Rc, scale = normalize_hw(Rc_raw, req)
+    Rc, scale = normalize_hw(Rc_raw, template)
     sv = np.linalg.svd(Rc, compute_uv=False)
-    s1, s2 = req.site1, req.site2
     return RResult(
-        R=swap_outputs(Rc, s2.rep.dim, s1.rep.dim),
+        R=swap_outputs(Rc, template.rep2.dim, template.rep1.dim),
         Rcheck=Rc,
         nullspace_gap=gap,
         norm_scalar_applied=complex(1.0 / scale),
-        intertwine_residual=_intertwine_residual(Rc, template.pairs(s1.zeta, s2.zeta)),
+        intertwine_residual=_intertwine_residual(Rc, *template.pairs(req.zeta1, req.zeta2)),
         cond_ratio=float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0,
     )
 
@@ -309,8 +325,7 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
     key = req.key()
     res = cache.get(key) if cache is not None else None
     if res is None:
-        template = cache.template(req) if cache is not None else \
-            CommutantTemplate(req.site1.rep, req.site2.rep)
+        template = cache.template(req) if cache is not None else _build_template(req)
         res = _solve(req, template)
         if cache is not None:
             cache.put(key, res)
@@ -323,8 +338,7 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
 
 
 def make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization="hw") -> RRequest:
-    return RRequest(make_site(kind1, m, grading, ctx, zeta1),
-                    make_site(kind2, m, grading, ctx, zeta2), normalization, ctx)
+    return RRequest(kind1, complex(zeta1), kind2, complex(zeta2), m, grading, normalization, ctx)
 
 
 def r_matrix(kind1, zeta1, kind2, zeta2, m, grading, ctx,

@@ -3,11 +3,14 @@
 All infinite products are truncated at ctx.trunc_terms factors or at
 working precision, whichever comes first, with a geometric tail
 estimate; evaluation aborts rather than silently returning an
-under-resolved value.  Arguments named ``z`` are the combination
-zeta12^s of the two spectral parameters.
+under-resolved value.  The 3-4 Pochhammer products of one scalar come
+from one scan over k that shares p^k (_poch_ratio); each product keeps
+its own running value, smallest factor and checks.  Arguments named
+``z`` are the combination zeta12^s of the two spectral parameters.
 """
 
 from collections import namedtuple
+from math import prod
 
 from .context import QContext
 from .errors import DivergentBaseError, PoleError, ScalarDomainError, TruncationError
@@ -28,49 +31,58 @@ def q_number(nu: complex, ctx: QContext) -> complex:
     return (q**nu - q ** (-nu)) / den
 
 
-def _poch_scan(a: complex, p: complex, ctx: QContext):
-    """Partial product of (1 - a p^k) with tail bound and smallest factor.
+def _poch_ratio(nums, dens, p: complex, ctx: QContext, what):
+    """prod_i (a_i; p)_inf / prod_j (b_j; p)_inf over nums a_i and dens b_j,
+    with the largest tail bound of its products.
 
-    The scan stops after ctx.trunc_terms factors, or earlier once
-    |a p^k| / (1 - |p|) < 2^-54: the factors from there on move the
-    product by less than half an ulp.
+    One scan over k shares p^k between the products and multiplies each by
+    its factor 1 - a p^k.  It stops after ctx.trunc_terms factors, or
+    earlier once max |a p^k| / (1 - |p|) < 2^-54: from there on every
+    factor moves its product by less than half an ulp.  Then each product
+    is checked in turn, numerators first, as if scanned alone: too few
+    factors if |a p^T| >= 0.5; unless `what` is None, a tail bound above
+    _TAIL_TOL and, for a denominator, a factor closer to 0 than _POLE_TOL.
+    Errors name a denominator `what` and a numerator "Pochhammer factor".
     """
     abs_p = abs(p)
     if abs_p >= 1.0:
         raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
-    value = 1.0 + 0.0j
-    pk = 1.0 + 0.0j
-    abs_a = head = abs(a)
+    args = (*nums, *dens)
+    top = max(map(abs, args))
     negligible = 2.0**-54 * (1.0 - abs_p)
-    min_factor = float("inf")
+    values = [1.0 + 0.0j] * len(args)
+    closest = [float("inf")] * len(args)
+    pk = 1.0 + 0.0j
     for _ in range(ctx.trunc_terms):
-        if head < negligible:
+        if top * abs(pk) < negligible:
             break
-        f = 1.0 - a * pk
-        min_factor = min(min_factor, abs(f))
-        value *= f
+        for i, a in enumerate(args):
+            f = 1.0 - a * pk
+            values[i] *= f
+            if abs(f) < closest[i]:
+                closest[i] = abs(f)
         pk *= p
-        head = abs_a * abs(pk)
     # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
-    if head >= 0.5:
-        raise TruncationError("trunc_terms too small for this Pochhammer argument")
-    tail = 2.0 * head / (1.0 - abs_p)
-    return value, tail, min_factor
+    for i, a in enumerate(args):
+        head = abs(a) * abs(pk)
+        if head >= 0.5:
+            raise TruncationError("trunc_terms too small for this Pochhammer argument")
+        if what is None:
+            continue
+        tail = 2.0 * head / (1.0 - abs_p)
+        is_den = i >= len(nums)
+        if tail > _TAIL_TOL:
+            raise TruncationError(f"tail bound {tail:.3g} exceeds {_TAIL_TOL:.0e} for "
+                                  f"{what if is_den else 'Pochhammer factor'}")
+        if is_den and closest[i] < _POLE_TOL:
+            raise PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {closest[i]:.3g})")
+    ratio = prod(values[:len(nums)]) / prod(values[len(nums):])
+    return ratio, 2.0 * top * abs(pk) / (1.0 - abs_p)
 
 
 def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
     """(a; p)_infinity = prod_{k>=0} (1 - a p^k), truncated, with tail bound."""
-    value, tail, _ = _poch_scan(a, p, ctx)
-    return PochhammerResult(value, tail)
-
-
-def _poch(a, p, ctx, guard_zero=False, what="Pochhammer factor"):
-    value, tail, min_factor = _poch_scan(a, p, ctx)
-    if tail > _TAIL_TOL:
-        raise TruncationError(f"tail bound {tail:.3g} exceeds {_TAIL_TOL:.0e} for {what}")
-    if guard_zero and min_factor < _POLE_TOL:
-        raise PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {min_factor:.3g})")
-    return value
+    return PochhammerResult(*_poch_ratio((a,), (), p, ctx, None))
 
 
 def f_series(m: int, zeta_arg: complex, ctx: QContext) -> SeriesResult:
@@ -103,10 +115,10 @@ def rho0_sl2(m: int, z: complex, ctx: QContext) -> complex:
     """
     q = complex(ctx.q)
     p = q**4
-    num = _poch(q**2 * z, p, ctx) ** 2
-    den1 = _poch(q ** (2 * m + 2) * z, p, ctx, guard_zero=True, what="rho0 denominator")
-    den2 = _poch(q ** (-2 * m + 2) * z, p, ctx, guard_zero=True, what="rho0 denominator")
-    return q ** (-m * m / 2.0) * num / (den1 * den2)
+    a = q**2 * z
+    ratio, _ = _poch_ratio((a, a), (q ** (2 * m + 2) * z, q ** (-2 * m + 2) * z), p, ctx,
+                           "rho0 denominator")
+    return q ** (-m * m / 2.0) * ratio
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -138,10 +150,8 @@ def _kappa_sl2_products(m: int, z: complex, ctx: QContext) -> complex:
     """kappa_sl2 without its z^{m/2} prefactor."""
     q = complex(ctx.q)
     p = q**4
-    num = _poch(q ** (2 * m + 2) * z, p, ctx) * _poch(q**2 / z, p, ctx)
-    den = _poch(q ** (2 * m + 2) / z, p, ctx, guard_zero=True, what="kappa denominator") * \
-        _poch(q**2 * z, p, ctx, guard_zero=True, what="kappa denominator")
-    return num / den
+    return _poch_ratio((q ** (2 * m + 2) * z, q**2 / z), (q ** (2 * m + 2) / z, q**2 * z), p,
+                       ctx, "kappa denominator")[0]
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -206,10 +216,8 @@ def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
         raise ScalarDomainError("l must be >= 1")
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    num = _poch(q**2 * z, Q, ctx) * _poch(q ** (2 * l) * z, Q, ctx)
-    den = _poch(z, Q, ctx, guard_zero=True, what="rho0 denominator") * \
-        _poch(Q * z, Q, ctx, guard_zero=True, what="rho0 denominator")
-    return q ** (-l / (l + 1)) * num / den
+    ratio, _ = _poch_ratio((q**2 * z, q ** (2 * l) * z), (z, Q * z), Q, ctx, "rho0 denominator")
+    return q ** (-l / (l + 1)) * ratio
 
 
 def rho0_ratio_sllpo(l: int, z: complex, ctx: QContext) -> complex:
@@ -241,10 +249,7 @@ def _kappa_sllpo_products(l: int, z: complex, ctx: QContext) -> complex:
     """kappa_sllpo without its z^{l/(l+1)} prefactor."""
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    num = _poch(q**2 / z, Q, ctx) * _poch(Q * z, Q, ctx)
-    den = _poch(q**2 * z, Q, ctx, guard_zero=True, what="kappa denominator") * \
-        _poch(Q / z, Q, ctx, guard_zero=True, what="kappa denominator")
-    return num / den
+    return _poch_ratio((q**2 / z, Q * z), (q**2 * z, Q / z), Q, ctx, "kappa denominator")[0]
 
 
 def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:

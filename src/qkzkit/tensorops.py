@@ -7,10 +7,9 @@ permutation to such a block without forming the embedded operator, at a
 cost linear in k: on the identity block they give the operator's matrix,
 on a probe block of a few columns they test an identity at O(D) cost per
 factor.  `embed_pair` and `permutation_op` form the full D x D embedding.
-Of the checks, only `idsuite.check_ybe` (three sites, D = d^3) and
-`reduction.check_rpr` (its factor on the n sites of the reduced operator)
-still do; the qKZ and reduction identities on the 2n-site chain are
-applied to a probe block and form no D x D matrix.
+Of the checks, only `reduction.check_rpr` (its factor on the n sites of
+the reduced operator) still does; the Yang-Baxter, qKZ and reduction
+identities are applied to a probe block and form no D x D matrix.
 """
 
 from math import prod

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,19 @@ class TestRmat:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["data"]) == 81
+
+    @pytest.mark.parametrize("zeta, codes", [("0", (2,)), ("inf", (2,)), ("nan", (2,)),
+                                             ("1e308", (1, 2))])
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_bad_spectral_parameter_is_a_clean_error(self, capsys, zeta, codes, norm):
+        # zero or non-finite zeta is a configuration error; an overflowing
+        # commutant matrix is a package error; neither a traceback nor a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rmat", "--zeta1", zeta, "--norm", norm])
+        err = capsys.readouterr().err
+        assert code in codes, err
+        assert err.startswith(("configuration error:", "error:")) and "Traceback" not in err
 
 
 class TestScalarsCmd:

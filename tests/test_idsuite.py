@@ -33,6 +33,22 @@ class TestYangBaxter:
                                 normalization="hw", cache=cache)
         assert rep.passed
 
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_perturbed_factor_fails(self, ctx, grading, pair, norm):
+        # one factor off by 1e-6 relative must show on the probe block
+        m, kinds, zetas = 2, ("V", "V*", "V"), (1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.5j)
+        a, b = pair
+        req = make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, "hw")
+        res = solve_intertwiner(req)
+        noise = np.random.default_rng(5).standard_normal(res.R.shape)
+        cache = RCache()
+        cache.put(req.key(), replace(res, R=res.R + 1e-6 * np.linalg.norm(res.R) * noise
+                                     / np.linalg.norm(noise)))
+        assert idsuite.check_ybe(m, kinds, zetas, grading, ctx, normalization=norm).passed
+        assert not idsuite.check_ybe(m, kinds, zetas, grading, ctx, normalization=norm,
+                                     cache=cache).passed
+
 
 class TestUnitarityChecks:
     def test_all_pairs(self, ctx, grading, cache):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import rsolve
+from qkzkit import reps, rsolve
 from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError
 from qkzkit.qkz import rcheck_factor
@@ -75,13 +75,17 @@ def _full_assembly_rows(s1, s2):
     return K[np.linalg.norm(K, axis=1) > 0]
 
 
+def _count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call of owner.name from here on."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
 def _count_solves(monkeypatch):
-    """The requests that reach _raw_nullvector from here on."""
-    solves = []
-    raw = rsolve._raw_nullvector
-    monkeypatch.setattr(rsolve, "_raw_nullvector",
-                        lambda req, *rest: solves.append(req) or raw(req, *rest))
-    return solves
+    """The calls that reach _raw_nullvector from here on."""
+    return _count_calls(monkeypatch, rsolve, "_raw_nullvector")
 
 
 class TestSolveBasics:
@@ -390,6 +394,24 @@ class TestCache:
         assert built == []
         r_matrix("V", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_request_path_builds_each_module_once(self, ctx, grading, monkeypatch, norm):
+        # the modules are built with the template only, and every request
+        # passes solve_intertwiner and RCache.get once
+        cache = RCache()
+        built = _count_calls(monkeypatch, reps, "build_eval_rep")
+        duals = _count_calls(monkeypatch, reps, "antipode_dual")
+        requests = _count_calls(monkeypatch, rsolve, "solve_intertwiner")
+        gets = _count_calls(monkeypatch, RCache, "get")
+        args = ("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
+        r_matrix(*args, normalization=norm, cache=cache)
+        assert (len(built), len(duals)) == (2, 1)
+        for _ in range(3):
+            r_matrix(*args, normalization=norm, cache=cache)
+        r_matrix("V", 0.9 - 0.3j, "V*", 1.4, 2, grading, ctx, normalization=norm, cache=cache)
+        assert (len(built), len(duals)) == (2, 1)
+        assert len(requests) == len(gets) == 5
 
     @pytest.mark.parametrize("checked_first", [True, False])
     def test_hit_keeps_invertibility_check(self, ctx, grading, checked_first):

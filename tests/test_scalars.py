@@ -76,12 +76,12 @@ class TestQPochhammer:
         a, p = 0.49, 0.7**4
         tail = 2.0 * a * p**8 / (1.0 - p)
         with pytest.raises(TruncationError, match=f"tail bound {tail:.3g} exceeds 1e-10 for kappa"):
-            scalars._poch(a, p, ctx, guard_zero=True, what="kappa denominator")
+            scalars._poch_ratio((), (a,), p, ctx, "kappa denominator")
 
     def test_vanishing_factor_at_k3_is_a_pole(self, ctx):
         p = complex(ctx.q) ** 4
         with pytest.raises(PoleError, match="closest"):
-            scalars._poch(p**-3, p, ctx, guard_zero=True)
+            scalars._poch_ratio((), (p**-3,), p, ctx, "Pochhammer factor")
 
     @pytest.mark.parametrize("q", [0.7, 0.95])
     def test_large_truncation_stops_at_working_precision(self, q):
@@ -99,6 +99,87 @@ class TestQPochhammer:
             tracemalloc.stop()
         assert got == want and calls_large == calls
         assert peak < 100_000, peak
+
+
+def _separate_scans_error(nums, dens, p, trunc, what):
+    """(type, message) of the first error when each product is scanned alone,
+    numerators first, each stopping at its own working precision; None if
+    every product passes its tail bound and pole guard."""
+    for i, a in enumerate(nums + dens):
+        pk, head, closest = 1.0 + 0.0j, abs(a), float("inf")
+        for _ in range(trunc):
+            if head < 2.0**-54 * (1.0 - abs(p)):
+                break
+            closest = min(closest, abs(1.0 - a * pk))
+            pk *= p
+            head = abs(a) * abs(pk)
+        if head >= 0.5:
+            return TruncationError, "trunc_terms too small for this Pochhammer argument"
+        tail = 2.0 * head / (1.0 - abs(p))
+        if tail > 1e-10:
+            name = what if i >= len(nums) else "Pochhammer factor"
+            return TruncationError, f"tail bound {tail:.3g} exceeds 1e-10 for {name}"
+        if i >= len(nums) and closest < 1e-9:
+            return PoleError, f"{what} has a vanishing factor (closest |1-a p^k| = {closest:.3g})"
+    return None
+
+
+class TestOneScanPerScalar:
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.5 + 0.5j, 0.95, 0.3, 0.3 + 0.6j])
+    def test_matches_separate_pochhammer_products(self, q):
+        # the one shared scan against each product scanned alone by q_pochhammer
+        ctx, qc = QContext(q), complex(q)
+        p = qc**4
+        rng = np.random.default_rng(21)
+
+        def P(a):
+            return q_pochhammer(a, p, ctx).value
+        for m in (1, 2, 3, 4):
+            for _ in range(8):
+                z = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                kappa = z ** (m / 2.0) * (P(qc ** (2 * m + 2) * z) * P(qc**2 / z)) / \
+                    (P(qc ** (2 * m + 2) / z) * P(qc**2 * z))
+                rho0 = qc ** (-m * m / 2.0) * P(qc**2 * z) ** 2 / \
+                    (P(qc ** (2 * m + 2) * z) * P(qc ** (-2 * m + 2) * z))
+                for got, want in ((kappa_sl2(m, z, ctx), kappa), (rho0_sl2(m, z, ctx), rho0)):
+                    assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want), (m, z)
+
+    @pytest.mark.parametrize("trunc", [8, 1])
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.95])
+    def test_errors_name_the_first_failing_product(self, trunc, q):
+        # same type, product and printed tail as scanning each product alone;
+        # a tiny z makes the second numerator fail first
+        ctx, qc = QContext(q, trunc_terms=trunc), complex(q)
+        for m in (1, 2, 4):
+            for z in (0.43 - 0.2j, 1.7 + 0.4j, 1e-9, 1e-3 + 1e-3j, 1e3):
+                _assert_separate_scans_error(m, z, qc, ctx)
+
+    def test_a_denominator_fails_first(self):
+        # at 20 factors and z = 1e3 only the kappa denominator (q^2 z; q^4) is
+        # unresolved; at z = 1 the rho0 denominator (z; q^4) of m = 1 vanishes
+        ctx = QContext(0.7, trunc_terms=20)
+        with pytest.raises(TruncationError, match="for kappa denominator"):
+            kappa_sl2(4, 1e3, ctx)
+        _assert_separate_scans_error(4, 1e3, complex(0.7), ctx)
+        with pytest.raises(PoleError, match="rho0 denominator has a vanishing factor"):
+            rho0_sl2(1, 1.0, QContext(0.7))
+        _assert_separate_scans_error(1, 1.0, complex(0.7), QContext(0.7))
+
+
+def _assert_separate_scans_error(m, z, qc, ctx):
+    p = qc**4
+    cases = [(kappa_sl2, (qc ** (2 * m + 2) * z, qc**2 / z),
+              (qc ** (2 * m + 2) / z, qc**2 * z), "kappa denominator"),
+             (rho0_sl2, (qc**2 * z, qc**2 * z),
+              (qc ** (2 * m + 2) * z, qc ** (-2 * m + 2) * z), "rho0 denominator")]
+    for fn, nums, dens, what in cases:
+        want = _separate_scans_error(nums, dens, p, ctx.trunc_terms, what)
+        if want is None:
+            fn(m, z, ctx)
+            continue
+        with pytest.raises(want[0]) as exc:
+            fn(m, z, ctx)
+        assert str(exc.value) == want[1], (fn.__name__, m, z)
 
 
 def _builtin_calls(fn, limit=None):
