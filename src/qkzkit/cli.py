@@ -508,24 +508,16 @@ def _run_group(name, config, cache):
 
 
 def cmd_suite(config: RunConfig) -> int:
+    """Run every check group, or the one that `verify` names, on one cache."""
+    if config.check not in (None, *CHECKS):
+        raise ConfigError(f"unknown check {config.check!r}; known: {', '.join(sorted(CHECKS))}")
     config.context()  # validate q and grading before running anything
     config.grading()
     cache = RCache()
     reports = []
-    for name in sorted(CHECKS):
+    for name in sorted(CHECKS) if config.check is None else [config.check]:
         reports.extend(_run_group(name, config, cache))
     reports = _apply_tol_override(reports, config.tol)
-    _emit(serialize_reports(reports, config.fmt), config)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def cmd_verify(config: RunConfig) -> int:
-    if config.check not in CHECKS:
-        raise ConfigError(f"unknown check {config.check!r}; known: {', '.join(sorted(CHECKS))}")
-    config.context()
-    config.grading()
-    cache = RCache()
-    reports = _apply_tol_override(CHECKS[config.check](config, cache), config.tol)
     _emit(serialize_reports(reports, config.fmt), config)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -635,7 +627,7 @@ def config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    handlers = {"suite": cmd_suite, "verify": cmd_verify, "rmat": cmd_rmat,
+    handlers = {"suite": cmd_suite, "verify": cmd_suite, "rmat": cmd_rmat,
                 "scalars": cmd_scalars}
     try:
         if config.samples < 1:

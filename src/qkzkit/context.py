@@ -24,6 +24,8 @@ class QContext:
 
     def __post_init__(self):
         q = complex(self.q)
+        if not np.isfinite(q):  # NaN would pass the modulus test below
+            raise ConfigError(f"q must be finite, got {q}")
         if q == 0:
             raise ConfigError("q must be nonzero")
         if abs(q) >= 1.0:

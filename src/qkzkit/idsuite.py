@@ -12,8 +12,8 @@ from math import prod
 import numpy as np
 
 from .report import VerificationReport
-from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_a,
-                   operator_o, operator_x, operator_xtilde, sl2_constants)
+from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_o,
+                   operator_o_inverse, operator_x, operator_xtilde, sl2_constants, twist)
 from .rsolve import r_matrix
 from .qkz import ChainSpec, DeltaAssignment, permutation_of_word, probe_block, transport_phi
 from .tensorops import embedded_matmul, partial_transpose, scalar_ratio
@@ -133,7 +133,7 @@ def check_crossing(m, zetas, grading, ctx, tol=1e-9, cache=None) -> Verification
     delta = sl2_constants(grading)["delta"]
     qd = complex(ctx.q) ** delta
     O = operator_o(m, grading, ctx)
-    Oinv = np.linalg.inv(O)
+    Oinv = operator_o_inverse(m, grading, ctx)
 
     def R(k1, w1, k2, w2, norm="hw"):
         return r_matrix(k1, w1, k2, w2, m, grading, ctx, normalization=norm,
@@ -218,9 +218,7 @@ def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, normalization="hw",
                        tol=1e-11, cache=None) -> VerificationReport:
     """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images."""
     t0 = time.perf_counter()
-    rep = build_eval_rep(m, grading, ctx)
-    dual = antipode_dual(rep)
-    ops = [operator_a(alpha, rep if k == "V" else dual) for k in kinds]
+    ops = [twist(k, alpha, m, ctx) for k in kinds]
     resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization,
                                      cache, ops[0], ops[1])
     return VerificationReport.make(

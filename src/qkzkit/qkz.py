@@ -22,8 +22,7 @@ import numpy as np
 from .context import QContext
 from .errors import ConfigError
 from .report import VerificationReport
-from .reps import (GradingChoice, antipode_dual, build_eval_rep, operator_a,
-                   operator_x, operator_xtilde, sl2_constants)
+from .reps import GradingChoice, sl2_constants, twist
 from .rsolve import r_matrix, rcheck_resonant
 from .tensorops import (cyclic_left_shift, embedded_matmul, permuted_matmul, site_matmul,
                         swap_outputs)
@@ -50,12 +49,13 @@ def probe_block(D: int, seed=0) -> np.ndarray:
 class DeltaAssignment:
     """Recipe for a per-site twist map.
 
-    sources:
-      self_dual_pair: d^{n-1} (Xtilde^-1)^t Xtilde A_alpha, d = (-1)^m
+    sources (d = (-1)^m; (Xtilde^-1)^t Xtilde = (-1)^m X):
+      self_dual_pair: d^{n-1} (Xtilde^-1)^t Xtilde A_alpha = (-1)^{mn} X A_alpha
       general_v:      X_V A_alpha
       general_vstar:  X_{V*} A_alpha^{V*}
-    A scalar phi(zeta) in front would multiply both sides of every checked
-    identity alike, so it is left out.
+    Each X A_alpha is one reps.twist, at nu = 2 s1/s - 1 + alpha.  A scalar
+    phi(zeta) in front would multiply both sides of every checked identity
+    alike, so it is left out.
     """
 
     source: str
@@ -70,19 +70,9 @@ class DeltaAssignment:
 def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice,
                 ctx: QContext) -> np.ndarray:
     """Twist matrix of the assignment (it does not depend on zeta)."""
-    rep = build_eval_rep(m, grading, ctx)
-    if assign.source == "self_dual_pair":
-        xt = operator_xtilde(m, grading, ctx)
-        pref = ((-1.0) ** m) ** (assign.n - 1)
-        mat = pref * (np.linalg.inv(xt).T @ xt) @ operator_a(assign.alpha, rep)
-    elif assign.source == "general_v":
-        mat = operator_x(m, grading, ctx, kind="V") @ operator_a(assign.alpha, rep)
-    else:
-        dual = antipode_dual(rep)
-        mat = operator_x(m, grading, ctx, kind="V*") @ operator_a(assign.alpha, dual)
-    if abs(np.linalg.det(mat)) < 1e-12:
-        raise ConfigError("site twist map is singular")
-    return mat
+    kind = "V*" if assign.source == "general_vstar" else "V"
+    sign = (-1.0) ** (m * assign.n) if assign.source == "self_dual_pair" else 1.0
+    return sign * twist(kind, 2.0 * grading.s1 / grading.s - 1.0 + assign.alpha, m, ctx)
 
 
 @dataclass(frozen=True)

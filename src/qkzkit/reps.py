@@ -32,19 +32,45 @@ class GradingChoice:
         return self.s0 + self.s1
 
 
+def _h1_weights(kind: str, m: int) -> np.ndarray:
+    """h1-weights of the spin-m basis: (m, m-2, ..., -m) on V, negated on V*."""
+    w = np.arange(m, -m - 1, -2, dtype=float)
+    return -w if kind == "V*" else w
+
+
+def _q_diag(ctx: QContext, exponents: np.ndarray) -> np.ndarray:
+    """diag(q^exponents), the one formula of every Cartan image and site twist."""
+    return np.diag(complex(ctx.q) ** exponents)
+
+
+def twist(kind: str, nu: complex, m: int, ctx: QContext) -> np.ndarray:
+    """Site twist phi(q^{nu h1}) = diag(q^{nu w}) on the module kind, w its h1-weights.
+
+    X is the twist at nu = 2 s1/s - 1, A_alpha at nu = alpha, X A_alpha at
+    their sum.  An entry that overflows, vanishes or is not a number is a
+    ConfigError.
+    """
+    with np.errstate(all="ignore"):
+        T = _q_diag(ctx, nu * _h1_weights(kind, m))
+    diag = T.diagonal()
+    if not (np.isfinite(diag).all() and diag.all()):
+        raise ConfigError(f"site twist q^({nu:.6g} h1) at m = {m} is not finite and invertible")
+    return T
+
+
 class EvalRep:
     """Generator matrices of a spin-m evaluation module or an iterated dual.
 
     The spectral parameter enters only through zeta^{±s_i}; the
-    zeta-independent matrices and the h1-weight vector are stored.
+    zeta-independent matrices are stored, the weights follow from the kind.
     """
 
-    def __init__(self, m, grading, ctx, weights, mats, dual_level=0):
+    def __init__(self, m, grading, ctx, mats, dual_level=0):
         self.m = m
         self.grading = grading
         self.ctx = ctx
         self.dual_level = dual_level
-        self._w = np.asarray(weights, dtype=complex)
+        self._w = _h1_weights(self.kind, m)
         self._mats = {k: np.asarray(v, dtype=complex) for k, v in mats.items()}
 
     @property
@@ -65,13 +91,13 @@ class EvalRep:
     @property
     def hw_index(self) -> int:
         """Index of the weight-maximal basis vector."""
-        return int(np.argmax(self._w.real))
+        return int(np.argmax(self._w))
 
     def qh1(self, nu=1.0) -> np.ndarray:
-        return np.diag(complex(self.ctx.q) ** (nu * self._w))
+        return _q_diag(self.ctx, nu * self._w)
 
     def qh0(self, nu=1.0) -> np.ndarray:
-        return np.diag(complex(self.ctx.q) ** (-nu * self._w))
+        return _q_diag(self.ctx, -nu * self._w)
 
     def gen(self, tag: str, zeta: complex, nu=1.0) -> np.ndarray:
         """Generator matrix at spectral parameter zeta (Cartans take nu)."""
@@ -107,9 +133,8 @@ def build_eval_rep(m: int, grading: GradingChoice, ctx: QContext) -> EvalRep:
         coeff = q_number(i, ctx) * q_number(m - i + 1, ctx)
         raising[i - 1, i] = coeff
         lowering[i, i - 1] = 1.0
-    weights = np.array([m - 2 * i for i in range(d)], dtype=complex)
     mats = {"e1": raising, "f1": lowering, "e0": lowering, "f0": raising}
-    return EvalRep(m, grading, ctx, weights, mats)
+    return EvalRep(m, grading, ctx, mats)
 
 
 def antipode_dual(rep: EvalRep) -> EvalRep:
@@ -120,7 +145,7 @@ def antipode_dual(rep: EvalRep) -> EvalRep:
     for i in (0, 1):
         mats[f"e{i}"] = -(qh[i](-1.0) @ rep._mats[f"e{i}"]).T
         mats[f"f{i}"] = -(rep._mats[f"f{i}"] @ qh[i](1.0)).T
-    return EvalRep(rep.m, rep.grading, rep.ctx, -rep._w, mats, rep.dual_level + 1)
+    return EvalRep(rep.m, rep.grading, rep.ctx, mats, rep.dual_level + 1)
 
 
 @dataclass(frozen=True)
@@ -231,12 +256,7 @@ def operator_x(m: int, grading: GradingChoice, ctx: QContext, kind="V") -> np.nd
 
     For the dual module the image is phi*(q^x) = (X^-1)^t.
     """
-    coeff = 2.0 * grading.s1 / grading.s - 1.0
-    rep = build_eval_rep(m, grading, ctx)
-    X = rep.qh1(coeff)
-    if kind == "V*":
-        return np.linalg.inv(X).T
-    return X
+    return twist(kind, 2.0 * grading.s1 / grading.s - 1.0, m, ctx)
 
 
 def operator_o(m: int, grading: GradingChoice, ctx: QContext) -> np.ndarray:
@@ -265,8 +285,3 @@ def operator_o_inverse(m: int, grading: GradingChoice, ctx: QContext) -> np.ndar
 def operator_xtilde(m: int, grading: GradingChoice, ctx: QContext) -> np.ndarray:
     """Xtilde = O^t X."""
     return operator_o(m, grading, ctx).T @ operator_x(m, grading, ctx)
-
-
-def operator_a(alpha: complex, rep: EvalRep) -> np.ndarray:
-    """Twist operator phi(q^{alpha h1}) (dual modules get the dual image)."""
-    return rep.qh1(alpha)

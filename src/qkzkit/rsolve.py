@@ -351,13 +351,11 @@ def rcheck_resonant(m, grading, ctx) -> np.ndarray:
     """Kappa-normalized Rcheck_{V|V}(q^delta zeta | zeta), the removable resonance.
 
     Crossing relation (iii) of idsuite.check_crossing at z1 = z2, where
-    R(zeta|zeta) = P, gives R = (-1)^m (O^-1 x 1) P^t1 (O x 1) with
-    P^t1 = |Omega><Omega|, Omega = sum_i e_i x e_i.  Rcheck = P R is rank
-    one and does not depend on zeta.
+    R(zeta|zeta) = P, gives R = (-1)^m (O^-1 x 1) |Omega><Omega| (O x 1),
+    Omega = sum_i e_i x e_i, the outer product (-1)^m vec(O^-1) vec(O^t)^t
+    (row-major vec).  Rcheck = P R is rank one and does not depend on zeta.
     """
     d = m + 1
-    eye = np.eye(d)
-    omega = eye.reshape(-1)
-    R = (-1) ** m * np.kron(operator_o_inverse(m, grading, ctx), eye) \
-        @ np.outer(omega, omega) @ np.kron(operator_o(m, grading, ctx), eye)
+    R = (-1) ** m * np.outer(operator_o_inverse(m, grading, ctx).reshape(-1),
+                             operator_o(m, grading, ctx).T.reshape(-1))
     return swap_outputs(R, d, d)

@@ -22,8 +22,17 @@ class TestParsing:
     def test_unknown_check_exits_2(self, capsys):
         assert main(["verify", "nosuchcheck"]) == 2
 
-    def test_bad_q_exits_2(self):
-        assert main(["suite", "--q", "1.5"]) == 2
+    def test_bad_q_exits_2(self, capsys):
+        # NaN passes a modulus test, so a non-finite q needs its own rejection;
+        # the scalars group builds no site twist that would refuse it later.
+        # A NaN twist is refused before any NaN reaches a residual
+        bad_q = [["--q", q] for q in ("1.5", "nan", "0.5,nan")]
+        for args in bad_q:
+            assert main(["verify", "scalars", *args]) == 2
+        for args in bad_q + [["--alpha", "nan"]]:
+            assert main(["suite", *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("configuration error:")
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_bad_samples_exits_2(self, samples):
@@ -49,6 +58,17 @@ class TestVerify:
         data = json.loads(out)
         assert all(rec["passed"] for rec in data)
         assert all(rec["wall_ms"] is None for rec in data)
+
+    def test_failing_group_still_reports(self, capsys):
+        # --trunc 8 is too short for the Pochhammer products: the group fails
+        # as one report, as it does in a suite run
+        code = main(["verify", "scalars", "--trunc", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        data = json.loads(captured.out)
+        assert len(data) == 1
+        assert data[0]["name"] == "scalars" and data[0]["params"] == {"group": "scalars"}
+        assert not data[0]["passed"] and data[0]["note"].startswith("TruncationError")
 
     def test_unachievable_tolerance_exits_1(self, capsys):
         code, out = run_cli(["verify", "reps", "--tol", "1e-30"], capsys)

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, build_delta, check_ddr,
                         check_qkz_compatibility, lambda_factor_specs,
                         lambda_forms_residual, lambda_op,
                         lambda_product_regularized, transport_phi)
-from qkzkit.reps import operator_x
+from qkzkit.reps import GradingChoice, operator_o, operator_x
 from qkzkit.rsolve import r_matrix
 from qkzkit.tensorops import cyclic_left_shift, permutation_op
 
@@ -36,6 +39,44 @@ class TestBuildDelta:
     def test_balanced_grading_gives_identity(self, ctx, grading):
         mat = build_delta(DeltaAssignment("general_v"), 1, grading, ctx)
         assert np.abs(mat - np.eye(2)).max() < 1e-15
+
+    def test_matches_inverse_formula(self):
+        # the sources as products of X, Xtilde = O^t X and A_alpha, with the
+        # inverses taken numerically and the weights written out by hand
+        def inverse_formula(assign, m, g, ctx):
+            q = complex(ctx.q)
+            w = np.array([m - 2.0 * i for i in range(m + 1)])
+            X = np.diag(q ** ((2.0 * g.s1 / g.s - 1.0) * w))
+            if assign.source == "self_dual_pair":
+                xt = operator_o(m, g, ctx).T @ X
+                return ((-1.0) ** m) ** (assign.n - 1) * (np.linalg.inv(xt).T @ xt) \
+                    @ np.diag(q ** (assign.alpha * w))
+            if assign.source == "general_v":
+                return X @ np.diag(q ** (assign.alpha * w))
+            return np.linalg.inv(X).T @ np.diag(q ** (-assign.alpha * w))
+
+        for q in (0.7, 0.6 + 0.09j, 0.3):
+            ctx = QContext(q)
+            for g in (GradingChoice(1, 1), GradingChoice(1, 0), GradingChoice(2, 1),
+                      GradingChoice(0, 1)):
+                for m in (1, 2, 3, 4):
+                    for alpha in (0.0, 0.37 - 0.21j):
+                        for assign in (DeltaAssignment("self_dual_pair", alpha, n=1),
+                                       DeltaAssignment("self_dual_pair", alpha, n=2),
+                                       DeltaAssignment("general_v", alpha),
+                                       DeltaAssignment("general_vstar", alpha)):
+                            want = inverse_formula(assign, m, g, ctx)
+                            got = build_delta(assign, m, g, ctx)
+                            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [1000.0, float("nan")])
+    @pytest.mark.parametrize("source", ["self_dual_pair", "general_v", "general_vstar"])
+    def test_unrepresentable_twist_is_a_config_error(self, ctx, grading, source, alpha):
+        # q^{-2000} overflows at m = 2: the twist is refused before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="site twist"):
+                build_delta(DeltaAssignment(source, alpha), 2, grading, ctx)
 
 
 class TestLambdaOp:

@@ -3,10 +3,11 @@ import pytest
 
 from conftest import zeta_sample
 from qkzkit import reps
+from qkzkit.context import QContext
 from qkzkit.reps import (GradingChoice, SiteModule, antipode_dual, build_eval_rep,
-                         coproduct_parts, hopf_antipode_residual,
-                         make_site, operator_a, operator_o, operator_o_inverse,
-                         operator_x, operator_xtilde, sl2_constants)
+                         coproduct_parts, eval_module, hopf_antipode_residual,
+                         make_site, operator_o, operator_o_inverse, operator_x,
+                         operator_xtilde, sl2_constants, twist)
 
 
 def qn(nu, q):
@@ -227,16 +228,28 @@ class TestDistinguishedOperators:
 
     def test_twist_operator(self, ctx, grading):
         q = complex(ctx.q)
-        rep = build_eval_rep(1, grading, ctx)
-        assert np.abs(operator_a(0.0, rep) - np.eye(2)).max() < 1e-15
-        assert np.abs(operator_a(1.0, rep) - np.diag([q, 1 / q])).max() < 1e-15
-
-    def test_xtilde_core_is_sign(self, ctx, grading):
-        # (Xtilde^-1)^t Xtilde = (-1)^m id for the balanced grading
+        assert np.abs(twist("V", 0.0, 1, ctx) - np.eye(2)).max() < 1e-15
+        assert np.abs(twist("V", 1.0, 1, ctx) - np.diag([q, 1 / q])).max() < 1e-15
+        assert np.abs(twist("V*", 1.0, 1, ctx) - np.diag([1 / q, q])).max() < 1e-15
+        # the Cartan images of both module kinds are the same twists
         for m in (1, 2, 3):
-            xt = operator_xtilde(m, grading, ctx)
-            core = np.linalg.inv(xt).T @ xt
-            assert np.abs(core - (-1.0) ** m * np.eye(m + 1)).max() < 1e-13
+            for kind in ("V", "V*"):
+                rep = eval_module(kind, m, grading, ctx)
+                assert np.array_equal(rep.qh1(0.4 - 0.2j), twist(kind, 0.4 - 0.2j, m, ctx))
+                assert np.array_equal(rep.qh0(0.4 - 0.2j), twist(kind, -0.4 + 0.2j, m, ctx))
+
+    def test_xtilde_core_is_sign(self):
+        # (Xtilde^-1)^t Xtilde = (-1)^m X, which lets qkz.build_delta take
+        # the self-dual twist without an inverse; X = id for the balanced grading
+        for q in (0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j):
+            ctx = QContext(q)
+            for g in (GradingChoice(1, 1), GradingChoice(1, 0), GradingChoice(2, 1),
+                      GradingChoice(0, 1)):
+                for m in range(1, 6):
+                    xt = operator_xtilde(m, g, ctx)
+                    core = np.linalg.inv(xt).T @ xt
+                    X = operator_x(m, g, ctx)
+                    assert np.abs(core - (-1.0) ** m * X).max() <= 1e-13 * np.abs(X).max()
 
 
 class TestSiteModule:
