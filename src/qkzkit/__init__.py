@@ -4,12 +4,12 @@ from .context import QContext
 from .errors import (ConfigError, DegeneratePointError, DivergentBaseError,
                      PoleError, QkzError, ScalarDomainError, TruncationError)
 from .report import VerificationReport
-from .reps import EvalRep, GradingChoice, SiteModule
+from .reps import EvalRep, GradingChoice
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QContext", "GradingChoice", "EvalRep", "SiteModule",
+    "QContext", "GradingChoice", "EvalRep",
     "VerificationReport", "QkzError", "ConfigError",
     "ScalarDomainError", "DivergentBaseError", "TruncationError", "PoleError",
     "DegeneratePointError", "__version__",

@@ -17,7 +17,7 @@ import numpy as np
 from . import idsuite, qkz, reduction
 from .context import QContext
 from .errors import ConfigError, DegeneratePointError, QkzError
-from .report import VerificationReport
+from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
                    hopf_antipode_residual)
 from .rsolve import RCache, r_matrix
@@ -96,13 +96,13 @@ def _chk_scalar_identities(config, cache):
     for m in (1, 2, 3, 4):
         for _ in range(config.samples):
             z = _zsample(rng)
-            worst_kappa = max(worst_kappa, abs(kappa_sl2(m, 1.0, ctx) - 1.0),
-                              abs(kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx) - 1.0))
+            worst_kappa = worst_of((worst_kappa, abs(kappa_sl2(m, 1.0, ctx) - 1.0),
+                                    abs(kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx) - 1.0)))
             two_calls = 1.0 / (rho0_sl2(m, ctx.q ** (-2) * z, ctx) * rho0_sl2(m, z, ctx))
-            worst_ratio = max(worst_ratio, abs(two_calls - rho0_ratio_sl2(m, z, ctx)))
+            worst_ratio = worst_of((worst_ratio, abs(two_calls - rho0_ratio_sl2(m, z, ctx))))
             if m % 2 == 0:
-                worst_even = max(worst_even, abs(
-                    kappa_sl2_even_rational(m // 2, z, ctx) - kappa_sl2(m, z, ctx)))
+                worst_even = worst_of((worst_even, abs(
+                    kappa_sl2_even_rational(m // 2, z, ctx) - kappa_sl2(m, z, ctx))))
     tol = 1e-10
     for name, worst in (("scalar_kappa_identities", worst_kappa), ("scalar_rho0_ratio", worst_ratio),
                         ("scalar_kappa_even_rational", worst_even)):
@@ -121,8 +121,7 @@ def _chk_scalar_difference(config, cache):
             z = _zsample(rng)
             vals.append(difference_patterns_sl2(m, z, ctx)["all_inverted"])
         vals = np.array(vals)
-        resid = float(max(np.abs(vals - (-1.0) ** m).max(),
-                          np.abs(vals - vals.mean()).max()))
+        resid = worst_of((np.abs(vals - (-1.0) ** m).max(), np.abs(vals - vals.mean()).max()))
         out.append(VerificationReport.make(
             "scalar_difference_sl2", {"m": m, "constant": (-1.0) ** m}, resid, 1e-10, t0,
             extracted_scalars=[complex(vals.mean())]))
@@ -133,7 +132,7 @@ def _chk_scalar_difference(config, cache):
             z = _zsample(rng)
             vals.append(difference_patterns_sllpo(l, z, ctx)["mixed"])
         vals = np.array(vals)
-        resid = float(max(np.abs(vals - 1.0).max(), np.abs(vals - vals.mean()).max()))
+        resid = worst_of((np.abs(vals - 1.0).max(), np.abs(vals - vals.mean()).max()))
         out.append(VerificationReport.make(
             "scalar_difference_sllpo", {"l": l, "constant": 1.0}, resid, 1e-10, t0,
             extracted_scalars=[complex(vals.mean())]))
@@ -153,7 +152,7 @@ def _chk_scalar_series(config, cache):
             fa = f_series(l + 1, q ** (-l) * z, ctx).value
             fb = f_series(l + 1, q**l * z, ctx).value
             series_form = q ** (-l / (l + 1)) * np.exp(fa - fb)
-            worst = max(worst, abs(series_form - rho0_sllpo(l, z, ctx)))
+            worst = worst_of((worst, abs(series_form - rho0_sllpo(l, z, ctx))))
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10,
                                     t0)]
 
@@ -175,16 +174,13 @@ def _chk_rep_invariants(config, cache):
             e0, f0 = r.gen("e0", zeta), r.gen("f0", zeta)
             target1 = (r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q)
             target0 = (r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q)
-            worst = max(worst, float(np.abs(e1 @ f1 - f1 @ e1 - target1).max()))
-            worst = max(worst, float(np.abs(e0 @ f0 - f0 @ e0 - target0).max()))
             nu = 0.7 + 0.1 * rng.random()
-            conj = r.qh1(nu) @ e1 @ r.qh1(-nu) - q ** (2 * nu) * e1
-            worst = max(worst, float(np.abs(conj).max()))
-            conj = r.qh1(nu) @ f1 @ r.qh1(-nu) - q ** (-2 * nu) * f1
-            worst = max(worst, float(np.abs(conj).max()))
-            cov = r.gen("e1", zeta) - zeta**g.s1 * r.gen("e1", 1.0)
-            worst = max(worst, float(np.abs(cov).max()))
-            worst_hopf = max(worst_hopf, hopf_antipode_residual(r, zeta))
+            terms = (e1 @ f1 - f1 @ e1 - target1, e0 @ f0 - f0 @ e0 - target0,
+                     r.qh1(nu) @ e1 @ r.qh1(-nu) - q ** (2 * nu) * e1,
+                     r.qh1(nu) @ f1 @ r.qh1(-nu) - q ** (-2 * nu) * f1,
+                     r.gen("e1", zeta) - zeta**g.s1 * r.gen("e1", 1.0))
+            worst = worst_of([worst, *(np.abs(t).max() for t in terms)])
+            worst_hopf = worst_of((worst_hopf, hopf_antipode_residual(r, zeta)))
     return [
         VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12, t0),
         VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12, t0),
@@ -248,7 +244,7 @@ def _chk_ybe(config, cache):
             zetas = tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
             rep = idsuite.check_ybe(config.m, kinds, zetas, g, ctx,
                                     normalization=config.norm, cache=cache)
-            worst = max(worst, rep.residual)
+            worst = worst_of((worst, rep.residual))
         out.append(VerificationReport.make(
             "ybe", {"m": config.m, "kinds": list(kinds), "norm": config.norm}, worst, 1e-9, t0))
     return out
@@ -266,7 +262,7 @@ def _chk_crossing(config, cache):
         for _ in range(config.samples):
             zetas = idsuite.draw_generic_zetas(rng, 2, m, g, ctx)
             rep = idsuite.check_crossing(m, tuple(zetas), g, ctx, cache=cache)
-            worst = max(worst, rep.residual)
+            worst = worst_of((worst, rep.residual))
             scal.append(rep.extracted_scalars)
         spread = float(max(
             np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
@@ -335,7 +331,7 @@ def _chk_qkz(config, cache):
     t0 = time.perf_counter()
     out = []
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
-    worst = max(qkz.lambda_forms_residual(chain4, i, cache) for i in range(4))
+    worst = worst_of(qkz.lambda_forms_residual(chain4, i, cache) for i in range(4))
     out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10, t0))
     sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha1(), n=config.n)
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)

@@ -11,12 +11,12 @@ from math import prod
 
 import numpy as np
 
-from .report import VerificationReport
+from .report import VerificationReport, worst_of
 from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_o,
                    operator_o_inverse, operator_x, operator_xtilde, sl2_constants, twist)
 from .rsolve import r_matrix
 from .qkz import ChainSpec, DeltaAssignment, permutation_of_word, probe_block, transport_phi
-from .tensorops import embedded_matmul, partial_transpose, scalar_ratio
+from .tensorops import commutant_residual, embedded_matmul, partial_transpose, scalar_ratio
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
@@ -153,7 +153,7 @@ def check_crossing(m, zetas, grading, ctx, tol=1e-9, cache=None) -> Verification
     rk_sh2 = np.kron(np.eye(d), O) @ R("V", z1, "V", qd * z2, "kappa") @ np.kron(np.eye(d), Oinv)
     D1, res_d1 = scalar_ratio(rk_sh1, partial_transpose(np.linalg.inv(rk), "first", dd))
     D2, res_d2 = scalar_ratio(rk_sh2, np.linalg.inv(partial_transpose(rk, "second", dd)))
-    resid = max(res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)
+    resid = worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2))
     return VerificationReport.make(
         "crossing", {"m": m}, resid, tol, t0,
         extracted_scalars=[lam_t1, lam_t2, s1, s2, D1, D2])
@@ -166,7 +166,7 @@ def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
         L = lhs_rep.gen(tag, lhs_zeta)
         Rm = C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv
         scale = max(float(np.abs(L).max()), 1.0)
-        worst = max(worst, float(np.abs(L - Rm).max()) / scale)
+        worst = worst_of((worst, np.abs(L - Rm).max() / scale))
     return worst
 
 
@@ -197,9 +197,7 @@ def check_self_dual(m, grading, ctx, zeta, tol=1e-12) -> VerificationReport:
 def _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization, cache, C1, C2):
     res = r_matrix(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx,
                    normalization=normalization, cache=cache, check_invertible=False)
-    CC = np.kron(C1, C2)
-    comm = CC @ res.R - res.R @ CC
-    return float(np.linalg.norm(comm) / np.linalg.norm(res.R @ CC))
+    return commutant_residual(C1, C2, res.R)
 
 
 def check_invariance_x(m, kinds, zetas, grading, ctx, normalization="hw",

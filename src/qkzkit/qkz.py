@@ -24,8 +24,8 @@ from .errors import ConfigError
 from .report import VerificationReport
 from .reps import GradingChoice, sl2_constants, twist
 from .rsolve import r_matrix, rcheck_resonant
-from .tensorops import (cyclic_left_shift, embedded_matmul, permuted_matmul, site_matmul,
-                        swap_outputs)
+from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul,
+                        permuted_matmul, site_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
@@ -272,9 +272,7 @@ def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> Verifi
     res = r_matrix(chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k],
                    chain.m, chain.grading, chain.ctx,
                    normalization=chain.normalization, cache=cache)
-    DD = np.kron(dj, dk)
-    comm = DD @ res.R - res.R @ DD
-    resid = float(np.linalg.norm(comm) / np.linalg.norm(res.R @ DD))
+    resid = commutant_residual(dj, dk, res.R)
     return VerificationReport.make(
         "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
                 "source": [chain.deltas[j].source, chain.deltas[k].source]},

@@ -3,12 +3,14 @@
 Two constructions are covered: a chain of 2n like modules with mirrored
 arguments (w1..wn, q^w wn .. q^w w1) and shift p = q^{2w} ("self-dual"),
 and a chain of n modules plus n duals with the q^eps mirror and p = q^eps
-("general").  In each case the composite reduction operator and the
-one-step qKZ operators are applied, factor by factor, to the same seeded
-complex Gaussian probe block (`qkz.probe_block`), and the two results are
-compared; no composite is formed as a D x D matrix.  The first probe
-column goes through the contraction map, which realizes the implication
-concretely.
+("general").  `rhs_operator` builds either composite from one block
+B_mover(a | b) per moving site; in written order (leftmost applied last)
+they are B_V(z_n | p z_n) and B_{V*}(p z_n | p^2 z_n) B_V(z_n | p z_n).
+The composite and the one-step qKZ operators are applied, factor by
+factor, to the same seeded complex Gaussian probe block
+(`qkz.probe_block`), and the two results are compared; no composite is
+formed as a D x D matrix.  The first probe column goes through the
+contraction map, which realizes the implication concretely.
 """
 
 import time
@@ -22,16 +24,15 @@ from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, lambda_factor_specs,
                   lambda_product_regularized, lambda_rewritten, materialize_factors,
                   probe_block, rcheck_factor)
-from .report import VerificationReport
+from .report import VerificationReport, worst_of
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
 from .rsolve import r_matrix
 from .tensorops import embed_pair, embedded_matmul, permuted_matmul, site_matmul
 
 __all__ = [
-    "ReductionCase", "mirrored_args", "chain_for", "rhs_operator_selfdual",
-    "rhs_operator_general", "psi_extract", "psi_inject", "theorem_check_selfdual",
-    "theorem_check_general", "insertion_invariance_check", "check_rpr",
-    "scaling_covariance_residual",
+    "ReductionCase", "mirrored_args", "chain_for", "rhs_operator", "psi_extract",
+    "psi_inject", "theorem_check_selfdual", "theorem_check_general",
+    "insertion_invariance_check", "check_rpr", "scaling_covariance_residual",
 ]
 
 
@@ -105,82 +106,45 @@ def _factor(case, k1, z1, k2, z2, cache):
                     normalization=case.normalization, cache=cache, check_invertible=False)
 
 
-def _apply_R(case, k1, z1, k2, z2, i, j, M, cache):
-    return embedded_matmul(_factor(case, k1, z1, k2, z2, cache).R, i, j, case.dims, M)
+def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
+                 block=None) -> np.ndarray:
+    """Reduction composite applied to `block` (default: the identity, giving
+    its dense matrix); written order, leftmost applied last:
 
+      self-dual (p = q^{2w}):  B_V(z_n | p z_n)
+      general   (p = q^e):     B_{V*}(p z_n | p^2 z_n) [insertion] B_V(z_n | p z_n)
 
-def rhs_operator_selfdual(case: ReductionCase, zetas, cache=None, block=None) -> np.ndarray:
-    """Reduction composite for the like-kind chain applied to `block` (default:
-    the identity, giving its dense matrix); written order, leftmost applied last:
-
-    R^{(n+2,n+1)}(q^w z_{n-1}|q^{2w} z_n) .. R^{(2n,n+1)}(q^w z_1|q^{2w} z_n)
-    P^{(n,n+1)} Delta^{(n)}(z_n) R^{(1,n)}(z_1|z_n) .. R^{(n-1,n)}(z_{n-1}|z_n)
+    one block per moving site.  With (eta_1 .. eta_2n) = mirrored_args,
+    B(a | b) = R^{(n+2,n+1)}(eta_{n+2}|b) .. R^{(2n,n+1)}(eta_2n|b) P^{(n,n+1)}
+               Delta^{(n)} R^{(1,n)}(eta_1|a) .. R^{(n-1,n)}(eta_{n-1}|a),
+    each R between the kinds of its two sites, Delta the chain's twist of
+    the mover's site.  insertion=(u, v) puts the unitarity pair
+    Rcheck_{V|V*}(u|v) Rcheck_{V*|V}(v|u) on slots (n, n+1) between the
+    general blocks; with a self-dual case it is a ConfigError.
     """
-    if case.mode != "self_dual":
-        raise ConfigError("case mode must be self_dual")
-    n = case.n
-    q = complex(case.ctx.q)
-    w = q ** case.shift
+    if insertion is not None and case.mode == "self_dual":
+        raise ConfigError("the unitarity insertion needs a general case")
+    n, dims = case.n, case.dims
     chain = chain_for(case, mirrored_args(case, zetas))
-    dims = case.dims
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
-    # left-multiplication: iterate the written factor order right to left
-    for j in range(n - 1, 0, -1):
-        M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
-    M = site_matmul(chain.delta_matrix(n - 1), n - 1, dims, M)
+    kinds, etas = chain.kinds, chain.etas
     swap = list(range(2 * n))
     swap[n - 1], swap[n] = swap[n], swap[n - 1]
-    M = permuted_matmul(swap, dims, M)
-    for j in range(2 * n, n + 1, -1):
-        M = _apply_R(case, "V", w * zetas[2 * n - j], "V", case.p * zetas[n - 1],
-                     j - 1, n, M, cache)
-    return M
-
-
-def rhs_operator_general(case: ReductionCase, zetas, cache=None, insertion=None,
-                         block=None) -> np.ndarray:
-    """Two-block reduction composite for the mixed chain applied to `block`
-    (default: the identity); written order, leftmost applied last:
-
-    [V*|V* string](.. |q^{2e} z_n) P^{(n,n+1)} Delta*^{(n)}(q^e z_n) [V|V* string]
-    [V*|V  string](.. |q^e z_n)    P^{(n,n+1)} Delta^{(n)}(z_n)      [V|V string]
-
-    With insertion=(u, v), the unitarity pair Rcheck_{V|V*}(u|v)
-    Rcheck_{V*|V}(v|u) is inserted explicitly at the block boundary.
-    """
-    if case.mode != "general":
-        raise ConfigError("case mode must be general")
-    n = case.n
-    q = complex(case.ctx.q)
-    e = q ** case.shift
-    etas = mirrored_args(case, zetas)
-    chain = chain_for(case, etas)
-    dims = case.dims
-    swap = list(range(2 * n))
-    swap[n - 1], swap[n] = swap[n], swap[n - 1]
-
     M = np.eye(prod(dims), dtype=complex) if block is None else block
-    # first (rightmost) block: plain modules against the moving site n
-    for j in range(n - 1, 0, -1):
-        M = _apply_R(case, "V", zetas[j - 1], "V", zetas[n - 1], j - 1, n - 1, M, cache)
-    M = site_matmul(chain.delta_matrix(n - 1), n - 1, dims, M)
-    M = permuted_matmul(swap, dims, M)
-    for j in range(2 * n, n + 1, -1):
-        M = _apply_R(case, "V*", e * zetas[2 * n - j], "V", e * zetas[n - 1],
-                     j - 1, n, M, cache)
-    if insertion is not None:
-        u, v = insertion
-        M = embedded_matmul(_factor(case, "V*", v, "V", u, cache).Rcheck, n - 1, n, dims, M)
-        M = embedded_matmul(_factor(case, "V", u, "V*", v, cache).Rcheck, n - 1, n, dims, M)
-    # second block: sites against the dual moving site, now at slot n-1 after the swap
-    for j in range(n - 1, 0, -1):
-        M = _apply_R(case, "V", zetas[j - 1], "V*", e * zetas[n - 1], j - 1, n - 1, M, cache)
-    # the dual twist Delta*(q^e z_n) is the one of chain site n
-    M = site_matmul(chain.delta_matrix(n), n - 1, dims, M)
-    M = permuted_matmul(swap, dims, M)
-    for j in range(2 * n, n + 1, -1):
-        M = _apply_R(case, "V*", e * zetas[2 * n - j], "V*", e * e * zetas[n - 1],
-                     j - 1, n, M, cache)
+    for k, site in enumerate((n - 1,) if case.mode == "self_dual" else (n - 1, n)):
+        if k == 1 and insertion is not None:
+            u, v = insertion
+            M = embedded_matmul(_factor(case, "V*", v, "V", u, cache).Rcheck, n - 1, n, dims, M)
+            M = embedded_matmul(_factor(case, "V", u, "V*", v, cache).Rcheck, n - 1, n, dims, M)
+        # b = p^{k+1} z_n from z_n, not p * a: the rounding sets the R cache keys
+        mover, a, b = kinds[site], etas[site], case.p ** (k + 1) * zetas[n - 1]
+        for j in range(n - 2, -1, -1):
+            M = embedded_matmul(_factor(case, kinds[j], etas[j], mover, a, cache).R,
+                                j, n - 1, dims, M)
+        M = site_matmul(chain.delta_matrix(site), n - 1, dims, M)
+        M = permuted_matmul(swap, dims, M)
+        for j in range(2 * n - 1, n, -1):
+            M = embedded_matmul(_factor(case, kinds[j], etas[j], mover, b, cache).R,
+                                j, n, dims, M)
     return M
 
 
@@ -216,7 +180,7 @@ def _combined_report(name, params, resid_op, tol_op, resid_e2e, tol_e2e, t0):
     params["operator_residual"] = float(resid_op)
     params["e2e_residual"] = float(resid_e2e)
     params["e2e_tolerance"] = float(tol_e2e)
-    folded = tol_op * max(resid_op / tol_op, resid_e2e / tol_e2e)
+    folded = tol_op * worst_of((resid_op / tol_op, resid_e2e / tol_e2e))
     return VerificationReport.make(name, params, folded, tol_op, t0)
 
 
@@ -238,12 +202,13 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     and can agree with it bit for bit.  `forms_residual` compares the two
     forms.
     """
+    if case.mode != "self_dual":
+        raise ConfigError("theorem_check_selfdual needs a self_dual case")
     t0 = time.perf_counter()
-    n = case.n
-    dims = case.dims
+    n, dims = case.n, case.dims
     w = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(dims), seed)
-    rhs = rhs_operator_selfdual(case, zetas, cache, X)
+    rhs = rhs_operator(case, zetas, cache, block=X)
     chain = chain_for(case, mirrored_args(case, zetas))
     resonant = rcheck_factor(chain, "V", w * zetas[n - 1], "V", case.p * zetas[n - 1], cache)
     lhs = embedded_matmul(resonant, n - 1, n, dims, rhs)
@@ -257,7 +222,7 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     return _combined_report(
         "theorem_selfdual", {"n": n, "m": case.m, "seed": seed,
                              "forms_residual": forms_resid},
-        max(resid_op, forms_resid), tol_op, resid_e2e, tol_e2e, t0)
+        worst_of((resid_op, forms_resid)), tol_op, resid_e2e, tol_e2e, t0)
 
 
 def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
@@ -272,15 +237,16 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     P Delta* P Delta on the same block, so the residual reads exactly 0:
     there the identity is bookkeeping, not an independent check.
     """
+    if case.mode != "general":
+        raise ConfigError("theorem_check_general needs a general case")
     t0 = time.perf_counter()
     n = case.n
     e = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(case.dims), seed)
-    rhs = rhs_operator_general(case, zetas, cache, block=X)
-    eta = mirrored_args(case, zetas)
+    rhs = rhs_operator(case, zetas, cache, block=X)
     eta_shift = list(zetas[:n - 1]) + [e * zetas[n - 1], e * zetas[n - 1]] + \
         [e * z for z in reversed(zetas[:n - 1])]
-    chain_b = chain_for(case, eta)
+    chain_b = chain_for(case, mirrored_args(case, zetas))
     chain_a = chain_for(case, eta_shift)
     prod_ops = lambda_product_regularized(chain_a, n, chain_b, n - 1, cache, X)
     resid_op = float(np.linalg.norm(prod_ops - rhs) / max(np.linalg.norm(rhs), 1e-300))
@@ -294,13 +260,13 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
 
 def insertion_invariance_check(case: ReductionCase, zetas, u, v, tol=1e-10,
                                cache=None) -> VerificationReport:
-    """rhs_operator_general is unchanged by inserting the unitarity pair at
+    """The general composite is unchanged by inserting the unitarity pair at
     the block boundary (arguments (u, v) kept off the singular diagonal);
     both are applied to the same probe block."""
     t0 = time.perf_counter()
     X = probe_block(prod(case.dims))
-    base = rhs_operator_general(case, zetas, cache, block=X)
-    ins = rhs_operator_general(case, zetas, cache, insertion=(u, v), block=X)
+    base = rhs_operator(case, zetas, cache, block=X)
+    ins = rhs_operator(case, zetas, cache, insertion=(u, v), block=X)
     resid = float(np.linalg.norm(base - ins) / max(np.linalg.norm(base), 1e-300))
     return VerificationReport.make(
         "insertion_invariance", {"n": case.n, "m": case.m}, resid, tol, t0)
@@ -343,8 +309,7 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, tol=1e-9,
 def scaling_covariance_residual(case: ReductionCase, zetas, nu, cache=None) -> float:
     """Composite operators depend only on ratios: rescaling all arguments
     by nu leaves the reduction composite unchanged (compared on one probe block)."""
-    build = rhs_operator_selfdual if case.mode == "self_dual" else rhs_operator_general
     X = probe_block(prod(case.dims))
-    a = build(case, list(zetas), cache, block=X)
-    b = build(case, [nu * z for z in zetas], cache, block=X)
+    a = rhs_operator(case, list(zetas), cache, block=X)
+    b = rhs_operator(case, [nu * z for z in zetas], cache, block=X)
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))

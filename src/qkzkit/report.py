@@ -1,7 +1,18 @@
 """Verification report record shared by all check layers."""
 
+import math
 import time
 from dataclasses import dataclass
+
+
+def worst_of(residuals) -> float:
+    """The largest of `residuals`, or NaN once any of them is NaN.
+
+    Builtin max(x, nan) is x, so a NaN folded in after a finite residual
+    would be dropped and its report would pass.
+    """
+    values = [float(r) for r in residuals]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 @dataclass

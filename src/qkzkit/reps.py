@@ -11,6 +11,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError
+from .report import worst_of
 from .scalars import q_number
 
 GENERATOR_TAGS = ("e0", "e1", "f0", "f1", "qh0", "qh1")
@@ -148,35 +149,12 @@ def antipode_dual(rep: EvalRep) -> EvalRep:
     return EvalRep(rep.m, rep.grading, rep.ctx, mats, rep.dual_level + 1)
 
 
-@dataclass(frozen=True)
-class SiteModule:
-    """One chain site: module kind, representation and spectral parameter."""
-
-    kind: str
-    rep: EvalRep
-    zeta: complex
-
-    def __post_init__(self):
-        if self.kind not in ("V", "V*"):
-            raise ConfigError("site kind must be 'V' or 'V*'")
-        if self.rep.kind != self.kind:
-            raise ConfigError("site kind does not match the representation")
-
-    @property
-    def hw_index(self) -> int:
-        return self.rep.hw_index
-
-
 def eval_module(kind, m, grading, ctx) -> EvalRep:
     """The spin-m module of a site kind: V, or its antipode dual V*."""
     if kind not in ("V", "V*"):
         raise ConfigError("site kind must be 'V' or 'V*'")
     rep = build_eval_rep(m, grading, ctx)
     return antipode_dual(rep) if kind == "V*" else rep
-
-
-def make_site(kind, m, grading, ctx, zeta) -> SiteModule:
-    return SiteModule(kind, eval_module(kind, m, grading, ctx), zeta)
 
 
 def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep, nu=1.0):
@@ -237,7 +215,7 @@ def hopf_antipode_residual(rep: EvalRep, zeta: complex) -> float:
                 acc = antipode_image(rep, tag, zeta) @ rep.gen(f"qh{i}", zeta, -1.0) + \
                     rep.gen(tag, zeta)
             target = np.zeros((d, d))
-        worst = max(worst, float(np.abs(acc - target).max()))
+        worst = worst_of((worst, np.abs(acc - target).max()))
     return worst
 
 

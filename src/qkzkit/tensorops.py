@@ -113,6 +113,16 @@ def scalar_ratio(A, B) -> tuple:
     return lam, resid
 
 
+def commutant_residual(C1, C2, R) -> float:
+    """||[C1 x C2, R]||_F / ||R (C1 x C2)||_F, or inf when a norm overflows or
+    is not a number (then the ratio says nothing; no numpy warning is printed)."""
+    with np.errstate(all="ignore"):
+        CC = np.kron(C1, C2)
+        num = np.linalg.norm(CC @ R - R @ CC)
+        den = np.linalg.norm(R @ CC)
+        return float(num / den) if np.isfinite(num) and np.isfinite(den) else float("inf")
+
+
 # --- fast in-place style application (internal plumbing) ----------------------
 
 def embedded_matmul(op, i, j, site_dims, M):

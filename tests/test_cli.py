@@ -70,6 +70,18 @@ class TestVerify:
         assert data[0]["name"] == "scalars" and data[0]["params"] == {"group": "scalars"}
         assert not data[0]["passed"] and data[0]["note"].startswith("TruncationError")
 
+    def test_overflowing_twist_fails_its_reports(self, capsys):
+        # at alpha = 300 the m = 2 twist pair has entries near 1e186, so the
+        # commutator norms overflow: those reports fail (residual inf, written
+        # as null) instead of reading 0, and numpy prints no warning
+        code = main(["verify", "invariances", "--alpha", "300"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        failed = [rec for rec in json.loads(captured.out) if not rec["passed"]]
+        assert len(failed) == 2
+        assert all(rec["name"] == "invariance_a" and rec["params"]["m"] == 2
+                   and rec["residual"] is None for rec in failed)
+
     def test_unachievable_tolerance_exits_1(self, capsys):
         code, out = run_cli(["verify", "reps", "--tol", "1e-30"], capsys)
         assert code == 1

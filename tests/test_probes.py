@@ -14,9 +14,8 @@ from qkzkit.qkz import (ChainSpec, DeltaAssignment, check_qkz_compatibility,
                         lambda_product_regularized, lambda_rewritten,
                         materialize_factors, probe_block)
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
-                              mirrored_args, rhs_operator_general, rhs_operator_selfdual,
-                              scaling_covariance_residual, theorem_check_general,
-                              theorem_check_selfdual)
+                              mirrored_args, rhs_operator, scaling_covariance_residual,
+                              theorem_check_general, theorem_check_selfdual)
 from qkzkit.tensorops import swap_outputs
 
 BLOCK_TOL = 1e-13
@@ -84,8 +83,8 @@ class TestBlockEquivalence:
         case = ReductionCase("self_dual", n, m, grading, ctx, alpha=0.13)
         zetas = [zeta_sample(rng) for _ in range(n)]
         B = random_block(prod(case.dims), rng)
-        assert_block_equal(rhs_operator_selfdual(case, zetas, cache, B),
-                           rhs_operator_selfdual(case, zetas, cache), B)
+        assert_block_equal(rhs_operator(case, zetas, cache, block=B),
+                           rhs_operator(case, zetas, cache), B)
 
     @pytest.mark.parametrize("inserted", [False, True])
     @pytest.mark.parametrize("m", [1, 2])
@@ -96,8 +95,8 @@ class TestBlockEquivalence:
         zetas = [zeta_sample(rng) for _ in range(n)]
         insertion = (zeta_sample(rng), zeta_sample(rng)) if inserted else None
         B = random_block(prod(case.dims), rng)
-        assert_block_equal(rhs_operator_general(case, zetas, cache, insertion, B),
-                           rhs_operator_general(case, zetas, cache, insertion), B)
+        assert_block_equal(rhs_operator(case, zetas, cache, insertion, B),
+                           rhs_operator(case, zetas, cache, insertion), B)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n", [1, 2])

@@ -141,6 +141,16 @@ class TestDdr:
         assert rep.passed, rep.residual
 
 
+    def test_overflowing_twists_fail(self, ctx, grading, cache):
+        # m = 2, alpha = 300: the twist pair has entries near 1e186 and the
+        # norms overflow; the check fails with an infinite residual
+        deltas = (DeltaAssignment("general_v", alpha=300),) * 2
+        chain = ChainSpec(2, grading, ctx, ("V", "V"), (1.2 + 0.3j, 0.7 - 0.4j), 1.1,
+                          deltas, "kappa")
+        rep = check_ddr(chain, 0, 1, cache=cache)
+        assert not rep.passed and rep.residual == np.inf
+
+
 class TestCompatibility:
     def test_n2(self, ctx, grading, cache):
         rng = np.random.default_rng(57)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from qkzkit.errors import ConfigError
 from qkzkit.qkz import lambda_op
 from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
                               insertion_invariance_check, mirrored_args,
-                              psi_extract, psi_inject, rhs_operator_general,
-                              rhs_operator_selfdual, scaling_covariance_residual,
-                              theorem_check_general, theorem_check_selfdual)
+                              psi_extract, psi_inject, rhs_operator,
+                              scaling_covariance_residual, theorem_check_general,
+                              theorem_check_selfdual)
 from qkzkit.reps import operator_xtilde
 from qkzkit.rsolve import r_matrix, rcheck_resonant
 from qkzkit.tensorops import embed_pair, permutation_op
@@ -39,7 +40,7 @@ class TestMirroredArgs:
 class TestRhsSelfDual:
     def test_n1_degenerates_to_p_delta(self, ctx, grading, cache):
         case = case_sd(1, 1, grading, ctx)
-        got = rhs_operator_selfdual(case, [1.3 + 0.2j], cache)
+        got = rhs_operator(case, [1.3 + 0.2j], cache)
         chain = chain_for(case, mirrored_args(case, [1.3 + 0.2j]))
         P = permutation_op([1, 0], (2, 2))
         want = P @ np.kron(chain.delta_matrix(0), np.eye(2))
@@ -50,7 +51,7 @@ class TestRhsSelfDual:
         case = case_sd(2, 1, grading, ctx)
         rng = np.random.default_rng(70)
         zetas = [zeta_sample(rng), zeta_sample(rng)]
-        got = rhs_operator_selfdual(case, zetas, cache)
+        got = rhs_operator(case, zetas, cache)
         q = complex(ctx.q)
         w = q ** case.shift
         dims = (2, 2, 2, 2)
@@ -67,6 +68,12 @@ class TestRhsSelfDual:
         want = want @ np.kron(np.kron(np.eye(2), D2), np.eye(4))
         want = want @ embed_pair(R(zetas[0], zetas[1]), 0, 1, dims)
         assert np.abs(got - want).max() < 1e-11
+
+    def test_insertion_needs_a_general_case(self, ctx, grading, cache):
+        # the self-dual composite has one block, so there is no boundary
+        case = case_sd(2, 1, grading, ctx)
+        with pytest.raises(ConfigError):
+            rhs_operator(case, [1.3 + 0.2j, 0.8 - 0.1j], cache, insertion=(1.1, 0.9))
 
 
 class TestTheoremSelfDual:
@@ -87,7 +94,7 @@ class TestTheoremSelfDual:
         rng = np.random.default_rng(71)
         zetas = [zeta_sample(rng) for _ in range(2)]
         rc = rcheck_resonant(1, grading, ctx)
-        rhs = rhs_operator_selfdual(case, zetas, cache)
+        rhs = rhs_operator(case, zetas, cache)
         lhs = embed_pair(rc, 1, 2, case.dims) @ rhs
         chain = chain_for(case, mirrored_args(case, zetas))
         lam = lambda_op(chain, 1, cache)
@@ -113,7 +120,7 @@ class TestRhsGeneral:
     def test_n1_two_block_product(self, ctx, grading, cache):
         case = case_gen(1, 1, grading, ctx)
         z = 1.2 - 0.3j
-        got = rhs_operator_general(case, [z], cache)
+        got = rhs_operator(case, [z], cache)
         chain = chain_for(case, mirrored_args(case, [z]))
         P = permutation_op([1, 0], (2, 2))
         from qkzkit.qkz import build_delta

@@ -4,9 +4,9 @@ import pytest
 from conftest import zeta_sample
 from qkzkit import reps
 from qkzkit.context import QContext
-from qkzkit.reps import (GradingChoice, SiteModule, antipode_dual, build_eval_rep,
+from qkzkit.reps import (GradingChoice, antipode_dual, build_eval_rep,
                          coproduct_parts, eval_module, hopf_antipode_residual,
-                         make_site, operator_o, operator_o_inverse, operator_x,
+                         operator_o, operator_o_inverse, operator_x,
                          operator_xtilde, sl2_constants, twist)
 
 
@@ -109,6 +109,10 @@ class TestEvalRep:
         for tag, s_i in (("f0", grading10.s0), ("f1", grading10.s1)):
             assert np.abs(rep.gen(tag, zeta) - zeta ** (-s_i) * rep.gen(tag, 1.0)).max() < 1e-12
 
+    def test_hw_indices(self, ctx, grading):
+        assert eval_module("V", 2, grading, ctx).hw_index == 0
+        assert eval_module("V*", 2, grading, ctx).hw_index == 2
+
 
 class TestAntipodeDual:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -153,19 +157,17 @@ class TestAntipodeDual:
 class TestCoproduct:
     def test_grouplike_cartan(self, ctx, grading):
         q = complex(ctx.q)
-        s1 = make_site("V", 1, grading, ctx, 1.0)
-        s2 = make_site("V", 1, grading, ctx, 1.0)
-        p, got, rest = coproduct_parts("qh1", s1.rep, s2.rep, nu=1.0)
+        rep = eval_module("V", 1, grading, ctx)
+        p, got, rest = coproduct_parts("qh1", rep, rep, nu=1.0)
         assert (p, rest) == (0, None)
         assert np.abs(got - np.diag([q**2, 1, 1, q**-2])).max() < 1e-15
 
     def test_e1_structure(self, ctx, grading):
         q = complex(ctx.q)
-        s1 = make_site("V", 1, grading, ctx, 1.0)
-        s2 = make_site("V", 1, grading, ctx, 1.0)
+        rep = eval_module("V", 1, grading, ctx)
         E12 = _unit(2, 1, 2)
         want = np.kron(E12, np.eye(2)) + np.kron(np.diag([q, 1 / q]), E12)
-        p, A, B = coproduct_parts("e1", s1.rep, s2.rep)
+        p, A, B = coproduct_parts("e1", rep, rep)
         assert p == grading.s1
         assert np.abs(A + B - want).max() < 1e-15
 
@@ -251,13 +253,3 @@ class TestDistinguishedOperators:
                     X = operator_x(m, g, ctx)
                     assert np.abs(core - (-1.0) ** m * X).max() <= 1e-13 * np.abs(X).max()
 
-
-class TestSiteModule:
-    def test_kind_mismatch_rejected(self, ctx, grading):
-        rep = build_eval_rep(1, grading, ctx)
-        with pytest.raises(Exception):
-            SiteModule("V*", rep, 1.0)
-
-    def test_hw_indices(self, ctx, grading):
-        assert make_site("V", 2, grading, ctx, 1.0).hw_index == 0
-        assert make_site("V*", 2, grading, ctx, 1.0).hw_index == 2

@@ -11,7 +11,7 @@ from qkzkit.errors import DegeneratePointError
 from qkzkit.qkz import rcheck_factor
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
-                         make_site, operator_o, operator_o_inverse, sl2_constants)
+                         eval_module, operator_o, operator_o_inverse, sl2_constants)
 from qkzkit.rsolve import (GAP_THRESHOLD, RCache, apply_kappa, make_request,
                            r_matrix, rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
@@ -19,23 +19,28 @@ from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
 
 
+def _site(kind, m, grading, ctx, zeta):
+    """One chain site: its module and spectral parameter."""
+    return eval_module(kind, m, grading, ctx), zeta
+
+
 def _kron_coproduct(tag, s1, s2):
     """Delta(e_i) = e_i x 1 + q^{h_i} x e_i, Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
     Delta(q^{h_i}) = q^{h_i} x q^{h_i}, by np.kron of the generators at each
     site's own zeta."""
-    r1, r2, i = s1.rep, s2.rep, tag[-1]
+    (r1, z1), (r2, z2), i = s1, s2, tag[-1]
     if tag.startswith("qh"):
-        return np.kron(r1.gen(tag, s1.zeta), r2.gen(tag, s2.zeta))
+        return np.kron(r1.gen(tag, z1), r2.gen(tag, z2))
     if tag[0] == "e":
-        return np.kron(r1.gen(tag, s1.zeta), np.eye(r2.dim)) + \
-            np.kron(r1.gen(f"qh{i}", s1.zeta), r2.gen(tag, s2.zeta))
-    return np.kron(r1.gen(tag, s1.zeta), r2.gen(f"qh{i}", s2.zeta, -1.0)) + \
-        np.kron(np.eye(r1.dim), r2.gen(tag, s2.zeta))
+        return np.kron(r1.gen(tag, z1), np.eye(r2.dim)) + \
+            np.kron(r1.gen(f"qh{i}", z1), r2.gen(tag, z2))
+    return np.kron(r1.gen(tag, z1), r2.gen(f"qh{i}", z2, -1.0)) + \
+        np.kron(np.eye(r1.dim), r2.gen(tag, z2))
 
 
 def _commutant_oracle(s1, s2):
     """Nullvector of X M - N X = 0 over all six generators, built by naive loops."""
-    D = s1.rep.dim * s2.rep.dim
+    D = s1[0].dim * s2[0].dim
     rows = []
     for tag in GENERATOR_TAGS:
         M = _kron_coproduct(tag, s1, s2)
@@ -61,8 +66,8 @@ def _commutant_oracle(s1, s2):
 def _full_assembly_rows(s1, s2):
     """Nonzero rows of the commutant system on the weight-sector unknowns, assembled
     over all D^2 entries (i, j) of each e0/e1/f0/f1 equation against np.eye(D)."""
-    D = s1.rep.dim * s2.rep.dim
-    w1, w2 = s1.rep.weights.real, s2.rep.weights.real
+    D = s1[0].dim * s2[0].dim
+    w1, w2 = s1[0].weights.real, s2[0].weights.real
     a, b = np.nonzero(np.add.outer(w2, w1).reshape(-1, 1) == np.add.outer(w1, w2).reshape(1, -1))
     eye = np.eye(D)
     blocks = []
@@ -115,8 +120,8 @@ class TestSolveBasics:
             ctx = QContext(q)
             for m in (1, 2):
                 for kinds in ALL_PAIRS:
-                    oracle = _commutant_oracle(make_site(kinds[0], m, grading, ctx, z1),
-                                               make_site(kinds[1], m, grading, ctx, z2))
+                    oracle = _commutant_oracle(_site(kinds[0], m, grading, ctx, z1),
+                                               _site(kinds[1], m, grading, ctx, z2))
                     res = r_matrix(kinds[0], z1, kinds[1], z2, m, grading, ctx)
                     lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
                     assert np.abs(res.Rcheck - lam * oracle).max() <= \
@@ -130,9 +135,9 @@ class TestSolveBasics:
         for q, m, kinds in itertools.product((0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j), (1, 2, 3, 4),
                                              ALL_PAIRS):
             ctx = QContext(q)
-            s1 = make_site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
-            s2 = make_site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
-            K = rsolve.CommutantTemplate(s1.rep, s2.rep).commutant_rows(s1.zeta, s2.zeta)
+            s1 = _site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
+            s2 = _site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
+            K = rsolve.CommutantTemplate(s1[0], s2[0]).commutant_rows(s1[1], s2[1])
             K = K[np.linalg.norm(K, axis=1) > 0]
             full = _full_assembly_rows(s1, s2)
             assert K.shape == full.shape and np.array_equal(K != 0, full != 0), (q, m, kinds)

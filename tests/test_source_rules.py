@@ -1,12 +1,16 @@
-"""Source rules of the package: one cache (RCache), no module-global state.
+"""Source rules of the package: one cache (RCache), no module-global state,
+no stale export.
 
 Results are memoized only in an RCache that the caller creates and passes,
 so no function may carry a functools cache, and no module may bind a
 mutable container to a name that reads as a variable.  Constants are
-UPPER_CASE; dunder names such as __all__ are the language's own.
+UPPER_CASE; dunder names such as __all__ are the language's own.  Every
+name a module lists in __all__ must exist, so a deleted function cannot
+stay exported.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -65,6 +69,29 @@ def test_no_functools_cache(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_level_mutable_state(path):
     assert global_containers(ast.parse(path.read_text())) == []
+
+
+def _exports(path):
+    """The names of the module's __all__, or None when it has none."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    return None
+
+
+EXPORTING = [p for p in SOURCES if _exports(p) is not None]
+
+
+def test_exporting_modules_found():
+    assert {p.name for p in EXPORTING} >= {"__init__.py", "idsuite.py", "reduction.py"}
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_exported_names_resolve(path):
+    name = "qkzkit" if path.stem == "__init__" else f"qkzkit.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in _exports(path) if not hasattr(module, n)] == []
 
 
 @pytest.mark.parametrize("source, caches, containers", [
