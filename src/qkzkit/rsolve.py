@@ -6,25 +6,38 @@ one-dimensional nullspace of the e0/e1/f0/f1 commutant equations on its
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
 (m+1)^4 for the full operator).  R = P * Rcheck.
 
-Everything in that system that does not depend on zeta (the two modules,
-their hw indices, the unknowns, and the nonzero entries of K and of the
-coproduct images, split by zeta power) is a CommutantTemplate, built once
-per module pair; a solve only forms K and the images at its zeta pair.
-A request (RRequest) holds plain values and builds no module, so a
-cache hit costs its key, the lookup and, in kappa mode, one scalar scan.
+The solve has two stages.  A diagonal gauge zeta^{c h1/2} on each site
+moves grading (s0, s1) to a homogeneous one, (s, 0) or (0, s), where one
+e/f pair carries no zeta.  The commutant of that pair is the same for
+every zeta pair, and V x V is multiplicity-free under the U_q(sl2) it
+generates, so the commutant has an m+1 column basis B, built once from
+highest-weight vectors (the tensor product graph picture of Delius,
+Gould and Zhang, Nucl. Phys. B 432 (1994) 377).  A solve keeps only the
+rows of the other pair, projected on the gauged B: one SVD of m+1
+columns per zeta pair.  The intertwining residual still checks the full
+Rcheck against all six generators at the request's grading.
+
+Everything that does not depend on zeta (the two modules, their hw
+indices, the unknowns, the entries of the coproduct images split by zeta
+power, and per homogeneous frame B and the projected rows) is a
+CommutantTemplate, built once per (kinds, m, q) and shared by every
+grading; kappa and the gauge depend on the grading, so solves are keyed
+by it.  A request (RRequest) holds plain values and builds no module, so
+a cache hit costs its key and the lookup.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
 Each zeta pair is solved once, hw-normalized; a kappa request rescales
-that solve.
+that solve, with the kappa scalar scanned once per zeta pair.
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -40,8 +53,11 @@ from .tensorops import swap_outputs
 GAP_THRESHOLD = 1e6
 _HW_TOL = 1e-8
 _SINGULAR_TOL = 1e-8
-# h1-weight that each generator adds, on every module kind
-_WEIGHT_SHIFT = {"e0": -2.0, "e1": 2.0, "f0": 2.0, "f1": -2.0}
+# h1-weight that e0, e1, f0, f1 add (GENERATOR_TAGS order), on every module kind
+_WEIGHT_SHIFT = (-2.0, 2.0, 2.0, -2.0)
+# frame -> ((raising, lowering) image of its zeta-free pair, (e, f) rows it solves),
+# as GENERATOR_TAGS indices: frame 1 is e1/f1 zeta-free, frame 0 is e0/f0 (f0 raises)
+_FRAMES = {1: ((1, 3), (0, 2)), 0: ((2, 0), (1, 3))}
 
 
 @dataclass(frozen=True)
@@ -65,14 +81,14 @@ class RRequest:
                 raise ConfigError(f"spectral parameter must be finite and nonzero, got {zeta}")
 
     def module_key(self):
-        """Key of the module pair (kinds, m, grading, q): one CommutantTemplate each."""
-        return (self.kind1, self.kind2, self.m, self.grading.s0, self.grading.s1,
-                complex(self.ctx.q))
+        """Key of the module pair (kinds, m, q): one CommutantTemplate for every grading."""
+        return self.kind1, self.kind2, self.m, complex(self.ctx.q)
 
     def key(self):
-        """Key of the hw solve at this zeta pair, which serves both normalizations."""
-        return self.module_key() + (complex(self.zeta1), complex(self.zeta2),
-                                    self.ctx.trunc_terms)
+        """Key of the solve at this grading and zeta pair, which serves both
+        normalizations (kappa and the gauge depend on the grading)."""
+        return self.module_key() + (self.grading.s0, self.grading.s1, complex(self.zeta1),
+                                    complex(self.zeta2), self.ctx.trunc_terms)
 
 
 @dataclass(frozen=True)
@@ -85,32 +101,187 @@ class RResult:
     cond_ratio: float  # sigma_min / sigma_max of Rcheck; 0 for a zero operator
 
 
+def _powers(z, exps) -> list:
+    """complex(z) ** p for each p in exps; a power that overflows is a ConfigError.
+
+    Python raises OverflowError, or ZeroDivisionError for a negative power
+    of a number whose positive power underflows, where numpy would give inf.
+    """
+    z = complex(z)
+    try:
+        out = [z**p for p in exps]
+    except (OverflowError, ZeroDivisionError):
+        out = [complex(math.inf)]
+    if not all(map(cmath.isfinite, out)):
+        raise ConfigError(f"spectral parameters out of range: a power of {z:.3g} overflows")
+    return out
+
+
+def _chain_kernels(A):
+    """Kernel vectors of a stack of j x (j+1) matrices whose row r is nonzero only at
+    columns r, r+1.
+
+    x_0 = 1 and x_{r+1} = -x_r A[r, r] / A[r, r+1], so every entry is a
+    product and keeps its relative accuracy however small it is.  A kernel
+    that is not one-dimensional (a vanishing A[r, r+1], or the gap
+    sigma_j / (|A x|_max / |x|_max) below GAP_THRESHOLD; the residual also
+    catches an A of another shape) raises DegeneratePointError.
+    """
+    n, j = A.shape[:2]
+    x = np.ones((n, j + 1), dtype=complex)
+    if j == 0:
+        return x
+    r = np.arange(j)
+    diagonal, pivots = A[:, r, r], A[:, r, r + 1]
+    gap = 0.0
+    if pivots.all():
+        for k in r:
+            x[:, k + 1] = -x[:, k] * diagonal[:, k] / pivots[:, k]
+        sigma_j = np.linalg.svd(A, compute_uv=False)[:, -1]
+        residual = np.abs((A @ x[:, :, None])[:, :, 0]).max(axis=1) / np.abs(x).max(axis=1)
+        with np.errstate(over="ignore"):
+            gap = (sigma_j / np.maximum(residual, 1e-300)).min()
+    if not gap >= GAP_THRESHOLD:
+        raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold "
+                                   f"{GAP_THRESHOLD:.1g} (highest-weight vectors)")
+    return x
+
+
+def _sector(w, first, weight):
+    """Basis indices of a weight sector, by the first factor's weight, descending.
+
+    first is monotonic in the flat index (row-major over the two factors),
+    so the sector's indices come in that order or reversed.
+    """
+    idx = np.flatnonzero(w == weight)
+    return idx if len(idx) < 2 or first[idx[0]] > first[idx[-1]] else idx[::-1]
+
+
+def _commutant_basis(in_ops, out_ops, m, a, b) -> np.ndarray:
+    """Basis B (unknowns x (m+1)) of the maps V1 x V2 -> V2 x V1 that commute
+    with a zeta-free e/f pair, one column per component, each of unit norm.
+
+    in_ops and out_ops are (E, F, w, first) on V1 x V2 and on V2 x V1: the
+    image E that raises the h1-weight by 2 and the image F that lowers it
+    (Delta(e1), Delta(f1) in frame 1; Delta(f0), Delta(e0) in frame 0), the
+    h1-weights and the weight of the first tensor factor.  Ordered by the
+    first factor's weight, the weight-sector blocks of E and of F^t are
+    two-diagonal (_chain_kernels).  Column j maps F^k v_j to F^k v'_j and
+    kills the other components: v_j and v'_j are the highest-weight vectors
+    of weight 2m-2j (the kernels of E on that sector), lowered without
+    rescaling.  Its dual rows y_j E^k / <y_j E^k, F^k v_j>, y_j the left
+    kernel of F on that sector, take the place of S^-1 for the matrix S of
+    lowered vectors, so on the sector of weight 2m-2j-2k the column is
+    (F^k v'_j)[a] y_jk[b]: one product per entry and no inverse, so every
+    entry keeps its relative accuracy through the gauge.
+    """
+    (E, F, w, first), (E2, F2, w2, first2) = in_ops, out_ops
+    v, v2, y = np.zeros((3, len(w), m + 1), dtype=complex)  # column j: component j
+    for j in range(m + 1):
+        s_in, up_in = _sector(w, first, 2 * (m - j)), _sector(w, first, 2 * (m - j) + 2)
+        s_out, up_out = _sector(w2, first2, 2 * (m - j)), _sector(w2, first2, 2 * (m - j) + 2)
+        v[s_in, j], v2[s_out, j], y[s_in, j] = _chain_kernels(
+            np.stack([E[up_in[:, None], s_in], E2[up_out[:, None], s_out],
+                      F[s_in[:, None], up_in].T]))
+    # lower all components at once; component j ends after 2(m-j) steps, where
+    # the lowered vectors vanish up to rounding
+    lowered, dual = [], []
+    for k in range(2 * m + 1):
+        lowered.append(v2[a])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dual.append(np.where(k <= 2 * (m - np.arange(m + 1)), y[b] / (y * v).sum(axis=0), 0))
+        v, v2, y = F @ v, F2 @ v2, E.T @ y
+    B = np.einsum("kuj,kuj->uj", lowered, dual)
+    return B / np.linalg.norm(B, axis=0)
+
+
+class _Frame:
+    """The solve data of one homogeneous grading of a module pair.
+
+    Frame 1 is grading (s, 0), where e1 and f1 carry no zeta; frame 0 is
+    (0, s), where e0 and f0 carry none.  A frame holds:
+
+    - `basis`, B: the m+1 columns of the commutant of its zeta-free pair
+      (_commutant_basis), and per gauge exponent k = -m..m the sum of |B|^2
+      over the unknowns of that exponent, per column;
+    - the rows of K of the other pair that are nonzero for some zeta, e
+      rows first, as entries (flat position, e row or not, v1, v2) of
+      zeta1^p v1 + zeta2^p v2; per row `row_e` (1 on e rows, 0 on f rows),
+      its gauge exponent (w1(i) - w1(j))/2, `reduced` = (V1 B, V2 B) stacked
+      (rows x 2 x (m+1)) and `row_norms` = (|v1|^2, |v2|^2, <v1, v2>)
+      (rows x 3), which give the norm of the full row.
+    """
+
+    def __init__(self, t, frame: int):
+        one, two = t.dense_parts()
+        (raise_, lower), row_gens = _FRAMES[frame]
+        # zeta-free pair: M = one + two on V1 x V2 (index 2g), N on V2 x V1 (2g + 1)
+        E, F = (one[2 * g] + two[2 * g] for g in (raise_, lower))
+        E2, F2 = (one[2 * g + 1] + two[2 * g + 1] for g in (raise_, lower))
+        w1, w2, m = t.rep1.weights.real, t.rep2.weights.real, t.rep1.m
+        self.basis = _commutant_basis((E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
+                                      (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)),
+                                      m, t.a, t.b)
+        self.gauge_weights = (t.gauge == np.arange(-m, m + 1)[:, None]) @ np.abs(self.basis)**2
+        # row (i, j) of X M - N X has coefficient M[b, j] at a = i and
+        # -N[i, a] at b = j, never both; zeta1 parts from one, zeta2 from two
+        a, b = t.a, t.b
+        shift = t.w_out[:, None] - t.w_in[None, :]
+        rows, cols, v1, v2, e_rows, row_gauge = [], [], [], [], [], []
+        start = 0
+        for g in row_gens:
+            i, j = np.nonzero(shift == _WEIGHT_SHIFT[g])
+            r, k = np.nonzero(i[:, None] == a)
+            r2, k2 = np.nonzero(j[:, None] == b)
+            rows += [start + r, start + r2]
+            cols += [k, k2]
+            for v, part in ((v1, one), (v2, two)):
+                v += [part[2 * g][b[k], j[r]], -part[2 * g + 1][i[r2], a[k2]]]
+            e_rows.append(np.full(len(i), g == row_gens[0]))
+            row_gauge.append(np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2))
+            start += len(i)
+        e_rows, row_gauge = np.concatenate(e_rows), np.concatenate(row_gauge)
+        V1, V2 = (np.zeros((len(e_rows), len(a)), dtype=complex) for _ in range(2))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        V1[rows, cols], V2[rows, cols] = np.concatenate(v1), np.concatenate(v2)
+        live = (V1 != 0).any(axis=1) | (V2 != 0).any(axis=1)
+        V1, V2 = V1[live], V2[live]
+        self.row_e = e_rows[live].astype(int)
+        self.row_gauge = row_gauge[live].astype(int)
+        at = np.flatnonzero((V1 != 0) | (V2 != 0))
+        self.entries = at, self.row_e[at // len(a)], V1.reshape(-1)[at], V2.reshape(-1)[at]
+        V = np.stack([V1, V2], axis=1)
+        self.reduced = V @ self.basis
+        gram = np.einsum("rpu,rqu->rpq", V.conj(), V)
+        self.row_norms = np.stack([gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1]], axis=1)
+
+
 class CommutantTemplate:
     """The zeta-independent part of the commutant system of one module pair.
 
     Every coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts;
-    p = 0 and B = 0 for the Cartans), so each entry of K and of the twelve
-    images M, N of the six generators is zeta1^p v1 + zeta2^p v2 with
-    fixed v1, v2 and p.  The template holds the unknowns (a, b) and, for K
-    and for the stacked images, only the entries where v1 or v2 is
-    nonzero: their flat positions, the generator that sets p, and v1, v2.
-    Rows of K that are zero for every zeta are left out.  A solve forms K
-    and the images by one scatter each.  The template keeps the two modules
-    and their hw indices.
+    p = 0 and B = 0 for the Cartans), and only p depends on the grading, so
+    one template serves every grading of (kinds, m, q).  It holds the two
+    modules with their hw indices, the unknowns (a, b) with the gauge
+    exponent of each, half the h1-weight of the V1 factor of the output a
+    minus that of the input b, the entries of the zeta parts of the twelve
+    images M, N of the six generators, and the solve data of each
+    homogeneous frame (_Frame), built on first use.
     """
 
     def __init__(self, rep1, rep2):
         self.rep1, self.rep2 = rep1, rep2
         self.hw1, self.hw2 = rep1.hw_index, rep2.hw_index
         w1, w2 = rep1.weights.real, rep2.weights.real
-        w_in, w_out = np.add.outer(w1, w2).reshape(-1), np.add.outer(w2, w1).reshape(-1)
-        shift = w_out[:, None] - w_in[None, :]
-        a, b = np.nonzero(shift == 0)
-        self.a, self.b, self.dim = a, b, len(w_in)
+        self.w_in = np.add.outer(w1, w2).reshape(-1)
+        self.w_out = np.add.outer(w2, w1).reshape(-1)
+        a, b = np.nonzero(self.w_out[:, None] == self.w_in[None, :])
+        self.a, self.b, self.dim = a, b, len(self.w_in)
+        self.gauge = np.rint((w1[a % rep1.dim] - w1[b // rep2.dim]) / 2).astype(int)
         # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by generator
-        one, two, self.exps = [], [], []
+        one, two = [], []
         for tag in GENERATOR_TAGS:
-            p, A12, B12 = coproduct_parts(tag, rep1, rep2)
+            _, A12, B12 = coproduct_parts(tag, rep1, rep2)
             _, A21, B21 = coproduct_parts(tag, rep2, rep1)
             if B12 is None:
                 zero = np.zeros_like(A12)
@@ -119,58 +290,44 @@ class CommutantTemplate:
             else:  # N = zeta2^p A21 + zeta1^p B21
                 one += [A12, B21]
                 two += [B12, A21]
-            self.exps.append(p)
         one, two = np.array(one), np.array(two)
         at = np.flatnonzero((one != 0) | (two != 0))
         self.images = at, at // (2 * self.dim**2), one.reshape(-1)[at], two.reshape(-1)[at]
-        # row (i, j) of X M - N X has coefficient M[b, j] at a = i and
-        # -N[i, a] at b = j, never both
-        rows, cols, gens, v1, v2 = [], [], [], [], []
-        start = 0
-        for g, tag in enumerate(GENERATOR_TAGS):
-            if tag not in _WEIGHT_SHIFT:
-                continue
-            i, j = np.nonzero(shift == _WEIGHT_SHIFT[tag])
-            r, k = np.nonzero(i[:, None] == a)
-            r2, k2 = np.nonzero(j[:, None] == b)
-            rows += [start + r, start + r2]
-            cols += [k, k2]
-            gens.append(np.full(len(r) + len(r2), g))
-            v1 += [one[2 * g][b[k], j[r]], -one[2 * g + 1][i[r2], a[k2]]]
-            v2 += [two[2 * g][b[k], j[r]], -two[2 * g + 1][i[r2], a[k2]]]
-            start += len(i)
-        v1, v2 = np.concatenate(v1), np.concatenate(v2)
-        keep = (v1 != 0) | (v2 != 0)
-        used, rows = np.unique(np.concatenate(rows)[keep], return_inverse=True)  # order kept
-        self.n_rows = len(used)
-        self.entries = (rows * len(a) + np.concatenate(cols)[keep], np.concatenate(gens)[keep],
-                        v1[keep], v2[keep])
+        self._frames = {}
 
-    def _scatter(self, shape, terms, z1, z2) -> np.ndarray:
-        at, gen, v1, v2 = terms
-        z1p = np.array([complex(z1) ** p for p in self.exps])
-        z2p = np.array([complex(z2) ** p for p in self.exps])
-        out = np.zeros(shape, dtype=complex)
-        out.reshape(-1)[at] = z1p[gen] * v1 + z2p[gen] * v2
-        return out
+    def dense_parts(self) -> tuple:
+        """The zeta1 and zeta2 parts of the images, (12, D, D) each: M, N per generator."""
+        at, _, v1, v2 = self.images
+        one, two = np.zeros((2, 2 * len(GENERATOR_TAGS) * self.dim**2), dtype=complex)
+        one[at], two[at] = v1, v2
+        shape = (2 * len(GENERATOR_TAGS), self.dim, self.dim)
+        return one.reshape(shape), two.reshape(shape)
 
-    def commutant_rows(self, z1, z2) -> np.ndarray:
-        """Unscaled rows of K at (zeta1, zeta2)."""
-        return self._scatter((self.n_rows, len(self.a)), self.entries, z1, z2)
+    def frame(self, frame: int) -> _Frame:
+        """Frame 1 (e1, f1 zeta-free) or 0 (e0, f0 zeta-free), built on first use."""
+        if frame not in self._frames:
+            self._frames[frame] = _Frame(self, frame)
+        return self._frames[frame]
 
-    def pairs(self, z1, z2) -> tuple:
-        """The coproduct images of all six generators, stacked: M on V1 x V2 and
-        N on V2 x V1, each of shape (6, D, D)."""
-        MN = self._scatter((2 * len(self.exps), self.dim, self.dim), self.images, z1, z2)
+    def pairs(self, z1, z2, grading: GradingChoice) -> tuple:
+        """The coproduct images of all six generators at the grading, stacked:
+        M on V1 x V2 and N on V2 x V1, each of shape (6, D, D)."""
+        at, gen, v1, v2 = self.images
+        g = grading  # the zeta power of e0, e1, f0, f1, qh0, qh1 (GENERATOR_TAGS)
+        exps = (g.s0, g.s1, -g.s0, -g.s1, 0, 0)
+        z1p, z2p = np.array(_powers(z1, exps)), np.array(_powers(z2, exps))
+        MN = np.zeros((2 * len(exps), self.dim, self.dim), dtype=complex)
+        MN.reshape(-1)[at] = z1p[gen] * v1 + z2p[gen] * v2
         return MN[0::2], MN[1::2]
 
 
 class RCache:
-    """Memoizes hw-normalized solves by request key, and keeps one
-    CommutantTemplate per module pair.
+    """Memoizes solves by request key, and keeps one CommutantTemplate per
+    module pair.
 
-    A kappa request reads the hw entry of its zeta pair and rescales it, so
-    each zeta pair is solved once; get/put count solves only.
+    The entry of a zeta pair holds its hw-normalized result and, once a
+    kappa request has asked for it, its kappa scalar, so each zeta pair is
+    solved and kappa-scanned once; get/put count solves only.
     """
 
     def __init__(self):
@@ -178,10 +335,13 @@ class RCache:
         self._templates = {}
 
     def get(self, key):
+        """The entry {"hw": RResult, "kappa": scalar once scanned} of a zeta pair, or None."""
         return self._store.get(key)
 
     def put(self, key, value):
-        self._store[key] = value
+        """Store the hw-normalized result of a zeta pair; returns its new entry."""
+        entry = self._store[key] = {"hw": value}
+        return entry
 
     def template(self, req: RRequest) -> CommutantTemplate:
         """The commutant template of the request's module pair, built on first use."""
@@ -196,8 +356,9 @@ class RCache:
 
 
 def _build_template(req: RRequest) -> CommutantTemplate:
-    return CommutantTemplate(eval_module(req.kind1, req.m, req.grading, req.ctx),
-                             eval_module(req.kind2, req.m, req.grading, req.ctx))
+    grading = GradingChoice(1, 0)  # the module matrices do not depend on it
+    return CommutantTemplate(eval_module(req.kind1, req.m, grading, req.ctx),
+                             eval_module(req.kind2, req.m, grading, req.ctx))
 
 
 def _raw_nullvector(req: RRequest, template: CommutantTemplate):
@@ -205,40 +366,63 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
-    input b (in V1 x V2) carry the same weight.  On them the Cartan
-    equations hold identically.  Each of e0/e1/f0/f1 adds a fixed
-    h1-weight (-2, +2, +2, -2), and so do its coproduct images M on
-    V1 x V2 and N on V2 x V1; so (X M - N X)[i, j] can only be nonzero
-    where w_out(i) - w_in(j) is that shift.  Only those rows enter, in
-    row-major (i, j) order, and rows that still vanish are dropped.  The
-    coefficient of X[a, b] in row (i, j) is delta_ia M[b, j] - N[i, a] delta_bj.
-    The module pair's template holds these entries split by zeta power, so
-    here K is one scatter.
+    input b (in V1 x V2) carry the same weight, and on them the Cartan
+    equations hold identically.  The solve has two stages.
 
-    Each row of K is divided by its norm first: zeta^{+-s} and the
-    q-numbers spread the rows over many orders of magnitude, and without
-    the scaling the gap would be set by rounding.  The nullvector comes
-    from the normal equations; the two smallest singular values are
-    re-estimated as ||K v|| because squaring pushes them below the
-    eigensolver's noise floor, where a two-dimensional nullspace would
-    still show a gap of about 1e7.  Spectral parameters so large or small
-    that K overflows raise ConfigError.
+    A diagonal gauge G = zeta^{c h1 / 2} on each site takes grading (s0, s1)
+    to a homogeneous one: to (s, 0) with c = s1 (frame 1), or to (0, s)
+    with c = -s0 (frame 0); the frame with the smaller |c| is used.  Rcheck
+    at (s0, s1) is Rcheck in the frame with entry [a, b] times
+    (zeta1/zeta2)^{c k}, k = (w1(a) - w1(b))/2 an integer in [-m, m], w1
+    the h1-weight of the V1 factor; the 2m+1 powers are formed once.  In
+    the frame one e/f pair carries no zeta, so its commutant is spanned by
+    the m+1 columns B of the template, and at the request's grading by G B.
+    Only the rows of the other pair remain.  Row i of K at (s0, s1) times
+    G B is the frame's row zeta1^p C1 + zeta2^p C2 at p = +-s times
+    (zeta1/zeta2)^{c k_i} zeta2^{-+s_f}, s_f the grade of the zeta-free
+    pair, so the solve matrix (rows x (m+1)) is formed from C1, C2 without
+    the full rows.  Each row is divided by the norm of its full row at
+    (s0, s1), which the frame's three scalars per row give, and each column
+    by ||G b_j||: the zeta powers and the q-numbers spread rows and gauged
+    columns over many orders of magnitude, and without this balance the
+    gauge would magnify the solve's rounding.  One SVD gives v and the gap
+    sigma_2 / sigma_min (fewer rows than columns read as gap 0), and the
+    nullvector is G B v.
+
+    A zeta power, row norm or solve matrix entry that overflows or
+    underflows to a zero row norm raises ConfigError.
     """
     D = template.dim
     if D == 1:
         return np.ones((1, 1), dtype=complex), np.inf
-    K = template.commutant_rows(req.zeta1, req.zeta2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.linalg.norm(K, axis=1)
-    if not np.isfinite(rows).all():
-        raise ConfigError("spectral parameters out of range: the commutant matrix overflows")
-    K = K[rows > 0]
-    K /= rows[rows > 0, None]  # unit rows; the nullspace is unchanged
-    _, V = np.linalg.eigh(K.conj().T @ K)
-    sigma_min, sigma_2 = np.linalg.norm(K @ V[:, :2], axis=0)
-    gap = float(sigma_2 / max(sigma_min, 1e-300))
+    g, m, z1, z2 = req.grading, req.m, req.zeta1, req.zeta2
+    if g.s1 <= g.s0:  # gauge to (s, 0)
+        frame, c, s_f = template.frame(1), g.s1, g.s1
+    else:  # gauge to (0, s)
+        frame, c, s_f = template.frame(0), -g.s0, g.s0
+    gauge = np.array(_powers(complex(z1) / complex(z2), [c * k for k in range(-m, m + 1)]))
+    # per row kind (f rows with sign -1, e rows with +1): the zeta powers of the
+    # solve matrix, the three norm terms of the full row at (s0, s1), and the
+    # zeta2 power of the row gauge; a product that overflows reads inf
+    by_kind = []
+    for sign in (-1, 1):
+        p1, q1 = _powers(z1, (sign * g.s, sign * (g.s - s_f)))
+        p2, q2, r = _powers(z2, (sign * g.s, sign * (g.s - s_f), -sign * s_f))
+        by_kind.append((p1, p2, abs(q1) * abs(q1), abs(q2) * abs(q2), 2 * q1.conjugate() * q2, r))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        per_row = np.array(by_kind)[frame.row_e]
+        sq = (per_row[:, 2:5] * frame.row_norms).sum(axis=1).real
+        row = gauge[frame.row_gauge + m] * per_row[:, 5] / np.sqrt(sq)
+        col = np.sqrt(np.abs(gauge)**2 @ frame.gauge_weights)
+        K = (row[:, None] * (per_row[:, :2, None] * frame.reduced).sum(axis=1)) / col
+        if not (np.isfinite(sq.sum() + col.sum()) and np.isfinite(K).all()):
+            raise ConfigError("spectral parameters out of range: the commutant matrix overflows")
+    if K.shape[0] < K.shape[1]:  # fewer rows than columns: a wider nullspace
+        return np.zeros((D, D), dtype=complex), 0.0
+    _, sv, vh = np.linalg.svd(K, full_matrices=False)
+    gap = float(sv[-2] / max(sv[-1], 1e-300))
     X = np.zeros((D, D), dtype=complex)
-    X[template.a, template.b] = V[:, 0]
+    X[template.a, template.b] = gauge[template.gauge + m] * (frame.basis @ (vh[-1].conj() / col))
     return X, gap
 
 
@@ -270,7 +454,7 @@ def normalize_hw(Rc_raw: np.ndarray, template: CommutantTemplate) -> tuple:
 
 
 def _kappa_scalar(req: RRequest) -> complex:
-    z = (req.zeta1 / req.zeta2) ** req.grading.s
+    z = _powers(complex(req.zeta1) / complex(req.zeta2), (req.grading.s,))[0]
     k = kappa_sl2(req.m, z, req.ctx)
     if req.kind1 == req.kind2:
         if k == 0:
@@ -279,8 +463,9 @@ def _kappa_scalar(req: RRequest) -> complex:
     return k
 
 
-def apply_kappa(res: RResult, req: RRequest) -> RResult:
-    """Rescale an hw-normalized result by the unitarizing factor.
+def apply_kappa(res: RResult, req: RRequest, k: complex = None) -> RResult:
+    """Rescale an hw-normalized result by the unitarizing factor k, scanned
+    from the request unless given.
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
@@ -288,7 +473,8 @@ def apply_kappa(res: RResult, req: RRequest) -> RResult:
     on the scale; at kappa = 0 the operator is zero, with residual inf and
     condition ratio 0.
     """
-    k = _kappa_scalar(req)
+    if k is None:
+        k = _kappa_scalar(req)
     return replace(res, R=res.R * k, Rcheck=res.Rcheck * k,
                    norm_scalar_applied=res.norm_scalar_applied * k,
                    intertwine_residual=res.intertwine_residual if k != 0 else np.inf,
@@ -307,7 +493,8 @@ def _solve(req: RRequest, template: CommutantTemplate) -> RResult:
         Rcheck=Rc,
         nullspace_gap=gap,
         norm_scalar_applied=complex(1.0 / scale),
-        intertwine_residual=_intertwine_residual(Rc, *template.pairs(req.zeta1, req.zeta2)),
+        intertwine_residual=_intertwine_residual(
+            Rc, *template.pairs(req.zeta1, req.zeta2, req.grading)),
         cond_ratio=float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0,
     )
 
@@ -316,21 +503,24 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
     """Solve, normalize and validate the R-operator for a site pair.
 
     The hw-normalized solve is cached per zeta pair and serves both
-    normalizations; a kappa request rescales it by apply_kappa.
+    normalizations; a kappa request rescales it by apply_kappa, with the
+    kappa scalar scanned once per zeta pair and kept in the pair's entry.
     Degenerate spectral points are reported through DegeneratePointError:
     either the nullspace gap collapses, the hw normalization fails, kappa
     has a pole, or the normalized operator is numerically singular.  The
     invertibility check applies to cached results as well.
     """
     key = req.key()
-    res = cache.get(key) if cache is not None else None
-    if res is None:
+    entry = cache.get(key) if cache is not None else None
+    if entry is None:
         template = cache.template(req) if cache is not None else _build_template(req)
         res = _solve(req, template)
-        if cache is not None:
-            cache.put(key, res)
+        entry = cache.put(key, res) if cache is not None else {"hw": res}
+    res = entry["hw"]
     if req.normalization == "kappa":
-        res = apply_kappa(res, req)
+        if "kappa" not in entry:  # the first kappa request at this zeta pair
+            entry["kappa"] = _kappa_scalar(req)
+        res = apply_kappa(res, req, entry["kappa"])
     if check_invertible and res.cond_ratio <= _SINGULAR_TOL:  # rank drop on the resonance lattice
         raise DegeneratePointError(
             f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")

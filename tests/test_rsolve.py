@@ -7,7 +7,7 @@ import pytest
 from conftest import zeta_sample
 from qkzkit import reps, rsolve
 from qkzkit.context import QContext
-from qkzkit.errors import DegeneratePointError
+from qkzkit.errors import DegeneratePointError, QkzError
 from qkzkit.qkz import rcheck_factor
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
@@ -63,15 +63,15 @@ def _commutant_oracle(s1, s2):
     return vh[-1].conj().reshape(D, D)
 
 
-def _full_assembly_rows(s1, s2):
+def _full_assembly_rows(s1, s2, tags=("e0", "e1", "f0", "f1")):
     """Nonzero rows of the commutant system on the weight-sector unknowns, assembled
-    over all D^2 entries (i, j) of each e0/e1/f0/f1 equation against np.eye(D)."""
+    over all D^2 entries (i, j) of each equation of tags against np.eye(D)."""
     D = s1[0].dim * s2[0].dim
     w1, w2 = s1[0].weights.real, s2[0].weights.real
     a, b = np.nonzero(np.add.outer(w2, w1).reshape(-1, 1) == np.add.outer(w1, w2).reshape(1, -1))
     eye = np.eye(D)
     blocks = []
-    for tag in ("e0", "e1", "f0", "f1"):
+    for tag in tags:
         M = _kron_coproduct(tag, s1, s2)
         N = _kron_coproduct(tag, s2, s1)
         blocks.append((np.einsum("ki,kj->ijk", eye[a], M[b])
@@ -114,44 +114,59 @@ class TestSolveBasics:
 
     def test_brute_force_commutant_oracle(self, grading):
         # independent assembly by naive loops: all (m+1)^4 entries of Rcheck
-        # are unknowns and all six generators give equations, no weight assumed
+        # are unknowns and all six generators give equations at the grading's
+        # own zeta powers, no weight or gauge assumed
         z1, z2 = 1.37 + 0.21j, 0.77 - 0.43j
-        for q in (0.7, 0.6 + 0.09j, 0.5 + 0.5j):
-            ctx = QContext(q)
-            for m in (1, 2):
-                for kinds in ALL_PAIRS:
-                    oracle = _commutant_oracle(_site(kinds[0], m, grading, ctx, z1),
-                                               _site(kinds[1], m, grading, ctx, z2))
-                    res = r_matrix(kinds[0], z1, kinds[1], z2, m, grading, ctx)
-                    lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
-                    assert np.abs(res.Rcheck - lam * oracle).max() <= \
-                        1e-11 * np.abs(res.Rcheck).max(), (q, m, kinds)
+        for g in (grading, GradingChoice(1, 0), GradingChoice(0, 1), GradingChoice(2, 1)):
+            for q in (0.7, 0.6 + 0.09j, 0.5 + 0.5j):
+                ctx = QContext(q)
+                for m in (1, 2):
+                    for kinds in ALL_PAIRS:
+                        oracle = _commutant_oracle(_site(kinds[0], m, g, ctx, z1),
+                                                   _site(kinds[1], m, g, ctx, z2))
+                        res = r_matrix(kinds[0], z1, kinds[1], z2, m, g, ctx)
+                        lam = np.vdot(oracle, res.Rcheck) / np.vdot(oracle, oracle)
+                        assert np.abs(res.Rcheck - lam * oracle).max() <= \
+                            1e-11 * np.abs(res.Rcheck).max(), (g, q, m, kinds)
 
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
     def test_rows_by_weight_shift_match_the_full_assembly(self, g):
-        # the template's rows at a zeta pair: same rows, same order and zero
-        # pattern as the D^2-row assembly from np.kron coproducts, before
-        # scaling; entries within 2 ulp
+        # the rows each frame solves (e0/f0 in frame 1, e1/f1 in frame 0),
+        # formed at a zeta pair with the grading's powers: same rows, same
+        # order and zero pattern as the D^2-row assembly from np.kron
+        # coproducts, before scaling; entries within 2 ulp
+        z1, z2 = 1.37 + 0.21j, 0.77 - 0.43j
         for q, m, kinds in itertools.product((0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j), (1, 2, 3, 4),
                                              ALL_PAIRS):
             ctx = QContext(q)
-            s1 = _site(kinds[0], m, GradingChoice(*g), ctx, 1.37 + 0.21j)
-            s2 = _site(kinds[1], m, GradingChoice(*g), ctx, 0.77 - 0.43j)
-            K = rsolve.CommutantTemplate(s1[0], s2[0]).commutant_rows(s1[1], s2[1])
-            K = K[np.linalg.norm(K, axis=1) > 0]
-            full = _full_assembly_rows(s1, s2)
-            assert K.shape == full.shape and np.array_equal(K != 0, full != 0), (q, m, kinds)
-            assert np.all(np.abs(K - full) <= 2 * np.finfo(float).eps * np.abs(full)), \
-                (q, m, kinds)
+            s1 = _site(kinds[0], m, GradingChoice(*g), ctx, z1)
+            s2 = _site(kinds[1], m, GradingChoice(*g), ctx, z2)
+            t = rsolve.CommutantTemplate(s1[0], s2[0])
+            for frame, p, tags in ((1, g[0], ("e0", "f0")), (0, g[1], ("e1", "f1"))):
+                at, e_row, v1, v2 = t.frame(frame).entries
+                K = np.zeros((len(t.frame(frame).row_e), len(t.a)), dtype=complex)
+                K.reshape(-1)[at] = np.where(e_row, z1 ** p, z1 ** -p) * v1 + \
+                    np.where(e_row, z2 ** p, z2 ** -p) * v2
+                K = K[np.linalg.norm(K, axis=1) > 0]
+                full = _full_assembly_rows(s1, s2, tags)
+                assert K.shape == full.shape and np.array_equal(K != 0, full != 0), \
+                    (q, m, kinds, frame)
+                assert np.all(np.abs(K - full) <= 2 * np.finfo(float).eps * np.abs(full)), \
+                    (q, m, kinds, frame)
 
-    def test_unknowns_are_the_weight_sectors(self, ctx, grading, monkeypatch):
-        # the normal matrix has one row per weight-conserving entry of Rcheck
-        sizes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda A: sizes.append(A.shape[0]) or eigh(A))
+    def test_unknowns_are_the_weight_sectors(self, ctx, grading):
+        # one unknown per weight-conserving entry of Rcheck, and a commutant
+        # basis of m+1 columns: the solve's matrix is rows x (m+1)
+        sizes, widths = [], []
         for m in (1, 2, 3, 4):
-            r_matrix("V", 1.3 + 0.2j, "V*", 0.8 - 0.1j, m, grading, ctx)
+            cache = RCache()
+            r_matrix("V", 1.3 + 0.2j, "V*", 0.8 - 0.1j, m, grading, ctx, cache=cache)
+            t = cache.template(make_request("V", 1.0, "V*", 1.0, m, grading, ctx))
+            sizes.append(len(t.a))
+            for frame in (t.frame(1), t.frame(0)):
+                widths.append({frame.basis.shape[1], frame.reduced.shape[2]})
         assert sizes == [6, 19, 44, 85]
+        assert widths == [{2}, {2}, {3}, {3}, {4}, {4}, {5}, {5}]
 
     def test_depends_only_on_ratio(self, ctx, grading10, cache):
         rng = np.random.default_rng(2)
@@ -287,6 +302,21 @@ class TestDegenerateDetection:
                     assert res.nullspace_gap > 1e9
 
 
+    @pytest.mark.parametrize("s0, s1", [(2, 1), (1, 2), (0, 1)])
+    @pytest.mark.parametrize("zeta", [1e308, 1e160, 1e-160, 5e-324])
+    def test_extreme_spectral_parameter_is_a_clean_error(self, ctx, s0, s1, zeta):
+        # zeta^s, the gauge powers and the row norms overflow before the
+        # grading's own powers do; each overflow is a package error, never a
+        # Python OverflowError, ZeroDivisionError or numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in ("hw", "kappa"):
+                try:
+                    r_matrix("V", zeta, "V*", 1.0, 2, GradingChoice(s0, s1), ctx, norm)
+                except QkzError:
+                    pass
+
+
 class TestContinuation:
     def test_matches_closed_form_m1(self, ctx, grading):
         # kappa-normalized value at the removable like-kind resonance;
@@ -388,6 +418,16 @@ class TestCache:
         assert np.array_equal(res["kappa"].Rcheck, res["hw"].Rcheck * k)
         assert res["kappa"].norm_scalar_applied == res["hw"].norm_scalar_applied * k
 
+    def test_kappa_hit_scans_kappa_once(self, ctx, grading, monkeypatch):
+        # the kappa scalar is kept with its zeta pair's solve: a repeated kappa
+        # request rescales the stored solve without a second Pochhammer scan
+        cache = RCache()
+        scans = _count_calls(monkeypatch, rsolve, "kappa_sl2")
+        res = [r_matrix("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, normalization=norm,
+                        cache=cache) for norm in ("hw", "kappa", "kappa", "hw", "kappa")]
+        assert len(scans) == 1
+        assert np.array_equal(res[1].Rcheck, res[4].Rcheck)
+
     def test_second_zeta_pair_builds_no_template(self, ctx, grading, monkeypatch):
         cache = RCache()
         r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, cache=cache)
@@ -399,6 +439,21 @@ class TestCache:
         assert built == []
         r_matrix("V", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
         assert len(built) == 1
+
+    def test_second_grading_builds_no_template(self, ctx, grading, monkeypatch):
+        # the template is keyed by (kinds, m, q); only the zeta powers and the
+        # gauge depend on the grading, and the solves stay apart
+        cache = RCache()
+        a = r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, cache=cache)
+        built = []
+        raw = rsolve.CommutantTemplate
+        monkeypatch.setattr(rsolve, "CommutantTemplate",
+                            lambda *reps: built.append(reps) or raw(*reps))
+        solves = _count_solves(monkeypatch)
+        for g in ((1, 0), (0, 1), (2, 1)):
+            b = r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, GradingChoice(*g), ctx, cache=cache)
+            assert np.abs(b.Rcheck - a.Rcheck).max() > 1e-3, g
+        assert built == [] and len(solves) == 3
 
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
     def test_request_path_builds_each_module_once(self, ctx, grading, monkeypatch, norm):
