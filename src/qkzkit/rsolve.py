@@ -37,7 +37,6 @@ pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -112,7 +111,7 @@ def _powers(z, exps) -> list:
         out = [z**p for p in exps]
     except (OverflowError, ZeroDivisionError):
         out = [complex(math.inf)]
-    if not all(map(cmath.isfinite, out)):
+    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in out):
         raise ConfigError(f"spectral parameters out of range: a power of {z:.3g} overflows")
     return out
 
