@@ -201,12 +201,12 @@ class _Frame:
     (0, s), where e0 and f0 carry none.  A frame holds:
 
     - `basis`, B: the m+1 columns of the commutant of its zeta-free pair
-      (_commutant_basis), and per gauge exponent k = -m..m the sum of |B|^2
-      over the unknowns of that exponent, per column;
+      (_commutant_basis), and per gauge exponent k = -m..m (row k + m) the
+      sum of |B|^2 over the unknowns of that exponent, per column;
     - the rows of K of the other pair that are nonzero for some zeta, e
       rows first, as entries (flat position, e row or not, v1, v2) of
       zeta1^p v1 + zeta2^p v2; per row `row_e` (1 on e rows, 0 on f rows),
-      its gauge exponent (w1(i) - w1(j))/2, `reduced` = (V1 B, V2 B) stacked
+      its gauge exponent (w1(i) - w1(j))/2 plus m, `reduced` = (V1 B, V2 B) stacked
       (rows x 2 x (m+1)) and `row_norms` = (|v1|^2, |v2|^2, <v1, v2>)
       (rows x 3), which give the norm of the full row.
     """
@@ -221,7 +221,7 @@ class _Frame:
         self.basis = _commutant_basis((E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
                                       (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)),
                                       m, t.a, t.b)
-        self.gauge_weights = (t.gauge == np.arange(-m, m + 1)[:, None]) @ np.abs(self.basis)**2
+        self.gauge_weights = (t.gauge == np.arange(2 * m + 1)[:, None]) @ np.abs(self.basis)**2
         # row (i, j) of X M - N X has coefficient M[b, j] at a = i and
         # -N[i, a] at b = j, never both; zeta1 parts from one, zeta2 from two
         a, b = t.a, t.b
@@ -237,7 +237,7 @@ class _Frame:
             for v, part in ((v1, one), (v2, two)):
                 v += [part[2 * g][b[k], j[r]], -part[2 * g + 1][i[r2], a[k2]]]
             e_rows.append(np.full(len(i), g == row_gens[0]))
-            row_gauge.append(np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2))
+            row_gauge.append(np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2) + m)
             start += len(i)
         e_rows, row_gauge = np.concatenate(e_rows), np.concatenate(row_gauge)
         V1, V2 = (np.zeros((len(e_rows), len(a)), dtype=complex) for _ in range(2))
@@ -262,8 +262,8 @@ class CommutantTemplate:
     p = 0 and B = 0 for the Cartans), and only p depends on the grading, so
     one template serves every grading of (kinds, m, q).  It holds the two
     modules with their hw indices, the unknowns (a, b) with the gauge
-    exponent of each, half the h1-weight of the V1 factor of the output a
-    minus that of the input b, the entries of the zeta parts of the twelve
+    exponent of each plus m (half the h1-weight of the V1 factor of the
+    output a minus that of the input b), the entries of the zeta parts of the twelve
     images M, N of the six generators, and the solve data of each
     homogeneous frame (_Frame), built on first use.
     """
@@ -276,7 +276,7 @@ class CommutantTemplate:
         self.w_out = np.add.outer(w2, w1).reshape(-1)
         a, b = np.nonzero(self.w_out[:, None] == self.w_in[None, :])
         self.a, self.b, self.dim = a, b, len(self.w_in)
-        self.gauge = np.rint((w1[a % rep1.dim] - w1[b // rep2.dim]) / 2).astype(int)
+        self.gauge = np.rint((w1[a % rep1.dim] - w1[b // rep2.dim]) / 2 + rep1.m).astype(int)
         # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by generator
         one, two = [], []
         for tag in GENERATOR_TAGS:
@@ -400,28 +400,28 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     else:  # gauge to (0, s)
         frame, c, s_f = template.frame(0), -g.s0, g.s0
     gauge = np.array(_powers(complex(z1) / complex(z2), [c * k for k in range(-m, m + 1)]))
-    # per row kind (f rows with sign -1, e rows with +1): the zeta powers of the
-    # solve matrix, the three norm terms of the full row at (s0, s1), and the
-    # zeta2 power of the row gauge; a product that overflows reads inf
-    by_kind = []
-    for sign in (-1, 1):
-        p1, q1 = _powers(z1, (sign * g.s, sign * (g.s - s_f)))
-        p2, q2, r = _powers(z2, (sign * g.s, sign * (g.s - s_f), -sign * s_f))
-        by_kind.append((p1, p2, abs(q1) * abs(q1), abs(q2) * abs(q2), 2 * q1.conjugate() * q2, r))
+    # per row kind (f rows, then e rows): the zeta powers of the solve matrix,
+    # the three norm terms of the full row at (s0, s1), and the zeta2 power of
+    # the row gauge; a product that overflows reads inf
+    s, s_r = g.s, g.s - s_f
+    f1, fq1, e1, eq1 = _powers(z1, (-s, -s_r, s, s_r))
+    f2, fq2, fr, e2, eq2, er = _powers(z2, (-s, -s_r, s_f, s, s_r, -s_f))
+    by_kind = [(p1, p2, abs(q1) * abs(q1), abs(q2) * abs(q2), 2 * q1.conjugate() * q2, r)
+               for p1, p2, q1, q2, r in ((f1, f2, fq1, fq2, fr), (e1, e2, eq1, eq2, er))]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         per_row = np.array(by_kind)[frame.row_e]
         sq = (per_row[:, 2:5] * frame.row_norms).sum(axis=1).real
-        row = gauge[frame.row_gauge + m] * per_row[:, 5] / np.sqrt(sq)
+        coef = per_row[:, :2] * (gauge[frame.row_gauge] * per_row[:, 5] / np.sqrt(sq))[:, None]
         col = np.sqrt(np.abs(gauge)**2 @ frame.gauge_weights)
-        K = (row[:, None] * (per_row[:, :2, None] * frame.reduced).sum(axis=1)) / col
-        if not (np.isfinite(sq.sum() + col.sum()) and np.isfinite(K).all()):
+        K = (coef[:, :, None] * frame.reduced).sum(axis=1) / col
+        if not np.isfinite(sq.sum() + col.sum() + K.sum()):
             raise ConfigError("spectral parameters out of range: the commutant matrix overflows")
     if K.shape[0] < K.shape[1]:  # fewer rows than columns: a wider nullspace
         return np.zeros((D, D), dtype=complex), 0.0
     _, sv, vh = np.linalg.svd(K, full_matrices=False)
     gap = float(sv[-2] / max(sv[-1], 1e-300))
     X = np.zeros((D, D), dtype=complex)
-    X[template.a, template.b] = gauge[template.gauge + m] * (frame.basis @ (vh[-1].conj() / col))
+    X[template.a, template.b] = gauge[template.gauge] * (frame.basis @ (vh[-1].conj() / col))
     return X, gap
 
 
