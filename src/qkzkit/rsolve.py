@@ -38,7 +38,7 @@ closed form from the crossing relation.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -474,7 +474,7 @@ def apply_kappa(res: RResult, req: RRequest, k: complex = None) -> RResult:
     """
     if k is None:
         k = _kappa_scalar(req)
-    return replace(res, R=res.R * k, Rcheck=res.Rcheck * k,
+    return RResult(R=res.R * k, Rcheck=res.Rcheck * k, nullspace_gap=res.nullspace_gap,
                    norm_scalar_applied=res.norm_scalar_applied * k,
                    intertwine_residual=res.intertwine_residual if k != 0 else np.inf,
                    cond_ratio=res.cond_ratio if k != 0 else 0.0)
