@@ -301,7 +301,6 @@ class TestDegenerateDetection:
                     res = r_matrix(kind, zeta, kind, 1.0, m, g, ctx, check_invertible=False)
                     assert res.nullspace_gap > 1e9
 
-
     @pytest.mark.parametrize("s0, s1", [(2, 1), (1, 2), (0, 1)])
     @pytest.mark.parametrize("zeta", [1e308, 1e160, 1e-160, 5e-324])
     def test_extreme_spectral_parameter_is_a_clean_error(self, ctx, s0, s1, zeta):
