@@ -314,14 +314,3 @@ def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
         vec = embedded_matmul(Rc, k, k + 1, dims, vec)
         order[k], order[k + 1] = order[k + 1], order[k]
     return vec.reshape(dims), order
-
-
-def permutation_of_word(N: int, word) -> list:
-    """Final object-to-position permutation realized by a word."""
-    order = list(range(N))
-    for k in word:
-        order[k], order[k + 1] = order[k + 1], order[k]
-    sigma = [0] * N
-    for pos, obj in enumerate(order):
-        sigma[obj] = pos
-    return sigma

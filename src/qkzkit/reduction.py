@@ -135,8 +135,7 @@ def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
             u, v = insertion
             M = embedded_matmul(_factor(case, "V*", v, "V", u, cache).Rcheck, n - 1, n, dims, M)
             M = embedded_matmul(_factor(case, "V", u, "V*", v, cache).Rcheck, n - 1, n, dims, M)
-        # b = p^{k+1} z_n from z_n, not p * a: the rounding sets the R cache keys
-        mover, a, b = kinds[site], etas[site], case.p ** (k + 1) * zetas[n - 1]
+        mover, a, b = kinds[site], etas[site], case.p * etas[site]
         for j in range(n - 2, -1, -1):
             M = embedded_matmul(_factor(case, kinds[j], etas[j], mover, a, cache).R,
                                 j, n - 1, dims, M)
@@ -232,10 +231,13 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     random-tensor implication through psi_extract.
 
     Both sides are applied to the same probe block drawn from `seed`; its
-    first column is the random tensor of the implication.  At n = 1 the
-    junction cancellation leaves both sides the same factor string
-    P Delta* P Delta on the same block, so the residual reads exactly 0:
-    there the identity is bookkeeping, not an independent check.
+    first column is the random tensor of the implication.  At every n this
+    is a factorization (bookkeeping) identity, not an independent check:
+    after the junction cancellation both sides ask for the same factors at
+    the same zeta pairs (the mirrored argument is p (p z_n) on both, so the
+    cache solves each once) and apply them in the same order, so the
+    residual reads exactly 0 (P Delta* P Delta at n = 1).  It catches a
+    wrong argument or factor order, not a wrong factor value.
     """
     if case.mode != "general":
         raise ConfigError("theorem_check_general needs a general case")

@@ -12,14 +12,15 @@ e/f pair carries no zeta.  The commutant of that pair is the same for
 every zeta pair, and V x V is multiplicity-free under the U_q(sl2) it
 generates, so the commutant has an m+1 column basis B, built once from
 highest-weight vectors (the tensor product graph picture of Delius,
-Gould and Zhang, Nucl. Phys. B 432 (1994) 377).  A solve keeps only the
-rows of the other pair, projected on the gauged B: one SVD of m+1
-columns per zeta pair.  The intertwining residual still checks the full
+Gould and Zhang, Nucl. Phys. B 432 (1994) 377).  Placed at the unknowns,
+the columns of B are m+1 operators X_l, and a solve keeps only the other
+pair's equations on them, X_l M - N X_l, gauged: one SVD of m+1 columns
+per zeta pair.  The intertwining residual still checks the full
 Rcheck against all six generators at the request's grading.
 
 Everything that does not depend on zeta (the two modules, their hw
 indices, the unknowns, the entries of the coproduct images split by zeta
-power, and per homogeneous frame B and the projected rows) is a
+power, and per homogeneous frame B and the rows of X_l M - N X_l) is a
 CommutantTemplate, built once per (kinds, m, q) and shared by every
 grading; kappa and the gauge depend on the grading, so solves are keyed
 by it.  A request (RRequest) holds plain values and builds no module, so
@@ -203,56 +204,47 @@ class _Frame:
     - `basis`, B: the m+1 columns of the commutant of its zeta-free pair
       (_commutant_basis), and per gauge exponent k = -m..m (row k + m) the
       sum of |B|^2 over the unknowns of that exponent, per column;
-    - the rows of K of the other pair that are nonzero for some zeta, e
-      rows first, as entries (flat position, e row or not, v1, v2) of
-      zeta1^p v1 + zeta2^p v2; per row `row_e` (1 on e rows, 0 on f rows),
-      its gauge exponent (w1(i) - w1(j))/2 plus m, `reduced` = (V1 B, V2 B) stacked
-      (rows x 2 x (m+1)) and `row_norms` = (|v1|^2, |v2|^2, <v1, v2>)
-      (rows x 3), which give the norm of the full row.
+    - the rows of the other pair's equations X M - N X = 0 that are
+      nonzero for some zeta, e rows first: the entries (i, j) where the
+      h1-weight shifts by the generator's.  On the unknowns each row is
+      zeta1^p v1 + zeta2^p v2.  Per row: `row_e` (1 on e rows, 0 on f
+      rows), its gauge exponent (w1(i) - w1(j))/2 plus m, `reduced`
+      (rows x 2 x (m+1)), read on the m+1 basis operators X_l (column l of
+      B at the unknowns) as (X_l M - N X_l)[i, j] for the zeta1 and the
+      zeta2 parts of M and N, and `row_norms` = (|v1|^2, |v2|^2, <v1, v2>)
+      (rows x 3) from column j of M and row i of N, which give the norm of
+      the full row.
     """
 
     def __init__(self, t, frame: int):
-        one, two = t.dense_parts()
+        parts = t.dense_parts()
         (raise_, lower), row_gens = _FRAMES[frame]
-        # zeta-free pair: M = one + two on V1 x V2 (index 2g), N on V2 x V1 (2g + 1)
-        E, F = (one[2 * g] + two[2 * g] for g in (raise_, lower))
-        E2, F2 = (one[2 * g + 1] + two[2 * g + 1] for g in (raise_, lower))
+        # zeta-free pair: the sum of the two parts; M on V1 x V2 at 2g, N on V2 x V1 at 2g + 1
+        E, E2, F, F2 = parts[:, [2 * raise_, 2 * raise_ + 1, 2 * lower, 2 * lower + 1]].sum(0)
         w1, w2, m = t.rep1.weights.real, t.rep2.weights.real, t.rep1.m
         self.basis = _commutant_basis((E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
                                       (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)),
                                       m, t.a, t.b)
         self.gauge_weights = (t.gauge == np.arange(2 * m + 1)[:, None]) @ np.abs(self.basis)**2
-        # row (i, j) of X M - N X has coefficient M[b, j] at a = i and
-        # -N[i, a] at b = j, never both; zeta1 parts from one, zeta2 from two
-        a, b = t.a, t.b
+        X = np.zeros((m + 1, t.dim, t.dim), dtype=complex)
+        X[:, t.a, t.b] = self.basis.T
         shift = t.w_out[:, None] - t.w_in[None, :]
-        rows, cols, v1, v2, e_rows, row_gauge = [], [], [], [], [], []
-        start = 0
+        blocks = []  # per row generator: reduced, row norms, e row or not, gauge exponent
         for g in row_gens:
             i, j = np.nonzero(shift == _WEIGHT_SHIFT[g])
-            r, k = np.nonzero(i[:, None] == a)
-            r2, k2 = np.nonzero(j[:, None] == b)
-            rows += [start + r, start + r2]
-            cols += [k, k2]
-            for v, part in ((v1, one), (v2, two)):
-                v += [part[2 * g][b[k], j[r]], -part[2 * g + 1][i[r2], a[k2]]]
-            e_rows.append(np.full(len(i), g == row_gens[0]))
-            row_gauge.append(np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2) + m)
-            start += len(i)
-        e_rows, row_gauge = np.concatenate(e_rows), np.concatenate(row_gauge)
-        V1, V2 = (np.zeros((len(e_rows), len(a)), dtype=complex) for _ in range(2))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        V1[rows, cols], V2[rows, cols] = np.concatenate(v1), np.concatenate(v2)
-        live = (V1 != 0).any(axis=1) | (V2 != 0).any(axis=1)
-        V1, V2 = V1[live], V2[live]
-        self.row_e = e_rows[live].astype(int)
-        self.row_gauge = row_gauge[live].astype(int)
-        at = np.flatnonzero((V1 != 0) | (V2 != 0))
-        self.entries = at, self.row_e[at // len(a)], V1.reshape(-1)[at], V2.reshape(-1)[at]
-        V = np.stack([V1, V2], axis=1)
-        self.reduced = V @ self.basis
-        gram = np.einsum("rpu,rqu->rpq", V.conj(), V)
-        self.row_norms = np.stack([gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1]], axis=1)
+            M, N = parts[:, 2 * g], parts[:, 2 * g + 1]  # (2, D, D): zeta1, zeta2 part
+            reduced = (X @ M[:, None] - N[:, None] @ X)[:, :, i, j].transpose(2, 0, 1)
+            # row (i, j) has M[:, j] at the unknowns (i, .) and -N[i, :] at (., j), never both
+            cols, rows = M[:, :, j], N[:, i, :]
+            gram = np.einsum("pur,qur->rpq", cols.conj(), cols) + \
+                np.einsum("pru,qru->rpq", rows.conj(), rows)
+            gauge = np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2).astype(int) + m
+            blocks.append((reduced, gram[:, [0, 1, 0], [0, 1, 1]],
+                           np.full(len(i), int(g == row_gens[0])), gauge))
+        reduced, norms, e_rows, row_gauge = (np.concatenate(b) for b in zip(*blocks))
+        live = (norms[:, :2].real > 0).any(axis=1)
+        self.reduced, self.row_norms = reduced[live], norms[live]
+        self.row_e, self.row_gauge = e_rows[live], row_gauge[live]
 
 
 class CommutantTemplate:
@@ -263,9 +255,10 @@ class CommutantTemplate:
     one template serves every grading of (kinds, m, q).  It holds the two
     modules with their hw indices, the unknowns (a, b) with the gauge
     exponent of each plus m (half the h1-weight of the V1 factor of the
-    output a minus that of the input b), the entries of the zeta parts of the twelve
-    images M, N of the six generators, and the solve data of each
-    homogeneous frame (_Frame), built on first use.
+    output a minus that of the input b), the entries of the zeta parts of
+    the twelve images M, N of the six generators, and the solve data of
+    each homogeneous frame (_Frame: B and the other pair's X_l M - N X_l
+    on its columns X_l), built on first use.
     """
 
     def __init__(self, rep1, rep2):
@@ -294,13 +287,12 @@ class CommutantTemplate:
         self.images = at, at // (2 * self.dim**2), one.reshape(-1)[at], two.reshape(-1)[at]
         self._frames = {}
 
-    def dense_parts(self) -> tuple:
-        """The zeta1 and zeta2 parts of the images, (12, D, D) each: M, N per generator."""
+    def dense_parts(self) -> np.ndarray:
+        """The zeta1 and zeta2 parts of the images, (2, 12, D, D): M, N per generator."""
         at, _, v1, v2 = self.images
-        one, two = np.zeros((2, 2 * len(GENERATOR_TAGS) * self.dim**2), dtype=complex)
-        one[at], two[at] = v1, v2
-        shape = (2 * len(GENERATOR_TAGS), self.dim, self.dim)
-        return one.reshape(shape), two.reshape(shape)
+        parts = np.zeros((2, 2 * len(GENERATOR_TAGS) * self.dim**2), dtype=complex)
+        parts[0, at], parts[1, at] = v1, v2
+        return parts.reshape(2, 2 * len(GENERATOR_TAGS), self.dim, self.dim)
 
     def frame(self, frame: int) -> _Frame:
         """Frame 1 (e1, f1 zeta-free) or 0 (e0, f0 zeta-free), built on first use."""
@@ -346,18 +338,15 @@ class RCache:
         """The commutant template of the request's module pair, built on first use."""
         key = req.module_key()
         if key not in self._templates:
-            self._templates[key] = _build_template(req)
+            grading = GradingChoice(1, 0)  # the module matrices do not depend on it
+            self._templates[key] = CommutantTemplate(
+                eval_module(req.kind1, req.m, grading, req.ctx),
+                eval_module(req.kind2, req.m, grading, req.ctx))
         return self._templates[key]
 
     def clear(self):
         self._store.clear()
         self._templates.clear()
-
-
-def _build_template(req: RRequest) -> CommutantTemplate:
-    grading = GradingChoice(1, 0)  # the module matrices do not depend on it
-    return CommutantTemplate(eval_module(req.kind1, req.m, grading, req.ctx),
-                             eval_module(req.kind2, req.m, grading, req.ctx))
 
 
 def _raw_nullvector(req: RRequest, template: CommutantTemplate):
@@ -377,10 +366,11 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     the frame one e/f pair carries no zeta, so its commutant is spanned by
     the m+1 columns B of the template, and at the request's grading by G B.
     Only the rows of the other pair remain.  Row i of K at (s0, s1) times
-    G B is the frame's row zeta1^p C1 + zeta2^p C2 at p = +-s times
+    G B is the frame's row zeta1^p r1 + zeta2^p r2 at p = +-s times
     (zeta1/zeta2)^{c k_i} zeta2^{-+s_f}, s_f the grade of the zeta-free
-    pair, so the solve matrix (rows x (m+1)) is formed from C1, C2 without
-    the full rows.  Each row is divided by the norm of its full row at
+    pair, with (r1, r2) its `reduced` parts, the row of X_l M - N X_l on the
+    basis operators X_l; so the solve matrix (rows x (m+1)) is formed
+    without the full rows.  Each row is divided by the norm of its full row at
     (s0, s1), which the frame's three scalars per row give, and each column
     by ||G b_j||: the zeta powers and the q-numbers spread rows and gauged
     columns over many orders of magnitude, and without this balance the
@@ -507,14 +497,16 @@ def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True
     Degenerate spectral points are reported through DegeneratePointError:
     either the nullspace gap collapses, the hw normalization fails, kappa
     has a pole, or the normalized operator is numerically singular.  The
-    invertibility check applies to cached results as well.
+    invertibility check applies to cached results as well.  Without a
+    cache the request goes through a fresh RCache, so nothing carries over
+    between uncached requests.
     """
+    if cache is None:
+        cache = RCache()
     key = req.key()
-    entry = cache.get(key) if cache is not None else None
+    entry = cache.get(key)
     if entry is None:
-        template = cache.template(req) if cache is not None else _build_template(req)
-        res = _solve(req, template)
-        entry = cache.put(key, res) if cache is not None else {"hw": res}
+        entry = cache.put(key, _solve(req, cache.template(req)))
     res = entry["hw"]
     if req.normalization == "kappa":
         if "kappa" not in entry:  # the first kappa request at this zeta pair

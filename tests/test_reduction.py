@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from qkzkit import rsolve
 from qkzkit.errors import ConfigError
 from qkzkit.qkz import lambda_op
 from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
@@ -10,7 +13,7 @@ from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
                               scaling_covariance_residual, theorem_check_general,
                               theorem_check_selfdual)
 from qkzkit.reps import operator_xtilde
-from qkzkit.rsolve import r_matrix, rcheck_resonant
+from qkzkit.rsolve import RCache, r_matrix, rcheck_resonant
 from qkzkit.tensorops import embed_pair, permutation_op
 
 
@@ -154,6 +157,23 @@ class TestTheoremGeneral:
         zetas = [zeta_sample(rng) for _ in range(2)]
         rep = theorem_check_general(case, zetas, seed=6, cache=cache)
         assert rep.passed, rep.params
+
+    def test_mirrored_factors_are_solved_once(self, ctx, grading, monkeypatch):
+        # the composite's second block and Lambda_{n+1} ask for the same
+        # mirrored factors; formed as p * (p z_n) on both sides they share one
+        # cache key, so no two solves run at zeta pairs a few ulp apart
+        solved = []
+        raw = rsolve._raw_nullvector
+        monkeypatch.setattr(rsolve, "_raw_nullvector",
+                            lambda req, t: solved.append(req) or raw(req, t))
+        rng = np.random.default_rng(203)
+        theorem_check_general(case_gen(3, 1, grading, ctx), [zeta_sample(rng) for _ in range(3)],
+                              cache=RCache())
+        near = [(a, b) for a, b in itertools.combinations(solved, 2)
+                if (a.kind1, a.kind2) == (b.kind1, b.kind2)
+                and abs(a.zeta1 - b.zeta1) <= 1e-14 * abs(a.zeta1)
+                and abs(a.zeta2 - b.zeta2) <= 1e-14 * abs(a.zeta2)]
+        assert solved and near == []
 
 
 class TestPsiExtract:

@@ -131,11 +131,12 @@ class TestSolveBasics:
 
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
     def test_rows_by_weight_shift_match_the_full_assembly(self, g):
-        # the rows each frame solves (e0/f0 in frame 1, e1/f1 in frame 0),
-        # formed at a zeta pair with the grading's powers: same rows, same
-        # order and zero pattern as the D^2-row assembly from np.kron
-        # coproducts, before scaling; entries within 2 ulp
+        # what a solve reads of each frame's rows (e0/f0 in frame 1, e1/f1 in
+        # frame 0), formed at a zeta pair with the grading's powers: the rows
+        # of the D^2-row assembly from np.kron coproducts, in the same order,
+        # times the basis, and the squared norms of those rows
         z1, z2 = 1.37 + 0.21j, 0.77 - 0.43j
+        eps = np.finfo(float).eps
         for q, m, kinds in itertools.product((0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j), (1, 2, 3, 4),
                                              ALL_PAIRS):
             ctx = QContext(q)
@@ -143,16 +144,17 @@ class TestSolveBasics:
             s2 = _site(kinds[1], m, GradingChoice(*g), ctx, z2)
             t = rsolve.CommutantTemplate(s1[0], s2[0])
             for frame, p, tags in ((1, g[0], ("e0", "f0")), (0, g[1], ("e1", "f1"))):
-                at, e_row, v1, v2 = t.frame(frame).entries
-                K = np.zeros((len(t.frame(frame).row_e), len(t.a)), dtype=complex)
-                K.reshape(-1)[at] = np.where(e_row, z1 ** p, z1 ** -p) * v1 + \
-                    np.where(e_row, z2 ** p, z2 ** -p) * v2
-                K = K[np.linalg.norm(K, axis=1) > 0]
+                fr = t.frame(frame)
                 full = _full_assembly_rows(s1, s2, tags)
-                assert K.shape == full.shape and np.array_equal(K != 0, full != 0), \
-                    (q, m, kinds, frame)
-                assert np.all(np.abs(K - full) <= 2 * np.finfo(float).eps * np.abs(full)), \
-                    (q, m, kinds, frame)
+                assert full.shape[0] == len(fr.row_e), (q, m, kinds, frame)
+                w1, w2 = (np.where(fr.row_e == 1, z ** p, z ** -p) for z in (z1, z2))
+                got = w1[:, None] * fr.reduced[:, 0] + w2[:, None] * fr.reduced[:, 1]
+                assert np.all(np.abs(got - full @ fr.basis) <=
+                              8 * eps * (np.abs(full) @ np.abs(fr.basis))), (q, m, kinds, frame)
+                sq = (np.abs(w1)**2 * fr.row_norms[:, 0] + np.abs(w2)**2 * fr.row_norms[:, 1]
+                      + 2 * w1.conj() * w2 * fr.row_norms[:, 2]).real
+                want = np.linalg.norm(full, axis=1)**2
+                assert np.all(np.abs(sq - want) <= 8 * eps * want), (q, m, kinds, frame)
 
     def test_unknowns_are_the_weight_sectors(self, ctx, grading):
         # one unknown per weight-conserving entry of Rcheck, and a commutant
@@ -483,6 +485,25 @@ class TestCache:
         assert r_matrix(*args, cache=cache, check_invertible=False).cond_ratio < 1e-8
         with pytest.raises(DegeneratePointError):
             r_matrix(*args, cache=cache)
+
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_uncached_request_matches_a_cached_one(self, ctx, grading, norm):
+        # without a cache the request takes the same path through a fresh RCache
+        args = ("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
+        cache = RCache()
+        cached = [r_matrix(*args, normalization=norm, cache=cache) for _ in range(2)]
+        uncached = r_matrix(*args, normalization=norm)
+        for res in cached:
+            for field in ("R", "Rcheck"):
+                assert np.array_equal(getattr(uncached, field), getattr(res, field))
+            assert uncached.nullspace_gap == res.nullspace_gap
+            assert uncached.intertwine_residual == res.intertwine_residual
+
+    def test_uncached_requests_share_nothing(self, ctx, grading, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        for _ in range(2):
+            r_matrix("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
+        assert len(solves) == 2
 
     def test_eviction_never_changes_results(self, ctx, grading):
         cache = RCache()

@@ -1,12 +1,13 @@
 """Source rules of the package: one cache (RCache), no module-global state,
-no stale export.
+no stale export, no assert statement.
 
 Results are memoized only in an RCache that the caller creates and passes,
 so no function may carry a functools cache, and no module may bind a
 mutable container to a name that reads as a variable.  Constants are
 UPPER_CASE; dunder names such as __all__ are the language's own.  Every
 name a module lists in __all__ must exist, so a deleted function cannot
-stay exported.
+stay exported.  `python -O` strips assert statements, so a runtime check
+raises instead.
 """
 
 import ast
@@ -57,6 +58,10 @@ def global_containers(tree):
     return found
 
 
+def assert_statements(tree):
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_sources_found():
     assert any(p.name == "rsolve.py" for p in SOURCES)
 
@@ -69,6 +74,11 @@ def test_no_functools_cache(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_level_mutable_state(path):
     assert global_containers(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(ast.parse(path.read_text())) == []
 
 
 def _exports(path):
@@ -106,3 +116,12 @@ def test_exported_names_resolve(path):
 def test_rules_fire_on_planted_code(source, caches, containers):
     tree = ast.parse(source)
     assert (len(functools_caches(tree)), len(global_containers(tree))) == (caches, containers)
+
+
+@pytest.mark.parametrize("source, asserts", [
+    ("def f(a, b):\n    assert a == b\n    return a\n", 1),
+    ("class C:\n    def f(self):\n        assert self\n        assert not None, 'msg'\n", 2),
+    ("def f(a, b):\n    if a != b:\n        raise ValueError('a != b')\n    return a\n", 0),
+])
+def test_assert_rule_fires_on_planted_code(source, asserts):
+    assert len(assert_statements(ast.parse(source))) == asserts
