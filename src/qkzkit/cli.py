@@ -4,13 +4,16 @@ JSON output is deterministic for a fixed configuration and seed: reports
 are sorted by name and parameters, floats are printed with 17 significant
 digits, and wall-clock timings are serialized as null (they are shown in
 text mode only).
+
+The parsed argparse namespace is the run configuration: each subcommand
+parses only the options it reads, and `build_parser` holds every default.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,36 +31,12 @@ from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    m: int = 1
-    l: int = 1
-    n: int = 2
-    q: complex = 0.7
-    s0: int = 1
-    s1: int = 1
-    alpha: list = field(default_factory=list)
-    seed: int = 42
-    tol: float = None
-    trunc: int = 256
-    samples: int = 3
-    norm: str = "kappa"
-    fmt: str = "json"
-    out: str = None
-    check: str = None
-    kinds: str = "VV"
-    zeta1: complex = 1.0
-    zeta2: complex = 1.0
+def _context(config) -> QContext:
+    return QContext(q=config.q, trunc_terms=config.trunc)
 
-    def context(self) -> QContext:
-        return QContext(q=self.q, trunc_terms=self.trunc)
 
-    def grading(self) -> GradingChoice:
-        return GradingChoice(self.s0, self.s1)
-
-    def alpha1(self) -> complex:
-        return self.alpha[0] if self.alpha else 0.0
+def _grading(config) -> GradingChoice:
+    return GradingChoice(config.s0, config.s1)
 
 
 def parse_complex(text: str) -> complex:
@@ -69,12 +48,8 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
 
-def _rng_for(config: RunConfig, name: str):
+def _rng_for(config, name: str):
     return np.random.default_rng([config.seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
-
-
-def _zeta(rng):
-    return idsuite.random_zeta(rng)
 
 
 def _zsample(rng):
@@ -86,7 +61,7 @@ def _zsample(rng):
 # --- suite checks --------------------------------------------------------------
 
 def _chk_scalar_identities(config, cache):
-    ctx = config.context()
+    ctx = _context(config)
     rng = _rng_for(config, "scalar_identities")
     t0 = time.perf_counter()
     out = []
@@ -111,7 +86,7 @@ def _chk_scalar_identities(config, cache):
 
 
 def _chk_scalar_difference(config, cache):
-    ctx = config.context()
+    ctx = _context(config)
     rng = _rng_for(config, "scalar_difference")
     out = []
     for m in (1, 2, 3):
@@ -140,7 +115,7 @@ def _chk_scalar_difference(config, cache):
 
 
 def _chk_scalar_series(config, cache):
-    ctx = config.context()
+    ctx = _context(config)
     rng = _rng_for(config, "scalar_series")
     t0 = time.perf_counter()
     worst = 0.0
@@ -158,8 +133,8 @@ def _chk_scalar_series(config, cache):
 
 
 def _chk_rep_invariants(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "rep_invariants")
     t0 = time.perf_counter()
     q = complex(ctx.q)
@@ -168,7 +143,7 @@ def _chk_rep_invariants(config, cache):
     for m in (1, 2, 3):
         rep = build_eval_rep(m, g, ctx)
         dual = antipode_dual(rep)
-        zeta = _zeta(rng)
+        zeta = idsuite.random_zeta(rng)
         for r in (rep, dual):
             e1, f1 = r.gen("e1", zeta), r.gen("f1", zeta)
             e0, f0 = r.gen("e0", zeta), r.gen("f0", zeta)
@@ -188,19 +163,19 @@ def _chk_rep_invariants(config, cache):
 
 
 def _chk_dualities(config, cache):
-    ctx = config.context()
+    ctx = _context(config)
     rng = _rng_for(config, "dualities")
     out = []
     for g in (GradingChoice(1, 1), GradingChoice(1, 0)):
         for m in (1, 2, 3):
-            out.append(idsuite.check_double_dual(m, g, ctx, _zeta(rng)))
-            out.append(idsuite.check_self_dual(m, g, ctx, _zeta(rng)))
+            out.append(idsuite.check_double_dual(m, g, ctx, idsuite.random_zeta(rng)))
+            out.append(idsuite.check_self_dual(m, g, ctx, idsuite.random_zeta(rng)))
     return out
 
 
 def _chk_unitarity(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "unitarity")
     out = []
     for norm in ("hw", "kappa"):
@@ -209,15 +184,15 @@ def _chk_unitarity(config, cache):
             out.append(idsuite.check_unitarity(config.m, kinds, zetas, g, ctx,
                                                normalization=norm, cache=cache))
         for kind in ("V", "V*"):
-            out.append(idsuite.check_initial_condition(config.m, kind, _zeta(rng),
-                                                       g, ctx, normalization=norm,
-                                                       cache=cache))
+            out.append(idsuite.check_initial_condition(config.m, kind,
+                                                       idsuite.random_zeta(rng), g, ctx,
+                                                       normalization=norm, cache=cache))
     return out
 
 
 def _chk_degenerate_detection(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     q = complex(ctx.q)
     t0 = time.perf_counter()
     fired = 0
@@ -233,8 +208,8 @@ def _chk_degenerate_detection(config, cache):
 
 
 def _chk_ybe(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "ybe")
     out = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
@@ -251,8 +226,8 @@ def _chk_ybe(config, cache):
 
 
 def _chk_crossing(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "crossing")
     out = []
     for m in (1, 2):
@@ -274,11 +249,11 @@ def _chk_crossing(config, cache):
 
 
 def _chk_invariances(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "invariances")
     out = []
-    alpha = config.alpha1() or (0.37 - 0.21j)
+    alpha = config.alpha or (0.37 - 0.21j)
     for m in (1, 2):
         for kinds in (("V", "V"), ("V*", "V")):
             zetas = tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
@@ -291,10 +266,10 @@ def _chk_invariances(config, cache):
 
 
 def _chk_braid(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "braid")
-    etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, config.grading(), ctx))
+    etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
     kinds = ("V", "V*", "V", "V*")
     out = [
         idsuite.check_braid_welldefined([0, 1, 0], [1, 0, 1], config.m, kinds, etas,
@@ -318,22 +293,22 @@ def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
     if deltas is None:
         deltas = tuple(
             qkz.DeltaAssignment("general_v" if k == "V" else "general_vstar",
-                                alpha=config.alpha1())
+                                alpha=config.alpha)
             for k in kinds)
     return qkz.ChainSpec(config.m, g, ctx, tuple(kinds), etas, p, deltas,
                          normalization=config.norm)
 
 
 def _chk_qkz(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "qkz")
     t0 = time.perf_counter()
     out = []
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
     worst = worst_of(qkz.lambda_forms_residual(chain4, i, cache) for i in range(4))
     out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10, t0))
-    sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha1(), n=config.n)
+    sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=config.n)
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)
     out.append(qkz.check_ddr(chain_sd, 0, 2, cache=cache))
     out.append(qkz.check_ddr(chain4, 0, 1, cache=cache))
@@ -345,28 +320,28 @@ def _chk_qkz(config, cache):
 
 
 def _chk_theorems(config, cache):
-    ctx = config.context()
-    g = config.grading()
+    ctx = _context(config)
+    g = _grading(config)
     rng = _rng_for(config, "theorems")
     out = []
     for n in sorted({1, min(config.n, 3)}):
         case = reduction.ReductionCase("self_dual", n, config.m, g, ctx,
-                                       alpha=config.alpha1())
+                                       alpha=config.alpha)
         zetas = idsuite.draw_generic_zetas(rng, n, config.m, g, ctx)
         out.append(reduction.theorem_check_selfdual(case, zetas, seed=config.seed,
                                                     cache=cache))
     for n in (1, 2):
         case = reduction.ReductionCase("general", n, config.m, g, ctx,
-                                       alpha=config.alpha1())
+                                       alpha=config.alpha)
         zetas = idsuite.draw_generic_zetas(rng, n, config.m, g, ctx)
         out.append(reduction.theorem_check_general(case, zetas, seed=config.seed,
                                                    cache=cache))
-    case = reduction.ReductionCase("general", 2, config.m, g, ctx, alpha=config.alpha1())
+    case = reduction.ReductionCase("general", 2, config.m, g, ctx, alpha=config.alpha)
     zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
-    out.append(reduction.insertion_invariance_check(case, zetas, _zeta(rng), _zeta(rng),
-                                                    cache=cache))
+    out.append(reduction.insertion_invariance_check(case, zetas, idsuite.random_zeta(rng),
+                                                    idsuite.random_zeta(rng), cache=cache))
     for mode in ("self_dual", "general"):
-        case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha1())
+        case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha)
         zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
         out.append(reduction.check_rpr(case, 1, zetas, seed=config.seed, cache=cache))
         t0 = time.perf_counter()
@@ -469,24 +444,15 @@ def serialize_reports(reports, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_tol_override(reports, tol):
-    if tol is None:
-        return reports
-    out = []
-    for r in reports:
-        out.append(VerificationReport(
-            name=r.name, params=r.params, residual=r.residual, tolerance=float(tol),
-            passed=r.residual <= float(tol), wall_ms=r.wall_ms,
-            extracted_scalars=r.extracted_scalars, note=r.note))
-    return out
-
-
-def _emit(text: str, config: RunConfig):
-    if config.out:
+def _emit(text: str, config):
+    if not config.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(config.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from None
 
 
 # --- commands --------------------------------------------------------------------
@@ -503,28 +469,35 @@ def _run_group(name, config, cache):
                                         note=f"{type(exc).__name__}: {exc}")]
 
 
-def cmd_suite(config: RunConfig) -> int:
-    """Run every check group, or the one that `verify` names, on one cache."""
-    if config.check not in (None, *CHECKS):
-        raise ConfigError(f"unknown check {config.check!r}; known: {', '.join(sorted(CHECKS))}")
-    config.context()  # validate q and grading before running anything
-    config.grading()
+def _run_groups(names, config) -> int:
+    """Run the named check groups on one cache and write their reports."""
+    _context(config)  # validate q and grading before running anything
+    _grading(config)
     cache = RCache()
     reports = []
-    for name in sorted(CHECKS) if config.check is None else [config.check]:
+    for name in names:
         reports.extend(_run_group(name, config, cache))
-    reports = _apply_tol_override(reports, config.tol)
+    if config.tol is not None:
+        reports = [dataclasses.replace(r, tolerance=config.tol, passed=r.residual <= config.tol)
+                   for r in reports]
     _emit(serialize_reports(reports, config.fmt), config)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_rmat(config: RunConfig) -> int:
-    ctx = config.context()
-    if config.kinds not in KIND_CODES:
-        raise ConfigError(f"unknown kind pair {config.kinds!r}")
+def cmd_suite(config) -> int:
+    return _run_groups(sorted(CHECKS), config)
+
+
+def cmd_verify(config) -> int:
+    if config.check not in CHECKS:
+        raise ConfigError(f"unknown check {config.check!r}; known: {', '.join(sorted(CHECKS))}")
+    return _run_groups([config.check], config)
+
+
+def cmd_rmat(config) -> int:
     k1, k2 = KIND_CODES[config.kinds]
-    res = r_matrix(k1, config.zeta1, k2, config.zeta2, config.m, config.grading(),
-                   ctx, normalization=config.norm, check_invertible=False)
+    res = r_matrix(k1, config.zeta1, k2, config.zeta2, config.m, _grading(config),
+                   _context(config), normalization=config.norm, check_invertible=False)
     d = config.m + 1
     payload = {
         "site_dims_out": [d, d],
@@ -536,8 +509,8 @@ def cmd_rmat(config: RunConfig) -> int:
     return 0
 
 
-def cmd_scalars(config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_scalars(config) -> int:
+    ctx = _context(config)
     rng = _rng_for(config, "scalars_table")
     rows = []
     for _ in range(config.samples):
@@ -568,66 +541,66 @@ def cmd_scalars(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; its namespace is the run configuration, and it holds every default."""
     parser = argparse.ArgumentParser(
         prog="qkzkit",
         description="Construct sl2 loop-algebra R-operators and verify their identities.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--m", type=int, default=1, help="spin label (module dimension m+1)")
-        p.add_argument("--l", type=int, default=1, help="rank for the sl(l+1) scalar family")
-        p.add_argument("--n", type=int, default=2, help="half chain length for reductions")
-        p.add_argument("--q", type=parse_complex, default=complex(0.7), metavar="RE[,IM]")
-        p.add_argument("--s0", type=int, default=1)
-        p.add_argument("--s1", type=int, default=1)
-        p.add_argument("--alpha", type=parse_complex, action="append", default=[],
-                       metavar="RE[,IM]")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override every check tolerance")
-        p.add_argument("--trunc", type=int, default=256)
-        p.add_argument("--samples", type=int, default=3)
-        p.add_argument("--norm", choices=("hw", "kappa"), default="kappa")
-        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None)
+    cplx = {"type": parse_complex, "metavar": "RE[,IM]"}
+    options = {
+        "--m": {"type": int, "default": 1, "help": "spin label (module dimension m+1)"},
+        "--l": {"type": int, "default": 1, "help": "rank for the sl(l+1) scalar family"},
+        "--n": {"type": int, "default": 2, "help": "half chain length for reductions"},
+        "--q": {**cplx, "default": complex(0.7), "help": "deformation parameter"},
+        "--s0": {"type": int, "default": 1, "help": "zeta power of e0"},
+        "--s1": {"type": int, "default": 1, "help": "zeta power of e1"},
+        "--alpha": {**cplx, "default": 0.0,
+                    "help": "twist parameter; 0 lets invariances use 0.37-0.21i"},
+        "--seed": {"type": int, "default": 42, "help": "seed of every sample"},
+        "--tol": {"type": float, "help": "override every check tolerance"},
+        "--trunc": {"type": int, "default": 256, "help": "factors per product or series"},
+        "--samples": {"type": int, "default": 3, "help": "random samples per check or table"},
+        "--norm": {"choices": ("hw", "kappa"), "default": "kappa", "help": "R normalization"},
+        "--format": {"dest": "fmt", "choices": ("json", "text"), "default": "json",
+                     "help": "report format"},
+        "--out": {"help": "report file instead of standard output"},
         # accepted for old command lines (the benchmark's among them); the
         # suite always runs sequentially, so 1 is the only value
-        p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-
-    add_common(sub.add_parser("suite", help="run the full check battery"))
-    pv = sub.add_parser("verify", help="run one named check group")
-    add_common(pv)
-    pv.add_argument("check", help="check group name")
-    pr = sub.add_parser("rmat", help="dump an R-operator matrix")
-    add_common(pr)
-    pr.add_argument("--kinds", choices=sorted(KIND_CODES), default="VV")
-    pr.add_argument("--zeta1", type=parse_complex, default=complex(1.0), metavar="RE[,IM]")
-    pr.add_argument("--zeta2", type=parse_complex, default=complex(1.0), metavar="RE[,IM]")
-    ps = sub.add_parser("scalars", help="tabulate normalization scalars")
-    add_common(ps)
+        "--jobs": {"type": int, "choices": (1,), "default": 1, "help": argparse.SUPPRESS},
+        "--kinds": {"choices": sorted(KIND_CODES), "default": "VV",
+                    "help": "module pair; s marks V*"},
+        "--zeta1": {**cplx, "default": complex(1.0), "help": "spectral parameter of site 1"},
+        "--zeta2": {**cplx, "default": complex(1.0), "help": "spectral parameter of site 2"},
+        "check": {"help": "check group name"},
+    }
+    checks = ("--m", "--n", "--q", "--s0", "--s1", "--alpha", "--seed", "--tol", "--trunc",
+              "--samples", "--norm", "--format", "--out")
+    commands = (
+        ("suite", "run the full check battery", (*checks, "--jobs")),
+        ("verify", "run one named check group", ("check", *checks)),
+        ("rmat", "dump an R-operator matrix", ("--m", "--q", "--s0", "--s1", "--trunc",
+                                               "--norm", "--out", "--kinds", "--zeta1",
+                                               "--zeta2")),
+        ("scalars", "tabulate normalization scalars", ("--m", "--l", "--q", "--trunc", "--seed",
+                                                       "--samples", "--format", "--out")),
+    )
+    for command, help_text, names in commands:
+        p = sub.add_parser(command, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for name in names:
+            p.add_argument(name, **options[name])
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("m", "l", "n", "q", "s0", "s1", "alpha", "seed", "tol", "trunc",
-                 "samples", "norm", "fmt", "out"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    for name in ("check", "kinds", "zeta1", "zeta2"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    handlers = {"suite": cmd_suite, "verify": cmd_suite, "rmat": cmd_rmat,
+    config = build_parser().parse_args(argv)
+    handlers = {"suite": cmd_suite, "verify": cmd_verify, "rmat": cmd_rmat,
                 "scalars": cmd_scalars}
     try:
-        if config.samples < 1:
-            raise ConfigError("--samples must be at least 1")
+        # checked before any work, so a value out of range fails at once
+        for name, low in (("m", 0), ("n", 1), ("l", 1), ("samples", 1)):
+            if getattr(config, name, low) < low:
+                raise ConfigError(f"--{name} must be at least {low}")
         return handlers[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkzkit.cli import main, parse_complex, serialize_reports
+from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.report import VerificationReport
 
 
@@ -49,6 +51,39 @@ class TestParsing:
     def test_root_unity_proxy_exits_2(self):
         q = 0.9999999999999999 * np.exp(2j * np.pi / 3)
         assert main(["suite", f"--q={q.real},{q.imag}"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        # an --out path that cannot be opened for writing
+        "suite --m 1 --out {missing}", "verify reps --out {dir}", "rmat --out {dir}",
+        "scalars --out {missing}",
+        # integer options out of range
+        "scalars --l 0", "scalars --l -2", "scalars --m -1", "rmat --m -1",
+        "verify reps --samples 0", "verify qkz --n 0",
+        # options the command does not read are not accepted
+        "rmat --format text", "rmat --seed 1", "rmat --samples 0", "scalars --s0 2",
+        "scalars --norm hw", "suite --l 2", "verify reps --jobs 1",
+    ])
+    def test_bad_command_line_exits_2_without_traceback(self, argv, tmp_path, capsys):
+        argv = argv.format(missing=tmp_path / "missing" / "x.json", dir=tmp_path).split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err and "Traceback" not in captured.err
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_example_parses(argv):
+    assert argv[0] == "qkzkit"
+    assert build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 class TestVerify:

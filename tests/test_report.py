@@ -54,7 +54,7 @@ def _nan_e1(original):
 
 
 def _group(name):
-    return lambda: cli.CHECKS[name](cli.RunConfig("suite"), RCache())
+    return lambda: cli.CHECKS[name](cli.build_parser().parse_args(["suite"]), RCache())
 
 
 def _crossing():
