@@ -213,15 +213,10 @@ def _chk_ybe(config, cache):
     rng = _rng_for(config, "ybe")
     out = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
-        t0 = time.perf_counter()
-        worst = 0.0
-        for _ in range(config.samples):
-            zetas = tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
-            rep = idsuite.check_ybe(config.m, kinds, zetas, g, ctx,
-                                    normalization=config.norm, cache=cache)
-            worst = worst_of((worst, rep.residual))
-        out.append(VerificationReport.make(
-            "ybe", {"m": config.m, "kinds": list(kinds), "norm": config.norm}, worst, 1e-9, t0))
+        samples = [tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
+                   for _ in range(config.samples)]
+        out.append(idsuite.check_ybe(config.m, kinds, samples, g, ctx,
+                                     normalization=config.norm, cache=cache))
     return out
 
 
@@ -231,20 +226,9 @@ def _chk_crossing(config, cache):
     rng = _rng_for(config, "crossing")
     out = []
     for m in (1, 2):
-        t0 = time.perf_counter()
-        scal = []
-        worst = 0.0
-        for _ in range(config.samples):
-            zetas = idsuite.draw_generic_zetas(rng, 2, m, g, ctx)
-            rep = idsuite.check_crossing(m, tuple(zetas), g, ctx, cache=cache)
-            worst = worst_of((worst, rep.residual))
-            scal.append(rep.extracted_scalars)
-        spread = float(max(
-            np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
-            for i in (2, 3, 4, 5)))
-        out.append(VerificationReport.make(
-            "crossing", {"m": m, "scalar_spread": spread}, worst, 1e-9, t0,
-            extracted_scalars=list(scal[-1])))
+        samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
+                   for _ in range(config.samples)]
+        out.append(idsuite.check_crossing(m, samples, g, ctx, cache=cache))
     return out
 
 
@@ -471,8 +455,10 @@ def _run_group(name, config, cache):
 
 def _run_groups(names, config) -> int:
     """Run the named check groups on one cache and write their reports."""
-    _context(config)  # validate q and grading before running anything
+    _context(config)  # validate q, grading and m before running anything
     _grading(config)
+    if "theorems" in names and config.m < 1:
+        raise ConfigError("--m must be at least 1 for the theorems group")
     cache = RCache()
     reports = []
     for name in names:

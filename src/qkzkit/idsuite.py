@@ -14,7 +14,7 @@ import numpy as np
 from .report import VerificationReport, worst_of
 from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_o,
                    operator_o_inverse, operator_x, operator_xtilde, sl2_constants, twist)
-from .rsolve import r_matrix
+from .rsolve import make_request, r_matrix, solve_intertwiner
 from .qkz import ChainSpec, DeltaAssignment, probe_block, transport_phi
 from .tensorops import commutant_residual, embedded_matmul, partial_transpose, scalar_ratio
 
@@ -63,34 +63,46 @@ def draw_generic_zetas(rng, count, m, grading, ctx, lo=0.5, hi=2.0, margin=1e-3)
     raise RuntimeError("could not draw generic spectral parameters")
 
 
-def check_ybe(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-9,
+_YBE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _ybe_residual(R, dims, block) -> float:
+    """||(R12 R13 R23 - R23 R13 R12) X|| / ||R12 R13 R23 X|| for the factors
+    R[a, b] of one sample, each side applied factor by factor to the block X."""
+    left = right = block
+    for a, b in reversed(_YBE_PAIRS):
+        left = embedded_matmul(R[a, b], a, b, dims, left)
+    for a, b in _YBE_PAIRS:
+        right = embedded_matmul(R[a, b], a, b, dims, right)
+    return float(np.linalg.norm(left - right) / np.linalg.norm(left))
+
+
+def check_ybe(m, kinds, samples, grading, ctx, normalization="hw", tol=1e-9,
               cache=None) -> VerificationReport:
-    """R12 R13 R23 = R23 R13 R12 on the triple product, both sides applied
-    factor by factor to the seeded probe block of qkz.probe_block."""
+    """R12 R13 R23 = R23 R13 R12 on the triple product at each sample of three
+    spectral parameters, both sides applied factor by factor to the seeded
+    probe block of qkz.probe_block; the residual is the worst over the
+    samples.  The factors of every sample are requested in one call."""
     t0 = time.perf_counter()
     dims = (m + 1,) * 3
-    pairs = ((0, 1), (0, 2), (1, 2))
-    R = {(a, b): r_matrix(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx,
-                          normalization=normalization, cache=cache, check_invertible=False).R
-         for a, b in pairs}
-    left = right = probe_block(prod(dims))
-    for a, b in reversed(pairs):
-        left = embedded_matmul(R[a, b], a, b, dims, left)
-    for a, b in pairs:
-        right = embedded_matmul(R[a, b], a, b, dims, right)
-    resid = float(np.linalg.norm(left - right) / np.linalg.norm(left))
+    reqs = [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
+            for zetas in samples for a, b in _YBE_PAIRS]
+    R = [res.R for res in solve_intertwiner(reqs, cache, check_invertible=False)]
+    block = probe_block(prod(dims))
+    resid = worst_of(_ybe_residual(dict(zip(_YBE_PAIRS, R[3 * k:3 * k + 3])), dims, block)
+                     for k in range(len(samples)))
     return VerificationReport.make(
         "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, tol, t0)
 
 
 def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-10,
                     cache=None) -> VerificationReport:
-    """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id."""
+    """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id; the pair is requested in one call."""
     t0 = time.perf_counter()
-    r12 = r_matrix(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx,
-                   normalization=normalization, cache=cache, check_invertible=False)
-    r21 = r_matrix(kinds[1], zetas[1], kinds[0], zetas[0], m, grading, ctx,
-                   normalization=normalization, cache=cache, check_invertible=False)
+    r12, r21 = solve_intertwiner(
+        [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx, normalization),
+         make_request(kinds[1], zetas[1], kinds[0], zetas[0], m, grading, ctx, normalization)],
+        cache, check_invertible=False)
     d = (m + 1) ** 2
     resid = float(np.linalg.norm(r12.Rcheck @ r21.Rcheck - np.eye(d)) / np.sqrt(d))
     return VerificationReport.make(
@@ -109,8 +121,28 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
         "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, tol, t0)
 
 
-def check_crossing(m, zetas, grading, ctx, tol=1e-9, cache=None) -> VerificationReport:
-    """Crossing relations as proportionalities, with scalar extraction.
+def _crossing_sample(R, twists, dd) -> tuple:
+    """The six proportionalities of check_crossing at one sample: (scalars, worst
+    residual), from its eight R-operators R = (R_VV, R_V*V, R_VV*, R_VV(q^d z1|z2),
+    R_VV(z1|q^d z2), then the last three kappa-normalized) and the twists
+    (O x 1, O^-1 x 1, 1 x O, 1 x O^-1)."""
+    r_vv, r_sv, r_vs, r_sh1, r_sh2, rk, rk_sh1, rk_sh2 = R
+    o1, o1_inv, o2, o2_inv = twists
+    lam_t1, res_t1 = scalar_ratio(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd))
+    lam_t2, res_t2 = scalar_ratio(r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd)))
+    s1, res_s1 = scalar_ratio(r_sv, o1 @ r_sh1 @ o1_inv)
+    s2, res_s2 = scalar_ratio(r_vs, o2 @ r_sh2 @ o2_inv)
+    D1, res_d1 = scalar_ratio(o1 @ rk_sh1 @ o1_inv,
+                              partial_transpose(np.linalg.inv(rk), "first", dd))
+    D2, res_d2 = scalar_ratio(o2 @ rk_sh2 @ o2_inv,
+                              np.linalg.inv(partial_transpose(rk, "second", dd)))
+    return ([lam_t1, lam_t2, s1, s2, D1, D2],
+            worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)))
+
+
+def check_crossing(m, samples, grading, ctx, tol=1e-9, cache=None) -> VerificationReport:
+    """Crossing relations as proportionalities, with scalar extraction, at each
+    sample of two spectral parameters.
 
     Verified forms (d = m + 1 per site, pair (z1, z2)):
       (i)  partial-transpose: R_{V*|V}(z1|z2) prop ((R_{V|V}(z1|z2))^-1)^t1
@@ -122,41 +154,34 @@ def check_crossing(m, zetas, grading, ctx, tol=1e-9, cache=None) -> Verification
             (O x 1) Rk(q^d z1|z2) (O x 1)^-1 = D1 ((Rk(z1|z2))^-1)^t1
             (1 x O) Rk(z1|q^d z2) (1 x O)^-1 = D2 ((Rk(z1|z2))^t2)^-1
 
-    extracted_scalars = [lam_t1, lam_t2, s_shift1, s_shift2, D1, D2].
-    Proportionality failure is the reported residual; the scalars are
-    reported for comparison, not gated here.
+    extracted_scalars = [lam_t1, lam_t2, s_shift1, s_shift2, D1, D2] of the
+    last sample; scalar_spread is the largest distance of s_shift1,
+    s_shift2, D1 or D2 from its mean over the samples.  The worst
+    proportionality failure is the reported residual; the scalars are
+    reported for comparison, not gated here.  The R-operators of every
+    sample are requested in one call, and O, O^-1 and their Kronecker
+    twists are built once.
     """
     t0 = time.perf_counter()
-    z1, z2 = zetas
     d = m + 1
-    dd = (d, d)
-    delta = sl2_constants(grading)["delta"]
-    qd = complex(ctx.q) ** delta
-    O = operator_o(m, grading, ctx)
-    Oinv = operator_o_inverse(m, grading, ctx)
-
-    def R(k1, w1, k2, w2, norm="hw"):
-        return r_matrix(k1, w1, k2, w2, m, grading, ctx, normalization=norm,
-                        cache=cache, check_invertible=False).R
-
-    r_vv = R("V", z1, "V", z2)
-    r_sv = R("V*", z1, "V", z2)
-    r_vs = R("V", z1, "V*", z2)
-    lam_t1, res_t1 = scalar_ratio(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd))
-    lam_t2, res_t2 = scalar_ratio(r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd)))
-    sh1 = np.kron(O, np.eye(d)) @ R("V", qd * z1, "V", z2) @ np.kron(Oinv, np.eye(d))
-    sh2 = np.kron(np.eye(d), O) @ R("V", z1, "V", qd * z2) @ np.kron(np.eye(d), Oinv)
-    s1, res_s1 = scalar_ratio(r_sv, sh1)
-    s2, res_s2 = scalar_ratio(r_vs, sh2)
-    rk = R("V", z1, "V", z2, "kappa")
-    rk_sh1 = np.kron(O, np.eye(d)) @ R("V", qd * z1, "V", z2, "kappa") @ np.kron(Oinv, np.eye(d))
-    rk_sh2 = np.kron(np.eye(d), O) @ R("V", z1, "V", qd * z2, "kappa") @ np.kron(np.eye(d), Oinv)
-    D1, res_d1 = scalar_ratio(rk_sh1, partial_transpose(np.linalg.inv(rk), "first", dd))
-    D2, res_d2 = scalar_ratio(rk_sh2, np.linalg.inv(partial_transpose(rk, "second", dd)))
-    resid = worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2))
+    qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
+    O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
+    twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
+    pairs = [("V", 1, "V", 1, "hw"), ("V*", 1, "V", 1, "hw"), ("V", 1, "V*", 1, "hw"),
+             ("V", qd, "V", 1, "hw"), ("V", 1, "V", qd, "hw"), ("V", 1, "V", 1, "kappa"),
+             ("V", qd, "V", 1, "kappa"), ("V", 1, "V", qd, "kappa")]  # kinds, zeta factors, norm
+    reqs = [make_request(k1, w1 * z1, k2, w2 * z2, m, grading, ctx, norm)
+            for z1, z2 in samples for k1, w1, k2, w2, norm in pairs]
+    R = [res.R for res in solve_intertwiner(reqs, cache, check_invertible=False)]
+    n = len(pairs)
+    scal, resids = zip(*(_crossing_sample(R[n * k:n * k + n], twists, (d, d))
+                         for k in range(len(samples))))
+    spread = worst_of(
+        np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
+        for i in (2, 3, 4, 5))
     return VerificationReport.make(
-        "crossing", {"m": m}, resid, tol, t0,
-        extracted_scalars=[lam_t1, lam_t2, s1, s2, D1, D2])
+        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), tol, t0,
+        extracted_scalars=list(scal[-1]))
 
 
 def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:

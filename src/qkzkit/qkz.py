@@ -23,7 +23,7 @@ from .context import QContext
 from .errors import ConfigError
 from .report import VerificationReport
 from .reps import GradingChoice, sl2_constants, twist
-from .rsolve import r_matrix, rcheck_resonant
+from .rsolve import make_request, r_matrix, rcheck_resonant, solve_intertwiner
 from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul,
                         permuted_matmul, site_matmul, swap_outputs)
 
@@ -118,15 +118,24 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
-def rcheck_factor(chain, kind1, z1, kind2, z2, cache=None) -> np.ndarray:
-    """Rcheck for a chain factor; the removable (V,V) resonance z1 = q^delta z2
-    of the kappa-normalized family takes its closed form."""
+def rcheck_factors(chain, infos, cache=None) -> list:
+    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, the solved
+    ones requested in one solve_intertwiner call; the removable (V,V)
+    resonance z1 = q^delta z2 of the kappa-normalized family takes its
+    closed form and is not requested."""
     qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
-    if (chain.normalization == "kappa" and kind1 == kind2 == "V"
-            and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1)):
-        return rcheck_resonant(chain.m, chain.grading, chain.ctx)
-    return r_matrix(kind1, z1, kind2, z2, chain.m, chain.grading, chain.ctx,
-                    normalization=chain.normalization, cache=cache).Rcheck
+    resonant = [chain.normalization == "kappa" and k1 == k2 == "V"
+                and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1) for k1, z1, k2, z2 in infos]
+    reqs = [make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx, chain.normalization)
+            for (k1, z1, k2, z2), r in zip(infos, resonant) if not r]
+    solved = iter(solve_intertwiner(reqs, cache) if reqs else [])
+    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if r else next(solved).Rcheck
+            for r in resonant]
+
+
+def rcheck_factor(chain, kind1, z1, kind2, z2, cache=None) -> np.ndarray:
+    """Rcheck for one chain factor (rcheck_factors)."""
+    return rcheck_factors(chain, [(kind1, z1, kind2, z2)], cache)[0]
 
 
 def lambda_factor_specs(chain: ChainSpec, i: int):
@@ -153,11 +162,14 @@ def lambda_factor_specs(chain: ChainSpec, i: int):
 def materialize_factors(chain: ChainSpec, specs, cache=None, block=None) -> np.ndarray:
     """A factor list applied to `block`, the identity (dense matrix) by default.
 
-    Written order: the leftmost factor is applied last.
+    Written order: the leftmost factor is applied last.  The Rcheck factors
+    are requested in one call (rcheck_factors).
     """
     dims = chain.dims
     M = np.eye(prod(dims), dtype=complex) if block is None else block
     lam = cyclic_left_shift(chain.N)
+    rchecks = iter(rcheck_factors(
+        chain, [info for tag, _, info in reversed(specs) if tag == "rcheck"], cache))
     for tag, slot, info in reversed(specs):
         if tag == "perm_lambda":
             M = permuted_matmul(lam, dims, M)
@@ -165,7 +177,7 @@ def materialize_factors(chain: ChainSpec, specs, cache=None, block=None) -> np.n
             # twist of site `slot`, always embedded at chain position 0
             M = site_matmul(chain.delta_matrix(slot), 0, dims, M)
         elif tag == "rcheck":
-            M = embedded_matmul(rcheck_factor(chain, *info, cache), slot, slot + 1, dims, M)
+            M = embedded_matmul(next(rchecks), slot, slot + 1, dims, M)
         else:
             raise ConfigError(f"unknown factor tag {tag!r}")
     return M
@@ -192,12 +204,13 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.nda
     for k in range(0, i):
         factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
                                       chain.kinds[i], chain.etas[i])))
+    rchecks = iter(rcheck_factors(
+        chain, [info for tag, _, info in reversed(factors) if tag == "R"], cache))
     for tag, where, info in reversed(factors):
         if tag == "delta":
             M = _einsum_apply(chain.delta_matrix(where[0]), where, dims, M)
         else:
-            R = swap_outputs(rcheck_factor(chain, *info, cache), d, d)
-            M = _einsum_apply(R, where, dims, M)
+            M = _einsum_apply(swap_outputs(next(rchecks), d, d), where, dims, M)
     return M
 
 
@@ -303,14 +316,15 @@ def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
     """
     dims = chain.dims
     D = prod(dims)
-    vec = np.asarray(tensor, dtype=complex).reshape(D, 1)
     order = list(range(chain.N))
+    infos = []  # the factor of each step, all requested in one call
     for k in word:
         if not 0 <= k < chain.N - 1:
             raise ConfigError("word entry out of range")
         a, b = order[k], order[k + 1]
-        Rc = rcheck_factor(chain, chain.kinds[a], chain.etas[a],
-                           chain.kinds[b], chain.etas[b], cache)
-        vec = embedded_matmul(Rc, k, k + 1, dims, vec)
+        infos.append((chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b]))
         order[k], order[k + 1] = order[k + 1], order[k]
+    vec = np.asarray(tensor, dtype=complex).reshape(D, 1)
+    for k, Rc in zip(word, rcheck_factors(chain, infos, cache)):
+        vec = embedded_matmul(Rc, k, k + 1, dims, vec)
     return vec.reshape(dims), order

@@ -26,7 +26,7 @@ from .qkz import (ChainSpec, DeltaAssignment, lambda_factor_specs,
                   probe_block, rcheck_factor)
 from .report import VerificationReport, worst_of
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
-from .rsolve import r_matrix
+from .rsolve import make_request, solve_intertwiner
 from .tensorops import embed_pair, embedded_matmul, permuted_matmul, site_matmul
 
 __all__ = [
@@ -100,10 +100,14 @@ def chain_for(case: ReductionCase, etas) -> ChainSpec:
                      case.p, deltas, case.normalization)
 
 
-def _factor(case, k1, z1, k2, z2, cache):
-    """R-operator of one composite factor; singular factors stay in the product."""
-    return r_matrix(k1, z1, k2, z2, case.m, case.grading, case.ctx,
-                    normalization=case.normalization, cache=cache, check_invertible=False)
+def _factors(case, pairs, cache) -> list:
+    """R-operators of composite factors, (kind1, z1, kind2, z2) each, requested
+    in one call (none without factors); singular factors stay in the product."""
+    if not pairs:
+        return []
+    return solve_intertwiner([make_request(k1, z1, k2, z2, case.m, case.grading, case.ctx,
+                                           case.normalization) for k1, z1, k2, z2 in pairs],
+                             cache, check_invertible=False)
 
 
 def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
@@ -120,7 +124,8 @@ def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
     each R between the kinds of its two sites, Delta the chain's twist of
     the mover's site.  insertion=(u, v) puts the unitarity pair
     Rcheck_{V|V*}(u|v) Rcheck_{V*|V}(v|u) on slots (n, n+1) between the
-    general blocks; with a self-dual case it is a ConfigError.
+    general blocks; with a self-dual case it is a ConfigError.  The whole
+    factor string is requested in one call.
     """
     if insertion is not None and case.mode == "self_dual":
         raise ConfigError("the unitarity insertion needs a general case")
@@ -129,21 +134,25 @@ def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
     kinds, etas = chain.kinds, chain.etas
     swap = list(range(2 * n))
     swap[n - 1], swap[n] = swap[n], swap[n - 1]
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
+    steps = []  # application order: (R or Rcheck, its factor, slots), or the twist or swap
     for k, site in enumerate((n - 1,) if case.mode == "self_dual" else (n - 1, n)):
         if k == 1 and insertion is not None:
             u, v = insertion
-            M = embedded_matmul(_factor(case, "V*", v, "V", u, cache).Rcheck, n - 1, n, dims, M)
-            M = embedded_matmul(_factor(case, "V", u, "V*", v, cache).Rcheck, n - 1, n, dims, M)
+            steps += [("Rcheck", ("V*", v, "V", u), (n - 1, n)),
+                      ("Rcheck", ("V", u, "V*", v), (n - 1, n))]
         mover, a, b = kinds[site], etas[site], case.p * etas[site]
-        for j in range(n - 2, -1, -1):
-            M = embedded_matmul(_factor(case, kinds[j], etas[j], mover, a, cache).R,
-                                j, n - 1, dims, M)
-        M = site_matmul(chain.delta_matrix(site), n - 1, dims, M)
-        M = permuted_matmul(swap, dims, M)
-        for j in range(2 * n - 1, n, -1):
-            M = embedded_matmul(_factor(case, kinds[j], etas[j], mover, b, cache).R,
-                                j, n, dims, M)
+        steps += [("R", (kinds[j], etas[j], mover, a), (j, n - 1)) for j in range(n - 2, -1, -1)]
+        steps += [("delta", site, None), ("swap", None, None)]
+        steps += [("R", (kinds[j], etas[j], mover, b), (j, n)) for j in range(2 * n - 1, n, -1)]
+    results = iter(_factors(case, [f for op, f, _ in steps if op in ("R", "Rcheck")], cache))
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
+    for op, factor, slots in steps:
+        if op == "delta":
+            M = site_matmul(chain.delta_matrix(factor), n - 1, dims, M)
+        elif op == "swap":
+            M = permuted_matmul(swap, dims, M)
+        else:
+            M = embedded_matmul(getattr(next(results), op), *slots, dims, M)
     return M
 
 
@@ -293,8 +302,9 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, tol=1e-9,
     phi0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     mk = "V" if case.mode == "self_dual" else "V*"
 
-    front = _factor(case, "V", zetas[i - 1], "V", zetas[i], cache).Rcheck
-    mirror = _factor(case, mk, w * zetas[i], mk, w * zetas[i - 1], cache).Rcheck
+    front, mirror = (res.Rcheck for res in _factors(
+        case, [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])],
+        cache))
     phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
     phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
     psi0 = psi_extract(case, phi0)

@@ -26,6 +26,14 @@ grading; kappa and the gauge depend on the grading, so solves are keyed
 by it.  A request (RRequest) holds plain values and builds no module, so
 a cache hit costs its key and the lookup.
 
+solve_intertwiner takes a sequence of requests and returns their results
+in order; r_matrix is the call for one request.  The frame, its rows and
+B are the same for every zeta pair, so the misses of a call are solved
+as stacks, one per module pair and grading: one batched SVD with its gap
+test and gauge scatter, then a stacked hw normalization, condition SVD
+and intertwining residual.  A call raises the error of its first failing
+request, the one that request raises alone.
+
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext
-from .errors import ConfigError, DegeneratePointError
+from .errors import ConfigError, DegeneratePointError, QkzError
 from .reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
@@ -101,20 +109,26 @@ class RResult:
     cond_ratio: float  # sigma_min / sigma_max of Rcheck; 0 for a zero operator
 
 
-def _powers(z, exps) -> list:
-    """complex(z) ** p for each p in exps; a power that overflows is a ConfigError.
+def _powers(bases, exps, errors) -> list:
+    """bases[i][b] ** p for each p in exps[i]: one (B, len(exps[i])) array per base,
+    for stacks bases[i] of B complex numbers.
 
-    Python raises OverflowError, or ZeroDivisionError for a negative power
-    of a number whose positive power underflows, where numpy would give inf.
+    A request b with a power that overflows (or that underflows to 0 under
+    a negative power) gets a ConfigError in errors[b] that names its first
+    such base, unless it already has an error, and all its powers read 0.
     """
-    z = complex(z)
-    try:
-        out = [z**p for p in exps]
-    except (OverflowError, ZeroDivisionError):
-        out = [complex(math.inf)]
-    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in out):
-        raise ConfigError(f"spectral parameters out of range: a power of {z:.3g} overflows")
-    return out
+    width = max(len(e) for e in exps)
+    table = np.array([[*e, *[0] * (width - len(e))] for e in exps], dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.array(bases)[:, :, None] ** table[:, None, :]
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=2)
+        for b, i in zip(*np.nonzero(bad.T)):
+            z = complex(bases[i][b])
+            errors[b] = errors[b] or ConfigError(
+                f"spectral parameters out of range: a power of {z:.3g} overflows")
+        out[:, bad.any(axis=0)] = 0
+    return [out[i, :, :len(e)] for i, e in enumerate(exps)]
 
 
 def _chain_kernels(A):
@@ -211,9 +225,9 @@ class _Frame:
       rows), its gauge exponent (w1(i) - w1(j))/2 plus m, `reduced`
       (rows x 2 x (m+1)), read on the m+1 basis operators X_l (column l of
       B at the unknowns) as (X_l M - N X_l)[i, j] for the zeta1 and the
-      zeta2 parts of M and N, and `row_norms` = (|v1|^2, |v2|^2, <v1, v2>)
-      (rows x 3) from column j of M and row i of N, which give the norm of
-      the full row.
+      zeta2 parts of M and N, and `row_gram`, the Gram matrix <v_p, v_q>
+      (rows x 2 x 2) from column j of M and row i of N, which gives the
+      norm of the full row.
     """
 
     def __init__(self, t, frame: int):
@@ -229,7 +243,7 @@ class _Frame:
         X = np.zeros((m + 1, t.dim, t.dim), dtype=complex)
         X[:, t.a, t.b] = self.basis.T
         shift = t.w_out[:, None] - t.w_in[None, :]
-        blocks = []  # per row generator: reduced, row norms, e row or not, gauge exponent
+        blocks = []  # per row generator: reduced, row Gram matrix, e row or not, gauge exponent
         for g in row_gens:
             i, j = np.nonzero(shift == _WEIGHT_SHIFT[g])
             M, N = parts[:, 2 * g], parts[:, 2 * g + 1]  # (2, D, D): zeta1, zeta2 part
@@ -239,11 +253,10 @@ class _Frame:
             gram = np.einsum("pur,qur->rpq", cols.conj(), cols) + \
                 np.einsum("pru,qru->rpq", rows.conj(), rows)
             gauge = np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2).astype(int) + m
-            blocks.append((reduced, gram[:, [0, 1, 0], [0, 1, 1]],
-                           np.full(len(i), int(g == row_gens[0])), gauge))
-        reduced, norms, e_rows, row_gauge = (np.concatenate(b) for b in zip(*blocks))
-        live = (norms[:, :2].real > 0).any(axis=1)
-        self.reduced, self.row_norms = reduced[live], norms[live]
+            blocks.append((reduced, gram, np.full(len(i), int(g == row_gens[0])), gauge))
+        reduced, gram, e_rows, row_gauge = (np.concatenate(b) for b in zip(*blocks))
+        live = (gram[:, [0, 1], [0, 1]].real > 0).any(axis=1)
+        self.reduced, self.row_gram = reduced[live], gram[live]
         self.row_e, self.row_gauge = e_rows[live], row_gauge[live]
 
 
@@ -300,16 +313,14 @@ class CommutantTemplate:
             self._frames[frame] = _Frame(self, frame)
         return self._frames[frame]
 
-    def pairs(self, z1, z2, grading: GradingChoice) -> tuple:
-        """The coproduct images of all six generators at the grading, stacked:
-        M on V1 x V2 and N on V2 x V1, each of shape (6, D, D)."""
+    def pairs(self, z1p, z2p) -> tuple:
+        """The coproduct images of all six generators for a stack of zeta pairs,
+        from zeta1^p and zeta2^p (B, 6) at each generator's grade p (GENERATOR_TAGS
+        order): M on V1 x V2 and N on V2 x V1, each of shape (B, 6, D, D)."""
         at, gen, v1, v2 = self.images
-        g = grading  # the zeta power of e0, e1, f0, f1, qh0, qh1 (GENERATOR_TAGS)
-        exps = (g.s0, g.s1, -g.s0, -g.s1, 0, 0)
-        z1p, z2p = np.array(_powers(z1, exps)), np.array(_powers(z2, exps))
-        MN = np.zeros((2 * len(exps), self.dim, self.dim), dtype=complex)
-        MN.reshape(-1)[at] = z1p[gen] * v1 + z2p[gen] * v2
-        return MN[0::2], MN[1::2]
+        MN = np.zeros((len(z1p), 2 * len(GENERATOR_TAGS), self.dim, self.dim), dtype=complex)
+        MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1 + z2p[:, gen] * v2
+        return MN[:, 0::2], MN[:, 1::2]
 
 
 class RCache:
@@ -349,8 +360,9 @@ class RCache:
         self._templates.clear()
 
 
-def _raw_nullvector(req: RRequest, template: CommutantTemplate):
-    """Nullvector of the commutant system on the h1-weight sectors, with the spectral gap.
+def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
+    """Nullvectors of the commutant systems on the h1-weight sectors, with their
+    spectral gaps, for a stack of requests at one module pair and grading.
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
@@ -362,89 +374,138 @@ def _raw_nullvector(req: RRequest, template: CommutantTemplate):
     with c = -s0 (frame 0); the frame with the smaller |c| is used.  Rcheck
     at (s0, s1) is Rcheck in the frame with entry [a, b] times
     (zeta1/zeta2)^{c k}, k = (w1(a) - w1(b))/2 an integer in [-m, m], w1
-    the h1-weight of the V1 factor; the 2m+1 powers are formed once.  In
-    the frame one e/f pair carries no zeta, so its commutant is spanned by
-    the m+1 columns B of the template, and at the request's grading by G B.
-    Only the rows of the other pair remain.  Row i of K at (s0, s1) times
-    G B is the frame's row zeta1^p r1 + zeta2^p r2 at p = +-s times
-    (zeta1/zeta2)^{c k_i} zeta2^{-+s_f}, s_f the grade of the zeta-free
-    pair, with (r1, r2) its `reduced` parts, the row of X_l M - N X_l on the
-    basis operators X_l; so the solve matrix (rows x (m+1)) is formed
-    without the full rows.  Each row is divided by the norm of its full row at
-    (s0, s1), which the frame's three scalars per row give, and each column
-    by ||G b_j||: the zeta powers and the q-numbers spread rows and gauged
-    columns over many orders of magnitude, and without this balance the
-    gauge would magnify the solve's rounding.  One SVD gives v and the gap
-    sigma_2 / sigma_min (fewer rows than columns read as gap 0), and the
-    nullvector is G B v.
+    the h1-weight of the V1 factor; the 2m+1 powers are formed once per
+    request.  In the frame one e/f pair carries no zeta, so its commutant
+    is spanned by the m+1 columns B of the template, and at the request's
+    grading by G B.  Only the rows of the other pair remain.  Row i of K
+    at (s0, s1) times G B is the frame's row zeta1^p r1 + zeta2^p r2 at
+    p = +-s times (zeta1/zeta2)^{c k_i} zeta2^{-+s_f}, s_f the grade of
+    the zeta-free pair, with (r1, r2) its `reduced` parts, the row of
+    X_l M - N X_l on the basis operators X_l; so the solve matrix
+    (rows x (m+1)) is formed without the full rows.  Each row is divided
+    by the norm of its full row at (s0, s1), which the frame's 2 x 2 Gram
+    matrix per row gives, and each column by ||G b_j||: the zeta powers
+    and the q-numbers spread rows and gauged columns over many orders of
+    magnitude, and without this balance the gauge would magnify the
+    solve's rounding.  The frame, its rows and B are the same for every
+    zeta pair, so the requests' matrices form one (B, rows, m+1) stack and
+    one batched SVD gives each v and gap sigma_2 / sigma_min (fewer rows
+    than columns read as gap 0); the nullvector is G B v.
 
-    A zeta power, row norm or solve matrix entry that overflows or
-    underflows to a zero row norm raises ConfigError.
+    Returns (X, gap, errors, grades): X (B, D, D), gap (B,), errors[b] the
+    ConfigError of request b or None, and zeta1^p, zeta2^p (B, 6) at the
+    grade p of each generator, which the intertwining residual reads.  A
+    zeta power, row norm or solve matrix entry that overflows or underflows
+    to a zero row norm is such an error; that request's X reads 0.
     """
-    D = template.dim
-    if D == 1:
-        return np.ones((1, 1), dtype=complex), np.inf
-    g, m, z1, z2 = req.grading, req.m, req.zeta1, req.zeta2
+    B, D = len(reqs), template.dim
+    errors = [None] * B
+    g, m = reqs[0].grading, reqs[0].m
+    z1 = np.array([req.zeta1 for req in reqs])
+    z2 = np.array([req.zeta2 for req in reqs])
     if g.s1 <= g.s0:  # gauge to (s, 0)
-        frame, c, s_f = template.frame(1), g.s1, g.s1
+        frame, c, s_f = 1, g.s1, g.s1
     else:  # gauge to (0, s)
-        frame, c, s_f = template.frame(0), -g.s0, g.s0
-    gauge = np.array(_powers(complex(z1) / complex(z2), [c * k for k in range(-m, m + 1)]))
-    # per row kind (f rows, then e rows): the zeta powers of the solve matrix,
-    # the three norm terms of the full row at (s0, s1), and the zeta2 power of
-    # the row gauge; a product that overflows reads inf
+        frame, c, s_f = 0, -g.s0, g.s0
     s, s_r = g.s, g.s - s_f
-    f1, fq1, e1, eq1 = _powers(z1, (-s, -s_r, s, s_r))
-    f2, fq2, fr, e2, eq2, er = _powers(z2, (-s, -s_r, s_f, s, s_r, -s_f))
-    by_kind = [(p1, p2, abs(q1) * abs(q1), abs(q2) * abs(q2), 2 * q1.conjugate() * q2, r)
-               for p1, p2, q1, q2, r in ((f1, f2, fq1, fq2, fr), (e1, e2, eq1, eq2, er))]
+    grades = (g.s0, g.s1, -g.s0, -g.s1, 0, 0)  # of e0, e1, f0, f1, qh0, qh1 (GENERATOR_TAGS)
+    gauge, p1, p2 = _powers((z1 / z2, z1, z2), ([c * k for k in range(-m, m + 1)],
+                                                 (-s, -s_r, s, s_r, *grades),
+                                                 (-s, -s_r, s_f, s, s_r, -s_f, *grades)), errors)
+    if D == 1:
+        return np.ones((B, 1, 1), dtype=complex), np.full(B, np.inf), errors, (p1[:, 4:], p2[:, 6:])
+    fr = template.frame(frame)
+    # per request and row, by the row's kind (f rows, then e rows): the zeta
+    # powers of the solve matrix (zeta1^{-+s}, zeta2^{-+s}), of the full row's
+    # norm (zeta1^{-+s_r}, zeta2^{-+s_r}) and of the row gauge (zeta2^{+-s_f}),
+    # as columns of (p1, p2); a product that overflows reads inf
+    at = np.array([[0, 10, 1, 11, 12], [2, 13, 3, 14, 15]])[fr.row_e]
+    per_row = np.concatenate((p1, p2), axis=1)[:, at]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        per_row = np.array(by_kind)[frame.row_e]
-        sq = (per_row[:, 2:5] * frame.row_norms).sum(axis=1).real
-        coef = per_row[:, :2] * (gauge[frame.row_gauge] * per_row[:, 5] / np.sqrt(sq))[:, None]
-        col = np.sqrt(np.abs(gauge)**2 @ frame.gauge_weights)
-        K = (coef[:, :, None] * frame.reduced).sum(axis=1) / col
-        if not np.isfinite(sq.sum() + col.sum() + K.sum()):
-            raise ConfigError("spectral parameters out of range: the commutant matrix overflows")
-    if K.shape[0] < K.shape[1]:  # fewer rows than columns: a wider nullspace
-        return np.zeros((D, D), dtype=complex), 0.0
+        u = per_row[:, :, 2:4]
+        sq = np.einsum("brp,rpq,brq->br", u.conj(), fr.row_gram, u).real
+        row = gauge[:, fr.row_gauge] * per_row[:, :, 4] / np.sqrt(sq)
+        col = np.sqrt(np.einsum("bk,kl->bl", gauge.real**2 + gauge.imag**2, fr.gauge_weights))
+        K = np.einsum("brp,rpl->brl", per_row[:, :, :2] * row[:, :, None],
+                      fr.reduced) / col[:, None, :]
+        finite = np.isfinite(sq.sum(axis=1) + col.sum(axis=1) + K.sum(axis=(1, 2)))
+    if not finite.all():
+        for k in np.flatnonzero(~finite):
+            errors[k] = errors[k] or ConfigError(
+                "spectral parameters out of range: the commutant matrix overflows")
+    if any(errors):
+        failed = [k for k, e in enumerate(errors) if e is not None]
+        K[failed], col[failed], gauge[failed] = 0, 1, 0
+    if K.shape[1] < K.shape[2]:  # fewer rows than columns: a wider nullspace
+        return np.zeros((B, D, D), dtype=complex), np.zeros(B), errors, (p1[:, 4:], p2[:, 6:])
     _, sv, vh = np.linalg.svd(K, full_matrices=False)
-    gap = float(sv[-2] / max(sv[-1], 1e-300))
-    X = np.zeros((D, D), dtype=complex)
-    X[template.a, template.b] = gauge[template.gauge] * (frame.basis @ (vh[-1].conj() / col))
-    return X, gap
+    gap = sv[:, -2] / np.maximum(sv[:, -1], 1e-300)
+    X = np.zeros((B, D, D), dtype=complex)
+    # an elementwise sum (not a matrix product), so a request's bits do not depend on B
+    X[:, template.a, template.b] = \
+        gauge[:, template.gauge] * np.einsum("ul,bl->bu", fr.basis, vh[:, -1].conj() / col)
+    return X, gap, errors, (p1[:, 4:], p2[:, 6:])
 
 
-def _intertwine_residual(Rc, M, N) -> float:
-    """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||), M and N stacked
-    (6, D, D); generators with M = 0 are skipped."""
-    nr = np.linalg.norm(Rc)
-    if nr == 0:
-        return np.inf
-    nm = np.linalg.norm(M, axis=(1, 2))
-    live = nm != 0
-    res = np.linalg.norm(Rc @ M - N @ Rc, axis=(1, 2))
-    return float((res[live] / (nr * nm[live])).max(initial=0.0))
+def _norms(A) -> np.ndarray:
+    """Frobenius norms of a stack of complex matrices over its last two axes
+    (each row contiguous), summed in place over the float view: no
+    temporary of A's size."""
+    v = A.view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
+
+
+# complex entries of the image stack that the intertwining residual forms at once
+_IMAGE_ENTRIES = 1 << 12
+
+
+def _intertwine_residuals(Rc, z1p, z2p, template) -> np.ndarray:
+    """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
+    of the stack Rc (B, D, D), from zeta1^p and zeta2^p (B, 6) at the grades.
+
+    The images of all six generators are formed for blocks of requests
+    that keep them within _IMAGE_ENTRIES entries (one request at least), so
+    the temporaries do not grow with B; generators with M = 0 are skipped,
+    and a zero Rc reads inf.
+    """
+    B, D = Rc.shape[:2]
+    rows = max(1, _IMAGE_ENTRIES // (len(GENERATOR_TAGS) * D * D))
+    worst = np.empty(B)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, B, rows):
+            block = Rc[r:r + rows, None]
+            M, N = template.pairs(z1p[r:r + rows], z2p[r:r + rows])
+            nr, nm = _norms(block), _norms(M)
+            res = _norms(block @ M - N @ block)
+            worst[r:r + rows] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
+            worst[r:r + rows][nr[:, 0] == 0] = np.inf
+    return worst
 
 
 def normalize_hw(Rc_raw: np.ndarray, template: CommutantTemplate) -> tuple:
-    """Scale so R fixes hw x hw; returns (Rcheck, scalar divided out).
+    """Scale each operator of a stack (B, D, D), in place, so R fixes hw x hw;
+    returns (Rcheck, the scalars divided out, vanished).
 
-    hw x hw is alone in its weight sector, so R maps it onto its own line;
-    raises DegeneratePointError when that component vanishes.  R = P Rcheck,
-    so the entry is Rcheck[hw2 x hw1, hw1 x hw2].
+    hw x hw is alone in its weight sector, so R maps it onto its own line.
+    vanished[b] marks an operator whose component there is below _HW_TOL of
+    its norm (a non-simple point); its Rcheck reads 0 and its scalar 1.
+    R = P Rcheck, so the entry is Rcheck[hw2 x hw1, hw1 x hw2].
     """
     d1, d2 = template.rep1.dim, template.rep2.dim
-    c = Rc_raw[template.hw2 * d1 + template.hw1, template.hw1 * d2 + template.hw2]
-    if abs(c) < _HW_TOL * np.linalg.norm(Rc_raw):
-        raise DegeneratePointError(
-            "highest-weight component vanishes (non-simple spectral point)")
-    return Rc_raw / c, c
+    c = Rc_raw[:, template.hw2 * d1 + template.hw1, template.hw1 * d2 + template.hw2].copy()
+    vanished = (c == 0) | (np.abs(c) < _HW_TOL * _norms(Rc_raw))
+    if vanished.any():
+        Rc_raw[vanished], c[vanished] = 0, 1
+    Rc_raw /= c[:, None, None]
+    return Rc_raw, c, vanished
 
 
 def _kappa_scalar(req: RRequest) -> complex:
-    z = _powers(complex(req.zeta1) / complex(req.zeta2), (req.grading.s,))[0]
-    k = kappa_sl2(req.m, z, req.ctx)
+    errors = [None]
+    z = _powers(([req.zeta1 / req.zeta2],), ((req.grading.s,),), errors)[0][0, 0]
+    if errors[0] is not None:
+        raise errors[0]
+    k = kappa_sl2(req.m, complex(z), req.ctx)
     if req.kind1 == req.kind2:
         if k == 0:
             raise DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
@@ -470,52 +531,92 @@ def apply_kappa(res: RResult, req: RRequest, k: complex = None) -> RResult:
                    cond_ratio=res.cond_ratio if k != 0 else 0.0)
 
 
-def _solve(req: RRequest, template: CommutantTemplate) -> RResult:
-    """The hw-normalized result at the request's zeta pair."""
-    Rc_raw, gap = _raw_nullvector(req, template)
-    if gap < GAP_THRESHOLD:
-        raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold {GAP_THRESHOLD:.1g}")
-    Rc, scale = normalize_hw(Rc_raw, template)
+def _solve(reqs, template: CommutantTemplate) -> list:
+    """The hw-normalized results of a stack of requests at one module pair and
+    grading: per request an RResult, or the error it raises alone."""
+    X, gap, errors, (z1p, z2p) = _raw_nullvector(reqs, template)
+    for k in np.flatnonzero(gap < GAP_THRESHOLD):
+        errors[k] = errors[k] or DegeneratePointError(
+            f"nullspace gap {gap[k]:.3g} below threshold {GAP_THRESHOLD:.1g}")
+    Rc, scale, vanished = normalize_hw(X, template)
+    for k in np.flatnonzero(vanished):
+        errors[k] = errors[k] or DegeneratePointError(
+            "highest-weight component vanishes (non-simple spectral point)")
     sv = np.linalg.svd(Rc, compute_uv=False)
-    return RResult(
-        R=swap_outputs(Rc, template.rep2.dim, template.rep1.dim),
-        Rcheck=Rc,
-        nullspace_gap=gap,
-        norm_scalar_applied=complex(1.0 / scale),
-        intertwine_residual=_intertwine_residual(
-            Rc, *template.pairs(req.zeta1, req.zeta2, req.grading)),
-        cond_ratio=float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0,
-    )
+    failed = [k for k, e in enumerate(errors) if e is not None]
+    z1p[failed], z2p[failed] = 0, 0  # not checked: their images may overflow
+    residual = _intertwine_residuals(Rc, z1p, z2p, template)
+    d1, d2 = template.rep1.dim, template.rep2.dim
+    return [errors[k] or RResult(
+        R=swap_outputs(Rc[k], d2, d1),
+        Rcheck=Rc[k],
+        nullspace_gap=float(gap[k]),
+        norm_scalar_applied=complex(1.0 / scale[k]),
+        intertwine_residual=float(residual[k]),
+        cond_ratio=float(sv[k, -1] / sv[k, 0]) if sv[k, 0] > 0 else 0.0,
+    ) for k in range(len(reqs))]
 
 
-def solve_intertwiner(req: RRequest, cache: RCache = None, check_invertible=True) -> RResult:
-    """Solve, normalize and validate the R-operator for a site pair.
+def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list:
+    """Solve, normalize and validate the R-operators of a sequence of requests;
+    returns their results in order.
 
-    The hw-normalized solve is cached per zeta pair and serves both
-    normalizations; a kappa request rescales it by apply_kappa, with the
-    kappa scalar scanned once per zeta pair and kept in the pair's entry.
-    Degenerate spectral points are reported through DegeneratePointError:
-    either the nullspace gap collapses, the hw normalization fails, kappa
-    has a pole, or the normalized operator is numerically singular.  The
-    invertibility check applies to cached results as well.  Without a
-    cache the request goes through a fresh RCache, so nothing carries over
-    between uncached requests.
+    Each request takes one RCache.get: the first request of each key
+    before the solve, a repeated key once its first request is stored, so
+    hits and misses are those of the requests passed one by one.  The
+    misses are solved once per key, one stack per module pair and grading
+    (_solve).  The hw-normalized solve is cached per zeta pair and serves
+    both normalizations; a kappa request rescales it by apply_kappa, with
+    the kappa scalar scanned once per zeta pair and kept in the pair's
+    entry.  Degenerate spectral points are reported through
+    DegeneratePointError: either the nullspace gap collapses, the hw
+    normalization fails, kappa has a pole, or the normalized operator is
+    numerically singular.  The invertibility check applies to cached
+    results as well.  The call raises the error of its first failing
+    request, the one that request raises alone; the requests before it are
+    stored, those after it are not.  Without a cache the call goes through
+    a fresh RCache, so nothing carries over between uncached calls.
     """
     if cache is None:
         cache = RCache()
-    key = req.key()
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache.put(key, _solve(req, cache.template(req)))
-    res = entry["hw"]
-    if req.normalization == "kappa":
-        if "kappa" not in entry:  # the first kappa request at this zeta pair
-            entry["kappa"] = _kappa_scalar(req)
-        res = apply_kappa(res, req, entry["kappa"])
-    if check_invertible and res.cond_ratio <= _SINGULAR_TOL:  # rank drop on the resonance lattice
-        raise DegeneratePointError(
-            f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")
-    return res
+    keys = [req.key() for req in reqs]
+    first = {}  # key -> index of its first request
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    entries = {key: cache.get(key) for key in first}
+    groups = {}
+    for key, i in first.items():
+        if entries[key] is None:
+            groups.setdefault((reqs[i].module_key(), reqs[i].grading), []).append(i)
+    solved = {}
+    for idx in groups.values():
+        stack = [reqs[i] for i in idx]
+        try:
+            results = _solve(stack, cache.template(stack[0]))
+        except QkzError as exc:  # the module pair or its frame fails every request
+            results = [exc] * len(stack)
+        solved.update(zip((keys[i] for i in idx), results))
+    out = []
+    for i, (req, key) in enumerate(zip(reqs, keys)):
+        if first[key] != i:
+            entry = cache.get(key)
+        elif entries[key] is None:
+            if isinstance(solved[key], QkzError):
+                raise solved[key]
+            entry = cache.put(key, solved[key])
+        else:
+            entry = entries[key]
+        res = entry["hw"]
+        if req.normalization == "kappa":
+            if "kappa" not in entry:  # the first kappa request at this zeta pair
+                entry["kappa"] = _kappa_scalar(req)
+            res = apply_kappa(res, req, entry["kappa"])
+        # rank drop on the resonance lattice
+        if check_invertible and res.cond_ratio <= _SINGULAR_TOL:
+            raise DegeneratePointError(
+                f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")
+        out.append(res)
+    return out
 
 
 def make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization="hw") -> RRequest:
@@ -524,8 +625,9 @@ def make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization="hw"
 
 def r_matrix(kind1, zeta1, kind2, zeta2, m, grading, ctx,
              normalization="hw", cache=None, check_invertible=True) -> RResult:
+    """The result of one request (solve_intertwiner of a single request)."""
     req = make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization)
-    return solve_intertwiner(req, cache=cache, check_invertible=check_invertible)
+    return solve_intertwiner([req], cache=cache, check_invertible=check_invertible)[0]
 
 
 def rcheck_resonant(m, grading, ctx) -> np.ndarray:

@@ -155,7 +155,7 @@ def test_criterion_06_yang_baxter():
         for kinds in triples:
             for _ in range(20):
                 zetas = tuple(zeta_sample(rng) for _ in range(3))
-                rep = idsuite.check_ybe(m, kinds, zetas, g, CTX,
+                rep = idsuite.check_ybe(m, kinds, [zetas], g, CTX,
                                         normalization="kappa", cache=CACHE)
                 worst = max(worst, rep.residual)
     announce(6, "Yang-Baxter (20 triples x 8 kind-triples, m in {1,2})", worst, tol)
@@ -209,7 +209,7 @@ def test_criterion_08_crossing():
     for m in (1, 2):
         shift_scalars, closed = [], []
         for _ in range(10):
-            rep = idsuite.check_crossing(m, (zeta_sample(rng), zeta_sample(rng)),
+            rep = idsuite.check_crossing(m, [(zeta_sample(rng), zeta_sample(rng))],
                                          g, CTX, cache=CACHE)
             worst_prop = max(worst_prop, rep.residual)
             _, _, s1, s2, D1, D2 = rep.extracted_scalars

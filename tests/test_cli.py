@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkzkit import cli
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.report import VerificationReport
 
@@ -62,6 +63,8 @@ class TestParsing:
         # options the command does not read are not accepted
         "rmat --format text", "rmat --seed 1", "rmat --samples 0", "scalars --s0 2",
         "scalars --norm hw", "suite --l 2", "verify reps --jobs 1",
+        # the theorems group has no m = 0 case
+        "suite --m 0", "verify theorems --m 0",
     ])
     def test_bad_command_line_exits_2_without_traceback(self, argv, tmp_path, capsys):
         argv = argv.format(missing=tmp_path / "missing" / "x.json", dir=tmp_path).split()
@@ -72,6 +75,20 @@ class TestParsing:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err and "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("argv", [["suite", "--m", "0"], ["verify", "theorems", "--m", "0"]])
+    def test_m0_refused_before_any_group_runs(self, argv, monkeypatch, capsys):
+        ran = []
+        for name in cli.CHECKS:
+            monkeypatch.setitem(cli.CHECKS, name, lambda config, cache, name=name: ran.append(name))
+        assert main(argv) == 2
+        assert ran == [] and "theorems" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["rmat", "--m", "0"], ["scalars", "--m", "0"],
+                                      ["verify", "ybe", "--m", "0"]])
+    def test_m0_stays_valid_elsewhere(self, argv, capsys):
+        assert main(argv) == 0
 
 
 def _readme_examples():

@@ -16,20 +16,20 @@ class TestYangBaxter:
         for m in (1, 2):
             for _ in range(3):
                 zetas = tuple(zeta_sample(rng) for _ in range(3))
-                rep = idsuite.check_ybe(m, kinds, zetas, grading, ctx,
+                rep = idsuite.check_ybe(m, kinds, [zetas], grading, ctx,
                                         normalization="kappa", cache=cache)
                 assert rep.passed, rep.residual
 
     def test_two_equal_arguments(self, ctx, grading, cache):
         z = 1.2 - 0.4j
-        rep = idsuite.check_ybe(1, ("V", "V", "V"), (z, z, 0.7 + 0.2j), grading,
+        rep = idsuite.check_ybe(1, ("V", "V", "V"), [(z, z, 0.7 + 0.2j)], grading,
                                 ctx, cache=cache)
         assert rep.passed
 
     def test_hw_mode(self, ctx, grading, cache):
         rng = np.random.default_rng(31)
         zetas = tuple(zeta_sample(rng) for _ in range(3))
-        rep = idsuite.check_ybe(2, ("V*", "V", "V*"), zetas, grading, ctx,
+        rep = idsuite.check_ybe(2, ("V*", "V", "V*"), [zetas], grading, ctx,
                                 normalization="hw", cache=cache)
         assert rep.passed
 
@@ -40,13 +40,13 @@ class TestYangBaxter:
         m, kinds, zetas = 2, ("V", "V*", "V"), (1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.5j)
         a, b = pair
         req = make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, "hw")
-        res = solve_intertwiner(req)
+        res = solve_intertwiner([req])[0]
         noise = np.random.default_rng(5).standard_normal(res.R.shape)
         cache = RCache()
         cache.put(req.key(), replace(res, R=res.R + 1e-6 * np.linalg.norm(res.R) * noise
                                      / np.linalg.norm(noise)))
-        assert idsuite.check_ybe(m, kinds, zetas, grading, ctx, normalization=norm).passed
-        assert not idsuite.check_ybe(m, kinds, zetas, grading, ctx, normalization=norm,
+        assert idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm).passed
+        assert not idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm,
                                      cache=cache).passed
 
 
@@ -75,7 +75,7 @@ class TestCrossing:
         shift_scalars = []
         closed = []
         for _ in range(4):
-            rep = idsuite.check_crossing(m, (zeta_sample(rng), zeta_sample(rng)),
+            rep = idsuite.check_crossing(m, [(zeta_sample(rng), zeta_sample(rng))],
                                          grading, ctx, cache=cache)
             assert rep.passed, rep.residual
             lam_t1, lam_t2, s1, s2, D1, D2 = rep.extracted_scalars
@@ -88,7 +88,7 @@ class TestCrossing:
 
     def test_loop_product_is_one(self, ctx, grading, cache):
         rng = np.random.default_rng(34)
-        rep = idsuite.check_crossing(1, (zeta_sample(rng), zeta_sample(rng)),
+        rep = idsuite.check_crossing(1, [(zeta_sample(rng), zeta_sample(rng))],
                                      grading, ctx, cache=cache)
         _, _, _, _, D1, D2 = rep.extracted_scalars
         assert D1 * D2 == pytest.approx(1.0, abs=1e-9)
@@ -97,7 +97,7 @@ class TestCrossing:
     def test_unbalanced_grading(self, m, ctx, grading10, cache):
         # the closed double-shift scalars stay (-1)^m for s0 != s1
         rng = np.random.default_rng(35)
-        rep = idsuite.check_crossing(m, (zeta_sample(rng), zeta_sample(rng)),
+        rep = idsuite.check_crossing(m, [(zeta_sample(rng), zeta_sample(rng))],
                                      grading10, ctx, cache=cache)
         assert rep.passed, rep.residual
         _, _, s1, s2, D1, D2 = rep.extracted_scalars
@@ -176,7 +176,7 @@ class TestInvariances:
         zetas = (1.2 + 0.3j, 0.8 - 0.2j)
         alpha = 0.41 - 0.27j
         req = make_request(kinds[0], zetas[0], kinds[1], zetas[1], 2, grading, ctx, "hw")
-        res = solve_intertwiner(req)
+        res = solve_intertwiner([req])[0]
         assert idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx).residual < 1e-15
         R = res.R.copy()
         R[0, 1] += 1e-6  # basis vectors 0 and 1 differ in h1-weight by 2

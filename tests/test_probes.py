@@ -126,30 +126,37 @@ def perturbed(A):
 
 
 def plant_defect(monkeypatch, module, name, pick):
-    """Perturb the results of module.name on the calls for which pick(*args) holds.
+    """Perturb the factors that module.name returns for which pick(args, k) holds:
+    args are the call's arguments and k the factor's place in the call's list
+    of results (0 when the call returns one factor).
 
     R-operator results get a perturbed R and the matching Rcheck = P R.
     """
     original = getattr(module, name)
 
-    def defective(*args, **kwargs):
-        out = original(*args, **kwargs)
-        if not pick(*args):
-            return out
+    def perturb(out):
         if isinstance(out, np.ndarray):
             return perturbed(out)
         R = perturbed(out.R)
         d = isqrt(R.shape[0])
         return dataclasses.replace(out, R=R, Rcheck=swap_outputs(R, d, d))
+
+    def defective(*args, **kwargs):
+        out = original(*args, **kwargs)
+        many = isinstance(out, list)
+        items = [perturb(x) if pick(args, k) else x for k, x in enumerate(out if many else [out])]
+        return items if many else items[0]
     monkeypatch.setattr(module, name, defective)
 
 
 def first_call():
-    seen = []
+    """The first factor of the first call."""
+    calls = []
 
-    def pick(*args):
-        seen.append(args)
-        return len(seen) == 1
+    def pick(args, k):
+        if k == 0:
+            calls.append(args)
+        return k == 0 and len(calls) == 1
     return pick
 
 
@@ -164,8 +171,8 @@ class TestFailability:
     @pytest.mark.parametrize("n,module,name", [
         (1, reduction, "rcheck_factor"),   # the resonant factor of the left side
         (2, reduction, "rcheck_factor"),
-        (2, reduction, "_factor"),         # one R factor of the composite
-        (2, qkz, "rcheck_factor"),         # one factor of the one-step operator
+        (2, reduction, "_factors"),        # one R factor of the composite
+        (2, qkz, "rcheck_factors"),        # one factor of the one-step operator
     ])
     def test_theorem_selfdual(self, n, module, name, monkeypatch, ctx, grading, cache):
         case = ReductionCase("self_dual", n, 1, grading, ctx)
@@ -174,7 +181,7 @@ class TestFailability:
         plant_defect(monkeypatch, module, name, first_call())
         assert not theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
 
-    @pytest.mark.parametrize("module,name", [(reduction, "_factor"), (qkz, "rcheck_factor")])
+    @pytest.mark.parametrize("module,name", [(reduction, "_factors"), (qkz, "rcheck_factors")])
     def test_theorem_general(self, module, name, monkeypatch, ctx, grading, cache):
         case = ReductionCase("general", 2, 1, grading, ctx)
         zetas = zetas_for(2, 96)
@@ -187,7 +194,7 @@ class TestFailability:
         case = ReductionCase(mode, 2, 1, grading, ctx)
         zetas, nu = zetas_for(2, 97), 1.3 * np.exp(0.4j)
         assert scaling_covariance_residual(case, zetas, nu, cache) <= 1e-10
-        plant_defect(monkeypatch, reduction, "_factor", first_call())
+        plant_defect(monkeypatch, reduction, "_factors", first_call())
         assert scaling_covariance_residual(case, zetas, nu, cache) > 1e-10
 
     def test_insertion_invariance(self, monkeypatch, ctx, grading, cache):
@@ -195,8 +202,8 @@ class TestFailability:
         zetas = zetas_for(2, 98)
         u, v = 1.1 + 0.4j, 0.7 - 0.9j
         assert insertion_invariance_check(case, zetas, u, v, cache=cache).passed
-        plant_defect(monkeypatch, reduction, "_factor",
-                     lambda case, k1, z1, k2, z2, cache: (k1, z1, k2, z2) == ("V*", v, "V", u))
+        plant_defect(monkeypatch, reduction, "_factors",
+                     lambda args, k: tuple(args[1][k]) == ("V*", v, "V", u))
         assert not insertion_invariance_check(case, zetas, u, v, cache=cache).passed
 
     def test_qkz_compatibility(self, monkeypatch, ctx, grading, cache):
@@ -204,9 +211,9 @@ class TestFailability:
         assert check_qkz_compatibility(chain, 0, 1, cache=cache).passed
         p, (eta0, eta1) = chain.p, chain.etas
         # the one factor of Lambda_0 on the chain with eta_1 -> p eta_1
-        plant_defect(monkeypatch, qkz, "rcheck_factor",
-                     lambda chain, k1, z1, k2, z2, cache=None:
-                     np.isclose(z1, p * eta1) and np.isclose(z2, p * eta0))
+        plant_defect(monkeypatch, qkz, "rcheck_factors",
+                     lambda args, k: np.isclose(args[1][k][1], p * eta1)
+                     and np.isclose(args[1][k][3], p * eta0))
         assert not check_qkz_compatibility(chain, 0, 1, cache=cache).passed
 
     def test_lambda_forms(self, monkeypatch, ctx, grading, cache):

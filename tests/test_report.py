@@ -59,7 +59,7 @@ def _group(name):
 
 def _crossing():
     ctx, g = QContext(0.7), GradingChoice(1, 1)
-    return [idsuite.check_crossing(1, (1.3 + 0.2j, 0.6 - 0.5j), g, ctx, cache=RCache())]
+    return [idsuite.check_crossing(1, [(1.3 + 0.2j, 0.6 - 0.5j)], g, ctx, cache=RCache())]
 
 
 def _theorem(mode):
@@ -84,8 +84,9 @@ SITES = {
                  "rep_hopf_axiom"),
     "reps.hopf_antipode_residual": (cli, "antipode_dual", _nan_e1, _group("reps"),
                                     "rep_hopf_axiom"),
-    "cli.ybe": (idsuite, "check_ybe", _nan_on_call(2), _group("ybe"), "ybe"),
-    "cli.crossing": (idsuite, "check_crossing", _nan_on_call(2), _group("crossing"),
+    # the sample folds of the ybe and crossing groups, now in idsuite
+    "cli.ybe": (idsuite, "_ybe_residual", _nan_on_call(2), _group("ybe"), "ybe"),
+    "cli.crossing": (idsuite, "_crossing_sample", _nan_on_call(2), _group("crossing"),
                      "crossing"),
     "cli.lambda_forms": (qkz, "lambda_forms_residual", _nan_on_call(2), _group("qkz"),
                          "lambda_forms"),

@@ -151,8 +151,8 @@ class TestSolveBasics:
                 got = w1[:, None] * fr.reduced[:, 0] + w2[:, None] * fr.reduced[:, 1]
                 assert np.all(np.abs(got - full @ fr.basis) <=
                               8 * eps * (np.abs(full) @ np.abs(fr.basis))), (q, m, kinds, frame)
-                sq = (np.abs(w1)**2 * fr.row_norms[:, 0] + np.abs(w2)**2 * fr.row_norms[:, 1]
-                      + 2 * w1.conj() * w2 * fr.row_norms[:, 2]).real
+                w = np.stack((w1, w2), axis=1)
+                sq = np.einsum("rp,rpq,rq->r", w.conj(), fr.row_gram, w).real
                 want = np.linalg.norm(full, axis=1)**2
                 assert np.all(np.abs(sq - want) <= 8 * eps * want), (q, m, kinds, frame)
 
@@ -210,8 +210,8 @@ class TestNormalization:
             z1, z2 = zeta_sample(rng), zeta_sample(rng)
             hw_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "hw")
             kp_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "kappa")
-            rescaled = apply_kappa(solve_intertwiner(hw_req), hw_req)
-            direct = solve_intertwiner(kp_req)
+            rescaled = apply_kappa(solve_intertwiner([hw_req])[0], hw_req)
+            direct = solve_intertwiner([kp_req])[0]
             assert np.abs(rescaled.R - direct.R).max() < 1e-13
 
     def test_kappa_preserves_initial_condition(self, ctx, grading, cache):
@@ -400,9 +400,9 @@ class TestCache:
         # a repeated kappa request rescales the stored hw solve: no second solve
         cache = RCache()
         req = make_request("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, "kappa")
-        a = solve_intertwiner(req, cache=cache)
+        a = solve_intertwiner([req], cache=cache)[0]
         solves = _count_solves(monkeypatch)
-        b = solve_intertwiner(req, cache=cache)
+        b = solve_intertwiner([req], cache=cache)[0]
         assert solves == []
         for field in ("R", "Rcheck"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -508,7 +508,106 @@ class TestCache:
     def test_eviction_never_changes_results(self, ctx, grading):
         cache = RCache()
         req = make_request("V", 0.9, "V", 1.4, 1, grading, ctx, "hw")
-        a = solve_intertwiner(req, cache=cache)
+        a = solve_intertwiner([req], cache=cache)[0]
         cache.clear()
-        b = solve_intertwiner(req, cache=cache)
+        b = solve_intertwiner([req], cache=cache)[0]
         assert np.abs(a.R - b.R).max() == 0.0
+
+
+class TestStackedSolve:
+    """One solve_intertwiner call of many requests against the same requests one by one."""
+
+    @staticmethod
+    def _gets(monkeypatch):
+        """(key, hit) of every RCache.get from here on."""
+        seen = []
+        get = RCache.get
+        monkeypatch.setattr(RCache, "get",
+                            lambda cache, key: seen.append((repr(key), get(cache, key) is not None))
+                            or get(cache, key))
+        return seen
+
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.3])
+    @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
+    def test_stacked_matches_single(self, q, g, monkeypatch):
+        # every module pair and m = 1..4 in one call, hw and kappa, with
+        # repeated keys: each result is the request's result alone
+        from qkzkit.idsuite import draw_generic_zetas
+        ctx, grading = QContext(q), GradingChoice(*g)
+        rng = np.random.default_rng([91, *g])
+        reqs = []
+        for m in (1, 2, 3, 4):
+            for kinds in ALL_PAIRS:
+                for _ in range(2):
+                    z1, z2 = draw_generic_zetas(rng, 2, m, grading, ctx)
+                    reqs += [make_request(kinds[0], z1, kinds[1], z2, m, grading, ctx, norm)
+                             for norm in ("hw", "kappa", "hw")]
+        reqs += reqs[::7]
+        gets = self._gets(monkeypatch)
+        stacked = solve_intertwiner(reqs, RCache(), check_invertible=False)
+        batch_gets, gets[:] = sorted(gets), []
+        cache = RCache()
+        single = [solve_intertwiner([req], cache, check_invertible=False)[0] for req in reqs]
+        assert batch_gets == sorted(gets)
+        assert sum(hit for _, hit in gets) == len(reqs) - len({req.key() for req in reqs})
+        eps = np.finfo(float).eps
+        for req, a, b in zip(reqs, stacked, single):
+            for field in ("R", "Rcheck"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert np.abs(x - y).max() <= 8 * eps * np.abs(y).max(), (req, field)
+            assert a.norm_scalar_applied == pytest.approx(b.norm_scalar_applied, rel=8 * eps)
+            assert a.cond_ratio == pytest.approx(b.cond_ratio, rel=1e-6)
+            # rounding-level quantities: of the same order
+            for field in ("nullspace_gap", "intertwine_residual"):
+                x, y = sorted((getattr(a, field), getattr(b, field)))
+                assert y <= 10 * max(x, eps), (req, field)
+
+    @pytest.mark.parametrize("bad", ["lattice", "hw", "overflow", "singular"])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_first_failing_request_raises_its_own_error(self, ctx, grading, bad, k, monkeypatch):
+        # the degenerate-detection lattice point, a vanishing hw component, an
+        # overflowing zeta and a singular kappa operator, each at place k among
+        # good requests of all module pairs: the call raises that request's
+        # error alone, and a later failing request does not mask it
+        g, q = grading, complex(ctx.q)
+        failing = {
+            "lattice": make_request("V", q ** (2.0 / g.s), "V", 1.0, 1, g, ctx, "hw"),
+            "hw": make_request("V*", 1.3, "V", 1.3, 1, g, ctx, "hw"),
+            "overflow": make_request("V", 1e160, "V*", 1.0, 2, g, ctx, "kappa"),
+            "singular": make_request("V", q ** (2.0 / g.s), "V*", 1.0, 1, g, ctx, "kappa"),
+        }
+        with pytest.raises(QkzError) as alone:
+            solve_intertwiner([failing[bad]])
+        rng = np.random.default_rng(17)
+        good = [make_request(kinds[0], zeta_sample(rng), kinds[1], zeta_sample(rng), m, g, ctx,
+                             "kappa") for kinds in ALL_PAIRS for m in (1, 2)]
+        later = next(req for name, req in failing.items() if name != bad)
+        reqs = good[:k] + [failing[bad]] + good[k:] + [later]
+        cache = RCache()
+        with pytest.raises(type(alone.value)) as err:
+            solve_intertwiner(reqs, cache)
+        assert str(err.value) == str(alone.value)
+        # the requests before it are stored, those after it are not
+        gets = self._gets(monkeypatch)
+        for req in good:
+            solve_intertwiner([req], cache)
+        assert [hit for _, hit in gets] == [i < k for i in range(len(good))]
+
+    def test_norm_scalar_is_the_one_applied(self, ctx, grading):
+        # Rcheck is the raw nullvector of its request times norm_scalar_applied
+        rng = np.random.default_rng(19)
+        reqs = [make_request(kinds[0], zeta_sample(rng), kinds[1], zeta_sample(rng), 2, grading,
+                             ctx, "hw") for kinds in ALL_PAIRS]
+        cache = RCache()
+        for req, res in zip(reqs, solve_intertwiner(reqs, cache)):
+            X = rsolve._raw_nullvector([req], cache.template(req))[0][0]
+            assert np.abs(X * res.norm_scalar_applied - res.Rcheck).max() < 1e-12
+
+    def test_ybe_samples_make_one_solve(self, ctx, grading, monkeypatch):
+        from qkzkit.idsuite import check_ybe, draw_generic_zetas
+        rng = np.random.default_rng(18)
+        samples = [tuple(draw_generic_zetas(rng, 3, 1, grading, ctx)) for _ in range(12)]
+        solves = _count_solves(monkeypatch)
+        rep = check_ybe(1, ("V", "V", "V"), samples, grading, ctx, normalization="kappa",
+                        cache=RCache())
+        assert rep.passed and len(solves) == 1 and len(solves[0][0]) == 36
