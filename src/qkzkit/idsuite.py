@@ -111,7 +111,17 @@ def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-10
 
 def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
                             tol=1e-12, cache=None) -> VerificationReport:
-    """Rcheck(z|z) = id for a like-kind pair."""
+    """Rcheck(z|z) = id for a like-kind pair.
+
+    At zeta1 = zeta2 each component ratio beta_j / alpha_j of the solve is
+    exactly 1 (rsolve._Frame: for a like pair a'_j = b_j and b'_j = a_j, so
+    alpha_j and beta_j are the same two terms summed in the other order).
+    Rcheck is then the plain sum of the basis columns, the component
+    projectors, and the residual is their rounding (and in kappa mode that
+    of the kappa scalar): 0 in some m = 1 reports, near 1e-16 to 1e-15 up
+    to m = 4.  A defect in a ratio number breaks the exact 1 and fails the
+    check.
+    """
     t0 = time.perf_counter()
     res = r_matrix(kind, zeta, kind, zeta, m, grading, ctx,
                    normalization=normalization, cache=cache)

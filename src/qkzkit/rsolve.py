@@ -1,38 +1,39 @@
 """R-operators from the intertwining equation, with normalization and caching.
 
 Rcheck maps V1_{z1} x V2_{z2} -> V2_{z2} x V1_{z1} and intertwines the
-coproduct actions.  It conserves the h1-weight, so it is found as the
-one-dimensional nullspace of the e0/e1/f0/f1 commutant equations on its
+coproduct actions.  It conserves the h1-weight, so it lives on the
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
 (m+1)^4 for the full operator).  R = P * Rcheck.
 
-The solve has two stages.  A diagonal gauge zeta^{c h1/2} on each site
-moves grading (s0, s1) to a homogeneous one, (s, 0) or (0, s), where one
-e/f pair carries no zeta.  The commutant of that pair is the same for
-every zeta pair, and V x V is multiplicity-free under the U_q(sl2) it
-generates, so the commutant has an m+1 column basis B, built once from
-highest-weight vectors (the tensor product graph picture of Delius,
-Gould and Zhang, Nucl. Phys. B 432 (1994) 377).  Placed at the unknowns,
-the columns of B are m+1 operators X_l, and a solve keeps only the other
-pair's equations on them, X_l M - N X_l, gauged: one SVD of m+1 columns
-per zeta pair.  The intertwining residual still checks the full
-Rcheck against all six generators at the request's grading.
+A diagonal gauge zeta^{c h1/2} on each site moves grading (s0, s1) to a
+homogeneous one, (s, 0) or (0, s), where one e/f pair carries no zeta.
+The commutant of that pair is the same for every zeta pair, and V x V is
+multiplicity-free under the U_q(sl2) it generates, so the commutant has
+an m+1 column basis B, built once from highest-weight vectors: Rcheck is
+sum_j c_j B_j, one coefficient per component.  The other pair's lowering
+generator links neighbouring components only (the tensor product graph
+method: Jimbo, Commun. Math. Phys. 102 (1986) 537; Delius, Gould and
+Zhang, Nucl. Phys. B 432 (1994) 377), so c_{j+1} / c_j = beta_j / alpha_j
+with alpha_j and beta_j of the form zeta1^p a + zeta2^p b, a and b
+numbers of the template.  Each c_j is a product of ratios with full
+relative accuracy, and c_0 = 1 fixes hw x hw.  A ratio whose two terms
+cancel marks a degenerate point.  The intertwining residual still checks
+the full Rcheck against all six generators at the request's grading.
 
 Everything that does not depend on zeta (the two modules, their hw
 indices, the unknowns, the entries of the coproduct images split by zeta
-power, and per homogeneous frame B and the rows of X_l M - N X_l) is a
+power, and per homogeneous frame B and the ratio numbers a, b) is a
 CommutantTemplate, built once per (kinds, m, q) and shared by every
 grading; kappa and the gauge depend on the grading, so solves are keyed
 by it.  A request (RRequest) holds plain values and builds no module, so
 a cache hit costs its key and the lookup.
 
 solve_intertwiner takes a sequence of requests and returns their results
-in order; r_matrix is the call for one request.  The frame, its rows and
-B are the same for every zeta pair, so the misses of a call are solved
-as stacks, one per module pair and grading: one batched SVD with its gap
-test and gauge scatter, then a stacked hw normalization, condition SVD
-and intertwining residual.  A call raises the error of its first failing
-request, the one that request raises alone.
+in order; r_matrix is the call for one request.  The misses of a call
+are solved as stacks, one per module pair and grading: the ratios, their
+products and the gauge scatter, then the intertwining residual.  A call
+raises the error of its first failing request, the one that request
+raises alone.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -59,13 +60,12 @@ from .scalars import kappa_sl2
 from .tensorops import swap_outputs
 
 GAP_THRESHOLD = 1e6
-_HW_TOL = 1e-8
-_SINGULAR_TOL = 1e-8
-# h1-weight that e0, e1, f0, f1 add (GENERATOR_TAGS order), on every module kind
-_WEIGHT_SHIFT = (-2.0, 2.0, 2.0, -2.0)
-# frame -> ((raising, lowering) image of its zeta-free pair, (e, f) rows it solves),
-# as GENERATOR_TAGS indices: frame 1 is e1/f1 zeta-free, frame 0 is e0/f0 (f0 raises)
-_FRAMES = {1: ((1, 3), (0, 2)), 0: ((2, 0), (1, 3))}
+# |alpha| / (|zeta1^p a| + |zeta2^p b|) below this cancels (the same for beta)
+_CANCEL_TOL = 1e-8
+# frame -> ((raising, lowering) image of its zeta-free pair, lowering row generator),
+# as GENERATOR_TAGS indices: frame 1 is e1/f1 zeta-free and rows e0; frame 0 is
+# e0/f0 zeta-free (f0 raises) and rows f1
+_FRAMES = {1: ((1, 3), 0), 0: ((2, 0), 3)}
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,10 @@ class RRequest:
 class RResult:
     R: np.ndarray
     Rcheck: np.ndarray
-    nullspace_gap: float
+    # smallest |alpha_j| or |beta_j| relative to its two terms; 1 at m = 0, 0 at kappa = 0
+    margin: float
     norm_scalar_applied: complex
     intertwine_residual: float
-    cond_ratio: float  # sigma_min / sigma_max of Rcheck; 0 for a zero operator
 
 
 def _powers(bases, exps, errors) -> list:
@@ -171,9 +171,10 @@ def _sector(w, first, weight):
     return idx if len(idx) < 2 or first[idx[0]] > first[idx[-1]] else idx[::-1]
 
 
-def _commutant_basis(in_ops, out_ops, m, a, b) -> np.ndarray:
+def _commutant_basis(in_ops, out_ops, m, a, b) -> tuple:
     """Basis B (unknowns x (m+1)) of the maps V1 x V2 -> V2 x V1 that commute
-    with a zeta-free e/f pair, one column per component, each of unit norm.
+    with a zeta-free e/f pair, one column per component, and the
+    highest-weight vectors with their dual rows.
 
     in_ops and out_ops are (E, F, w, first) on V1 x V2 and on V2 x V1: the
     image E that raises the h1-weight by 2 and the image F that lowers it
@@ -187,16 +188,22 @@ def _commutant_basis(in_ops, out_ops, m, a, b) -> np.ndarray:
     kernel of F on that sector, take the place of S^-1 for the matrix S of
     lowered vectors, so on the sector of weight 2m-2j-2k the column is
     (F^k v'_j)[a] y_jk[b]: one product per entry and no inverse, so every
-    entry keeps its relative accuracy through the gauge.
+    entry keeps its relative accuracy through the gauge.  Column 0 is 1 at
+    hw x hw, alone in its sector.
+
+    Also returns (v, v', y, y') at k = 0, column j of each for component j:
+    y_j and y'_j the dual rows on V1 x V2 and on V2 x V1, scaled so that
+    y_j v_j = y'_j v'_j = 1.
     """
     (E, F, w, first), (E2, F2, w2, first2) = in_ops, out_ops
-    v, v2, y = np.zeros((3, len(w), m + 1), dtype=complex)  # column j: component j
+    v, v2, y, y2 = np.zeros((4, len(w), m + 1), dtype=complex)  # column j: component j
     for j in range(m + 1):
         s_in, up_in = _sector(w, first, 2 * (m - j)), _sector(w, first, 2 * (m - j) + 2)
         s_out, up_out = _sector(w2, first2, 2 * (m - j)), _sector(w2, first2, 2 * (m - j) + 2)
-        v[s_in, j], v2[s_out, j], y[s_in, j] = _chain_kernels(
+        v[s_in, j], v2[s_out, j], y[s_in, j], y2[s_out, j] = _chain_kernels(
             np.stack([E[up_in[:, None], s_in], E2[up_out[:, None], s_out],
-                      F[s_in[:, None], up_in].T]))
+                      F[s_in[:, None], up_in].T, F2[s_out[:, None], up_out].T]))
+    top = v, v2, y / (y * v).sum(axis=0), y2 / (y2 * v2).sum(axis=0)
     # lower all components at once; component j ends after 2(m-j) steps, where
     # the lowered vectors vanish up to rounding
     lowered, dual = [], []
@@ -205,59 +212,39 @@ def _commutant_basis(in_ops, out_ops, m, a, b) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             dual.append(np.where(k <= 2 * (m - np.arange(m + 1)), y[b] / (y * v).sum(axis=0), 0))
         v, v2, y = F @ v, F2 @ v2, E.T @ y
-    B = np.einsum("kuj,kuj->uj", lowered, dual)
-    return B / np.linalg.norm(B, axis=0)
+    return np.einsum("kuj,kuj->uj", lowered, dual), top
 
 
 class _Frame:
     """The solve data of one homogeneous grading of a module pair.
 
     Frame 1 is grading (s, 0), where e1 and f1 carry no zeta; frame 0 is
-    (0, s), where e0 and f0 carry none.  A frame holds:
-
-    - `basis`, B: the m+1 columns of the commutant of its zeta-free pair
-      (_commutant_basis), and per gauge exponent k = -m..m (row k + m) the
-      sum of |B|^2 over the unknowns of that exponent, per column;
-    - the rows of the other pair's equations X M - N X = 0 that are
-      nonzero for some zeta, e rows first: the entries (i, j) where the
-      h1-weight shifts by the generator's.  On the unknowns each row is
-      zeta1^p v1 + zeta2^p v2.  Per row: `row_e` (1 on e rows, 0 on f
-      rows), its gauge exponent (w1(i) - w1(j))/2 plus m, `reduced`
-      (rows x 2 x (m+1)), read on the m+1 basis operators X_l (column l of
-      B at the unknowns) as (X_l M - N X_l)[i, j] for the zeta1 and the
-      zeta2 parts of M and N, and `row_gram`, the Gram matrix <v_p, v_q>
-      (rows x 2 x 2) from column j of M and row i of N, which gives the
-      norm of the full row.
+    (0, s), where e0 and f0 carry none.  A frame holds `basis`, B: the m+1
+    columns of the commutant of its zeta-free pair (_commutant_basis), and
+    `ratios` (2 x 2 x m), the numbers ((a_j, b_j), (a'_j, b'_j)) of its
+    component ratios.  Its lowering row generator (e0 at grade s in frame
+    1, f1 at grade -s in frame 0) has images M on V1 x V2 and N on V2 x V1.
+    Apply X M = N X to v_j and pair with y'_{j+1}: M v_j has weight
+    2m-2j-2, and y_{j+1}, y'_{j+1} kill the lowered vectors of components
+    <= j, so for Rcheck = sum_j c_j B_j only two terms survive,
+    c_{j+1} alpha_j = c_j beta_j with
+        alpha_j = y_{j+1} M v_j   = zeta1^p a_j  + zeta2^p b_j,
+        beta_j  = y'_{j+1} N v'_j = zeta1^p a'_j + zeta2^p b'_j.
     """
 
     def __init__(self, t, frame: int):
         parts = t.dense_parts()
-        (raise_, lower), row_gens = _FRAMES[frame]
+        (raise_, lower), g = _FRAMES[frame]
         # zeta-free pair: the sum of the two parts; M on V1 x V2 at 2g, N on V2 x V1 at 2g + 1
         E, E2, F, F2 = parts[:, [2 * raise_, 2 * raise_ + 1, 2 * lower, 2 * lower + 1]].sum(0)
         w1, w2, m = t.rep1.weights.real, t.rep2.weights.real, t.rep1.m
-        self.basis = _commutant_basis((E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
-                                      (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)),
-                                      m, t.a, t.b)
-        self.gauge_weights = (t.gauge == np.arange(2 * m + 1)[:, None]) @ np.abs(self.basis)**2
-        X = np.zeros((m + 1, t.dim, t.dim), dtype=complex)
-        X[:, t.a, t.b] = self.basis.T
-        shift = t.w_out[:, None] - t.w_in[None, :]
-        blocks = []  # per row generator: reduced, row Gram matrix, e row or not, gauge exponent
-        for g in row_gens:
-            i, j = np.nonzero(shift == _WEIGHT_SHIFT[g])
-            M, N = parts[:, 2 * g], parts[:, 2 * g + 1]  # (2, D, D): zeta1, zeta2 part
-            reduced = (X @ M[:, None] - N[:, None] @ X)[:, :, i, j].transpose(2, 0, 1)
-            # row (i, j) has M[:, j] at the unknowns (i, .) and -N[i, :] at (., j), never both
-            cols, rows = M[:, :, j], N[:, i, :]
-            gram = np.einsum("pur,qur->rpq", cols.conj(), cols) + \
-                np.einsum("pru,qru->rpq", rows.conj(), rows)
-            gauge = np.rint((w1[i % t.rep1.dim] - w1[j // t.rep2.dim]) / 2).astype(int) + m
-            blocks.append((reduced, gram, np.full(len(i), int(g == row_gens[0])), gauge))
-        reduced, gram, e_rows, row_gauge = (np.concatenate(b) for b in zip(*blocks))
-        live = (gram[:, [0, 1], [0, 1]].real > 0).any(axis=1)
-        self.reduced, self.row_gram = reduced[live], gram[live]
-        self.row_e, self.row_gauge = e_rows[live], row_gauge[live]
+        self.basis, (v, v2, y, y2) = _commutant_basis(
+            (E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
+            (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)), m, t.a, t.b)
+        # zeta1 and zeta2 parts of M and N: (2, D, D) each
+        M, N = parts[:, 2 * g], parts[:, 2 * g + 1]
+        self.ratios = np.stack((np.einsum("uj,puv,vj->pj", y[:, 1:], M, v[:, :-1]),
+                                np.einsum("uj,puv,vj->pj", y2[:, 1:], N, v2[:, :-1])))
 
 
 class CommutantTemplate:
@@ -270,8 +257,8 @@ class CommutantTemplate:
     exponent of each plus m (half the h1-weight of the V1 factor of the
     output a minus that of the input b), the entries of the zeta parts of
     the twelve images M, N of the six generators, and the solve data of
-    each homogeneous frame (_Frame: B and the other pair's X_l M - N X_l
-    on its columns X_l), built on first use.
+    each homogeneous frame (_Frame: B and its ratio numbers), built on
+    first use.
     """
 
     def __init__(self, rep1, rep2):
@@ -361,13 +348,14 @@ class RCache:
 
 
 def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
-    """Nullvectors of the commutant systems on the h1-weight sectors, with their
-    spectral gaps, for a stack of requests at one module pair and grading.
+    """The hw-normalized nullvectors of the commutant systems, with the
+    relative size of each component ratio's terms, for a stack of requests
+    at one module pair and grading.
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
     input b (in V1 x V2) carry the same weight, and on them the Cartan
-    equations hold identically.  The solve has two stages.
+    equations hold identically.
 
     A diagonal gauge G = zeta^{c h1 / 2} on each site takes grading (s0, s1)
     to a homogeneous one: to (s, 0) with c = s1 (frame 1), or to (0, s)
@@ -375,28 +363,16 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     at (s0, s1) is Rcheck in the frame with entry [a, b] times
     (zeta1/zeta2)^{c k}, k = (w1(a) - w1(b))/2 an integer in [-m, m], w1
     the h1-weight of the V1 factor; the 2m+1 powers are formed once per
-    request.  In the frame one e/f pair carries no zeta, so its commutant
-    is spanned by the m+1 columns B of the template, and at the request's
-    grading by G B.  Only the rows of the other pair remain.  Row i of K
-    at (s0, s1) times G B is the frame's row zeta1^p r1 + zeta2^p r2 at
-    p = +-s times (zeta1/zeta2)^{c k_i} zeta2^{-+s_f}, s_f the grade of
-    the zeta-free pair, with (r1, r2) its `reduced` parts, the row of
-    X_l M - N X_l on the basis operators X_l; so the solve matrix
-    (rows x (m+1)) is formed without the full rows.  Each row is divided
-    by the norm of its full row at (s0, s1), which the frame's 2 x 2 Gram
-    matrix per row gives, and each column by ||G b_j||: the zeta powers
-    and the q-numbers spread rows and gauged columns over many orders of
-    magnitude, and without this balance the gauge would magnify the
-    solve's rounding.  The frame, its rows and B are the same for every
-    zeta pair, so the requests' matrices form one (B, rows, m+1) stack and
-    one batched SVD gives each v and gap sigma_2 / sigma_min (fewer rows
-    than columns read as gap 0); the nullvector is G B v.
+    request.  In the frame, Rcheck = sum_j c_j B_j with the coefficients
+    of normalize_hw, from the ratios beta_j / alpha_j of the frame's
+    numbers (_Frame) at p = s in frame 1 and p = -s in frame 0.
 
-    Returns (X, gap, errors, grades): X (B, D, D), gap (B,), errors[b] the
-    ConfigError of request b or None, and zeta1^p, zeta2^p (B, 6) at the
-    grade p of each generator, which the intertwining residual reads.  A
-    zeta power, row norm or solve matrix entry that overflows or underflows
-    to a zero row norm is such an error; that request's X reads 0.
+    Returns (X, rel, errors, grades): X (B, D, D); rel (B, 2, m), the
+    moduli |alpha_j| and |beta_j| over the sums of the moduli of their two
+    terms, read as 0 or NaN where they cancel or vanish; errors[b] the
+    ConfigError of request b or None, for a zeta power that overflows; and
+    zeta1^p, zeta2^p (B, 6) at the grade p of each generator, which the
+    intertwining residual reads.
     """
     B, D = len(reqs), template.dim
     errors = [None] * B
@@ -404,47 +380,26 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     z1 = np.array([req.zeta1 for req in reqs])
     z2 = np.array([req.zeta2 for req in reqs])
     if g.s1 <= g.s0:  # gauge to (s, 0)
-        frame, c, s_f = 1, g.s1, g.s1
+        frame, c, p = 1, g.s1, g.s
     else:  # gauge to (0, s)
-        frame, c, s_f = 0, -g.s0, g.s0
-    s, s_r = g.s, g.s - s_f
+        frame, c, p = 0, -g.s0, -g.s
     grades = (g.s0, g.s1, -g.s0, -g.s1, 0, 0)  # of e0, e1, f0, f1, qh0, qh1 (GENERATOR_TAGS)
     gauge, p1, p2 = _powers((z1 / z2, z1, z2), ([c * k for k in range(-m, m + 1)],
-                                                 (-s, -s_r, s, s_r, *grades),
-                                                 (-s, -s_r, s_f, s, s_r, -s_f, *grades)), errors)
+                                                 (p, *grades), (p, *grades)), errors)
     if D == 1:
-        return np.ones((B, 1, 1), dtype=complex), np.full(B, np.inf), errors, (p1[:, 4:], p2[:, 6:])
+        return np.ones((B, 1, 1), dtype=complex), np.ones((B, 2, 0)), errors, (p1[:, 1:], p2[:, 1:])
     fr = template.frame(frame)
-    # per request and row, by the row's kind (f rows, then e rows): the zeta
-    # powers of the solve matrix (zeta1^{-+s}, zeta2^{-+s}), of the full row's
-    # norm (zeta1^{-+s_r}, zeta2^{-+s_r}) and of the row gauge (zeta2^{+-s_f}),
-    # as columns of (p1, p2); a product that overflows reads inf
-    at = np.array([[0, 10, 1, 11, 12], [2, 13, 3, 14, 15]])[fr.row_e]
-    per_row = np.concatenate((p1, p2), axis=1)[:, at]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = per_row[:, :, 2:4]
-        sq = np.einsum("brp,rpq,brq->br", u.conj(), fr.row_gram, u).real
-        row = gauge[:, fr.row_gauge] * per_row[:, :, 4] / np.sqrt(sq)
-        col = np.sqrt(np.einsum("bk,kl->bl", gauge.real**2 + gauge.imag**2, fr.gauge_weights))
-        K = np.einsum("brp,rpl->brl", per_row[:, :, :2] * row[:, :, None],
-                      fr.reduced) / col[:, None, :]
-        finite = np.isfinite(sq.sum(axis=1) + col.sum(axis=1) + K.sum(axis=(1, 2)))
-    if not finite.all():
-        for k in np.flatnonzero(~finite):
-            errors[k] = errors[k] or ConfigError(
-                "spectral parameters out of range: the commutant matrix overflows")
-    if any(errors):
-        failed = [k for k, e in enumerate(errors) if e is not None]
-        K[failed], col[failed], gauge[failed] = 0, 1, 0
-    if K.shape[1] < K.shape[2]:  # fewer rows than columns: a wider nullspace
-        return np.zeros((B, D, D), dtype=complex), np.zeros(B), errors, (p1[:, 4:], p2[:, 6:])
-    _, sv, vh = np.linalg.svd(K, full_matrices=False)
-    gap = sv[:, -2] / np.maximum(sv[:, -1], 1e-300)
-    X = np.zeros((B, D, D), dtype=complex)
-    # an elementwise sum (not a matrix product), so a request's bits do not depend on B
-    X[:, template.a, template.b] = \
-        gauge[:, template.gauge] * np.einsum("ul,bl->bu", fr.basis, vh[:, -1].conj() / col)
-    return X, gap, errors, (p1[:, 4:], p2[:, 6:])
+    with np.errstate(all="ignore"):
+        # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
+        terms = fr.ratios * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
+        alpha_beta = terms.sum(axis=2)
+        rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
+        coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
+        X = np.zeros((B, D, D), dtype=complex)
+        # an elementwise sum (not a matrix product), so a request's bits do not depend on B
+        X[:, template.a, template.b] = \
+            gauge[:, template.gauge] * np.einsum("uj,bj->bu", fr.basis, coef)
+    return X, rel, errors, (p1[:, 1:], p2[:, 1:])
 
 
 def _norms(A) -> np.ndarray:
@@ -466,12 +421,12 @@ def _intertwine_residuals(Rc, z1p, z2p, template) -> np.ndarray:
     The images of all six generators are formed for blocks of requests
     that keep them within _IMAGE_ENTRIES entries (one request at least), so
     the temporaries do not grow with B; generators with M = 0 are skipped,
-    and a zero Rc reads inf.
+    a zero Rc reads inf, and an image that overflows reads inf or NaN.
     """
     B, D = Rc.shape[:2]
     rows = max(1, _IMAGE_ENTRIES // (len(GENERATOR_TAGS) * D * D))
     worst = np.empty(B)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(0, B, rows):
             block = Rc[r:r + rows, None]
             M, N = template.pairs(z1p[r:r + rows], z2p[r:r + rows])
@@ -482,22 +437,16 @@ def _intertwine_residuals(Rc, z1p, z2p, template) -> np.ndarray:
     return worst
 
 
-def normalize_hw(Rc_raw: np.ndarray, template: CommutantTemplate) -> tuple:
-    """Scale each operator of a stack (B, D, D), in place, so R fixes hw x hw;
-    returns (Rcheck, the scalars divided out, vanished).
+def normalize_hw(ratios) -> np.ndarray:
+    """The coefficients (B, m+1) of the hw-normalized Rcheck on the frame's
+    basis columns, from the component ratios c_{j+1} / c_j (B, m).
 
-    hw x hw is alone in its weight sector, so R maps it onto its own line.
-    vanished[b] marks an operator whose component there is below _HW_TOL of
-    its norm (a non-simple point); its Rcheck reads 0 and its scalar 1.
+    Column 0 is 1 at hw x hw and its gauge power there is 1, so c_0 = 1
+    makes R fix hw x hw; every other c_j is a product of ratios, so the
+    normalization divides by no computed small number.
     R = P Rcheck, so the entry is Rcheck[hw2 x hw1, hw1 x hw2].
     """
-    d1, d2 = template.rep1.dim, template.rep2.dim
-    c = Rc_raw[:, template.hw2 * d1 + template.hw1, template.hw1 * d2 + template.hw2].copy()
-    vanished = (c == 0) | (np.abs(c) < _HW_TOL * _norms(Rc_raw))
-    if vanished.any():
-        Rc_raw[vanished], c[vanished] = 0, 1
-    Rc_raw /= c[:, None, None]
-    return Rc_raw, c, vanished
+    return np.cumprod(np.concatenate((np.ones((len(ratios), 1)), ratios), axis=1), axis=1)
 
 
 def _kappa_scalar(req: RRequest) -> complex:
@@ -519,41 +468,52 @@ def apply_kappa(res: RResult, req: RRequest, k: complex = None) -> RResult:
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
-    The nullspace gap, the residual and the condition ratio do not depend
-    on the scale; at kappa = 0 the operator is zero, with residual inf and
-    condition ratio 0.
+    The margin and the residual do not depend on the scale; at kappa = 0
+    the operator is zero, with residual inf and margin 0.
     """
     if k is None:
         k = _kappa_scalar(req)
-    return RResult(R=res.R * k, Rcheck=res.Rcheck * k, nullspace_gap=res.nullspace_gap,
+    return RResult(R=res.R * k, Rcheck=res.Rcheck * k,
+                   margin=res.margin if k != 0 else 0.0,
                    norm_scalar_applied=res.norm_scalar_applied * k,
-                   intertwine_residual=res.intertwine_residual if k != 0 else np.inf,
-                   cond_ratio=res.cond_ratio if k != 0 else 0.0)
+                   intertwine_residual=res.intertwine_residual if k != 0 else np.inf)
 
 
 def _solve(reqs, template: CommutantTemplate) -> list:
     """The hw-normalized results of a stack of requests at one module pair and
-    grading: per request an RResult, or the error it raises alone."""
-    X, gap, errors, (z1p, z2p) = _raw_nullvector(reqs, template)
-    for k in np.flatnonzero(gap < GAP_THRESHOLD):
-        errors[k] = errors[k] or DegeneratePointError(
-            f"nullspace gap {gap[k]:.3g} below threshold {GAP_THRESHOLD:.1g}")
-    Rc, scale, vanished = normalize_hw(X, template)
-    for k in np.flatnonzero(vanished):
-        errors[k] = errors[k] or DegeneratePointError(
-            "highest-weight component vanishes (non-simple spectral point)")
-    sv = np.linalg.svd(Rc, compute_uv=False)
+    grading: per request an RResult, or the error it raises alone.
+
+    A ratio index j where alpha_j and beta_j both cancel leaves c_{j+1} free
+    (a wider nullspace); alpha_j alone makes the hw component vanish; beta_j
+    alone makes R singular, which solve_intertwiner reports.  An operator
+    or generator image that overflows, so that the intertwining residual is
+    not finite, is a ConfigError.
+    """
+    X, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template)
+    cancel = ~(rel >= _CANCEL_TOL)  # NaN cancels
+    for k in range(len(reqs)):
+        both = np.flatnonzero(cancel[k].all(axis=0))
+        if len(both):
+            errors[k] = errors[k] or DegeneratePointError(
+                f"nullspace gap: component ratio {both[0]} is 0/0 "
+                f"(terms cancel below {_CANCEL_TOL:.1g})")
+        elif cancel[k, 0].any():
+            errors[k] = errors[k] or DegeneratePointError(
+                "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
-    z1p[failed], z2p[failed] = 0, 0  # not checked: their images may overflow
-    residual = _intertwine_residuals(Rc, z1p, z2p, template)
+    X[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
+    residual = _intertwine_residuals(X, z1p, z2p, template)
+    for k in np.flatnonzero(~np.isfinite(residual)):
+        errors[k] = errors[k] or ConfigError(
+            "spectral parameters out of range: the operator or a generator image overflows")
+    margin = rel.min(axis=(1, 2), initial=1.0)
     d1, d2 = template.rep1.dim, template.rep2.dim
     return [errors[k] or RResult(
-        R=swap_outputs(Rc[k], d2, d1),
-        Rcheck=Rc[k],
-        nullspace_gap=float(gap[k]),
-        norm_scalar_applied=complex(1.0 / scale[k]),
+        R=swap_outputs(X[k], d2, d1),
+        Rcheck=X[k],
+        margin=float(margin[k]),
+        norm_scalar_applied=1.0,
         intertwine_residual=float(residual[k]),
-        cond_ratio=float(sv[k, -1] / sv[k, 0]) if sv[k, 0] > 0 else 0.0,
     ) for k in range(len(reqs))]
 
 
@@ -569,10 +529,12 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
     both normalizations; a kappa request rescales it by apply_kappa, with
     the kappa scalar scanned once per zeta pair and kept in the pair's
     entry.  Degenerate spectral points are reported through
-    DegeneratePointError: either the nullspace gap collapses, the hw
-    normalization fails, kappa has a pole, or the normalized operator is
-    numerically singular.  The invertibility check applies to cached
-    results as well.  The call raises the error of its first failing
+    DegeneratePointError: the two terms of a component ratio cancel in its
+    numerator and denominator ("nullspace gap") or in its denominator alone
+    ("highest-weight component vanishes"), or kappa has a pole; with
+    check_invertible also in its numerator alone, or kappa vanishes (the
+    normalized operator is numerically singular).  The invertibility check
+    applies to cached results as well.  The call raises the error of its first failing
     request, the one that request raises alone; the requests before it are
     stored, those after it are not.  Without a cache the call goes through
     a fresh RCache, so nothing carries over between uncached calls.
@@ -611,10 +573,10 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
             if "kappa" not in entry:  # the first kappa request at this zeta pair
                 entry["kappa"] = _kappa_scalar(req)
             res = apply_kappa(res, req, entry["kappa"])
-        # rank drop on the resonance lattice
-        if check_invertible and res.cond_ratio <= _SINGULAR_TOL:
+        # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
+        if check_invertible and res.margin < _CANCEL_TOL:
             raise DegeneratePointError(
-                f"normalized R is numerically singular (cond ratio {res.cond_ratio:.3g})")
+                f"normalized R is numerically singular (margin {res.margin:.3g})")
         out.append(res)
     return out
 

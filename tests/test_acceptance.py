@@ -18,7 +18,7 @@ from qkzkit.reduction import (ReductionCase, check_rpr, insertion_invariance_che
                               theorem_check_general, theorem_check_selfdual)
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, antipode_dual,
                          build_eval_rep, operator_o)
-from qkzkit.rsolve import GAP_THRESHOLD, RCache, r_matrix
+from qkzkit.rsolve import _CANCEL_TOL, RCache, r_matrix
 from qkzkit.scalars import (kappa_difference_check_sl2, kappa_difference_check_sllpo,
                             kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                             q_pochhammer, rho0_ratio_sl2, rho0_sl2)
@@ -96,13 +96,13 @@ def test_criterion_03_double_dual():
 def test_criterion_04_intertwiner_solver():
     g = GradingChoice(1, 1)
     rng = np.random.default_rng(104)
-    min_gap = np.inf
+    min_margin = np.inf
     worst_resid = 0.0
     for m in (1, 2, 3):
         for kinds in ALL_PAIRS:
             res = r_matrix(kinds[0], zeta_sample(rng), kinds[1], zeta_sample(rng),
                            m, g, CTX, cache=CACHE)
-            min_gap = min(min_gap, res.nullspace_gap)
+            min_margin = min(min_margin, res.margin)
             worst_resid = max(worst_resid, res.intertwine_residual)
     q = complex(CTX.q)
     fired = 0
@@ -112,9 +112,9 @@ def test_criterion_04_intertwiner_solver():
             r_matrix("V", point, "V", 1.0, 1, g, CTX)
         except DegeneratePointError:
             fired += 1
-    print(f"[criterion  4] gap {min_gap:.3e} > 1e6; intertwine {worst_resid:.3e} <= 1e-11; "
+    print(f"[criterion  4] margin {min_margin:.3e} >= 1e-8; intertwine {worst_resid:.3e} <= 1e-11; "
           f"degenerate detection fired {fired}/{len(locus)}")
-    assert min_gap > GAP_THRESHOLD
+    assert min_margin >= _CANCEL_TOL
     assert worst_resid <= 1e-11
     assert fired == len(locus)
     announce(4, "intertwiner solver", worst_resid, 1e-11)

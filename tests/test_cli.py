@@ -248,6 +248,17 @@ class TestSuiteAcrossQ:
         assert code == 0
         assert len(data) == 71 and all(rec["passed"] for rec in data)
 
+    @pytest.mark.parametrize("s0, s1", [(1, 0), (2, 1), (0, 1)])
+    def test_small_q_theorems_at_m4(self, s0, s1, capsys):
+        # the theorem chains ask for (V*, V*) factors whose components spread
+        # over about nine orders of magnitude; a normwise solve called them
+        # non-simple, and the whole group ended as one error report
+        code, out = run_cli(["verify", "theorems", "--m", "4", "--q", "0.3", "--s0", str(s0),
+                             "--s1", str(s1)], capsys)
+        data = json.loads(out)
+        assert code in (0, 1)
+        assert len(data) == 9 and not [rec for rec in data if "group" in rec["params"]]
+
 
 class TestSuiteReporting:
     def test_failing_group_keeps_the_others(self, capsys):

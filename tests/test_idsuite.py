@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import idsuite
+from qkzkit import idsuite, rsolve
 from qkzkit.reps import operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, make_request, r_matrix, solve_intertwiner
 
@@ -66,6 +66,22 @@ class TestUnitarityChecks:
                                                   ctx, normalization="kappa",
                                                   cache=cache)
             assert rep.passed
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_initial_condition_sees_a_perturbed_ratio(self, m, ctx, grading, monkeypatch):
+        # at zeta1 = zeta2 every component ratio of a like pair is exactly 1;
+        # one ratio number off by 1e-6 must fail the check in both modes
+        raw = rsolve._Frame.__init__
+
+        def perturbed(frame, *args):
+            raw(frame, *args)
+            frame.ratios[0, 0, 0] *= 1 + 1e-6
+        monkeypatch.setattr(rsolve._Frame, "__init__", perturbed)
+        for kind in ("V", "V*"):
+            for norm in ("hw", "kappa"):
+                rep = idsuite.check_initial_condition(m, kind, 1.3 + 0.1j, grading, ctx,
+                                                      normalization=norm, cache=RCache())
+                assert not rep.passed, (kind, norm, rep.residual)
 
 
 class TestCrossing:

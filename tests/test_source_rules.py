@@ -1,5 +1,5 @@
 """Source rules of the package: one cache (RCache), no module-global state,
-no stale export, no assert statement.
+no stale export, no assert statement, one SVD in the R solver.
 
 Results are memoized only in an RCache that the caller creates and passes,
 so no function may carry a functools cache, and no module may bind a
@@ -7,7 +7,9 @@ mutable container to a name that reads as a variable.  Constants are
 UPPER_CASE; dunder names such as __all__ are the language's own.  Every
 name a module lists in __all__ must exist, so a deleted function cannot
 stay exported.  `python -O` strips assert statements, so a runtime check
-raises instead.
+raises instead.  The R solver gets its coefficients from component ratios;
+its one SVD is the gap test of the highest-weight kernels in
+`_chain_kernels`, so a normwise nullvector solve cannot come back beside it.
 """
 
 import ast
@@ -62,6 +64,16 @@ def assert_statements(tree):
     return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def svd_outside(tree, allowed=("_chain_kernels",)):
+    """Uses of an `svd` attribute or import outside the functions named in allowed."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in allowed
+              for node in ast.walk(fn)}
+    return [f"line {node.lineno}" for node in ast.walk(tree) if id(node) not in inside and (
+        (isinstance(node, ast.Attribute) and node.attr == "svd") or
+        (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)))]
+
+
 def test_sources_found():
     assert any(p.name == "rsolve.py" for p in SOURCES)
 
@@ -79,6 +91,11 @@ def test_no_module_level_mutable_state(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(ast.parse(path.read_text())) == []
+
+
+def test_rsolve_svd_only_in_chain_kernels():
+    path = next(p for p in SOURCES if p.name == "rsolve.py")
+    assert svd_outside(ast.parse(path.read_text())) == []
 
 
 def _exports(path):
@@ -125,3 +142,13 @@ def test_rules_fire_on_planted_code(source, caches, containers):
 ])
 def test_assert_rule_fires_on_planted_code(source, asserts):
     assert len(assert_statements(ast.parse(source))) == asserts
+
+
+@pytest.mark.parametrize("source, outside", [
+    ("def _chain_kernels(A):\n    return np.linalg.svd(A, compute_uv=False)\n", 0),
+    ("def _solve(K):\n    return np.linalg.svd(K)\n", 1),
+    ("from numpy.linalg import svd\n", 1),
+    ("def _chain_kernels(A):\n    return np.linalg.svd(A)\nsv = np.linalg.svd(B)\n", 1),
+])
+def test_svd_rule_fires_on_planted_code(source, outside):
+    assert len(svd_outside(ast.parse(source))) == outside
