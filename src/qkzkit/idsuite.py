@@ -290,9 +290,7 @@ def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx,
     chain = ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
                       deltas=tuple(DeltaAssignment("general_v") for _ in range(N)),
                       normalization=normalization)
-    rng = np.random.default_rng(seed)
-    D = (m + 1) ** N
-    phi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    phi = probe_block((m + 1) ** N, seed)[:, 0]
     out1, ord1 = transport_phi(chain, phi, word1, cache)
     out2, ord2 = transport_phi(chain, phi, word2, cache)
     if ord1 != ord2:

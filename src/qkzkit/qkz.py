@@ -6,6 +6,14 @@ site i is a product of two-site Rcheck factors, the cyclic left shift and
 the site twist embedded at slot 0; it also has a rewritten form with R
 factors only, and both must agree.
 
+The one-step operators, the reduction composite (`reduction.rhs_operator`)
+and exchange transport are factor strings: lists of steps in application
+order, ("Rcheck" | "R", (i, j), (kind1, z1, kind2, z2)) for a two-site
+factor on sites (i, j), ("delta", slot, site) for a site twist and
+("perm", sigma, None) for a site permutation.  `apply_factors` applies a
+string; `rcheck_factors` requests all of its two-site factors in one
+solve_intertwiner call, the only one in this module and in `reduction`.
+
 Every operator is applied to a start block of columns, the identity by
 default (which gives the dense matrix).  The checks apply both sides of
 an identity A = B to the same seeded complex Gaussian probe block X of
@@ -118,69 +126,66 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
-def rcheck_factors(chain, infos, cache=None) -> list:
+def rcheck_factors(chain, infos, cache=None, check_invertible=True) -> list:
     """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, the solved
     ones requested in one solve_intertwiner call; the removable (V,V)
     resonance z1 = q^delta z2 of the kappa-normalized family takes its
-    closed form and is not requested."""
+    closed form and is not requested.  `chain` supplies m, grading, ctx and
+    normalization (a ChainSpec or a reduction case).  With
+    check_invertible=False a singular factor is returned, not refused."""
     qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
     resonant = [chain.normalization == "kappa" and k1 == k2 == "V"
                 and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1) for k1, z1, k2, z2 in infos]
     reqs = [make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx, chain.normalization)
             for (k1, z1, k2, z2), r in zip(infos, resonant) if not r]
-    solved = iter(solve_intertwiner(reqs, cache) if reqs else [])
+    solved = iter(solve_intertwiner(reqs, cache, check_invertible) if reqs else [])
     return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if r else next(solved).Rcheck
             for r in resonant]
 
 
-def rcheck_factor(chain, kind1, z1, kind2, z2, cache=None) -> np.ndarray:
-    """Rcheck for one chain factor (rcheck_factors)."""
-    return rcheck_factors(chain, [(kind1, z1, kind2, z2)], cache)[0]
+def apply_factors(chain: ChainSpec, steps, cache=None, block=None,
+                  check_invertible=True) -> np.ndarray:
+    """A factor string (steps in application order, see the module docstring)
+    applied to `block`, the identity (dense matrix) by default.  A two-site
+    factor has its first tensor factor on site i and R = P Rcheck; all of
+    them are requested in one call (rcheck_factors)."""
+    dims, d = chain.dims, chain.m + 1
+    M = np.eye(prod(dims), dtype=complex) if block is None else block
+    rchecks = iter(rcheck_factors(
+        chain, [info for tag, _, info in steps if tag in ("R", "Rcheck")], cache,
+        check_invertible))
+    for tag, where, info in steps:
+        if tag == "delta":
+            M = site_matmul(chain.delta_matrix(info), where, dims, M)
+        elif tag == "perm":
+            M = permuted_matmul(where, dims, M)
+        elif tag in ("R", "Rcheck"):
+            Rc = next(rchecks)
+            M = embedded_matmul(swap_outputs(Rc, d, d) if tag == "R" else Rc, *where, dims, M)
+        else:
+            raise ConfigError(f"unknown factor tag {tag!r}")
+    return M
 
 
 def lambda_factor_specs(chain: ChainSpec, i: int):
-    """Ordered factor list for the one-step operator at site i (leftmost first).
+    """Factor string of the one-step operator at site i, in application order.
 
-    Entries: ("rcheck", slot, (kindA, zA, kindB, zB)) for Rcheck_{A|B}(zA|zB)
-    on slots (slot, slot+1), ("perm_lambda",), ("delta", i).
+    Written order (leftmost applied last):
+    Rcheck^{(i,i+1)}(eta_{i+1}|p eta_i) .. Rcheck^{(N-2,N-1)}(eta_{N-1}|p eta_i)
+    P_lambda Delta_i^{(0)} Rcheck^{(0,1)}(eta_0|eta_i) .. Rcheck^{(i-1,i)}(eta_{i-1}|eta_i),
+    each Rcheck between the kinds of its first site and of the mover i.
     """
     N = chain.N
     if not 0 <= i < N:
         raise ConfigError("site index out of range")
     kmov = chain.kinds[i]
-    specs = []
-    for k in range(i, N - 1):
-        specs.append(("rcheck", k, (chain.kinds[k + 1], chain.etas[k + 1],
-                                    kmov, chain.p * chain.etas[i])))
-    specs.append(("perm_lambda", None, None))
-    specs.append(("delta", i, None))
-    for k in range(0, i):
-        specs.append(("rcheck", k, (chain.kinds[k], chain.etas[k], kmov, chain.etas[i])))
-    return specs
-
-
-def materialize_factors(chain: ChainSpec, specs, cache=None, block=None) -> np.ndarray:
-    """A factor list applied to `block`, the identity (dense matrix) by default.
-
-    Written order: the leftmost factor is applied last.  The Rcheck factors
-    are requested in one call (rcheck_factors).
-    """
-    dims = chain.dims
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
-    lam = cyclic_left_shift(chain.N)
-    rchecks = iter(rcheck_factors(
-        chain, [info for tag, _, info in reversed(specs) if tag == "rcheck"], cache))
-    for tag, slot, info in reversed(specs):
-        if tag == "perm_lambda":
-            M = permuted_matmul(lam, dims, M)
-        elif tag == "delta":
-            # twist of site `slot`, always embedded at chain position 0
-            M = site_matmul(chain.delta_matrix(slot), 0, dims, M)
-        elif tag == "rcheck":
-            M = embedded_matmul(next(rchecks), slot, slot + 1, dims, M)
-        else:
-            raise ConfigError(f"unknown factor tag {tag!r}")
-    return M
+    steps = [("Rcheck", (k, k + 1), (chain.kinds[k], chain.etas[k], kmov, chain.etas[i]))
+             for k in range(i - 1, -1, -1)]
+    steps += [("delta", 0, i), ("perm", cyclic_left_shift(N), None)]
+    steps += [("Rcheck", (k, k + 1), (chain.kinds[k + 1], chain.etas[k + 1],
+                                      kmov, chain.p * chain.etas[i]))
+              for k in range(N - 2, i - 1, -1)]
+    return steps
 
 
 def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
@@ -191,7 +196,7 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.nda
     is contracted into the block reshaped to (d, ..., d, k) by one
     `np.einsum` (`_einsum_apply`), an evaluation route that shares no
     code with the `embedded_matmul`/`site_matmul` application of
-    `materialize_factors` and forms no D x D matrix.
+    `apply_factors` and forms no D x D matrix.
     """
     dims = chain.dims
     d = chain.m + 1
@@ -230,7 +235,7 @@ def _einsum_apply(op, sites, dims, M):
 
 def lambda_op(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
     """One-step qKZ operator for site i applied to `block` (default: its dense matrix)."""
-    return materialize_factors(chain, lambda_factor_specs(chain, i), cache, block)
+    return apply_factors(chain, lambda_factor_specs(chain, i), cache, block)
 
 
 def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
@@ -241,11 +246,11 @@ def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
     return float(np.linalg.norm(M - M2) / max(np.linalg.norm(M), 1e-300))
 
 
-def _cancels(spec_a, spec_b) -> bool:
+def _cancels(step_a, step_b) -> bool:
     """Adjacent unitarity pair Rcheck_{A|B}(x|y) Rcheck_{B|A}(y|x) = id."""
-    ta, sa, ia = spec_a
-    tb, sb, ib = spec_b
-    if ta != "rcheck" or tb != "rcheck" or sa != sb:
+    ta, sa, ia = step_a
+    tb, sb, ib = step_b
+    if ta != "Rcheck" or tb != "Rcheck" or sa != sb:
         return False
     k1a, z1a, k2a, z2a = ia
     k1b, z1b, k2b, z2b = ib
@@ -268,13 +273,12 @@ def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
     unitarity relation.  Cancelling the pair evaluates the product of the
     meromorphic factor strings at the removable point.
     """
-    specs_a = lambda_factor_specs(chain_a, i_a)
-    specs_b = lambda_factor_specs(chain_b, i_b)
-    if specs_a and specs_b and _cancels(specs_a[-1], specs_b[0]):
-        specs_a = specs_a[:-1]
-        specs_b = specs_b[1:]
-    return materialize_factors(chain_a, specs_a, cache,
-                               materialize_factors(chain_b, specs_b, cache, block))
+    steps_a = lambda_factor_specs(chain_a, i_a)
+    steps_b = lambda_factor_specs(chain_b, i_b)
+    # application order steps_b + steps_a: the junction is b's last step and a's first
+    if _cancels(steps_a[0], steps_b[-1]):
+        steps_a, steps_b = steps_a[1:], steps_b[:-1]
+    return apply_factors(chain_a, steps_a, cache, apply_factors(chain_b, steps_b, cache, block))
 
 
 def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> VerificationReport:
@@ -308,23 +312,21 @@ def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, tol=1e-9,
 
 
 def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
-    """Apply the exchange recurrence along a word of adjacent transpositions.
+    """Apply the exchange recurrence along a word of adjacent transpositions,
+    one Rcheck step per letter (apply_factors).
 
     Returns (tensor, order) where order[k] is the original site now at
     position k; the result is independent of the chosen word for a fixed
     final permutation.
     """
-    dims = chain.dims
-    D = prod(dims)
     order = list(range(chain.N))
-    infos = []  # the factor of each step, all requested in one call
+    steps = []
     for k in word:
         if not 0 <= k < chain.N - 1:
             raise ConfigError("word entry out of range")
         a, b = order[k], order[k + 1]
-        infos.append((chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b]))
+        steps.append(("Rcheck", (k, k + 1),
+                      (chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b])))
         order[k], order[k + 1] = order[k + 1], order[k]
-    vec = np.asarray(tensor, dtype=complex).reshape(D, 1)
-    for k, Rc in zip(word, rcheck_factors(chain, infos, cache)):
-        vec = embedded_matmul(Rc, k, k + 1, dims, vec)
-    return vec.reshape(dims), order
+    vec = apply_factors(chain, steps, cache, np.asarray(tensor, dtype=complex).reshape(-1, 1))
+    return vec.reshape(chain.dims), order

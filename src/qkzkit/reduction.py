@@ -6,11 +6,13 @@ and a chain of n modules plus n duals with the q^eps mirror and p = q^eps
 ("general").  `rhs_operator` builds either composite from one block
 B_mover(a | b) per moving site; in written order (leftmost applied last)
 they are B_V(z_n | p z_n) and B_{V*}(p z_n | p^2 z_n) B_V(z_n | p z_n).
-The composite and the one-step qKZ operators are applied, factor by
-factor, to the same seeded complex Gaussian probe block
-(`qkz.probe_block`), and the two results are compared; no composite is
-formed as a D x D matrix.  The first probe column goes through the
-contraction map, which realizes the implication concretely.
+The composite is a factor string in the step format of `qkz` (R factors,
+the mover's twist and the swap P^{(n,n+1)}, in application order) and,
+like the one-step qKZ operators, is applied by `qkz.apply_factors` to the
+same seeded complex Gaussian probe block (`qkz.probe_block`); the two
+results are compared, and no composite is formed as a D x D matrix.  The
+first probe column goes through the contraction map, which realizes the
+implication concretely.
 """
 
 import time
@@ -21,13 +23,11 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError
-from .qkz import (ChainSpec, DeltaAssignment, lambda_factor_specs,
-                  lambda_product_regularized, lambda_rewritten, materialize_factors,
-                  probe_block, rcheck_factor)
+from .qkz import (ChainSpec, DeltaAssignment, apply_factors, lambda_op,
+                  lambda_product_regularized, lambda_rewritten, probe_block, rcheck_factors)
 from .report import VerificationReport, worst_of
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
-from .rsolve import make_request, solve_intertwiner
-from .tensorops import embed_pair, embedded_matmul, permuted_matmul, site_matmul
+from .tensorops import embed_pair, embedded_matmul, site_matmul
 
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_operator", "psi_extract",
@@ -100,16 +100,6 @@ def chain_for(case: ReductionCase, etas) -> ChainSpec:
                      case.p, deltas, case.normalization)
 
 
-def _factors(case, pairs, cache) -> list:
-    """R-operators of composite factors, (kind1, z1, kind2, z2) each, requested
-    in one call (none without factors); singular factors stay in the product."""
-    if not pairs:
-        return []
-    return solve_intertwiner([make_request(k1, z1, k2, z2, case.m, case.grading, case.ctx,
-                                           case.normalization) for k1, z1, k2, z2 in pairs],
-                             cache, check_invertible=False)
-
-
 def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
                  block=None) -> np.ndarray:
     """Reduction composite applied to `block` (default: the identity, giving
@@ -125,35 +115,27 @@ def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
     the mover's site.  insertion=(u, v) puts the unitarity pair
     Rcheck_{V|V*}(u|v) Rcheck_{V*|V}(v|u) on slots (n, n+1) between the
     general blocks; with a self-dual case it is a ConfigError.  The whole
-    factor string is requested in one call.
+    factor string is requested in one call, and a singular factor stays in
+    the product (qkz.apply_factors with check_invertible=False).
     """
     if insertion is not None and case.mode == "self_dual":
         raise ConfigError("the unitarity insertion needs a general case")
-    n, dims = case.n, case.dims
+    n = case.n
     chain = chain_for(case, mirrored_args(case, zetas))
     kinds, etas = chain.kinds, chain.etas
     swap = list(range(2 * n))
     swap[n - 1], swap[n] = swap[n], swap[n - 1]
-    steps = []  # application order: (R or Rcheck, its factor, slots), or the twist or swap
+    steps = []
     for k, site in enumerate((n - 1,) if case.mode == "self_dual" else (n - 1, n)):
         if k == 1 and insertion is not None:
             u, v = insertion
-            steps += [("Rcheck", ("V*", v, "V", u), (n - 1, n)),
-                      ("Rcheck", ("V", u, "V*", v), (n - 1, n))]
+            steps += [("Rcheck", (n - 1, n), ("V*", v, "V", u)),
+                      ("Rcheck", (n - 1, n), ("V", u, "V*", v))]
         mover, a, b = kinds[site], etas[site], case.p * etas[site]
-        steps += [("R", (kinds[j], etas[j], mover, a), (j, n - 1)) for j in range(n - 2, -1, -1)]
-        steps += [("delta", site, None), ("swap", None, None)]
-        steps += [("R", (kinds[j], etas[j], mover, b), (j, n)) for j in range(2 * n - 1, n, -1)]
-    results = iter(_factors(case, [f for op, f, _ in steps if op in ("R", "Rcheck")], cache))
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
-    for op, factor, slots in steps:
-        if op == "delta":
-            M = site_matmul(chain.delta_matrix(factor), n - 1, dims, M)
-        elif op == "swap":
-            M = permuted_matmul(swap, dims, M)
-        else:
-            M = embedded_matmul(getattr(next(results), op), *slots, dims, M)
-    return M
+        steps += [("R", (j, n - 1), (kinds[j], etas[j], mover, a)) for j in range(n - 2, -1, -1)]
+        steps += [("delta", n - 1, site), ("perm", swap, None)]
+        steps += [("R", (j, n), (kinds[j], etas[j], mover, b)) for j in range(2 * n - 1, n, -1)]
+    return apply_factors(chain, steps, cache, block, check_invertible=False)
 
 
 def psi_extract(case: ReductionCase, phi) -> np.ndarray:
@@ -206,9 +188,9 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     tensor of the implication.  The identity and the implication are
     checked against the rewritten (plain-R) form, whose einsum-applied
     factors share no code with the composite's factor application; the
-    factor-list form goes through the same helpers as the composite side
-    and can agree with it bit for bit.  `forms_residual` compares the two
-    forms.
+    factor-list form (`qkz.lambda_op`) goes through the same
+    `qkz.apply_factors` as the composite and the lead factor, and can agree
+    with them bit for bit.  `forms_residual` compares the two forms.
     """
     if case.mode != "self_dual":
         raise ConfigError("theorem_check_selfdual needs a self_dual case")
@@ -218,10 +200,10 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, tol_op=1e-9,
     X = probe_block(prod(dims), seed)
     rhs = rhs_operator(case, zetas, cache, block=X)
     chain = chain_for(case, mirrored_args(case, zetas))
-    resonant = rcheck_factor(chain, "V", w * zetas[n - 1], "V", case.p * zetas[n - 1], cache)
-    lhs = embedded_matmul(resonant, n - 1, n, dims, rhs)
+    lead = ("Rcheck", (n - 1, n), ("V", w * zetas[n - 1], "V", case.p * zetas[n - 1]))
+    lhs = apply_factors(chain, [lead], cache, rhs)
     lam = lambda_rewritten(chain, n - 1, cache, X)
-    lam_check_form = materialize_factors(chain, lambda_factor_specs(chain, n - 1), cache, X)
+    lam_check_form = lambda_op(chain, n - 1, cache, X)
     forms_resid = float(np.linalg.norm(lam - lam_check_form) / max(np.linalg.norm(lam), 1e-300))
     resid_op = float(np.linalg.norm(lhs - lam) / max(np.linalg.norm(lam), 1e-300))
     psi_lam = psi_extract(case, lam[:, 0])
@@ -298,13 +280,12 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, tol=1e-9,
     w = complex(case.ctx.q) ** case.shift
     dims = case.dims
     D = prod(dims)
-    rng = np.random.default_rng(seed)
-    phi0 = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    phi0 = probe_block(D, seed)[:, 0]
     mk = "V" if case.mode == "self_dual" else "V*"
 
-    front, mirror = (res.Rcheck for res in _factors(
+    front, mirror = rcheck_factors(
         case, [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])],
-        cache))
+        cache, check_invertible=False)
     phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
     phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
     psi0 = psi_extract(case, phi0)

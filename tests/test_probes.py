@@ -2,21 +2,22 @@
 the checks that compare them on a probe block."""
 
 import dataclasses
-from math import isqrt, prod
+from math import prod
 
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import qkz, reduction
-from qkzkit.qkz import (ChainSpec, DeltaAssignment, check_qkz_compatibility,
+from qkzkit import qkz
+from qkzkit.qkz import (ChainSpec, DeltaAssignment, apply_factors, check_qkz_compatibility,
                         lambda_factor_specs, lambda_forms_residual, lambda_op,
-                        lambda_product_regularized, lambda_rewritten,
-                        materialize_factors, probe_block)
+                        lambda_product_regularized, lambda_rewritten, probe_block,
+                        transport_phi)
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
                               mirrored_args, rhs_operator, scaling_covariance_residual,
                               theorem_check_general, theorem_check_selfdual)
-from qkzkit.tensorops import swap_outputs
+from qkzkit.rsolve import r_matrix
+from qkzkit.tensorops import embed_pair, permutation_op
 
 BLOCK_TOL = 1e-13
 EPS = 1e-6  # relative size of a planted defect
@@ -70,9 +71,9 @@ class TestBlockEquivalence:
         chain = mixed_chain(ctx, grading, kinds, m, rng)
         B = random_block(prod(chain.dims), rng)
         for i in range(chain.N):
-            specs = lambda_factor_specs(chain, i)
-            assert_block_equal(materialize_factors(chain, specs, cache, B),
-                               materialize_factors(chain, specs, cache), B)
+            steps = lambda_factor_specs(chain, i)
+            assert_block_equal(apply_factors(chain, steps, cache, B),
+                               apply_factors(chain, steps, cache), B)
             assert_block_equal(lambda_rewritten(chain, i, cache, B),
                                lambda_rewritten(chain, i, cache), B)
 
@@ -117,6 +118,83 @@ class TestBlockEquivalence:
                            lambda_op(chain, 1, cache) @ lambda_op(chain, 0, cache), B)
 
 
+class TestApplyFactors:
+    """A string of all four step kinds against the dense product of its factors."""
+
+    @staticmethod
+    def string(chain):
+        kinds, etas, p = chain.kinds, chain.etas, chain.p
+        return [("R", (0, 2), (kinds[0], etas[0], kinds[2], etas[2])),
+                ("delta", 2, 1),  # the twist of site 1 at slot 2
+                ("perm", [2, 0, 3, 1], None),
+                ("Rcheck", (3, 1), (kinds[3], etas[3], kinds[1], p * etas[1]))]
+
+    def dense(self, chain, cache):
+        d, dims = chain.m + 1, chain.dims
+        (_, _, f0), _, (_, sigma, _), (_, _, f3) = self.string(chain)
+        kw = dict(normalization=chain.normalization, cache=cache)
+        R = r_matrix(*f0, chain.m, chain.grading, chain.ctx, **kw).R
+        Rcheck = r_matrix(*f3, chain.m, chain.grading, chain.ctx, **kw).Rcheck
+        twist = np.kron(np.eye(d**2), np.kron(chain.delta_matrix(1), np.eye(d)))
+        return (embed_pair(Rcheck, 3, 1, dims) @ permutation_op(sigma, dims) @ twist
+                @ embed_pair(R, 0, 2, dims))
+
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_dense_product(self, m, norm, ctx, grading, cache):
+        rng = np.random.default_rng([89, m])
+        chain = dataclasses.replace(
+            mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), m, rng), normalization=norm)
+        want = self.dense(chain, cache)
+        got = apply_factors(chain, self.string(chain), cache)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        # the R step and the twist at slot 2 share site 2 and do not commute
+        steps = self.string(chain)
+        steps[0], steps[1] = steps[1], steps[0]
+        swapped = apply_factors(chain, steps, cache)
+        assert np.linalg.norm(swapped - want) > 1e-3 * np.linalg.norm(want)
+
+
+class TestOneSolvePerString:
+    """Each factor string requests all of its factors in one solve_intertwiner call."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = qkz.solve_intertwiner
+        monkeypatch.setattr(qkz, "solve_intertwiner",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_lambda_op(self, i, solves, ctx, grading, cache):
+        chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), 1, np.random.default_rng(88))
+        lambda_op(chain, i, cache)
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("mode,inserted", [("self_dual", False), ("general", False),
+                                               ("general", True)])
+    def test_rhs_operator(self, mode, inserted, solves, ctx, grading, cache):
+        case = ReductionCase(mode, 2, 1, grading, ctx)
+        rhs_operator(case, zetas_for(2, 87), cache,
+                     insertion=(1.1 + 0.4j, 0.7 - 0.9j) if inserted else None)
+        assert len(solves) == 1
+
+    def test_transport_phi(self, solves, ctx, grading, cache):
+        chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), 1, np.random.default_rng(86))
+        transport_phi(chain, probe_block(16)[:, 0], [0, 2, 1, 0], cache)
+        assert len(solves) == 1
+
+    def test_regularized_product_has_one_call_per_chain(self, solves, ctx, grading, cache):
+        chain = mixed_chain(ctx, grading, ("V", "V*"), 1, np.random.default_rng(85))
+        lambda_product_regularized(chain, 1, chain, 0, cache)
+        assert len(solves) == 2
+        case = ReductionCase("general", 2, 1, grading, ctx)
+        chain_a, chain_b = mirrored_product_chains(case, zetas_for(2, 84))
+        lambda_product_regularized(chain_a, 2, chain_b, 1, cache)
+        assert len(solves) == 4
+
+
 # --- failability: a 1e-6 defect in one factor on one side must fail the check ---
 
 def perturbed(A):
@@ -126,38 +204,26 @@ def perturbed(A):
 
 
 def plant_defect(monkeypatch, module, name, pick):
-    """Perturb the factors that module.name returns for which pick(args, k) holds:
-    args are the call's arguments and k the factor's place in the call's list
-    of results (0 when the call returns one factor).
-
-    R-operator results get a perturbed R and the matching Rcheck = P R.
-    """
+    """Perturb the factors that module.name returns for which pick(call, args, k)
+    holds: call counts the calls from 1 (a call that returns no factor
+    too), args are the call's arguments and k the factor's place in the
+    call's list of results (0 when the call returns one factor)."""
     original = getattr(module, name)
-
-    def perturb(out):
-        if isinstance(out, np.ndarray):
-            return perturbed(out)
-        R = perturbed(out.R)
-        d = isqrt(R.shape[0])
-        return dataclasses.replace(out, R=R, Rcheck=swap_outputs(R, d, d))
+    calls = []
 
     def defective(*args, **kwargs):
         out = original(*args, **kwargs)
+        calls.append(args)
         many = isinstance(out, list)
-        items = [perturb(x) if pick(args, k) else x for k, x in enumerate(out if many else [out])]
+        items = [perturbed(x) if pick(len(calls), args, k) else x
+                 for k, x in enumerate(out if many else [out])]
         return items if many else items[0]
     monkeypatch.setattr(module, name, defective)
 
 
-def first_call():
-    """The first factor of the first call."""
-    calls = []
-
-    def pick(args, k):
-        if k == 0:
-            calls.append(args)
-        return k == 0 and len(calls) == 1
-    return pick
+def nth_call(c):
+    """The first factor of call c."""
+    return lambda call, args, k: (call, k) == (c, 0)
 
 
 def zetas_for(n, seed):
@@ -166,27 +232,35 @@ def zetas_for(n, seed):
 
 
 class TestFailability:
-    """Each probe check passes as is and fails under one planted defect (n <= 2, m = 1)."""
+    """Each probe check passes as is and fails under one planted defect (n <= 2, m = 1).
 
-    @pytest.mark.parametrize("n,module,name", [
-        (1, reduction, "rcheck_factor"),   # the resonant factor of the left side
-        (2, reduction, "rcheck_factor"),
-        (2, reduction, "_factors"),        # one R factor of the composite
-        (2, qkz, "rcheck_factors"),        # one factor of the one-step operator
+    Every factor is requested through qkz.rcheck_factors; theorem_selfdual
+    calls it for the composite (call 1, no factor at n = 1), the resonant
+    lead factor (2), the rewritten form of Lambda_n (3) and its factor-list
+    form (4); theorem_general for the composite (1), then Lambda_n (2) and
+    Lambda_{n+1} (3) of the product."""
+
+    @pytest.mark.parametrize("n,call", [
+        pytest.param(1, 2, id="lead-n1"),          # the resonant factor of the left side
+        pytest.param(2, 2, id="lead-n2"),
+        pytest.param(2, 1, id="composite"),        # one R factor of the composite
+        pytest.param(2, 3, id="lambda-rewritten"),  # one factor of the one-step operator
+        pytest.param(2, 4, id="lambda-factor-list"),
     ])
-    def test_theorem_selfdual(self, n, module, name, monkeypatch, ctx, grading, cache):
+    def test_theorem_selfdual(self, n, call, monkeypatch, ctx, grading, cache):
         case = ReductionCase("self_dual", n, 1, grading, ctx)
         zetas = zetas_for(n, 95)
         assert theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
-        plant_defect(monkeypatch, module, name, first_call())
+        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call))
         assert not theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
 
-    @pytest.mark.parametrize("module,name", [(reduction, "_factors"), (qkz, "rcheck_factors")])
-    def test_theorem_general(self, module, name, monkeypatch, ctx, grading, cache):
+    @pytest.mark.parametrize("call", [pytest.param(1, id="composite"),
+                                      pytest.param(2, id="lambda")])
+    def test_theorem_general(self, call, monkeypatch, ctx, grading, cache):
         case = ReductionCase("general", 2, 1, grading, ctx)
         zetas = zetas_for(2, 96)
         assert theorem_check_general(case, zetas, seed=3, cache=cache).passed
-        plant_defect(monkeypatch, module, name, first_call())
+        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call))
         assert not theorem_check_general(case, zetas, seed=3, cache=cache).passed
 
     @pytest.mark.parametrize("mode", ["self_dual", "general"])
@@ -194,7 +268,7 @@ class TestFailability:
         case = ReductionCase(mode, 2, 1, grading, ctx)
         zetas, nu = zetas_for(2, 97), 1.3 * np.exp(0.4j)
         assert scaling_covariance_residual(case, zetas, nu, cache) <= 1e-10
-        plant_defect(monkeypatch, reduction, "_factors", first_call())
+        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(1))
         assert scaling_covariance_residual(case, zetas, nu, cache) > 1e-10
 
     def test_insertion_invariance(self, monkeypatch, ctx, grading, cache):
@@ -202,8 +276,8 @@ class TestFailability:
         zetas = zetas_for(2, 98)
         u, v = 1.1 + 0.4j, 0.7 - 0.9j
         assert insertion_invariance_check(case, zetas, u, v, cache=cache).passed
-        plant_defect(monkeypatch, reduction, "_factors",
-                     lambda args, k: tuple(args[1][k]) == ("V*", v, "V", u))
+        plant_defect(monkeypatch, qkz, "rcheck_factors",
+                     lambda call, args, k: tuple(args[1][k]) == ("V*", v, "V", u))
         assert not insertion_invariance_check(case, zetas, u, v, cache=cache).passed
 
     def test_qkz_compatibility(self, monkeypatch, ctx, grading, cache):
@@ -212,12 +286,12 @@ class TestFailability:
         p, (eta0, eta1) = chain.p, chain.etas
         # the one factor of Lambda_0 on the chain with eta_1 -> p eta_1
         plant_defect(monkeypatch, qkz, "rcheck_factors",
-                     lambda args, k: np.isclose(args[1][k][1], p * eta1)
+                     lambda call, args, k: np.isclose(args[1][k][1], p * eta1)
                      and np.isclose(args[1][k][3], p * eta0))
         assert not check_qkz_compatibility(chain, 0, 1, cache=cache).passed
 
     def test_lambda_forms(self, monkeypatch, ctx, grading, cache):
         chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), 1, np.random.default_rng(100))
         assert lambda_forms_residual(chain, 1, cache) <= 1e-10
-        plant_defect(monkeypatch, qkz, "swap_outputs", first_call())
+        plant_defect(monkeypatch, qkz, "swap_outputs", nth_call(1))
         assert lambda_forms_residual(chain, 1, cache) > 1e-10

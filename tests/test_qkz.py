@@ -100,12 +100,13 @@ class TestLambdaOp:
     def test_factor_specs_structure(self, ctx, grading):
         rng = np.random.default_rng(52)
         chain = general_chain(ctx, grading, ("V", "V*", "V", "V*"), rng)
-        specs = lambda_factor_specs(chain, 2)
-        tags = [s[0] for s in specs]
-        assert tags == ["rcheck", "perm_lambda", "delta", "rcheck", "rcheck"]
-        # moving site kind appears as the second member of each rcheck pair
-        for tag, slot, info in specs:
-            if tag == "rcheck":
+        steps = lambda_factor_specs(chain, 2)
+        tags = [s[0] for s in steps]
+        # application order: the written order reversed
+        assert tags == ["Rcheck", "Rcheck", "delta", "perm", "Rcheck"]
+        # moving site kind appears as the second member of each Rcheck pair
+        for tag, slots, info in steps:
+            if tag == "Rcheck":
                 assert info[2] == "V"
 
     def test_index_out_of_range(self, ctx, grading):
@@ -197,11 +198,11 @@ class TestTransport:
         word = [0, 2]
         out1, order1 = transport_phi(chain, phi, word, cache)
         out2, order2 = transport_phi(chain, phi, word + [1], cache)
-        from qkzkit.qkz import rcheck_factor
+        from qkzkit.qkz import rcheck_factors
         from qkzkit.tensorops import embedded_matmul
         a, b = order1[1], order1[2]
-        rc = rcheck_factor(chain, chain.kinds[a], chain.etas[a],
-                           chain.kinds[b], chain.etas[b], cache)
+        rc, = rcheck_factors(chain, [(chain.kinds[a], chain.etas[a],
+                                      chain.kinds[b], chain.etas[b])], cache)
         stepped = embedded_matmul(rc, 1, 2, chain.dims, out1.reshape(-1, 1)).reshape(-1)
         assert order2 == [order1[k] for k in (0, 2, 1, 3)]
         assert np.abs(stepped - out2.reshape(-1)).max() < 1e-12

@@ -95,7 +95,7 @@ SITES = {
     "idsuite.crossing": (idsuite, "scalar_ratio", _nan_on_call(2), _crossing, "crossing"),
     "reduction.combined_report": (reduction, "psi_extract", _nan_on_call(2),
                                   _theorem("general"), "theorem_general"),
-    "reduction.forms_residual": (reduction, "materialize_factors", _nan_on_call(1),
+    "reduction.forms_residual": (reduction, "lambda_op", _nan_on_call(1),
                                  _theorem("self_dual"), "theorem_selfdual"),
 }
 

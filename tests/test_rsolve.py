@@ -8,7 +8,7 @@ from conftest import zeta_sample
 from qkzkit import reps, rsolve
 from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError, QkzError
-from qkzkit.qkz import rcheck_factor
+from qkzkit.qkz import rcheck_factors
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          eval_module, operator_o, operator_o_inverse, sl2_constants)
@@ -419,7 +419,7 @@ class TestContinuation:
         # the mixed pair at equal arguments stays a genuine pole in kappa mode
         chain = chain_for(ReductionCase("self_dual", 1, 1, grading, ctx), [1.0, 1.0])
         with pytest.raises(DegeneratePointError):
-            rcheck_factor(chain, "V*", 1.0, "V", 1.0)
+            rcheck_factors(chain, [("V*", 1.0, "V", 1.0)])
 
     def test_resonance_runs_no_solve(self, ctx, grading, monkeypatch):
         # the factor the self-dual theorem needs comes from the closed form
@@ -428,7 +428,7 @@ class TestContinuation:
         z = 1.3 + 0.2j
         chain = chain_for(case, mirrored_args(case, [z]))
         w = complex(ctx.q) ** case.shift
-        got = rcheck_factor(chain, "V", w * z, "V", case.p * z, cache=RCache())
+        got, = rcheck_factors(chain, [("V", w * z, "V", case.p * z)], cache=RCache())
         assert solves == []
         assert np.abs(got - rcheck_resonant(2, grading, ctx)).max() == 0.0
 

@@ -1,5 +1,6 @@
 """Source rules of the package: one cache (RCache), no module-global state,
-no stale export, no assert statement, one SVD in the R solver.
+no stale export, no assert statement, one SVD in the R solver, one factor
+request and one permutation application for the factor strings.
 
 Results are memoized only in an RCache that the caller creates and passes,
 so no function may carry a functools cache, and no module may bind a
@@ -10,6 +11,10 @@ stay exported.  `python -O` strips assert statements, so a runtime check
 raises instead.  The R solver gets its coefficients from component ratios;
 its one SVD is the gap test of the highest-weight kernels in
 `_chain_kernels`, so a normwise nullvector solve cannot come back beside it.
+In `qkz` and `reduction` every qKZ, reduction and transport operator is a
+factor string: only `rcheck_factors` requests factors (solve_intertwiner,
+with the resonant closed form) and only `apply_factors` applies a string
+(the one use of permuted_matmul), so no second factor loop can come back.
 """
 
 import ast
@@ -64,14 +69,19 @@ def assert_statements(tree):
     return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
-def svd_outside(tree, allowed=("_chain_kernels",)):
-    """Uses of an `svd` attribute or import outside the functions named in allowed."""
+def calls_outside(tree, name, allowed):
+    """Uses of `name` (an attribute, a bare name or an import of it) outside
+    the functions named in allowed.  An import counts as inside when an
+    allowed function uses the bare name that it binds."""
     inside = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in allowed
               for node in ast.walk(fn)}
+    bare = {id(node) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name}
+    imported_for_inside = bool(bare & inside)
     return [f"line {node.lineno}" for node in ast.walk(tree) if id(node) not in inside and (
-        (isinstance(node, ast.Attribute) and node.attr == "svd") or
-        (isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)))]
+        (isinstance(node, ast.Attribute) and node.attr == name) or id(node) in bare or
+        (isinstance(node, ast.ImportFrom) and not imported_for_inside
+         and any(a.name == name for a in node.names)))]
 
 
 def test_sources_found():
@@ -95,7 +105,26 @@ def test_no_assert_statements(path):
 
 def test_rsolve_svd_only_in_chain_kernels():
     path = next(p for p in SOURCES if p.name == "rsolve.py")
-    assert svd_outside(ast.parse(path.read_text())) == []
+    assert calls_outside(ast.parse(path.read_text()), "svd", ("_chain_kernels",)) == []
+
+
+FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
+
+
+def test_factor_string_sources_found():
+    assert len(FACTOR_STRING_SOURCES) == 2
+
+
+@pytest.mark.parametrize("path", FACTOR_STRING_SOURCES, ids=lambda p: p.name)
+def test_factors_requested_only_in_rcheck_factors(path):
+    tree = ast.parse(path.read_text())
+    assert calls_outside(tree, "solve_intertwiner", ("rcheck_factors",)) == []
+
+
+@pytest.mark.parametrize("path", FACTOR_STRING_SOURCES, ids=lambda p: p.name)
+def test_permutations_applied_only_in_apply_factors(path):
+    tree = ast.parse(path.read_text())
+    assert calls_outside(tree, "permuted_matmul", ("apply_factors",)) == []
 
 
 def _exports(path):
@@ -151,4 +180,39 @@ def test_assert_rule_fires_on_planted_code(source, asserts):
     ("def _chain_kernels(A):\n    return np.linalg.svd(A)\nsv = np.linalg.svd(B)\n", 1),
 ])
 def test_svd_rule_fires_on_planted_code(source, outside):
-    assert len(svd_outside(ast.parse(source))) == outside
+    assert len(calls_outside(ast.parse(source), "svd", ("_chain_kernels",))) == outside
+
+
+@pytest.mark.parametrize("source, outside", [
+    ("from .rsolve import solve_intertwiner\n"
+     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n", 0),
+    # a second request function, with the import it uses
+    ("from .rsolve import solve_intertwiner\n"
+     "def _factors(case, pairs, cache):\n"
+     "    return solve_intertwiner(pairs, cache, check_invertible=False)\n", 2),
+    ("from .rsolve import make_request, solve_intertwiner\n"
+     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n"
+     "def _factors(pairs):\n    return solve_intertwiner(pairs, None, False)\n", 1),
+    ("from . import rsolve\ndef _factors(pairs):\n    return rsolve.solve_intertwiner(pairs)\n", 1),
+    ("from .rsolve import solve_intertwiner as solve\n", 1),
+])
+def test_request_rule_fires_on_planted_code(source, outside):
+    tree = ast.parse(source)
+    assert len(calls_outside(tree, "solve_intertwiner", ("rcheck_factors",))) == outside
+
+
+APPLIER = ("from .tensorops import permuted_matmul\n"
+           "def apply_factors(chain, steps, M):\n    return permuted_matmul(sigma, chain.dims, M)\n")
+
+
+@pytest.mark.parametrize("source, outside", [
+    (APPLIER, 0),
+    # a factor loop of its own beside apply_factors
+    (APPLIER + "def rhs_operator(case, M):\n    return permuted_matmul(swap, case.dims, M)\n", 1),
+    ("from . import tensorops\n"
+     "def transport_phi(chain, M):\n    return tensorops.permuted_matmul(s, chain.dims, M)\n", 1),
+    ("from .tensorops import permuted_matmul\napply = permuted_matmul\n", 2),
+])
+def test_permutation_rule_fires_on_planted_code(source, outside):
+    tree = ast.parse(source)
+    assert len(calls_outside(tree, "permuted_matmul", ("apply_factors",))) == outside
