@@ -69,9 +69,10 @@ def _chk_scalar_identities(config, cache):
     worst_ratio = 0.0
     worst_even = 0.0
     for m in (1, 2, 3, 4):
+        kappa_one = abs(kappa_sl2(m, 1.0, ctx) - 1.0)  # the same at every sample
         for _ in range(config.samples):
             z = _zsample(rng)
-            worst_kappa = worst_of((worst_kappa, abs(kappa_sl2(m, 1.0, ctx) - 1.0),
+            worst_kappa = worst_of((worst_kappa, kappa_one,
                                     abs(kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx) - 1.0)))
             two_calls = 1.0 / (rho0_sl2(m, ctx.q ** (-2) * z, ctx) * rho0_sl2(m, z, ctx))
             worst_ratio = worst_of((worst_ratio, abs(two_calls - rho0_ratio_sl2(m, z, ctx))))

@@ -1,9 +1,9 @@
 """Algebraic identity checks: Yang-Baxter, unitarity, crossing, duals, invariances.
 
 Every check returns a VerificationReport; residuals are relative
-Frobenius norms.  Crossing relations are verified as proportionalities
-against independently solved R-operators, with the proportionality
-scalars extracted and reported.
+Frobenius norms (tensorops.relative_residual).  Crossing relations are
+verified as proportionalities against independently solved R-operators,
+with the proportionality scalars extracted and reported.
 """
 
 import time
@@ -15,8 +15,9 @@ from .report import VerificationReport, worst_of
 from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_o,
                    operator_o_inverse, operator_x, operator_xtilde, sl2_constants, twist)
 from .rsolve import make_request, r_matrix, solve_intertwiner
-from .qkz import ChainSpec, DeltaAssignment, probe_block, transport_phi
-from .tensorops import commutant_residual, embedded_matmul, partial_transpose, scalar_ratio
+from .qkz import ChainSpec, DeltaAssignment, probe_block, probe_vector, transport_phi
+from .tensorops import (commutant_residual, embedded_matmul, partial_transpose,
+                        relative_residual, scalar_ratio)
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
@@ -74,10 +75,10 @@ def _ybe_residual(R, dims, block) -> float:
         left = embedded_matmul(R[a, b], a, b, dims, left)
     for a, b in _YBE_PAIRS:
         right = embedded_matmul(R[a, b], a, b, dims, right)
-    return float(np.linalg.norm(left - right) / np.linalg.norm(left))
+    return relative_residual(left, right)
 
 
-def check_ybe(m, kinds, samples, grading, ctx, normalization="hw", tol=1e-9,
+def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
               cache=None) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on the triple product at each sample of three
     spectral parameters, both sides applied factor by factor to the seeded
@@ -92,10 +93,10 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw", tol=1e-9,
     resid = worst_of(_ybe_residual(dict(zip(_YBE_PAIRS, R[3 * k:3 * k + 3])), dims, block)
                      for k in range(len(samples)))
     return VerificationReport.make(
-        "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, tol, t0)
+        "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-9, t0)
 
 
-def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-10,
+def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw",
                     cache=None) -> VerificationReport:
     """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id; the pair is requested in one call."""
     t0 = time.perf_counter()
@@ -103,14 +104,13 @@ def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw", tol=1e-10
         [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx, normalization),
          make_request(kinds[1], zetas[1], kinds[0], zetas[0], m, grading, ctx, normalization)],
         cache, check_invertible=False)
-    d = (m + 1) ** 2
-    resid = float(np.linalg.norm(r12.Rcheck @ r21.Rcheck - np.eye(d)) / np.sqrt(d))
+    resid = relative_residual(np.eye((m + 1) ** 2), r12.Rcheck @ r21.Rcheck)
     return VerificationReport.make(
-        "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, tol, t0)
+        "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-10, t0)
 
 
 def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
-                            tol=1e-12, cache=None) -> VerificationReport:
+                            cache=None) -> VerificationReport:
     """Rcheck(z|z) = id for a like-kind pair.
 
     At zeta1 = zeta2 each component ratio beta_j / alpha_j of the solve is
@@ -125,10 +125,9 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
     t0 = time.perf_counter()
     res = r_matrix(kind, zeta, kind, zeta, m, grading, ctx,
                    normalization=normalization, cache=cache)
-    d = (m + 1) ** 2
-    resid = float(np.linalg.norm(res.Rcheck - np.eye(d)) / np.sqrt(d))
+    resid = relative_residual(np.eye((m + 1) ** 2), res.Rcheck)
     return VerificationReport.make(
-        "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, tol, t0)
+        "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, 1e-12, t0)
 
 
 def _crossing_sample(R, twists, dd) -> tuple:
@@ -150,7 +149,7 @@ def _crossing_sample(R, twists, dd) -> tuple:
             worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)))
 
 
-def check_crossing(m, samples, grading, ctx, tol=1e-9, cache=None) -> VerificationReport:
+def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
     """Crossing relations as proportionalities, with scalar extraction, at each
     sample of two spectral parameters.
 
@@ -190,7 +189,7 @@ def check_crossing(m, samples, grading, ctx, tol=1e-9, cache=None) -> Verificati
         np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
         for i in (2, 3, 4, 5))
     return VerificationReport.make(
-        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), tol, t0,
+        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9, t0,
         extracted_scalars=list(scal[-1]))
 
 
@@ -205,7 +204,7 @@ def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
     return worst
 
 
-def check_double_dual(m, grading, ctx, zeta, tol=1e-12) -> VerificationReport:
+def check_double_dual(m, grading, ctx, zeta) -> VerificationReport:
     """Double dual equals the q^-eps shifted module conjugated by X."""
     t0 = time.perf_counter()
     rep = build_eval_rep(m, grading, ctx)
@@ -214,10 +213,10 @@ def check_double_dual(m, grading, ctx, zeta, tol=1e-12) -> VerificationReport:
     X = operator_x(m, grading, ctx)
     resid = _conjugation_residual(ddual, zeta, rep, complex(ctx.q) ** (-eps) * zeta, X)
     return VerificationReport.make(
-        "double_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, tol, t0)
+        "double_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12, t0)
 
 
-def check_self_dual(m, grading, ctx, zeta, tol=1e-12) -> VerificationReport:
+def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
     """Dual equals the q^delta shifted module conjugated by O."""
     t0 = time.perf_counter()
     rep = build_eval_rep(m, grading, ctx)
@@ -226,7 +225,7 @@ def check_self_dual(m, grading, ctx, zeta, tol=1e-12) -> VerificationReport:
     O = operator_o(m, grading, ctx)
     resid = _conjugation_residual(dual, zeta, rep, complex(ctx.q) ** delta * zeta, O)
     return VerificationReport.make(
-        "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, tol, t0)
+        "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12, t0)
 
 
 def _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization, cache, C1, C2):
@@ -236,7 +235,7 @@ def _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization, cache
 
 
 def check_invariance_x(m, kinds, zetas, grading, ctx, normalization="hw",
-                       tol=1e-11, cache=None) -> VerificationReport:
+                       cache=None) -> VerificationReport:
     """[(X x X), R] = 0 with the kind-appropriate X on each slot."""
     t0 = time.perf_counter()
     ops = [operator_x(m, grading, ctx, kind=k) for k in kinds]
@@ -244,11 +243,11 @@ def check_invariance_x(m, kinds, zetas, grading, ctx, normalization="hw",
                                      cache, ops[0], ops[1])
     return VerificationReport.make(
         "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0,
-                         "s1": grading.s1}, resid, tol, t0)
+                         "s1": grading.s1}, resid, 1e-11, t0)
 
 
 def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, normalization="hw",
-                       tol=1e-11, cache=None) -> VerificationReport:
+                       cache=None) -> VerificationReport:
     """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images."""
     t0 = time.perf_counter()
     ops = [twist(k, alpha, m, ctx) for k in kinds]
@@ -257,11 +256,11 @@ def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, normalization="hw",
     return VerificationReport.make(
         "invariance_a", {"m": m, "kinds": list(kinds),
                          "alpha": [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha},
-        resid, tol, t0)
+        resid, 1e-11, t0)
 
 
 def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
-                            tol=1e-11, cache=None) -> VerificationReport:
+                            cache=None) -> VerificationReport:
     """Transpose-twisted invariance (Xt x Xt) R = R^t (Xt x Xt).
 
     This is the form valid for every grading and spin; it follows from the
@@ -272,17 +271,15 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
     t0 = time.perf_counter()
     xt = operator_xtilde(m, grading, ctx)
     XX = np.kron(xt, xt)
-    res = r_matrix("V", zetas[0], "V", zetas[1], m, grading, ctx,
-                   normalization=normalization, cache=cache, check_invertible=False)
-    R = res.R
-    resid = float(np.linalg.norm(XX @ R - R.T @ XX) / np.linalg.norm(R.T @ XX))
+    R = r_matrix("V", zetas[0], "V", zetas[1], m, grading, ctx,
+                 normalization=normalization, cache=cache, check_invertible=False).R
     return VerificationReport.make(
-        "invariance_xtilde", {"m": m, "norm": normalization}, resid, tol, t0)
+        "invariance_xtilde", {"m": m, "norm": normalization},
+        relative_residual(R.T @ XX, XX @ R), 1e-11, t0)
 
 
-def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx,
-                            normalization="kappa", seed=0, tol=1e-10,
-                            cache=None) -> VerificationReport:
+def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa",
+                            seed=0, cache=None) -> VerificationReport:
     """Transport along two words of the same permutation acts identically;
     words of different permutations raise ValueError."""
     t0 = time.perf_counter()
@@ -290,12 +287,11 @@ def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx,
     chain = ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
                       deltas=tuple(DeltaAssignment("general_v") for _ in range(N)),
                       normalization=normalization)
-    phi = probe_block((m + 1) ** N, seed)[:, 0]
+    phi = probe_vector((m + 1) ** N, seed)
     out1, ord1 = transport_phi(chain, phi, word1, cache)
     out2, ord2 = transport_phi(chain, phi, word2, cache)
     if ord1 != ord2:
         raise ValueError("words realize different permutations")
-    resid = float(np.linalg.norm(out1 - out2) / max(np.linalg.norm(out1), 1e-300))
     return VerificationReport.make(
-        "braid_welldefined", {"m": m, "N": N, "word1": list(word1),
-                              "word2": list(word2)}, resid, tol, t0)
+        "braid_welldefined", {"m": m, "N": N, "word1": list(word1), "word2": list(word2)},
+        relative_residual(out1, out2), 1e-10, t0)

@@ -33,24 +33,31 @@ from .report import VerificationReport
 from .reps import GradingChoice, sl2_constants, twist
 from .rsolve import make_request, r_matrix, rcheck_resonant, solve_intertwiner
 from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul,
-                        permuted_matmul, site_matmul, swap_outputs)
+                        permuted_matmul, relative_residual, site_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
+
+
+def _complex_gaussian(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def probe_vector(D: int, seed=0) -> np.ndarray:
+    """Column 0 of probe_block(D, seed), drawn alone."""
+    return _complex_gaussian(np.random.default_rng(seed), D)
 
 
 def probe_block(D: int, seed=0) -> np.ndarray:
     """D x min(PROBE_COLUMNS, D) complex Gaussian block drawn from default_rng(seed).
 
     Column 0 is drawn first, as one standard_normal(D) real and one
-    imaginary part, so it is the single probe vector phi0 that a seeded
-    check draws from that rng; the other columns follow.
+    imaginary part, so it is probe_vector(D, seed), the single probe vector
+    that a seeded check draws; the other columns follow.
     """
     rng = np.random.default_rng(seed)
-    first = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    shape = (D, min(PROBE_COLUMNS, D) - 1)
-    rest = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.column_stack([first, rest])
+    return np.column_stack([_complex_gaussian(rng, D),
+                            _complex_gaussian(rng, (D, min(PROBE_COLUMNS, D) - 1))])
 
 
 @dataclass(frozen=True)
@@ -242,8 +249,7 @@ def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
     """Relative residual between the two forms of Lambda_i on the probe block."""
     X = probe_block(prod(chain.dims))
     M = lambda_op(chain, i, cache, X)
-    M2 = lambda_rewritten(chain, i, cache, X)
-    return float(np.linalg.norm(M - M2) / max(np.linalg.norm(M), 1e-300))
+    return relative_residual(M, lambda_rewritten(chain, i, cache, X))
 
 
 def _cancels(step_a, step_b) -> bool:
@@ -281,7 +287,7 @@ def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
     return apply_factors(chain_a, steps_a, cache, apply_factors(chain_b, steps_b, cache, block))
 
 
-def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> VerificationReport:
+def check_ddr(chain: ChainSpec, j: int, k: int, cache=None) -> VerificationReport:
     """Commutation of the twist pair with the two-site R operator."""
     t0 = time.perf_counter()
     dj = chain.delta_matrix(j)
@@ -293,11 +299,10 @@ def check_ddr(chain: ChainSpec, j: int, k: int, tol=1e-11, cache=None) -> Verifi
     return VerificationReport.make(
         "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
                 "source": [chain.deltas[j].source, chain.deltas[k].source]},
-        resid, tol, t0)
+        resid, 1e-11, t0)
 
 
-def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, tol=1e-9,
-                            cache=None) -> VerificationReport:
+def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, cache=None) -> VerificationReport:
     """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i
     on the probe block X: Li_shift(Lj X) against Lj_shift(Li X)."""
     t0 = time.perf_counter()
@@ -306,9 +311,9 @@ def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, tol=1e-9,
                      lambda_op(chain, j, cache, X))
     right = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache,
                       lambda_op(chain, i, cache, X))
-    resid = float(np.linalg.norm(left - right) / max(np.linalg.norm(left), 1e-300))
     return VerificationReport.make(
-        "qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m}, resid, tol, t0)
+        "qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m},
+        relative_residual(left, right), 1e-9, t0)
 
 
 def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):

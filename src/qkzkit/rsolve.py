@@ -253,17 +253,15 @@ class CommutantTemplate:
     Every coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts;
     p = 0 and B = 0 for the Cartans), and only p depends on the grading, so
     one template serves every grading of (kinds, m, q).  It holds the two
-    modules with their hw indices, the unknowns (a, b) with the gauge
-    exponent of each plus m (half the h1-weight of the V1 factor of the
-    output a minus that of the input b), the entries of the zeta parts of
-    the twelve images M, N of the six generators, and the solve data of
-    each homogeneous frame (_Frame: B and its ratio numbers), built on
-    first use.
+    modules, the unknowns (a, b) with the gauge exponent of each plus m
+    (half the h1-weight of the V1 factor of the output a minus that of the
+    input b), the entries of the zeta parts of the twelve images M, N of
+    the six generators, and the solve data of each homogeneous frame
+    (_Frame: B and its ratio numbers), built on first use.
     """
 
     def __init__(self, rep1, rep2):
         self.rep1, self.rep2 = rep1, rep2
-        self.hw1, self.hw2 = rep1.hw_index, rep2.hw_index
         w1, w2 = rep1.weights.real, rep2.weights.real
         self.w_in = np.add.outer(w1, w2).reshape(-1)
         self.w_out = np.add.outer(w2, w1).reshape(-1)

@@ -102,15 +102,19 @@ def swap_outputs(op, d1: int, d2: int) -> np.ndarray:
     return op.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(d1 * d2, -1)
 
 
+def relative_residual(ref, other) -> float:
+    """||ref - other||_F / ||ref||_F against the reference side `ref`; a zero
+    reference tests nothing and reads inf, and a NaN stays NaN."""
+    den = np.linalg.norm(ref)
+    return float(np.linalg.norm(ref - other) / den) if den != 0 else float("inf")
+
+
 def scalar_ratio(A, B) -> tuple:
     """(lambda, residual) minimizing ||A - lambda B||_F; residual relative to ||A||."""
-    nb = np.linalg.norm(B)
-    if nb == 0:
+    if np.linalg.norm(B) == 0:
         raise ConfigError("B must be nonzero")
     lam = complex(np.vdot(B, A) / np.vdot(B, B))
-    na = np.linalg.norm(A)
-    resid = float(np.linalg.norm(A - lam * B) / (na if na > 0 else 1.0))
-    return lam, resid
+    return lam, relative_residual(A, lam * B)
 
 
 def commutant_residual(C1, C2, R) -> float:

@@ -88,7 +88,7 @@ def test_criterion_03_double_dual():
     worst = 0.0
     for g in GRADINGS:
         for m in (1, 2, 3):
-            rep = idsuite.check_double_dual(m, g, CTX, 1.2 + 0.5j, tol=tol)
+            rep = idsuite.check_double_dual(m, g, CTX, 1.2 + 0.5j)
             worst = max(worst, rep.residual)
     announce(3, "double dual (X conjugation, two gradings)", worst, tol)
 

@@ -134,6 +134,24 @@ class TestVerify:
         assert all(rec["name"] == "invariance_a" and rec["params"]["m"] == 2
                    and rec["residual"] is None for rec in failed)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_contraction_fails_the_extraction_reports(self, capsys, monkeypatch):
+        # a zero contraction matrix maps every tensor to Psi = 0: the
+        # end-to-end and rpr residuals have a zero reference side and read inf
+        # (null), where a 0/0 guard would read 0 and pass
+        argv = ["verify", "theorems", "--m", "1", "--seed", "7"]
+        assert run_cli(argv, capsys)[0] == 0
+        monkeypatch.setattr(cli.reduction.ReductionCase, "contraction_matrix",
+                            lambda case: np.zeros((case.m + 1, case.m + 1)))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        failed = [rec for rec in json.loads(captured.out) if not rec["passed"]]
+        assert sorted((rec["name"], rec["params"]["n"]) for rec in failed) == [
+            ("rpr", 2), ("rpr", 2), ("theorem_general", 1), ("theorem_general", 2),
+            ("theorem_selfdual", 1), ("theorem_selfdual", 2)]
+        assert all(rec["residual"] is None for rec in failed)
+
     def test_unachievable_tolerance_exits_1(self, capsys):
         code, out = run_cli(["verify", "reps", "--tol", "1e-30"], capsys)
         assert code == 1

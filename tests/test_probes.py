@@ -12,7 +12,7 @@ from qkzkit import qkz
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, apply_factors, check_qkz_compatibility,
                         lambda_factor_specs, lambda_forms_residual, lambda_op,
                         lambda_product_regularized, lambda_rewritten, probe_block,
-                        transport_phi)
+                        probe_vector, transport_phi)
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
                               mirrored_args, rhs_operator, scaling_covariance_residual,
                               theorem_check_general, theorem_check_selfdual)
@@ -59,6 +59,10 @@ class TestProbeBlock:
 
     def test_columns_capped_at_dimension(self):
         assert probe_block(4).shape == (4, 4)
+
+    @pytest.mark.parametrize("D, seed", [(2, 0), (16, 5), (729, 7), (1024, 42)])
+    def test_probe_vector_is_the_first_column(self, D, seed):
+        assert np.array_equal(probe_vector(D, seed), probe_block(D, seed)[:, 0])
 
 
 class TestBlockEquivalence:

@@ -15,6 +15,11 @@ In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string: only `rcheck_factors` requests factors (solve_intertwiner,
 with the resonant closed form) and only `apply_factors` applies a string
 (the one use of permuted_matmul), so no second factor loop can come back.
+The identity checks of `idsuite`, `qkz` and `reduction` take their
+residuals from `tensorops.relative_residual` and call no norm of their own,
+so no second residual rule (a 0/0 guard among them) can come back; and no
+public function there takes a per-call tolerance, since each report's
+tolerance is written where the report is made.
 """
 
 import ast
@@ -84,6 +89,24 @@ def calls_outside(tree, name, allowed):
          and any(a.name == name for a in node.names)))]
 
 
+def named_calls(tree, name):
+    """Calls of `name`, as an attribute (np.linalg.norm) or a bare name."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node) == name]
+
+
+TOLERANCE_PARAMS = {"tol", "tol_op", "tol_e2e"}
+
+
+def tolerance_parameters(tree):
+    """Parameters named tol, tol_op or tol_e2e of the public functions."""
+    return [f"{fn.name}({arg.arg})" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_")
+            for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if arg.arg in TOLERANCE_PARAMS]
+
+
 def test_sources_found():
     assert any(p.name == "rsolve.py" for p in SOURCES)
 
@@ -125,6 +148,23 @@ def test_factors_requested_only_in_rcheck_factors(path):
 def test_permutations_applied_only_in_apply_factors(path):
     tree = ast.parse(path.read_text())
     assert calls_outside(tree, "permuted_matmul", ("apply_factors",)) == []
+
+
+CHECK_SOURCES = [p for p in SOURCES if p.name in ("idsuite.py", "qkz.py", "reduction.py")]
+
+
+def test_check_sources_found():
+    assert len(CHECK_SOURCES) == 3
+
+
+@pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
+def test_checks_call_no_norm(path):
+    assert named_calls(ast.parse(path.read_text()), "norm") == []
+
+
+@pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
+def test_checks_take_no_tolerance(path):
+    assert tolerance_parameters(ast.parse(path.read_text())) == []
 
 
 def _exports(path):
@@ -216,3 +256,27 @@ APPLIER = ("from .tensorops import permuted_matmul\n"
 def test_permutation_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
     assert len(calls_outside(tree, "permuted_matmul", ("apply_factors",))) == outside
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("resid = relative_residual(left, right)\n", 0),
+    ("resid = float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))\n", 2),
+    ("from numpy.linalg import norm\ndef f(a):\n    return norm(a)\n", 1),
+    # a loop variable named norm is no call
+    ("for k1, k2, norm in pairs:\n    make_request(k1, k2, norm)\n", 0),
+])
+def test_norm_rule_fires_on_planted_code(source, calls):
+    assert len(named_calls(ast.parse(source), "norm")) == calls
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def check_ybe(m, kinds, samples, tol=1e-9, cache=None):\n    return m\n", 1),
+    ("def theorem_check_general(case, zetas, *, tol_op=1e-9, tol_e2e=1e-8):\n"
+     "    return case\n", 2),
+    ("class C:\n    def check(self, tol):\n        return tol\n", 1),
+    # a private helper and a literal at the report are allowed
+    ("def _combined_report(name, tol):\n    return name\n", 0),
+    ("def check_rpr(case, seed=0):\n    return make('rpr', {}, 0.0, 1e-9)\n", 0),
+])
+def test_tolerance_rule_fires_on_planted_code(source, found):
+    assert len(tolerance_parameters(ast.parse(source))) == found

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from qkzkit.errors import ConfigError
 from qkzkit.tensorops import (compose_permutations, cyclic_left_shift, embed_pair,
                               embedded_matmul, partial_transpose, permutation_op,
-                              permuted_matmul, scalar_ratio, site_matmul, swap_outputs)
+                              permuted_matmul, relative_residual, scalar_ratio, site_matmul,
+                              swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -140,6 +143,41 @@ class TestScalarRatio:
     def test_zero_b_rejected(self):
         with pytest.raises(ConfigError):
             scalar_ratio(rand_c(2, 2), np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_a_reads_inf(self):
+        lam, resid = scalar_ratio(np.zeros((2, 2)), rand_c(2, 2))
+        assert lam == 0 and resid == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+class TestRelativeResidual:
+    def test_zero_reference_reads_inf(self):
+        assert relative_residual(np.zeros((3, 3)), rand_c(3, 3)) == math.inf
+        assert relative_residual(np.zeros(4, complex), np.zeros(4)) == math.inf
+
+    def test_nan_stays_nan(self):
+        A = rand_c(3, 3)
+        B = A.copy()
+        B[1, 2] = np.nan
+        assert math.isnan(relative_residual(A, B))
+        assert math.isnan(relative_residual(B, A))
+        assert math.isnan(relative_residual(np.full(2, np.nan), np.zeros(2)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 8), (729,)])
+    def test_matches_the_inline_forms(self, shape):
+        A = rand_c(*shape)
+        for B in (rand_c(*shape), A + 1e-12 * rand_c(*shape)):
+            got = relative_residual(A, B)
+            assert got == float(np.linalg.norm(A - B) / max(np.linalg.norm(A), 1e-300))
+            assert got == float(np.linalg.norm(B - A) / np.linalg.norm(A))
+
+    @pytest.mark.parametrize("d", [4, 9, 16, 25, 81])
+    def test_matches_the_identity_form(self, d):
+        # ||I||_F is sqrt(d) exactly
+        X = np.eye(d) + 1e-13 * rand_c(d, d)
+        assert relative_residual(np.eye(d), X) == float(
+            np.linalg.norm(X - np.eye(d)) / np.sqrt(d))
 
 
 class TestFastApply:
