@@ -10,7 +10,6 @@ parses only the options it reads, and `build_parser` holds every default.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 import zlib
@@ -90,28 +89,19 @@ def _chk_scalar_difference(config, cache):
     ctx = _context(config)
     rng = _rng_for(config, "scalar_difference")
     out = []
-    for m in (1, 2, 3):
-        t0 = time.perf_counter()
-        vals = []
-        for _ in range(max(config.samples, 3)):
-            z = _zsample(rng)
-            vals.append(difference_patterns_sl2(m, z, ctx)["all_inverted"])
-        vals = np.array(vals)
-        resid = worst_of((np.abs(vals - (-1.0) ** m).max(), np.abs(vals - vals.mean()).max()))
-        out.append(VerificationReport.make(
-            "scalar_difference_sl2", {"m": m, "constant": (-1.0) ** m}, resid, 1e-10, t0,
-            extracted_scalars=[complex(vals.mean())]))
-    for l in (1, 2, 3):
-        t0 = time.perf_counter()
-        vals = []
-        for _ in range(max(config.samples, 3)):
-            z = _zsample(rng)
-            vals.append(difference_patterns_sllpo(l, z, ctx)["mixed"])
-        vals = np.array(vals)
-        resid = worst_of((np.abs(vals - 1.0).max(), np.abs(vals - vals.mean()).max()))
-        out.append(VerificationReport.make(
-            "scalar_difference_sllpo", {"l": l, "constant": 1.0}, resid, 1e-10, t0,
-            extracted_scalars=[complex(vals.mean())]))
+    # per family: report name, rank parameter, its difference constant and pattern
+    families = (("scalar_difference_sl2", "m", lambda m: (-1.0) ** m,
+                 lambda m, z: difference_patterns_sl2(m, z, ctx)["all_inverted"]),
+                ("scalar_difference_sllpo", "l", lambda l: 1.0,
+                 lambda l, z: difference_patterns_sllpo(l, z, ctx)["mixed"]))
+    for name, rank, constant, pattern in families:
+        for r in (1, 2, 3):
+            t0 = time.perf_counter()
+            vals = np.array([pattern(r, _zsample(rng)) for _ in range(max(config.samples, 3))])
+            resid = worst_of((np.abs(vals - constant(r)).max(), np.abs(vals - vals.mean()).max()))
+            out.append(VerificationReport.make(
+                name, {rank: r, "constant": constant(r)}, resid, 1e-10, t0,
+                extracted_scalars=[complex(vals.mean())]))
     return out
 
 
@@ -250,25 +240,21 @@ def _chk_invariances(config, cache):
     return out
 
 
+# word pairs that realize one permutation each: the braid relation, s0 s0 = 1, and a
+# pair of five-letter words
+_BRAID_WORDS = (([0, 1, 0], [1, 0, 1]), ([0, 0], []), ([0, 2, 1, 0, 2], [2, 0, 1, 2, 0]))
+
+
 def _chk_braid(config, cache):
     ctx = _context(config)
     g = _grading(config)
     rng = _rng_for(config, "braid")
     etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
     kinds = ("V", "V*", "V", "V*")
-    out = [
-        idsuite.check_braid_welldefined([0, 1, 0], [1, 0, 1], config.m, kinds, etas,
-                                        g, ctx, normalization=config.norm,
-                                        seed=config.seed, cache=cache),
-        idsuite.check_braid_welldefined([0, 0], [], config.m, kinds, etas, g, ctx,
-                                        normalization=config.norm, seed=config.seed,
-                                        cache=cache),
-        idsuite.check_braid_welldefined([0, 2, 1, 0, 2], [2, 0, 1, 2, 0], config.m,
-                                        kinds, etas, g, ctx,
-                                        normalization=config.norm, seed=config.seed,
-                                        cache=cache),
-    ]
-    return out
+    return [idsuite.check_braid_welldefined(word1, word2, config.m, kinds, etas, g, ctx,
+                                            normalization=config.norm, seed=config.seed,
+                                            cache=cache)
+            for word1, word2 in _BRAID_WORDS]
 
 
 def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
@@ -465,8 +451,7 @@ def _run_groups(names, config) -> int:
     for name in names:
         reports.extend(_run_group(name, config, cache))
     if config.tol is not None:
-        reports = [dataclasses.replace(r, tolerance=config.tol, passed=r.residual <= config.tol)
-                   for r in reports]
+        reports = [r.with_tolerance(config.tol) for r in reports]
     _emit(serialize_reports(reports, config.fmt), config)
     return 0 if all(r.passed for r in reports) else 1
 

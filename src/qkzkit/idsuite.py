@@ -27,39 +27,34 @@ __all__ = [
 ]
 
 
-def random_zeta(rng, lo=0.5, hi=2.0):
-    """Spectral-parameter sample with modulus in [lo, hi], uniform argument."""
+ZETA_MODULUS = (0.5, 2.0)  # modulus range of a spectral-parameter sample
+LATTICE_MARGIN = 1e-3  # closest relative approach of a generic ratio^s to the q^{2k} lattice
+
+
+def random_zeta(rng):
+    """Spectral-parameter sample with modulus in ZETA_MODULUS, uniform argument."""
+    lo, hi = ZETA_MODULUS
     return (lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
 
 
-def _near_shift_lattice(z, q, kmax, margin):
-    for k in range(-kmax, kmax + 1):
-        point = q ** (2 * k)
-        if abs(z - point) < margin * max(abs(point), 1e-6):
-            return True
-    return False
+def _near_shift_lattice(z, q, kmax):
+    points = (q ** (2 * k) for k in range(-kmax, kmax + 1))
+    return any(abs(z - point) < LATTICE_MARGIN * max(abs(point), 1e-6) for point in points)
 
 
-def draw_generic_zetas(rng, count, m, grading, ctx, lo=0.5, hi=2.0, margin=1e-3):
+def draw_generic_zetas(rng, count, m, grading, ctx):
     """Spectral parameters whose pairwise ratios avoid the degenerate loci.
 
-    Samples are redrawn while any ratio^s falls within `margin` of the
+    Samples are redrawn while any ratio^s falls within LATTICE_MARGIN of the
     q^{2k} lattice (which carries both the non-simple points and the
     zeros/poles of the unitarizing factor).
     """
     q = complex(ctx.q)
     kmax = m + 3
     for _ in range(1000):
-        zetas = [random_zeta(rng, lo, hi) for _ in range(count)]
-        ok = True
-        for i in range(count):
-            for j in range(count):
-                if i == j:
-                    continue
-                z = (zetas[i] / zetas[j]) ** grading.s
-                if _near_shift_lattice(z, q, kmax, margin):
-                    ok = False
-        if ok:
+        zetas = [random_zeta(rng) for _ in range(count)]
+        if not any(_near_shift_lattice((zetas[i] / zetas[j]) ** grading.s, q, kmax)
+                   for i in range(count) for j in range(count) if i != j):
             return zetas
     raise RuntimeError("could not draw generic spectral parameters")
 
@@ -228,31 +223,28 @@ def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
         "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12, t0)
 
 
-def _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization, cache, C1, C2):
+def _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, C1, C2):
+    """The commutant residual of the hw-normalized R of the pair against C1 x C2."""
     res = r_matrix(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx,
-                   normalization=normalization, cache=cache, check_invertible=False)
+                   cache=cache, check_invertible=False)
     return commutant_residual(C1, C2, res.R)
 
 
-def check_invariance_x(m, kinds, zetas, grading, ctx, normalization="hw",
-                       cache=None) -> VerificationReport:
+def check_invariance_x(m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
     """[(X x X), R] = 0 with the kind-appropriate X on each slot."""
     t0 = time.perf_counter()
     ops = [operator_x(m, grading, ctx, kind=k) for k in kinds]
-    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization,
-                                     cache, ops[0], ops[1])
+    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
     return VerificationReport.make(
         "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0,
                          "s1": grading.s1}, resid, 1e-11, t0)
 
 
-def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, normalization="hw",
-                       cache=None) -> VerificationReport:
+def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
     """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images."""
     t0 = time.perf_counter()
     ops = [twist(k, alpha, m, ctx) for k in kinds]
-    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, normalization,
-                                     cache, ops[0], ops[1])
+    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
     return VerificationReport.make(
         "invariance_a", {"m": m, "kinds": list(kinds),
                          "alpha": [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha},

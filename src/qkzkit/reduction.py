@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, apply_factors, lambda_op,
                   lambda_product_regularized, lambda_rewritten, probe_block, probe_vector,
                   rcheck_factors)
-from .report import VerificationReport, worst_of
+from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
 from .tensorops import embed_pair, embedded_matmul, relative_residual, site_matmul
 
@@ -167,13 +167,10 @@ def psi_inject(case: ReductionCase, psi) -> np.ndarray:
 
 
 def _combined_report(name, params, resid_op, resid_e2e, t0):
-    """Operator residual against 1e-9, end-to-end residual against 1e-8."""
-    params = dict(params)
-    params["operator_residual"] = float(resid_op)
-    params["e2e_residual"] = float(resid_e2e)
-    params["e2e_tolerance"] = 1e-8
-    folded = 1e-9 * worst_of((resid_op / 1e-9, resid_e2e / 1e-8))
-    return VerificationReport.make(name, params, folded, 1e-9, t0)
+    """Operator residual against 1e-9, end-to-end residual against 1e-8 (report.fold)."""
+    params = dict(params, operator_residual=float(resid_op), e2e_residual=float(resid_e2e),
+                  e2e_tolerance=1e-8)
+    return VerificationReport.make(name, params, fold(resid_op, 1e-9, resid_e2e, 1e-8), 1e-9, t0)
 
 
 def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> VerificationReport:

@@ -157,17 +157,17 @@ def eval_module(kind, m, grading, ctx) -> EvalRep:
     return antipode_dual(rep) if kind == "V*" else rep
 
 
-def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep, nu=1.0):
+def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep):
     """Zeta-independent parts (p, A, B) of (phi1 x phi2)(Delta(a)).
 
     For e_i and f_i the image at (zeta1, zeta2) is zeta1^p A + zeta2^p B;
-    Delta(q^{nu h_i}) does not depend on zeta and comes as (0, A, None).
+    Delta(q^{h_i}) does not depend on zeta and comes as (0, A, None).
 
     Delta(e_i) = e_i x 1 + q^{h_i} x e_i,  Delta(f_i) = f_i x q^{-h_i} + 1 x f_i,
-    Delta(q^{nu h_i}) = q^{nu h_i} x q^{nu h_i}.
+    Delta(q^{h_i}) = q^{h_i} x q^{h_i}.
     """
     if tag.startswith("qh"):
-        return 0, _kron(rep1.gen(tag, 1.0, nu), rep2.gen(tag, 1.0, nu)), None
+        return 0, _kron(rep1.gen(tag, 1.0), rep2.gen(tag, 1.0)), None
     p = rep1.exponent(tag)
     qh_tag = f"qh{tag[1]}"
     if tag.startswith("e"):
@@ -183,10 +183,10 @@ def _kron(A, B):
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1)
 
 
-def antipode_image(rep: EvalRep, tag: str, zeta: complex, nu=1.0) -> np.ndarray:
+def antipode_image(rep: EvalRep, tag: str, zeta: complex) -> np.ndarray:
     """rep(S(a)) for a generator a."""
     if tag.startswith("qh"):
-        return rep.gen(tag, zeta, -nu)
+        return rep.gen(tag, zeta, -1.0)
     i = int(tag[1])
     if tag.startswith("e"):
         return -rep.gen(f"qh{i}", zeta, -1.0) @ rep.gen(tag, zeta)

@@ -3,7 +3,8 @@
 Rcheck maps V1_{z1} x V2_{z2} -> V2_{z2} x V1_{z1} and intertwines the
 coproduct actions.  It conserves the h1-weight, so it lives on the
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
-(m+1)^4 for the full operator).  R = P * Rcheck.
+(m+1)^4 for the full operator).  A solve stores Rcheck alone; RResult.R
+forms R = P * Rcheck on each read.
 
 A diagonal gauge zeta^{c h1/2} on each site moves grading (s0, s1) to a
 homogeneous one, (s, 0) or (0, s), where one e/f pair carries no zeta.
@@ -101,12 +102,17 @@ class RRequest:
 
 @dataclass(frozen=True)
 class RResult:
-    R: np.ndarray
     Rcheck: np.ndarray
     # smallest |alpha_j| or |beta_j| relative to its two terms; 1 at m = 0, 0 at kappa = 0
     margin: float
     norm_scalar_applied: complex
     intertwine_residual: float
+
+    @property
+    def R(self) -> np.ndarray:
+        """R = P Rcheck, formed on each read (both sites are spin m)."""
+        d = math.isqrt(len(self.Rcheck))
+        return swap_outputs(self.Rcheck, d, d)
 
 
 def _powers(bases, exps, errors) -> list:
@@ -460,18 +466,16 @@ def _kappa_scalar(req: RRequest) -> complex:
     return k
 
 
-def apply_kappa(res: RResult, req: RRequest, k: complex = None) -> RResult:
-    """Rescale an hw-normalized result by the unitarizing factor k, scanned
-    from the request unless given.
+def apply_kappa(res: RResult, k: complex) -> RResult:
+    """Rescale an hw-normalized result by the unitarizing factor k of its
+    request (_kappa_scalar).
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
     The margin and the residual do not depend on the scale; at kappa = 0
     the operator is zero, with residual inf and margin 0.
     """
-    if k is None:
-        k = _kappa_scalar(req)
-    return RResult(R=res.R * k, Rcheck=res.Rcheck * k,
+    return RResult(Rcheck=res.Rcheck * k,
                    margin=res.margin if k != 0 else 0.0,
                    norm_scalar_applied=res.norm_scalar_applied * k,
                    intertwine_residual=res.intertwine_residual if k != 0 else np.inf)
@@ -505,9 +509,7 @@ def _solve(reqs, template: CommutantTemplate) -> list:
         errors[k] = errors[k] or ConfigError(
             "spectral parameters out of range: the operator or a generator image overflows")
     margin = rel.min(axis=(1, 2), initial=1.0)
-    d1, d2 = template.rep1.dim, template.rep2.dim
     return [errors[k] or RResult(
-        R=swap_outputs(X[k], d2, d1),
         Rcheck=X[k],
         margin=float(margin[k]),
         norm_scalar_applied=1.0,
@@ -570,7 +572,7 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
         if req.normalization == "kappa":
             if "kappa" not in entry:  # the first kappa request at this zeta pair
                 entry["kappa"] = _kappa_scalar(req)
-            res = apply_kappa(res, req, entry["kappa"])
+            res = apply_kappa(res, entry["kappa"])
         # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
         if check_invertible and res.margin < _CANCEL_TOL:
             raise DegeneratePointError(

@@ -152,6 +152,32 @@ class TestVerify:
             ("theorem_selfdual", 1), ("theorem_selfdual", 2)]
         assert all(rec["residual"] is None for rec in failed)
 
+    def test_tol_holds_the_end_to_end_residual_to_it(self, capsys, monkeypatch):
+        # plant noise of relative size 1e-12 in every Psi: the end-to-end
+        # residuals of the theorem reports sit near 1e-12, and under --tol
+        # 5e-13 they must fail, not pass against 10 x 5e-13
+        psi_extract = cli.reduction.psi_extract
+        calls = []
+
+        def noisy(case, phi):
+            out = psi_extract(case, phi)
+            calls.append(None)
+            noise = np.random.default_rng(len(calls)).standard_normal(out.shape)
+            return out + 1e-12 * np.linalg.norm(out) * noise / np.linalg.norm(noise)
+        monkeypatch.setattr(cli.reduction, "psi_extract", noisy)
+        argv = ["verify", "theorems", "--m", "1", "--seed", "7"]
+        assert run_cli(argv, capsys)[0] == 0
+        code, out = run_cli(argv + ["--tol", "5e-13"], capsys)
+        assert code == 1
+        theorems = [rec for rec in json.loads(out) if rec["name"].startswith("theorem_")]
+        assert len(theorems) == 4
+        for rec in theorems:
+            params = rec["params"]
+            assert params["e2e_tolerance"] == rec["tolerance"] == 5e-13
+            assert params["operator_residual"] < 5e-13 < params["e2e_residual"]
+            assert rec["residual"] == max(params["operator_residual"], params["e2e_residual"])
+            assert not rec["passed"]
+
     def test_unachievable_tolerance_exits_1(self, capsys):
         code, out = run_cli(["verify", "reps", "--tol", "1e-30"], capsys)
         assert code == 1

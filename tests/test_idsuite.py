@@ -41,10 +41,10 @@ class TestYangBaxter:
         a, b = pair
         req = make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, "hw")
         res = solve_intertwiner([req])[0]
-        noise = np.random.default_rng(5).standard_normal(res.R.shape)
+        noise = np.random.default_rng(5).standard_normal(res.Rcheck.shape)
         cache = RCache()
-        cache.put(req.key(), replace(res, R=res.R + 1e-6 * np.linalg.norm(res.R) * noise
-                                     / np.linalg.norm(noise)))
+        cache.put(req.key(), replace(res, Rcheck=res.Rcheck + 1e-6 * np.linalg.norm(res.Rcheck)
+                                     * noise / np.linalg.norm(noise)))
         assert idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm).passed
         assert not idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm,
                                      cache=cache).passed
@@ -194,10 +194,12 @@ class TestInvariances:
         req = make_request(kinds[0], zetas[0], kinds[1], zetas[1], 2, grading, ctx, "hw")
         res = solve_intertwiner([req])[0]
         assert idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx).residual < 1e-15
-        R = res.R.copy()
-        R[0, 1] += 1e-6  # basis vectors 0 and 1 differ in h1-weight by 2
+        Rcheck = res.Rcheck.copy()
+        # basis vectors 0 and 1 differ in h1-weight by 2; row 0 is hw x hw, so R = P Rcheck
+        # has the same entry
+        Rcheck[0, 1] += 1e-6
         cache = RCache()
-        cache.put(req.key(), replace(res, R=R))
+        cache.put(req.key(), replace(res, Rcheck=Rcheck))
         assert not idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx,
                                               cache=cache).passed
 

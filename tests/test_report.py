@@ -8,7 +8,7 @@ import pytest
 
 from qkzkit import cli, idsuite, qkz, reduction
 from qkzkit.context import QContext
-from qkzkit.report import VerificationReport, worst_of
+from qkzkit.report import VerificationReport, fold, worst_of
 from qkzkit.reps import GradingChoice
 from qkzkit.rsolve import RCache
 
@@ -18,6 +18,28 @@ def test_worst_of():
     assert worst_of((0.0, math.inf)) == math.inf
     assert math.isnan(worst_of([0.0, math.nan, 1.0]))
     assert math.isnan(worst_of(iter([math.nan, 1.0])))
+
+
+def test_fold_gates_each_residual_at_its_own_tolerance():
+    assert fold(2e-9, 1e-9, 0.0, 1e-8) == pytest.approx(2e-9)
+    assert fold(0.0, 1e-9, 2e-8, 1e-8) == pytest.approx(2e-9)
+    assert fold(5e-10, 1e-9, 5e-9, 1e-8) <= 1e-9
+    assert fold(3e-16, 1e-15, 7e-16, 1e-15) == 7e-16  # equal tolerances: the larger one
+    assert math.isnan(fold(math.nan, 1e-9, 0.0, 1e-8))
+
+
+def test_with_tolerance_holds_both_residuals():
+    report = reduction._combined_report("theorem_selfdual", {"n": 2}, 1e-17, 2e-16, None)
+    assert report.passed and report.params["e2e_tolerance"] == 1e-8
+    tight = report.with_tolerance(1e-16)
+    assert (tight.residual, tight.tolerance, tight.passed) == (2e-16, 1e-16, False)
+    assert tight.params["e2e_tolerance"] == 1e-16
+    assert report.params["e2e_tolerance"] == 1e-8  # the original is unchanged
+    loose = report.with_tolerance(1e-15)
+    assert (loose.residual, loose.passed) == (2e-16, True)
+    plain = VerificationReport.make("ybe", {"m": 1}, 3e-12, 1e-9)
+    assert plain.with_tolerance(1e-12) == dataclasses.replace(plain, tolerance=1e-12,
+                                                              passed=False)
 
 
 def _nan_like(out):

@@ -158,7 +158,7 @@ class TestCoproduct:
     def test_grouplike_cartan(self, ctx, grading):
         q = complex(ctx.q)
         rep = eval_module("V", 1, grading, ctx)
-        p, got, rest = coproduct_parts("qh1", rep, rep, nu=1.0)
+        p, got, rest = coproduct_parts("qh1", rep, rep)
         assert (p, rest) == (0, None)
         assert np.abs(got - np.diag([q**2, 1, 1, q**-2])).max() < 1e-15
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +14,10 @@ from qkzkit.qkz import rcheck_factors
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          eval_module, operator_o, operator_o_inverse, sl2_constants)
-from qkzkit.rsolve import (_CANCEL_TOL, RCache, apply_kappa, make_request, r_matrix,
+from qkzkit.rsolve import (_CANCEL_TOL, RCache, _kappa_scalar, apply_kappa, make_request, r_matrix,
                            rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
+from qkzkit.tensorops import permutation_op
 
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
 
@@ -205,7 +208,7 @@ class TestNormalization:
             z1, z2 = zeta_sample(rng), zeta_sample(rng)
             hw_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "hw")
             kp_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "kappa")
-            rescaled = apply_kappa(solve_intertwiner([hw_req])[0], hw_req)
+            rescaled = apply_kappa(solve_intertwiner([hw_req])[0], _kappa_scalar(kp_req))
             direct = solve_intertwiner([kp_req])[0]
             assert np.abs(rescaled.R - direct.R).max() < 1e-13
 
@@ -265,8 +268,8 @@ class TestDegenerateDetection:
         # commutant; the gap check must see it at every m
         raw = coproduct_parts
 
-        def mutated(tag, rep1, rep2, nu=1.0):
-            p, A, B = raw(tag, rep1, rep2, nu)
+        def mutated(tag, rep1, rep2):
+            p, A, B = raw(tag, rep1, rep2)
             return (p, 0.0 * A, 0.0 * B) if tag in dead else (p, A, B)
         monkeypatch.setattr(rsolve, "coproduct_parts", mutated)
         with pytest.raises(DegeneratePointError, match="nullspace gap"):
@@ -431,6 +434,43 @@ class TestContinuation:
         got, = rcheck_factors(chain, [("V", w * z, "V", case.p * z)], cache=RCache())
         assert solves == []
         assert np.abs(got - rcheck_resonant(2, grading, ctx)).max() == 0.0
+
+
+class TestOneStoredOperator:
+    """A result stores Rcheck alone; R = P Rcheck is formed on each read."""
+
+    def test_rcheck_is_the_only_array_field(self):
+        arrays = [f.name for f in dataclasses.fields(rsolve.RResult) if f.type is np.ndarray]
+        assert arrays == ["Rcheck"]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_r_is_p_rcheck(self, ctx, grading, m, norm):
+        d = m + 1
+        P = permutation_op([1, 0], (d, d))
+        reqs = [make_request(k1, 1.2 + 0.3j, k2, 0.8 - 0.2j, m, grading, ctx, norm)
+                for k1, k2 in ALL_PAIRS]
+        for res in solve_intertwiner(reqs):
+            assert [f.name for f in dataclasses.fields(res)
+                    if isinstance(getattr(res, f.name), np.ndarray)] == ["Rcheck"]
+            assert np.array_equal(res.R, P @ res.Rcheck)
+
+    def test_cache_holds_one_operator_per_solve(self, ctx, grading):
+        # N hw solves at m = 4 keep N D^2 complex entries alive, not twice that
+        m, N = 4, 16
+        D = (m + 1) ** 2
+        cache = RCache()
+        solve_intertwiner([make_request("V", 1.1, "V*", 0.9, m, grading, ctx)], cache)  # template
+        reqs = [make_request("V", (1.0 + 0.05 * k) * np.exp(0.3j * k), "V*", 0.9, m,
+                             grading, ctx) for k in range(N)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve_intertwiner(reqs, cache)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert N * D * D * 16 <= retained < 1.25 * N * D * D * 16
 
 
 class TestCache:
