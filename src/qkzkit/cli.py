@@ -2,8 +2,10 @@
 
 JSON output is deterministic for a fixed configuration and seed: reports
 are sorted by name and parameters, floats are printed with 17 significant
-digits, and wall-clock timings are serialized as null (they are shown in
-text mode only).
+digits, and each report's wall_ms is null.  `_run_groups` builds the run
+context once, hands it to each group as `_chk_*(config, ctx, g, cache)` and
+times each group; text mode ends with one `time <group> <ms> ms` line per
+group, in run order.
 
 The parsed argparse namespace is the run configuration: each subcommand
 parses only the options it reads, and `build_parser` holds every default.
@@ -59,10 +61,8 @@ def _zsample(rng):
 
 # --- suite checks --------------------------------------------------------------
 
-def _chk_scalar_identities(config, cache):
-    ctx = _context(config)
+def _chk_scalar_identities(config, ctx, g, cache):
     rng = _rng_for(config, "scalar_identities")
-    t0 = time.perf_counter()
     out = []
     worst_kappa = 0.0
     worst_ratio = 0.0
@@ -81,12 +81,11 @@ def _chk_scalar_identities(config, cache):
     tol = 1e-10
     for name, worst in (("scalar_kappa_identities", worst_kappa), ("scalar_rho0_ratio", worst_ratio),
                         ("scalar_kappa_even_rational", worst_even)):
-        out.append(VerificationReport.make(name, {"family": "sl2"}, worst, tol, t0))
+        out.append(VerificationReport.make(name, {"family": "sl2"}, worst, tol))
     return out
 
 
-def _chk_scalar_difference(config, cache):
-    ctx = _context(config)
+def _chk_scalar_difference(config, ctx, g, cache):
     rng = _rng_for(config, "scalar_difference")
     out = []
     # per family: report name, rank parameter, its difference constant and pattern
@@ -96,19 +95,16 @@ def _chk_scalar_difference(config, cache):
                  lambda l, z: difference_patterns_sllpo(l, z, ctx)["mixed"]))
     for name, rank, constant, pattern in families:
         for r in (1, 2, 3):
-            t0 = time.perf_counter()
             vals = np.array([pattern(r, _zsample(rng)) for _ in range(max(config.samples, 3))])
             resid = worst_of((np.abs(vals - constant(r)).max(), np.abs(vals - vals.mean()).max()))
             out.append(VerificationReport.make(
-                name, {rank: r, "constant": constant(r)}, resid, 1e-10, t0,
+                name, {rank: r, "constant": constant(r)}, resid, 1e-10,
                 extracted_scalars=[complex(vals.mean())]))
     return out
 
 
-def _chk_scalar_series(config, cache):
-    ctx = _context(config)
+def _chk_scalar_series(config, ctx, g, cache):
     rng = _rng_for(config, "scalar_series")
-    t0 = time.perf_counter()
     worst = 0.0
     for l in (1, 2, 3):
         for _ in range(config.samples):
@@ -119,15 +115,11 @@ def _chk_scalar_series(config, cache):
             fb = f_series(l + 1, q**l * z, ctx).value
             series_form = q ** (-l / (l + 1)) * np.exp(fa - fb)
             worst = worst_of((worst, abs(series_form - rho0_sllpo(l, z, ctx))))
-    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10,
-                                    t0)]
+    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
 
 
-def _chk_rep_invariants(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_rep_invariants(config, ctx, g, cache):
     rng = _rng_for(config, "rep_invariants")
-    t0 = time.perf_counter()
     q = complex(ctx.q)
     worst = 0.0
     worst_hopf = 0.0
@@ -148,25 +140,22 @@ def _chk_rep_invariants(config, cache):
             worst = worst_of([worst, *(np.abs(t).max() for t in terms)])
             worst_hopf = worst_of((worst_hopf, hopf_antipode_residual(r, zeta)))
     return [
-        VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12, t0),
-        VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12, t0),
+        VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12),
+        VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12),
     ]
 
 
-def _chk_dualities(config, cache):
-    ctx = _context(config)
+def _chk_dualities(config, ctx, g, cache):
     rng = _rng_for(config, "dualities")
     out = []
-    for g in (GradingChoice(1, 1), GradingChoice(1, 0)):
+    for grading in (GradingChoice(1, 1), GradingChoice(1, 0)):  # not the run's grading
         for m in (1, 2, 3):
-            out.append(idsuite.check_double_dual(m, g, ctx, idsuite.random_zeta(rng)))
-            out.append(idsuite.check_self_dual(m, g, ctx, idsuite.random_zeta(rng)))
+            out.append(idsuite.check_double_dual(m, grading, ctx, idsuite.random_zeta(rng)))
+            out.append(idsuite.check_self_dual(m, grading, ctx, idsuite.random_zeta(rng)))
     return out
 
 
-def _chk_unitarity(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_unitarity(config, ctx, g, cache):
     rng = _rng_for(config, "unitarity")
     out = []
     for norm in ("hw", "kappa"):
@@ -181,11 +170,8 @@ def _chk_unitarity(config, cache):
     return out
 
 
-def _chk_degenerate_detection(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_degenerate_detection(config, ctx, g, cache):
     q = complex(ctx.q)
-    t0 = time.perf_counter()
     fired = 0
     lattice = [q ** (2.0 / g.s), q ** (-2.0 / g.s)]
     for point in lattice:
@@ -195,12 +181,10 @@ def _chk_degenerate_detection(config, cache):
             fired += 1
     resid = float(len(lattice) - fired)
     return [VerificationReport.make("degenerate_detection",
-                                    {"m": 1, "scanned": len(lattice)}, resid, 0.0, t0)]
+                                    {"m": 1, "scanned": len(lattice)}, resid, 0.0)]
 
 
-def _chk_ybe(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_ybe(config, ctx, g, cache):
     rng = _rng_for(config, "ybe")
     out = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
@@ -211,9 +195,7 @@ def _chk_ybe(config, cache):
     return out
 
 
-def _chk_crossing(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_crossing(config, ctx, g, cache):
     rng = _rng_for(config, "crossing")
     out = []
     for m in (1, 2):
@@ -223,9 +205,7 @@ def _chk_crossing(config, cache):
     return out
 
 
-def _chk_invariances(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_invariances(config, ctx, g, cache):
     rng = _rng_for(config, "invariances")
     out = []
     alpha = config.alpha or (0.37 - 0.21j)
@@ -245,9 +225,7 @@ def _chk_invariances(config, cache):
 _BRAID_WORDS = (([0, 1, 0], [1, 0, 1]), ([0, 0], []), ([0, 2, 1, 0, 2], [2, 0, 1, 2, 0]))
 
 
-def _chk_braid(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_braid(config, ctx, g, cache):
     rng = _rng_for(config, "braid")
     etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
     kinds = ("V", "V*", "V", "V*")
@@ -270,15 +248,12 @@ def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
                          normalization=config.norm)
 
 
-def _chk_qkz(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_qkz(config, ctx, g, cache):
     rng = _rng_for(config, "qkz")
-    t0 = time.perf_counter()
     out = []
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
     worst = worst_of(qkz.lambda_forms_residual(chain4, i, cache) for i in range(4))
-    out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10, t0))
+    out.append(VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10))
     sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=config.n)
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)
     out.append(qkz.check_ddr(chain_sd, 0, 2, cache=cache))
@@ -290,9 +265,7 @@ def _chk_qkz(config, cache):
     return out
 
 
-def _chk_theorems(config, cache):
-    ctx = _context(config)
-    g = _grading(config)
+def _chk_theorems(config, ctx, g, cache):
     rng = _rng_for(config, "theorems")
     out = []
     for n in sorted({1, min(config.n, 3)}):
@@ -315,12 +288,10 @@ def _chk_theorems(config, cache):
         case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha)
         zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
         out.append(reduction.check_rpr(case, 1, zetas, seed=config.seed, cache=cache))
-        t0 = time.perf_counter()
         resid = reduction.scaling_covariance_residual(case, zetas,
                                                       1.3 * np.exp(0.4j), cache)
-        out.append(VerificationReport.make("scaling_covariance",
-                                           {"mode": mode, "n": 2, "m": config.m},
-                                           resid, 1e-10, t0))
+        out.append(VerificationReport.make(
+            "scaling_covariance", {"mode": mode, "n": 2, "m": config.m}, resid, 1e-10))
     return out
 
 
@@ -409,7 +380,7 @@ def serialize_reports(reports, fmt: str) -> str:
     for r in ordered:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{status} {r.name:28s} residual={r.residual:.3e} "
-                     f"tol={r.tolerance:.1e} ({r.wall_ms:.1f} ms) {_to_json(r.params)}")
+                     f"tol={r.tolerance:.1e} {_to_json(r.params)}")
     npass = sum(r.passed for r in ordered)
     lines.append(f"{npass}/{len(ordered)} checks passed")
     return "\n".join(lines) + "\n"
@@ -428,31 +399,33 @@ def _emit(text: str, config):
 
 # --- commands --------------------------------------------------------------------
 
-def _run_group(name, config, cache):
+def _run_group(name, config, ctx, g, cache):
     """One check group; a numerical failure becomes one failing report."""
-    t0 = time.perf_counter()
     try:
-        return CHECKS[name](config, cache)
+        return CHECKS[name](config, ctx, g, cache)
     except ConfigError:
         raise
     except QkzError as exc:
-        return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0, t0,
+        return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0,
                                         note=f"{type(exc).__name__}: {exc}")]
 
 
 def _run_groups(names, config) -> int:
-    """Run the named check groups on one cache and write their reports."""
-    _context(config)  # validate q, grading and m before running anything
-    _grading(config)
+    """Run the named check groups on one cache and one run context, time each
+    group, and write the reports; text mode ends with the group times."""
+    ctx, g = _context(config), _grading(config)  # q and grading fail before any group runs
     if "theorems" in names and config.m < 1:
         raise ConfigError("--m must be at least 1 for the theorems group")
     cache = RCache()
-    reports = []
+    reports, times = [], []
     for name in names:
-        reports.extend(_run_group(name, config, cache))
+        t0 = time.perf_counter()
+        reports.extend(_run_group(name, config, ctx, g, cache))
+        times.append(f"time {name} {(time.perf_counter() - t0) * 1e3:.3f} ms\n")
     if config.tol is not None:
         reports = [r.with_tolerance(config.tol) for r in reports]
-    _emit(serialize_reports(reports, config.fmt), config)
+    text = serialize_reports(reports, config.fmt)
+    _emit(text + "".join(times) if config.fmt == "text" else text, config)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -573,6 +546,8 @@ def main(argv=None) -> int:
         for name, low in (("m", 0), ("n", 1), ("l", 1), ("samples", 1)):
             if getattr(config, name, low) < low:
                 raise ConfigError(f"--{name} must be at least {low}")
+        if getattr(config, "tol", None) is not None and not 0 <= config.tol < np.inf:
+            raise ConfigError("--tol must be finite and at least 0")
         return handlers[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -6,7 +6,6 @@ verified as proportionalities against independently solved R-operators,
 with the proportionality scalars extracted and reported.
 """
 
-import time
 from math import prod
 
 import numpy as np
@@ -79,7 +78,6 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
     spectral parameters, both sides applied factor by factor to the seeded
     probe block of qkz.probe_block; the residual is the worst over the
     samples.  The factors of every sample are requested in one call."""
-    t0 = time.perf_counter()
     dims = (m + 1,) * 3
     reqs = [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
             for zetas in samples for a, b in _YBE_PAIRS]
@@ -88,20 +86,19 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
     resid = worst_of(_ybe_residual(dict(zip(_YBE_PAIRS, R[3 * k:3 * k + 3])), dims, block)
                      for k in range(len(samples)))
     return VerificationReport.make(
-        "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-9, t0)
+        "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-9)
 
 
 def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw",
                     cache=None) -> VerificationReport:
     """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id; the pair is requested in one call."""
-    t0 = time.perf_counter()
     r12, r21 = solve_intertwiner(
         [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx, normalization),
          make_request(kinds[1], zetas[1], kinds[0], zetas[0], m, grading, ctx, normalization)],
         cache, check_invertible=False)
     resid = relative_residual(np.eye((m + 1) ** 2), r12.Rcheck @ r21.Rcheck)
     return VerificationReport.make(
-        "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-10, t0)
+        "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-10)
 
 
 def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
@@ -117,12 +114,11 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
     to m = 4.  A defect in a ratio number breaks the exact 1 and fails the
     check.
     """
-    t0 = time.perf_counter()
     res = r_matrix(kind, zeta, kind, zeta, m, grading, ctx,
                    normalization=normalization, cache=cache)
     resid = relative_residual(np.eye((m + 1) ** 2), res.Rcheck)
     return VerificationReport.make(
-        "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, 1e-12, t0)
+        "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, 1e-12)
 
 
 def _crossing_sample(R, twists, dd) -> tuple:
@@ -166,7 +162,6 @@ def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
     sample are requested in one call, and O, O^-1 and their Kronecker
     twists are built once.
     """
-    t0 = time.perf_counter()
     d = m + 1
     qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
     O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
@@ -184,7 +179,7 @@ def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
         np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
         for i in (2, 3, 4, 5))
     return VerificationReport.make(
-        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9, t0,
+        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9,
         extracted_scalars=list(scal[-1]))
 
 
@@ -201,26 +196,24 @@ def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
 
 def check_double_dual(m, grading, ctx, zeta) -> VerificationReport:
     """Double dual equals the q^-eps shifted module conjugated by X."""
-    t0 = time.perf_counter()
     rep = build_eval_rep(m, grading, ctx)
     ddual = antipode_dual(antipode_dual(rep))
     eps = sl2_constants(grading)["epsilon"]
     X = operator_x(m, grading, ctx)
     resid = _conjugation_residual(ddual, zeta, rep, complex(ctx.q) ** (-eps) * zeta, X)
     return VerificationReport.make(
-        "double_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12, t0)
+        "double_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
 
 
 def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
     """Dual equals the q^delta shifted module conjugated by O."""
-    t0 = time.perf_counter()
     rep = build_eval_rep(m, grading, ctx)
     dual = antipode_dual(rep)
     delta = sl2_constants(grading)["delta"]
     O = operator_o(m, grading, ctx)
     resid = _conjugation_residual(dual, zeta, rep, complex(ctx.q) ** delta * zeta, O)
     return VerificationReport.make(
-        "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12, t0)
+        "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
 
 
 def _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, C1, C2):
@@ -232,23 +225,21 @@ def _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, C1, C2):
 
 def check_invariance_x(m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
     """[(X x X), R] = 0 with the kind-appropriate X on each slot."""
-    t0 = time.perf_counter()
     ops = [operator_x(m, grading, ctx, kind=k) for k in kinds]
     resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
     return VerificationReport.make(
         "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0,
-                         "s1": grading.s1}, resid, 1e-11, t0)
+                         "s1": grading.s1}, resid, 1e-11)
 
 
 def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
     """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images."""
-    t0 = time.perf_counter()
     ops = [twist(k, alpha, m, ctx) for k in kinds]
     resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
     return VerificationReport.make(
         "invariance_a", {"m": m, "kinds": list(kinds),
                          "alpha": [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha},
-        resid, 1e-11, t0)
+        resid, 1e-11)
 
 
 def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
@@ -260,21 +251,19 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
     grading R is symmetric in this basis and the relation reduces to a
     plain commutator.
     """
-    t0 = time.perf_counter()
     xt = operator_xtilde(m, grading, ctx)
     XX = np.kron(xt, xt)
     R = r_matrix("V", zetas[0], "V", zetas[1], m, grading, ctx,
                  normalization=normalization, cache=cache, check_invertible=False).R
     return VerificationReport.make(
         "invariance_xtilde", {"m": m, "norm": normalization},
-        relative_residual(R.T @ XX, XX @ R), 1e-11, t0)
+        relative_residual(R.T @ XX, XX @ R), 1e-11)
 
 
 def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa",
                             seed=0, cache=None) -> VerificationReport:
     """Transport along two words of the same permutation acts identically;
     words of different permutations raise ValueError."""
-    t0 = time.perf_counter()
     N = len(kinds)
     chain = ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
                       deltas=tuple(DeltaAssignment("general_v") for _ in range(N)),
@@ -286,4 +275,4 @@ def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normaliz
         raise ValueError("words realize different permutations")
     return VerificationReport.make(
         "braid_welldefined", {"m": m, "N": N, "word1": list(word1), "word2": list(word2)},
-        relative_residual(out1, out2), 1e-10, t0)
+        relative_residual(out1, out2), 1e-10)

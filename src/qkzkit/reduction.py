@@ -15,7 +15,6 @@ first probe column goes through the contraction map, which realizes the
 implication concretely.
 """
 
-import time
 from dataclasses import dataclass
 from math import prod
 
@@ -166,11 +165,11 @@ def psi_inject(case: ReductionCase, psi) -> np.ndarray:
     return T.reshape(-1)
 
 
-def _combined_report(name, params, resid_op, resid_e2e, t0):
+def _combined_report(name, params, resid_op, resid_e2e):
     """Operator residual against 1e-9, end-to-end residual against 1e-8 (report.fold)."""
     params = dict(params, operator_residual=float(resid_op), e2e_residual=float(resid_e2e),
                   e2e_tolerance=1e-8)
-    return VerificationReport.make(name, params, fold(resid_op, 1e-9, resid_e2e, 1e-8), 1e-9, t0)
+    return VerificationReport.make(name, params, fold(resid_op, 1e-9, resid_e2e, 1e-8), 1e-9)
 
 
 def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> VerificationReport:
@@ -192,7 +191,6 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> Ve
     """
     if case.mode != "self_dual":
         raise ConfigError("theorem_check_selfdual needs a self_dual case")
-    t0 = time.perf_counter()
     n, dims = case.n, case.dims
     w = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(dims), seed)
@@ -209,7 +207,7 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> Ve
     return _combined_report(
         "theorem_selfdual", {"n": n, "m": case.m, "seed": seed,
                              "forms_residual": forms_resid},
-        worst_of((resid_op, forms_resid)), resid_e2e, t0)
+        worst_of((resid_op, forms_resid)), resid_e2e)
 
 
 def theorem_check_general(case: ReductionCase, zetas, seed=0, cache=None) -> VerificationReport:
@@ -228,7 +226,6 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, cache=None) -> Ver
     """
     if case.mode != "general":
         raise ConfigError("theorem_check_general needs a general case")
-    t0 = time.perf_counter()
     n = case.n
     e = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(case.dims), seed)
@@ -242,20 +239,19 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, cache=None) -> Ver
     resid_e2e = relative_residual(psi_lam, psi_extract(case, rhs[:, 0]))
     return _combined_report(
         "theorem_general", {"n": n, "m": case.m, "seed": seed},
-        relative_residual(rhs, prod_ops), resid_e2e, t0)
+        relative_residual(rhs, prod_ops), resid_e2e)
 
 
 def insertion_invariance_check(case: ReductionCase, zetas, u, v, cache=None) -> VerificationReport:
     """The general composite is unchanged by inserting the unitarity pair at
     the block boundary (arguments (u, v) kept off the singular diagonal);
     both are applied to the same probe block."""
-    t0 = time.perf_counter()
     X = probe_block(prod(case.dims))
     base = rhs_operator(case, zetas, cache, block=X)
     ins = rhs_operator(case, zetas, cache, insertion=(u, v), block=X)
     return VerificationReport.make(
         "insertion_invariance", {"n": case.n, "m": case.m},
-        relative_residual(base, ins), 1e-10, t0)
+        relative_residual(base, ins), 1e-10)
 
 
 def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> VerificationReport:
@@ -265,7 +261,6 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> Verific
     random tensor; the extracted matrices then satisfy
     Rcheck^{(i,i+1)} Psi = Psi' Rcheck^{(i,i+1)}.
     """
-    t0 = time.perf_counter()
     n, d = case.n, case.m + 1
     if not 1 <= i <= n - 1:
         raise ConfigError("adjacent index i must satisfy 1 <= i <= n-1")
@@ -285,7 +280,7 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> Verific
     small = embed_pair(front, i - 1, i, (d,) * n)
     return VerificationReport.make(
         "rpr", {"mode": case.mode, "n": n, "m": case.m, "i": i, "seed": seed},
-        relative_residual(small @ psi0, psi1 @ small), 1e-9, t0)
+        relative_residual(small @ psi0, psi1 @ small), 1e-9)
 
 
 def scaling_covariance_residual(case: ReductionCase, zetas, nu, cache=None) -> float:

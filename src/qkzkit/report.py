@@ -1,7 +1,6 @@
 """Verification report record shared by all check layers."""
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 
@@ -32,17 +31,14 @@ class VerificationReport:
     residual: float
     tolerance: float
     passed: bool
-    wall_ms: float = 0.0
     extracted_scalars: list = None
     note: str = None
 
     @classmethod
-    def make(cls, name, params, residual, tolerance, t0=None,
-             extracted_scalars=None, note=None):
-        wall = 0.0 if t0 is None else (time.perf_counter() - t0) * 1e3
+    def make(cls, name, params, residual, tolerance, extracted_scalars=None, note=None):
         return cls(name=name, params=dict(params), residual=float(residual),
                    tolerance=float(tolerance), passed=bool(residual <= tolerance),
-                   wall_ms=wall, extracted_scalars=extracted_scalars, note=note)
+                   extracted_scalars=extracted_scalars, note=note)
 
     def with_tolerance(self, tolerance):
         """This report gated at `tolerance` (the --tol override); an end-to-end gate

@@ -104,9 +104,13 @@ def swap_outputs(op, d1: int, d2: int) -> np.ndarray:
 
 def relative_residual(ref, other) -> float:
     """||ref - other||_F / ||ref||_F against the reference side `ref`; a zero
-    reference tests nothing and reads inf, and a NaN stays NaN."""
-    den = np.linalg.norm(ref)
-    return float(np.linalg.norm(ref - other) / den) if den != 0 else float("inf")
+    reference tests nothing and an overflowing one reads any finite difference
+    as 0, so both read inf (with no numpy warning), and a NaN stays NaN."""
+    with np.errstate(all="ignore"):
+        den = np.linalg.norm(ref)
+        if den == 0 or np.isinf(den):
+            return float("inf")
+        return float(np.linalg.norm(ref - other) / den)
 
 
 def scalar_ratio(A, B) -> tuple:
@@ -118,13 +122,11 @@ def scalar_ratio(A, B) -> tuple:
 
 
 def commutant_residual(C1, C2, R) -> float:
-    """||[C1 x C2, R]||_F / ||R (C1 x C2)||_F, or inf when a norm overflows or
-    is not a number (then the ratio says nothing; no numpy warning is printed)."""
+    """||[C1 x C2, R]||_F / ||R (C1 x C2)||_F (relative_residual, so an
+    overflowing side reads inf)."""
     with np.errstate(all="ignore"):
         CC = np.kron(C1, C2)
-        num = np.linalg.norm(CC @ R - R @ CC)
-        den = np.linalg.norm(R @ CC)
-        return float(num / den) if np.isfinite(num) and np.isfinite(den) else float("inf")
+        return relative_residual(R @ CC, CC @ R)
 
 
 # --- fast in-place style application (internal plumbing) ----------------------

@@ -65,6 +65,9 @@ class TestParsing:
         "scalars --norm hw", "suite --l 2", "verify reps --jobs 1",
         # the theorems group has no m = 0 case
         "suite --m 0", "verify theorems --m 0",
+        # a tolerance must be a finite number >= 0: under inf a group error
+        # (residual inf) would pass, and nan or a negative one fails every report
+        "suite --m 1 --trunc 8 --tol inf", "verify reps --tol nan", "suite --tol -1",
     ])
     def test_bad_command_line_exits_2_without_traceback(self, argv, tmp_path, capsys):
         argv = argv.format(missing=tmp_path / "missing" / "x.json", dir=tmp_path).split()
@@ -317,7 +320,14 @@ class TestSuiteReporting:
                                rec["note"].startswith("TruncationError") for rec in failing)
         assert {"double_dual", "self_dual", "rep_invariants"} <= {rec["name"] for rec in data}
 
-    def test_text_mode_times_every_report(self, capsys):
+    def test_text_mode_times_every_group(self, capsys):
+        # after the count line, one positive time per group, in run order
         code, out = run_cli(["suite", "--m", "1", "--format", "text"], capsys)
         assert code == 0
-        assert "(0.0 ms)" not in out
+        lines = out.splitlines()
+        count = next(i for i, line in enumerate(lines) if line.endswith("checks passed"))
+        times = [line.split() for line in lines[count + 1:]]
+        assert [t[1] for t in times] == sorted(cli.CHECKS) and len(times) == 13
+        assert all(t[0] == "time" and float(t[2]) > 0 and t[3] == "ms" and len(t) == 4
+                   for t in times)
+        assert " ms" not in "\n".join(lines[:count])  # no report line carries a time

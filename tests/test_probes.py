@@ -1,5 +1,6 @@
 """Probe-block evaluation of the composite operators, and the failability of
-the checks that compare them on a probe block."""
+the checks that compare them on a probe block, of the braid check and of
+the crossing check."""
 
 import dataclasses
 from math import prod
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import qkz
+from qkzkit import cli, idsuite, qkz
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, apply_factors, check_qkz_compatibility,
                         lambda_factor_specs, lambda_forms_residual, lambda_op,
                         lambda_product_regularized, lambda_rewritten, probe_block,
                         probe_vector, transport_phi)
+from qkzkit.reps import GradingChoice
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
                               mirrored_args, rhs_operator, scaling_covariance_residual,
                               theorem_check_general, theorem_check_selfdual)
@@ -299,3 +301,47 @@ class TestFailability:
         assert lambda_forms_residual(chain, 1, cache) <= 1e-10
         plant_defect(monkeypatch, qkz, "swap_outputs", nth_call(1))
         assert lambda_forms_residual(chain, 1, cache) > 1e-10
+
+
+O_DEFECTS = {"transposed": lambda O: O.T,
+             "rescaled": lambda O: O * np.linspace(1.0, 1.5, len(O))}  # unequal column factors
+
+
+class TestIdentityFailability:
+    """The braid and crossing checks pass as is and fail under planted defects (m <= 2).
+
+    braid: a 1e-6 relative defect in the first factor of every
+    qkz.rcheck_factors call (the transports of both words request their
+    factors there).  crossing: O (idsuite.operator_o) replaced by its
+    transpose, or its antidiagonal rescaled by unequal factors; the
+    closed-form O^-1 stays as it is.  Two planted changes of O are no
+    defects here, so no test asks them to fail: at grading (1, 1) O is
+    symmetric, so its transpose is O itself, and -O only flips the sign of
+    (O x 1) R (O x 1)^-1, which a proportionality absorbs into its scalar.
+    """
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("words", cli._BRAID_WORDS, ids=str)
+    def test_braid(self, words, m, monkeypatch, ctx, grading, cache):
+        etas = idsuite.draw_generic_zetas(np.random.default_rng(11), 4, m, grading, ctx)
+
+        def check():
+            return idsuite.check_braid_welldefined(*words, m, ("V", "V*", "V", "V*"), etas,
+                                                   grading, ctx, cache=cache)
+        assert check().residual <= 1e-14
+        plant_defect(monkeypatch, qkz, "rcheck_factors", lambda call, args, k: k == 0)
+        assert not check().passed
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("defect,s0,s1", [("transposed", 1, 0), ("transposed", 2, 1),
+                                              ("rescaled", 1, 1), ("rescaled", 1, 0),
+                                              ("rescaled", 2, 1)])
+    def test_crossing(self, defect, s0, s1, m, monkeypatch, ctx, cache):
+        g = GradingChoice(s0, s1)
+        rng = np.random.default_rng(5)
+        samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)) for _ in range(3)]
+        assert idsuite.check_crossing(m, samples, g, ctx, cache=cache).residual <= 1e-14
+        operator_o = idsuite.operator_o
+        monkeypatch.setattr(idsuite, "operator_o",
+                            lambda *args: O_DEFECTS[defect](operator_o(*args)))
+        assert idsuite.check_crossing(m, samples, g, ctx, cache=cache).residual > 0.1

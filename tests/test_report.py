@@ -29,7 +29,7 @@ def test_fold_gates_each_residual_at_its_own_tolerance():
 
 
 def test_with_tolerance_holds_both_residuals():
-    report = reduction._combined_report("theorem_selfdual", {"n": 2}, 1e-17, 2e-16, None)
+    report = reduction._combined_report("theorem_selfdual", {"n": 2}, 1e-17, 2e-16)
     assert report.passed and report.params["e2e_tolerance"] == 1e-8
     tight = report.with_tolerance(1e-16)
     assert (tight.residual, tight.tolerance, tight.passed) == (2e-16, 1e-16, False)
@@ -76,7 +76,8 @@ def _nan_e1(original):
 
 
 def _group(name):
-    return lambda: cli.CHECKS[name](cli.build_parser().parse_args(["suite"]), RCache())
+    config = cli.build_parser().parse_args(["suite"])
+    return lambda: cli.CHECKS[name](config, cli._context(config), cli._grading(config), RCache())
 
 
 def _crossing():

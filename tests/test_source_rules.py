@@ -19,7 +19,9 @@ The identity checks of `idsuite`, `qkz` and `reduction` take their
 residuals from `tensorops.relative_residual` and call no norm of their own,
 so no second residual rule (a 0/0 guard among them) can come back; and no
 public function there takes a per-call tolerance, since each report's
-tolerance is written where the report is made.
+tolerance is written where the report is made.  Only `cli` keeps time: its
+group runner `_run_groups` times each check group, and no other function or
+module reads the clock (or imports `time`), so no check carries a timer.
 """
 
 import ast
@@ -107,6 +109,14 @@ def tolerance_parameters(tree):
             if arg.arg in TOLERANCE_PARAMS]
 
 
+def timing_uses(tree):
+    """Imports of the time module (plain or from) and calls of perf_counter."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "time")
+            or (isinstance(node, ast.Call) and _name(node) == "perf_counter")]
+
+
 def test_sources_found():
     assert any(p.name == "rsolve.py" for p in SOURCES)
 
@@ -165,6 +175,18 @@ def test_checks_call_no_norm(path):
 @pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
 def test_checks_take_no_tolerance(path):
     assert tolerance_parameters(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_keeps_time(path):
+    assert timing_uses(ast.parse(path.read_text())) == []
+
+
+def test_cli_reads_the_clock_only_in_the_group_runner():
+    tree = ast.parse(next(p for p in SOURCES if p.name == "cli.py").read_text())
+    assert named_calls(tree, "perf_counter")
+    assert calls_outside(tree, "perf_counter", ("_run_groups",)) == []
 
 
 def _exports(path):
@@ -280,3 +302,15 @@ def test_norm_rule_fires_on_planted_code(source, calls):
 ])
 def test_tolerance_rule_fires_on_planted_code(source, found):
     assert len(tolerance_parameters(ast.parse(source))) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import time\ndef check(m):\n    t0 = time.perf_counter()\n    return t0\n", 2),
+    ("from time import perf_counter\nstart = perf_counter()\n", 2),
+    ("import time as clock\n", 1),
+    ("import numpy as np, time\n", 1),
+    # a name that only reads like time is no timer
+    ("from .report import VerificationReport\nwall_time = 0.0\ntimes = (1, 2)\n", 0),
+])
+def test_timing_rule_fires_on_planted_code(source, found):
+    assert len(timing_uses(ast.parse(source))) == found

@@ -164,6 +164,15 @@ class TestRelativeResidual:
         assert math.isnan(relative_residual(B, A))
         assert math.isnan(relative_residual(np.full(2, np.nan), np.zeros(2)))
 
+    @pytest.mark.parametrize("defect", [1e-3, 1e-8])
+    def test_overflowing_reference_reads_inf(self, defect):
+        # ||ref|| overflows once entries reach about 1e154; dividing by it made
+        # every finite difference read 0.  Scaled down, the defect is seen
+        block = rand_c(16, 8)
+        other = block + defect * np.linalg.norm(block) / np.sqrt(block.size) * rand_c(16, 8)
+        assert defect / 3 < relative_residual(block, other) < 3 * defect
+        assert relative_residual(1e155 * block, 1e155 * other) == math.inf
+
     @pytest.mark.parametrize("shape", [(4, 4), (16, 8), (729,)])
     def test_matches_the_inline_forms(self, shape):
         A = rand_c(*shape)
