@@ -28,6 +28,7 @@ from .rsolve import RCache, r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
+from .tensorops import relative_residual
 
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
 
@@ -68,16 +69,17 @@ def _chk_scalar_identities(config, ctx, g, cache):
     worst_ratio = 0.0
     worst_even = 0.0
     for m in (1, 2, 3, 4):
-        kappa_one = abs(kappa_sl2(m, 1.0, ctx) - 1.0)  # the same at every sample
+        kappa_one = relative_residual(1.0, kappa_sl2(m, 1.0, ctx))  # the same at every sample
         for _ in range(config.samples):
             z = _zsample(rng)
-            worst_kappa = worst_of((worst_kappa, kappa_one,
-                                    abs(kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx) - 1.0)))
+            worst_kappa = worst_of((worst_kappa, kappa_one, relative_residual(
+                1.0, kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx))))
             two_calls = 1.0 / (rho0_sl2(m, ctx.q ** (-2) * z, ctx) * rho0_sl2(m, z, ctx))
-            worst_ratio = worst_of((worst_ratio, abs(two_calls - rho0_ratio_sl2(m, z, ctx))))
+            worst_ratio = worst_of((worst_ratio,
+                                    relative_residual(rho0_ratio_sl2(m, z, ctx), two_calls)))
             if m % 2 == 0:
-                worst_even = worst_of((worst_even, abs(
-                    kappa_sl2_even_rational(m // 2, z, ctx) - kappa_sl2(m, z, ctx))))
+                worst_even = worst_of((worst_even, relative_residual(
+                    kappa_sl2(m, z, ctx), kappa_sl2_even_rational(m // 2, z, ctx))))
     tol = 1e-10
     for name, worst in (("scalar_kappa_identities", worst_kappa), ("scalar_rho0_ratio", worst_ratio),
                         ("scalar_kappa_even_rational", worst_even)):
@@ -95,11 +97,11 @@ def _chk_scalar_difference(config, ctx, g, cache):
                  lambda l, z: difference_patterns_sllpo(l, z, ctx)["mixed"]))
     for name, rank, constant, pattern in families:
         for r in (1, 2, 3):
-            vals = np.array([pattern(r, _zsample(rng)) for _ in range(max(config.samples, 3))])
-            resid = worst_of((np.abs(vals - constant(r)).max(), np.abs(vals - vals.mean()).max()))
+            vals = [pattern(r, _zsample(rng)) for _ in range(max(config.samples, 3))]
+            resid = worst_of(relative_residual(constant(r), v) for v in vals)
             out.append(VerificationReport.make(
                 name, {rank: r, "constant": constant(r)}, resid, 1e-10,
-                extracted_scalars=[complex(vals.mean())]))
+                extracted_scalars=[complex(np.mean(vals))]))
     return out
 
 
@@ -114,7 +116,7 @@ def _chk_scalar_series(config, ctx, g, cache):
             fa = f_series(l + 1, q ** (-l) * z, ctx).value
             fb = f_series(l + 1, q**l * z, ctx).value
             series_form = q ** (-l / (l + 1)) * np.exp(fa - fb)
-            worst = worst_of((worst, abs(series_form - rho0_sllpo(l, z, ctx))))
+            worst = worst_of((worst, relative_residual(rho0_sllpo(l, z, ctx), series_form)))
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
 
 
@@ -128,16 +130,15 @@ def _chk_rep_invariants(config, ctx, g, cache):
         dual = antipode_dual(rep)
         zeta = idsuite.random_zeta(rng)
         for r in (rep, dual):
-            e1, f1 = r.gen("e1", zeta), r.gen("f1", zeta)
-            e0, f0 = r.gen("e0", zeta), r.gen("f0", zeta)
-            target1 = (r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q)
-            target0 = (r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q)
+            e1, f1, e0, f0 = (r.gen(tag, zeta) for tag in ("e1", "f1", "e0", "f0"))
             nu = 0.7 + 0.1 * rng.random()
-            terms = (e1 @ f1 - f1 @ e1 - target1, e0 @ f0 - f0 @ e0 - target0,
-                     r.qh1(nu) @ e1 @ r.qh1(-nu) - q ** (2 * nu) * e1,
-                     r.qh1(nu) @ f1 @ r.qh1(-nu) - q ** (-2 * nu) * f1,
-                     r.gen("e1", zeta) - zeta**g.s1 * r.gen("e1", 1.0))
-            worst = worst_of([worst, *(np.abs(t).max() for t in terms)])
+            # (reference, other) per identity
+            pairs = (((r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q), e1 @ f1 - f1 @ e1),
+                     ((r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q), e0 @ f0 - f0 @ e0),
+                     (q ** (2 * nu) * e1, r.qh1(nu) @ e1 @ r.qh1(-nu)),
+                     (q ** (-2 * nu) * f1, r.qh1(nu) @ f1 @ r.qh1(-nu)),
+                     (zeta**g.s1 * r.gen("e1", 1.0), r.gen("e1", zeta)))
+            worst = worst_of([worst, *(relative_residual(a, b) for a, b in pairs)])
             worst_hopf = worst_of((worst_hopf, hopf_antipode_residual(r, zeta)))
     return [
         VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12),

@@ -11,8 +11,8 @@ from math import prod
 import numpy as np
 
 from .report import VerificationReport, worst_of
-from .reps import (GENERATOR_TAGS, antipode_dual, build_eval_rep, operator_o,
-                   operator_o_inverse, operator_x, operator_xtilde, sl2_constants, twist)
+from .reps import (antipode_dual, build_eval_rep, operator_o, operator_o_inverse,
+                   operator_x, operator_xtilde, sl2_constants, twist)
 from .rsolve import make_request, r_matrix, solve_intertwiner
 from .qkz import ChainSpec, DeltaAssignment, probe_block, probe_vector, transport_phi
 from .tensorops import (commutant_residual, embedded_matmul, partial_transpose,
@@ -184,14 +184,11 @@ def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
 
 
 def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
+    """Worst relative residual of L = C R C^-1 over lhs_rep.tags (L in lhs_rep)."""
     Cinv = np.linalg.inv(C)
-    worst = 0.0
-    for tag in GENERATOR_TAGS:
-        L = lhs_rep.gen(tag, lhs_zeta)
-        Rm = C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv
-        scale = max(float(np.abs(L).max()), 1.0)
-        worst = worst_of((worst, np.abs(L - Rm).max() / scale))
-    return worst
+    return worst_of(relative_residual(lhs_rep.gen(tag, lhs_zeta),
+                                      C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv)
+                    for tag in lhs_rep.tags)
 
 
 def check_double_dual(m, grading, ctx, zeta) -> VerificationReport:

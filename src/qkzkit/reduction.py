@@ -38,7 +38,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReductionCase:
-    """Parameters of one reduction construction."""
+    """Parameters of one reduction construction; its factors are always
+    kappa-normalized (the resonant lead factor has no hw-normalized value)."""
 
     mode: str
     n: int
@@ -46,7 +47,7 @@ class ReductionCase:
     grading: GradingChoice
     ctx: QContext
     alpha: complex = 0.0
-    normalization: str = "kappa"
+    normalization = "kappa"  # a read-only class constant, not a field
 
     def __post_init__(self):
         if self.mode not in ("self_dual", "general"):

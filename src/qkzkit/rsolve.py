@@ -19,7 +19,7 @@ with alpha_j and beta_j of the form zeta1^p a + zeta2^p b, a and b
 numbers of the template.  Each c_j is a product of ratios with full
 relative accuracy, and c_0 = 1 fixes hw x hw.  A ratio whose two terms
 cancel marks a degenerate point.  The intertwining residual still checks
-the full Rcheck against all six generators at the request's grading.
+the full Rcheck against the four e/f generators at the request's grading.
 
 Everything that does not depend on zeta (the two modules, their hw
 indices, the unknowns, the entries of the coproduct images split by zeta
@@ -55,7 +55,7 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError, DegeneratePointError, QkzError
-from .reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts, eval_module, operator_o,
+from .reps import (GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
 from .tensorops import swap_outputs
@@ -63,8 +63,9 @@ from .tensorops import swap_outputs
 GAP_THRESHOLD = 1e6
 # |alpha| / (|zeta1^p a| + |zeta2^p b|) below this cancels (the same for beta)
 _CANCEL_TOL = 1e-8
+_EF_TAGS = ("e0", "e1", "f0", "f1")  # the Cartan equations hold on the unknowns
 # frame -> ((raising, lowering) image of its zeta-free pair, lowering row generator),
-# as GENERATOR_TAGS indices: frame 1 is e1/f1 zeta-free and rows e0; frame 0 is
+# as _EF_TAGS indices: frame 1 is e1/f1 zeta-free and rows e0; frame 0 is
 # e0/f0 zeta-free (f0 raises) and rows f1
 _FRAMES = {1: ((1, 3), 0), 0: ((2, 0), 3)}
 
@@ -256,13 +257,13 @@ class _Frame:
 class CommutantTemplate:
     """The zeta-independent part of the commutant system of one module pair.
 
-    Every coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts;
-    p = 0 and B = 0 for the Cartans), and only p depends on the grading, so
-    one template serves every grading of (kinds, m, q).  It holds the two
-    modules, the unknowns (a, b) with the gauge exponent of each plus m
-    (half the h1-weight of the V1 factor of the output a minus that of the
-    input b), the entries of the zeta parts of the twelve images M, N of
-    the six generators, and the solve data of each homogeneous frame
+    Every e/f coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts),
+    and only p depends on the grading, so one template serves every grading
+    of (kinds, m, q).  It holds the two modules, the unknowns (a, b) with
+    the gauge exponent of each plus m (half the h1-weight of the V1 factor
+    of the output a minus that of the input b), the entries of the zeta
+    parts of the eight images M, N of the four e/f generators (_EF_TAGS),
+    and the solve data of each homogeneous frame
     (_Frame: B and its ratio numbers), built on first use.
     """
 
@@ -276,27 +277,22 @@ class CommutantTemplate:
         self.gauge = np.rint((w1[a % rep1.dim] - w1[b // rep2.dim]) / 2 + rep1.m).astype(int)
         # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by generator
         one, two = [], []
-        for tag in GENERATOR_TAGS:
+        for tag in _EF_TAGS:
             _, A12, B12 = coproduct_parts(tag, rep1, rep2)
             _, A21, B21 = coproduct_parts(tag, rep2, rep1)
-            if B12 is None:
-                zero = np.zeros_like(A12)
-                one += [A12, A21]
-                two += [zero, zero]
-            else:  # N = zeta2^p A21 + zeta1^p B21
-                one += [A12, B21]
-                two += [B12, A21]
+            one += [A12, B21]  # N = zeta2^p A21 + zeta1^p B21
+            two += [B12, A21]
         one, two = np.array(one), np.array(two)
         at = np.flatnonzero((one != 0) | (two != 0))
         self.images = at, at // (2 * self.dim**2), one.reshape(-1)[at], two.reshape(-1)[at]
         self._frames = {}
 
     def dense_parts(self) -> np.ndarray:
-        """The zeta1 and zeta2 parts of the images, (2, 12, D, D): M, N per generator."""
+        """The zeta1 and zeta2 parts of the images, (2, 8, D, D): M, N per generator."""
         at, _, v1, v2 = self.images
-        parts = np.zeros((2, 2 * len(GENERATOR_TAGS) * self.dim**2), dtype=complex)
+        parts = np.zeros((2, 2 * len(_EF_TAGS) * self.dim**2), dtype=complex)
         parts[0, at], parts[1, at] = v1, v2
-        return parts.reshape(2, 2 * len(GENERATOR_TAGS), self.dim, self.dim)
+        return parts.reshape(2, 2 * len(_EF_TAGS), self.dim, self.dim)
 
     def frame(self, frame: int) -> _Frame:
         """Frame 1 (e1, f1 zeta-free) or 0 (e0, f0 zeta-free), built on first use."""
@@ -305,11 +301,11 @@ class CommutantTemplate:
         return self._frames[frame]
 
     def pairs(self, z1p, z2p) -> tuple:
-        """The coproduct images of all six generators for a stack of zeta pairs,
-        from zeta1^p and zeta2^p (B, 6) at each generator's grade p (GENERATOR_TAGS
-        order): M on V1 x V2 and N on V2 x V1, each of shape (B, 6, D, D)."""
+        """The coproduct images of the four e/f generators for a stack of zeta pairs,
+        from zeta1^p and zeta2^p (B, 4) at each generator's grade p (_EF_TAGS
+        order): M on V1 x V2 and N on V2 x V1, each of shape (B, 4, D, D)."""
         at, gen, v1, v2 = self.images
-        MN = np.zeros((len(z1p), 2 * len(GENERATOR_TAGS), self.dim, self.dim), dtype=complex)
+        MN = np.zeros((len(z1p), 2 * len(_EF_TAGS), self.dim, self.dim), dtype=complex)
         MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1 + z2p[:, gen] * v2
         return MN[:, 0::2], MN[:, 1::2]
 
@@ -359,7 +355,7 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
     input b (in V1 x V2) carry the same weight, and on them the Cartan
-    equations hold identically.
+    equations hold identically (so the intertwining residual leaves them out).
 
     A diagonal gauge G = zeta^{c h1 / 2} on each site takes grading (s0, s1)
     to a homogeneous one: to (s, 0) with c = s1 (frame 1), or to (0, s)
@@ -375,7 +371,7 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     moduli |alpha_j| and |beta_j| over the sums of the moduli of their two
     terms, read as 0 or NaN where they cancel or vanish; errors[b] the
     ConfigError of request b or None, for a zeta power that overflows; and
-    zeta1^p, zeta2^p (B, 6) at the grade p of each generator, which the
+    zeta1^p, zeta2^p (B, 4) at the grade p of each e/f generator, which the
     intertwining residual reads.
     """
     B, D = len(reqs), template.dim
@@ -387,7 +383,7 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
         frame, c, p = 1, g.s1, g.s
     else:  # gauge to (0, s)
         frame, c, p = 0, -g.s0, -g.s
-    grades = (g.s0, g.s1, -g.s0, -g.s1, 0, 0)  # of e0, e1, f0, f1, qh0, qh1 (GENERATOR_TAGS)
+    grades = (g.s0, g.s1, -g.s0, -g.s1)  # of e0, e1, f0, f1 (_EF_TAGS)
     gauge, p1, p2 = _powers((z1 / z2, z1, z2), ([c * k for k in range(-m, m + 1)],
                                                  (p, *grades), (p, *grades)), errors)
     if D == 1:
@@ -420,15 +416,15 @@ _IMAGE_ENTRIES = 1 << 12
 
 def _intertwine_residuals(Rc, z1p, z2p, template) -> np.ndarray:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
-    of the stack Rc (B, D, D), from zeta1^p and zeta2^p (B, 6) at the grades.
+    of the stack Rc (B, D, D), from zeta1^p and zeta2^p (B, 4) at the grades.
 
-    The images of all six generators are formed for blocks of requests
+    The images of the four e/f generators are formed for blocks of requests
     that keep them within _IMAGE_ENTRIES entries (one request at least), so
     the temporaries do not grow with B; generators with M = 0 are skipped,
     a zero Rc reads inf, and an image that overflows reads inf or NaN.
     """
     B, D = Rc.shape[:2]
-    rows = max(1, _IMAGE_ENTRIES // (len(GENERATOR_TAGS) * D * D))
+    rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
     worst = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(0, B, rows):

@@ -134,7 +134,9 @@ def commutant_residual(C1, C2, R) -> float:
 def embedded_matmul(op, i, j, site_dims, M):
     """Left-multiply matrix M by the embedding of two-site `op` at (i, j).
 
-    Equivalent to embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j).
+    Equivalent to embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j).  A
+    product that overflows reads inf or NaN, with no numpy warning, so the
+    residual it reaches fails its report.
     """
     dims = tuple(site_dims)
     N = len(dims)
@@ -143,7 +145,8 @@ def embedded_matmul(op, i, j, site_dims, M):
     cols = M.shape[1]
     T = M.reshape(dims + (cols,))
     G = op.reshape(dims[i], dims[j], dims[i], dims[j])
-    out = np.tensordot(G, T, axes=([2, 3], [i, j]))  # axes: (i', j', rest..., cols)
+    with np.errstate(all="ignore"):
+        out = np.tensordot(G, T, axes=([2, 3], [i, j]))  # axes: (i', j', rest..., cols)
     order = []
     nxt = 2
     for k in range(N):
@@ -159,11 +162,13 @@ def embedded_matmul(op, i, j, site_dims, M):
 
 
 def site_matmul(mat, slot, site_dims, M):
-    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`."""
+    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`
+    (an overflow reads as in embedded_matmul)."""
     dims = tuple(site_dims)
     cols = M.shape[1]
     T = np.moveaxis(M.reshape(dims + (cols,)), slot, 0)
-    T = np.tensordot(mat, T, axes=(1, 0))
+    with np.errstate(all="ignore"):
+        T = np.tensordot(mat, T, axes=(1, 0))
     return np.ascontiguousarray(np.moveaxis(T, 0, slot)).reshape(prod(dims), cols)
 
 

@@ -1,12 +1,13 @@
 import json
 import shlex
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkzkit import cli
+from qkzkit import cli, idsuite, reps, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.report import VerificationReport
 
@@ -125,17 +126,30 @@ class TestVerify:
         assert data[0]["name"] == "scalars" and data[0]["params"] == {"group": "scalars"}
         assert not data[0]["passed"] and data[0]["note"].startswith("TruncationError")
 
-    def test_overflowing_twist_fails_its_reports(self, capsys):
+    # command line, and the count of failing reports by (name, m)
+    OVERFLOWING = [
+        ("verify invariances --alpha 300", {("invariance_a", 2): 2}),
+        ("verify qkz --alpha 1e3", {("ddr", 1): 3, ("lambda_forms", 1): 1,
+                                    ("qkz_compatibility", 1): 2}),
+        ("verify theorems --alpha 1e3", {("insertion_invariance", 1): 1,
+                                         ("scaling_covariance", 1): 2,
+                                         ("theorem_general", 1): 2,
+                                         ("theorem_selfdual", 1): 2}),
+    ]
+
+    @pytest.mark.parametrize("argv, failing", OVERFLOWING, ids=[a for a, _ in OVERFLOWING])
+    def test_overflowing_twist_fails_its_reports(self, argv, failing, capsys):
         # at alpha = 300 the m = 2 twist pair has entries near 1e186, so the
-        # commutator norms overflow: those reports fail (residual inf, written
-        # as null) instead of reading 0, and numpy prints no warning
-        code = main(["verify", "invariances", "--alpha", "300"])
+        # commutator norms overflow; at alpha = 1e3 the m = 1 twist has
+        # entries near 1e155, and the twist and factor products applied to
+        # the probe block overflow.  Those reports fail (residual inf or NaN,
+        # written as null) instead of reading 0, and numpy prints no warning
+        code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 1 and captured.err == ""
         failed = [rec for rec in json.loads(captured.out) if not rec["passed"]]
-        assert len(failed) == 2
-        assert all(rec["name"] == "invariance_a" and rec["params"]["m"] == 2
-                   and rec["residual"] is None for rec in failed)
+        assert Counter((rec["name"], rec["params"]["m"]) for rec in failed) == failing
+        assert all(rec["residual"] is None for rec in failed)
 
     @pytest.mark.filterwarnings("error")
     def test_zero_contraction_fails_the_extraction_reports(self, capsys, monkeypatch):
@@ -188,6 +202,54 @@ class TestVerify:
         assert any(not rec["passed"] for rec in data)
         # reports still emitted with actual residuals
         assert all("residual" in rec for rec in data)
+
+
+def _scaled(fn):
+    """fn with its value scaled by 1 + 1e-6."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1 + 1e-6)
+
+
+def _shifted(fn):
+    """fn with 1e-6 added to every entry of its matrix."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1e-6
+
+
+def _raising_scaled(build):
+    """build_eval_rep with the raising coefficients of e1 scaled by 1 + 1e-6."""
+    def planted(m, grading, ctx):
+        rep = build(m, grading, ctx)
+        rep._mats["e1"] = rep._mats["e1"] * (1 + 1e-6)
+        return rep
+    return planted
+
+
+# group, report, and the planted defect: module, function, how it is broken
+PLANTED = [
+    ("scalars", "scalar_kappa_identities", cli, "kappa_sl2", _scaled),
+    ("scalars", "scalar_kappa_even_rational", cli, "kappa_sl2", _scaled),
+    ("scalars", "scalar_rho0_ratio", cli, "rho0_sl2", _scaled),
+    ("difference", "scalar_difference_sl2", scalars, "kappa_sl2", _scaled),
+    ("difference", "scalar_difference_sllpo", scalars, "kappa_sllpo", _scaled),
+    ("f_series", "scalar_f_series_pochhammer", cli, "rho0_sllpo", _scaled),
+    ("reps", "rep_invariants", cli, "build_eval_rep", _raising_scaled),
+    ("reps", "rep_hopf_axiom", reps, "antipode_image", _scaled),
+    ("dualities", "double_dual", idsuite, "operator_x", _shifted),
+    ("dualities", "self_dual", idsuite, "operator_o", _shifted),
+]
+
+
+@pytest.mark.parametrize("group, name, module, attr, plant", PLANTED,
+                         ids=[f"{name}-{attr}" for _, name, _, attr, _ in PLANTED])
+def test_planted_defect_fails_the_report(group, name, module, attr, plant, monkeypatch, capsys):
+    # a defect of relative size 1e-6 in one function fails every report of
+    # the name, whose residuals are relative (tensorops.relative_residual)
+    argv = ["verify", group, "--seed", "7"]
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    code, out = run_cli(argv, capsys)
+    recs = [rec for rec in json.loads(out) if rec["name"] == name]
+    assert code == 1 and recs and not any(rec["passed"] for rec in recs)
+    assert all(rec["residual"] > 1e-8 for rec in recs)
 
 
 class TestRmat:
@@ -276,11 +338,12 @@ class TestDeterminism:
 
 
 class TestSuiteAcrossQ:
-    @pytest.mark.parametrize("q", ["0.95", "0.3", "0.5,0.5", "0.3,0.6"])
+    @pytest.mark.parametrize("q", ["0.95", "0.3", "0.5,0.5", "0.3,0.6", "0.05"])
     def test_suite_completes(self, q, capsys):
         # q near 1 puts resonances close together; small q used to overflow f_series;
         # at arg q = pi/4 the sllpo difference shift crosses the branch cut, and at
-        # q = 0.3+0.6i the sl2 one does
+        # q = 0.3+0.6i the sl2 one does; at q = 0.05 the module entries grow like
+        # q^-3, which an absolute residual read as a failure of rep_invariants
         code, out = run_cli(["suite", "--m", "1", "--q", q, "--format", "json"], capsys)
         data = json.loads(out)
         assert code == 0

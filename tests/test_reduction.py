@@ -111,12 +111,19 @@ class TestTheoremSelfDual:
         assert rep.passed, rep.params
 
     def test_hw_mode_is_singular_at_resonance(self, ctx, grading):
-        # the construction requires the unitarized family: with plain hw
-        # normalization the coincident-ratio factor is a genuine pole
+        # the construction requires the unitarized family: the resonant lead
+        # factor, at ratio w / p = q^delta, has no hw-normalized solve (its hw
+        # component vanishes), so a case is always kappa-normalized
         from qkzkit.errors import DegeneratePointError
-        case = ReductionCase("self_dual", 2, 1, grading, ctx, normalization="hw")
-        with pytest.raises(DegeneratePointError):
-            theorem_check_selfdual(case, [1.2 + 0.3j, 0.8 - 0.2j], seed=1)
+        case = case_sd(2, 1, grading, ctx)
+        z = 0.8 - 0.2j
+        w = complex(ctx.q) ** case.shift
+        with pytest.raises(DegeneratePointError, match="highest-weight component vanishes"):
+            r_matrix("V", w * z, "V", case.p * z, 1, grading, ctx, normalization="hw",
+                     check_invertible=False)
+        assert case.normalization == "kappa"
+        with pytest.raises(TypeError):
+            ReductionCase("self_dual", 2, 1, grading, ctx, normalization="hw")
 
 
 class TestRhsGeneral:

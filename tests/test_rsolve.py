@@ -17,7 +17,7 @@ from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
 from qkzkit.rsolve import (_CANCEL_TOL, RCache, _kappa_scalar, apply_kappa, make_request, r_matrix,
                            rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
-from qkzkit.tensorops import permutation_op
+from qkzkit.tensorops import permutation_op, relative_residual
 
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
 
@@ -114,6 +114,23 @@ class TestSolveBasics:
             res = r_matrix(kinds[0], zeta_sample(rng), kinds[1], zeta_sample(rng),
                            2, grading, ctx, cache=cache)
             assert res.intertwine_residual < 1e-11
+
+    @pytest.mark.parametrize("q, g", [(0.7, (1, 1)), (0.3, (2, 1)), (0.5 + 0.5j, (0, 1))])
+    def test_cartan_rows_hold_identically(self, q, g):
+        # the intertwining residual checks the e/f generators only: on the
+        # weight-conserving entries Rcheck Delta(q^{h_i}) = Delta(q^{h_i}) Rcheck
+        # up to rounding, so those rows could never fail
+        ctx, grading = QContext(q), GradingChoice(*g)
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 3):
+            for k1, k2 in ALL_PAIRS:
+                r1, r2 = (eval_module(k, m, grading, ctx) for k in (k1, k2))
+                Rc = r_matrix(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx,
+                              check_invertible=False).Rcheck
+                for tag in ("qh0", "qh1"):
+                    M = np.kron(r1.gen(tag, 1.0), r2.gen(tag, 1.0))
+                    N = np.kron(r2.gen(tag, 1.0), r1.gen(tag, 1.0))
+                    assert relative_residual(Rc @ M, N @ Rc) < 1e-15
 
     def test_brute_force_commutant_oracle(self, grading):
         # independent assembly by naive loops: all (m+1)^4 entries of Rcheck

@@ -15,11 +15,15 @@ In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string: only `rcheck_factors` requests factors (solve_intertwiner,
 with the resonant closed form) and only `apply_factors` applies a string
 (the one use of permuted_matmul), so no second factor loop can come back.
-The identity checks of `idsuite`, `qkz` and `reduction` take their
-residuals from `tensorops.relative_residual` and call no norm of their own,
-so no second residual rule (a 0/0 guard among them) can come back; and no
-public function there takes a per-call tolerance, since each report's
-tolerance is written where the report is made.  Only `cli` keeps time: its
+The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
+take their residuals from `tensorops.relative_residual` and call no norm
+of their own, so no second residual rule (a 0/0 guard among them) can come
+back; nor do they take an absolute one, the abs of a difference or the
+max of an abs, outside a comparison (an argument guard such as
+abs(z - w) < tol is no residual).  The one measure left on that rule is
+the crossing report's scalar_spread, reported beside its residual and not
+gated.  No public function there takes a per-call tolerance, since each
+report's tolerance is written where the report is made.  Only `cli` keeps time: its
 group runner `_run_groups` times each check group, and no other function or
 module reads the clock (or imports `time`), so no check carries a timer.
 """
@@ -160,16 +164,51 @@ def test_permutations_applied_only_in_apply_factors(path):
     assert calls_outside(tree, "permuted_matmul", ("apply_factors",)) == []
 
 
-CHECK_SOURCES = [p for p in SOURCES if p.name in ("idsuite.py", "qkz.py", "reduction.py")]
+CHECK_SOURCES = [p for p in SOURCES
+                 if p.name in ("cli.py", "reps.py", "idsuite.py", "qkz.py", "reduction.py")]
+ABS_NAMES = {"abs", "absolute"}
+# functions whose absolute measure is no report residual: the crossing scalar_spread
+ABSOLUTE_ALLOWED = ("check_crossing",)
+
+
+def _is_abs(node):
+    return isinstance(node, ast.Call) and _name(node) in ABS_NAMES
+
+
+def absolute_residuals(tree, allowed=()):
+    """The abs (builtin or numpy) of a difference and the max of an abs, outside
+    a comparison and outside the functions named in allowed."""
+    skip = {id(node) for outer in ast.walk(tree)
+            if isinstance(outer, ast.Compare) or (
+                isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and outer.name in allowed)
+            for node in ast.walk(outer)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip or not isinstance(node, ast.Call):
+            continue
+        diff = _is_abs(node) and bool(node.args) and isinstance(node.args[0], ast.BinOp) \
+            and isinstance(node.args[0].op, ast.Sub)
+        peak = _name(node) in ("max", "amax") and (
+            (isinstance(node.func, ast.Attribute) and _is_abs(node.func.value))
+            or any(_is_abs(arg) for arg in node.args))
+        if diff or peak:
+            found.append(f"line {node.lineno}")
+    return found
 
 
 def test_check_sources_found():
-    assert len(CHECK_SOURCES) == 3
+    assert len(CHECK_SOURCES) == 5
 
 
 @pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
 def test_checks_call_no_norm(path):
     assert named_calls(ast.parse(path.read_text()), "norm") == []
+
+
+@pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
+def test_checks_take_no_absolute_residual(path):
+    assert absolute_residuals(ast.parse(path.read_text()), ABSOLUTE_ALLOWED) == []
 
 
 @pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
@@ -289,6 +328,24 @@ def test_permutation_rule_fires_on_planted_code(source, outside):
 ])
 def test_norm_rule_fires_on_planted_code(source, calls):
     assert len(named_calls(ast.parse(source), "norm")) == calls
+
+
+@pytest.mark.parametrize("source, found", [
+    ("worst = worst_of((worst, np.abs(acc - target).max()))\n", 2),
+    ("resid = abs(kappa(z) * kappa(1 / z) - 1.0)\n", 1),
+    ("worst = worst_of([worst, *(np.abs(t).max() for t in terms)])\n", 1),
+    ("resid = np.max(np.abs(vals))\n", 1),
+    ("resid = numpy.absolute(a - b)\n", 1),
+    ("def check_crossing(s):\n    return np.abs(s - s.mean()).max()\n", 0),
+    ("def check_self_dual(s):\n    return np.abs(s - s.mean()).max()\n", 2),
+    # argument guards in a comparison, a relative residual and a modulus are none
+    ("near = abs(z - point) < 1e-3 * max(abs(point), 1e-6)\n", 0),
+    ("same = k1 == k2 and abs(z1 - z2) <= tol * max(1.0, abs(z1))\n", 0),
+    ("resid = relative_residual(1.0, kappa(z) * kappa(1 / z))\n", 0),
+    ("z = (0.1 + 0.7 * r) * abs(q) ** l\n", 0),
+])
+def test_absolute_residual_rule_fires_on_planted_code(source, found):
+    assert len(absolute_residuals(ast.parse(source), ABSOLUTE_ALLOWED)) == found
 
 
 @pytest.mark.parametrize("source, found", [
