@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--s1": {"type": int, "default": 1, "help": "zeta power of e1"},
         "--alpha": {**cplx, "default": 0.0,
                     "help": "twist parameter; 0 lets invariances use 0.37-0.21i"},
-        "--seed": {"type": int, "default": 42, "help": "seed of every sample"},
+        "--seed": {"type": int, "default": 42, "help": "seed of every sample (at least 0)"},
         "--tol": {"type": float, "help": "override every check tolerance"},
         "--trunc": {"type": int, "default": 256, "help": "factors per product or series"},
         "--samples": {"type": int, "default": 3, "help": "random samples per check or table"},
@@ -544,7 +544,7 @@ def main(argv=None) -> int:
                 "scalars": cmd_scalars}
     try:
         # checked before any work, so a value out of range fails at once
-        for name, low in (("m", 0), ("n", 1), ("l", 1), ("samples", 1)):
+        for name, low in (("m", 0), ("n", 1), ("l", 1), ("samples", 1), ("seed", 0)):
             if getattr(config, name, low) < low:
                 raise ConfigError(f"--{name} must be at least {low}")
         if getattr(config, "tol", None) is not None and not 0 <= config.tol < np.inf:

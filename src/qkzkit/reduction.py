@@ -31,8 +31,8 @@ from .tensorops import embed_pair, embedded_matmul, relative_residual, site_matm
 
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_operator", "psi_extract",
-    "psi_inject", "theorem_check_selfdual", "theorem_check_general",
-    "insertion_invariance_check", "check_rpr", "scaling_covariance_residual",
+    "theorem_check_selfdual", "theorem_check_general", "insertion_invariance_check",
+    "check_rpr", "scaling_covariance_residual",
 ]
 
 
@@ -153,17 +153,6 @@ def psi_extract(case: ReductionCase, phi) -> np.ndarray:
         T = site_matmul(Ct, n + r, case.dims, T)
     T = T.reshape([d] * (2 * n)).transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
     return T.reshape(d**n, d**n)
-
-
-def psi_inject(case: ReductionCase, psi) -> np.ndarray:
-    """Inverse of psi_extract (the contraction matrix is invertible)."""
-    n, d = case.n, case.m + 1
-    Cinv_t = np.linalg.inv(case.contraction_matrix()).T
-    T = np.asarray(psi, dtype=complex).reshape([d] * (2 * n))
-    T = T.transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1))).reshape(-1, 1)
-    for r in range(n):
-        T = site_matmul(Cinv_t, n + r, case.dims, T)
-    return T.reshape(-1)
 
 
 def _combined_report(name, params, resid_op, resid_e2e):

@@ -24,21 +24,24 @@ def fold(residual, tolerance, e2e_residual, e2e_tolerance) -> float:
 
 @dataclass
 class VerificationReport:
-    """Named check outcome; passed is always residual <= tolerance."""
+    """Named check outcome; it passes when residual <= tolerance."""
 
     name: str
     params: dict
     residual: float
     tolerance: float
-    passed: bool
     extracted_scalars: list = None
     note: str = None
+
+    @property
+    def passed(self) -> bool:
+        """residual <= tolerance, so a NaN residual fails."""
+        return bool(self.residual <= self.tolerance)
 
     @classmethod
     def make(cls, name, params, residual, tolerance, extracted_scalars=None, note=None):
         return cls(name=name, params=dict(params), residual=float(residual),
-                   tolerance=float(tolerance), passed=bool(residual <= tolerance),
-                   extracted_scalars=extracted_scalars, note=note)
+                   tolerance=float(tolerance), extracted_scalars=extracted_scalars, note=note)
 
     def with_tolerance(self, tolerance):
         """This report gated at `tolerance` (the --tol override); an end-to-end gate
@@ -48,5 +51,4 @@ class VerificationReport:
             params = dict(params, e2e_tolerance=tolerance)
             residual = fold(params["operator_residual"], tolerance,
                             params["e2e_residual"], tolerance)
-        return replace(self, params=params, residual=residual, tolerance=tolerance,
-                       passed=residual <= tolerance)
+        return replace(self, params=params, residual=residual, tolerance=tolerance)

@@ -95,11 +95,6 @@ class EvalRep:
         """Tags of the generators with a nonzero image: all six, the Cartans alone at m = 0."""
         return GENERATOR_TAGS if self.m else GENERATOR_TAGS[4:]
 
-    @property
-    def hw_index(self) -> int:
-        """Index of the weight-maximal basis vector."""
-        return int(np.argmax(self._w))
-
     def qh1(self, nu=1.0) -> np.ndarray:
         return _q_diag(self.ctx, nu * self._w)
 
@@ -201,6 +196,9 @@ def hopf_antipode_residual(rep: EvalRep, zeta: complex) -> float:
     dual modules: S(g) g against the identity for a Cartan g, and the two
     terms that must cancel for e_i and f_i (eps = 0), S(e_i) against
     -S(q^{h_i}) e_i and S(f_i) q^{-h_i} against -f_i (relative_residual).
+    A convention check, not a module check: antipode_image writes S(e_i)
+    and S(f_i) from the same e and f matrices, so the terms cancel for any
+    e and f, and only a defect in S itself fails it.
     """
     worst = 0.0
     for tag in rep.tags:

@@ -21,13 +21,13 @@ relative accuracy, and c_0 = 1 fixes hw x hw.  A ratio whose two terms
 cancel marks a degenerate point.  The intertwining residual still checks
 the full Rcheck against the four e/f generators at the request's grading.
 
-Everything that does not depend on zeta (the two modules, their hw
-indices, the unknowns, the entries of the coproduct images split by zeta
-power, and per homogeneous frame B and the ratio numbers a, b) is a
-CommutantTemplate, built once per (kinds, m, q) and shared by every
-grading; kappa and the gauge depend on the grading, so solves are keyed
-by it.  A request (RRequest) holds plain values and builds no module, so
-a cache hit costs its key and the lookup.
+Everything that does not depend on zeta (the two modules, the unknowns,
+the entries of the coproduct images split by zeta power, and per
+homogeneous frame B and the ratio numbers a, b) is a CommutantTemplate,
+built once per (kinds, m, q) and shared by every grading; kappa and the
+gauge depend on the grading, so solves are keyed by it.  A request
+(RRequest) holds plain values and builds no module, so a cache hit costs
+its key and the lookup.
 
 solve_intertwiner takes a sequence of requests and returns their results
 in order; r_matrix is the call for one request.  The misses of a call
@@ -106,7 +106,6 @@ class RResult:
     Rcheck: np.ndarray
     # smallest |alpha_j| or |beta_j| relative to its two terms; 1 at m = 0, 0 at kappa = 0
     margin: float
-    norm_scalar_applied: complex
     intertwine_residual: float
 
     @property
@@ -342,10 +341,6 @@ class RCache:
                 eval_module(req.kind2, req.m, grading, req.ctx))
         return self._templates[key]
 
-    def clear(self):
-        self._store.clear()
-        self._templates.clear()
-
 
 def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     """The hw-normalized nullvectors of the commutant systems, with the
@@ -473,7 +468,6 @@ def apply_kappa(res: RResult, k: complex) -> RResult:
     """
     return RResult(Rcheck=res.Rcheck * k,
                    margin=res.margin if k != 0 else 0.0,
-                   norm_scalar_applied=res.norm_scalar_applied * k,
                    intertwine_residual=res.intertwine_residual if k != 0 else np.inf)
 
 
@@ -505,12 +499,9 @@ def _solve(reqs, template: CommutantTemplate) -> list:
         errors[k] = errors[k] or ConfigError(
             "spectral parameters out of range: the operator or a generator image overflows")
     margin = rel.min(axis=(1, 2), initial=1.0)
-    return [errors[k] or RResult(
-        Rcheck=X[k],
-        margin=float(margin[k]),
-        norm_scalar_applied=1.0,
-        intertwine_residual=float(residual[k]),
-    ) for k in range(len(reqs))]
+    return [errors[k] or RResult(Rcheck=X[k], margin=float(margin[k]),
+                                 intertwine_residual=float(residual[k]))
+            for k in range(len(reqs))]
 
 
 def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list:

@@ -197,12 +197,6 @@ def difference_patterns_sl2(m: int, z: complex, ctx: QContext) -> dict:
     }
 
 
-def kappa_difference_check_sl2(m: int, z: complex, ctx: QContext) -> float:
-    """|all-inverted difference pattern - (-1)^m| at the given z."""
-    val = difference_patterns_sl2(m, z, ctx)["all_inverted"]
-    return abs(val - (-1.0) ** m)
-
-
 # --- sl(l+1) first-fundamental scalars ---------------------------------------
 
 def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
@@ -218,21 +212,6 @@ def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
     Q = q ** (2 * (l + 1))
     ratio, _ = _poch_ratio((q**2 * z, q ** (2 * l) * z), (z, Q * z), Q, ctx, "rho0 denominator")
     return q ** (-l / (l + 1)) * ratio
-
-
-def rho0_ratio_sllpo(l: int, z: complex, ctx: QContext) -> complex:
-    """Finite-product ratio for the fundamental pair:
-
-    (1 - q^-2 z)(1 - q^-2l z) / ((1 - z)(1 - q^-2(l+1) z)).
-
-    Numerically this equals rho0(q^-eps zeta1 | zeta2) * rho0(zeta1 | zeta2)^-1
-    for the Pochhammer rho0 above (shift z -> z / q^{2(l+1)}).
-    """
-    q = complex(ctx.q)
-    den = (1.0 - z) * (1.0 - q ** (-2 * (l + 1)) * z)
-    if abs(den) < _POLE_TOL:
-        raise PoleError("rho0 ratio denominator vanishes")
-    return (1.0 - q ** (-2) * z) * (1.0 - q ** (-2 * l) * z) / den
 
 
 def kappa_sllpo(l: int, z: complex, ctx: QContext) -> complex:
@@ -271,8 +250,3 @@ def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:
         "mixed": (r1 / r0) * (k1 / k0),
         "all_inverted": 1.0 / (r0 * r1 * k0 * k1),
     }
-
-
-def kappa_difference_check_sllpo(l: int, z: complex, ctx: QContext) -> float:
-    """|mixed difference pattern - 1| at the given z."""
-    return abs(difference_patterns_sllpo(l, z, ctx)["mixed"] - 1.0)

@@ -19,9 +19,9 @@ from qkzkit.reduction import (ReductionCase, check_rpr, insertion_invariance_che
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, antipode_dual,
                          build_eval_rep, operator_o)
 from qkzkit.rsolve import _CANCEL_TOL, RCache, r_matrix
-from qkzkit.scalars import (kappa_difference_check_sl2, kappa_difference_check_sllpo,
-                            kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
-                            q_pochhammer, rho0_ratio_sl2, rho0_sl2)
+from qkzkit.scalars import (difference_patterns_sl2, difference_patterns_sllpo, kappa_sl2,
+                            kappa_sl2_even_rational, kappa_sllpo, q_pochhammer,
+                            rho0_ratio_sl2, rho0_sl2)
 from test_reps import reference_dual_family, reference_family, rep_matrix
 
 CTX = QContext(q=0.7)
@@ -173,11 +173,12 @@ def test_criterion_07_scalar_identities():
             worst = max(worst, abs(kappa_sl2(m, z, CTX) * kappa_sl2(m, 1 / z, CTX) - 1.0))
     for m in (1, 2, 3):
         for _ in range(5):
-            worst = max(worst, kappa_difference_check_sl2(m, z_sample(rng), CTX))
+            pattern = difference_patterns_sl2(m, z_sample(rng), CTX)["all_inverted"]
+            worst = max(worst, abs(pattern - (-1) ** m))
     for l in (1, 2, 3):
         worst = max(worst, abs(kappa_sllpo(l, 1.0, CTX) - 1.0))
         for _ in range(5):
-            worst = max(worst, kappa_difference_check_sllpo(l, z_sample(rng), CTX))
+            worst = max(worst, abs(difference_patterns_sllpo(l, z_sample(rng), CTX)["mixed"] - 1))
     for m in (1, 2, 3):
         for _ in range(5):
             z = z_sample(rng)

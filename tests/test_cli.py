@@ -61,6 +61,9 @@ class TestParsing:
         # integer options out of range
         "scalars --l 0", "scalars --l -2", "scalars --m -1", "rmat --m -1",
         "verify reps --samples 0", "verify qkz --n 0",
+        # a negative seed, which numpy's default_rng refuses
+        "suite --seed -1", "verify braid --seed -1", "verify theorems --seed -3",
+        "verify ybe --seed -1", "scalars --seed -1",
         # options the command does not read are not accepted
         "rmat --format text", "rmat --seed 1", "rmat --samples 0", "scalars --s0 2",
         "scalars --norm hw", "suite --l 2", "verify reps --jobs 1",

@@ -1,0 +1,85 @@
+"""The CLI contract across the q-disk: every configuration ends in exit 0 or 1
+with a complete report, or in exit 2 with a configuration error, and never
+in a traceback or a numpy warning (pytest turns RuntimeWarning into an
+error).
+
+The sweep is seeded: |q| from 0.05 to 0.99, real and complex, gradings up
+to (2, 5), m = 1..3, and --alpha, --trunc, --n, --norm and --seed drawn per
+configuration, a negative seed among them.  Each `suite` run takes about
+0.03-0.3 s in process, so the sweep stays within about 10 s.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from qkzkit import cli
+
+MODULI = (0.05, 0.2, 0.5, 0.9, 0.99)
+ALPHAS = ("0", "0.2,0.1", "3", "40,-5")
+TRUNCS = (16, 64, 256)
+SEEDS = (0, 7, 42, -1)
+RUNS = 45
+REPORT_FIELDS = {"name", "params", "residual", "tolerance", "passed", "wall_ms"}
+OPTIONAL_FIELDS = {"extracted_scalars", "note"}
+
+
+def _configurations():
+    rng = np.random.default_rng(2026)
+    out = []
+    for k in range(RUNS):
+        q = MODULI[k % len(MODULI)] * (np.exp(2j * np.pi * rng.random())
+                                       if rng.random() < 0.6 else 1.0)
+        s0, s1 = int(rng.integers(0, 3)), int(rng.integers(0, 6))
+        out.append({"q": complex(q), "s0": s0, "s1": s1 or int(s0 == 0), "m": 1 + k % 3,
+                    "alpha": ALPHAS[rng.integers(len(ALPHAS))],
+                    "trunc": TRUNCS[rng.integers(len(TRUNCS))], "n": int(rng.integers(1, 4)),
+                    "norm": ("hw", "kappa")[rng.integers(2)],
+                    "seed": SEEDS[rng.integers(len(SEEDS))]})
+    return out
+
+
+CONFIGURATIONS = _configurations()
+
+
+def _argv(c):
+    q = c["q"]
+    return ["suite", f"--q={q.real!r},{q.imag!r}", f"--s0={c['s0']}", f"--s1={c['s1']}",
+            f"--m={c['m']}", f"--alpha={c['alpha']}", f"--trunc={c['trunc']}",
+            f"--n={c['n']}", f"--norm={c['norm']}", f"--seed={c['seed']}"]
+
+
+def test_the_sweep_covers_the_space():
+    cs = CONFIGURATIONS
+    assert {round(abs(c["q"]), 2) for c in cs} == set(MODULI)
+    assert any(c["q"].imag == 0 for c in cs) and any(c["q"].imag != 0 for c in cs)
+    assert {c["m"] for c in cs} == {1, 2, 3} and {c["n"] for c in cs} == {1, 2, 3}
+    assert max(c["s0"] for c in cs) == 2 and max(c["s1"] for c in cs) == 5
+    for key, values in (("alpha", ALPHAS), ("trunc", TRUNCS), ("norm", ("hw", "kappa")),
+                        ("seed", SEEDS)):
+        assert {c[key] for c in cs} == set(values), key
+
+
+@pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: " ".join(_argv(c)[1:]))
+def test_configuration_ends_in_a_report_or_a_configuration_error(config, monkeypatch, capsys):
+    counts = {}
+    run_group = cli._run_group
+
+    def counted(name, *args):
+        out = run_group(name, *args)
+        counts[name] = len(out)
+        return out
+    monkeypatch.setattr(cli, "_run_group", counted)
+    code = cli.main(_argv(config))
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+        return
+    # complete: every group ran and every report it made was written
+    reports = json.loads(out)
+    assert err == "" and set(counts) == set(cli.CHECKS)
+    assert len(reports) == sum(counts.values())
+    assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
+    assert code == (0 if all(r["passed"] for r in reports) else 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import idsuite, rsolve
+from qkzkit import idsuite, qkz, rsolve
 from qkzkit.reps import operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, make_request, r_matrix, solve_intertwiner
 
@@ -255,3 +255,104 @@ class TestBraid:
             idsuite.check_braid_welldefined([0], [1], 1, ("V", "V", "V", "V"),
                                             (1.0, 2.0, 3.0, 4.0), grading, ctx,
                                             cache=cache)
+
+
+EPS = 1e-6  # relative size of a planted defect
+ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
+
+
+def _first_call(fn, defect):
+    """fn with defect applied to the value of its first call only."""
+    calls = []
+
+    def planted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(None)
+        return defect(out) if len(calls) == 1 else out
+    return planted
+
+
+def _diagonal_entry_scaled(M):
+    M = M.copy()
+    M[0, 0] *= 1 + EPS
+    return M
+
+
+def _entry_shifted(M):
+    M = M.copy()
+    M[0, 0] += EPS * np.abs(M).max()
+    return M
+
+
+class TestPlantedDefects:
+    """unitarity, invariance_x, invariance_xtilde and ddr pass as is and fail
+    under one planted defect of relative size 1e-6, at m = 1 and 2.
+
+    The twist defects are planted on the first call of a check only, the
+    operator of its first slot: the same diagonal entry scaled on both slots
+    keeps X x X constant on each weight sector of V x V at m = 1, and R
+    commutes with it."""
+
+    @staticmethod
+    def zetas(m, grading, ctx, seed):
+        return tuple(idsuite.draw_generic_zetas(np.random.default_rng(seed), 2, m, grading, ctx))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    @pytest.mark.parametrize("kinds", ALL_PAIRS)
+    def test_unitarity_one_rcheck_scaled(self, kinds, norm, m, ctx, grading, monkeypatch):
+        zetas = self.zetas(m, grading, ctx, 61)
+
+        def check():
+            return idsuite.check_unitarity(m, kinds, zetas, grading, ctx, normalization=norm,
+                                           cache=RCache())
+        assert check().passed
+        solve = idsuite.solve_intertwiner
+        monkeypatch.setattr(idsuite, "solve_intertwiner", lambda *args, **kwargs: [
+            replace(res, Rcheck=res.Rcheck * (1 + EPS)) if k == 0 else res
+            for k, res in enumerate(solve(*args, **kwargs))])
+        assert not check().passed
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("kinds", [("V", "V"), ("V*", "V")])
+    def test_invariance_x_one_diagonal_entry_scaled(self, kinds, balanced, m, ctx, grading,
+                                                    grading10, monkeypatch):
+        g = grading if balanced else grading10
+        zetas = self.zetas(m, g, ctx, 62)
+
+        def check():
+            return idsuite.check_invariance_x(m, kinds, zetas, g, ctx, cache=RCache())
+        assert check().passed
+        monkeypatch.setattr(idsuite, "operator_x",
+                            _first_call(idsuite.operator_x, _diagonal_entry_scaled))
+        assert not check().passed
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("norm", ["hw", "kappa"])
+    def test_invariance_xtilde_one_entry_shifted(self, norm, m, ctx, grading, monkeypatch):
+        zetas = self.zetas(m, grading, ctx, 63)
+
+        def check():
+            return idsuite.check_invariance_xtilde(m, grading, ctx, zetas, normalization=norm,
+                                                   cache=RCache())
+        assert check().passed
+        monkeypatch.setattr(idsuite, "operator_xtilde",
+                            _first_call(idsuite.operator_xtilde, _entry_shifted))
+        assert not check().passed
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kinds, sources", [(("V", "V*"), ("general_v", "general_vstar")),
+                                                (("V", "V"), ("self_dual_pair",) * 2)])
+    def test_ddr_one_twist_entry_scaled(self, kinds, sources, m, ctx, grading, monkeypatch):
+        # n only sets the sign of the self-dual twist
+        deltas = tuple(qkz.DeltaAssignment(source, alpha=0.2, n=2) for source in sources)
+        chain = qkz.ChainSpec(m, grading, ctx, kinds, self.zetas(m, grading, ctx, 64), 1.1,
+                              deltas, "kappa")
+
+        def check():
+            return qkz.check_ddr(chain, 0, 1, cache=RCache())
+        assert check().passed
+        monkeypatch.setattr(qkz, "build_delta", _first_call(qkz.build_delta,
+                                                            _diagonal_entry_scaled))
+        assert not check().passed

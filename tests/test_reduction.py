@@ -9,7 +9,7 @@ from qkzkit.errors import ConfigError
 from qkzkit.qkz import lambda_op
 from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
                               insertion_invariance_check, mirrored_args,
-                              psi_extract, psi_inject, rhs_operator,
+                              psi_extract, rhs_operator,
                               scaling_covariance_residual, theorem_check_general,
                               theorem_check_selfdual)
 from qkzkit.reps import operator_xtilde
@@ -222,13 +222,15 @@ class TestPsiExtract:
         want = phi.reshape(2, 2) @ xt
         assert np.abs(psi - want).max() < 1e-14
 
-    def test_inject_roundtrip(self, ctx, grading):
+    def test_extract_matches_the_contraction_formula(self, ctx, grading):
+        # n = 2: Psi^{i1 i2}_{j1 j2} = sum_k Phi^{i1 i2 k2 k1} C_{k2 j2} C_{k1 j1}
         for case in (case_sd(2, 1, grading, ctx), case_gen(2, 2, grading, ctx)):
             rng = np.random.default_rng(77)
-            D = (case.m + 1) ** (2 * case.n)
-            phi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-            back = psi_inject(case, psi_extract(case, phi))
-            assert np.abs(back - phi).max() < 1e-13
+            d = case.m + 1
+            phi = rng.standard_normal(d**4) + 1j * rng.standard_normal(d**4)
+            C = case.contraction_matrix()
+            want = np.einsum("xyab,aw,bv->xyvw", phi.reshape((d,) * 4), C, C)
+            assert np.abs(psi_extract(case, phi) - want.reshape(d**2, d**2)).max() < 1e-13
 
 
 class TestExchange:

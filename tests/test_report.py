@@ -38,8 +38,20 @@ def test_with_tolerance_holds_both_residuals():
     loose = report.with_tolerance(1e-15)
     assert (loose.residual, loose.passed) == (2e-16, True)
     plain = VerificationReport.make("ybe", {"m": 1}, 3e-12, 1e-9)
-    assert plain.with_tolerance(1e-12) == dataclasses.replace(plain, tolerance=1e-12,
-                                                              passed=False)
+    assert plain.passed
+    assert plain.with_tolerance(1e-12) == dataclasses.replace(plain, tolerance=1e-12)
+    assert plain.with_tolerance(1e-12).passed is False
+
+
+def test_passed_is_derived_from_residual_and_tolerance():
+    report = VerificationReport.make("ybe", {"m": 1}, 3e-12, 1e-9)
+    assert report.passed is True
+    # a replaced residual cannot leave a stale verdict behind
+    assert dataclasses.replace(report, residual=math.nan).passed is False
+    assert dataclasses.replace(report, residual=2e-9).passed is False
+    assert dataclasses.replace(report, residual=1e-9).passed is True
+    with pytest.raises(TypeError):
+        dataclasses.replace(report, passed=False)
 
 
 def _nan_like(out):

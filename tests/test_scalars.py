@@ -9,11 +9,8 @@ from qkzkit import scalars
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError, DivergentBaseError, PoleError, TruncationError
 from qkzkit.scalars import (difference_patterns_sl2, difference_patterns_sllpo,
-                            f_series, kappa_difference_check_sl2,
-                            kappa_difference_check_sllpo, kappa_sl2,
-                            kappa_sl2_even_rational, kappa_sllpo, q_number,
-                            q_pochhammer, rho0_ratio_sl2, rho0_ratio_sllpo,
-                            rho0_sl2, rho0_sllpo)
+                            f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
+                            q_number, q_pochhammer, rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
 
 
 class TestQNumber:
@@ -305,13 +302,23 @@ class TestKappaSl2:
         assert kappa_sl2(2, z, ctx) == pytest.approx(expect, rel=1e-12)
 
 
+def sl2_difference(m, z, ctx):
+    """|all-inverted difference pattern - (-1)^m|: the scalar_difference_sl2 residual."""
+    return abs(difference_patterns_sl2(m, z, ctx)["all_inverted"] - (-1) ** m)
+
+
+def sllpo_difference(l, z, ctx):
+    """|mixed difference pattern - 1|: the scalar_difference_sllpo residual."""
+    return abs(difference_patterns_sllpo(l, z, ctx)["mixed"] - 1)
+
+
 class TestDifferenceEquationSl2:
     def test_constant_matches_parity(self, ctx_complex):
         rng = np.random.default_rng(9)
         for m in (1, 2, 3):
             for _ in range(6):
                 z = z_sample(rng)
-                assert kappa_difference_check_sl2(m, z, ctx_complex) < 1e-10
+                assert sl2_difference(m, z, ctx_complex) < 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_difference_constant_across_the_branch_cut(self, m):
@@ -319,7 +326,7 @@ class TestDifferenceEquationSl2:
         ctx = QContext(0.3 + 0.6j)
         rng = np.random.default_rng(18)
         for _ in range(5):
-            assert kappa_difference_check_sl2(m, z_sample(rng), ctx) < 1e-10
+            assert sl2_difference(m, z_sample(rng), ctx) < 1e-10
 
     def test_constant_independent_of_z(self, ctx):
         rng = np.random.default_rng(10)
@@ -341,15 +348,18 @@ class TestDifferenceEquationSl2:
 
 class TestSllpoFamily:
     def test_ratio_formula_l1(self, ctx):
+        # rho0(z / q^4) / rho0(z) at l = 1 is the finite product of the shift
         q = complex(ctx.q)
         rng = np.random.default_rng(12)
         for _ in range(4):
             z = z_sample(rng)
             expect = (1 - z / q**2) ** 2 / ((1 - z) * (1 - z / q**4))
-            assert rho0_ratio_sllpo(1, z, ctx) == pytest.approx(expect, rel=1e-12)
+            shifted = rho0_sllpo(1, z / q**4, ctx) / rho0_sllpo(1, z, ctx)
+            assert shifted == pytest.approx(expect, rel=1e-10)
 
     def test_ratio_matches_pochhammer_shift(self, ctx):
-        # finite product equals rho0(q^-eps zeta1|zeta2) / rho0(zeta1|zeta2)
+        # rho0(q^-eps zeta1|zeta2) / rho0(zeta1|zeta2) is the finite product
+        # (1 - q^-2 z)(1 - q^-2l z) / ((1 - z)(1 - q^-2(l+1) z))
         rng = np.random.default_rng(13)
         q = complex(ctx.q)
         for l in (1, 2):
@@ -357,7 +367,8 @@ class TestSllpoFamily:
             for _ in range(3):
                 z = z_sample(rng)
                 shifted = rho0_sllpo(l, z / Q, ctx) / rho0_sllpo(l, z, ctx)
-                assert rho0_ratio_sllpo(l, z, ctx) == pytest.approx(shifted, rel=1e-10)
+                finite = (1 - z / q**2) * (1 - z / q ** (2 * l)) / ((1 - z) * (1 - z / Q))
+                assert shifted == pytest.approx(finite, rel=1e-10)
 
     def test_kappa_identities(self, ctx):
         rng = np.random.default_rng(14)
@@ -371,7 +382,7 @@ class TestSllpoFamily:
         rng = np.random.default_rng(15)
         for l in (1, 2, 3):
             for _ in range(5):
-                assert kappa_difference_check_sllpo(l, z_sample(rng), ctx) < 1e-10
+                assert sllpo_difference(l, z_sample(rng), ctx) < 1e-10
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_difference_constant_across_the_branch_cut(self, l):
@@ -379,7 +390,7 @@ class TestSllpoFamily:
         ctx = QContext(0.5 + 0.5j)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            assert kappa_difference_check_sllpo(l, z_sample(rng), ctx) < 1e-10
+            assert sllpo_difference(l, z_sample(rng), ctx) < 1e-10
 
     def test_difference_spread(self, ctx):
         rng = np.random.default_rng(16)

@@ -26,6 +26,12 @@ gated.  No public function there takes a per-call tolerance, since each
 report's tolerance is written where the report is made.  Only `cli` keeps time: its
 group runner `_run_groups` times each check group, and no other function or
 module reads the clock (or imports `time`), so no check carries a timer.
+Every public function, class, method and property of the package is read
+by program code (the package or `perfbench/*.py`) somewhere other than at
+its definition, so library surface that only tests reach cannot grow back;
+the two names kept for the tests alone are listed with their reasons.  The
+rule goes by name: a method is read once any attribute of that name is
+read, and an import or an `__all__` entry re-exports a name, it reads none.
 """
 
 import ast
@@ -34,7 +40,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qkzkit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "qkzkit").glob("*.py"))
+PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -371,3 +379,67 @@ def test_tolerance_rule_fires_on_planted_code(source, found):
 ])
 def test_timing_rule_fires_on_planted_code(source, found):
     assert len(timing_uses(ast.parse(source))) == found
+
+
+# public names that no program code reads, each kept for a reason
+UNREAD_ALLOWED = {
+    "q_pochhammer": "one product scanned alone: the reference for _poch_ratio in test_scalars",
+    "permutation_op": "the dense reference for permuted_matmul, priced in perfbench/spans.COSTS",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(tree):
+    """The public functions and classes of a module and the public methods and
+    properties of its classes."""
+    return [d.name for node in tree.body
+            for d in (node, *(node.body if isinstance(node, ast.ClassDef) else ()))
+            if isinstance(d, DEFINITIONS) and not d.name.startswith("_")]
+
+
+def read_names(trees):
+    """The names that the trees read, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_definitions(defining, program, allowed=()):
+    """The public definitions of the trees in defining that no tree of program reads."""
+    read = read_names(program)
+    return [name for tree in defining for name in public_definitions(tree)
+            if name not in read and name not in allowed]
+
+
+def test_program_sources_found():
+    assert {p.parent.name for p in PROGRAM} == {"qkzkit", "perfbench"}
+
+
+def test_every_public_name_is_read_by_the_program():
+    program = [ast.parse(p.read_text()) for p in PROGRAM]
+    assert unread_definitions(program[:len(SOURCES)], program, UNREAD_ALLOWED) == []
+
+
+def test_allowed_names_are_defined_and_unread():
+    # an allowed name that the program reads, or that is gone, leaves the list
+    program = [ast.parse(p.read_text()) for p in PROGRAM]
+    assert sorted(unread_definitions(program[:len(SOURCES)], program)) == sorted(UNREAD_ALLOWED)
+
+
+@pytest.mark.parametrize("source, reader, unread", [
+    ("def helper(x):\n    return x\n", "", ["helper"]),
+    ("def helper(x):\n    return x\n", "y = helper(1)\n", []),
+    ("def helper(x):\n    return x\n", "from . import m\ny = m.helper\n", []),
+    # an import, an export, a string and a store read nothing
+    ("def helper(x):\n    return x\n", "from .m import helper\n__all__ = ['helper']\n",
+     ["helper"]),
+    ("def helper(x):\n    return x\n", "COSTS = {'m.helper': 0}\nhelper = None\n", ["helper"]),
+    ("class Cache:\n    def get(self, k):\n        return k\n    def clear(self):\n"
+     "        return None\n    @property\n    def size(self):\n        return 0\n"
+     "    def _drop(self):\n        return None\n", "c = Cache()\nc.get(1)\n",
+     ["clear", "size"]),
+    ("def permutation_op(sigma, dims):\n    return sigma\n", "", []),
+])
+def test_unread_rule_fires_on_planted_code(source, reader, unread):
+    trees = [ast.parse(source), ast.parse(reader)]
+    assert unread_definitions(trees[:1], trees, UNREAD_ALLOWED) == unread

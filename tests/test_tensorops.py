@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from qkzkit.errors import ConfigError
-from qkzkit.tensorops import (compose_permutations, cyclic_left_shift, embed_pair,
-                              embedded_matmul, partial_transpose, permutation_op,
-                              permuted_matmul, relative_residual, scalar_ratio, site_matmul,
-                              swap_outputs)
+from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul,
+                              partial_transpose, permutation_op, permuted_matmul,
+                              relative_residual, scalar_ratio, site_matmul, swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -85,7 +84,8 @@ class TestPermutationOp:
             s2 = list(rng2.permutation(4))
             P1 = permutation_op(s1, dims)
             P2 = permutation_op(s2, dims)
-            P12 = permutation_op(compose_permutations(s1, s2), dims)
+            # "apply s2, then s1" moves object i to s1[s2[i]]
+            P12 = permutation_op([s1[s2[i]] for i in range(4)], dims)
             assert np.abs(P1 @ P2 - P12).max() == 0.0
 
     def test_cyclic_factorization(self):
@@ -197,6 +197,18 @@ class TestFastApply:
         got = embedded_matmul(A, 2, 0, dims, M)
         want = embed_pair(A, 2, 0, dims) @ M
         assert np.abs(got - want).max() < 1e-13
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4) if i != j])
+    def test_every_site_pair_matches_the_kron_form(self, i, j):
+        # a product operator A x B on (i, j) is A at slot i and B at slot j
+        dims = (2, 3, 2, 3)
+        A, B = rand_c(dims[i], dims[i]), rand_c(dims[j], dims[j])
+        dense = np.ones((1, 1))
+        for k, d in enumerate(dims):
+            dense = np.kron(dense, A if k == i else B if k == j else np.eye(d))
+        M = rand_c(36, 5)
+        assert np.abs(embed_pair(np.kron(A, B), i, j, dims) - dense).max() < 1e-14
+        assert np.abs(embedded_matmul(np.kron(A, B), i, j, dims, M) - dense @ M).max() < 1e-13
 
     def test_permuted_matmul_matches_dense(self):
         dims = (2, 2, 3)
