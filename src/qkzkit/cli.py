@@ -51,7 +51,7 @@ def parse_complex(text: str) -> complex:
 
 
 def _rng_for(config, name: str):
-    return np.random.default_rng([config.seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
+    return np.random.default_rng([config.seed, zlib.crc32(name.encode())])
 
 
 def _zsample(rng):
@@ -64,27 +64,28 @@ def _zsample(rng):
 
 def _chk_scalar_identities(config, ctx, g, cache):
     rng = _rng_for(config, "scalar_identities")
-    out = []
-    worst_kappa = 0.0
-    worst_ratio = 0.0
-    worst_even = 0.0
+    worst_kappa = worst_ratio = worst_even = 0.0
     for m in (1, 2, 3, 4):
         kappa_one = relative_residual(1.0, kappa_sl2(m, 1.0, ctx))  # the same at every sample
-        for _ in range(config.samples):
-            z = _zsample(rng)
-            worst_kappa = worst_of((worst_kappa, kappa_one, relative_residual(
-                1.0, kappa_sl2(m, z, ctx) * kappa_sl2(m, 1.0 / z, ctx))))
-            two_calls = 1.0 / (rho0_sl2(m, ctx.q ** (-2) * z, ctx) * rho0_sl2(m, z, ctx))
-            worst_ratio = worst_of((worst_ratio,
-                                    relative_residual(rho0_ratio_sl2(m, z, ctx), two_calls)))
+        zs = np.array([_zsample(rng) for _ in range(config.samples)])
+        errors = [None] * len(zs)  # each sample's first error, in the order of the calls
+        kappa = kappa_sl2(m, zs, ctx, errors)
+        inverse = kappa_sl2(m, np.array([1.0 / z for z in zs]), ctx, errors)
+        shifted = rho0_sl2(m, np.array([ctx.q ** (-2) * z for z in zs]), ctx, errors)
+        rho0 = rho0_sl2(m, zs, ctx, errors)
+        for z, k, k_inv, r_shifted, r, err in zip(zs, kappa, inverse, shifted, rho0, errors):
+            if err is not None:
+                raise err
+            worst_kappa = worst_of((worst_kappa, kappa_one, relative_residual(1.0, k * k_inv)))
+            worst_ratio = worst_of((worst_ratio, relative_residual(rho0_ratio_sl2(m, z, ctx),
+                                                                   1.0 / (r_shifted * r))))
             if m % 2 == 0:
                 worst_even = worst_of((worst_even, relative_residual(
-                    kappa_sl2(m, z, ctx), kappa_sl2_even_rational(m // 2, z, ctx))))
-    tol = 1e-10
-    for name, worst in (("scalar_kappa_identities", worst_kappa), ("scalar_rho0_ratio", worst_ratio),
-                        ("scalar_kappa_even_rational", worst_even)):
-        out.append(VerificationReport.make(name, {"family": "sl2"}, worst, tol))
-    return out
+                    k, kappa_sl2_even_rational(m // 2, z, ctx))))
+    return [VerificationReport.make(name, {"family": "sl2"}, worst, 1e-10)
+            for name, worst in (("scalar_kappa_identities", worst_kappa),
+                                ("scalar_rho0_ratio", worst_ratio),
+                                ("scalar_kappa_even_rational", worst_even))]
 
 
 def _chk_scalar_difference(config, ctx, g, cache):
@@ -97,7 +98,7 @@ def _chk_scalar_difference(config, ctx, g, cache):
                  lambda l, z: difference_patterns_sllpo(l, z, ctx)["mixed"]))
     for name, rank, constant, pattern in families:
         for r in (1, 2, 3):
-            vals = [pattern(r, _zsample(rng)) for _ in range(max(config.samples, 3))]
+            vals = pattern(r, np.array([_zsample(rng) for _ in range(max(config.samples, 3))]))
             resid = worst_of(relative_residual(constant(r), v) for v in vals)
             out.append(VerificationReport.make(
                 name, {rank: r, "constant": constant(r)}, resid, 1e-10,
@@ -107,16 +108,19 @@ def _chk_scalar_difference(config, ctx, g, cache):
 
 def _chk_scalar_series(config, ctx, g, cache):
     rng = _rng_for(config, "scalar_series")
+    q = complex(ctx.q)
     worst = 0.0
     for l in (1, 2, 3):
-        for _ in range(config.samples):
-            q = complex(ctx.q)
-            # keep |q^-l z| < 1 so the series converges
-            z = (0.1 + 0.7 * rng.random()) * abs(q) ** l
-            fa = f_series(l + 1, q ** (-l) * z, ctx).value
-            fb = f_series(l + 1, q**l * z, ctx).value
-            series_form = q ** (-l / (l + 1)) * np.exp(fa - fb)
-            worst = worst_of((worst, relative_residual(rho0_sllpo(l, z, ctx), series_form)))
+        # keep |q^-l z| < 1 so the series converges
+        zs = [(0.1 + 0.7 * rng.random()) * abs(q) ** l for _ in range(config.samples)]
+        errors = [None] * len(zs)  # each sample's first error, in the order of the calls
+        fa = f_series(l + 1, [q ** (-l) * z for z in zs], ctx, errors).value
+        fb = f_series(l + 1, [q**l * z for z in zs], ctx, errors).value
+        rho0 = rho0_sllpo(l, zs, ctx, errors)
+        for a, b, r, err in zip(fa, fb, rho0, errors):
+            if err is not None:
+                raise err
+            worst = worst_of((worst, relative_residual(r, q ** (-l / (l + 1)) * np.exp(a - b))))
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
 
 
@@ -458,18 +462,21 @@ def cmd_rmat(config) -> int:
 def cmd_scalars(config) -> int:
     ctx = _context(config)
     rng = _rng_for(config, "scalars_table")
-    rows = []
-    for _ in range(config.samples):
-        z = _zsample(rng)
-        rows.append({
-            "z": complex(z),
-            "rho0_sl2": complex(rho0_sl2(config.m, z, ctx)),
-            "kappa_sl2": complex(kappa_sl2(config.m, z, ctx)),
-            "diff_const_sl2": complex(difference_patterns_sl2(config.m, z, ctx)["all_inverted"]),
-            "rho0_sllpo": complex(rho0_sllpo(config.l, z, ctx)),
-            "kappa_sllpo": complex(kappa_sllpo(config.l, z, ctx)),
-            "diff_const_sllpo": complex(difference_patterns_sllpo(config.l, z, ctx)["mixed"]),
-        })
+    zs = np.array([_zsample(rng) for _ in range(config.samples)])
+    errors = [None] * len(zs)  # each row's first error, in the order of the columns
+    columns = {
+        "rho0_sl2": rho0_sl2(config.m, zs, ctx, errors),
+        "kappa_sl2": kappa_sl2(config.m, zs, ctx, errors),
+        "diff_const_sl2": difference_patterns_sl2(config.m, zs, ctx, errors)["all_inverted"],
+        "rho0_sllpo": rho0_sllpo(config.l, zs, ctx, errors),
+        "kappa_sllpo": kappa_sllpo(config.l, zs, ctx, errors),
+        "diff_const_sllpo": difference_patterns_sllpo(config.l, zs, ctx, errors)["mixed"],
+    }
+    for err in errors:
+        if err is not None:
+            raise err
+    rows = [{"z": complex(z), **{name: complex(col[i]) for name, col in columns.items()}}
+            for i, z in enumerate(zs)]
     rows.append({
         "z": 1.0 + 0.0j,
         "kappa_sl2": complex(kappa_sl2(config.m, 1.0, ctx)),

@@ -41,7 +41,8 @@ Normalization modes:
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
 Each zeta pair is solved once, hw-normalized; a kappa request rescales
-that solve, with the kappa scalar scanned once per zeta pair.
+that solve by its kappa scalar, kept with the solve.  The zeta pairs of
+one call that need a kappa scalar share one Pochhammer scan.
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
@@ -315,7 +316,7 @@ class RCache:
 
     The entry of a zeta pair holds its hw-normalized result and, once a
     kappa request has asked for it, its kappa scalar, so each zeta pair is
-    solved and kappa-scanned once; get/put count solves only.
+    solved and its kappa scalar scanned once; get/put count solves only.
     """
 
     def __init__(self):
@@ -444,22 +445,31 @@ def normalize_hw(ratios) -> np.ndarray:
     return np.cumprod(np.concatenate((np.ones((len(ratios), 1)), ratios), axis=1), axis=1)
 
 
-def _kappa_scalar(req: RRequest) -> complex:
-    errors = [None]
-    z = _powers(([req.zeta1 / req.zeta2],), ((req.grading.s,),), errors)[0][0, 0]
-    if errors[0] is not None:
-        raise errors[0]
-    k = kappa_sl2(req.m, complex(z), req.ctx)
-    if req.kind1 == req.kind2:
-        if k == 0:
-            raise DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
-        return 1.0 / k
-    return k
+def _kappa_scalars(reqs) -> list:
+    """The scalar that apply_kappa takes for each kappa request, 1/kappa for a
+    like pair and kappa for a mixed pair, or the error that request raises
+    alone; one kappa_sl2 scan for the requests of each (s, m, q context)."""
+    out = [None] * len(reqs)
+    groups = {}
+    for i, req in enumerate(reqs):
+        groups.setdefault((req.grading.s, req.m, req.ctx), []).append(i)
+    for (s, m, ctx), idx in groups.items():
+        errors = [None] * len(idx)
+        z = _powers(([reqs[i].zeta1 / reqs[i].zeta2 for i in idx],), ((s,),), errors)[0][:, 0]
+        for i, k, err in zip(idx, kappa_sl2(m, z.tolist(), ctx, errors).tolist(), errors):
+            if err is None and reqs[i].kind1 == reqs[i].kind2:
+                if k == 0:
+                    err = DegeneratePointError(
+                        "kappa vanishes: pole of the kappa-normalized like pair")
+                else:
+                    k = 1.0 / k
+            out[i] = err or k
+    return out
 
 
 def apply_kappa(res: RResult, k: complex) -> RResult:
     """Rescale an hw-normalized result by the unitarizing factor k of its
-    request (_kappa_scalar).
+    request (_kappa_scalars).
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
@@ -514,17 +524,22 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
     misses are solved once per key, one stack per module pair and grading
     (_solve).  The hw-normalized solve is cached per zeta pair and serves
     both normalizations; a kappa request rescales it by apply_kappa, with
-    the kappa scalar scanned once per zeta pair and kept in the pair's
-    entry.  Degenerate spectral points are reported through
-    DegeneratePointError: the two terms of a component ratio cancel in its
-    numerator and denominator ("nullspace gap") or in its denominator alone
+    the kappa scalar kept in the pair's entry.  The scalars that a call
+    needs (the zeta pairs whose first kappa request finds none stored) are
+    scanned once per call, in one kappa_sl2 scan (_kappa_scalars); a scan
+    that fails for a request raises at that request's turn.
+
+    Degenerate spectral points are reported through DegeneratePointError:
+    the two terms of a component ratio cancel in its numerator and
+    denominator ("nullspace gap") or in its denominator alone
     ("highest-weight component vanishes"), or kappa has a pole; with
     check_invertible also in its numerator alone, or kappa vanishes (the
     normalized operator is numerically singular).  The invertibility check
-    applies to cached results as well.  The call raises the error of its first failing
-    request, the one that request raises alone; the requests before it are
-    stored, those after it are not.  Without a cache the call goes through
-    a fresh RCache, so nothing carries over between uncached calls.
+    applies to cached results as well.  The call raises the error of its
+    first failing request, the one that request raises alone; the requests
+    before it are stored, those after it are not.  Without a cache the
+    call goes through a fresh RCache, so nothing carries over between
+    uncached calls.
     """
     if cache is None:
         cache = RCache()
@@ -545,6 +560,13 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
         except QkzError as exc:  # the module pair or its frame fails every request
             results = [exc] * len(stack)
         solved.update(zip((keys[i] for i in idx), results))
+    # one scan for the zeta pairs whose first kappa request finds no scalar stored
+    scan = {}
+    for req, key in zip(reqs, keys):
+        if (req.normalization == "kappa" and not isinstance(solved.get(key), QkzError)
+                and "kappa" not in (entries[key] or {})):
+            scan.setdefault(key, req)
+    kappas = dict(zip(scan, _kappa_scalars(list(scan.values()))))
     out = []
     for i, (req, key) in enumerate(zip(reqs, keys)):
         if first[key] != i:
@@ -558,7 +580,9 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
         res = entry["hw"]
         if req.normalization == "kappa":
             if "kappa" not in entry:  # the first kappa request at this zeta pair
-                entry["kappa"] = _kappa_scalar(req)
+                if isinstance(kappas[key], QkzError):
+                    raise kappas[key]
+                entry["kappa"] = kappas[key]
             res = apply_kappa(res, entry["kappa"])
         # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
         if check_invertible and res.margin < _CANCEL_TOL:

@@ -1,16 +1,33 @@
 """q-numbers, q-Pochhammer products and closed-form normalization scalars.
 
-All infinite products are truncated at ctx.trunc_terms factors or at
-working precision, whichever comes first, with a geometric tail
+All infinite products and series are truncated at ctx.trunc_terms terms
+or at working precision, whichever comes first, with a geometric tail
 estimate; evaluation aborts rather than silently returning an
-under-resolved value.  The 3-4 Pochhammer products of one scalar come
-from one scan over k that shares p^k (_poch_ratio); each product keeps
-its own running value, smallest factor and checks.  Arguments named
-``z`` are the combination zeta12^s of the two spectral parameters.
+under-resolved value.
+
+The normalization scalars take z, the combination zeta12^s of the two
+spectral parameters, as a number or as a 1-D array of rows, and return a
+number or an array to match.  All rows of one call share one scan over k
+(_poch_ratio): the 3-4 Pochhammer products of every row are formed and
+multiplied at once, each row keeps its own stop and each product its own
+smallest factor and checks, so each row has the bits and the error of a
+one-z call.
+Each row's final combinations (the num/den ratio and the powers of z)
+are formed per row in the arithmetic of its z: numpy's scalar arithmetic
+for a numpy complex scalar, Python's complex arithmetic otherwise.
+numpy's vector complex multiply, divide and abs can differ from both in
+the last bit, so the scan multiplies in real arithmetic and takes moduli
+with np.hypot, which match them.  A call raises the error of its first
+failing row; given an `errors` list (one entry per row), it records each
+row's first error there instead, unless the row already has one, and
+that row reads NaN.
 """
 
+import math
 from collections import namedtuple
 from math import prod
+
+import numpy as np
 
 from .context import QContext
 from .errors import DivergentBaseError, PoleError, ScalarDomainError, TruncationError
@@ -20,6 +37,8 @@ SeriesResult = namedtuple("SeriesResult", ["value", "tail_bound"])
 
 _POLE_TOL = 1e-9
 _TAIL_TOL = 1e-10  # largest accepted truncation tail bound of a product
+_NEGLIGIBLE = 2.0**-54  # a term below this, relative to the value, moves it by under half an ulp
+_SERIES_BLOCK = 4096  # series terms formed at once, so a long series needs no more memory
 
 
 def q_number(nu: complex, ctx: QContext) -> complex:
@@ -31,94 +50,173 @@ def q_number(nu: complex, ctx: QContext) -> complex:
     return (q**nu - q ** (-nu)) / den
 
 
-def _poch_ratio(nums, dens, p: complex, ctx: QContext, what):
-    """prod_i (a_i; p)_inf / prod_j (b_j; p)_inf over nums a_i and dens b_j,
-    with the largest tail bound of its products.
+def _rows(z, errors) -> tuple:
+    """The rows of z, a number or a 1-D array (numpy complex scalars stay
+    numpy scalars, every other entry becomes a Python complex), and the
+    error list of the call: `errors`, or a new one."""
+    zs = [x if isinstance(x, np.complexfloating) else complex(x)
+          for x in ([z] if np.ndim(z) == 0 else z)]
+    return zs, errors if errors is not None else [None] * len(zs)
 
-    One scan over k shares p^k between the products and multiplies each by
-    its factor 1 - a p^k.  It stops after ctx.trunc_terms factors, or
-    earlier once max |a p^k| / (1 - |p|) < 2^-54: from there on every
-    factor moves its product by less than half an ulp.  Then each product
-    is checked in turn, numerators first, as if scanned alone: too few
-    factors if |a p^T| >= 0.5; unless `what` is None, a tail bound above
-    _TAIL_TOL and, for a denominator, a factor closer to 0 than _POLE_TOL.
-    Errors name a denominator `what` and a numerator "Pochhammer factor".
+
+def _in_row_arithmetic(values, zs) -> list:
+    """values (one per row) as numbers of each row's arithmetic (_rows)."""
+    return [v if isinstance(x, np.complexfloating) else complex(v) for v, x in zip(values, zs)]
+
+
+def _finish(z, values, own, errors):
+    """The result shaped like z: a number for a number, an array for an array.
+    Without an `errors` list the first error of `own` is raised."""
+    if errors is None:
+        first = next((e for e in own if e is not None), None)
+        if first is not None:
+            raise first
+    return values[0] if np.ndim(z) == 0 else np.array(values, dtype=complex)
+
+
+def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
+    """prod_i (a_i; p)_inf / prod_j (b_j; p)_inf for each row of arguments,
+    the n_num numerators a_i first and then the denominators b_j; returns
+    (ratios, tail bounds), one of each per row, the bound the largest of
+    the row's products.
+
+    One scan over k shares p^k (a sequential product, as a loop would form
+    it) between every product of every row.  A row stops after
+    ctx.trunc_terms factors, or earlier at the first k with
+    top |p^k| < 2^-54 (1 - |p|), top the row's largest |argument|: from
+    there on every factor moves its product by less than half an ulp.  The
+    scan is as long as the longest row with finite arguments, the factors
+    1 - a p^k past a row's own stop are left out of its product, and
+    nothing grows with trunc_terms.  Then each product of a row is checked
+    in turn, numerators first, as if scanned alone: too few factors if
+    |a p^T| >= 0.5; unless `what` is None, a tail bound above _TAIL_TOL
+    and, for a denominator, a factor closer to 0 than _POLE_TOL.  Errors
+    name a denominator `what` and a numerator "Pochhammer factor"; each
+    goes to errors[row] unless that row already has one, and a row with
+    an error reads NaN.  The ratio is formed per row, in the arithmetic of
+    the row's arguments.
     """
     abs_p = abs(p)
     if abs_p >= 1.0:
         raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
-    args = (*nums, *dens)
-    top = max(map(abs, args))
-    negligible = 2.0**-54 * (1.0 - abs_p)
-    values = [1.0 + 0.0j] * len(args)
-    closest = [float("inf")] * len(args)
-    pk = 1.0 + 0.0j
-    for _ in range(ctx.trunc_terms):
-        if top * abs(pk) < negligible:
-            break
-        for i, a in enumerate(args):
-            f = 1.0 - a * pk
-            values[i] *= f
-            if abs(f) < closest[i]:
-                closest[i] = abs(f)
+    a = np.array(rows, dtype=complex)  # (N, A)
+    modulus = np.hypot(a.real, a.imag)
+    top = modulus.max(axis=1, initial=0.0)
+    negligible = _NEGLIGIBLE * (1.0 - abs_p)
+    reach = top[np.isfinite(top)].max(initial=0.0)
+    pk, powers, moduli = 1.0 + 0.0j, [1.0 + 0.0j], [1.0]
+    while len(powers) <= ctx.trunc_terms and not reach * moduli[-1] < negligible:
         pk *= p
-    # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
-    for i, a in enumerate(args):
-        head = abs(a) * abs(pk)
-        if head >= 0.5:
-            raise TruncationError("trunc_terms too small for this Pochhammer argument")
-        if what is None:
-            continue
+        powers.append(pk)
+        moduli.append(abs(pk))
+    K, moduli = len(powers) - 1, np.array(moduli)
+    stopped = top[:, None] * moduli < negligible  # (N, K + 1)
+    stop = np.where(stopped.any(axis=1), stopped.argmax(axis=1), K)
+    # 1 - a p^k in real arithmetic, the same roundings as a complex scalar product
+    pks = np.array(powers[:K])
+    pr, pi = pks.real, pks.imag
+    ar, ai = a.real[:, :, None], a.imag[:, :, None]
+    factors = np.empty(a.shape + (K,), dtype=complex)
+    scanned = (np.arange(K) < stop[:, None])[:, None, :]
+    with np.errstate(all="ignore"):  # a huge argument overflows, as the scalar product did
+        factors.real = 1.0 - (ar * pr - ai * pi)
+        factors.imag = 0.0 - (ar * pi + ai * pr)
+        values = np.prod(factors, axis=2, where=scanned)
+        closest = np.fmin.reduce(np.where(scanned, np.hypot(factors.real, factors.imag), np.inf),
+                                 axis=2, initial=np.inf)
+        # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
+        head = modulus * moduli[stop][:, None]
         tail = 2.0 * head / (1.0 - abs_p)
-        is_den = i >= len(nums)
-        if tail > _TAIL_TOL:
-            raise TruncationError(f"tail bound {tail:.3g} exceeds {_TAIL_TOL:.0e} for "
-                                  f"{what if is_den else 'Pochhammer factor'}")
-        if is_den and closest[i] < _POLE_TOL:
-            raise PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {closest[i]:.3g})")
-    ratio = prod(values[:len(nums)]) / prod(values[len(nums):])
-    return ratio, 2.0 * top * abs(pk) / (1.0 - abs_p)
+    is_den = np.arange(a.shape[1]) >= n_num
+    failing = head >= 0.5
+    if what is not None:
+        failing |= (tail > _TAIL_TOL) | (is_den & (closest < _POLE_TOL))
+    for r in np.flatnonzero(failing.any(axis=1)):
+        i = int(failing[r].argmax())
+        if head[r, i] >= 0.5:
+            err = TruncationError("trunc_terms too small for this Pochhammer argument")
+        elif tail[r, i] > _TAIL_TOL:
+            err = TruncationError(f"tail bound {tail[r, i]:.3g} exceeds {_TAIL_TOL:.0e} for "
+                                  f"{what if is_den[i] else 'Pochhammer factor'}")
+        else:
+            err = PoleError(f"{what} has a vanishing factor "
+                            f"(closest |1-a p^k| = {closest[r, i]:.3g})")
+        errors[r] = errors[r] or err
+    ratios = []
+    for r, row in enumerate(rows):
+        if errors[r] is not None:
+            ratios.append(complex(math.nan, math.nan))
+            continue
+        v = values[r] if isinstance(row[0], np.complexfloating) else values[r].tolist()
+        ratios.append(prod(v[:n_num]) / prod(v[n_num:]))
+    return ratios, 2.0 * top * moduli[stop] / (1.0 - abs_p)
 
 
 def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
     """(a; p)_infinity = prod_{k>=0} (1 - a p^k), truncated, with tail bound."""
-    return PochhammerResult(*_poch_ratio((a,), (), p, ctx, None))
+    errors = [None]
+    (value,), (tail,) = _poch_ratio([(a,)], 1, p, ctx, None, errors)
+    return PochhammerResult(_finish(a, [value], errors, None), float(tail))
 
 
-def f_series(m: int, zeta_arg: complex, ctx: QContext) -> SeriesResult:
-    """F_m(zeta) = sum_{n>=1} zeta^n / (n [m]_{q^n}), truncated, with tail bound."""
+def f_series(m: int, zeta, ctx: QContext, errors=None) -> SeriesResult:
+    """F_m(zeta) = sum_{n>=1} zeta^n / (n [m]_{q^n}), truncated, with tail bound,
+    for zeta a number or a 1-D array (value and bound shaped like zeta).
+
+    With 1/[m]_{q^n} = q^{n(m-1)} (1 - q^{2n}) / (1 - q^{2nm}) (no negative
+    powers of q), |term_n| <= C rho^n / n for rho = |zeta| |q|^(m-1) and
+    C = (1 + |q|^2) / (1 - |q|^{2m}), so the terms after the N-th sum to at
+    most C rho^(N+1) / ((N+1)(1 - rho)), the tail bound.  A row keeps the
+    terms up to the first N where C rho^(N+1) / (1 - rho) is below 2^-54
+    |term_1|, and at most ctx.trunc_terms of them.  The terms of all rows
+    are formed as arrays, _SERIES_BLOCK of them at a time, and each row is
+    summed exactly (math.fsum of the real and imaginary parts).  A row with
+    |zeta| >= 1 diverges (DivergentBaseError).
+    """
     if m < 1:
         raise ScalarDomainError("m must be a positive integer")
-    if abs(zeta_arg) >= 1.0:
-        raise DivergentBaseError(f"|zeta| must be < 1, got {abs(zeta_arg):.6g}")
+    zs, own = _rows(zeta, errors)
+    x = np.array(zs, dtype=complex)
+    for r in np.flatnonzero(~(np.abs(x) < 1.0)):
+        own[r] = own[r] or DivergentBaseError(f"|zeta| must be < 1, got {abs(zs[r]):.6g}")
+        x[r] = 0.0
     q = complex(ctx.q)
-    total = 0.0 + 0.0j
-    zn = 1.0 + 0.0j
-    last = 0.0
-    for n in range(1, ctx.trunc_terms + 1):
-        zn *= zeta_arg
-        # 1/[m]_{q^n} = q^{n(m-1)} (1 - q^{2n}) / (1 - q^{2nm}); no negative powers of q
-        term = zn * q ** (n * (m - 1)) * (1.0 - q ** (2 * n)) / (n * (1.0 - q ** (2 * n * m)))
-        total += term
-        last = abs(term)
-    r = abs(zeta_arg)
-    tail = last * r / (1.0 - r)
-    return SeriesResult(total, tail)
+    aq = abs(q)
+    rho = np.abs(x) * aq ** (m - 1)
+    C = (1.0 + aq**2) / (1.0 - aq ** (2 * m))
+    first = np.abs(x * (q ** (m - 1) * (1.0 - q**2) / (1.0 - q ** (2 * m))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.log(_NEGLIGIBLE * first * (1.0 - rho) / C) / np.log(rho) - 1.0
+    terms = np.where(np.isfinite(need) & (need > 1.0), np.ceil(need), 1.0)
+    terms = np.minimum(terms, ctx.trunc_terms).astype(int)
+    w, longest = (x * q ** (m - 1))[:, None], int(terms.max(initial=1))
+    parts = [[] for _ in zs]
+    for start in range(0, longest, _SERIES_BLOCK):
+        n = np.arange(start + 1, min(start + _SERIES_BLOCK, longest) + 1)
+        block = np.where(n <= terms[:, None], w**n * (1.0 - (q**2) ** n)
+                         / (n * (1.0 - (q ** (2 * m)) ** n)), 0.0)
+        for part, row in zip(parts, block):
+            part.append((math.fsum(row.real), math.fsum(row.imag)))
+    values = [complex(math.nan, math.nan) if e is not None else
+              complex(math.fsum(re for re, _ in part), math.fsum(im for _, im in part))
+              for part, e in zip(parts, own)]
+    tails = C * rho ** (terms + 1) / ((terms + 1) * (1.0 - rho))
+    return SeriesResult(_finish(zeta, values, own, errors),
+                        float(tails[0]) if np.ndim(zeta) == 0 else tails)
 
 
 # --- sl2 spin-m scalars ------------------------------------------------------
 
-def rho0_sl2(m: int, z: complex, ctx: QContext) -> complex:
+def rho0_sl2(m: int, z, ctx: QContext, errors=None):
     """Unit-highest-weight normalization scalar for a pair of spin-m modules.
 
     q^{-m^2/2} (q^2 z; q^4)^2 / ((q^{2m+2} z; q^4) (q^{-2m+2} z; q^4)).
     """
     q = complex(ctx.q)
-    p = q**4
-    a = q**2 * z
-    ratio, _ = _poch_ratio((a, a), (q ** (2 * m + 2) * z, q ** (-2 * m + 2) * z), p, ctx,
-                           "rho0 denominator")
-    return q ** (-m * m / 2.0) * ratio
+    zs, own = _rows(z, errors)
+    rows = [(q**2 * x, q**2 * x, q ** (2 * m + 2) * x, q ** (-2 * m + 2) * x) for x in zs]
+    ratios, _ = _poch_ratio(rows, 2, q**4, ctx, "rho0 denominator", own)
+    return _finish(z, [q ** (-m * m / 2.0) * ratio for ratio in ratios], own, errors)
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -136,22 +234,29 @@ def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
     return out
 
 
-def kappa_sl2(m: int, z: complex, ctx: QContext) -> complex:
+def _nonzero(zs, errors) -> list:
+    """zs with each 0 replaced by 1, its row given the error of kappa at 0."""
+    for r, z in enumerate(zs):
+        if z == 0:
+            errors[r] = errors[r] or ScalarDomainError("kappa requires z != 0")
+    return [z if z != 0 else 1.0 + 0.0j for z in zs]
+
+
+def kappa_sl2(m: int, z, ctx: QContext, errors=None):
     """Unitarizing factor kappa for the spin-m pair (principal branch of z^{m/2}):
 
     z^{m/2} (q^{2m+2} z; q^4)/(q^{2m+2} z^-1; q^4) * (q^2 z^-1; q^4)/(q^2 z; q^4).
     """
-    if z == 0:
-        raise ScalarDomainError("kappa requires z != 0")
-    return z ** (m / 2.0) * _kappa_sl2_products(m, z, ctx)
+    zs, own = _rows(z, errors)
+    ratios = _kappa_sl2_products(m, _nonzero(zs, own), ctx, own)
+    return _finish(z, [x ** (m / 2.0) * k for x, k in zip(zs, ratios)], own, errors)
 
 
-def _kappa_sl2_products(m: int, z: complex, ctx: QContext) -> complex:
-    """kappa_sl2 without its z^{m/2} prefactor."""
+def _kappa_sl2_products(m: int, zs, ctx: QContext, errors) -> list:
+    """kappa_sl2 without its z^{m/2} prefactor, one per row of zs."""
     q = complex(ctx.q)
-    p = q**4
-    return _poch_ratio((q ** (2 * m + 2) * z, q**2 / z), (q ** (2 * m + 2) / z, q**2 * z), p,
-                       ctx, "kappa denominator")[0]
+    rows = [(q ** (2 * m + 2) * z, q**2 / z, q ** (2 * m + 2) / z, q**2 * z) for z in zs]
+    return _poch_ratio(rows, 2, q**4, ctx, "kappa denominator", errors)[0]
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -174,7 +279,7 @@ def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
     return out
 
 
-def difference_patterns_sl2(m: int, z: complex, ctx: QContext) -> dict:
+def difference_patterns_sl2(m: int, z, ctx: QContext, errors=None) -> dict:
     """Evaluate both sign patterns of the spin-m normalization difference equation.
 
     'all_inverted':  [rho0(q^-2 z) rho0(z) kappa(q^-2 z) kappa(z)]^-1
@@ -184,22 +289,35 @@ def difference_patterns_sl2(m: int, z: complex, ctx: QContext) -> dict:
     constant for odd m.  Both are returned so the sign convention can be
     probed rather than assumed.  The prefactor z^{m/2} of kappa(q^-2 z) is
     continued from z, as z^{m/2} q^{-m}: its principal branch at the
-    shifted point can lie across the cut.
+    shifted point can lie across the cut.  A row's error is the first of
+    rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in that order.
     """
     q = complex(ctx.q)
-    zs = q ** (-2) * z
-    r0, r1 = rho0_sl2(m, zs, ctx), rho0_sl2(m, z, ctx)
-    k1 = kappa_sl2(m, z, ctx)
-    k0 = z ** (m / 2.0) * q ** (-m) * _kappa_sl2_products(m, zs, ctx)
-    return {
-        "all_inverted": 1.0 / (r0 * r1 * k0 * k1),
-        "mixed": (r1 / r0) * (k1 / k0),
-    }
+    zs, own = _rows(z, errors)
+    shifted = [q ** (-2) * x for x in zs]
+    r0 = _in_row_arithmetic(rho0_sl2(m, shifted, ctx, own), zs)
+    r1 = _in_row_arithmetic(rho0_sl2(m, zs, ctx, own), zs)
+    k1 = _in_row_arithmetic(kappa_sl2(m, zs, ctx, own), zs)
+    k0 = [x ** (m / 2.0) * q ** (-m) * k
+          for x, k in zip(zs, _kappa_sl2_products(m, _nonzero(shifted, own), ctx, own))]
+    return _patterns(z, zip(r0, r1, k0, k1), own, errors)
+
+
+def _patterns(z, rows, own, errors) -> dict:
+    """Both difference patterns from (rho0 shifted, rho0, kappa shifted, kappa) per row."""
+    mixed, inverted = [], []
+    for r, (r0, r1, k0, k1) in enumerate(rows):
+        if own[r] is not None:
+            r0 = r1 = k0 = k1 = complex(math.nan, math.nan)
+        mixed.append((r1 / r0) * (k1 / k0))
+        inverted.append(1.0 / (r0 * r1 * k0 * k1))
+    return {"mixed": _finish(z, mixed, own, errors),
+            "all_inverted": _finish(z, inverted, own, errors)}
 
 
 # --- sl(l+1) first-fundamental scalars ---------------------------------------
 
-def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
+def rho0_sllpo(l: int, z, ctx: QContext, errors=None):
     """Normalization scalar for a pair of first-fundamental sl(l+1) modules:
 
     q^{-l/(l+1)} (q^2 z; Q)/(z; Q) * (q^{2l} z; Q)/(Q z; Q),  Q = q^{2(l+1)}.
@@ -210,28 +328,31 @@ def rho0_sllpo(l: int, z: complex, ctx: QContext) -> complex:
         raise ScalarDomainError("l must be >= 1")
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    ratio, _ = _poch_ratio((q**2 * z, q ** (2 * l) * z), (z, Q * z), Q, ctx, "rho0 denominator")
-    return q ** (-l / (l + 1)) * ratio
+    zs, own = _rows(z, errors)
+    rows = [(q**2 * x, q ** (2 * l) * x, x, Q * x) for x in zs]
+    ratios, _ = _poch_ratio(rows, 2, Q, ctx, "rho0 denominator", own)
+    return _finish(z, [q ** (-l / (l + 1)) * ratio for ratio in ratios], own, errors)
 
 
-def kappa_sllpo(l: int, z: complex, ctx: QContext) -> complex:
+def kappa_sllpo(l: int, z, ctx: QContext, errors=None):
     """Unitarizing factor for the fundamental pair (principal branch):
 
     z^{l/(l+1)} (q^2 z^-1; Q)/(q^2 z; Q) * (Q z; Q)/(Q z^-1; Q),  Q = q^{2(l+1)}.
     """
-    if z == 0:
-        raise ScalarDomainError("kappa requires z != 0")
-    return z ** (l / (l + 1)) * _kappa_sllpo_products(l, z, ctx)
+    zs, own = _rows(z, errors)
+    ratios = _kappa_sllpo_products(l, _nonzero(zs, own), ctx, own)
+    return _finish(z, [x ** (l / (l + 1)) * k for x, k in zip(zs, ratios)], own, errors)
 
 
-def _kappa_sllpo_products(l: int, z: complex, ctx: QContext) -> complex:
-    """kappa_sllpo without its z^{l/(l+1)} prefactor."""
+def _kappa_sllpo_products(l: int, zs, ctx: QContext, errors) -> list:
+    """kappa_sllpo without its z^{l/(l+1)} prefactor, one per row of zs."""
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    return _poch_ratio((q**2 / z, Q * z), (q**2 * z, Q / z), Q, ctx, "kappa denominator")[0]
+    rows = [(q**2 / z, Q * z, q**2 * z, Q / z) for z in zs]
+    return _poch_ratio(rows, 2, Q, ctx, "kappa denominator", errors)[0]
 
 
-def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:
+def difference_patterns_sllpo(l: int, z, ctx: QContext, errors=None) -> dict:
     """Both sign patterns of the fundamental-pair difference equation.
 
     'mixed':         rho0(Q^-1 z)^-1 rho0(z) kappa(Q^-1 z)^-1 kappa(z)
@@ -239,14 +360,16 @@ def difference_patterns_sllpo(l: int, z: complex, ctx: QContext) -> dict:
 
     Here the mixed pattern is the constant one, equal to 1.  The prefactor
     z^{l/(l+1)} of kappa(Q^-1 z) is continued from z, as z^{l/(l+1)} q^{-2l}:
-    its principal branch at the shifted point can lie across the cut.
+    its principal branch at the shifted point can lie across the cut.  A
+    row's error is the first of rho0(Q^-1 z), rho0(z), kappa(z) and
+    kappa(Q^-1 z), in that order.
     """
     q = complex(ctx.q)
-    zs = z * q ** (-2 * (l + 1))
-    r0, r1 = rho0_sllpo(l, zs, ctx), rho0_sllpo(l, z, ctx)
-    k1 = kappa_sllpo(l, z, ctx)
-    k0 = z ** (l / (l + 1)) * q ** (-2 * l) * _kappa_sllpo_products(l, zs, ctx)
-    return {
-        "mixed": (r1 / r0) * (k1 / k0),
-        "all_inverted": 1.0 / (r0 * r1 * k0 * k1),
-    }
+    zs, own = _rows(z, errors)
+    shifted = [x * q ** (-2 * (l + 1)) for x in zs]
+    r0 = _in_row_arithmetic(rho0_sllpo(l, shifted, ctx, own), zs)
+    r1 = _in_row_arithmetic(rho0_sllpo(l, zs, ctx, own), zs)
+    k1 = _in_row_arithmetic(kappa_sllpo(l, zs, ctx, own), zs)
+    k0 = [x ** (l / (l + 1)) * q ** (-2 * l) * k
+          for x, k in zip(zs, _kappa_sllpo_products(l, _nonzero(shifted, own), ctx, own))]
+    return _patterns(z, zip(r0, r1, k0, k1), own, errors)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import warnings
@@ -9,6 +10,7 @@ import pytest
 
 from qkzkit import cli, idsuite, reps, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
+from qkzkit.errors import DegeneratePointError
 from qkzkit.report import VerificationReport
 
 
@@ -255,6 +257,24 @@ def test_planted_defect_fails_the_report(group, name, module, attr, plant, monke
     assert all(rec["residual"] > 1e-8 for rec in recs)
 
 
+def test_undetected_degenerate_point_fails_its_report(monkeypatch, capsys):
+    # a solver that never raises at the lattice points detects neither of them
+    argv = ["verify", "degenerate_detection", "--seed", "7"]
+    assert run_cli(argv, capsys)[0] == 0
+    solve = cli.r_matrix
+
+    def never_raises(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except DegeneratePointError:
+            return None
+    monkeypatch.setattr(cli, "r_matrix", never_raises)
+    code, out = run_cli(argv, capsys)
+    (rec,) = json.loads(out)
+    assert code == 1 and rec["name"] == "degenerate_detection"
+    assert not rec["passed"] and rec["residual"] == 2.0
+
+
 class TestRmat:
     def test_identity_at_equal_arguments(self, capsys):
         code, out = run_cli(["rmat", "--zeta1", "1.4", "--zeta2", "1.4", "--m", "1"],
@@ -303,6 +323,24 @@ class TestScalarsCmd:
 
 
 class TestDeterminism:
+    def test_seeds_past_32_bits_draw_their_own_samples(self, capsys):
+        # the seed once went to numpy masked to 32 bits, so 2^32 drew the samples of 0
+        tables = []
+        for seed in ("0", "4294967296"):
+            code, out = run_cli(["scalars", "--samples", "4", "--seed", seed], capsys)
+            assert code == 0
+            tables.append([row["z"] for row in json.loads(out)["rows"][:-1]])
+        assert all(a != b for a, b in zip(*tables))
+
+    def test_seed_7_report_is_unchanged(self, capsys):
+        # sha256 of `suite --m 1 --seed 7` as written before the 32-bit mask was
+        # removed: every seed below 2^32 draws the same stream as then.  A change
+        # that moves any report bit of this run on purpose records its new digest
+        code, out = run_cli(["suite", "--m", "1", "--seed", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "118baaa6145a3fcc83bb16768351ba858eac2c792ccf7b35e8348b3bfa6b33f2"
+
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -83,3 +83,57 @@ def test_configuration_ends_in_a_report_or_a_configuration_error(config, monkeyp
     assert len(reports) == sum(counts.values())
     assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
     assert code == (0 if all(r["passed"] for r in reports) else 1)
+
+
+SCALAR_RUNS = 15
+
+
+def _scalar_configurations():
+    rng = np.random.default_rng(2027)
+    out = []
+    for k in range(SCALAR_RUNS):
+        q = MODULI[k % len(MODULI)] * (np.exp(2j * np.pi * rng.random())
+                                       if rng.random() < 0.6 else 1.0)
+        out.append({"q": complex(q), "m": int(rng.integers(0, 4)), "l": 1 + k % 3,
+                    "trunc": TRUNCS[rng.integers(len(TRUNCS))],
+                    "samples": int(rng.integers(1, 5)), "format": ("json", "text")[k % 2],
+                    "seed": SEEDS[rng.integers(len(SEEDS))]})
+    return out
+
+
+SCALAR_CONFIGURATIONS = _scalar_configurations()
+
+
+def _scalar_argv(c):
+    q = c["q"]
+    return ["scalars", f"--q={q.real!r},{q.imag!r}", f"--m={c['m']}", f"--l={c['l']}",
+            f"--trunc={c['trunc']}", f"--samples={c['samples']}", f"--format={c['format']}",
+            f"--seed={c['seed']}"]
+
+
+def test_the_scalar_sweep_covers_the_space():
+    cs = SCALAR_CONFIGURATIONS
+    assert {round(abs(c["q"]), 2) for c in cs} == set(MODULI)
+    assert any(c["q"].imag == 0 for c in cs) and any(c["q"].imag != 0 for c in cs)
+    assert {c["l"] for c in cs} == {1, 2, 3}
+    for key, values in (("trunc", TRUNCS), ("format", ("json", "text"))):
+        assert {c[key] for c in cs} == set(values), key
+
+
+@pytest.mark.parametrize("config", SCALAR_CONFIGURATIONS,
+                         ids=lambda c: " ".join(_scalar_argv(c)[1:]))
+def test_scalar_table_or_one_error_line(config, capsys):
+    code = cli.main(_scalar_argv(config))
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+    elif code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    elif config["format"] == "json":
+        assert err == "" and len(json.loads(out)["rows"]) == config["samples"] + 1
+    else:  # a header line, then one line per row
+        lines = out.splitlines()
+        assert err == "" and lines[0].startswith("scalar table")
+        assert len(lines) == config["samples"] + 2 and all(line.startswith("  z=")
+                                                           for line in lines[1:])

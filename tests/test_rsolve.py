@@ -14,8 +14,8 @@ from qkzkit.qkz import rcheck_factors
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          eval_module, operator_o, operator_o_inverse, sl2_constants)
-from qkzkit.rsolve import (_CANCEL_TOL, RCache, _kappa_scalar, apply_kappa, make_request, r_matrix,
-                           rcheck_resonant, solve_intertwiner)
+from qkzkit.rsolve import (_CANCEL_TOL, RCache, _kappa_scalars, apply_kappa, make_request,
+                           r_matrix, rcheck_resonant, solve_intertwiner)
 from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
 from qkzkit.tensorops import permutation_op, relative_residual
 
@@ -225,7 +225,7 @@ class TestNormalization:
             z1, z2 = zeta_sample(rng), zeta_sample(rng)
             hw_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "hw")
             kp_req = make_request(kinds[0], z1, kinds[1], z2, 2, grading, ctx, "kappa")
-            rescaled = apply_kappa(solve_intertwiner([hw_req])[0], _kappa_scalar(kp_req))
+            rescaled = apply_kappa(solve_intertwiner([hw_req])[0], _kappa_scalars([kp_req])[0])
             direct = solve_intertwiner([kp_req])[0]
             assert np.abs(rescaled.R - direct.R).max() < 1e-13
 
@@ -651,19 +651,22 @@ class TestStackedSolve:
             x, y = sorted((a.intertwine_residual, b.intertwine_residual))
             assert y <= 10 * max(x, eps), req
 
-    @pytest.mark.parametrize("bad", ["lattice", "hw", "overflow", "singular"])
+    @pytest.mark.parametrize("bad", ["lattice", "hw", "overflow", "singular", "kappa_scan"])
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_first_failing_request_raises_its_own_error(self, ctx, grading, bad, k, monkeypatch):
         # the degenerate-detection lattice point, a vanishing hw component, an
-        # overflowing zeta and a singular kappa operator, each at place k among
-        # good requests of all module pairs: the call raises that request's
-        # error alone, and a later failing request does not mask it
+        # overflowing zeta, a singular kappa operator and a kappa scan cut short
+        # by its truncation, each at place k among good requests of all module
+        # pairs: the call raises that request's error alone, and a later
+        # failing request does not mask it
         g, q = grading, complex(ctx.q)
         failing = {
             "lattice": make_request("V", q ** (2.0 / g.s), "V", 1.0, 1, g, ctx, "hw"),
             "hw": make_request("V*", 1.3, "V", 1.3, 1, g, ctx, "hw"),
             "overflow": make_request("V", 1e160, "V*", 1.0, 2, g, ctx, "kappa"),
             "singular": make_request("V", q ** (2.0 / g.s), "V*", 1.0, 1, g, ctx, "kappa"),
+            "kappa_scan": make_request("V", 1.3, "V*", 0.9, 1, g, QContext(q, trunc_terms=8),
+                                       "kappa"),
         }
         with pytest.raises(QkzError) as alone:
             solve_intertwiner([failing[bad]])
@@ -691,7 +694,7 @@ class TestStackedSolve:
         cache = RCache()
         for req, res in zip(reqs, solve_intertwiner(reqs, cache)):
             X = rsolve._raw_nullvector([req], cache.template(req))[0][0]
-            k = rsolve._kappa_scalar(req) if req.normalization == "kappa" else 1.0
+            k = rsolve._kappa_scalars([req])[0] if req.normalization == "kappa" else 1.0
             assert np.abs(X * k - res.Rcheck).max() <= 1e-12 * np.abs(res.Rcheck).max()
 
     def test_ybe_samples_make_one_solve(self, ctx, grading, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -72,13 +73,16 @@ class TestQPochhammer:
         ctx = QContext(0.7, trunc_terms=8)
         a, p = 0.49, 0.7**4
         tail = 2.0 * a * p**8 / (1.0 - p)
-        with pytest.raises(TruncationError, match=f"tail bound {tail:.3g} exceeds 1e-10 for kappa"):
-            scalars._poch_ratio((), (a,), p, ctx, "kappa denominator")
+        errors = [None]
+        ratios, _ = scalars._poch_ratio([(a,)], 0, p, ctx, "kappa denominator", errors)
+        assert isinstance(errors[0], TruncationError) and np.isnan(ratios[0])
+        assert str(errors[0]) == f"tail bound {tail:.3g} exceeds 1e-10 for kappa denominator"
 
     def test_vanishing_factor_at_k3_is_a_pole(self, ctx):
         p = complex(ctx.q) ** 4
-        with pytest.raises(PoleError, match="closest"):
-            scalars._poch_ratio((), (p**-3,), p, ctx, "Pochhammer factor")
+        errors = [None]
+        scalars._poch_ratio([(p**-3,)], 0, p, ctx, "Pochhammer factor", errors)
+        assert isinstance(errors[0], PoleError) and "closest" in str(errors[0])
 
     @pytest.mark.parametrize("q", [0.7, 0.95])
     def test_large_truncation_stops_at_working_precision(self, q):
@@ -197,6 +201,127 @@ def _builtin_calls(fn, limit=None):
     return value, count
 
 
+def _loop_ratio(nums, dens, p, trunc):
+    """The scan of one row factor by factor, with the batched scan's stop: the
+    per-row loop that it replaced, in the arithmetic of the arguments."""
+    args = (*nums, *dens)
+    top = max(map(abs, args))
+    values = [1.0 + 0.0j] * len(args)
+    pk = 1.0 + 0.0j
+    for _ in range(trunc):
+        if top * abs(pk) < 2.0**-54 * (1.0 - abs(p)):
+            break
+        for i, a in enumerate(args):
+            values[i] *= 1.0 - a * pk
+        pk *= p
+    return math.prod(values[:len(nums)]) / math.prod(values[len(nums):])
+
+
+def _loop_scalars(m, z, q, trunc):
+    """kappa_sl2, rho0_sl2, kappa_sllpo and rho0_sllpo (l = m) and both sl2
+    difference patterns at one z, each product from _loop_ratio."""
+    p, Q = q**4, q ** (2 * (m + 1))
+
+    def kappa_products(x):
+        return _loop_ratio((q ** (2 * m + 2) * x, q**2 / x), (q ** (2 * m + 2) / x, q**2 * x),
+                           p, trunc)
+
+    def rho0(x):
+        return q ** (-m * m / 2.0) * _loop_ratio(
+            (q**2 * x, q**2 * x), (q ** (2 * m + 2) * x, q ** (-2 * m + 2) * x), p, trunc)
+    zs = q ** (-2) * z
+    r0, r1, k1 = rho0(zs), rho0(z), z ** (m / 2.0) * kappa_products(z)
+    k0 = z ** (m / 2.0) * q ** (-m) * kappa_products(zs)
+    return {"kappa_sl2": k1, "rho0_sl2": r1,
+            "kappa_sllpo": z ** (m / (m + 1)) * _loop_ratio((q**2 / z, Q * z), (q**2 * z, Q / z),
+                                                              Q, trunc),
+            "rho0_sllpo": q ** (-m / (m + 1)) * _loop_ratio((q**2 * z, q ** (2 * m) * z),
+                                                             (z, Q * z), Q, trunc),
+            "all_inverted": 1.0 / (r0 * r1 * k0 * k1), "mixed": (r1 / r0) * (k1 / k0)}
+
+
+def _bits(c):
+    return float(c.real).hex(), float(c.imag).hex()
+
+
+class TestBatchedScan:
+    """One scan for all rows of a call against each row scanned alone."""
+
+    # q^4 is real at 0.5 + 0.5i; at 0.6 + 0.09i both parts of p^k are nonzero,
+    # where numpy's vector complex product rounds otherwise than the loop
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.95, 0.5 + 0.5j, 0.6 + 0.09j])
+    @pytest.mark.parametrize("n_rows", [1, 5, 37])
+    def test_every_row_has_the_bits_of_the_loop(self, q, n_rows):
+        # rows as numpy scalars (numpy's scalar arithmetic) and as Python complex
+        ctx, qc = QContext(q), complex(q)
+        rng = np.random.default_rng([23, n_rows])
+        for m in (1, 2, 3, 4):
+            drawn = (0.1 + 1.9 * rng.random(n_rows)) * np.exp(2j * np.pi * rng.random(n_rows))
+            for zs in (drawn, drawn.tolist()):
+                got = {"kappa_sl2": kappa_sl2(m, zs, ctx), "rho0_sl2": rho0_sl2(m, zs, ctx),
+                       "kappa_sllpo": kappa_sllpo(m, zs, ctx),
+                       "rho0_sllpo": rho0_sllpo(m, zs, ctx),
+                       **difference_patterns_sl2(m, zs, ctx)}
+                for r, z in enumerate(zs):
+                    want = _loop_scalars(m, z, qc, ctx.trunc_terms)
+                    for name, values in got.items():
+                        assert _bits(values[r]) == _bits(want[name]), (name, m, z)
+
+    @pytest.mark.parametrize("trunc", [8, 1, 20, 256])
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.95])
+    def test_every_row_has_the_error_of_its_own_scan(self, trunc, q):
+        # rows that pass and rows that fail (both in one call at 20 factors);
+        # a call without an error list raises the error of its first failing row
+        ctx, qc = QContext(q, trunc_terms=trunc), complex(q)
+        p = qc**4
+        zs = [1.7 + 0.4j, 0.43 - 0.2j, 1e-9, 1e-3 + 1e-3j, 1e3, 1.1 - 0.3j]
+        for m in (1, 2, 4):
+            cases = [(kappa_sl2, lambda z: ((qc ** (2 * m + 2) * z, qc**2 / z),
+                                            (qc ** (2 * m + 2) / z, qc**2 * z)),
+                      "kappa denominator"),
+                     (rho0_sl2, lambda z: ((qc**2 * z, qc**2 * z),
+                                           (qc ** (2 * m + 2) * z, qc ** (-2 * m + 2) * z)),
+                      "rho0 denominator")]
+            for fn, products, what in cases:
+                errors = [None] * len(zs)
+                values = fn(m, zs, ctx, errors)
+                wants = [_separate_scans_error(*products(z), p, trunc, what) for z in zs]
+                for z, value, err, want in zip(zs, values, errors, wants):
+                    if want is None:  # and the value of the row alone (NaN where it overflows)
+                        assert err is None and _bits(value) == _bits(fn(m, z, ctx))
+                    else:
+                        assert (type(err), str(err)) == want and np.isnan(value)
+                first = next((w for w in wants if w is not None), None)
+                if first is not None:
+                    with pytest.raises(first[0]) as exc:
+                        fn(m, zs, ctx)
+                    assert str(exc.value) == first[1]
+
+    def test_an_error_list_keeps_each_rows_first_error(self):
+        # a later call adds an error only to rows that have none yet
+        ctx = QContext(0.7)
+        errors = [None, ValueError("earlier"), None]
+        kappa_sl2(1, [0.5, 0.0, 0.0], ctx, errors)
+        assert errors[0] is None and str(errors[1]) == "earlier"
+        assert str(errors[2]) == "kappa requires z != 0"
+
+    @pytest.mark.parametrize("q", [0.7, 0.95])
+    def test_large_truncation_allocates_per_row_only(self, q):
+        # allowed 10^7 factors, every row of a 12-row call stops where it stops
+        # when allowed 256, with the same bits and no memory that grows with trunc_terms
+        rng = np.random.default_rng(29)
+        zs = (0.1 + 1.9 * rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
+        want = kappa_sl2(3, zs, QContext(q, trunc_terms=256))
+        tracemalloc.start()
+        try:
+            got = kappa_sl2(3, zs, QContext(q, trunc_terms=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert peak < 100_000 * len(zs), peak
+
+
 class TestFSeries:
     def test_zero_is_zero(self, ctx):
         assert abs(f_series(2, 0.0, ctx).value) < 1e-300
@@ -236,6 +361,43 @@ class TestFSeries:
     def test_divergence_guard(self, ctx):
         with pytest.raises(DivergentBaseError):
             f_series(2, 1.2, ctx)
+        errors = [None, None]
+        values = f_series(2, [0.5, 1.2], ctx, errors).value
+        assert errors[0] is None and isinstance(errors[1], DivergentBaseError)
+        assert values[0] == f_series(2, 0.5, ctx).value and np.isnan(values[1])
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.95, 0.5 + 0.5j])
+    def test_matches_the_exactly_summed_256_term_loop(self, q):
+        # the loop's own running sum is up to about 7 eps off F_1(z) = -log(1 - z)
+        # at |z| = 0.8, so the oracle sums its 256 terms exactly
+        ctx, qc = QContext(q), complex(q)
+        rng = np.random.default_rng(31)
+        eps = np.finfo(float).eps
+        for m in (1, 2, 3, 4):
+            zs = 0.8 * np.sqrt(rng.random(25)) * np.exp(2j * np.pi * rng.random(25))
+            for z, value in zip(zs.tolist(), f_series(m, zs, ctx).value):
+                terms, zn = [], 1.0 + 0.0j
+                for n in range(1, 257):
+                    zn *= z
+                    terms.append(zn * qc ** (n * (m - 1)) * (1.0 - qc ** (2 * n))
+                                 / (n * (1.0 - qc ** (2 * n * m))))
+                want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                assert abs(value - want) <= 4 * eps * abs(want), (m, z)
+
+    def test_large_truncation_allocates_per_row_only(self):
+        # allowed 10^7 terms, each row stops where it stops when allowed 256
+        rng = np.random.default_rng(37)
+        zs = 0.8 * np.sqrt(rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
+        want = f_series(1, zs, QContext(0.95, trunc_terms=256))
+        tracemalloc.start()
+        try:
+            got = f_series(1, zs, QContext(0.95, trunc_terms=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.tail_bound,
+                                                                        want.tail_bound)
+        assert peak < 100_000 * len(zs), peak
 
 
 class TestRho0Sl2:
