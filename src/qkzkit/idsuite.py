@@ -3,7 +3,11 @@
 Every check returns a VerificationReport; residuals are relative
 Frobenius norms (tensorops.relative_residual).  Crossing relations are
 verified as proportionalities against independently solved R-operators,
-with the proportionality scalars extracted and reported.
+with the proportionality scalars extracted and reported.  Each check that
+solves R-operators has a requests function of the same arguments (cache
+and seed aside) that lists what it solves, and the check solves that
+list; a check group of `cli` solves the lists of all its checks in one
+call before it runs them.
 """
 
 from math import prod
@@ -13,8 +17,9 @@ import numpy as np
 from .report import VerificationReport, worst_of
 from .reps import (antipode_dual, build_eval_rep, operator_o, operator_o_inverse,
                    operator_x, operator_xtilde, sl2_constants, twist)
-from .rsolve import make_request, r_matrix, solve_intertwiner
-from .qkz import ChainSpec, DeltaAssignment, probe_block, probe_vector, transport_phi
+from .rsolve import make_request, solve_intertwiner
+from .qkz import (ChainSpec, DeltaAssignment, probe_block, probe_vector, string_requests,
+                  transport_phi, transport_steps)
 from .tensorops import (commutant_residual, embedded_matmul, partial_transpose,
                         relative_residual, scalar_ratio)
 
@@ -23,6 +28,8 @@ __all__ = [
     "check_initial_condition", "check_crossing", "check_double_dual",
     "check_self_dual", "check_invariance_x", "check_invariance_a",
     "check_invariance_xtilde", "check_braid_welldefined", "random_zeta",
+    "ybe_requests", "unitarity_requests", "initial_condition_requests", "crossing_requests",
+    "invariance_requests", "xtilde_requests", "braid_requests",
 ]
 
 
@@ -72,6 +79,12 @@ def _ybe_residual(R, dims, block) -> float:
     return relative_residual(left, right)
 
 
+def ybe_requests(m, kinds, samples, grading, ctx, normalization="hw") -> list:
+    """The requests of check_ybe: R12, R13, R23 of each sample, in sample order."""
+    return [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
+            for zetas in samples for a, b in _YBE_PAIRS]
+
+
 def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
               cache=None) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on the triple product at each sample of three
@@ -79,9 +92,9 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
     probe block of qkz.probe_block; the residual is the worst over the
     samples.  The factors of every sample are requested in one call."""
     dims = (m + 1,) * 3
-    reqs = [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
-            for zetas in samples for a, b in _YBE_PAIRS]
-    R = [res.R for res in solve_intertwiner(reqs, cache, check_invertible=False)]
+    R = [res.R for res in solve_intertwiner(ybe_requests(m, kinds, samples, grading, ctx,
+                                                         normalization),
+                                            cache, check_invertible=False)]
     block = probe_block(prod(dims))
     resid = worst_of(_ybe_residual(dict(zip(_YBE_PAIRS, R[3 * k:3 * k + 3])), dims, block)
                      for k in range(len(samples)))
@@ -89,16 +102,25 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
         "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-9)
 
 
+def unitarity_requests(m, kinds, zetas, grading, ctx, normalization="hw") -> list:
+    """The requests of check_unitarity: (z1|z2) and (z2|z1)."""
+    return [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
+            for a, b in ((0, 1), (1, 0))]
+
+
 def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw",
                     cache=None) -> VerificationReport:
     """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id; the pair is requested in one call."""
-    r12, r21 = solve_intertwiner(
-        [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx, normalization),
-         make_request(kinds[1], zetas[1], kinds[0], zetas[0], m, grading, ctx, normalization)],
-        cache, check_invertible=False)
+    r12, r21 = solve_intertwiner(unitarity_requests(m, kinds, zetas, grading, ctx, normalization),
+                                 cache, check_invertible=False)
     resid = relative_residual(np.eye((m + 1) ** 2), r12.Rcheck @ r21.Rcheck)
     return VerificationReport.make(
         "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-10)
+
+
+def initial_condition_requests(m, kind, zeta, grading, ctx, normalization="hw") -> list:
+    """The request of check_initial_condition: (z|z)."""
+    return [make_request(kind, zeta, kind, zeta, m, grading, ctx, normalization)]
 
 
 def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
@@ -114,8 +136,8 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
     to m = 4.  A defect in a ratio number breaks the exact 1 and fails the
     check.
     """
-    res = r_matrix(kind, zeta, kind, zeta, m, grading, ctx,
-                   normalization=normalization, cache=cache)
+    res, = solve_intertwiner(initial_condition_requests(m, kind, zeta, grading, ctx,
+                                                        normalization), cache)
     resid = relative_residual(np.eye((m + 1) ** 2), res.Rcheck)
     return VerificationReport.make(
         "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, 1e-12)
@@ -138,6 +160,17 @@ def _crossing_sample(R, twists, dd) -> tuple:
                               np.linalg.inv(partial_transpose(rk, "second", dd)))
     return ([lam_t1, lam_t2, s1, s2, D1, D2],
             worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)))
+
+
+def crossing_requests(m, samples, grading, ctx) -> list:
+    """The requests of check_crossing: the eight R-operators of _crossing_sample
+    at each sample, in sample order."""
+    qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
+    pairs = [("V", 1, "V", 1, "hw"), ("V*", 1, "V", 1, "hw"), ("V", 1, "V*", 1, "hw"),
+             ("V", qd, "V", 1, "hw"), ("V", 1, "V", qd, "hw"), ("V", 1, "V", 1, "kappa"),
+             ("V", qd, "V", 1, "kappa"), ("V", 1, "V", qd, "kappa")]  # kinds, zeta factors, norm
+    return [make_request(k1, w1 * z1, k2, w2 * z2, m, grading, ctx, norm)
+            for z1, z2 in samples for k1, w1, k2, w2, norm in pairs]
 
 
 def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
@@ -163,16 +196,11 @@ def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
     twists are built once.
     """
     d = m + 1
-    qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
     O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
     twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
-    pairs = [("V", 1, "V", 1, "hw"), ("V*", 1, "V", 1, "hw"), ("V", 1, "V*", 1, "hw"),
-             ("V", qd, "V", 1, "hw"), ("V", 1, "V", qd, "hw"), ("V", 1, "V", 1, "kappa"),
-             ("V", qd, "V", 1, "kappa"), ("V", 1, "V", qd, "kappa")]  # kinds, zeta factors, norm
-    reqs = [make_request(k1, w1 * z1, k2, w2 * z2, m, grading, ctx, norm)
-            for z1, z2 in samples for k1, w1, k2, w2, norm in pairs]
-    R = [res.R for res in solve_intertwiner(reqs, cache, check_invertible=False)]
-    n = len(pairs)
+    R = [res.R for res in solve_intertwiner(crossing_requests(m, samples, grading, ctx), cache,
+                                            check_invertible=False)]
+    n = len(R) // len(samples)
     scal, resids = zip(*(_crossing_sample(R[n * k:n * k + n], twists, (d, d))
                          for k in range(len(samples))))
     spread = worst_of(
@@ -213,10 +241,15 @@ def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
         "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
 
 
+def invariance_requests(m, kinds, zetas, grading, ctx) -> list:
+    """The request of check_invariance_x and check_invariance_a: the hw-normalized pair."""
+    return [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx)]
+
+
 def _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, C1, C2):
     """The commutant residual of the hw-normalized R of the pair against C1 x C2."""
-    res = r_matrix(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx,
-                   cache=cache, check_invertible=False)
+    res, = solve_intertwiner(invariance_requests(m, kinds, zetas, grading, ctx), cache,
+                             check_invertible=False)
     return commutant_residual(C1, C2, res.R)
 
 
@@ -239,6 +272,11 @@ def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, cache=None) -> Veri
         resid, 1e-11)
 
 
+def xtilde_requests(m, grading, ctx, zetas, normalization="kappa") -> list:
+    """The request of check_invariance_xtilde: the (V,V) pair."""
+    return [make_request("V", zetas[0], "V", zetas[1], m, grading, ctx, normalization)]
+
+
 def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
                             cache=None) -> VerificationReport:
     """Transpose-twisted invariance (Xt x Xt) R = R^t (Xt x Xt).
@@ -250,11 +288,25 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
     """
     xt = operator_xtilde(m, grading, ctx)
     XX = np.kron(xt, xt)
-    R = r_matrix("V", zetas[0], "V", zetas[1], m, grading, ctx,
-                 normalization=normalization, cache=cache, check_invertible=False).R
+    res, = solve_intertwiner(xtilde_requests(m, grading, ctx, zetas, normalization), cache,
+                             check_invertible=False)
+    R = res.R
     return VerificationReport.make(
         "invariance_xtilde", {"m": m, "norm": normalization},
         relative_residual(R.T @ XX, XX @ R), 1e-11)
+
+
+def _braid_chain(m, kinds, etas, grading, ctx, normalization) -> ChainSpec:
+    return ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
+                     deltas=tuple(DeltaAssignment("general_v") for _ in kinds),
+                     normalization=normalization)
+
+
+def braid_requests(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa") -> list:
+    """The requests of check_braid_welldefined: the transport strings of both words."""
+    chain = _braid_chain(m, kinds, etas, grading, ctx, normalization)
+    return string_requests(chain, transport_steps(chain, word1)[0],
+                           transport_steps(chain, word2)[0])
 
 
 def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa",
@@ -262,9 +314,7 @@ def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normaliz
     """Transport along two words of the same permutation acts identically;
     words of different permutations raise ValueError."""
     N = len(kinds)
-    chain = ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
-                      deltas=tuple(DeltaAssignment("general_v") for _ in range(N)),
-                      normalization=normalization)
+    chain = _braid_chain(m, kinds, etas, grading, ctx, normalization)
     phi = probe_vector((m + 1) ** N, seed)
     out1, ord1 = transport_phi(chain, phi, word1, cache)
     out2, ord2 = transport_phi(chain, phi, word2, cache)

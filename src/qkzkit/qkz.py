@@ -13,6 +13,12 @@ factor on sites (i, j), ("delta", slot, site) for a site twist and
 ("perm", sigma, None) for a site permutation.  `apply_factors` applies a
 string; `rcheck_factors` requests all of its two-site factors in one
 solve_intertwiner call, the only one in this module and in `reduction`.
+`factor_requests` is its request half: it gives the requests that a
+string's factors make without solving them, so a check group can solve
+the factors of all its checks in one call first (`cli`).  Each check that
+solves R-operators has a requests function of the same arguments
+(`ddr_requests`, `lambda_forms_requests`, `compatibility_requests`)
+built from the same string builders as the check.
 
 Every operator is applied to a start block of columns, the identity by
 default (which gives the dense matrix).  The checks apply both sides of
@@ -30,7 +36,7 @@ from .context import QContext
 from .errors import ConfigError
 from .report import VerificationReport
 from .reps import GradingChoice, sl2_constants, twist
-from .rsolve import make_request, r_matrix, rcheck_resonant, solve_intertwiner
+from .rsolve import make_request, rcheck_resonant, solve_intertwiner
 from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul,
                         permuted_matmul, relative_residual, site_matmul, swap_outputs)
 
@@ -132,21 +138,46 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
+def _requests(chain, infos) -> list:
+    """The request of each factor (kind1, z1, kind2, z2) in infos, or None for
+    the removable (V,V) resonance z1 = q^delta z2 of the kappa-normalized
+    family, which takes its closed form."""
+    qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
+    return [None if (chain.normalization == "kappa" and k1 == k2 == "V"
+                     and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1))
+            else make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx,
+                              chain.normalization)
+            for k1, z1, k2, z2 in infos]
+
+
+def factor_requests(chain, infos) -> list:
+    """The requests that rcheck_factors passes to solve_intertwiner for the
+    factors in infos, in order: the resonant ones make none."""
+    return [req for req in _requests(chain, infos) if req is not None]
+
+
+def _two_site(*strings) -> list:
+    """The two-site factors (kind1, z1, kind2, z2) of the factor strings, in order."""
+    return [info for steps in strings for tag, _, info in steps if tag in ("R", "Rcheck")]
+
+
+def string_requests(chain, *strings) -> list:
+    """The requests of the two-site factors of the factor strings, in order."""
+    return factor_requests(chain, _two_site(*strings))
+
+
 def rcheck_factors(chain, infos, cache=None, check_invertible=True) -> list:
     """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, the solved
-    ones requested in one solve_intertwiner call; the removable (V,V)
-    resonance z1 = q^delta z2 of the kappa-normalized family takes its
-    closed form and is not requested.  `chain` supplies m, grading, ctx and
-    normalization (a ChainSpec or a reduction case).  With
+    ones requested in one solve_intertwiner call (those of factor_requests); the
+    removable (V,V) resonance z1 = q^delta z2 of the kappa-normalized family
+    takes its closed form and is not requested.  `chain` supplies m,
+    grading, ctx and normalization (a ChainSpec or a reduction case).  With
     check_invertible=False a singular factor is returned, not refused."""
-    qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
-    resonant = [chain.normalization == "kappa" and k1 == k2 == "V"
-                and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1) for k1, z1, k2, z2 in infos]
-    reqs = [make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx, chain.normalization)
-            for (k1, z1, k2, z2), r in zip(infos, resonant) if not r]
-    solved = iter(solve_intertwiner(reqs, cache, check_invertible) if reqs else [])
-    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if r else next(solved).Rcheck
-            for r in resonant]
+    reqs = _requests(chain, infos)
+    wanted = [req for req in reqs if req is not None]
+    solved = iter(solve_intertwiner(wanted, cache, check_invertible) if wanted else [])
+    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if req is None
+            else next(solved).Rcheck for req in reqs]
 
 
 def apply_factors(chain: ChainSpec, steps, cache=None, block=None,
@@ -157,9 +188,7 @@ def apply_factors(chain: ChainSpec, steps, cache=None, block=None,
     them are requested in one call (rcheck_factors)."""
     dims, d = chain.dims, chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
-    rchecks = iter(rcheck_factors(
-        chain, [info for tag, _, info in steps if tag in ("R", "Rcheck")], cache,
-        check_invertible))
+    rchecks = iter(rcheck_factors(chain, _two_site(steps), cache, check_invertible))
     for tag, where, info in steps:
         if tag == "delta":
             M = site_matmul(chain.delta_matrix(info), where, dims, M)
@@ -194,6 +223,17 @@ def lambda_factor_specs(chain: ChainSpec, i: int):
     return steps
 
 
+def _rewritten_factors(chain: ChainSpec, i: int) -> list:
+    """The factors of lambda_rewritten in application order: R^{(k,i)}(eta_k|eta_i)
+    for k = i-1 .. 0, the twist of site i, then R^{(k,i)}(eta_k|p eta_i)
+    for k = N-1 .. i+1 (written order: the reverse)."""
+    kinds, etas = chain.kinds, chain.etas
+    return ([("R", (k, i), (kinds[k], etas[k], kinds[i], etas[i])) for k in range(i - 1, -1, -1)]
+            + [("delta", (i,), None)]
+            + [("R", (k, i), (kinds[k], etas[k], kinds[i], chain.p * etas[i]))
+               for k in range(chain.N - 1, i, -1)])
+
+
 def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
     """The same operator assembled from plain R factors and no permutation,
     applied to `block` (the identity by default).
@@ -207,17 +247,9 @@ def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.nda
     dims = chain.dims
     d = chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
-    factors = []
-    for k in range(i + 1, chain.N):
-        factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
-                                      chain.kinds[i], chain.p * chain.etas[i])))
-    factors.append(("delta", (i,), None))
-    for k in range(0, i):
-        factors.append(("R", (k, i), (chain.kinds[k], chain.etas[k],
-                                      chain.kinds[i], chain.etas[i])))
-    rchecks = iter(rcheck_factors(
-        chain, [info for tag, _, info in reversed(factors) if tag == "R"], cache))
-    for tag, where, info in reversed(factors):
+    factors = _rewritten_factors(chain, i)
+    rchecks = iter(rcheck_factors(chain, _two_site(factors), cache))
+    for tag, where, info in factors:
         if tag == "delta":
             M = _einsum_apply(chain.delta_matrix(where[0]), where, dims, M)
         else:
@@ -244,6 +276,11 @@ def lambda_op(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
     return apply_factors(chain, lambda_factor_specs(chain, i), cache, block)
 
 
+def lambda_forms_requests(chain: ChainSpec, i: int) -> list:
+    """The requests of lambda_forms_residual: both forms of Lambda_i."""
+    return string_requests(chain, lambda_factor_specs(chain, i), _rewritten_factors(chain, i))
+
+
 def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
     """Relative residual between the two forms of Lambda_i on the probe block."""
     X = probe_block(prod(chain.dims))
@@ -265,6 +302,17 @@ def _cancels(step_a, step_b) -> bool:
     return same
 
 
+def regularized_strings(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec, i_b: int) -> tuple:
+    """The factor strings (of Lambda_a, of Lambda_b) of lambda_product_regularized,
+    the junction pair cancelled when it is one."""
+    steps_a = lambda_factor_specs(chain_a, i_a)
+    steps_b = lambda_factor_specs(chain_b, i_b)
+    # application order steps_b + steps_a: the junction is b's last step and a's first
+    if _cancels(steps_a[0], steps_b[-1]):
+        return steps_a[1:], steps_b[:-1]
+    return steps_a, steps_b
+
+
 def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
                                i_b: int, cache=None, block=None) -> np.ndarray:
     """Product Lambda_a(chain_a) Lambda_b(chain_b) with the adjacent
@@ -278,39 +326,71 @@ def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
     unitarity relation.  Cancelling the pair evaluates the product of the
     meromorphic factor strings at the removable point.
     """
-    steps_a = lambda_factor_specs(chain_a, i_a)
-    steps_b = lambda_factor_specs(chain_b, i_b)
-    # application order steps_b + steps_a: the junction is b's last step and a's first
-    if _cancels(steps_a[0], steps_b[-1]):
-        steps_a, steps_b = steps_a[1:], steps_b[:-1]
+    steps_a, steps_b = regularized_strings(chain_a, i_a, chain_b, i_b)
     return apply_factors(chain_a, steps_a, cache, apply_factors(chain_b, steps_b, cache, block))
+
+
+def _ddr_factor(chain: ChainSpec, j: int, k: int) -> tuple:
+    return chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k]
+
+
+def ddr_requests(chain: ChainSpec, j: int, k: int) -> list:
+    """The request of check_ddr: R between sites j and k."""
+    return factor_requests(chain, [_ddr_factor(chain, j, k)])
 
 
 def check_ddr(chain: ChainSpec, j: int, k: int, cache=None) -> VerificationReport:
     """Commutation of the twist pair with the two-site R operator."""
     dj = chain.delta_matrix(j)
     dk = chain.delta_matrix(k)
-    res = r_matrix(chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k],
-                   chain.m, chain.grading, chain.ctx,
-                   normalization=chain.normalization, cache=cache)
-    resid = commutant_residual(dj, dk, res.R)
+    Rc, = rcheck_factors(chain, [_ddr_factor(chain, j, k)], cache)
+    d = chain.m + 1
+    resid = commutant_residual(dj, dk, swap_outputs(Rc, d, d))
     return VerificationReport.make(
         "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
                 "source": [chain.deltas[j].source, chain.deltas[k].source]},
         resid, 1e-11)
 
 
+def _compatibility_sides(chain: ChainSpec, i: int, j: int) -> list:
+    """The one-step operators (chain, site) of each side of check_qkz_compatibility,
+    in application order: Lj then Li on the chain with eta_j -> p eta_j, and
+    Li then Lj on the chain with eta_i -> p eta_i."""
+    return [[(chain, b), (chain.with_eta(b, chain.p * chain.etas[b]), a)]
+            for a, b in ((i, j), (j, i))]
+
+
+def compatibility_requests(chain: ChainSpec, i: int, j: int) -> list:
+    """The requests of check_qkz_compatibility: its four one-step operators."""
+    return string_requests(chain, *(lambda_factor_specs(c, site)
+                                    for side in _compatibility_sides(chain, i, j)
+                                    for c, site in side))
+
+
 def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, cache=None) -> VerificationReport:
     """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i
     on the probe block X: Li_shift(Lj X) against Lj_shift(Li X)."""
     X = probe_block(prod(chain.dims))
-    left = lambda_op(chain.with_eta(j, chain.p * chain.etas[j]), i, cache,
-                     lambda_op(chain, j, cache, X))
-    right = lambda_op(chain.with_eta(i, chain.p * chain.etas[i]), j, cache,
-                      lambda_op(chain, i, cache, X))
+    left, right = (lambda_op(c2, s2, cache, lambda_op(c1, s1, cache, X))
+                   for (c1, s1), (c2, s2) in _compatibility_sides(chain, i, j))
     return VerificationReport.make(
         "qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m},
         relative_residual(left, right), 1e-9)
+
+
+def transport_steps(chain: ChainSpec, word) -> tuple:
+    """The factor string of transport_phi along the word, one Rcheck step per
+    letter, and the order it ends in (order[k]: the original site now at k)."""
+    order = list(range(chain.N))
+    steps = []
+    for k in word:
+        if not 0 <= k < chain.N - 1:
+            raise ConfigError("word entry out of range")
+        a, b = order[k], order[k + 1]
+        steps.append(("Rcheck", (k, k + 1),
+                      (chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b])))
+        order[k], order[k + 1] = order[k + 1], order[k]
+    return steps, order
 
 
 def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
@@ -321,14 +401,6 @@ def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
     position k; the result is independent of the chosen word for a fixed
     final permutation.
     """
-    order = list(range(chain.N))
-    steps = []
-    for k in word:
-        if not 0 <= k < chain.N - 1:
-            raise ConfigError("word entry out of range")
-        a, b = order[k], order[k + 1]
-        steps.append(("Rcheck", (k, k + 1),
-                      (chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b])))
-        order[k], order[k + 1] = order[k + 1], order[k]
+    steps, order = transport_steps(chain, word)
     vec = apply_factors(chain, steps, cache, np.asarray(tensor, dtype=complex).reshape(-1, 1))
     return vec.reshape(chain.dims), order

@@ -12,7 +12,9 @@ like the one-step qKZ operators, is applied by `qkz.apply_factors` to the
 same seeded complex Gaussian probe block (`qkz.probe_block`); the two
 results are compared, and no composite is formed as a D x D matrix.  The
 first probe column goes through the contraction map, which realizes the
-implication concretely.
+implication concretely.  Each check has a requests function of the same
+arguments (the seed and cache aside), built from the factor strings it
+applies (`qkz.string_requests`), so a check group can solve them first.
 """
 
 from dataclasses import dataclass
@@ -22,9 +24,10 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError
-from .qkz import (ChainSpec, DeltaAssignment, apply_factors, lambda_op,
-                  lambda_product_regularized, lambda_rewritten, probe_block, probe_vector,
-                  rcheck_factors)
+from .qkz import (ChainSpec, DeltaAssignment, apply_factors, factor_requests,
+                  lambda_forms_requests, lambda_op, lambda_product_regularized,
+                  lambda_rewritten, probe_block, probe_vector, rcheck_factors,
+                  regularized_strings, string_requests)
 from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
 from .tensorops import embed_pair, embedded_matmul, relative_residual, site_matmul
@@ -32,7 +35,8 @@ from .tensorops import embed_pair, embedded_matmul, relative_residual, site_matm
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_operator", "psi_extract",
     "theorem_check_selfdual", "theorem_check_general", "insertion_invariance_check",
-    "check_rpr", "scaling_covariance_residual",
+    "check_rpr", "scaling_covariance_residual", "theorem_selfdual_requests",
+    "theorem_general_requests", "insertion_requests", "rpr_requests", "scaling_requests",
 ]
 
 
@@ -101,6 +105,28 @@ def chain_for(case: ReductionCase, etas) -> ChainSpec:
                      case.p, deltas, case.normalization)
 
 
+def _rhs_steps(case: ReductionCase, zetas, insertion=None) -> tuple:
+    """The chain of rhs_operator and its factor string, in application order."""
+    if insertion is not None and case.mode == "self_dual":
+        raise ConfigError("the unitarity insertion needs a general case")
+    n = case.n
+    chain = chain_for(case, mirrored_args(case, zetas))
+    kinds, etas = chain.kinds, chain.etas
+    swap = list(range(2 * n))
+    swap[n - 1], swap[n] = swap[n], swap[n - 1]
+    steps = []
+    for k, site in enumerate((n - 1,) if case.mode == "self_dual" else (n - 1, n)):
+        if k == 1 and insertion is not None:
+            u, v = insertion
+            steps += [("Rcheck", (n - 1, n), ("V*", v, "V", u)),
+                      ("Rcheck", (n - 1, n), ("V", u, "V*", v))]
+        mover, a, b = kinds[site], etas[site], case.p * etas[site]
+        steps += [("R", (j, n - 1), (kinds[j], etas[j], mover, a)) for j in range(n - 2, -1, -1)]
+        steps += [("delta", n - 1, site), ("perm", swap, None)]
+        steps += [("R", (j, n), (kinds[j], etas[j], mover, b)) for j in range(2 * n - 1, n, -1)]
+    return chain, steps
+
+
 def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
                  block=None) -> np.ndarray:
     """Reduction composite applied to `block` (default: the identity, giving
@@ -119,23 +145,7 @@ def rhs_operator(case: ReductionCase, zetas, cache=None, insertion=None,
     factor string is requested in one call, and a singular factor stays in
     the product (qkz.apply_factors with check_invertible=False).
     """
-    if insertion is not None and case.mode == "self_dual":
-        raise ConfigError("the unitarity insertion needs a general case")
-    n = case.n
-    chain = chain_for(case, mirrored_args(case, zetas))
-    kinds, etas = chain.kinds, chain.etas
-    swap = list(range(2 * n))
-    swap[n - 1], swap[n] = swap[n], swap[n - 1]
-    steps = []
-    for k, site in enumerate((n - 1,) if case.mode == "self_dual" else (n - 1, n)):
-        if k == 1 and insertion is not None:
-            u, v = insertion
-            steps += [("Rcheck", (n - 1, n), ("V*", v, "V", u)),
-                      ("Rcheck", (n - 1, n), ("V", u, "V*", v))]
-        mover, a, b = kinds[site], etas[site], case.p * etas[site]
-        steps += [("R", (j, n - 1), (kinds[j], etas[j], mover, a)) for j in range(n - 2, -1, -1)]
-        steps += [("delta", n - 1, site), ("perm", swap, None)]
-        steps += [("R", (j, n), (kinds[j], etas[j], mover, b)) for j in range(2 * n - 1, n, -1)]
+    chain, steps = _rhs_steps(case, zetas, insertion)
     return apply_factors(chain, steps, cache, block, check_invertible=False)
 
 
@@ -162,6 +172,20 @@ def _combined_report(name, params, resid_op, resid_e2e):
     return VerificationReport.make(name, params, fold(resid_op, 1e-9, resid_e2e, 1e-8), 1e-9)
 
 
+def _selfdual_lead(case: ReductionCase, zetas) -> tuple:
+    """The resonant lead factor of theorem_check_selfdual, as a step."""
+    n, w = case.n, complex(case.ctx.q) ** case.shift
+    return ("Rcheck", (n - 1, n), ("V", w * zetas[n - 1], "V", case.p * zetas[n - 1]))
+
+
+def theorem_selfdual_requests(case: ReductionCase, zetas) -> list:
+    """The requests of theorem_check_selfdual: the composite, the lead factor and
+    both forms of Lambda_n."""
+    chain, steps = _rhs_steps(case, zetas)
+    return (string_requests(case, steps, [_selfdual_lead(case, zetas)])
+            + lambda_forms_requests(chain, case.n - 1))
+
+
 def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> VerificationReport:
     """Operator identity Rcheck(res) rhs = Lambda_n at the mirrored tuple,
     plus the random-tensor implication through psi_extract.
@@ -182,12 +206,10 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> Ve
     if case.mode != "self_dual":
         raise ConfigError("theorem_check_selfdual needs a self_dual case")
     n, dims = case.n, case.dims
-    w = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(dims), seed)
     rhs = rhs_operator(case, zetas, cache, block=X)
     chain = chain_for(case, mirrored_args(case, zetas))
-    lead = ("Rcheck", (n - 1, n), ("V", w * zetas[n - 1], "V", case.p * zetas[n - 1]))
-    lhs = apply_factors(chain, [lead], cache, rhs)
+    lhs = apply_factors(chain, [_selfdual_lead(case, zetas)], cache, rhs)
     lam = lambda_rewritten(chain, n - 1, cache, X)
     lam_check_form = lambda_op(chain, n - 1, cache, X)
     forms_resid = relative_residual(lam, lam_check_form)
@@ -198,6 +220,23 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0, cache=None) -> Ve
         "theorem_selfdual", {"n": n, "m": case.m, "seed": seed,
                              "forms_residual": forms_resid},
         worst_of((resid_op, forms_resid)), resid_e2e)
+
+
+def _product_chains(case: ReductionCase, zetas) -> tuple:
+    """(chain_a, chain_b) of theorem_check_general's Lambda product: the shifted
+    tuple for Lambda_{n+1}, the mirrored one for Lambda_n."""
+    n = case.n
+    e = complex(case.ctx.q) ** case.shift
+    eta_shift = list(zetas[:n - 1]) + [e * zetas[n - 1], e * zetas[n - 1]] + \
+        [e * z for z in reversed(zetas[:n - 1])]
+    return chain_for(case, eta_shift), chain_for(case, mirrored_args(case, zetas))
+
+
+def theorem_general_requests(case: ReductionCase, zetas) -> list:
+    """The requests of theorem_check_general: the composite and the Lambda product."""
+    chain_a, chain_b = _product_chains(case, zetas)
+    steps_a, steps_b = regularized_strings(chain_a, case.n, chain_b, case.n - 1)
+    return string_requests(case, _rhs_steps(case, zetas)[1], steps_b, steps_a)
 
 
 def theorem_check_general(case: ReductionCase, zetas, seed=0, cache=None) -> VerificationReport:
@@ -217,19 +256,21 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0, cache=None) -> Ver
     if case.mode != "general":
         raise ConfigError("theorem_check_general needs a general case")
     n = case.n
-    e = complex(case.ctx.q) ** case.shift
     X = probe_block(prod(case.dims), seed)
     rhs = rhs_operator(case, zetas, cache, block=X)
-    eta_shift = list(zetas[:n - 1]) + [e * zetas[n - 1], e * zetas[n - 1]] + \
-        [e * z for z in reversed(zetas[:n - 1])]
-    chain_b = chain_for(case, mirrored_args(case, zetas))
-    chain_a = chain_for(case, eta_shift)
+    chain_a, chain_b = _product_chains(case, zetas)
     prod_ops = lambda_product_regularized(chain_a, n, chain_b, n - 1, cache, X)
     psi_lam = psi_extract(case, prod_ops[:, 0])
     resid_e2e = relative_residual(psi_lam, psi_extract(case, rhs[:, 0]))
     return _combined_report(
         "theorem_general", {"n": n, "m": case.m, "seed": seed},
         relative_residual(rhs, prod_ops), resid_e2e)
+
+
+def insertion_requests(case: ReductionCase, zetas, u, v) -> list:
+    """The requests of insertion_invariance_check: both composites."""
+    return string_requests(case, _rhs_steps(case, zetas)[1],
+                           _rhs_steps(case, zetas, insertion=(u, v))[1])
 
 
 def insertion_invariance_check(case: ReductionCase, zetas, u, v, cache=None) -> VerificationReport:
@@ -244,6 +285,20 @@ def insertion_invariance_check(case: ReductionCase, zetas, u, v, cache=None) -> 
         relative_residual(base, ins), 1e-10)
 
 
+def _rpr_factors(case: ReductionCase, i: int, zetas) -> list:
+    """The front-pair swap factor of check_rpr and its mirrored partner."""
+    if not 1 <= i <= case.n - 1:
+        raise ConfigError("adjacent index i must satisfy 1 <= i <= n-1")
+    w = complex(case.ctx.q) ** case.shift
+    mk = "V" if case.mode == "self_dual" else "V*"
+    return [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])]
+
+
+def rpr_requests(case: ReductionCase, i: int, zetas) -> list:
+    """The requests of check_rpr: its two factors."""
+    return factor_requests(case, _rpr_factors(case, i, zetas))
+
+
 def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> VerificationReport:
     """Exchange relation for the extracted density operator.
 
@@ -252,17 +307,11 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> Verific
     Rcheck^{(i,i+1)} Psi = Psi' Rcheck^{(i,i+1)}.
     """
     n, d = case.n, case.m + 1
-    if not 1 <= i <= n - 1:
-        raise ConfigError("adjacent index i must satisfy 1 <= i <= n-1")
-    w = complex(case.ctx.q) ** case.shift
+    factors = _rpr_factors(case, i, zetas)
     dims = case.dims
     D = prod(dims)
     phi0 = probe_vector(D, seed)
-    mk = "V" if case.mode == "self_dual" else "V*"
-
-    front, mirror = rcheck_factors(
-        case, [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])],
-        cache, check_invertible=False)
+    front, mirror = rcheck_factors(case, factors, cache, check_invertible=False)
     phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
     phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
     psi0 = psi_extract(case, phi0)
@@ -271,6 +320,12 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0, cache=None) -> Verific
     return VerificationReport.make(
         "rpr", {"mode": case.mode, "n": n, "m": case.m, "i": i, "seed": seed},
         relative_residual(small @ psi0, psi1 @ small), 1e-9)
+
+
+def scaling_requests(case: ReductionCase, zetas, nu) -> list:
+    """The requests of scaling_covariance_residual: both composites."""
+    return string_requests(case, _rhs_steps(case, list(zetas))[1],
+                           _rhs_steps(case, [nu * z for z in zetas])[1])
 
 
 def scaling_covariance_residual(case: ReductionCase, zetas, nu, cache=None) -> float:

@@ -90,7 +90,9 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
     nothing grows with trunc_terms.  Then each product of a row is checked
     in turn, numerators first, as if scanned alone: too few factors if
     |a p^T| >= 0.5; unless `what` is None, a tail bound above _TAIL_TOL
-    and, for a denominator, a factor closer to 0 than _POLE_TOL.  Errors
+    and, for a denominator, a factor closer to 0 than _POLE_TOL; and a
+    product that is not finite (factors of huge arguments overflow it, so
+    the ratio would read inf/inf) is a ScalarDomainError.  Errors
     name a denominator `what` and a numerator "Pochhammer factor"; each
     goes to errors[row] unless that row already has one, and a row with
     an error reads NaN.  The ratio is formed per row, in the arithmetic of
@@ -128,19 +130,23 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
         head = modulus * moduli[stop][:, None]
         tail = 2.0 * head / (1.0 - abs_p)
     is_den = np.arange(a.shape[1]) >= n_num
-    failing = head >= 0.5
+    failing = (head >= 0.5) | ~np.isfinite(values)
     if what is not None:
         failing |= (tail > _TAIL_TOL) | (is_den & (closest < _POLE_TOL))
     for r in np.flatnonzero(failing.any(axis=1)):
         i = int(failing[r].argmax())
+        name = what if is_den[i] and what is not None else "Pochhammer factor"
         if head[r, i] >= 0.5:
             err = TruncationError("trunc_terms too small for this Pochhammer argument")
-        elif tail[r, i] > _TAIL_TOL:
-            err = TruncationError(f"tail bound {tail[r, i]:.3g} exceeds {_TAIL_TOL:.0e} for "
-                                  f"{what if is_den[i] else 'Pochhammer factor'}")
-        else:
+        elif what is not None and tail[r, i] > _TAIL_TOL:
+            err = TruncationError(
+                f"tail bound {tail[r, i]:.3g} exceeds {_TAIL_TOL:.0e} for {name}")
+        elif what is not None and is_den[i] and closest[r, i] < _POLE_TOL:
             err = PoleError(f"{what} has a vanishing factor "
                             f"(closest |1-a p^k| = {closest[r, i]:.3g})")
+        else:
+            err = ScalarDomainError(f"{name} product overflows (not finite after "
+                                    f"{stop[r]} factors)")
         errors[r] = errors[r] or err
     ratios = []
     for r, row in enumerate(rows):

@@ -275,7 +275,72 @@ def test_undetected_degenerate_point_fails_its_report(monkeypatch, capsys):
     assert not rec["passed"] and rec["residual"] == 2.0
 
 
+def test_missed_degenerate_point_is_no_configuration_error(monkeypatch, capsys):
+    # with the cancellation test off, alpha_0 = 0 at zeta1/zeta2 = 1/q leaves R
+    # not finite while every generator image is finite: a degenerate point, not
+    # a configuration error; at q, beta cancels only to about 6e-17 and passes
+    from qkzkit import rsolve
+    monkeypatch.setattr(rsolve, "_CANCEL_TOL", 0.0)
+    code, out = run_cli(["verify", "degenerate_detection", "--seed", "7"], capsys)
+    (rec,) = json.loads(out)
+    assert code == 1 and rec["name"] == "degenerate_detection"
+    assert not rec["passed"] and rec["residual"] == 1.0
+
+
+def test_each_group_solves_its_requests_in_one_call(monkeypatch, capsys):
+    # every group but degenerate_detection makes one solve_intertwiner call that
+    # misses the cache and one stack per module pair and grading, so a check's
+    # request list that drifts from what the check solves fails here
+    from qkzkit import qkz, rsolve
+    group, missing_calls, stacks, misses = [None], Counter(), {}, [0]
+    run_group, solve, get = cli._run_group, rsolve._solve, rsolve.RCache.get
+    solve_intertwiner = rsolve.solve_intertwiner
+
+    def in_group(name, *args):
+        group[0] = name
+        return run_group(name, *args)
+
+    def counted_solve(reqs, template):
+        stacks.setdefault(group[0], []).append((reqs[0].module_key(), reqs[0].grading))
+        return solve(reqs, template)
+
+    def counted_get(cache, key):
+        entry = get(cache, key)
+        misses[0] += entry is None
+        return entry
+
+    def counted_call(*args, **kwargs):
+        before = misses[0]
+        try:
+            return solve_intertwiner(*args, **kwargs)
+        finally:
+            missing_calls[group[0]] += misses[0] > before
+    monkeypatch.setattr(cli, "_run_group", in_group)
+    monkeypatch.setattr(rsolve, "_solve", counted_solve)
+    monkeypatch.setattr(rsolve.RCache, "get", counted_get)
+    for module in (rsolve, cli, idsuite, qkz):
+        monkeypatch.setattr(module, "solve_intertwiner", counted_call)
+    code, out = run_cli(["suite", "--m", "2", "--seed", "7"], capsys)
+    assert code == 0 and len(json.loads(out)) == 71
+    solving = set(stacks) - {"degenerate_detection"}
+    assert solving == {"braid", "crossing", "invariances", "qkz", "theorems", "unitarity", "ybe"}
+    assert {name: missing_calls[name] for name in solving} == dict.fromkeys(solving, 1)
+    for name in solving:
+        assert len(stacks[name]) == len(set(stacks[name])), name
+    assert missing_calls["degenerate_detection"] == len(stacks["degenerate_detection"]) == 2
+    assert sum(len(s) for s in stacks.values()) == 32
+
+
 class TestRmat:
+    def test_kappa_overflow_is_an_error(self, capsys):
+        # 256 factors of argument about 9e8 overflow both kappa products
+        code = main(["rmat", "--q", "0.95", "--zeta1", "1e-9", "--norm", "kappa", "--m", "1",
+                     "--s0", "1", "--s1", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_identity_at_equal_arguments(self, capsys):
         code, out = run_cli(["rmat", "--zeta1", "1.4", "--zeta2", "1.4", "--m", "1"],
                             capsys)

@@ -6,7 +6,10 @@ error).
 The sweep is seeded: |q| from 0.05 to 0.99, real and complex, gradings up
 to (2, 5), m = 1..3, and --alpha, --trunc, --n, --norm and --seed drawn per
 configuration, a negative seed among them.  Each `suite` run takes about
-0.03-0.3 s in process, so the sweep stays within about 10 s.
+0.03-0.3 s in process, so the sweep stays within about 10 s.  The same
+contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
+(an exit-0 matrix has finite entries only) and for one `verify` line per
+check group.
 """
 
 import json
@@ -137,3 +140,93 @@ def test_scalar_table_or_one_error_line(config, capsys):
         assert err == "" and lines[0].startswith("scalar table")
         assert len(lines) == config["samples"] + 2 and all(line.startswith("  z=")
                                                            for line in lines[1:])
+
+
+RMAT_RUNS = 20
+ZETA_EXPONENTS = (-9, -6, -3, 0, 3, 6, 9)
+# both kappa products overflow at q^2/zeta1 of about 9e8 (an error, not a NaN matrix)
+RMAT_OVERFLOW = ["rmat", "--q", "0.95", "--zeta1", "1e-9", "--norm", "kappa", "--m", "1",
+                 "--s0", "1", "--s1", "0"]
+
+
+def _rmat_argv(rng, k):
+    q = complex(MODULI[k % len(MODULI)] * (np.exp(2j * np.pi * rng.random())
+                                           if rng.random() < 0.6 else 1.0))
+    s0, s1 = int(rng.integers(0, 3)), int(rng.integers(0, 6))
+    zetas = [complex(10.0 ** ZETA_EXPONENTS[rng.integers(len(ZETA_EXPONENTS))]
+                     * np.exp(2j * np.pi * rng.random())) for _ in range(2)]
+    return ["rmat", f"--q={q.real!r},{q.imag!r}", f"--s0={s0}", f"--s1={s1 or int(s0 == 0)}",
+            f"--m={int(rng.integers(0, 4))}", f"--kinds={sorted(cli.KIND_CODES)[k % 4]}",
+            f"--norm={('hw', 'kappa')[k // 4 % 2]}", f"--trunc={TRUNCS[rng.integers(3)]}",
+            *(f"--zeta{i + 1}={z.real!r},{z.imag!r}" for i, z in enumerate(zetas))]
+
+
+def _rmat_lines():
+    rng = np.random.default_rng(2028)
+    return [_rmat_argv(rng, k) for k in range(RMAT_RUNS)] + [RMAT_OVERFLOW]
+
+
+RMAT_LINES = _rmat_lines()
+
+
+def _option(argv, name):
+    return next(a.split("=", 1)[1] for a in argv if a.startswith(f"--{name}="))
+
+
+def _modulus(argv, name):
+    return abs(cli.parse_complex(_option(argv, name)))
+
+
+def test_the_rmat_sweep_covers_the_space():
+    lines = RMAT_LINES[:-1]
+    assert {round(_modulus(a, "q"), 2) for a in lines} == set(MODULI)
+    assert {(_option(a, "kinds"), _option(a, "norm")) for a in lines} == \
+        {(k, n) for k in cli.KIND_CODES for n in ("hw", "kappa")}
+    exponents = {round(np.log10(_modulus(a, f"zeta{i}"))) for a in lines for i in (1, 2)}
+    assert {-9, 9} <= exponents
+
+
+@pytest.mark.parametrize("argv", RMAT_LINES, ids=lambda a: " ".join(a[1:]))
+def test_rmat_ends_in_a_finite_matrix_or_one_error_line(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+    elif code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        data = json.loads(out)["data"]
+        assert err == "" and all(v is not None and np.isfinite(v) for entry in data
+                                 for v in entry)
+
+
+def _verify_lines():
+    rng = np.random.default_rng(2029)
+    out = []
+    for k, name in enumerate(sorted(cli.CHECKS)):
+        q = complex(MODULI[k % len(MODULI)] * (np.exp(2j * np.pi * rng.random())
+                                               if rng.random() < 0.6 else 1.0))
+        s0, s1 = int(rng.integers(0, 3)), int(rng.integers(0, 6))
+        out.append(["verify", name, f"--q={q.real!r},{q.imag!r}", f"--s0={s0}",
+                    f"--s1={s1 or int(s0 == 0)}", f"--m={1 + k % 3}",
+                    f"--trunc={TRUNCS[rng.integers(3)]}", f"--norm={('hw', 'kappa')[k % 2]}",
+                    f"--seed={SEEDS[rng.integers(len(SEEDS))]}"])
+    return out
+
+
+VERIFY_LINES = _verify_lines()
+
+
+@pytest.mark.parametrize("argv", VERIFY_LINES, ids=lambda a: " ".join(a[1:]))
+def test_verify_ends_in_a_report_or_a_configuration_error(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+        return
+    reports = json.loads(out)
+    assert err == "" and reports
+    assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
+    assert code == (0 if all(r["passed"] for r in reports) else 1)

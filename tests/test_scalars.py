@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 from conftest import z_sample
 from qkzkit import scalars
 from qkzkit.context import QContext
-from qkzkit.errors import ConfigError, DivergentBaseError, PoleError, TruncationError
+from qkzkit.errors import (ConfigError, DivergentBaseError, PoleError, ScalarDomainError,
+                           TruncationError)
 from qkzkit.scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                             f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                             q_number, q_pochhammer, rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
@@ -105,23 +107,31 @@ class TestQPochhammer:
 def _separate_scans_error(nums, dens, p, trunc, what):
     """(type, message) of the first error when each product is scanned alone,
     numerators first, each stopping at its own working precision; None if
-    every product passes its tail bound and pole guard."""
-    for i, a in enumerate(nums + dens):
-        pk, head, closest = 1.0 + 0.0j, abs(a), float("inf")
-        for _ in range(trunc):
-            if head < 2.0**-54 * (1.0 - abs(p)):
+    every product passes its tail bound and pole guard and is finite.  An
+    overflow names the factors of the row, those of its largest argument."""
+    scans = []
+    for a in nums + dens:
+        pk, head, closest, value = 1.0 + 0.0j, abs(a), float("inf"), 1.0 + 0.0j
+        for k in range(trunc + 1):  # k: the factors taken
+            if k == trunc or head < 2.0**-54 * (1.0 - abs(p)):
                 break
             closest = min(closest, abs(1.0 - a * pk))
+            value *= 1.0 - a * pk
             pk *= p
             head = abs(a) * abs(pk)
+        scans.append((head, closest, value, k))
+    for i, (head, closest, value, _) in enumerate(scans):
+        name = what if i >= len(nums) else "Pochhammer factor"
         if head >= 0.5:
             return TruncationError, "trunc_terms too small for this Pochhammer argument"
         tail = 2.0 * head / (1.0 - abs(p))
         if tail > 1e-10:
-            name = what if i >= len(nums) else "Pochhammer factor"
             return TruncationError, f"tail bound {tail:.3g} exceeds 1e-10 for {name}"
         if i >= len(nums) and closest < 1e-9:
             return PoleError, f"{what} has a vanishing factor (closest |1-a p^k| = {closest:.3g})"
+        if not cmath.isfinite(value):
+            return (ScalarDomainError, f"{name} product overflows "
+                    f"(not finite after {max(s[3] for s in scans)} factors)")
     return None
 
 
@@ -287,7 +297,7 @@ class TestBatchedScan:
                 values = fn(m, zs, ctx, errors)
                 wants = [_separate_scans_error(*products(z), p, trunc, what) for z in zs]
                 for z, value, err, want in zip(zs, values, errors, wants):
-                    if want is None:  # and the value of the row alone (NaN where it overflows)
+                    if want is None:  # and the value of the row alone
                         assert err is None and _bits(value) == _bits(fn(m, z, ctx))
                     else:
                         assert (type(err), str(err)) == want and np.isnan(value)
@@ -462,6 +472,23 @@ class TestKappaSl2:
         z = 0.37 - 0.22j
         expect = z * (1 - q**2 / z) / (1 - q**2 * z)
         assert kappa_sl2(2, z, ctx) == pytest.approx(expect, rel=1e-12)
+
+    def test_overflowing_products_raise(self):
+        # at z = 1e-9 and q = 0.95 the argument q^2/z is about 9e8: its 256
+        # factors overflow while every truncation check passes (inf/inf = nan)
+        with pytest.raises(ScalarDomainError, match="overflows"):
+            kappa_sl2(1, 1e-9, QContext(0.95))
+
+    def test_an_overflowing_row_gets_its_own_error(self):
+        ctx = QContext(0.95)
+        errors = [None, None, None]
+        zs = np.array([0.8, 1e-9, 1.2 - 0.1j])
+        values = kappa_sl2(1, zs, ctx, errors)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ScalarDomainError) and "overflows" in str(errors[1])
+        assert np.isnan(values[1]) and np.isfinite(values[[0, 2]]).all()
+        for k in (0, 2):  # the bits of a one-row scan
+            assert values[k] == kappa_sl2(1, zs[k:k + 1], ctx)[0]
 
 
 def sl2_difference(m, z, ctx):
