@@ -14,6 +14,7 @@ parses only the options it reads, and `build_parser` holds every default.
 """
 
 import argparse
+import json
 import sys
 import time
 import zlib
@@ -33,6 +34,9 @@ from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
 from .tensorops import relative_residual
 
+# what a group reports as its numerical failure and `main` as exit 1: the
+# package's errors, and the arithmetic errors of q and zeta far out of range
+_NUMERICAL_ERRORS = (QkzError, ArithmeticError, np.linalg.LinAlgError)
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
 
 
@@ -91,14 +95,9 @@ def _chk_scalar_identities(config, ctx, g, cache):
     for m in (1, 2, 3, 4):
         kappa_one = relative_residual(1.0, kappa_sl2(m, 1.0, ctx))  # the same at every sample
         zs = np.array([_zsample(rng) for _ in range(config.samples)])
-        errors = [None] * len(zs)  # each sample's first error, in the order of the calls
-        kappa = kappa_sl2(m, zs, ctx, errors)
-        inverse = kappa_sl2(m, np.array([1.0 / z for z in zs]), ctx, errors)
-        shifted = rho0_sl2(m, np.array([ctx.q ** (-2) * z for z in zs]), ctx, errors)
-        rho0 = rho0_sl2(m, zs, ctx, errors)
-        for z, k, k_inv, r_shifted, r, err in zip(zs, kappa, inverse, shifted, rho0, errors):
-            if err is not None:
-                raise err
+        kappa, inverse = kappa_sl2(m, zs, ctx), kappa_sl2(m, 1.0 / zs, ctx)
+        shifted, rho0 = rho0_sl2(m, ctx.q ** -2 * zs, ctx), rho0_sl2(m, zs, ctx)
+        for z, k, k_inv, r_shifted, r in zip(zs, kappa, inverse, shifted, rho0):
             worst_kappa = worst_of((worst_kappa, kappa_one, relative_residual(1.0, k * k_inv)))
             worst_ratio = worst_of((worst_ratio, relative_residual(rho0_ratio_sl2(m, z, ctx),
                                                                    1.0 / (r_shifted * r))))
@@ -135,14 +134,9 @@ def _chk_scalar_series(config, ctx, g, cache):
     worst = 0.0
     for l in (1, 2, 3):
         # keep |q^-l z| < 1 so the series converges
-        zs = [(0.1 + 0.7 * rng.random()) * abs(q) ** l for _ in range(config.samples)]
-        errors = [None] * len(zs)  # each sample's first error, in the order of the calls
-        fa = f_series(l + 1, [q ** (-l) * z for z in zs], ctx, errors).value
-        fb = f_series(l + 1, [q**l * z for z in zs], ctx, errors).value
-        rho0 = rho0_sllpo(l, zs, ctx, errors)
-        for a, b, r, err in zip(fa, fb, rho0, errors):
-            if err is not None:
-                raise err
+        zs = np.array([(0.1 + 0.7 * rng.random()) * abs(q) ** l for _ in range(config.samples)])
+        fa, fb = f_series(l + 1, q ** (-l) * zs, ctx).value, f_series(l + 1, q**l * zs, ctx).value
+        for a, b, r in zip(fa, fb, rho0_sllpo(l, zs, ctx)):
             worst = worst_of((worst, relative_residual(r, q ** (-l / (l + 1)) * np.exp(a - b))))
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
 
@@ -346,18 +340,6 @@ CHECKS = {
 
 # --- serialization --------------------------------------------------------------
 
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
 def _to_json(obj) -> str:
     if obj is None:
         return "null"
@@ -371,12 +353,12 @@ def _to_json(obj) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return _to_json([obj.real, obj.imag])
     if isinstance(obj, str):
-        return _json_escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(_json_escape(k) + ":" + _to_json(v) for k, v in items) + "}"
+        return "{" + ",".join(_to_json(k) + ":" + _to_json(v) for k, v in items) + "}"
     raise ConfigError(f"cannot serialize {type(obj)!r}")
 
 
@@ -432,12 +414,13 @@ def _emit(text: str, config):
 # --- commands --------------------------------------------------------------------
 
 def _run_group(name, config, ctx, g, cache):
-    """One check group; a numerical failure becomes one failing report."""
+    """One check group; a numerical failure (_NUMERICAL_ERRORS) becomes one
+    failing report, the exception type in its note."""
     try:
         return CHECKS[name](config, ctx, g, cache)
     except ConfigError:
         raise
-    except QkzError as exc:
+    except _NUMERICAL_ERRORS as exc:
         return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0,
                                         note=f"{type(exc).__name__}: {exc}")]
 
@@ -490,18 +473,14 @@ def cmd_scalars(config) -> int:
     ctx = _context(config)
     rng = _rng_for(config, "scalars_table")
     zs = np.array([_zsample(rng) for _ in range(config.samples)])
-    errors = [None] * len(zs)  # each row's first error, in the order of the columns
     columns = {
-        "rho0_sl2": rho0_sl2(config.m, zs, ctx, errors),
-        "kappa_sl2": kappa_sl2(config.m, zs, ctx, errors),
-        "diff_const_sl2": difference_patterns_sl2(config.m, zs, ctx, errors)["all_inverted"],
-        "rho0_sllpo": rho0_sllpo(config.l, zs, ctx, errors),
-        "kappa_sllpo": kappa_sllpo(config.l, zs, ctx, errors),
-        "diff_const_sllpo": difference_patterns_sllpo(config.l, zs, ctx, errors)["mixed"],
+        "rho0_sl2": rho0_sl2(config.m, zs, ctx),
+        "kappa_sl2": kappa_sl2(config.m, zs, ctx),
+        "diff_const_sl2": difference_patterns_sl2(config.m, zs, ctx)["all_inverted"],
+        "rho0_sllpo": rho0_sllpo(config.l, zs, ctx),
+        "kappa_sllpo": kappa_sllpo(config.l, zs, ctx),
+        "diff_const_sllpo": difference_patterns_sllpo(config.l, zs, ctx)["mixed"],
     }
-    for err in errors:
-        if err is not None:
-            raise err
     rows = [{"z": complex(z), **{name: complex(col[i]) for name, col in columns.items()}}
             for i, z in enumerate(zs)]
     rows.append({
@@ -583,11 +562,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{name} must be at least {low}")
         if getattr(config, "tol", None) is not None and not 0 <= config.tol < np.inf:
             raise ConfigError("--tol must be finite and at least 0")
-        return handlers[config.command](config)
+        # a floating-point exception that no step expects (far out on the
+        # q-disk) raises, so it ends as a numerical failure, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handlers[config.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except QkzError as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

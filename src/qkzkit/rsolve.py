@@ -39,9 +39,10 @@ raises alone.  At the suite's sizes a call costs mostly its fixed part
 each further request of the same stack), so each check group of `cli`
 passes the requests of all its checks in one call before any check runs
 (`suite --m 3`: 32 stacks instead of 82), and the checks then read every
-factor from the cache.  A stack forms each request's Rcheck elementwise
-and each kappa row of a scan keeps the bits of a one-row scan, so a
-result does not depend on the call that solved it.
+factor from the cache.  A stack forms each request's Rcheck elementwise,
+and a kappa scan is elementwise numpy arithmetic, so each of its rows
+keeps the bits of a one-row scan: a result does not depend on the call
+that solved it.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -223,7 +224,7 @@ def _commutant_basis(in_ops, out_ops, m, a, b) -> tuple:
     lowered, dual = [], []
     for k in range(2 * m + 1):
         lowered.append(v2[a])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dual.append(np.where(k <= 2 * (m - np.arange(m + 1)), y[b] / (y * v).sum(axis=0), 0))
         v, v2, y = F @ v, F2 @ v2, E.T @ y
     return np.einsum("kuj,kuj->uj", lowered, dual), top
@@ -463,7 +464,7 @@ def _kappa_scalars(reqs) -> list:
     for (s, m, ctx), idx in groups.items():
         errors = [None] * len(idx)
         z = _powers(([reqs[i].zeta1 / reqs[i].zeta2 for i in idx],), ((s,),), errors)[0][:, 0]
-        for i, k, err in zip(idx, kappa_sl2(m, z.tolist(), ctx, errors).tolist(), errors):
+        for i, k, err in zip(idx, kappa_sl2(m, z, ctx, errors), errors):
             if err is None and reqs[i].kind1 == reqs[i].kind2:
                 if k == 0:
                     err = DegeneratePointError(

@@ -10,22 +10,14 @@ spectral parameters, as a number or as a 1-D array of rows, and return a
 number or an array to match.  All rows of one call share one scan over k
 (_poch_ratio): the 3-4 Pochhammer products of every row are formed and
 multiplied at once, each row keeps its own stop and each product its own
-smallest factor and checks, so each row has the bits and the error of a
-one-z call.
-Each row's final combinations (the num/den ratio and the powers of z)
-are formed per row in the arithmetic of its z: numpy's scalar arithmetic
-for a numpy complex scalar, Python's complex arithmetic otherwise.
-numpy's vector complex multiply, divide and abs can differ from both in
-the last bit, so the scan multiplies in real arithmetic and takes moduli
-with np.hypot, which match them.  A call raises the error of its first
-failing row; given an `errors` list (one entry per row), it records each
-row's first error there instead, unless the row already has one, and
-that row reads NaN.
+smallest factor and checks.  Every step is elementwise numpy arithmetic,
+so each row has the bits and the error of a one-z call.  A call raises
+the error of its first failing row; kappa_sl2, given an `errors` list
+(one entry per row), records each row's first error there instead.
 """
 
 import math
 from collections import namedtuple
-from math import prod
 
 import numpy as np
 
@@ -50,28 +42,18 @@ def q_number(nu: complex, ctx: QContext) -> complex:
     return (q**nu - q ** (-nu)) / den
 
 
-def _rows(z, errors) -> tuple:
-    """The rows of z, a number or a 1-D array (numpy complex scalars stay
-    numpy scalars, every other entry becomes a Python complex), and the
-    error list of the call: `errors`, or a new one."""
-    zs = [x if isinstance(x, np.complexfloating) else complex(x)
-          for x in ([z] if np.ndim(z) == 0 else z)]
-    return zs, errors if errors is not None else [None] * len(zs)
+def _rows(z) -> np.ndarray:
+    """The rows of z, a number or a 1-D array, as a complex array."""
+    return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
-def _in_row_arithmetic(values, zs) -> list:
-    """values (one per row) as numbers of each row's arithmetic (_rows)."""
-    return [v if isinstance(x, np.complexfloating) else complex(v) for v, x in zip(values, zs)]
-
-
-def _finish(z, values, own, errors):
-    """The result shaped like z: a number for a number, an array for an array.
-    Without an `errors` list the first error of `own` is raised."""
-    if errors is None:
-        first = next((e for e in own if e is not None), None)
-        if first is not None:
-            raise first
-    return values[0] if np.ndim(z) == 0 else np.array(values, dtype=complex)
+def _finish(z, values, errors=()):
+    """values shaped like z (a number for a number, an array for an array),
+    once the first error in `errors` is raised."""
+    first = next((e for e in errors if e is not None), None)
+    if first is not None:
+        raise first
+    return complex(values[0]) if np.ndim(z) == 0 else values
 
 
 def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
@@ -95,14 +77,13 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
     the ratio would read inf/inf) is a ScalarDomainError.  Errors
     name a denominator `what` and a numerator "Pochhammer factor"; each
     goes to errors[row] unless that row already has one, and a row with
-    an error reads NaN.  The ratio is formed per row, in the arithmetic of
-    the row's arguments.
+    an error reads NaN.
     """
     abs_p = abs(p)
     if abs_p >= 1.0:
         raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
-    a = np.array(rows, dtype=complex)  # (N, A)
-    modulus = np.hypot(a.real, a.imag)
+    a = np.asarray(rows, dtype=complex)  # (N, A)
+    modulus = np.abs(a)
     top = modulus.max(axis=1, initial=0.0)
     negligible = _NEGLIGIBLE * (1.0 - abs_p)
     reach = top[np.isfinite(top)].max(initial=0.0)
@@ -114,17 +95,11 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
     K, moduli = len(powers) - 1, np.array(moduli)
     stopped = top[:, None] * moduli < negligible  # (N, K + 1)
     stop = np.where(stopped.any(axis=1), stopped.argmax(axis=1), K)
-    # 1 - a p^k in real arithmetic, the same roundings as a complex scalar product
-    pks = np.array(powers[:K])
-    pr, pi = pks.real, pks.imag
-    ar, ai = a.real[:, :, None], a.imag[:, :, None]
-    factors = np.empty(a.shape + (K,), dtype=complex)
     scanned = (np.arange(K) < stop[:, None])[:, None, :]
-    with np.errstate(all="ignore"):  # a huge argument overflows, as the scalar product did
-        factors.real = 1.0 - (ar * pr - ai * pi)
-        factors.imag = 0.0 - (ar * pi + ai * pr)
+    with np.errstate(all="ignore"):  # a huge argument overflows its product
+        factors = 1.0 - a[:, :, None] * np.array(powers[:K])
         values = np.prod(factors, axis=2, where=scanned)
-        closest = np.fmin.reduce(np.where(scanned, np.hypot(factors.real, factors.imag), np.inf),
+        closest = np.fmin.reduce(np.where(scanned, np.abs(factors), np.inf),
                                  axis=2, initial=np.inf)
         # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
         head = modulus * moduli[stop][:, None]
@@ -148,24 +123,21 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
             err = ScalarDomainError(f"{name} product overflows (not finite after "
                                     f"{stop[r]} factors)")
         errors[r] = errors[r] or err
-    ratios = []
-    for r, row in enumerate(rows):
-        if errors[r] is not None:
-            ratios.append(complex(math.nan, math.nan))
-            continue
-        v = values[r] if isinstance(row[0], np.complexfloating) else values[r].tolist()
-        ratios.append(prod(v[:n_num]) / prod(v[n_num:]))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    with np.errstate(all="ignore"):  # a failed row's products may vanish or overflow
+        ratios = values[:, :n_num].prod(axis=1) / values[:, n_num:].prod(axis=1)
+    ratios[failed] = complex(math.nan, math.nan)
     return ratios, 2.0 * top * moduli[stop] / (1.0 - abs_p)
 
 
 def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
     """(a; p)_infinity = prod_{k>=0} (1 - a p^k), truncated, with tail bound."""
     errors = [None]
-    (value,), (tail,) = _poch_ratio([(a,)], 1, p, ctx, None, errors)
-    return PochhammerResult(_finish(a, [value], errors, None), float(tail))
+    values, (tail,) = _poch_ratio([(a,)], 1, p, ctx, None, errors)
+    return PochhammerResult(_finish(a, values, errors), float(tail))
 
 
-def f_series(m: int, zeta, ctx: QContext, errors=None) -> SeriesResult:
+def f_series(m: int, zeta, ctx: QContext) -> SeriesResult:
     """F_m(zeta) = sum_{n>=1} zeta^n / (n [m]_{q^n}), truncated, with tail bound,
     for zeta a number or a 1-D array (value and bound shaped like zeta).
 
@@ -177,15 +149,14 @@ def f_series(m: int, zeta, ctx: QContext, errors=None) -> SeriesResult:
     |term_1|, and at most ctx.trunc_terms of them.  The terms of all rows
     are formed as arrays, _SERIES_BLOCK of them at a time, and each row is
     summed exactly (math.fsum of the real and imaginary parts).  A row with
-    |zeta| >= 1 diverges (DivergentBaseError).
+    |zeta| >= 1 diverges (DivergentBaseError, for the first such row).
     """
     if m < 1:
         raise ScalarDomainError("m must be a positive integer")
-    zs, own = _rows(zeta, errors)
-    x = np.array(zs, dtype=complex)
-    for r in np.flatnonzero(~(np.abs(x) < 1.0)):
-        own[r] = own[r] or DivergentBaseError(f"|zeta| must be < 1, got {abs(zs[r]):.6g}")
-        x[r] = 0.0
+    x = _rows(zeta)
+    divergent = np.flatnonzero(~(np.abs(x) < 1.0))
+    if divergent.size:
+        raise DivergentBaseError(f"|zeta| must be < 1, got {abs(x[divergent[0]]):.6g}")
     q = complex(ctx.q)
     aq = abs(q)
     rho = np.abs(x) * aq ** (m - 1)
@@ -196,33 +167,33 @@ def f_series(m: int, zeta, ctx: QContext, errors=None) -> SeriesResult:
     terms = np.where(np.isfinite(need) & (need > 1.0), np.ceil(need), 1.0)
     terms = np.minimum(terms, ctx.trunc_terms).astype(int)
     w, longest = (x * q ** (m - 1))[:, None], int(terms.max(initial=1))
-    parts = [[] for _ in zs]
+    parts = [[] for _ in x]
     for start in range(0, longest, _SERIES_BLOCK):
         n = np.arange(start + 1, min(start + _SERIES_BLOCK, longest) + 1)
         block = np.where(n <= terms[:, None], w**n * (1.0 - (q**2) ** n)
                          / (n * (1.0 - (q ** (2 * m)) ** n)), 0.0)
         for part, row in zip(parts, block):
             part.append((math.fsum(row.real), math.fsum(row.imag)))
-    values = [complex(math.nan, math.nan) if e is not None else
-              complex(math.fsum(re for re, _ in part), math.fsum(im for _, im in part))
-              for part, e in zip(parts, own)]
+    values = np.array([complex(math.fsum(re for re, _ in part), math.fsum(im for _, im in part))
+                       for part in parts])
     tails = C * rho ** (terms + 1) / ((terms + 1) * (1.0 - rho))
-    return SeriesResult(_finish(zeta, values, own, errors),
-                        float(tails[0]) if np.ndim(zeta) == 0 else tails)
+    return SeriesResult(_finish(zeta, values), float(tails[0]) if np.ndim(zeta) == 0 else tails)
 
 
 # --- sl2 spin-m scalars ------------------------------------------------------
 
-def rho0_sl2(m: int, z, ctx: QContext, errors=None):
+def rho0_sl2(m: int, z, ctx: QContext):
     """Unit-highest-weight normalization scalar for a pair of spin-m modules.
 
     q^{-m^2/2} (q^2 z; q^4)^2 / ((q^{2m+2} z; q^4) (q^{-2m+2} z; q^4)).
     """
     q = complex(ctx.q)
-    zs, own = _rows(z, errors)
-    rows = [(q**2 * x, q**2 * x, q ** (2 * m + 2) * x, q ** (-2 * m + 2) * x) for x in zs]
-    ratios, _ = _poch_ratio(rows, 2, q**4, ctx, "rho0 denominator", own)
-    return _finish(z, [q ** (-m * m / 2.0) * ratio for ratio in ratios], own, errors)
+    x = _rows(z)
+    errors = [None] * len(x)
+    ratios, _ = _poch_ratio(np.stack((q**2 * x, q**2 * x, q ** (2 * m + 2) * x,
+                                      q ** (-2 * m + 2) * x), axis=1),
+                            2, q**4, ctx, "rho0 denominator", errors)
+    return _finish(z, q ** (-m * m / 2.0) * ratios, errors)
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -240,28 +211,32 @@ def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
     return out
 
 
-def _nonzero(zs, errors) -> list:
+def _nonzero(zs, errors) -> np.ndarray:
     """zs with each 0 replaced by 1, its row given the error of kappa at 0."""
-    for r, z in enumerate(zs):
-        if z == 0:
-            errors[r] = errors[r] or ScalarDomainError("kappa requires z != 0")
-    return [z if z != 0 else 1.0 + 0.0j for z in zs]
+    for r in np.flatnonzero(zs == 0):
+        errors[r] = errors[r] or ScalarDomainError("kappa requires z != 0")
+    return np.where(zs == 0, 1.0, zs)
 
 
 def kappa_sl2(m: int, z, ctx: QContext, errors=None):
     """Unitarizing factor kappa for the spin-m pair (principal branch of z^{m/2}):
 
     z^{m/2} (q^{2m+2} z; q^4)/(q^{2m+2} z^-1; q^4) * (q^2 z^-1; q^4)/(q^2 z; q^4).
+
+    Given an `errors` list (one entry per row), each row's first error goes
+    there instead of being raised, unless the row already has one, and that
+    row reads NaN.
     """
-    zs, own = _rows(z, errors)
-    ratios = _kappa_sl2_products(m, _nonzero(zs, own), ctx, own)
-    return _finish(z, [x ** (m / 2.0) * k for x, k in zip(zs, ratios)], own, errors)
+    x = _rows(z)
+    own = [None] * len(x) if errors is None else errors
+    values = x ** (m / 2.0) * _kappa_sl2_products(m, _nonzero(x, own), ctx, own)
+    return _finish(z, values, own if errors is None else ())
 
 
-def _kappa_sl2_products(m: int, zs, ctx: QContext, errors) -> list:
-    """kappa_sl2 without its z^{m/2} prefactor, one per row of zs."""
+def _kappa_sl2_products(m: int, x, ctx: QContext, errors) -> np.ndarray:
+    """kappa_sl2 without its z^{m/2} prefactor, one per row of x."""
     q = complex(ctx.q)
-    rows = [(q ** (2 * m + 2) * z, q**2 / z, q ** (2 * m + 2) / z, q**2 * z) for z in zs]
+    rows = np.stack((q ** (2 * m + 2) * x, q**2 / x, q ** (2 * m + 2) / x, q**2 * x), axis=1)
     return _poch_ratio(rows, 2, q**4, ctx, "kappa denominator", errors)[0]
 
 
@@ -285,7 +260,7 @@ def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
     return out
 
 
-def difference_patterns_sl2(m: int, z, ctx: QContext, errors=None) -> dict:
+def difference_patterns_sl2(m: int, z, ctx: QContext) -> dict:
     """Evaluate both sign patterns of the spin-m normalization difference equation.
 
     'all_inverted':  [rho0(q^-2 z) rho0(z) kappa(q^-2 z) kappa(z)]^-1
@@ -295,35 +270,26 @@ def difference_patterns_sl2(m: int, z, ctx: QContext, errors=None) -> dict:
     constant for odd m.  Both are returned so the sign convention can be
     probed rather than assumed.  The prefactor z^{m/2} of kappa(q^-2 z) is
     continued from z, as z^{m/2} q^{-m}: its principal branch at the
-    shifted point can lie across the cut.  A row's error is the first of
-    rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in that order.
+    shifted point can lie across the cut.  The call raises the first error
+    of rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in that order.
     """
     q = complex(ctx.q)
-    zs, own = _rows(z, errors)
-    shifted = [q ** (-2) * x for x in zs]
-    r0 = _in_row_arithmetic(rho0_sl2(m, shifted, ctx, own), zs)
-    r1 = _in_row_arithmetic(rho0_sl2(m, zs, ctx, own), zs)
-    k1 = _in_row_arithmetic(kappa_sl2(m, zs, ctx, own), zs)
-    k0 = [x ** (m / 2.0) * q ** (-m) * k
-          for x, k in zip(zs, _kappa_sl2_products(m, _nonzero(shifted, own), ctx, own))]
-    return _patterns(z, zip(r0, r1, k0, k1), own, errors)
+    x = _rows(z)
+    shifted, errors = q ** (-2) * x, [None] * len(x)
+    r0, r1, k1 = rho0_sl2(m, shifted, ctx), rho0_sl2(m, x, ctx), kappa_sl2(m, x, ctx)
+    k0 = x ** (m / 2.0) * q ** (-m) * _kappa_sl2_products(m, shifted, ctx, errors)
+    return _patterns(z, r0, r1, _finish(x, k0, errors), k1)
 
 
-def _patterns(z, rows, own, errors) -> dict:
-    """Both difference patterns from (rho0 shifted, rho0, kappa shifted, kappa) per row."""
-    mixed, inverted = [], []
-    for r, (r0, r1, k0, k1) in enumerate(rows):
-        if own[r] is not None:
-            r0 = r1 = k0 = k1 = complex(math.nan, math.nan)
-        mixed.append((r1 / r0) * (k1 / k0))
-        inverted.append(1.0 / (r0 * r1 * k0 * k1))
-    return {"mixed": _finish(z, mixed, own, errors),
-            "all_inverted": _finish(z, inverted, own, errors)}
+def _patterns(z, r0, r1, k0, k1) -> dict:
+    """Both difference patterns from rho0 shifted, rho0, kappa shifted and kappa."""
+    return {"mixed": _finish(z, (r1 / r0) * (k1 / k0)),
+            "all_inverted": _finish(z, 1.0 / (r0 * r1 * k0 * k1))}
 
 
 # --- sl(l+1) first-fundamental scalars ---------------------------------------
 
-def rho0_sllpo(l: int, z, ctx: QContext, errors=None):
+def rho0_sllpo(l: int, z, ctx: QContext):
     """Normalization scalar for a pair of first-fundamental sl(l+1) modules:
 
     q^{-l/(l+1)} (q^2 z; Q)/(z; Q) * (q^{2l} z; Q)/(Q z; Q),  Q = q^{2(l+1)}.
@@ -334,31 +300,33 @@ def rho0_sllpo(l: int, z, ctx: QContext, errors=None):
         raise ScalarDomainError("l must be >= 1")
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    zs, own = _rows(z, errors)
-    rows = [(q**2 * x, q ** (2 * l) * x, x, Q * x) for x in zs]
-    ratios, _ = _poch_ratio(rows, 2, Q, ctx, "rho0 denominator", own)
-    return _finish(z, [q ** (-l / (l + 1)) * ratio for ratio in ratios], own, errors)
+    x = _rows(z)
+    errors = [None] * len(x)
+    ratios, _ = _poch_ratio(np.stack((q**2 * x, q ** (2 * l) * x, x, Q * x), axis=1),
+                            2, Q, ctx, "rho0 denominator", errors)
+    return _finish(z, q ** (-l / (l + 1)) * ratios, errors)
 
 
-def kappa_sllpo(l: int, z, ctx: QContext, errors=None):
+def kappa_sllpo(l: int, z, ctx: QContext):
     """Unitarizing factor for the fundamental pair (principal branch):
 
     z^{l/(l+1)} (q^2 z^-1; Q)/(q^2 z; Q) * (Q z; Q)/(Q z^-1; Q),  Q = q^{2(l+1)}.
     """
-    zs, own = _rows(z, errors)
-    ratios = _kappa_sllpo_products(l, _nonzero(zs, own), ctx, own)
-    return _finish(z, [x ** (l / (l + 1)) * k for x, k in zip(zs, ratios)], own, errors)
+    x = _rows(z)
+    errors = [None] * len(x)
+    values = x ** (l / (l + 1)) * _kappa_sllpo_products(l, _nonzero(x, errors), ctx, errors)
+    return _finish(z, values, errors)
 
 
-def _kappa_sllpo_products(l: int, zs, ctx: QContext, errors) -> list:
-    """kappa_sllpo without its z^{l/(l+1)} prefactor, one per row of zs."""
+def _kappa_sllpo_products(l: int, x, ctx: QContext, errors) -> np.ndarray:
+    """kappa_sllpo without its z^{l/(l+1)} prefactor, one per row of x."""
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
-    rows = [(q**2 / z, Q * z, q**2 * z, Q / z) for z in zs]
+    rows = np.stack((q**2 / x, Q * x, q**2 * x, Q / x), axis=1)
     return _poch_ratio(rows, 2, Q, ctx, "kappa denominator", errors)[0]
 
 
-def difference_patterns_sllpo(l: int, z, ctx: QContext, errors=None) -> dict:
+def difference_patterns_sllpo(l: int, z, ctx: QContext) -> dict:
     """Both sign patterns of the fundamental-pair difference equation.
 
     'mixed':         rho0(Q^-1 z)^-1 rho0(z) kappa(Q^-1 z)^-1 kappa(z)
@@ -366,16 +334,13 @@ def difference_patterns_sllpo(l: int, z, ctx: QContext, errors=None) -> dict:
 
     Here the mixed pattern is the constant one, equal to 1.  The prefactor
     z^{l/(l+1)} of kappa(Q^-1 z) is continued from z, as z^{l/(l+1)} q^{-2l}:
-    its principal branch at the shifted point can lie across the cut.  A
-    row's error is the first of rho0(Q^-1 z), rho0(z), kappa(z) and
+    its principal branch at the shifted point can lie across the cut.  The
+    call raises the first error of rho0(Q^-1 z), rho0(z), kappa(z) and
     kappa(Q^-1 z), in that order.
     """
     q = complex(ctx.q)
-    zs, own = _rows(z, errors)
-    shifted = [x * q ** (-2 * (l + 1)) for x in zs]
-    r0 = _in_row_arithmetic(rho0_sllpo(l, shifted, ctx, own), zs)
-    r1 = _in_row_arithmetic(rho0_sllpo(l, zs, ctx, own), zs)
-    k1 = _in_row_arithmetic(kappa_sllpo(l, zs, ctx, own), zs)
-    k0 = [x ** (l / (l + 1)) * q ** (-2 * l) * k
-          for x, k in zip(zs, _kappa_sllpo_products(l, _nonzero(shifted, own), ctx, own))]
-    return _patterns(z, zip(r0, r1, k0, k1), own, errors)
+    x = _rows(z)
+    shifted, errors = x * q ** (-2 * (l + 1)), [None] * len(x)
+    r0, r1, k1 = rho0_sllpo(l, shifted, ctx), rho0_sllpo(l, x, ctx), kappa_sllpo(l, x, ctx)
+    k0 = x ** (l / (l + 1)) * q ** (-2 * l) * _kappa_sllpo_products(l, shifted, ctx, errors)
+    return _patterns(z, r0, r1, _finish(x, k0, errors), k1)

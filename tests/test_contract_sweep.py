@@ -5,14 +5,17 @@ error).
 
 The sweep is seeded: |q| from 0.05 to 0.99, real and complex, gradings up
 to (2, 5), m = 1..3, and --alpha, --trunc, --n, --norm and --seed drawn per
-configuration, a negative seed among them.  Each `suite` run takes about
+configuration, a negative seed among them.  Each configuration runs in
+JSON and in text mode (one PASS/FAIL line per report, the count line and
+one time line per group, in run order); a `suite` run takes about
 0.03-0.3 s in process, so the sweep stays within about 10 s.  The same
 contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
-(an exit-0 matrix has finite entries only) and for one `verify` line per
-check group.
+(an exit-0 matrix has finite entries only), for one `verify` line per
+check group, and for a few lines at |q| from 1e-26 down to 1e-300.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,28 +67,52 @@ def test_the_sweep_covers_the_space():
         assert {c[key] for c in cs} == set(values), key
 
 
-@pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: " ".join(_argv(c)[1:]))
-def test_configuration_ends_in_a_report_or_a_configuration_error(config, monkeypatch, capsys):
-    counts = {}
+def _suite_contract(argv, monkeypatch, capsys) -> int:
+    """Run a `suite` or `verify` line in JSON and in text mode and assert the
+    contract of each; returns the exit code, the same in both."""
+    calls = []
     run_group = cli._run_group
 
     def counted(name, *args):
         out = run_group(name, *args)
-        counts[name] = len(out)
+        calls.append((name, len(out)))
         return out
     monkeypatch.setattr(cli, "_run_group", counted)
-    code = cli.main(_argv(config))
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("configuration error:")
-        return
-    # complete: every group ran and every report it made was written
-    reports = json.loads(out)
-    assert err == "" and set(counts) == set(cli.CHECKS)
-    assert len(reports) == sum(counts.values())
-    assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
-    assert code == (0 if all(r["passed"] for r in reports) else 1)
+    else:  # complete: every group ran and every report it made was written
+        reports = json.loads(out)
+        groups = sorted(cli.CHECKS) if argv[0] == "suite" else [argv[1]]
+        assert err == "" and [name for name, _ in calls] == groups
+        assert len(reports) == sum(n for _, n in calls)
+        assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
+        assert code == (0 if all(r["passed"] for r in reports) else 1)
+    order, calls[:] = [name for name, _ in calls], []
+    text_code = cli.main([*argv, "--format=text"])
+    out, err = capsys.readouterr()
+    assert text_code == code and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("configuration error:")
+        return code
+    # one PASS/FAIL line per report, the count line, one time line per group in run order
+    lines, n = out.splitlines(), sum(count for _, count in calls)
+    assert err == "" and [name for name, _ in calls] == order
+    verdicts = [line.split()[0] for line in lines[:n]]
+    assert set(verdicts) <= {"PASS", "FAIL"}
+    assert lines[n] == f"{verdicts.count('PASS')}/{n} checks passed"
+    assert len(lines) == n + 1 + len(order)
+    assert all(re.fullmatch(rf"time {name} \d+\.\d{{3}} ms", line)
+               for name, line in zip(order, lines[n + 1:]))
+    assert code == (0 if verdicts.count("PASS") == n else 1)
+    return code
+
+
+@pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: " ".join(_argv(c)[1:]))
+def test_configuration_ends_in_a_report_or_a_configuration_error(config, monkeypatch, capsys):
+    _suite_contract(_argv(config), monkeypatch, capsys)
 
 
 SCALAR_RUNS = 15
@@ -186,8 +213,7 @@ def test_the_rmat_sweep_covers_the_space():
     assert {-9, 9} <= exponents
 
 
-@pytest.mark.parametrize("argv", RMAT_LINES, ids=lambda a: " ".join(a[1:]))
-def test_rmat_ends_in_a_finite_matrix_or_one_error_line(argv, capsys):
+def _rmat_contract(argv, capsys) -> int:
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
@@ -199,6 +225,12 @@ def test_rmat_ends_in_a_finite_matrix_or_one_error_line(argv, capsys):
         data = json.loads(out)["data"]
         assert err == "" and all(v is not None and np.isfinite(v) for entry in data
                                  for v in entry)
+    return code
+
+
+@pytest.mark.parametrize("argv", RMAT_LINES, ids=lambda a: " ".join(a[1:]))
+def test_rmat_ends_in_a_finite_matrix_or_one_error_line(argv, capsys):
+    _rmat_contract(argv, capsys)
 
 
 def _verify_lines():
@@ -219,14 +251,28 @@ VERIFY_LINES = _verify_lines()
 
 
 @pytest.mark.parametrize("argv", VERIFY_LINES, ids=lambda a: " ".join(a[1:]))
-def test_verify_ends_in_a_report_or_a_configuration_error(argv, capsys):
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert code in (0, 1, 2) and "Traceback" not in err
-    if code == 2:
-        assert out == "" and err.startswith("configuration error:")
-        return
-    reports = json.loads(out)
-    assert err == "" and reports
-    assert all(REPORT_FIELDS <= set(r) <= REPORT_FIELDS | OPTIONAL_FIELDS for r in reports)
-    assert code == (0 if all(r["passed"] for r in reports) else 1)
+def test_verify_ends_in_a_report_or_a_configuration_error(argv, monkeypatch, capsys):
+    _suite_contract(argv, monkeypatch, capsys)
+
+
+# far inside the q-disk: arithmetic that overflows, divides by zero or meets a
+# singular matrix ends its group as a numerical failure, or the run as a
+# configuration error, never in a traceback or a numpy warning
+TINY_Q_LINES = (
+    (["suite", "--m", "1", "--q", "1e-26"], 1),  # singular crossing matrix
+    (["suite", "--m", "2", "--q", "1e-26"], 1),  # overflowing commutant basis
+    (["suite", "--m", "1", "--q", "1e-33"], 1),  # 0.0 to a negative power
+    (["suite", "--m", "1", "--q", "1e-40"], 1),  # overflowing complex power
+    (["verify", "reps", "--q", "1e-200"], 1),
+    (["verify", "scalars", "--q", "1e-200"], 1),
+    (["rmat", "--q", "1e-300"], 2),
+)
+
+
+@pytest.mark.parametrize("argv, want", TINY_Q_LINES, ids=lambda a: " ".join(a)
+                         if isinstance(a, list) else str(a))
+def test_tiny_q_ends_in_a_report_or_one_error_line(argv, want, monkeypatch, capsys):
+    if argv[0] == "rmat":
+        assert _rmat_contract(argv, capsys) == want
+    else:
+        assert _suite_contract(argv, monkeypatch, capsys) == want

@@ -1,6 +1,7 @@
 """Residual folds keep a NaN: a report whose residual went NaN anywhere fails."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -52,6 +53,14 @@ def test_passed_is_derived_from_residual_and_tolerance():
     assert dataclasses.replace(report, residual=1e-9).passed is True
     with pytest.raises(TypeError):
         dataclasses.replace(report, passed=False)
+
+
+def test_a_note_with_control_characters_parses_back():
+    note = 'LinAlgError: line one\nline "two"\t\\ end\x01 é'
+    report = VerificationReport.make("qkz", {"group": "qkz"}, math.inf, 0.0, note=note)
+    (payload,) = json.loads(cli.serialize_reports([report], "json"))
+    assert payload["note"] == note and payload["params"] == {"group": "qkz"}
+    assert payload["residual"] is None
 
 
 def _nan_like(out):
