@@ -5,9 +5,12 @@ are sorted by name and parameters, floats are printed with 17 significant
 digits, and each report's wall_ms is null.  `_run_groups` builds the run
 context once, hands it to each group as `_chk_*(config, ctx, g, cache)` and
 times each group; text mode ends with one `time <group> <ms> ms` line per
-group, in run order.  A group that solves R-operators draws all its inputs
-first and hands its checks to `_run_checks`, which solves the requests of
-all of them in one call before it runs them on the warm cache.
+group, in run order.  Once the context and grading are accepted, a package
+error (a ConfigError too) or an arithmetic error inside a group is that
+group's failure: one failing report, the exception type in its note.  A
+group that solves R-operators draws its inputs, builds one record per
+check (`check.record`, see `qkz`) and evaluates them with
+`qkz.run_records`, which first solves all their requests in one call.
 
 The parsed argparse namespace is the run configuration: each subcommand
 parses only the options it reads, and `build_parser` holds every default.
@@ -18,7 +21,6 @@ import json
 import sys
 import time
 import zlib
-from functools import partial
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .errors import ConfigError, DegeneratePointError, QkzError
 from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
                    hopf_antipode_residual)
-from .rsolve import RCache, r_matrix, solve_intertwiner
+from .rsolve import RCache, r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
@@ -65,26 +67,6 @@ def _zsample(rng):
     # |z| in [0.1, 0.9], |arg z| < pi/2: away from the Pochhammer lattices and
     # branch-safe for the half-integer powers when q is complex
     return (0.1 + 0.8 * rng.random()) * np.exp(1j * np.pi * (rng.random() - 0.5))
-
-
-def _run_checks(checks, cache) -> list:
-    """Run a group's checks, each (check, requests, args), on the run cache:
-    one solve_intertwiner call for the requests(*args) of every check, then
-    check(*args, cache=cache) for each, in order; returns their results.
-
-    The call skips the invertibility check and leaves its QkzError
-    unraised.  A failing request is not stored, so the check that owns it
-    asks again and raises what it raises alone; the requests after it are
-    solved by their own checks.  So each check reports what it reports run
-    alone, and a group that shares module pairs across its checks solves
-    one stack per module pair and grading.
-    """
-    try:
-        solve_intertwiner([req for _, requests, args in checks for req in requests(*args)],
-                          cache, check_invertible=False)
-    except QkzError:
-        pass
-    return [check(*args, cache=cache) for check, _, args in checks]
 
 
 # --- suite checks --------------------------------------------------------------
@@ -179,16 +161,15 @@ def _chk_dualities(config, ctx, g, cache):
 
 def _chk_unitarity(config, ctx, g, cache):
     rng = _rng_for(config, "unitarity")
-    checks = []
+    records = []
     for norm in ("hw", "kappa"):
         for kinds in KIND_CODES.values():
             zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
-            checks.append((idsuite.check_unitarity, idsuite.unitarity_requests,
-                           (config.m, kinds, zetas, g, ctx, norm)))
+            records.append(idsuite.check_unitarity.record(config.m, kinds, zetas, g, ctx, norm))
         for kind in ("V", "V*"):
-            checks.append((idsuite.check_initial_condition, idsuite.initial_condition_requests,
-                           (config.m, kind, idsuite.random_zeta(rng), g, ctx, norm)))
-    return _run_checks(checks, cache)
+            records.append(idsuite.check_initial_condition.record(
+                config.m, kind, idsuite.random_zeta(rng), g, ctx, norm))
+    return qkz.run_records(records, cache)
 
 
 def _chk_degenerate_detection(config, ctx, g, cache):
@@ -207,39 +188,36 @@ def _chk_degenerate_detection(config, ctx, g, cache):
 
 def _chk_ybe(config, ctx, g, cache):
     rng = _rng_for(config, "ybe")
-    checks = []
+    records = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
         samples = [tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
                    for _ in range(config.samples)]
-        checks.append((idsuite.check_ybe, idsuite.ybe_requests,
-                       (config.m, kinds, samples, g, ctx, config.norm)))
-    return _run_checks(checks, cache)
+        records.append(idsuite.check_ybe.record(config.m, kinds, samples, g, ctx, config.norm))
+    return qkz.run_records(records, cache)
 
 
 def _chk_crossing(config, ctx, g, cache):
     rng = _rng_for(config, "crossing")
-    checks = []
+    records = []
     for m in (1, 2):
         samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
                    for _ in range(config.samples)]
-        checks.append((idsuite.check_crossing, idsuite.crossing_requests, (m, samples, g, ctx)))
-    return _run_checks(checks, cache)
+        records.append(idsuite.check_crossing.record(m, samples, g, ctx))
+    return qkz.run_records(records, cache)
 
 
 def _chk_invariances(config, ctx, g, cache):
     rng = _rng_for(config, "invariances")
-    checks = []
+    records = []
     alpha = config.alpha or (0.37 - 0.21j)
     for m in (1, 2):
         for kinds in (("V", "V"), ("V*", "V")):
             args = (m, kinds, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)), g, ctx)
-            checks.append((idsuite.check_invariance_x, idsuite.invariance_requests, args))
-            checks.append((partial(idsuite.check_invariance_a, alpha),
-                           idsuite.invariance_requests, args))
-        checks.append((idsuite.check_invariance_xtilde, idsuite.xtilde_requests,
-                       (m, g, ctx, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)),
-                        config.norm)))
-    return _run_checks(checks, cache)
+            records += [idsuite.check_invariance_x.record(*args),
+                        idsuite.check_invariance_a.record(alpha, *args)]
+        records.append(idsuite.check_invariance_xtilde.record(
+            m, g, ctx, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)), config.norm))
+    return qkz.run_records(records, cache)
 
 
 # word pairs that realize one permutation each: the braid relation, s0 s0 = 1, and a
@@ -250,11 +228,10 @@ _BRAID_WORDS = (([0, 1, 0], [1, 0, 1]), ([0, 0], []), ([0, 2, 1, 0, 2], [2, 0, 1
 def _chk_braid(config, ctx, g, cache):
     rng = _rng_for(config, "braid")
     etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
-    kinds = ("V", "V*", "V", "V*")
-    check = partial(idsuite.check_braid_welldefined, seed=config.seed)
-    return _run_checks([(check, idsuite.braid_requests,
-                         (word1, word2, config.m, kinds, etas, g, ctx, config.norm))
-                        for word1, word2 in _BRAID_WORDS], cache)
+    return qkz.run_records([idsuite.check_braid_welldefined.record(
+        word1, word2, config.m, ("V", "V*", "V", "V*"), etas, g, ctx, config.norm,
+        seed=config.seed)
+        for word1, word2 in _BRAID_WORDS], cache)
 
 
 def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
@@ -276,49 +253,35 @@ def _chk_qkz(config, ctx, g, cache):
     sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=config.n)
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)
     chain2 = _generic_chain(config, ctx, g, rng, ("V", "V*"))
-    checks = [(qkz.lambda_forms_residual, qkz.lambda_forms_requests, (chain4, i))
-              for i in range(4)]
-    checks += [(qkz.check_ddr, qkz.ddr_requests, args)
-               for args in ((chain_sd, 0, 2), (chain4, 0, 1), (chain4, 1, 2))]
-    checks += [(qkz.check_qkz_compatibility, qkz.compatibility_requests, args)
-               for args in ((chain2, 0, 1), (chain4, 1, 2))]
-    out = _run_checks(checks, cache)
-    worst = worst_of(out[:4])
-    return [VerificationReport.make("lambda_forms", {"N": 4, "m": config.m}, worst, 1e-10),
-            *out[4:]]
-
-
-def _scaling_covariance(case, zetas, nu, cache):
-    resid = reduction.scaling_covariance_residual(case, zetas, nu, cache)
-    return VerificationReport.make(
-        "scaling_covariance", {"mode": case.mode, "n": case.n, "m": case.m}, resid, 1e-10)
+    records = [qkz.lambda_forms.record(chain4, range(4))]
+    records += [qkz.check_ddr.record(*args)
+                for args in ((chain_sd, 0, 2), (chain4, 0, 1), (chain4, 1, 2))]
+    records += [qkz.check_qkz_compatibility.record(*args)
+                for args in ((chain2, 0, 1), (chain4, 1, 2))]
+    return qkz.run_records(records, cache)
 
 
 def _chk_theorems(config, ctx, g, cache):
     rng = _rng_for(config, "theorems")
-    checks = []
+    records = []
     for n in sorted({1, min(config.n, 3)}):
         case = reduction.ReductionCase("self_dual", n, config.m, g, ctx, alpha=config.alpha)
-        checks.append((partial(reduction.theorem_check_selfdual, seed=config.seed),
-                       reduction.theorem_selfdual_requests,
-                       (case, idsuite.draw_generic_zetas(rng, n, config.m, g, ctx))))
+        records.append(reduction.theorem_check_selfdual.record(
+            case, idsuite.draw_generic_zetas(rng, n, config.m, g, ctx), seed=config.seed))
     for n in (1, 2):
         case = reduction.ReductionCase("general", n, config.m, g, ctx, alpha=config.alpha)
-        checks.append((partial(reduction.theorem_check_general, seed=config.seed),
-                       reduction.theorem_general_requests,
-                       (case, idsuite.draw_generic_zetas(rng, n, config.m, g, ctx))))
+        records.append(reduction.theorem_check_general.record(
+            case, idsuite.draw_generic_zetas(rng, n, config.m, g, ctx), seed=config.seed))
     case = reduction.ReductionCase("general", 2, config.m, g, ctx, alpha=config.alpha)
     zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
-    checks.append((reduction.insertion_invariance_check, reduction.insertion_requests,
-                   (case, zetas, idsuite.random_zeta(rng), idsuite.random_zeta(rng))))
+    records.append(reduction.insertion_invariance_check.record(
+        case, zetas, idsuite.random_zeta(rng), idsuite.random_zeta(rng)))
     for mode in ("self_dual", "general"):
         case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha)
         zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
-        checks.append((partial(reduction.check_rpr, seed=config.seed), reduction.rpr_requests,
-                       (case, 1, zetas)))
-        checks.append((_scaling_covariance, reduction.scaling_requests,
-                       (case, zetas, 1.3 * np.exp(0.4j))))
-    return _run_checks(checks, cache)
+        records += [reduction.check_rpr.record(case, 1, zetas, seed=config.seed),
+                    reduction.scaling_covariance.record(case, zetas, 1.3 * np.exp(0.4j))]
+    return qkz.run_records(records, cache)
 
 
 CHECKS = {
@@ -414,12 +377,10 @@ def _emit(text: str, config):
 # --- commands --------------------------------------------------------------------
 
 def _run_group(name, config, ctx, g, cache):
-    """One check group; a numerical failure (_NUMERICAL_ERRORS) becomes one
-    failing report, the exception type in its note."""
+    """One check group; an error of _NUMERICAL_ERRORS (a ConfigError among
+    them) becomes one failing report, the exception type in its note."""
     try:
         return CHECKS[name](config, ctx, g, cache)
-    except ConfigError:
-        raise
     except _NUMERICAL_ERRORS as exc:
         return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0,
                                         note=f"{type(exc).__name__}: {exc}")]
@@ -429,6 +390,8 @@ def _run_groups(names, config) -> int:
     """Run the named check groups on one cache and one run context, time each
     group, and write the reports; text mode ends with the group times."""
     ctx, g = _context(config), _grading(config)  # q and grading fail before any group runs
+    if not np.isfinite(config.alpha):
+        raise ConfigError(f"--alpha must be finite, got {config.alpha}")
     if "theorems" in names and config.m < 1:
         raise ConfigError("--m must be at least 1 for the theorems group")
     cache = RCache()

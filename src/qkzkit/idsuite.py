@@ -4,32 +4,28 @@ Every check returns a VerificationReport; residuals are relative
 Frobenius norms (tensorops.relative_residual).  Crossing relations are
 verified as proportionalities against independently solved R-operators,
 with the proportionality scalars extracted and reported.  Each check that
-solves R-operators has a requests function of the same arguments (cache
-and seed aside) that lists what it solves, and the check solves that
-list; a check group of `cli` solves the lists of all its checks in one
-call before it runs them.
+solves R-operators is a record (`qkz.StringCheck` or `qkz.FactorCheck`)
+built from its factor data by the function that `qkz.solving_check`
+makes the check: YBE, unitarity, the initial condition and braid
+well-definedness compare factor strings, and crossing and the
+invariances declare the factors that their own arithmetic reads.
 """
-
-from math import prod
 
 import numpy as np
 
 from .report import VerificationReport, worst_of
 from .reps import (antipode_dual, build_eval_rep, operator_o, operator_o_inverse,
                    operator_x, operator_xtilde, sl2_constants, twist)
-from .rsolve import make_request, solve_intertwiner
-from .qkz import (ChainSpec, DeltaAssignment, probe_block, probe_vector, string_requests,
-                  transport_phi, transport_steps)
-from .tensorops import (commutant_residual, embedded_matmul, partial_transpose,
-                        relative_residual, scalar_ratio)
+from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, Sites, StringCheck,
+                  solving_check, transport_steps)
+from .tensorops import (commutant_residual, partial_transpose, relative_residual, scalar_ratio,
+                        swap_outputs)
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
     "check_initial_condition", "check_crossing", "check_double_dual",
     "check_self_dual", "check_invariance_x", "check_invariance_a",
     "check_invariance_xtilde", "check_braid_welldefined", "random_zeta",
-    "ybe_requests", "unitarity_requests", "initial_condition_requests", "crossing_requests",
-    "invariance_requests", "xtilde_requests", "braid_requests",
 ]
 
 
@@ -65,66 +61,36 @@ def draw_generic_zetas(rng, count, m, grading, ctx):
     raise RuntimeError("could not draw generic spectral parameters")
 
 
-_YBE_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _ybe_residual(R, dims, block) -> float:
-    """||(R12 R13 R23 - R23 R13 R12) X|| / ||R12 R13 R23 X|| for the factors
-    R[a, b] of one sample, each side applied factor by factor to the block X."""
-    left = right = block
-    for a, b in reversed(_YBE_PAIRS):
-        left = embedded_matmul(R[a, b], a, b, dims, left)
-    for a, b in _YBE_PAIRS:
-        right = embedded_matmul(R[a, b], a, b, dims, right)
-    return relative_residual(left, right)
-
-
-def ybe_requests(m, kinds, samples, grading, ctx, normalization="hw") -> list:
-    """The requests of check_ybe: R12, R13, R23 of each sample, in sample order."""
-    return [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
-            for zetas in samples for a, b in _YBE_PAIRS]
-
-
-def check_ybe(m, kinds, samples, grading, ctx, normalization="hw",
-              cache=None) -> VerificationReport:
+@solving_check
+def check_ybe(m, kinds, samples, grading, ctx, normalization="hw") -> StringCheck:
     """R12 R13 R23 = R23 R13 R12 on the triple product at each sample of three
     spectral parameters, both sides applied factor by factor to the seeded
     probe block of qkz.probe_block; the residual is the worst over the
-    samples.  The factors of every sample are requested in one call."""
-    dims = (m + 1,) * 3
-    R = [res.R for res in solve_intertwiner(ybe_requests(m, kinds, samples, grading, ctx,
-                                                         normalization),
-                                            cache, check_invertible=False)]
-    block = probe_block(prod(dims))
-    resid = worst_of(_ybe_residual(dict(zip(_YBE_PAIRS, R[3 * k:3 * k + 3])), dims, block)
-                     for k in range(len(samples)))
-    return VerificationReport.make(
-        "ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-9)
+    samples.  Each sample's R23 R13 R12 side comes first, so its factors
+    are requested in the order R12, R13, R23."""
+    sides = []
+    for zetas in samples:
+        steps = [("R", (a, b), (kinds[a], zetas[a], kinds[b], zetas[b]))
+                 for a, b in ((0, 1), (0, 2), (1, 2))]
+        sides += [Side(tuple(steps), check_invertible=False),
+                  Side(tuple(steps[::-1]), check_invertible=False)]
+    return StringCheck("ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, 1e-9,
+                       Sites(m, grading, ctx, normalization, 3), tuple(sides),
+                       tuple((2 * k + 1, 2 * k) for k in range(len(samples))))
 
 
-def unitarity_requests(m, kinds, zetas, grading, ctx, normalization="hw") -> list:
-    """The requests of check_unitarity: (z1|z2) and (z2|z1)."""
-    return [make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, normalization)
-            for a, b in ((0, 1), (1, 0))]
+@solving_check
+def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw") -> StringCheck:
+    """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id, the product formed densely."""
+    steps = tuple(("Rcheck", (0, 1), (kinds[a], zetas[a], kinds[b], zetas[b]))
+                  for a, b in ((1, 0), (0, 1)))
+    return StringCheck("unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, 1e-10,
+                       Sites(m, grading, ctx, normalization),
+                       (Side((), "dense", False), Side(steps, "dense", False)))
 
 
-def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw",
-                    cache=None) -> VerificationReport:
-    """Rcheck_12(z1|z2) Rcheck_21(z2|z1) = id; the pair is requested in one call."""
-    r12, r21 = solve_intertwiner(unitarity_requests(m, kinds, zetas, grading, ctx, normalization),
-                                 cache, check_invertible=False)
-    resid = relative_residual(np.eye((m + 1) ** 2), r12.Rcheck @ r21.Rcheck)
-    return VerificationReport.make(
-        "unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, resid, 1e-10)
-
-
-def initial_condition_requests(m, kind, zeta, grading, ctx, normalization="hw") -> list:
-    """The request of check_initial_condition: (z|z)."""
-    return [make_request(kind, zeta, kind, zeta, m, grading, ctx, normalization)]
-
-
-def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
-                            cache=None) -> VerificationReport:
+@solving_check
+def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw") -> StringCheck:
     """Rcheck(z|z) = id for a like-kind pair.
 
     At zeta1 = zeta2 each component ratio beta_j / alpha_j of the solve is
@@ -136,11 +102,10 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw",
     to m = 4.  A defect in a ratio number breaks the exact 1 and fails the
     check.
     """
-    res, = solve_intertwiner(initial_condition_requests(m, kind, zeta, grading, ctx,
-                                                        normalization), cache)
-    resid = relative_residual(np.eye((m + 1) ** 2), res.Rcheck)
-    return VerificationReport.make(
-        "initial_condition", {"m": m, "kind": kind, "norm": normalization}, resid, 1e-12)
+    steps = (("Rcheck", (0, 1), (kind, zeta, kind, zeta)),)
+    return StringCheck("initial_condition", {"m": m, "kind": kind, "norm": normalization},
+                       1e-12, Sites(m, grading, ctx, normalization),
+                       (Side((), "dense"), Side(steps, "dense")))
 
 
 def _crossing_sample(R, twists, dd) -> tuple:
@@ -162,18 +127,8 @@ def _crossing_sample(R, twists, dd) -> tuple:
             worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)))
 
 
-def crossing_requests(m, samples, grading, ctx) -> list:
-    """The requests of check_crossing: the eight R-operators of _crossing_sample
-    at each sample, in sample order."""
-    qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
-    pairs = [("V", 1, "V", 1, "hw"), ("V*", 1, "V", 1, "hw"), ("V", 1, "V*", 1, "hw"),
-             ("V", qd, "V", 1, "hw"), ("V", 1, "V", qd, "hw"), ("V", 1, "V", 1, "kappa"),
-             ("V", qd, "V", 1, "kappa"), ("V", 1, "V", qd, "kappa")]  # kinds, zeta factors, norm
-    return [make_request(k1, w1 * z1, k2, w2 * z2, m, grading, ctx, norm)
-            for z1, z2 in samples for k1, w1, k2, w2, norm in pairs]
-
-
-def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
+@solving_check
+def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     """Crossing relations as proportionalities, with scalar extraction, at each
     sample of two spectral parameters.
 
@@ -191,24 +146,33 @@ def check_crossing(m, samples, grading, ctx, cache=None) -> VerificationReport:
     last sample; scalar_spread is the largest distance of s_shift1,
     s_shift2, D1 or D2 from its mean over the samples.  The worst
     proportionality failure is the reported residual; the scalars are
-    reported for comparison, not gated here.  The R-operators of every
-    sample are requested in one call, and O, O^-1 and their Kronecker
-    twists are built once.
+    reported for comparison, not gated here.  Each sample declares its five
+    hw-normalized and three kappa-normalized factors, and O, O^-1 and their
+    Kronecker twists are built once.
     """
-    d = m + 1
-    O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
-    twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
-    R = [res.R for res in solve_intertwiner(crossing_requests(m, samples, grading, ctx), cache,
-                                            check_invertible=False)]
-    n = len(R) // len(samples)
-    scal, resids = zip(*(_crossing_sample(R[n * k:n * k + n], twists, (d, d))
-                         for k in range(len(samples))))
-    spread = worst_of(
-        np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
-        for i in (2, 3, 4, 5))
-    return VerificationReport.make(
-        "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9,
-        extracted_scalars=list(scal[-1]))
+    qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
+    hw, kappa = Sites(m, grading, ctx, "hw"), Sites(m, grading, ctx, "kappa")
+    factors = []
+    for z1, z2 in samples:
+        factors += [(hw, [("V", z1, "V", z2), ("V*", z1, "V", z2), ("V", z1, "V*", z2),
+                          ("V", qd * z1, "V", z2), ("V", z1, "V", qd * z2)]),
+                    (kappa, [("V", z1, "V", z2), ("V", qd * z1, "V", z2),
+                             ("V", z1, "V", qd * z2)])]
+
+    def measure(read):
+        d = m + 1
+        O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
+        twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
+        R = [swap_outputs(Rc, d, d) for rchecks in read() for Rc in rchecks]
+        scal, resids = zip(*(_crossing_sample(R[8 * k:8 * k + 8], twists, (d, d))
+                             for k in range(len(samples))))
+        spread = worst_of(
+            np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
+            for i in (2, 3, 4, 5))
+        return VerificationReport.make(
+            "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9,
+            extracted_scalars=list(scal[-1]))
+    return FactorCheck(tuple(factors), measure)
 
 
 def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
@@ -241,85 +205,67 @@ def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
         "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
 
 
-def invariance_requests(m, kinds, zetas, grading, ctx) -> list:
-    """The request of check_invariance_x and check_invariance_a: the hw-normalized pair."""
-    return [make_request(kinds[0], zetas[0], kinds[1], zetas[1], m, grading, ctx)]
+def _pair_commutator(name, params, m, kinds, zetas, grading, ctx, normalization, operators):
+    """The record of [C1 x C2, R] = 0 for the pair's R; operators() builds C1, C2 first."""
+    def measure(read):
+        C1, C2 = operators()
+        (Rc,), = read()
+        return VerificationReport.make(name, params, commutant_residual(
+            C1, C2, swap_outputs(Rc, m + 1, m + 1)), 1e-11)
+    info = (kinds[0], zetas[0], kinds[1], zetas[1])
+    return FactorCheck(((Sites(m, grading, ctx, normalization), [info]),), measure)
 
 
-def _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, C1, C2):
-    """The commutant residual of the hw-normalized R of the pair against C1 x C2."""
-    res, = solve_intertwiner(invariance_requests(m, kinds, zetas, grading, ctx), cache,
-                             check_invertible=False)
-    return commutant_residual(C1, C2, res.R)
+@solving_check
+def check_invariance_x(m, kinds, zetas, grading, ctx) -> FactorCheck:
+    """[(X x X), R] = 0 with the kind-appropriate X on each slot (hw-normalized R)."""
+    return _pair_commutator(
+        "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0, "s1": grading.s1},
+        m, kinds, zetas, grading, ctx, "hw",
+        lambda: [operator_x(m, grading, ctx, kind=k) for k in kinds])
 
 
-def check_invariance_x(m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
-    """[(X x X), R] = 0 with the kind-appropriate X on each slot."""
-    ops = [operator_x(m, grading, ctx, kind=k) for k in kinds]
-    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
-    return VerificationReport.make(
-        "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0,
-                         "s1": grading.s1}, resid, 1e-11)
+@solving_check
+def check_invariance_a(alpha, m, kinds, zetas, grading, ctx) -> FactorCheck:
+    """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images
+    (hw-normalized R)."""
+    value = [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha
+    return _pair_commutator(
+        "invariance_a", {"m": m, "kinds": list(kinds), "alpha": value},
+        m, kinds, zetas, grading, ctx, "hw", lambda: [twist(k, alpha, m, ctx) for k in kinds])
 
 
-def check_invariance_a(alpha, m, kinds, zetas, grading, ctx, cache=None) -> VerificationReport:
-    """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images."""
-    ops = [twist(k, alpha, m, ctx) for k in kinds]
-    resid = _pair_commutant_residual(m, kinds, zetas, grading, ctx, cache, ops[0], ops[1])
-    return VerificationReport.make(
-        "invariance_a", {"m": m, "kinds": list(kinds),
-                         "alpha": [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha},
-        resid, 1e-11)
-
-
-def xtilde_requests(m, grading, ctx, zetas, normalization="kappa") -> list:
-    """The request of check_invariance_xtilde: the (V,V) pair."""
-    return [make_request("V", zetas[0], "V", zetas[1], m, grading, ctx, normalization)]
-
-
-def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa",
-                            cache=None) -> VerificationReport:
-    """Transpose-twisted invariance (Xt x Xt) R = R^t (Xt x Xt).
+@solving_check
+def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa") -> FactorCheck:
+    """Transpose-twisted invariance (Xt x Xt) R = R^t (Xt x Xt) for the (V,V) pair.
 
     This is the form valid for every grading and spin; it follows from the
     two closed dual-shift crossing relations.  For m = 1 with the balanced
     grading R is symmetric in this basis and the relation reduces to a
     plain commutator.
     """
-    xt = operator_xtilde(m, grading, ctx)
-    XX = np.kron(xt, xt)
-    res, = solve_intertwiner(xtilde_requests(m, grading, ctx, zetas, normalization), cache,
-                             check_invertible=False)
-    R = res.R
-    return VerificationReport.make(
-        "invariance_xtilde", {"m": m, "norm": normalization},
-        relative_residual(R.T @ XX, XX @ R), 1e-11)
+    def measure(read):
+        xt = operator_xtilde(m, grading, ctx)
+        XX = np.kron(xt, xt)
+        (Rc,), = read()
+        R = swap_outputs(Rc, m + 1, m + 1)
+        return VerificationReport.make("invariance_xtilde", {"m": m, "norm": normalization},
+                                       relative_residual(R.T @ XX, XX @ R), 1e-11)
+    info = ("V", zetas[0], "V", zetas[1])
+    return FactorCheck(((Sites(m, grading, ctx, normalization), [info]),), measure)
 
 
-def _braid_chain(m, kinds, etas, grading, ctx, normalization) -> ChainSpec:
-    return ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
-                     deltas=tuple(DeltaAssignment("general_v") for _ in kinds),
-                     normalization=normalization)
-
-
-def braid_requests(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa") -> list:
-    """The requests of check_braid_welldefined: the transport strings of both words."""
-    chain = _braid_chain(m, kinds, etas, grading, ctx, normalization)
-    return string_requests(chain, transport_steps(chain, word1)[0],
-                           transport_steps(chain, word2)[0])
-
-
+@solving_check
 def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normalization="kappa",
-                            seed=0, cache=None) -> VerificationReport:
-    """Transport along two words of the same permutation acts identically;
-    words of different permutations raise ValueError."""
-    N = len(kinds)
-    chain = _braid_chain(m, kinds, etas, grading, ctx, normalization)
-    phi = probe_vector((m + 1) ** N, seed)
-    out1, ord1 = transport_phi(chain, phi, word1, cache)
-    out2, ord2 = transport_phi(chain, phi, word2, cache)
+                            seed=0) -> StringCheck:
+    """Transport along two words of the same permutation acts identically on
+    the seeded probe vector; words of different permutations raise ValueError."""
+    chain = ChainSpec(m, grading, ctx, tuple(kinds), tuple(etas), p=1.0,
+                      deltas=tuple(DeltaAssignment("general_v") for _ in kinds),
+                      normalization=normalization)
+    (steps1, ord1), (steps2, ord2) = transport_steps(chain, word1), transport_steps(chain, word2)
     if ord1 != ord2:
         raise ValueError("words realize different permutations")
-    return VerificationReport.make(
-        "braid_welldefined", {"m": m, "N": N, "word1": list(word1), "word2": list(word2)},
-        relative_residual(out1, out2), 1e-10)
+    params = {"m": m, "N": len(kinds), "word1": list(word1), "word2": list(word2)}
+    return StringCheck("braid_welldefined", params, 1e-10, chain, (Side(steps1), Side(steps2)),
+                       seed=seed, columns=1)

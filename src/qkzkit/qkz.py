@@ -1,4 +1,4 @@
-"""qKZ operators: per-site twist maps, the one-step operators, consistency checks.
+"""qKZ operators as factor strings, and the solving checks as records.
 
 A chain is N sites, each a spin-m module V or its dual V*, with spectral
 parameters eta_i and a multiplicative shift p.  The one-step operator for
@@ -6,42 +6,47 @@ site i is a product of two-site Rcheck factors, the cyclic left shift and
 the site twist embedded at slot 0; it also has a rewritten form with R
 factors only, and both must agree.
 
-The one-step operators, the reduction composite (`reduction.rhs_operator`)
-and exchange transport are factor strings: lists of steps in application
+The one-step operators, the reduction composite (`reduction`) and
+exchange transport are factor strings: lists of steps in application
 order, ("Rcheck" | "R", (i, j), (kind1, z1, kind2, z2)) for a two-site
-factor on sites (i, j), ("delta", slot, site) for a site twist and
-("perm", sigma, None) for a site permutation.  `apply_factors` applies a
-string; `rcheck_factors` requests all of its two-site factors in one
-solve_intertwiner call, the only one in this module and in `reduction`.
-`factor_requests` is its request half: it gives the requests that a
-string's factors make without solving them, so a check group can solve
-the factors of all its checks in one call first (`cli`).  Each check that
-solves R-operators has a requests function of the same arguments
-(`ddr_requests`, `lambda_forms_requests`, `compatibility_requests`)
-built from the same string builders as the check.
+factor on sites (i, j), ("delta", slot, site) for the twist of `site` at
+`slot` and ("perm", sigma, None) for a site permutation.
 
-Every operator is applied to a start block of columns, the identity by
-default (which gives the dense matrix).  The checks apply both sides of
-an identity A = B to the same seeded complex Gaussian probe block X of
-PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X|| estimates
-the relative Frobenius residual without forming A or B.
+Every check that solves R-operators is a record built from data.  A
+`StringCheck` names its sides, each a factor string and the route that
+applies it (`apply_factors`; `einsum`, whose tensor contractions share
+no code with it; or `dense`, the two-site matrix product in written
+order), and the pairs of sides that must agree.  A `FactorCheck`
+declares the two-site factors that its own arithmetic reads.  Either
+derives its requests from exactly the data it applies, and
+`run_records` solves the requests of all its records in one call before
+it evaluates them, so no request list can drift from its check.  A
+`cli` check group runs all its records at once; the public check
+function (`solving_check`) runs one.  `rcheck_factors` and `run_records`
+are the only solve_intertwiner calls of `qkz`, `reduction` and `idsuite`.
+
+Each side is applied to the seeded complex Gaussian probe block X of
+PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
+estimates the relative Frobenius residual without forming A or B.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce, wraps
 from math import prod
 
 import numpy as np
 
 from .context import QContext
-from .errors import ConfigError
-from .report import VerificationReport
+from .errors import ConfigError, QkzError
+from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, sl2_constants, twist
-from .rsolve import make_request, rcheck_resonant, solve_intertwiner
-from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul,
-                        permuted_matmul, relative_residual, site_matmul, swap_outputs)
+from .rsolve import RCache, make_request, rcheck_resonant, solve_intertwiner
+from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul, permuted_matmul,
+                        relative_residual, site_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
+E2E_TOLERANCE = 1e-8  # the end-to-end gate of a check with an extraction map
 
 
 def _complex_gaussian(rng, shape) -> np.ndarray:
@@ -138,6 +143,22 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
+@dataclass(frozen=True)
+class Sites:
+    """n sites of spin m and no twists, for the checks that need no qKZ chain: what
+    the factor functions read of a ChainSpec (m, grading, ctx, normalization, dims)."""
+
+    m: int
+    grading: GradingChoice
+    ctx: QContext
+    normalization: str = "hw"
+    n: int = 2
+
+    @property
+    def dims(self) -> tuple:
+        return (self.m + 1,) * self.n
+
+
 def _requests(chain, infos) -> list:
     """The request of each factor (kind1, z1, kind2, z2) in infos, or None for
     the removable (V,V) resonance z1 = q^delta z2 of the kappa-normalized
@@ -150,28 +171,24 @@ def _requests(chain, infos) -> list:
             for k1, z1, k2, z2 in infos]
 
 
-def factor_requests(chain, infos) -> list:
-    """The requests that rcheck_factors passes to solve_intertwiner for the
-    factors in infos, in order: the resonant ones make none."""
-    return [req for req in _requests(chain, infos) if req is not None]
-
-
 def _two_site(*strings) -> list:
     """The two-site factors (kind1, z1, kind2, z2) of the factor strings, in order."""
     return [info for steps in strings for tag, _, info in steps if tag in ("R", "Rcheck")]
 
 
 def string_requests(chain, *strings) -> list:
-    """The requests of the two-site factors of the factor strings, in order."""
-    return factor_requests(chain, _two_site(*strings))
+    """The requests of rcheck_factors for the two-site factors of the strings,
+    each distinct factor once, in order of first use."""
+    infos = dict.fromkeys(_two_site(*strings))
+    return [req for req in _requests(chain, infos) if req is not None]
 
 
 def rcheck_factors(chain, infos, cache=None, check_invertible=True) -> list:
     """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, the solved
-    ones requested in one solve_intertwiner call (those of factor_requests); the
-    removable (V,V) resonance z1 = q^delta z2 of the kappa-normalized family
-    takes its closed form and is not requested.  `chain` supplies m,
-    grading, ctx and normalization (a ChainSpec or a reduction case).  With
+    ones requested in one solve_intertwiner call; the removable (V,V)
+    resonance z1 = q^delta z2 of the kappa-normalized family takes its
+    closed form and is not requested.  `chain` supplies m, grading, ctx and
+    normalization (a ChainSpec, a reduction case or Sites).  With
     check_invertible=False a singular factor is returned, not refused."""
     reqs = _requests(chain, infos)
     wanted = [req for req in reqs if req is not None]
@@ -180,26 +197,167 @@ def rcheck_factors(chain, infos, cache=None, check_invertible=True) -> list:
             else next(solved).Rcheck for req in reqs]
 
 
-def apply_factors(chain: ChainSpec, steps, cache=None, block=None,
-                  check_invertible=True) -> np.ndarray:
+def apply_factors(chain, steps, cache=None, block=None, check_invertible=True,
+                  einsum=False) -> np.ndarray:
     """A factor string (steps in application order, see the module docstring)
     applied to `block`, the identity (dense matrix) by default.  A two-site
     factor has its first tensor factor on site i and R = P Rcheck; all of
-    them are requested in one call (rcheck_factors)."""
+    them are requested in one call (rcheck_factors).  With einsum=True (the
+    einsum route, which has no permutation step) each factor is contracted
+    into the block reshaped to (d, ..., d, k) by one `np.einsum`
+    (`_einsum_apply`), which shares no tensor code with the
+    `embedded_matmul`/`site_matmul` application and forms no D x D matrix."""
     dims, d = chain.dims, chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
     rchecks = iter(rcheck_factors(chain, _two_site(steps), cache, check_invertible))
     for tag, where, info in steps:
         if tag == "delta":
-            M = site_matmul(chain.delta_matrix(info), where, dims, M)
-        elif tag == "perm":
+            M = (_einsum_apply(chain.delta_matrix(info), (where,), dims, M) if einsum
+                 else site_matmul(chain.delta_matrix(info), where, dims, M))
+        elif tag == "perm" and not einsum:
             M = permuted_matmul(where, dims, M)
         elif tag in ("R", "Rcheck"):
             Rc = next(rchecks)
-            M = embedded_matmul(swap_outputs(Rc, d, d) if tag == "R" else Rc, *where, dims, M)
+            op = swap_outputs(Rc, d, d) if tag == "R" else Rc
+            M = (_einsum_apply(op, where, dims, M) if einsum
+                 else embedded_matmul(op, *where, dims, M))
         else:
             raise ConfigError(f"unknown factor tag {tag!r}")
     return M
+
+
+def _einsum_apply(op, sites, dims, M):
+    """Left-multiply M by the matrix `op` acting on `sites` (first factor on
+    sites[0]), through one einsum over the block reshaped to (dims..., k)."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    block = letters[:len(dims) + 1]
+    fresh = letters[len(dims) + 1:len(dims) + 1 + len(sites)]
+    out = list(block)
+    for s, f in zip(sites, fresh):
+        out[s] = f
+    spec = f"{fresh}{''.join(block[s] for s in sites)},{block}->{''.join(out)}"
+    T = op.reshape(tuple(dims[s] for s in sites) * 2)
+    return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
+
+
+def dense_factors(chain, steps, cache=None, check_invertible=True) -> np.ndarray:
+    """The matrix of a string of Rcheck factors on one site pair: the factors
+    requested and multiplied in written order (the reverse of application
+    order), the identity when the string is empty."""
+    mats = rcheck_factors(chain, _two_site(steps[::-1]), cache, check_invertible)
+    return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
+
+
+@dataclass(frozen=True)
+class Side:
+    """One operator of a string check: a factor string (a tuple of steps), the
+    route that applies it, and whether a singular solved factor is refused."""
+
+    steps: tuple
+    route: str = "apply_factors"
+    check_invertible: bool = True
+
+    def __post_init__(self):
+        if self.route not in ("apply_factors", "einsum", "dense"):
+            raise ConfigError(f"unknown route {self.route!r}")
+
+    def apply(self, chain, cache, block) -> np.ndarray:
+        """This side applied to `block` by its route (a dense side forms its matrix)."""
+        if self.route == "dense":
+            return dense_factors(chain, self.steps, cache, self.check_invertible)
+        return apply_factors(chain, self.steps, cache, block, self.check_invertible,
+                             einsum=self.route == "einsum")
+
+
+@dataclass(frozen=True)
+class StringCheck:
+    """A check that compares sides applied to one probe block.
+
+    The sides are applied in order, each reading its factors in one
+    rcheck_factors call, to probe_block(D, seed) cut to `columns` columns
+    (all by default; a dense side reads no probe).  The residual is the
+    worst of the (reference, other) side pairs; `pair_params` reports single
+    pair residuals (name -> pair index).  An `extract` map also compares
+    extract(side 1 column 0) with extract(side 0 column 0) (report.fold).
+    """
+
+    name: str
+    params: dict
+    tolerance: float
+    chain: object
+    sides: tuple
+    pairs: tuple = ((0, 1),)
+    seed: int = 0
+    columns: int = None
+    extract: object = None
+    pair_params: dict = field(default_factory=dict)
+
+    def requests(self) -> list:
+        """The requests of the two-site factors of every side, in order."""
+        return string_requests(self.chain, *(side.steps for side in self.sides))
+
+    def evaluate(self, cache=None) -> VerificationReport:
+        X = probe_block(prod(self.chain.dims), self.seed)[:, :self.columns]
+        ops = [side.apply(self.chain, cache, X) for side in self.sides]
+        resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
+        params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
+        resid = worst_of(resids)
+        if self.extract is not None:  # both residuals reported, folded on the operator scale
+            e2e = relative_residual(self.extract(ops[1][:, 0]), self.extract(ops[0][:, 0]))
+            params.update(operator_residual=float(resid), e2e_residual=float(e2e),
+                          e2e_tolerance=E2E_TOLERANCE)
+            resid = fold(resid, self.tolerance, e2e, E2E_TOLERANCE)
+        return VerificationReport.make(self.name, params, resid, self.tolerance)
+
+
+@dataclass(frozen=True)
+class FactorCheck:
+    """A check that reads two-site factors directly: `factors` lists (chain,
+    infos) entries, each info (kind1, z1, kind2, z2) read in the chain's
+    normalization, and measure(read) makes the report, where read() returns
+    the Rchecks of each entry (rcheck_factors, in order)."""
+
+    factors: tuple
+    measure: object
+    check_invertible: bool = False
+
+    def requests(self) -> list:
+        return [req for chain, infos in self.factors for req in _requests(chain, infos)
+                if req is not None]
+
+    def evaluate(self, cache=None) -> VerificationReport:
+        return self.measure(lambda: [rcheck_factors(chain, infos, cache, self.check_invertible)
+                                     for chain, infos in self.factors])
+
+
+def run_records(records, cache=None) -> list:
+    """Evaluate check records on one cache, in order, after one
+    solve_intertwiner call for the requests that all of them derive.
+
+    The call skips the invertibility check and leaves its QkzError
+    unraised.  A failing request is not stored, so the record that owns it
+    asks again and raises what it raises alone.  So each record reports
+    what it reports evaluated alone, and records that share module pairs
+    solve one stack per module pair and grading.
+    """
+    cache = RCache() if cache is None else cache
+    try:
+        solve_intertwiner([req for rec in records for req in rec.requests()], cache,
+                          check_invertible=False)
+    except QkzError:
+        pass
+    return [rec.evaluate(cache) for rec in records]
+
+
+def solving_check(build):
+    """The check of a record builder: it takes the builder's arguments and a
+    keyword `cache`, and runs the record on that cache (run_records).
+    `check.record` is the builder, for a check group that runs many records."""
+    @wraps(build)
+    def check(*args, cache=None, **kwargs):
+        return run_records([build(*args, **kwargs)], cache)[0]
+    check.record = build
+    return check
 
 
 def lambda_factor_specs(chain: ChainSpec, i: int):
@@ -223,164 +381,95 @@ def lambda_factor_specs(chain: ChainSpec, i: int):
     return steps
 
 
-def _rewritten_factors(chain: ChainSpec, i: int) -> list:
-    """The factors of lambda_rewritten in application order: R^{(k,i)}(eta_k|eta_i)
-    for k = i-1 .. 0, the twist of site i, then R^{(k,i)}(eta_k|p eta_i)
-    for k = N-1 .. i+1 (written order: the reverse)."""
+def rewritten_factors(chain: ChainSpec, i: int) -> list:
+    """The same operator from plain R factors and no permutation, for the
+    einsum route: R^{(k,i)}(eta_k|eta_i) for k = i-1 .. 0, the twist of
+    site i, then R^{(k,i)}(eta_k|p eta_i) for k = N-1 .. i+1 (application
+    order; written order is the reverse)."""
     kinds, etas = chain.kinds, chain.etas
     return ([("R", (k, i), (kinds[k], etas[k], kinds[i], etas[i])) for k in range(i - 1, -1, -1)]
-            + [("delta", (i,), None)]
+            + [("delta", i, i)]
             + [("R", (k, i), (kinds[k], etas[k], kinds[i], chain.p * etas[i]))
                for k in range(chain.N - 1, i, -1)])
 
 
-def lambda_rewritten(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
-    """The same operator assembled from plain R factors and no permutation,
-    applied to `block` (the identity by default).
-
-    Every factor, an R factor on its two sites or the twist on its site,
-    is contracted into the block reshaped to (d, ..., d, k) by one
-    `np.einsum` (`_einsum_apply`), an evaluation route that shares no
-    code with the `embedded_matmul`/`site_matmul` application of
-    `apply_factors` and forms no D x D matrix.
-    """
-    dims = chain.dims
-    d = chain.m + 1
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
-    factors = _rewritten_factors(chain, i)
-    rchecks = iter(rcheck_factors(chain, _two_site(factors), cache))
-    for tag, where, info in factors:
-        if tag == "delta":
-            M = _einsum_apply(chain.delta_matrix(where[0]), where, dims, M)
-        else:
-            M = _einsum_apply(swap_outputs(next(rchecks), d, d), where, dims, M)
-    return M
-
-
-def _einsum_apply(op, sites, dims, M):
-    """Left-multiply M by the matrix `op` acting on `sites` (first factor on
-    sites[0]), through one einsum over the block reshaped to (dims..., k)."""
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    block = letters[:len(dims) + 1]
-    fresh = letters[len(dims) + 1:len(dims) + 1 + len(sites)]
-    out = list(block)
-    for s, f in zip(sites, fresh):
-        out[s] = f
-    spec = f"{fresh}{''.join(block[s] for s in sites)},{block}->{''.join(out)}"
-    T = op.reshape(tuple(dims[s] for s in sites) * 2)
-    return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
-
-
-def lambda_op(chain: ChainSpec, i: int, cache=None, block=None) -> np.ndarray:
-    """One-step qKZ operator for site i applied to `block` (default: its dense matrix)."""
-    return apply_factors(chain, lambda_factor_specs(chain, i), cache, block)
-
-
-def lambda_forms_requests(chain: ChainSpec, i: int) -> list:
-    """The requests of lambda_forms_residual: both forms of Lambda_i."""
-    return string_requests(chain, lambda_factor_specs(chain, i), _rewritten_factors(chain, i))
-
-
-def lambda_forms_residual(chain: ChainSpec, i: int, cache=None) -> float:
-    """Relative residual between the two forms of Lambda_i on the probe block."""
-    X = probe_block(prod(chain.dims))
-    M = lambda_op(chain, i, cache, X)
-    return relative_residual(M, lambda_rewritten(chain, i, cache, X))
+@solving_check
+def lambda_forms(chain: ChainSpec, sites) -> StringCheck:
+    """Both forms of Lambda_i at each site i of `sites` agree on the probe block:
+    the factor list through apply_factors (reference) against the plain-R
+    form through the einsum route."""
+    sides = [side for i in sites for side in (Side(tuple(lambda_factor_specs(chain, i))),
+                                              Side(tuple(rewritten_factors(chain, i)), "einsum"))]
+    return StringCheck("lambda_forms", {"N": chain.N, "m": chain.m}, 1e-10, chain, tuple(sides),
+                       tuple((2 * k, 2 * k + 1) for k in range(len(sides) // 2)))
 
 
 def _cancels(step_a, step_b) -> bool:
     """Adjacent unitarity pair Rcheck_{A|B}(x|y) Rcheck_{B|A}(y|x) = id."""
-    ta, sa, ia = step_a
-    tb, sb, ib = step_b
+    (ta, sa, ia), (tb, sb, ib) = step_a, step_b
     if ta != "Rcheck" or tb != "Rcheck" or sa != sb:
         return False
-    k1a, z1a, k2a, z2a = ia
-    k1b, z1b, k2b, z2b = ib
-    same = (k1a == k2b and k2a == k1b
-            and abs(z1a - z2b) <= _ARG_TOL * max(1.0, abs(z1a))
+    (k1a, z1a, k2a, z2a), (k1b, z1b, k2b, z2b) = ia, ib
+    return (k1a == k2b and k2a == k1b and abs(z1a - z2b) <= _ARG_TOL * max(1.0, abs(z1a))
             and abs(z2a - z1b) <= _ARG_TOL * max(1.0, abs(z2a)))
-    return same
 
 
-def regularized_strings(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec, i_b: int) -> tuple:
-    """The factor strings (of Lambda_a, of Lambda_b) of lambda_product_regularized,
-    the junction pair cancelled when it is one."""
-    steps_a = lambda_factor_specs(chain_a, i_a)
-    steps_b = lambda_factor_specs(chain_b, i_b)
-    # application order steps_b + steps_a: the junction is b's last step and a's first
-    if _cancels(steps_a[0], steps_b[-1]):
-        return steps_a[1:], steps_b[:-1]
-    return steps_a, steps_b
-
-
-def lambda_product_regularized(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec,
-                               i_b: int, cache=None, block=None) -> np.ndarray:
-    """Product Lambda_a(chain_a) Lambda_b(chain_b) with the adjacent
-    mutually-inverse Rcheck pair at the junction cancelled exactly, applied
-    to `block` (default: the dense product).
+def regularized_product(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec, i_b: int) -> list:
+    """Factor string of Lambda_a(chain_a) Lambda_b(chain_b) (Lambda_b applied
+    first), with the adjacent mutually-inverse Rcheck pair at the junction
+    cancelled exactly when it is one.
 
     At the mirrored argument tuples of the reduction construction the two
     junction factors are mixed-kind operators at coincident arguments;
     individually they are singular (one direction is a pole of the
     normalized family), while their product is the identity by the
     unitarity relation.  Cancelling the pair evaluates the product of the
-    meromorphic factor strings at the removable point.
+    meromorphic factor strings at the removable point.  Both chains must
+    share m, grading, ctx, normalization and twists (apply_factors reads
+    those of one chain).
     """
-    steps_a, steps_b = regularized_strings(chain_a, i_a, chain_b, i_b)
-    return apply_factors(chain_a, steps_a, cache, apply_factors(chain_b, steps_b, cache, block))
+    steps_a = lambda_factor_specs(chain_a, i_a)
+    steps_b = lambda_factor_specs(chain_b, i_b)
+    # application order steps_b + steps_a: the junction is b's last step and a's first
+    if _cancels(steps_a[0], steps_b[-1]):
+        return steps_b[:-1] + steps_a[1:]
+    return steps_b + steps_a
 
 
-def _ddr_factor(chain: ChainSpec, j: int, k: int) -> tuple:
-    return chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k]
+@solving_check
+def check_ddr(chain: ChainSpec, j: int, k: int) -> FactorCheck:
+    """Commutation of the twist pair with the two-site R operator between sites j and k."""
+    def measure(read):
+        dj = chain.delta_matrix(j)
+        dk = chain.delta_matrix(k)
+        (Rc,), = read()
+        d = chain.m + 1
+        resid = commutant_residual(dj, dk, swap_outputs(Rc, d, d))
+        return VerificationReport.make(
+            "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
+                    "source": [chain.deltas[j].source, chain.deltas[k].source]},
+            resid, 1e-11)
+    info = (chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k])
+    return FactorCheck(((chain, [info]),), measure, check_invertible=True)
 
 
-def ddr_requests(chain: ChainSpec, j: int, k: int) -> list:
-    """The request of check_ddr: R between sites j and k."""
-    return factor_requests(chain, [_ddr_factor(chain, j, k)])
-
-
-def check_ddr(chain: ChainSpec, j: int, k: int, cache=None) -> VerificationReport:
-    """Commutation of the twist pair with the two-site R operator."""
-    dj = chain.delta_matrix(j)
-    dk = chain.delta_matrix(k)
-    Rc, = rcheck_factors(chain, [_ddr_factor(chain, j, k)], cache)
-    d = chain.m + 1
-    resid = commutant_residual(dj, dk, swap_outputs(Rc, d, d))
-    return VerificationReport.make(
-        "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
-                "source": [chain.deltas[j].source, chain.deltas[k].source]},
-        resid, 1e-11)
-
-
-def _compatibility_sides(chain: ChainSpec, i: int, j: int) -> list:
-    """The one-step operators (chain, site) of each side of check_qkz_compatibility,
-    in application order: Lj then Li on the chain with eta_j -> p eta_j, and
-    Li then Lj on the chain with eta_i -> p eta_i."""
-    return [[(chain, b), (chain.with_eta(b, chain.p * chain.etas[b]), a)]
-            for a, b in ((i, j), (j, i))]
-
-
-def compatibility_requests(chain: ChainSpec, i: int, j: int) -> list:
-    """The requests of check_qkz_compatibility: its four one-step operators."""
-    return string_requests(chain, *(lambda_factor_specs(c, site)
-                                    for side in _compatibility_sides(chain, i, j)
-                                    for c, site in side))
-
-
-def check_qkz_compatibility(chain: ChainSpec, i: int, j: int, cache=None) -> VerificationReport:
-    """Residual of Lambda_i(eta_j -> p eta_j) Lambda_j - Lambda_j(eta_i -> p eta_i) Lambda_i
-    on the probe block X: Li_shift(Lj X) against Lj_shift(Li X)."""
-    X = probe_block(prod(chain.dims))
-    left, right = (lambda_op(c2, s2, cache, lambda_op(c1, s1, cache, X))
-                   for (c1, s1), (c2, s2) in _compatibility_sides(chain, i, j))
-    return VerificationReport.make(
-        "qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m},
-        relative_residual(left, right), 1e-9)
+@solving_check
+def check_qkz_compatibility(chain: ChainSpec, i: int, j: int) -> StringCheck:
+    """Lambda_i(eta_j -> p eta_j) Lambda_j = Lambda_j(eta_i -> p eta_i) Lambda_i
+    on the probe block: Lj then Li on the chain with eta_j shifted (reference)
+    against Li then Lj on the chain with eta_i shifted."""
+    sides = tuple(Side(tuple(lambda_factor_specs(chain, b)
+                             + lambda_factor_specs(chain.with_eta(b, chain.p * chain.etas[b]), a)))
+                  for a, b in ((i, j), (j, i)))
+    return StringCheck("qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m},
+                       1e-9, chain, sides)
 
 
 def transport_steps(chain: ChainSpec, word) -> tuple:
-    """The factor string of transport_phi along the word, one Rcheck step per
-    letter, and the order it ends in (order[k]: the original site now at k)."""
+    """The factor string of the exchange recurrence along a word of adjacent
+    transpositions, one Rcheck step per letter, and the order it ends in
+    (order[k]: the original site now at position k); the transported tensor
+    does not depend on the word for a fixed final permutation."""
     order = list(range(chain.N))
     steps = []
     for k in word:
@@ -390,17 +479,4 @@ def transport_steps(chain: ChainSpec, word) -> tuple:
         steps.append(("Rcheck", (k, k + 1),
                       (chain.kinds[a], chain.etas[a], chain.kinds[b], chain.etas[b])))
         order[k], order[k + 1] = order[k + 1], order[k]
-    return steps, order
-
-
-def transport_phi(chain: ChainSpec, tensor: np.ndarray, word, cache=None):
-    """Apply the exchange recurrence along a word of adjacent transpositions,
-    one Rcheck step per letter (apply_factors).
-
-    Returns (tensor, order) where order[k] is the original site now at
-    position k; the result is independent of the chosen word for a fixed
-    final permutation.
-    """
-    steps, order = transport_steps(chain, word)
-    vec = apply_factors(chain, steps, cache, np.asarray(tensor, dtype=complex).reshape(-1, 1))
-    return vec.reshape(chain.dims), order
+    return tuple(steps), order

@@ -36,13 +36,12 @@ products and the gauge scatter, then the intertwining residual.  A call
 raises the error of its first failing request, the one that request
 raises alone.  At the suite's sizes a call costs mostly its fixed part
 (about 0.4 ms for one kappa request at m = 3, against about 0.07 ms for
-each further request of the same stack), so each check group of `cli`
-passes the requests of all its checks in one call before any check runs
-(`suite --m 3`: 32 stacks instead of 82), and the checks then read every
-factor from the cache.  A stack forms each request's Rcheck elementwise,
-and a kappa scan is elementwise numpy arithmetic, so each of its rows
-keeps the bits of a one-row scan: a result does not depend on the call
-that solved it.
+each further request of the same stack), so `qkz.run_records` passes the
+requests that a check group's records derive in one call before any of
+them is evaluated (`suite --m 3`: 32 stacks instead of 82).  A stack
+forms each request's Rcheck elementwise, and a kappa scan is elementwise
+numpy arithmetic, so each of its rows keeps the bits of a one-row scan:
+a result does not depend on the call that solved it.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -555,15 +554,9 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
     first failing request, the one that request raises alone; the requests
     before it are stored, those after it are not.  Without a cache the
     call goes through a fresh RCache, so nothing carries over between
-    uncached calls.
-
-    A check group of `cli` first passes the requests of all its checks in
-    one call, without the invertibility check and leaving its error
-    unraised, and then runs the checks on that cache: each check's own call
-    hits, a request that failed was not stored and fails again in the call
-    of the check that owns it, and the requests after it are solved there
-    as well.  Since a result does not depend on the call that solved it,
-    the reports are those of the checks run alone.
+    uncached calls.  Since a result does not depend on the call that solved
+    it, a record run after such a call (qkz.run_records) reports what it
+    reports alone.
     """
     if cache is None:
         cache = RCache()

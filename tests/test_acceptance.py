@@ -12,8 +12,8 @@ from qkzkit import idsuite
 from qkzkit.cli import main
 from qkzkit.context import QContext
 from qkzkit.errors import DegeneratePointError
-from qkzkit.qkz import ChainSpec, DeltaAssignment, check_ddr, check_qkz_compatibility, \
-    lambda_forms_residual
+from factor_ops import lambda_forms_residual
+from qkzkit.qkz import ChainSpec, DeltaAssignment, check_ddr, check_qkz_compatibility
 from qkzkit.reduction import (ReductionCase, check_rpr, insertion_invariance_check,
                               theorem_check_general, theorem_check_selfdual)
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, antipode_dual,

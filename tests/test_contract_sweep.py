@@ -256,13 +256,18 @@ def test_verify_ends_in_a_report_or_a_configuration_error(argv, monkeypatch, cap
 
 
 # far inside the q-disk: arithmetic that overflows, divides by zero or meets a
-# singular matrix ends its group as a numerical failure, or the run as a
+# singular matrix ends its group as a numerical failure (a configuration
+# error raised inside a group too), or a run outside the groups as a
 # configuration error, never in a traceback or a numpy warning
 TINY_Q_LINES = (
     (["suite", "--m", "1", "--q", "1e-26"], 1),  # singular crossing matrix
     (["suite", "--m", "2", "--q", "1e-26"], 1),  # overflowing commutant basis
     (["suite", "--m", "1", "--q", "1e-33"], 1),  # 0.0 to a negative power
     (["suite", "--m", "1", "--q", "1e-40"], 1),  # overflowing complex power
+    # an overflowing operator is a configuration error raised inside a group:
+    # that group's failure, not the end of the run
+    (["suite", "--m", "3", "--q", "1e-30"], 1),
+    (["suite", "--m", "1", "--q", "1e-200"], 1),
     (["verify", "reps", "--q", "1e-200"], 1),
     (["verify", "scalars", "--q", "1e-200"], 1),
     (["rmat", "--q", "1e-300"], 2),

@@ -3,22 +3,23 @@ the checks that compare them on a probe block, of the braid check and of
 the crossing check."""
 
 import dataclasses
+import os
 from math import prod
 
 import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from factor_ops import (lambda_forms_residual, lambda_op, lambda_product_regularized,
+                        lambda_rewritten, rhs_operator, transport_phi)
 from qkzkit import cli, idsuite, qkz
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, apply_factors, check_qkz_compatibility,
-                        lambda_factor_specs, lambda_forms_residual, lambda_op,
-                        lambda_product_regularized, lambda_rewritten, probe_block,
-                        probe_vector, transport_phi)
+                        lambda_factor_specs, probe_block, probe_vector)
 from qkzkit.reps import GradingChoice
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
-                              mirrored_args, rhs_operator, scaling_covariance_residual,
+                              mirrored_args, scaling_covariance_residual,
                               theorem_check_general, theorem_check_selfdual)
-from qkzkit.rsolve import r_matrix
+from qkzkit.rsolve import RCache, r_matrix
 from qkzkit.tensorops import embed_pair, permutation_op
 
 BLOCK_TOL = 1e-13
@@ -191,14 +192,14 @@ class TestOneSolvePerString:
         transport_phi(chain, probe_block(16)[:, 0], [0, 2, 1, 0], cache)
         assert len(solves) == 1
 
-    def test_regularized_product_has_one_call_per_chain(self, solves, ctx, grading, cache):
+    def test_regularized_product_is_one_string(self, solves, ctx, grading, cache):
         chain = mixed_chain(ctx, grading, ("V", "V*"), 1, np.random.default_rng(85))
         lambda_product_regularized(chain, 1, chain, 0, cache)
-        assert len(solves) == 2
+        assert len(solves) == 1
         case = ReductionCase("general", 2, 1, grading, ctx)
         chain_a, chain_b = mirrored_product_chains(case, zetas_for(2, 84))
         lambda_product_regularized(chain_a, 2, chain_b, 1, cache)
-        assert len(solves) == 4
+        assert len(solves) == 2
 
 
 # --- failability: a 1e-6 defect in one factor on one side must fail the check ---
@@ -227,9 +228,9 @@ def plant_defect(monkeypatch, module, name, pick):
     monkeypatch.setattr(module, name, defective)
 
 
-def nth_call(c):
-    """The first factor of call c."""
-    return lambda call, args, k: (call, k) == (c, 0)
+def nth_call(c, place=0):
+    """The factor at `place` of call c (its first by default)."""
+    return lambda call, args, k: (call, k) == (c, place)
 
 
 def zetas_for(n, seed):
@@ -240,24 +241,25 @@ def zetas_for(n, seed):
 class TestFailability:
     """Each probe check passes as is and fails under one planted defect (n <= 2, m = 1).
 
-    Every factor is requested through qkz.rcheck_factors; theorem_selfdual
-    calls it for the composite (call 1, no factor at n = 1), the resonant
-    lead factor (2), the rewritten form of Lambda_n (3) and its factor-list
-    form (4); theorem_general for the composite (1), then Lambda_n (2) and
-    Lambda_{n+1} (3) of the product."""
+    Every factor is read through qkz.rcheck_factors, one call per side of
+    a record; theorem_selfdual calls it for the composite followed by the
+    resonant lead factor (call 1: the composite's two R factors at n = 2,
+    none at n = 1, then the lead), the rewritten form of Lambda_n (2) and
+    its factor-list form (3); theorem_general for the composite (1), then
+    the product Lambda_{n+1} Lambda_n (2)."""
 
-    @pytest.mark.parametrize("n,call", [
-        pytest.param(1, 2, id="lead-n1"),          # the resonant factor of the left side
-        pytest.param(2, 2, id="lead-n2"),
-        pytest.param(2, 1, id="composite"),        # one R factor of the composite
-        pytest.param(2, 3, id="lambda-rewritten"),  # one factor of the one-step operator
-        pytest.param(2, 4, id="lambda-factor-list"),
+    @pytest.mark.parametrize("n,call,place", [
+        pytest.param(1, 1, 0, id="lead-n1"),       # the resonant factor of the composite side
+        pytest.param(2, 1, 2, id="lead-n2"),
+        pytest.param(2, 1, 0, id="composite"),     # one R factor of the composite
+        pytest.param(2, 2, 0, id="lambda-rewritten"),  # one factor of the one-step operator
+        pytest.param(2, 3, 0, id="lambda-factor-list"),
     ])
-    def test_theorem_selfdual(self, n, call, monkeypatch, ctx, grading, cache):
+    def test_theorem_selfdual(self, n, call, place, monkeypatch, ctx, grading, cache):
         case = ReductionCase("self_dual", n, 1, grading, ctx)
         zetas = zetas_for(n, 95)
         assert theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
-        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call))
+        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call, place))
         assert not theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
 
     @pytest.mark.parametrize("call", [pytest.param(1, id="composite"),
@@ -345,3 +347,54 @@ class TestIdentityFailability:
         monkeypatch.setattr(idsuite, "operator_o",
                             lambda *args: O_DEFECTS[defect](operator_o(*args)))
         assert idsuite.check_crossing(m, samples, g, ctx, cache=cache).residual > 0.1
+
+
+def one_sided_defect(rec):
+    """The string record with the second spectral argument of the first solved
+    two-site step of the reference side of its first pair scaled by 1 + EPS,
+    or of the other side of the pair when the reference side solves nothing
+    (it is the identity in unitarity and the initial condition); None when
+    neither side solves a factor."""
+    for k in rec.pairs[0]:
+        steps = list(rec.sides[k].steps)
+        for j, (tag, where, info) in enumerate(steps):
+            if tag in ("R", "Rcheck") and qkz.string_requests(rec.chain, [steps[j]]):
+                k1, z1, k2, z2 = info
+                steps[j] = (tag, where, (k1, z1, k2, z2 * (1 + EPS)))
+                sides = list(rec.sides)
+                sides[k] = dataclasses.replace(rec.sides[k], steps=tuple(steps))
+                return dataclasses.replace(rec, sides=tuple(sides))
+    return None
+
+
+class TestOneSidedDefect:
+    """Every string record of `suite --m 2 --seed 7` fails when one spectral
+    argument of one side is shifted (the records' own data, mutated; the
+    runner derives the requests from the mutated strings)."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        built = []
+        run_records = qkz.run_records
+
+        def keep(records, cache=None):
+            built.extend(records)
+            return run_records(records, cache)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qkz, "run_records", keep)
+            assert cli.main(["suite", "--m", "2", "--seed", "7", "--out", os.devnull]) == 0
+        return [rec for rec in built if isinstance(rec, qkz.StringCheck)]
+
+    def test_every_string_record_fails(self, records):
+        assert len(records) == 29
+        places = {id(rec): one_sided_defect(rec) for rec in records}
+        # at n = 1 both theorem records solve no factor: the self-dual one reads
+        # only the closed-form resonance, the general one is P Delta* P Delta
+        assert sorted((rec.name, rec.params["n"]) for rec in records
+                      if places[id(rec)] is None) == [("theorem_general", 1),
+                                                      ("theorem_selfdual", 1)]
+        for rec in records:
+            mutated = places[id(rec)]
+            if mutated is not None:
+                assert qkz.run_records([rec], RCache())[0].passed, rec.name
+                assert not qkz.run_records([mutated], RCache())[0].passed, rec.name

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from factor_ops import lambda_forms_residual, lambda_op, lambda_product_regularized, transport_phi
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, build_delta, check_ddr,
-                        check_qkz_compatibility, lambda_factor_specs,
-                        lambda_forms_residual, lambda_op,
-                        lambda_product_regularized, transport_phi)
+                        check_qkz_compatibility, lambda_factor_specs)
 from qkzkit.reps import GradingChoice, operator_o, operator_x
 from qkzkit.rsolve import r_matrix
 from qkzkit.tensorops import cyclic_left_shift, permutation_op

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
+from factor_ops import lambda_op, rhs_operator
 from qkzkit import rsolve
 from qkzkit.errors import ConfigError
-from qkzkit.qkz import lambda_op
 from qkzkit.reduction import (ReductionCase, chain_for, check_rpr,
                               insertion_invariance_check, mirrored_args,
-                              psi_extract, rhs_operator,
+                              psi_extract,
                               scaling_covariance_residual, theorem_check_general,
                               theorem_check_selfdual)
 from qkzkit.reps import operator_xtilde

@@ -30,7 +30,10 @@ def test_fold_gates_each_residual_at_its_own_tolerance():
 
 
 def test_with_tolerance_holds_both_residuals():
-    report = reduction._combined_report("theorem_selfdual", {"n": 2}, 1e-17, 2e-16)
+    # a report of a check with an extraction map (qkz.StringCheck.evaluate)
+    params = {"n": 2, "operator_residual": 1e-17, "e2e_residual": 2e-16, "e2e_tolerance": 1e-8}
+    report = VerificationReport.make("theorem_selfdual", params, fold(1e-17, 1e-9, 2e-16, 1e-8),
+                                     1e-9)
     assert report.passed and report.params["e2e_tolerance"] == 1e-8
     tight = report.with_tolerance(1e-16)
     assert (tight.residual, tight.tolerance, tight.passed) == (2e-16, 1e-16, False)
@@ -128,18 +131,20 @@ SITES = {
                  "rep_hopf_axiom"),
     "reps.hopf_antipode_residual": (cli, "antipode_dual", _nan_e1, _group("reps"),
                                     "rep_hopf_axiom"),
-    # the sample folds of the ybe and crossing groups, now in idsuite
-    "cli.ybe": (idsuite, "_ybe_residual", _nan_on_call(2), _group("ybe"), "ybe"),
+    # the sample folds of the ybe and crossing groups: a string check folds its
+    # pair residuals (qkz.StringCheck), crossing its samples (idsuite)
+    "cli.ybe": (qkz, "relative_residual", _nan_on_call(2), _group("ybe"), "ybe"),
     "cli.crossing": (idsuite, "_crossing_sample", _nan_on_call(2), _group("crossing"),
                      "crossing"),
-    "cli.lambda_forms": (qkz, "lambda_forms_residual", _nan_on_call(2), _group("qkz"),
+    "cli.lambda_forms": (qkz, "relative_residual", _nan_on_call(2), _group("qkz"),
                          "lambda_forms"),
     "idsuite.conjugation": (idsuite, "antipode_dual", _nan_e1, _group("dualities"),
                             "self_dual"),
     "idsuite.crossing": (idsuite, "scalar_ratio", _nan_on_call(2), _crossing, "crossing"),
     "reduction.combined_report": (reduction, "psi_extract", _nan_on_call(2),
                                   _theorem("general"), "theorem_general"),
-    "reduction.forms_residual": (reduction, "lambda_op", _nan_on_call(1),
+    # the second pair of the self-dual record compares the two forms of Lambda_n
+    "reduction.forms_residual": (qkz, "relative_residual", _nan_on_call(2),
                                  _theorem("self_dual"), "theorem_selfdual"),
 }
 

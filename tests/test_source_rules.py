@@ -12,9 +12,13 @@ raises instead.  The R solver gets its coefficients from component ratios;
 its one SVD is the gap test of the highest-weight kernels in
 `_chain_kernels`, so a normwise nullvector solve cannot come back beside it.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
-factor string: only `rcheck_factors` requests factors (solve_intertwiner,
-with the resonant closed form) and only `apply_factors` applies a string
-(the one use of permuted_matmul), so no second factor loop can come back.
+factor string, and only `apply_factors` applies a string (the one use of
+permuted_matmul), so no second factor loop can come back.  In `qkz`,
+`reduction`, `idsuite` and `cli` only `rcheck_factors` (with the resonant
+closed form) and the record runner `run_records` request R-operators
+(solve_intertwiner or r_matrix), so no check can keep a request list beside
+the factor data it applies; `cli` keeps two single requests by design, the
+degenerate-point probe and the `rmat` dump.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
 take their residuals from `tensorops.relative_residual` and call no norm
 of their own, so no second residual rule (a 0/0 guard among them) can come
@@ -154,16 +158,27 @@ def test_rsolve_svd_only_in_chain_kernels():
 
 
 FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
+REQUEST_SOURCES = [p for p in SOURCES
+                   if p.name in ("qkz.py", "reduction.py", "idsuite.py", "cli.py")]
+REQUEST_NAMES = ("solve_intertwiner", "r_matrix")
+# the functions that may request R-operators, by module and name: the record
+# runner and the factor reader; in cli the degenerate-point group, which probes
+# single lattice points by design, and the rmat dump of one operator
+REQUEST_CALLERS = {
+    ("qkz.py", "solve_intertwiner"): ("rcheck_factors", "run_records"),
+    ("cli.py", "r_matrix"): ("_chk_degenerate_detection", "cmd_rmat"),
+}
 
 
 def test_factor_string_sources_found():
-    assert len(FACTOR_STRING_SOURCES) == 2
+    assert len(FACTOR_STRING_SOURCES) == 2 and len(REQUEST_SOURCES) == 4
 
 
-@pytest.mark.parametrize("path", FACTOR_STRING_SOURCES, ids=lambda p: p.name)
-def test_factors_requested_only_in_rcheck_factors(path):
+@pytest.mark.parametrize("name", REQUEST_NAMES)
+@pytest.mark.parametrize("path", REQUEST_SOURCES, ids=lambda p: p.name)
+def test_factors_requested_only_in_rcheck_factors(path, name):
     tree = ast.parse(path.read_text())
-    assert calls_outside(tree, "solve_intertwiner", ("rcheck_factors",)) == []
+    assert calls_outside(tree, name, REQUEST_CALLERS.get((path.name, name), ())) == []
 
 
 @pytest.mark.parametrize("path", FACTOR_STRING_SOURCES, ids=lambda p: p.name)
@@ -308,6 +323,36 @@ def test_svd_rule_fires_on_planted_code(source, outside):
 def test_request_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
     assert len(calls_outside(tree, "solve_intertwiner", ("rcheck_factors",))) == outside
+
+
+@pytest.mark.parametrize("module, name, source, outside", [
+    # a check of idsuite that solves its own factors, beside its record
+    ("idsuite.py", "solve_intertwiner", "from .rsolve import make_request, solve_intertwiner\n"
+     "def check_ybe(m, kinds, samples, cache):\n"
+     "    return solve_intertwiner(reqs, cache, check_invertible=False)\n", 2),
+    ("idsuite.py", "r_matrix", "from .rsolve import r_matrix\n"
+     "def check_initial_condition(m, kind, zeta, cache):\n"
+     "    return r_matrix(kind, zeta, kind, zeta, m, g, ctx, cache=cache)\n", 2),
+    ("idsuite.py", "solve_intertwiner", "from .qkz import run_records\n"
+     "def _pair(m):\n    return run_records([rec])\n", 0),
+    # a group runner of cli's own, beside qkz.run_records
+    ("cli.py", "solve_intertwiner", "from .rsolve import RCache, solve_intertwiner\n"
+     "def _run_records(records, cache):\n    solve_intertwiner(reqs, cache)\n", 2),
+    ("cli.py", "r_matrix", "from .rsolve import RCache, r_matrix\n"
+     "def _chk_degenerate_detection(config, ctx, g, cache):\n"
+     "    return r_matrix('V', z, 'V', 1.0, 1, g, ctx, cache=cache)\n"
+     "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n", 0),
+    ("cli.py", "r_matrix", "from .rsolve import r_matrix\n"
+     "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n"
+     "def _chk_unitarity(config, ctx, g, cache):\n"
+     "    return r_matrix('V', z1, 'V', z2, 1, g, ctx, cache=cache)\n", 1),
+    ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
+     "def run_records(records, cache):\n    solve_intertwiner(reqs, cache)\n"
+     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n", 0),
+])
+def test_request_rule_fires_on_planted_code_by_module(module, name, source, outside):
+    allowed = REQUEST_CALLERS.get((module, name), ())
+    assert len(calls_outside(ast.parse(source), name, allowed)) == outside
 
 
 APPLIER = ("from .tensorops import permuted_matmul\n"

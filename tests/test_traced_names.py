@@ -24,15 +24,16 @@ def test_traced_name_exists(name):
     assert callable(obj)
 
 
-def _benchmark_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _benchmark_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _benchmark_workloads()
+WORKLOADS = _benchmark_module("workloads")
+GATE = _benchmark_module("gate")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.SUITE_ARGS))
@@ -61,3 +62,13 @@ def test_one_call_of_n_requests_makes_n_cache_gets(monkeypatch):
     monkeypatch.setattr(RCache, "get", lambda cache, key: gets.append(key) or get(cache, key))
     assert len(solve_intertwiner(reqs, RCache())) == len(reqs)
     assert len(gets) == len(reqs) == 21
+
+
+def test_reduction_workload_passes_its_gate():
+    # reduction_chains calls the theorem-group checks of `reduction` directly,
+    # so a change of their signatures or reports would otherwise show only
+    # in the benchmark
+    reports = WORKLOADS.run_chains(WORKLOADS.chain_inputs(1), 1)
+    assert len(reports) == 21 and all(r.passed for r in reports)
+    got = {GATE.identity(cli.report_payload(r), 1) for r in reports}
+    assert got == set(GATE.load_reference("reduction_chains"))
