@@ -18,12 +18,11 @@ applies it (`apply_factors`; `einsum`, whose tensor contractions share
 no code with it; or `dense`, the two-site matrix product in written
 order), and the pairs of sides that must agree.  A `FactorCheck`
 declares the two-site factors that its own arithmetic reads.  Either
-derives its requests from exactly the data it applies, and
-`run_records` solves the requests of all its records in one call before
-it evaluates them, so no request list can drift from its check.  A
-`cli` check group runs all its records at once; the public check
-function (`solving_check`) runs one.  `rcheck_factors` and `run_records`
-are the only solve_intertwiner calls of `qkz`, `reduction` and `idsuite`.
+states once what it reads (`reads`); `run_records`, the only solver call
+of `qkz`, `reduction` and `idsuite`, solves them for all its records in
+one call, and each record reads its factors from the results
+(`rcheck_factors`).  A `cli` check group runs all its records at once;
+the public check function (`solving_check`) runs one.
 
 Each side is applied to the seeded complex Gaussian probe block X of
 PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
@@ -37,10 +36,10 @@ from math import prod
 import numpy as np
 
 from .context import QContext
-from .errors import ConfigError, QkzError
+from .errors import ConfigError
 from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, sl2_constants, twist
-from .rsolve import RCache, make_request, rcheck_resonant, solve_intertwiner
+from .rsolve import make_request, rcheck_resonant, read_result, solve_requests
 from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul, permuted_matmul,
                         relative_residual, site_matmul, swap_outputs)
 
@@ -171,45 +170,38 @@ def _requests(chain, infos) -> list:
             for k1, z1, k2, z2 in infos]
 
 
-def _two_site(*strings) -> list:
-    """The two-site factors (kind1, z1, kind2, z2) of the factor strings, in order."""
-    return [info for steps in strings for tag, _, info in steps if tag in ("R", "Rcheck")]
+def _two_site(steps) -> list:
+    """The two-site factors (kind1, z1, kind2, z2) of a factor string, in order."""
+    return [info for tag, _, info in steps if tag in ("R", "Rcheck")]
 
 
-def string_requests(chain, *strings) -> list:
-    """The requests of rcheck_factors for the two-site factors of the strings,
-    each distinct factor once, in order of first use."""
-    infos = dict.fromkeys(_two_site(*strings))
-    return [req for req in _requests(chain, infos) if req is not None]
-
-
-def rcheck_factors(chain, infos, cache=None, check_invertible=True) -> list:
-    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, the solved
-    ones requested in one solve_intertwiner call; the removable (V,V)
-    resonance z1 = q^delta z2 of the kappa-normalized family takes its
-    closed form and is not requested.  `chain` supplies m, grading, ctx and
-    normalization (a ChainSpec, a reduction case or Sites).  With
-    check_invertible=False a singular factor is returned, not refused."""
+def rcheck_factors(chain, infos, solved, check_invertible=True) -> list:
+    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos: its result
+    in `solved` (request -> result, run_records) read by rsolve.read_result,
+    or the closed form at the removable (V,V) resonance z1 = q^delta z2 of
+    the kappa-normalized family, which is not requested.  `chain` supplies
+    m, grading, ctx and normalization (a ChainSpec, a reduction case or
+    Sites).  With check_invertible=False a singular factor is returned."""
     reqs = _requests(chain, infos)
-    wanted = [req for req in reqs if req is not None]
-    solved = iter(solve_intertwiner(wanted, cache, check_invertible) if wanted else [])
-    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if req is None
-            else next(solved).Rcheck for req in reqs]
+    read = iter([read_result(solved[req], check_invertible).Rcheck
+                 for req in reqs if req is not None])
+    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if req is None else next(read)
+            for req in reqs]
 
 
-def apply_factors(chain, steps, cache=None, block=None, check_invertible=True,
+def apply_factors(chain, steps, solved, block=None, check_invertible=True,
                   einsum=False) -> np.ndarray:
     """A factor string (steps in application order, see the module docstring)
     applied to `block`, the identity (dense matrix) by default.  A two-site
     factor has its first tensor factor on site i and R = P Rcheck; all of
-    them are requested in one call (rcheck_factors).  With einsum=True (the
+    them are read from `solved` (rcheck_factors).  With einsum=True (the
     einsum route, which has no permutation step) each factor is contracted
     into the block reshaped to (d, ..., d, k) by one `np.einsum`
     (`_einsum_apply`), which shares no tensor code with the
     `embedded_matmul`/`site_matmul` application and forms no D x D matrix."""
     dims, d = chain.dims, chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
-    rchecks = iter(rcheck_factors(chain, _two_site(steps), cache, check_invertible))
+    rchecks = iter(rcheck_factors(chain, _two_site(steps), solved, check_invertible))
     for tag, where, info in steps:
         if tag == "delta":
             M = (_einsum_apply(chain.delta_matrix(info), (where,), dims, M) if einsum
@@ -240,14 +232,6 @@ def _einsum_apply(op, sites, dims, M):
     return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
 
 
-def dense_factors(chain, steps, cache=None, check_invertible=True) -> np.ndarray:
-    """The matrix of a string of Rcheck factors on one site pair: the factors
-    requested and multiplied in written order (the reverse of application
-    order), the identity when the string is empty."""
-    mats = rcheck_factors(chain, _two_site(steps[::-1]), cache, check_invertible)
-    return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
-
-
 @dataclass(frozen=True)
 class Side:
     """One operator of a string check: a factor string (a tuple of steps), the
@@ -261,11 +245,18 @@ class Side:
         if self.route not in ("apply_factors", "einsum", "dense"):
             raise ConfigError(f"unknown route {self.route!r}")
 
-    def apply(self, chain, cache, block) -> np.ndarray:
-        """This side applied to `block` by its route (a dense side forms its matrix)."""
+    def reads(self) -> list:
+        """The two-site factors of this side in the order its route reads them:
+        written order on the dense route, application order on the others."""
+        return _two_site(self.steps[::-1] if self.route == "dense" else self.steps)
+
+    def apply(self, chain, solved, block) -> np.ndarray:
+        """This side applied to `block` by its route; a dense side reads no probe:
+        it is the product of its factors in written order (the identity if none)."""
         if self.route == "dense":
-            return dense_factors(chain, self.steps, cache, self.check_invertible)
-        return apply_factors(chain, self.steps, cache, block, self.check_invertible,
+            mats = rcheck_factors(chain, self.reads(), solved, self.check_invertible)
+            return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
+        return apply_factors(chain, self.steps, solved, block, self.check_invertible,
                              einsum=self.route == "einsum")
 
 
@@ -273,8 +264,8 @@ class Side:
 class StringCheck:
     """A check that compares sides applied to one probe block.
 
-    The sides are applied in order, each reading its factors in one
-    rcheck_factors call, to probe_block(D, seed) cut to `columns` columns
+    The sides are applied in order, each reading its factors (Side.reads)
+    from the solved results, to probe_block(D, seed) cut to `columns` columns
     (all by default; a dense side reads no probe).  The residual is the
     worst of the (reference, other) side pairs; `pair_params` reports single
     pair residuals (name -> pair index).  An `extract` map also compares
@@ -292,13 +283,13 @@ class StringCheck:
     extract: object = None
     pair_params: dict = field(default_factory=dict)
 
-    def requests(self) -> list:
-        """The requests of the two-site factors of every side, in order."""
-        return string_requests(self.chain, *(side.steps for side in self.sides))
+    def reads(self) -> list:
+        """(chain, infos) of each side: the factors that this record reads."""
+        return [(self.chain, side.reads()) for side in self.sides]
 
-    def evaluate(self, cache=None) -> VerificationReport:
+    def evaluate(self, solved) -> VerificationReport:
         X = probe_block(prod(self.chain.dims), self.seed)[:, :self.columns]
-        ops = [side.apply(self.chain, cache, X) for side in self.sides]
+        ops = [side.apply(self.chain, solved, X) for side in self.sides]
         resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
         resid = worst_of(resids)
@@ -321,32 +312,27 @@ class FactorCheck:
     measure: object
     check_invertible: bool = False
 
-    def requests(self) -> list:
-        return [req for chain, infos in self.factors for req in _requests(chain, infos)
-                if req is not None]
+    def reads(self) -> tuple:
+        """(chain, infos) of each entry: the factors that this record reads."""
+        return self.factors
 
-    def evaluate(self, cache=None) -> VerificationReport:
-        return self.measure(lambda: [rcheck_factors(chain, infos, cache, self.check_invertible)
+    def evaluate(self, solved) -> VerificationReport:
+        return self.measure(lambda: [rcheck_factors(chain, infos, solved, self.check_invertible)
                                      for chain, infos in self.factors])
 
 
 def run_records(records, cache=None) -> list:
-    """Evaluate check records on one cache, in order, after one
-    solve_intertwiner call for the requests that all of them derive.
+    """Evaluate check records in order on one rsolve.solve_requests call (on
+    the cache, a fresh one by default) for every factor that they read.
 
-    The call skips the invertibility check and leaves its QkzError
-    unraised.  A failing request is not stored, so the record that owns it
-    asks again and raises what it raises alone.  So each record reports
-    what it reports evaluated alone, and records that share module pairs
-    solve one stack per module pair and grading.
+    The results are kept for these records alone; a failed request raises
+    its error when a record reads it.  A result does not depend on the call
+    that solved it, so each record reports what it reports alone.
     """
-    cache = RCache() if cache is None else cache
-    try:
-        solve_intertwiner([req for rec in records for req in rec.requests()], cache,
-                          check_invertible=False)
-    except QkzError:
-        pass
-    return [rec.evaluate(cache) for rec in records]
+    reqs = list(dict.fromkeys(req for rec in records for chain, infos in rec.reads()
+                              for req in _requests(chain, infos) if req is not None))
+    solved = dict(zip(reqs, solve_requests(reqs, cache)))
+    return [rec.evaluate(solved) for rec in records]
 
 
 def solving_check(build):

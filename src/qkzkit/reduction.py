@@ -169,7 +169,8 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0) -> StringCheck:
     The like-kind factor at ratio q^-w = q^delta sits on the removable
     resonance of the kappa-normalized family and takes its closed crossing
     form (rsolve.rcheck_resonant).  The same factor also leads Lambda_n, so
-    this identity does not test its value.
+    this identity does not test its value; at n = 1 it is every side's one
+    factor, so the record solves nothing and no solved-factor defect reaches it.
     Sides, applied to the probe block drawn from `seed` (its first column is
     the random tensor of the implication): 0, the composite and then the
     lead factor; 1, the rewritten (plain-R) form of Lambda_n through the
@@ -204,8 +205,9 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0) -> StringCheck:
     after the junction cancellation both sides ask for the same factors at
     the same zeta pairs (the mirrored argument is p (p z_n) on both, so the
     cache solves each once) and apply them in the same order, so the
-    residual reads exactly 0 (P Delta* P Delta at n = 1).  It catches a
-    wrong argument or factor order, not a wrong factor value.
+    residual reads exactly 0.  It catches a wrong argument or factor
+    order, not a wrong factor value.  At n = 1 both sides are P Delta* P
+    Delta, so the record solves nothing and no solved-factor defect reaches it.
     """
     if case.mode != "general":
         raise ConfigError("theorem_check_general needs a general case")

@@ -29,19 +29,20 @@ gauge depend on the grading, so solves are keyed by it.  A request
 (RRequest) holds plain values and builds no module, so a cache hit costs
 its key and the lookup.
 
-solve_intertwiner takes a sequence of requests and returns their results
-in order; r_matrix is the call for one request.  The misses of a call
-are solved as stacks, one per module pair and grading: the ratios, their
-products and the gauge scatter, then the intertwining residual.  A call
-raises the error of its first failing request, the one that request
-raises alone.  At the suite's sizes a call costs mostly its fixed part
-(about 0.4 ms for one kappa request at m = 3, against about 0.07 ms for
-each further request of the same stack), so `qkz.run_records` passes the
-requests that a check group's records derive in one call before any of
-them is evaluated (`suite --m 3`: 32 stacks instead of 82).  A stack
-forms each request's Rcheck elementwise, and a kappa scan is elementwise
-numpy arithmetic, so each of its rows keeps the bits of a one-row scan:
-a result does not depend on the call that solved it.
+solve_requests returns each request's result or the error that it raises
+alone, and raises nothing; the read rule read_result raises that error or
+refuses a singular operator.  solve_intertwiner is the rule over one
+solve_requests call, and r_matrix its call for one request.  The misses
+of a call are solved as stacks, one per module pair and grading: the
+ratios, their products and the gauge scatter, then the intertwining
+residual.  At the suite's sizes a call costs mostly its fixed part (about
+0.4 ms for one kappa request at m = 3, against about 0.07 ms for each
+further request of the same stack), so `qkz.run_records` makes one
+solve_requests call for all the records of a check group, which read
+their factors from its results (`suite --m 3`: 32 stacks instead of 82).
+A stack forms each request's Rcheck elementwise, and a kappa scan is
+elementwise numpy arithmetic, so each of its rows keeps the bits of a
+one-row scan: a result does not depend on the call that solved it.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -494,7 +495,7 @@ def _solve(reqs, template: CommutantTemplate) -> list:
 
     A ratio index j where alpha_j and beta_j both cancel leaves c_{j+1} free
     (a wider nullspace); alpha_j alone makes the hw component vanish; beta_j
-    alone makes R singular, which solve_intertwiner reports.  When the
+    alone makes R singular, which read_result refuses.  When the
     intertwining residual is not finite, a generator image that overflows
     is a ConfigError, and so is an operator that overflows in the residual's
     products; an operator that is not finite itself, built from finite
@@ -529,34 +530,20 @@ def _solve(reqs, template: CommutantTemplate) -> list:
             for k in range(len(reqs))]
 
 
-def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list:
-    """Solve, normalize and validate the R-operators of a sequence of requests;
-    returns their results in order.
+def solve_requests(reqs, cache: RCache = None) -> list:
+    """The result of each request of a sequence, in order: its RResult, or the
+    QkzError that it raises alone (read_result raises it).
 
     Each request takes one RCache.get: the first request of each key
-    before the solve, a repeated key once its first request is stored, so
-    hits and misses are those of the requests passed one by one.  The
-    misses are solved once per key, one stack per module pair and grading
-    (_solve).  The hw-normalized solve is cached per zeta pair and serves
-    both normalizations; a kappa request rescales it by apply_kappa, with
-    the kappa scalar kept in the pair's entry.  The scalars that a call
-    needs (the zeta pairs whose first kappa request finds none stored) are
-    scanned once per call, in one kappa_sl2 scan (_kappa_scalars); a scan
-    that fails for a request raises at that request's turn.
-
-    Degenerate spectral points are reported through DegeneratePointError:
-    the two terms of a component ratio cancel in its numerator and
-    denominator ("nullspace gap") or in its denominator alone
-    ("highest-weight component vanishes"), or kappa has a pole; with
-    check_invertible also in its numerator alone, or kappa vanishes (the
-    normalized operator is numerically singular).  The invertibility check
-    applies to cached results as well.  The call raises the error of its
-    first failing request, the one that request raises alone; the requests
-    before it are stored, those after it are not.  Without a cache the
-    call goes through a fresh RCache, so nothing carries over between
-    uncached calls.  Since a result does not depend on the call that solved
-    it, a record run after such a call (qkz.run_records) reports what it
-    reports alone.
+    before the solve, a repeated key after it, so hits and misses are
+    those of the requests passed one by one.  The misses are solved once
+    per key, one stack per module pair and grading (_solve), and every key
+    that solves is stored, whatever fails beside it.  The hw-normalized
+    solve is cached per zeta pair and serves both normalizations; a kappa
+    request rescales it by apply_kappa, with the kappa scalar kept in the
+    pair's entry.  The stored zeta pairs whose kappa requests find no
+    scalar share one kappa_sl2 scan (_kappa_scalars).  Without a cache the
+    call goes through a fresh RCache.
     """
     if cache is None:
         cache = RCache()
@@ -569,44 +556,64 @@ def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list
     for key, i in first.items():
         if entries[key] is None:
             groups.setdefault((reqs[i].module_key(), reqs[i].grading), []).append(i)
-    solved = {}
+    failed = {}  # key -> the error of its solve or of its kappa scan
     for idx in groups.values():
         stack = [reqs[i] for i in idx]
         try:
             results = _solve(stack, cache.template(stack[0]))
         except QkzError as exc:  # the module pair or its frame fails every request
             results = [exc] * len(stack)
-        solved.update(zip((keys[i] for i in idx), results))
-    # one scan for the zeta pairs whose first kappa request finds no scalar stored
+        for i, res in zip(idx, results):
+            if isinstance(res, QkzError):
+                failed[keys[i]] = res
+            else:
+                entries[keys[i]] = cache.put(keys[i], res)
     scan = {}
     for req, key in zip(reqs, keys):
-        if (req.normalization == "kappa" and not isinstance(solved.get(key), QkzError)
-                and "kappa" not in (entries[key] or {})):
+        if req.normalization == "kappa" and key not in failed and "kappa" not in entries[key]:
             scan.setdefault(key, req)
-    kappas = dict(zip(scan, _kappa_scalars(list(scan.values()))))
+    for key, k in zip(scan, _kappa_scalars(list(scan.values()))):
+        if isinstance(k, QkzError):
+            failed[key] = k
+        else:
+            entries[key]["kappa"] = k
     out = []
     for i, (req, key) in enumerate(zip(reqs, keys)):
-        if first[key] != i:
-            entry = cache.get(key)
-        elif entries[key] is None:
-            if isinstance(solved[key], QkzError):
-                raise solved[key]
-            entry = cache.put(key, solved[key])
+        entry = entries[key] if first[key] == i else cache.get(key)
+        if entry is None or (req.normalization == "kappa" and "kappa" not in entry):
+            out.append(failed[key])
         else:
-            entry = entries[key]
-        res = entry["hw"]
-        if req.normalization == "kappa":
-            if "kappa" not in entry:  # the first kappa request at this zeta pair
-                if isinstance(kappas[key], QkzError):
-                    raise kappas[key]
-                entry["kappa"] = kappas[key]
-            res = apply_kappa(res, entry["kappa"])
-        # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
-        if check_invertible and res.margin < _CANCEL_TOL:
-            raise DegeneratePointError(
-                f"normalized R is numerically singular (margin {res.margin:.3g})")
-        out.append(res)
+            out.append(entry["hw"] if req.normalization == "hw"
+                       else apply_kappa(entry["hw"], entry["kappa"]))
     return out
+
+
+def read_result(res, check_invertible=True) -> RResult:
+    """A result of solve_requests as its request reads it: a stored error is
+    raised, and with check_invertible a singular operator is refused."""
+    if isinstance(res, QkzError):
+        raise res
+    # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
+    if check_invertible and res.margin < _CANCEL_TOL:
+        raise DegeneratePointError(
+            f"normalized R is numerically singular (margin {res.margin:.3g})")
+    return res
+
+
+def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list:
+    """The R-operators of a sequence of requests, in order: read_result of each
+    result of one solve_requests call.  The call raises the error of its
+    first failing request, the one that request raises alone; every request
+    that solves is stored all the same, after it as before it.
+
+    Degenerate spectral points raise DegeneratePointError: the two terms of
+    a component ratio cancel in its numerator and denominator ("nullspace
+    gap") or in its denominator alone ("highest-weight component
+    vanishes"), or kappa has a pole; with check_invertible also in its
+    numerator alone, or kappa vanishes (numerically singular), for cached
+    results as well.
+    """
+    return [read_result(res, check_invertible) for res in solve_requests(reqs, cache)]
 
 
 def make_request(kind1, zeta1, kind2, zeta2, m, grading, ctx, normalization="hw") -> RRequest:

@@ -287,14 +287,14 @@ def test_missed_degenerate_point_is_no_configuration_error(monkeypatch, capsys):
     assert not rec["passed"] and rec["residual"] == 1.0
 
 
-def test_each_group_solves_its_requests_in_one_call(monkeypatch, capsys):
-    # every group but degenerate_detection makes one solve_intertwiner call that
-    # misses the cache and one stack per module pair and grading, so a check's
-    # request list that drifts from what the check solves fails here
+def _count_solver_calls(monkeypatch):
+    """Per check group: the solve_requests calls (run_records' and those under
+    solve_intertwiner), the ones made while a record is evaluated, and the
+    (module pair, grading) of each stack solved."""
     from qkzkit import qkz, rsolve
-    group, missing_calls, stacks, misses = [None], Counter(), {}, [0]
-    run_group, solve, get = cli._run_group, rsolve._solve, rsolve.RCache.get
-    solve_intertwiner = rsolve.solve_intertwiner
+    group, evaluating = [None], [False]
+    calls, in_records, stacks = Counter(), Counter(), {}
+    run_group, solve, core = cli._run_group, rsolve._solve, rsolve.solve_requests
 
     def in_group(name, *args):
         group[0] = name
@@ -304,31 +304,50 @@ def test_each_group_solves_its_requests_in_one_call(monkeypatch, capsys):
         stacks.setdefault(group[0], []).append((reqs[0].module_key(), reqs[0].grading))
         return solve(reqs, template)
 
-    def counted_get(cache, key):
-        entry = get(cache, key)
-        misses[0] += entry is None
-        return entry
+    def counted_core(*args, **kwargs):
+        calls[group[0]] += 1
+        in_records[group[0]] += evaluating[0]
+        return core(*args, **kwargs)
 
-    def counted_call(*args, **kwargs):
-        before = misses[0]
-        try:
-            return solve_intertwiner(*args, **kwargs)
-        finally:
-            missing_calls[group[0]] += misses[0] > before
+    def flagged(evaluate):
+        def evaluate_flagged(rec, solved):
+            evaluating[0] = True
+            try:
+                return evaluate(rec, solved)
+            finally:
+                evaluating[0] = False
+        return evaluate_flagged
     monkeypatch.setattr(cli, "_run_group", in_group)
     monkeypatch.setattr(rsolve, "_solve", counted_solve)
-    monkeypatch.setattr(rsolve.RCache, "get", counted_get)
-    for module in (rsolve, qkz):  # the modules that call solve_intertwiner
-        monkeypatch.setattr(module, "solve_intertwiner", counted_call)
-    code, out = run_cli(["suite", "--m", "2", "--seed", "7"], capsys)
+    for module in (rsolve, qkz):  # under solve_intertwiner, and in run_records
+        monkeypatch.setattr(module, "solve_requests", counted_core)
+    for record in (qkz.StringCheck, qkz.FactorCheck):
+        monkeypatch.setattr(record, "evaluate", flagged(record.evaluate))
+    return calls, in_records, stacks
+
+
+SOLVING_GROUPS = {"braid", "crossing", "invariances", "qkz", "theorems", "unitarity", "ybe"}
+
+
+@pytest.mark.parametrize("argv, n_stacks", [
+    (["suite", "--m", "2", "--seed", "7"], 32),
+    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 32),
+], ids=["m2-seed7", "m1-samples12-seed1"])
+def test_each_group_solves_its_requests_in_one_call(argv, n_stacks, monkeypatch, capsys):
+    # every solving group makes one solver call, run_records', and evaluating
+    # its records makes none; degenerate_detection makes one per lattice point;
+    # each call solves one stack per module pair and grading
+    calls, in_records, stacks = _count_solver_calls(monkeypatch)
+    code, out = run_cli(argv, capsys)
     assert code == 0 and len(json.loads(out)) == 71
-    solving = set(stacks) - {"degenerate_detection"}
-    assert solving == {"braid", "crossing", "invariances", "qkz", "theorems", "unitarity", "ybe"}
-    assert {name: missing_calls[name] for name in solving} == dict.fromkeys(solving, 1)
-    for name in solving:
+    assert set(stacks) == set(calls) == SOLVING_GROUPS | {"degenerate_detection"}
+    assert {name: calls[name] for name in SOLVING_GROUPS} == dict.fromkeys(SOLVING_GROUPS, 1)
+    assert sum(in_records.values()) == 0
+    for name in SOLVING_GROUPS:
         assert len(stacks[name]) == len(set(stacks[name])), name
-    assert missing_calls["degenerate_detection"] == len(stacks["degenerate_detection"]) == 2
-    assert sum(len(s) for s in stacks.values()) == 32
+    assert calls["degenerate_detection"] == len(stacks["degenerate_detection"]) == 2
+    assert sum(calls.values()) == 9
+    assert sum(len(s) for s in stacks.values()) == n_stacks
 
 
 class TestRmat:

@@ -11,7 +11,8 @@ one time line per group, in run order); a `suite` run takes about
 0.03-0.3 s in process, so the sweep stays within about 10 s.  The same
 contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
 (an exit-0 matrix has finite entries only), for one `verify` line per
-check group, and for a few lines at |q| from 1e-26 down to 1e-300.
+check group, and for a few lines at |q| from 1e-26 down to 1e-300, with
+the gradings (1, 0), (0, 1), (2, 1) and (1, 3) at |q| = 0.04 down to 1e-12.
 """
 
 import json
@@ -150,23 +151,28 @@ def test_the_scalar_sweep_covers_the_space():
         assert {c[key] for c in cs} == set(values), key
 
 
-@pytest.mark.parametrize("config", SCALAR_CONFIGURATIONS,
-                         ids=lambda c: " ".join(_scalar_argv(c)[1:]))
-def test_scalar_table_or_one_error_line(config, capsys):
-    code = cli.main(_scalar_argv(config))
+def _scalar_contract(argv, capsys, samples, fmt="json") -> int:
+    """Run a `scalars` line and assert its contract; returns the exit code."""
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 2:
         assert out == "" and err.startswith("configuration error:")
     elif code == 1:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
-    elif config["format"] == "json":
-        assert err == "" and len(json.loads(out)["rows"]) == config["samples"] + 1
+    elif fmt == "json":
+        assert err == "" and len(json.loads(out)["rows"]) == samples + 1
     else:  # a header line, then one line per row
         lines = out.splitlines()
         assert err == "" and lines[0].startswith("scalar table")
-        assert len(lines) == config["samples"] + 2 and all(line.startswith("  z=")
-                                                           for line in lines[1:])
+        assert len(lines) == samples + 2 and all(line.startswith("  z=") for line in lines[1:])
+    return code
+
+
+@pytest.mark.parametrize("config", SCALAR_CONFIGURATIONS,
+                         ids=lambda c: " ".join(_scalar_argv(c)[1:]))
+def test_scalar_table_or_one_error_line(config, capsys):
+    _scalar_contract(_scalar_argv(config), capsys, config["samples"], config["format"])
 
 
 RMAT_RUNS = 20
@@ -271,6 +277,25 @@ TINY_Q_LINES = (
     (["verify", "reps", "--q", "1e-200"], 1),
     (["verify", "scalars", "--q", "1e-200"], 1),
     (["rmat", "--q", "1e-300"], 2),
+    # gradings (1, 0), (0, 1), (2, 1) and (1, 3), each at m = 1..3 and three of
+    # |q| = 0.04, 1e-4, 1e-12 and the complex q = 6e-5 + 8e-5 i (|q| = 1e-4),
+    # so each m meets every q; then the rank-2 scalar table at each q
+    (["suite", "--m", "1", "--s0", "1", "--s1", "0", "--q=0.04"], 0),
+    (["suite", "--m", "2", "--s0", "1", "--s1", "0", "--q=1e-4"], 1),
+    (["suite", "--m", "3", "--s0", "1", "--s1", "0", "--q=1e-12"], 1),
+    (["suite", "--m", "1", "--s0", "0", "--s1", "1", "--q=1e-4"], 0),
+    (["suite", "--m", "2", "--s0", "0", "--s1", "1", "--q=1e-12"], 1),
+    (["suite", "--m", "3", "--s0", "0", "--s1", "1", "--q=6e-05,8e-05"], 1),
+    (["suite", "--m", "1", "--s0", "2", "--s1", "1", "--q=1e-12"], 1),
+    (["suite", "--m", "2", "--s0", "2", "--s1", "1", "--q=6e-05,8e-05"], 1),
+    (["suite", "--m", "3", "--s0", "2", "--s1", "1", "--q=0.04"], 0),
+    (["suite", "--m", "1", "--s0", "1", "--s1", "3", "--q=6e-05,8e-05"], 0),
+    (["suite", "--m", "2", "--s0", "1", "--s1", "3", "--q=0.04"], 0),
+    (["suite", "--m", "3", "--s0", "1", "--s1", "3", "--q=1e-4"], 1),
+    (["scalars", "--l", "2", "--q=0.04"], 0),
+    (["scalars", "--l", "2", "--q=1e-4"], 0),
+    (["scalars", "--l", "2", "--q=1e-12"], 0),
+    (["scalars", "--l", "2", "--q=6e-05,8e-05"], 0),
 )
 
 
@@ -279,5 +304,8 @@ TINY_Q_LINES = (
 def test_tiny_q_ends_in_a_report_or_one_error_line(argv, want, monkeypatch, capsys):
     if argv[0] == "rmat":
         assert _rmat_contract(argv, capsys) == want
+    elif argv[0] == "scalars":
+        samples = cli.build_parser().parse_args(argv).samples
+        assert _scalar_contract(argv, capsys, samples) == want
     else:
         assert _suite_contract(argv, monkeypatch, capsys) == want

@@ -307,8 +307,8 @@ class TestPlantedDefects:
             return idsuite.check_unitarity(m, kinds, zetas, grading, ctx, normalization=norm,
                                            cache=RCache())
         assert check().passed
-        solve = qkz.solve_intertwiner
-        monkeypatch.setattr(qkz, "solve_intertwiner", lambda *args, **kwargs: [
+        solve = qkz.solve_requests
+        monkeypatch.setattr(qkz, "solve_requests", lambda *args, **kwargs: [
             replace(res, Rcheck=res.Rcheck * (1 + EPS)) if k == 0 else res
             for k, res in enumerate(solve(*args, **kwargs))])
         assert not check().passed

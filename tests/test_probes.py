@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from factor_ops import (lambda_forms_residual, lambda_op, lambda_product_regularized,
+from factor_ops import (applied, lambda_forms_residual, lambda_op, lambda_product_regularized,
                         lambda_rewritten, rhs_operator, transport_phi)
 from qkzkit import cli, idsuite, qkz
-from qkzkit.qkz import (ChainSpec, DeltaAssignment, apply_factors, check_qkz_compatibility,
+from qkzkit.qkz import (ChainSpec, DeltaAssignment, check_qkz_compatibility,
                         lambda_factor_specs, probe_block, probe_vector)
 from qkzkit.reps import GradingChoice
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
@@ -79,8 +79,8 @@ class TestBlockEquivalence:
         B = random_block(prod(chain.dims), rng)
         for i in range(chain.N):
             steps = lambda_factor_specs(chain, i)
-            assert_block_equal(apply_factors(chain, steps, cache, B),
-                               apply_factors(chain, steps, cache), B)
+            assert_block_equal(applied(chain, steps, cache, B),
+                               applied(chain, steps, cache), B)
             assert_block_equal(lambda_rewritten(chain, i, cache, B),
                                lambda_rewritten(chain, i, cache), B)
 
@@ -153,23 +153,24 @@ class TestApplyFactors:
         chain = dataclasses.replace(
             mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), m, rng), normalization=norm)
         want = self.dense(chain, cache)
-        got = apply_factors(chain, self.string(chain), cache)
+        got = applied(chain, self.string(chain), cache)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         # the R step and the twist at slot 2 share site 2 and do not commute
         steps = self.string(chain)
         steps[0], steps[1] = steps[1], steps[0]
-        swapped = apply_factors(chain, steps, cache)
+        swapped = applied(chain, steps, cache)
         assert np.linalg.norm(swapped - want) > 1e-3 * np.linalg.norm(want)
 
 
 class TestOneSolvePerString:
-    """Each factor string requests all of its factors in one solve_intertwiner call."""
+    """Each factor string, run as a record, has all of its factors solved in
+    one solve_requests call."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
-        original = qkz.solve_intertwiner
-        monkeypatch.setattr(qkz, "solve_intertwiner",
+        original = qkz.solve_requests
+        monkeypatch.setattr(qkz, "solve_requests",
                             lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
         return calls
 
@@ -313,7 +314,7 @@ class TestIdentityFailability:
     """The braid and crossing checks pass as is and fail under planted defects (m <= 2).
 
     braid: a 1e-6 relative defect in the first factor of every
-    qkz.rcheck_factors call (the transports of both words request their
+    qkz.rcheck_factors call (the transports of both words read their
     factors there).  crossing: O (idsuite.operator_o) replaced by its
     transpose, or its antidiagonal rescaled by unequal factors; the
     closed-form O^-1 stays as it is.  Two planted changes of O are no
@@ -358,7 +359,7 @@ def one_sided_defect(rec):
     for k in rec.pairs[0]:
         steps = list(rec.sides[k].steps)
         for j, (tag, where, info) in enumerate(steps):
-            if tag in ("R", "Rcheck") and qkz.string_requests(rec.chain, [steps[j]]):
+            if tag in ("R", "Rcheck") and None not in qkz._requests(rec.chain, [info]):
                 k1, z1, k2, z2 = info
                 steps[j] = (tag, where, (k1, z1, k2, z2 * (1 + EPS)))
                 sides = list(rec.sides)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from factor_ops import lambda_forms_residual, lambda_op, lambda_product_regularized, transport_phi
+from factor_ops import (lambda_forms_residual, lambda_op, lambda_product_regularized,
+                        read_factors, transport_phi)
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, build_delta, check_ddr,
@@ -197,11 +198,10 @@ class TestTransport:
         word = [0, 2]
         out1, order1 = transport_phi(chain, phi, word, cache)
         out2, order2 = transport_phi(chain, phi, word + [1], cache)
-        from qkzkit.qkz import rcheck_factors
         from qkzkit.tensorops import embedded_matmul
         a, b = order1[1], order1[2]
-        rc, = rcheck_factors(chain, [(chain.kinds[a], chain.etas[a],
-                                      chain.kinds[b], chain.etas[b])], cache)
+        rc, = read_factors(chain, [(chain.kinds[a], chain.etas[a],
+                                    chain.kinds[b], chain.etas[b])], cache)
         stepped = embedded_matmul(rc, 1, 2, chain.dims, out1.reshape(-1, 1)).reshape(-1)
         assert order2 == [order1[k] for k in (0, 2, 1, 3)]
         assert np.abs(stepped - out2.reshape(-1)).max() < 1e-12

@@ -14,11 +14,12 @@ its one SVD is the gap test of the highest-weight kernels in
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string (the one use of
 permuted_matmul), so no second factor loop can come back.  In `qkz`,
-`reduction`, `idsuite` and `cli` only `rcheck_factors` (with the resonant
-closed form) and the record runner `run_records` request R-operators
-(solve_intertwiner or r_matrix), so no check can keep a request list beside
-the factor data it applies; `cli` keeps two single requests by design, the
-degenerate-point probe and the `rmat` dump.
+`reduction`, `idsuite` and `cli` only the record runner `run_records`
+solves R-operators (solve_requests, solve_intertwiner or r_matrix), once
+per check group, and the records only read its results (`rcheck_factors`),
+so no check can keep a request list beside the factor data it applies and
+no record can solve a second time; `cli` keeps two single requests by
+design, the degenerate-point probe and the `rmat` dump.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
 take their residuals from `tensorops.relative_residual` and call no norm
 of their own, so no second residual rule (a 0/0 guard among them) can come
@@ -160,12 +161,12 @@ def test_rsolve_svd_only_in_chain_kernels():
 FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
 REQUEST_SOURCES = [p for p in SOURCES
                    if p.name in ("qkz.py", "reduction.py", "idsuite.py", "cli.py")]
-REQUEST_NAMES = ("solve_intertwiner", "r_matrix")
+REQUEST_NAMES = ("solve_requests", "solve_intertwiner", "r_matrix")
 # the functions that may request R-operators, by module and name: the record
-# runner and the factor reader; in cli the degenerate-point group, which probes
-# single lattice points by design, and the rmat dump of one operator
+# runner; in cli the degenerate-point group, which probes single lattice
+# points by design, and the rmat dump of one operator
 REQUEST_CALLERS = {
-    ("qkz.py", "solve_intertwiner"): ("rcheck_factors", "run_records"),
+    ("qkz.py", "solve_requests"): ("run_records",),
     ("cli.py", "r_matrix"): ("_chk_degenerate_detection", "cmd_rmat"),
 }
 
@@ -176,7 +177,7 @@ def test_factor_string_sources_found():
 
 @pytest.mark.parametrize("name", REQUEST_NAMES)
 @pytest.mark.parametrize("path", REQUEST_SOURCES, ids=lambda p: p.name)
-def test_factors_requested_only_in_rcheck_factors(path, name):
+def test_factors_requested_only_in_run_records(path, name):
     tree = ast.parse(path.read_text())
     assert calls_outside(tree, name, REQUEST_CALLERS.get((path.name, name), ())) == []
 
@@ -308,21 +309,20 @@ def test_svd_rule_fires_on_planted_code(source, outside):
 
 
 @pytest.mark.parametrize("source, outside", [
-    ("from .rsolve import solve_intertwiner\n"
-     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n", 0),
+    ("from .rsolve import solve_requests\n"
+     "def run_records(records, cache):\n    return solve_requests(reqs, cache)\n", 0),
     # a second request function, with the import it uses
-    ("from .rsolve import solve_intertwiner\n"
-     "def _factors(case, pairs, cache):\n"
-     "    return solve_intertwiner(pairs, cache, check_invertible=False)\n", 2),
-    ("from .rsolve import make_request, solve_intertwiner\n"
-     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n"
-     "def _factors(pairs):\n    return solve_intertwiner(pairs, None, False)\n", 1),
-    ("from . import rsolve\ndef _factors(pairs):\n    return rsolve.solve_intertwiner(pairs)\n", 1),
-    ("from .rsolve import solve_intertwiner as solve\n", 1),
+    ("from .rsolve import solve_requests\n"
+     "def _factors(case, pairs, cache):\n    return solve_requests(pairs, cache)\n", 2),
+    ("from .rsolve import make_request, solve_requests\n"
+     "def run_records(records, cache):\n    return solve_requests(reqs, cache)\n"
+     "def _factors(pairs):\n    return solve_requests(pairs, None)\n", 1),
+    ("from . import rsolve\ndef _factors(pairs):\n    return rsolve.solve_requests(pairs)\n", 1),
+    ("from .rsolve import solve_requests as solve\n", 1),
 ])
 def test_request_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
-    assert len(calls_outside(tree, "solve_intertwiner", ("rcheck_factors",))) == outside
+    assert len(calls_outside(tree, "solve_requests", ("run_records",))) == outside
 
 
 @pytest.mark.parametrize("module, name, source, outside", [
@@ -346,9 +346,23 @@ def test_request_rule_fires_on_planted_code(source, outside):
      "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n"
      "def _chk_unitarity(config, ctx, g, cache):\n"
      "    return r_matrix('V', z1, 'V', z2, 1, g, ctx, cache=cache)\n", 1),
+    ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
+     "def run_records(records, cache):\n    solved = solve_requests(reqs, cache)\n", 0),
+    # a factor reader that solves again, beside the record runner
+    ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
+     "def run_records(records, cache):\n    solved = solve_requests(reqs, cache)\n"
+     "def rcheck_factors(chain, infos, solved, check_invertible):\n"
+     "    return solve_requests(infos, cache)\n", 1),
     ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
-     "def run_records(records, cache):\n    solve_intertwiner(reqs, cache)\n"
-     "def rcheck_factors(chain, infos, cache):\n    return solve_intertwiner(infos, cache)\n", 0),
+     "def rcheck_factors(chain, infos, solved, check_invertible):\n"
+     "    return solve_intertwiner(infos, cache, check_invertible)\n", 2),
+    # a side that solves its own factors
+    ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
+     "class Side:\n    def apply(self, chain, solved, block):\n"
+     "        return solve_intertwiner(reqs, cache)\n", 2),
+    ("qkz.py", "solve_requests", "from . import rsolve\n"
+     "class Side:\n    def apply(self, chain, solved, block):\n"
+     "        return rsolve.solve_requests(reqs)\n", 1),
 ])
 def test_request_rule_fires_on_planted_code_by_module(module, name, source, outside):
     allowed = REQUEST_CALLERS.get((module, name), ())

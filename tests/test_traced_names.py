@@ -72,3 +72,10 @@ def test_reduction_workload_passes_its_gate():
     assert len(reports) == 21 and all(r.passed for r in reports)
     got = {GATE.identity(cli.report_payload(r), 1) for r in reports}
     assert got == set(GATE.load_reference("reduction_chains"))
+
+
+def test_residual_params_match_the_gate():
+    # a report's identity leaves out its residual-valued params, in cli's
+    # serialization and in the benchmark's gate alike; a new one added on one
+    # side only would change the identities that perfbench/reference pins
+    assert cli._RESIDUAL_PARAMS == GATE.RESIDUAL_PARAMS
