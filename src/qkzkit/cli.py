@@ -3,14 +3,18 @@
 JSON output is deterministic for a fixed configuration and seed: reports
 are sorted by name and parameters, floats are printed with 17 significant
 digits, and each report's wall_ms is null.  `_run_groups` builds the run
-context once, hands it to each group as `_chk_*(config, ctx, g, cache)` and
-times each group; text mode ends with one `time <group> <ms> ms` line per
-group, in run order.  Once the context and grading are accepted, a package
-error (a ConfigError too) or an arithmetic error inside a group is that
+context once and hands it to each group as `_chk_*(config, ctx, g, cache)`.
+A group that solves R-operators draws its inputs and returns one record
+per check (`check.record`, see `qkz`); the others return their reports.
+Then one `qkz.solve_records` call solves the factors of every record of
+the run, and each group evaluates its records.  Text mode ends with one
+`time <group> <ms> ms` line per group (building and evaluating), in run
+order, and one `time solve <ms> ms` line for the run's solve.  Once the
+context and grading are accepted, a package error (a ConfigError too) or
+an arithmetic error inside a group, while it builds or evaluates, is that
 group's failure: one failing report, the exception type in its note.  A
-group that solves R-operators draws its inputs, builds one record per
-check (`check.record`, see `qkz`) and evaluates them with
-`qkz.run_records`, which first solves all their requests in one call.
+request that fails in the solve fails the groups that read it, with its
+stored error (`rsolve.solve_requests`).
 
 The parsed argparse namespace is the run configuration: each subcommand
 parses only the options it reads, and `build_parser` holds every default.
@@ -21,12 +25,13 @@ import json
 import sys
 import time
 import zlib
+from functools import partial
 
 import numpy as np
 
 from . import idsuite, qkz, reduction
 from .context import QContext
-from .errors import ConfigError, DegeneratePointError, QkzError
+from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
 from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
                    hopf_antipode_residual)
@@ -36,9 +41,6 @@ from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
 from .tensorops import relative_residual
 
-# what a group reports as its numerical failure and `main` as exit 1: the
-# package's errors, and the arithmetic errors of q and zeta far out of range
-_NUMERICAL_ERRORS = (QkzError, ArithmeticError, np.linalg.LinAlgError)
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
 
 
@@ -169,7 +171,7 @@ def _chk_unitarity(config, ctx, g, cache):
         for kind in ("V", "V*"):
             records.append(idsuite.check_initial_condition.record(
                 config.m, kind, idsuite.random_zeta(rng), g, ctx, norm))
-    return qkz.run_records(records, cache)
+    return records
 
 
 def _chk_degenerate_detection(config, ctx, g, cache):
@@ -193,7 +195,7 @@ def _chk_ybe(config, ctx, g, cache):
         samples = [tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
                    for _ in range(config.samples)]
         records.append(idsuite.check_ybe.record(config.m, kinds, samples, g, ctx, config.norm))
-    return qkz.run_records(records, cache)
+    return records
 
 
 def _chk_crossing(config, ctx, g, cache):
@@ -203,7 +205,7 @@ def _chk_crossing(config, ctx, g, cache):
         samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
                    for _ in range(config.samples)]
         records.append(idsuite.check_crossing.record(m, samples, g, ctx))
-    return qkz.run_records(records, cache)
+    return records
 
 
 def _chk_invariances(config, ctx, g, cache):
@@ -217,7 +219,7 @@ def _chk_invariances(config, ctx, g, cache):
                         idsuite.check_invariance_a.record(alpha, *args)]
         records.append(idsuite.check_invariance_xtilde.record(
             m, g, ctx, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)), config.norm))
-    return qkz.run_records(records, cache)
+    return records
 
 
 # word pairs that realize one permutation each: the braid relation, s0 s0 = 1, and a
@@ -228,10 +230,10 @@ _BRAID_WORDS = (([0, 1, 0], [1, 0, 1]), ([0, 0], []), ([0, 2, 1, 0, 2], [2, 0, 1
 def _chk_braid(config, ctx, g, cache):
     rng = _rng_for(config, "braid")
     etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
-    return qkz.run_records([idsuite.check_braid_welldefined.record(
+    return [idsuite.check_braid_welldefined.record(
         word1, word2, config.m, ("V", "V*", "V", "V*"), etas, g, ctx, config.norm,
         seed=config.seed)
-        for word1, word2 in _BRAID_WORDS], cache)
+        for word1, word2 in _BRAID_WORDS]
 
 
 def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
@@ -258,7 +260,7 @@ def _chk_qkz(config, ctx, g, cache):
                 for args in ((chain_sd, 0, 2), (chain4, 0, 1), (chain4, 1, 2))]
     records += [qkz.check_qkz_compatibility.record(*args)
                 for args in ((chain2, 0, 1), (chain4, 1, 2))]
-    return qkz.run_records(records, cache)
+    return records
 
 
 def _chk_theorems(config, ctx, g, cache):
@@ -281,7 +283,7 @@ def _chk_theorems(config, ctx, g, cache):
         zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
         records += [reduction.check_rpr.record(case, 1, zetas, seed=config.seed),
                     reduction.scaling_covariance.record(case, zetas, 1.3 * np.exp(0.4j))]
-    return qkz.run_records(records, cache)
+    return records
 
 
 CHECKS = {
@@ -376,34 +378,61 @@ def _emit(text: str, config):
 
 # --- commands --------------------------------------------------------------------
 
-def _run_group(name, config, ctx, g, cache):
-    """One check group; an error of _NUMERICAL_ERRORS (a ConfigError among
-    them) becomes one failing report, the exception type in its note."""
+def _in_scope(name, work) -> list:
+    """work() in the error scope of check group `name`: an error of
+    NUMERICAL_ERRORS (a ConfigError among them) becomes one failing report,
+    the exception type in its note."""
     try:
-        return CHECKS[name](config, ctx, g, cache)
-    except _NUMERICAL_ERRORS as exc:
+        return work()
+    except NUMERICAL_ERRORS as exc:
         return [VerificationReport.make(name, {"group": name}, float("inf"), 0.0,
                                         note=f"{type(exc).__name__}: {exc}")]
 
 
+def _evaluate(name, built, solved) -> list:
+    """The reports of check group `name` from what it built, in its error
+    scope: a report as it is, a record evaluated on its solved factors
+    (solved holds them per record, None for a report)."""
+    return _in_scope(name, lambda: [item if res is None else item.evaluate(res)
+                                    for item, res in zip(built, solved)])
+
+
 def _run_groups(names, config) -> int:
-    """Run the named check groups on one cache and one run context, time each
-    group, and write the reports; text mode ends with the group times."""
+    """Run the named check groups on one cache and one run context, and write
+    the reports; text mode ends with the time of each group (building and
+    evaluating), in run order, and that of the run's solve.
+
+    Each group builds its reports and records in its error scope, then one
+    qkz.solve_records call solves the factors of every record, and each
+    group evaluates its records in its error scope."""
     ctx, g = _context(config), _grading(config)  # q and grading fail before any group runs
     if not np.isfinite(config.alpha):
         raise ConfigError(f"--alpha must be finite, got {config.alpha}")
     if "theorems" in names and config.m < 1:
         raise ConfigError("--m must be at least 1 for the theorems group")
     cache = RCache()
-    reports, times = [], []
+    built, clock = {}, {}
     for name in names:
         t0 = time.perf_counter()
-        reports.extend(_run_group(name, config, ctx, g, cache))
-        times.append(f"time {name} {(time.perf_counter() - t0) * 1e3:.3f} ms\n")
+        built[name] = _in_scope(name, partial(CHECKS[name], config, ctx, g, cache))
+        clock[name] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    solved = iter(qkz.solve_records([item for items in built.values() for item in items
+                                     if not isinstance(item, VerificationReport)], cache))
+    solve_s = time.perf_counter() - t0
+    reports = []
+    for name, items in built.items():
+        t0 = time.perf_counter()
+        mine = [None if isinstance(item, VerificationReport) else next(solved) for item in items]
+        reports.extend(_evaluate(name, items, mine))
+        clock[name] += time.perf_counter() - t0
     if config.tol is not None:
         reports = [r.with_tolerance(config.tol) for r in reports]
     text = serialize_reports(reports, config.fmt)
-    _emit(text + "".join(times) if config.fmt == "text" else text, config)
+    if config.fmt == "text":
+        text += "".join(f"time {name} {s * 1e3:.3f} ms\n"
+                        for name, s in (*clock.items(), ("solve", solve_s)))
+    _emit(text, config)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -532,7 +561,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class QkzError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,9 @@ class PoleError(ScalarDomainError):
 
 class DegeneratePointError(QkzError):
     """Intertwiner solve at a non-simple point of the spectral-parameter lattice."""
+
+
+# what a computation far out on the q-disk raises: the package's errors and the
+# arithmetic errors of numpy.  A solve stores one as the error of its requests
+# (rsolve.solve_requests), and the CLI reports one as a numerical failure.
+NUMERICAL_ERRORS = (QkzError, ArithmeticError, np.linalg.LinAlgError)

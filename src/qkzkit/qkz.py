@@ -18,11 +18,14 @@ applies it (`apply_factors`; `einsum`, whose tensor contractions share
 no code with it; or `dense`, the two-site matrix product in written
 order), and the pairs of sides that must agree.  A `FactorCheck`
 declares the two-site factors that its own arithmetic reads.  Either
-states once what it reads (`reads`); `run_records`, the only solver call
-of `qkz`, `reduction` and `idsuite`, solves them for all its records in
-one call, and each record reads its factors from the results
-(`rcheck_factors`).  A `cli` check group runs all its records at once;
-the public check function (`solving_check`) runs one.
+states once what it reads (`reads`).  `solve_records`, the only solver
+call of `qkz`, `reduction` and `idsuite`, builds the requests of those
+reads once and solves them for all its records in one call; each record
+then reads its factors from the results that it is handed
+(`evaluate`, `rcheck_factors`).  A `cli` suite run solves the records of
+all its check groups in one solve_records call; the public check
+function (`solving_check`) runs one record through `run_records`, which
+is solve_records followed by the evaluation.
 
 Each side is applied to the seeded complex Gaussian probe block X of
 PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
@@ -176,17 +179,16 @@ def _two_site(steps) -> list:
 
 
 def rcheck_factors(chain, infos, solved, check_invertible=True) -> list:
-    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos: its result
-    in `solved` (request -> result, run_records) read by rsolve.read_result,
-    or the closed form at the removable (V,V) resonance z1 = q^delta z2 of
-    the kappa-normalized family, which is not requested.  `chain` supplies
-    m, grading, ctx and normalization (a ChainSpec, a reduction case or
-    Sites).  With check_invertible=False a singular factor is returned."""
-    reqs = _requests(chain, infos)
-    read = iter([read_result(solved[req], check_invertible).Rcheck
-                 for req in reqs if req is not None])
-    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if req is None else next(read)
-            for req in reqs]
+    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, from its
+    result in `solved` (the read's results of solve_records, in the order of
+    infos) read by rsolve.read_result, or the closed form at the removable
+    (V,V) resonance z1 = q^delta z2 of the kappa-normalized family, which is
+    not requested (None in solved).  `chain` supplies m, grading, ctx and
+    normalization (a ChainSpec, a reduction case or Sites).  With
+    check_invertible=False a singular factor is returned."""
+    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if res is None
+            else read_result(res, check_invertible).Rcheck
+            for _, res in zip(infos, solved, strict=True)]
 
 
 def apply_factors(chain, steps, solved, block=None, check_invertible=True,
@@ -194,7 +196,8 @@ def apply_factors(chain, steps, solved, block=None, check_invertible=True,
     """A factor string (steps in application order, see the module docstring)
     applied to `block`, the identity (dense matrix) by default.  A two-site
     factor has its first tensor factor on site i and R = P Rcheck; all of
-    them are read from `solved` (rcheck_factors).  With einsum=True (the
+    them are read from `solved`, the results of the string's factors in
+    application order (rcheck_factors).  With einsum=True (the
     einsum route, which has no permutation step) each factor is contracted
     into the block reshaped to (d, ..., d, k) by one `np.einsum`
     (`_einsum_apply`), which shares no tensor code with the
@@ -251,8 +254,9 @@ class Side:
         return _two_site(self.steps[::-1] if self.route == "dense" else self.steps)
 
     def apply(self, chain, solved, block) -> np.ndarray:
-        """This side applied to `block` by its route; a dense side reads no probe:
-        it is the product of its factors in written order (the identity if none)."""
+        """This side applied to `block` by its route, from `solved`, the results
+        of its reads (solve_records); a dense side reads no probe: it is the
+        product of its factors in written order (the identity if none)."""
         if self.route == "dense":
             mats = rcheck_factors(chain, self.reads(), solved, self.check_invertible)
             return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
@@ -288,8 +292,9 @@ class StringCheck:
         return [(self.chain, side.reads()) for side in self.sides]
 
     def evaluate(self, solved) -> VerificationReport:
+        """The report, from `solved`: the results of each read (solve_records)."""
         X = probe_block(prod(self.chain.dims), self.seed)[:, :self.columns]
-        ops = [side.apply(self.chain, solved, X) for side in self.sides]
+        ops = [side.apply(self.chain, res, X) for side, res in zip(self.sides, solved)]
         resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
         resid = worst_of(resids)
@@ -317,22 +322,34 @@ class FactorCheck:
         return self.factors
 
     def evaluate(self, solved) -> VerificationReport:
-        return self.measure(lambda: [rcheck_factors(chain, infos, solved, self.check_invertible)
-                                     for chain, infos in self.factors])
+        """The report, from `solved`: the results of each entry (solve_records)."""
+        return self.measure(lambda: [rcheck_factors(chain, infos, res, self.check_invertible)
+                                     for (chain, infos), res in zip(self.factors, solved)])
+
+
+def solve_records(records, cache=None) -> list:
+    """The solved factors of each record, as its `evaluate` takes them: per
+    read (chain, infos) of rec.reads(), the rsolve.solve_requests result of
+    each factor, or None for the closed-form resonance (rcheck_factors).
+
+    One solve_requests call on the cache (a fresh one by default) solves
+    every factor of the records, and the requests of each read are built
+    once, here.  A repeated factor is solved once (solve_requests keys its
+    requests).  A failed request raises its error when a record reads it,
+    and a result does not depend on the call that solved it, so each record
+    reports what it reports alone.
+    """
+    reads = [[_requests(chain, infos) for chain, infos in rec.reads()] for rec in records]
+    results = iter(solve_requests([req for rec in reads for read in rec for req in read
+                                   if req is not None], cache))
+    return [[[None if req is None else next(results) for req in read] for read in rec]
+            for rec in reads]
 
 
 def run_records(records, cache=None) -> list:
-    """Evaluate check records in order on one rsolve.solve_requests call (on
-    the cache, a fresh one by default) for every factor that they read.
-
-    The results are kept for these records alone; a failed request raises
-    its error when a record reads it.  A result does not depend on the call
-    that solved it, so each record reports what it reports alone.
-    """
-    reqs = list(dict.fromkeys(req for rec in records for chain, infos in rec.reads()
-                              for req in _requests(chain, infos) if req is not None))
-    solved = dict(zip(reqs, solve_requests(reqs, cache)))
-    return [rec.evaluate(solved) for rec in records]
+    """The reports of check records, in order: each evaluated on its solved
+    factors from one solve_records call (on the cache, a fresh one by default)."""
+    return [rec.evaluate(solved) for rec, solved in zip(records, solve_records(records, cache))]
 
 
 def solving_check(build):

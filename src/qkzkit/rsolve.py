@@ -3,8 +3,9 @@
 Rcheck maps V1_{z1} x V2_{z2} -> V2_{z2} x V1_{z1} and intertwines the
 coproduct actions.  It conserves the h1-weight, so it lives on the
 weight-conserving entries only (6/19/44/85 unknowns for m = 1..4, against
-(m+1)^4 for the full operator).  A solve stores Rcheck alone; RResult.R
-forms R = P * Rcheck on each read.
+(m+1)^4 for the full operator).  A solve stores those entries alone
+(44 of 256 at m = 3, 1469 of 28561 at m = 12); RResult forms the dense
+Rcheck, and R = P * Rcheck, on each read.
 
 A diagonal gauge zeta^{c h1/2} on each site moves grading (s0, s1) to a
 homogeneous one, (s, 0) or (0, s), where one e/f pair carries no zeta.
@@ -30,17 +31,21 @@ gauge depend on the grading, so solves are keyed by it.  A request
 its key and the lookup.
 
 solve_requests returns each request's result or the error that it raises
-alone, and raises nothing; the read rule read_result raises that error or
+alone, and raises nothing, also when a stack or a kappa scan meets an
+arithmetic error far out on the q-disk (that error is then stored for
+each of its requests); the read rule read_result raises a stored error or
 refuses a singular operator.  solve_intertwiner is the rule over one
 solve_requests call, and r_matrix its call for one request.  The misses
 of a call are solved as stacks, one per module pair and grading: the
 ratios, their products and the gauge scatter, then the intertwining
 residual.  At the suite's sizes a call costs mostly its fixed part (about
 0.4 ms for one kappa request at m = 3, against about 0.07 ms for each
-further request of the same stack), so `qkz.run_records` makes one
-solve_requests call for all the records of a check group, which read
-their factors from its results (`suite --m 3`: 32 stacks instead of 82).
-A stack forms each request's Rcheck elementwise, and a kappa scan is
+further request of the same stack), so a `suite` run makes one
+solve_requests call (`qkz.solve_records`) for the records of all its
+check groups, which read their factors from its results (`suite --m 3`:
+10 stacks and one kappa scan, besides the two single probes of
+degenerate_detection).  A stack forms each request's Rcheck elementwise,
+its basis columns summed in a fixed order, and a kappa scan is
 elementwise numpy arithmetic, so each of its rows keeps the bits of a
 one-row scan: a result does not depend on the call that solved it.
 
@@ -48,9 +53,10 @@ Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
-Each zeta pair is solved once, hw-normalized; a kappa request rescales
-that solve by its kappa scalar, kept with the solve.  The zeta pairs of
-one call that need a kappa scalar share one Pochhammer scan.
+Each zeta pair is solved once, hw-normalized; a kappa request reads that
+solve times its kappa scalar, kept with the solve, and the product is
+formed on each read.  The zeta pairs of one call that need a kappa scalar
+share one Pochhammer scan per (s, m, q context).
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import QContext
-from .errors import ConfigError, DegeneratePointError, QkzError
+from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
 from .reps import (GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
@@ -112,15 +118,30 @@ class RRequest:
 
 @dataclass(frozen=True)
 class RResult:
-    Rcheck: np.ndarray
+    """A solved operator, stored compactly: `entries` holds Rcheck at the
+    weight-conserving places (template.a, template.b) of its module pair, and
+    a kappa request's result carries its kappa scalar in `scale` (None for
+    hw).  Rcheck and R = P * Rcheck are formed dense on each read."""
+
+    entries: np.ndarray
+    template: "CommutantTemplate"
     # smallest |alpha_j| or |beta_j| relative to its two terms; 1 at m = 0, 0 at kappa = 0
     margin: float
     intertwine_residual: float
+    scale: complex = None
+
+    @property
+    def Rcheck(self) -> np.ndarray:
+        """The dense Rcheck, times the kappa scalar of a kappa request."""
+        t = self.template
+        X = np.zeros((t.dim, t.dim), dtype=complex)
+        X[t.a, t.b] = self.entries
+        return X if self.scale is None else X * self.scale
 
     @property
     def R(self) -> np.ndarray:
-        """R = P Rcheck, formed on each read (both sites are spin m)."""
-        d = math.isqrt(len(self.Rcheck))
+        """R = P Rcheck (both sites are spin m)."""
+        d = math.isqrt(self.template.dim)
         return swap_outputs(self.Rcheck, d, d)
 
 
@@ -399,10 +420,18 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
         alpha_beta = terms.sum(axis=2)
         rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
         coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
+        # sum_j c_j B_j column by column in a fixed order, in real arithmetic as
+        # np.einsum forms it at small sizes, so a request's bits do not depend on B
+        # (np.einsum changes its order with the stack at m = 12)
+        (br, bi), (cr, ci) = (fr.basis.real, fr.basis.imag), (coef.real, coef.imag)
+        re = im = 0.0
+        for j in range(m + 1):
+            re = re + (br[:, j] * cr[:, j, None] - bi[:, j] * ci[:, j, None])
+            im = im + (br[:, j] * ci[:, j, None] + bi[:, j] * cr[:, j, None])
+        rcheck = np.empty(re.shape, dtype=complex)
+        rcheck.real, rcheck.imag = re, im
         X = np.zeros((B, D, D), dtype=complex)
-        # an elementwise sum (not a matrix product), so a request's bits do not depend on B
-        X[:, template.a, template.b] = \
-            gauge[:, template.gauge] * np.einsum("uj,bj->bu", fr.basis, coef)
+        X[:, template.a, template.b] = gauge[:, template.gauge] * rcheck
     return X, rel, errors, (p1[:, 1:], p2[:, 1:])
 
 
@@ -456,15 +485,20 @@ def normalize_hw(ratios) -> np.ndarray:
 def _kappa_scalars(reqs) -> list:
     """The scalar that apply_kappa takes for each kappa request, 1/kappa for a
     like pair and kappa for a mixed pair, or the error that request raises
-    alone; one kappa_sl2 scan for the requests of each (s, m, q context)."""
+    alone; one kappa_sl2 scan for the requests of each (s, m, q context).  A
+    scan that raises (NUMERICAL_ERRORS) fails every request of its group."""
     out = [None] * len(reqs)
     groups = {}
     for i, req in enumerate(reqs):
         groups.setdefault((req.grading.s, req.m, req.ctx), []).append(i)
     for (s, m, ctx), idx in groups.items():
         errors = [None] * len(idx)
-        z = _powers(([reqs[i].zeta1 / reqs[i].zeta2 for i in idx],), ((s,),), errors)[0][:, 0]
-        for i, k, err in zip(idx, kappa_sl2(m, z, ctx, errors), errors):
+        try:
+            z = _powers(([reqs[i].zeta1 / reqs[i].zeta2 for i in idx],), ((s,),), errors)[0]
+            kappas = kappa_sl2(m, z[:, 0], ctx, errors)
+        except NUMERICAL_ERRORS as exc:
+            kappas, errors = [None] * len(idx), [exc.with_traceback(None)] * len(idx)
+        for i, k, err in zip(idx, kappas, errors):
             if err is None and reqs[i].kind1 == reqs[i].kind2:
                 if k == 0:
                     err = DegeneratePointError(
@@ -476,17 +510,17 @@ def _kappa_scalars(reqs) -> list:
 
 
 def apply_kappa(res: RResult, k: complex) -> RResult:
-    """Rescale an hw-normalized result by the unitarizing factor k of its
-    request (_kappa_scalars).
+    """An hw-normalized result rescaled by the unitarizing factor k of its
+    request (_kappa_scalars); the entries are shared, and Rcheck is
+    multiplied by k on each read.
 
     Like pairs are divided by kappa, mixed pairs multiplied by it (the
     dual-pair normalization factors are the inverses of the like-pair one).
     The margin and the residual do not depend on the scale; at kappa = 0
     the operator is zero, with residual inf and margin 0.
     """
-    return RResult(Rcheck=res.Rcheck * k,
-                   margin=res.margin if k != 0 else 0.0,
-                   intertwine_residual=res.intertwine_residual if k != 0 else np.inf)
+    return RResult(res.entries, res.template, res.margin if k != 0 else 0.0,
+                   res.intertwine_residual if k != 0 else np.inf, k)
 
 
 def _solve(reqs, template: CommutantTemplate) -> list:
@@ -500,19 +534,17 @@ def _solve(reqs, template: CommutantTemplate) -> list:
     is a ConfigError, and so is an operator that overflows in the residual's
     products; an operator that is not finite itself, built from finite
     images, is a degenerate point that the cancellation test missed (an
-    alpha_j that is exactly 0 passes it at _CANCEL_TOL = 0).
+    alpha_j that is exactly 0 passes it at _CANCEL_TOL = 0).  The flags are
+    formed for the whole stack; only a failing request takes a loop step.
     """
     X, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template)
     cancel = ~(rel >= _CANCEL_TOL)  # NaN cancels
-    for k in range(len(reqs)):
+    for k in np.flatnonzero(cancel[:, 0].any(axis=1)):  # some alpha_j cancels
         both = np.flatnonzero(cancel[k].all(axis=0))
-        if len(both):
-            errors[k] = errors[k] or DegeneratePointError(
-                f"nullspace gap: component ratio {both[0]} is 0/0 "
-                f"(terms cancel below {_CANCEL_TOL:.1g})")
-        elif cancel[k, 0].any():
-            errors[k] = errors[k] or DegeneratePointError(
-                "highest-weight component vanishes (non-simple spectral point)")
+        errors[k] = errors[k] or DegeneratePointError(
+            f"nullspace gap: component ratio {both[0]} is 0/0 "
+            f"(terms cancel below {_CANCEL_TOL:.1g})" if len(both) else
+            "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
     X[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
     residual = _intertwine_residuals(X, z1p, z2p, template)
@@ -524,26 +556,30 @@ def _solve(reqs, template: CommutantTemplate) -> list:
                 "R is not finite: a component ratio diverges (non-simple spectral point)")
         errors[k] = errors[k] or ConfigError(
             "spectral parameters out of range: the operator or a generator image overflows")
-    margin = rel.min(axis=(1, 2), initial=1.0)
-    return [errors[k] or RResult(Rcheck=X[k], margin=float(margin[k]),
-                                 intertwine_residual=float(residual[k]))
-            for k in range(len(reqs))]
+    entries = X[:, template.a, template.b]
+    margins = rel.min(axis=(1, 2), initial=1.0).tolist()
+    return [err or RResult(row, template, margin, resid)
+            for err, row, margin, resid in zip(errors, entries, margins, residual.tolist())]
 
 
 def solve_requests(reqs, cache: RCache = None) -> list:
     """The result of each request of a sequence, in order: its RResult, or the
-    QkzError that it raises alone (read_result raises it).
+    error that it raises alone (read_result raises it); the call itself
+    raises nothing.
 
     Each request takes one RCache.get: the first request of each key
     before the solve, a repeated key after it, so hits and misses are
     those of the requests passed one by one.  The misses are solved once
     per key, one stack per module pair and grading (_solve), and every key
-    that solves is stored, whatever fails beside it.  The hw-normalized
-    solve is cached per zeta pair and serves both normalizations; a kappa
-    request rescales it by apply_kappa, with the kappa scalar kept in the
-    pair's entry.  The stored zeta pairs whose kappa requests find no
-    scalar share one kappa_sl2 scan (_kappa_scalars).  Without a cache the
-    call goes through a fresh RCache.
+    that solves is stored, whatever fails beside it.  A stack, its module
+    pair's template or frame, or a kappa scan that raises one of
+    NUMERICAL_ERRORS fails each of its requests with that error.  The
+    hw-normalized solve is cached per zeta pair and serves both
+    normalizations; a kappa request reads it through apply_kappa, with the
+    kappa scalar kept in the pair's entry.  The stored zeta pairs whose
+    kappa requests find no scalar share one kappa_sl2 scan per (s, m, q
+    context) (_kappa_scalars).  Without a cache the call goes through a
+    fresh RCache.
     """
     if cache is None:
         cache = RCache()
@@ -561,19 +597,19 @@ def solve_requests(reqs, cache: RCache = None) -> list:
         stack = [reqs[i] for i in idx]
         try:
             results = _solve(stack, cache.template(stack[0]))
-        except QkzError as exc:  # the module pair or its frame fails every request
-            results = [exc] * len(stack)
+        except NUMERICAL_ERRORS as exc:
+            results = [exc.with_traceback(None)] * len(stack)
         for i, res in zip(idx, results):
-            if isinstance(res, QkzError):
-                failed[keys[i]] = res
-            else:
+            if isinstance(res, RResult):
                 entries[keys[i]] = cache.put(keys[i], res)
+            else:
+                failed[keys[i]] = res
     scan = {}
     for req, key in zip(reqs, keys):
         if req.normalization == "kappa" and key not in failed and "kappa" not in entries[key]:
             scan.setdefault(key, req)
     for key, k in zip(scan, _kappa_scalars(list(scan.values()))):
-        if isinstance(k, QkzError):
+        if isinstance(k, Exception):
             failed[key] = k
         else:
             entries[key]["kappa"] = k
@@ -591,7 +627,7 @@ def solve_requests(reqs, cache: RCache = None) -> list:
 def read_result(res, check_invertible=True) -> RResult:
     """A result of solve_requests as its request reads it: a stored error is
     raised, and with check_invertible a singular operator is refused."""
-    if isinstance(res, QkzError):
+    if not isinstance(res, RResult):
         raise res
     # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
     if check_invertible and res.margin < _CANCEL_TOL:

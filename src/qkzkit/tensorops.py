@@ -115,6 +115,22 @@ def commutant_residual(C1, C2, R) -> float:
 
 # --- fast in-place style application (internal plumbing) ----------------------
 
+def _slot_matmul(op, slots, dims, M):
+    """Left-multiply M by `op` acting on the sites `slots` (in op's factor
+    order): one transpose that brings those sites to the front, one matrix
+    product with op, and one transpose back.  An overflowing product reads
+    inf or NaN, with no numpy warning."""
+    cols = M.shape[1]
+    rest = [k for k in range(len(dims) + 1) if k not in slots]  # the column axis last
+    order = [*slots, *rest]
+    T = M.reshape(dims + (cols,)).transpose(order)
+    shape = T.shape
+    with np.errstate(all="ignore"):
+        out = np.asarray(op) @ T.reshape(prod(shape[:len(slots)]), -1)
+    inverse = sorted(range(len(order)), key=order.__getitem__)  # np.argsort costs more
+    return np.ascontiguousarray(out.reshape(shape).transpose(inverse)).reshape(prod(dims), cols)
+
+
 def embedded_matmul(op, i, j, site_dims, M):
     """Left-multiply matrix M by the embedding of two-site `op` at (i, j).
 
@@ -122,27 +138,13 @@ def embedded_matmul(op, i, j, site_dims, M):
     product that overflows reads inf or NaN, with no numpy warning, so the
     residual it reaches fails its report.
     """
-    dims = tuple(site_dims)
-    cols = M.shape[1]
-    T = M.reshape(dims + (cols,))
-    G = np.asarray(op).reshape(dims[i], dims[j], dims[i], dims[j])
-    with np.errstate(all="ignore"):
-        out = np.tensordot(G, T, axes=([2, 3], [i, j]))  # axes: (i', j', rest..., cols)
-    # i' and j' back to sites i and j, the rest in order (np.moveaxis costs 5x more)
-    rest = iter(range(2, len(dims) + 1))
-    order = [0 if k == i else 1 if k == j else next(rest) for k in range(len(dims) + 1)]
-    return np.ascontiguousarray(out.transpose(order)).reshape(prod(dims), cols)
+    return _slot_matmul(op, (i, j), tuple(site_dims), M)
 
 
 def site_matmul(mat, slot, site_dims, M):
     """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`
     (an overflow reads as in embedded_matmul)."""
-    dims = tuple(site_dims)
-    cols = M.shape[1]
-    T = np.moveaxis(M.reshape(dims + (cols,)), slot, 0)
-    with np.errstate(all="ignore"):
-        T = np.tensordot(mat, T, axes=(1, 0))
-    return np.ascontiguousarray(np.moveaxis(T, 0, slot)).reshape(prod(dims), cols)
+    return _slot_matmul(mat, (slot,), tuple(site_dims), M)
 
 
 def permuted_matmul(sigma, site_dims, M):

@@ -27,7 +27,7 @@ class SideRecord:
         return [(self.chain, self.side.reads())]
 
     def evaluate(self, solved):
-        return self.side.apply(self.chain, solved, self.block)
+        return self.side.apply(self.chain, solved[0], self.block)
 
 
 def applied(chain, steps, cache=None, block=None, check_invertible=True, route="apply_factors"):

@@ -288,66 +288,99 @@ def test_missed_degenerate_point_is_no_configuration_error(monkeypatch, capsys):
 
 
 def _count_solver_calls(monkeypatch):
-    """Per check group: the solve_requests calls (run_records' and those under
-    solve_intertwiner), the ones made while a record is evaluated, and the
-    (module pair, grading) of each stack solved."""
+    """The solve_requests calls of a run, in order: (phase, stacks, kappa scans) of
+    each, where phase says whether it was made while the groups built their
+    checks ("build"), by qkz.solve_records ("records") or while a group evaluated
+    ("evaluate"), stacks lists the (module pair, grading) of each stack solved and
+    kappa scans counts the _kappa_scalars calls that scanned a request."""
     from qkzkit import qkz, rsolve
-    group, evaluating = [None], [False]
-    calls, in_records, stacks = Counter(), Counter(), {}
-    run_group, solve, core = cli._run_group, rsolve._solve, rsolve.solve_requests
-
-    def in_group(name, *args):
-        group[0] = name
-        return run_group(name, *args)
+    phase, calls = ["build"], []
+    solve, scan, core = rsolve._solve, rsolve._kappa_scalars, rsolve.solve_requests
+    solve_records, evaluate = qkz.solve_records, cli._evaluate
 
     def counted_solve(reqs, template):
-        stacks.setdefault(group[0], []).append((reqs[0].module_key(), reqs[0].grading))
+        calls[-1][1].append((reqs[0].module_key(), reqs[0].grading))
         return solve(reqs, template)
 
+    def counted_scan(reqs):
+        calls[-1][2] += bool(reqs)
+        return scan(reqs)
+
     def counted_core(*args, **kwargs):
-        calls[group[0]] += 1
-        in_records[group[0]] += evaluating[0]
+        calls.append([phase[0], [], 0])
         return core(*args, **kwargs)
 
-    def flagged(evaluate):
-        def evaluate_flagged(rec, solved):
-            evaluating[0] = True
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            phase[0] = name
             try:
-                return evaluate(rec, solved)
+                return fn(*args, **kwargs)
             finally:
-                evaluating[0] = False
-        return evaluate_flagged
-    monkeypatch.setattr(cli, "_run_group", in_group)
+                phase[0] = "build"
+        return run
     monkeypatch.setattr(rsolve, "_solve", counted_solve)
-    for module in (rsolve, qkz):  # under solve_intertwiner, and in run_records
+    monkeypatch.setattr(rsolve, "_kappa_scalars", counted_scan)
+    for module in (rsolve, qkz):  # under solve_intertwiner, and in solve_records
         monkeypatch.setattr(module, "solve_requests", counted_core)
-    for record in (qkz.StringCheck, qkz.FactorCheck):
-        monkeypatch.setattr(record, "evaluate", flagged(record.evaluate))
-    return calls, in_records, stacks
-
-
-SOLVING_GROUPS = {"braid", "crossing", "invariances", "qkz", "theorems", "unitarity", "ybe"}
+    monkeypatch.setattr(qkz, "solve_records", in_phase("records", solve_records))
+    monkeypatch.setattr(cli, "_evaluate", in_phase("evaluate", evaluate))
+    return calls
 
 
 @pytest.mark.parametrize("argv, n_stacks", [
-    (["suite", "--m", "2", "--seed", "7"], 32),
-    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 32),
-], ids=["m2-seed7", "m1-samples12-seed1"])
+    (["suite", "--m", "2", "--seed", "7"], 9),
+    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 9),
+    (["suite", "--m", "3", "--seed", "1"], 12),
+], ids=["m2-seed7", "m1-samples12-seed1", "m3-seed1"])
 def test_each_group_solves_its_requests_in_one_call(argv, n_stacks, monkeypatch, capsys):
-    # every solving group makes one solver call, run_records', and evaluating
-    # its records makes none; degenerate_detection makes one per lattice point;
-    # each call solves one stack per module pair and grading
-    calls, in_records, stacks = _count_solver_calls(monkeypatch)
+    # the records of every solving group are solved in one call, with one kappa
+    # scan, and evaluating them makes none; degenerate_detection makes one call
+    # per lattice point while the groups build; each call solves one stack per
+    # module pair and grading
+    calls = _count_solver_calls(monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0 and len(json.loads(out)) == 71
-    assert set(stacks) == set(calls) == SOLVING_GROUPS | {"degenerate_detection"}
-    assert {name: calls[name] for name in SOLVING_GROUPS} == dict.fromkeys(SOLVING_GROUPS, 1)
-    assert sum(in_records.values()) == 0
-    for name in SOLVING_GROUPS:
-        assert len(stacks[name]) == len(set(stacks[name])), name
-    assert calls["degenerate_detection"] == len(stacks["degenerate_detection"]) == 2
-    assert sum(calls.values()) == 9
-    assert sum(len(s) for s in stacks.values()) == n_stacks
+    assert [phase for phase, _, _ in calls] == ["build", "build", "records"]
+    (_, probe1, _), (_, probe2, _), (_, stacks, scans) = calls
+    assert len(probe1) == len(probe2) == 1 and scans == 1
+    assert len(stacks) == len(set(stacks)) == n_stacks - 2
+
+
+def test_a_failing_stack_fails_only_the_groups_that_read_it(monkeypatch, capsys):
+    # an arithmetic error in the stack of one module pair, (V*, V) at m = 1, is
+    # stored for its requests: the two groups that read them (crossing and
+    # invariances) fail with it, and every other group keeps its reports
+    from qkzkit import rsolve
+    argv = ["suite", "--m", "3", "--seed", "7"]
+    _, out = run_cli(argv, capsys)
+    clean = json.loads(out)
+    solve = rsolve._solve
+
+    def planted(reqs, template):
+        if reqs[0].module_key()[:3] == ("V*", "V", 1):
+            raise FloatingPointError("overflow encountered in matmul")
+        return solve(reqs, template)
+    monkeypatch.setattr(rsolve, "_solve", planted)
+    code, out = run_cli(argv, capsys)
+    got = json.loads(out)
+    failed = [r for r in got if "group" in r["params"]]
+    assert code == 1 and sorted(r["name"] for r in failed) == ["crossing", "invariances"]
+    assert all(r["note"] == "FloatingPointError: overflow encountered in matmul" for r in failed)
+    lost = {"crossing", "invariance_a", "invariance_x", "invariance_xtilde"}
+    assert [r for r in got if r not in failed] == [r for r in clean if r["name"] not in lost]
+
+
+def test_verify_reports_what_the_suite_reports(capsys):
+    # a group's reports do not depend on the other groups solved beside it
+    _, out = run_cli(["suite", "--m", "2", "--seed", "7"], capsys)
+    suite, seen = json.loads(out), 0
+    for name in sorted(cli.CHECKS):
+        _, out = run_cli(["verify", name, "--m", "2", "--seed", "7"], capsys)
+        mine = json.loads(out)
+        names = {r["name"] for r in mine}
+        assert mine == [r for r in suite if r["name"] in names], name
+        seen += len(mine)
+    assert seen == len(suite) == 71
 
 
 class TestRmat:
@@ -510,13 +543,13 @@ class TestSuiteReporting:
         assert {"double_dual", "self_dual", "rep_invariants"} <= {rec["name"] for rec in data}
 
     def test_text_mode_times_every_group(self, capsys):
-        # after the count line, one positive time per group, in run order
+        # after the count line, one positive time per group, in run order, and the solve's
         code, out = run_cli(["suite", "--m", "1", "--format", "text"], capsys)
         assert code == 0
         lines = out.splitlines()
         count = next(i for i, line in enumerate(lines) if line.endswith("checks passed"))
         times = [line.split() for line in lines[count + 1:]]
-        assert [t[1] for t in times] == sorted(cli.CHECKS) and len(times) == 13
+        assert [t[1] for t in times] == [*sorted(cli.CHECKS), "solve"] and len(times) == 14
         assert all(t[0] == "time" and float(t[2]) > 0 and t[3] == "ms" and len(t) == 4
                    for t in times)
         assert " ms" not in "\n".join(lines[:count])  # no report line carries a time

@@ -6,9 +6,10 @@ error).
 The sweep is seeded: |q| from 0.05 to 0.99, real and complex, gradings up
 to (2, 5), m = 1..3, and --alpha, --trunc, --n, --norm and --seed drawn per
 configuration, a negative seed among them.  Each configuration runs in
-JSON and in text mode (one PASS/FAIL line per report, the count line and
-one time line per group, in run order); a `suite` run takes about
-0.03-0.3 s in process, so the sweep stays within about 10 s.  The same
+JSON and in text mode (one PASS/FAIL line per report, the count line, one
+time line per group, in run order, and one for the run's solve); a `suite`
+run takes about 0.03-0.3 s in process, so the sweep stays within about
+10 s.  The same
 contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
 (an exit-0 matrix has finite entries only), for one `verify` line per
 check group, and for a few lines at |q| from 1e-26 down to 1e-300, with
@@ -72,13 +73,13 @@ def _suite_contract(argv, monkeypatch, capsys) -> int:
     """Run a `suite` or `verify` line in JSON and in text mode and assert the
     contract of each; returns the exit code, the same in both."""
     calls = []
-    run_group = cli._run_group
+    evaluate = cli._evaluate
 
     def counted(name, *args):
-        out = run_group(name, *args)
+        out = evaluate(name, *args)
         calls.append((name, len(out)))
         return out
-    monkeypatch.setattr(cli, "_run_group", counted)
+    monkeypatch.setattr(cli, "_evaluate", counted)
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
@@ -98,15 +99,16 @@ def _suite_contract(argv, monkeypatch, capsys) -> int:
     if code == 2:
         assert out == "" and err.startswith("configuration error:")
         return code
-    # one PASS/FAIL line per report, the count line, one time line per group in run order
+    # one PASS/FAIL line per report, the count line, one time line per group in run
+    # order and the solve's
     lines, n = out.splitlines(), sum(count for _, count in calls)
     assert err == "" and [name for name, _ in calls] == order
     verdicts = [line.split()[0] for line in lines[:n]]
     assert set(verdicts) <= {"PASS", "FAIL"}
     assert lines[n] == f"{verdicts.count('PASS')}/{n} checks passed"
-    assert len(lines) == n + 1 + len(order)
+    assert len(lines) == n + 1 + len(order) + 1
     assert all(re.fullmatch(rf"time {name} \d+\.\d{{3}} ms", line)
-               for name, line in zip(order, lines[n + 1:]))
+               for name, line in zip([*order, "solve"], lines[n + 1:]))
     assert code == (0 if verdicts.count("PASS") == n else 1)
     return code
 

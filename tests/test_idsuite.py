@@ -41,9 +41,9 @@ class TestYangBaxter:
         a, b = pair
         req = make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, "hw")
         res = solve_intertwiner([req])[0]
-        noise = np.random.default_rng(5).standard_normal(res.Rcheck.shape)
+        noise = np.random.default_rng(5).standard_normal(res.entries.shape)
         cache = RCache()
-        cache.put(req.key(), replace(res, Rcheck=res.Rcheck + 1e-6 * np.linalg.norm(res.Rcheck)
+        cache.put(req.key(), replace(res, entries=res.entries + 1e-6 * np.linalg.norm(res.entries)
                                      * noise / np.linalg.norm(noise)))
         assert idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm).passed
         assert not idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm,
@@ -186,22 +186,25 @@ class TestInvariances:
                 assert rep.passed, rep.residual
 
     @pytest.mark.parametrize("kinds", [("V", "V"), ("V*", "V")])
-    def test_a_invariance_sees_an_off_sector_entry(self, ctx, grading, kinds):
+    def test_a_invariance_sees_an_off_sector_entry(self, ctx, grading, kinds, monkeypatch):
         # R conserves the h1-weight, so it commutes exactly with the diagonal
         # twist; one entry linking two weights must break the check
         zetas = (1.2 + 0.3j, 0.8 - 0.2j)
         alpha = 0.41 - 0.27j
-        req = make_request(kinds[0], zetas[0], kinds[1], zetas[1], 2, grading, ctx, "hw")
-        res = solve_intertwiner([req])[0]
         assert idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx).residual < 1e-15
-        Rcheck = res.Rcheck.copy()
-        # basis vectors 0 and 1 differ in h1-weight by 2; row 0 is hw x hw, so R = P Rcheck
-        # has the same entry
-        Rcheck[0, 1] += 1e-6
-        cache = RCache()
-        cache.put(req.key(), replace(res, Rcheck=Rcheck))
+        # a solve stores the weight-conserving entries alone, so the entry is planted
+        # where the record reads its factor
+        rcheck_factors = qkz.rcheck_factors
+
+        def off_sector(*args, **kwargs):
+            (Rcheck,) = rcheck_factors(*args, **kwargs)
+            # basis vectors 0 and 1 differ in h1-weight by 2; row 0 is hw x hw, so
+            # R = P Rcheck has the same entry
+            Rcheck[0, 1] += 1e-6
+            return [Rcheck]
+        monkeypatch.setattr(qkz, "rcheck_factors", off_sector)
         assert not idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx,
-                                              cache=cache).passed
+                                              cache=RCache()).passed
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_xtilde_invariance(self, m, ctx, grading, cache):
@@ -309,7 +312,7 @@ class TestPlantedDefects:
         assert check().passed
         solve = qkz.solve_requests
         monkeypatch.setattr(qkz, "solve_requests", lambda *args, **kwargs: [
-            replace(res, Rcheck=res.Rcheck * (1 + EPS)) if k == 0 else res
+            replace(res, entries=res.entries * (1 + EPS)) if k == 0 else res
             for k, res in enumerate(solve(*args, **kwargs))])
         assert not check().passed
 

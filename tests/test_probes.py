@@ -376,13 +376,13 @@ class TestOneSidedDefect:
     @pytest.fixture(scope="class")
     def records(self):
         built = []
-        run_records = qkz.run_records
+        solve_records = qkz.solve_records
 
         def keep(records, cache=None):
             built.extend(records)
-            return run_records(records, cache)
+            return solve_records(records, cache)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qkz, "run_records", keep)
+            mp.setattr(qkz, "solve_records", keep)
             assert cli.main(["suite", "--m", "2", "--seed", "7", "--out", os.devnull]) == 0
         return [rec for rec in built if isinstance(rec, qkz.StringCheck)]
 

@@ -100,8 +100,16 @@ def _nan_e1(original):
 
 
 def _group(name):
+    """The reports of a check group: those it makes, and its records run on one cache."""
     config = cli.build_parser().parse_args(["suite"])
-    return lambda: cli.CHECKS[name](config, cli._context(config), cli._grading(config), RCache())
+
+    def run():
+        cache = RCache()
+        built = cli.CHECKS[name](config, cli._context(config), cli._grading(config), cache)
+        records = [item for item in built if not isinstance(item, VerificationReport)]
+        return ([item for item in built if isinstance(item, VerificationReport)]
+                + qkz.run_records(records, cache))
+    return run
 
 
 def _crossing():

@@ -453,11 +453,12 @@ class TestContinuation:
 
 
 class TestOneStoredOperator:
-    """A result stores Rcheck alone; R = P Rcheck is formed on each read."""
+    """A result stores Rcheck's weight-conserving entries alone; Rcheck and
+    R = P Rcheck are formed on each read."""
 
-    def test_rcheck_is_the_only_array_field(self):
+    def test_entries_are_the_only_array_field(self):
         arrays = [f.name for f in dataclasses.fields(rsolve.RResult) if f.type is np.ndarray]
-        assert arrays == ["Rcheck"]
+        assert arrays == ["entries"]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
@@ -468,17 +469,19 @@ class TestOneStoredOperator:
                 for k1, k2 in ALL_PAIRS]
         for res in solve_intertwiner(reqs):
             assert [f.name for f in dataclasses.fields(res)
-                    if isinstance(getattr(res, f.name), np.ndarray)] == ["Rcheck"]
+                    if isinstance(getattr(res, f.name), np.ndarray)] == ["entries"]
             assert np.array_equal(res.R, P @ res.Rcheck)
 
-    def test_cache_holds_one_operator_per_solve(self, ctx, grading):
-        # N hw solves at m = 4 keep N D^2 complex entries alive, not twice that
+    def test_cache_holds_the_entries_of_each_solve(self, ctx, grading):
+        # N hw solves at m = 4 keep N U complex entries alive (U = 85 weight-conserving
+        # unknowns), well under the N D^2 (D^2 = 625) of dense operators
         m, N = 4, 16
         D = (m + 1) ** 2
         cache = RCache()
         solve_intertwiner([make_request("V", 1.1, "V*", 0.9, m, grading, ctx)], cache)  # template
         reqs = [make_request("V", (1.0 + 0.05 * k) * np.exp(0.3j * k), "V*", 0.9, m,
                              grading, ctx) for k in range(N)]
+        U = len(cache.template(reqs[0]).a)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -486,7 +489,7 @@ class TestOneStoredOperator:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert N * D * D * 16 <= retained < 1.25 * N * D * D * 16
+        assert U == 85 and N * U * 16 <= retained < 0.25 * N * D * D * 16
 
 
 class TestCache:
@@ -642,6 +645,44 @@ class TestStackedSolve:
         assert batch_gets == sorted(gets)
         assert sum(hit for _, hit in gets) == len(reqs) - len({req.key() for req in reqs})
         for req, a, b in zip(reqs, stacked, single):
+            assert np.array_equal(a.Rcheck, b.Rcheck), req
+            assert a.margin == b.margin and a.intertwine_residual == b.intertwine_residual, req
+
+    @pytest.mark.parametrize("site", ["_solve", "kappa_sl2"])
+    def test_an_arithmetic_error_fails_only_its_requests(self, ctx, grading, site, monkeypatch):
+        # a stack or a kappa scan that raises (here the ones at m = 2) stores its
+        # error for each of its requests, and the call raises nothing
+        rng = np.random.default_rng(23)
+        reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx, "kappa")
+                for k1, k2 in ALL_PAIRS for m in (1, 2)]
+        original = getattr(rsolve, site)
+
+        def planted(*args):
+            if (args[0][0].m if site == "_solve" else args[0]) == 2:
+                raise FloatingPointError("overflow encountered in matmul")
+            return original(*args)
+        monkeypatch.setattr(rsolve, site, planted)
+        for req, res in zip(reqs, rsolve.solve_requests(reqs, RCache())):
+            assert isinstance(res, FloatingPointError) == (req.m == 2), req
+            if req.m == 2:
+                with pytest.raises(FloatingPointError):
+                    rsolve.read_result(res)
+
+    def test_stacked_matches_single_at_m12(self, ctx, grading):
+        # stacks of 16 zeta pairs at m = 12: the basis columns are summed in a fixed
+        # order, so each result still has the bits of its request solved alone
+        from qkzkit.idsuite import draw_generic_zetas
+        rng = np.random.default_rng(94)
+        reqs = []
+        for kinds in ALL_PAIRS[:2]:
+            for _ in range(16):
+                z1, z2 = draw_generic_zetas(rng, 2, 12, grading, ctx)
+                reqs += [make_request(kinds[0], z1, kinds[1], z2, 12, grading, ctx, norm)
+                         for norm in ("hw", "kappa")]
+        stacked = solve_intertwiner(reqs, RCache(), check_invertible=False)
+        cache = RCache()
+        for req, a in zip(reqs, stacked):
+            b = solve_intertwiner([req], cache, check_invertible=False)[0]
             assert np.array_equal(a.Rcheck, b.Rcheck), req
             assert a.margin == b.margin and a.intertwine_residual == b.intertwine_residual, req
 

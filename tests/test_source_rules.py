@@ -14,12 +14,14 @@ its one SVD is the gap test of the highest-weight kernels in
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string (the one use of
 permuted_matmul), so no second factor loop can come back.  In `qkz`,
-`reduction`, `idsuite` and `cli` only the record runner `run_records`
-solves R-operators (solve_requests, solve_intertwiner or r_matrix), once
-per check group, and the records only read its results (`rcheck_factors`),
-so no check can keep a request list beside the factor data it applies and
-no record can solve a second time; `cli` keeps two single requests by
-design, the degenerate-point probe and the `rmat` dump.
+`reduction`, `idsuite` and `cli` only the record solve `solve_records`
+solves R-operators (solve_requests, solve_intertwiner or r_matrix); the
+record runner `run_records` and, once per run, the suite's `_run_groups`
+call it, and the records only read its results (`rcheck_factors`), so no
+check can keep a request list beside the factor data it applies, no
+record can solve a second time and no check group can solve on its own;
+`cli` keeps two single requests by design, the degenerate-point probe and
+the `rmat` dump.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
 take their residuals from `tensorops.relative_residual` and call no norm
 of their own, so no second residual rule (a 0/0 guard among them) can come
@@ -161,12 +163,15 @@ def test_rsolve_svd_only_in_chain_kernels():
 FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
 REQUEST_SOURCES = [p for p in SOURCES
                    if p.name in ("qkz.py", "reduction.py", "idsuite.py", "cli.py")]
-REQUEST_NAMES = ("solve_requests", "solve_intertwiner", "r_matrix")
+REQUEST_NAMES = ("solve_requests", "solve_intertwiner", "r_matrix", "solve_records")
 # the functions that may request R-operators, by module and name: the record
-# runner; in cli the degenerate-point group, which probes single lattice
-# points by design, and the rmat dump of one operator
+# solve, and the record runner and the suite's group runner that call it; in
+# cli the degenerate-point group, which probes single lattice points by
+# design, and the rmat dump of one operator
 REQUEST_CALLERS = {
-    ("qkz.py", "solve_requests"): ("run_records",),
+    ("qkz.py", "solve_requests"): ("solve_records",),
+    ("qkz.py", "solve_records"): ("run_records",),
+    ("cli.py", "solve_records"): ("_run_groups",),
     ("cli.py", "r_matrix"): ("_chk_degenerate_detection", "cmd_rmat"),
 }
 
@@ -177,7 +182,7 @@ def test_factor_string_sources_found():
 
 @pytest.mark.parametrize("name", REQUEST_NAMES)
 @pytest.mark.parametrize("path", REQUEST_SOURCES, ids=lambda p: p.name)
-def test_factors_requested_only_in_run_records(path, name):
+def test_factors_requested_only_in_solve_records(path, name):
     tree = ast.parse(path.read_text())
     assert calls_outside(tree, name, REQUEST_CALLERS.get((path.name, name), ())) == []
 
@@ -310,19 +315,19 @@ def test_svd_rule_fires_on_planted_code(source, outside):
 
 @pytest.mark.parametrize("source, outside", [
     ("from .rsolve import solve_requests\n"
-     "def run_records(records, cache):\n    return solve_requests(reqs, cache)\n", 0),
+     "def solve_records(records, cache):\n    return solve_requests(reqs, cache)\n", 0),
     # a second request function, with the import it uses
     ("from .rsolve import solve_requests\n"
      "def _factors(case, pairs, cache):\n    return solve_requests(pairs, cache)\n", 2),
     ("from .rsolve import make_request, solve_requests\n"
-     "def run_records(records, cache):\n    return solve_requests(reqs, cache)\n"
+     "def solve_records(records, cache):\n    return solve_requests(reqs, cache)\n"
      "def _factors(pairs):\n    return solve_requests(pairs, None)\n", 1),
     ("from . import rsolve\ndef _factors(pairs):\n    return rsolve.solve_requests(pairs)\n", 1),
     ("from .rsolve import solve_requests as solve\n", 1),
 ])
 def test_request_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
-    assert len(calls_outside(tree, "solve_requests", ("run_records",))) == outside
+    assert len(calls_outside(tree, "solve_requests", ("solve_records",))) == outside
 
 
 @pytest.mark.parametrize("module, name, source, outside", [
@@ -335,7 +340,7 @@ def test_request_rule_fires_on_planted_code(source, outside):
      "    return r_matrix(kind, zeta, kind, zeta, m, g, ctx, cache=cache)\n", 2),
     ("idsuite.py", "solve_intertwiner", "from .qkz import run_records\n"
      "def _pair(m):\n    return run_records([rec])\n", 0),
-    # a group runner of cli's own, beside qkz.run_records
+    # a group runner of cli's own, beside qkz.solve_records
     ("cli.py", "solve_intertwiner", "from .rsolve import RCache, solve_intertwiner\n"
      "def _run_records(records, cache):\n    solve_intertwiner(reqs, cache)\n", 2),
     ("cli.py", "r_matrix", "from .rsolve import RCache, r_matrix\n"
@@ -347,12 +352,25 @@ def test_request_rule_fires_on_planted_code(source, outside):
      "def _chk_unitarity(config, ctx, g, cache):\n"
      "    return r_matrix('V', z1, 'V', z2, 1, g, ctx, cache=cache)\n", 1),
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
-     "def run_records(records, cache):\n    solved = solve_requests(reqs, cache)\n", 0),
-    # a factor reader that solves again, beside the record runner
+     "def solve_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 0),
+    # a factor reader that solves again, beside the record solve
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
-     "def run_records(records, cache):\n    solved = solve_requests(reqs, cache)\n"
+     "def solve_records(records, cache):\n    results = solve_requests(reqs, cache)\n"
      "def rcheck_factors(chain, infos, solved, check_invertible):\n"
      "    return solve_requests(infos, cache)\n", 1),
+    # the record runner solves through the record solve, not beside it
+    ("qkz.py", "solve_records", "def run_records(records, cache):\n"
+     "    return [rec.evaluate(s) for rec, s in zip(records, solve_records(records, cache))]\n",
+     0),
+    ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
+     "def run_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 2),
+    # the suite's one solve, and a check group that solves its own records
+    ("cli.py", "solve_records", "def _run_groups(names, config):\n"
+     "    solved = qkz.solve_records(records, cache)\n", 0),
+    ("cli.py", "solve_records", "def _run_groups(names, config):\n"
+     "    solved = qkz.solve_records(records, cache)\n"
+     "def _chk_ybe(config, ctx, g, cache):\n"
+     "    return qkz.solve_records(records, cache)\n", 1),
     ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
      "def rcheck_factors(chain, infos, solved, check_invertible):\n"
      "    return solve_intertwiner(infos, cache, check_invertible)\n", 2),

@@ -230,6 +230,23 @@ class TestFastApply:
             assert got.shape == (12, cols)
             assert np.abs(got - dense @ M).max() < 1e-13
 
+    @pytest.mark.parametrize("cols", [1, 8])
+    def test_every_pair_and_slot_match_the_dense_embedding(self, cols):
+        # five sites: adjacent, far and reversed pairs, and each slot with a complex
+        # and a real matrix (the site twists can be real)
+        dims = (3,) * 5
+        M = rand_c(243, cols)
+        for i in range(5):
+            for j in range(5):
+                if i != j:
+                    op = rand_c(9, 9)
+                    want = embed_pair(op, i, j, dims) @ M
+                    got = embedded_matmul(op, i, j, dims, M)
+                    assert relative_residual(want, got) < 1e-14, (i, j)
+            for A in (rand_c(3, 3), rand_c(3, 3).real):
+                dense = np.kron(np.kron(np.eye(3 ** i), A), np.eye(3 ** (4 - i)))
+                assert relative_residual(dense @ M, site_matmul(A, i, dims, M)) < 1e-14, i
+
     def test_swap_outputs_is_exact_permutation(self):
         op = rand_c(6, 6)
         want = permutation_op([1, 0], (2, 3)) @ op
