@@ -19,8 +19,8 @@ no code with it; or `dense`, the two-site matrix product in written
 order), and the pairs of sides that must agree.  A `FactorCheck`
 declares the two-site factors that its own arithmetic reads.  Either
 states once what it reads (`reads`).  `solve_records`, the only solver
-call of `qkz`, `reduction` and `idsuite`, builds the requests of those
-reads once and solves them for all its records in one call; each record
+call of `qkz`, `reduction` and `idsuite`, requests each distinct factor of
+those reads once and solves them for all its records in one call; each record
 then reads its factors from the results that it is handed
 (`evaluate`, `rcheck_factors`).  A `cli` suite run solves the records of
 all its check groups in one solve_records call; the public check
@@ -161,16 +161,16 @@ class Sites:
         return (self.m + 1,) * self.n
 
 
-def _requests(chain, infos) -> list:
-    """The request of each factor (kind1, z1, kind2, z2) in infos, or None for
-    the removable (V,V) resonance z1 = q^delta z2 of the kappa-normalized
-    family, which takes its closed form."""
-    qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
-    return [None if (chain.normalization == "kappa" and k1 == k2 == "V"
-                     and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1))
-            else make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx,
-                              chain.normalization)
-            for k1, z1, k2, z2 in infos]
+def _request(chain, info):
+    """The request of a factor info = (kind1, z1, kind2, z2) of the chain, or
+    None for the removable (V,V) resonance z1 = q^delta z2 of the
+    kappa-normalized family, which takes its closed form."""
+    k1, z1, k2, z2 = info
+    if chain.normalization == "kappa" and k1 == k2 == "V":
+        qd = complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
+        if abs(z1 - qd * z2) <= _ARG_TOL * abs(z1):
+            return None
+    return make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx, chain.normalization)
 
 
 def _two_site(steps) -> list:
@@ -333,17 +333,26 @@ def solve_records(records, cache=None) -> list:
     each factor, or None for the closed-form resonance (rcheck_factors).
 
     One solve_requests call on the cache (a fresh one by default) solves
-    every factor of the records, and the requests of each read are built
-    once, here.  A repeated factor is solved once (solve_requests keys its
-    requests).  A failed request raises its error when a record reads it,
-    and a result does not depend on the call that solved it, so each record
-    reports what it reports alone.
+    every factor of the records.  Each distinct factor (kind1, z1, kind2, z2)
+    at (m, grading, ctx, normalization) is requested once, keyed by a plain
+    tuple, and every read of it is handed that request's result.  A failed
+    request raises its error when a record reads it, and a result does not
+    depend on the call that solved it, so each record reports what it
+    reports alone.
     """
-    reads = [[_requests(chain, infos) for chain, infos in rec.reads()] for rec in records]
-    results = iter(solve_requests([req for rec in reads for read in rec for req in read
-                                   if req is not None], cache))
-    return [[[None if req is None else next(results) for req in read] for read in rec]
-            for rec in reads]
+    reqs, seen = [], {}  # (m, grading, ctx, normalization) -> info -> its index in reqs
+
+    def positions(chain, infos):
+        at = seen.setdefault((chain.m, chain.grading, chain.ctx, chain.normalization), {})
+        for info in infos:
+            if info not in at:
+                req = _request(chain, info)
+                at[info] = None if req is None else len(reqs)
+                reqs.extend(() if req is None else (req,))
+        return [at[info] for info in infos]
+    reads = [[positions(chain, infos) for chain, infos in rec.reads()] for rec in records]
+    results = solve_requests(reqs, cache)
+    return [[[None if k is None else results[k] for k in read] for read in rec] for rec in reads]
 
 
 def run_records(records, cache=None) -> list:

@@ -31,23 +31,29 @@ gauge depend on the grading, so solves are keyed by it.  A request
 its key and the lookup.
 
 solve_requests returns each request's result or the error that it raises
-alone, and raises nothing, also when a stack or a kappa scan meets an
-arithmetic error far out on the q-disk (that error is then stored for
-each of its requests); the read rule read_result raises a stored error or
+alone, and raises nothing, also when a template, a frame, a stack or a
+kappa scan meets an arithmetic error far out on the q-disk (a template or
+frame then fails its module pair's requests, a stack those of its spin,
+and a scan its own); the read rule read_result raises a stored error or
 refuses a singular operator.  solve_intertwiner is the rule over one
 solve_requests call, and r_matrix its call for one request.  The misses
-of a call are solved as stacks, one per module pair and grading: the
-ratios, their products and the gauge scatter, then the intertwining
-residual.  At the suite's sizes a call costs mostly its fixed part (about
-0.4 ms for one kappa request at m = 3, against about 0.07 ms for each
-further request of the same stack), so a `suite` run makes one
-solve_requests call (`qkz.solve_records`) for the records of all its
-check groups, which read their factors from its results (`suite --m 3`:
-10 stacks and one kappa scan, besides the two single probes of
-degenerate_detection).  A stack forms each request's Rcheck elementwise,
-its basis columns summed in a fixed order, and a kappa scan is
-elementwise numpy arithmetic, so each of its rows keeps the bits of a
-one-row scan: a result does not depend on the call that solved it.
+of a call are solved as stacks, one per spin, q and grading, which covers
+every module pair of that spin (a reduction check reads all four of
+(V,V), (V,V*), (V*,V) and (V*,V*)): each request reads its own pair's
+template by index, for the ratios, their products and the gauged entries,
+then the intertwining residual, which forms the dense operators block by
+block.  At the suite's sizes a call costs mostly
+its fixed part (2 cores, one BLAS thread: about 0.4 ms for one kappa
+request at m = 3, 0.2 ms of it the stack and 0.09 ms the kappa scan,
+against 0.03-0.07 ms for each further request of the same stack, of any
+module pair), so a `suite` run makes one solve_requests call
+(`qkz.solve_records`) for the records of all its check groups, which read
+their factors from its results (`suite --m 3`: 3 stacks and one kappa
+scan, besides the two single probes of degenerate_detection).  A stack
+forms each request's Rcheck elementwise, its basis columns summed in a
+fixed order, and a kappa scan is elementwise numpy arithmetic, so each of
+its rows keeps the bits of a one-row scan: a result does not depend on
+the call that solved it.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -372,10 +378,18 @@ class RCache:
         return self._templates[key]
 
 
-def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
+def _frame_of(g) -> tuple:
+    """(frame, c, p) of grading g: its homogeneous frame, the gauge exponent c
+    that takes g there and the grade p of the frame's lowering row generator
+    (_raw_nullvector)."""
+    return (1, g.s1, g.s) if g.s1 <= g.s0 else (0, -g.s0, -g.s)
+
+
+def _raw_nullvector(reqs, templates, index) -> tuple:
     """The hw-normalized nullvectors of the commutant systems, with the
     relative size of each component ratio's terms, for a stack of requests
-    at one module pair and grading.
+    at one spin, q and grading; request b reads templates[index[b]], the
+    template of its module pair, whose frame of the grading is built.
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
@@ -390,49 +404,60 @@ def _raw_nullvector(reqs, template: CommutantTemplate) -> tuple:
     the h1-weight of the V1 factor; the 2m+1 powers are formed once per
     request.  In the frame, Rcheck = sum_j c_j B_j with the coefficients
     of normalize_hw, from the ratios beta_j / alpha_j of the frame's
-    numbers (_Frame) at p = s in frame 1 and p = -s in frame 0.
+    numbers (_Frame) at p = s in frame 1 and p = -s in frame 0.  Each
+    request reads its own template's ratios, basis and gauge exponents,
+    gathered by index, and every step is elementwise per request.
 
-    Returns (X, rel, errors, grades): X (B, D, D); rel (B, 2, m), the
+    Returns (entries, rel, errors, grades): entries (B, U), Rcheck at the
+    unknowns of each request's template (the dense Rcheck is formed only
+    per block, by the intertwining residual); rel (B, 2, m), the
     moduli |alpha_j| and |beta_j| over the sums of the moduli of their two
     terms, read as 0 or NaN where they cancel or vanish; errors[b] the
     ConfigError of request b or None, for a zeta power that overflows; and
     zeta1^p, zeta2^p (B, 4) at the grade p of each e/f generator, which the
     intertwining residual reads.
     """
-    B, D = len(reqs), template.dim
+    B, D = len(reqs), templates[0].dim
     errors = [None] * B
     g, m = reqs[0].grading, reqs[0].m
     z1 = np.array([req.zeta1 for req in reqs])
     z2 = np.array([req.zeta2 for req in reqs])
-    if g.s1 <= g.s0:  # gauge to (s, 0)
-        frame, c, p = 1, g.s1, g.s
-    else:  # gauge to (0, s)
-        frame, c, p = 0, -g.s0, -g.s
+    frame, c, p = _frame_of(g)
     grades = (g.s0, g.s1, -g.s0, -g.s1)  # of e0, e1, f0, f1 (_EF_TAGS)
     gauge, p1, p2 = _powers((z1 / z2, z1, z2), ([c * k for k in range(-m, m + 1)],
                                                  (p, *grades), (p, *grades)), errors)
     if D == 1:
-        return np.ones((B, 1, 1), dtype=complex), np.ones((B, 2, 0)), errors, (p1[:, 1:], p2[:, 1:])
-    fr = template.frame(frame)
+        return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, (p1[:, 1:], p2[:, 1:])
+    frames = [t.frame(frame) for t in templates]
+    ratios = _per_request([fr.ratios for fr in frames], index)
+    columns = np.stack([fr.basis.T for fr in frames])  # (T, m+1, U), gathered column by column
     with np.errstate(all="ignore"):
         # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
-        terms = fr.ratios * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
+        terms = ratios * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
         alpha_beta = terms.sum(axis=2)
         rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
         coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
         # sum_j c_j B_j column by column in a fixed order, in real arithmetic as
-        # np.einsum forms it at small sizes, so a request's bits do not depend on B
-        # (np.einsum changes its order with the stack at m = 12)
-        (br, bi), (cr, ci) = (fr.basis.real, fr.basis.imag), (coef.real, coef.imag)
+        # np.einsum forms it at small sizes, so a request's bits do not depend on
+        # the stack (np.einsum changes its order with the stack at m = 12)
+        cr, ci = coef.real, coef.imag
         re = im = 0.0
         for j in range(m + 1):
-            re = re + (br[:, j] * cr[:, j, None] - bi[:, j] * ci[:, j, None])
-            im = im + (br[:, j] * ci[:, j, None] + bi[:, j] * cr[:, j, None])
+            column = columns[index, j]
+            br, bi = column.real, column.imag
+            re = re + (br * cr[:, j, None] - bi * ci[:, j, None])
+            im = im + (br * ci[:, j, None] + bi * cr[:, j, None])
         rcheck = np.empty(re.shape, dtype=complex)
         rcheck.real, rcheck.imag = re, im
-        X = np.zeros((B, D, D), dtype=complex)
-        X[:, template.a, template.b] = gauge[:, template.gauge] * rcheck
-    return X, rel, errors, (p1[:, 1:], p2[:, 1:])
+        entries = gauge[np.arange(B)[:, None], _per_request([t.gauge for t in templates], index)]
+        entries *= rcheck
+    return entries, rel, errors, (p1[:, 1:], p2[:, 1:])
+
+
+def _per_request(arrays, index) -> np.ndarray:
+    """arrays[index[b]] for each request b of a stack, (B, ...); the arrays of
+    one spin's module pairs have equal shapes."""
+    return (arrays[0][None] if len(arrays) == 1 else np.stack(arrays))[index]
 
 
 def _norms(A) -> np.ndarray:
@@ -447,26 +472,33 @@ def _norms(A) -> np.ndarray:
 _IMAGE_ENTRIES = 1 << 12
 
 
-def _intertwine_residuals(Rc, z1p, z2p, template) -> np.ndarray:
+def _intertwine_residuals(entries, z1p, z2p, templates, index) -> np.ndarray:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
-    of the stack Rc (B, D, D), from zeta1^p and zeta2^p (B, 4) at the grades.
+    Rc of a stack, from its entries (B, U) at the unknowns of its template
+    templates[index[b]] and zeta1^p and zeta2^p (B, 4) at the grades.
 
-    The images of the four e/f generators are formed for blocks of requests
-    that keep them within _IMAGE_ENTRIES entries (one request at least), so
-    the temporaries do not grow with B; generators with M = 0 are skipped,
-    a zero Rc reads inf, and an image that overflows reads inf or NaN.
+    The requests of each template are taken in turn, and their dense
+    operators and the images of the four e/f generators are formed for
+    blocks that keep the images within _IMAGE_ENTRIES entries (one request
+    at least), so the temporaries do not grow with B; generators with M = 0
+    are skipped, a zero Rc reads inf, and an image that overflows reads inf
+    or NaN.
     """
-    B, D = Rc.shape[:2]
+    B, D = len(entries), templates[0].dim
     rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
     worst = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r in range(0, B, rows):
-            block = Rc[r:r + rows, None]
-            M, N = template.pairs(z1p[r:r + rows], z2p[r:r + rows])
-            nr, nm = _norms(block), _norms(M)
-            res = _norms(block @ M - N @ block)
-            worst[r:r + rows] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
-            worst[r:r + rows][nr[:, 0] == 0] = np.inf
+        for k, t in enumerate(templates):
+            mine = np.flatnonzero(index == k)
+            for r in range(0, len(mine), rows):
+                at = mine[r:r + rows]
+                block = np.zeros((len(at), 1, D, D), dtype=complex)
+                block[:, 0, t.a, t.b] = entries[at]
+                M, N = t.pairs(z1p[at], z2p[at])
+                nr, nm = _norms(block), _norms(M)
+                res = _norms(block @ M - N @ block)
+                worst[at] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
+                worst[at[nr[:, 0] == 0]] = np.inf
     return worst
 
 
@@ -523,9 +555,11 @@ def apply_kappa(res: RResult, k: complex) -> RResult:
                    res.intertwine_residual if k != 0 else np.inf, k)
 
 
-def _solve(reqs, template: CommutantTemplate) -> list:
-    """The hw-normalized results of a stack of requests at one module pair and
-    grading: per request an RResult, or the error it raises alone.
+def _solve(reqs, templates, index) -> list:
+    """The hw-normalized results of a stack of requests at one spin, q and
+    grading: per request an RResult, or the error it raises alone.  Request
+    b reads templates[index[b]], the template of its module pair, whose
+    frame of the grading is built (_raw_nullvector).
 
     A ratio index j where alpha_j and beta_j both cancel leaves c_{j+1} free
     (a wider nullspace); alpha_j alone makes the hw component vanish; beta_j
@@ -537,7 +571,7 @@ def _solve(reqs, template: CommutantTemplate) -> list:
     alpha_j that is exactly 0 passes it at _CANCEL_TOL = 0).  The flags are
     formed for the whole stack; only a failing request takes a loop step.
     """
-    X, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template)
+    entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, templates, index)
     cancel = ~(rel >= _CANCEL_TOL)  # NaN cancels
     for k in np.flatnonzero(cancel[:, 0].any(axis=1)):  # some alpha_j cancels
         both = np.flatnonzero(cancel[k].all(axis=0))
@@ -546,20 +580,19 @@ def _solve(reqs, template: CommutantTemplate) -> list:
             f"(terms cancel below {_CANCEL_TOL:.1g})" if len(both) else
             "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
-    X[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
-    residual = _intertwine_residuals(X, z1p, z2p, template)
+    entries[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
+    residual = _intertwine_residuals(entries, z1p, z2p, templates, index)
     for k in np.flatnonzero(~np.isfinite(residual)):
         with np.errstate(over="ignore", invalid="ignore"):
-            images = template.pairs(z1p[k:k + 1], z2p[k:k + 1])
-        if np.isfinite(images).all() and not np.isfinite(X[k]).all():
+            MN = templates[index[k]].pairs(z1p[k:k + 1], z2p[k:k + 1])
+        if np.isfinite(MN).all() and not np.isfinite(entries[k]).all():
             errors[k] = errors[k] or DegeneratePointError(
                 "R is not finite: a component ratio diverges (non-simple spectral point)")
         errors[k] = errors[k] or ConfigError(
             "spectral parameters out of range: the operator or a generator image overflows")
-    entries = X[:, template.a, template.b]
     margins = rel.min(axis=(1, 2), initial=1.0).tolist()
-    return [err or RResult(row, template, margin, resid)
-            for err, row, margin, resid in zip(errors, entries, margins, residual.tolist())]
+    return [err or RResult(row, templates[t], margin, resid) for err, row, t, margin, resid
+            in zip(errors, entries, index, margins, residual.tolist())]
 
 
 def solve_requests(reqs, cache: RCache = None) -> list:
@@ -570,16 +603,18 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     Each request takes one RCache.get: the first request of each key
     before the solve, a repeated key after it, so hits and misses are
     those of the requests passed one by one.  The misses are solved once
-    per key, one stack per module pair and grading (_solve), and every key
-    that solves is stored, whatever fails beside it.  A stack, its module
-    pair's template or frame, or a kappa scan that raises one of
-    NUMERICAL_ERRORS fails each of its requests with that error.  The
-    hw-normalized solve is cached per zeta pair and serves both
-    normalizations; a kappa request reads it through apply_kappa, with the
-    kappa scalar kept in the pair's entry.  The stored zeta pairs whose
-    kappa requests find no scalar share one kappa_sl2 scan per (s, m, q
-    context) (_kappa_scalars).  Without a cache the call goes through a
-    fresh RCache.
+    per key, one stack per spin, q and grading (_solve), which covers every
+    module pair of that spin, and every key that solves is stored, whatever
+    fails beside it.  Errors of NUMERICAL_ERRORS are isolated as far as
+    the work is shared: a module pair whose template or frame raises one
+    fails that pair's requests, a stack that raises one fails the requests
+    of its whole spin, q and grading, and a kappa scan that raises one
+    fails its requests.  The hw-normalized solve is cached per zeta pair
+    and serves both normalizations; a kappa request reads it through
+    apply_kappa, with the kappa scalar kept in the pair's entry.  The
+    stored zeta pairs whose kappa requests find no scalar share one
+    kappa_sl2 scan per (s, m, q context) (_kappa_scalars).  Without a cache
+    the call goes through a fresh RCache.
     """
     if cache is None:
         cache = RCache()
@@ -588,18 +623,37 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     entries = {key: cache.get(key) for key in first}
-    groups = {}
+    stacks = {}
     for key, i in first.items():
         if entries[key] is None:
-            groups.setdefault((reqs[i].module_key(), reqs[i].grading), []).append(i)
-    failed = {}  # key -> the error of its solve or of its kappa scan
-    for idx in groups.values():
-        stack = [reqs[i] for i in idx]
+            stacks.setdefault((reqs[i].m, complex(reqs[i].ctx.q), reqs[i].grading), []).append(i)
+    failed = {}  # key -> the error of its template, frame, stack or kappa scan
+    for idx in stacks.values():
+        frame = _frame_of(reqs[idx[0]].grading)[0]
+        templates, built, stack, index = [], {}, [], []  # built: module key -> index or error
+        for i in idx:
+            pair = reqs[i].module_key()
+            if pair not in built:
+                try:
+                    template = cache.template(reqs[i])
+                    template.frame(frame)
+                except NUMERICAL_ERRORS as exc:
+                    built[pair] = exc.with_traceback(None)
+                else:
+                    built[pair] = len(templates)
+                    templates.append(template)
+            if isinstance(built[pair], Exception):
+                failed[keys[i]] = built[pair]
+            else:
+                stack.append(i)
+                index.append(built[pair])
+        if not stack:
+            continue
         try:
-            results = _solve(stack, cache.template(stack[0]))
+            results = _solve([reqs[i] for i in stack], templates, np.array(index))
         except NUMERICAL_ERRORS as exc:
             results = [exc.with_traceback(None)] * len(stack)
-        for i, res in zip(idx, results):
+        for i, res in zip(stack, results):
             if isinstance(res, RResult):
                 entries[keys[i]] = cache.put(keys[i], res)
             else:

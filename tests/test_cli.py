@@ -291,16 +291,17 @@ def _count_solver_calls(monkeypatch):
     """The solve_requests calls of a run, in order: (phase, stacks, kappa scans) of
     each, where phase says whether it was made while the groups built their
     checks ("build"), by qkz.solve_records ("records") or while a group evaluated
-    ("evaluate"), stacks lists the (module pair, grading) of each stack solved and
-    kappa scans counts the _kappa_scalars calls that scanned a request."""
+    ("evaluate"), stacks lists the (spin, q, grading) of each stack solved, which
+    covers every module pair of that spin, and kappa scans counts the
+    _kappa_scalars calls that scanned a request."""
     from qkzkit import qkz, rsolve
     phase, calls = ["build"], []
     solve, scan, core = rsolve._solve, rsolve._kappa_scalars, rsolve.solve_requests
     solve_records, evaluate = qkz.solve_records, cli._evaluate
 
-    def counted_solve(reqs, template):
-        calls[-1][1].append((reqs[0].module_key(), reqs[0].grading))
-        return solve(reqs, template)
+    def counted_solve(reqs, templates, index):
+        calls[-1][1].append((reqs[0].m, complex(reqs[0].ctx.q), reqs[0].grading))
+        return solve(reqs, templates, index)
 
     def counted_scan(reqs):
         calls[-1][2] += bool(reqs)
@@ -328,15 +329,15 @@ def _count_solver_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, n_stacks", [
-    (["suite", "--m", "2", "--seed", "7"], 9),
-    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 9),
-    (["suite", "--m", "3", "--seed", "1"], 12),
+    (["suite", "--m", "2", "--seed", "7"], 4),
+    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 4),
+    (["suite", "--m", "3", "--seed", "1"], 5),
 ], ids=["m2-seed7", "m1-samples12-seed1", "m3-seed1"])
 def test_each_group_solves_its_requests_in_one_call(argv, n_stacks, monkeypatch, capsys):
     # the records of every solving group are solved in one call, with one kappa
     # scan, and evaluating them makes none; degenerate_detection makes one call
     # per lattice point while the groups build; each call solves one stack per
-    # module pair and grading
+    # spin, q and grading, whatever module pairs it covers
     calls = _count_solver_calls(monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0 and len(json.loads(out)) == 71
@@ -346,28 +347,80 @@ def test_each_group_solves_its_requests_in_one_call(argv, n_stacks, monkeypatch,
     assert len(stacks) == len(set(stacks)) == n_stacks - 2
 
 
-def test_a_failing_stack_fails_only_the_groups_that_read_it(monkeypatch, capsys):
-    # an arithmetic error in the stack of one module pair, (V*, V) at m = 1, is
-    # stored for its requests: the two groups that read them (crossing and
-    # invariances) fail with it, and every other group keeps its reports
-    from qkzkit import rsolve
+def test_the_suite_requests_each_distinct_factor_once(monkeypatch, capsys):
+    # the records read many factors more than once; solve_records hands the
+    # solver one request per distinct factor and normalization
+    from qkzkit import qkz
+    passed, solve = [], qkz.solve_requests
+    monkeypatch.setattr(qkz, "solve_requests",
+                        lambda reqs, cache=None: passed.append(reqs) or solve(reqs, cache))
+    code, _ = run_cli(["suite", "--m", "1", "--samples", "12", "--seed", "1"], capsys)
+    (reqs,) = passed
+    assert code == 0 and len({(req.key(), req.normalization) for req in reqs}) == len(reqs) == 414
+
+
+def _suite_with_planted_error(monkeypatch, capsys, owner, name, fails):
+    """`suite --m 3 --seed 7` clean, then with owner.name raising an overflow
+    where fails(*args) holds: (clean reports, exit code, reports, stderr)."""
     argv = ["suite", "--m", "3", "--seed", "7"]
     _, out = run_cli(argv, capsys)
-    clean = json.loads(out)
-    solve = rsolve._solve
+    original = getattr(owner, name)
 
-    def planted(reqs, template):
-        if reqs[0].module_key()[:3] == ("V*", "V", 1):
+    def planted(*args):
+        if fails(*args):
             raise FloatingPointError("overflow encountered in matmul")
-        return solve(reqs, template)
-    monkeypatch.setattr(rsolve, "_solve", planted)
-    code, out = run_cli(argv, capsys)
-    got = json.loads(out)
+        return original(*args)
+    monkeypatch.setattr(owner, name, planted)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return json.loads(out), code, json.loads(captured.out), captured.err
+
+
+def _fails_with_the_planted_error(clean, code, got, err, groups, lost):
+    """Exit 1, a failing report for each of `groups` with the planted error,
+    no traceback, and every other report as in the clean run."""
     failed = [r for r in got if "group" in r["params"]]
-    assert code == 1 and sorted(r["name"] for r in failed) == ["crossing", "invariances"]
+    assert code == 1 and sorted(r["name"] for r in failed) == groups
     assert all(r["note"] == "FloatingPointError: overflow encountered in matmul" for r in failed)
-    lost = {"crossing", "invariance_a", "invariance_x", "invariance_xtilde"}
+    assert "Traceback" not in err
     assert [r for r in got if r not in failed] == [r for r in clean if r["name"] not in lost]
+
+
+@pytest.mark.parametrize("site", ["template", "frame"])
+def test_a_failing_module_pair_fails_only_the_groups_that_read_it(site, monkeypatch, capsys):
+    # an arithmetic error in the template or the frame of one module pair, (V*, V)
+    # at m = 1, is stored for that pair's requests alone, though its stack also
+    # solves the other pairs of the spin: the two groups that read them
+    # (crossing and invariances) fail with it, and every other group keeps its reports
+    from qkzkit import rsolve
+    if site == "template":
+        owner, name = rsolve.RCache, "template"
+
+        def fails(cache, req):
+            return req.module_key()[:3] == ("V*", "V", 1)
+    else:
+        owner, name = rsolve, "_Frame"
+
+        def fails(t, frame):
+            return (t.rep1.kind, t.rep2.kind, t.rep1.m) == ("V*", "V", 1)
+    _fails_with_the_planted_error(
+        *_suite_with_planted_error(monkeypatch, capsys, owner, name, fails),
+        ["crossing", "invariances"], {"crossing", "invariance_a", "invariance_x",
+                                      "invariance_xtilde"})
+
+
+def test_a_failing_stack_fails_the_groups_that_read_its_spin(monkeypatch, capsys):
+    # an arithmetic error in the stack of spin 1 is stored for every request of
+    # it, whatever its module pair: the groups that read one fail with it
+    # (degenerate_detection through its own m = 1 probes), and the report file
+    # is still complete, every other group keeping its reports
+    from qkzkit import rsolve
+    _fails_with_the_planted_error(
+        *_suite_with_planted_error(monkeypatch, capsys, rsolve, "_solve",
+                                   lambda reqs, templates, index: reqs[0].m == 1),
+        ["crossing", "degenerate_detection", "invariances"],
+        {"crossing", "degenerate_detection", "invariance_a", "invariance_x",
+         "invariance_xtilde"})
 
 
 def test_verify_reports_what_the_suite_reports(capsys):

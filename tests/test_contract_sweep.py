@@ -13,7 +13,8 @@ run takes about 0.03-0.3 s in process, so the sweep stays within about
 contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
 (an exit-0 matrix has finite entries only), for one `verify` line per
 check group, and for a few lines at |q| from 1e-26 down to 1e-300, with
-the gradings (1, 0), (0, 1), (2, 1) and (1, 3) at |q| = 0.04 down to 1e-12.
+the gradings (1, 0), (0, 1), (2, 1) and (1, 3) at |q| = 0.04 down to 1e-12,
+and with --alpha, --n 3 and --trunc 8 at |q| = 0.04 and about 1e-4.
 """
 
 import json
@@ -294,6 +295,12 @@ TINY_Q_LINES = (
     (["suite", "--m", "1", "--s0", "1", "--s1", "3", "--q=6e-05,8e-05"], 0),
     (["suite", "--m", "2", "--s0", "1", "--s1", "3", "--q=0.04"], 0),
     (["suite", "--m", "3", "--s0", "1", "--s1", "3", "--q=1e-4"], 1),
+    # --alpha, --n 3 and --trunc 8, each at m = 1, 2 and at q = 0.04, 1e-4 and the
+    # complex 1e-4 (1 + i): at seed 3 every m = 1 line passes and the m = 2 lines
+    # at |q| about 1e-4 fail some checks, with complete reports
+    *((["suite", "--m", m, f"--q={q}", option, "--seed", "3"], int(m == "2" and q != "0.04"))
+      for option in ("--alpha=0.2,0.1", "--n=3", "--trunc=8")
+      for q in ("0.04", "1e-4", "1e-4,1e-4") for m in ("1", "2")),
     (["scalars", "--l", "2", "--q=0.04"], 0),
     (["scalars", "--l", "2", "--q=1e-4"], 0),
     (["scalars", "--l", "2", "--q=1e-12"], 0),

@@ -359,7 +359,7 @@ def one_sided_defect(rec):
     for k in rec.pairs[0]:
         steps = list(rec.sides[k].steps)
         for j, (tag, where, info) in enumerate(steps):
-            if tag in ("R", "Rcheck") and None not in qkz._requests(rec.chain, [info]):
+            if tag in ("R", "Rcheck") and qkz._request(rec.chain, info) is not None:
                 k1, z1, k2, z2 = info
                 steps[j] = (tag, where, (k1, z1, k2, z2 * (1 + EPS)))
                 sides = list(rec.sides)

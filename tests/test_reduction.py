@@ -172,7 +172,7 @@ class TestTheoremGeneral:
         solved = []
         raw = rsolve._raw_nullvector
         monkeypatch.setattr(rsolve, "_raw_nullvector",
-                            lambda reqs, t: solved.extend(reqs) or raw(reqs, t))
+                            lambda reqs, *args: solved.extend(reqs) or raw(reqs, *args))
         rng = np.random.default_rng(203)
         theorem_check_general(case_gen(3, 1, grading, ctx), [zeta_sample(rng) for _ in range(3)],
                               cache=RCache())

@@ -625,7 +625,8 @@ class TestStackedSolve:
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
     def test_stacked_matches_single(self, q, g, monkeypatch):
         # every module pair and m = 1..4 in one call, hw and kappa, with
-        # repeated keys: each result has the bits of the request's result alone
+        # repeated keys: one stack per spin holds all four module pairs, and each
+        # result has the bits of the request's result alone
         from qkzkit.idsuite import draw_generic_zetas
         ctx, grading = QContext(q), GradingChoice(*g)
         rng = np.random.default_rng([91, *g])
@@ -637,8 +638,10 @@ class TestStackedSolve:
                     reqs += [make_request(kinds[0], z1, kinds[1], z2, m, grading, ctx, norm)
                              for norm in ("hw", "kappa", "hw")]
         reqs += reqs[::7]
-        gets = self._gets(monkeypatch)
+        gets, solves = self._gets(monkeypatch), _count_calls(monkeypatch, rsolve, "_solve")
         stacked = solve_intertwiner(reqs, RCache(), check_invertible=False)
+        assert [(stack[0].m, len(templates)) for stack, templates, _ in solves] == [
+            (m, 4) for m in (1, 2, 3, 4)]
         batch_gets, gets[:] = sorted(gets), []
         cache = RCache()
         single = [solve_intertwiner([req], cache, check_invertible=False)[0] for req in reqs]
@@ -648,33 +651,46 @@ class TestStackedSolve:
             assert np.array_equal(a.Rcheck, b.Rcheck), req
             assert a.margin == b.margin and a.intertwine_residual == b.intertwine_residual, req
 
-    @pytest.mark.parametrize("site", ["_solve", "kappa_sl2"])
+    @pytest.mark.parametrize("site", ["_solve", "kappa_sl2", "template", "frame"])
     def test_an_arithmetic_error_fails_only_its_requests(self, ctx, grading, site, monkeypatch):
         # a stack or a kappa scan that raises (here the ones at m = 2) stores its
-        # error for each of its requests, and the call raises nothing
+        # error for each of its requests, and the call raises nothing; a template
+        # or a frame that raises (here of (V*, V) at m = 2) fails its module
+        # pair's requests alone, though one stack holds all pairs of a spin
         rng = np.random.default_rng(23)
         reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx, "kappa")
                 for k1, k2 in ALL_PAIRS for m in (1, 2)]
-        original = getattr(rsolve, site)
+        owner, name, fails = {
+            "_solve": (rsolve, "_solve", lambda reqs, *args: reqs[0].m == 2),
+            "kappa_sl2": (rsolve, "kappa_sl2", lambda m, *args: m == 2),
+            "template": (RCache, "template",
+                         lambda cache, req: req.module_key()[:3] == ("V*", "V", 2)),
+            "frame": (rsolve, "_Frame",
+                      lambda t, frame: (t.rep1.kind, t.rep2.kind, t.rep1.m) == ("V*", "V", 2)),
+        }[site]
+        original = getattr(owner, name)
 
         def planted(*args):
-            if (args[0][0].m if site == "_solve" else args[0]) == 2:
+            if fails(*args):
                 raise FloatingPointError("overflow encountered in matmul")
             return original(*args)
-        monkeypatch.setattr(rsolve, site, planted)
+        monkeypatch.setattr(owner, name, planted)
         for req, res in zip(reqs, rsolve.solve_requests(reqs, RCache())):
-            assert isinstance(res, FloatingPointError) == (req.m == 2), req
-            if req.m == 2:
+            hit = req.m == 2 and (site in ("_solve", "kappa_sl2")
+                                  or (req.kind1, req.kind2) == ("V*", "V"))
+            assert isinstance(res, FloatingPointError) == hit, req
+            if hit:
                 with pytest.raises(FloatingPointError):
                     rsolve.read_result(res)
 
     def test_stacked_matches_single_at_m12(self, ctx, grading):
-        # stacks of 16 zeta pairs at m = 12: the basis columns are summed in a fixed
-        # order, so each result still has the bits of its request solved alone
+        # one stack of 16 zeta pairs of each module pair at m = 12: the basis columns
+        # are summed in a fixed order, so each result still has the bits of its
+        # request solved alone
         from qkzkit.idsuite import draw_generic_zetas
         rng = np.random.default_rng(94)
         reqs = []
-        for kinds in ALL_PAIRS[:2]:
+        for kinds in ALL_PAIRS:
             for _ in range(16):
                 z1, z2 = draw_generic_zetas(rng, 2, 12, grading, ctx)
                 reqs += [make_request(kinds[0], z1, kinds[1], z2, 12, grading, ctx, norm)
@@ -728,9 +744,10 @@ class TestStackedSolve:
                              ctx, norm) for kinds in ALL_PAIRS for norm in ("hw", "kappa")]
         cache = RCache()
         for req, res in zip(reqs, solve_intertwiner(reqs, cache)):
-            X = rsolve._raw_nullvector([req], cache.template(req))[0][0]
+            t = cache.template(req)
+            raw = rsolve._raw_nullvector([req], [t], [0])[0][0]  # Rcheck at the unknowns
             k = rsolve._kappa_scalars([req])[0] if req.normalization == "kappa" else 1.0
-            assert np.abs(X * k - res.Rcheck).max() <= 1e-12 * np.abs(res.Rcheck).max()
+            assert np.abs(raw * k - res.Rcheck[t.a, t.b]).max() <= 1e-12 * np.abs(res.Rcheck).max()
 
     def test_ybe_samples_make_one_solve(self, ctx, grading, monkeypatch):
         from qkzkit.idsuite import check_ybe, draw_generic_zetas

@@ -11,6 +11,9 @@ stay exported.  `python -O` strips assert statements, so a runtime check
 raises instead.  The R solver gets its coefficients from component ratios;
 its one SVD is the gap test of the highest-weight kernels in
 `_chain_kernels`, so a normwise nullvector solve cannot come back beside it.
+Its stack solve `_solve` has one caller, `solve_requests`, which makes one
+stack per spin, q and grading, so a second stack path (one stack per module
+pair, say) cannot come back beside it.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string (the one use of
 permuted_matmul), so no second factor loop can come back.  In `qkz`,
@@ -158,6 +161,12 @@ def test_no_assert_statements(path):
 def test_rsolve_svd_only_in_chain_kernels():
     path = next(p for p in SOURCES if p.name == "rsolve.py")
     assert calls_outside(ast.parse(path.read_text()), "svd", ("_chain_kernels",)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_stacks_solved_only_in_solve_requests(path):
+    allowed = ("solve_requests",) if path.name == "rsolve.py" else ()
+    assert calls_outside(ast.parse(path.read_text()), "_solve", allowed) == []
 
 
 FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
@@ -311,6 +320,18 @@ def test_assert_rule_fires_on_planted_code(source, asserts):
 ])
 def test_svd_rule_fires_on_planted_code(source, outside):
     assert len(calls_outside(ast.parse(source), "svd", ("_chain_kernels",))) == outside
+
+
+@pytest.mark.parametrize("source, outside", [
+    ("def solve_requests(reqs, cache):\n    return _solve(reqs, templates, index)\n", 0),
+    # a second stack path beside it
+    ("def solve_requests(reqs, cache):\n    return _solve(reqs, templates, index)\n"
+     "def _solve_pair(reqs, template):\n    return _solve(reqs, [template], [0] * len(reqs))\n",
+     1),
+    ("from . import rsolve\ndef solve_records(reqs):\n    return rsolve._solve(reqs, t, i)\n", 1),
+])
+def test_stack_rule_fires_on_planted_code(source, outside):
+    assert len(calls_outside(ast.parse(source), "_solve", ("solve_requests",))) == outside
 
 
 @pytest.mark.parametrize("source, outside", [
