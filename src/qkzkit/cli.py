@@ -3,11 +3,12 @@
 JSON output is deterministic for a fixed configuration and seed: reports
 are sorted by name and parameters, floats are printed with 17 significant
 digits, and each report's wall_ms is null.  `_run_groups` builds the run
-context once and hands it to each group as `_chk_*(config, ctx, g, cache)`.
+context once and hands it to each group as `_chk_*(config, ctx, g)`.
 A group that solves R-operators draws its inputs and returns one record
-per check (`check.record`, see `qkz`); the others return their reports.
-Then one `qkz.solve_records` call solves the factors of every record of
-the run, and each group evaluates its records.  Text mode ends with one
+per check (`check.record`, see `qkz`; degenerate_detection its lattice
+probes, `_LatticeProbes`); the others return their reports.  Then one
+`qkz.solve_records` call solves the factors of every record of the run,
+and each group evaluates its records.  Text mode ends with one
 `time <group> <ms> ms` line per group (building and evaluating), in run
 order, and one `time solve <ms> ms` line for the run's solve.  Once the
 context and grading are accepted, a package error (a ConfigError too) or
@@ -25,6 +26,7 @@ import json
 import sys
 import time
 import zlib
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
 from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
                    hopf_antipode_residual)
-from .rsolve import RCache, r_matrix
+from .rsolve import r_matrix, read_result
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
@@ -73,7 +75,7 @@ def _zsample(rng):
 
 # --- suite checks --------------------------------------------------------------
 
-def _chk_scalar_identities(config, ctx, g, cache):
+def _chk_scalar_identities(config, ctx, g):
     rng = _rng_for(config, "scalar_identities")
     worst_kappa = worst_ratio = worst_even = 0.0
     for m in (1, 2, 3, 4):
@@ -94,7 +96,7 @@ def _chk_scalar_identities(config, ctx, g, cache):
                                 ("scalar_kappa_even_rational", worst_even))]
 
 
-def _chk_scalar_difference(config, ctx, g, cache):
+def _chk_scalar_difference(config, ctx, g):
     rng = _rng_for(config, "scalar_difference")
     out = []
     # per family: report name, rank parameter, its difference constant and pattern
@@ -112,7 +114,7 @@ def _chk_scalar_difference(config, ctx, g, cache):
     return out
 
 
-def _chk_scalar_series(config, ctx, g, cache):
+def _chk_scalar_series(config, ctx, g):
     rng = _rng_for(config, "scalar_series")
     q = complex(ctx.q)
     worst = 0.0
@@ -125,7 +127,7 @@ def _chk_scalar_series(config, ctx, g, cache):
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
 
 
-def _chk_rep_invariants(config, ctx, g, cache):
+def _chk_rep_invariants(config, ctx, g):
     rng = _rng_for(config, "rep_invariants")
     q = complex(ctx.q)
     worst = 0.0
@@ -151,7 +153,7 @@ def _chk_rep_invariants(config, ctx, g, cache):
     ]
 
 
-def _chk_dualities(config, ctx, g, cache):
+def _chk_dualities(config, ctx, g):
     rng = _rng_for(config, "dualities")
     out = []
     for grading in (GradingChoice(1, 1), GradingChoice(1, 0)):  # not the run's grading
@@ -161,7 +163,7 @@ def _chk_dualities(config, ctx, g, cache):
     return out
 
 
-def _chk_unitarity(config, ctx, g, cache):
+def _chk_unitarity(config, ctx, g):
     rng = _rng_for(config, "unitarity")
     records = []
     for norm in ("hw", "kappa"):
@@ -174,21 +176,39 @@ def _chk_unitarity(config, ctx, g, cache):
     return records
 
 
-def _chk_degenerate_detection(config, ctx, g, cache):
+@dataclass(frozen=True)
+class _LatticeProbes:
+    """The degenerate_detection record: the hw (V,V) factor at m = 1 of each
+    lattice point, read one by one; a read that raises DegeneratePointError
+    detects its point, and any other error fails the group."""
+
+    sites: qkz.Sites
+    points: tuple
+
+    def reads(self) -> list:
+        return [(self.sites, [("V", point, "V", 1.0)]) for point in self.points]
+
+    def evaluate(self, solved) -> VerificationReport:
+        fired = 0
+        for (res,) in solved:
+            try:
+                read_result(res)
+            except DegeneratePointError as exc:
+                fired += 1
+                # a stored error's traceback would keep the run's frames, and
+                # through them every result, alive until the cyclic collector runs
+                exc.__traceback__ = None
+        return VerificationReport.make("degenerate_detection",
+                                       {"m": 1, "scanned": len(self.points)},
+                                       float(len(self.points) - fired), 0.0)
+
+
+def _chk_degenerate_detection(config, ctx, g):
     q = complex(ctx.q)
-    fired = 0
-    lattice = [q ** (2.0 / g.s), q ** (-2.0 / g.s)]
-    for point in lattice:
-        try:
-            r_matrix("V", point, "V", 1.0, 1, g, ctx, normalization="hw", cache=cache)
-        except DegeneratePointError:
-            fired += 1
-    resid = float(len(lattice) - fired)
-    return [VerificationReport.make("degenerate_detection",
-                                    {"m": 1, "scanned": len(lattice)}, resid, 0.0)]
+    return [_LatticeProbes(qkz.Sites(1, g, ctx), (q ** (2.0 / g.s), q ** (-2.0 / g.s)))]
 
 
-def _chk_ybe(config, ctx, g, cache):
+def _chk_ybe(config, ctx, g):
     rng = _rng_for(config, "ybe")
     records = []
     for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
@@ -198,7 +218,7 @@ def _chk_ybe(config, ctx, g, cache):
     return records
 
 
-def _chk_crossing(config, ctx, g, cache):
+def _chk_crossing(config, ctx, g):
     rng = _rng_for(config, "crossing")
     records = []
     for m in (1, 2):
@@ -208,7 +228,7 @@ def _chk_crossing(config, ctx, g, cache):
     return records
 
 
-def _chk_invariances(config, ctx, g, cache):
+def _chk_invariances(config, ctx, g):
     rng = _rng_for(config, "invariances")
     records = []
     alpha = config.alpha or (0.37 - 0.21j)
@@ -227,7 +247,7 @@ def _chk_invariances(config, ctx, g, cache):
 _BRAID_WORDS = (([0, 1, 0], [1, 0, 1]), ([0, 0], []), ([0, 2, 1, 0, 2], [2, 0, 1, 2, 0]))
 
 
-def _chk_braid(config, ctx, g, cache):
+def _chk_braid(config, ctx, g):
     rng = _rng_for(config, "braid")
     etas = tuple(idsuite.draw_generic_zetas(rng, 4, config.m, g, ctx))
     return [idsuite.check_braid_welldefined.record(
@@ -249,7 +269,7 @@ def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
                          normalization=config.norm)
 
 
-def _chk_qkz(config, ctx, g, cache):
+def _chk_qkz(config, ctx, g):
     rng = _rng_for(config, "qkz")
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
     sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=config.n)
@@ -263,7 +283,7 @@ def _chk_qkz(config, ctx, g, cache):
     return records
 
 
-def _chk_theorems(config, ctx, g, cache):
+def _chk_theorems(config, ctx, g):
     rng = _rng_for(config, "theorems")
     records = []
     for n in sorted({1, min(config.n, 3)}):
@@ -398,9 +418,9 @@ def _evaluate(name, built, solved) -> list:
 
 
 def _run_groups(names, config) -> int:
-    """Run the named check groups on one cache and one run context, and write
-    the reports; text mode ends with the time of each group (building and
-    evaluating), in run order, and that of the run's solve.
+    """Run the named check groups on one run context, and write the reports;
+    text mode ends with the time of each group (building and evaluating),
+    in run order, and that of the run's solve.
 
     Each group builds its reports and records in its error scope, then one
     qkz.solve_records call solves the factors of every record, and each
@@ -410,15 +430,14 @@ def _run_groups(names, config) -> int:
         raise ConfigError(f"--alpha must be finite, got {config.alpha}")
     if "theorems" in names and config.m < 1:
         raise ConfigError("--m must be at least 1 for the theorems group")
-    cache = RCache()
     built, clock = {}, {}
     for name in names:
         t0 = time.perf_counter()
-        built[name] = _in_scope(name, partial(CHECKS[name], config, ctx, g, cache))
+        built[name] = _in_scope(name, partial(CHECKS[name], config, ctx, g))
         clock[name] = time.perf_counter() - t0
     t0 = time.perf_counter()
     solved = iter(qkz.solve_records([item for items in built.values() for item in items
-                                     if not isinstance(item, VerificationReport)], cache))
+                                     if not isinstance(item, VerificationReport)]))
     solve_s = time.perf_counter() - t0
     reports = []
     for name, items in built.items():
@@ -501,7 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--m": {"type": int, "default": 1, "help": "spin label (module dimension m+1)"},
         "--l": {"type": int, "default": 1, "help": "rank for the sl(l+1) scalar family"},
-        "--n": {"type": int, "default": 2, "help": "half chain length for reductions"},
+        "--n": {"type": int, "default": 2,
+                "help": "chain length of the second self-dual theorem (at most 3) and of "
+                        "the self-dual twist sign of the qkz group; the other reduction "
+                        "checks run at n = 1 and 2"},
         "--q": {**cplx, "default": complex(0.7), "help": "deformation parameter"},
         "--s0": {"type": int, "default": 1, "help": "zeta power of e0"},
         "--s1": {"type": int, "default": 1, "help": "zeta power of e1"},

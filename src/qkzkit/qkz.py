@@ -332,10 +332,11 @@ def solve_records(records, cache=None) -> list:
     read (chain, infos) of rec.reads(), the rsolve.solve_requests result of
     each factor, or None for the closed-form resonance (rcheck_factors).
 
-    One solve_requests call on the cache (a fresh one by default) solves
-    every factor of the records.  Each distinct factor (kind1, z1, kind2, z2)
-    at (m, grading, ctx, normalization) is requested once, keyed by a plain
-    tuple, and every read of it is handed that request's result.  A failed
+    One solve_requests call solves every factor of the records; the cache
+    (a fresh one by default) shares only the commutant templates.  Each
+    distinct factor (kind1, z1, kind2, z2) at (m, grading, ctx,
+    normalization) is requested once, keyed by a plain tuple, and every read
+    of it is handed that request's result.  A failed
     request raises its error when a record reads it, and a result does not
     depend on the call that solved it, so each record reports what it
     reports alone.
@@ -357,14 +358,17 @@ def solve_records(records, cache=None) -> list:
 
 def run_records(records, cache=None) -> list:
     """The reports of check records, in order: each evaluated on its solved
-    factors from one solve_records call (on the cache, a fresh one by default)."""
+    factors from one solve_records call (its templates from the cache, a
+    fresh one by default)."""
     return [rec.evaluate(solved) for rec, solved in zip(records, solve_records(records, cache))]
 
 
 def solving_check(build):
     """The check of a record builder: it takes the builder's arguments and a
-    keyword `cache`, and runs the record on that cache (run_records).
-    `check.record` is the builder, for a check group that runs many records."""
+    keyword `cache`, and runs the record in one solve (run_records) whose
+    commutant templates that cache shares; no solved result is kept across
+    checks.  `check.record` is the builder, for a check group that runs many
+    records."""
     @wraps(build)
     def check(*args, cache=None, **kwargs):
         return run_records([build(*args, **kwargs)], cache)[0]

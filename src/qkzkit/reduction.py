@@ -204,10 +204,11 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0) -> StringCheck:
     is a factorization (bookkeeping) identity, not an independent check:
     after the junction cancellation both sides ask for the same factors at
     the same zeta pairs (the mirrored argument is p (p z_n) on both, so the
-    cache solves each once) and apply them in the same order, so the
-    residual reads exactly 0.  It catches a wrong argument or factor
-    order, not a wrong factor value.  At n = 1 both sides are P Delta* P
-    Delta, so the record solves nothing and no solved-factor defect reaches it.
+    record's one solve requests each once) and apply them in the same
+    order, so the residual reads exactly 0.  It catches a wrong argument or
+    factor order, not a wrong factor value.  At n = 1 both sides are P
+    Delta* P Delta, so the record solves nothing and no solved-factor
+    defect reaches it.
     """
     if case.mode != "general":
         raise ConfigError("theorem_check_general needs a general case")

@@ -1,4 +1,4 @@
-"""R-operators from the intertwining equation, with normalization and caching.
+"""R-operators from the intertwining equation, with normalization.
 
 Rcheck maps V1_{z1} x V2_{z2} -> V2_{z2} x V1_{z1} and intertwines the
 coproduct actions.  It conserves the h1-weight, so it lives on the
@@ -27,8 +27,9 @@ the entries of the coproduct images split by zeta power, and per
 homogeneous frame B and the ratio numbers a, b) is a CommutantTemplate,
 built once per (kinds, m, q) and shared by every grading; kappa and the
 gauge depend on the grading, so solves are keyed by it.  A request
-(RRequest) holds plain values and builds no module, so a cache hit costs
-its key and the lookup.
+(RRequest) holds plain values and builds no module.  RCache keeps the
+templates, and only them, across solve_requests calls; a solved result
+lives in the call that solved it.
 
 solve_requests returns each request's result or the error that it raises
 alone, and raises nothing, also when a template, a frame, a stack or a
@@ -36,20 +37,20 @@ kappa scan meets an arithmetic error far out on the q-disk (a template or
 frame then fails its module pair's requests, a stack those of its spin,
 and a scan its own); the read rule read_result raises a stored error or
 refuses a singular operator.  solve_intertwiner is the rule over one
-solve_requests call, and r_matrix its call for one request.  The misses
-of a call are solved as stacks, one per spin, q and grading, which covers
-every module pair of that spin (a reduction check reads all four of
-(V,V), (V,V*), (V*,V) and (V*,V*)): each request reads its own pair's
-template by index, for the ratios, their products and the gauged entries,
-then the intertwining residual, which forms the dense operators block by
-block.  At the suite's sizes a call costs mostly
-its fixed part (2 cores, one BLAS thread: about 0.4 ms for one kappa
+solve_requests call, and r_matrix its call for one request.  The
+distinct keys of a call are solved as stacks, one per spin, q and
+grading, which covers every module pair of that spin (a reduction check
+reads all four of (V,V), (V,V*), (V*,V) and (V*,V*)): each request reads
+its own pair's template by index, for the ratios, their products and the
+gauged entries, then the intertwining residual, which forms the dense
+operators block by block.  At the suite's sizes a call costs mostly its
+fixed part (2 cores, one BLAS thread: about 0.4 ms for one kappa
 request at m = 3, 0.2 ms of it the stack and 0.09 ms the kappa scan,
 against 0.03-0.07 ms for each further request of the same stack, of any
 module pair), so a `suite` run makes one solve_requests call
 (`qkz.solve_records`) for the records of all its check groups, which read
 their factors from its results (`suite --m 3`: 3 stacks and one kappa
-scan, besides the two single probes of degenerate_detection).  A stack
+scan, the lattice probes of degenerate_detection among them).  A stack
 forms each request's Rcheck elementwise, its basis columns summed in a
 fixed order, and a kappa scan is elementwise numpy arithmetic, so each of
 its rows keeps the bits of a one-row scan: a result does not depend on
@@ -59,10 +60,10 @@ Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
   "kappa": the hw-normalized operator times kappa^{-1} for like pairs
            (V,V), (V*,V*) and times kappa for mixed pairs.
-Each zeta pair is solved once, hw-normalized; a kappa request reads that
-solve times its kappa scalar, kept with the solve, and the product is
-formed on each read.  The zeta pairs of one call that need a kappa scalar
-share one Pochhammer scan per (s, m, q context).
+Each zeta pair of a call is solved once, hw-normalized; a kappa request
+reads that solve times its kappa scalar, and the product is formed on
+each read.  The zeta pairs of one call that need a kappa scalar share one
+Pochhammer scan per (s, m, q context).
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
@@ -346,26 +347,12 @@ class CommutantTemplate:
 
 
 class RCache:
-    """Memoizes solves by request key, and keeps one CommutantTemplate per
-    module pair.
-
-    The entry of a zeta pair holds its hw-normalized result and, once a
-    kappa request has asked for it, its kappa scalar, so each zeta pair is
-    solved and its kappa scalar scanned once; get/put count solves only.
-    """
+    """One CommutantTemplate per module pair (kinds, m, q), built on first use
+    and shared by every solve_requests call on this cache.  It holds no
+    solved result: a result lives in the call that solved it."""
 
     def __init__(self):
-        self._store = {}
         self._templates = {}
-
-    def get(self, key):
-        """The entry {"hw": RResult, "kappa": scalar once scanned} of a zeta pair, or None."""
-        return self._store.get(key)
-
-    def put(self, key, value):
-        """Store the hw-normalized result of a zeta pair; returns its new entry."""
-        entry = self._store[key] = {"hw": value}
-        return entry
 
     def template(self, req: RRequest) -> CommutantTemplate:
         """The commutant template of the request's module pair, built on first use."""
@@ -600,21 +587,17 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     error that it raises alone (read_result raises it); the call itself
     raises nothing.
 
-    Each request takes one RCache.get: the first request of each key
-    before the solve, a repeated key after it, so hits and misses are
-    those of the requests passed one by one.  The misses are solved once
-    per key, one stack per spin, q and grading (_solve), which covers every
-    module pair of that spin, and every key that solves is stored, whatever
-    fails beside it.  Errors of NUMERICAL_ERRORS are isolated as far as
-    the work is shared: a module pair whose template or frame raises one
-    fails that pair's requests, a stack that raises one fails the requests
-    of its whole spin, q and grading, and a kappa scan that raises one
-    fails its requests.  The hw-normalized solve is cached per zeta pair
-    and serves both normalizations; a kappa request reads it through
-    apply_kappa, with the kappa scalar kept in the pair's entry.  The
-    stored zeta pairs whose kappa requests find no scalar share one
-    kappa_sl2 scan per (s, m, q context) (_kappa_scalars).  Without a cache
-    the call goes through a fresh RCache.
+    Each distinct key is solved once, hw-normalized, in one stack per spin,
+    q and grading (_solve), which covers every module pair of that spin,
+    and serves both normalizations: a kappa request reads it through
+    apply_kappa.  The keys whose kappa requests solved share one kappa_sl2
+    scan per (s, m, q context) (_kappa_scalars).  Errors of
+    NUMERICAL_ERRORS are isolated as far as the work is shared: a module
+    pair whose template or frame raises one fails that pair's requests, a
+    stack that raises one fails the requests of its whole spin, q and
+    grading, and a kappa scan that raises one fails its requests.  The
+    results live in the call; the cache (a fresh RCache by default) only
+    shares the templates.
     """
     if cache is None:
         cache = RCache()
@@ -622,12 +605,10 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     first = {}  # key -> index of its first request
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    entries = {key: cache.get(key) for key in first}
     stacks = {}
-    for key, i in first.items():
-        if entries[key] is None:
-            stacks.setdefault((reqs[i].m, complex(reqs[i].ctx.q), reqs[i].grading), []).append(i)
-    failed = {}  # key -> the error of its template, frame, stack or kappa scan
+    for i in first.values():
+        stacks.setdefault((reqs[i].m, complex(reqs[i].ctx.q), reqs[i].grading), []).append(i)
+    solved = {}  # key -> its hw RResult, or the error of its template, frame or stack
     for idx in stacks.values():
         frame = _frame_of(reqs[idx[0]].grading)[0]
         templates, built, stack, index = [], {}, [], []  # built: module key -> index or error
@@ -643,7 +624,7 @@ def solve_requests(reqs, cache: RCache = None) -> list:
                     built[pair] = len(templates)
                     templates.append(template)
             if isinstance(built[pair], Exception):
-                failed[keys[i]] = built[pair]
+                solved[keys[i]] = built[pair]
             else:
                 stack.append(i)
                 index.append(built[pair])
@@ -653,28 +634,19 @@ def solve_requests(reqs, cache: RCache = None) -> list:
             results = _solve([reqs[i] for i in stack], templates, np.array(index))
         except NUMERICAL_ERRORS as exc:
             results = [exc.with_traceback(None)] * len(stack)
-        for i, res in zip(stack, results):
-            if isinstance(res, RResult):
-                entries[keys[i]] = cache.put(keys[i], res)
-            else:
-                failed[keys[i]] = res
-    scan = {}
+        solved.update(zip((keys[i] for i in stack), results))
+    scan = {}  # key -> its first kappa request, for the keys that solved
     for req, key in zip(reqs, keys):
-        if req.normalization == "kappa" and key not in failed and "kappa" not in entries[key]:
+        if req.normalization == "kappa" and isinstance(solved[key], RResult):
             scan.setdefault(key, req)
-    for key, k in zip(scan, _kappa_scalars(list(scan.values()))):
-        if isinstance(k, Exception):
-            failed[key] = k
-        else:
-            entries[key]["kappa"] = k
+    kappa = dict(zip(scan, _kappa_scalars(list(scan.values()))))
     out = []
-    for i, (req, key) in enumerate(zip(reqs, keys)):
-        entry = entries[key] if first[key] == i else cache.get(key)
-        if entry is None or (req.normalization == "kappa" and "kappa" not in entry):
-            out.append(failed[key])
-        else:
-            out.append(entry["hw"] if req.normalization == "hw"
-                       else apply_kappa(entry["hw"], entry["kappa"]))
+    for req, key in zip(reqs, keys):
+        res = solved[key]
+        if req.normalization == "kappa" and key in kappa:
+            k = kappa[key]
+            res = k if isinstance(k, Exception) else apply_kappa(res, k)
+        out.append(res)
     return out
 
 
@@ -683,7 +655,7 @@ def read_result(res, check_invertible=True) -> RResult:
     raised, and with check_invertible a singular operator is refused."""
     if not isinstance(res, RResult):
         raise res
-    # a stored result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
+    # a solved result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
     if check_invertible and res.margin < _CANCEL_TOL:
         raise DegeneratePointError(
             f"normalized R is numerically singular (margin {res.margin:.3g})")
@@ -693,15 +665,14 @@ def read_result(res, check_invertible=True) -> RResult:
 def solve_intertwiner(reqs, cache: RCache = None, check_invertible=True) -> list:
     """The R-operators of a sequence of requests, in order: read_result of each
     result of one solve_requests call.  The call raises the error of its
-    first failing request, the one that request raises alone; every request
-    that solves is stored all the same, after it as before it.
+    first failing request, the one that request raises alone.
 
     Degenerate spectral points raise DegeneratePointError: the two terms of
     a component ratio cancel in its numerator and denominator ("nullspace
     gap") or in its denominator alone ("highest-weight component
     vanishes"), or kappa has a pole; with check_invertible also in its
-    numerator alone, or kappa vanishes (numerically singular), for cached
-    results as well.
+    numerator alone, or kappa vanishes (numerically singular), on every
+    read of a result.
     """
     return [read_result(res, check_invertible) for res in solve_requests(reqs, cache)]
 

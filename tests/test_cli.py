@@ -90,7 +90,8 @@ class TestParsing:
     def test_m0_refused_before_any_group_runs(self, argv, monkeypatch, capsys):
         ran = []
         for name in cli.CHECKS:
-            monkeypatch.setitem(cli.CHECKS, name, lambda config, cache, name=name: ran.append(name))
+            monkeypatch.setitem(cli.CHECKS, name,
+                                lambda config, ctx, g, name=name: ran.append(name))
         assert main(argv) == 2
         assert ran == [] and "theorems" in capsys.readouterr().err
 
@@ -258,17 +259,17 @@ def test_planted_defect_fails_the_report(group, name, module, attr, plant, monke
 
 
 def test_undetected_degenerate_point_fails_its_report(monkeypatch, capsys):
-    # a solver that never raises at the lattice points detects neither of them
+    # a read that never refuses the lattice points detects neither of them
     argv = ["verify", "degenerate_detection", "--seed", "7"]
     assert run_cli(argv, capsys)[0] == 0
-    solve = cli.r_matrix
+    read = cli.read_result
 
-    def never_raises(*args, **kwargs):
+    def never_refuses(*args, **kwargs):
         try:
-            return solve(*args, **kwargs)
+            return read(*args, **kwargs)
         except DegeneratePointError:
             return None
-    monkeypatch.setattr(cli, "r_matrix", never_raises)
+    monkeypatch.setattr(cli, "read_result", never_refuses)
     code, out = run_cli(argv, capsys)
     (rec,) = json.loads(out)
     assert code == 1 and rec["name"] == "degenerate_detection"
@@ -290,8 +291,8 @@ def test_missed_degenerate_point_is_no_configuration_error(monkeypatch, capsys):
 def _count_solver_calls(monkeypatch):
     """The solve_requests calls of a run, in order: (phase, stacks, kappa scans) of
     each, where phase says whether it was made while the groups built their
-    checks ("build"), by qkz.solve_records ("records") or while a group evaluated
-    ("evaluate"), stacks lists the (spin, q, grading) of each stack solved, which
+    records ("build"), by qkz.solve_records ("records") or while a group evaluated
+    them ("evaluate"), stacks lists the (spin, q, grading) of each stack solved, which
     covers every module pair of that spin, and kappa scans counts the
     _kappa_scalars calls that scanned a request."""
     from qkzkit import qkz, rsolve
@@ -329,34 +330,34 @@ def _count_solver_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, n_stacks", [
-    (["suite", "--m", "2", "--seed", "7"], 4),
-    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 4),
-    (["suite", "--m", "3", "--seed", "1"], 5),
+    (["suite", "--m", "2", "--seed", "7"], 2),
+    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 2),
+    (["suite", "--m", "3", "--seed", "1"], 3),
 ], ids=["m2-seed7", "m1-samples12-seed1", "m3-seed1"])
 def test_each_group_solves_its_requests_in_one_call(argv, n_stacks, monkeypatch, capsys):
-    # the records of every solving group are solved in one call, with one kappa
-    # scan, and evaluating them makes none; degenerate_detection makes one call
-    # per lattice point while the groups build; each call solves one stack per
-    # spin, q and grading, whatever module pairs it covers
+    # the records of every solving group, the lattice probes of
+    # degenerate_detection among them, are solved in one call with one kappa
+    # scan; building and evaluating the records makes none; the call solves one
+    # stack per spin, q and grading, whatever module pairs it covers
     calls = _count_solver_calls(monkeypatch)
     code, out = run_cli(argv, capsys)
     assert code == 0 and len(json.loads(out)) == 71
-    assert [phase for phase, _, _ in calls] == ["build", "build", "records"]
-    (_, probe1, _), (_, probe2, _), (_, stacks, scans) = calls
-    assert len(probe1) == len(probe2) == 1 and scans == 1
-    assert len(stacks) == len(set(stacks)) == n_stacks - 2
+    (phase, stacks, scans), = calls
+    assert phase == "records" and scans == 1
+    assert len(stacks) == len(set(stacks)) == n_stacks
 
 
 def test_the_suite_requests_each_distinct_factor_once(monkeypatch, capsys):
     # the records read many factors more than once; solve_records hands the
-    # solver one request per distinct factor and normalization
+    # solver one request per distinct factor and normalization (the two
+    # lattice probes of degenerate_detection among them)
     from qkzkit import qkz
     passed, solve = [], qkz.solve_requests
     monkeypatch.setattr(qkz, "solve_requests",
                         lambda reqs, cache=None: passed.append(reqs) or solve(reqs, cache))
     code, _ = run_cli(["suite", "--m", "1", "--samples", "12", "--seed", "1"], capsys)
     (reqs,) = passed
-    assert code == 0 and len({(req.key(), req.normalization) for req in reqs}) == len(reqs) == 414
+    assert code == 0 and len({(req.key(), req.normalization) for req in reqs}) == len(reqs) == 416
 
 
 def _suite_with_planted_error(monkeypatch, capsys, owner, name, fails):
@@ -412,7 +413,7 @@ def test_a_failing_module_pair_fails_only_the_groups_that_read_it(site, monkeypa
 def test_a_failing_stack_fails_the_groups_that_read_its_spin(monkeypatch, capsys):
     # an arithmetic error in the stack of spin 1 is stored for every request of
     # it, whatever its module pair: the groups that read one fail with it
-    # (degenerate_detection through its own m = 1 probes), and the report file
+    # (degenerate_detection through its m = 1 lattice probes), and the report file
     # is still complete, every other group keeping its reports
     from qkzkit import rsolve
     _fails_with_the_planted_error(
@@ -434,6 +435,19 @@ def test_verify_reports_what_the_suite_reports(capsys):
         assert mine == [r for r in suite if r["name"] in names], name
         seen += len(mine)
     assert seen == len(suite) == 71
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_n_sets_only_the_second_self_dual_theorem_chain(n, capsys):
+    # --n is the chain of the second self-dual theorem, capped at 3; the general
+    # theorem runs at n = 1 and 2, and insertion, rpr and scaling at n = 2,
+    # whatever --n says
+    code, out = run_cli(["verify", "theorems", "--m", "1", "--n", str(n), "--seed", "3"], capsys)
+    chains = sorted((r["name"], r["params"]["n"]) for r in json.loads(out))
+    assert code == 0 and chains == sorted(
+        [("theorem_selfdual", k) for k in {1, min(n, 3)}]
+        + [("theorem_general", 1), ("theorem_general", 2), ("insertion_invariance", 2)]
+        + [("rpr", 2), ("scaling_covariance", 2)] * 2)
 
 
 class TestRmat:

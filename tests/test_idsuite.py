@@ -6,7 +6,7 @@ import pytest
 from conftest import zeta_sample
 from qkzkit import idsuite, qkz, rsolve
 from qkzkit.reps import operator_x, operator_xtilde
-from qkzkit.rsolve import RCache, make_request, r_matrix, solve_intertwiner
+from qkzkit.rsolve import RCache, r_matrix
 
 
 class TestYangBaxter:
@@ -36,18 +36,23 @@ class TestYangBaxter:
     @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
     def test_perturbed_factor_fails(self, ctx, grading, pair, norm):
-        # one factor off by 1e-6 relative must show on the probe block
+        # one factor off by 1e-6 relative, planted in the solved results that the
+        # record is handed, must show on the probe block
         m, kinds, zetas = 2, ("V", "V*", "V"), (1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.5j)
         a, b = pair
-        req = make_request(kinds[a], zetas[a], kinds[b], zetas[b], m, grading, ctx, "hw")
-        res = solve_intertwiner([req])[0]
-        noise = np.random.default_rng(5).standard_normal(res.entries.shape)
-        cache = RCache()
-        cache.put(req.key(), replace(res, entries=res.entries + 1e-6 * np.linalg.norm(res.entries)
-                                     * noise / np.linalg.norm(noise)))
-        assert idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm).passed
-        assert not idsuite.check_ybe(m, kinds, [zetas], grading, ctx, normalization=norm,
-                                     cache=cache).passed
+        rec = idsuite.check_ybe.record(m, kinds, [zetas], grading, ctx, normalization=norm)
+        solved, = qkz.solve_records([rec])
+        assert rec.evaluate(solved).passed
+        target = (kinds[a], zetas[a], kinds[b], zetas[b])
+        noise = np.random.default_rng(5).standard_normal(solved[0][0].entries.shape)
+
+        def perturbed(res):
+            return replace(res, entries=res.entries + 1e-6 * np.linalg.norm(res.entries)
+                           * noise / np.linalg.norm(noise))
+        planted = [[perturbed(res) if info == target else res for info, res in zip(infos, read)]
+                   for (_, infos), read in zip(rec.reads(), solved)]
+        assert sum(info == target for _, infos in rec.reads() for info in infos) == 2
+        assert not rec.evaluate(planted).passed
 
 
 class TestUnitarityChecks:

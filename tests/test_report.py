@@ -100,15 +100,14 @@ def _nan_e1(original):
 
 
 def _group(name):
-    """The reports of a check group: those it makes, and its records run on one cache."""
+    """The reports of a check group: those it makes, and its records run in one call."""
     config = cli.build_parser().parse_args(["suite"])
 
     def run():
-        cache = RCache()
-        built = cli.CHECKS[name](config, cli._context(config), cli._grading(config), cache)
+        built = cli.CHECKS[name](config, cli._context(config), cli._grading(config))
         records = [item for item in built if not isinstance(item, VerificationReport)]
         return ([item for item in built if isinstance(item, VerificationReport)]
-                + qkz.run_records(records, cache))
+                + qkz.run_records(records))
     return run
 
 

