@@ -5,10 +5,11 @@ are sorted by name and parameters, floats are printed with 17 significant
 digits, and each report's wall_ms is null.  `_run_groups` builds the run
 context once and hands it to each group as `_chk_*(config, ctx, g)`.
 A group that solves R-operators draws its inputs and returns one record
-per check (`check.record`, see `qkz`; degenerate_detection its lattice
-probes, `_LatticeProbes`); the others return their reports.  Then one
-`qkz.solve_records` call solves the factors of every record of the run,
-and each group evaluates its records.  Text mode ends with one
+per check (`check.record`, see `qkz`; degenerate_detection a
+`qkz.FactorCheck` of its lattice probes); the others return their
+reports.  Then one `qkz.solve_records` call solves the factors of every
+record of the run, and each group evaluates its records on the factor
+reader that it returns.  Text mode ends with one
 `time <group> <ms> ms` line per group (building and evaluating), in run
 order, and one `time solve <ms> ms` line for the run's solve.  Once the
 context and grading are accepted, a package error (a ConfigError too) or
@@ -26,7 +27,6 @@ import json
 import sys
 import time
 import zlib
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
 from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
                    hopf_antipode_residual)
-from .rsolve import r_matrix, read_result
+from .rsolve import r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                       rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
@@ -176,36 +176,24 @@ def _chk_unitarity(config, ctx, g):
     return records
 
 
-@dataclass(frozen=True)
-class _LatticeProbes:
-    """The degenerate_detection record: the hw (V,V) factor at m = 1 of each
-    lattice point, read one by one; a read that raises DegeneratePointError
-    detects its point, and any other error fails the group."""
-
-    sites: qkz.Sites
-    points: tuple
-
-    def reads(self) -> list:
-        return [(self.sites, [("V", point, "V", 1.0)]) for point in self.points]
-
-    def evaluate(self, solved) -> VerificationReport:
-        fired = 0
-        for (res,) in solved:
-            try:
-                read_result(res)
-            except DegeneratePointError as exc:
-                fired += 1
-                # a stored error's traceback would keep the run's frames, and
-                # through them every result, alive until the cyclic collector runs
-                exc.__traceback__ = None
-        return VerificationReport.make("degenerate_detection",
-                                       {"m": 1, "scanned": len(self.points)},
-                                       float(len(self.points) - fired), 0.0)
-
-
 def _chk_degenerate_detection(config, ctx, g):
+    # the hw (V,V) factor at m = 1 of each lattice point, read one by one: a
+    # read that raises DegeneratePointError detects its point, and any other
+    # error fails the group
     q = complex(ctx.q)
-    return [_LatticeProbes(qkz.Sites(1, g, ctx), (q ** (2.0 / g.s), q ** (-2.0 / g.s)))]
+    sites = qkz.Sites(1, g, ctx)
+    infos = [("V", point, "V", 1.0) for point in (q ** (2.0 / g.s), q ** (-2.0 / g.s))]
+
+    def measure(read):
+        fired = 0
+        for info in infos:
+            try:
+                read(sites, info)
+            except DegeneratePointError:
+                fired += 1
+        return VerificationReport.make("degenerate_detection", {"m": 1, "scanned": len(infos)},
+                                       float(len(infos) - fired), 0.0)
+    return [qkz.FactorCheck(((sites, infos),), measure, check_invertible=True)]
 
 
 def _chk_ybe(config, ctx, g):
@@ -409,12 +397,11 @@ def _in_scope(name, work) -> list:
                                         note=f"{type(exc).__name__}: {exc}")]
 
 
-def _evaluate(name, built, solved) -> list:
+def _evaluate(name, built, factor) -> list:
     """The reports of check group `name` from what it built, in its error
-    scope: a report as it is, a record evaluated on its solved factors
-    (solved holds them per record, None for a report)."""
-    return _in_scope(name, lambda: [item if res is None else item.evaluate(res)
-                                    for item, res in zip(built, solved)])
+    scope: a report as it is, a record evaluated on the run's factor reader."""
+    return _in_scope(name, lambda: [item if isinstance(item, VerificationReport)
+                                    else item.evaluate(factor) for item in built])
 
 
 def _run_groups(names, config) -> int:
@@ -436,14 +423,13 @@ def _run_groups(names, config) -> int:
         built[name] = _in_scope(name, partial(CHECKS[name], config, ctx, g))
         clock[name] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solved = iter(qkz.solve_records([item for items in built.values() for item in items
-                                     if not isinstance(item, VerificationReport)]))
+    factor = qkz.solve_records([item for items in built.values() for item in items
+                                if not isinstance(item, VerificationReport)])
     solve_s = time.perf_counter() - t0
     reports = []
     for name, items in built.items():
         t0 = time.perf_counter()
-        mine = [None if isinstance(item, VerificationReport) else next(solved) for item in items]
-        reports.extend(_evaluate(name, items, mine))
+        reports.extend(_evaluate(name, items, factor))
         clock[name] += time.perf_counter() - t0
     if config.tol is not None:
         reports = [r.with_tolerance(config.tol) for r in reports]

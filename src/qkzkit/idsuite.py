@@ -163,7 +163,7 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
         d = m + 1
         O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
         twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
-        R = [swap_outputs(Rc, d, d) for rchecks in read() for Rc in rchecks]
+        R = [swap_outputs(read(sites, info), d, d) for sites, infos in factors for info in infos]
         scal, resids = zip(*(_crossing_sample(R[8 * k:8 * k + 8], twists, (d, d))
                              for k in range(len(samples))))
         spread = worst_of(
@@ -209,11 +209,10 @@ def _pair_commutator(name, params, m, kinds, zetas, grading, ctx, normalization,
     """The record of [C1 x C2, R] = 0 for the pair's R; operators() builds C1, C2 first."""
     def measure(read):
         C1, C2 = operators()
-        (Rc,), = read()
         return VerificationReport.make(name, params, commutant_residual(
-            C1, C2, swap_outputs(Rc, m + 1, m + 1)), 1e-11)
-    info = (kinds[0], zetas[0], kinds[1], zetas[1])
-    return FactorCheck(((Sites(m, grading, ctx, normalization), [info]),), measure)
+            C1, C2, swap_outputs(read(sites, info), m + 1, m + 1)), 1e-11)
+    sites, info = Sites(m, grading, ctx, normalization), (kinds[0], zetas[0], kinds[1], zetas[1])
+    return FactorCheck(((sites, [info]),), measure)
 
 
 @solving_check
@@ -247,12 +246,11 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa") -> Fa
     def measure(read):
         xt = operator_xtilde(m, grading, ctx)
         XX = np.kron(xt, xt)
-        (Rc,), = read()
-        R = swap_outputs(Rc, m + 1, m + 1)
+        R = swap_outputs(read(sites, info), m + 1, m + 1)
         return VerificationReport.make("invariance_xtilde", {"m": m, "norm": normalization},
                                        relative_residual(R.T @ XX, XX @ R), 1e-11)
-    info = ("V", zetas[0], "V", zetas[1])
-    return FactorCheck(((Sites(m, grading, ctx, normalization), [info]),), measure)
+    sites, info = Sites(m, grading, ctx, normalization), ("V", zetas[0], "V", zetas[1])
+    return FactorCheck(((sites, [info]),), measure)
 
 
 @solving_check

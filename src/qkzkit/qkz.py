@@ -20,12 +20,12 @@ order), and the pairs of sides that must agree.  A `FactorCheck`
 declares the two-site factors that its own arithmetic reads.  Either
 states once what it reads (`reads`).  `solve_records`, the only solver
 call of `qkz`, `reduction` and `idsuite`, requests each distinct factor of
-those reads once and solves them for all its records in one call; each record
-then reads its factors from the results that it is handed
-(`evaluate`, `rcheck_factors`).  A `cli` suite run solves the records of
-all its check groups in one solve_records call; the public check
-function (`solving_check`) runs one record through `run_records`, which
-is solve_records followed by the evaluation.
+those reads once, solves them for all its records in one call and returns
+one factor reader; each record then reads every factor by name, (chain,
+info), at the step that uses it (`evaluate`).  A `cli` suite run solves
+the records of all its check groups in one solve_records call; the public
+check function (`solving_check`) runs one record through `run_records`,
+which is solve_records followed by the evaluation.
 
 Each side is applied to the seeded complex Gaussian probe block X of
 PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
@@ -55,17 +55,12 @@ def _complex_gaussian(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def probe_vector(D: int, seed=0) -> np.ndarray:
-    """Column 0 of probe_block(D, seed), drawn alone."""
-    return _complex_gaussian(np.random.default_rng(seed), D)
-
-
 def probe_block(D: int, seed=0) -> np.ndarray:
     """D x min(PROBE_COLUMNS, D) complex Gaussian block drawn from default_rng(seed).
 
     Column 0 is drawn first, as one standard_normal(D) real and one
-    imaginary part, so it is probe_vector(D, seed), the single probe vector
-    that a seeded check draws; the other columns follow.
+    imaginary part, so it is the single probe vector that a seeded check
+    reads (probe_block(D, seed)[:, 0]); the other columns follow.
     """
     rng = np.random.default_rng(seed)
     return np.column_stack([_complex_gaussian(rng, D),
@@ -178,33 +173,18 @@ def _two_site(steps) -> list:
     return [info for tag, _, info in steps if tag in ("R", "Rcheck")]
 
 
-def rcheck_factors(chain, infos, solved, check_invertible=True) -> list:
-    """Rcheck of each chain factor (kind1, z1, kind2, z2) in infos, from its
-    result in `solved` (the read's results of solve_records, in the order of
-    infos) read by rsolve.read_result, or the closed form at the removable
-    (V,V) resonance z1 = q^delta z2 of the kappa-normalized family, which is
-    not requested (None in solved).  `chain` supplies m, grading, ctx and
-    normalization (a ChainSpec, a reduction case or Sites).  With
-    check_invertible=False a singular factor is returned."""
-    return [rcheck_resonant(chain.m, chain.grading, chain.ctx) if res is None
-            else read_result(res, check_invertible).Rcheck
-            for _, res in zip(infos, solved, strict=True)]
-
-
-def apply_factors(chain, steps, solved, block=None, check_invertible=True,
+def apply_factors(chain, steps, factor, block=None, check_invertible=True,
                   einsum=False) -> np.ndarray:
     """A factor string (steps in application order, see the module docstring)
     applied to `block`, the identity (dense matrix) by default.  A two-site
-    factor has its first tensor factor on site i and R = P Rcheck; all of
-    them are read from `solved`, the results of the string's factors in
-    application order (rcheck_factors).  With einsum=True (the
-    einsum route, which has no permutation step) each factor is contracted
-    into the block reshaped to (d, ..., d, k) by one `np.einsum`
-    (`_einsum_apply`), which shares no tensor code with the
+    factor has its first tensor factor on site i and R = P Rcheck; each is
+    read by name from `factor`, the reader of solve_records, at its step.
+    With einsum=True (the einsum route, which has no permutation step) each
+    factor is contracted into the block reshaped to (d, ..., d, k) by one
+    `np.einsum` (`_einsum_apply`), which shares no tensor code with the
     `embedded_matmul`/`site_matmul` application and forms no D x D matrix."""
     dims, d = chain.dims, chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
-    rchecks = iter(rcheck_factors(chain, _two_site(steps), solved, check_invertible))
     for tag, where, info in steps:
         if tag == "delta":
             M = (_einsum_apply(chain.delta_matrix(info), (where,), dims, M) if einsum
@@ -212,7 +192,7 @@ def apply_factors(chain, steps, solved, block=None, check_invertible=True,
         elif tag == "perm" and not einsum:
             M = permuted_matmul(where, dims, M)
         elif tag in ("R", "Rcheck"):
-            Rc = next(rchecks)
+            Rc = factor(chain, info, check_invertible)
             op = swap_outputs(Rc, d, d) if tag == "R" else Rc
             M = (_einsum_apply(op, where, dims, M) if einsum
                  else embedded_matmul(op, *where, dims, M))
@@ -248,19 +228,15 @@ class Side:
         if self.route not in ("apply_factors", "einsum", "dense"):
             raise ConfigError(f"unknown route {self.route!r}")
 
-    def reads(self) -> list:
-        """The two-site factors of this side in the order its route reads them:
-        written order on the dense route, application order on the others."""
-        return _two_site(self.steps[::-1] if self.route == "dense" else self.steps)
-
-    def apply(self, chain, solved, block) -> np.ndarray:
-        """This side applied to `block` by its route, from `solved`, the results
-        of its reads (solve_records); a dense side reads no probe: it is the
-        product of its factors in written order (the identity if none)."""
+    def apply(self, chain, factor, block) -> np.ndarray:
+        """This side applied to `block` by its route, its factors read from
+        `factor` (the reader of solve_records); a dense side reads no probe: it
+        is the product of its factors in written order (the identity if none)."""
         if self.route == "dense":
-            mats = rcheck_factors(chain, self.reads(), solved, self.check_invertible)
+            mats = [factor(chain, info, self.check_invertible)
+                    for info in _two_site(self.steps[::-1])]
             return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
-        return apply_factors(chain, self.steps, solved, block, self.check_invertible,
+        return apply_factors(chain, self.steps, factor, block, self.check_invertible,
                              einsum=self.route == "einsum")
 
 
@@ -268,11 +244,11 @@ class Side:
 class StringCheck:
     """A check that compares sides applied to one probe block.
 
-    The sides are applied in order, each reading its factors (Side.reads)
-    from the solved results, to probe_block(D, seed) cut to `columns` columns
-    (all by default; a dense side reads no probe).  The residual is the
-    worst of the (reference, other) side pairs; `pair_params` reports single
-    pair residuals (name -> pair index).  An `extract` map also compares
+    The sides are applied in order, each reading its factors by name, to
+    probe_block(D, seed) cut to `columns` columns (all by default; a dense
+    side reads no probe).  The residual is the worst of the (reference,
+    other) side pairs; `pair_params` reports single pair residuals (name ->
+    pair index).  An `extract` map also compares
     extract(side 1 column 0) with extract(side 0 column 0) (report.fold).
     """
 
@@ -288,13 +264,13 @@ class StringCheck:
     pair_params: dict = field(default_factory=dict)
 
     def reads(self) -> list:
-        """(chain, infos) of each side: the factors that this record reads."""
-        return [(self.chain, side.reads()) for side in self.sides]
+        """One (chain, infos) entry: the two-site factors of every side."""
+        return [(self.chain, [info for side in self.sides for info in _two_site(side.steps)])]
 
-    def evaluate(self, solved) -> VerificationReport:
-        """The report, from `solved`: the results of each read (solve_records)."""
+    def evaluate(self, factor) -> VerificationReport:
+        """The report, its factors read from `factor` (the reader of solve_records)."""
         X = probe_block(prod(self.chain.dims), self.seed)[:, :self.columns]
-        ops = [side.apply(self.chain, res, X) for side, res in zip(self.sides, solved)]
+        ops = [side.apply(self.chain, factor, X) for side in self.sides]
         resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
         resid = worst_of(resids)
@@ -309,9 +285,10 @@ class StringCheck:
 @dataclass(frozen=True)
 class FactorCheck:
     """A check that reads two-site factors directly: `factors` lists (chain,
-    infos) entries, each info (kind1, z1, kind2, z2) read in the chain's
-    normalization, and measure(read) makes the report, where read() returns
-    the Rchecks of each entry (rcheck_factors, in order)."""
+    infos) entries, each info (kind1, z1, kind2, z2) in the chain's
+    normalization, and measure(read) makes the report, where read(chain,
+    info) is the Rcheck of a declared factor (the reader of solve_records,
+    refusing a singular one with check_invertible)."""
 
     factors: tuple
     measure: object
@@ -321,46 +298,55 @@ class FactorCheck:
         """(chain, infos) of each entry: the factors that this record reads."""
         return self.factors
 
-    def evaluate(self, solved) -> VerificationReport:
-        """The report, from `solved`: the results of each entry (solve_records)."""
-        return self.measure(lambda: [rcheck_factors(chain, infos, res, self.check_invertible)
-                                     for (chain, infos), res in zip(self.factors, solved)])
+    def evaluate(self, factor) -> VerificationReport:
+        """The report, its factors read from `factor` (the reader of solve_records)."""
+        return self.measure(lambda chain, info: factor(chain, info, self.check_invertible))
 
 
-def solve_records(records, cache=None) -> list:
-    """The solved factors of each record, as its `evaluate` takes them: per
-    read (chain, infos) of rec.reads(), the rsolve.solve_requests result of
-    each factor, or None for the closed-form resonance (rcheck_factors).
+def solve_records(records, cache=None):
+    """The factor reader of check records: factor(chain, info,
+    check_invertible=True) is the Rcheck of a factor info = (kind1, z1,
+    kind2, z2) that a record declares (rec.reads()), in the chain's m,
+    grading, ctx and normalization; `chain` is a ChainSpec, a reduction case
+    or Sites.  A solved factor is read by rsolve.read_result, so with
+    check_invertible=False a singular one is returned; the removable (V,V)
+    resonance z1 = q^delta z2 of the kappa-normalized family is not requested
+    and reads its closed form (rcheck_resonant).  An undeclared factor raises
+    KeyError.
 
     One solve_requests call solves every factor of the records; the cache
     (a fresh one by default) shares only the commutant templates.  Each
-    distinct factor (kind1, z1, kind2, z2) at (m, grading, ctx,
-    normalization) is requested once, keyed by a plain tuple, and every read
-    of it is handed that request's result.  A failed
-    request raises its error when a record reads it, and a result does not
-    depend on the call that solved it, so each record reports what it
-    reports alone.
+    distinct factor at (m, grading, ctx, normalization) is requested once,
+    keyed by a plain tuple, and every read of it reads that request's
+    result.  A failed request raises its error when a record reads it, and a
+    result does not depend on the call that solved it, so each record
+    reports what it reports alone.
     """
-    reqs, seen = [], {}  # (m, grading, ctx, normalization) -> info -> its index in reqs
-
-    def positions(chain, infos):
-        at = seen.setdefault((chain.m, chain.grading, chain.ctx, chain.normalization), {})
-        for info in infos:
-            if info not in at:
-                req = _request(chain, info)
-                at[info] = None if req is None else len(reqs)
-                reqs.extend(() if req is None else (req,))
-        return [at[info] for info in infos]
-    reads = [[positions(chain, infos) for chain, infos in rec.reads()] for rec in records]
+    reqs, at = [], {}  # (m, grading, ctx, normalization, info) -> its index in reqs, or None
+    for rec in records:
+        for chain, infos in rec.reads():
+            for info in infos:
+                key = (chain.m, chain.grading, chain.ctx, chain.normalization, info)
+                if key not in at:
+                    req = _request(chain, info)
+                    at[key] = None if req is None else len(reqs)
+                    reqs.extend(() if req is None else (req,))
     results = solve_requests(reqs, cache)
-    return [[[None if k is None else results[k] for k in read] for read in rec] for rec in reads]
+
+    def factor(chain, info, check_invertible=True) -> np.ndarray:
+        k = at[chain.m, chain.grading, chain.ctx, chain.normalization, info]
+        if k is None:
+            return rcheck_resonant(chain.m, chain.grading, chain.ctx)
+        return read_result(results[k], check_invertible).Rcheck
+    return factor
 
 
 def run_records(records, cache=None) -> list:
-    """The reports of check records, in order: each evaluated on its solved
-    factors from one solve_records call (its templates from the cache, a
-    fresh one by default)."""
-    return [rec.evaluate(solved) for rec, solved in zip(records, solve_records(records, cache))]
+    """The reports of check records, in order: each evaluated on the factor
+    reader of one solve_records call (its templates from the cache, a fresh
+    one by default)."""
+    factor = solve_records(records, cache)
+    return [rec.evaluate(factor) for rec in records]
 
 
 def solving_check(build):
@@ -458,7 +444,7 @@ def check_ddr(chain: ChainSpec, j: int, k: int) -> FactorCheck:
     def measure(read):
         dj = chain.delta_matrix(j)
         dk = chain.delta_matrix(k)
-        (Rc,), = read()
+        Rc = read(chain, info)
         d = chain.m + 1
         resid = commutant_residual(dj, dk, swap_outputs(Rc, d, d))
         return VerificationReport.make(

@@ -25,7 +25,7 @@ import numpy as np
 from .context import QContext
 from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck,
-                  lambda_factor_specs, probe_vector, regularized_product, rewritten_factors,
+                  lambda_factor_specs, probe_block, regularized_product, rewritten_factors,
                   solving_check)
 from .report import VerificationReport
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
@@ -252,8 +252,8 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0) -> FactorCheck:
     def measure(read):
         dims = case.dims
         D = prod(dims)
-        phi0 = probe_vector(D, seed)
-        (front, mirror), = read()
+        phi0 = probe_block(D, seed)[:, 0]
+        front, mirror = (read(case, info) for info in factors)
         phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
         phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
         psi0 = psi_extract(case, phi0)

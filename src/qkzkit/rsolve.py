@@ -35,9 +35,9 @@ solve_requests returns each request's result or the error that it raises
 alone, and raises nothing, also when a template, a frame, a stack or a
 kappa scan meets an arithmetic error far out on the q-disk (a template or
 frame then fails its module pair's requests, a stack those of its spin,
-and a scan its own); the read rule read_result raises a stored error or
-refuses a singular operator.  solve_intertwiner is the rule over one
-solve_requests call, and r_matrix its call for one request.  The
+and a scan its own); the read rule read_result raises a copy of a stored
+error or refuses a singular operator.  solve_intertwiner is the rule over
+one solve_requests call, and r_matrix its call for one request.  The
 distinct keys of a call are solved as stacks, one per spin, q and
 grading, which covers every module pair of that spin (a reduction check
 reads all four of (V,V), (V,V*), (V*,V) and (V*,V*)): each request reads
@@ -49,8 +49,8 @@ request at m = 3, 0.2 ms of it the stack and 0.09 ms the kappa scan,
 against 0.03-0.07 ms for each further request of the same stack, of any
 module pair), so a `suite` run makes one solve_requests call
 (`qkz.solve_records`) for the records of all its check groups, which read
-their factors from its results (`suite --m 3`: 3 stacks and one kappa
-scan, the lattice probes of degenerate_detection among them).  A stack
+their factors through its factor reader (`suite --m 3`: 3 stacks and one
+kappa scan, the lattice probes of degenerate_detection among them).  A stack
 forms each request's Rcheck elementwise, its basis columns summed in a
 fixed order, and a kappa scan is elementwise numpy arithmetic, so each of
 its rows keeps the bits of a one-row scan: a result does not depend on
@@ -70,6 +70,7 @@ pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -651,10 +652,12 @@ def solve_requests(reqs, cache: RCache = None) -> list:
 
 
 def read_result(res, check_invertible=True) -> RResult:
-    """A result of solve_requests as its request reads it: a stored error is
-    raised, and with check_invertible a singular operator is refused."""
+    """A result of solve_requests as its request reads it: a copy of a stored
+    error is raised, so the stored one gathers no traceback (whose frames
+    would keep the run's results alive), and with check_invertible a
+    singular operator is refused."""
     if not isinstance(res, RResult):
-        raise res
+        raise copy.copy(res)
     # a solved result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
     if check_invertible and res.margin < _CANCEL_TOL:
         raise DegeneratePointError(

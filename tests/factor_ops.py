@@ -3,14 +3,14 @@ default, which gives the dense matrix) through the same factor strings and
 routes that the records use; the tests compare them with dense references.
 
 Each operator is one side run as a record (`SideRecord`) through
-`qkz.run_records`, so its factors are solved in one call and read as a
-check's are."""
+`qkz.run_records`, so its factors are solved in one call and read by
+name through the call's factor reader, as a check's are."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from qkzkit.qkz import (FactorCheck, Side, lambda_factor_specs, lambda_forms,
+from qkzkit.qkz import (FactorCheck, Side, _two_site, lambda_factor_specs, lambda_forms,
                         regularized_product, rewritten_factors, run_records, transport_steps)
 from qkzkit.reduction import chain_for, mirrored_args, rhs_steps
 
@@ -24,10 +24,10 @@ class SideRecord:
     block: object = None
 
     def reads(self):
-        return [(self.chain, self.side.reads())]
+        return [(self.chain, _two_site(self.side.steps))]
 
-    def evaluate(self, solved):
-        return self.side.apply(self.chain, solved[0], self.block)
+    def evaluate(self, factor):
+        return self.side.apply(self.chain, factor, self.block)
 
 
 def applied(chain, steps, cache=None, block=None, check_invertible=True, route="apply_factors"):
@@ -38,7 +38,8 @@ def applied(chain, steps, cache=None, block=None, check_invertible=True, route="
 
 def read_factors(chain, infos, cache=None, check_invertible=True):
     """The Rchecks of the factors infos, read as a FactorCheck reads them."""
-    check = FactorCheck(((chain, infos),), lambda read: read()[0], check_invertible)
+    check = FactorCheck(((chain, infos),), lambda read: [read(chain, info) for info in infos],
+                        check_invertible)
     return run_records([check], cache)[0]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkzkit import cli, idsuite, reps, scalars
+from qkzkit import cli, idsuite, qkz, reps, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.errors import DegeneratePointError
 from qkzkit.report import VerificationReport
@@ -259,17 +259,21 @@ def test_planted_defect_fails_the_report(group, name, module, attr, plant, monke
 
 
 def test_undetected_degenerate_point_fails_its_report(monkeypatch, capsys):
-    # a read that never refuses the lattice points detects neither of them
+    # a factor reader that never refuses the lattice points detects neither of them
     argv = ["verify", "degenerate_detection", "--seed", "7"]
     assert run_cli(argv, capsys)[0] == 0
-    read = cli.read_result
+    solve_records = qkz.solve_records
 
-    def never_refuses(*args, **kwargs):
-        try:
-            return read(*args, **kwargs)
-        except DegeneratePointError:
-            return None
-    monkeypatch.setattr(cli, "read_result", never_refuses)
+    def never_refuses(records, cache=None):
+        factor = solve_records(records, cache)
+
+        def read(*args, **kwargs):
+            try:
+                return factor(*args, **kwargs)
+            except DegeneratePointError:
+                return None
+        return read
+    monkeypatch.setattr(qkz, "solve_records", never_refuses)
     code, out = run_cli(argv, capsys)
     (rec,) = json.loads(out)
     assert code == 1 and rec["name"] == "degenerate_detection"
@@ -295,7 +299,7 @@ def _count_solver_calls(monkeypatch):
     them ("evaluate"), stacks lists the (spin, q, grading) of each stack solved, which
     covers every module pair of that spin, and kappa scans counts the
     _kappa_scalars calls that scanned a request."""
-    from qkzkit import qkz, rsolve
+    from qkzkit import rsolve
     phase, calls = ["build"], []
     solve, scan, core = rsolve._solve, rsolve._kappa_scalars, rsolve.solve_requests
     solve_records, evaluate = qkz.solve_records, cli._evaluate
@@ -351,7 +355,6 @@ def test_the_suite_requests_each_distinct_factor_once(monkeypatch, capsys):
     # the records read many factors more than once; solve_records hands the
     # solver one request per distinct factor and normalization (the two
     # lattice probes of degenerate_detection among them)
-    from qkzkit import qkz
     passed, solve = [], qkz.solve_requests
     monkeypatch.setattr(qkz, "solve_requests",
                         lambda reqs, cache=None: passed.append(reqs) or solve(reqs, cache))

@@ -36,23 +36,25 @@ class TestYangBaxter:
     @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
     def test_perturbed_factor_fails(self, ctx, grading, pair, norm):
-        # one factor off by 1e-6 relative, planted in the solved results that the
-        # record is handed, must show on the probe block
+        # one factor off by 1e-6 relative in its weight-conserving entries, on
+        # every read of it through the record's factor reader, must show on the
+        # probe block
         m, kinds, zetas = 2, ("V", "V*", "V"), (1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.5j)
         a, b = pair
         rec = idsuite.check_ybe.record(m, kinds, [zetas], grading, ctx, normalization=norm)
-        solved, = qkz.solve_records([rec])
-        assert rec.evaluate(solved).passed
-        target = (kinds[a], zetas[a], kinds[b], zetas[b])
-        noise = np.random.default_rng(5).standard_normal(solved[0][0].entries.shape)
+        factor = qkz.solve_records([rec])
+        assert rec.evaluate(factor).passed
+        target, reads = (kinds[a], zetas[a], kinds[b], zetas[b]), []
 
-        def perturbed(res):
-            return replace(res, entries=res.entries + 1e-6 * np.linalg.norm(res.entries)
-                           * noise / np.linalg.norm(noise))
-        planted = [[perturbed(res) if info == target else res for info, res in zip(infos, read)]
-                   for (_, infos), read in zip(rec.reads(), solved)]
-        assert sum(info == target for _, infos in rec.reads() for info in infos) == 2
+        def planted(chain, info, check_invertible=True):
+            Rc = factor(chain, info, check_invertible)
+            if info != target:
+                return Rc
+            reads.append(info)
+            noise = np.random.default_rng(5).standard_normal(Rc.shape) * (Rc != 0)
+            return Rc + 1e-6 * np.linalg.norm(Rc) * noise / np.linalg.norm(noise)
         assert not rec.evaluate(planted).passed
+        assert len(reads) == 2
 
 
 class TestUnitarityChecks:
@@ -198,16 +200,20 @@ class TestInvariances:
         alpha = 0.41 - 0.27j
         assert idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx).residual < 1e-15
         # a solve stores the weight-conserving entries alone, so the entry is planted
-        # where the record reads its factor
-        rcheck_factors = qkz.rcheck_factors
+        # where the record reads its factor: in the reader of qkz.solve_records
+        solve_records = qkz.solve_records
 
-        def off_sector(*args, **kwargs):
-            (Rcheck,) = rcheck_factors(*args, **kwargs)
-            # basis vectors 0 and 1 differ in h1-weight by 2; row 0 is hw x hw, so
-            # R = P Rcheck has the same entry
-            Rcheck[0, 1] += 1e-6
-            return [Rcheck]
-        monkeypatch.setattr(qkz, "rcheck_factors", off_sector)
+        def off_sector(records, cache=None):
+            factor = solve_records(records, cache)
+
+            def read(*args, **kwargs):
+                Rcheck = factor(*args, **kwargs).copy()
+                # basis vectors 0 and 1 differ in h1-weight by 2; row 0 is hw x hw, so
+                # R = P Rcheck has the same entry
+                Rcheck[0, 1] += 1e-6
+                return Rcheck
+            return read
+        monkeypatch.setattr(qkz, "solve_records", off_sector)
         assert not idsuite.check_invariance_a(alpha, 2, kinds, zetas, grading, ctx,
                                               cache=RCache()).passed
 

@@ -13,8 +13,9 @@ from conftest import zeta_sample
 from factor_ops import (applied, lambda_forms_residual, lambda_op, lambda_product_regularized,
                         lambda_rewritten, rhs_operator, transport_phi)
 from qkzkit import cli, idsuite, qkz
+from qkzkit.cli import serialize_reports
 from qkzkit.qkz import (ChainSpec, DeltaAssignment, check_qkz_compatibility,
-                        lambda_factor_specs, probe_block, probe_vector)
+                        lambda_factor_specs, probe_block)
 from qkzkit.reps import GradingChoice
 from qkzkit.reduction import (ReductionCase, chain_for, insertion_invariance_check,
                               mirrored_args, scaling_covariance_residual,
@@ -62,10 +63,6 @@ class TestProbeBlock:
 
     def test_columns_capped_at_dimension(self):
         assert probe_block(4).shape == (4, 4)
-
-    @pytest.mark.parametrize("D, seed", [(2, 0), (16, 5), (729, 7), (1024, 42)])
-    def test_probe_vector_is_the_first_column(self, D, seed):
-        assert np.array_equal(probe_vector(D, seed), probe_block(D, seed)[:, 0])
 
 
 class TestBlockEquivalence:
@@ -211,27 +208,43 @@ def perturbed(A):
     return A + EPS * np.linalg.norm(A) / np.linalg.norm(E) * E
 
 
-def plant_defect(monkeypatch, module, name, pick):
-    """Perturb the factors that module.name returns for which pick(call, args, k)
-    holds: call counts the calls from 1 (a call that returns no factor
-    too), args are the call's arguments and k the factor's place in the
-    call's list of results (0 when the call returns one factor)."""
-    original = getattr(module, name)
-    calls = []
+def plant_first_call_defect(monkeypatch, module, name):
+    """Perturb what module.name returns on its first call."""
+    original, calls = getattr(module, name), []
 
     def defective(*args, **kwargs):
-        out = original(*args, **kwargs)
         calls.append(args)
-        many = isinstance(out, list)
-        items = [perturbed(x) if pick(len(calls), args, k) else x
-                 for k, x in enumerate(out if many else [out])]
-        return items if many else items[0]
+        out = original(*args, **kwargs)
+        return perturbed(out) if len(calls) == 1 else out
     monkeypatch.setattr(module, name, defective)
 
 
-def nth_call(c, place=0):
-    """The factor at `place` of call c (its first by default)."""
-    return lambda call, args, k: (call, k) == (c, place)
+def plant_read_defect(monkeypatch, pick):
+    """Perturb the factors that the reader of qkz.solve_records returns for
+    which pick(read, info) holds: read counts the reads of that reader from
+    1, and info is the factor read."""
+    solve_records = qkz.solve_records
+
+    def defective_solve(records, cache=None):
+        factor, reads = solve_records(records, cache), []
+
+        def defective(chain, info, check_invertible=True):
+            Rc = factor(chain, info, check_invertible)
+            reads.append(info)
+            return perturbed(Rc) if pick(len(reads), info) else Rc
+        return defective
+    monkeypatch.setattr(qkz, "solve_records", defective_solve)
+
+
+def side_starts(rec):
+    """The read number (from 1) of the first factor of each side of a string
+    record with no dense side: the sides are applied in turn, each reading
+    its factors at their steps, in application order."""
+    starts, read = [], 1
+    for side in rec.sides:
+        starts.append(read)
+        read += sum(tag in ("R", "Rcheck") for tag, _, _ in side.steps)
+    return starts
 
 
 def zetas_for(n, seed):
@@ -242,34 +255,39 @@ def zetas_for(n, seed):
 class TestFailability:
     """Each probe check passes as is and fails under one planted defect (n <= 2, m = 1).
 
-    Every factor is read through qkz.rcheck_factors, one call per side of
-    a record; theorem_selfdual calls it for the composite followed by the
-    resonant lead factor (call 1: the composite's two R factors at n = 2,
-    none at n = 1, then the lead), the rewritten form of Lambda_n (2) and
-    its factor-list form (3); theorem_general for the composite (1), then
-    the product Lambda_{n+1} Lambda_n (2)."""
+    Every factor is read by name through the reader of qkz.solve_records,
+    side after side, each side at its steps; a defect is planted on one
+    read (its number from side_starts) or on every read of one factor.
+    theorem_selfdual reads the composite followed by the resonant lead
+    factor (side 0: the composite's two R factors at n = 2, none at n = 1,
+    then the lead), the rewritten form of Lambda_n (1) and its factor-list
+    form (2); both forms read the lead's factor too, so a defect on every
+    read of it would not show.  theorem_general reads the composite (0),
+    then the product Lambda_{n+1} Lambda_n (1)."""
 
-    @pytest.mark.parametrize("n,call,place", [
-        pytest.param(1, 1, 0, id="lead-n1"),       # the resonant factor of the composite side
-        pytest.param(2, 1, 2, id="lead-n2"),
-        pytest.param(2, 1, 0, id="composite"),     # one R factor of the composite
-        pytest.param(2, 2, 0, id="lambda-rewritten"),  # one factor of the one-step operator
-        pytest.param(2, 3, 0, id="lambda-factor-list"),
+    @pytest.mark.parametrize("n,side,place", [
+        pytest.param(1, 0, 0, id="lead-n1"),       # the resonant factor of the composite side
+        pytest.param(2, 0, 2, id="lead-n2"),
+        pytest.param(2, 0, 0, id="composite"),     # one R factor of the composite
+        pytest.param(2, 1, 0, id="lambda-rewritten"),  # one factor of the one-step operator
+        pytest.param(2, 2, 0, id="lambda-factor-list"),
     ])
-    def test_theorem_selfdual(self, n, call, place, monkeypatch, ctx, grading, cache):
+    def test_theorem_selfdual(self, n, side, place, monkeypatch, ctx, grading, cache):
         case = ReductionCase("self_dual", n, 1, grading, ctx)
         zetas = zetas_for(n, 95)
         assert theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
-        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call, place))
+        read = side_starts(theorem_check_selfdual.record(case, zetas, seed=3))[side] + place
+        plant_read_defect(monkeypatch, lambda k, info: k == read)
         assert not theorem_check_selfdual(case, zetas, seed=3, cache=cache).passed
 
-    @pytest.mark.parametrize("call", [pytest.param(1, id="composite"),
-                                      pytest.param(2, id="lambda")])
-    def test_theorem_general(self, call, monkeypatch, ctx, grading, cache):
+    @pytest.mark.parametrize("side", [pytest.param(0, id="composite"),
+                                      pytest.param(1, id="lambda")])
+    def test_theorem_general(self, side, monkeypatch, ctx, grading, cache):
         case = ReductionCase("general", 2, 1, grading, ctx)
         zetas = zetas_for(2, 96)
         assert theorem_check_general(case, zetas, seed=3, cache=cache).passed
-        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(call))
+        read = side_starts(theorem_check_general.record(case, zetas, seed=3))[side]
+        plant_read_defect(monkeypatch, lambda k, info: k == read)
         assert not theorem_check_general(case, zetas, seed=3, cache=cache).passed
 
     @pytest.mark.parametrize("mode", ["self_dual", "general"])
@@ -277,7 +295,7 @@ class TestFailability:
         case = ReductionCase(mode, 2, 1, grading, ctx)
         zetas, nu = zetas_for(2, 97), 1.3 * np.exp(0.4j)
         assert scaling_covariance_residual(case, zetas, nu, cache) <= 1e-10
-        plant_defect(monkeypatch, qkz, "rcheck_factors", nth_call(1))
+        plant_read_defect(monkeypatch, lambda k, info: k == 1)
         assert scaling_covariance_residual(case, zetas, nu, cache) > 1e-10
 
     def test_insertion_invariance(self, monkeypatch, ctx, grading, cache):
@@ -285,8 +303,7 @@ class TestFailability:
         zetas = zetas_for(2, 98)
         u, v = 1.1 + 0.4j, 0.7 - 0.9j
         assert insertion_invariance_check(case, zetas, u, v, cache=cache).passed
-        plant_defect(monkeypatch, qkz, "rcheck_factors",
-                     lambda call, args, k: tuple(args[1][k]) == ("V*", v, "V", u))
+        plant_read_defect(monkeypatch, lambda k, info: tuple(info) == ("V*", v, "V", u))
         assert not insertion_invariance_check(case, zetas, u, v, cache=cache).passed
 
     def test_qkz_compatibility(self, monkeypatch, ctx, grading, cache):
@@ -294,15 +311,14 @@ class TestFailability:
         assert check_qkz_compatibility(chain, 0, 1, cache=cache).passed
         p, (eta0, eta1) = chain.p, chain.etas
         # the one factor of Lambda_0 on the chain with eta_1 -> p eta_1
-        plant_defect(monkeypatch, qkz, "rcheck_factors",
-                     lambda call, args, k: np.isclose(args[1][k][1], p * eta1)
-                     and np.isclose(args[1][k][3], p * eta0))
+        plant_read_defect(monkeypatch, lambda k, info: np.isclose(info[1], p * eta1)
+                          and np.isclose(info[3], p * eta0))
         assert not check_qkz_compatibility(chain, 0, 1, cache=cache).passed
 
     def test_lambda_forms(self, monkeypatch, ctx, grading, cache):
         chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), 1, np.random.default_rng(100))
         assert lambda_forms_residual(chain, 1, cache) <= 1e-10
-        plant_defect(monkeypatch, qkz, "swap_outputs", nth_call(1))
+        plant_first_call_defect(monkeypatch, qkz, "swap_outputs")
         assert lambda_forms_residual(chain, 1, cache) > 1e-10
 
 
@@ -313,9 +329,9 @@ O_DEFECTS = {"transposed": lambda O: O.T,
 class TestIdentityFailability:
     """The braid and crossing checks pass as is and fail under planted defects (m <= 2).
 
-    braid: a 1e-6 relative defect in the first factor of every
-    qkz.rcheck_factors call (the transports of both words read their
-    factors there).  crossing: O (idsuite.operator_o) replaced by its
+    braid: a 1e-6 relative defect in the first factor that each side
+    (the transport of each word) reads through the reader of
+    qkz.solve_records.  crossing: O (idsuite.operator_o) replaced by its
     transpose, or its antidiagonal rescaled by unequal factors; the
     closed-form O^-1 stays as it is.  Two planted changes of O are no
     defects here, so no test asks them to fail: at grading (1, 1) O is
@@ -332,7 +348,9 @@ class TestIdentityFailability:
             return idsuite.check_braid_welldefined(*words, m, ("V", "V*", "V", "V*"), etas,
                                                    grading, ctx, cache=cache)
         assert check().residual <= 1e-14
-        plant_defect(monkeypatch, qkz, "rcheck_factors", lambda call, args, k: k == 0)
+        starts = side_starts(idsuite.check_braid_welldefined.record(
+            *words, m, ("V", "V*", "V", "V*"), etas, grading, ctx))
+        plant_read_defect(monkeypatch, lambda k, info: k in starts)
         assert not check().passed
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -368,23 +386,56 @@ def one_sided_defect(rec):
     return None
 
 
+@pytest.fixture(scope="module")
+def suite_run():
+    """The records of `suite --m 2 --seed 7` and the factor reader of its one solve."""
+    built, readers = [], []
+    solve_records = qkz.solve_records
+
+    def keep(records, cache=None):
+        built.extend(records)
+        readers.append(solve_records(records, cache))
+        return readers[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qkz, "solve_records", keep)
+        assert cli.main(["suite", "--m", "2", "--seed", "7", "--out", os.devnull]) == 0
+    (factor,) = readers
+    return built, factor
+
+
+class TestReadsMatchDeclarations:
+    """A record reads only the factors that it declares (`reads`): every
+    record of `suite --m 2 --seed 7` reports the same on a reader solved
+    from its own declarations alone as on the run's reader, and a read of
+    an undeclared factor raises KeyError instead of reading another one."""
+
+    def test_every_record_reports_the_same_alone(self, suite_run):
+        records, factor = suite_run
+        in_run = [rec.evaluate(factor) for rec in records]
+        assert {type(rec) for rec in records} == {qkz.StringCheck, qkz.FactorCheck}
+        assert "degenerate_detection" in {rep.name for rep in in_run}
+        for rec, rep in zip(records, in_run):
+            alone = rec.evaluate(qkz.solve_records([rec]))
+            assert serialize_reports([alone], "json") == serialize_reports([rep], "json")
+
+    def test_an_undeclared_read_raises(self, ctx, grading):
+        hw, kappa = qkz.Sites(1, grading, ctx), qkz.Sites(1, grading, ctx, "kappa")
+        declared = ("V", 1.2 + 0.1j, "V", 0.8)
+        factor = qkz.solve_records([qkz.FactorCheck(((hw, [declared]),), None)])
+        assert factor(hw, declared).shape == (4, 4)
+        for sites, info in ((hw, ("V", 0.8, "V", 1.2 + 0.1j)), (kappa, declared)):
+            with pytest.raises(KeyError):
+                factor(sites, info)
+
+
 class TestOneSidedDefect:
     """Every string record of `suite --m 2 --seed 7` fails when one spectral
     argument of one side is shifted (the records' own data, mutated; the
     runner derives the requests from the mutated strings)."""
 
     @pytest.fixture(scope="class")
-    def records(self):
-        built = []
-        solve_records = qkz.solve_records
-
-        def keep(records, cache=None):
-            built.extend(records)
-            return solve_records(records, cache)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qkz, "solve_records", keep)
-            assert cli.main(["suite", "--m", "2", "--seed", "7", "--out", os.devnull]) == 0
-        return [rec for rec in built if isinstance(rec, qkz.StringCheck)]
+    def records(self, suite_run):
+        return [rec for rec in suite_run[0] if isinstance(rec, qkz.StringCheck)]
 
     def test_every_string_record_fails(self, records):
         assert len(records) == 29

@@ -593,6 +593,22 @@ class TestCache:
         with pytest.raises(DegeneratePointError):
             rsolve.read_result(res)
 
+    def test_a_stored_error_is_raised_as_a_fresh_copy(self, ctx, grading):
+        # hw-normalized like pair at q^-2/s: the solve stores its error; each read
+        # raises a copy, so the stored error gathers no traceback (whose frames
+        # would keep the caller's results alive)
+        req = make_request("V", complex(ctx.q) ** (-2.0 / grading.s), "V", 1.0, 1, grading, ctx)
+        stored, = rsolve.solve_requests([req])
+        assert isinstance(stored, DegeneratePointError) and stored.__traceback__ is None
+        raised = []
+        for _ in range(2):
+            with pytest.raises(DegeneratePointError) as info:
+                rsolve.read_result(stored)
+            raised.append(info.value)
+        assert raised[0] is not raised[1] and stored not in raised
+        assert {(type(e), str(e)) for e in raised} == {(type(stored), str(stored))}
+        assert stored.__traceback__ is None
+
     def test_uncached_requests_share_nothing(self, ctx, grading, monkeypatch):
         solves = _count_solves(monkeypatch)
         for _ in range(2):

@@ -21,11 +21,13 @@ permuted_matmul), so no second factor loop can come back.  In `qkz`,
 `reduction`, `idsuite` and `cli` only the record solve `solve_records`
 solves R-operators (solve_requests, solve_intertwiner or r_matrix); the
 record runner `run_records` and, once per run, the suite's `_run_groups`
-call it, and the records only read its results (`rcheck_factors`), so no
-check can keep a request list beside the factor data it applies, no
-record can solve a second time and no check group can solve on its own;
-`cli` keeps two single requests by design, the degenerate-point probe and
-the `rmat` dump.
+call it, and the records read their factors by name through the factor
+reader that it returns, so no check can keep a request list beside the
+factor data it applies, no record can solve a second time and no check
+group can solve on its own; `cli` keeps one single request by design, the
+`rmat` dump.  Outside `rsolve` only that reader reads a solved result
+(`read_result`, in `solve_records`), and `cli` does not import it, so no
+second read rule can come back beside the reader.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
 take their residuals from `tensorops.relative_residual` and call no norm
 of their own, so no second residual rule (a 0/0 guard among them) can come
@@ -183,6 +185,17 @@ REQUEST_CALLERS = {
     ("cli.py", "solve_records"): ("_run_groups",),
     ("cli.py", "r_matrix"): ("cmd_rmat",),
 }
+
+
+# the functions outside rsolve that may read a solved result: the factor reader
+READ_CALLERS = {"qkz.py": ("solve_records",)}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rsolve.py"],
+                         ids=lambda p: p.name)
+def test_results_read_only_by_the_factor_reader(path):
+    allowed = READ_CALLERS.get(path.name, ())
+    assert calls_outside(ast.parse(path.read_text()), "read_result", allowed) == []
 
 
 def test_factor_string_sources_found():
@@ -377,38 +390,62 @@ def test_request_rule_fires_on_planted_code(source, outside):
      "    return r_matrix('V', z1, 'V', z2, 1, g, ctx)\n", 1),
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
      "def solve_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 0),
-    # a factor reader that solves again, beside the record solve
+    # a factor applier that solves again, beside the record solve
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
      "def solve_records(records, cache):\n    results = solve_requests(reqs, cache)\n"
-     "def rcheck_factors(chain, infos, solved, check_invertible):\n"
-     "    return solve_requests(infos, cache)\n", 1),
+     "def apply_factors(chain, steps, factor, block):\n"
+     "    return solve_requests(reqs, cache)\n", 1),
     # the record runner solves through the record solve, not beside it
     ("qkz.py", "solve_records", "def run_records(records, cache):\n"
-     "    return [rec.evaluate(s) for rec, s in zip(records, solve_records(records, cache))]\n",
-     0),
+     "    factor = solve_records(records, cache)\n"
+     "    return [rec.evaluate(factor) for rec in records]\n", 0),
     ("qkz.py", "solve_requests", "from .rsolve import solve_requests\n"
      "def run_records(records, cache):\n    results = solve_requests(reqs, cache)\n", 2),
     # the suite's one solve, and a check group that solves its own records
     ("cli.py", "solve_records", "def _run_groups(names, config):\n"
-     "    solved = qkz.solve_records(records)\n", 0),
+     "    factor = qkz.solve_records(records)\n", 0),
     ("cli.py", "solve_records", "def _run_groups(names, config):\n"
-     "    solved = qkz.solve_records(records)\n"
+     "    factor = qkz.solve_records(records)\n"
      "def _chk_ybe(config, ctx, g):\n"
      "    return qkz.solve_records(records)\n", 1),
     ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
-     "def rcheck_factors(chain, infos, solved, check_invertible):\n"
-     "    return solve_intertwiner(infos, cache, check_invertible)\n", 2),
+     "def apply_factors(chain, steps, factor, block):\n"
+     "    return solve_intertwiner(reqs, cache)\n", 2),
     # a side that solves its own factors
     ("qkz.py", "solve_intertwiner", "from .rsolve import solve_intertwiner\n"
-     "class Side:\n    def apply(self, chain, solved, block):\n"
+     "class Side:\n    def apply(self, chain, factor, block):\n"
      "        return solve_intertwiner(reqs, cache)\n", 2),
     ("qkz.py", "solve_requests", "from . import rsolve\n"
-     "class Side:\n    def apply(self, chain, solved, block):\n"
+     "class Side:\n    def apply(self, chain, factor, block):\n"
      "        return rsolve.solve_requests(reqs)\n", 1),
 ])
 def test_request_rule_fires_on_planted_code_by_module(module, name, source, outside):
     allowed = REQUEST_CALLERS.get((module, name), ())
     assert len(calls_outside(ast.parse(source), name, allowed)) == outside
+
+
+@pytest.mark.parametrize("module, source, outside", [
+    ("qkz.py", "from .rsolve import read_result\n"
+     "def solve_records(records, cache):\n"
+     "    def factor(chain, info, check_invertible=True):\n"
+     "        return read_result(results[at[info]], check_invertible).Rcheck\n"
+     "    return factor\n", 0),
+    # a second read of the results, beside the reader
+    ("qkz.py", "from .rsolve import read_result\n"
+     "def solve_records(records, cache):\n    return read_result(results[0])\n"
+     "def apply_factors(chain, steps, solved, block):\n"
+     "    return read_result(solved[0]).Rcheck\n", 1),
+    ("cli.py", "from .rsolve import r_matrix, read_result\n", 1),
+    # a record of cli's own that reads the solved results
+    ("cli.py", "from .rsolve import read_result\n"
+     "class _LatticeProbes:\n    def evaluate(self, solved):\n"
+     "        return read_result(solved[0])\n", 2),
+    ("reduction.py", "from . import rsolve\n"
+     "def check_rpr(case, i, zetas):\n    return rsolve.read_result(res)\n", 1),
+])
+def test_read_rule_fires_on_planted_code(module, source, outside):
+    allowed = READ_CALLERS.get(module, ())
+    assert len(calls_outside(ast.parse(source), "read_result", allowed)) == outside
 
 
 APPLIER = ("from .tensorops import permuted_matmul\n"
