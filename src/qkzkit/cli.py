@@ -9,7 +9,11 @@ per check (`check.record`, see `qkz`; degenerate_detection a
 `qkz.FactorCheck` of its lattice probes); the others return their
 reports.  Then one `qkz.solve_records` call solves the factors of every
 record of the run, and each group evaluates its records on the factor
-reader that it returns.  Text mode ends with one
+reader that it returns.  The scalar groups work on sample sets: each
+set comes from one rng.random call (`_zsample`, `idsuite.random_zeta`),
+each scalar function is called once per group and base with m one per
+row, and each m then raises its first error in the order of the one-m
+calls (`scalars.raise_first`).  Text mode ends with one
 `time <group> <ms> ms` line per group (building and evaluating), in run
 order, and one `time solve <ms> ms` line for the run's solve.  Once the
 context and grading are accepted, a package error (a ConfigError too) or
@@ -20,14 +24,16 @@ stored error (`rsolve.solve_requests`).
 
 The parsed argparse namespace is the run configuration: each subcommand
 parses only the options it reads, and `build_parser` holds every default.
+The report writer (`_to_json`) makes no numpy call per value.
 """
 
 import argparse
-import json
+import math
 import sys
 import time
 import zlib
 from functools import partial
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .reps import (GradingChoice, antipode_dual, build_eval_rep,
 from .rsolve import r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
-                      rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
+                      raise_first, rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
 from .tensorops import relative_residual
 
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
@@ -67,64 +73,82 @@ def _rng_for(config, name: str):
     return np.random.default_rng([config.seed, zlib.crc32(name.encode())])
 
 
-def _zsample(rng):
+def _zsample(rng, size):
     # |z| in [0.1, 0.9], |arg z| < pi/2: away from the Pochhammer lattices and
-    # branch-safe for the half-integer powers when q is complex
-    return (0.1 + 0.8 * rng.random()) * np.exp(1j * np.pi * (rng.random() - 0.5))
+    # branch-safe for the half-integer powers when q is complex; `size`
+    # samples from one rng.random call, modulus and argument of each in turn
+    u = rng.random(2 * size)
+    return (0.1 + 0.8 * u[0::2]) * np.exp(1j * np.pi * (u[1::2] - 0.5))
 
 
 # --- suite checks --------------------------------------------------------------
 
 def _chk_scalar_identities(config, ctx, g):
+    # kappa_sl2 at 1, then at z and 1/z, and rho0_sl2 at q^-2 z and z, one
+    # call each for every m; each m then raises its first error as its own
+    # calls did, in their order, before its samples are measured
     rng = _rng_for(config, "scalar_identities")
-    worst_kappa = worst_ratio = worst_even = 0.0
-    for m in (1, 2, 3, 4):
-        kappa_one = relative_residual(1.0, kappa_sl2(m, 1.0, ctx))  # the same at every sample
-        zs = np.array([_zsample(rng) for _ in range(config.samples)])
-        kappa, inverse = kappa_sl2(m, zs, ctx), kappa_sl2(m, 1.0 / zs, ctx)
-        shifted, rho0 = rho0_sl2(m, ctx.q ** -2 * zs, ctx), rho0_sl2(m, zs, ctx)
-        for z, k, k_inv, r_shifted, r in zip(zs, kappa, inverse, shifted, rho0):
-            worst_kappa = worst_of((worst_kappa, kappa_one, relative_residual(1.0, k * k_inv)))
-            worst_ratio = worst_of((worst_ratio, relative_residual(rho0_ratio_sl2(m, z, ctx),
-                                                                   1.0 / (r_shifted * r))))
+    n, ms = config.samples, (1, 2, 3, 4)
+    zs = _zsample(rng, 4 * n).reshape(4, n)
+    one_errors, kappa_errors, rho0_errors = [None] * 4, [None] * 8 * n, [None] * 8 * n
+    kappa_one = kappa_sl2(ms, np.ones(4), ctx, one_errors)
+    kappa = kappa_sl2(np.repeat(ms, 2 * n), np.stack((zs, 1.0 / zs), axis=1).ravel(), ctx,
+                      kappa_errors).reshape(4, 2 * n)
+    raise_first(one_errors[:1], kappa_errors[:2 * n])  # before q^-2 z is formed
+    rho0 = rho0_sl2(np.repeat(ms, 2 * n), np.stack((ctx.q ** -2 * zs, zs), axis=1).ravel(), ctx,
+                    rho0_errors).reshape(4, 2 * n)
+    kappa_res, ratio_res, even_res = [0.0], [0.0], [0.0]
+    for i, m in enumerate(ms):
+        block = slice(2 * n * i, 2 * n * (i + 1))
+        raise_first(one_errors[i:i + 1], kappa_errors[block], rho0_errors[block])
+        kappa_res.append(relative_residual(1.0, kappa_one[i]))  # the same at every sample
+        for z, k, k_inv, r_shifted, r in zip(zs[i], kappa[i, :n], kappa[i, n:],
+                                             rho0[i, :n], rho0[i, n:]):
+            kappa_res.append(relative_residual(1.0, k * k_inv))
+            ratio_res.append(relative_residual(rho0_ratio_sl2(m, z, ctx), 1.0 / (r_shifted * r)))
             if m % 2 == 0:
-                worst_even = worst_of((worst_even, relative_residual(
-                    k, kappa_sl2_even_rational(m // 2, z, ctx))))
-    return [VerificationReport.make(name, {"family": "sl2"}, worst, 1e-10)
-            for name, worst in (("scalar_kappa_identities", worst_kappa),
-                                ("scalar_rho0_ratio", worst_ratio),
-                                ("scalar_kappa_even_rational", worst_even))]
+                even_res.append(relative_residual(k, kappa_sl2_even_rational(m // 2, z, ctx)))
+    return [VerificationReport.make(name, {"family": "sl2"}, worst_of(res), 1e-10)
+            for name, res in (("scalar_kappa_identities", kappa_res),
+                              ("scalar_rho0_ratio", ratio_res),
+                              ("scalar_kappa_even_rational", even_res))]
 
 
 def _chk_scalar_difference(config, ctx, g):
+    # one difference_patterns_sl2 call for m = 1, 2, 3, then one
+    # difference_patterns_sllpo call per l
     rng = _rng_for(config, "scalar_difference")
+    zs = _zsample(rng, 6 * max(config.samples, 3)).reshape(6, -1)
+    sl2 = difference_patterns_sl2(np.repeat((1, 2, 3), zs.shape[1]), zs[:3].ravel(),
+                                  ctx)["all_inverted"].reshape(3, -1)
     out = []
-    # per family: report name, rank parameter, its difference constant and pattern
-    families = (("scalar_difference_sl2", "m", lambda m: (-1.0) ** m,
-                 lambda m, z: difference_patterns_sl2(m, z, ctx)["all_inverted"]),
-                ("scalar_difference_sllpo", "l", lambda l: 1.0,
-                 lambda l, z: difference_patterns_sllpo(l, z, ctx)["mixed"]))
-    for name, rank, constant, pattern in families:
-        for r in (1, 2, 3):
-            vals = pattern(r, np.array([_zsample(rng) for _ in range(max(config.samples, 3))]))
-            resid = worst_of(relative_residual(constant(r), v) for v in vals)
-            out.append(VerificationReport.make(
-                name, {rank: r, "constant": constant(r)}, resid, 1e-10,
-                extracted_scalars=[complex(np.mean(vals))]))
+    for r, vals in zip((1, 2, 3), sl2):
+        out.append(_difference_report("scalar_difference_sl2", "m", r, (-1.0) ** r, vals))
+    for l, z in zip((1, 2, 3), zs[3:]):
+        vals = difference_patterns_sllpo(l, z, ctx)["mixed"]
+        out.append(_difference_report("scalar_difference_sllpo", "l", l, 1.0, vals))
     return out
+
+
+def _difference_report(name, rank, r, constant, vals):
+    return VerificationReport.make(
+        name, {rank: r, "constant": constant},
+        worst_of(relative_residual(constant, v) for v in vals), 1e-10,
+        extracted_scalars=[complex(np.mean(vals))])
 
 
 def _chk_scalar_series(config, ctx, g):
     rng = _rng_for(config, "scalar_series")
     q = complex(ctx.q)
-    worst = 0.0
-    for l in (1, 2, 3):
-        # keep |q^-l z| < 1 so the series converges
-        zs = np.array([(0.1 + 0.7 * rng.random()) * abs(q) ** l for _ in range(config.samples)])
+    residuals = [0.0]
+    # keep |q^-l z| < 1 so the series converges
+    for l, u in zip((1, 2, 3), rng.random(3 * config.samples).reshape(3, -1)):
+        zs = (0.1 + 0.7 * u) * abs(q) ** l
         fa, fb = f_series(l + 1, q ** (-l) * zs, ctx).value, f_series(l + 1, q**l * zs, ctx).value
-        for a, b, r in zip(fa, fb, rho0_sllpo(l, zs, ctx)):
-            worst = worst_of((worst, relative_residual(r, q ** (-l / (l + 1)) * np.exp(a - b))))
-    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]}, worst, 1e-10)]
+        residuals += [relative_residual(r, q ** (-l / (l + 1)) * np.exp(a - b))
+                      for a, b, r in zip(fa, fb, rho0_sllpo(l, zs, ctx))]
+    return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]},
+                                    worst_of(residuals), 1e-10)]
 
 
 def _chk_rep_invariants(config, ctx, g):
@@ -314,6 +338,13 @@ CHECKS = {
 # --- serialization --------------------------------------------------------------
 
 def _to_json(obj) -> str:
+    # strings first: every key is one
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(_to_json(k) + ":" + _to_json(obj[k]) for k in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_to_json, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -322,16 +353,10 @@ def _to_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         # JSON has no inf or nan; a group that raised reports an infinite residual
-        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
+        x = float(obj)
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(obj, (complex, np.complexfloating)):
         return _to_json([obj.real, obj.imag])
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(_to_json(k) + ":" + _to_json(v) for k, v in items) + "}"
     raise ConfigError(f"cannot serialize {type(obj)!r}")
 
 
@@ -469,7 +494,7 @@ def cmd_rmat(config) -> int:
 def cmd_scalars(config) -> int:
     ctx = _context(config)
     rng = _rng_for(config, "scalars_table")
-    zs = np.array([_zsample(rng) for _ in range(config.samples)])
+    zs = _zsample(rng, config.samples)
     columns = {
         "rho0_sl2": rho0_sl2(config.m, zs, ctx),
         "kappa_sl2": kappa_sl2(config.m, zs, ctx),

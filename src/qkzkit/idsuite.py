@@ -33,31 +33,35 @@ ZETA_MODULUS = (0.5, 2.0)  # modulus range of a spectral-parameter sample
 LATTICE_MARGIN = 1e-3  # closest relative approach of a generic ratio^s to the q^{2k} lattice
 
 
-def random_zeta(rng):
-    """Spectral-parameter sample with modulus in ZETA_MODULUS, uniform argument."""
+def random_zeta(rng, size=None):
+    """Spectral-parameter sample with modulus in ZETA_MODULUS, uniform argument;
+    given a size, an array of that many, all from one rng.random call (the
+    modulus draw and then the argument draw of each sample in turn, the
+    stream of one-sample calls)."""
     lo, hi = ZETA_MODULUS
-    return (lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
-
-
-def _near_shift_lattice(z, q, kmax):
-    points = (q ** (2 * k) for k in range(-kmax, kmax + 1))
-    return any(abs(z - point) < LATTICE_MARGIN * max(abs(point), 1e-6) for point in points)
+    u = rng.random(2 if size is None else 2 * size)
+    zetas = (lo + (hi - lo) * u[0::2]) * np.exp(2j * np.pi * u[1::2])
+    return zetas[0] if size is None else zetas
 
 
 def draw_generic_zetas(rng, count, m, grading, ctx):
     """Spectral parameters whose pairwise ratios avoid the degenerate loci.
 
-    Samples are redrawn while any ratio^s falls within LATTICE_MARGIN of the
-    q^{2k} lattice (which carries both the non-simple points and the
-    zeros/poles of the unitarizing factor).
+    Samples are redrawn, `count` at a time, while any ratio^s falls within
+    LATTICE_MARGIN of the q^{2k} lattice (which carries both the non-simple
+    points and the zeros/poles of the unitarizing factor).
     """
+    if count < 2:  # no ratio to test, and no power of q to form
+        return list(random_zeta(rng, count))
     q = complex(ctx.q)
-    kmax = m + 3
+    points = np.array([q ** (2 * k) for k in range(-m - 3, m + 4)])
+    near = LATTICE_MARGIN * np.maximum(np.abs(points), 1e-6)
+    pairs = ~np.eye(count, dtype=bool)
     for _ in range(1000):
-        zetas = [random_zeta(rng) for _ in range(count)]
-        if not any(_near_shift_lattice((zetas[i] / zetas[j]) ** grading.s, q, kmax)
-                   for i in range(count) for j in range(count) if i != j):
-            return zetas
+        zetas = random_zeta(rng, count)
+        ratios = (zetas[:, None] / zetas[None, :])[pairs] ** grading.s
+        if not (np.abs(ratios[:, None] - points) < near).any():
+            return list(zetas)
     raise RuntimeError("could not draw generic spectral parameters")
 
 

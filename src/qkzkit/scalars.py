@@ -7,15 +7,20 @@ under-resolved value.
 
 The normalization scalars take z, the combination zeta12^s of the two
 spectral parameters, as a number or as a 1-D array of rows, and return a
-number or an array to match.  All rows of one call share one scan over k
-(_poch_ratio): the 3-4 Pochhammer products of every row are formed and
-multiplied at once, each row keeps its own stop and each product its own
-smallest factor and checks.  Every step is elementwise numpy arithmetic,
-so each row has the bits and the error of a one-z call.  A call raises
-the error of its first failing row; kappa_sl2, given an `errors` list
-(one entry per row), records each row's first error there instead.
+number or an array to match; the sl2 ones take m as a number or one per
+row.  All rows of one call share one scan over k (_poch_ratio): the 3-4
+Pochhammer products of every row are formed and multiplied at once, each
+row keeps its own stop and each product its own smallest factor and
+checks.  Every step is elementwise numpy arithmetic, and the powers of q
+are formed for each m as a one-m call forms them (_by_m), so each row has
+the bits and the error of a one-z call.  A call raises a copy of the
+error of its first failing row, taking the rows of each m in turn (in
+order of first appearance), as one-m calls in that order would;
+kappa_sl2 and rho0_sl2, given an `errors` list (one entry per row),
+record each row's first error there instead.
 """
 
+import copy
 import math
 from collections import namedtuple
 
@@ -47,13 +52,43 @@ def _rows(z) -> np.ndarray:
     return np.atleast_1d(np.asarray(z, dtype=complex))
 
 
-def _finish(z, values, errors=()):
+def _finish(z, values, *segments, m=None):
     """values shaped like z (a number for a number, an array for an array),
-    once the first error in `errors` is raised."""
-    first = next((e for e in errors if e is not None), None)
-    if first is not None:
-        raise first
+    once raise_first(*segments, m=m) has raised."""
+    raise_first(*segments, m=m)
     return complex(values[0]) if np.ndim(z) == 0 else values
+
+
+def raise_first(*segments, m=None):
+    """Raise a copy of the first error of the error lists `segments` (one
+    entry per row each), list by list and row by row; given m (one per row),
+    the rows of each m in turn, in order of its first appearance.  The copy
+    has no traceback, so a stored error never holds the frames (and what
+    they refer to) of the call that raised it."""
+    if not any(map(any, segments)):
+        return
+    if m is not None:
+        segments = [[errs[r] for r in np.flatnonzero(m == mu)]
+                    for mu in dict.fromkeys(m.tolist()) for errs in segments]
+    raise copy.copy(next(e for errs in segments for e in errs if e is not None))
+
+
+def _by_m(ms, x, errors, shape, build) -> np.ndarray:
+    """An array of `shape` whose rows with m = mu are build(mu, those rows
+    of x), for each distinct mu (a Python int, so its powers of q have the
+    bits of a one-m call).  An arithmetic error of one mu, which its one-m
+    call would have raised, goes to errors of its rows (unless a row has one
+    already), and those rows read NaN."""
+    out = np.full(shape, complex(math.nan, math.nan))
+    for mu in dict.fromkeys(ms.tolist()):
+        sel = ms == mu
+        try:
+            out[sel] = build(mu, x[sel])
+        except ArithmeticError as exc:
+            exc.with_traceback(None)
+            for r in np.flatnonzero(sel):
+                errors[r] = errors[r] or exc
+    return out
 
 
 def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
@@ -182,18 +217,23 @@ def f_series(m: int, zeta, ctx: QContext) -> SeriesResult:
 
 # --- sl2 spin-m scalars ------------------------------------------------------
 
-def rho0_sl2(m: int, z, ctx: QContext):
-    """Unit-highest-weight normalization scalar for a pair of spin-m modules.
+def rho0_sl2(m, z, ctx: QContext, errors=None):
+    """Unit-highest-weight normalization scalar for a pair of spin-m modules:
 
     q^{-m^2/2} (q^2 z; q^4)^2 / ((q^{2m+2} z; q^4) (q^{-2m+2} z; q^4)).
+
+    An `errors` list is taken as by kappa_sl2.
     """
     q = complex(ctx.q)
     x = _rows(z)
-    errors = [None] * len(x)
-    ratios, _ = _poch_ratio(np.stack((q**2 * x, q**2 * x, q ** (2 * m + 2) * x,
-                                      q ** (-2 * m + 2) * x), axis=1),
-                            2, q**4, ctx, "rho0 denominator", errors)
-    return _finish(z, q ** (-m * m / 2.0) * ratios, errors)
+    ms, own = np.broadcast_to(m, x.shape), [None] * len(x) if errors is None else errors
+
+    def build(mu, xs):  # the scale, then the Pochhammer arguments
+        return np.stack((np.full(len(xs), q ** (-mu * mu / 2.0)), q**2 * xs, q**2 * xs,
+                         q ** (2 * mu + 2) * xs, q ** (-2 * mu + 2) * xs), axis=1)
+    rows = _by_m(ms, x, own, (len(x), 5), build)
+    ratios, _ = _poch_ratio(rows[:, 1:], 2, q**4, ctx, "rho0 denominator", own)
+    return _finish(z, rows[:, 0] * ratios, own if errors is None else (), m=ms)
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -218,7 +258,7 @@ def _nonzero(zs, errors) -> np.ndarray:
     return np.where(zs == 0, 1.0, zs)
 
 
-def kappa_sl2(m: int, z, ctx: QContext, errors=None):
+def kappa_sl2(m, z, ctx: QContext, errors=None):
     """Unitarizing factor kappa for the spin-m pair (principal branch of z^{m/2}):
 
     z^{m/2} (q^{2m+2} z; q^4)/(q^{2m+2} z^-1; q^4) * (q^2 z^-1; q^4)/(q^2 z; q^4).
@@ -228,16 +268,21 @@ def kappa_sl2(m: int, z, ctx: QContext, errors=None):
     row reads NaN.
     """
     x = _rows(z)
-    own = [None] * len(x) if errors is None else errors
-    values = x ** (m / 2.0) * _kappa_sl2_products(m, _nonzero(x, own), ctx, own)
-    return _finish(z, values, own if errors is None else ())
+    ms, own = np.broadcast_to(m, x.shape), [None] * len(x) if errors is None else errors
+    values = (_by_m(ms, x, own, x.shape, lambda mu, xs: xs ** (mu / 2.0))
+              * _kappa_sl2_products(ms, _nonzero(x, own), ctx, own))
+    return _finish(z, values, own if errors is None else (), m=ms)
 
 
-def _kappa_sl2_products(m: int, x, ctx: QContext, errors) -> np.ndarray:
-    """kappa_sl2 without its z^{m/2} prefactor, one per row of x."""
+def _kappa_sl2_products(ms, x, ctx: QContext, errors) -> np.ndarray:
+    """kappa_sl2 without its z^{m/2} prefactor, one per row of x (m one per row)."""
     q = complex(ctx.q)
-    rows = np.stack((q ** (2 * m + 2) * x, q**2 / x, q ** (2 * m + 2) / x, q**2 * x), axis=1)
-    return _poch_ratio(rows, 2, q**4, ctx, "kappa denominator", errors)[0]
+
+    def build(mu, xs):
+        return np.stack((q ** (2 * mu + 2) * xs, q**2 / xs, q ** (2 * mu + 2) / xs, q**2 * xs),
+                        axis=1)
+    return _poch_ratio(_by_m(ms, x, errors, (len(x), 4), build), 2, q**4, ctx,
+                       "kappa denominator", errors)[0]
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -260,7 +305,7 @@ def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
     return out
 
 
-def difference_patterns_sl2(m: int, z, ctx: QContext) -> dict:
+def difference_patterns_sl2(m, z, ctx: QContext) -> dict:
     """Evaluate both sign patterns of the spin-m normalization difference equation.
 
     'all_inverted':  [rho0(q^-2 z) rho0(z) kappa(q^-2 z) kappa(z)]^-1
@@ -270,15 +315,22 @@ def difference_patterns_sl2(m: int, z, ctx: QContext) -> dict:
     constant for odd m.  Both are returned so the sign convention can be
     probed rather than assumed.  The prefactor z^{m/2} of kappa(q^-2 z) is
     continued from z, as z^{m/2} q^{-m}: its principal branch at the
-    shifted point can lie across the cut.  The call raises the first error
-    of rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in that order.
+    shifted point can lie across the cut.  One rho0_sl2 scan covers both
+    rho0 factors.  For the rows of each m in turn, the call raises the
+    first error of rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in
+    that order.
     """
     q = complex(ctx.q)
     x = _rows(z)
-    shifted, errors = q ** (-2) * x, [None] * len(x)
-    r0, r1, k1 = rho0_sl2(m, shifted, ctx), rho0_sl2(m, x, ctx), kappa_sl2(m, x, ctx)
-    k0 = x ** (m / 2.0) * q ** (-m) * _kappa_sl2_products(m, shifted, ctx, errors)
-    return _patterns(z, r0, r1, _finish(x, k0, errors), k1)
+    ms, n, shifted = np.broadcast_to(m, x.shape), len(x), q ** (-2) * x
+    rho0_errors, k1_errors, k0_errors = [None] * 2 * n, [None] * n, [None] * n
+    r0, r1 = np.split(rho0_sl2(np.concatenate((ms, ms)), np.concatenate((shifted, x)), ctx,
+                               rho0_errors), 2)
+    k1 = kappa_sl2(ms, x, ctx, k1_errors)
+    k0 = (_by_m(ms, x, k0_errors, (n,), lambda mu, xs: xs ** (mu / 2.0) * q ** (-mu))
+          * _kappa_sl2_products(ms, shifted, ctx, k0_errors))
+    raise_first(rho0_errors[:n], rho0_errors[n:], k1_errors, k0_errors, m=ms)
+    return _patterns(z, r0, r1, k0, k1)
 
 
 def _patterns(z, r0, r1, k0, k1) -> dict:
@@ -334,13 +386,15 @@ def difference_patterns_sllpo(l: int, z, ctx: QContext) -> dict:
 
     Here the mixed pattern is the constant one, equal to 1.  The prefactor
     z^{l/(l+1)} of kappa(Q^-1 z) is continued from z, as z^{l/(l+1)} q^{-2l}:
-    its principal branch at the shifted point can lie across the cut.  The
-    call raises the first error of rho0(Q^-1 z), rho0(z), kappa(z) and
-    kappa(Q^-1 z), in that order.
+    its principal branch at the shifted point can lie across the cut.  One
+    rho0_sllpo scan covers both rho0 factors.  The call raises the first
+    error of rho0(Q^-1 z), rho0(z), kappa(z) and kappa(Q^-1 z), in that
+    order.
     """
     q = complex(ctx.q)
     x = _rows(z)
     shifted, errors = x * q ** (-2 * (l + 1)), [None] * len(x)
-    r0, r1, k1 = rho0_sllpo(l, shifted, ctx), rho0_sllpo(l, x, ctx), kappa_sllpo(l, x, ctx)
+    r0, r1 = np.split(rho0_sllpo(l, np.concatenate((shifted, x)), ctx), 2)
+    k1 = kappa_sllpo(l, x, ctx)
     k0 = x ** (l / (l + 1)) * q ** (-2 * l) * _kappa_sllpo_products(l, shifted, ctx, errors)
     return _patterns(z, r0, r1, _finish(x, k0, errors), k1)

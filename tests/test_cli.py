@@ -363,6 +363,47 @@ def test_the_suite_requests_each_distinct_factor_once(monkeypatch, capsys):
     assert code == 0 and len({(req.key(), req.normalization) for req in reqs}) == len(reqs) == 416
 
 
+@pytest.mark.parametrize("argv, scans", [
+    (["suite", "--m", "1", "--samples", "12", "--seed", "1"], 20),
+    (["suite", "--m", "3", "--seed", "1"], 21),
+], ids=["m1-samples12-seed1", "m3-seed1"])
+def test_each_scalar_group_scans_once_per_function_and_base(argv, scans, monkeypatch, capsys):
+    # scalars: kappa_sl2 at 1 and at z, 1/z, and rho0_sl2, each one call for
+    # m = 1..4 (3); difference: one rho0_sl2, kappa_sl2 and shifted-kappa scan
+    # for m = 1..3, and the same three per l (12); f_series: one rho0_sllpo
+    # per l (3); the rest are the solve's kappa scans
+    calls, scan = [], scalars._poch_ratio
+    monkeypatch.setattr(scalars, "_poch_ratio",
+                        lambda *args: calls.append(len(args[0])) or scan(*args))
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and len(json.loads(out)) == 71
+    assert len(calls) == scans, calls
+
+
+def test_a_failing_scalar_group_keeps_no_solved_result_alive(capsys):
+    # the scalars group fails at q = 1e-30 with a stored row error; it raises
+    # a copy, so no traceback cycle through the error lists holds the group
+    # runner's frame, and with it the run's solved results, once the run is over
+    import gc
+    from qkzkit.rsolve import RResult
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, out = run_cli(["suite", "--m", "3", "--q", "1e-30"], capsys)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        kept = sum(isinstance(obj, RResult) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    notes = {rec["name"]: rec.get("note") for rec in json.loads(out)}
+    assert code == 1 and notes["scalars"].startswith("ScalarDomainError")
+    assert kept == 0
+
+
 def _suite_with_planted_error(monkeypatch, capsys, owner, name, fails):
     """`suite --m 3 --seed 7` clean, then with owner.name raising an overflow
     where fails(*args) holds: (clean reports, exit code, reports, stderr)."""

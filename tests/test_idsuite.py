@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import idsuite, qkz, rsolve
+from qkzkit import cli, idsuite, qkz, rsolve
+from qkzkit.context import QContext
+from qkzkit.reps import GradingChoice
 from qkzkit.reps import operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, r_matrix
 
@@ -137,6 +139,90 @@ class TestCrossing:
                     z = (zetas[i] / zetas[j]) ** grading.s
                     for k in range(-5, 6):
                         assert abs(z - q ** (2 * k)) > 1e-3 * max(abs(q ** (2 * k)), 1e-6)
+
+
+def _one_by_one_zeta(rng):
+    """random_zeta as one sample per call: the reference of the array draws."""
+    lo, hi = idsuite.ZETA_MODULUS
+    return (lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
+
+
+def _one_by_one_generic(rng, count, m, grading, ctx):
+    """draw_generic_zetas as a loop over samples, pairs and lattice points."""
+    q, kmax = complex(ctx.q), m + 3
+    for _ in range(1000):
+        zetas = [_one_by_one_zeta(rng) for _ in range(count)]
+        if not any(abs((zetas[i] / zetas[j]) ** grading.s - q ** (2 * k))
+                   < idsuite.LATTICE_MARGIN * max(abs(q ** (2 * k)), 1e-6)
+                   for i in range(count) for j in range(count) if i != j
+                   for k in range(-kmax, kmax + 1)):
+            return zetas
+    raise RuntimeError("could not draw generic spectral parameters")
+
+
+def _one_by_one_z(rng):
+    """cli._zsample as one sample per call."""
+    return (0.1 + 0.8 * rng.random()) * np.exp(1j * np.pi * (rng.random() - 0.5))
+
+
+class _PlantedStream:
+    """A generator whose first draws are `head`, then those of `rng`: a
+    one-number call and an array call read the same stream."""
+
+    def __init__(self, rng, head):
+        self.rng, self.head = rng, list(head)
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        take, self.head = self.head[:n], self.head[n:]
+        values = np.concatenate((take, self.rng.random(n - len(take))))
+        return float(values[0]) if size is None else values
+
+
+def _bits(zetas):
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in zetas]
+
+
+class TestSampleStreams:
+    """The array draws against the one-sample-per-call loops they replaced."""
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j, 0.95, 0.1])
+    @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1)])
+    def test_generic_draws_have_the_bits_of_the_loop(self, q, g):
+        ctx, grading = QContext(q), GradingChoice(*g)
+        for m in (1, 2, 3, 4):
+            for count in range(2, 9):
+                for seed in range(5):
+                    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+                    zetas = idsuite.draw_generic_zetas(got, count, m, grading, ctx)
+                    assert _bits(zetas) == _bits(_one_by_one_generic(want, count, m, grading,
+                                                                     ctx))
+                    assert all(type(z) is np.complex128 for z in zetas)
+                    # and both leave the stream at the same draw
+                    assert got.random() == want.random()
+
+    def test_a_rejected_draw_is_redrawn_as_in_the_loop(self, ctx, grading):
+        # the first two samples coincide, so their ratio is 1 = q^0: the first
+        # set is rejected and the next drawn from the stream that follows it
+        for seed in range(5):
+            head = np.random.default_rng([seed, 1]).random(2).tolist() * 2
+            want = _PlantedStream(np.random.default_rng(seed), head)
+            got = _PlantedStream(np.random.default_rng(seed), head)
+            zetas = idsuite.draw_generic_zetas(got, 2, 1, grading, ctx)
+            assert _bits(zetas) == _bits(_one_by_one_generic(want, 2, 1, grading, ctx))
+            assert got.head == [] and zetas[0] != zetas[1]
+            assert got.random() == want.random()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sample_sets_have_the_bits_of_one_sample_calls(self, seed):
+        for size in (1, 2, 3, 8, 12, 48):
+            want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _bits(idsuite.random_zeta(got, size)) == _bits(
+                [_one_by_one_zeta(want) for _ in range(size)])
+            assert _bits([idsuite.random_zeta(got)]) == _bits([_one_by_one_zeta(want)])
+            assert _bits(cli._zsample(got, size)) == _bits(
+                [_one_by_one_z(want) for _ in range(size)])
+            assert got.random() == want.random()
 
 
 class TestConjugationChecks:

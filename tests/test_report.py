@@ -66,6 +66,69 @@ def test_a_note_with_control_characters_parses_back():
     assert payload["residual"] is None
 
 
+def _numpy_to_json(obj) -> str:
+    """The report writer as it was, one numpy call per value: the reference."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _numpy_to_json([obj.real, obj.imag])
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_numpy_to_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        return "{" + ",".join(_numpy_to_json(k) + ":" + _numpy_to_json(v) for k, v in items) + "}"
+    raise TypeError(type(obj))
+
+
+WRITER_CASES = {
+    "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "-0.0": -0.0,
+    "subnormal": 5e-324, "largest": np.finfo(float).max, "smallest normal": 2.2250738585072014e-308,
+    "float64": np.float64(1 / 3), "float64 inf": np.float64(-np.inf), "float32": np.float32(0.1),
+    "int64": np.int64(-2**62), "int": 12345678901234567890, "bools": [True, False, None],
+    "complex": 1.5 - 0.25j, "complex128": np.complex128(complex(-0.0, math.nan)),
+    "complex inf": complex(math.inf, 1e-300), "tuple": (1, (2.5, "x"), []),
+    "nested params": {"m": 2, "kinds": ["V", "V*"], "alpha": [0.37, -0.21],
+                      "b": {"z": 1, "a": {"y": 2.0, "x": np.float64(3.0)}}},
+    "note": 'LinAlgError: line one\nline "two"\t\\ end\x01\x1f\x7f é ζ 𝔰𝔩 \u2028',
+    "empty": {"": "", "list": [], "dict": {}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_report_writer_writes_what_the_numpy_writer_wrote(case):
+    obj = WRITER_CASES[case]
+    text = cli._to_json(obj)
+    assert text == _numpy_to_json(obj)
+    back = json.loads(text)
+    if case == "note":
+        assert back == obj
+    if case in ("inf", "-inf", "nan"):
+        assert back is None
+
+
+def test_report_writer_writes_every_report_of_a_run_as_before(capsys):
+    # every payload and every order key of a whole suite run
+    config = cli.build_parser().parse_args(["suite", "--m", "1", "--seed", "7"])
+    reports = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for name in sorted(cli.CHECKS):
+            built = cli.CHECKS[name](config, cli._context(config), cli._grading(config))
+            reports += [item for item in built if isinstance(item, VerificationReport)]
+    assert reports
+    for rep in reports:
+        payload = cli.report_payload(rep)
+        assert cli._to_json(payload) == _numpy_to_json(payload)
+        assert json.loads(cli._to_json(payload))["name"] == rep.name
+
+
 def _nan_like(out):
     if isinstance(out, VerificationReport):
         return dataclasses.replace(out, residual=math.nan)

@@ -266,6 +266,20 @@ def _batch_scalars(m, zs, ctx):
             **difference_patterns_sl2(m, zs, ctx)}
 
 
+def _sl2_scalars(m, zs, ctx):
+    return {"kappa_sl2": kappa_sl2(m, zs, ctx), "rho0_sl2": rho0_sl2(m, zs, ctx),
+            **difference_patterns_sl2(m, zs, ctx)}
+
+
+def _raised(call):
+    """(type, message) of the error that call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - any error is compared
+        return type(exc), str(exc)
+    return None
+
+
 class TestBatchedScan:
     """One scan for all rows of a call against each row scanned alone."""
 
@@ -282,6 +296,49 @@ class TestBatchedScan:
             for r, z in enumerate(zs.tolist()):
                 for name, value in _batch_scalars(m, z, ctx).items():
                     assert _bits(got[name][r]) == _bits(value), (name, m, z)
+        # rows of every m in one call, m one per row
+        ms = rng.integers(1, 5, n_rows)
+        zs = (0.1 + 1.9 * rng.random(n_rows)) * np.exp(2j * np.pi * rng.random(n_rows))
+        got = _sl2_scalars(ms, zs, ctx)
+        for r, (m, z) in enumerate(zip(ms.tolist(), zs.tolist())):
+            for name, value in _sl2_scalars(m, z, ctx).items():
+                assert _bits(got[name][r]) == _bits(value), (name, m, z)
+
+    @pytest.mark.parametrize("trunc", [3, 8, 12, 15, 18, 20])
+    @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.95])
+    def test_rows_of_several_m_fail_as_one_m_calls_in_turn(self, trunc, q):
+        # a row's error is that of its one-m call; a call without an error
+        # list raises as the calls of each m would, m in order of first
+        # appearance, and the difference patterns as theirs would
+        ctx = QContext(q, trunc_terms=trunc)
+        rng = np.random.default_rng([31, trunc])
+        for _ in range(4):
+            ms = rng.permutation(np.repeat([3, 1, 4, 2], 3))
+            zs = (0.1 + 1.9 * rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
+            for fn in (kappa_sl2, rho0_sl2, difference_patterns_sl2):
+                want = None
+                for m in dict.fromkeys(ms.tolist()):
+                    want = want or _raised(lambda: fn(m, zs[ms == m], ctx))
+                assert _raised(lambda: fn(ms, zs, ctx)) == want, fn.__name__
+            for fn in (kappa_sl2, rho0_sl2):
+                errors = [None] * len(zs)
+                fn(ms, zs, ctx, errors)
+                assert [None if e is None else (type(e), str(e)) for e in errors] == [
+                    _raised(lambda: fn(m, z, ctx)) for m, z in zip(ms.tolist(), zs.tolist())]
+
+    def test_an_arithmetic_error_of_one_m_goes_to_its_rows(self):
+        # at q = 1e-60, q^(2 - 2m) z overflows for m = 3 only: the rows of m = 3
+        # get the error that the m = 3 call raises, the others a value
+        ctx = QContext(1e-60)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            want = _raised(lambda: rho0_sl2(3, [1e119], ctx))
+            errors = [None] * 3
+            values = rho0_sl2([1, 3, 2], [1e119, 1e119, 1e119], ctx, errors)
+            assert want is not None and want[0] is FloatingPointError
+            assert (type(errors[1]), str(errors[1])) == want and np.isnan(values[1])
+            assert errors[0] is None and errors[2] is None
+            assert errors[1].__traceback__ is None
+            assert _raised(lambda: rho0_sl2([1, 3, 2], [1e119] * 3, ctx)) == want
 
     @pytest.mark.parametrize("q", [0.7, 0.3, 0.95, 0.5 + 0.5j, 0.6 + 0.09j])
     @pytest.mark.parametrize("n_rows", [1, 5, 37])
