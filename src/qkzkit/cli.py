@@ -23,7 +23,8 @@ request that fails in the solve fails the groups that read it, with its
 stored error (`rsolve.solve_requests`).
 
 The parsed argparse namespace is the run configuration: each subcommand
-parses only the options it reads, and `build_parser` holds every default.
+parses only the options it reads, and `build_parser` holds every default;
+`main` gives only the subcommand that it runs its arguments.
 The report writer (`_to_json`) makes no numpy call per value.
 """
 
@@ -521,8 +522,14 @@ def cmd_scalars(config) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI; its namespace is the run configuration, and it holds every default."""
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI; its namespace is the run configuration, and it holds every default.
+
+    Every subcommand is registered, but given argv whose first token names
+    one, only that one gets its arguments (a run parses one command); with
+    no argv, or a first token that names none (--help, an unknown command),
+    every subcommand gets them.
+    """
     parser = argparse.ArgumentParser(
         prog="qkzkit",
         description="Construct sl2 loop-algebra R-operators and verify their identities.")
@@ -568,16 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("scalars", "tabulate normalization scalars", ("--m", "--l", "--q", "--trunc", "--seed",
                                                        "--samples", "--format", "--out")),
     )
+    chosen = {argv[0]} & {c for c, _, _ in commands} if argv else set()
     for command, help_text, names in commands:
         p = sub.add_parser(command, help=help_text,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        for name in names:
-            p.add_argument(name, **options[name])
+        if command in chosen or not chosen:
+            for name in names:
+                p.add_argument(name, **options[name])
     return parser
 
 
 def main(argv=None) -> int:
-    config = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    config = build_parser(argv).parse_args(argv)
     handlers = {"suite": cmd_suite, "verify": cmd_verify, "rmat": cmd_rmat,
                 "scalars": cmd_scalars}
     try:

@@ -22,39 +22,46 @@ relative accuracy, and c_0 = 1 fixes hw x hw.  A ratio whose two terms
 cancel marks a degenerate point.  The intertwining residual still checks
 the full Rcheck against the four e/f generators at the request's grading.
 
-Everything that does not depend on zeta (the two modules, the unknowns,
-the entries of the coproduct images split by zeta power, and per
-homogeneous frame B and the ratio numbers a, b) is a CommutantTemplate,
-built once per (kinds, m, q) and shared by every grading; kappa and the
-gauge depend on the grading, so solves are keyed by it.  A request
-(RRequest) holds plain values and builds no module.  RCache keeps the
-templates, and only them, across solve_requests calls; a solved result
-lives in the call that solved it.
+Everything that does not depend on zeta (the modules V and V*, and for
+the four module pairs (V,V), (V,V*), (V*,V) and (V*,V*) of a spin the
+unknowns, the entries of the coproduct images split by zeta power, and
+per homogeneous frame B and the ratio numbers a, b) is a
+CommutantTemplate, built once per spin (m, q) and shared by every
+grading and module pair: its per-pair data lie on a leading pair axis
+(PAIRS), and a frame is built for all four pairs in one stacked pass.
+Kappa and the gauge depend on the grading, so solves are keyed by it.  A
+request (RRequest) holds plain values and builds no module.  RCache
+keeps the templates, and only them, across solve_requests calls; a
+solved result lives in the call that solved it.
 
 solve_requests returns each request's result or the error that it raises
-alone, and raises nothing, also when a template, a frame, a stack or a
-kappa scan meets an arithmetic error far out on the q-disk (a template or
-frame then fails its module pair's requests, a stack those of its spin,
-and a scan its own); the read rule read_result raises a copy of a stored
+alone, and raises nothing, also far out on the q-disk.  Isolation stays
+per module pair: the stacked pass runs with numpy's floating-point errors
+off, and a pair whose data are not finite (a FloatingPointError) or
+whose highest-weight kernels fail the gap test (a DegeneratePointError)
+fails its own requests alone; a template build, a stack or a kappa scan
+that raises an arithmetic error fails the requests of its spin, its
+stack or its scan.  The read rule read_result raises a copy of a stored
 error or refuses a singular operator.  solve_intertwiner is the rule over
-one solve_requests call, and r_matrix its call for one request.  The
-distinct keys of a call are solved as stacks, one per spin, q and
-grading, which covers every module pair of that spin (a reduction check
-reads all four of (V,V), (V,V*), (V*,V) and (V*,V*)): each request reads
-its own pair's template by index, for the ratios, their products and the
-gauged entries, then the intertwining residual, which forms the dense
-operators block by block.  At the suite's sizes a call costs mostly its
-fixed part (2 cores, one BLAS thread: about 0.4 ms for one kappa
-request at m = 3, 0.2 ms of it the stack and 0.09 ms the kappa scan,
-against 0.03-0.07 ms for each further request of the same stack, of any
-module pair), so a `suite` run makes one solve_requests call
-(`qkz.solve_records`) for the records of all its check groups, which read
-their factors through its factor reader (`suite --m 3`: 3 stacks and one
-kappa scan, the lattice probes of degenerate_detection among them).  A stack
-forms each request's Rcheck elementwise, its basis columns summed in a
-fixed order, and a kappa scan is elementwise numpy arithmetic, so each of
-its rows keeps the bits of a one-row scan: a result does not depend on
-the call that solved it.
+one solve_requests call, and r_matrix its call for one request (which
+builds the template of its whole spin).  The distinct keys of a call are
+solved as stacks, one per spin, q and grading, which covers every module
+pair of that spin (a reduction check reads all four): each request reads
+its own pair's slice of the template by index, for the ratios, their
+products and the gauged entries, then the intertwining residual, which
+forms the dense operators block by block.  At the suite's sizes a call
+costs mostly its fixed part (2 cores, one BLAS thread, the template
+built: about 0.4 ms for one kappa request at m = 3, 0.2 ms of it the
+stack and 0.15 ms the kappa scan, against 0.02-0.06 ms for each further
+request of the same stack, of any module pair), so a `suite` run makes
+one solve_requests call (`qkz.solve_records`) for the records of all its
+check groups, which read their factors through its factor reader
+(`suite --m 3`: 3 templates, 3 stacks and one kappa scan, the lattice
+probes of degenerate_detection among them).  A stack forms each
+request's Rcheck elementwise, its basis columns summed in a fixed order,
+and a kappa scan is elementwise numpy arithmetic, so each of its rows
+keeps the bits of a one-row scan: a result does not depend on the call
+that solved it.
 
 Normalization modes:
   "hw":    R fixes the product of highest weight vectors.
@@ -91,11 +98,14 @@ _EF_TAGS = ("e0", "e1", "f0", "f1")  # the Cartan equations hold on the unknowns
 # as _EF_TAGS indices: frame 1 is e1/f1 zeta-free and rows e0; frame 0 is
 # e0/f0 zeta-free (f0 raises) and rows f1
 _FRAMES = {1: ((1, 3), 0), 0: ((2, 0), 3)}
+# the module pairs (V1, V2) of a spin, in the order of a template's pair axis
+PAIRS = (("V", "V"), ("V", "V*"), ("V*", "V"), ("V*", "V*"))
 
 
 @dataclass(frozen=True)
 class RRequest:
-    """One R request: plain values only; the modules are built with the template."""
+    """One R request: plain values only; the modules are built with the template
+    of its spin."""
 
     kind1: str
     zeta1: complex
@@ -109,30 +119,36 @@ class RRequest:
     def __post_init__(self):
         if self.normalization not in ("hw", "kappa"):
             raise ConfigError("normalization must be 'hw' or 'kappa'")
+        if (self.kind1, self.kind2) not in PAIRS:
+            raise ConfigError("site kind must be 'V' or 'V*'")
         for zeta in (self.zeta1, self.zeta2):
             if zeta == 0 or not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
                 raise ConfigError(f"spectral parameter must be finite and nonzero, got {zeta}")
 
-    def module_key(self):
-        """Key of the module pair (kinds, m, q): one CommutantTemplate for every grading."""
-        return self.kind1, self.kind2, self.m, complex(self.ctx.q)
+    @property
+    def pair(self) -> int:
+        """The index of the request's module pair on its template's pair axis (PAIRS)."""
+        return PAIRS.index((self.kind1, self.kind2))
 
     def key(self):
-        """Key of the solve at this grading and zeta pair, which serves both
-        normalizations (kappa and the gauge depend on the grading)."""
-        return self.module_key() + (self.grading.s0, self.grading.s1, complex(self.zeta1),
-                                    complex(self.zeta2), self.ctx.trunc_terms)
+        """Key of the solve of this module pair at this grading and zeta pair,
+        which serves both normalizations (kappa and the gauge depend on the
+        grading)."""
+        return (self.kind1, self.kind2, self.m, complex(self.ctx.q), self.grading.s0,
+                self.grading.s1, complex(self.zeta1), complex(self.zeta2), self.ctx.trunc_terms)
 
 
 @dataclass(frozen=True)
 class RResult:
     """A solved operator, stored compactly: `entries` holds Rcheck at the
-    weight-conserving places (template.a, template.b) of its module pair, and
-    a kappa request's result carries its kappa scalar in `scale` (None for
-    hw).  Rcheck and R = P * Rcheck are formed dense on each read."""
+    weight-conserving places (template.a[pair], template.b[pair]) of its
+    module pair, and a kappa request's result carries its kappa scalar in
+    `scale` (None for hw).  Rcheck and R = P * Rcheck are formed dense on
+    each read."""
 
     entries: np.ndarray
     template: "CommutantTemplate"
+    pair: int
     # smallest |alpha_j| or |beta_j| relative to its two terms; 1 at m = 0, 0 at kappa = 0
     margin: float
     intertwine_residual: float
@@ -143,13 +159,13 @@ class RResult:
         """The dense Rcheck, times the kappa scalar of a kappa request."""
         t = self.template
         X = np.zeros((t.dim, t.dim), dtype=complex)
-        X[t.a, t.b] = self.entries
+        X[t.a[self.pair], t.b[self.pair]] = self.entries
         return X if self.scale is None else X * self.scale
 
     @property
     def R(self) -> np.ndarray:
         """R = P Rcheck (both sites are spin m)."""
-        d = math.isqrt(self.template.dim)
+        d = self.template.m + 1
         return swap_outputs(self.Rcheck, d, d)
 
 
@@ -175,194 +191,249 @@ def _powers(bases, exps, errors) -> list:
     return [out[i, :, :len(e)] for i, e in enumerate(exps)]
 
 
-def _chain_kernels(A):
-    """Kernel vectors of a stack of j x (j+1) matrices whose row r is nonzero only at
-    columns r, r+1.
+def _chain_kernels(A) -> tuple:
+    """Kernel vectors of the matrices A[i, p] (j x (j+1), row r nonzero only at
+    columns r, r+1) and the gap of each pair p of the stack, over its
+    matrices A[:, p].
 
     x_0 = 1 and x_{r+1} = -x_r A[r, r] / A[r, r+1], so every entry is a
-    product and keeps its relative accuracy however small it is.  A kernel
-    that is not one-dimensional (a vanishing A[r, r+1], or the gap
-    sigma_j / (|A x|_max / |x|_max) below GAP_THRESHOLD; the residual also
-    catches an A of another shape) raises DegeneratePointError.
+    product and keeps its relative accuracy however small it is.  A pair's
+    gap is min sigma_j / (|A x|_max / |x|_max) over its matrices, 0 where
+    one of its A[r, r+1] vanishes and NaN where its data (an A, an x or a
+    residual) are not finite; a kernel is one-dimensional where the gap
+    reaches GAP_THRESHOLD (the residual also catches an A of another
+    shape).  The pairs are independent: a matrix that is not finite is
+    masked before the SVD, and nothing reduces across pairs.  Run with
+    numpy's floating-point errors off.
     """
-    n, j = A.shape[:2]
-    x = np.ones((n, j + 1), dtype=complex)
+    x = np.ones(A.shape[:2] + A.shape[3:], dtype=complex)
+    j = A.shape[2]
     if j == 0:
-        return x
+        return x, np.full(A.shape[1], np.inf)
     r = np.arange(j)
-    diagonal, pivots = A[:, r, r], A[:, r, r + 1]
-    gap = 0.0
-    if pivots.all():
-        for k in r:
-            x[:, k + 1] = -x[:, k] * diagonal[:, k] / pivots[:, k]
-        sigma_j = np.linalg.svd(A, compute_uv=False)[:, -1]
-        residual = np.abs((A @ x[:, :, None])[:, :, 0]).max(axis=1) / np.abs(x).max(axis=1)
-        with np.errstate(over="ignore"):
-            gap = (sigma_j / np.maximum(residual, 1e-300)).min()
-    if not gap >= GAP_THRESHOLD:
-        raise DegeneratePointError(f"nullspace gap {gap:.3g} below threshold "
-                                   f"{GAP_THRESHOLD:.1g} (highest-weight vectors)")
-    return x
-
-
-def _sector(w, first, weight):
-    """Basis indices of a weight sector, by the first factor's weight, descending.
-
-    first is monotonic in the flat index (row-major over the two factors),
-    so the sector's indices come in that order or reversed.
-    """
-    idx = np.flatnonzero(w == weight)
-    return idx if len(idx) < 2 or first[idx[0]] > first[idx[-1]] else idx[::-1]
+    diagonal, pivots = A[..., r, r], A[..., r, r + 1]
+    for k in r:
+        x[..., k + 1] = -x[..., k] * diagonal[..., k] / pivots[..., k]
+    finite = np.isfinite(A).all(axis=(2, 3))
+    sigma_j = np.linalg.svd(np.where(finite[..., None, None], A, 0), compute_uv=False)[..., -1]
+    residual = np.abs((A @ x[..., None])[..., 0]).max(axis=-1) / np.abs(x).max(axis=-1)
+    nonzero = pivots.all(axis=(0, 2))
+    gap = np.where(nonzero, (sigma_j / np.maximum(residual, 1e-300)).min(axis=0), 0.0)
+    failed = ~finite.all(axis=0) | nonzero & ~(np.isfinite(x).all(axis=(0, 2))
+                                               & np.isfinite(residual).all(axis=0))
+    return x, np.where(failed, np.nan, gap)
 
 
 def _commutant_basis(in_ops, out_ops, m, a, b) -> tuple:
-    """Basis B (unknowns x (m+1)) of the maps V1 x V2 -> V2 x V1 that commute
-    with a zeta-free e/f pair, one column per component, and the
-    highest-weight vectors with their dual rows.
+    """Basis B (pairs x unknowns x (m+1)) of the maps V1 x V2 -> V2 x V1 that
+    commute with a zeta-free e/f pair, one column per component, and the
+    highest-weight vectors with their dual rows, for the module pairs of a
+    spin at once (the leading axis).
 
-    in_ops and out_ops are (E, F, w, first) on V1 x V2 and on V2 x V1: the
+    in_ops and out_ops are (E, F, order) on V1 x V2 and on V2 x V1: the
     image E that raises the h1-weight by 2 and the image F that lowers it
-    (Delta(e1), Delta(f1) in frame 1; Delta(f0), Delta(e0) in frame 0), the
-    h1-weights and the weight of the first tensor factor.  Ordered by the
-    first factor's weight, the weight-sector blocks of E and of F^t are
-    two-diagonal (_chain_kernels).  Column j maps F^k v_j to F^k v'_j and
-    kills the other components: v_j and v'_j are the highest-weight vectors
-    of weight 2m-2j (the kernels of E on that sector), lowered without
-    rescaling.  Its dual rows y_j E^k / <y_j E^k, F^k v_j>, y_j the left
-    kernel of F on that sector, take the place of S^-1 for the matrix S of
-    lowered vectors, so on the sector of weight 2m-2j-2k the column is
+    (Delta(e1), Delta(f1) in frame 1; Delta(f0), Delta(e0) in frame 0),
+    and the basis indices by h1-weight, then by the weight of the first
+    tensor factor, both descending, so the sector of weight 2m-2j is the
+    slice j(j+1)/2 ... (j+1)(j+2)/2.  In that order the weight-sector
+    blocks of E and of F^t are two-diagonal (_chain_kernels), one call per
+    sector for all pairs.  Column j maps F^k v_j to F^k v'_j and kills the
+    other components: v_j and v'_j are the highest-weight vectors of weight
+    2m-2j (the kernels of E on that sector), lowered without rescaling.
+    Its dual rows y_j E^k / <y_j E^k, F^k v_j>, y_j the left kernel of F on
+    that sector, take the place of S^-1 for the matrix S of lowered
+    vectors, so on the sector of weight 2m-2j-2k the column is
     (F^k v'_j)[a] y_jk[b]: one product per entry and no inverse, so every
     entry keeps its relative accuracy through the gauge.  Column 0 is 1 at
     hw x hw, alone in its sector.
 
     Also returns (v, v', y, y') at k = 0, column j of each for component j:
     y_j and y'_j the dual rows on V1 x V2 and on V2 x V1, scaled so that
-    y_j v_j = y'_j v'_j = 1.
+    y_j v_j = y'_j v'_j = 1; and each pair's gap, that of its first sector
+    whose kernels fail (_chain_kernels), else the last one.  The kernels and
+    the lowering are stacked numpy calls whose slice per pair has the bits
+    of that pair alone; the columns are summed over k pair by pair, so the
+    temporaries of that sum (K x unknowns x (m+1) each) are one pair's.  Run
+    with numpy's floating-point errors off.
     """
-    (E, F, w, first), (E2, F2, w2, first2) = in_ops, out_ops
-    v, v2, y, y2 = np.zeros((4, len(w), m + 1), dtype=complex)  # column j: component j
+    (E, F, order), (E2, F2, order2) = in_ops, out_ops
+    P, D = order.shape
+    # the four kernels of each sector, pair by pair: of E and of F^t, on each side
+    ops = np.concatenate((E, E2, F.swapaxes(1, 2), F2.swapaxes(1, 2)))
+    rows, orders = np.arange(4 * P)[:, None], np.concatenate((order, order2) * 2)
+    vectors = np.zeros((4 * P, D, m + 1), dtype=complex)
+    gap = np.full(P, np.inf)
     for j in range(m + 1):
-        s_in, up_in = _sector(w, first, 2 * (m - j)), _sector(w, first, 2 * (m - j) + 2)
-        s_out, up_out = _sector(w2, first2, 2 * (m - j)), _sector(w2, first2, 2 * (m - j) + 2)
-        v[s_in, j], v2[s_out, j], y[s_in, j], y2[s_out, j] = _chain_kernels(
-            np.stack([E[up_in[:, None], s_in], E2[up_out[:, None], s_out],
-                      F[s_in[:, None], up_in].T, F2[s_out[:, None], up_out].T]))
-    top = v, v2, y / (y * v).sum(axis=0), y2 / (y2 * v2).sum(axis=0)
-    # lower all components at once; component j ends after 2(m-j) steps, where
-    # the lowered vectors vanish up to rounding
-    lowered, dual = [], []
+        lo = j * (j + 1) // 2
+        up, sector = orders[:, lo - j:lo], orders[:, lo:lo + j + 1]
+        x, g = _chain_kernels(ops[rows[:, :, None], up[:, :, None], sector[:, None, :]]
+                              .reshape(4, P, j, j + 1))
+        vectors[rows, sector, j] = x.reshape(4 * P, j + 1)
+        gap = np.where(gap >= GAP_THRESHOLD, g, gap)  # a pair keeps its first failing gap
+    v, v2, y, y2 = vectors.reshape(4, P, D, m + 1)
+    top = v, v2, y / (y * v).sum(axis=1)[:, None], y2 / (y2 * v2).sum(axis=1)[:, None]
+    # lower all components at once, steps k = 0 .. 2m; component j ends after
+    # 2(m-j) steps, where the lowered vectors vanish up to rounding
+    lowered, dual = np.empty((2, 2 * m + 1) + v.shape, dtype=complex)
+    Et = E.swapaxes(1, 2)
     for k in range(2 * m + 1):
-        lowered.append(v2[a])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dual.append(np.where(k <= 2 * (m - np.arange(m + 1)), y[b] / (y * v).sum(axis=0), 0))
-        v, v2, y = F @ v, F2 @ v2, E.T @ y
-    return np.einsum("kuj,kuj->uj", lowered, dual), top
+        lowered[k], dual[k] = v2, y / (y * v).sum(axis=1)[:, None]
+        if k < 2 * m:
+            v, v2, y = F @ v, F2 @ v2, Et @ y
+    live = np.arange(2 * m + 1)[:, None, None] <= 2 * (m - np.arange(m + 1))
+    return np.array([np.einsum("kuj,kuj->uj", lowered[:, p, a[p]],
+                               np.where(live, dual[:, p, b[p]], 0)) for p in range(P)]), top, gap
 
 
+@dataclass(frozen=True)
 class _Frame:
-    """The solve data of one homogeneous grading of a module pair.
+    """The solve data of one homogeneous grading of a spin, for its four
+    module pairs (PAIRS) on the leading axis.
 
     Frame 1 is grading (s, 0), where e1 and f1 carry no zeta; frame 0 is
-    (0, s), where e0 and f0 carry none.  A frame holds `basis`, B: the m+1
-    columns of the commutant of its zeta-free pair (_commutant_basis), and
-    `ratios` (2 x 2 x m), the numbers ((a_j, b_j), (a'_j, b'_j)) of its
-    component ratios.  Its lowering row generator (e0 at grade s in frame
-    1, f1 at grade -s in frame 0) has images M on V1 x V2 and N on V2 x V1.
-    Apply X M = N X to v_j and pair with y'_{j+1}: M v_j has weight
-    2m-2j-2, and y_{j+1}, y'_{j+1} kill the lowered vectors of components
-    <= j, so for Rcheck = sum_j c_j B_j only two terms survive,
-    c_{j+1} alpha_j = c_j beta_j with
+    (0, s), where e0 and f0 carry none.  A frame holds `basis`, B (pairs x
+    unknowns x (m+1)): the columns of the commutant of its zeta-free pair
+    (_commutant_basis), `ratios` (pairs x 2 x 2 x m), the numbers
+    ((a_j, b_j), (a'_j, b'_j)) of its component ratios, and `errors`, the
+    error of each pair's requests or None.  Its lowering row generator (e0
+    at grade s in frame 1, f1 at grade -s in frame 0) has images M on
+    V1 x V2 and N on V2 x V1.  Apply X M = N X to v_j and pair with
+    y'_{j+1}: M v_j has weight 2m-2j-2, and y_{j+1}, y'_{j+1} kill the
+    lowered vectors of components <= j, so for Rcheck = sum_j c_j B_j only
+    two terms survive, c_{j+1} alpha_j = c_j beta_j with
         alpha_j = y_{j+1} M v_j   = zeta1^p a_j  + zeta2^p b_j,
         beta_j  = y'_{j+1} N v'_j = zeta1^p a'_j + zeta2^p b'_j.
     """
 
-    def __init__(self, t, frame: int):
-        parts = t.dense_parts()
-        (raise_, lower), g = _FRAMES[frame]
-        # zeta-free pair: the sum of the two parts; M on V1 x V2 at 2g, N on V2 x V1 at 2g + 1
-        E, E2, F, F2 = parts[:, [2 * raise_, 2 * raise_ + 1, 2 * lower, 2 * lower + 1]].sum(0)
-        w1, w2, m = t.rep1.weights.real, t.rep2.weights.real, t.rep1.m
-        self.basis, (v, v2, y, y2) = _commutant_basis(
-            (E, F, t.w_in, np.repeat(w1, t.rep2.dim)),
-            (E2, F2, t.w_out, np.repeat(w2, t.rep1.dim)), m, t.a, t.b)
-        # zeta1 and zeta2 parts of M and N: (2, D, D) each
-        M, N = parts[:, 2 * g], parts[:, 2 * g + 1]
-        self.ratios = np.stack((np.einsum("uj,puv,vj->pj", y[:, 1:], M, v[:, :-1]),
-                                np.einsum("uj,puv,vj->pj", y2[:, 1:], N, v2[:, :-1])))
+    basis: np.ndarray
+    ratios: np.ndarray
+    errors: tuple
 
 
 class CommutantTemplate:
-    """The zeta-independent part of the commutant system of one module pair.
+    """The zeta-independent part of the commutant systems of one spin (m, q):
+    its four module pairs (PAIRS), stacked on a leading pair axis.
 
     Every e/f coproduct image is zeta1^p A + zeta2^p B (reps.coproduct_parts),
     and only p depends on the grading, so one template serves every grading
-    of (kinds, m, q).  It holds the two modules, the unknowns (a, b) with
-    the gauge exponent of each plus m (half the h1-weight of the V1 factor
-    of the output a minus that of the input b), the entries of the zeta
-    parts of the eight images M, N of the four e/f generators (_EF_TAGS),
-    and the solve data of each homogeneous frame
-    (_Frame: B and its ratio numbers), built on first use.
+    and module pair of (m, q).  It builds V and V* once and holds, per
+    pair, the unknowns (a, b) with the gauge exponent of each plus m (half
+    the h1-weight of the V1 factor of the output a minus that of the input
+    b), the entries of the zeta parts of the eight images M, N of the four
+    e/f generators (_EF_TAGS) at the places where some pair's image is
+    nonzero, and the solve data of each homogeneous frame (_Frame: B and
+    its ratio numbers), built on first use for all four pairs in one pass.
+
+    The build runs with numpy's floating-point errors off, and isolation
+    stays per module pair: a pair whose images, kernels, basis or ratio
+    numbers are not finite gets a FloatingPointError for its requests, one
+    whose highest-weight kernels fail the gap test a DegeneratePointError
+    (_Frame.errors), whatever the other pairs of its spin hold.
     """
 
-    def __init__(self, rep1, rep2):
-        self.rep1, self.rep2 = rep1, rep2
-        w1, w2 = rep1.weights.real, rep2.weights.real
-        self.w_in = np.add.outer(w1, w2).reshape(-1)
-        self.w_out = np.add.outer(w2, w1).reshape(-1)
-        a, b = np.nonzero(self.w_out[:, None] == self.w_in[None, :])
-        self.a, self.b, self.dim = a, b, len(self.w_in)
-        self.gauge = np.rint((w1[a % rep1.dim] - w1[b // rep2.dim]) / 2 + rep1.m).astype(int)
-        # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by generator
-        one, two = [], []
-        for tag in _EF_TAGS:
-            _, A12, B12 = coproduct_parts(tag, rep1, rep2)
-            _, A21, B21 = coproduct_parts(tag, rep2, rep1)
-            one += [A12, B21]  # N = zeta2^p A21 + zeta1^p B21
-            two += [B12, A21]
-        one, two = np.array(one), np.array(two)
-        at = np.flatnonzero((one != 0) | (two != 0))
-        self.images = at, at // (2 * self.dim**2), one.reshape(-1)[at], two.reshape(-1)[at]
+    def __init__(self, m, ctx):
+        grading = GradingChoice(1, 0)  # the module matrices do not depend on it
+        with np.errstate(all="ignore"):
+            reps = {kind: eval_module(kind, m, grading, ctx) for kind in ("V", "V*")}
+            # (A, B) of each generator on V1 x V2, for every ordered pair
+            A, B = np.moveaxis(np.array([[coproduct_parts(tag, reps[k1], reps[k2])[1:]
+                                          for tag in _EF_TAGS] for k1, k2 in PAIRS]), 2, 0)
+        swap = [PAIRS.index(pair[::-1]) for pair in PAIRS]  # V2 x V1 of each pair
+        # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by
+        # generator: N = zeta2^p A21 + zeta1^p B21
+        one = np.stack((A, B[swap]), axis=2).reshape(len(PAIRS), -1)
+        two = np.stack((B, A[swap]), axis=2).reshape(len(PAIRS), -1)
+        self.m, d = m, m + 1
+        self.dim = d * d
+        at = np.flatnonzero(((one != 0) | (two != 0)).any(axis=0))
+        self.images = at, at // (2 * self.dim**2), one[:, at], two[:, at]
+        # h1-weights of the two factors of each pair, and the unknowns: the
+        # entries whose output (in V2 x V1) and input (in V1 x V2) weigh the same
+        w1, w2 = np.array([(reps[k1].weights.real, reps[k2].weights.real)
+                           for k1, k2 in PAIRS]).swapaxes(0, 1)
+        self.orders = _weight_order(w1, w2), _weight_order(w2, w1)  # of V1 x V2, V2 x V1
+        w_in = (w1[:, :, None] + w2[:, None, :]).reshape(len(PAIRS), -1)
+        w_out = (w2[:, :, None] + w1[:, None, :]).reshape(len(PAIRS), -1)
+        _, a, b = np.nonzero(w_out[:, :, None] == w_in[:, None, :])
+        self.a, self.b = a.reshape(len(PAIRS), -1), b.reshape(len(PAIRS), -1)
+        self.gauge = np.rint((np.take_along_axis(w1, self.a % d, 1)
+                              - np.take_along_axis(w1, self.b // d, 1)) / 2 + m).astype(int)
         self._frames = {}
-
-    def dense_parts(self) -> np.ndarray:
-        """The zeta1 and zeta2 parts of the images, (2, 8, D, D): M, N per generator."""
-        at, _, v1, v2 = self.images
-        parts = np.zeros((2, 2 * len(_EF_TAGS) * self.dim**2), dtype=complex)
-        parts[0, at], parts[1, at] = v1, v2
-        return parts.reshape(2, 2 * len(_EF_TAGS), self.dim, self.dim)
 
     def frame(self, frame: int) -> _Frame:
         """Frame 1 (e1, f1 zeta-free) or 0 (e0, f0 zeta-free), built on first use."""
         if frame not in self._frames:
-            self._frames[frame] = _Frame(self, frame)
+            self._frames[frame] = self._build_frame(frame)
         return self._frames[frame]
 
-    def pairs(self, z1p, z2p) -> tuple:
-        """The coproduct images of the four e/f generators for a stack of zeta pairs,
-        from zeta1^p and zeta2^p (B, 4) at each generator's grade p (_EF_TAGS
-        order): M on V1 x V2 and N on V2 x V1, each of shape (B, 4, D, D)."""
+    def _build_frame(self, frame: int) -> _Frame:
+        """The frame's basis, ratio numbers and per-pair errors, for all four
+        pairs in one pass; see CommutantTemplate for the errors."""
+        P, D, m = len(PAIRS), self.dim, self.m
+        at, _, v1, v2 = self.images
+        parts = np.zeros((P, 2, 2 * len(_EF_TAGS) * D * D), dtype=complex)
+        parts[:, 0, at], parts[:, 1, at] = v1, v2
+        parts = parts.reshape(P, 2, 2 * len(_EF_TAGS), D, D)  # M, N per generator
+        (raise_, lower), g = _FRAMES[frame]
+        images = np.isfinite(parts).all(axis=(1, 2, 3, 4))
+        with np.errstate(all="ignore"):
+            # zeta-free pair: the sum of the two parts; M on V1 x V2 at 2g, N on V2 x V1 at 2g + 1
+            ops = parts[:, :, [2 * raise_, 2 * raise_ + 1, 2 * lower, 2 * lower + 1]].sum(1)
+            M, N = np.moveaxis(parts[:, :, [2 * g, 2 * g + 1]], 2, 0)  # (P, 2, D, D) each
+            del parts  # the frame keeps copies of what it reads, not all eight images
+            images &= np.isfinite(ops).all(axis=(1, 2, 3))
+            E, E2, F, F2 = ops.swapaxes(0, 1)
+            basis, (v, v2, y, y2), gap = _commutant_basis(
+                (E, F, self.orders[0]), (E2, F2, self.orders[1]), m, self.a, self.b)
+            ratios = np.stack((np.einsum("puj,pquv,pvj->pqj", y[..., 1:], M, v[..., :-1]),
+                               np.einsum("puj,pquv,pvj->pqj", y2[..., 1:], N, v2[..., :-1])),
+                              axis=1)
+        solved = np.isfinite(basis).all(axis=(1, 2)) & np.isfinite(ratios).all(axis=(1, 2, 3))
+        errors = []
+        for (k1, k2), fine, kernels, out in zip(PAIRS, images, gap, solved):
+            if not fine or np.isnan(kernels) or (kernels >= GAP_THRESHOLD and not out):
+                errors.append(FloatingPointError(
+                    f"the commutant data of ({k1}, {k2}) at m = {m} are not finite"))
+            elif not kernels >= GAP_THRESHOLD:
+                errors.append(DegeneratePointError(
+                    f"nullspace gap {kernels:.3g} below threshold {GAP_THRESHOLD:.1g} "
+                    "(highest-weight vectors)"))
+            else:
+                errors.append(None)
+        return _Frame(basis, ratios, tuple(errors))
+
+    def generator_images(self, z1p, z2p, pair) -> tuple:
+        """The coproduct images of the four e/f generators for a stack of zeta
+        pairs of the module pairs `pair` (B,), from zeta1^p and zeta2^p (B, 4)
+        at each generator's grade p (_EF_TAGS order): M on V1 x V2 and N on
+        V2 x V1, each of shape (B, 4, D, D).  A place where the request's
+        pair has no image reads 0, as the zeta powers are finite."""
         at, gen, v1, v2 = self.images
         MN = np.zeros((len(z1p), 2 * len(_EF_TAGS), self.dim, self.dim), dtype=complex)
-        MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1 + z2p[:, gen] * v2
+        MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1[pair] + z2p[:, gen] * v2[pair]
         return MN[:, 0::2], MN[:, 1::2]
 
 
+def _weight_order(w1, w2) -> np.ndarray:
+    """The basis indices of V1 x V2 (row-major) of each pair, by h1-weight, then by
+    the first factor's weight, both descending; w1 and w2 (P, d) the factors' weights."""
+    first = np.repeat(w1, w2.shape[1], axis=1)
+    return np.lexsort((-first, -(first + np.tile(w2, w1.shape[1]))), axis=-1)
+
+
 class RCache:
-    """One CommutantTemplate per module pair (kinds, m, q), built on first use
-    and shared by every solve_requests call on this cache.  It holds no
-    solved result: a result lives in the call that solved it."""
+    """One CommutantTemplate per spin (m, q), built on first use and shared
+    by every solve_requests call on this cache.  It holds no solved result:
+    a result lives in the call that solved it."""
 
     def __init__(self):
         self._templates = {}
 
     def template(self, req: RRequest) -> CommutantTemplate:
-        """The commutant template of the request's module pair, built on first use."""
-        key = req.module_key()
+        """The commutant template of the request's spin, built on first use."""
+        key = req.m, complex(req.ctx.q)
         if key not in self._templates:
-            grading = GradingChoice(1, 0)  # the module matrices do not depend on it
-            self._templates[key] = CommutantTemplate(
-                eval_module(req.kind1, req.m, grading, req.ctx),
-                eval_module(req.kind2, req.m, grading, req.ctx))
+            self._templates[key] = CommutantTemplate(req.m, req.ctx)
         return self._templates[key]
 
 
@@ -373,11 +444,11 @@ def _frame_of(g) -> tuple:
     return (1, g.s1, g.s) if g.s1 <= g.s0 else (0, -g.s0, -g.s)
 
 
-def _raw_nullvector(reqs, templates, index) -> tuple:
+def _raw_nullvector(reqs, template, pair) -> tuple:
     """The hw-normalized nullvectors of the commutant systems, with the
     relative size of each component ratio's terms, for a stack of requests
-    at one spin, q and grading; request b reads templates[index[b]], the
-    template of its module pair, whose frame of the grading is built.
+    at one spin, q and grading, whose template is `template`; request b
+    is of the module pair pair[b] (PAIRS), whose frame data are finite.
 
     Rcheck intertwines Delta(q^{h1}), so it only links equal h1-weights:
     the unknowns are the entries X[a, b] whose output a (in V2 x V1) and
@@ -393,11 +464,11 @@ def _raw_nullvector(reqs, templates, index) -> tuple:
     request.  In the frame, Rcheck = sum_j c_j B_j with the coefficients
     of normalize_hw, from the ratios beta_j / alpha_j of the frame's
     numbers (_Frame) at p = s in frame 1 and p = -s in frame 0.  Each
-    request reads its own template's ratios, basis and gauge exponents,
+    request reads its own pair's ratios, basis and gauge exponents,
     gathered by index, and every step is elementwise per request.
 
     Returns (entries, rel, errors, grades): entries (B, U), Rcheck at the
-    unknowns of each request's template (the dense Rcheck is formed only
+    unknowns of each request's pair (the dense Rcheck is formed only
     per block, by the intertwining residual); rel (B, 2, m), the
     moduli |alpha_j| and |beta_j| over the sums of the moduli of their two
     terms, read as 0 or NaN where they cancel or vanish; errors[b] the
@@ -405,7 +476,7 @@ def _raw_nullvector(reqs, templates, index) -> tuple:
     zeta1^p, zeta2^p (B, 4) at the grade p of each e/f generator, which the
     intertwining residual reads.
     """
-    B, D = len(reqs), templates[0].dim
+    B, D = len(reqs), template.dim
     errors = [None] * B
     g, m = reqs[0].grading, reqs[0].m
     z1 = np.array([req.zeta1 for req in reqs])
@@ -416,12 +487,10 @@ def _raw_nullvector(reqs, templates, index) -> tuple:
                                                  (p, *grades), (p, *grades)), errors)
     if D == 1:
         return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, (p1[:, 1:], p2[:, 1:])
-    frames = [t.frame(frame) for t in templates]
-    ratios = _per_request([fr.ratios for fr in frames], index)
-    columns = np.stack([fr.basis.T for fr in frames])  # (T, m+1, U), gathered column by column
+    fr = template.frame(frame)
     with np.errstate(all="ignore"):
         # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
-        terms = ratios * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
+        terms = fr.ratios[pair] * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
         alpha_beta = terms.sum(axis=2)
         rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
         coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
@@ -431,21 +500,15 @@ def _raw_nullvector(reqs, templates, index) -> tuple:
         cr, ci = coef.real, coef.imag
         re = im = 0.0
         for j in range(m + 1):
-            column = columns[index, j]
+            column = fr.basis[pair, :, j]
             br, bi = column.real, column.imag
             re = re + (br * cr[:, j, None] - bi * ci[:, j, None])
             im = im + (br * ci[:, j, None] + bi * cr[:, j, None])
         rcheck = np.empty(re.shape, dtype=complex)
         rcheck.real, rcheck.imag = re, im
-        entries = gauge[np.arange(B)[:, None], _per_request([t.gauge for t in templates], index)]
+        entries = gauge[np.arange(B)[:, None], template.gauge[pair]]
         entries *= rcheck
     return entries, rel, errors, (p1[:, 1:], p2[:, 1:])
-
-
-def _per_request(arrays, index) -> np.ndarray:
-    """arrays[index[b]] for each request b of a stack, (B, ...); the arrays of
-    one spin's module pairs have equal shapes."""
-    return (arrays[0][None] if len(arrays) == 1 else np.stack(arrays))[index]
 
 
 def _norms(A) -> np.ndarray:
@@ -460,33 +523,31 @@ def _norms(A) -> np.ndarray:
 _IMAGE_ENTRIES = 1 << 12
 
 
-def _intertwine_residuals(entries, z1p, z2p, templates, index) -> np.ndarray:
+def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
-    Rc of a stack, from its entries (B, U) at the unknowns of its template
-    templates[index[b]] and zeta1^p and zeta2^p (B, 4) at the grades.
+    Rc of a stack, from its entries (B, U) at the unknowns of its module
+    pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades.
 
-    The requests of each template are taken in turn, and their dense
-    operators and the images of the four e/f generators are formed for
-    blocks that keep the images within _IMAGE_ENTRIES entries (one request
-    at least), so the temporaries do not grow with B; generators with M = 0
-    are skipped, a zero Rc reads inf, and an image that overflows reads inf
-    or NaN.
+    The dense operators and the images of the four e/f generators are
+    formed for blocks of requests that keep the images within
+    _IMAGE_ENTRIES entries (one request at least), so the temporaries do
+    not grow with B; generators with M = 0 are skipped, a zero Rc reads
+    inf, and an image that overflows reads inf or NaN.
     """
-    B, D = len(entries), templates[0].dim
+    B, D = len(entries), template.dim
     rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
     worst = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, t in enumerate(templates):
-            mine = np.flatnonzero(index == k)
-            for r in range(0, len(mine), rows):
-                at = mine[r:r + rows]
-                block = np.zeros((len(at), 1, D, D), dtype=complex)
-                block[:, 0, t.a, t.b] = entries[at]
-                M, N = t.pairs(z1p[at], z2p[at])
-                nr, nm = _norms(block), _norms(M)
-                res = _norms(block @ M - N @ block)
-                worst[at] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
-                worst[at[nr[:, 0] == 0]] = np.inf
+        for r in range(0, B, rows):
+            at = slice(r, r + rows)
+            p = pair[at]
+            block = np.zeros((len(p), 1, D, D), dtype=complex)
+            block[np.arange(len(p))[:, None], 0, template.a[p], template.b[p]] = entries[at]
+            M, N = template.generator_images(z1p[at], z2p[at], p)
+            nr, nm = _norms(block), _norms(M)
+            res = _norms(block @ M - N @ block)
+            worst[at] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
+            worst[r + np.flatnonzero(nr[:, 0] == 0)] = np.inf
     return worst
 
 
@@ -539,15 +600,15 @@ def apply_kappa(res: RResult, k: complex) -> RResult:
     The margin and the residual do not depend on the scale; at kappa = 0
     the operator is zero, with residual inf and margin 0.
     """
-    return RResult(res.entries, res.template, res.margin if k != 0 else 0.0,
+    return RResult(res.entries, res.template, res.pair, res.margin if k != 0 else 0.0,
                    res.intertwine_residual if k != 0 else np.inf, k)
 
 
-def _solve(reqs, templates, index) -> list:
+def _solve(reqs, template, pair) -> list:
     """The hw-normalized results of a stack of requests at one spin, q and
-    grading: per request an RResult, or the error it raises alone.  Request
-    b reads templates[index[b]], the template of its module pair, whose
-    frame of the grading is built (_raw_nullvector).
+    grading, whose template is `template`: per request an RResult, or the
+    error it raises alone.  Request b is of the module pair pair[b]
+    (PAIRS), whose frame data are finite (_raw_nullvector).
 
     A ratio index j where alpha_j and beta_j both cancel leaves c_{j+1} free
     (a wider nullspace); alpha_j alone makes the hw component vanish; beta_j
@@ -559,7 +620,7 @@ def _solve(reqs, templates, index) -> list:
     alpha_j that is exactly 0 passes it at _CANCEL_TOL = 0).  The flags are
     formed for the whole stack; only a failing request takes a loop step.
     """
-    entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, templates, index)
+    entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template, pair)
     cancel = ~(rel >= _CANCEL_TOL)  # NaN cancels
     for k in np.flatnonzero(cancel[:, 0].any(axis=1)):  # some alpha_j cancels
         both = np.flatnonzero(cancel[k].all(axis=0))
@@ -569,18 +630,18 @@ def _solve(reqs, templates, index) -> list:
             "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
     entries[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
-    residual = _intertwine_residuals(entries, z1p, z2p, templates, index)
+    residual = _intertwine_residuals(entries, z1p, z2p, template, pair)
     for k in np.flatnonzero(~np.isfinite(residual)):
         with np.errstate(over="ignore", invalid="ignore"):
-            MN = templates[index[k]].pairs(z1p[k:k + 1], z2p[k:k + 1])
+            MN = template.generator_images(z1p[k:k + 1], z2p[k:k + 1], pair[k:k + 1])
         if np.isfinite(MN).all() and not np.isfinite(entries[k]).all():
             errors[k] = errors[k] or DegeneratePointError(
                 "R is not finite: a component ratio diverges (non-simple spectral point)")
         errors[k] = errors[k] or ConfigError(
             "spectral parameters out of range: the operator or a generator image overflows")
     margins = rel.min(axis=(1, 2), initial=1.0).tolist()
-    return [err or RResult(row, templates[t], margin, resid) for err, row, t, margin, resid
-            in zip(errors, entries, index, margins, residual.tolist())]
+    return [err or RResult(row, template, p, margin, resid) for err, row, p, margin, resid
+            in zip(errors, entries, pair.tolist(), margins, residual.tolist())]
 
 
 def solve_requests(reqs, cache: RCache = None) -> list:
@@ -589,16 +650,17 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     raises nothing.
 
     Each distinct key is solved once, hw-normalized, in one stack per spin,
-    q and grading (_solve), which covers every module pair of that spin,
-    and serves both normalizations: a kappa request reads it through
-    apply_kappa.  The keys whose kappa requests solved share one kappa_sl2
-    scan per (s, m, q context) (_kappa_scalars).  Errors of
-    NUMERICAL_ERRORS are isolated as far as the work is shared: a module
-    pair whose template or frame raises one fails that pair's requests, a
-    stack that raises one fails the requests of its whole spin, q and
-    grading, and a kappa scan that raises one fails its requests.  The
-    results live in the call; the cache (a fresh RCache by default) only
-    shares the templates.
+    q and grading (_solve), which covers every module pair of that spin
+    and reads the spin's one template, and serves both normalizations: a
+    kappa request reads it through apply_kappa.  The keys whose kappa
+    requests solved share one kappa_sl2 scan per (s, m, q context)
+    (_kappa_scalars).  Errors are isolated as far as the work is shared: a
+    module pair whose template data are not finite or fail the gap test
+    (_Frame.errors) fails that pair's requests alone, and of
+    NUMERICAL_ERRORS, a template build that raises one fails its whole
+    spin's requests, a stack that raises one the requests of its spin, q
+    and grading, and a kappa scan its own.  The results live in the call;
+    the cache (a fresh RCache by default) only shares the templates.
     """
     if cache is None:
         cache = RCache()
@@ -609,30 +671,21 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     stacks = {}
     for i in first.values():
         stacks.setdefault((reqs[i].m, complex(reqs[i].ctx.q), reqs[i].grading), []).append(i)
-    solved = {}  # key -> its hw RResult, or the error of its template, frame or stack
+    solved = {}  # key -> its hw RResult, or the error of its pair, template or stack
     for idx in stacks.values():
-        frame = _frame_of(reqs[idx[0]].grading)[0]
-        templates, built, stack, index = [], {}, [], []  # built: module key -> index or error
+        try:
+            template = cache.template(reqs[idx[0]])
+            errors = template.frame(_frame_of(reqs[idx[0]].grading)[0]).errors
+        except NUMERICAL_ERRORS as exc:
+            errors = [exc.with_traceback(None)] * len(PAIRS)
         for i in idx:
-            pair = reqs[i].module_key()
-            if pair not in built:
-                try:
-                    template = cache.template(reqs[i])
-                    template.frame(frame)
-                except NUMERICAL_ERRORS as exc:
-                    built[pair] = exc.with_traceback(None)
-                else:
-                    built[pair] = len(templates)
-                    templates.append(template)
-            if isinstance(built[pair], Exception):
-                solved[keys[i]] = built[pair]
-            else:
-                stack.append(i)
-                index.append(built[pair])
+            solved[keys[i]] = errors[reqs[i].pair]  # None until its stack is solved
+        stack = [i for i in idx if errors[reqs[i].pair] is None]
         if not stack:
             continue
         try:
-            results = _solve([reqs[i] for i in stack], templates, np.array(index))
+            results = _solve([reqs[i] for i in stack], template,
+                             np.array([reqs[i].pair for i in stack]))
         except NUMERICAL_ERRORS as exc:
             results = [exc.with_traceback(None)] * len(stack)
         solved.update(zip((keys[i] for i in stack), results))

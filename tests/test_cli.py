@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import plant_in_pair
 from qkzkit import cli, idsuite, qkz, reps, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.errors import DegeneratePointError
@@ -20,10 +22,46 @@ def run_cli(args, capsys):
     return code, out
 
 
+def _subparsers(parser):
+    """The subcommand parsers of the CLI parser, by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestParsing:
     def test_parse_complex(self):
         assert parse_complex("0.7") == 0.7
         assert parse_complex("0.5,-0.25") == 0.5 - 0.25j
+
+    @pytest.mark.parametrize("command", ["suite", "verify", "rmat", "scalars"])
+    def test_one_command_parser_reads_as_the_full_one(self, command):
+        # main gives only the subcommand that argv names its arguments; its
+        # defaults and its help are those of the parser of every subcommand,
+        # and the other subcommands are registered without arguments
+        argv = [command, "ybe"] if command == "verify" else [command]
+        full, one = build_parser(), build_parser(argv)
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+        commands = _subparsers(full)
+        assert list(_subparsers(one)) == list(commands) == ["suite", "verify", "rmat", "scalars"]
+        assert _subparsers(one)[command].format_help() == commands[command].format_help()
+        assert {name: [a.dest for a in sub._actions] for name, sub in _subparsers(one).items()
+                if name != command} == {name: ["help"] for name in commands if name != command}
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "suite"], ["nosuchcommand"]])
+    def test_a_first_token_that_names_no_command_builds_every_command(self, argv):
+        full, built = build_parser(), build_parser(argv)
+        assert built.format_help() == full.format_help()
+        assert {name: sub.format_help() for name, sub in _subparsers(built).items()} == \
+            {name: sub.format_help() for name, sub in _subparsers(full).items()}
+
+    @pytest.mark.parametrize("argv", [[], ["nosuchcommand"], ["--help"]])
+    def test_bare_unknown_and_help_calls_behave_as_before(self, argv, capsys):
+        with pytest.raises(SystemExit) as built:
+            build_parser(argv).parse_args(argv)
+        mine = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        assert built.value.code == full.value.code and capsys.readouterr() == mine
 
     def test_unknown_check_exits_2(self, capsys):
         assert main(["verify", "nosuchcheck"]) == 2
@@ -304,9 +342,9 @@ def _count_solver_calls(monkeypatch):
     solve, scan, core = rsolve._solve, rsolve._kappa_scalars, rsolve.solve_requests
     solve_records, evaluate = qkz.solve_records, cli._evaluate
 
-    def counted_solve(reqs, templates, index):
+    def counted_solve(reqs, template, pair):
         calls[-1][1].append((reqs[0].m, complex(reqs[0].ctx.q), reqs[0].grading))
-        return solve(reqs, templates, index)
+        return solve(reqs, template, pair)
 
     def counted_scan(reqs):
         calls[-1][2] += bool(reqs)
@@ -421,37 +459,33 @@ def _suite_with_planted_error(monkeypatch, capsys, owner, name, fails):
     return json.loads(out), code, json.loads(captured.out), captured.err
 
 
-def _fails_with_the_planted_error(clean, code, got, err, groups, lost):
-    """Exit 1, a failing report for each of `groups` with the planted error,
-    no traceback, and every other report as in the clean run."""
+def _fails_with_the_planted_error(clean, code, got, err, groups, lost,
+                                  note="FloatingPointError: overflow encountered in matmul"):
+    """Exit 1, a failing report for each of `groups` with the planted error
+    (its note), no traceback, and every other report as in the clean run."""
     failed = [r for r in got if "group" in r["params"]]
     assert code == 1 and sorted(r["name"] for r in failed) == groups
-    assert all(r["note"] == "FloatingPointError: overflow encountered in matmul" for r in failed)
+    assert all(r["note"] == note for r in failed)
     assert "Traceback" not in err
     assert [r for r in got if r not in failed] == [r for r in clean if r["name"] not in lost]
 
 
-@pytest.mark.parametrize("site", ["template", "frame"])
+@pytest.mark.parametrize("site", ["image", "gap"])
 def test_a_failing_module_pair_fails_only_the_groups_that_read_it(site, monkeypatch, capsys):
-    # an arithmetic error in the template or the frame of one module pair, (V*, V)
-    # at m = 1, is stored for that pair's requests alone, though its stack also
-    # solves the other pairs of the spin: the two groups that read them
-    # (crossing and invariances) fail with it, and every other group keeps its reports
-    from qkzkit import rsolve
-    if site == "template":
-        owner, name = rsolve.RCache, "template"
-
-        def fails(cache, req):
-            return req.module_key()[:3] == ("V*", "V", 1)
-    else:
-        owner, name = rsolve, "_Frame"
-
-        def fails(t, frame):
-            return (t.rep1.kind, t.rep2.kind, t.rep1.m) == ("V*", "V", 1)
+    # a non-finite image part or a failing gap of one module pair, (V*, V) at
+    # m = 1, inside the stacked pass that builds all four pairs of the spin,
+    # is stored for that pair's requests alone, though its stack also solves
+    # the other pairs of the spin: the two groups that read them (crossing
+    # and invariances) fail with it, and every other group keeps its reports
+    argv = ["suite", "--m", "3", "--seed", "7"]
+    _, out = run_cli(argv, capsys)
+    error, text = plant_in_pair(monkeypatch, site, ("V*", "V"), 1)
+    code = main(argv)
+    captured = capsys.readouterr()
     _fails_with_the_planted_error(
-        *_suite_with_planted_error(monkeypatch, capsys, owner, name, fails),
+        json.loads(out), code, json.loads(captured.out), captured.err,
         ["crossing", "invariances"], {"crossing", "invariance_a", "invariance_x",
-                                      "invariance_xtilde"})
+                                      "invariance_xtilde"}, f"{error.__name__}: {text}")
 
 
 def test_a_failing_stack_fails_the_groups_that_read_its_spin(monkeypatch, capsys):
@@ -462,7 +496,7 @@ def test_a_failing_stack_fails_the_groups_that_read_its_spin(monkeypatch, capsys
     from qkzkit import rsolve
     _fails_with_the_planted_error(
         *_suite_with_planted_error(monkeypatch, capsys, rsolve, "_solve",
-                                   lambda reqs, templates, index: reqs[0].m == 1),
+                                   lambda reqs, template, pair: reqs[0].m == 1),
         ["crossing", "degenerate_detection", "invariances"],
         {"crossing", "degenerate_detection", "invariance_a", "invariance_x",
          "invariance_xtilde"})
@@ -503,6 +537,20 @@ class TestRmat:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "overflows" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_like_pair_keeps_its_matrix_beside_an_overflowing_dual_pair(self, capsys):
+        # at q = 1e-150 the (V*, V*) data of spin 1 overflow, and rmat builds all
+        # four module pairs of its spin in one pass: (V*, V*) fails alone, and
+        # (V, V) keeps the exit code and the matrix (its digest) that it had
+        # when its pair was built alone
+        argv = ["rmat", "--q", "1e-150", "--m", "1", "--norm", "hw", "--zeta1", "1.3",
+                "--zeta2", "0.9"]
+        code = main([*argv, "--kinds", "VsVs"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the commutant data of (V*, V*) at m = 1 are not finite\n"
+        code, out = run_cli([*argv, "--kinds", "VV"], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == "afd970fc64cf3496"
 
     def test_identity_at_equal_arguments(self, capsys):
         code, out = run_cli(["rmat", "--zeta1", "1.4", "--zeta2", "1.4", "--m", "1"],
@@ -559,6 +607,17 @@ class TestDeterminism:
             assert code == 0
             tables.append([row["z"] for row in json.loads(out)["rows"][:-1]])
         assert all(a != b for a, b in zip(*tables))
+
+    def test_suite_builds_one_template_per_spin(self, monkeypatch, capsys):
+        # `suite --m 3` reads module pairs of spins 1, 2 and 3: one commutant
+        # template each, which builds the data of all four pairs of its spin
+        from qkzkit import rsolve
+        built = []
+        raw = rsolve.CommutantTemplate
+        monkeypatch.setattr(rsolve, "CommutantTemplate",
+                            lambda *spin: built.append(spin) or raw(*spin))
+        code, _ = run_cli(["suite", "--m", "3", "--seed", "1"], capsys)
+        assert code == 0 and sorted(m for m, _ in built) == [1, 2, 3]
 
     def test_seed_7_report_is_unchanged(self, capsys):
         # sha256 of `suite --m 1 --seed 7`: every seed below 2^32 draws the same

@@ -80,12 +80,13 @@ class TestUnitarityChecks:
     def test_initial_condition_sees_a_perturbed_ratio(self, m, ctx, grading, monkeypatch):
         # at zeta1 = zeta2 every component ratio of a like pair is exactly 1;
         # one ratio number off by 1e-6 must fail the check in both modes
-        raw = rsolve._Frame.__init__
+        raw = rsolve.CommutantTemplate._build_frame
 
-        def perturbed(frame, *args):
-            raw(frame, *args)
-            frame.ratios[0, 0, 0] *= 1 + 1e-6
-        monkeypatch.setattr(rsolve._Frame, "__init__", perturbed)
+        def perturbed(template, frame):
+            built = raw(template, frame)
+            built.ratios[:, 0, 0, 0] *= 1 + 1e-6  # a_0 of every module pair
+            return built
+        monkeypatch.setattr(rsolve.CommutantTemplate, "_build_frame", perturbed)
         for kind in ("V", "V*"):
             for norm in ("hw", "kappa"):
                 rep = idsuite.check_initial_condition(m, kind, 1.3 + 0.1j, grading, ctx,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import zeta_sample
+from conftest import plant_in_pair, zeta_sample
 from factor_ops import read_factors
 from qkzkit import reps, rsolve
 from qkzkit.context import QContext
@@ -160,29 +160,31 @@ class TestSolveBasics:
         for q, m, kinds in itertools.product((0.7, 0.6 + 0.09j, 0.3, 0.5 + 0.5j), (1, 2, 3, 4),
                                              ALL_PAIRS):
             ctx = QContext(q)
+            pair = rsolve.PAIRS.index(kinds)
             for frame, homogeneous, p in ((1, (s, 0), s), (0, (0, s), -s)):
                 s1 = _site(kinds[0], m, GradingChoice(*homogeneous), ctx, z1)
                 s2 = _site(kinds[1], m, GradingChoice(*homogeneous), ctx, z2)
-                fr = rsolve.CommutantTemplate(s1[0], s2[0]).frame(frame)
+                fr = rsolve.CommutantTemplate(m, ctx).frame(frame)
                 full = _full_assembly_rows(s1, s2)
-                (a, b), (a2, b2) = fr.ratios
+                (a, b), (a2, b2) = fr.ratios[pair]
                 c = rsolve.normalize_hw(((z1**p * a2 + z2**p * b2) / (z1**p * a + z2**p * b))[None])
-                x = fr.basis @ c[0]
+                x = fr.basis[pair] @ c[0]
                 assert np.abs(full @ x).max() <= 1e-13 * (np.abs(full) @ np.abs(x)).max(), \
                     (q, m, kinds, frame)
 
     def test_unknowns_are_the_weight_sectors(self, ctx, grading):
-        # one unknown per weight-conserving entry of Rcheck, and a commutant
-        # basis of m+1 columns: the solve's matrix is rows x (m+1)
+        # one unknown per weight-conserving entry of Rcheck, the same number for
+        # each of the four module pairs of a spin, and a commutant basis of m+1
+        # columns: the solve's matrix is rows x (m+1)
         sizes, widths = [], []
         for m in (1, 2, 3, 4):
             cache = RCache()
             r_matrix("V", 1.3 + 0.2j, "V*", 0.8 - 0.1j, m, grading, ctx, cache=cache)
             t = cache.template(make_request("V", 1.0, "V*", 1.0, m, grading, ctx))
-            sizes.append(len(t.a))
+            sizes.append(t.a.shape)
             for frame in (t.frame(1), t.frame(0)):
-                widths.append({frame.basis.shape[1], frame.ratios.shape[2] + 1})
-        assert sizes == [6, 19, 44, 85]
+                widths.append({frame.basis.shape[2], frame.ratios.shape[3] + 1})
+        assert sizes == [(4, 6), (4, 19), (4, 44), (4, 85)]
         assert widths == [{2}, {2}, {3}, {3}, {4}, {4}, {5}, {5}]
 
     def test_depends_only_on_ratio(self, ctx, grading10, cache):
@@ -482,7 +484,7 @@ class TestOneStoredOperator:
         solve_intertwiner([make_request("V", 1.1, "V*", 0.9, m, grading, ctx)], cache)  # template
         reqs = [make_request("V", (1.0 + 0.05 * k) * np.exp(0.3j * k), "V*", 0.9, m,
                              grading, ctx) for k in range(N)]
-        U = len(cache.template(reqs[0]).a)
+        U = cache.template(reqs[0]).a.shape[1]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -529,7 +531,7 @@ class TestCache:
         built = []
         raw = rsolve.CommutantTemplate
         monkeypatch.setattr(rsolve, "CommutantTemplate",
-                            lambda *reps: built.append(reps) or raw(*reps))
+                            lambda *spin: built.append(spin) or raw(*spin))
         stacks = _count_calls(monkeypatch, rsolve, "_solve")
         second = solve_intertwiner(reqs, cache)
         assert built == [] and sorted(stack[0].m for stack, _, _ in stacks) == [1, 2]
@@ -537,26 +539,45 @@ class TestCache:
             assert np.array_equal(a.Rcheck, b.Rcheck)
 
     def test_second_zeta_pair_builds_no_template(self, ctx, grading, monkeypatch):
+        # one template per spin (m, q) serves all four module pairs: a second
+        # pair of the spin builds nothing, a second spin builds one
         cache = RCache()
         r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, cache=cache)
         built = []
         raw = rsolve.CommutantTemplate
         monkeypatch.setattr(rsolve, "CommutantTemplate",
-                            lambda *reps: built.append(reps) or raw(*reps))
+                            lambda *spin: built.append(spin) or raw(*spin))
         r_matrix("V*", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
-        assert built == []
         r_matrix("V", 0.9 - 0.3j, "V", 1.4, 2, grading, ctx, cache=cache)
-        assert len(built) == 1
+        assert built == []
+        r_matrix("V", 0.9 - 0.3j, "V", 1.4, 3, grading, ctx, cache=cache)
+        assert [m for m, _ in built] == [3]
+
+    def test_one_pair_builds_its_whole_spin_once(self, ctx, grading, monkeypatch):
+        # a call that requests only (V*, V) at m = 2 builds the template of the
+        # spin, the data of all four module pairs in one pass, and a second call
+        # on the same cache builds nothing
+        cache = RCache()
+        templates = _count_calls(monkeypatch, rsolve, "CommutantTemplate")
+        frames = _count_calls(monkeypatch, rsolve, "_commutant_basis")
+        solve_intertwiner([make_request("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx)], cache)
+        assert [m for m, _ in templates] == [2] and len(frames) == 1
+        t = cache.template(make_request("V", 1.0, "V", 1.0, 2, grading, ctx))
+        frame = t.frame(rsolve._frame_of(grading)[0])
+        assert frame.basis.shape[0] == len(frame.errors) == len(rsolve.PAIRS) == 4
+        assert frame.errors == (None,) * 4
+        solve_intertwiner([make_request("V*", 0.7, "V", 1.3, 2, grading, ctx)], cache)
+        assert len(templates) == len(frames) == 1
 
     def test_second_grading_builds_no_template(self, ctx, grading, monkeypatch):
-        # the template is keyed by (kinds, m, q); only the zeta powers and the
+        # the template is keyed by the spin (m, q); only the zeta powers and the
         # gauge depend on the grading, and the solves stay apart
         cache = RCache()
         a = r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx, cache=cache)
         built = []
         raw = rsolve.CommutantTemplate
         monkeypatch.setattr(rsolve, "CommutantTemplate",
-                            lambda *reps: built.append(reps) or raw(*reps))
+                            lambda *spin: built.append(spin) or raw(*spin))
         solves = _count_solves(monkeypatch)
         for g in ((1, 0), (0, 1), (2, 1)):
             b = r_matrix("V*", 1.2 + 0.1j, "V", 0.8, 2, GradingChoice(*g), ctx, cache=cache)
@@ -565,13 +586,14 @@ class TestCache:
 
     @pytest.mark.parametrize("norm", ["hw", "kappa"])
     def test_request_path_builds_each_module_once(self, ctx, grading, monkeypatch, norm):
-        # the modules are built with the template only, and every request
-        # passes solve_intertwiner once
+        # the modules are built with the spin's template only, V and V* once
+        # each (a V* is the antipode dual of a V), also for a (V, V) request,
+        # and every request passes solve_intertwiner once
         cache = RCache()
         built = _count_calls(monkeypatch, reps, "build_eval_rep")
         duals = _count_calls(monkeypatch, reps, "antipode_dual")
         requests = _count_calls(monkeypatch, rsolve, "solve_intertwiner")
-        args = ("V", 1.2 + 0.1j, "V*", 0.8, 2, grading, ctx)
+        args = ("V", 1.2 + 0.1j, "V", 0.8, 2, grading, ctx)
         r_matrix(*args, normalization=norm, cache=cache)
         assert (len(built), len(duals)) == (2, 1)
         for _ in range(3):
@@ -630,8 +652,9 @@ class TestStackedSolve:
     @pytest.mark.parametrize("g", [(1, 1), (1, 0), (2, 1), (0, 1)])
     def test_stacked_matches_single(self, q, g, monkeypatch):
         # every module pair and m = 1..4 in one call, hw and kappa, with
-        # repeated keys: one stack per spin holds all four module pairs, and each
-        # result has the bits of the request's result alone
+        # repeated keys: one stack per spin holds all four module pairs and reads
+        # the spin's one template, and each result has the bits of the request's
+        # result alone
         from qkzkit.idsuite import draw_generic_zetas
         ctx, grading = QContext(q), GradingChoice(*g)
         rng = np.random.default_rng([91, *g])
@@ -645,30 +668,26 @@ class TestStackedSolve:
         reqs += reqs[::7]
         solves = _count_calls(monkeypatch, rsolve, "_solve")
         stacked = solve_intertwiner(reqs, RCache(), check_invertible=False)
-        assert [(stack[0].m, len(templates)) for stack, templates, _ in solves] == [
-            (m, 4) for m in (1, 2, 3, 4)]
+        assert [(stack[0].m, template.m, sorted(set(pair.tolist())))
+                for stack, template, pair in solves] == [(m, m, [0, 1, 2, 3]) for m in (1, 2, 3, 4)]
         cache = RCache()
         single = [solve_intertwiner([req], cache, check_invertible=False)[0] for req in reqs]
         for req, a, b in zip(reqs, stacked, single):
             assert np.array_equal(a.Rcheck, b.Rcheck), req
             assert a.margin == b.margin and a.intertwine_residual == b.intertwine_residual, req
 
-    @pytest.mark.parametrize("site", ["_solve", "kappa_sl2", "template", "frame"])
+    @pytest.mark.parametrize("site", ["_solve", "kappa_sl2", "template"])
     def test_an_arithmetic_error_fails_only_its_requests(self, ctx, grading, site, monkeypatch):
-        # a stack or a kappa scan that raises (here the ones at m = 2) stores its
-        # error for each of its requests, and the call raises nothing; a template
-        # or a frame that raises (here of (V*, V) at m = 2) fails its module
-        # pair's requests alone, though one stack holds all pairs of a spin
+        # a stack, a kappa scan or a template build that raises (here the ones at
+        # m = 2) stores its error for each of its requests, and the call raises
+        # nothing
         rng = np.random.default_rng(23)
         reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx, "kappa")
                 for k1, k2 in ALL_PAIRS for m in (1, 2)]
         owner, name, fails = {
             "_solve": (rsolve, "_solve", lambda reqs, *args: reqs[0].m == 2),
             "kappa_sl2": (rsolve, "kappa_sl2", lambda m, *args: m == 2),
-            "template": (RCache, "template",
-                         lambda cache, req: req.module_key()[:3] == ("V*", "V", 2)),
-            "frame": (rsolve, "_Frame",
-                      lambda t, frame: (t.rep1.kind, t.rep2.kind, t.rep1.m) == ("V*", "V", 2)),
+            "template": (RCache, "template", lambda cache, req: req.m == 2),
         }[site]
         original = getattr(owner, name)
 
@@ -678,12 +697,29 @@ class TestStackedSolve:
             return original(*args)
         monkeypatch.setattr(owner, name, planted)
         for req, res in zip(reqs, rsolve.solve_requests(reqs, RCache())):
-            hit = req.m == 2 and (site in ("_solve", "kappa_sl2")
-                                  or (req.kind1, req.kind2) == ("V*", "V"))
-            assert isinstance(res, FloatingPointError) == hit, req
-            if hit:
+            assert isinstance(res, FloatingPointError) == (req.m == 2), req
+            if req.m == 2:
                 with pytest.raises(FloatingPointError):
                     rsolve.read_result(res)
+
+    @pytest.mark.parametrize("site", ["image", "gap"])
+    def test_a_failing_pair_fails_only_its_requests(self, ctx, grading, site, monkeypatch):
+        # a non-finite image part or a failing gap of one module pair, (V*, V) at
+        # m = 2, inside the template's stacked pass, fails that pair's requests
+        # alone, though one pass builds and one stack solves all pairs of a spin;
+        # every other request keeps the bits it has on a clean cache
+        rng = np.random.default_rng(23)
+        reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, grading, ctx, "kappa")
+                for k1, k2 in ALL_PAIRS for m in (1, 2)]
+        clean = rsolve.solve_requests(reqs, RCache())
+        error, text = plant_in_pair(monkeypatch, site, ("V*", "V"), 2)
+        for req, res, ref in zip(reqs, rsolve.solve_requests(reqs, RCache()), clean):
+            if req.m == 2 and (req.kind1, req.kind2) == ("V*", "V"):
+                assert type(res) is error and str(res) == text, req
+                with pytest.raises(error):
+                    rsolve.read_result(res)
+            else:
+                assert np.array_equal(res.Rcheck, ref.Rcheck), req
 
     def test_stacked_matches_single_at_m12(self, ctx, grading):
         # one stack of 16 zeta pairs of each module pair at m = 12: the basis columns
@@ -741,9 +777,10 @@ class TestStackedSolve:
         cache = RCache()
         for req, res in zip(reqs, solve_intertwiner(reqs, cache)):
             t = cache.template(req)
-            raw = rsolve._raw_nullvector([req], [t], [0])[0][0]  # Rcheck at the unknowns
+            raw = rsolve._raw_nullvector([req], t, np.array([req.pair]))[0][0]  # at the unknowns
             k = rsolve._kappa_scalars([req])[0] if req.normalization == "kappa" else 1.0
-            assert np.abs(raw * k - res.Rcheck[t.a, t.b]).max() <= 1e-12 * np.abs(res.Rcheck).max()
+            at = t.a[req.pair], t.b[req.pair]
+            assert np.abs(raw * k - res.Rcheck[at]).max() <= 1e-12 * np.abs(res.Rcheck).max()
 
     def test_ybe_samples_make_one_solve(self, ctx, grading, monkeypatch):
         from qkzkit.idsuite import check_ybe, draw_generic_zetas

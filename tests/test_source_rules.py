@@ -14,7 +14,10 @@ its one SVD is the gap test of the highest-weight kernels in
 `_chain_kernels`, so a normwise nullvector solve cannot come back beside it.
 Its stack solve `_solve` has one caller, `solve_requests`, which makes one
 stack per spin, q and grading, so a second stack path (one stack per module
-pair, say) cannot come back beside it.
+pair, say) cannot come back beside it.  The spin template's build is the
+one place that builds modules (`eval_module`, in `CommutantTemplate.__init__`)
+and commutant bases (`_commutant_basis`, in `CommutantTemplate._build_frame`),
+so a per-pair build cannot come back beside the stacked pass.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string (the one use of
 permuted_matmul), so no second factor loop can come back.  In `qkz`,
@@ -101,12 +104,23 @@ def assert_statements(tree):
     return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def _functions(tree):
+    """(name, node) of every function of a tree, and of each method also as
+    (Class.method, node)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def calls_outside(tree, name, allowed):
     """Uses of `name` (an attribute, a bare name or an import of it) outside
-    the functions named in allowed.  An import counts as inside when an
-    allowed function uses the bare name that it binds."""
-    inside = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in allowed
+    the functions named in allowed (a method as Class.method).  An import
+    counts as inside when an allowed function uses the bare name that it
+    binds."""
+    inside = {id(node) for fn_name, fn in _functions(tree) if fn_name in allowed
               for node in ast.walk(fn)}
     bare = {id(node) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name}
     imported_for_inside = bool(bare & inside)
@@ -170,6 +184,19 @@ def test_rsolve_svd_only_in_chain_kernels():
 def test_stacks_solved_only_in_solve_requests(path):
     allowed = ("solve_requests",) if path.name == "rsolve.py" else ()
     assert calls_outside(ast.parse(path.read_text()), "_solve", allowed) == []
+
+
+# the spin template's build: the one place that builds the modules (V and V*
+# once per spin) and the commutant bases (all four module pairs in one pass)
+TEMPLATE_BUILD = {"eval_module": ("CommutantTemplate.__init__",),
+                  "_commutant_basis": ("CommutantTemplate._build_frame",)}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_BUILD))
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda p: p.name)
+def test_modules_and_bases_built_only_by_the_spin_template(path, name):
+    allowed = TEMPLATE_BUILD[name] if path.name == "rsolve.py" else ()
+    assert calls_outside(ast.parse(path.read_text()), name, allowed) == []
 
 
 FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
@@ -335,13 +362,40 @@ def test_svd_rule_fires_on_planted_code(source, outside):
     assert len(calls_outside(ast.parse(source), "svd", ("_chain_kernels",))) == outside
 
 
+@pytest.mark.parametrize("source, name, outside", [
+    ("from .reps import eval_module\nclass CommutantTemplate:\n    def __init__(self, m, ctx):\n"
+     "        self.reps = [eval_module(k, m, g, ctx) for k in KINDS]\n", "eval_module", 0),
+    ("class CommutantTemplate:\n    def _build_frame(self, frame):\n"
+     "        return _commutant_basis(ins, outs, self.m, self.a, self.b)\n",
+     "_commutant_basis", 0),
+    # a module built beside the template: per module pair in the cache, or in a helper
+    ("from .reps import eval_module\nclass CommutantTemplate:\n    def __init__(self, m, ctx):\n"
+     "        self.reps = [eval_module(k, m, g, ctx) for k in KINDS]\nclass RCache:\n"
+     "    def template(self, req):\n        return eval_module(req.kind1, req.m, g, req.ctx)\n",
+     "eval_module", 1),
+    ("from .reps import eval_module\ndef _modules(req):\n    return eval_module(req.kind1, 1, g, c)\n",
+     "eval_module", 2),
+    ("from . import reps\nrep = reps.eval_module('V', 1, g, ctx)\n", "eval_module", 1),
+    # a basis built per module pair, in another method of the template or in the solve
+    ("class CommutantTemplate:\n    def _build_frame(self, frame):\n"
+     "        return _commutant_basis(ins, outs, self.m, self.a, self.b)\n"
+     "    def pair_frame(self, pair, frame):\n"
+     "        return _commutant_basis(ins[pair], outs[pair], self.m, self.a, self.b)\n",
+     "_commutant_basis", 1),
+    ("def _raw_nullvector(reqs, template, pair):\n    return rsolve._commutant_basis(i, o, m, a, b)\n",
+     "_commutant_basis", 1),
+])
+def test_template_build_rule_fires_on_planted_code(source, name, outside):
+    assert len(calls_outside(ast.parse(source), name, TEMPLATE_BUILD[name])) == outside
+
+
 @pytest.mark.parametrize("source, outside", [
-    ("def solve_requests(reqs, cache):\n    return _solve(reqs, templates, index)\n", 0),
+    ("def solve_requests(reqs, cache):\n    return _solve(reqs, template, pair)\n", 0),
     # a second stack path beside it
-    ("def solve_requests(reqs, cache):\n    return _solve(reqs, templates, index)\n"
-     "def _solve_pair(reqs, template):\n    return _solve(reqs, [template], [0] * len(reqs))\n",
+    ("def solve_requests(reqs, cache):\n    return _solve(reqs, template, pair)\n"
+     "def _solve_pair(reqs, template, pair):\n    return _solve(reqs, template, [pair] * len(reqs))\n",
      1),
-    ("from . import rsolve\ndef solve_records(reqs):\n    return rsolve._solve(reqs, t, i)\n", 1),
+    ("from . import rsolve\ndef solve_records(reqs):\n    return rsolve._solve(reqs, t, p)\n", 1),
 ])
 def test_stack_rule_fires_on_planted_code(source, outside):
     assert len(calls_outside(ast.parse(source), "_solve", ("solve_requests",))) == outside

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qkzkit import cli
+from qkzkit import cli, rsolve
 
 # perfbench/spans.py wraps these by name and prices the four tensorops ones in
 # spans.COSTS; a rename would make their layer metrics, or
@@ -60,3 +60,13 @@ def test_residual_params_match_the_gate():
     # serialization and in the benchmark's gate alike; a new one added on one
     # side only would change the identities that perfbench/reference pins
     assert cli._RESIDUAL_PARAMS == GATE.RESIDUAL_PARAMS
+
+
+def test_reduction_workload_builds_one_template_per_spin(monkeypatch):
+    # its 21 checks at m = 1 and 2 read all four module pairs of each spin from
+    # one shared cache: one commutant template per spin, two in all
+    built = []
+    raw = rsolve.CommutantTemplate
+    monkeypatch.setattr(rsolve, "CommutantTemplate", lambda *spin: built.append(spin) or raw(*spin))
+    WORKLOADS.run_chains(WORKLOADS.chain_inputs(1), 1)
+    assert sorted(m for m, _ in built) == [1, 2]
