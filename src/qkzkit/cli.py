@@ -51,6 +51,9 @@ from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
 from .tensorops import relative_residual
 
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
+# the largest --m of suite, verify and rmat: a solve's arrays grow as (m+1)^4, and a spin
+# template's image parts alone are 4 * 2 * 8 * (m+1)^4 complex numbers, kept within 256 MiB
+MAX_M = math.floor((2**28 / (16 * 4 * 2 * 8)) ** 0.25) - 1
 
 
 def _context(config) -> QContext:
@@ -285,7 +288,7 @@ def _generic_chain(config, ctx, g, rng, kinds, deltas=None):
 def _chk_qkz(config, ctx, g):
     rng = _rng_for(config, "qkz")
     chain4 = _generic_chain(config, ctx, g, rng, ("V", "V*", "V", "V*"))
-    sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=config.n)
+    sd = qkz.DeltaAssignment("self_dual_pair", alpha=config.alpha, n=2)  # chain_sd: 4 sites
     chain_sd = _generic_chain(config, ctx, g, rng, ("V",) * 4, deltas=(sd,) * 4)
     chain2 = _generic_chain(config, ctx, g, rng, ("V", "V*"))
     records = [qkz.lambda_forms.record(chain4, range(4))]
@@ -536,12 +539,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     cplx = {"type": parse_complex, "metavar": "RE[,IM]"}
     options = {
-        "--m": {"type": int, "default": 1, "help": "spin label (module dimension m+1)"},
+        "--m": {"type": int, "default": 1, "help": f"spin label (at most {MAX_M} to solve R)"},
         "--l": {"type": int, "default": 1, "help": "rank for the sl(l+1) scalar family"},
         "--n": {"type": int, "default": 2,
-                "help": "chain length of the second self-dual theorem (at most 3) and of "
-                        "the self-dual twist sign of the qkz group; the other reduction "
-                        "checks run at n = 1 and 2"},
+                "help": "chain length of the second self-dual theorem (at most 3), its only "
+                        "use; the other reduction checks run at n = 1 and 2"},
         "--q": {**cplx, "default": complex(0.7), "help": "deformation parameter"},
         "--s0": {"type": int, "default": 1, "help": "zeta power of e0"},
         "--s1": {"type": int, "default": 1, "help": "zeta power of e1"},
@@ -595,6 +597,8 @@ def main(argv=None) -> int:
         for name, low in (("m", 0), ("n", 1), ("l", 1), ("samples", 1), ("seed", 0)):
             if getattr(config, name, low) < low:
                 raise ConfigError(f"--{name} must be at least {low}")
+        if config.command != "scalars" and config.m > MAX_M:
+            raise ConfigError(f"--m must be at most {MAX_M}: a solve's arrays grow as (m+1)^4")
         if getattr(config, "tol", None) is not None and not 0 <= config.tol < np.inf:
             raise ConfigError("--tol must be finite and at least 0")
         # a floating-point exception that no step expects (far out on the

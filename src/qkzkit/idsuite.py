@@ -17,9 +17,8 @@ from .report import VerificationReport, worst_of
 from .reps import (antipode_dual, build_eval_rep, operator_o, operator_o_inverse,
                    operator_x, operator_xtilde, sl2_constants, twist)
 from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, Sites, StringCheck,
-                  solving_check, transport_steps)
-from .tensorops import (commutant_residual, partial_transpose, relative_residual, scalar_ratio,
-                        swap_outputs)
+                  pair_commutator, solving_check, transport_steps)
+from .tensorops import kron, partial_transpose, relative_residual, scalar_ratio, swap_outputs
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
@@ -166,7 +165,7 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     def measure(read):
         d = m + 1
         O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
-        twists = (np.kron(O, one), np.kron(Oinv, one), np.kron(one, O), np.kron(one, Oinv))
+        twists = (kron(O, one), kron(Oinv, one), kron(one, O), kron(one, Oinv))
         R = [swap_outputs(read(sites, info), d, d) for sites, infos in factors for info in infos]
         scal, resids = zip(*(_crossing_sample(R[8 * k:8 * k + 8], twists, (d, d))
                              for k in range(len(samples))))
@@ -209,22 +208,12 @@ def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
         "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
 
 
-def _pair_commutator(name, params, m, kinds, zetas, grading, ctx, normalization, operators):
-    """The record of [C1 x C2, R] = 0 for the pair's R; operators() builds C1, C2 first."""
-    def measure(read):
-        C1, C2 = operators()
-        return VerificationReport.make(name, params, commutant_residual(
-            C1, C2, swap_outputs(read(sites, info), m + 1, m + 1)), 1e-11)
-    sites, info = Sites(m, grading, ctx, normalization), (kinds[0], zetas[0], kinds[1], zetas[1])
-    return FactorCheck(((sites, [info]),), measure)
-
-
 @solving_check
 def check_invariance_x(m, kinds, zetas, grading, ctx) -> FactorCheck:
     """[(X x X), R] = 0 with the kind-appropriate X on each slot (hw-normalized R)."""
-    return _pair_commutator(
+    return pair_commutator(
         "invariance_x", {"m": m, "kinds": list(kinds), "s0": grading.s0, "s1": grading.s1},
-        m, kinds, zetas, grading, ctx, "hw",
+        Sites(m, grading, ctx), (kinds[0], zetas[0], kinds[1], zetas[1]),
         lambda: [operator_x(m, grading, ctx, kind=k) for k in kinds])
 
 
@@ -233,9 +222,10 @@ def check_invariance_a(alpha, m, kinds, zetas, grading, ctx) -> FactorCheck:
     """[(A^alpha x A^alpha), R] = 0 with the kind-appropriate twist images
     (hw-normalized R)."""
     value = [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha
-    return _pair_commutator(
+    return pair_commutator(
         "invariance_a", {"m": m, "kinds": list(kinds), "alpha": value},
-        m, kinds, zetas, grading, ctx, "hw", lambda: [twist(k, alpha, m, ctx) for k in kinds])
+        Sites(m, grading, ctx), (kinds[0], zetas[0], kinds[1], zetas[1]),
+        lambda: [twist(k, alpha, m, ctx) for k in kinds])
 
 
 @solving_check
@@ -249,7 +239,7 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa") -> Fa
     """
     def measure(read):
         xt = operator_xtilde(m, grading, ctx)
-        XX = np.kron(xt, xt)
+        XX = kron(xt, xt)
         R = swap_outputs(read(sites, info), m + 1, m + 1)
         return VerificationReport.make("invariance_xtilde", {"m": m, "norm": normalization},
                                        relative_residual(R.T @ XX, XX @ R), 1e-11)

@@ -15,10 +15,10 @@ factor on sites (i, j), ("delta", slot, site) for the twist of `site` at
 Every check that solves R-operators is a record built from data.  A
 `StringCheck` names its sides, each a factor string and the route that
 applies it (`apply_factors`; `einsum`, whose tensor contractions share
-no code with it; or `dense`, the two-site matrix product in written
-order), and the pairs of sides that must agree.  A `FactorCheck`
-declares the two-site factors that its own arithmetic reads.  Either
-states once what it reads (`reads`).  `solve_records`, the only solver
+no code with it; or `dense`, `apply_factors` on the identity block), and
+the pairs of sides that must agree.  A `FactorCheck` declares the
+two-site factors that its own arithmetic reads.  Either states once what
+it reads (`reads`).  `solve_records`, the only solver
 call of `qkz`, `reduction` and `idsuite`, requests each distinct factor of
 those reads once, solves them for all its records in one call and returns
 one factor reader; each record then reads every factor by name, (chain,
@@ -33,7 +33,7 @@ estimates the relative Frobenius residual without forming A or B.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce, wraps
+from functools import wraps
 from math import prod
 
 import numpy as np
@@ -231,13 +231,9 @@ class Side:
     def apply(self, chain, factor, block) -> np.ndarray:
         """This side applied to `block` by its route, its factors read from
         `factor` (the reader of solve_records); a dense side reads no probe: it
-        is the product of its factors in written order (the identity if none)."""
-        if self.route == "dense":
-            mats = [factor(chain, info, self.check_invertible)
-                    for info in _two_site(self.steps[::-1])]
-            return reduce(np.matmul, mats) if mats else np.eye(prod(chain.dims))
-        return apply_factors(chain, self.steps, factor, block, self.check_invertible,
-                             einsum=self.route == "einsum")
+        is its string applied to the identity, the operator's matrix."""
+        return apply_factors(chain, self.steps, factor, None if self.route == "dense" else block,
+                             self.check_invertible, einsum=self.route == "einsum")
 
 
 @dataclass(frozen=True)
@@ -287,8 +283,8 @@ class FactorCheck:
     """A check that reads two-site factors directly: `factors` lists (chain,
     infos) entries, each info (kind1, z1, kind2, z2) in the chain's
     normalization, and measure(read) makes the report, where read(chain,
-    info) is the Rcheck of a declared factor (the reader of solve_records,
-    refusing a singular one with check_invertible)."""
+    info[, check_invertible]) is the Rcheck of a declared factor (the reader
+    of solve_records, refusing a singular one with check_invertible)."""
 
     factors: tuple
     measure: object
@@ -300,7 +296,8 @@ class FactorCheck:
 
     def evaluate(self, factor) -> VerificationReport:
         """The report, its factors read from `factor` (the reader of solve_records)."""
-        return self.measure(lambda chain, info: factor(chain, info, self.check_invertible))
+        return self.measure(lambda chain, info, check_invertible=self.check_invertible:
+                            factor(chain, info, check_invertible))
 
 
 def solve_records(records, cache=None):
@@ -438,21 +435,24 @@ def regularized_product(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec, i_b: i
     return steps_b + steps_a
 
 
+def pair_commutator(name, params, chain, info, operators, check_invertible=False) -> FactorCheck:
+    """The record of [C1 x C2, R] = 0 for the R of the factor info of `chain`
+    (a chain or Sites); operators() builds C1, C2 before the factor is read."""
+    def measure(read):
+        C1, C2 = operators()
+        return VerificationReport.make(name, params, commutant_residual(
+            C1, C2, swap_outputs(read(chain, info), chain.m + 1, chain.m + 1)), 1e-11)
+    return FactorCheck(((chain, [info]),), measure, check_invertible)
+
+
 @solving_check
 def check_ddr(chain: ChainSpec, j: int, k: int) -> FactorCheck:
     """Commutation of the twist pair with the two-site R operator between sites j and k."""
-    def measure(read):
-        dj = chain.delta_matrix(j)
-        dk = chain.delta_matrix(k)
-        Rc = read(chain, info)
-        d = chain.m + 1
-        resid = commutant_residual(dj, dk, swap_outputs(Rc, d, d))
-        return VerificationReport.make(
-            "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
-                    "source": [chain.deltas[j].source, chain.deltas[k].source]},
-            resid, 1e-11)
-    info = (chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k])
-    return FactorCheck(((chain, [info]),), measure, check_invertible=True)
+    return pair_commutator(
+        "ddr", {"j": j, "k": k, "m": chain.m, "kinds": [chain.kinds[j], chain.kinds[k]],
+                "source": [chain.deltas[j].source, chain.deltas[k].source]},
+        chain, (chain.kinds[j], chain.etas[j], chain.kinds[k], chain.etas[k]),
+        lambda: (chain.delta_matrix(j), chain.delta_matrix(k)), check_invertible=True)
 
 
 @solving_check

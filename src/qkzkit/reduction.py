@@ -13,7 +13,7 @@ the one-step operators, applied to the same seeded complex Gaussian
 probe block (`qkz.probe_block`), so no composite is formed as a D x D
 matrix; the first probe column goes through the contraction map
 (`psi_extract`), which realizes the implication concretely.  `check_rpr`
-declares its two factors and keeps its own arithmetic (`qkz.FactorCheck`).
+declares its two factors and applies them as a two-step factor string.
 """
 
 from dataclasses import dataclass
@@ -24,12 +24,12 @@ import numpy as np
 
 from .context import QContext
 from .errors import ConfigError
-from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck,
+from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck, apply_factors,
                   lambda_factor_specs, probe_block, regularized_product, rewritten_factors,
                   solving_check)
 from .report import VerificationReport
 from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
-from .tensorops import embed_pair, embedded_matmul, relative_residual, site_matmul
+from .tensorops import embed_pair, relative_residual, site_matmul
 
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_steps", "psi_extract",
@@ -248,17 +248,14 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0) -> FactorCheck:
     w = complex(case.ctx.q) ** case.shift
     mk = "V" if case.mode == "self_dual" else "V*"
     factors = [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])]
+    steps = (("Rcheck", (i - 1, i), factors[0]), ("Rcheck", (2 * n - i - 1, 2 * n - i), factors[1]))
 
     def measure(read):
-        dims = case.dims
-        D = prod(dims)
-        phi0 = probe_block(D, seed)[:, 0]
-        front, mirror = (read(case, info) for info in factors)
-        phi1 = embedded_matmul(front, i - 1, i, dims, phi0.reshape(D, 1))
-        phi1 = embedded_matmul(mirror, 2 * n - i - 1, 2 * n - i, dims, phi1).reshape(D)
+        phi0 = probe_block(prod(case.dims), seed)[:, :1]
+        phi1 = apply_factors(case, steps, read, phi0, check_invertible=False)
         psi0 = psi_extract(case, phi0)
         psi1 = psi_extract(case, phi1)
-        small = embed_pair(front, i - 1, i, (d,) * n)
+        small = embed_pair(read(case, factors[0]), i - 1, i, (d,) * n)
         return VerificationReport.make(
             "rpr", {"mode": case.mode, "n": n, "m": case.m, "i": i, "seed": seed},
             relative_residual(small @ psi0, psi1 @ small), 1e-9)

@@ -13,7 +13,7 @@ from .context import QContext
 from .errors import ConfigError
 from .report import worst_of
 from .scalars import q_number
-from .tensorops import relative_residual
+from .tensorops import kron, relative_residual
 
 GENERATOR_TAGS = ("e0", "e1", "f0", "f1", "qh0", "qh1")
 
@@ -158,25 +158,20 @@ def eval_module(kind, m, grading, ctx) -> EvalRep:
     return antipode_dual(rep) if kind == "V*" else rep
 
 
-def coproduct_parts(tag: str, rep1: EvalRep, rep2: EvalRep):
-    """Zeta-independent parts (p, A, B) of (phi1 x phi2)(Delta(a)) for a = e_i, f_i;
-    the image at (zeta1, zeta2) is zeta1^p A + zeta2^p B (a Cartan tag is a ConfigError).
+def coproduct_parts(rep1: EvalRep, rep2: EvalRep) -> tuple:
+    """Zeta-independent parts (A, B) of (phi1 x phi2)(Delta(a)) for the four
+    e/f generators a (GENERATOR_TAGS[:4]), stacked on a leading axis: the
+    image of generator k at (zeta1, zeta2) is zeta1^p A[k] + zeta2^p B[k],
+    p = rep1.exponent of its tag.
 
     Delta(e_i) = e_i x 1 + q^{h_i} x e_i,  Delta(f_i) = f_i x q^{-h_i} + 1 x f_i.
     """
-    p = rep1.exponent(tag)
-    qh_tag = f"qh{tag[1]}"
-    if tag.startswith("e"):
-        return p, _kron(rep1._mats[tag], np.eye(rep2.dim)), \
-            _kron(rep1.gen(qh_tag, 1.0), rep2._mats[tag])
-    return p, _kron(rep1._mats[tag], rep2.gen(qh_tag, 1.0, -1.0)), \
-        _kron(np.eye(rep1.dim), rep2._mats[tag])
-
-
-def _kron(A, B):
-    """np.kron of two matrices: the same elementwise products, one broadcast."""
-    (a0, a1), (b0, b1) = A.shape, B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1)
+    ef, one1, one2 = GENERATOR_TAGS[:4], np.eye(rep1.dim), np.eye(rep2.dim)
+    A = kron(np.array([rep1._mats[tag] for tag in ef]),
+             np.array([one2, one2, rep2.qh0(-1.0), rep2.qh1(-1.0)]))
+    B = kron(np.array([rep1.qh0(), rep1.qh1(), one1, one1]),
+             np.array([rep2._mats[tag] for tag in ef]))
+    return A, B
 
 
 def antipode_image(rep: EvalRep, tag: str, zeta: complex) -> np.ndarray:

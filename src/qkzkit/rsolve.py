@@ -336,8 +336,8 @@ class CommutantTemplate:
         with np.errstate(all="ignore"):
             reps = {kind: eval_module(kind, m, grading, ctx) for kind in ("V", "V*")}
             # (A, B) of each generator on V1 x V2, for every ordered pair
-            A, B = np.moveaxis(np.array([[coproduct_parts(tag, reps[k1], reps[k2])[1:]
-                                          for tag in _EF_TAGS] for k1, k2 in PAIRS]), 2, 0)
+            A, B = np.moveaxis(np.array([coproduct_parts(reps[k1], reps[k2])
+                                         for k1, k2 in PAIRS]), 1, 0)
         swap = [PAIRS.index(pair[::-1]) for pair in PAIRS]  # V2 x V1 of each pair
         # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by
         # generator: N = zeta2^p A21 + zeta1^p B21
@@ -369,20 +369,19 @@ class CommutantTemplate:
     def _build_frame(self, frame: int) -> _Frame:
         """The frame's basis, ratio numbers and per-pair errors, for all four
         pairs in one pass; see CommutantTemplate for the errors."""
-        P, D, m = len(PAIRS), self.dim, self.m
-        at, _, v1, v2 = self.images
-        parts = np.zeros((P, 2, 2 * len(_EF_TAGS) * D * D), dtype=complex)
-        parts[:, 0, at], parts[:, 1, at] = v1, v2
-        parts = parts.reshape(P, 2, 2 * len(_EF_TAGS), D, D)  # M, N per generator
+        P, m = len(PAIRS), self.m
         (raise_, lower), g = _FRAMES[frame]
-        images = np.isfinite(parts).all(axis=(1, 2, 3, 4))
+        unit = np.tile([[1.0], [0.0]], (P, len(_EF_TAGS)))  # zeta1, then zeta2 part of each pair
         with np.errstate(all="ignore"):
-            # zeta-free pair: the sum of the two parts; M on V1 x V2 at 2g, N on V2 x V1 at 2g + 1
-            ops = parts[:, :, [2 * raise_, 2 * raise_ + 1, 2 * lower, 2 * lower + 1]].sum(1)
-            M, N = np.moveaxis(parts[:, :, [2 * g, 2 * g + 1]], 2, 0)  # (P, 2, D, D) each
-            del parts  # the frame keeps copies of what it reads, not all eight images
-            images &= np.isfinite(ops).all(axis=(1, 2, 3))
-            E, E2, F, F2 = ops.swapaxes(0, 1)
+            # M on V1 x V2 and N on V2 x V1, (P, 2 parts, 4 generators, D, D) each
+            M, N = (X.reshape((P, 2) + X.shape[1:]) for X in
+                    self.generator_images(unit, 1 - unit, np.arange(P).repeat(2)))
+            images = np.isfinite(M).all(axis=(1, 2, 3, 4)) & np.isfinite(N).all(axis=(1, 2, 3, 4))
+            # zeta-free pair: the sum of the two parts, its raising and lowering image per side
+            EF, EF2 = (X[:, :, [raise_, lower]].sum(1) for X in (M, N))
+            M, N = M[:, :, g].copy(), N[:, :, g].copy()  # (P, 2, D, D), not all eight images
+            images &= np.isfinite(EF).all(axis=(1, 2, 3)) & np.isfinite(EF2).all(axis=(1, 2, 3))
+            (E, F), (E2, F2) = EF.swapaxes(0, 1), EF2.swapaxes(0, 1)
             basis, (v, v2, y, y2), gap = _commutant_basis(
                 (E, F, self.orders[0]), (E2, F2, self.orders[1]), m, self.a, self.b)
             ratios = np.stack((np.einsum("puj,pquv,pvj->pqj", y[..., 1:], M, v[..., :-1]),
@@ -407,7 +406,8 @@ class CommutantTemplate:
         pairs of the module pairs `pair` (B,), from zeta1^p and zeta2^p (B, 4)
         at each generator's grade p (_EF_TAGS order): M on V1 x V2 and N on
         V2 x V1, each of shape (B, 4, D, D).  A place where the request's
-        pair has no image reads 0, as the zeta powers are finite."""
+        pair has no image reads 0, as the zeta powers are finite.  The one
+        reader of the stored parts: the frame build reads them at unit weights."""
         at, gen, v1, v2 = self.images
         MN = np.zeros((len(z1p), 2 * len(_EF_TAGS), self.dim, self.dim), dtype=complex)
         MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1[pair] + z2p[:, gen] * v2[pair]
@@ -523,10 +523,12 @@ def _norms(A) -> np.ndarray:
 _IMAGE_ENTRIES = 1 << 12
 
 
-def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
+def _intertwine_residuals(entries, z1p, z2p, template, pair) -> tuple:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
     Rc of a stack, from its entries (B, U) at the unknowns of its module
-    pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades.
+    pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades,
+    and whether each request's images M and N are finite (tested only in a
+    block with a residual that is not finite, True elsewhere).
 
     The dense operators and the images of the four e/f generators are
     formed for blocks of requests that keep the images within
@@ -536,7 +538,7 @@ def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
     """
     B, D = len(entries), template.dim
     rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
-    worst = np.empty(B)
+    worst, finite = np.empty(B), np.ones(B, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(0, B, rows):
             at = slice(r, r + rows)
@@ -548,7 +550,9 @@ def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
             res = _norms(block @ M - N @ block)
             worst[at] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
             worst[r + np.flatnonzero(nr[:, 0] == 0)] = np.inf
-    return worst
+            if not np.isfinite(worst[at]).all():
+                finite[at] = np.isfinite(np.concatenate((M, N), 1)).all(axis=(1, 2, 3))
+    return worst, finite
 
 
 def normalize_hw(ratios) -> np.ndarray:
@@ -630,11 +634,9 @@ def _solve(reqs, template, pair) -> list:
             "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
     entries[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
-    residual = _intertwine_residuals(entries, z1p, z2p, template, pair)
+    residual, finite = _intertwine_residuals(entries, z1p, z2p, template, pair)
     for k in np.flatnonzero(~np.isfinite(residual)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            MN = template.generator_images(z1p[k:k + 1], z2p[k:k + 1], pair[k:k + 1])
-        if np.isfinite(MN).all() and not np.isfinite(entries[k]).all():
+        if finite[k] and not np.isfinite(entries[k]).all():
             errors[k] = errors[k] or DegeneratePointError(
                 "R is not finite: a component ratio diverges (non-simple spectral point)")
         errors[k] = errors[k] or ConfigError(

@@ -6,7 +6,8 @@ columns of shape (prod dims, k).  `embedded_matmul`, `site_matmul` and
 permutation to such a block without forming the embedded operator, at a
 cost linear in k: on the identity block they give the operator's matrix,
 on a probe block of a few columns they test an identity at O(D) cost per
-factor.  `embed_pair` and `permutation_op` form the full D x D embedding.
+factor.  `kron` is the package's one Kronecker product.  `embed_pair` and
+`permutation_op` form the full D x D embedding.
 Of the checks, only `reduction.check_rpr` (its factor on the n sites of
 the reduced operator) still does; the Yang-Baxter, qKZ and reduction
 identities are applied to a probe block and form no D x D matrix, and
@@ -34,9 +35,16 @@ def embed_pair(op, i: int, j: int, site_dims) -> np.ndarray:
     if op.shape != (dims[i] * dims[j],) * 2:
         raise ConfigError(f"operator shape {op.shape} does not fit sites ({i}, {j})")
     tdims = [dims[i], dims[j]] + [dims[k] for k in range(N) if k not in (i, j)]
-    full = np.kron(op, np.eye(prod(tdims[2:]))).reshape(tdims + tdims)
+    full = kron(op, np.eye(prod(tdims[2:]))).reshape(tdims + tdims)
     data = np.moveaxis(full, (0, 1, N, N + 1), (i, j, N + i, N + j))
     return np.ascontiguousarray(data).reshape(prod(dims), prod(dims))
+
+
+def kron(A, B) -> np.ndarray:
+    """np.kron of the last two axes of arrays A and B, broadcast over their leading axes."""
+    (a0, a1), (b0, b1) = A.shape[-2:], B.shape[-2:]
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a0 * b0, a1 * b1))
 
 
 def permutation_op(sigma, site_dims) -> np.ndarray:
@@ -109,7 +117,7 @@ def commutant_residual(C1, C2, R) -> float:
     """||[C1 x C2, R]||_F / ||R (C1 x C2)||_F (relative_residual, so an
     overflowing side reads inf)."""
     with np.errstate(all="ignore"):
-        CC = np.kron(C1, C2)
+        CC = kron(C1, C2)
         return relative_residual(R @ CC, CC @ R)
 
 

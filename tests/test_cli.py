@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import plant_in_pair
-from qkzkit import cli, idsuite, qkz, reps, scalars
+from qkzkit import cli, idsuite, qkz, reps, rsolve, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.errors import DegeneratePointError
 from qkzkit.report import VerificationReport
@@ -137,6 +137,32 @@ class TestParsing:
                                       ["verify", "ybe", "--m", "0"]])
     def test_m0_stays_valid_elsewhere(self, argv, capsys):
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", ["suite --m 1000000", "verify ybe --m 1000000",
+                                      "verify reps --m 1000000", "rmat --m 1000000",
+                                      f"rmat --m {cli.MAX_M + 1}"])
+    def test_m_past_the_bound_refused_before_any_module_is_built(self, argv, monkeypatch,
+                                                                 capsys):
+        # a spin that large would ask numpy for module and template arrays of
+        # terabytes; the refusal comes before any group runs or module is built
+        def built(*args):
+            raise AssertionError("a module was built")
+        for owner, name in ((reps, "eval_module"), (reps, "build_eval_rep"),
+                            (rsolve, "eval_module"), (cli, "build_eval_rep")):
+            monkeypatch.setattr(owner, name, built)
+        ran = []
+        for name in cli.CHECKS:
+            monkeypatch.setitem(cli.CHECKS, name,
+                                lambda config, ctx, g, name=name: ran.append(name))
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert f"--m must be at most {cli.MAX_M}" in captured.err
+
+    def test_m_bound_keeps_m12_and_the_scalar_table(self, capsys):
+        assert cli.MAX_M >= 12
+        assert main(["rmat", "--m", "12", "--zeta1", "1.3"]) == 0
+        assert main(["scalars", "--m", str(cli.MAX_M + 1), "--samples", "1"]) == 0
 
 
 def _readme_examples():
@@ -526,6 +552,22 @@ def test_n_sets_only_the_second_self_dual_theorem_chain(n, capsys):
         [("theorem_selfdual", k) for k in {1, min(n, 3)}]
         + [("theorem_general", 1), ("theorem_general", 2), ("insertion_invariance", 2)]
         + [("rpr", 2), ("scaling_covariance", 2)] * 2)
+
+
+def test_verify_qkz_does_not_read_n(capsys):
+    # the self-dual twist of the qkz group's four-site chain takes its own n = 2
+    outs = [run_cli(["verify", "qkz", "--m", "1", "--seed", "7", "--n", str(n)], capsys)
+            for n in (1, 2, 3)]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+def test_unbalanced_grading_solves_in_the_frame_of_the_smaller_gauge(capsys):
+    # at (s0, s1) = (2, 5) frame 0 takes gauge c = -2 where frame 1 would take
+    # c = 5; solving in frame 1 fails two of the four ybe reports here (worst
+    # residual 2.0e-9 against 3.2e-13)
+    code, out = run_cli(["verify", "ybe", "--m", "3", "--s0", "2", "--s1", "5", "--q", "0.5,0.5",
+                         "--seed", "1"], capsys)
+    assert code == 0 and len(json.loads(out)) == 4
 
 
 class TestRmat:

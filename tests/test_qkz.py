@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from factor_ops import (lambda_forms_residual, lambda_op, lambda_product_regularized,
+from factor_ops import (applied, lambda_forms_residual, lambda_op, lambda_product_regularized,
                         read_factors, transport_phi)
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
@@ -114,6 +114,26 @@ class TestLambdaOp:
         chain = general_chain(ctx, grading, ("V", "V"), rng)
         with pytest.raises(ConfigError):
             lambda_factor_specs(chain, 5)
+
+
+class TestDenseRoute:
+    def test_dense_side_is_the_string_on_the_identity(self, ctx, grading):
+        # an R step, a twist (alpha != 0), an Rcheck step and a permutation, in
+        # application order: a dense side applies them as apply_factors does,
+        # not as the Rcheck product of its two-site factors in written order
+        z1, z2 = 1.3 + 0.2j, 0.8 - 0.1j
+        deltas = (DeltaAssignment("general_v", alpha=0.3),) * 2
+        chain = ChainSpec(1, grading, ctx, ("V", "V"), (z1, z2), 1.1, deltas, "hw")
+        infos = [("V", z1, "V", z2), ("V", z2, "V", z1)]
+        steps = [("R", (0, 1), infos[0]), ("delta", 0, 0), ("Rcheck", (0, 1), infos[1]),
+                 ("perm", [1, 0], None)]
+        dense = applied(chain, steps, route="dense")
+        assert np.array_equal(dense, applied(chain, steps))
+        rc1, rc2 = read_factors(chain, infos)
+        P = permutation_op([1, 0], chain.dims)
+        want = P @ rc2 @ np.kron(chain.delta_matrix(0), np.eye(2)) @ P @ rc1
+        assert np.abs(dense - want).max() < 1e-12
+        assert np.abs(dense - rc2 @ rc1).max() > 0.1  # not the Rcheck product alone
 
 
 class TestDdr:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import zeta_sample
-from qkzkit import reps
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
 from qkzkit.reps import (GradingChoice, antipode_dual, build_eval_rep,
                          coproduct_parts, eval_module, hopf_antipode_residual,
                          operator_o, operator_o_inverse, operator_x,
                          operator_xtilde, sl2_constants, twist)
+from qkzkit.tensorops import kron
 
 
 def qn(nu, q):
@@ -163,26 +163,38 @@ class TestCoproduct:
         # solver's images (coproduct_parts) cover e_i and f_i only
         q = complex(ctx.q)
         rep = eval_module("V", 1, grading, ctx)
-        got = reps._kron(rep.qh1(), rep.qh1())
+        got = kron(rep.qh1(), rep.qh1())
         assert np.abs(got - np.diag([q**2, 1, 1, q**-2])).max() < 1e-15
-        with pytest.raises(ConfigError):
-            coproduct_parts("qh1", rep, rep)
+        A, B = coproduct_parts(rep, rep)
+        assert A.shape == B.shape == (4, 4, 4)  # e0, e1, f0, f1: no Cartan image
 
     def test_e1_structure(self, ctx, grading):
         q = complex(ctx.q)
         rep = eval_module("V", 1, grading, ctx)
         E12 = _unit(2, 1, 2)
         want = np.kron(E12, np.eye(2)) + np.kron(np.diag([q, 1 / q]), E12)
-        p, A, B = coproduct_parts("e1", rep, rep)
-        assert p == grading.s1
-        assert np.abs(A + B - want).max() < 1e-15
+        A, B = coproduct_parts(rep, rep)
+        assert rep.exponent("e1") == grading.s1
+        assert np.abs(A[1] + B[1] - want).max() < 1e-15
 
-    def test_kron_helper_is_np_kron(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        B = rng.standard_normal((4, 1)) - 1j * rng.standard_normal((4, 1))
-        for X, Y in [(A, B), (B, A), (A, np.eye(3)), (np.eye(2), A), (A.real, B)]:
-            assert np.array_equal(reps._kron(X, Y), np.kron(X, Y))
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("kinds", [("V", "V"), ("V", "V*"), ("V*", "V*")])
+    def test_stacked_parts_are_the_generator_images(self, ctx_complex, grading, m, kinds):
+        # zeta1^p A[k] + zeta2^p B[k] is the coproduct image of generator k,
+        # each term one np.kron of module matrices
+        rep1, rep2 = (eval_module(k, m, grading, ctx_complex) for k in kinds)
+        z1, z2 = 1.3 + 0.2j, 0.8 - 0.1j
+        A, B = coproduct_parts(rep1, rep2)
+        for k, tag in enumerate(("e0", "e1", "f0", "f1")):
+            qh = f"qh{tag[1]}"
+            if tag[0] == "e":
+                want = (np.kron(rep1.gen(tag, z1), np.eye(m + 1))
+                        + np.kron(rep1.gen(qh, z1), rep2.gen(tag, z2)))
+            else:
+                want = (np.kron(rep1.gen(tag, z1), rep2.gen(qh, z2, -1.0))
+                        + np.kron(np.eye(m + 1), rep2.gen(tag, z2)))
+            p = rep1.exponent(tag)
+            assert np.abs(z1**p * A[k] + z2**p * B[k] - want).max() < 1e-14
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_hopf_axiom(self, m, ctx_complex, grading):

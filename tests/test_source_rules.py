@@ -1,6 +1,7 @@
 """Source rules of the package: one cache (RCache), no module-global state,
 no stale export, no assert statement, one SVD in the R solver, one factor
-request and one permutation application for the factor strings.
+request and one permutation and two-site application for the factor
+strings, one Kronecker product and one reader of the template's images.
 
 Templates are shared only in an RCache that the caller creates and
 passes, and solved results live in the call that solved them, so no
@@ -20,7 +21,13 @@ and commutant bases (`_commutant_basis`, in `CommutantTemplate._build_frame`),
 so a per-pair build cannot come back beside the stacked pass.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string (the one use of
-permuted_matmul), so no second factor loop can come back.  In `qkz`,
+permuted_matmul), so no second factor loop can come back; nor does any
+module of the package call embedded_matmul outside `qkz.apply_factors`, so
+no check applies a two-site factor (or a dense product of them) of its own.
+`tensorops.kron` is the one Kronecker product (no `np.kron` in the
+package), and only `CommutantTemplate.generator_images` reads the
+template's stored image parts (`images`), so no second densify of them
+can come back.  In `qkz`,
 `reduction`, `idsuite` and `cli` only the record solve `solve_records`
 solves R-operators (solve_requests, solve_intertwiner or r_matrix); the
 record runner `run_records` and, once per run, the suite's `_run_groups`
@@ -240,6 +247,49 @@ def test_factors_requested_only_in_solve_records(path, name):
 def test_permutations_applied_only_in_apply_factors(path):
     tree = ast.parse(path.read_text())
     assert calls_outside(tree, "permuted_matmul", ("apply_factors",)) == []
+
+
+# the one function of each module that may apply a two-site factor to a block
+TWO_SITE_APPLIERS = {"qkz.py": ("apply_factors",)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_two_site_factors_applied_only_in_apply_factors(path):
+    tree = ast.parse(path.read_text())
+    assert calls_outside(tree, "embedded_matmul", TWO_SITE_APPLIERS.get(path.name, ())) == []
+
+
+def numpy_krons(tree):
+    """Calls of np.kron or numpy.kron, and imports of kron from numpy."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "kron" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy"))
+            or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(a.name == "kron" for a in node.names))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_kron(path):
+    assert numpy_krons(ast.parse(path.read_text())) == []
+
+
+def attribute_reads(tree, name, allowed):
+    """Reads (not stores) of the attribute `name` outside the functions named
+    in allowed (a method as Class.method)."""
+    inside = {id(node) for fn_name, fn in _functions(tree) if fn_name in allowed
+              for node in ast.walk(fn)}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+
+
+IMAGE_READER = ("CommutantTemplate.generator_images",)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_template_images_read_only_by_generator_images(path):
+    assert attribute_reads(ast.parse(path.read_text()), "images", IMAGE_READER) == []
 
 
 CHECK_SOURCES = [p for p in SOURCES
@@ -517,6 +567,58 @@ APPLIER = ("from .tensorops import permuted_matmul\n"
 def test_permutation_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
     assert len(calls_outside(tree, "permuted_matmul", ("apply_factors",))) == outside
+
+
+TWO_SITE_APPLIER = ("from .tensorops import embedded_matmul\n"
+                    "def apply_factors(chain, steps, factor, M):\n"
+                    "    return embedded_matmul(op, i, j, chain.dims, M)\n")
+
+
+@pytest.mark.parametrize("source, outside", [
+    (TWO_SITE_APPLIER, 0),
+    # a check that applies its own factors beside apply_factors
+    (TWO_SITE_APPLIER + "def check_rpr(case, read):\n"
+     "    return embedded_matmul(front, 0, 1, case.dims, phi)\n", 1),
+    ("from .tensorops import embedded_matmul\n"
+     "def measure(read):\n    return embedded_matmul(front, 0, 1, dims, phi)\n", 2),
+    # a dense route of its own
+    ("from . import tensorops\nclass Side:\n    def apply(self, chain, factor, block):\n"
+     "        return tensorops.embedded_matmul(op, 0, 1, chain.dims, block)\n", 1),
+])
+def test_two_site_rule_fires_on_planted_code(source, outside):
+    tree = ast.parse(source)
+    assert len(calls_outside(tree, "embedded_matmul", ("apply_factors",))) == outside
+
+
+@pytest.mark.parametrize("source, found", [
+    ("CC = np.kron(C1, C2)\n", 1),
+    ("import numpy\nCC = numpy.kron(C1, C2)\n", 1),
+    ("from numpy import kron\n", 1),
+    ("twists = (np.kron(O, one), np.kron(one, O))\n", 2),
+    # the package's own helper is no numpy kron
+    ("from .tensorops import kron\nCC = kron(C1, C2)\n", 0),
+    ("CC = tensorops.kron(C1, C2)\n", 0),
+])
+def test_kron_rule_fires_on_planted_code(source, found):
+    assert len(numpy_krons(ast.parse(source))) == found
+
+
+IMAGE_STORE = ("class CommutantTemplate:\n    def __init__(self, m, ctx):\n"
+               "        self.images = at, gen, v1, v2\n"
+               "    def generator_images(self, z1p, z2p, pair):\n"
+               "        at, gen, v1, v2 = self.images\n")
+
+
+@pytest.mark.parametrize("source, found", [
+    (IMAGE_STORE, 0),
+    # a second densify of the stored parts, in the frame build or in the solve
+    (IMAGE_STORE + "    def _build_frame(self, frame):\n        at, _, v1, v2 = self.images\n", 1),
+    ("def _solve(reqs, template, pair):\n    return template.images[2][pair]\n", 1),
+    # a local name that reads like it is no attribute read
+    ("def _build_frame(self, frame):\n    images = np.isfinite(M)\n    return images\n", 0),
+])
+def test_image_rule_fires_on_planted_code(source, found):
+    assert len(attribute_reads(ast.parse(source), "images", IMAGE_READER)) == found
 
 
 @pytest.mark.parametrize("source, calls", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkzkit.errors import ConfigError
-from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul,
+from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, kron,
                               partial_transpose, permutation_op, permuted_matmul,
                               relative_residual, scalar_ratio, site_matmul, swap_outputs)
 
@@ -61,6 +61,25 @@ class TestEmbedPair:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             embed_pair(np.eye(5), 0, 1, (2, 2))
+
+
+class TestKron:
+    def test_kron_helper_is_np_kron(self):
+        rng4 = np.random.default_rng(4)
+        A = rng4.standard_normal((2, 3)) + 1j * rng4.standard_normal((2, 3))
+        B = rng4.standard_normal((4, 1)) - 1j * rng4.standard_normal((4, 1))
+        for X, Y in [(A, B), (B, A), (A, np.eye(3)), (np.eye(2), A), (A.real, B)]:
+            assert np.array_equal(kron(X, Y), np.kron(X, Y))
+
+    def test_stacked_kron_is_np_kron_per_matrix(self):
+        # leading axes broadcast: a stack against a stack, and against one matrix
+        A, B, C = rand_c(5, 2, 3), rand_c(5, 3, 2), rand_c(1, 2, 2)
+        got = kron(A, B)
+        assert got.shape == (5, 6, 6)
+        assert all(np.array_equal(got[k], np.kron(A[k], B[k])) for k in range(5))
+        assert all(np.array_equal(kron(C, A)[k], np.kron(C[0], A[k])) for k in range(5))
+        assert all(np.array_equal(kron(A, np.eye(2))[k], np.kron(A[k], np.eye(2)))
+                   for k in range(5))
 
 
 class TestPermutationOp:
