@@ -43,28 +43,31 @@ from .errors import ConfigError
 from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, sl2_constants, twist
 from .rsolve import make_request, rcheck_resonant, read_result, solve_requests
-from .tensorops import (commutant_residual, cyclic_left_shift, embedded_matmul, permuted_matmul,
-                        relative_residual, site_matmul, swap_outputs)
+from .tensorops import (commutant_residual, cyclic_left_shift, relative_residual, string_matmul,
+                        swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
 E2E_TOLERANCE = 1e-8  # the end-to-end gate of a check with an extraction map
 
 
-def _complex_gaussian(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def probe_block(D: int, seed=0, columns=PROBE_COLUMNS) -> np.ndarray:
+    """D x k complex Gaussian block, k = min(columns, D), drawn from
+    default_rng(seed) in one standard_normal(2 D k) call.
 
-
-def probe_block(D: int, seed=0) -> np.ndarray:
-    """D x min(PROBE_COLUMNS, D) complex Gaussian block drawn from default_rng(seed).
-
-    Column 0 is drawn first, as one standard_normal(D) real and one
-    imaginary part, so it is the single probe vector that a seeded check
-    reads (probe_block(D, seed)[:, 0]); the other columns follow.
+    Column 0 is drawn first, its D real parts then its D imaginary parts, so
+    the one-column block is the single probe vector that a seeded check reads,
+    column 0 of every wider block; the real and then the imaginary parts of
+    the other k - 1 columns follow, row by row.  A check draws only the
+    columns that it reads.
     """
-    rng = np.random.default_rng(seed)
-    return np.column_stack([_complex_gaussian(rng, D),
-                            _complex_gaussian(rng, (D, min(PROBE_COLUMNS, D) - 1))])
+    k = min(columns, D)
+    draw = np.random.default_rng(seed).standard_normal(2 * D * k)
+    X = np.empty((D, k), dtype=complex)
+    X.real[:, 0], X.imag[:, 0] = draw[:D], draw[D:2 * D]
+    rest = draw[2 * D:].reshape(2, D, k - 1)
+    X.real[:, 1:], X.imag[:, 1:] = rest
+    return X
 
 
 @dataclass(frozen=True)
@@ -176,29 +179,48 @@ def _two_site(steps) -> list:
 def apply_factors(chain, steps, factor, block=None, check_invertible=True,
                   einsum=False) -> np.ndarray:
     """A factor string (steps in application order, see the module docstring)
-    applied to `block`, the identity (dense matrix) by default.  A two-site
-    factor has its first tensor factor on site i and R = P Rcheck; each is
-    read by name from `factor`, the reader of solve_records, at its step.
-    With einsum=True (the einsum route, which has no permutation step) each
-    factor is contracted into the block reshaped to (d, ..., d, k) by one
-    `np.einsum` (`_einsum_apply`), which shares no tensor code with the
-    `embedded_matmul`/`site_matmul` application and forms no D x D matrix."""
+    applied to `block`, the identity (dense matrix) by default, in one
+    `string_matmul` pass.  A two-site factor has its first tensor factor on
+    site i, and each is read by name from `factor`, the reader of
+    solve_records, at its step, so the first failing read raises first; an R
+    step applies its Rcheck and trades the labels of its two sites (R = P
+    Rcheck), and a permutation only relabels.  With einsum=True (the einsum
+    route, which has no permutation step) each factor is contracted into the
+    block reshaped to (d, ..., d, k) by one `np.einsum` (`_einsum_apply`),
+    which shares no tensor code with `string_matmul` and forms no D x D
+    matrix."""
     dims, d = chain.dims, chain.m + 1
     M = np.eye(prod(dims), dtype=complex) if block is None else block
+    if not einsum:
+        return string_matmul(_slot_steps(chain, steps, factor, check_invertible), dims, M)
     for tag, where, info in steps:
         if tag == "delta":
-            M = (_einsum_apply(chain.delta_matrix(info), (where,), dims, M) if einsum
-                 else site_matmul(chain.delta_matrix(info), where, dims, M))
-        elif tag == "perm" and not einsum:
-            M = permuted_matmul(where, dims, M)
+            M = _einsum_apply(chain.delta_matrix(info), (where,), dims, M)
         elif tag in ("R", "Rcheck"):
             Rc = factor(chain, info, check_invertible)
-            op = swap_outputs(Rc, d, d) if tag == "R" else Rc
-            M = (_einsum_apply(op, where, dims, M) if einsum
-                 else embedded_matmul(op, *where, dims, M))
+            M = _einsum_apply(swap_outputs(Rc, d, d) if tag == "R" else Rc, where, dims, M)
         else:
             raise ConfigError(f"unknown factor tag {tag!r}")
     return M
+
+
+def _slot_steps(chain, steps, factor, check_invertible):
+    """The string_matmul steps of a factor string, each factor read as its step
+    is applied."""
+    for tag, where, info in steps:
+        if tag == "delta":
+            yield chain.delta_matrix(info), (where,)
+        elif tag == "perm":
+            yield None, where
+        elif tag in ("R", "Rcheck"):
+            yield factor(chain, info, check_invertible), where
+            if tag == "R":
+                i, j = where
+                swap = list(range(len(chain.dims)))
+                swap[i], swap[j] = j, i
+                yield None, swap
+        else:
+            raise ConfigError(f"unknown factor tag {tag!r}")
 
 
 def _einsum_apply(op, sites, dims, M):
@@ -241,10 +263,10 @@ class StringCheck:
     """A check that compares sides applied to one probe block.
 
     The sides are applied in order, each reading its factors by name, to
-    probe_block(D, seed) cut to `columns` columns (all by default; a dense
-    side reads no probe).  The residual is the worst of the (reference,
-    other) side pairs; `pair_params` reports single pair residuals (name ->
-    pair index).  An `extract` map also compares
+    probe_block(D, seed, columns), drawn only as wide as it is read
+    (PROBE_COLUMNS by default; a dense side reads no probe).  The residual
+    is the worst of the (reference, other) side pairs; `pair_params` reports
+    single pair residuals (name -> pair index).  An `extract` map also compares
     extract(side 1 column 0) with extract(side 0 column 0) (report.fold).
     """
 
@@ -255,7 +277,7 @@ class StringCheck:
     sides: tuple
     pairs: tuple = ((0, 1),)
     seed: int = 0
-    columns: int = None
+    columns: int = PROBE_COLUMNS
     extract: object = None
     pair_params: dict = field(default_factory=dict)
 
@@ -265,7 +287,7 @@ class StringCheck:
 
     def evaluate(self, factor) -> VerificationReport:
         """The report, its factors read from `factor` (the reader of solve_records)."""
-        X = probe_block(prod(self.chain.dims), self.seed)[:, :self.columns]
+        X = probe_block(prod(self.chain.dims), self.seed, self.columns)
         ops = [side.apply(self.chain, factor, X) for side in self.sides]
         resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})

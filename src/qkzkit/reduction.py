@@ -251,7 +251,7 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0) -> FactorCheck:
     steps = (("Rcheck", (i - 1, i), factors[0]), ("Rcheck", (2 * n - i - 1, 2 * n - i), factors[1]))
 
     def measure(read):
-        phi0 = probe_block(prod(case.dims), seed)[:, :1]
+        phi0 = probe_block(prod(case.dims), seed, 1)
         phi1 = apply_factors(case, steps, read, phi0, check_invertible=False)
         psi0 = psi_extract(case, phi0)
         psi1 = psi_extract(case, phi1)

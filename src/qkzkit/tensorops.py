@@ -1,17 +1,19 @@
 """Operator algebra on tensor products of site spaces.
 
 Site indices are 0-based throughout.  An operator acts on a block of
-columns of shape (prod dims, k).  `embedded_matmul`, `site_matmul` and
-`permuted_matmul` apply a two-site factor, a one-site matrix or a site
-permutation to such a block without forming the embedded operator, at a
-cost linear in k: on the identity block they give the operator's matrix,
-on a probe block of a few columns they test an identity at O(D) cost per
-factor.  `kron` is the package's one Kronecker product.  `embed_pair` and
-`permutation_op` form the full D x D embedding.
-Of the checks, only `reduction.check_rpr` (its factor on the n sites of
-the reduced operator) still does; the Yang-Baxter, qKZ and reduction
-identities are applied to a probe block and form no D x D matrix, and
-`permutation_op` is the dense reference for `permuted_matmul`.
+columns of shape (prod dims, k).  `string_matmul` applies a string of
+two-site factors, one-site matrices and site permutations to such a block
+in one pass, without forming an embedded operator and without restoring
+the axis order after each factor, at a cost linear in k: on the identity
+block it gives the string's matrix, on a probe block of a few columns it
+tests an identity at O(D) cost per factor.  `embedded_matmul`,
+`site_matmul` and `permuted_matmul` are its one-step calls.  `kron` is the
+package's one Kronecker product.  `embed_pair` and `permutation_op` form
+the full D x D embedding.  Of the checks, only `reduction.check_rpr` (its
+factor on the n sites of the reduced operator) still does; the Yang-Baxter,
+qKZ and reduction identities are applied to a probe block and form no
+D x D matrix, and `permutation_op` is the dense reference for
+`permuted_matmul`.
 """
 
 from math import prod
@@ -121,44 +123,58 @@ def commutant_residual(C1, C2, R) -> float:
         return relative_residual(R @ CC, CC @ R)
 
 
-# --- fast in-place style application (internal plumbing) ----------------------
+# --- application to a block of columns ----------------------------------------
 
-def _slot_matmul(op, slots, dims, M):
-    """Left-multiply M by `op` acting on the sites `slots` (in op's factor
-    order): one transpose that brings those sites to the front, one matrix
-    product with op, and one transpose back.  An overflowing product reads
-    inf or NaN, with no numpy warning."""
-    cols = M.shape[1]
-    rest = [k for k in range(len(dims) + 1) if k not in slots]  # the column axis last
-    order = [*slots, *rest]
-    T = M.reshape(dims + (cols,)).transpose(order)
-    shape = T.shape
-    with np.errstate(all="ignore"):
-        out = np.asarray(op) @ T.reshape(prod(shape[:len(slots)]), -1)
-    inverse = sorted(range(len(order)), key=order.__getitem__)  # np.argsort costs more
-    return np.ascontiguousarray(out.reshape(shape).transpose(inverse)).reshape(prod(dims), cols)
+def string_matmul(steps, site_dims, M):
+    """Left-multiply M by a string of site operators, `steps` in application
+    order: (op, sites) applies the matrix `op` to the sites tuple (one or two
+    sites, op's first tensor factor on sites[0]) and (None, sigma) applies
+    P_sigma.  Each site keeps its dimension when a permutation moves it.
+
+    The block stays a tensor with one axis per site and the column axis last,
+    and `labels` says which site each axis holds.  A factor costs one
+    transpose-copy that brings its sites to the front, the other sites after
+    them in site order, and one matrix product, after which its output axes
+    lead; a permutation only relabels, and one transpose restores the (D, k)
+    block at the end.  So R = P Rcheck on (i, j) is (Rcheck, (i, j)) followed
+    by the transposition of i and j, with no copy of its own.  Each product
+    reads the matrix that the step-by-step application reads, column for
+    column, so the bits do not depend on the BLAS kernel's column blocking.
+    `steps` may be a generator, which then builds each step when it is
+    applied.  An overflowing product reads inf or NaN, with no numpy warning,
+    so the residual it reaches fails its report.
+    """
+    dims, cols = tuple(site_dims), M.shape[1]
+    T = M.reshape(dims + (cols,))
+    labels = list(range(len(dims)))  # labels[a]: the site that axis a holds
+    for op, where in steps:
+        if op is None:
+            labels = [where[site] for site in labels]
+            continue
+        front = [labels.index(site) for site in where]
+        rest = sorted((a for a in range(len(dims)) if a not in front), key=labels.__getitem__)
+        T = T.transpose((*front, *rest, len(dims)))  # the column axis last
+        shape = T.shape
+        with np.errstate(all="ignore"):
+            T = (np.asarray(op) @ T.reshape(prod(shape[:len(where)]), -1)).reshape(shape)
+        labels = [*where, *(labels[a] for a in rest)]
+    order = sorted(range(len(dims)), key=labels.__getitem__)  # np.argsort costs more
+    return np.ascontiguousarray(T.transpose((*order, len(dims)))).reshape(prod(dims), cols)
 
 
 def embedded_matmul(op, i, j, site_dims, M):
-    """Left-multiply matrix M by the embedding of two-site `op` at (i, j).
-
-    Equivalent to embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j).  A
-    product that overflows reads inf or NaN, with no numpy warning, so the
-    residual it reaches fails its report.
-    """
-    return _slot_matmul(op, (i, j), tuple(site_dims), M)
+    """Left-multiply matrix M by the embedding of two-site `op` at (i, j):
+    embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j), a one-step
+    string_matmul."""
+    return string_matmul([(op, (i, j))], site_dims, M)
 
 
 def site_matmul(mat, slot, site_dims, M):
-    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`
-    (an overflow reads as in embedded_matmul)."""
-    return _slot_matmul(mat, (slot,), tuple(site_dims), M)
+    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`,
+    a one-step string_matmul."""
+    return string_matmul([(mat, (slot,))], site_dims, M)
 
 
 def permuted_matmul(sigma, site_dims, M):
-    """Left-multiply matrix M by P_sigma at reshape cost."""
-    dims = tuple(site_dims)
-    cols = M.shape[1]
-    inverse = sorted(range(len(dims)), key=sigma.__getitem__)  # np.argsort costs 5x more
-    out = M.reshape(dims + (cols,)).transpose((*inverse, len(dims)))
-    return np.ascontiguousarray(out).reshape(prod(dims), cols)
+    """Left-multiply matrix M by P_sigma at reshape cost, a one-step string_matmul."""
+    return string_matmul([(None, sigma)], site_dims, M)

@@ -63,6 +63,22 @@ class TestProbeBlock:
 
     def test_columns_capped_at_dimension(self):
         assert probe_block(4).shape == (4, 4)
+        assert probe_block(4, 0, 1).shape == (4, 1)
+
+    @pytest.mark.parametrize("D", [1, 2, 4, 8, 16, 81, 256, 729, 1024, 4096])
+    def test_one_draw_is_the_column_stacked_block(self, D):
+        # the block drawn in one call is, bit for bit, the block stacked from
+        # its first column and the other columns' real and imaginary draws, and
+        # one column of it is that block's first column
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            first = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+            shape = (D, min(qkz.PROBE_COLUMNS, D) - 1)
+            others = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stacked = np.column_stack([first, others])
+            for block in (probe_block(D, seed, 1), probe_block(D, seed)):
+                cut = np.ascontiguousarray(stacked[:, :block.shape[1]])
+                assert block.tobytes() == cut.tobytes()
 
 
 class TestBlockEquivalence:

@@ -20,10 +20,14 @@ one place that builds modules (`eval_module`, in `CommutantTemplate.__init__`)
 and commutant bases (`_commutant_basis`, in `CommutantTemplate._build_frame`),
 so a per-pair build cannot come back beside the stacked pass.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
-factor string, and only `apply_factors` applies a string (the one use of
-permuted_matmul), so no second factor loop can come back; nor does any
-module of the package call embedded_matmul outside `qkz.apply_factors`, so
-no check applies a two-site factor (or a dense product of them) of its own.
+factor string, and only `apply_factors` applies a string, through the string
+kernel `tensorops.string_matmul`; no module of the package calls the kernel
+elsewhere (its one-step calls `embedded_matmul`, `site_matmul` and
+`permuted_matmul` aside), nor embedded_matmul outside `qkz.apply_factors`,
+nor do `qkz` and `reduction` call permuted_matmul outside it, so no second
+factor loop can come back and no check applies a two-site factor or a
+permutation (or a dense product of them) of its own.  A leftover import of
+an applier counts as a use.
 `tensorops.kron` is the one Kronecker product (no `np.kron` in the
 package), and only `CommutantTemplate.generator_images` reads the
 template's stored image parts (`images`), so no second densify of them
@@ -52,7 +56,7 @@ module reads the clock (or imports `time`), so no check carries a timer.
 Every public function, class, method and property of the package is read
 by program code (the package or `perfbench/*.py`) somewhere other than at
 its definition, so library surface that only tests reach cannot grow back;
-the two names kept for the tests alone are listed with their reasons.  The
+the names kept without a program reader are listed with their reasons.  The
 rule goes by name: a method is read once any attribute of that name is
 read, and an import or an `__all__` entry re-exports a name, it reads none.
 """
@@ -257,6 +261,18 @@ TWO_SITE_APPLIERS = {"qkz.py": ("apply_factors",)}
 def test_two_site_factors_applied_only_in_apply_factors(path):
     tree = ast.parse(path.read_text())
     assert calls_outside(tree, "embedded_matmul", TWO_SITE_APPLIERS.get(path.name, ())) == []
+
+
+# the functions of each module that may call the string kernel: the string
+# applier, and the kernel's one-step calls
+STRING_APPLIERS = {"qkz.py": ("apply_factors",),
+                   "tensorops.py": ("embedded_matmul", "site_matmul", "permuted_matmul")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_strings_applied_only_in_apply_factors(path):
+    tree = ast.parse(path.read_text())
+    assert calls_outside(tree, "string_matmul", STRING_APPLIERS.get(path.name, ())) == []
 
 
 def numpy_krons(tree):
@@ -563,6 +579,10 @@ APPLIER = ("from .tensorops import permuted_matmul\n"
     ("from . import tensorops\n"
      "def transport_phi(chain, M):\n    return tensorops.permuted_matmul(s, chain.dims, M)\n", 1),
     ("from .tensorops import permuted_matmul\napply = permuted_matmul\n", 2),
+    # a leftover import beside the string kernel, which a second loop could call
+    ("from .tensorops import permuted_matmul, string_matmul\n"
+     "def apply_factors(chain, steps, factor, M):\n"
+     "    return string_matmul(steps, chain.dims, M)\n", 1),
 ])
 def test_permutation_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
@@ -584,10 +604,40 @@ TWO_SITE_APPLIER = ("from .tensorops import embedded_matmul\n"
     # a dense route of its own
     ("from . import tensorops\nclass Side:\n    def apply(self, chain, factor, block):\n"
      "        return tensorops.embedded_matmul(op, 0, 1, chain.dims, block)\n", 1),
+    # a leftover import beside the string kernel
+    ("from .tensorops import embedded_matmul, string_matmul\n"
+     "def apply_factors(chain, steps, factor, M):\n"
+     "    return string_matmul(steps, chain.dims, M)\n", 1),
 ])
 def test_two_site_rule_fires_on_planted_code(source, outside):
     tree = ast.parse(source)
     assert len(calls_outside(tree, "embedded_matmul", ("apply_factors",))) == outside
+
+
+STRING_APPLIER = ("from .tensorops import string_matmul\n"
+                  "def apply_factors(chain, steps, factor, M):\n"
+                  "    return string_matmul(_slot_steps(chain, steps, factor), chain.dims, M)\n")
+
+
+@pytest.mark.parametrize("module, source, outside", [
+    ("qkz.py", STRING_APPLIER, 0),
+    # a check that applies its own factor or permutation through the kernel
+    ("qkz.py", STRING_APPLIER + "def check_rpr(case, read):\n"
+     "    return string_matmul([(front, (0, 1))], case.dims, phi)\n", 1),
+    ("reduction.py", "from .tensorops import string_matmul\n"
+     "def measure(read):\n    return string_matmul([(None, swap)], dims, phi)\n", 2),
+    ("idsuite.py", "from . import tensorops\ndef transport_phi(chain, M):\n"
+     "    return tensorops.string_matmul(steps, chain.dims, M)\n", 1),
+    ("qkz.py", "from .tensorops import string_matmul\napply = string_matmul\n", 2),
+    # the kernel's one-step calls, and a dense product of its own beside them
+    ("tensorops.py", "def permuted_matmul(sigma, site_dims, M):\n"
+     "    return string_matmul([(None, sigma)], site_dims, M)\n", 0),
+    ("tensorops.py", "def string_op(steps, site_dims):\n"
+     "    return string_matmul(steps, site_dims, np.eye(prod(site_dims)))\n", 1),
+])
+def test_string_rule_fires_on_planted_code(module, source, outside):
+    allowed = STRING_APPLIERS.get(module, ())
+    assert len(calls_outside(ast.parse(source), "string_matmul", allowed)) == outside
 
 
 @pytest.mark.parametrize("source, found", [
@@ -679,6 +729,8 @@ def test_timing_rule_fires_on_planted_code(source, found):
 UNREAD_ALLOWED = {
     "q_pochhammer": "one product scanned alone: the reference for _poch_ratio in test_scalars",
     "permutation_op": "the dense reference for permuted_matmul, priced in perfbench/spans.COSTS",
+    "permuted_matmul": "a one-step string_matmul kept by name: perfbench/spans.COSTS prices it "
+                       "and test_traced_names pins it",
 }
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -6,7 +6,8 @@ import pytest
 from qkzkit.errors import ConfigError
 from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, kron,
                               partial_transpose, permutation_op, permuted_matmul,
-                              relative_residual, scalar_ratio, site_matmul, swap_outputs)
+                              relative_residual, scalar_ratio, site_matmul, string_matmul,
+                              swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -270,3 +271,144 @@ class TestFastApply:
         op = rand_c(6, 6)
         want = permutation_op([1, 0], (2, 3)) @ op
         assert np.array_equal(swap_outputs(op, 2, 3), want)
+
+
+def transposition(i, j, N):
+    sigma = list(range(N))
+    sigma[i], sigma[j] = j, i
+    return sigma
+
+
+def random_string(d, N, length, seed):
+    """A random factor string on N sites of dimension d, as (tag, op, where)
+    steps: one-site matrices, two-site factors on ordered pairs (i > j and
+    non-adjacent pairs among them), R = P Rcheck factors and permutations."""
+    g = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
+    steps = []
+    for _ in range(length):
+        tag = ("site", "pair", "R", "perm")[g.integers(4)]
+        shape = (d, d) if tag == "site" else (d * d, d * d)
+        op = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        where = (int(g.integers(N)),) if tag == "site" else \
+            [int(k) for k in g.permutation(N)] if tag == "perm" else pairs[g.integers(len(pairs))]
+        steps.append((tag, None if tag == "perm" else op, where))
+    return steps
+
+
+def kernel_steps(steps, N, relabel=transposition):
+    """The string_matmul steps of a random string: an R factor is its Rcheck
+    followed by the relabel of its two sites."""
+    out = []
+    for tag, op, where in steps:
+        out.append((op, where))
+        if tag == "R":
+            out.append((None, relabel(*where, N)))
+    return out
+
+
+def dense_string(steps, d, N):
+    """The string's matrix as a product of embed_pair and permutation_op."""
+    dims = (d,) * N
+    A = np.eye(d ** N, dtype=complex)
+    for tag, op, where in steps:
+        if tag == "perm":
+            A = permutation_op(where, dims) @ A
+        elif tag == "site":  # op x 1 on the site and the next one
+            A = embed_pair(kron(op, np.eye(d)), where[0], (where[0] + 1) % N, dims) @ A
+        else:
+            A = embed_pair(swap_outputs(op, d, d) if tag == "R" else op, *where, dims) @ A
+    return A
+
+
+def one_step_at_a_time(steps, d, N, M):
+    """The string applied by the one-step calls, each restoring the block: an
+    R factor as embedded_matmul of swap_outputs(Rcheck)."""
+    dims = (d,) * N
+    for tag, op, where in steps:
+        if tag == "perm":
+            M = permuted_matmul(where, dims, M)
+        elif tag == "site":
+            M = site_matmul(op, where[0], dims, M)
+        else:
+            M = embedded_matmul(swap_outputs(op, d, d) if tag == "R" else op, *where, dims, M)
+    return M
+
+
+# (d, N): D = 4, 8, 27, 81, 32; the first two with D < 8, so a probe block has D columns
+SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]
+
+
+class TestStringMatmul:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d, N", SHAPES)
+    def test_random_string_matches_its_dense_product(self, d, N, seed):
+        steps = random_string(d, N, 12, seed)
+        D = d ** N
+        dense = dense_string(steps, d, N)
+        for M in (np.eye(D, dtype=complex), rand_c(D, min(8, D)), rand_c(D, 1)):
+            got = string_matmul(kernel_steps(steps, N), (d,) * N, M)
+            assert got.shape == M.shape
+            assert relative_residual(dense @ M, got) < 1e-13
+            assert np.array_equal(got, one_step_at_a_time(steps, d, N, M))
+
+    @pytest.mark.parametrize("d, N", SHAPES)
+    def test_every_step_kind_occurs(self, d, N):
+        # the random strings above reach all four kinds of step
+        tags = {tag for seed in range(4) for tag, _, _ in random_string(d, N, 12, seed)}
+        assert tags == {"site", "pair", "R", "perm"}
+
+    @pytest.mark.parametrize("d, N", SHAPES)
+    def test_permutation_only_string_is_exact(self, d, N):
+        g = np.random.default_rng(N)
+        steps = [("perm", None, [int(k) for k in g.permutation(N)]) for _ in range(4)]
+        M = rand_c(d ** N, 3)
+        got = string_matmul(kernel_steps(steps, N), (d,) * N, M)
+        assert np.array_equal(got, dense_string(steps, d, N) @ M)
+        assert np.array_equal(got, one_step_at_a_time(steps, d, N, M))
+
+    def test_empty_string_is_the_block(self):
+        M = rand_c(8, 2)
+        assert np.array_equal(string_matmul([], (2, 2, 2), M), M)
+
+    @pytest.mark.parametrize("d, N", [(2, 3), (3, 4), (2, 5)])
+    def test_wrong_relabel_after_an_R_step_fails(self, d, N):
+        # trading the wrong two axes after an R step (the mover's partner one
+        # site on) must break both comparisons
+        def wrong(i, j, N):
+            return transposition(i, next(k for k in range(N) if k not in (i, j)), N)
+        Rc = rand_c(d * d, d * d)
+        steps = [("pair", rand_c(d * d, d * d), (0, 1)), ("R", Rc, (N - 1, 1)),
+                 ("site", rand_c(d, d), (1,))]
+        M = rand_c(d ** N, 4)
+        good = string_matmul(kernel_steps(steps, N), (d,) * N, M)
+        bad = string_matmul(kernel_steps(steps, N, wrong), (d,) * N, M)
+        want = dense_string(steps, d, N) @ M
+        assert relative_residual(want, good) < 1e-13
+        assert relative_residual(want, bad) > 1e-2
+        assert not np.array_equal(bad, one_step_at_a_time(steps, d, N, M))
+
+    def test_sites_keep_their_dimensions(self):
+        # a permutation moves a site's space with it: P (A x B) = (B x A) P
+        A, B = rand_c(2, 2), rand_c(3, 3)
+        M = rand_c(6, 6)
+        moved = string_matmul([(A, (0,)), (B, (1,)), (None, [1, 0])], (2, 3), M)
+        assert np.abs(moved - permutation_op([1, 0], (2, 3)) @ np.kron(A, B) @ M).max() < 1e-13
+
+    def test_steps_are_built_as_they_are_applied(self):
+        # a generator of steps: a failing step raises before any later step is built
+        built = []
+
+        def steps():
+            for k in range(3):
+                built.append(k)
+                if k == 1:
+                    raise KeyError("unsolved factor")
+                yield rand_c(4, 4), (0, 1)
+        with pytest.raises(KeyError):
+            string_matmul(steps(), (2, 2), rand_c(4, 1))
+        assert built == [0, 1]
+
+    def test_overflow_reads_inf_without_warning(self):
+        got = string_matmul([(np.full((4, 4), 1e300), (1, 0))], (2, 2), np.full((4, 1), 1e300))
+        assert np.isinf(got).all()
