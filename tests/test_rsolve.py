@@ -791,3 +791,74 @@ class TestStackedSolve:
         rep = check_ybe(1, ("V", "V", "V"), samples, grading, ctx, normalization="kappa",
                         cache=RCache())
         assert rep.passed and len(solves) == 1 and len(solves[0][0]) == 36
+
+
+# every module pair, gradings (1,1), (1,0), (0,1), (2,1), m = 1..4 and both
+# normalizations at each q, three zeta pairs each, then the degenerate and
+# overflowing points of the tests above
+PIN_GRADINGS = ((1, 1), (1, 0), (0, 1), (2, 1))
+
+
+def _pin_requests(q):
+    ctx, rng = QContext(q), np.random.default_rng(36)
+    reqs = [make_request(k1, zeta_sample(rng), k2, zeta_sample(rng), m, GradingChoice(*g), ctx,
+                         norm)
+            for g in PIN_GRADINGS for m in (1, 2, 3, 4) for k1, k2 in ALL_PAIRS
+            for norm in ("hw", "kappa") for _ in range(3)]
+    for s0, s1 in PIN_GRADINGS:
+        g = GradingChoice(s0, s1)
+        lattice, q = complex(q) ** (2.0 / g.s), complex(q)
+        for norm in ("hw", "kappa"):
+            reqs += [make_request("V", lattice, "V", 1.0, 1, g, ctx, norm),
+                     make_request("V", 1.0 / lattice, "V", 1.0, 1, g, ctx, norm),
+                     make_request("V*", 1.3, "V", 1.3, 1, g, ctx, norm),
+                     make_request("V", lattice, "V*", 1.0, 2, g, ctx, norm),
+                     make_request("V", q, "V", 1.0, 1, g, ctx, norm),
+                     make_request("V", 1.3, "V*", 0.9, 1, g, QContext(q, trunc_terms=8), norm)]
+            reqs += [make_request("V", zeta, "V*", 1.0, 2, g, ctx, norm)
+                     for zeta in (1e308, 1e160, 1e-160, 5e-324)]
+    return reqs
+
+
+def _pin_fields(res) -> bytes:
+    """The bits of a result but its residual: entries, scale, margin and pair,
+    or the type and text of its error."""
+    if not isinstance(res, rsolve.RResult):
+        return f"{type(res).__name__}: {res}".encode()
+    scale = b"-" if res.scale is None else np.complex128(res.scale).tobytes()
+    return b"|".join((np.ascontiguousarray(res.entries, dtype=complex).tobytes(), scale,
+                      float(res.margin).hex().encode(), str(res.pair).encode()))
+
+
+class TestPinnedBits:
+    """The bits of solve_requests over a fixed grid, pinned by a digest."""
+
+    DIGEST = "db079c4eddafc6d9c9367229d4448a268dac6567e89a107f01fc6d2d9773ec59"
+
+    def test_grid_digest(self):
+        import hashlib
+        digest = hashlib.sha256()
+        for q in (0.7, 0.5 + 0.5j):
+            reqs = _pin_requests(q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = rsolve.solve_requests(reqs, RCache())
+            for res in results:
+                digest.update(_pin_fields(res))
+                digest.update(b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_alone_equals_inside_a_mixed_stack(self):
+        # 32 requests of both q, every module pair, gradings, spins, both
+        # normalizations and a failing point of each kind: each has the bits,
+        # its residual included, that it has when solved alone
+        rng = np.random.default_rng(37)
+        pool = _pin_requests(0.7) + _pin_requests(0.5 + 0.5j)
+        reqs = [pool[i] for i in rng.choice(len(pool), 32, replace=False)]
+        reqs[::8] = [pool[i] for i in (385, 397, 399, 420)]  # degenerate and overflowing
+        cache = RCache()
+        for req, res in zip(reqs, rsolve.solve_requests(reqs, RCache())):
+            alone, = rsolve.solve_requests([req], cache)
+            assert _pin_fields(res) == _pin_fields(alone), req
+            if isinstance(res, rsolve.RResult):
+                assert res.intertwine_residual == alone.intertwine_residual, req
