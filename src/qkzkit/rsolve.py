@@ -77,14 +77,15 @@ pole that no nullspace solve reaches; rcheck_resonant gives its value in
 closed form from the crossing relation.
 """
 
+import cmath
 import copy
-import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .context import QContext
-from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
+from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError, ScalarDomainError
 from .reps import (GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
@@ -102,49 +103,34 @@ _FRAMES = {1: ((1, 3), 0), 0: ((2, 0), 3)}
 PAIRS = (("V", "V"), ("V", "V*"), ("V*", "V"), ("V*", "V*"))
 
 
-@dataclass(frozen=True)
-class RRequest:
-    """One R request: plain values only; the modules are built with the template
-    of its spin."""
+class RRequest(namedtuple("RRequest", "kind1 zeta1 kind2 zeta2 m grading normalization ctx")):
+    """One R request: plain values only (a tuple, checked once when made); the
+    modules are built with the template of its spin."""
 
-    kind1: str
-    zeta1: complex
-    kind2: str
-    zeta2: complex
-    m: int
-    grading: GradingChoice
-    normalization: str
-    ctx: QContext
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.normalization not in ("hw", "kappa"):
+    def __new__(cls, kind1, zeta1, kind2, zeta2, m, grading, normalization, ctx):
+        if normalization not in ("hw", "kappa"):
             raise ConfigError("normalization must be 'hw' or 'kappa'")
-        if (self.kind1, self.kind2) not in PAIRS:
+        if (kind1, kind2) not in PAIRS:
             raise ConfigError("site kind must be 'V' or 'V*'")
-        for zeta in (self.zeta1, self.zeta2):
-            if zeta == 0 or not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+        for zeta in (zeta1, zeta2):
+            if zeta == 0 or not cmath.isfinite(zeta):
                 raise ConfigError(f"spectral parameter must be finite and nonzero, got {zeta}")
+        return super().__new__(cls, kind1, zeta1, kind2, zeta2, m, grading, normalization, ctx)
 
     @property
     def pair(self) -> int:
         """The index of the request's module pair on its template's pair axis (PAIRS)."""
         return PAIRS.index((self.kind1, self.kind2))
 
-    def key(self):
-        """Key of the solve of this module pair at this grading and zeta pair,
-        which serves both normalizations (kappa and the gauge depend on the
-        grading)."""
-        return (self.kind1, self.kind2, self.m, complex(self.ctx.q), self.grading.s0,
-                self.grading.s1, complex(self.zeta1), complex(self.zeta2), self.ctx.trunc_terms)
 
-
-@dataclass(frozen=True)
-class RResult:
-    """A solved operator, stored compactly: `entries` holds Rcheck at the
-    weight-conserving places (template.a[pair], template.b[pair]) of its
-    module pair, and a kappa request's result carries its kappa scalar in
-    `scale` (None for hw).  Rcheck and R = P * Rcheck are formed dense on
-    each read."""
+class RResult(NamedTuple):
+    """A solved operator, stored compactly (a tuple, so it is made at the
+    cost of one): `entries` holds Rcheck at the weight-conserving places
+    (template.a[pair], template.b[pair]) of its module pair, and a kappa
+    request's result carries its kappa scalar in `scale` (None for hw).
+    Rcheck and R = P * Rcheck are formed dense on each read."""
 
     entries: np.ndarray
     template: "CommutantTemplate"
@@ -169,26 +155,23 @@ class RResult:
         return swap_outputs(self.Rcheck, d, d)
 
 
-def _powers(bases, exps, errors) -> list:
-    """bases[i][b] ** p for each p in exps[i]: one (B, len(exps[i])) array per base,
-    for stacks bases[i] of B complex numbers.
+def _powers(bases, table, errors) -> np.ndarray:
+    """bases[i, b] ** table[i, k]: an (n, B, K) array for n stacks bases[i] of
+    B complex numbers and n rows of K float exponents.
 
     A request b with a power that overflows (or that underflows to 0 under
     a negative power) gets a ConfigError in errors[b] that names its first
     such base, unless it already has an error, and all its powers read 0.
+    Run with numpy's floating-point errors off.
     """
-    width = max(len(e) for e in exps)
-    table = np.array([[*e, *[0] * (width - len(e))] for e in exps], dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.array(bases)[:, :, None] ** table[:, None, :]
+    out = bases[:, :, None] ** table[:, None, :]
     if not np.isfinite(out).all():
         bad = ~np.isfinite(out).all(axis=2)
         for b, i in zip(*np.nonzero(bad.T)):
-            z = complex(bases[i][b])
             errors[b] = errors[b] or ConfigError(
-                f"spectral parameters out of range: a power of {z:.3g} overflows")
+                f"spectral parameters out of range: a power of {bases[i, b]:.3g} overflows")
         out[:, bad.any(axis=0)] = 0
-    return [out[i, :, :len(e)] for i, e in enumerate(exps)]
+    return out
 
 
 def _chain_kernels(A) -> tuple:
@@ -291,9 +274,9 @@ class _Frame:
     module pairs (PAIRS) on the leading axis.
 
     Frame 1 is grading (s, 0), where e1 and f1 carry no zeta; frame 0 is
-    (0, s), where e0 and f0 carry none.  A frame holds `basis`, B (pairs x
-    unknowns x (m+1)): the columns of the commutant of its zeta-free pair
-    (_commutant_basis), `ratios` (pairs x 2 x 2 x m), the numbers
+    (0, s), where e0 and f0 carry none.  A frame holds `basis`, B ((m+1) x
+    pairs x unknowns): the columns of the commutant of its zeta-free pair
+    (_commutant_basis), column by column, `ratios` (pairs x 2 x 2 x m), the numbers
     ((a_j, b_j), (a'_j, b'_j)) of its component ratios, and `errors`, the
     error of each pair's requests or None.  Its lowering row generator (e0
     at grade s in frame 1, f1 at grade -s in frame 0) has images M on
@@ -339,14 +322,18 @@ class CommutantTemplate:
             A, B = np.moveaxis(np.array([coproduct_parts(reps[k1], reps[k2])
                                          for k1, k2 in PAIRS]), 1, 0)
         swap = [PAIRS.index(pair[::-1]) for pair in PAIRS]  # V2 x V1 of each pair
-        # zeta1 and zeta2 parts of M on V1 x V2 and N on V2 x V1, generator by
-        # generator: N = zeta2^p A21 + zeta1^p B21
-        one = np.stack((A, B[swap]), axis=2).reshape(len(PAIRS), -1)
-        two = np.stack((B, A[swap]), axis=2).reshape(len(PAIRS), -1)
+        # zeta1 and zeta2 parts of M on V1 x V2, the four generators' rows side
+        # by side (D, 4, D), then of N on V2 x V1 (4, D, D): N = zeta2^p A21 + zeta1^p B21
+        one, two = (np.concatenate((X.swapaxes(1, 2).reshape(len(PAIRS), -1),
+                                    Y[swap].reshape(len(PAIRS), -1)), axis=1)
+                    for X, Y in ((A, B), (B, A)))
         self.m, d = m, m + 1
-        self.dim = d * d
+        self.dim = D = d * d
         at = np.flatnonzero(((one != 0) | (two != 0)).any(axis=0))
-        self.images = at, at // (2 * self.dim**2), one[:, at], two[:, at]
+        gen = np.concatenate((np.tile(np.arange(4).repeat(D), D), np.arange(4).repeat(D * D)))[at]
+        # the places, the column of each part's zeta power in (zeta1^p, zeta2^p) (B, 8),
+        # and the parts (P, 2 x places), the zeta1 parts first
+        self.images = at, np.concatenate((gen, gen + 4)), np.hstack((one[:, at], two[:, at]))
         # h1-weights of the two factors of each pair, and the unknowns: the
         # entries whose output (in V2 x V1) and input (in V1 x V2) weigh the same
         w1, w2 = np.array([(reps[k1].weights.real, reps[k2].weights.real)
@@ -374,7 +361,7 @@ class CommutantTemplate:
         unit = np.tile([[1.0], [0.0]], (P, len(_EF_TAGS)))  # zeta1, then zeta2 part of each pair
         with np.errstate(all="ignore"):
             # M on V1 x V2 and N on V2 x V1, (P, 2 parts, 4 generators, D, D) each
-            M, N = (X.reshape((P, 2) + X.shape[1:]) for X in
+            M, N = (np.ascontiguousarray(X).reshape((P, 2) + X.shape[1:]) for X in
                     self.generator_images(unit, 1 - unit, np.arange(P).repeat(2)))
             images = np.isfinite(M).all(axis=(1, 2, 3, 4)) & np.isfinite(N).all(axis=(1, 2, 3, 4))
             # zeta-free pair: the sum of the two parts, its raising and lowering image per side
@@ -399,19 +386,23 @@ class CommutantTemplate:
                     "(highest-weight vectors)"))
             else:
                 errors.append(None)
-        return _Frame(basis, ratios, tuple(errors))
+        return _Frame(np.ascontiguousarray(np.moveaxis(basis, 2, 0)), ratios, tuple(errors))
 
     def generator_images(self, z1p, z2p, pair) -> tuple:
         """The coproduct images of the four e/f generators for a stack of zeta
         pairs of the module pairs `pair` (B,), from zeta1^p and zeta2^p (B, 4)
         at each generator's grade p (_EF_TAGS order): M on V1 x V2 and N on
-        V2 x V1, each of shape (B, 4, D, D).  A place where the request's
-        pair has no image reads 0, as the zeta powers are finite.  The one
-        reader of the stored parts: the frame build reads them at unit weights."""
-        at, gen, v1, v2 = self.images
-        MN = np.zeros((len(z1p), 2 * len(_EF_TAGS), self.dim, self.dim), dtype=complex)
-        MN.reshape(len(z1p), -1)[:, at] = z1p[:, gen] * v1[pair] + z2p[:, gen] * v2[pair]
-        return MN[:, 0::2], MN[:, 1::2]
+        V2 x V1, each of shape (B, 4, D, D); M is a view of the four images
+        side by side, (B, D, 4, D), and N is contiguous.  A place where the
+        request's pair has no image reads 0, as the zeta powers are finite.
+        The one reader of the stored parts: the frame build reads them at
+        unit weights."""
+        at, gen, parts = self.images
+        B, D = len(z1p), self.dim
+        MN = np.zeros((B, 2, len(_EF_TAGS) * D * D), dtype=complex)
+        terms = np.concatenate((z1p, z2p), axis=1)[:, gen] * parts[pair]
+        MN.reshape(B, -1)[:, at] = terms[:, :len(at)] + terms[:, len(at):]
+        return MN[:, 0].reshape(B, D, -1, D).swapaxes(1, 2), MN[:, 1].reshape(B, -1, D, D)
 
 
 def _weight_order(w1, w2) -> np.ndarray:
@@ -482,41 +473,44 @@ def _raw_nullvector(reqs, template, pair) -> tuple:
     z1 = np.array([req.zeta1 for req in reqs])
     z2 = np.array([req.zeta2 for req in reqs])
     frame, c, p = _frame_of(g)
-    grades = (g.s0, g.s1, -g.s0, -g.s1)  # of e0, e1, f0, f1 (_EF_TAGS)
-    gauge, p1, p2 = _powers((z1 / z2, z1, z2), ([c * k for k in range(-m, m + 1)],
-                                                 (p, *grades), (p, *grades)), errors)
-    if D == 1:
-        return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, (p1[:, 1:], p2[:, 1:])
-    fr = template.frame(frame)
+    # rows: the gauge powers c k, k = -m .. m, of zeta1/zeta2, then p and the
+    # grades of e0, e1, f0, f1 (_EF_TAGS) of zeta1 and of zeta2
+    table = np.zeros((3, max(2 * m + 1, 5)))
+    table[0, :2 * m + 1] = np.arange(-m, m + 1) * c
+    table[1:, :5] = p, g.s0, g.s1, -g.s0, -g.s1
     with np.errstate(all="ignore"):
+        powers = _powers(np.array((z1 / z2, z1, z2)), table, errors)
+        gauge, grades = powers[0], (powers[1, :, 1:5], powers[2, :, 1:5])
+        if D == 1:
+            return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, grades
+        fr = template.frame(frame)
         # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
-        terms = fr.ratios[pair] * np.stack((p1[:, 0], p2[:, 0]), axis=1)[:, None, :, None]
+        terms = fr.ratios[pair] * powers[1:, :, 0].T[:, None, :, None]
         alpha_beta = terms.sum(axis=2)
         rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
         coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
         # sum_j c_j B_j column by column in a fixed order, in real arithmetic as
         # np.einsum forms it at small sizes, so a request's bits do not depend on
         # the stack (np.einsum changes its order with the stack at m = 12)
-        cr, ci = coef.real, coef.imag
         re = im = 0.0
-        for j in range(m + 1):
-            column = fr.basis[pair, :, j]
+        for basis_j, cr, ci in zip(fr.basis, coef.real.T[:, :, None], coef.imag.T[:, :, None]):
+            column = basis_j[pair]
             br, bi = column.real, column.imag
-            re = re + (br * cr[:, j, None] - bi * ci[:, j, None])
-            im = im + (br * ci[:, j, None] + bi * cr[:, j, None])
+            re = re + (br * cr - bi * ci)
+            im = im + (br * ci + bi * cr)
         rcheck = np.empty(re.shape, dtype=complex)
         rcheck.real, rcheck.imag = re, im
         entries = gauge[np.arange(B)[:, None], template.gauge[pair]]
         entries *= rcheck
-    return entries, rel, errors, (p1[:, 1:], p2[:, 1:])
+    return entries, rel, errors, grades
 
 
-def _norms(A) -> np.ndarray:
-    """Frobenius norms of a stack of complex matrices over its last two axes
-    (each row contiguous), summed in place over the float view: no
-    temporary of A's size."""
+def _squares(A) -> np.ndarray:
+    """Squared moduli of a stack of complex vectors over its last axis (each
+    contiguous), one dot product per vector of the float view: no temporary
+    of A's size."""
     v = A.view(float)
-    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 # complex entries of the image stack that the intertwining residual forms at once
@@ -526,33 +520,38 @@ _IMAGE_ENTRIES = 1 << 12
 def _intertwine_residuals(entries, z1p, z2p, template, pair) -> tuple:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
     Rc of a stack, from its entries (B, U) at the unknowns of its module
-    pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades,
-    and whether each request's images M and N are finite (tested only in a
-    block with a residual that is not finite, True elsewhere).
+    pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades.
 
     The dense operators and the images of the four e/f generators are
     formed for blocks of requests that keep the images within
     _IMAGE_ENTRIES entries (one request at least), so the temporaries do
-    not grow with B; generators with M = 0 are skipped, a zero Rc reads
-    inf, and an image that overflows reads inf or NaN.
+    not grow with B.  Each request takes two products: Rc times its four
+    M side by side, and its four N stacked times Rc (generator_images lays
+    both out so).  Generators with M = 0 are skipped, a zero Rc reads inf,
+    and an image that overflows reads inf or NaN.
     """
     B, D = len(entries), template.dim
     rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
-    worst, finite = np.empty(B), np.ones(B, dtype=bool)
+    worst = np.empty(B)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(0, B, rows):
             at = slice(r, r + rows)
             p = pair[at]
-            block = np.zeros((len(p), 1, D, D), dtype=complex)
-            block[np.arange(len(p))[:, None], 0, template.a[p], template.b[p]] = entries[at]
+            n = len(p)
+            Rc = np.zeros((n, D, D), dtype=complex)
+            Rc[np.arange(n)[:, None], template.a[p], template.b[p]] = entries[at]
             M, N = template.generator_images(z1p[at], z2p[at], p)
-            nr, nm = _norms(block), _norms(M)
-            res = _norms(block @ M - N @ block)
-            worst[at] = np.where(nm != 0, res / (nr * nm), 0.0).max(axis=1)
-            worst[r + np.flatnonzero(nr[:, 0] == 0)] = np.inf
-            if not np.isfinite(worst[at]).all():
-                finite[at] = np.isfinite(np.concatenate((M, N), 1)).all(axis=(1, 2, 3))
-    return worst, finite
+            side = M.swapaxes(1, 2)  # (n, D, 4, D), contiguous rows
+            # Rc M_g - N_g Rc, (n, 4, D, D), in the buffer of the N_g Rc product
+            diff = (N.reshape(n, -1, D) @ Rc).reshape(M.shape)
+            np.subtract((Rc @ side.reshape(n, D, -1)).reshape(side.shape).swapaxes(1, 2), diff,
+                        out=diff)
+            nr, nm = np.sqrt(_squares(Rc.reshape(n, -1))), np.sqrt(_squares(side).sum(axis=1))
+            res = np.sqrt(_squares(diff.reshape(n, len(_EF_TAGS), -1)))
+            block = worst[at]
+            block[:] = np.where(nm != 0, res / (nr[:, None] * nm), 0.0).max(axis=1)
+            block[nr == 0] = np.inf
+    return worst
 
 
 def normalize_hw(ratios) -> np.ndarray:
@@ -571,26 +570,34 @@ def _kappa_scalars(reqs) -> list:
     """The scalar that apply_kappa takes for each kappa request, 1/kappa for a
     like pair and kappa for a mixed pair, or the error that request raises
     alone; one kappa_sl2 scan for the requests of each (s, m, q context).  A
-    scan that raises (NUMERICAL_ERRORS) fails every request of its group."""
+    scan that raises (NUMERICAL_ERRORS) fails every request of its group, a
+    kappa that is not finite its own request, and so does a kappa of 0 for
+    a like pair."""
     out = [None] * len(reqs)
-    groups = {}
+    groups = {}  # (s, m, q, trunc_terms) -> the places of its requests
     for i, req in enumerate(reqs):
-        groups.setdefault((req.grading.s, req.m, req.ctx), []).append(i)
-    for (s, m, ctx), idx in groups.items():
-        errors = [None] * len(idx)
+        key = req.grading.s0 + req.grading.s1, req.m, req.ctx.q, req.ctx.trunc_terms
+        groups.setdefault(key, []).append(i)
+    for (s, m, _, _), idx in groups.items():
+        ctx, errors = reqs[idx[0]].ctx, [None] * len(idx)
         try:
-            z = _powers(([reqs[i].zeta1 / reqs[i].zeta2 for i in idx],), ((s,),), errors)[0]
-            kappas = kappa_sl2(m, z[:, 0], ctx, errors)
+            with np.errstate(all="ignore"):
+                z = _powers(np.array([[reqs[i].zeta1 / reqs[i].zeta2 for i in idx]]),
+                            np.full((1, 1), float(s)), errors)
+            kappas = kappa_sl2(m, z[0, :, 0], ctx, errors)
         except NUMERICAL_ERRORS as exc:
-            kappas, errors = [None] * len(idx), [exc.with_traceback(None)] * len(idx)
-        for i, k, err in zip(idx, kappas, errors):
-            if err is None and reqs[i].kind1 == reqs[i].kind2:
-                if k == 0:
-                    err = DegeneratePointError(
-                        "kappa vanishes: pole of the kappa-normalized like pair")
-                else:
-                    k = 1.0 / k
-            out[i] = err or k
+            for i in idx:
+                out[i] = exc.with_traceback(None)
+            continue
+        like = [reqs[i].kind1 == reqs[i].kind2 for i in idx]
+        with np.errstate(all="ignore"):  # a failed row may be 0 or not finite
+            scales = np.where(like, 1.0 / kappas, kappas).tolist()
+        for i, k, scale, err, inverted in zip(idx, kappas.tolist(), scales, errors, like):
+            if err is None and not cmath.isfinite(k):
+                err = ScalarDomainError("kappa is not finite: its prefactor z^(m/2) overflows")
+            if err is None and k == 0 and inverted:
+                err = DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
+            out[i] = err or scale
     return out
 
 
@@ -622,28 +629,34 @@ def _solve(reqs, template, pair) -> list:
     products; an operator that is not finite itself, built from finite
     images, is a degenerate point that the cancellation test missed (an
     alpha_j that is exactly 0 passes it at _CANCEL_TOL = 0).  The flags are
-    formed for the whole stack; only a failing request takes a loop step.
+    formed for the whole stack; only a failing request takes a loop step,
+    and only such a request's images are formed again, to test them.
     """
     entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template, pair)
-    cancel = ~(rel >= _CANCEL_TOL)  # NaN cancels
-    for k in np.flatnonzero(cancel[:, 0].any(axis=1)):  # some alpha_j cancels
-        both = np.flatnonzero(cancel[k].all(axis=0))
+    margins = rel.min(axis=(1, 2), initial=1.0).tolist()  # NaN where one is NaN
+    for k in [k for k, margin in enumerate(margins) if not margin >= _CANCEL_TOL
+              and not rel[k, 0].min(initial=1.0) >= _CANCEL_TOL]:  # some alpha_j cancels
+        both = np.flatnonzero(~(rel[k] >= _CANCEL_TOL).any(axis=0))
         errors[k] = errors[k] or DegeneratePointError(
             f"nullspace gap: component ratio {both[0]} is 0/0 "
             f"(terms cancel below {_CANCEL_TOL:.1g})" if len(both) else
             "highest-weight component vanishes (non-simple spectral point)")
     failed = [k for k, e in enumerate(errors) if e is not None]
-    entries[failed], z1p[failed], z2p[failed] = 0, 0, 0  # not checked: their images may overflow
-    residual, finite = _intertwine_residuals(entries, z1p, z2p, template, pair)
-    for k in np.flatnonzero(~np.isfinite(residual)):
-        if finite[k] and not np.isfinite(entries[k]).all():
-            errors[k] = errors[k] or DegeneratePointError(
+    if failed:  # not checked: their images may overflow
+        entries[failed], z1p[failed], z2p[failed] = 0, 0, 0
+    residual = _intertwine_residuals(entries, z1p, z2p, template, pair).tolist()
+    for k in [k for k, resid in enumerate(residual) if errors[k] is None
+              and not cmath.isfinite(resid)]:
+        with np.errstate(all="ignore"):  # an image may overflow
+            images = template.generator_images(z1p[k:k + 1], z2p[k:k + 1], pair[k:k + 1])
+        if all(np.isfinite(X).all() for X in images) and not np.isfinite(entries[k]).all():
+            errors[k] = DegeneratePointError(
                 "R is not finite: a component ratio diverges (non-simple spectral point)")
-        errors[k] = errors[k] or ConfigError(
-            "spectral parameters out of range: the operator or a generator image overflows")
-    margins = rel.min(axis=(1, 2), initial=1.0).tolist()
+        else:
+            errors[k] = ConfigError(
+                "spectral parameters out of range: the operator or a generator image overflows")
     return [err or RResult(row, template, p, margin, resid) for err, row, p, margin, resid
-            in zip(errors, entries, pair.tolist(), margins, residual.tolist())]
+            in zip(errors, entries, pair.tolist(), margins, residual)]
 
 
 def solve_requests(reqs, cache: RCache = None) -> list:
@@ -651,12 +664,12 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     error that it raises alone (read_result raises it); the call itself
     raises nothing.
 
-    Each distinct key is solved once, hw-normalized, in one stack per spin,
-    q and grading (_solve), which covers every module pair of that spin
-    and reads the spin's one template, and serves both normalizations: a
-    kappa request reads it through apply_kappa.  The keys whose kappa
-    requests solved share one kappa_sl2 scan per (s, m, q context)
-    (_kappa_scalars).  Errors are isolated as far as the work is shared: a
+    Each distinct module pair and zeta pair is solved once, hw-normalized,
+    in one stack per spin, q and grading (_solve), which covers every module
+    pair of that spin and reads the spin's one template, and serves both
+    normalizations: a kappa request reads it through apply_kappa.  The
+    kappa requests whose solve succeeded share one kappa_sl2 scan per
+    (s, m, q context) (_kappa_scalars).  Errors are isolated as far as the work is shared: a
     module pair whose template data are not finite or fail the gap test
     (_Frame.errors) fails that pair's requests alone, and of
     NUMERICAL_ERRORS, a template build that raises one fails its whole
@@ -666,43 +679,36 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     """
     if cache is None:
         cache = RCache()
-    keys = [req.key() for req in reqs]
-    first = {}  # key -> index of its first request
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    stacks = {}
-    for i in first.values():
-        stacks.setdefault((reqs[i].m, complex(reqs[i].ctx.q), reqs[i].grading), []).append(i)
-    solved = {}  # key -> its hw RResult, or the error of its pair, template or stack
-    for idx in stacks.values():
+    stacks = {}  # (m, q, s0, s1) -> {(kind1, zeta1, kind2, zeta2): the places of its requests}
+    for i, req in enumerate(reqs):
+        key = req.m, req.ctx.q, req.grading.s0, req.grading.s1
+        stacks.setdefault(key, {}).setdefault(req[:4], []).append(i)
+    out, scan = [None] * len(reqs), []  # scan: the kappa requests that solved
+    for solves in stacks.values():
+        stack = [reqs[places[0]] for places in solves.values()]
+        pair = [req.pair for req in stack]
         try:
-            template = cache.template(reqs[idx[0]])
-            errors = template.frame(_frame_of(reqs[idx[0]].grading)[0]).errors
+            template = cache.template(stack[0])
+            errors = template.frame(_frame_of(stack[0].grading)[0]).errors
         except NUMERICAL_ERRORS as exc:
             errors = [exc.with_traceback(None)] * len(PAIRS)
-        for i in idx:
-            solved[keys[i]] = errors[reqs[i].pair]  # None until its stack is solved
-        stack = [i for i in idx if errors[reqs[i].pair] is None]
-        if not stack:
-            continue
-        try:
-            results = _solve([reqs[i] for i in stack], template,
-                             np.array([reqs[i].pair for i in stack]))
-        except NUMERICAL_ERRORS as exc:
-            results = [exc.with_traceback(None)] * len(stack)
-        solved.update(zip((keys[i] for i in stack), results))
-    scan = {}  # key -> its first kappa request, for the keys that solved
-    for req, key in zip(reqs, keys):
-        if req.normalization == "kappa" and isinstance(solved[key], RResult):
-            scan.setdefault(key, req)
-    kappa = dict(zip(scan, _kappa_scalars(list(scan.values()))))
-    out = []
-    for req, key in zip(reqs, keys):
-        res = solved[key]
-        if req.normalization == "kappa" and key in kappa:
-            k = kappa[key]
-            res = k if isinstance(k, Exception) else apply_kappa(res, k)
-        out.append(res)
+        results = [errors[p] for p in pair]  # None until its stack is solved
+        live = [b for b, err in enumerate(results) if err is None]
+        if live:
+            try:
+                solved = _solve([stack[b] for b in live], template,
+                                np.array([pair[b] for b in live]))
+            except NUMERICAL_ERRORS as exc:
+                solved = [exc.with_traceback(None)] * len(live)
+            for b, res in zip(live, solved):
+                results[b] = res
+        for places, res in zip(solves.values(), results):
+            for i in places:
+                out[i] = res
+                if reqs[i].normalization == "kappa" and isinstance(res, RResult):
+                    scan.append(i)
+    for i, k in zip(scan, _kappa_scalars([reqs[i] for i in scan])):
+        out[i] = k if isinstance(k, Exception) else apply_kappa(out[i], k)
     return out
 
 

@@ -61,34 +61,70 @@ def _finish(z, values, *segments, m=None):
 
 def raise_first(*segments, m=None):
     """Raise a copy of the first error of the error lists `segments` (one
-    entry per row each), list by list and row by row; given m (one per row),
-    the rows of each m in turn, in order of its first appearance.  The copy
-    has no traceback, so a stored error never holds the frames (and what
-    they refer to) of the call that raised it."""
+    entry per row each), list by list and row by row; given m (a number or
+    one per row), the rows of each m in turn, in order of its first
+    appearance.  The copy has no traceback, so a stored error never holds
+    the frames (and what they refer to) of the call that raised it."""
     if not any(map(any, segments)):
         return
     if m is not None:
-        segments = [[errs[r] for r in np.flatnonzero(m == mu)]
-                    for mu in dict.fromkeys(m.tolist()) for errs in segments]
+        segments = [[errs[r] for r in np.arange(len(errs))[rows]]
+                    for _, rows in _m_groups(m) for errs in segments]
     raise copy.copy(next(e for errs in segments for e in errs if e is not None))
+
+
+def _m_groups(ms) -> list:
+    """(mu, rows) for each distinct m of ms (a number, or one per row), in
+    order of first appearance: mu a Python number, so its powers of q have
+    the bits of a one-m call, and rows a mask, or every row (a slice) where
+    ms holds one m."""
+    ms = np.asarray(ms)
+    distinct = dict.fromkeys(ms.ravel().tolist())
+    if len(distinct) == 1:
+        return [(*distinct, slice(None))]
+    return [(mu, ms == mu) for mu in distinct]
 
 
 def _by_m(ms, x, errors, shape, build) -> np.ndarray:
     """An array of `shape` whose rows with m = mu are build(mu, those rows
-    of x), for each distinct mu (a Python int, so its powers of q have the
-    bits of a one-m call).  An arithmetic error of one mu, which its one-m
-    call would have raised, goes to errors of its rows (unless a row has one
-    already), and those rows read NaN."""
-    out = np.full(shape, complex(math.nan, math.nan))
-    for mu in dict.fromkeys(ms.tolist()):
-        sel = ms == mu
+    of x), for each distinct mu (_m_groups).  An arithmetic error of one mu,
+    which its one-m call would have raised, goes to errors of its rows
+    (unless a row has one already), and those rows read NaN."""
+    out = np.empty(shape, dtype=complex)
+    for mu, rows in _m_groups(ms):
         try:
-            out[sel] = build(mu, x[sel])
+            out[rows] = build(mu, x[rows])
         except ArithmeticError as exc:
+            out[rows] = complex(math.nan, math.nan)
             exc.with_traceback(None)
-            for r in np.flatnonzero(sel):
+            for r in np.arange(len(x))[rows]:
                 errors[r] = errors[r] or exc
     return out
+
+
+def _scan_powers(p: complex, abs_p: float, reach: float, negligible: float, limit: int) -> tuple:
+    """(p^k, |p^k|) for k = 0 .. K, K the first k with reach |p^k| < negligible
+    or else limit.  p^k is a sequential product, as a loop forms it, and
+    |p^k| is abs() of it (np.hypot; np.abs rounds differently).  The powers
+    are formed to a few past the estimate log(negligible / reach) / log |p|,
+    and to limit only if that falls short."""
+    if not reach >= negligible:
+        n = 0
+    elif abs_p == 0.0:
+        n = 1
+    else:
+        n = min(limit, int(math.log(negligible / reach) / math.log(abs_p)) + 3)
+    while True:
+        powers = np.full(n + 1, p)
+        powers[0] = 1.0
+        powers = np.multiply.accumulate(powers)
+        moduli = np.hypot(powers.real, powers.imag)
+        below = reach * moduli < negligible
+        below[n] |= n == limit
+        K = int(below.argmax())
+        if below[K]:
+            return powers[:K + 1], moduli[:K + 1]
+        n = limit
 
 
 def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
@@ -97,22 +133,22 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
     (ratios, tail bounds), one of each per row, the bound the largest of
     the row's products.
 
-    One scan over k shares p^k (a sequential product, as a loop would form
-    it) between every product of every row.  A row stops after
-    ctx.trunc_terms factors, or earlier at the first k with
-    top |p^k| < 2^-54 (1 - |p|), top the row's largest |argument|: from
-    there on every factor moves its product by less than half an ulp.  The
-    scan is as long as the longest row with finite arguments, the factors
-    1 - a p^k past a row's own stop are left out of its product, and
-    nothing grows with trunc_terms.  Then each product of a row is checked
-    in turn, numerators first, as if scanned alone: too few factors if
-    |a p^T| >= 0.5; unless `what` is None, a tail bound above _TAIL_TOL
-    and, for a denominator, a factor closer to 0 than _POLE_TOL; and a
-    product that is not finite (factors of huge arguments overflow it, so
-    the ratio would read inf/inf) is a ScalarDomainError.  Errors
+    One scan over k shares p^k (_scan_powers) between every product of
+    every row.  A row stops after ctx.trunc_terms factors, or earlier at the
+    first k with top |p^k| < 2^-54 (1 - |p|), top the row's largest
+    |argument|: from there on every factor moves its product by less than
+    half an ulp.  The scan is as long as the longest row with finite
+    arguments, the factors 1 - a p^k past a row's own stop are left out of
+    its product, and nothing grows with trunc_terms.  Then each product of a
+    row is checked in turn, numerators first, as if scanned alone: too few
+    factors if |a p^T| >= 0.5; unless `what` is None, a tail bound above
+    _TAIL_TOL and, for a denominator, a factor closer to 0 than _POLE_TOL;
+    and a product that is not finite (factors of huge arguments overflow
+    it, so the ratio would read inf/inf) is a ScalarDomainError.  Errors
     name a denominator `what` and a numerator "Pochhammer factor"; each
-    goes to errors[row] unless that row already has one, and a row with
-    an error reads NaN.
+    goes to errors[row] unless that row already has one.  A row whose
+    products pass but whose ratio is not finite (they underflow, to 0/0 or
+    x/0) gets a ScalarDomainError too, and a row with an error reads NaN.
     """
     abs_p = abs(p)
     if abs_p >= 1.0:
@@ -121,48 +157,51 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
     modulus = np.abs(a)
     top = modulus.max(axis=1, initial=0.0)
     negligible = _NEGLIGIBLE * (1.0 - abs_p)
-    reach = top[np.isfinite(top)].max(initial=0.0)
-    pk, powers, moduli = 1.0 + 0.0j, [1.0 + 0.0j], [1.0]
-    while len(powers) <= ctx.trunc_terms and not reach * moduli[-1] < negligible:
-        pk *= p
-        powers.append(pk)
-        moduli.append(abs(pk))
-    K, moduli = len(powers) - 1, np.array(moduli)
+    reach = float(top.max(initial=0.0, where=np.isfinite(top)))
+    powers, moduli = _scan_powers(p, abs_p, reach, negligible, ctx.trunc_terms)
+    K = len(powers) - 1
     stopped = top[:, None] * moduli < negligible  # (N, K + 1)
-    stop = np.where(stopped.any(axis=1), stopped.argmax(axis=1), K)
-    scanned = (np.arange(K) < stop[:, None])[:, None, :]
+    stopped[:, K] = True  # a row with arguments that are not finite scans K factors
+    stop = stopped.argmax(axis=1)
+    scanned = np.arange(K) < stop[:, None, None]
     with np.errstate(all="ignore"):  # a huge argument overflows its product
-        factors = 1.0 - a[:, :, None] * np.array(powers[:K])
+        factors = 1.0 - a[:, :, None] * powers[:K]
         values = np.prod(factors, axis=2, where=scanned)
-        closest = np.fmin.reduce(np.where(scanned, np.abs(factors), np.inf),
-                                 axis=2, initial=np.inf)
         # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
         head = modulus * moduli[stop][:, None]
         tail = 2.0 * head / (1.0 - abs_p)
-    is_den = np.arange(a.shape[1]) >= n_num
+        ratios = values[:, :n_num].prod(axis=1) / values[:, n_num:].prod(axis=1)
     failing = (head >= 0.5) | ~np.isfinite(values)
     if what is not None:
-        failing |= (tail > _TAIL_TOL) | (is_den & (closest < _POLE_TOL))
-    for r in np.flatnonzero(failing.any(axis=1)):
+        # a denominator with a factor closer to 0 than _POLE_TOL; past a row's stop
+        # every factor is within 2^-54 of 1, so the test needs no mask
+        near = np.fmin.reduce(np.abs(factors[:, n_num:]), axis=2, initial=np.inf) < _POLE_TOL
+        failing |= tail > _TAIL_TOL
+        failing[:, n_num:] |= near
+    bad = failing.any(axis=1)
+    for r in np.flatnonzero(bad | ~np.isfinite(ratios)):
         i = int(failing[r].argmax())
-        name = what if is_den[i] and what is not None else "Pochhammer factor"
-        if head[r, i] >= 0.5:
+        is_den = i >= n_num
+        name = what if is_den and what is not None else "Pochhammer factor"
+        if not bad[r]:  # finite products whose ratio is not: they underflow
+            err = ScalarDomainError(
+                f"Pochhammer ratio is not finite: its products underflow after {stop[r]} factors")
+        elif head[r, i] >= 0.5:
             err = TruncationError("trunc_terms too small for this Pochhammer argument")
         elif what is not None and tail[r, i] > _TAIL_TOL:
             err = TruncationError(
                 f"tail bound {tail[r, i]:.3g} exceeds {_TAIL_TOL:.0e} for {name}")
-        elif what is not None and is_den[i] and closest[r, i] < _POLE_TOL:
-            err = PoleError(f"{what} has a vanishing factor "
-                            f"(closest |1-a p^k| = {closest[r, i]:.3g})")
+        elif what is not None and is_den and near[r, i - n_num]:
+            closest = np.fmin.reduce(np.abs(factors[r, i, :stop[r]]), initial=np.inf)
+            err = PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {closest:.3g})")
         else:
             err = ScalarDomainError(f"{name} product overflows (not finite after "
                                     f"{stop[r]} factors)")
         errors[r] = errors[r] or err
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    with np.errstate(all="ignore"):  # a failed row's products may vanish or overflow
-        ratios = values[:, :n_num].prod(axis=1) / values[:, n_num:].prod(axis=1)
-    ratios[failed] = complex(math.nan, math.nan)
-    return ratios, 2.0 * top * moduli[stop] / (1.0 - abs_p)
+    failed = [r for r, err in enumerate(errors) if err is not None]
+    if failed:
+        ratios[failed] = complex(math.nan, math.nan)
+    return ratios, tail.max(axis=1, initial=0.0)
 
 
 def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
@@ -226,14 +265,14 @@ def rho0_sl2(m, z, ctx: QContext, errors=None):
     """
     q = complex(ctx.q)
     x = _rows(z)
-    ms, own = np.broadcast_to(m, x.shape), [None] * len(x) if errors is None else errors
+    own = [None] * len(x) if errors is None else errors
 
     def build(mu, xs):  # the scale, then the Pochhammer arguments
-        return np.stack((np.full(len(xs), q ** (-mu * mu / 2.0)), q**2 * xs, q**2 * xs,
-                         q ** (2 * mu + 2) * xs, q ** (-2 * mu + 2) * xs), axis=1)
-    rows = _by_m(ms, x, own, (len(x), 5), build)
+        return np.array((np.full(len(xs), q ** (-mu * mu / 2.0)), q**2 * xs, q**2 * xs,
+                         q ** (2 * mu + 2) * xs, q ** (-2 * mu + 2) * xs)).T
+    rows = _by_m(m, x, own, (len(x), 5), build)
     ratios, _ = _poch_ratio(rows[:, 1:], 2, q**4, ctx, "rho0 denominator", own)
-    return _finish(z, rows[:, 0] * ratios, own if errors is None else (), m=ms)
+    return _finish(z, rows[:, 0] * ratios, own if errors is None else (), m=m)
 
 
 def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
@@ -253,9 +292,13 @@ def rho0_ratio_sl2(m: int, z: complex, ctx: QContext) -> complex:
 
 def _nonzero(zs, errors) -> np.ndarray:
     """zs with each 0 replaced by 1, its row given the error of kappa at 0."""
-    for r in np.flatnonzero(zs == 0):
+    zero = np.flatnonzero(zs == 0)
+    for r in zero:
         errors[r] = errors[r] or ScalarDomainError("kappa requires z != 0")
-    return np.where(zs == 0, 1.0, zs)
+    if len(zero):
+        zs = zs.copy()
+        zs[zero] = 1.0
+    return zs
 
 
 def kappa_sl2(m, z, ctx: QContext, errors=None):
@@ -268,19 +311,19 @@ def kappa_sl2(m, z, ctx: QContext, errors=None):
     row reads NaN.
     """
     x = _rows(z)
-    ms, own = np.broadcast_to(m, x.shape), [None] * len(x) if errors is None else errors
-    values = (_by_m(ms, x, own, x.shape, lambda mu, xs: xs ** (mu / 2.0))
-              * _kappa_sl2_products(ms, _nonzero(x, own), ctx, own))
-    return _finish(z, values, own if errors is None else (), m=ms)
+    own = [None] * len(x) if errors is None else errors
+    values = (_by_m(m, x, own, x.shape, lambda mu, xs: xs ** (mu / 2.0))
+              * _kappa_sl2_products(m, _nonzero(x, own), ctx, own))
+    return _finish(z, values, own if errors is None else (), m=m)
 
 
 def _kappa_sl2_products(ms, x, ctx: QContext, errors) -> np.ndarray:
-    """kappa_sl2 without its z^{m/2} prefactor, one per row of x (m one per row)."""
+    """kappa_sl2 without its z^{m/2} prefactor, one per row of x (ms a number or
+    one per row)."""
     q = complex(ctx.q)
 
     def build(mu, xs):
-        return np.stack((q ** (2 * mu + 2) * xs, q**2 / xs, q ** (2 * mu + 2) / xs, q**2 * xs),
-                        axis=1)
+        return np.array((q ** (2 * mu + 2) * xs, q**2 / xs, q ** (2 * mu + 2) / xs, q**2 * xs)).T
     return _poch_ratio(_by_m(ms, x, errors, (len(x), 4), build), 2, q**4, ctx,
                        "kappa denominator", errors)[0]
 

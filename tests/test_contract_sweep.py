@@ -14,7 +14,9 @@ contract holds for `scalars` tables, for `rmat` at |zeta| from 1e-9 to 1e9
 (an exit-0 matrix has finite entries only), for one `verify` line per
 check group, and for a few lines at |q| from 1e-26 down to 1e-300, with
 the gradings (1, 0), (0, 1), (2, 1) and (1, 3) at |q| = 0.04 down to 1e-12,
-and with --alpha, --n 3 and --trunc 8 at |q| = 0.04 and about 1e-4.
+and with --alpha, --n 3 and --trunc 8 at |q| = 0.04 and about 1e-4; and
+near the unit circle, at q = 0.999 with 8000 factors, where the Pochhammer
+products of kappa underflow to 0/0.
 """
 
 import json
@@ -305,6 +307,10 @@ TINY_Q_LINES = (
     (["scalars", "--l", "2", "--q=1e-4"], 0),
     (["scalars", "--l", "2", "--q=1e-12"], 0),
     (["scalars", "--l", "2", "--q=6e-05,8e-05"], 0),
+    # near the unit circle: kappa's four products underflow to 0 and its ratio
+    # reads 0/0, an error of the groups that read kappa, not the end of the run
+    (["suite", "--m", "1", "--q", "0.999", "--trunc", "8000"], 1),
+    (["suite", "--m", "2", "--q", "0.999", "--trunc", "8000"], 1),
 )
 
 

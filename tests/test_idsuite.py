@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -410,7 +408,7 @@ class TestPlantedDefects:
         assert check().passed
         solve = qkz.solve_requests
         monkeypatch.setattr(qkz, "solve_requests", lambda *args, **kwargs: [
-            replace(res, entries=res.entries * (1 + EPS)) if k == 0 else res
+            res._replace(entries=res.entries * (1 + EPS)) if k == 0 else res
             for k, res in enumerate(solve(*args, **kwargs))])
         assert not check().passed
 

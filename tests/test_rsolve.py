@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -10,7 +9,7 @@ from conftest import plant_in_pair, zeta_sample
 from factor_ops import read_factors
 from qkzkit import reps, rsolve
 from qkzkit.context import QContext
-from qkzkit.errors import DegeneratePointError, QkzError
+from qkzkit.errors import ConfigError, DegeneratePointError, QkzError, ScalarDomainError
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          eval_module, operator_o, operator_o_inverse, sl2_constants)
@@ -168,7 +167,7 @@ class TestSolveBasics:
                 full = _full_assembly_rows(s1, s2)
                 (a, b), (a2, b2) = fr.ratios[pair]
                 c = rsolve.normalize_hw(((z1**p * a2 + z2**p * b2) / (z1**p * a + z2**p * b))[None])
-                x = fr.basis[pair] @ c[0]
+                x = c[0] @ fr.basis[:, pair]
                 assert np.abs(full @ x).max() <= 1e-13 * (np.abs(full) @ np.abs(x)).max(), \
                     (q, m, kinds, frame)
 
@@ -183,7 +182,7 @@ class TestSolveBasics:
             t = cache.template(make_request("V", 1.0, "V*", 1.0, m, grading, ctx))
             sizes.append(t.a.shape)
             for frame in (t.frame(1), t.frame(0)):
-                widths.append({frame.basis.shape[2], frame.ratios.shape[3] + 1})
+                widths.append({frame.basis.shape[0], frame.ratios.shape[3] + 1})
         assert sizes == [(4, 6), (4, 19), (4, 44), (4, 85)]
         assert widths == [{2}, {2}, {3}, {3}, {4}, {4}, {5}, {5}]
 
@@ -460,7 +459,8 @@ class TestOneStoredOperator:
     R = P Rcheck are formed on each read."""
 
     def test_entries_are_the_only_array_field(self):
-        arrays = [f.name for f in dataclasses.fields(rsolve.RResult) if f.type is np.ndarray]
+        arrays = [name for name, kind in rsolve.RResult.__annotations__.items()
+                  if kind is np.ndarray]
         assert arrays == ["entries"]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -471,8 +471,8 @@ class TestOneStoredOperator:
         reqs = [make_request(k1, 1.2 + 0.3j, k2, 0.8 - 0.2j, m, grading, ctx, norm)
                 for k1, k2 in ALL_PAIRS]
         for res in solve_intertwiner(reqs):
-            assert [f.name for f in dataclasses.fields(res)
-                    if isinstance(getattr(res, f.name), np.ndarray)] == ["entries"]
+            assert [name for name in res._fields
+                    if isinstance(getattr(res, name), np.ndarray)] == ["entries"]
             assert np.array_equal(res.R, P @ res.Rcheck)
 
     def test_one_calls_results_hold_the_entries_of_each_solve(self, ctx, grading):
@@ -565,7 +565,7 @@ class TestCache:
         assert [m for m, _ in templates] == [2] and len(frames) == 1
         t = cache.template(make_request("V", 1.0, "V", 1.0, 2, grading, ctx))
         frame = t.frame(rsolve._frame_of(grading)[0])
-        assert frame.basis.shape[0] == len(frame.errors) == len(rsolve.PAIRS) == 4
+        assert frame.basis.shape[1] == len(frame.errors) == len(rsolve.PAIRS) == 4
         assert frame.errors == (None,) * 4
         solve_intertwiner([make_request("V*", 0.7, "V", 1.3, 2, grading, ctx)], cache)
         assert len(templates) == len(frames) == 1
@@ -791,6 +791,67 @@ class TestStackedSolve:
         rep = check_ybe(1, ("V", "V", "V"), samples, grading, ctx, normalization="kappa",
                         cache=RCache())
         assert rep.passed and len(solves) == 1 and len(solves[0][0]) == 36
+
+
+
+class TestResidualCanFail:
+    """The intertwining residual reads the stored entries, so a wrong one shows."""
+
+    @pytest.mark.parametrize("kinds", ALL_PAIRS)
+    def test_a_changed_entry_lifts_the_residual(self, ctx, grading, kinds, monkeypatch):
+        # each stored entry of a solved m = 3 Rcheck in turn, moved by 1e-6 of the
+        # largest: the residual, below 1e-12 at the solve, rises above 1e-8
+        req = make_request(kinds[0], 1.3 + 0.4j, kinds[1], 0.8 - 0.2j, 3, grading, ctx, "kappa")
+        clean, = rsolve.solve_requests([req])
+        assert clean.intertwine_residual < 1e-12
+        raw = rsolve._raw_nullvector
+        for k in range(clean.entries.size):
+            def changed(reqs, template, pair, k=k):
+                entries, *rest = raw(reqs, template, pair)
+                entries[:, k] += 1e-6 * np.abs(entries).max()
+                return (entries, *rest)
+            monkeypatch.setattr(rsolve, "_raw_nullvector", changed)
+            res, = rsolve.solve_requests([req])
+            assert res.intertwine_residual > 1e-8, k
+
+    def test_an_overflowing_image_is_a_configuration_error(self, ctx):
+        # zeta1 = 1e308 at grading (1, 0): the solve's powers are finite, its
+        # generator images are not
+        req = make_request("V", 1e308, "V*", 1.0, 2, GradingChoice(1, 0), ctx, "hw")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, = rsolve.solve_requests([req])
+        assert type(res) is ConfigError
+        assert str(res) == ("spectral parameters out of range: the operator or a generator "
+                            "image overflows")
+
+
+class TestKappaThatIsNotFinite:
+    """A kappa that is not finite fails its request; the call raises nothing."""
+
+    def test_products_that_underflow(self):
+        # q = 0.999 with 8000 factors: kappa's four products underflow and its
+        # ratio reads 0/0, also with numpy's floating-point errors raised
+        ctx = QContext(0.999, trunc_terms=8000)
+        req = make_request("V", 1.3, "V", 0.9, 1, GradingChoice(1, 1), ctx, "kappa")
+        with np.errstate(all="raise"):
+            res, = rsolve.solve_requests([req])
+        assert type(res) is ScalarDomainError and "ratio is not finite" in str(res)
+
+    @pytest.mark.parametrize("value", [np.inf, complex(np.nan, np.nan)])
+    def test_a_kappa_that_is_not_finite(self, ctx, grading, value, monkeypatch):
+        # the guard of _kappa_scalars, for a kappa_sl2 row that is not finite and
+        # has no error: its request alone fails, for a like and a mixed pair
+        scan = rsolve.kappa_sl2
+        monkeypatch.setattr(rsolve, "kappa_sl2",
+                            lambda *args: np.where([True, False], value, scan(*args)))
+        reqs = [make_request(k1, 1.3, k2, 0.9 - 0.2j, 1, grading, ctx, "kappa")
+                for k1, k2 in (("V", "V"), ("V", "V*"))]
+        with np.errstate(all="raise"):
+            bad, good = rsolve.solve_requests([reqs[0], reqs[1]])
+            mixed, _ = rsolve.solve_requests([reqs[1], reqs[0]])
+        assert type(bad) is type(mixed) is ScalarDomainError
+        assert isinstance(good, rsolve.RResult)
 
 
 # every module pair, gradings (1,1), (1,0), (0,1), (2,1), m = 1..4 and both

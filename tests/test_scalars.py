@@ -104,6 +104,18 @@ class TestQPochhammer:
         assert peak < 100_000, peak
 
 
+    def test_products_that_underflow_are_an_error(self):
+        # q = 0.999 with 8000 factors: the four kappa products are finite and
+        # underflow, so their ratio reads 0/0; the row gets an error and NaN
+        ctx = QContext(0.999, trunc_terms=8000)
+        with np.errstate(all="raise"):
+            with pytest.raises(ScalarDomainError, match="Pochhammer ratio is not finite"):
+                kappa_sl2(1, 1.3, ctx)
+            errors = [None, None]
+            values = kappa_sl2(1, [1.3, 1.3], ctx, errors)
+        assert all(type(e) is ScalarDomainError for e in errors) and np.isnan(values).all()
+
+
 def _separate_scans_error(nums, dens, p, trunc, what):
     """(type, message) of the first error when each product is scanned alone,
     numerators first, each stopping at its own working precision; None if
