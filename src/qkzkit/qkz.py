@@ -159,22 +159,21 @@ class Sites:
         return (self.m + 1,) * self.n
 
 
-def _resonance(chain):
-    """q^delta, z1/z2 at the removable (V,V) resonance of the kappa-normalized
-    family, or None for hw."""
-    if chain.normalization == "kappa":
-        return complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
-    return None
-
-
-def _request(chain, info, qd):
-    """The request of a factor info = (kind1, z1, kind2, z2) of the chain, or
-    None at the resonance z1 = qd z2 (qd = _resonance(chain)), which takes its
-    closed form."""
-    k1, z1, k2, z2 = info
-    if qd is not None and k1 == k2 == "V" and abs(z1 - qd * z2) <= _ARG_TOL * abs(z1):
-        return None
-    return make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx, chain.normalization)
+def _requests(chain, infos) -> list:
+    """The request of each factor info = (kind1, z1, kind2, z2) of the chain,
+    or None for the removable (V,V) resonance z1 = q^delta z2 of the
+    kappa-normalized family, which takes its closed form; q^delta is formed
+    once, at the first (V,V) factor."""
+    kappa, qd, out = chain.normalization == "kappa", None, []
+    for k1, z1, k2, z2 in infos:
+        if kappa and k1 == k2 == "V":
+            qd = qd or complex(chain.ctx.q) ** sl2_constants(chain.grading)["delta"]
+            if abs(z1 - qd * z2) <= _ARG_TOL * abs(z1):
+                out.append(None)
+                continue
+        out.append(make_request(k1, z1, k2, z2, chain.m, chain.grading, chain.ctx,
+                                chain.normalization))
+    return out
 
 
 def _two_site(steps) -> list:
@@ -343,20 +342,18 @@ def solve_records(records, cache=None):
     (a fresh one by default) shares only the commutant templates.  Each
     distinct factor at (m, grading, ctx, normalization) is requested once,
     keyed by its info under that tuple, and every read of it reads that
-    request's result; q^delta is formed once per chain that a record reads.  A failed request raises its error when a record reads it, and a
-    result does not depend on the call that solved it, so each record
-    reports what it reports alone.
+    request's result.  A failed request raises its error when a record reads
+    it, and a result does not depend on the call that solved it, so each
+    record reports what it reports alone.
     """
     reqs, at = [], {}  # (m, grading, ctx, normalization) -> {info: its index in reqs, or None}
     for rec in records:
         for chain, infos in rec.reads():
             known = at.setdefault((chain.m, chain.grading, chain.ctx, chain.normalization), {})
-            qd = _resonance(chain)
-            for info in infos:
-                if info not in known:
-                    req = _request(chain, info, qd)
-                    known[info] = None if req is None else len(reqs)
-                    reqs.extend(() if req is None else (req,))
+            new = list(dict.fromkeys(info for info in infos if info not in known))
+            for info, req in zip(new, _requests(chain, new)):
+                known[info] = None if req is None else len(reqs)
+                reqs.extend(() if req is None else (req,))
     results = solve_requests(reqs, cache)
 
     def factor(chain, info, check_invertible=True) -> np.ndarray:

@@ -30,9 +30,10 @@ CommutantTemplate, built once per spin (m, q) and shared by every
 grading and module pair: its per-pair data lie on a leading pair axis
 (PAIRS), and a frame is built for all four pairs in one stacked pass.
 Kappa and the gauge depend on the grading, so solves are keyed by it.  A
-request (RRequest) holds plain values and builds no module.  RCache
-keeps the templates, and only them, across solve_requests calls; a
-solved result lives in the call that solved it.
+request (RRequest) and a result (RResult) are tuples of plain values, made
+at the cost of a tuple, and a request builds no module.  RCache keeps the
+templates, and only them, across solve_requests calls; a solved result
+lives in the call that solved it.
 
 solve_requests returns each request's result or the error that it raises
 alone, and raises nothing, also far out on the q-disk.  Isolation stays
@@ -44,20 +45,21 @@ that raises an arithmetic error fails the requests of its spin, its
 stack or its scan.  The read rule read_result raises a copy of a stored
 error or refuses a singular operator.  solve_intertwiner is the rule over
 one solve_requests call, and r_matrix its call for one request (which
-builds the template of its whole spin).  The distinct keys of a call are
-solved as stacks, one per spin, q and grading, which covers every module
-pair of that spin (a reduction check reads all four): each request reads
-its own pair's slice of the template by index, for the ratios, their
-products and the gauged entries, then the intertwining residual, which
-forms the dense operators block by block.  At the suite's sizes a call
-costs mostly its fixed part (2 cores, one BLAS thread, the template
-built: about 0.4 ms for one kappa request at m = 3, 0.2 ms of it the
-stack and 0.15 ms the kappa scan, against 0.02-0.06 ms for each further
-request of the same stack, of any module pair), so a `suite` run makes
-one solve_requests call (`qkz.solve_records`) for the records of all its
-check groups, which read their factors through its factor reader
-(`suite --m 3`: 3 templates, 3 stacks and one kappa scan, the lattice
-probes of degenerate_detection among them).  A stack forms each
+builds the template of its whole spin).  The distinct module and zeta
+pairs of a call are solved as stacks, one per spin, q and grading, which
+covers every module pair of that spin (a reduction check reads all four):
+each request reads its own pair's slice of the template by index, for
+the ratios, their products and the gauged entries, then the intertwining
+residual, which forms the dense operators block by block.  At the suite's
+sizes a call costs mostly its fixed part (2 cores, one BLAS thread, the
+template built: about 0.28 ms for one kappa request at m = 3, 0.13 ms of
+it the stack and 0.09 ms the kappa scan, against about 0.04 ms for each
+further request of the same stack, of any module pair; 0.36 ms for 12
+kappa requests at m = 1), so a `suite` run makes one solve_requests call
+(`qkz.solve_records`) for the records of all its check groups, which read
+their factors through its factor reader (`suite --m 3`: 3 templates, 3
+stacks and one kappa scan, the lattice probes of degenerate_detection
+among them).  A stack forms each
 request's Rcheck elementwise, its basis columns summed in a fixed order,
 and a kappa scan is elementwise numpy arithmetic, so each of its rows
 keeps the bits of a one-row scan: a result does not depend on the call
@@ -322,17 +324,17 @@ class CommutantTemplate:
             A, B = np.moveaxis(np.array([coproduct_parts(reps[k1], reps[k2])
                                          for k1, k2 in PAIRS]), 1, 0)
         swap = [PAIRS.index(pair[::-1]) for pair in PAIRS]  # V2 x V1 of each pair
-        # zeta1 and zeta2 parts of M on V1 x V2, the four generators' rows side
-        # by side (D, 4, D), then of N on V2 x V1 (4, D, D): N = zeta2^p A21 + zeta1^p B21
+        # zeta1 and zeta2 parts of M on V1 x V2, the four generators' images side by
+        # side (D, 4, D), then of N on V2 x V1, stacked (4, D, D): N = zeta2^p A21 + zeta1^p B21
         one, two = (np.concatenate((X.swapaxes(1, 2).reshape(len(PAIRS), -1),
                                     Y[swap].reshape(len(PAIRS), -1)), axis=1)
                     for X, Y in ((A, B), (B, A)))
         self.m, d = m, m + 1
         self.dim = D = d * d
         at = np.flatnonzero(((one != 0) | (two != 0)).any(axis=0))
+        # the places; for the zeta1 and then the zeta2 part at each, the column of
+        # its zeta power in (zeta1^p, zeta2^p) (B, 8); and the parts (P, 2 x places)
         gen = np.concatenate((np.tile(np.arange(4).repeat(D), D), np.arange(4).repeat(D * D)))[at]
-        # the places, the column of each part's zeta power in (zeta1^p, zeta2^p) (B, 8),
-        # and the parts (P, 2 x places), the zeta1 parts first
         self.images = at, np.concatenate((gen, gen + 4)), np.hstack((one[:, at], two[:, at]))
         # h1-weights of the two factors of each pair, and the unknowns: the
         # entries whose output (in V2 x V1) and input (in V1 x V2) weigh the same
@@ -465,7 +467,8 @@ def _raw_nullvector(reqs, template, pair) -> tuple:
     terms, read as 0 or NaN where they cancel or vanish; errors[b] the
     ConfigError of request b or None, for a zeta power that overflows; and
     zeta1^p, zeta2^p (B, 4) at the grade p of each e/f generator, which the
-    intertwining residual reads.
+    intertwining residual reads.  Run with numpy's floating-point errors off,
+    as _solve runs it.
     """
     B, D = len(reqs), template.dim
     errors = [None] * B
@@ -478,30 +481,29 @@ def _raw_nullvector(reqs, template, pair) -> tuple:
     table = np.zeros((3, max(2 * m + 1, 5)))
     table[0, :2 * m + 1] = np.arange(-m, m + 1) * c
     table[1:, :5] = p, g.s0, g.s1, -g.s0, -g.s1
-    with np.errstate(all="ignore"):
-        powers = _powers(np.array((z1 / z2, z1, z2)), table, errors)
-        gauge, grades = powers[0], (powers[1, :, 1:5], powers[2, :, 1:5])
-        if D == 1:
-            return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, grades
-        fr = template.frame(frame)
-        # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
-        terms = fr.ratios[pair] * powers[1:, :, 0].T[:, None, :, None]
-        alpha_beta = terms.sum(axis=2)
-        rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
-        coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
-        # sum_j c_j B_j column by column in a fixed order, in real arithmetic as
-        # np.einsum forms it at small sizes, so a request's bits do not depend on
-        # the stack (np.einsum changes its order with the stack at m = 12)
-        re = im = 0.0
-        for basis_j, cr, ci in zip(fr.basis, coef.real.T[:, :, None], coef.imag.T[:, :, None]):
-            column = basis_j[pair]
-            br, bi = column.real, column.imag
-            re = re + (br * cr - bi * ci)
-            im = im + (br * ci + bi * cr)
-        rcheck = np.empty(re.shape, dtype=complex)
-        rcheck.real, rcheck.imag = re, im
-        entries = gauge[np.arange(B)[:, None], template.gauge[pair]]
-        entries *= rcheck
+    powers = _powers(np.array((z1 / z2, z1, z2)), table, errors)
+    gauge, grades = powers[0], (powers[1, :, 1:5], powers[2, :, 1:5])
+    if D == 1:
+        return np.ones((B, 1), dtype=complex), np.ones((B, 2, 0)), errors, grades
+    fr = template.frame(frame)
+    # (B, 2, 2, m): the terms ((zeta1^p a, zeta2^p b), (zeta1^p a', zeta2^p b'))
+    terms = fr.ratios[pair] * powers[1:, :, 0].T[:, None, :, None]
+    alpha_beta = terms.sum(axis=2)
+    rel = np.abs(alpha_beta) / np.abs(terms).sum(axis=2)
+    coef = normalize_hw(alpha_beta[:, 1] / alpha_beta[:, 0])
+    # sum_j c_j B_j column by column in a fixed order, in real arithmetic as
+    # np.einsum forms it at small sizes, so a request's bits do not depend on
+    # the stack (np.einsum changes its order with the stack at m = 12)
+    re = im = 0.0
+    for basis_j, cr, ci in zip(fr.basis, coef.real.T[:, :, None], coef.imag.T[:, :, None]):
+        column = basis_j[pair]
+        br, bi = column.real, column.imag
+        re = re + (br * cr - bi * ci)
+        im = im + (br * ci + bi * cr)
+    rcheck = np.empty(re.shape, dtype=complex)
+    rcheck.real, rcheck.imag = re, im
+    entries = gauge[np.arange(B)[:, None], template.gauge[pair]]
+    entries *= rcheck
     return entries, rel, errors, grades
 
 
@@ -528,29 +530,29 @@ def _intertwine_residuals(entries, z1p, z2p, template, pair) -> tuple:
     not grow with B.  Each request takes two products: Rc times its four
     M side by side, and its four N stacked times Rc (generator_images lays
     both out so).  Generators with M = 0 are skipped, a zero Rc reads inf,
-    and an image that overflows reads inf or NaN.
+    and an image that overflows reads inf or NaN.  Run with numpy's
+    floating-point errors off, as _solve runs it.
     """
     B, D = len(entries), template.dim
     rows = max(1, _IMAGE_ENTRIES // (len(_EF_TAGS) * D * D))
     worst = np.empty(B)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r in range(0, B, rows):
-            at = slice(r, r + rows)
-            p = pair[at]
-            n = len(p)
-            Rc = np.zeros((n, D, D), dtype=complex)
-            Rc[np.arange(n)[:, None], template.a[p], template.b[p]] = entries[at]
-            M, N = template.generator_images(z1p[at], z2p[at], p)
-            side = M.swapaxes(1, 2)  # (n, D, 4, D), contiguous rows
-            # Rc M_g - N_g Rc, (n, 4, D, D), in the buffer of the N_g Rc product
-            diff = (N.reshape(n, -1, D) @ Rc).reshape(M.shape)
-            np.subtract((Rc @ side.reshape(n, D, -1)).reshape(side.shape).swapaxes(1, 2), diff,
-                        out=diff)
-            nr, nm = np.sqrt(_squares(Rc.reshape(n, -1))), np.sqrt(_squares(side).sum(axis=1))
-            res = np.sqrt(_squares(diff.reshape(n, len(_EF_TAGS), -1)))
-            block = worst[at]
-            block[:] = np.where(nm != 0, res / (nr[:, None] * nm), 0.0).max(axis=1)
-            block[nr == 0] = np.inf
+    for r in range(0, B, rows):
+        at = slice(r, r + rows)
+        p = pair[at]
+        n = len(p)
+        Rc = np.zeros((n, D, D), dtype=complex)
+        Rc[np.arange(n)[:, None], template.a[p], template.b[p]] = entries[at]
+        M, N = template.generator_images(z1p[at], z2p[at], p)
+        side = M.swapaxes(1, 2)  # (n, D, 4, D), contiguous rows
+        # Rc M_g - N_g Rc, (n, 4, D, D), in the buffer of the N_g Rc product
+        diff = (N.reshape(n, -1, D) @ Rc).reshape(M.shape)
+        np.subtract((Rc @ side.reshape(n, D, -1)).reshape(side.shape).swapaxes(1, 2), diff,
+                    out=diff)
+        nr2, nm2 = _squares(Rc.reshape(n, -1)), _squares(side).sum(axis=1)
+        ratio2 = np.where(nm2 != 0, _squares(diff.reshape(n, len(_EF_TAGS), -1)) / nm2, 0.0)
+        block = worst[at]
+        block[:] = np.sqrt(ratio2.max(axis=1) / nr2)
+        block[nr2 == 0] = np.inf
     return worst
 
 
@@ -586,9 +588,7 @@ def _kappa_scalars(reqs) -> list:
                             np.full((1, 1), float(s)), errors)
             kappas = kappa_sl2(m, z[0, :, 0], ctx, errors)
         except NUMERICAL_ERRORS as exc:
-            for i in idx:
-                out[i] = exc.with_traceback(None)
-            continue
+            kappas, errors = np.full(len(idx), np.nan), [exc.with_traceback(None)] * len(idx)
         like = [reqs[i].kind1 == reqs[i].kind2 for i in idx]
         with np.errstate(all="ignore"):  # a failed row may be 0 or not finite
             scales = np.where(like, 1.0 / kappas, kappas).tolist()
@@ -632,29 +632,29 @@ def _solve(reqs, template, pair) -> list:
     formed for the whole stack; only a failing request takes a loop step,
     and only such a request's images are formed again, to test them.
     """
-    entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template, pair)
-    margins = rel.min(axis=(1, 2), initial=1.0).tolist()  # NaN where one is NaN
-    for k in [k for k, margin in enumerate(margins) if not margin >= _CANCEL_TOL
-              and not rel[k, 0].min(initial=1.0) >= _CANCEL_TOL]:  # some alpha_j cancels
-        both = np.flatnonzero(~(rel[k] >= _CANCEL_TOL).any(axis=0))
-        errors[k] = errors[k] or DegeneratePointError(
-            f"nullspace gap: component ratio {both[0]} is 0/0 "
-            f"(terms cancel below {_CANCEL_TOL:.1g})" if len(both) else
-            "highest-weight component vanishes (non-simple spectral point)")
-    failed = [k for k, e in enumerate(errors) if e is not None]
-    if failed:  # not checked: their images may overflow
-        entries[failed], z1p[failed], z2p[failed] = 0, 0, 0
-    residual = _intertwine_residuals(entries, z1p, z2p, template, pair).tolist()
-    for k in [k for k, resid in enumerate(residual) if errors[k] is None
-              and not cmath.isfinite(resid)]:
-        with np.errstate(all="ignore"):  # an image may overflow
-            images = template.generator_images(z1p[k:k + 1], z2p[k:k + 1], pair[k:k + 1])
-        if all(np.isfinite(X).all() for X in images) and not np.isfinite(entries[k]).all():
-            errors[k] = DegeneratePointError(
-                "R is not finite: a component ratio diverges (non-simple spectral point)")
-        else:
-            errors[k] = ConfigError(
-                "spectral parameters out of range: the operator or a generator image overflows")
+    with np.errstate(all="ignore"):
+        entries, rel, errors, (z1p, z2p) = _raw_nullvector(reqs, template, pair)
+        margins = rel.min(axis=(1, 2), initial=1.0).tolist()  # NaN where one is NaN
+        for k in [k for k, margin in enumerate(margins) if not margin >= _CANCEL_TOL
+                  and not rel[k, 0].min(initial=1.0) >= _CANCEL_TOL]:  # some alpha_j cancels
+            both = np.flatnonzero(~(rel[k] >= _CANCEL_TOL).any(axis=0))
+            errors[k] = errors[k] or DegeneratePointError(
+                f"nullspace gap: component ratio {both[0]} is 0/0 "
+                f"(terms cancel below {_CANCEL_TOL:.1g})" if len(both) else
+                "highest-weight component vanishes (non-simple spectral point)")
+        failed = [k for k, e in enumerate(errors) if e is not None]
+        if failed:  # not checked: their images may overflow
+            entries[failed], z1p[failed], z2p[failed] = 0, 0, 0
+        residual = _intertwine_residuals(entries, z1p, z2p, template, pair).tolist()
+        for k in [k for k, resid in enumerate(residual)
+                  if errors[k] is None and not cmath.isfinite(resid)]:
+            M, N = template.generator_images(z1p[k:k + 1], z2p[k:k + 1], pair[k:k + 1])
+            if np.isfinite(M).all() and np.isfinite(N).all() and not np.isfinite(entries[k]).all():
+                errors[k] = DegeneratePointError(
+                    "R is not finite: a component ratio diverges (non-simple spectral point)")
+            else:
+                errors[k] = ConfigError("spectral parameters out of range: the operator or a "
+                                        "generator image overflows")
     return [err or RResult(row, template, p, margin, resid) for err, row, p, margin, resid
             in zip(errors, entries, pair.tolist(), margins, residual)]
 

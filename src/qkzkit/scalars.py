@@ -76,13 +76,10 @@ def raise_first(*segments, m=None):
 def _m_groups(ms) -> list:
     """(mu, rows) for each distinct m of ms (a number, or one per row), in
     order of first appearance: mu a Python number, so its powers of q have
-    the bits of a one-m call, and rows a mask, or every row (a slice) where
-    ms holds one m."""
+    the bits of a one-m call, and rows a mask, or a slice for one m."""
     ms = np.asarray(ms)
     distinct = dict.fromkeys(ms.ravel().tolist())
-    if len(distinct) == 1:
-        return [(*distinct, slice(None))]
-    return [(mu, ms == mu) for mu in distinct]
+    return [(mu, slice(None) if len(distinct) == 1 else ms == mu) for mu in distinct]
 
 
 def _by_m(ms, x, errors, shape, build) -> np.ndarray:
@@ -104,27 +101,21 @@ def _by_m(ms, x, errors, shape, build) -> np.ndarray:
 
 def _scan_powers(p: complex, abs_p: float, reach: float, negligible: float, limit: int) -> tuple:
     """(p^k, |p^k|) for k = 0 .. K, K the first k with reach |p^k| < negligible
-    or else limit.  p^k is a sequential product, as a loop forms it, and
-    |p^k| is abs() of it (np.hypot; np.abs rounds differently).  The powers
-    are formed to a few past the estimate log(negligible / reach) / log |p|,
-    and to limit only if that falls short."""
-    if not reach >= negligible:
-        n = 0
-    elif abs_p == 0.0:
-        n = 1
-    else:
-        n = min(limit, int(math.log(negligible / reach) / math.log(abs_p)) + 3)
-    while True:
-        powers = np.full(n + 1, p)
-        powers[0] = 1.0
-        powers = np.multiply.accumulate(powers)
+    or else limit: p^k a sequential product, as a loop forms it, and |p^k|
+    abs() of it (np.hypot; np.abs rounds differently).  The powers are formed
+    to a few past the estimate log(negligible / reach) / log |p|, then to
+    limit if that falls short (reach = 0 stops at k = 0, |p| = 0 by k = 1)."""
+    guess = 1
+    if reach > 0.0 and abs_p > 0.0:
+        guess = max(1, min(limit, int(math.log(negligible / reach) / math.log(abs_p)) + 3))
+    for n in (guess, limit):
+        powers = np.multiply.accumulate(np.concatenate(([1.0], np.full(n, p))))
         moduli = np.hypot(powers.real, powers.imag)
         below = reach * moduli < negligible
-        below[n] |= n == limit
+        below[-1] |= n == limit
         K = int(below.argmax())
         if below[K]:
             return powers[:K + 1], moduli[:K + 1]
-        n = limit
 
 
 def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
@@ -295,10 +286,7 @@ def _nonzero(zs, errors) -> np.ndarray:
     zero = np.flatnonzero(zs == 0)
     for r in zero:
         errors[r] = errors[r] or ScalarDomainError("kappa requires z != 0")
-    if len(zero):
-        zs = zs.copy()
-        zs[zero] = 1.0
-    return zs
+    return np.where(zs == 0, 1.0, zs) if len(zero) else zs
 
 
 def kappa_sl2(m, z, ctx: QContext, errors=None):
