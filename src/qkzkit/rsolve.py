@@ -519,7 +519,7 @@ def _squares(A) -> np.ndarray:
 _IMAGE_ENTRIES = 1 << 12
 
 
-def _intertwine_residuals(entries, z1p, z2p, template, pair) -> tuple:
+def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
     """max over generators of ||Rc M - N Rc|| / (||Rc|| ||M||) for each operator
     Rc of a stack, from its entries (B, U) at the unknowns of its module
     pair pair[b] of `template` and zeta1^p and zeta2^p (B, 4) at the grades.
@@ -594,9 +594,10 @@ def _kappa_scalars(reqs) -> list:
             scales = np.where(like, 1.0 / kappas, kappas).tolist()
         for i, k, scale, err, inverted in zip(idx, kappas.tolist(), scales, errors, like):
             if err is None and not cmath.isfinite(k):
-                err = ScalarDomainError("kappa is not finite: its prefactor z^(m/2) overflows")
+                err = ScalarDomainError("kappa is not finite: z^(m/2) times its ratio overflows")
             if err is None and k == 0 and inverted:
-                err = DegeneratePointError("kappa vanishes: pole of the kappa-normalized like pair")
+                err = DegeneratePointError(
+                    "kappa vanishes: pole of the kappa-normalized like pair")
             out[i] = err or scale
     return out
 
@@ -669,10 +670,10 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     pair of that spin and reads the spin's one template, and serves both
     normalizations: a kappa request reads it through apply_kappa.  The
     kappa requests whose solve succeeded share one kappa_sl2 scan per
-    (s, m, q context) (_kappa_scalars).  Errors are isolated as far as the work is shared: a
-    module pair whose template data are not finite or fail the gap test
-    (_Frame.errors) fails that pair's requests alone, and of
-    NUMERICAL_ERRORS, a template build that raises one fails its whole
+    (s, m, q context) (_kappa_scalars).  Errors are isolated as far as the
+    work is shared: a module pair whose template data are not finite or
+    fail the gap test (_Frame.errors) fails that pair's requests alone, and
+    of NUMERICAL_ERRORS, a template build that raises one fails its whole
     spin's requests, a stack that raises one the requests of its spin, q
     and grading, and a kappa scan its own.  The results live in the call;
     the cache (a fresh RCache by default) only shares the templates.

@@ -174,9 +174,9 @@ def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tu
         i = int(failing[r].argmax())
         is_den = i >= n_num
         name = what if is_den and what is not None else "Pochhammer factor"
-        if not bad[r]:  # finite products whose ratio is not: they underflow
-            err = ScalarDomainError(
-                f"Pochhammer ratio is not finite: its products underflow after {stop[r]} factors")
+        if not bad[r]:  # finite products whose ratio is not
+            err = ScalarDomainError(f"Pochhammer ratio is not finite after {stop[r]} factors: "
+                                    "its products underflow or their quotient overflows")
         elif head[r, i] >= 0.5:
             err = TruncationError("trunc_terms too small for this Pochhammer argument")
         elif what is not None and tail[r, i] > _TAIL_TOL:
