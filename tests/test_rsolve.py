@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -793,7 +794,6 @@ class TestStackedSolve:
         assert rep.passed and len(solves) == 1 and len(solves[0][0]) == 36
 
 
-
 class TestResidualCanFail:
     """The intertwining residual reads the stored entries, so a wrong one shows."""
 
@@ -897,7 +897,6 @@ class TestPinnedBits:
     DIGEST = "db079c4eddafc6d9c9367229d4448a268dac6567e89a107f01fc6d2d9773ec59"
 
     def test_grid_digest(self):
-        import hashlib
         digest = hashlib.sha256()
         for q in (0.7, 0.5 + 0.5j):
             reqs = _pin_requests(q)
