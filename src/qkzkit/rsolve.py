@@ -119,7 +119,7 @@ class RRequest(namedtuple("RRequest", "kind1 zeta1 kind2 zeta2 m grading normali
         for zeta in (zeta1, zeta2):
             if zeta == 0 or not cmath.isfinite(zeta):
                 raise ConfigError(f"spectral parameter must be finite and nonzero, got {zeta}")
-        return super().__new__(cls, kind1, zeta1, kind2, zeta2, m, grading, normalization, ctx)
+        return tuple.__new__(cls, (kind1, zeta1, kind2, zeta2, m, grading, normalization, ctx))
 
     @property
     def pair(self) -> int:
