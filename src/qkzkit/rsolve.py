@@ -52,9 +52,9 @@ each request reads its own pair's slice of the template by index, for
 the ratios, their products and the gauged entries, then the intertwining
 residual, which forms the dense operators block by block.  At the suite's
 sizes a call costs mostly its fixed part (2 cores, one BLAS thread, the
-template built: about 0.28 ms for one kappa request at m = 3, 0.13 ms of
+template built: about 0.27 ms for one kappa request at m = 3, 0.13 ms of
 it the stack and 0.09 ms the kappa scan, against about 0.04 ms for each
-further request of the same stack, of any module pair; 0.36 ms for 12
+further request of the same stack, of any module pair; 0.35 ms for 12
 kappa requests at m = 1), so a `suite` run makes one solve_requests call
 (`qkz.solve_records`) for the records of all its check groups, which read
 their factors through its factor reader (`suite --m 3`: 3 templates, 3
