@@ -33,8 +33,8 @@ import math
 import sys
 import time
 import zlib
+from _json import encode_basestring
 from functools import partial
-from json.encoder import encode_basestring
 
 import numpy as np
 

@@ -1,6 +1,6 @@
 """Deformation-parameter context."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -10,8 +10,7 @@ _MACH_EPS = float(np.finfo(float).eps)
 _ROOT_UNITY_GUARD = 48
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(namedtuple("QContext", "q trunc_terms")):
     """Deformation parameter q plus the truncation length of every product.
 
     q must satisfy 0 < |q| < 1 (all infinite products and series converge
@@ -19,21 +18,21 @@ class QContext:
     unity: |q^k - 1| > 10*eps for 1 <= k <= 48.
     """
 
-    q: complex
-    trunc_terms: int = 256
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = complex(self.q)
-        if not np.isfinite(q):  # NaN would pass the modulus test below
-            raise ConfigError(f"q must be finite, got {q}")
-        if q == 0:
+    def __new__(cls, q, trunc_terms=256):
+        z = complex(q)
+        if not np.isfinite(z):  # NaN would pass the modulus test below
+            raise ConfigError(f"q must be finite, got {z}")
+        if z == 0:
             raise ConfigError("q must be nonzero")
-        if abs(q) >= 1.0:
-            raise ConfigError(f"|q| must be < 1, got |q| = {abs(q):.6g}")
-        if self.trunc_terms < 1:
+        if abs(z) >= 1.0:
+            raise ConfigError(f"|q| must be < 1, got |q| = {abs(z):.6g}")
+        if trunc_terms < 1:
             raise ConfigError("trunc_terms must be positive")
         qk = 1.0 + 0.0j
         for k in range(1, _ROOT_UNITY_GUARD + 1):
-            qk *= q
+            qk *= z
             if abs(qk - 1.0) <= 10.0 * _MACH_EPS:
                 raise ConfigError(f"q is numerically a root of unity: |q^{k} - 1| <= 10*eps")
+        return tuple.__new__(cls, (q, trunc_terms))

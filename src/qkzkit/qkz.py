@@ -32,9 +32,11 @@ PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
 estimates the relative Frobenius residual without forming A or B.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import wraps
 from math import prod
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +72,7 @@ def probe_block(D: int, seed=0, columns=PROBE_COLUMNS) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class DeltaAssignment:
+class DeltaAssignment(namedtuple("DeltaAssignment", "source alpha n")):
     """Recipe for a per-site twist map.
 
     sources (d = (-1)^m; (Xtilde^-1)^t Xtilde = (-1)^m X):
@@ -83,13 +84,12 @@ class DeltaAssignment:
     alike, so it is left out.
     """
 
-    source: str
-    alpha: complex = 0.0
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source not in ("self_dual_pair", "general_v", "general_vstar"):
-            raise ConfigError(f"unknown delta source {self.source!r}")
+    def __new__(cls, source, alpha=0.0, n=1):
+        if source not in ("self_dual_pair", "general_v", "general_vstar"):
+            raise ConfigError(f"unknown delta source {source!r}")
+        return tuple.__new__(cls, (source, alpha, n))
 
 
 def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice,
@@ -100,30 +100,23 @@ def build_delta(assign: DeltaAssignment, m: int, grading: GradingChoice,
     return sign * twist(kind, 2.0 * grading.s1 / grading.s - 1.0 + assign.alpha, m, ctx)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec", "m grading ctx kinds etas p deltas normalization")):
     """An N-site qKZ configuration."""
 
-    m: int
-    grading: GradingChoice
-    ctx: QContext
-    kinds: tuple
-    etas: tuple
-    p: complex
-    deltas: tuple
-    normalization: str = "kappa"
+    __slots__ = ()
 
-    def __post_init__(self):
-        N = len(self.kinds)
+    def __new__(cls, m, grading, ctx, kinds, etas, p, deltas, normalization="kappa"):
+        N = len(kinds)
         if N < 2 or N % 2 != 0:
             raise ConfigError("chain length must be even and >= 2")
-        if len(self.etas) != N or len(self.deltas) != N:
+        if len(etas) != N or len(deltas) != N:
             raise ConfigError("kinds, etas and deltas must have equal length")
-        if self.p == 0:
+        if p == 0:
             raise ConfigError("shift p must be nonzero")
-        for k in self.kinds:
+        for k in kinds:
             if k not in ("V", "V*"):
                 raise ConfigError("site kinds must be 'V' or 'V*'")
+        return tuple.__new__(cls, (m, grading, ctx, kinds, etas, p, deltas, normalization))
 
     @property
     def N(self) -> int:
@@ -143,8 +136,7 @@ class ChainSpec:
                          self.p, self.deltas, self.normalization)
 
 
-@dataclass(frozen=True)
-class Sites:
+class Sites(NamedTuple):
     """n sites of spin m and no twists, for the checks that need no qKZ chain: what
     the factor functions read of a ChainSpec (m, grading, ctx, normalization, dims)."""
 
@@ -242,18 +234,16 @@ def _einsum_apply(op, sites, dims, M):
     return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(namedtuple("Side", "steps route check_invertible")):
     """One operator of a string check: a factor string (a tuple of steps), the
     route that applies it, and whether a singular solved factor is refused."""
 
-    steps: tuple
-    route: str = "apply_factors"
-    check_invertible: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.route not in ("apply_factors", "einsum", "dense"):
-            raise ConfigError(f"unknown route {self.route!r}")
+    def __new__(cls, steps, route="apply_factors", check_invertible=True):
+        if route not in ("apply_factors", "einsum", "dense"):
+            raise ConfigError(f"unknown route {route!r}")
+        return tuple.__new__(cls, (steps, route, check_invertible))
 
     def apply(self, chain, factor, block) -> np.ndarray:
         """This side applied to `block` by its route, its factors read from
@@ -263,8 +253,7 @@ class Side:
                              self.check_invertible, einsum=self.route == "einsum")
 
 
-@dataclass(frozen=True)
-class StringCheck:
+class StringCheck(NamedTuple):
     """A check that compares sides applied to one probe block.
 
     The sides are applied in order, each reading its factors by name, to
@@ -284,7 +273,7 @@ class StringCheck:
     seed: int = 0
     columns: int = PROBE_COLUMNS
     extract: object = None
-    pair_params: dict = field(default_factory=dict)
+    pair_params: dict = MappingProxyType({})
 
     def reads(self) -> list:
         """One (chain, infos) entry: the two-site factors of every side."""
@@ -305,8 +294,7 @@ class StringCheck:
         return VerificationReport.make(self.name, params, resid, self.tolerance)
 
 
-@dataclass(frozen=True)
-class FactorCheck:
+class FactorCheck(NamedTuple):
     """A check that reads two-site factors directly: `factors` lists (chain,
     infos) entries, each info (kind1, z1, kind2, z2) in the chain's
     normalization, and measure(read) makes the report, where read(chain,

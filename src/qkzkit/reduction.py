@@ -16,19 +16,18 @@ matrix; the first probe column goes through the contraction map
 declares its two factors and applies them as a two-step factor string.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from math import prod
 
 import numpy as np
 
-from .context import QContext
 from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck, apply_factors,
                   lambda_factor_specs, probe_block, regularized_product, rewritten_factors,
                   solving_check)
 from .report import VerificationReport
-from .reps import GradingChoice, operator_x, operator_xtilde, sl2_constants
+from .reps import operator_x, operator_xtilde, sl2_constants
 from .tensorops import embed_pair, relative_residual, site_matmul
 
 __all__ = [
@@ -38,24 +37,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReductionCase:
+class ReductionCase(namedtuple("ReductionCase", "mode n m grading ctx alpha")):
     """Parameters of one reduction construction; its factors are always
     kappa-normalized (the resonant lead factor has no hw-normalized value)."""
 
-    mode: str
-    n: int
-    m: int
-    grading: GradingChoice
-    ctx: QContext
-    alpha: complex = 0.0
+    __slots__ = ()
     normalization = "kappa"  # a read-only class constant, not a field
 
-    def __post_init__(self):
-        if self.mode not in ("self_dual", "general"):
+    def __new__(cls, mode, n, m, grading, ctx, alpha=0.0):
+        if mode not in ("self_dual", "general"):
             raise ConfigError("mode must be 'self_dual' or 'general'")
-        if self.n < 1 or self.m < 1:
+        if n < 1 or m < 1:
             raise ConfigError("n and m must be positive")
+        return tuple.__new__(cls, (mode, n, m, grading, ctx, alpha))
 
     @property
     def shift(self) -> float:

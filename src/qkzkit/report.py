@@ -1,7 +1,7 @@
 """Verification report record shared by all check layers."""
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 def worst_of(residuals) -> float:
@@ -22,8 +22,7 @@ def fold(residual, tolerance, e2e_residual, e2e_tolerance) -> float:
     return tolerance * worst_of((residual / tolerance, e2e_residual / e2e_tolerance))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Named check outcome; it passes when residual <= tolerance."""
 
     name: str
@@ -51,4 +50,4 @@ class VerificationReport:
             params = dict(params, e2e_tolerance=tolerance)
             residual = fold(params["operator_residual"], tolerance,
                             params["e2e_residual"], tolerance)
-        return replace(self, params=params, residual=residual, tolerance=tolerance)
+        return self._replace(params=params, residual=residual, tolerance=tolerance)

@@ -5,7 +5,7 @@ decreasing h1-weight, so index 0 is the highest weight vector of the
 plain module and index m that of the antipode dual.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,16 +18,15 @@ from .tensorops import kron, relative_residual
 GENERATOR_TAGS = ("e0", "e1", "f0", "f1", "qh0", "qh1")
 
 
-@dataclass(frozen=True)
-class GradingChoice:
+class GradingChoice(namedtuple("GradingChoice", "s0 s1")):
     """Integer grades (s0, s1) of the raising generators; s = s0 + s1 >= 1."""
 
-    s0: int
-    s1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s0 < 0 or self.s1 < 0 or self.s0 + self.s1 < 1:
+    def __new__(cls, s0, s1):
+        if s0 < 0 or s1 < 0 or s0 + s1 < 1:
             raise ConfigError("grades must be nonnegative with s0 + s1 >= 1")
+        return tuple.__new__(cls, (s0, s1))
 
     @property
     def s(self) -> int:

@@ -82,7 +82,6 @@ closed form from the crossing relation.
 import cmath
 import copy
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -270,8 +269,7 @@ def _commutant_basis(in_ops, out_ops, m, a, b) -> tuple:
                                np.where(live, dual[:, p, b[p]], 0)) for p in range(P)]), top, gap
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """The solve data of one homogeneous grading of a spin, for its four
     module pairs (PAIRS) on the leading axis.
 

@@ -2,7 +2,6 @@
 the checks that compare them on a probe block, of the braid check and of
 the crossing check."""
 
-import dataclasses
 import os
 from math import prod
 
@@ -163,8 +162,8 @@ class TestApplyFactors:
     @pytest.mark.parametrize("m", [1, 2])
     def test_matches_dense_product(self, m, norm, ctx, grading, cache):
         rng = np.random.default_rng([89, m])
-        chain = dataclasses.replace(
-            mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), m, rng), normalization=norm)
+        chain = mixed_chain(ctx, grading, ("V", "V*", "V", "V*"), m, rng)._replace(
+            normalization=norm)
         want = self.dense(chain, cache)
         got = applied(chain, self.string(chain), cache)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -397,8 +396,8 @@ def one_sided_defect(rec):
                 k1, z1, k2, z2 = info
                 steps[j] = (tag, where, (k1, z1, k2, z2 * (1 + EPS)))
                 sides = list(rec.sides)
-                sides[k] = dataclasses.replace(rec.sides[k], steps=tuple(steps))
-                return dataclasses.replace(rec, sides=tuple(sides))
+                sides[k] = rec.sides[k]._replace(steps=tuple(steps))
+                return rec._replace(sides=tuple(sides))
     return None
 
 

@@ -1,6 +1,5 @@
 """Residual folds keep a NaN: a report whose residual went NaN anywhere fails."""
 
-import dataclasses
 import json
 import math
 
@@ -43,7 +42,7 @@ def test_with_tolerance_holds_both_residuals():
     assert (loose.residual, loose.passed) == (2e-16, True)
     plain = VerificationReport.make("ybe", {"m": 1}, 3e-12, 1e-9)
     assert plain.passed
-    assert plain.with_tolerance(1e-12) == dataclasses.replace(plain, tolerance=1e-12)
+    assert plain.with_tolerance(1e-12) == plain._replace(tolerance=1e-12)
     assert plain.with_tolerance(1e-12).passed is False
 
 
@@ -51,11 +50,11 @@ def test_passed_is_derived_from_residual_and_tolerance():
     report = VerificationReport.make("ybe", {"m": 1}, 3e-12, 1e-9)
     assert report.passed is True
     # a replaced residual cannot leave a stale verdict behind
-    assert dataclasses.replace(report, residual=math.nan).passed is False
-    assert dataclasses.replace(report, residual=2e-9).passed is False
-    assert dataclasses.replace(report, residual=1e-9).passed is True
-    with pytest.raises(TypeError):
-        dataclasses.replace(report, passed=False)
+    assert report._replace(residual=math.nan).passed is False
+    assert report._replace(residual=2e-9).passed is False
+    assert report._replace(residual=1e-9).passed is True
+    with pytest.raises(ValueError):
+        report._replace(passed=False)
 
 
 def test_a_note_with_control_characters_parses_back():
@@ -131,7 +130,7 @@ def test_report_writer_writes_every_report_of_a_run_as_before(capsys):
 
 def _nan_like(out):
     if isinstance(out, VerificationReport):
-        return dataclasses.replace(out, residual=math.nan)
+        return out._replace(residual=math.nan)
     if isinstance(out, tuple):  # tensorops.scalar_ratio: (lambda, residual)
         return out[0], math.nan
     return out * np.nan

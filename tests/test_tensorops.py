@@ -170,6 +170,31 @@ class TestScalarRatio:
         assert lam == 0 and resid == math.inf
 
 
+def norm_cases():
+    """0-d, 1-d and 2-d, real and complex, strided, with a zero reference, inf,
+    NaN, an overflowing and an underflowing norm, and an integer array; drawn
+    from their own generator, so the draws of the other tests stay as they are."""
+    draw = np.random.default_rng(37).standard_normal
+
+    def _c(*shape):
+        return draw(shape) + 1j * draw(shape)
+
+    return [
+        (2.5, 2.5 + 1e-9), (np.float64(-3.0), np.float64(1.0)), (1 + 2j, 1 - 2j),
+        (np.array(0.5 - 1j), np.array(0.5)),
+        (_c(7).real, _c(7).real), (_c(7), _c(7)), (_c(9), _c(9).real),
+        (_c(16, 8).real, _c(16, 8).real), (_c(16, 8), _c(16, 8)),
+        (_c(8, 16).T, _c(16, 8)), (_c(6, 5)[::2, 1:], _c(3, 4)),
+        (np.zeros(5), _c(5).real), (np.zeros((3, 3), complex), _c(3, 3)),
+        (np.array([1.0, np.inf]), np.ones(2)), (np.array([1.0, 2.0]), np.array([np.inf, 0.0])),
+        (np.array([1 + 1j, complex(np.inf, 0)]), np.zeros(2)),
+        (np.array([np.nan, 1.0]), np.ones(2)), (np.ones(2), np.array([1.0, np.nan])),
+        (_c(3, 3), np.full((3, 3), complex(np.nan, 0))),
+        (1e155 * _c(16, 8), 1e155 * _c(16, 8)), (np.full(4, 1e200), np.zeros(4)),
+        (np.full((2, 2), 1e-170), np.zeros((2, 2))), (np.arange(6).reshape(2, 3), np.ones((2, 3))),
+    ]
+
+
 @pytest.mark.filterwarnings("error")
 class TestRelativeResidual:
     def test_zero_reference_reads_inf(self):
@@ -200,6 +225,15 @@ class TestRelativeResidual:
             got = relative_residual(A, B)
             assert got == float(np.linalg.norm(A - B) / max(np.linalg.norm(A), 1e-300))
             assert got == float(np.linalg.norm(B - A) / np.linalg.norm(A))
+
+    @pytest.mark.parametrize("ref, other", norm_cases())
+    def test_keeps_the_bits_of_the_norm_form(self, ref, other):
+        # the Frobenius steps of np.linalg.norm, inlined, give its result bit for bit
+        with np.errstate(all="ignore"):
+            den = np.linalg.norm(ref)
+            want = (math.inf if den == 0 or np.isinf(den)
+                    else float(np.linalg.norm(ref - other) / den))
+        assert np.float64(relative_residual(ref, other)).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("d", [4, 9, 16, 25, 81])
     def test_matches_the_identity_form(self, d):
