@@ -9,13 +9,14 @@ per check (`check.record`, see `qkz`; degenerate_detection a
 `qkz.FactorCheck` of its lattice probes); the others return their
 reports.  Then one `qkz.solve_records` call solves the factors of every
 record of the run, and each group evaluates its records on the factor
-reader that it returns.  The scalar groups work on sample sets: each
-set comes from one rng.random call (`_zsample`, `idsuite.random_zeta`),
-each scalar function is called once per group and base with m one per
-row, and each m then raises its first error in the order of the one-m
-calls (`scalars.raise_first`).  Text mode ends with one
-`time <group> <ms> ms` line per group (building and evaluating), in run
-order, and one `time solve <ms> ms` line for the run's solve.  Once the
+reader that it returns and on the run's probe blocks (`qkz.probe_blocks`).
+The scalar groups work on sample sets: each set comes from one rng.random
+call (`_zsample`, `idsuite.random_zeta`), each scalar function is called
+once per group and base with m one per row, and each m then raises its
+first error in the order of the one-m calls (`scalars.raise_first`).
+Text mode ends with one `time <group> <ms> ms` line per group (building
+and evaluating), in run order, and one `time solve <ms> ms` line for the
+run's solve.  Once the
 context and grading are accepted, a package error (a ConfigError too) or
 an arithmetic error inside a group, while it builds or evaluates, is that
 group's failure: one failing report, the exception type in its note.  A
@@ -212,7 +213,7 @@ def _chk_degenerate_detection(config, ctx, g):
     sites = qkz.Sites(1, g, ctx)
     infos = [("V", point, "V", 1.0) for point in (q ** (2.0 / g.s), q ** (-2.0 / g.s))]
 
-    def measure(read):
+    def measure(read, probe):
         fired = 0
         for info in infos:
             try:
@@ -426,11 +427,12 @@ def _in_scope(name, work) -> list:
                                         note=f"{type(exc).__name__}: {exc}")]
 
 
-def _evaluate(name, built, factor) -> list:
+def _evaluate(name, built, factor, probe) -> list:
     """The reports of check group `name` from what it built, in its error
-    scope: a report as it is, a record evaluated on the run's factor reader."""
+    scope: a report as it is, a record evaluated on the run's factor reader
+    and probe blocks."""
     return _in_scope(name, lambda: [item if isinstance(item, VerificationReport)
-                                    else item.evaluate(factor) for item in built])
+                                    else item.evaluate(factor, probe) for item in built])
 
 
 def _run_groups(names, config) -> int:
@@ -440,7 +442,8 @@ def _run_groups(names, config) -> int:
 
     Each group builds its reports and records in its error scope, then one
     qkz.solve_records call solves the factors of every record, and each
-    group evaluates its records in its error scope."""
+    group evaluates its records in its error scope, on the run's probe
+    blocks."""
     ctx, g = _context(config), _grading(config)  # q and grading fail before any group runs
     if not np.isfinite(config.alpha):
         raise ConfigError(f"--alpha must be finite, got {config.alpha}")
@@ -455,10 +458,10 @@ def _run_groups(names, config) -> int:
     factor = qkz.solve_records([item for items in built.values() for item in items
                                 if not isinstance(item, VerificationReport)])
     solve_s = time.perf_counter() - t0
-    reports = []
+    reports, probe = [], qkz.probe_blocks()
     for name, items in built.items():
         t0 = time.perf_counter()
-        reports.extend(_evaluate(name, items, factor))
+        reports.extend(_evaluate(name, items, factor, probe))
         clock[name] += time.perf_counter() - t0
     if config.tol is not None:
         reports = [r.with_tolerance(config.tol) for r in reports]

@@ -35,3 +35,13 @@ class DegeneratePointError(QkzError):
 # arithmetic errors of numpy.  A solve stores one as the error of its requests
 # (rsolve.solve_requests), and the CLI reports one as a numerical failure.
 NUMERICAL_ERRORS = (QkzError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def copy_error(exc):
+    """A copy of a stored error to raise, as copy.copy makes it: its type called
+    on its args, with its attributes (its notes among them), and no traceback,
+    so the stored error gathers none (whose frames would keep what they refer
+    to alive)."""
+    new = type(exc)(*exc.args)
+    new.__dict__.update(exc.__dict__)
+    return new

@@ -69,17 +69,18 @@ def check_ybe(m, kinds, samples, grading, ctx, normalization="hw") -> StringChec
     """R12 R13 R23 = R23 R13 R12 on the triple product at each sample of three
     spectral parameters, both sides applied factor by factor to the seeded
     probe block of qkz.probe_block; the residual is the worst over the
-    samples.  Each sample's R23 R13 R12 side comes first, so its factors
-    are requested in the order R12, R13, R23."""
-    sides = []
-    for zetas in samples:
-        steps = [("R", (a, b), (kinds[a], zetas[a], kinds[b], zetas[b]))
-                 for a, b in ((0, 1), (0, 2), (1, 2))]
-        sides += [Side(tuple(steps), check_invertible=False),
-                  Side(tuple(steps[::-1]), check_invertible=False)]
+    samples.  Each side is the stack of its strings at all samples (qkz.Side),
+    so a step is one stacked product for every sample, and the residual of
+    sample s compares slice s of the two stacks; each slice has the bits of
+    its sample applied alone (tensorops.string_matmul).  The R23 R13 R12
+    side comes first, so each sample's factors are requested in the order
+    R12, R13, R23."""
+    strings = [tuple(("R", (a, b), (kinds[a], zetas[a], kinds[b], zetas[b]))
+                     for a, b in ((0, 1), (0, 2), (1, 2))) for zetas in samples]
+    sides = (Side(tuple(strings), check_invertible=False),
+             Side(tuple(steps[::-1] for steps in strings), check_invertible=False))
     return StringCheck("ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, 1e-9,
-                       Sites(m, grading, ctx, normalization, 3), tuple(sides),
-                       tuple((2 * k + 1, 2 * k) for k in range(len(samples))))
+                       Sites(m, grading, ctx, normalization, 3), sides, ((1, 0),))
 
 
 @solving_check
@@ -89,7 +90,7 @@ def check_unitarity(m, kinds, zetas, grading, ctx, normalization="hw") -> String
                   for a, b in ((1, 0), (0, 1)))
     return StringCheck("unitarity", {"m": m, "kinds": list(kinds), "norm": normalization}, 1e-10,
                        Sites(m, grading, ctx, normalization),
-                       (Side((), "dense", False), Side(steps, "dense", False)))
+                       (Side(((),), "dense", False), Side((steps,), "dense", False)))
 
 
 @solving_check
@@ -108,26 +109,15 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw") -> 
     steps = (("Rcheck", (0, 1), (kind, zeta, kind, zeta)),)
     return StringCheck("initial_condition", {"m": m, "kind": kind, "norm": normalization},
                        1e-12, Sites(m, grading, ctx, normalization),
-                       (Side((), "dense"), Side(steps, "dense")))
+                       (Side(((),), "dense"), Side((steps,), "dense")))
 
 
-def _crossing_sample(R, twists, dd) -> tuple:
-    """The six proportionalities of check_crossing at one sample: (scalars, worst
-    residual), from its eight R-operators R = (R_VV, R_V*V, R_VV*, R_VV(q^d z1|z2),
-    R_VV(z1|q^d z2), then the last three kappa-normalized) and the twists
-    (O x 1, O^-1 x 1, 1 x O, 1 x O^-1)."""
-    r_vv, r_sv, r_vs, r_sh1, r_sh2, rk, rk_sh1, rk_sh2 = R
-    o1, o1_inv, o2, o2_inv = twists
-    lam_t1, res_t1 = scalar_ratio(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd))
-    lam_t2, res_t2 = scalar_ratio(r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd)))
-    s1, res_s1 = scalar_ratio(r_sv, o1 @ r_sh1 @ o1_inv)
-    s2, res_s2 = scalar_ratio(r_vs, o2 @ r_sh2 @ o2_inv)
-    D1, res_d1 = scalar_ratio(o1 @ rk_sh1 @ o1_inv,
-                              partial_transpose(np.linalg.inv(rk), "first", dd))
-    D2, res_d2 = scalar_ratio(o2 @ rk_sh2 @ o2_inv,
-                              np.linalg.inv(partial_transpose(rk, "second", dd)))
-    return ([lam_t1, lam_t2, s1, s2, D1, D2],
-            worst_of((res_t1, res_t2, res_s1, res_s2, res_d1, res_d2)))
+def _crossing_sample(forms) -> tuple:
+    """The six proportionalities of check_crossing at one sample, as (A, B)
+    pairs fitted A ~ lambda B by tensorops.scalar_ratio: (scalars, worst
+    residual)."""
+    scal, resids = zip(*(scalar_ratio(A, B) for A, B in forms))
+    return list(scal), worst_of(resids)
 
 
 @solving_check
@@ -151,7 +141,13 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     proportionality failure is the reported residual; the scalars are
     reported for comparison, not gated here.  Each sample declares its five
     hw-normalized and three kappa-normalized factors, and O, O^-1 and their
-    Kronecker twists are built once.
+    Kronecker twists are built once.  The eight R of all S samples form one
+    (S, 8, D, D) stack, and its inverses, partial transposes and
+    O-conjugations are stacked calls; numpy's stacked matmul and inv call
+    the same BLAS or LAPACK routine per slice, so every matrix has the bits
+    of its one-sample call, and each sample's six scalar_ratio fits read
+    their slices.  A singular inverse of any sample raises, as the first
+    singular one of the samples in turn did.
     """
     qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
     hw, kappa = Sites(m, grading, ctx, "hw"), Sites(m, grading, ctx, "kappa")
@@ -162,13 +158,21 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
                     (kappa, [("V", z1, "V", z2), ("V", qd * z1, "V", z2),
                              ("V", z1, "V", qd * z2)])]
 
-    def measure(read):
-        d = m + 1
+    def measure(read, probe):
+        d, dd = m + 1, (m + 1, m + 1)
         O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
-        twists = (kron(O, one), kron(Oinv, one), kron(one, O), kron(one, Oinv))
-        R = [swap_outputs(read(sites, info), d, d) for sites, infos in factors for info in infos]
-        scal, resids = zip(*(_crossing_sample(R[8 * k:8 * k + 8], twists, (d, d))
-                             for k in range(len(samples))))
+        # R[:, k]: R_VV, R_V*V, R_VV*, R_VV(q^d z1|z2), R_VV(z1|q^d z2), then the
+        # last three kappa-normalized; conjugated by O x 1, 1 x O, O x 1, 1 x O
+        R = np.array([swap_outputs(read(sites, info), d, d)
+                      for sites, infos in factors for info in infos]).reshape(-1, 8, d * d, d * d)
+        lead = R[:, [0, 5]]  # R_VV and Rk
+        inv = np.linalg.inv(np.concatenate((lead, partial_transpose(lead, "second", dd)), axis=1))
+        inv_t1 = partial_transpose(inv[:, :2], "first", dd)
+        conj = (np.array([kron(O, one), kron(one, O)] * 2) @ R[:, [3, 4, 6, 7]]
+                @ np.array([kron(Oinv, one), kron(one, Oinv)] * 2))
+        scal, resids = zip(*(_crossing_sample(
+            ((r[1], t1[0]), (r[2], i[2]), (r[1], c[0]), (r[2], c[1]), (c[2], t1[1]), (c[3], i[3])))
+            for r, i, t1, c in zip(R, inv, inv_t1, conj)))
         spread = worst_of(
             np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
             for i in (2, 3, 4, 5))
@@ -237,7 +241,7 @@ def check_invariance_xtilde(m, grading, ctx, zetas, normalization="kappa") -> Fa
     grading R is symmetric in this basis and the relation reduces to a
     plain commutator.
     """
-    def measure(read):
+    def measure(read, probe):
         xt = operator_xtilde(m, grading, ctx)
         XX = kron(xt, xt)
         R = swap_outputs(read(sites, info), m + 1, m + 1)
@@ -259,5 +263,5 @@ def check_braid_welldefined(word1, word2, m, kinds, etas, grading, ctx, normaliz
     if ord1 != ord2:
         raise ValueError("words realize different permutations")
     params = {"m": m, "N": len(kinds), "word1": list(word1), "word2": list(word2)}
-    return StringCheck("braid_welldefined", params, 1e-10, chain, (Side(steps1), Side(steps2)),
-                       seed=seed, columns=1)
+    return StringCheck("braid_welldefined", params, 1e-10, chain,
+                       (Side((steps1,)), Side((steps2,))), seed=seed, columns=1)

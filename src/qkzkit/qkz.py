@@ -13,11 +13,16 @@ factor on sites (i, j), ("delta", slot, site) for the twist of `site` at
 `slot` and ("perm", sigma, None) for a site permutation.
 
 Every check that solves R-operators is a record built from data.  A
-`StringCheck` names its sides, each a factor string and the route that
-applies it (`apply_factors`; `einsum`, whose tensor contractions share
-no code with it; or `dense`, `apply_factors` on the identity block), and
-the pairs of sides that must agree.  A `FactorCheck` declares the
-two-site factors that its own arithmetic reads.  Either states once what
+`StringCheck` names its sides, each a stack of factor strings with one step
+pattern and the route that applies it (`apply_factors`; `einsum`, whose
+tensor contractions share no code with it; or `dense`, `apply_factors` on
+the identity block), and the pairs of sides that must agree, slice by
+slice.  Most sides are a stack of one string; the YBE check stacks the
+strings of all its samples, so each step of a side is one stacked product
+for every sample.  numpy's stacked matmul calls the same gemm on each
+slice as on one string's block, so slice s has the bits of string s
+applied alone.  A `FactorCheck` declares the two-site factors that its own
+arithmetic reads.  Either states once what
 it reads (`reads`).  `solve_records`, the only solver
 call of `qkz`, `reduction` and `idsuite`, requests each distinct factor of
 those reads once, solves them for all its records in one call and returns
@@ -29,7 +34,9 @@ which is solve_records followed by the evaluation.
 
 Each side is applied to the seeded complex Gaussian probe block X of
 PROBE_COLUMNS columns (Freivalds' test): ||(A - B) X|| / ||A X||
-estimates the relative Frobenius residual without forming A or B.
+estimates the relative Frobenius residual without forming A or B.  A run
+(`run_records`, or a `cli` suite run) draws each block once
+(`probe_blocks`) and its records read it, read-only.
 """
 
 from collections import namedtuple
@@ -70,6 +77,22 @@ def probe_block(D: int, seed=0, columns=PROBE_COLUMNS) -> np.ndarray:
     rest = draw[2 * D:].reshape(2, D, k - 1)
     X.real[:, 1:], X.imag[:, 1:] = rest
     return X
+
+
+def probe_blocks():
+    """The probe blocks of one record run: probe(D, seed, columns) is
+    probe_block(D, seed, columns), drawn once per (D, seed, width) and kept
+    read-only, so the records of the run that read one block share it.  The
+    blocks live with the returned function, the run, and in no module cache."""
+    kept = {}
+
+    def probe(D, seed=0, columns=PROBE_COLUMNS):
+        key = (D, seed, min(columns, D))
+        if key not in kept:
+            kept[key] = probe_block(D, seed, columns)
+            kept[key].flags.writeable = False
+        return kept[key]
+    return probe
 
 
 class DeltaAssignment(namedtuple("DeltaAssignment", "source alpha n")):
@@ -173,23 +196,61 @@ def _two_site(steps) -> list:
     return [info for tag, _, info in steps if tag in ("R", "Rcheck")]
 
 
-def apply_factors(chain, steps, factor, block=None, check_invertible=True,
+def apply_factors(chain, strings, factor, block=None, check_invertible=True,
                   einsum=False) -> np.ndarray:
-    """A factor string (steps in application order, see the module docstring)
-    applied to `block`, the identity (dense matrix) by default, in one
-    `string_matmul` pass.  A two-site factor has its first tensor factor on
-    site i, and each is read by name from `factor`, the reader of
-    solve_records, at its step, so the first failing read raises first; an R
-    step applies its Rcheck and trades the labels of its two sites (R = P
-    Rcheck), and a permutation only relabels.  With einsum=True (the einsum
-    route, which has no permutation step) each factor is contracted into the
-    block reshaped to (d, ..., d, k) by one `np.einsum` (`_einsum_apply`),
-    which shares no tensor code with `string_matmul` and forms no D x D
-    matrix."""
+    """A stack of S factor strings with one step pattern (steps in application
+    order, see the module docstring and Side) applied to `block`, the
+    identity (dense matrices) by default: an (S, D, k) array whose slice s
+    is string s applied, with the bits of string s applied alone.  A
+    two-site factor has its first tensor factor on site i, and each is read
+    by name from `factor`, the reader of solve_records (`_slot_steps`), so
+    the first failing read is the one that the strings applied one at a
+    time meet first.  One `string_matmul` pass applies the stack to the
+    block: each two-site step is the (S, d^2, d^2) stack of its factors (the
+    one matrix at S = 1), an R step applies its Rcheck and trades the labels
+    of its two sites (R = P Rcheck), and a permutation only relabels.  With
+    einsum=True (the einsum route, which has no permutation step) each
+    string is applied on its own, each factor read at its step and
+    contracted into the block reshaped to (d, ..., d, k) by one `np.einsum`
+    (`_einsum_apply`), which shares no tensor code with `string_matmul` and
+    forms no D x D matrix."""
+    M = np.eye(prod(chain.dims), dtype=complex) if block is None else block
+    if einsum:
+        outs = [_einsum_string(chain, steps, factor, check_invertible, M) for steps in strings]
+        return np.stack(outs) if len(outs) > 1 else outs[0][None]
+    if len(strings) > 1:  # every slice reads the one block
+        M = np.broadcast_to(M, (len(strings), *M.shape))
+    out = string_matmul(_slot_steps(chain, strings, factor, check_invertible), chain.dims, M)
+    return out if out.ndim == 3 else out[None]
+
+
+def _slot_steps(chain, strings, factor, check_invertible):
+    """The string_matmul steps of a stack of factor strings.  One string's
+    factors are read as their steps are applied; a stack's are read string
+    by string, each string in application order, before the first step, and
+    each two-site step is the stack of its strings' factors."""
+    stacks = None if len(strings) == 1 else iter([np.stack(column) for column in zip(*(
+        [factor(chain, info, check_invertible) for info in _two_site(steps)]
+        for steps in strings))])
+    for tag, where, info in strings[0]:
+        if tag == "delta":
+            yield chain.delta_matrix(info), (where,)
+        elif tag == "perm":
+            yield None, where
+        elif tag in ("R", "Rcheck"):
+            yield factor(chain, info, check_invertible) if stacks is None else next(stacks), where
+            if tag == "R":
+                i, j = where
+                swap = list(range(len(chain.dims)))
+                swap[i], swap[j] = j, i
+                yield None, swap
+        else:
+            raise ConfigError(f"unknown factor tag {tag!r}")
+
+
+def _einsum_string(chain, steps, factor, check_invertible, M):
+    """One factor string applied to M by the einsum route, each factor read at its step."""
     dims, d = chain.dims, chain.m + 1
-    M = np.eye(prod(dims), dtype=complex) if block is None else block
-    if not einsum:
-        return string_matmul(_slot_steps(chain, steps, factor, check_invertible), dims, M)
     for tag, where, info in steps:
         if tag == "delta":
             M = _einsum_apply(chain.delta_matrix(info), (where,), dims, M)
@@ -199,25 +260,6 @@ def apply_factors(chain, steps, factor, block=None, check_invertible=True,
         else:
             raise ConfigError(f"unknown factor tag {tag!r}")
     return M
-
-
-def _slot_steps(chain, steps, factor, check_invertible):
-    """The string_matmul steps of a factor string, each factor read as its step
-    is applied."""
-    for tag, where, info in steps:
-        if tag == "delta":
-            yield chain.delta_matrix(info), (where,)
-        elif tag == "perm":
-            yield None, where
-        elif tag in ("R", "Rcheck"):
-            yield factor(chain, info, check_invertible), where
-            if tag == "R":
-                i, j = where
-                swap = list(range(len(chain.dims)))
-                swap[i], swap[j] = j, i
-                yield None, swap
-        else:
-            raise ConfigError(f"unknown factor tag {tag!r}")
 
 
 def _einsum_apply(op, sites, dims, M):
@@ -234,22 +276,37 @@ def _einsum_apply(op, sites, dims, M):
     return np.einsum(spec, T, M.reshape(dims + (M.shape[1],))).reshape(M.shape)
 
 
-class Side(namedtuple("Side", "steps route check_invertible")):
-    """One operator of a string check: a factor string (a tuple of steps), the
-    route that applies it, and whether a singular solved factor is refused."""
+def _pattern(steps) -> list:
+    """A factor string's step pattern: its steps without the two-site factors' infos."""
+    return [(tag, where, None if tag in ("R", "Rcheck") else info) for tag, where, info in steps]
+
+
+class Side(namedtuple("Side", "strings route check_invertible")):
+    """One operator of a string check, or a stack of them: a tuple of factor
+    strings (each a tuple of steps) with one step pattern (the same tags,
+    sites, twists and permutations; only the two-site factors' infos differ),
+    the route that applies them, and whether a singular solved factor is
+    refused.  Most sides are a stack of one string."""
 
     __slots__ = ()
 
-    def __new__(cls, steps, route="apply_factors", check_invertible=True):
+    def __new__(cls, strings, route="apply_factors", check_invertible=True):
         if route not in ("apply_factors", "einsum", "dense"):
             raise ConfigError(f"unknown route {route!r}")
-        return tuple.__new__(cls, (steps, route, check_invertible))
+        if not strings:
+            raise ConfigError("a side stacks at least one factor string")
+        if len(strings) > 1 and any(_pattern(steps) != _pattern(strings[0])
+                                    for steps in strings[1:]):
+            raise ConfigError("the strings of a side differ in their step pattern")
+        return tuple.__new__(cls, (strings, route, check_invertible))
 
     def apply(self, chain, factor, block) -> np.ndarray:
         """This side applied to `block` by its route, its factors read from
-        `factor` (the reader of solve_records); a dense side reads no probe: it
-        is its string applied to the identity, the operator's matrix."""
-        return apply_factors(chain, self.steps, factor, None if self.route == "dense" else block,
+        `factor` (the reader of solve_records): the (S, D, k) stack of
+        apply_factors.  A dense side reads no probe: it is its strings
+        applied to the identity, the operators' matrices."""
+        return apply_factors(chain, self.strings, factor,
+                             None if self.route == "dense" else block,
                              self.check_invertible, einsum=self.route == "einsum")
 
 
@@ -258,10 +315,14 @@ class StringCheck(NamedTuple):
 
     The sides are applied in order, each reading its factors by name, to
     probe_block(D, seed, columns), drawn only as wide as it is read
-    (PROBE_COLUMNS by default; a dense side reads no probe).  The residual
-    is the worst of the (reference, other) side pairs; `pair_params` reports
-    single pair residuals (name -> pair index).  An `extract` map also compares
-    extract(side 1 column 0) with extract(side 0 column 0) (report.fold).
+    (PROBE_COLUMNS by default; a dense side reads no probe) and taken from
+    the run's blocks (`probe`, see probe_blocks).  A (reference, other) pair
+    of sides of S strings each gives S residuals, slice by slice, and the
+    residual is the worst of all pairs' residuals; `pair_params` reports
+    single residuals (name -> index in that list, pair by pair and slice by
+    slice: the pair index when each side is one string).  An `extract` map
+    also compares extract(side 1 column 0) with extract(side 0 column 0) of
+    the first slices (report.fold).
     """
 
     name: str
@@ -276,18 +337,21 @@ class StringCheck(NamedTuple):
     pair_params: dict = MappingProxyType({})
 
     def reads(self) -> list:
-        """One (chain, infos) entry: the two-site factors of every side."""
-        return [(self.chain, [info for side in self.sides for info in _two_site(side.steps)])]
+        """One (chain, infos) entry: the two-site factors of every string of every side."""
+        return [(self.chain, [info for side in self.sides for steps in side.strings
+                              for info in _two_site(steps)])]
 
-    def evaluate(self, factor) -> VerificationReport:
-        """The report, its factors read from `factor` (the reader of solve_records)."""
-        X = probe_block(prod(self.chain.dims), self.seed, self.columns)
+    def evaluate(self, factor, probe=probe_block) -> VerificationReport:
+        """The report, its factors read from `factor` (the reader of
+        solve_records) and its probe block from `probe` (a fresh draw by
+        default)."""
+        X = probe(prod(self.chain.dims), self.seed, self.columns)
         ops = [side.apply(self.chain, factor, X) for side in self.sides]
-        resids = [relative_residual(ops[a], ops[b]) for a, b in self.pairs]
+        resids = [relative_residual(A, B) for a, b in self.pairs for A, B in zip(ops[a], ops[b])]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
         resid = worst_of(resids)
         if self.extract is not None:  # both residuals reported, folded on the operator scale
-            e2e = relative_residual(self.extract(ops[1][:, 0]), self.extract(ops[0][:, 0]))
+            e2e = relative_residual(self.extract(ops[1][0][:, 0]), self.extract(ops[0][0][:, 0]))
             params.update(operator_residual=float(resid), e2e_residual=float(e2e),
                           e2e_tolerance=E2E_TOLERANCE)
             resid = fold(resid, self.tolerance, e2e, E2E_TOLERANCE)
@@ -297,9 +361,11 @@ class StringCheck(NamedTuple):
 class FactorCheck(NamedTuple):
     """A check that reads two-site factors directly: `factors` lists (chain,
     infos) entries, each info (kind1, z1, kind2, z2) in the chain's
-    normalization, and measure(read) makes the report, where read(chain,
-    info[, check_invertible]) is the Rcheck of a declared factor (the reader
-    of solve_records, refusing a singular one with check_invertible)."""
+    normalization, and measure(read, probe) makes the report, where
+    read(chain, info[, check_invertible]) is the Rcheck of a declared factor
+    (the reader of solve_records, refusing a singular one with
+    check_invertible) and probe(D, seed, columns) a probe block of the run
+    (see probe_blocks), for a measure that applies its factors to one."""
 
     factors: tuple
     measure: object
@@ -309,10 +375,11 @@ class FactorCheck(NamedTuple):
         """(chain, infos) of each entry: the factors that this record reads."""
         return self.factors
 
-    def evaluate(self, factor) -> VerificationReport:
-        """The report, its factors read from `factor` (the reader of solve_records)."""
+    def evaluate(self, factor, probe=probe_block) -> VerificationReport:
+        """The report, its factors read from `factor` (the reader of
+        solve_records) and a probe block from `probe` (a fresh draw by default)."""
         return self.measure(lambda chain, info, check_invertible=self.check_invertible:
-                            factor(chain, info, check_invertible))
+                            factor(chain, info, check_invertible), probe)
 
 
 def solve_records(records, cache=None):
@@ -355,9 +422,9 @@ def solve_records(records, cache=None):
 def run_records(records, cache=None) -> list:
     """The reports of check records, in order: each evaluated on the factor
     reader of one solve_records call (its templates from the cache, a fresh
-    one by default)."""
-    factor = solve_records(records, cache)
-    return [rec.evaluate(factor) for rec in records]
+    one by default) and the run's probe blocks (probe_blocks)."""
+    factor, probe = solve_records(records, cache), probe_blocks()
+    return [rec.evaluate(factor, probe) for rec in records]
 
 
 def solving_check(build):
@@ -411,8 +478,9 @@ def lambda_forms(chain: ChainSpec, sites) -> StringCheck:
     """Both forms of Lambda_i at each site i of `sites` agree on the probe block:
     the factor list through apply_factors (reference) against the plain-R
     form through the einsum route."""
-    sides = [side for i in sites for side in (Side(tuple(lambda_factor_specs(chain, i))),
-                                              Side(tuple(rewritten_factors(chain, i)), "einsum"))]
+    sides = [side for i in sites
+             for side in (Side((tuple(lambda_factor_specs(chain, i)),)),
+                          Side((tuple(rewritten_factors(chain, i)),), "einsum"))]
     return StringCheck("lambda_forms", {"N": chain.N, "m": chain.m}, 1e-10, chain, tuple(sides),
                        tuple((2 * k, 2 * k + 1) for k in range(len(sides) // 2)))
 
@@ -452,7 +520,7 @@ def regularized_product(chain_a: ChainSpec, i_a: int, chain_b: ChainSpec, i_b: i
 def pair_commutator(name, params, chain, info, operators, check_invertible=False) -> FactorCheck:
     """The record of [C1 x C2, R] = 0 for the R of the factor info of `chain`
     (a chain or Sites); operators() builds C1, C2 before the factor is read."""
-    def measure(read):
+    def measure(read, probe):
         C1, C2 = operators()
         return VerificationReport.make(name, params, commutant_residual(
             C1, C2, swap_outputs(read(chain, info), chain.m + 1, chain.m + 1)), 1e-11)
@@ -474,8 +542,8 @@ def check_qkz_compatibility(chain: ChainSpec, i: int, j: int) -> StringCheck:
     """Lambda_i(eta_j -> p eta_j) Lambda_j = Lambda_j(eta_i -> p eta_i) Lambda_i
     on the probe block: Lj then Li on the chain with eta_j shifted (reference)
     against Li then Lj on the chain with eta_i shifted."""
-    sides = tuple(Side(tuple(lambda_factor_specs(chain, b)
-                             + lambda_factor_specs(chain.with_eta(b, chain.p * chain.etas[b]), a)))
+    sides = tuple(Side((tuple(lambda_factor_specs(chain, b) + lambda_factor_specs(
+                      chain.with_eta(b, chain.p * chain.etas[b]), a)),))
                   for a, b in ((i, j), (j, i)))
     return StringCheck("qkz_compatibility", {"i": i, "j": j, "N": chain.N, "m": chain.m},
                        1e-9, chain, sides)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck, apply_factors,
-                  lambda_factor_specs, probe_block, regularized_product, rewritten_factors,
-                  solving_check)
+                  lambda_factor_specs, regularized_product, rewritten_factors, solving_check)
 from .report import VerificationReport
 from .reps import operator_x, operator_xtilde, sl2_constants
 from .tensorops import embed_pair, relative_residual, site_matmul
@@ -136,7 +135,7 @@ def rhs_steps(case: ReductionCase, zetas, insertion=None) -> list:
 
 def _composite(steps) -> Side:
     """A side that applies a composite string, its singular factors kept."""
-    return Side(tuple(steps), check_invertible=False)
+    return Side((tuple(steps),), check_invertible=False)
 
 
 def psi_extract(case: ReductionCase, phi) -> np.ndarray:
@@ -180,8 +179,8 @@ def theorem_check_selfdual(case: ReductionCase, zetas, seed=0) -> StringCheck:
     chain = chain_for(case, mirrored_args(case, zetas))
     lead = ("Rcheck", (n - 1, n), ("V", w * zetas[n - 1], "V", case.p * zetas[n - 1]))
     sides = (_composite(rhs_steps(case, zetas) + [lead]),
-             Side(tuple(rewritten_factors(chain, n - 1)), "einsum"),
-             Side(tuple(lambda_factor_specs(chain, n - 1))))
+             Side((tuple(rewritten_factors(chain, n - 1)),), "einsum"),
+             Side((tuple(lambda_factor_specs(chain, n - 1)),)))
     return StringCheck("theorem_selfdual", {"n": n, "m": case.m, "seed": seed}, 1e-9, chain,
                        sides, ((1, 0), (1, 2)), seed, extract=partial(psi_extract, case),
                        pair_params={"forms_residual": 1})
@@ -212,7 +211,7 @@ def theorem_check_general(case: ReductionCase, zetas, seed=0) -> StringCheck:
     shifted = chain_for(case, list(zetas[:n - 1]) + [e * zetas[n - 1], e * zetas[n - 1]]
                         + [e * z for z in reversed(zetas[:n - 1])])
     sides = (_composite(rhs_steps(case, zetas)),
-             Side(tuple(regularized_product(shifted, n, chain, n - 1))))
+             Side((tuple(regularized_product(shifted, n, chain, n - 1)),)))
     return StringCheck("theorem_general", {"n": n, "m": case.m, "seed": seed}, 1e-9, chain,
                        sides, seed=seed, extract=partial(psi_extract, case))
 
@@ -244,9 +243,9 @@ def check_rpr(case: ReductionCase, i: int, zetas, seed=0) -> FactorCheck:
     factors = [("V", zetas[i - 1], "V", zetas[i]), (mk, w * zetas[i], mk, w * zetas[i - 1])]
     steps = (("Rcheck", (i - 1, i), factors[0]), ("Rcheck", (2 * n - i - 1, 2 * n - i), factors[1]))
 
-    def measure(read):
-        phi0 = probe_block(prod(case.dims), seed, 1)
-        phi1 = apply_factors(case, steps, read, phi0, check_invertible=False)
+    def measure(read, probe):
+        phi0 = probe(prod(case.dims), seed, 1)
+        phi1, = apply_factors(case, (steps,), read, phi0, check_invertible=False)
         psi0 = psi_extract(case, phi0)
         psi1 = psi_extract(case, phi1)
         small = embed_pair(read(case, factors[0]), i - 1, i, (d,) * n)

@@ -80,13 +80,13 @@ closed form from the crossing relation.
 """
 
 import cmath
-import copy
 from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError, ScalarDomainError
+from .errors import (NUMERICAL_ERRORS, ConfigError, DegeneratePointError, ScalarDomainError,
+                     copy_error)
 from .reps import (GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
@@ -717,7 +717,7 @@ def read_result(res, check_invertible=True) -> RResult:
     would keep the run's results alive), and with check_invertible a
     singular operator is refused."""
     if not isinstance(res, RResult):
-        raise copy.copy(res)
+        raise copy_error(res)
     # a solved result's alpha_j do not cancel, so a small margin is a beta_j or kappa = 0
     if check_invertible and res.margin < _CANCEL_TOL:
         raise DegeneratePointError(

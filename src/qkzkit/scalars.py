@@ -20,14 +20,14 @@ kappa_sl2 and rho0_sl2, given an `errors` list (one entry per row),
 record each row's first error there instead.
 """
 
-import copy
 import math
 from collections import namedtuple
 
 import numpy as np
 
 from .context import QContext
-from .errors import DivergentBaseError, PoleError, ScalarDomainError, TruncationError
+from .errors import (DivergentBaseError, PoleError, ScalarDomainError, TruncationError,
+                     copy_error)
 
 PochhammerResult = namedtuple("PochhammerResult", ["value", "tail_bound"])
 SeriesResult = namedtuple("SeriesResult", ["value", "tail_bound"])
@@ -70,7 +70,7 @@ def raise_first(*segments, m=None):
     if m is not None:
         segments = [[errs[r] for r in np.arange(len(errs))[rows]]
                     for _, rows in _m_groups(m) for errs in segments]
-    raise copy.copy(next(e for errs in segments for e in errs if e is not None))
+    raise copy_error(next(e for errs in segments for e in errs if e is not None))
 
 
 def _m_groups(ms) -> list:

@@ -73,19 +73,22 @@ def cyclic_left_shift(N: int):
 
 
 def partial_transpose(op, which: str, dims) -> np.ndarray:
-    """Transpose over one tensor factor of a two-site matrix."""
+    """Transpose over one tensor factor of a two-site matrix, or of each matrix
+    of a stack (..., dA dB, dA dB); it only moves entries."""
     dA, dB = dims
     op = np.asarray(op)
-    if op.shape != (dA * dB, dA * dB):
+    if op.shape[-2:] != (dA * dB, dA * dB):
         raise ConfigError("partial transpose needs a square two-site matrix")
-    T = op.reshape(dA, dB, dA, dB)
+    n = op.ndim - 2
+    lead = tuple(range(n))
+    T = op.reshape(op.shape[:-2] + (dA, dB, dA, dB))
     if which == "first":
-        T = T.transpose(2, 1, 0, 3)
+        T = T.transpose((*lead, n + 2, n + 1, n, n + 3))
     elif which == "second":
-        T = T.transpose(0, 3, 2, 1)
+        T = T.transpose((*lead, n, n + 3, n + 2, n + 1))
     else:
         raise ConfigError("which must be 'first' or 'second'")
-    return np.ascontiguousarray(T.reshape(dA * dB, dA * dB))
+    return np.ascontiguousarray(T.reshape(op.shape))
 
 
 def swap_outputs(op, d1: int, d2: int) -> np.ndarray:
@@ -145,35 +148,48 @@ def string_matmul(steps, site_dims, M):
     sites, op's first tensor factor on sites[0]) and (None, sigma) applies
     P_sigma.  Each site keeps its dimension when a permutation moves it.
 
-    The block stays a tensor with one axis per site and the column axis last,
-    and `labels` says which site each axis holds.  A factor costs one
+    M is a block (D, k) or a stack of S blocks (S, D, k), and the result has
+    M's shape; an op is one matrix, applied to every block, or a stack of S
+    matrices (S, a, a), whose slice s applies to block s (M is then a stack).
+    The blocks stay a tensor with one axis per site and the column axis last,
+    after the stack axis of a stack, and `labels` says which site each site
+    axis holds; one loop serves a block and a stack.  A factor costs one
     transpose-copy that brings its sites to the front, the other sites after
     them in site order, and one matrix product, after which its output axes
     lead; a permutation only relabels, and one transpose restores the (D, k)
-    block at the end.  So R = P Rcheck on (i, j) is (Rcheck, (i, j)) followed
-    by the transposition of i and j, with no copy of its own.  Each product
-    reads the matrix that the step-by-step application reads, column for
-    column, so the bits do not depend on the BLAS kernel's column blocking.
-    `steps` may be a generator, which then builds each step when it is
-    applied.  An overflowing product reads inf or NaN, with no numpy warning,
-    so the residual it reaches fails its report.
+    blocks at the end.  So R = P Rcheck on (i, j) is
+    (Rcheck, (i, j)) followed by the transposition of i and j, with no copy of
+    its own.  Each product reads, slice by slice, the matrix that the
+    step-by-step application reads, column for column, and numpy's stacked
+    matmul calls the same BLAS gemm on each slice, so neither the BLAS
+    kernel's column blocking nor the stacking moves a bit: slice s of a stack
+    is the call on block s with the ops of slice s.  `steps` may be a
+    generator, which then builds each step when it is applied.  An
+    overflowing product reads inf or NaN, with no numpy warning, so the
+    residual it reaches fails its report.
     """
-    dims, cols = tuple(site_dims), M.shape[1]
-    T = M.reshape(dims + (cols,))
-    labels = list(range(len(dims)))  # labels[a]: the site that axis a holds
+    dims, cols = tuple(site_dims), M.shape[-1]
+    lead = M.shape[:-2]  # (S,) for a stack, () for one block
+    o, n = len(lead), len(dims)
+    T = M.reshape(lead + dims + (cols,))
+    labels = list(range(n))  # labels[a]: the site that site axis a holds
     for op, where in steps:
         if op is None:
             labels = [where[site] for site in labels]
             continue
         front = [labels.index(site) for site in where]
-        rest = sorted((a for a in range(len(dims)) if a not in front), key=labels.__getitem__)
-        T = T.transpose((*front, *rest, len(dims)))  # the column axis last
+        rest = sorted((a for a in range(n) if a not in front), key=labels.__getitem__)
+        axes = (*front, *rest, n)  # the column axis last, a stack axis first
+        T = T.transpose((0, *(a + 1 for a in axes)) if o else axes)
         shape = T.shape
         with np.errstate(all="ignore"):
-            T = (np.asarray(op) @ T.reshape(prod(shape[:len(where)]), -1)).reshape(shape)
+            T = (np.asarray(op) @ T.reshape(*lead, prod(shape[o:o + len(where)]), -1)
+                 ).reshape(shape)
         labels = [*where, *(labels[a] for a in rest)]
-    order = sorted(range(len(dims)), key=labels.__getitem__)  # np.argsort costs more
-    return np.ascontiguousarray(T.transpose((*order, len(dims)))).reshape(prod(dims), cols)
+    order = sorted(range(n), key=labels.__getitem__)  # np.argsort costs more
+    axes = (*order, n)
+    return np.ascontiguousarray(T.transpose((0, *(a + 1 for a in axes)) if o else axes)
+                                ).reshape(M.shape)
 
 
 def embedded_matmul(op, i, j, site_dims, M):

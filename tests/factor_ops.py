@@ -24,21 +24,22 @@ class SideRecord:
     block: object = None
 
     def reads(self):
-        return [(self.chain, _two_site(self.side.steps))]
+        return [(self.chain, [info for steps in self.side.strings for info in _two_site(steps)])]
 
-    def evaluate(self, factor):
-        return self.side.apply(self.chain, factor, self.block)
+    def evaluate(self, factor, probe=None):
+        return self.side.apply(self.chain, factor, self.block)[0]
 
 
 def applied(chain, steps, cache=None, block=None, check_invertible=True, route="apply_factors"):
     """A factor string applied to `block` by its route (qkz.apply_factors by default)."""
-    side = Side(tuple(steps), route, check_invertible)
+    side = Side((tuple(steps),), route, check_invertible)
     return run_records([SideRecord(chain, side, block)], cache)[0]
 
 
 def read_factors(chain, infos, cache=None, check_invertible=True):
     """The Rchecks of the factors infos, read as a FactorCheck reads them."""
-    check = FactorCheck(((chain, infos),), lambda read: [read(chain, info) for info in infos],
+    check = FactorCheck(((chain, infos),),
+                        lambda read, probe: [read(chain, info) for info in infos],
                         check_invertible)
     return run_records([check], cache)[0]
 

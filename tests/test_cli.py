@@ -671,6 +671,15 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "f97b63fc0583bf075b594adedd81828c55ba302ae534e9b7ef5549216b3122eb"
 
+    def test_seed_7_wide_report_is_unchanged(self, capsys):
+        # sha256 of `suite --m 1 --samples 12 --seed 7`, the shape of the
+        # benchmark's suite_m1_wide: twelve samples per ybe and crossing record,
+        # evaluated as stacks, read the bits of the sample-by-sample evaluation
+        code, out = run_cli(["suite", "--m", "1", "--samples", "12", "--seed", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "8ffd779c19986a915b978fe4ef1dfe22390bf57a6eb06b505dfc7f433b33ce03"
+
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

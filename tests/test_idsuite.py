@@ -4,9 +4,11 @@ import pytest
 from conftest import zeta_sample
 from qkzkit import cli, idsuite, qkz, rsolve
 from qkzkit.context import QContext
+from qkzkit.report import VerificationReport, worst_of
 from qkzkit.reps import GradingChoice
-from qkzkit.reps import operator_x, operator_xtilde
+from qkzkit.reps import operator_o, operator_o_inverse, operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, r_matrix
+from qkzkit.tensorops import kron, partial_transpose, scalar_ratio, swap_outputs
 
 
 class TestYangBaxter:
@@ -55,6 +57,125 @@ class TestYangBaxter:
             return Rc + 1e-6 * np.linalg.norm(Rc) * noise / np.linalg.norm(noise)
         assert not rec.evaluate(planted).passed
         assert len(reads) == 2
+
+
+    def test_a_defect_in_one_sample_of_many_fails(self, ctx, grading):
+        # the stacked sides compare each sample's slices: one factor of the last
+        # of four samples off by 1e-6 fails the report
+        rng = np.random.default_rng(37)
+        samples = [tuple(idsuite.draw_generic_zetas(rng, 3, 2, grading, ctx)) for _ in range(4)]
+        kinds = ("V", "V*", "V")
+        rec = idsuite.check_ybe.record(2, kinds, samples, grading, ctx)
+        factor = qkz.solve_records([rec])
+        assert rec.evaluate(factor).passed
+        z = samples[-1]
+        target = (kinds[0], z[0], kinds[2], z[2])
+
+        def planted(chain, info, check_invertible=True):
+            Rc = factor(chain, info, check_invertible)
+            return Rc * (1 + 1e-6 * np.arange(Rc.size).reshape(Rc.shape)) if info == target else Rc
+        assert not rec.evaluate(planted).passed
+
+
+def ybe_per_sample(m, kinds, samples, grading, ctx, normalization="hw"):
+    """check_ybe's record built sample by sample: two one-string sides per
+    sample and one pair of them, the reference of the stacked record."""
+    sides = []
+    for zetas in samples:
+        steps = tuple(("R", (a, b), (kinds[a], zetas[a], kinds[b], zetas[b]))
+                      for a, b in ((0, 1), (0, 2), (1, 2)))
+        sides += [qkz.Side((steps,), check_invertible=False),
+                  qkz.Side((steps[::-1],), check_invertible=False)]
+    return qkz.StringCheck("ybe", {"m": m, "kinds": list(kinds), "norm": normalization}, 1e-9,
+                           qkz.Sites(m, grading, ctx, normalization, 3), tuple(sides),
+                           tuple((2 * k + 1, 2 * k) for k in range(len(samples))))
+
+
+def crossing_one_sample(R, twists, dd):
+    """The six proportionalities of one crossing sample, each matrix formed on
+    its own: the reference of the stacked measure."""
+    r_vv, r_sv, r_vs, r_sh1, r_sh2, rk, rk_sh1, rk_sh2 = R
+    o1, o1_inv, o2, o2_inv = twists
+    fits = [scalar_ratio(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd)),
+            scalar_ratio(r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd))),
+            scalar_ratio(r_sv, o1 @ r_sh1 @ o1_inv),
+            scalar_ratio(r_vs, o2 @ r_sh2 @ o2_inv),
+            scalar_ratio(o1 @ rk_sh1 @ o1_inv, partial_transpose(np.linalg.inv(rk), "first", dd)),
+            scalar_ratio(o2 @ rk_sh2 @ o2_inv, np.linalg.inv(partial_transpose(rk, "second", dd)))]
+    return [lam for lam, _ in fits], worst_of(res for _, res in fits)
+
+
+def crossing_per_sample(m, samples, grading, ctx):
+    """check_crossing's record with its measure taken sample by sample."""
+    rec = idsuite.check_crossing.record(m, samples, grading, ctx)
+
+    def measure(read, probe):
+        d = m + 1
+        O, Oinv, one = operator_o(m, grading, ctx), operator_o_inverse(m, grading, ctx), np.eye(d)
+        twists = (kron(O, one), kron(Oinv, one), kron(one, O), kron(one, Oinv))
+        R = [swap_outputs(read(sites, info), d, d)
+             for sites, infos in rec.factors for info in infos]
+        scal, resids = zip(*(crossing_one_sample(R[8 * k:8 * k + 8], twists, (d, d))
+                             for k in range(len(samples))))
+        spread = worst_of(
+            np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
+            for i in (2, 3, 4, 5))
+        return VerificationReport.make("crossing", {"m": m, "scalar_spread": spread},
+                                       worst_of(resids), 1e-9, extracted_scalars=list(scal[-1]))
+    return rec._replace(measure=measure)
+
+
+class TestStackedSamples:
+    """The YBE and crossing records evaluate all samples as stacks; their
+    reports have the bits of the sample-by-sample evaluation."""
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ybe_reports_the_bits_of_the_per_sample_record(self, q, m, grading):
+        ctx, rng = QContext(q), np.random.default_rng(38)
+        for kinds in (("V", "V", "V"), ("V*", "V", "V*")):
+            for norm in ("hw", "kappa"):
+                samples = [tuple(idsuite.draw_generic_zetas(rng, 3, m, grading, ctx))
+                           for _ in range(12)]
+                records = [idsuite.check_ybe.record(m, kinds, samples, grading, ctx, norm),
+                           ybe_per_sample(m, kinds, samples, grading, ctx, norm)]
+                stacked, alone = qkz.run_records(records)
+                assert cli.serialize_reports([stacked], "json") == \
+                    cli.serialize_reports([alone], "json")
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_crossing_reports_the_bits_of_the_per_sample_measure(self, q, m, grading, grading10):
+        ctx, rng = QContext(q), np.random.default_rng(39)
+        for g in (grading, grading10):
+            for count in (1, 12):
+                samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
+                           for _ in range(count)]
+                stacked, alone = qkz.run_records([idsuite.check_crossing.record(m, samples, g, ctx),
+                                                  crossing_per_sample(m, samples, g, ctx)])
+                assert cli.serialize_reports([stacked], "json") == \
+                    cli.serialize_reports([alone], "json")
+
+    def test_a_singular_inverse_fails_as_in_the_per_sample_measure(self, ctx, grading):
+        # R_VV of the second of three samples made singular: both evaluations
+        # end in one failing crossing report with the same note
+        rng = np.random.default_rng(40)
+        samples = [tuple(idsuite.draw_generic_zetas(rng, 2, 1, grading, ctx)) for _ in range(3)]
+        rec = idsuite.check_crossing.record(1, samples, grading, ctx)
+        factor = qkz.solve_records([rec])
+        target = ("V", samples[1][0], "V", samples[1][1])
+
+        def singular(chain, info, check_invertible=True):
+            Rc = factor(chain, info, check_invertible)
+            if chain.normalization == "hw" and info == target:
+                Rc = Rc.copy()
+                Rc[:, 0] = 0.0
+            return Rc
+        reports = [cli._evaluate("crossing", [r], singular, qkz.probe_block)
+                   for r in (rec, crossing_per_sample(1, samples, grading, ctx))]
+        assert reports[0] == reports[1]
+        (report,), _ = reports
+        assert not report.passed and report.note == "LinAlgError: Singular matrix"
 
 
 class TestUnitarityChecks:

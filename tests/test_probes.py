@@ -254,11 +254,11 @@ def plant_read_defect(monkeypatch, pick):
 def side_starts(rec):
     """The read number (from 1) of the first factor of each side of a string
     record with no dense side: the sides are applied in turn, each reading
-    its factors at their steps, in application order."""
+    the factors of its strings string by string, in application order."""
     starts, read = [], 1
     for side in rec.sides:
         starts.append(read)
-        read += sum(tag in ("R", "Rcheck") for tag, _, _ in side.steps)
+        read += sum(tag in ("R", "Rcheck") for steps in side.strings for tag, _, _ in steps)
     return starts
 
 
@@ -385,18 +385,19 @@ class TestIdentityFailability:
 
 def one_sided_defect(rec):
     """The string record with the second spectral argument of the first solved
-    two-site step of the reference side of its first pair scaled by 1 + EPS,
-    or of the other side of the pair when the reference side solves nothing
-    (it is the identity in unitarity and the initial condition); None when
-    neither side solves a factor."""
+    two-site step of the first string of the reference side of its first pair
+    scaled by 1 + EPS, or of the other side of the pair when the reference
+    side solves nothing (it is the identity in unitarity and the initial
+    condition); None when neither side solves a factor."""
     for k in rec.pairs[0]:
-        steps = list(rec.sides[k].steps)
+        strings = rec.sides[k].strings
+        steps = list(strings[0])
         for j, (tag, where, info) in enumerate(steps):
             if tag in ("R", "Rcheck") and qkz._requests(rec.chain, [info])[0] is not None:
                 k1, z1, k2, z2 = info
                 steps[j] = (tag, where, (k1, z1, k2, z2 * (1 + EPS)))
                 sides = list(rec.sides)
-                sides[k] = rec.sides[k]._replace(steps=tuple(steps))
+                sides[k] = rec.sides[k]._replace(strings=(tuple(steps), *strings[1:]))
                 return rec._replace(sides=tuple(sides))
     return None
 

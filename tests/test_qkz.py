@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ from factor_ops import (applied, lambda_forms_residual, lambda_op, lambda_produc
                         read_factors, transport_phi)
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
-from qkzkit.qkz import (ChainSpec, DeltaAssignment, build_delta, check_ddr,
-                        check_qkz_compatibility, lambda_factor_specs)
+from qkzkit.qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, _two_site, build_delta,
+                        check_ddr, check_qkz_compatibility, lambda_factor_specs, probe_block,
+                        probe_blocks, rewritten_factors, run_records)
 from qkzkit.reps import GradingChoice, operator_o, operator_x
 from qkzkit.rsolve import r_matrix
 from qkzkit.tensorops import cyclic_left_shift, permutation_op
@@ -235,3 +237,58 @@ class TestRegularizedProduct:
         a = lambda_product_regularized(chain, 1, chain, 0, cache)
         b = lambda_op(chain, 1, cache) @ lambda_op(chain, 0, cache)
         assert np.abs(a - b).max() < 1e-11
+
+
+class TestStackedSides:
+    """A side that stacks strings of one step pattern gives, slice by slice,
+    the bits of each string applied alone, on every route."""
+
+    @pytest.mark.parametrize("route, form", [("apply_factors", lambda_factor_specs),
+                                             ("dense", lambda_factor_specs),
+                                             ("einsum", rewritten_factors)])
+    def test_each_slice_is_its_string_alone(self, route, form, ctx, grading):
+        # one-step operators of three chains that differ in their etas only: the
+        # same tags, sites, twist and permutation, other factors
+        rng = np.random.default_rng(41)
+        chains = [general_chain(ctx, grading, ("V", "V*", "V", "V*"), rng) for _ in range(3)]
+        X = probe_block(16, 3)
+        for i in (0, 2):
+            strings = tuple(tuple(form(chain, i)) for chain in chains)
+            side = Side(strings, route)
+            infos = [info for steps in strings for info in _two_site(steps)]
+            stack, = run_records([FactorCheck(((chains[0], infos),),
+                                              lambda read, probe: side.apply(chains[0], read, X))])
+            assert stack.shape == ((3, 16, 16) if route == "dense" else (3, 16, 8))
+            for chain, got in zip(chains, stack):
+                alone = applied(chain, form(chain, i), block=None if route == "dense" else X,
+                                route=route)
+                assert np.array_equal(got, alone)
+
+    def test_strings_of_two_patterns_are_refused(self, ctx, grading):
+        chain = general_chain(ctx, grading, ("V", "V*", "V", "V*"), np.random.default_rng(42))
+        with pytest.raises(ConfigError, match="step pattern"):
+            Side((tuple(lambda_factor_specs(chain, 0)), tuple(lambda_factor_specs(chain, 1))))
+
+
+class TestProbeBlocks:
+    def test_each_block_is_drawn_once_and_read_only(self):
+        probe = probe_blocks()
+        X = probe(16, 3)
+        assert np.array_equal(X, probe_block(16, 3)) and not X.flags.writeable
+        assert probe(16, 3) is X
+        assert probe(4, 3, 100) is probe(4, 3, 4)  # a block is at most D wide
+        one = probe(16, 3, 1)
+        assert one is not X and np.array_equal(one, X[:, :1])
+        assert probe(16, 4) is not X
+        assert probe_blocks()(16, 3) is not X  # a new run draws its own
+        with pytest.raises(ValueError):
+            X[0, 0] = 0
+
+    def test_a_suite_run_draws_each_block_once(self, monkeypatch):
+        # 29 string records and rpr read 6 distinct blocks in `suite --m 1`
+        from qkzkit import cli, qkz
+        drawn = []
+        monkeypatch.setattr(qkz, "probe_block",
+                            lambda *args: drawn.append(args) or probe_block(*args))
+        assert cli.main(["suite", "--m", "1", "--seed", "1", "--out", os.devnull]) == 0
+        assert len(drawn) == len(set(drawn)) == 6

@@ -55,8 +55,12 @@ CHECKED = {
         ("kinds", ("V", "W"), "site kinds must be 'V' or 'V*'"),
         ("p", 0, "shift p must be nonzero"),
     ]),
-    Side: ({"steps": (), "route": "apply_factors", "check_invertible": True}, [
+    Side: ({"strings": ((),), "route": "apply_factors", "check_invertible": True}, [
         ("route", "bogus", "unknown route 'bogus'"),
+        ("strings", (), "a side stacks at least one factor string"),
+        ("strings", ((("R", (0, 1), ("V", 1.1, "V", 0.9)),),
+                     (("Rcheck", (0, 1), ("V", 1.1, "V", 0.9)),)),
+         "the strings of a side differ in their step pattern"),
     ]),
     ReductionCase: ({"mode": "self_dual", "n": 2, "m": 1, "grading": GRADING, "ctx": CTX,
                      "alpha": 0.0}, [
@@ -96,7 +100,7 @@ def records():
     frame = rsolve.RCache().template(
         rsolve.make_request("V", 1.3, "V", 0.7, 1, GRADING, CTX)).frame(1)
     return [cls(**values) for cls, (values, _) in CHECKED.items()] + [
-        Sites(1, GRADING, CTX), StringCheck("s", {}, 1e-9, chain, (Side(()),) * 2),
+        Sites(1, GRADING, CTX), StringCheck("s", {}, 1e-9, chain, (Side(((),)),) * 2),
         FactorCheck(((chain, []),), len), frame,
         VerificationReport.make("ybe", {"m": 1}, 1e-12, 1e-9)]
 
@@ -116,7 +120,7 @@ def test_equal_values_are_equal_and_hash_equal():
         (DeltaAssignment("self_dual_pair", 0.5, 2),
          DeltaAssignment("self_dual_pair", n=2, alpha=0.5)),
         (ChainSpec(**CHECKED[ChainSpec][0]), ChainSpec(*CHECKED[ChainSpec][0].values())),
-        (Side(((1, 2),), "einsum"), Side(steps=((1, 2),), route="einsum")),
+        (Side(((1, 2),), "einsum"), Side(strings=((1, 2),), route="einsum")),
         (ReductionCase("general", 2, 1, GRADING, CTX),
          ReductionCase("general", 2, 1, GRADING, CTX, 0j)),
         (Sites(1, GRADING, CTX), Sites(1, GradingChoice(1, 1), QContext(0.7), "hw", 2))]

@@ -10,13 +10,14 @@ from conftest import plant_in_pair, zeta_sample
 from factor_ops import read_factors
 from qkzkit import reps, rsolve
 from qkzkit.context import QContext
-from qkzkit.errors import ConfigError, DegeneratePointError, QkzError, ScalarDomainError
+from qkzkit.errors import (ConfigError, DegeneratePointError, QkzError, ScalarDomainError,
+                           TruncationError, copy_error)
 from qkzkit.reduction import ReductionCase, chain_for, mirrored_args
 from qkzkit.reps import (GENERATOR_TAGS, GradingChoice, coproduct_parts,
                          eval_module, operator_o, operator_o_inverse, sl2_constants)
 from qkzkit.rsolve import (_CANCEL_TOL, RCache, _kappa_scalars, apply_kappa, make_request,
                            r_matrix, rcheck_resonant, solve_intertwiner)
-from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational
+from qkzkit.scalars import kappa_sl2, kappa_sl2_even_rational, raise_first
 from qkzkit.tensorops import permutation_op, relative_residual
 
 ALL_PAIRS = [("V", "V"), ("V*", "V"), ("V", "V*"), ("V*", "V*")]
@@ -632,6 +633,28 @@ class TestCache:
         assert raised[0] is not raised[1] and stored not in raised
         assert {(type(e), str(e)) for e in raised} == {(type(stored), str(stored))}
         assert stored.__traceback__ is None
+
+    def test_a_copied_error_keeps_type_args_and_notes(self, ctx, grading):
+        # copy_error does what copy.copy did: the type called on the args, the
+        # attributes (notes among them) kept, no traceback; a stored error read
+        # twice, by read_result and by scalars.raise_first, gathers none
+        stored = TruncationError("tail bound 3e-12 above 1e-16", 256)
+        stored.add_note("row 2")
+        stored.source = "kappa"
+        made = copy_error(stored)
+        assert made is not stored and type(made) is TruncationError
+        assert made.args == stored.args and made.__notes__ == ["row 2"]
+        assert made.source == "kappa" and made.__traceback__ is None
+        for read in (lambda: rsolve.read_result(stored),
+                     lambda: raise_first([None, stored])):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(TruncationError) as info:
+                    read()
+                raised.append(info.value)
+            assert raised[0] is not raised[1] and stored not in raised
+            assert all(e.args == stored.args and e.__notes__ == ["row 2"] for e in raised)
+            assert stored.__traceback__ is None
 
     def test_uncached_requests_share_nothing(self, ctx, grading, monkeypatch):
         solves = _count_solves(monkeypatch)

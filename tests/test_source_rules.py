@@ -29,9 +29,10 @@ factor loop can come back and no check applies a two-site factor or a
 permutation (or a dense product of them) of its own.  A leftover import of
 an applier counts as a use.
 `tensorops.kron` is the one Kronecker product (no `np.kron` in the
-package), and only `CommutantTemplate.generator_images` reads the
-template's stored image parts (`images`), so no second densify of them
-can come back.  In `qkz`,
+package), `tensorops.partial_transpose` the one partial transpose (the
+modules of the checks move no axes of their own but in `psi_extract`),
+and only `CommutantTemplate.generator_images` reads the template's stored
+image parts (`images`), so no second densify of them can come back.  In `qkz`,
 `reduction`, `idsuite` and `cli` only the record solve `solve_records`
 solves R-operators (solve_requests, solve_intertwiner or r_matrix); the
 record runner `run_records` and, once per run, the suite's `_run_groups`
@@ -288,6 +289,32 @@ def numpy_krons(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_numpy_kron(path):
     assert numpy_krons(ast.parse(path.read_text())) == []
+
+
+# a partial transpose is a reshape and an axis move: the check modules move
+# no axes but in `reduction.psi_extract` (the mirror of its 2n-site tensor's
+# slots), so every partial transpose goes through tensorops.partial_transpose
+AXIS_MOVES = ("transpose", "swapaxes", "moveaxis", "permute_dims")
+AXIS_MOVERS = {"reduction.py": ("psi_extract",)}
+AXIS_MOVE_SOURCES = [p for p in SOURCES if p.name in ("cli.py", "idsuite.py", "qkz.py",
+                                                      "reduction.py")]
+
+
+def axis_moves(tree, allowed):
+    """Uses of an axis move outside the functions named in allowed."""
+    return [found for name in AXIS_MOVES for found in calls_outside(tree, name, allowed)]
+
+
+@pytest.mark.parametrize("path", AXIS_MOVE_SOURCES, ids=lambda p: p.name)
+def test_partial_transposes_only_through_partial_transpose(path):
+    assert len(AXIS_MOVE_SOURCES) == 4
+    assert axis_moves(ast.parse(path.read_text()), AXIS_MOVERS.get(path.name, ())) == []
+
+
+def test_crossing_transposes_through_partial_transpose():
+    tree = ast.parse((ROOT / "src" / "qkzkit" / "idsuite.py").read_text())
+    crossing = next(fn for name, fn in _functions(tree) if name == "check_crossing")
+    assert len(named_calls(crossing, "partial_transpose")) == 2
 
 
 def attribute_reads(tree, name, allowed):
@@ -651,6 +678,22 @@ def test_string_rule_fires_on_planted_code(module, source, outside):
 ])
 def test_kron_rule_fires_on_planted_code(source, found):
     assert len(numpy_krons(ast.parse(source))) == found
+
+
+@pytest.mark.parametrize("module, source, found", [
+    ("idsuite.py", "def measure(read, probe):\n"
+     "    return partial_transpose(R[:, [0, 5]], 'second', dd)\n", 0),
+    # a partial transpose of its own, by a method or a numpy function
+    ("idsuite.py", "def measure(read, probe):\n"
+     "    return R.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, -1)\n", 1),
+    ("idsuite.py", "import numpy as np\ndef _crossing_sample(R, d):\n"
+     "    return np.swapaxes(R.reshape(-1, d, d, d, d), 1, 3)\n", 1),
+    ("qkz.py", "from numpy import moveaxis\ndef evaluate(T):\n    return moveaxis(T, 0, 2)\n", 2),
+    ("reduction.py", "def psi_extract(case, T):\n    return T.transpose(order)\n", 0),
+    ("reduction.py", "def check_rpr(case, T):\n    return T.transpose(order)\n", 1),
+])
+def test_axis_move_rule_fires_on_planted_code(module, source, found):
+    assert len(axis_moves(ast.parse(source), AXIS_MOVERS.get(module, ()))) == found
 
 
 IMAGE_STORE = ("class CommutantTemplate:\n    def __init__(self, m, ctx):\n"

@@ -145,6 +145,19 @@ class TestPartialTranspose:
         both = partial_transpose(t1, "second", (2, 3))
         assert np.abs(both - M.T).max() == 0.0
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_stack_is_each_matrix_transposed(self, which):
+        # a leading axis (or two) of matrices: each is moved as it is alone
+        for stack in (rand_c(5, 6, 6), rand_c(3, 2, 6, 6)):
+            got = partial_transpose(stack, which, (2, 3))
+            assert got.shape == stack.shape and got.flags.c_contiguous
+            for idx in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(got[idx], partial_transpose(stack[idx], which, (2, 3)))
+
+    def test_stack_of_wrong_shape_is_refused(self):
+        with pytest.raises(ConfigError):
+            partial_transpose(rand_c(4, 6, 5), "first", (2, 3))
+
 
 class TestScalarRatio:
     def test_proportional(self):
@@ -443,6 +456,83 @@ class TestStringMatmul:
             string_matmul(steps(), (2, 2), rand_c(4, 1))
         assert built == [0, 1]
 
+    def test_a_stack_of_one_is_the_call_on_its_block(self):
+        d, N = 3, 3
+        steps = kernel_steps(random_string(d, N, 8, 5), N)
+        M = rand_c(d ** N, 4)
+        got = string_matmul([(None if op is None else op[None], where) for op, where in steps],
+                            (d,) * N, M[None])
+        assert got.shape == (1, d ** N, 4)
+        assert np.array_equal(got[0], string_matmul(steps, (d,) * N, M))
+
     def test_overflow_reads_inf_without_warning(self):
         got = string_matmul([(np.full((4, 4), 1e300), (1, 0))], (2, 2), np.full((4, 1), 1e300))
         assert np.isinf(got).all()
+
+
+def stacked_strings(d, N, length, S, seed):
+    """S random strings with one step pattern (that of random_string): the same
+    tags, sites and permutations, each factor drawn anew for every string."""
+    pattern = random_string(d, N, length, seed)
+    return [[(tag, None if op is None else rand_c(*op.shape), where)
+             for tag, op, where in pattern] for _ in range(S)]
+
+
+def stack_steps(strings, N, shared=()):
+    """The string_matmul steps of a stack of strings: each factor the (S, a, a)
+    stack of its strings' factors, or the first string's matrix for every
+    slice at the step numbers in `shared`."""
+    steps = []
+    for k, column in enumerate(zip(*strings)):
+        tag, op, where = column[0]
+        if op is not None:
+            op = op if k in shared else np.stack([step[1] for step in column])
+        steps += kernel_steps([(tag, op, where)], N)
+    return steps
+
+
+class TestStackedStringMatmul:
+    """A stack of S strings with one step pattern applied in one call equals
+    each string applied alone to its block, bit for bit."""
+
+    @pytest.mark.parametrize("S", [1, 2, 12])
+    @pytest.mark.parametrize("d, N", [(2, 4), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_each_slice_is_its_string_alone(self, S, d, N, k):
+        strings = stacked_strings(d, N, 10, S, 10 * d + N)
+        assert {tag for tag, _, _ in strings[0]} >= {"R", "perm"}
+        dims = (d,) * N
+        M = rand_c(S, d ** N, k)
+        got = string_matmul(stack_steps(strings, N), dims, M)
+        assert got.shape == M.shape
+        for s in range(S):
+            assert np.array_equal(got[s], string_matmul(kernel_steps(strings[s], N), dims, M[s]))
+
+    @pytest.mark.parametrize("S", [2, 12])
+    @pytest.mark.parametrize("d, N", [(2, 4), (3, 3)])
+    def test_shared_block_and_shared_ops(self, S, d, N):
+        # every slice reads one block (a broadcast view, as qkz.apply_factors
+        # passes it), and the first two factors are one matrix for every slice
+        strings = stacked_strings(d, N, 10, S, 7)
+        first_two = [k for k, (_, op, _) in enumerate(strings[0]) if op is not None][:2]
+        for string in strings[1:]:
+            for k in first_two:
+                string[k] = strings[0][k]
+        dims, X = (d,) * N, rand_c(d ** N, 8)
+        got = string_matmul(stack_steps(strings, N, first_two), dims,
+                            np.broadcast_to(X, (S, *X.shape)))
+        for s in range(S):
+            assert np.array_equal(got[s], string_matmul(kernel_steps(strings[s], N), dims, X))
+
+    def test_a_slice_sees_only_its_own_factors(self):
+        # a wrong factor in one slice moves that slice alone
+        d, N, S = 2, 4, 3
+        strings = stacked_strings(d, N, 8, S, 3)
+        M = rand_c(S, d ** N, 2)
+        good = string_matmul(stack_steps(strings, N), (d,) * N, M)
+        k = next(k for k, (_, op, _) in enumerate(strings[1]) if op is not None)
+        tag, op, where = strings[1][k]
+        strings[1][k] = (tag, op * (1 + 1e-6), where)
+        bad = string_matmul(stack_steps(strings, N), (d,) * N, M)
+        assert np.array_equal(bad[0], good[0]) and np.array_equal(bad[2], good[2])
+        assert relative_residual(good[1], bad[1]) > 1e-8
