@@ -49,7 +49,7 @@ from .rsolve import r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
                       raise_first, rho0_ratio_sl2, rho0_sl2, rho0_sllpo)
-from .tensorops import relative_residual
+from .tensorops import relative_residuals
 
 KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": ("V*", "V*")}
 # the largest --m of suite, verify and rmat: a solve's arrays grow as (m+1)^4, and a spin
@@ -102,21 +102,31 @@ def _chk_scalar_identities(config, ctx, g):
     raise_first(one_errors[:1], kappa_errors[:2 * n])  # before q^-2 z is formed
     rho0 = rho0_sl2(np.repeat(ms, 2 * n), np.stack((ctx.q ** -2 * zs, zs), axis=1).ravel(), ctx,
                     rho0_errors).reshape(4, 2 * n)
-    kappa_res, ratio_res, even_res = [0.0], [0.0], [0.0]
+    # (reference, other) of each sample, then each identity's residuals in one call
+    kappa_pairs, ratio_pairs, even_pairs = [], [], []
     for i, m in enumerate(ms):
         block = slice(2 * n * i, 2 * n * (i + 1))
         raise_first(one_errors[i:i + 1], kappa_errors[block], rho0_errors[block])
-        kappa_res.append(relative_residual(1.0, kappa_one[i]))  # the same at every sample
+        kappa_pairs.append((1.0, kappa_one[i]))  # the same at every sample
         for z, k, k_inv, r_shifted, r in zip(zs[i], kappa[i, :n], kappa[i, n:],
                                              rho0[i, :n], rho0[i, n:]):
-            kappa_res.append(relative_residual(1.0, k * k_inv))
-            ratio_res.append(relative_residual(rho0_ratio_sl2(m, z, ctx), 1.0 / (r_shifted * r)))
+            kappa_pairs.append((1.0, k * k_inv))
+            ratio_pairs.append((rho0_ratio_sl2(m, z, ctx), 1.0 / (r_shifted * r)))
             if m % 2 == 0:
-                even_res.append(relative_residual(k, kappa_sl2_even_rational(m // 2, z, ctx)))
-    return [VerificationReport.make(name, {"family": "sl2"}, worst_of(res), 1e-10)
-            for name, res in (("scalar_kappa_identities", kappa_res),
-                              ("scalar_rho0_ratio", ratio_res),
-                              ("scalar_kappa_even_rational", even_res))]
+                even_pairs.append((k, kappa_sl2_even_rational(m // 2, z, ctx)))
+    return [VerificationReport.make(name, {"family": "sl2"}, _worst_residual(pairs), 1e-10)
+            for name, pairs in (("scalar_kappa_identities", kappa_pairs),
+                                ("scalar_rho0_ratio", ratio_pairs),
+                                ("scalar_kappa_even_rational", even_pairs))]
+
+
+def _worst_residual(pairs) -> float:
+    """The worst relative residual of (reference, other) pairs of one shape,
+    one tensorops.relative_residuals call; 0 for no pair."""
+    if not pairs:
+        return 0.0
+    refs, others = zip(*pairs)
+    return worst_of(relative_residuals(np.array(refs), np.array(others)))
 
 
 def _chk_scalar_difference(config, ctx, g):
@@ -138,22 +148,22 @@ def _chk_scalar_difference(config, ctx, g):
 def _difference_report(name, rank, r, constant, vals):
     return VerificationReport.make(
         name, {rank: r, "constant": constant},
-        worst_of(relative_residual(constant, v) for v in vals), 1e-10,
+        worst_of(relative_residuals(np.full(len(vals), constant), vals)), 1e-10,
         extracted_scalars=[complex(np.mean(vals))])
 
 
 def _chk_scalar_series(config, ctx, g):
     rng = _rng_for(config, "scalar_series")
     q = complex(ctx.q)
-    residuals = [0.0]
+    pairs = []
     # keep |q^-l z| < 1 so the series converges
     for l, u in zip((1, 2, 3), rng.random(3 * config.samples).reshape(3, -1)):
         zs = (0.1 + 0.7 * u) * abs(q) ** l
         fa, fb = f_series(l + 1, q ** (-l) * zs, ctx).value, f_series(l + 1, q**l * zs, ctx).value
-        residuals += [relative_residual(r, q ** (-l / (l + 1)) * np.exp(a - b))
-                      for a, b, r in zip(fa, fb, rho0_sllpo(l, zs, ctx))]
+        pairs += [(r, q ** (-l / (l + 1)) * np.exp(a - b))
+                  for a, b, r in zip(fa, fb, rho0_sllpo(l, zs, ctx))]
     return [VerificationReport.make("scalar_f_series_pochhammer", {"l": [1, 2, 3]},
-                                    worst_of(residuals), 1e-10)]
+                                    _worst_residual(pairs), 1e-10)]
 
 
 def _chk_rep_invariants(config, ctx, g):
@@ -165,17 +175,17 @@ def _chk_rep_invariants(config, ctx, g):
         rep = build_eval_rep(m, g, ctx)
         dual = antipode_dual(rep)
         zeta = idsuite.random_zeta(rng)
+        pairs = []  # (reference, other) per identity, of the module and its dual
         for r in (rep, dual):
             e1, f1, e0, f0 = (r.gen(tag, zeta) for tag in ("e1", "f1", "e0", "f0"))
             nu = 0.7 + 0.1 * rng.random()
-            # (reference, other) per identity
-            pairs = (((r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q), e1 @ f1 - f1 @ e1),
-                     ((r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q), e0 @ f0 - f0 @ e0),
-                     (q ** (2 * nu) * e1, r.qh1(nu) @ e1 @ r.qh1(-nu)),
-                     (q ** (-2 * nu) * f1, r.qh1(nu) @ f1 @ r.qh1(-nu)),
-                     (zeta**g.s1 * r.gen("e1", 1.0), r.gen("e1", zeta)))
-            worst = worst_of([worst, *(relative_residual(a, b) for a, b in pairs)])
+            pairs += (((r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q), e1 @ f1 - f1 @ e1),
+                      ((r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q), e0 @ f0 - f0 @ e0),
+                      (q ** (2 * nu) * e1, r.qh1(nu) @ e1 @ r.qh1(-nu)),
+                      (q ** (-2 * nu) * f1, r.qh1(nu) @ f1 @ r.qh1(-nu)),
+                      (zeta**g.s1 * r.gen("e1", 1.0), r.gen("e1", zeta)))
             worst_hopf = worst_of((worst_hopf, hopf_antipode_residual(r, zeta)))
+        worst = worst_of((worst, _worst_residual(pairs)))
     return [
         VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12),
         VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12),

@@ -1,7 +1,14 @@
 """Algebraic identity checks: Yang-Baxter, unitarity, crossing, duals, invariances.
 
 Every check returns a VerificationReport; residuals are relative
-Frobenius norms (tensorops.relative_residual).  Crossing relations are
+Frobenius norms (tensorops.relative_residual).  A check with several
+residuals (the tags of a conjugation, the six fits of every crossing
+sample) takes them in one stacked call, tensorops.relative_residuals or
+scalar_ratios, and folds them with worst_of: slice s has the bits of the
+one-slice call on it, since each slice's norm is the BLAS dot of that call
+on the same strided parts and every other step is elementwise.  Only the
+residual step is stacked; each slice's inputs are formed as before.
+Crossing relations are
 verified as proportionalities against independently solved R-operators,
 with the proportionality scalars extracted and reported.  Each check that
 solves R-operators is a record (`qkz.StringCheck` or `qkz.FactorCheck`)
@@ -18,7 +25,8 @@ from .reps import (antipode_dual, build_eval_rep, operator_o, operator_o_inverse
                    operator_x, operator_xtilde, sl2_constants, twist)
 from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, Sites, StringCheck,
                   pair_commutator, solving_check, transport_steps)
-from .tensorops import kron, partial_transpose, relative_residual, scalar_ratio, swap_outputs
+from .tensorops import (kron, partial_transpose, relative_residual, relative_residuals,
+                        scalar_ratios, swap_outputs)
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
@@ -112,14 +120,6 @@ def check_initial_condition(m, kind, zeta, grading, ctx, normalization="hw") -> 
                        (Side(((),), "dense"), Side((steps,), "dense")))
 
 
-def _crossing_sample(forms) -> tuple:
-    """The six proportionalities of check_crossing at one sample, as (A, B)
-    pairs fitted A ~ lambda B by tensorops.scalar_ratio: (scalars, worst
-    residual)."""
-    scal, resids = zip(*(scalar_ratio(A, B) for A, B in forms))
-    return list(scal), worst_of(resids)
-
-
 @solving_check
 def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     """Crossing relations as proportionalities, with scalar extraction, at each
@@ -145,9 +145,11 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     (S, 8, D, D) stack, and its inverses, partial transposes and
     O-conjugations are stacked calls; numpy's stacked matmul and inv call
     the same BLAS or LAPACK routine per slice, so every matrix has the bits
-    of its one-sample call, and each sample's six scalar_ratio fits read
-    their slices.  A singular inverse of any sample raises, as the first
-    singular one of the samples in turn did.
+    of its one-sample call.  The six fits of every sample are one
+    tensorops.scalar_ratios call on the (6 S, D, D) stacks, sample by
+    sample, each fit with the bits of its scalar_ratio call.  A singular
+    inverse of any sample raises, as the first singular one of the samples
+    in turn did.
     """
     qd = complex(ctx.q) ** sl2_constants(grading)["delta"]
     hw, kappa = Sites(m, grading, ctx, "hw"), Sites(m, grading, ctx, "kappa")
@@ -170,24 +172,26 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
         inv_t1 = partial_transpose(inv[:, :2], "first", dd)
         conj = (np.array([kron(O, one), kron(one, O)] * 2) @ R[:, [3, 4, 6, 7]]
                 @ np.array([kron(Oinv, one), kron(one, Oinv)] * 2))
-        scal, resids = zip(*(_crossing_sample(
-            ((r[1], t1[0]), (r[2], i[2]), (r[1], c[0]), (r[2], c[1]), (c[2], t1[1]), (c[3], i[3])))
-            for r, i, t1, c in zip(R, inv, inv_t1, conj)))
-        spread = worst_of(
-            np.abs(np.array([s[i] for s in scal]) - np.mean([s[i] for s in scal])).max()
-            for i in (2, 3, 4, 5))
+        # the six (A, B) pairs of each sample, sample by sample, fitted A ~ lambda B
+        A = np.stack((R[:, 1], R[:, 2], R[:, 1], R[:, 2], conj[:, 2], conj[:, 3]), axis=1)
+        B = np.stack((inv_t1[:, 0], inv[:, 2], conj[:, 0], conj[:, 1], inv_t1[:, 1], inv[:, 3]),
+                     axis=1)
+        scal, resids = scalar_ratios(A.reshape(-1, *A.shape[2:]), B.reshape(-1, *B.shape[2:]))
+        scal = np.array(scal).reshape(-1, 6).T.copy()  # scal[i]: fit i of every sample
+        spread = worst_of(np.abs(scal[i] - np.mean(scal[i])).max() for i in (2, 3, 4, 5))
         return VerificationReport.make(
             "crossing", {"m": m, "scalar_spread": spread}, worst_of(resids), 1e-9,
-            extracted_scalars=list(scal[-1]))
+            extracted_scalars=scal[:, -1].tolist())
     return FactorCheck(tuple(factors), measure)
 
 
 def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
-    """Worst relative residual of L = C R C^-1 over lhs_rep.tags (L in lhs_rep)."""
+    """Worst relative residual of L = C R C^-1 over lhs_rep.tags (L in lhs_rep),
+    the tags' residuals one relative_residuals call."""
     Cinv = np.linalg.inv(C)
-    return worst_of(relative_residual(lhs_rep.gen(tag, lhs_zeta),
-                                      C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv)
-                    for tag in lhs_rep.tags)
+    return worst_of(relative_residuals(
+        np.array([lhs_rep.gen(tag, lhs_zeta) for tag in lhs_rep.tags]),
+        np.array([C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv for tag in lhs_rep.tags])))
 
 
 def check_double_dual(m, grading, ctx, zeta) -> VerificationReport:

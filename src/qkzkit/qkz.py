@@ -52,8 +52,8 @@ from .errors import ConfigError
 from .report import VerificationReport, fold, worst_of
 from .reps import GradingChoice, sl2_constants, twist
 from .rsolve import make_request, rcheck_resonant, read_result, solve_requests
-from .tensorops import (commutant_residual, cyclic_left_shift, relative_residual, string_matmul,
-                        swap_outputs)
+from .tensorops import (commutant_residual, cyclic_left_shift, relative_residual,
+                        relative_residuals, string_matmul, swap_outputs)
 
 _ARG_TOL = 1e-12
 PROBE_COLUMNS = 8
@@ -347,7 +347,7 @@ class StringCheck(NamedTuple):
         default)."""
         X = probe(prod(self.chain.dims), self.seed, self.columns)
         ops = [side.apply(self.chain, factor, X) for side in self.sides]
-        resids = [relative_residual(A, B) for a, b in self.pairs for A, B in zip(ops[a], ops[b])]
+        resids = [r for a, b in self.pairs for r in relative_residuals(ops[a], ops[b])]
         params = dict(self.params, **{name: resids[k] for name, k in self.pair_params.items()})
         resid = worst_of(resids)
         if self.extract is not None:  # both residuals reported, folded on the operator scale

@@ -13,7 +13,7 @@ from .context import QContext
 from .errors import ConfigError
 from .report import worst_of
 from .scalars import q_number
-from .tensorops import kron, relative_residual
+from .tensorops import kron, relative_residuals
 
 GENERATOR_TAGS = ("e0", "e1", "f0", "f1", "qh0", "qh1")
 
@@ -189,22 +189,24 @@ def hopf_antipode_residual(rep: EvalRep, zeta: complex) -> float:
     Validates that the coproduct convention matches the antipode used for
     dual modules: S(g) g against the identity for a Cartan g, and the two
     terms that must cancel for e_i and f_i (eps = 0), S(e_i) against
-    -S(q^{h_i}) e_i and S(f_i) q^{-h_i} against -f_i (relative_residual).
+    -S(q^{h_i}) e_i and S(f_i) q^{-h_i} against -f_i, the tags' residuals one
+    tensorops.relative_residuals call (the real identity is stacked as
+    complex; its squares, 0 and 1, sum exactly at any stride).
     A convention check, not a module check: antipode_image writes S(e_i)
     and S(f_i) from the same e and f matrices, so the terms cancel for any
     e and f, and only a defect in S itself fails it.
     """
-    worst = 0.0
+    pairs = []
     for tag in rep.tags:
         S = antipode_image(rep, tag, zeta)
         if tag.startswith("qh"):
-            pair = np.eye(rep.dim), S @ rep.gen(tag, zeta)
+            pairs.append((np.eye(rep.dim), S @ rep.gen(tag, zeta)))
         elif tag.startswith("e"):
-            pair = S, -antipode_image(rep, f"qh{tag[1]}", zeta) @ rep.gen(tag, zeta)
+            pairs.append((S, -antipode_image(rep, f"qh{tag[1]}", zeta) @ rep.gen(tag, zeta)))
         else:
-            pair = S @ rep.gen(f"qh{tag[1]}", zeta, -1.0), -rep.gen(tag, zeta)
-        worst = worst_of((worst, relative_residual(*pair)))
-    return worst
+            pairs.append((S @ rep.gen(f"qh{tag[1]}", zeta, -1.0), -rep.gen(tag, zeta)))
+    refs, others = zip(*pairs)
+    return worst_of(relative_residuals(np.array(refs), np.array(others)))
 
 
 # --- distinguished operators --------------------------------------------------

@@ -113,10 +113,33 @@ def _frobenius(x):
     return np.sqrt(x.dot(x))
 
 
+def _squares(x):
+    """The squared Frobenius norm of each slice of a stack x (S, ...): slice s
+    has the bits of _frobenius(x[s]) squared.  Each row is a contiguous copy
+    of its slice's entries in the order of its ravel(order="K") (axes by
+    falling stride; ravel copies a slice that is not contiguous), and
+    np.vecdot calls numpy's dot function once per row, the BLAS ddot that
+    _frobenius's x.dot(x) calls, with the same strides: 1 on a real row, 2 on
+    the real and imaginary parts of a complex one (BLAS kernels add in
+    another order at another stride).  A sum over an axis (.sum(axis=-1))
+    adds in its own order and moves bits.  Another dtype than float or
+    complex is cast to float, as np.linalg.norm casts it."""
+    if x.dtype.kind not in ("f", "c"):
+        x = x.astype(float)
+    if x.ndim > 2:
+        x = x.transpose(0, *sorted(range(1, x.ndim), key=lambda a: -abs(x.strides[a])))
+    x = np.ascontiguousarray(x.reshape(len(x), -1))
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return np.vecdot(re, re) + np.vecdot(im, im)
+    return np.vecdot(x, x)
+
+
 def relative_residual(ref, other) -> float:
     """||ref - other||_F / ||ref||_F against the reference side `ref`; a zero
     reference tests nothing and an overflowing one reads any finite difference
-    as 0, so both read inf (with no numpy warning), and a NaN stays NaN."""
+    as 0, so both read inf (with no numpy warning), and a NaN stays NaN.
+    The one-slice call of relative_residuals."""
     with np.errstate(all="ignore"):
         den = _frobenius(ref)
         if den == 0 or np.isinf(den):
@@ -124,12 +147,53 @@ def relative_residual(ref, other) -> float:
         return float(_frobenius(ref - other) / den)
 
 
+def relative_residuals(ref, other) -> list:
+    """relative_residual of each slice of two stacks (S, ...), as floats:
+    slice s has the bits of relative_residual(ref[s], other[s]), since
+    _squares takes each slice's norm with the dot of that call and the
+    square roots, differences and quotients are elementwise.  A stack of
+    one is that call."""
+    if len(ref) == 1:
+        return [relative_residual(ref[0], other[0])]
+    ref = np.asarray(ref)
+    with np.errstate(all="ignore"):
+        den = np.sqrt(_squares(ref))
+        res = np.sqrt(_squares(ref - other)) / den
+    res[(den == 0) | np.isinf(den)] = np.inf
+    return res.tolist()
+
+
 def scalar_ratio(A, B) -> tuple:
-    """(lambda, residual) minimizing ||A - lambda B||_F; residual relative to ||A||."""
+    """(lambda, residual) minimizing ||A - lambda B||_F; residual relative to
+    ||A||.  The one-slice call of scalar_ratios."""
     if np.linalg.norm(B) == 0:
         raise ConfigError("B must be nonzero")
     lam = complex(np.vdot(B, A) / np.vdot(B, B))
     return lam, relative_residual(A, lam * B)
+
+
+def scalar_ratios(A, B) -> tuple:
+    """scalar_ratio of each slice of two stacks (S, ...): (lambdas,
+    residuals), slice s with the bits of scalar_ratio(A[s], B[s]).
+    np.vecdot conjugates its first argument and calls, once per C-order row,
+    the dot function of np.vdot (BLAS zdotc for complex), which reads its
+    arguments in C order; the quotient is numpy's complex division, the loop
+    of the scalar quotient too, and the residuals are relative_residuals.
+    A stack of one, or one where a slice's norm of B is zero or not finite or
+    its quotient not finite (where the one-slice call raises, or warns or
+    raises under np.errstate), is fitted slice by slice, so the first
+    failing slice raises as its call does."""
+    A, B = np.asarray(A), np.asarray(B)
+    if len(A) > 1:
+        a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
+        with np.errstate(all="ignore"):
+            squares = _squares(B)
+            lam = (np.vecdot(b, a) / np.vecdot(b, b)).astype(complex, copy=False)
+        if ((0 < squares) & (squares < np.inf)).all() and np.isfinite(lam).all():
+            lam_B = lam.reshape((-1,) + (1,) * (B.ndim - 1)) * B
+            return lam.tolist(), relative_residuals(A, lam_B)
+    lams, resids = zip(*map(scalar_ratio, A, B))
+    return list(lams), list(resids)
 
 
 def commutant_residual(C1, C2, R) -> float:

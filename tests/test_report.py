@@ -131,8 +131,6 @@ def test_report_writer_writes_every_report_of_a_run_as_before(capsys):
 def _nan_like(out):
     if isinstance(out, VerificationReport):
         return out._replace(residual=math.nan)
-    if isinstance(out, tuple):  # tensorops.scalar_ratio: (lambda, residual)
-        return out[0], math.nan
     return out * np.nan
 
 
@@ -148,6 +146,28 @@ def _nan_on_call(k):
             out = original(*args, **kwargs)
             calls.append(None)
             return _nan_like(out) if len(calls) == k else out
+        return planted
+    return wrap
+
+
+def _nan_in_slice(k):
+    """Wrap a stacked helper (tensorops.relative_residuals, or scalar_ratios
+    and its (lambdas, residuals)) so that the k-th residual it returns,
+    counted slice by slice over its calls, is NaN in place of its value.
+
+    k > 1 plants the NaN after a finite value has entered the fold, in the
+    middle of a stack when the call returns more than k residuals."""
+    def wrap(original):
+        seen = []
+
+        def planted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            resids = list(out[1] if isinstance(out, tuple) else out)
+            first = len(seen)
+            seen.extend(resids)
+            if first < k <= len(seen):
+                resids[k - 1 - first] = math.nan
+            return (out[0], resids) if isinstance(out, tuple) else resids
         return planted
     return wrap
 
@@ -200,20 +220,24 @@ SITES = {
                  "rep_hopf_axiom"),
     "reps.hopf_antipode_residual": (cli, "antipode_dual", _nan_e1, _group("reps"),
                                     "rep_hopf_axiom"),
-    # the sample folds of the ybe and crossing groups: a string check folds its
-    # pair residuals (qkz.StringCheck), crossing its samples (idsuite)
-    "cli.ybe": (qkz, "relative_residual", _nan_on_call(2), _group("ybe"), "ybe"),
-    "cli.crossing": (idsuite, "_crossing_sample", _nan_on_call(2), _group("crossing"),
+    "cli.difference": (cli, "relative_residuals", _nan_in_slice(2), _group("difference"),
+                       "scalar_difference_sl2"),
+    # the sample folds of the ybe and crossing groups: a string check folds the
+    # slices of its pairs (qkz.StringCheck), crossing the six fits of each of
+    # its samples (idsuite); slice 2 is the second ybe sample, slice 8 the
+    # second fit of the second crossing sample
+    "cli.ybe": (qkz, "relative_residuals", _nan_in_slice(2), _group("ybe"), "ybe"),
+    "cli.crossing": (idsuite, "scalar_ratios", _nan_in_slice(8), _group("crossing"),
                      "crossing"),
-    "cli.lambda_forms": (qkz, "relative_residual", _nan_on_call(2), _group("qkz"),
+    "cli.lambda_forms": (qkz, "relative_residuals", _nan_in_slice(2), _group("qkz"),
                          "lambda_forms"),
     "idsuite.conjugation": (idsuite, "antipode_dual", _nan_e1, _group("dualities"),
                             "self_dual"),
-    "idsuite.crossing": (idsuite, "scalar_ratio", _nan_on_call(2), _crossing, "crossing"),
+    "idsuite.crossing": (idsuite, "scalar_ratios", _nan_in_slice(2), _crossing, "crossing"),
     "reduction.combined_report": (reduction, "psi_extract", _nan_on_call(2),
                                   _theorem("general"), "theorem_general"),
     # the second pair of the self-dual record compares the two forms of Lambda_n
-    "reduction.forms_residual": (qkz, "relative_residual", _nan_on_call(2),
+    "reduction.forms_residual": (qkz, "relative_residuals", _nan_in_slice(2),
                                  _theorem("self_dual"), "theorem_selfdual"),
 }
 

@@ -44,13 +44,18 @@ group can solve on its own; `cli` keeps one single request by design, the
 (`read_result`, in `solve_records`), and `cli` does not import it, so no
 second read rule can come back beside the reader.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
-take their residuals from `tensorops.relative_residual` and call no norm
-of their own, so no second residual rule (a 0/0 guard among them) can come
+take their residuals from `tensorops.relative_residual` (or its stack,
+`relative_residuals`, and the fits `scalar_ratio` and `scalar_ratios`) and
+call no norm of their own, so no second residual rule (a 0/0 guard among them) can come
 back; nor do they take an absolute one, the abs of a difference or the
 max of an abs, outside a comparison (an argument guard such as
 abs(z - w) < tol is no residual).  The one measure left on that rule is
 the crossing report's scalar_spread, reported beside its residual and not
-gated.  No public function there takes a per-call tolerance, since each
+gated.  In `cli`, `idsuite`, `qkz` and `reps` the one-slice calls
+`relative_residual` and `scalar_ratio` are made outside every loop and
+comprehension (nor mapped), so the residuals of samples, slices or tags
+are one stacked call and a per-sample residual loop cannot come back.
+No public function there takes a per-call tolerance, since each
 report's tolerance is written where the report is made.  Only `cli` keeps time: its
 group runner `_run_groups` times each check group, and no other function or
 module reads the clock (or imports `time`), so no check carries a timer.
@@ -385,6 +390,30 @@ def test_checks_take_no_absolute_residual(path):
 @pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
 def test_checks_take_no_tolerance(path):
     assert tolerance_parameters(ast.parse(path.read_text())) == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+ONE_SLICE_CALLS = ("relative_residual", "scalar_ratio")
+STACKED_SOURCES = [p for p in SOURCES if p.name in ("cli.py", "idsuite.py", "qkz.py", "reps.py")]
+
+
+def one_slice_calls_in_loops(tree):
+    """Calls of relative_residual or scalar_ratio inside a loop or a
+    comprehension, and either one mapped."""
+    looped = {node for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+              for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and _name(node) in ONE_SLICE_CALLS}
+    mapped = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and _name(node) == "map" and any(_name(arg) in ONE_SLICE_CALLS
+                                                for arg in node.args)}
+    return sorted(f"line {node.lineno}" for node in looped | mapped)
+
+
+@pytest.mark.parametrize("path", STACKED_SOURCES, ids=lambda p: p.name)
+def test_one_slice_residuals_are_not_looped(path):
+    assert len(STACKED_SOURCES) == 4
+    assert one_slice_calls_in_loops(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
@@ -723,6 +752,21 @@ def test_image_rule_fires_on_planted_code(source, found):
 ])
 def test_norm_rule_fires_on_planted_code(source, calls):
     assert len(named_calls(ast.parse(source), "norm")) == calls
+
+
+@pytest.mark.parametrize("source, found", [
+    ("for a, b in pairs:\n    worst = worst_of((worst, relative_residual(a, b)))\n", 1),
+    ("res = [tensorops.relative_residual(a, b) for a, b in zip(ops[0], ops[1])]\n", 1),
+    ("scal, resids = zip(*(scalar_ratio(A, B) for A, B in forms))\n", 1),
+    ("fits = list(map(scalar_ratio, As, Bs))\n", 1),
+    ("while k:\n    k = relative_residual(a, b) + relative_residual(b, a)\n", 2),
+    # the stacked calls, in a loop or not, and a one-slice call outside any
+    ("res = relative_residuals(np.array(refs), np.array(others))\n", 0),
+    ("res = [r for a, b in pairs for r in relative_residuals(ops[a], ops[b])]\n", 0),
+    ("e2e = relative_residual(extract(x), extract(y))\n", 0),
+])
+def test_one_slice_rule_fires_on_planted_code(source, found):
+    assert len(one_slice_calls_in_loops(ast.parse(source))) == found
 
 
 @pytest.mark.parametrize("source, found", [

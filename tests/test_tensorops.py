@@ -6,8 +6,8 @@ import pytest
 from qkzkit.errors import ConfigError
 from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, kron,
                               partial_transpose, permutation_op, permuted_matmul,
-                              relative_residual, scalar_ratio, site_matmul, string_matmul,
-                              swap_outputs)
+                              relative_residual, relative_residuals, scalar_ratio,
+                              scalar_ratios, site_matmul, string_matmul, swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -254,6 +254,107 @@ class TestRelativeResidual:
         X = np.eye(d) + 1e-13 * rand_c(d, d)
         assert relative_residual(np.eye(d), X) == float(
             np.linalg.norm(X - np.eye(d)) / np.sqrt(d))
+
+
+def stacked_views(S, shape, real, view, seed):
+    """Two stacks (S, *shape): plain, every other entry of a wider draw
+    (strided) or transposed in their slice axes (a 1-d slice reversed, a 0-d
+    one strided), real or complex; drawn from their own generator."""
+    draw = np.random.default_rng(seed).standard_normal
+
+    def one():
+        wide = (S, *shape[:-1], 2 * shape[-1]) if shape else (2 * S,)
+        full = (S, *shape[::-1]) if view == "transposed" and len(shape) == 2 else (S, *shape)
+        x = draw(wide if view == "strided" or (view == "transposed" and not shape) else full)
+        x = x if real else x + 1j * draw(x.shape)
+        if view == "strided" or (view == "transposed" and not shape):
+            return x[..., ::2]
+        if view == "transposed":
+            return x.swapaxes(1, 2) if len(shape) == 2 else x[:, ::-1]
+        return x
+    ref, other = one(), one()
+    other[...] = ref + 1e-9 * other
+    return ref, other
+
+
+def plant(ref, other, special, s):
+    """A zero or an infinite reference, or a NaN in the other side, at slice s
+    (in place, so the views stay views)."""
+    corner = (s,) + (0,) * (ref.ndim - 1)
+    if special == "zero":
+        ref[s] = 0
+    elif special == "inf":
+        ref[corner] = np.inf
+    elif special == "nan":
+        other[corner] = np.nan
+    return ref, other
+
+
+def bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedResiduals:
+    @pytest.mark.parametrize("S", [1, 2, 12])
+    @pytest.mark.parametrize("shape", [(), (7,), (16, 8)])
+    def test_each_slice_is_its_one_slice_call(self, S, shape):
+        for real in (True, False):
+            for view in ("plain", "strided", "transposed"):
+                for special in (None, "zero", "inf", "nan"):
+                    ref, other = stacked_views(S, shape, real, view, 39)
+                    ref, other = plant(ref, other, special, S - 1)
+                    got = relative_residuals(ref, other)
+                    want = [relative_residual(a, b) for a, b in zip(ref, other)]
+                    assert bits(got) == bits(want), (real, view, special)
+                    assert all(type(r) is float for r in got)
+                    if special in ("zero", "inf"):
+                        assert got[-1] == math.inf
+                    if special == "nan":
+                        assert math.isnan(got[-1])
+
+    def test_real_and_complex_sides_and_an_integer_stack(self):
+        ref, other = stacked_views(5, (4, 3), True, "plain", 40)
+        for a, b in ((ref, other + 0j), (ref + 0j, other), (np.arange(60).reshape(ref.shape), ref)):
+            assert bits(relative_residuals(a, b)) == bits(
+                [relative_residual(x, y) for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("S", [1, 2, 12])
+    @pytest.mark.parametrize("shape", [(7,), (16, 8)])
+    def test_each_fit_is_its_one_slice_call(self, S, shape):
+        for real in (True, False):
+            for view in ("plain", "strided", "transposed"):
+                for special in (None, "zero"):
+                    B, A = stacked_views(S, shape, real, view, 41)
+                    A, B = plant(A, B, special, S - 1)
+                    lams, resids = scalar_ratios(A, B)
+                    want = [scalar_ratio(a, b) for a, b in zip(A, B)]
+                    assert bits(lams) == bits([lam for lam, _ in want]), (real, view, special)
+                    assert bits(resids) == bits([r for _, r in want]), (real, view, special)
+                    assert all(type(lam) is complex for lam in lams)
+
+    @pytest.mark.parametrize("S", [1, 2, 12])
+    @pytest.mark.parametrize("side, value", [(0, np.inf), (1, np.nan), (1, 1e300)])
+    def test_a_quotient_that_warns_warns_as_its_call(self, S, side, value):
+        # the stack then fits slice by slice, and slice S - 1 warns (or raises
+        # under np.errstate) as its one-slice call does
+        AB = stacked_views(S, (4, 4), False, "plain", 43)
+        AB[side][S - 1, 1, 2] = value
+        with pytest.raises(RuntimeWarning) as one:
+            scalar_ratio(AB[0][-1], AB[1][-1])
+        with pytest.raises(RuntimeWarning) as stacked:
+            scalar_ratios(*AB)
+        assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.parametrize("S", [1, 2, 12])
+    def test_a_zero_slice_of_b_raises_as_its_call(self, S):
+        A, B = stacked_views(S, (4, 4), False, "plain", 42)
+        B[S // 2] = 0
+        with pytest.raises(ConfigError) as one:
+            scalar_ratio(A[S // 2], B[S // 2])
+        with pytest.raises(ConfigError) as stacked:
+            scalar_ratios(A, B)
+        assert str(stacked.value) == str(one.value)
 
 
 class TestFastApply:
