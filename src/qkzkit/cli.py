@@ -14,6 +14,13 @@ The scalar groups work on sample sets: each set comes from one rng.random
 call (`_zsample`, `idsuite.random_zeta`), each scalar function is called
 once per group and base with m one per row, and each m then raises its
 first error in the order of the one-m calls (`scalars.raise_first`).
+A group that draws generic sample sets takes each run of consecutive
+draws of one (count, m) in one `idsuite.draw_generic_sets` call, whose
+stream rule keeps every set, and the generator's next draw, those of the
+one-set draws in turn.  The module groups (reps, dualities) take each
+spin's checks as stacked products and one stacked `np.linalg.inv`:
+numpy calls the same BLAS or LAPACK routine on each slice, so every
+residual keeps the bits of its check taken alone.
 Text mode ends with one `time <group> <ms> ms` line per group (building
 and evaluating), in run order, and one `time solve <ms> ms` line for the
 run's solve.  Once the
@@ -44,7 +51,7 @@ from .context import QContext
 from .errors import NUMERICAL_ERRORS, ConfigError, DegeneratePointError
 from .report import VerificationReport, worst_of
 from .reps import (GradingChoice, antipode_dual, build_eval_rep,
-                   hopf_antipode_residual)
+                   hopf_antipode_residuals)
 from .rsolve import r_matrix
 from .scalars import (difference_patterns_sl2, difference_patterns_sllpo,
                       f_series, kappa_sl2, kappa_sl2_even_rational, kappa_sllpo,
@@ -167,25 +174,31 @@ def _chk_scalar_series(config, ctx, g):
 
 
 def _chk_rep_invariants(config, ctx, g):
+    # per spin, the module and its dual as one stack: each identity's products
+    # are stacked matmuls (the same BLAS routine on each module's slice), its
+    # scalar factors Python complex powers module by module, and the
+    # residuals of every identity and module one relative_residuals call
     rng = _rng_for(config, "rep_invariants")
     q = complex(ctx.q)
     worst = 0.0
     worst_hopf = 0.0
     for m in (1, 2, 3):
         rep = build_eval_rep(m, g, ctx)
-        dual = antipode_dual(rep)
+        mods = (rep, antipode_dual(rep))
         zeta = idsuite.random_zeta(rng)
-        pairs = []  # (reference, other) per identity, of the module and its dual
-        for r in (rep, dual):
-            e1, f1, e0, f0 = (r.gen(tag, zeta) for tag in ("e1", "f1", "e0", "f0"))
-            nu = 0.7 + 0.1 * rng.random()
-            pairs += (((r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q), e1 @ f1 - f1 @ e1),
-                      ((r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q), e0 @ f0 - f0 @ e0),
-                      (q ** (2 * nu) * e1, r.qh1(nu) @ e1 @ r.qh1(-nu)),
-                      (q ** (-2 * nu) * f1, r.qh1(nu) @ f1 @ r.qh1(-nu)),
-                      (zeta**g.s1 * r.gen("e1", 1.0), r.gen("e1", zeta)))
-            worst_hopf = worst_of((worst_hopf, hopf_antipode_residual(r, zeta)))
-        worst = worst_of((worst, _worst_residual(pairs)))
+        nus = (0.7 + 0.1 * rng.random(len(mods))).tolist()  # one per module, in turn
+        e1, f1, e0, f0 = (np.array([r.gen(tag, zeta) for r in mods])
+                          for tag in ("e1", "f1", "e0", "f0"))
+        h, h_inv = (np.array([r.qh1(sign * nu) for r, nu in zip(mods, nus)]) for sign in (1, -1))
+        refs = (np.array([(r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q) for r in mods]),
+                np.array([(r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q) for r in mods]),
+                np.array([q ** (2 * nu) * e for nu, e in zip(nus, e1)]),
+                np.array([q ** (-2 * nu) * f for nu, f in zip(nus, f1)]),
+                np.array([zeta**g.s1 * r.gen("e1", 1.0) for r in mods]))
+        others = (e1 @ f1 - f1 @ e1, e0 @ f0 - f0 @ e0, h @ e1 @ h_inv, h @ f1 @ h_inv, e1)
+        worst = worst_of((worst, *relative_residuals(np.concatenate(refs),
+                                                     np.concatenate(others))))
+        worst_hopf = worst_of((worst_hopf, *hopf_antipode_residuals(mods, zeta)))
     return [
         VerificationReport.make("rep_invariants", {"m": [1, 2, 3]}, worst, 1e-12),
         VerificationReport.make("rep_hopf_axiom", {"m": [1, 2, 3]}, worst_hopf, 1e-12),
@@ -193,21 +206,19 @@ def _chk_rep_invariants(config, ctx, g):
 
 
 def _chk_dualities(config, ctx, g):
-    rng = _rng_for(config, "dualities")
-    out = []
-    for grading in (GradingChoice(1, 1), GradingChoice(1, 0)):  # not the run's grading
-        for m in (1, 2, 3):
-            out.append(idsuite.check_double_dual(m, grading, ctx, idsuite.random_zeta(rng)))
-            out.append(idsuite.check_self_dual(m, grading, ctx, idsuite.random_zeta(rng)))
-    return out
+    # the (double, self) spectral parameters of each grading and spin, one
+    # random_zeta call in the order of the one-check draws
+    zetas = idsuite.random_zeta(_rng_for(config, "dualities"), 12).reshape(2, 3, 2)
+    gradings = (GradingChoice(1, 1), GradingChoice(1, 0))  # not the run's grading
+    return idsuite.check_dualities((1, 2, 3), gradings, zetas, ctx)
 
 
 def _chk_unitarity(config, ctx, g):
     rng = _rng_for(config, "unitarity")
     records = []
     for norm in ("hw", "kappa"):
-        for kinds in KIND_CODES.values():
-            zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
+        pairs = idsuite.draw_generic_sets(rng, len(KIND_CODES), 2, config.m, g, ctx)
+        for kinds, zetas in zip(KIND_CODES.values(), pairs):
             records.append(idsuite.check_unitarity.record(config.m, kinds, zetas, g, ctx, norm))
         for kind in ("V", "V*"):
             records.append(idsuite.check_initial_condition.record(
@@ -236,21 +247,19 @@ def _chk_degenerate_detection(config, ctx, g):
 
 
 def _chk_ybe(config, ctx, g):
-    rng = _rng_for(config, "ybe")
-    records = []
-    for kinds in [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]:
-        samples = [tuple(idsuite.draw_generic_zetas(rng, 3, config.m, g, ctx))
-                   for _ in range(config.samples)]
-        records.append(idsuite.check_ybe.record(config.m, kinds, samples, g, ctx, config.norm))
-    return records
+    kinds = [("V", "V", "V"), ("V", "V*", "V"), ("V*", "V", "V*"), ("V*", "V*", "V*")]
+    n = config.samples
+    sets = idsuite.draw_generic_sets(_rng_for(config, "ybe"), len(kinds) * n, 3, config.m, g, ctx)
+    return [idsuite.check_ybe.record(config.m, kind, [tuple(z) for z in sets[i * n:(i + 1) * n]],
+                                     g, ctx, config.norm)
+            for i, kind in enumerate(kinds)]
 
 
 def _chk_crossing(config, ctx, g):
     rng = _rng_for(config, "crossing")
     records = []
     for m in (1, 2):
-        samples = [tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx))
-                   for _ in range(config.samples)]
+        samples = [tuple(z) for z in idsuite.draw_generic_sets(rng, config.samples, 2, m, g, ctx)]
         records.append(idsuite.check_crossing.record(m, samples, g, ctx))
     return records
 
@@ -260,12 +269,13 @@ def _chk_invariances(config, ctx, g):
     records = []
     alpha = config.alpha or (0.37 - 0.21j)
     for m in (1, 2):
-        for kinds in (("V", "V"), ("V*", "V")):
-            args = (m, kinds, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)), g, ctx)
+        *pairs, xtilde = idsuite.draw_generic_sets(rng, 3, 2, m, g, ctx)
+        for kinds, zetas in zip((("V", "V"), ("V*", "V")), pairs):
+            args = (m, kinds, tuple(zetas), g, ctx)
             records += [idsuite.check_invariance_x.record(*args),
                         idsuite.check_invariance_a.record(alpha, *args)]
-        records.append(idsuite.check_invariance_xtilde.record(
-            m, g, ctx, tuple(idsuite.draw_generic_zetas(rng, 2, m, g, ctx)), config.norm))
+        records.append(idsuite.check_invariance_xtilde.record(m, g, ctx, tuple(xtilde),
+                                                              config.norm))
     return records
 
 
@@ -325,9 +335,9 @@ def _chk_theorems(config, ctx, g):
     zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
     records.append(reduction.insertion_invariance_check.record(
         case, zetas, idsuite.random_zeta(rng), idsuite.random_zeta(rng)))
-    for mode in ("self_dual", "general"):
+    for mode, zetas in zip(("self_dual", "general"),
+                           idsuite.draw_generic_sets(rng, 2, 2, config.m, g, ctx)):
         case = reduction.ReductionCase(mode, 2, config.m, g, ctx, alpha=config.alpha)
-        zetas = idsuite.draw_generic_zetas(rng, 2, config.m, g, ctx)
         records += [reduction.check_rpr.record(case, 1, zetas, seed=config.seed),
                     reduction.scaling_covariance.record(case, zetas, 1.3 * np.exp(0.4j))]
     return records

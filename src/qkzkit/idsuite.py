@@ -2,7 +2,7 @@
 
 Every check returns a VerificationReport; residuals are relative
 Frobenius norms (tensorops.relative_residual).  A check with several
-residuals (the tags of a conjugation, the six fits of every crossing
+residuals (the tags of every conjugation of a spin, the six fits of every crossing
 sample) takes them in one stacked call, tensorops.relative_residuals or
 scalar_ratios, and folds them with worst_of: slice s has the bits of the
 one-slice call on it, since each slice's norm is the BLAS dot of that call
@@ -30,8 +30,8 @@ from .tensorops import (kron, partial_transpose, relative_residual, relative_res
 
 __all__ = [
     "VerificationReport", "check_ybe", "check_unitarity",
-    "check_initial_condition", "check_crossing", "check_double_dual",
-    "check_self_dual", "check_invariance_x", "check_invariance_a",
+    "check_initial_condition", "check_crossing", "check_dualities",
+    "check_invariance_x", "check_invariance_a",
     "check_invariance_xtilde", "check_braid_welldefined", "random_zeta",
 ]
 
@@ -51,25 +51,44 @@ def random_zeta(rng, size=None):
     return zetas[0] if size is None else zetas
 
 
-def draw_generic_zetas(rng, count, m, grading, ctx):
-    """Spectral parameters whose pairwise ratios avoid the degenerate loci.
+def draw_generic_sets(rng, sets, count, m, grading, ctx) -> list:
+    """The first `sets` attempts of the stream whose pairwise ratios avoid the
+    degenerate loci, each a list of `count` spectral parameters.
 
-    Samples are redrawn, `count` at a time, while any ratio^s falls within
-    LATTICE_MARGIN of the q^{2k} lattice (which carries both the non-simple
-    points and the zeros/poles of the unitarizing factor).
+    An attempt is `count` samples of random_zeta; it misses while any
+    ratio^s falls within LATTICE_MARGIN of the q^{2k} lattice (which carries
+    both the non-simple points and the zeros/poles of the unitarizing
+    factor), and 1000 misses in a row raise RuntimeError.  The stream rule:
+    the sets are those of `sets` draw_generic_zetas calls in turn, and the
+    generator is left where they leave it.  The lattice is built once; the
+    attempts still needed come from one random_zeta call, no more than the
+    misses still allowed, so no attempt is drawn that the calls in turn
+    would not draw, and every ratio of them is tested in one array
+    comparison.  Each test is elementwise, so it has the bits of the
+    attempt's own.  Only rng.random is read.
     """
     if count < 2:  # no ratio to test, and no power of q to form
-        return list(random_zeta(rng, count))
+        return [list(row) for row in random_zeta(rng, sets * count).reshape(sets, count)]
     q = complex(ctx.q)
     points = np.array([q ** (2 * k) for k in range(-m - 3, m + 4)])
     near = LATTICE_MARGIN * np.maximum(np.abs(points), 1e-6)
     pairs = ~np.eye(count, dtype=bool)
-    for _ in range(1000):
-        zetas = random_zeta(rng, count)
-        ratios = (zetas[:, None] / zetas[None, :])[pairs] ** grading.s
-        if not (np.abs(ratios[:, None] - points) < near).any():
-            return list(zetas)
-    raise RuntimeError("could not draw generic spectral parameters")
+    found, misses = [], 0
+    while len(found) < sets:
+        zetas = random_zeta(rng, min(sets - len(found), 1000 - misses) * count).reshape(-1, count)
+        ratios = (zetas[:, :, None] / zetas[:, None, :])[:, pairs] ** grading.s
+        generic = np.flatnonzero(~(np.abs(ratios[..., None] - points) < near).any(axis=(1, 2)))
+        found += [list(zetas[i]) for i in generic]
+        misses = len(zetas) - 1 - generic[-1] if len(generic) else misses + len(zetas)
+        if misses == 1000:
+            raise RuntimeError("could not draw generic spectral parameters")
+    return found
+
+
+def draw_generic_zetas(rng, count, m, grading, ctx) -> list:
+    """Spectral parameters whose pairwise ratios avoid the degenerate loci:
+    the one set of draw_generic_sets."""
+    return draw_generic_sets(rng, 1, count, m, grading, ctx)[0]
 
 
 @solving_check
@@ -185,35 +204,53 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     return FactorCheck(tuple(factors), measure)
 
 
-def _conjugation_residual(lhs_rep, lhs_zeta, rhs_rep, rhs_zeta, C) -> float:
-    """Worst relative residual of L = C R C^-1 over lhs_rep.tags (L in lhs_rep),
-    the tags' residuals one relative_residuals call."""
-    Cinv = np.linalg.inv(C)
-    return worst_of(relative_residuals(
-        np.array([lhs_rep.gen(tag, lhs_zeta) for tag in lhs_rep.tags]),
-        np.array([C @ rhs_rep.gen(tag, rhs_zeta) @ Cinv for tag in lhs_rep.tags])))
+def check_dualities(spins, gradings, zetas, ctx) -> list:
+    """The double_dual and self_dual reports of each spin at each grading;
+    zetas[i][j] is the (double, self) pair of spectral parameters of
+    gradings[i] and spins[j].
 
-
-def check_double_dual(m, grading, ctx, zeta) -> VerificationReport:
-    """Double dual equals the q^-eps shifted module conjugated by X."""
-    rep = build_eval_rep(m, grading, ctx)
-    ddual = antipode_dual(antipode_dual(rep))
-    eps = sl2_constants(grading)["epsilon"]
-    X = operator_x(m, grading, ctx)
-    resid = _conjugation_residual(ddual, zeta, rep, complex(ctx.q) ** (-eps) * zeta, X)
-    return VerificationReport.make(
-        "double_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
-
-
-def check_self_dual(m, grading, ctx, zeta) -> VerificationReport:
-    """Dual equals the q^delta shifted module conjugated by O."""
-    rep = build_eval_rep(m, grading, ctx)
-    dual = antipode_dual(rep)
-    delta = sl2_constants(grading)["delta"]
-    O = operator_o(m, grading, ctx)
-    resid = _conjugation_residual(dual, zeta, rep, complex(ctx.q) ** delta * zeta, O)
-    return VerificationReport.make(
-        "self_dual", {"m": m, "s0": grading.s0, "s1": grading.s1}, resid, 1e-12)
+    The double dual equals the q^-eps shifted module conjugated by X, and
+    the dual equals the q^delta shifted module conjugated by O: L = C R C^-1
+    at every tag of the module.  Each spin's V, V* and V** are built once,
+    since only their zeta exponents depend on the grading
+    (EvalRep.regraded).  The checks are built grading by grading and spin by
+    spin, so a build error comes in the order of the checks; then each
+    spin is one stacked pass: its C are one np.linalg.inv call, its
+    C R C^-1 at every check and tag one stacked product, and their
+    residuals one relative_residuals call, folded check by check.  numpy's
+    stacked inv and matmul call the same LAPACK or BLAS routine on each
+    slice, so every residual has the bits of its check taken alone; the
+    scalar factors (the q^-eps and q^delta shifts, the zeta powers of
+    EvalRep.gen) stay Python complex powers.
+    """
+    q = complex(ctx.q)
+    modules, stacks = {}, {m: ([], [], [], []) for m in spins}  # per spin: lhs, rhs, C, params
+    for g, row in zip(gradings, zetas):
+        c = sl2_constants(g)
+        for m, (z_double, z_self) in zip(spins, row):
+            if m not in modules:
+                rep = build_eval_rep(m, g, ctx)
+                dual = antipode_dual(rep)
+                modules[m] = (rep, dual, antipode_dual(dual))
+            V, dual, ddual = (r.regraded(g) for r in modules[m])
+            lhs, rhs, C, params = stacks[m]
+            for name, L, zeta, shift, conj in (
+                    ("double_dual", ddual, z_double, -c["epsilon"], operator_x),
+                    ("self_dual", dual, z_self, c["delta"], operator_o)):
+                C.append(conj(m, g, ctx))
+                shifted = q ** shift * zeta
+                lhs += [L.gen(tag, zeta) for tag in L.tags]
+                rhs.append([V.gen(tag, shifted) for tag in L.tags])
+                params.append((name, {"m": m, "s0": g.s0, "s1": g.s1}))
+    reports = []
+    for m, (lhs, rhs, C, params) in stacks.items():
+        C = np.array(C)
+        other = C[:, None] @ np.array(rhs) @ np.linalg.inv(C)[:, None]
+        resids = relative_residuals(np.array(lhs), other.reshape(len(lhs), m + 1, m + 1))
+        tags = len(lhs) // len(C)
+        reports += [VerificationReport.make(name, par, worst_of(resids[k * tags:(k + 1) * tags]),
+                                            1e-12) for k, (name, par) in enumerate(params)]
+    return reports
 
 
 @solving_check

@@ -108,6 +108,11 @@ class EvalRep:
             return self.qh0(nu)
         return complex(zeta) ** self.exponent(tag) * self._mats[tag]
 
+    def regraded(self, grading: GradingChoice) -> "EvalRep":
+        """This module under another grading: the same matrices, so only the
+        zeta exponents of gen change."""
+        return EvalRep(self.m, grading, self.ctx, self._mats, self.dual_level)
+
     def exponent(self, tag: str) -> int:
         """Power p of zeta in the e/f generator: gen(tag, zeta) = zeta^p gen(tag, 1)."""
         g = self.grading
@@ -183,30 +188,40 @@ def antipode_image(rep: EvalRep, tag: str, zeta: complex) -> np.ndarray:
     return -rep.gen(tag, zeta) @ rep.gen(f"qh{i}", zeta, 1.0)
 
 
-def hopf_antipode_residual(rep: EvalRep, zeta: complex) -> float:
-    """Residual of m (S x id) Delta(a) = eps(a) 1 over rep.tags.
+def hopf_antipode_residuals(reps, zeta: complex) -> list:
+    """Residual of m (S x id) Delta(a) = eps(a) 1 over the tags of each module
+    of `reps` (modules of one spin), as floats.
 
     Validates that the coproduct convention matches the antipode used for
     dual modules: S(g) g against the identity for a Cartan g, and the two
     terms that must cancel for e_i and f_i (eps = 0), S(e_i) against
-    -S(q^{h_i}) e_i and S(f_i) q^{-h_i} against -f_i, the tags' residuals one
+    -S(q^{h_i}) e_i and S(f_i) q^{-h_i} against -f_i.  Each product is one
+    stacked matmul over the modules, which calls the same BLAS routine on
+    each module's slice, and the residuals of every module and tag are one
     tensorops.relative_residuals call (the real identity is stacked as
-    complex; its squares, 0 and 1, sum exactly at any stride).
-    A convention check, not a module check: antipode_image writes S(e_i)
-    and S(f_i) from the same e and f matrices, so the terms cancel for any
-    e and f, and only a defect in S itself fails it.
+    complex; its squares, 0 and 1, sum exactly at any stride), folded
+    module by module, so each module's residual has the bits of its own
+    evaluation.  A convention check, not a module check: antipode_image
+    writes S(e_i) and S(f_i) from the same e and f matrices, so the terms
+    cancel for any e and f, and only a defect in S itself fails it.
     """
-    pairs = []
-    for tag in rep.tags:
-        S = antipode_image(rep, tag, zeta)
+    refs, others = [], []
+    for tag in reps[0].tags:
+        S = np.array([antipode_image(r, tag, zeta) for r in reps])
+        a = np.array([r.gen(tag, zeta) for r in reps])
         if tag.startswith("qh"):
-            pairs.append((np.eye(rep.dim), S @ rep.gen(tag, zeta)))
+            refs.append(np.broadcast_to(np.eye(len(a[0])), a.shape))
+            others.append(S @ a)
         elif tag.startswith("e"):
-            pairs.append((S, -antipode_image(rep, f"qh{tag[1]}", zeta) @ rep.gen(tag, zeta)))
+            refs.append(S)
+            others.append(-np.array([antipode_image(r, f"qh{tag[1]}", zeta) for r in reps]) @ a)
         else:
-            pairs.append((S @ rep.gen(f"qh{tag[1]}", zeta, -1.0), -rep.gen(tag, zeta)))
-    refs, others = zip(*pairs)
-    return worst_of(relative_residuals(np.array(refs), np.array(others)))
+            refs.append(S @ np.array([r.gen(f"qh{tag[1]}", zeta, -1.0) for r in reps]))
+            others.append(-a)
+    tags = len(refs)
+    resids = relative_residuals(np.stack(refs, axis=1).reshape(-1, *a.shape[1:]),
+                                np.stack(others, axis=1).reshape(-1, *a.shape[1:]))
+    return [worst_of(resids[k * tags:(k + 1) * tags]) for k in range(len(reps))]
 
 
 # --- distinguished operators --------------------------------------------------

@@ -86,9 +86,9 @@ def test_criterion_02_almost_self_duality():
 def test_criterion_03_double_dual():
     tol = 1e-12
     worst = 0.0
-    for g in GRADINGS:
-        for m in (1, 2, 3):
-            rep = idsuite.check_double_dual(m, g, CTX, 1.2 + 0.5j)
+    zetas = [[(1.2 + 0.5j, 1.2 + 0.5j)] * 3 for _ in GRADINGS]
+    for rep in idsuite.check_dualities((1, 2, 3), GRADINGS, zetas, CTX):
+        if rep.name == "double_dual":
             worst = max(worst, rep.residual)
     announce(3, "double dual (X conjugation, two gradings)", worst, tol)
 

@@ -5,10 +5,11 @@ from conftest import zeta_sample
 from qkzkit import cli, idsuite, qkz, rsolve
 from qkzkit.context import QContext
 from qkzkit.report import VerificationReport, worst_of
-from qkzkit.reps import GradingChoice
+from qkzkit.reps import GradingChoice, antipode_dual, antipode_image, build_eval_rep, sl2_constants
 from qkzkit.reps import operator_o, operator_o_inverse, operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, r_matrix
-from qkzkit.tensorops import kron, partial_transpose, scalar_ratio, swap_outputs
+from qkzkit.tensorops import (kron, partial_transpose, relative_residual, scalar_ratio,
+                               swap_outputs)
 
 
 class TestYangBaxter:
@@ -345,23 +346,88 @@ class TestSampleStreams:
             assert got.random() == want.random()
 
 
+class _StuckStream:
+    """A generator that counts its draws: the first `good` numbers are those
+    of `rng`, every later one 0.25, so every later attempt draws equal
+    samples (ratio 1 = q^0) and misses."""
+
+    def __init__(self, rng, good):
+        self.rng, self.good, self.drawn = rng, good, 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        take = max(0, min(n, self.good - self.drawn))
+        self.drawn += n
+        values = np.concatenate((self.rng.random(take), np.full(n - take, 0.25)))
+        return float(values[0]) if size is None else values
+
+
+class TestSampleSets:
+    """draw_generic_sets against draw_generic_zetas calls in turn, and the loop
+    reference, with a wider lattice margin so that attempts miss."""
+
+    @pytest.mark.parametrize("margin", [0.05, 0.2])
+    @pytest.mark.parametrize("g", [(1, 1), (2, 1)])
+    def test_sets_are_those_of_calls_in_turn(self, margin, g, monkeypatch):
+        monkeypatch.setattr(idsuite, "LATTICE_MARGIN", margin)
+        grading, redrawn = GradingChoice(*g), 0
+        for ctx in (QContext(0.7), QContext(0.5 + 0.5j)):
+            for sets in (1, 2, 12):
+                for count in (1, 2, 3, 4):
+                    for seed in range(5):
+                        got, turn, loop = (np.random.default_rng([seed, count]) for _ in range(3))
+                        found = idsuite.draw_generic_sets(got, sets, count, 3, grading, ctx)
+                        in_turn = [idsuite.draw_generic_zetas(turn, count, 3, grading, ctx)
+                                   for _ in range(sets)]
+                        want = [_one_by_one_generic(loop, count, 3, grading, ctx)
+                                for _ in range(sets)]
+                        assert [_bits(z) for z in found] == [_bits(z) for z in in_turn] == \
+                            [_bits(z) for z in want]
+                        assert all(type(z) is np.complex128 for zetas in found for z in zetas)
+                        # the generator is left at the same draw
+                        drawn = got.random()
+                        assert drawn == turn.random() == loop.random()
+                        redrawn += drawn != np.random.default_rng([seed, count]).random(
+                            2 * sets * count + 1)[-1]
+        assert redrawn  # some attempts missed and were drawn again
+
+    @pytest.mark.parametrize("margin", [1e-3, 0.2])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("good", [0, 3, 9])
+    def test_runtime_error_comes_at_the_same_attempt(self, margin, count, good, ctx, grading,
+                                                     monkeypatch):
+        # `good` attempts from the stream, then only misses: the 1000th miss in a
+        # row raises after the same draw, in one call and in calls in turn; at
+        # the wide margin some of the `good` attempts miss too, and a found set
+        # starts the count of misses in a row again
+        monkeypatch.setattr(idsuite, "LATTICE_MARGIN", margin)
+        got, turn = (_StuckStream(np.random.default_rng(count), 2 * count * good)
+                     for _ in range(2))
+        with pytest.raises(RuntimeError, match="could not draw generic"):
+            idsuite.draw_generic_sets(got, 12, count, 1, grading, ctx)
+        with pytest.raises(RuntimeError, match="could not draw generic"):
+            for _ in range(12):
+                idsuite.draw_generic_zetas(turn, count, 1, grading, ctx)
+        assert got.drawn == turn.drawn >= 2 * count * 1000
+
+
+def _dual_pairs(z_double, z_self, gradings=2, spins=3):
+    return [[(z_double, z_self)] * spins] * gradings
+
+
 class TestConjugationChecks:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_double_dual(self, m, ctx, grading, grading10):
-        for g in (grading, grading10):
-            rep = idsuite.check_double_dual(m, g, ctx, 1.1 + 0.6j)
-            assert rep.passed, rep.residual
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_self_dual(self, m, ctx, grading, grading10):
-        for g in (grading, grading10):
-            rep = idsuite.check_self_dual(m, g, ctx, 0.9 - 0.5j)
-            assert rep.passed, rep.residual
+    def test_double_and_self_dual(self, m, ctx, grading, grading10):
+        reports = idsuite.check_dualities((m,), (grading, grading10),
+                                          _dual_pairs(1.1 + 0.6j, 0.9 - 0.5j, spins=1), ctx)
+        assert sorted((r.name, r.params["s1"]) for r in reports) == [
+            ("double_dual", 0), ("double_dual", 1), ("self_dual", 0), ("self_dual", 1)]
+        assert all(r.passed for r in reports), reports
 
     def test_m0_trivial(self, ctx, grading):
         # one-dimensional module: both conjugations are scalar identities
-        assert idsuite.check_double_dual(0, grading, ctx, 1.1).passed
-        assert idsuite.check_self_dual(0, grading, ctx, 1.1).passed
+        reports = idsuite.check_dualities((0,), (grading,), [[(1.1, 1.1)]], ctx)
+        assert len(reports) == 2 and all(r.passed for r in reports)
 
     def test_self_dual_m1_hand_product(self, ctx, grading):
         # O = E12 - E21 conjugation checked by explicit 2x2 products
@@ -374,6 +440,91 @@ class TestConjugationChecks:
         lhs = dual.gen("e1", z)
         rhs = O @ rep.gen("e1", q ** (-1.0) * z) @ np.linalg.inv(O)
         assert np.abs(lhs - rhs).max() < 1e-14
+
+
+def _one_conjugation(name, m, grading, ctx, zeta):
+    """A double_dual or self_dual residual checked alone, as the one-check
+    calls took it: its own modules, C^-1 and C R C^-1 at each tag."""
+    rep = build_eval_rep(m, grading, ctx)
+    dual = antipode_dual(rep)
+    c = sl2_constants(grading)
+    if name == "double_dual":
+        lhs, shift, C = antipode_dual(dual), -c["epsilon"], operator_x(m, grading, ctx)
+    else:
+        lhs, shift, C = dual, c["delta"], operator_o(m, grading, ctx)
+    shifted, Cinv = complex(ctx.q) ** shift * zeta, np.linalg.inv(C)
+    return worst_of(relative_residual(lhs.gen(tag, zeta), C @ rep.gen(tag, shifted) @ Cinv)
+                    for tag in lhs.tags)
+
+
+def _one_hopf(rep, zeta):
+    """The Hopf-axiom residual of one module, tag by tag."""
+    out = []
+    for tag in rep.tags:
+        S = antipode_image(rep, tag, zeta)
+        if tag.startswith("qh"):
+            out.append(relative_residual(np.eye(rep.dim) + 0j, S @ rep.gen(tag, zeta)))
+        elif tag.startswith("e"):
+            out.append(relative_residual(
+                S, -antipode_image(rep, f"qh{tag[1]}", zeta) @ rep.gen(tag, zeta)))
+        else:
+            out.append(relative_residual(S @ rep.gen(f"qh{tag[1]}", zeta, -1.0),
+                                         -rep.gen(tag, zeta)))
+    return worst_of(out)
+
+
+def _reps_one_by_one(config, ctx, g):
+    """The reps group module by module and identity by identity."""
+    rng = cli._rng_for(config, "rep_invariants")
+    q = complex(ctx.q)
+    worst, worst_hopf = [], []
+    for m in (1, 2, 3):
+        rep = build_eval_rep(m, g, ctx)
+        zeta = idsuite.random_zeta(rng)
+        for r in (rep, antipode_dual(rep)):
+            e1, f1, e0, f0 = (r.gen(tag, zeta) for tag in ("e1", "f1", "e0", "f0"))
+            nu = 0.7 + 0.1 * rng.random()
+            worst += [relative_residual(*pair) for pair in (
+                ((r.qh1(1.0) - r.qh1(-1.0)) / (q - 1.0 / q), e1 @ f1 - f1 @ e1),
+                ((r.qh0(1.0) - r.qh0(-1.0)) / (q - 1.0 / q), e0 @ f0 - f0 @ e0),
+                (q ** (2 * nu) * e1, r.qh1(nu) @ e1 @ r.qh1(-nu)),
+                (q ** (-2 * nu) * f1, r.qh1(nu) @ f1 @ r.qh1(-nu)),
+                (zeta**g.s1 * r.gen("e1", 1.0), r.gen("e1", zeta)))]
+            worst_hopf.append(_one_hopf(r, zeta))
+    return {"rep_invariants": worst_of(worst), "rep_hopf_axiom": worst_of(worst_hopf)}
+
+
+def _group_bits(reports):
+    return sorted((r.name, sorted(r.params.items()), r.residual.hex()) for r in reports)
+
+
+class TestModuleGroupsHaveTheBitsOfOneCheck:
+    """The stacked dualities and reps groups against their checks taken one
+    at a time, bit for bit."""
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j, 1e-3])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_dualities(self, q, seed):
+        config = cli.build_parser(["suite"]).parse_args(["suite", "--seed", str(seed)])
+        ctx = QContext(q)
+        rng = cli._rng_for(config, "dualities")
+        want = [VerificationReport.make(name, {"m": m, "s0": g.s0, "s1": g.s1},
+                                        _one_conjugation(name, m, g, ctx, idsuite.random_zeta(rng)),
+                                        1e-12)
+                for g in (GradingChoice(1, 1), GradingChoice(1, 0)) for m in (1, 2, 3)
+                for name in ("double_dual", "self_dual")]
+        got = cli._chk_dualities(config, ctx, GradingChoice(1, 1))
+        assert len(got) == 12 and _group_bits(got) == _group_bits(want)
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j, 1e-3])
+    @pytest.mark.parametrize("g", [(1, 1), (1, 0), (0, 1), (2, 1)])
+    def test_reps(self, q, g):
+        config = cli.build_parser(["suite"]).parse_args(["suite", "--seed", "3"])
+        ctx, grading = QContext(q), GradingChoice(*g)
+        want = _reps_one_by_one(config, ctx, grading)
+        got = cli._chk_rep_invariants(config, ctx, grading)
+        assert sorted(r.name for r in got) == sorted(want)
+        assert all(r.residual.hex() == want[r.name].hex() for r in got), (got, want)
 
 
 class TestInvariances:

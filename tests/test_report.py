@@ -151,9 +151,10 @@ def _nan_on_call(k):
 
 
 def _nan_in_slice(k):
-    """Wrap a stacked helper (tensorops.relative_residuals, or scalar_ratios
-    and its (lambdas, residuals)) so that the k-th residual it returns,
-    counted slice by slice over its calls, is NaN in place of its value.
+    """Wrap a stacked helper (tensorops.relative_residuals, scalar_ratios and
+    its (lambdas, residuals), or reps.hopf_antipode_residuals and its residual
+    per module) so that the k-th residual it returns, counted slice by slice
+    over its calls, is NaN in place of its value.
 
     k > 1 plants the NaN after a finite value has entered the fold, in the
     middle of a stack when the call returns more than k residuals."""
@@ -216,7 +217,9 @@ SITES = {
     "cli.f_series": (cli, "rho0_sllpo", _nan_on_call(2), _group("f_series"),
                      "scalar_f_series_pochhammer"),
     "cli.rep_invariants": (cli, "antipode_dual", _nan_e1, _group("reps"), "rep_invariants"),
-    "cli.hopf": (cli, "hopf_antipode_residual", _nan_on_call(2), _group("reps"),
+    # the hopf call of each spin returns a residual per module: slice 2 is the
+    # dual module of spin 1
+    "cli.hopf": (cli, "hopf_antipode_residuals", _nan_in_slice(2), _group("reps"),
                  "rep_hopf_axiom"),
     "reps.hopf_antipode_residual": (cli, "antipode_dual", _nan_e1, _group("reps"),
                                     "rep_hopf_axiom"),

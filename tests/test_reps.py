@@ -5,7 +5,7 @@ from conftest import zeta_sample
 from qkzkit.context import QContext
 from qkzkit.errors import ConfigError
 from qkzkit.reps import (GradingChoice, antipode_dual, build_eval_rep,
-                         coproduct_parts, eval_module, hopf_antipode_residual,
+                         coproduct_parts, eval_module, hopf_antipode_residuals,
                          operator_o, operator_o_inverse, operator_x,
                          operator_xtilde, sl2_constants, twist)
 from qkzkit.tensorops import kron
@@ -199,8 +199,18 @@ class TestCoproduct:
     @pytest.mark.parametrize("m", [1, 2])
     def test_hopf_axiom(self, m, ctx_complex, grading):
         rep = build_eval_rep(m, grading, ctx_complex)
-        assert hopf_antipode_residual(rep, 1.3 + 0.2j) < 1e-13
-        assert hopf_antipode_residual(antipode_dual(rep), 0.7 - 0.4j) < 1e-13
+        assert hopf_antipode_residuals((rep,), 1.3 + 0.2j)[0] < 1e-13
+        assert hopf_antipode_residuals((antipode_dual(rep),), 0.7 - 0.4j)[0] < 1e-13
+
+    @pytest.mark.parametrize("q", [0.7, 0.3, 0.5 + 0.5j, 1e-3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_hopf_stack_has_the_bits_of_each_module_alone(self, q, m, grading10):
+        # each module's residual in a stack of modules is its one-module residual
+        rep = build_eval_rep(m, grading10, QContext(q))
+        mods = (rep, antipode_dual(rep), antipode_dual(antipode_dual(rep)))
+        stacked = hopf_antipode_residuals(mods, 1.1 - 0.7j)
+        assert [x.hex() for x in stacked] == \
+            [hopf_antipode_residuals((r,), 1.1 - 0.7j)[0].hex() for r in mods]
 
 
 class TestDistinguishedOperators:

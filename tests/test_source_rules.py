@@ -416,6 +416,52 @@ def test_one_slice_residuals_are_not_looped(path):
     assert one_slice_calls_in_loops(ast.parse(path.read_text())) == []
 
 
+# the count and m positions of each sample-set draw, and the other draws of a stream
+SET_DRAWS = {"draw_generic_zetas": (1, 2), "draw_generic_sets": (2, 3)}
+OTHER_DRAWS = ("random_zeta", "random", "_zsample")
+
+
+def _per_iteration(loop):
+    """The parts of a loop evaluated on every iteration: the body of a for or
+    while loop, the element, conditions and inner iterables of a comprehension."""
+    if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+        return loop.body + loop.orelse
+    elts = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+    return elts + [cond for gen in loop.generators for cond in gen.ifs] + \
+        [gen.iter for gen in loop.generators[1:]]
+
+
+def repeated_set_draws(tree):
+    """Sample-set draws that a loop makes on every iteration with the same
+    (count, m): neither argument reads a variable of that loop or of a loop
+    inside it, and no other draw of the iteration comes between, so the draws
+    of consecutive iterations could be one draw_generic_sets call."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, LOOPS):
+            continue
+        nodes = [node for part in _per_iteration(loop) for node in ast.walk(part)]
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
+        if any(_name(call) in OTHER_DRAWS for call in calls):
+            continue
+        targets = [loop.target] if isinstance(loop, (ast.For, ast.AsyncFor)) else \
+            [gen.target for gen in getattr(loop, "generators", ())]
+        targets += [node.target for node in nodes if isinstance(node, (ast.For, ast.AsyncFor))]
+        targets += [gen.target for node in nodes for gen in getattr(node, "generators", ())]
+        bound = {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+        for call in calls:
+            args = [call.args[i] for i in SET_DRAWS.get(_name(call), ()) if i < len(call.args)]
+            if _name(call) in SET_DRAWS and not bound & {
+                    n.id for arg in args for n in ast.walk(arg) if isinstance(n, ast.Name)}:
+                found.add(f"line {call.lineno}")
+    return sorted(found)
+
+
+def test_cli_draws_each_run_of_sample_sets_at_once():
+    assert repeated_set_draws(ast.parse(next(p for p in SOURCES
+                                             if p.name == "cli.py").read_text())) == []
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
                          ids=lambda p: p.name)
 def test_only_cli_keeps_time(path):
@@ -767,6 +813,24 @@ def test_norm_rule_fires_on_planted_code(source, calls):
 ])
 def test_one_slice_rule_fires_on_planted_code(source, found):
     assert len(one_slice_calls_in_loops(ast.parse(source))) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("for kinds in K:\n    s = [draw_generic_zetas(rng, 3, m, g, ctx) for _ in range(n)]\n", 1),
+    ("for kinds in K:\n    s = idsuite.draw_generic_sets(rng, n, 3, m, g, ctx)\n", 1),
+    ("while k:\n    k = draw_generic_zetas(rng, 2, m, g, ctx)\n", 1),
+    ("for mode in M:\n    z = draw_generic_zetas(rng, 2, m, g, ctx)\n    r(mode, z)\n", 1),
+    # a count or m of the loop, another draw between, and a draw of the iterable
+    ("for m in (1, 2):\n    s = draw_generic_sets(rng, n, 2, m, g, ctx)\n", 0),
+    ("for mode in M:\n    for n in (1, 2):\n        z = draw_generic_zetas(rng, n, m, g, ctx)\n",
+     0),
+    ("for norm in N:\n    z = draw_generic_sets(rng, 4, 2, m, g, ctx)\n"
+     "    w = idsuite.random_zeta(rng)\n", 0),
+    ("for mode, z in zip(M, draw_generic_sets(rng, 2, 2, m, g, ctx)):\n    r(mode, z)\n", 0),
+    ("s = [tuple(z) for z in draw_generic_sets(rng, n, 2, m, g, ctx)]\n", 0),
+])
+def test_set_draw_rule_fires_on_planted_code(source, found):
+    assert len(repeated_set_draws(ast.parse(source))) == found
 
 
 @pytest.mark.parametrize("source, found", [
