@@ -4,11 +4,7 @@ Every check returns a VerificationReport; residuals are relative
 Frobenius norms (tensorops.relative_residual).  A check with several
 residuals (the tags of every conjugation of a spin, the six fits of every crossing
 sample) takes them in one stacked call, tensorops.relative_residuals or
-scalar_ratios, and folds them with worst_of: slice s has the bits of the
-one-slice call on it, since each slice's norm is the BLAS dot of that call
-on the same strided parts and every other step is elementwise.  Only the
-residual step is stacked; each slice's inputs are formed as before.
-Crossing relations are
+scalar_ratios, and folds them with worst_of.  Crossing relations are
 verified as proportionalities against independently solved R-operators,
 with the proportionality scalars extracted and reported.  Each check that
 solves R-operators is a record (`qkz.StringCheck` or `qkz.FactorCheck`)
@@ -166,7 +162,7 @@ def check_crossing(m, samples, grading, ctx) -> FactorCheck:
     the same BLAS or LAPACK routine per slice, so every matrix has the bits
     of its one-sample call.  The six fits of every sample are one
     tensorops.scalar_ratios call on the (6 S, D, D) stacks, sample by
-    sample, each fit with the bits of its scalar_ratio call.  A singular
+    sample.  A singular
     inverse of any sample raises, as the first singular one of the samples
     in turn did.
     """

@@ -27,7 +27,7 @@ from .qkz import (ChainSpec, DeltaAssignment, FactorCheck, Side, StringCheck, ap
                   lambda_factor_specs, regularized_product, rewritten_factors, solving_check)
 from .report import VerificationReport
 from .reps import operator_x, operator_xtilde, sl2_constants
-from .tensorops import embed_pair, relative_residual, site_matmul
+from .tensorops import embed_pair, relative_residual, string_matmul
 
 __all__ = [
     "ReductionCase", "mirrored_args", "chain_for", "rhs_steps", "psi_extract",
@@ -147,9 +147,8 @@ def psi_extract(case: ReductionCase, phi) -> np.ndarray:
     """
     n, d = case.n, case.m + 1
     Ct = case.contraction_matrix().T
-    T = np.asarray(phi, dtype=complex).reshape(-1, 1)
-    for r in range(n):
-        T = site_matmul(Ct, n + r, case.dims, T)
+    T = string_matmul([(Ct, (n + r,)) for r in range(n)], case.dims,
+                      np.asarray(phi, dtype=complex).reshape(-1, 1))
     T = T.reshape([d] * (2 * n)).transpose(list(range(n)) + list(range(2 * n - 1, n - 1, -1)))
     return T.reshape(d**n, d**n)
 

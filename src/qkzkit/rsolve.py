@@ -90,7 +90,7 @@ from .errors import (NUMERICAL_ERRORS, ConfigError, DegeneratePointError, Scalar
 from .reps import (GradingChoice, coproduct_parts, eval_module, operator_o,
                    operator_o_inverse)
 from .scalars import kappa_sl2
-from .tensorops import swap_outputs
+from .tensorops import _squares, swap_outputs
 
 GAP_THRESHOLD = 1e6
 # |alpha| / (|zeta1^p a| + |zeta2^p b|) below this cancels (the same for beta)
@@ -330,10 +330,12 @@ class CommutantTemplate:
         self.m, d = m, m + 1
         self.dim = D = d * d
         at = np.flatnonzero(((one != 0) | (two != 0)).any(axis=0))
-        # the places; for the zeta1 and then the zeta2 part at each, the column of
-        # its zeta power in (zeta1^p, zeta2^p) (B, 8); and the parts (P, 2 x places)
+        # the places, as (image M or N, entry); for the zeta1 and then the zeta2 part
+        # at each, the column of its zeta power in (zeta1^p, zeta2^p) (B, 8); and the
+        # parts (P, 2 x places)
         gen = np.concatenate((np.tile(np.arange(4).repeat(D), D), np.arange(4).repeat(D * D)))[at]
-        self.images = at, np.concatenate((gen, gen + 4)), np.hstack((one[:, at], two[:, at]))
+        self.images = (np.divmod(at, len(_EF_TAGS) * D * D), np.concatenate((gen, gen + 4)),
+                       np.hstack((one[:, at], two[:, at])))
         # h1-weights of the two factors of each pair, and the unknowns: the
         # entries whose output (in V2 x V1) and input (in V1 x V2) weigh the same
         w1, w2 = np.array([(reps[k1].weights.real, reps[k2].weights.real)
@@ -393,16 +395,16 @@ class CommutantTemplate:
         pairs of the module pairs `pair` (B,), from zeta1^p and zeta2^p (B, 4)
         at each generator's grade p (_EF_TAGS order): M on V1 x V2 and N on
         V2 x V1, each of shape (B, 4, D, D); M is a view of the four images
-        side by side, (B, D, 4, D), and N is contiguous.  A place where the
-        request's pair has no image reads 0, as the zeta powers are finite.
-        The one reader of the stored parts: the frame build reads them at
-        unit weights."""
-        at, gen, parts = self.images
+        side by side, (B, D, 4, D) and contiguous, and N is contiguous.  A
+        place where the request's pair has no image reads 0, as the zeta
+        powers are finite.  The one reader of the stored parts: the frame
+        build reads them at unit weights."""
+        (image, entry), gen, parts = self.images
         B, D = len(z1p), self.dim
-        MN = np.zeros((B, 2, len(_EF_TAGS) * D * D), dtype=complex)
+        MN = np.zeros((2, B, len(_EF_TAGS) * D * D), dtype=complex)
         terms = np.concatenate((z1p, z2p), axis=1)[:, gen] * parts[pair]
-        MN.reshape(B, -1)[:, at] = terms[:, :len(at)] + terms[:, len(at):]
-        return MN[:, 0].reshape(B, D, -1, D).swapaxes(1, 2), MN[:, 1].reshape(B, -1, D, D)
+        MN[image, :, entry] = (terms[:, :len(entry)] + terms[:, len(entry):]).T
+        return MN[0].reshape(B, D, -1, D).swapaxes(1, 2), MN[1].reshape(B, -1, D, D)
 
 
 def _weight_order(w1, w2) -> np.ndarray:
@@ -505,14 +507,6 @@ def _raw_nullvector(reqs, template, pair) -> tuple:
     return entries, rel, errors, grades
 
 
-def _squares(A) -> np.ndarray:
-    """Squared moduli of a stack of complex vectors over its last axis (each
-    contiguous), one dot product per vector of the float view: no temporary
-    of A's size."""
-    v = A.view(float)
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 # complex entries of the image stack that the intertwining residual forms at once
 _IMAGE_ENTRIES = 1 << 12
 
@@ -541,13 +535,15 @@ def _intertwine_residuals(entries, z1p, z2p, template, pair) -> np.ndarray:
         Rc = np.zeros((n, D, D), dtype=complex)
         Rc[np.arange(n)[:, None], template.a[p], template.b[p]] = entries[at]
         M, N = template.generator_images(z1p[at], z2p[at], p)
-        side = M.swapaxes(1, 2)  # (n, D, 4, D), contiguous rows
+        side = M.swapaxes(1, 2)  # (n, D, 4, D), contiguous
         # Rc M_g - N_g Rc, (n, 4, D, D), in the buffer of the N_g Rc product
         diff = (N.reshape(n, -1, D) @ Rc).reshape(M.shape)
         np.subtract((Rc @ side.reshape(n, D, -1)).reshape(side.shape).swapaxes(1, 2), diff,
                     out=diff)
-        nr2, nm2 = _squares(Rc.reshape(n, -1)), _squares(side).sum(axis=1)
-        ratio2 = np.where(nm2 != 0, _squares(diff.reshape(n, len(_EF_TAGS), -1)) / nm2, 0.0)
+        # ||M_g||^2 from the rows of the images side by side, which are views
+        nm2 = _squares(side.reshape(-1, D)).reshape(n, D, -1).sum(axis=1)
+        nr2, d2 = _squares(Rc), _squares(diff.reshape(n * len(_EF_TAGS), -1)).reshape(n, -1)
+        ratio2 = np.where(nm2 != 0, d2 / nm2, 0.0)
         block = worst[at]
         block[:] = np.sqrt(ratio2.max(axis=1) / nr2)
         block[nr2 == 0] = np.inf

@@ -6,17 +6,18 @@ two-site factors, one-site matrices and site permutations to such a block
 in one pass, without forming an embedded operator and without restoring
 the axis order after each factor, at a cost linear in k: on the identity
 block it gives the string's matrix, on a probe block of a few columns it
-tests an identity at O(D) cost per factor.  `embedded_matmul`,
-`site_matmul` and `permuted_matmul` are its one-step calls.  `kron` is the
-package's one Kronecker product.  `embed_pair` and `permutation_op` form
-the full D x D embedding.  Of the checks, only `reduction.check_rpr` (its
+tests an identity at O(D) cost per factor.  `embedded_matmul` and
+`permuted_matmul` are its one-step calls.  `kron` is the package's one
+Kronecker product.  Norms, residuals and fits take a stack (S, ...) slice
+by slice in one call; a one-slice call is a stack of one.  `embed_pair`
+and `permutation_op` form the full D x D embedding.  Of the checks, only `reduction.check_rpr` (its
 factor on the n sites of the reduced operator) still does; the Yang-Baxter,
 qKZ and reduction identities are applied to a probe block and form no
 D x D matrix, and `permutation_op` is the dense reference for
 `permuted_matmul`.
 """
 
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -99,101 +100,62 @@ def swap_outputs(op, d1: int, d2: int) -> np.ndarray:
     return op.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(d1 * d2, -1)
 
 
-def _frobenius(x):
-    """np.linalg.norm(x) by its own steps for a float or complex array, without
-    the dispatch around them (the same bits); another dtype goes to it."""
-    x = np.asarray(x)
-    kind = x.dtype.kind
-    if kind not in ("f", "c"):
-        return np.linalg.norm(x)
-    x = x.ravel(order="K")
-    if kind == "c":
-        re, im = x.real, x.imag
-        return np.sqrt(re.dot(re) + im.dot(im))
-    return np.sqrt(x.dot(x))
-
-
 def _squares(x):
-    """The squared Frobenius norm of each slice of a stack x (S, ...): slice s
-    has the bits of _frobenius(x[s]) squared.  Each row is a contiguous copy
-    of its slice's entries in the order of its ravel(order="K") (axes by
-    falling stride; ravel copies a slice that is not contiguous), and
-    np.vecdot calls numpy's dot function once per row, the BLAS ddot that
-    _frobenius's x.dot(x) calls, with the same strides: 1 on a real row, 2 on
-    the real and imaginary parts of a complex one (BLAS kernels add in
-    another order at another stride).  A sum over an axis (.sum(axis=-1))
-    adds in its own order and moves bits.  Another dtype than float or
-    complex is cast to float, as np.linalg.norm casts it."""
+    """The squared Frobenius norm of each slice of a stack x (S, ...), the
+    package's one squared norm.  Each slice is read as one row in the order
+    of its entries in memory (axes by falling stride; a slice that is not
+    contiguous is copied so), and np.vecdot calls numpy's dot function once
+    per row, the BLAS ddot that np.linalg.norm calls, with the same strides:
+    1 on a real row, 2 on the real and imaginary parts of a complex one
+    (BLAS kernels add in another order at another stride, and a sum over an
+    axis adds in its own order).  Another dtype than float or complex is
+    cast to float, as np.linalg.norm casts it."""
     if x.dtype.kind not in ("f", "c"):
         x = x.astype(float)
-    if x.ndim > 2:
-        x = x.transpose(0, *sorted(range(1, x.ndim), key=lambda a: -abs(x.strides[a])))
-    x = np.ascontiguousarray(x.reshape(len(x), -1))
+    if not x.flags.c_contiguous:
+        x = np.ascontiguousarray(
+            x.transpose(0, *sorted(range(1, x.ndim), key=lambda a: -abs(x.strides[a]))))
+    x = x.reshape(len(x), -1)
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
         return np.vecdot(re, re) + np.vecdot(im, im)
     return np.vecdot(x, x)
 
 
-def relative_residual(ref, other) -> float:
-    """||ref - other||_F / ||ref||_F against the reference side `ref`; a zero
-    reference tests nothing and an overflowing one reads any finite difference
-    as 0, so both read inf (with no numpy warning), and a NaN stays NaN.
-    The one-slice call of relative_residuals."""
-    with np.errstate(all="ignore"):
-        den = _frobenius(ref)
-        if den == 0 or np.isinf(den):
-            return float("inf")
-        return float(_frobenius(ref - other) / den)
-
-
 def relative_residuals(ref, other) -> list:
-    """relative_residual of each slice of two stacks (S, ...), as floats:
-    slice s has the bits of relative_residual(ref[s], other[s]), since
-    _squares takes each slice's norm with the dot of that call and the
-    square roots, differences and quotients are elementwise.  A stack of
-    one is that call."""
-    if len(ref) == 1:
-        return [relative_residual(ref[0], other[0])]
+    """||ref[s] - other[s]||_F / ||ref[s]||_F for each slice s of two stacks
+    (S, ...) against the reference side `ref`, as floats.  A zero reference
+    tests nothing and an overflowing one reads any finite difference as 0,
+    so both read inf (with no numpy warning), and a NaN stays NaN."""
     ref = np.asarray(ref)
     with np.errstate(all="ignore"):
         den = np.sqrt(_squares(ref))
         res = np.sqrt(_squares(ref - other)) / den
-    res[(den == 0) | np.isinf(den)] = np.inf
-    return res.tolist()
+    return [inf if d == 0 or d == inf else r for r, d in zip(res.tolist(), den.tolist())]
 
 
-def scalar_ratio(A, B) -> tuple:
-    """(lambda, residual) minimizing ||A - lambda B||_F; residual relative to
-    ||A||.  The one-slice call of scalar_ratios."""
-    if np.linalg.norm(B) == 0:
-        raise ConfigError("B must be nonzero")
-    lam = complex(np.vdot(B, A) / np.vdot(B, B))
-    return lam, relative_residual(A, lam * B)
+def relative_residual(ref, other) -> float:
+    """relative_residuals of one pair, a stack of one."""
+    return relative_residuals(np.asarray(ref)[None], np.asarray(other)[None])[0]
 
 
 def scalar_ratios(A, B) -> tuple:
-    """scalar_ratio of each slice of two stacks (S, ...): (lambdas,
-    residuals), slice s with the bits of scalar_ratio(A[s], B[s]).
+    """(lambdas, residuals) of each slice of two stacks (S, ...): lambda_s
+    minimizes ||A[s] - lambda_s B[s]||_F, and the residual is relative to
+    ||A[s]|| (relative_residuals).  A slice of B of zero norm raises.
     np.vecdot conjugates its first argument and calls, once per C-order row,
-    the dot function of np.vdot (BLAS zdotc for complex), which reads its
-    arguments in C order; the quotient is numpy's complex division, the loop
-    of the scalar quotient too, and the residuals are relative_residuals.
-    A stack of one, or one where a slice's norm of B is zero or not finite or
-    its quotient not finite (where the one-slice call raises, or warns or
-    raises under np.errstate), is fitted slice by slice, so the first
-    failing slice raises as its call does."""
+    the dot function of np.vdot (BLAS zdotc for complex).  The quotient is
+    taken under the caller's np.errstate, so a quotient that is not finite
+    warns, or raises under np.errstate, there."""
     A, B = np.asarray(A), np.asarray(B)
-    if len(A) > 1:
-        a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
-        with np.errstate(all="ignore"):
-            squares = _squares(B)
-            lam = (np.vecdot(b, a) / np.vecdot(b, b)).astype(complex, copy=False)
-        if ((0 < squares) & (squares < np.inf)).all() and np.isfinite(lam).all():
-            lam_B = lam.reshape((-1,) + (1,) * (B.ndim - 1)) * B
-            return lam.tolist(), relative_residuals(A, lam_B)
-    lams, resids = zip(*map(scalar_ratio, A, B))
-    return list(lams), list(resids)
+    a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
+    with np.errstate(all="ignore"):
+        zero = not _squares(B).all()
+        num, den = np.vecdot(b, a), np.vecdot(b, b)
+    if zero:
+        raise ConfigError("B must be nonzero")
+    lam = (num / den).astype(complex, copy=False)
+    return lam.tolist(), relative_residuals(A, lam.reshape((-1,) + (1,) * (B.ndim - 1)) * B)
 
 
 def commutant_residual(C1, C2, R) -> float:
@@ -261,12 +223,6 @@ def embedded_matmul(op, i, j, site_dims, M):
     embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j), a one-step
     string_matmul."""
     return string_matmul([(op, (i, j))], site_dims, M)
-
-
-def site_matmul(mat, slot, site_dims, M):
-    """Left-multiply matrix M by the one-site matrix `mat` embedded at `slot`,
-    a one-step string_matmul."""
-    return string_matmul([(mat, (slot,))], site_dims, M)
 
 
 def permuted_matmul(sigma, site_dims, M):

@@ -14,7 +14,6 @@ from qkzkit import cli, idsuite, qkz, reps, rsolve, scalars
 from qkzkit.cli import build_parser, main, parse_complex, serialize_reports
 from qkzkit.errors import DegeneratePointError
 from qkzkit.report import VerificationReport
-from qkzkit.tensorops import relative_residual, scalar_ratio
 
 
 def run_cli(args, capsys):
@@ -691,19 +690,6 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "72585abb50d24e4ee6d54c9126a860c417b6f825a90a8d0027465b5b5320249c"
-
-    @pytest.mark.parametrize("q", ["0.7", "0.3", "0.5,0.5"])
-    def test_stacked_residuals_keep_the_bits_of_one_slice_calls(self, q, monkeypatch, capsys):
-        # every stacked residual and fit of a suite run taken slice by slice,
-        # by the one-slice calls, as the checks took them before they stacked
-        argv = ["suite", "--m", "1", "--samples", "5", "--q", q, "--seed", "3"]
-        stacked = run_cli(argv, capsys)
-        for module in (cli, idsuite, qkz, reps):
-            monkeypatch.setattr(module, "relative_residuals", lambda ref, other: [
-                relative_residual(a, b) for a, b in zip(ref, other)])
-        monkeypatch.setattr(idsuite, "scalar_ratios", lambda A, B: tuple(
-            map(list, zip(*map(scalar_ratio, A, B)))))
-        assert run_cli(argv, capsys) == stacked
 
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"

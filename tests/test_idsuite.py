@@ -8,7 +8,7 @@ from qkzkit.report import VerificationReport, worst_of
 from qkzkit.reps import GradingChoice, antipode_dual, antipode_image, build_eval_rep, sl2_constants
 from qkzkit.reps import operator_o, operator_o_inverse, operator_x, operator_xtilde
 from qkzkit.rsolve import RCache, r_matrix
-from qkzkit.tensorops import (kron, partial_transpose, relative_residual, scalar_ratio,
+from qkzkit.tensorops import (kron, partial_transpose, relative_residual, scalar_ratios,
                                swap_outputs)
 
 
@@ -97,13 +97,14 @@ def crossing_one_sample(R, twists, dd):
     its own: the reference of the stacked measure."""
     r_vv, r_sv, r_vs, r_sh1, r_sh2, rk, rk_sh1, rk_sh2 = R
     o1, o1_inv, o2, o2_inv = twists
-    fits = [scalar_ratio(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd)),
-            scalar_ratio(r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd))),
-            scalar_ratio(r_sv, o1 @ r_sh1 @ o1_inv),
-            scalar_ratio(r_vs, o2 @ r_sh2 @ o2_inv),
-            scalar_ratio(o1 @ rk_sh1 @ o1_inv, partial_transpose(np.linalg.inv(rk), "first", dd)),
-            scalar_ratio(o2 @ rk_sh2 @ o2_inv, np.linalg.inv(partial_transpose(rk, "second", dd)))]
-    return [lam for lam, _ in fits], worst_of(res for _, res in fits)
+    pairs = [(r_sv, partial_transpose(np.linalg.inv(r_vv), "first", dd)),
+             (r_vs, np.linalg.inv(partial_transpose(r_vv, "second", dd))),
+             (r_sv, o1 @ r_sh1 @ o1_inv),
+             (r_vs, o2 @ r_sh2 @ o2_inv),
+             (o1 @ rk_sh1 @ o1_inv, partial_transpose(np.linalg.inv(rk), "first", dd)),
+             (o2 @ rk_sh2 @ o2_inv, np.linalg.inv(partial_transpose(rk, "second", dd)))]
+    lams, resids = scalar_ratios(*map(np.array, zip(*pairs)))
+    return lams, worst_of(resids)
 
 
 def crossing_per_sample(m, samples, grading, ctx):

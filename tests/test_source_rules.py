@@ -22,8 +22,9 @@ so a per-pair build cannot come back beside the stacked pass.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string, through the string
 kernel `tensorops.string_matmul`; no module of the package calls the kernel
-elsewhere (its one-step calls `embedded_matmul`, `site_matmul` and
-`permuted_matmul` aside), nor embedded_matmul outside `qkz.apply_factors`,
+elsewhere (its one-step calls `embedded_matmul` and `permuted_matmul`, and
+the one-site string of `reduction.psi_extract`, aside), nor embedded_matmul
+outside `qkz.apply_factors`,
 nor do `qkz` and `reduction` call permuted_matmul outside it, so no second
 factor loop can come back and no check applies a two-site factor or a
 permutation (or a dense product of them) of its own.  A leftover import of
@@ -44,16 +45,17 @@ group can solve on its own; `cli` keeps one single request by design, the
 (`read_result`, in `solve_records`), and `cli` does not import it, so no
 second read rule can come back beside the reader.
 The identity checks of `cli`, `reps`, `idsuite`, `qkz` and `reduction`
-take their residuals from `tensorops.relative_residual` (or its stack,
-`relative_residuals`, and the fits `scalar_ratio` and `scalar_ratios`) and
-call no norm of their own, so no second residual rule (a 0/0 guard among them) can come
+take their residuals from `tensorops.relative_residuals` (or its stack of
+one, `relative_residual`, and the fits `scalar_ratios`) and call no norm of
+their own, so no second residual rule (a 0/0 guard among them) can come
 back; nor do they take an absolute one, the abs of a difference or the
 max of an abs, outside a comparison (an argument guard such as
 abs(z - w) < tol is no residual).  The one measure left on that rule is
 the crossing report's scalar_spread, reported beside its residual and not
-gated.  In `cli`, `idsuite`, `qkz` and `reps` the one-slice calls
-`relative_residual` and `scalar_ratio` are made outside every loop and
-comprehension (nor mapped), so the residuals of samples, slices or tags
+gated.  `tensorops._squares` is the package's one squared norm, so a
+second one, kept bit-equal to it, cannot come back beside it.
+In `cli`, `idsuite`, `qkz` and `reps` the one-slice call `relative_residual`
+is made outside every loop and comprehension (nor mapped), so the residuals of samples, slices or tags
 are one stacked call and a per-sample residual loop cannot come back.
 No public function there takes a per-call tolerance, since each
 report's tolerance is written where the report is made.  Only `cli` keeps time: its
@@ -270,9 +272,10 @@ def test_two_site_factors_applied_only_in_apply_factors(path):
 
 
 # the functions of each module that may call the string kernel: the string
-# applier, and the kernel's one-step calls
-STRING_APPLIERS = {"qkz.py": ("apply_factors",),
-                   "tensorops.py": ("embedded_matmul", "site_matmul", "permuted_matmul")}
+# applier, the contraction of psi_extract (one-site steps of its twist
+# matrix, no factor) and the kernel's one-step calls
+STRING_APPLIERS = {"qkz.py": ("apply_factors",), "reduction.py": ("psi_extract",),
+                   "tensorops.py": ("embedded_matmul", "permuted_matmul")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -382,6 +385,12 @@ def test_checks_call_no_norm(path):
     assert named_calls(ast.parse(path.read_text()), "norm") == []
 
 
+def test_one_squared_norm_routine():
+    defined = [(p.name, node.name) for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in ("_squares", "_frobenius")]
+    assert defined == [("tensorops.py", "_squares")]
+
+
 @pytest.mark.parametrize("path", CHECK_SOURCES, ids=lambda p: p.name)
 def test_checks_take_no_absolute_residual(path):
     assert absolute_residuals(ast.parse(path.read_text()), ABSOLUTE_ALLOWED) == []
@@ -394,13 +403,13 @@ def test_checks_take_no_tolerance(path):
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
-ONE_SLICE_CALLS = ("relative_residual", "scalar_ratio")
+ONE_SLICE_CALLS = ("relative_residual",)
 STACKED_SOURCES = [p for p in SOURCES if p.name in ("cli.py", "idsuite.py", "qkz.py", "reps.py")]
 
 
 def one_slice_calls_in_loops(tree):
-    """Calls of relative_residual or scalar_ratio inside a loop or a
-    comprehension, and either one mapped."""
+    """Calls of relative_residual inside a loop or a comprehension, and
+    relative_residual mapped."""
     looped = {node for loop in ast.walk(tree) if isinstance(loop, LOOPS)
               for node in ast.walk(loop)
               if isinstance(node, ast.Call) and _name(node) in ONE_SLICE_CALLS}
@@ -803,8 +812,8 @@ def test_norm_rule_fires_on_planted_code(source, calls):
 @pytest.mark.parametrize("source, found", [
     ("for a, b in pairs:\n    worst = worst_of((worst, relative_residual(a, b)))\n", 1),
     ("res = [tensorops.relative_residual(a, b) for a, b in zip(ops[0], ops[1])]\n", 1),
-    ("scal, resids = zip(*(scalar_ratio(A, B) for A, B in forms))\n", 1),
-    ("fits = list(map(scalar_ratio, As, Bs))\n", 1),
+    ("scal, resids = zip(*(relative_residual(A, B) for A, B in forms))\n", 1),
+    ("resids = list(map(relative_residual, As, Bs))\n", 1),
     ("while k:\n    k = relative_residual(a, b) + relative_residual(b, a)\n", 2),
     # the stacked calls, in a loop or not, and a one-slice call outside any
     ("res = relative_residuals(np.array(refs), np.array(others))\n", 0),

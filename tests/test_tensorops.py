@@ -6,8 +6,8 @@ import pytest
 from qkzkit.errors import ConfigError
 from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, kron,
                               partial_transpose, permutation_op, permuted_matmul,
-                              relative_residual, relative_residuals, scalar_ratio,
-                              scalar_ratios, site_matmul, string_matmul, swap_outputs)
+                              relative_residual, relative_residuals,
+                              scalar_ratios, string_matmul, swap_outputs)
 
 rng = np.random.default_rng(20)
 
@@ -159,30 +159,6 @@ class TestPartialTranspose:
             partial_transpose(rand_c(4, 6, 5), "first", (2, 3))
 
 
-class TestScalarRatio:
-    def test_proportional(self):
-        B = rand_c(4, 4)
-        lam, resid = scalar_ratio(3.0 * B, B)
-        assert lam == pytest.approx(3.0)
-        assert resid < 1e-15
-
-    def test_orthogonal(self):
-        A = np.diag([1.0, 0.0]).astype(complex)
-        B = np.diag([0.0, 1.0]).astype(complex)
-        lam, resid = scalar_ratio(A, B)
-        assert lam == pytest.approx(0.0)
-        assert resid == pytest.approx(1.0)
-
-    def test_zero_b_rejected(self):
-        with pytest.raises(ConfigError):
-            scalar_ratio(rand_c(2, 2), np.zeros((2, 2)))
-
-    @pytest.mark.filterwarnings("error")
-    def test_zero_a_reads_inf(self):
-        lam, resid = scalar_ratio(np.zeros((2, 2)), rand_c(2, 2))
-        assert lam == 0 and resid == math.inf
-
-
 def norm_cases():
     """0-d, 1-d and 2-d, real and complex, strided, with a zero reference, inf,
     NaN, an overflowing and an underflowing norm, and an integer array; drawn
@@ -208,52 +184,12 @@ def norm_cases():
     ]
 
 
-@pytest.mark.filterwarnings("error")
-class TestRelativeResidual:
-    def test_zero_reference_reads_inf(self):
-        assert relative_residual(np.zeros((3, 3)), rand_c(3, 3)) == math.inf
-        assert relative_residual(np.zeros(4, complex), np.zeros(4)) == math.inf
-
-    def test_nan_stays_nan(self):
-        A = rand_c(3, 3)
-        B = A.copy()
-        B[1, 2] = np.nan
-        assert math.isnan(relative_residual(A, B))
-        assert math.isnan(relative_residual(B, A))
-        assert math.isnan(relative_residual(np.full(2, np.nan), np.zeros(2)))
-
-    @pytest.mark.parametrize("defect", [1e-3, 1e-8])
-    def test_overflowing_reference_reads_inf(self, defect):
-        # ||ref|| overflows once entries reach about 1e154; dividing by it made
-        # every finite difference read 0.  Scaled down, the defect is seen
-        block = rand_c(16, 8)
-        other = block + defect * np.linalg.norm(block) / np.sqrt(block.size) * rand_c(16, 8)
-        assert defect / 3 < relative_residual(block, other) < 3 * defect
-        assert relative_residual(1e155 * block, 1e155 * other) == math.inf
-
-    @pytest.mark.parametrize("shape", [(4, 4), (16, 8), (729,)])
-    def test_matches_the_inline_forms(self, shape):
-        A = rand_c(*shape)
-        for B in (rand_c(*shape), A + 1e-12 * rand_c(*shape)):
-            got = relative_residual(A, B)
-            assert got == float(np.linalg.norm(A - B) / max(np.linalg.norm(A), 1e-300))
-            assert got == float(np.linalg.norm(B - A) / np.linalg.norm(A))
-
-    @pytest.mark.parametrize("ref, other", norm_cases())
-    def test_keeps_the_bits_of_the_norm_form(self, ref, other):
-        # the Frobenius steps of np.linalg.norm, inlined, give its result bit for bit
-        with np.errstate(all="ignore"):
-            den = np.linalg.norm(ref)
-            want = (math.inf if den == 0 or np.isinf(den)
-                    else float(np.linalg.norm(ref - other) / den))
-        assert np.float64(relative_residual(ref, other)).tobytes() == np.float64(want).tobytes()
-
-    @pytest.mark.parametrize("d", [4, 9, 16, 25, 81])
-    def test_matches_the_identity_form(self, d):
-        # ||I||_F is sqrt(d) exactly
-        X = np.eye(d) + 1e-13 * rand_c(d, d)
-        assert relative_residual(np.eye(d), X) == float(
-            np.linalg.norm(X - np.eye(d)) / np.sqrt(d))
+def norm_form(ref, other):
+    """The relative residual of one pair by np.linalg.norm, the independent
+    reference: inf for a zero or an overflowing reference."""
+    with np.errstate(all="ignore"):
+        den = np.linalg.norm(ref)
+        return math.inf if den == 0 or np.isinf(den) else float(np.linalg.norm(ref - other) / den)
 
 
 def stacked_views(S, shape, real, view, seed):
@@ -295,66 +231,142 @@ def bits(x):
 
 
 @pytest.mark.filterwarnings("error")
-class TestStackedResiduals:
+class TestRelativeResiduals:
+    def test_each_slice_of_a_mixed_stack_reads_alone(self):
+        # a plain slice, a zero reference (inf), a NaN (stays NaN), an
+        # overflowing reference (inf, as it reads any finite difference as 0)
+        # and a slice of integers, in one stack
+        draw = np.random.default_rng(44).standard_normal
+        ref = draw((5, 4, 3)) + 1j * draw((5, 4, 3))
+        other = ref + 1e-3 * (draw(ref.shape) + 1j * draw(ref.shape))
+        ref[1] = 0
+        other[2, 1, 2] = np.nan
+        ref[3], other[3] = 1e155 * ref[3], 1e155 * other[3]
+        ref[4], other[4] = np.arange(12).reshape(4, 3), np.ones((4, 3))
+        got = relative_residuals(ref, other)
+        assert all(type(r) is float for r in got)
+        assert got[1] == math.inf and math.isnan(got[2]) and got[3] == math.inf
+        assert 1e-4 < got[0] < 1e-2
+        assert bits([got[0], got[4]]) == bits([norm_form(ref[s], other[s]) for s in (0, 4)])
+
+    def test_zero_reference_reads_inf(self):
+        assert relative_residuals(np.zeros((2, 3, 3)), rand_c(2, 3, 3)) == [math.inf] * 2
+        assert relative_residuals(np.zeros((1, 4), complex), np.zeros((1, 4))) == [math.inf]
+
+    def test_nan_stays_nan(self):
+        A = rand_c(2, 3, 3)
+        B = A.copy()
+        B[1, 1, 2] = np.nan
+        for got in (relative_residuals(A, B), relative_residuals(B, A)):
+            assert got[0] == 0.0 and math.isnan(got[1])
+        assert math.isnan(relative_residuals(np.full((1, 2), np.nan), np.zeros((1, 2)))[0])
+
+    @pytest.mark.parametrize("defect", [1e-3, 1e-8])
+    def test_overflowing_reference_reads_inf(self, defect):
+        # ||ref|| overflows once entries reach about 1e154; dividing by it made
+        # every finite difference read 0.  Scaled down, the defect is seen
+        block = rand_c(16, 8)
+        other = block + defect * np.linalg.norm(block) / np.sqrt(block.size) * rand_c(16, 8)
+        got = relative_residuals(np.stack((block, 1e155 * block)),
+                                 np.stack((other, 1e155 * other)))
+        assert defect / 3 < got[0] < 3 * defect and got[1] == math.inf
+
+    def test_real_and_complex_sides_and_an_integer_stack(self):
+        ref, other = stacked_views(5, (4, 3), True, "plain", 40)
+        for a, b in ((ref, other + 0j), (ref + 0j, other), (np.arange(60).reshape(ref.shape), ref),
+                     (np.arange(60).reshape(ref.shape), np.ones(ref.shape, dtype=int))):
+            assert bits(relative_residuals(a, b)) == bits([norm_form(x, y) for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 8), (729,)])
+    def test_matches_the_inline_forms(self, shape):
+        A = rand_c(3, *shape)
+        for B in (rand_c(3, *shape), A + 1e-12 * rand_c(3, *shape)):
+            got = relative_residuals(A, B)
+            assert got == [float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-300))
+                           for a, b in zip(A, B)]
+            assert got == [float(np.linalg.norm(b - a) / np.linalg.norm(a)) for a, b in zip(A, B)]
+
+    @pytest.mark.parametrize("ref, other", norm_cases())
+    def test_keeps_the_bits_of_the_norm_form(self, ref, other):
+        # the Frobenius steps of np.linalg.norm, slice by slice in one stacked
+        # call, give its result bit for bit: on the slice as it is (a view,
+        # strided or transposed), in a stack of two and as relative_residual
+        want = norm_form(ref, other)
+        ref, other = np.asarray(ref), np.asarray(other)
+        got = (relative_residuals(ref[None], other[None])
+               + relative_residuals(np.stack((ref, ref)), np.stack((other, other)))
+               + [relative_residual(ref, other)])
+        assert bits(got) == bits([want] * 4)
+
     @pytest.mark.parametrize("S", [1, 2, 12])
     @pytest.mark.parametrize("shape", [(), (7,), (16, 8)])
-    def test_each_slice_is_its_one_slice_call(self, S, shape):
+    def test_each_view_keeps_the_bits_of_the_norm_form(self, S, shape):
         for real in (True, False):
             for view in ("plain", "strided", "transposed"):
                 for special in (None, "zero", "inf", "nan"):
                     ref, other = stacked_views(S, shape, real, view, 39)
                     ref, other = plant(ref, other, special, S - 1)
-                    got = relative_residuals(ref, other)
-                    want = [relative_residual(a, b) for a, b in zip(ref, other)]
-                    assert bits(got) == bits(want), (real, view, special)
-                    assert all(type(r) is float for r in got)
-                    if special in ("zero", "inf"):
-                        assert got[-1] == math.inf
-                    if special == "nan":
-                        assert math.isnan(got[-1])
+                    want = [norm_form(a, b) for a, b in zip(ref, other)]
+                    assert bits(relative_residuals(ref, other)) == bits(want), (real, view, special)
 
-    def test_real_and_complex_sides_and_an_integer_stack(self):
-        ref, other = stacked_views(5, (4, 3), True, "plain", 40)
-        for a, b in ((ref, other + 0j), (ref + 0j, other), (np.arange(60).reshape(ref.shape), ref)):
-            assert bits(relative_residuals(a, b)) == bits(
-                [relative_residual(x, y) for x, y in zip(a, b)])
+    @pytest.mark.parametrize("d", [4, 9, 16, 25, 81])
+    def test_matches_the_identity_form(self, d):
+        # ||I||_F is sqrt(d) exactly
+        X = np.eye(d) + 1e-13 * rand_c(d, d)
+        assert relative_residuals(np.eye(d)[None], X[None]) == [
+            float(np.linalg.norm(X - np.eye(d)) / np.sqrt(d))]
 
-    @pytest.mark.parametrize("S", [1, 2, 12])
+
+class TestScalarRatios:
+    def test_proportional(self):
+        B = rand_c(2, 4, 4)
+        lams, resids = scalar_ratios(np.stack((3.0 * B[0], (2 - 1j) * B[1])), B)
+        assert lams == pytest.approx([3.0, 2 - 1j])
+        assert all(type(lam) is complex for lam in lams)
+        assert max(resids) < 1e-15
+
+    def test_orthogonal(self):
+        A = np.diag([1.0, 0.0]).astype(complex)
+        B = np.diag([0.0, 1.0]).astype(complex)
+        lams, resids = scalar_ratios(A[None], B[None])
+        assert lams == pytest.approx([0.0])
+        assert resids == pytest.approx([1.0])
+
+    @pytest.mark.parametrize("S", [2, 12])
     @pytest.mark.parametrize("shape", [(7,), (16, 8)])
-    def test_each_fit_is_its_one_slice_call(self, S, shape):
+    def test_each_fit_is_the_least_squares_scalar(self, S, shape):
+        # against np.vdot and np.linalg.norm, slice by slice
         for real in (True, False):
             for view in ("plain", "strided", "transposed"):
-                for special in (None, "zero"):
-                    B, A = stacked_views(S, shape, real, view, 41)
-                    A, B = plant(A, B, special, S - 1)
-                    lams, resids = scalar_ratios(A, B)
-                    want = [scalar_ratio(a, b) for a, b in zip(A, B)]
-                    assert bits(lams) == bits([lam for lam, _ in want]), (real, view, special)
-                    assert bits(resids) == bits([r for _, r in want]), (real, view, special)
-                    assert all(type(lam) is complex for lam in lams)
+                B, A = stacked_views(S, shape, real, view, 41)
+                lams, resids = scalar_ratios(A, B)
+                want = [np.vdot(b, a) / np.vdot(b, b) for a, b in zip(A, B)]
+                assert lams == pytest.approx(want, rel=1e-14), (real, view)
+                assert resids == pytest.approx(
+                    [norm_form(a, lam * b) for a, b, lam in zip(A, B, want)], rel=1e-6)
 
     @pytest.mark.parametrize("S", [1, 2, 12])
-    @pytest.mark.parametrize("side, value", [(0, np.inf), (1, np.nan), (1, 1e300)])
-    def test_a_quotient_that_warns_warns_as_its_call(self, S, side, value):
-        # the stack then fits slice by slice, and slice S - 1 warns (or raises
-        # under np.errstate) as its one-slice call does
-        AB = stacked_views(S, (4, 4), False, "plain", 43)
-        AB[side][S - 1, 1, 2] = value
-        with pytest.raises(RuntimeWarning) as one:
-            scalar_ratio(AB[0][-1], AB[1][-1])
-        with pytest.raises(RuntimeWarning) as stacked:
-            scalar_ratios(*AB)
-        assert str(stacked.value) == str(one.value)
-
-    @pytest.mark.parametrize("S", [1, 2, 12])
-    def test_a_zero_slice_of_b_raises_as_its_call(self, S):
+    def test_a_zero_slice_of_b_raises(self, S):
         A, B = stacked_views(S, (4, 4), False, "plain", 42)
         B[S // 2] = 0
-        with pytest.raises(ConfigError) as one:
-            scalar_ratio(A[S // 2], B[S // 2])
-        with pytest.raises(ConfigError) as stacked:
+        with pytest.raises(ConfigError, match="B must be nonzero"):
             scalar_ratios(A, B)
-        assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_a_reads_inf(self):
+        lams, resids = scalar_ratios(np.stack((np.zeros((2, 2)), rand_c(2, 2))), rand_c(2, 2, 2))
+        assert lams[0] == 0 and resids[0] == math.inf and resids[1] < 1.5
+
+    @pytest.mark.parametrize("side, value", [(0, np.inf), (1, np.nan), (1, np.inf)])
+    def test_a_quotient_that_is_not_finite_follows_the_callers_errstate(self, side, value):
+        # it warns, or raises under np.errstate, so a check run under cli.main
+        # ends as an error report
+        AB = stacked_views(12, (4, 4), False, "plain", 43)
+        AB[side][11, 1, 2] = value
+        with pytest.warns(RuntimeWarning, match="divide"):
+            scalar_ratios(*AB)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="divide"):
+            scalar_ratios(*AB)
 
 
 class TestFastApply:
@@ -387,14 +399,14 @@ class TestFastApply:
         assert np.abs(got - want).max() == 0.0
 
     @pytest.mark.parametrize("cols", [12, 1])
-    def test_site_matmul_matches_kron(self, cols):
+    def test_one_site_step_matches_kron(self, cols):
         dims = (2, 3, 2)
         M = rand_c(12, cols)
         for slot, d in enumerate(dims):
             A = rand_c(d, d)
             dense = np.kron(np.kron(np.eye(int(np.prod(dims[:slot]))), A),
                             np.eye(int(np.prod(dims[slot + 1:]))))
-            got = site_matmul(A, slot, dims, M)
+            got = string_matmul([(A, (slot,))], dims, M)
             assert got.shape == (12, cols)
             assert np.abs(got - dense @ M).max() < 1e-13
 
@@ -413,7 +425,8 @@ class TestFastApply:
                     assert relative_residual(want, got) < 1e-14, (i, j)
             for A in (rand_c(3, 3), rand_c(3, 3).real):
                 dense = np.kron(np.kron(np.eye(3 ** i), A), np.eye(3 ** (4 - i)))
-                assert relative_residual(dense @ M, site_matmul(A, i, dims, M)) < 1e-14, i
+                got = string_matmul([(A, (i,))], dims, M)
+                assert relative_residual(dense @ M, got) < 1e-14, i
 
     def test_swap_outputs_is_exact_permutation(self):
         op = rand_c(6, 6)
@@ -477,7 +490,7 @@ def one_step_at_a_time(steps, d, N, M):
         if tag == "perm":
             M = permuted_matmul(where, dims, M)
         elif tag == "site":
-            M = site_matmul(op, where[0], dims, M)
+            M = string_matmul([(op, where)], dims, M)
         else:
             M = embedded_matmul(swap_outputs(op, d, d) if tag == "R" else op, *where, dims, M)
     return M
