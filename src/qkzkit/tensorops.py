@@ -150,9 +150,8 @@ def scalar_ratios(A, B) -> tuple:
     A, B = np.asarray(A), np.asarray(B)
     a, b = A.reshape(len(A), -1), B.reshape(len(B), -1)
     with np.errstate(all="ignore"):
-        zero = not _squares(B).all()
-        num, den = np.vecdot(b, a), np.vecdot(b, b)
-    if zero:
+        num, den = np.vecdot(b, a), np.vecdot(b, b)  # den: ||B[s]||^2
+    if (den == 0).any():
         raise ConfigError("B must be nonzero")
     lam = (num / den).astype(complex, copy=False)
     return lam.tolist(), relative_residuals(A, lam.reshape((-1,) + (1,) * (B.ndim - 1)) * B)

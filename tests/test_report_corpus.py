@@ -8,12 +8,11 @@ and says which lines moved and why.  The three pins of test_cli.py
 repeated here."""
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from qkzkit import cli
+from test_traced_names import WORKLOADS
 
 CORPUS = {
     "suite --m 2 --seed 7":
@@ -57,10 +56,6 @@ def test_report_is_unchanged(line, capsys):
 
 
 def test_reduction_chains_reports_are_unchanged():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    reports = workloads.run_chains(workloads.chain_inputs(1), 1)
+    reports = WORKLOADS.run_chains(WORKLOADS.chain_inputs(1), 1)
     got = _sha(cli.serialize_reports(reports, "json"))
     assert got == CHAINS_DIGEST, "the reduction_chains reports at seed 1 moved"
