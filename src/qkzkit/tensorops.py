@@ -6,15 +6,15 @@ two-site factors, one-site matrices and site permutations to such a block
 in one pass, without forming an embedded operator and without restoring
 the axis order after each factor, at a cost linear in k: on the identity
 block it gives the string's matrix, on a probe block of a few columns it
-tests an identity at O(D) cost per factor.  `embedded_matmul` and
-`permuted_matmul` are its one-step calls.  `kron` is the package's one
-Kronecker product.  Norms, residuals and fits take a stack (S, ...) slice
-by slice in one call; a one-slice call is a stack of one.  `embed_pair`
-and `permutation_op` form the full D x D embedding.  Of the checks, only `reduction.check_rpr` (its
-factor on the n sites of the reduced operator) still does; the Yang-Baxter,
-qKZ and reduction identities are applied to a probe block and form no
-D x D matrix, and `permutation_op` is the dense reference for
-`permuted_matmul`.
+tests an identity at O(D) cost per factor.  One factor or permutation is a
+string of one step.  `kron` is the package's one Kronecker product.
+Norms, residuals and fits take a stack (S, ...) slice by slice in one call;
+a one-slice call is a stack of one.  `embed_pair` and `permutation_op`
+form the full D x D embedding.  Of the checks, only `reduction.check_rpr`
+(its factor on the n sites of the reduced operator) still does; the
+Yang-Baxter, qKZ and reduction identities are applied to a probe block and
+form no D x D matrix, and `permutation_op` is the dense reference for the
+permutation steps of `string_matmul`.
 """
 
 from math import inf, prod
@@ -216,14 +216,3 @@ def string_matmul(steps, site_dims, M):
     return np.ascontiguousarray(T.transpose((0, *(a + 1 for a in axes)) if o else axes)
                                 ).reshape(M.shape)
 
-
-def embedded_matmul(op, i, j, site_dims, M):
-    """Left-multiply matrix M by the embedding of two-site `op` at (i, j):
-    embed_pair(op, i, j, dims) @ M at cost O(D^2 d_i d_j), a one-step
-    string_matmul."""
-    return string_matmul([(op, (i, j))], site_dims, M)
-
-
-def permuted_matmul(sigma, site_dims, M):
-    """Left-multiply matrix M by P_sigma at reshape cost, a one-step string_matmul."""
-    return string_matmul([(None, sigma)], site_dims, M)

@@ -220,11 +220,11 @@ class TestTransport:
         word = [0, 2]
         out1, order1 = transport_phi(chain, phi, word, cache)
         out2, order2 = transport_phi(chain, phi, word + [1], cache)
-        from qkzkit.tensorops import embedded_matmul
+        from qkzkit.tensorops import string_matmul
         a, b = order1[1], order1[2]
         rc, = read_factors(chain, [(chain.kinds[a], chain.etas[a],
                                     chain.kinds[b], chain.etas[b])], cache)
-        stepped = embedded_matmul(rc, 1, 2, chain.dims, out1.reshape(-1, 1)).reshape(-1)
+        stepped = string_matmul([(rc, (1, 2))], chain.dims, out1.reshape(-1, 1)).reshape(-1)
         assert order2 == [order1[k] for k in (0, 2, 1, 3)]
         assert np.abs(stepped - out2.reshape(-1)).max() < 1e-12
 

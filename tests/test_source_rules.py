@@ -22,12 +22,9 @@ so a per-pair build cannot come back beside the stacked pass.
 In `qkz` and `reduction` every qKZ, reduction and transport operator is a
 factor string, and only `apply_factors` applies a string, through the string
 kernel `tensorops.string_matmul`; no module of the package calls the kernel
-elsewhere (its one-step calls `embedded_matmul` and `permuted_matmul`, and
-the one-site string of `reduction.psi_extract`, aside), nor embedded_matmul
-outside `qkz.apply_factors`,
-nor do `qkz` and `reduction` call permuted_matmul outside it, so no second
-factor loop can come back and no check applies a two-site factor or a
-permutation (or a dense product of them) of its own.  A leftover import of
+elsewhere (the one-site string of `reduction.psi_extract` aside), so no
+second factor loop can come back and no check applies a two-site factor or
+a permutation (or a dense product of them) of its own.  A leftover import of
 an applier counts as a use.
 `tensorops.kron` is the one Kronecker product (no `np.kron` in the
 package), `tensorops.partial_transpose` the one partial transpose (the
@@ -218,7 +215,6 @@ def test_modules_and_bases_built_only_by_the_spin_template(path, name):
     assert calls_outside(ast.parse(path.read_text()), name, allowed) == []
 
 
-FACTOR_STRING_SOURCES = [p for p in SOURCES if p.name in ("qkz.py", "reduction.py")]
 REQUEST_SOURCES = [p for p in SOURCES
                    if p.name in ("qkz.py", "reduction.py", "idsuite.py", "cli.py")]
 REQUEST_NAMES = ("solve_requests", "solve_intertwiner", "r_matrix", "solve_records")
@@ -245,7 +241,7 @@ def test_results_read_only_by_the_factor_reader(path):
 
 
 def test_factor_string_sources_found():
-    assert len(FACTOR_STRING_SOURCES) == 2 and len(REQUEST_SOURCES) == 4
+    assert len(REQUEST_SOURCES) == 4
 
 
 @pytest.mark.parametrize("name", REQUEST_NAMES)
@@ -255,27 +251,10 @@ def test_factors_requested_only_in_solve_records(path, name):
     assert calls_outside(tree, name, REQUEST_CALLERS.get((path.name, name), ())) == []
 
 
-@pytest.mark.parametrize("path", FACTOR_STRING_SOURCES, ids=lambda p: p.name)
-def test_permutations_applied_only_in_apply_factors(path):
-    tree = ast.parse(path.read_text())
-    assert calls_outside(tree, "permuted_matmul", ("apply_factors",)) == []
-
-
-# the one function of each module that may apply a two-site factor to a block
-TWO_SITE_APPLIERS = {"qkz.py": ("apply_factors",)}
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_two_site_factors_applied_only_in_apply_factors(path):
-    tree = ast.parse(path.read_text())
-    assert calls_outside(tree, "embedded_matmul", TWO_SITE_APPLIERS.get(path.name, ())) == []
-
-
 # the functions of each module that may call the string kernel: the string
-# applier, the contraction of psi_extract (one-site steps of its twist
-# matrix, no factor) and the kernel's one-step calls
-STRING_APPLIERS = {"qkz.py": ("apply_factors",), "reduction.py": ("psi_extract",),
-                   "tensorops.py": ("embedded_matmul", "permuted_matmul")}
+# applier and the contraction of psi_extract (one-site steps of its twist
+# matrix, no factor)
+STRING_APPLIERS = {"qkz.py": ("apply_factors",), "reduction.py": ("psi_extract",)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -679,52 +658,6 @@ def test_read_rule_fires_on_planted_code(module, source, outside):
     assert len(calls_outside(ast.parse(source), "read_result", allowed)) == outside
 
 
-APPLIER = ("from .tensorops import permuted_matmul\n"
-           "def apply_factors(chain, steps, M):\n    return permuted_matmul(sigma, chain.dims, M)\n")
-
-
-@pytest.mark.parametrize("source, outside", [
-    (APPLIER, 0),
-    # a factor loop of its own beside apply_factors
-    (APPLIER + "def rhs_operator(case, M):\n    return permuted_matmul(swap, case.dims, M)\n", 1),
-    ("from . import tensorops\n"
-     "def transport_phi(chain, M):\n    return tensorops.permuted_matmul(s, chain.dims, M)\n", 1),
-    ("from .tensorops import permuted_matmul\napply = permuted_matmul\n", 2),
-    # a leftover import beside the string kernel, which a second loop could call
-    ("from .tensorops import permuted_matmul, string_matmul\n"
-     "def apply_factors(chain, steps, factor, M):\n"
-     "    return string_matmul(steps, chain.dims, M)\n", 1),
-])
-def test_permutation_rule_fires_on_planted_code(source, outside):
-    tree = ast.parse(source)
-    assert len(calls_outside(tree, "permuted_matmul", ("apply_factors",))) == outside
-
-
-TWO_SITE_APPLIER = ("from .tensorops import embedded_matmul\n"
-                    "def apply_factors(chain, steps, factor, M):\n"
-                    "    return embedded_matmul(op, i, j, chain.dims, M)\n")
-
-
-@pytest.mark.parametrize("source, outside", [
-    (TWO_SITE_APPLIER, 0),
-    # a check that applies its own factors beside apply_factors
-    (TWO_SITE_APPLIER + "def check_rpr(case, read):\n"
-     "    return embedded_matmul(front, 0, 1, case.dims, phi)\n", 1),
-    ("from .tensorops import embedded_matmul\n"
-     "def measure(read):\n    return embedded_matmul(front, 0, 1, dims, phi)\n", 2),
-    # a dense route of its own
-    ("from . import tensorops\nclass Side:\n    def apply(self, chain, factor, block):\n"
-     "        return tensorops.embedded_matmul(op, 0, 1, chain.dims, block)\n", 1),
-    # a leftover import beside the string kernel
-    ("from .tensorops import embedded_matmul, string_matmul\n"
-     "def apply_factors(chain, steps, factor, M):\n"
-     "    return string_matmul(steps, chain.dims, M)\n", 1),
-])
-def test_two_site_rule_fires_on_planted_code(source, outside):
-    tree = ast.parse(source)
-    assert len(calls_outside(tree, "embedded_matmul", ("apply_factors",))) == outside
-
-
 STRING_APPLIER = ("from .tensorops import string_matmul\n"
                   "def apply_factors(chain, steps, factor, M):\n"
                   "    return string_matmul(_slot_steps(chain, steps, factor), chain.dims, M)\n")
@@ -740,9 +673,11 @@ STRING_APPLIER = ("from .tensorops import string_matmul\n"
     ("idsuite.py", "from . import tensorops\ndef transport_phi(chain, M):\n"
      "    return tensorops.string_matmul(steps, chain.dims, M)\n", 1),
     ("qkz.py", "from .tensorops import string_matmul\napply = string_matmul\n", 2),
-    # the kernel's one-step calls, and a dense product of its own beside them
+    # a one-step call, a dense route and a dense product beside the applier
     ("tensorops.py", "def permuted_matmul(sigma, site_dims, M):\n"
-     "    return string_matmul([(None, sigma)], site_dims, M)\n", 0),
+     "    return string_matmul([(None, sigma)], site_dims, M)\n", 1),
+    ("qkz.py", "from . import tensorops\nclass Side:\n    def apply(self, chain, factor, block):\n"
+     "        return tensorops.string_matmul([(op, (0, 1))], chain.dims, block)\n", 1),
     ("tensorops.py", "def string_op(steps, site_dims):\n"
      "    return string_matmul(steps, site_dims, np.eye(prod(site_dims)))\n", 1),
 ])
@@ -888,9 +823,8 @@ def test_timing_rule_fires_on_planted_code(source, found):
 # public names that no program code reads, each kept for a reason
 UNREAD_ALLOWED = {
     "q_pochhammer": "one product scanned alone: the reference for _poch_ratio in test_scalars",
-    "permutation_op": "the dense reference for permuted_matmul, priced in perfbench/spans.COSTS",
-    "permuted_matmul": "a one-step string_matmul kept by name: perfbench/spans.COSTS prices it "
-                       "and test_traced_names pins it",
+    "permutation_op": "the dense reference for string_matmul's permutation steps, priced in "
+                      "perfbench/spans.COSTS",
 }
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

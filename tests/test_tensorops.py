@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qkzkit.errors import ConfigError
-from qkzkit.tensorops import (cyclic_left_shift, embed_pair, embedded_matmul, kron,
-                              partial_transpose, permutation_op, permuted_matmul,
+from qkzkit.tensorops import (cyclic_left_shift, embed_pair, kron,
+                              partial_transpose, permutation_op,
                               relative_residual, relative_residuals,
                               scalar_ratios, string_matmul, swap_outputs)
 
@@ -370,11 +370,11 @@ class TestScalarRatios:
 
 
 class TestFastApply:
-    def test_embedded_matmul_matches_dense(self):
+    def test_two_site_step_matches_dense(self):
         dims = (2, 3, 2)
         M = rand_c(12, 12)
         A = rand_c(4, 4)
-        got = embedded_matmul(A, 2, 0, dims, M)
+        got = string_matmul([(A, (2, 0))], dims, M)
         want = embed_pair(A, 2, 0, dims) @ M
         assert np.abs(got - want).max() < 1e-13
 
@@ -388,13 +388,13 @@ class TestFastApply:
             dense = np.kron(dense, A if k == i else B if k == j else np.eye(d))
         M = rand_c(36, 5)
         assert np.abs(embed_pair(np.kron(A, B), i, j, dims) - dense).max() < 1e-14
-        assert np.abs(embedded_matmul(np.kron(A, B), i, j, dims, M) - dense @ M).max() < 1e-13
+        assert np.abs(string_matmul([(np.kron(A, B), (i, j))], dims, M) - dense @ M).max() < 1e-13
 
-    def test_permuted_matmul_matches_dense(self):
+    def test_permutation_step_matches_dense(self):
         dims = (2, 2, 3)
         M = rand_c(12, 12)
         sigma = [2, 0, 1]
-        got = permuted_matmul(sigma, dims, M)
+        got = string_matmul([(None, sigma)], dims, M)
         want = permutation_op(sigma, dims) @ M
         assert np.abs(got - want).max() == 0.0
 
@@ -421,7 +421,7 @@ class TestFastApply:
                 if i != j:
                     op = rand_c(9, 9)
                     want = embed_pair(op, i, j, dims) @ M
-                    got = embedded_matmul(op, i, j, dims, M)
+                    got = string_matmul([(op, (i, j))], dims, M)
                     assert relative_residual(want, got) < 1e-14, (i, j)
             for A in (rand_c(3, 3), rand_c(3, 3).real):
                 dense = np.kron(np.kron(np.eye(3 ** i), A), np.eye(3 ** (4 - i)))
@@ -483,16 +483,14 @@ def dense_string(steps, d, N):
 
 
 def one_step_at_a_time(steps, d, N, M):
-    """The string applied by the one-step calls, each restoring the block: an
-    R factor as embedded_matmul of swap_outputs(Rcheck)."""
+    """The string applied one step per string_matmul call, each restoring the
+    block: an R factor as the two-site step of swap_outputs(Rcheck)."""
     dims = (d,) * N
     for tag, op, where in steps:
         if tag == "perm":
-            M = permuted_matmul(where, dims, M)
-        elif tag == "site":
-            M = string_matmul([(op, where)], dims, M)
+            M = string_matmul([(None, where)], dims, M)
         else:
-            M = embedded_matmul(swap_outputs(op, d, d) if tag == "R" else op, *where, dims, M)
+            M = string_matmul([(swap_outputs(op, d, d) if tag == "R" else op, where)], dims, M)
     return M
 
 

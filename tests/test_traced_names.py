@@ -6,13 +6,12 @@ import pytest
 
 from qkzkit import cli, rsolve
 
-# perfbench/spans.py wraps these by name and prices the four tensorops ones in
+# perfbench/spans.py wraps these by name and prices the two tensorops ones in
 # spans.COSTS; a rename would make their layer metrics, or
-# tensorops.flops_computed and bytes_computed, read 0 instead of failing
+# tensorops.bytes_computed, read 0 instead of failing
 TRACED = ("rsolve._raw_nullvector", "rsolve.solve_intertwiner", "rsolve.normalize_hw",
           "rsolve.apply_kappa", "cli.serialize_reports",
-          "tensorops.embedded_matmul", "tensorops.permuted_matmul", "tensorops.embed_pair",
-          "tensorops.permutation_op")
+          "tensorops.embed_pair", "tensorops.permutation_op")
 
 
 @pytest.mark.parametrize("name", TRACED)
