@@ -206,8 +206,8 @@ def apply_factors(chain, strings, factor, block=None, check_invertible=True,
     by name from `factor`, the reader of solve_records (`_slot_steps`), so
     the first failing read is the one that the strings applied one at a
     time meet first.  One `string_matmul` pass applies the stack to the
-    block: each two-site step is the (S, d^2, d^2) stack of its factors (the
-    one matrix at S = 1), an R step applies its Rcheck and trades the labels
+    block: each two-site step is the (S, d^2, d^2) stack of its factors, an
+    R step applies its Rcheck and trades the labels
     of its two sites (R = P Rcheck), and a permutation only relabels.  With
     einsum=True (the einsum route, which has no permutation step) each
     string is applied on its own, each factor read at its step and
@@ -216,20 +216,17 @@ def apply_factors(chain, strings, factor, block=None, check_invertible=True,
     forms no D x D matrix."""
     M = np.eye(prod(chain.dims), dtype=complex) if block is None else block
     if einsum:
-        outs = [_einsum_string(chain, steps, factor, check_invertible, M) for steps in strings]
-        return np.stack(outs) if len(outs) > 1 else outs[0][None]
-    if len(strings) > 1:  # every slice reads the one block
-        M = np.broadcast_to(M, (len(strings), *M.shape))
-    out = string_matmul(_slot_steps(chain, strings, factor, check_invertible), chain.dims, M)
-    return out if out.ndim == 3 else out[None]
+        return np.stack([_einsum_string(chain, steps, factor, check_invertible, M)
+                         for steps in strings])
+    M = np.broadcast_to(M, (len(strings), *M.shape))  # every slice reads the one block
+    return string_matmul(_slot_steps(chain, strings, factor, check_invertible), chain.dims, M)
 
 
 def _slot_steps(chain, strings, factor, check_invertible):
-    """The string_matmul steps of a stack of factor strings.  One string's
-    factors are read as their steps are applied; a stack's are read string
-    by string, each string in application order, before the first step, and
-    each two-site step is the stack of its strings' factors."""
-    stacks = None if len(strings) == 1 else iter([np.stack(column) for column in zip(*(
+    """The string_matmul steps of a stack of factor strings.  The factors are
+    read string by string, each string in application order, before the
+    first step, and each two-site step is the stack of its strings' factors."""
+    stacks = iter([np.stack(column) for column in zip(*(
         [factor(chain, info, check_invertible) for info in _two_site(steps)]
         for steps in strings))])
     for tag, where, info in strings[0]:
@@ -238,7 +235,7 @@ def _slot_steps(chain, strings, factor, check_invertible):
         elif tag == "perm":
             yield None, where
         elif tag in ("R", "Rcheck"):
-            yield factor(chain, info, check_invertible) if stacks is None else next(stacks), where
+            yield next(stacks), where
             if tag == "R":
                 i, j = where
                 swap = list(range(len(chain.dims)))
