@@ -216,9 +216,10 @@ def apply_factors(chain, strings, factor, block=None, check_invertible=True,
     forms no D x D matrix."""
     M = np.eye(prod(chain.dims), dtype=complex) if block is None else block
     if einsum:
-        return np.stack([_einsum_string(chain, steps, factor, check_invertible, M)
-                         for steps in strings])
-    M = np.broadcast_to(M, (len(strings), *M.shape))  # every slice reads the one block
+        outs = [_einsum_string(chain, steps, factor, check_invertible, M) for steps in strings]
+        return np.stack(outs) if len(outs) > 1 else outs[0][None]
+    # every slice reads the one block (np.broadcast_to costs more than the view of one)
+    M = np.broadcast_to(M, (len(strings), *M.shape)) if len(strings) > 1 else M[None]
     return string_matmul(_slot_steps(chain, strings, factor, check_invertible), chain.dims, M)
 
 
@@ -226,9 +227,9 @@ def _slot_steps(chain, strings, factor, check_invertible):
     """The string_matmul steps of a stack of factor strings.  The factors are
     read string by string, each string in application order, before the
     first step, and each two-site step is the stack of its strings' factors."""
-    stacks = iter([np.stack(column) for column in zip(*(
+    stacks = iter(np.array(list(zip(*(
         [factor(chain, info, check_invertible) for info in _two_site(steps)]
-        for steps in strings))])
+        for steps in strings)))))
     for tag, where, info in strings[0]:
         if tag == "delta":
             yield chain.delta_matrix(info), (where,)

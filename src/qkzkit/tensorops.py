@@ -189,7 +189,7 @@ def string_matmul(steps, site_dims, M):
     matmul calls the same BLAS gemm on each slice, so neither the BLAS
     kernel's column blocking nor the stacking moves a bit: slice s of a stack
     is the call on block s with the ops of slice s.  `steps` may be a
-    generator, which then builds each step when it is applied.  An
+    generator; every step is built before the first product.  An
     overflowing product reads inf or NaN, with no numpy warning, so the
     residual it reaches fails its report.
     """
@@ -198,19 +198,20 @@ def string_matmul(steps, site_dims, M):
     o, n = len(lead), len(dims)
     T = M.reshape(lead + dims + (cols,))
     labels = list(range(n))  # labels[a]: the site that site axis a holds
-    for op, where in steps:
-        if op is None:
-            labels = [where[site] for site in labels]
-            continue
-        front = [labels.index(site) for site in where]
-        rest = sorted((a for a in range(n) if a not in front), key=labels.__getitem__)
-        axes = (*front, *rest, n)  # the column axis last, a stack axis first
-        T = T.transpose((0, *(a + 1 for a in axes)) if o else axes)
-        shape = T.shape
-        with np.errstate(all="ignore"):
+    steps = list(steps)  # built before the products, outside their errstate
+    with np.errstate(all="ignore"):
+        for op, where in steps:
+            if op is None:
+                labels = [where[site] for site in labels]
+                continue
+            front = [labels.index(site) for site in where]
+            rest = sorted((a for a in range(n) if a not in front), key=labels.__getitem__)
+            axes = (*front, *rest, n)  # the column axis last, a stack axis first
+            T = T.transpose((0, *(a + 1 for a in axes)) if o else axes)
+            shape = T.shape
             T = (np.asarray(op) @ T.reshape(*lead, prod(shape[o:o + len(where)]), -1)
                  ).reshape(shape)
-        labels = [*where, *(labels[a] for a in rest)]
+            labels = [*where, *(labels[a] for a in rest)]
     order = sorted(range(n), key=labels.__getitem__)  # np.argsort costs more
     axes = (*order, n)
     return np.ascontiguousarray(T.transpose((0, *(a + 1 for a in axes)) if o else axes)
