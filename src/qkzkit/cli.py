@@ -64,10 +64,6 @@ KIND_CODES = {"VV": ("V", "V"), "VsV": ("V*", "V"), "VVs": ("V", "V*"), "VsVs": 
 MAX_M = math.floor((2**28 / (16 * 4 * 2 * 8)) ** 0.25) - 1
 
 
-def _context(config) -> QContext:
-    return QContext(q=config.q, trunc_terms=config.trunc)
-
-
 def _grading(config) -> GradingChoice:
     return GradingChoice(config.s0, config.s1)
 
@@ -464,7 +460,7 @@ def _run_groups(names, config) -> int:
     qkz.solve_records call solves the factors of every record, and each
     group evaluates its records in its error scope, on the run's probe
     blocks."""
-    ctx, g = _context(config), _grading(config)  # q and grading fail before any group runs
+    ctx, g = QContext(config.q), _grading(config)  # q and grading fail before any group runs
     if not np.isfinite(config.alpha):
         raise ConfigError(f"--alpha must be finite, got {config.alpha}")
     if "theorems" in names and config.m < 1:
@@ -506,7 +502,7 @@ def cmd_verify(config) -> int:
 def cmd_rmat(config) -> int:
     k1, k2 = KIND_CODES[config.kinds]
     res = r_matrix(k1, config.zeta1, k2, config.zeta2, config.m, _grading(config),
-                   _context(config), normalization=config.norm, check_invertible=False)
+                   QContext(config.q), normalization=config.norm, check_invertible=False)
     d = config.m + 1
     payload = {
         "site_dims_out": [d, d],
@@ -519,7 +515,7 @@ def cmd_rmat(config) -> int:
 
 
 def cmd_scalars(config) -> int:
-    ctx = _context(config)
+    ctx = QContext(config.q)
     rng = _rng_for(config, "scalars_table")
     zs = _zsample(rng, config.samples)
     columns = {
@@ -574,7 +570,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                     "help": "twist parameter; 0 lets invariances use 0.37-0.21i"},
         "--seed": {"type": int, "default": 42, "help": "seed of every sample (at least 0)"},
         "--tol": {"type": float, "help": "override every check tolerance"},
-        "--trunc": {"type": int, "default": 256, "help": "factors per product or series"},
         "--samples": {"type": int, "default": 3, "help": "random samples per check or table"},
         "--norm": {"choices": ("hw", "kappa"), "default": "kappa", "help": "R normalization"},
         "--format": {"dest": "fmt", "choices": ("json", "text"), "default": "json",
@@ -589,15 +584,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         "--zeta2": {**cplx, "default": complex(1.0), "help": "spectral parameter of site 2"},
         "check": {"help": "check group name"},
     }
-    checks = ("--m", "--n", "--q", "--s0", "--s1", "--alpha", "--seed", "--tol", "--trunc",
-              "--samples", "--norm", "--format", "--out")
+    checks = ("--m", "--n", "--q", "--s0", "--s1", "--alpha", "--seed", "--tol", "--samples",
+              "--norm", "--format", "--out")
     commands = (
         ("suite", "run the full check battery", (*checks, "--jobs")),
         ("verify", "run one named check group", ("check", *checks)),
-        ("rmat", "dump an R-operator matrix", ("--m", "--q", "--s0", "--s1", "--trunc",
-                                               "--norm", "--out", "--kinds", "--zeta1",
-                                               "--zeta2")),
-        ("scalars", "tabulate normalization scalars", ("--m", "--l", "--q", "--trunc", "--seed",
+        ("rmat", "dump an R-operator matrix", ("--m", "--q", "--s0", "--s1", "--norm", "--out",
+                                               "--kinds", "--zeta1", "--zeta2")),
+        ("scalars", "tabulate normalization scalars", ("--m", "--l", "--q", "--seed",
                                                        "--samples", "--format", "--out")),
     )
     chosen = {argv[0]} & {c for c, _, _ in commands} if argv else set()

@@ -20,7 +20,7 @@ class DivergentBaseError(ScalarDomainError):
 
 
 class TruncationError(ScalarDomainError):
-    """Truncation tail bound exceeds the requested residual tolerance."""
+    """A product or series needs more explicit factors or terms than the package takes."""
 
 
 class PoleError(ScalarDomainError):

@@ -40,9 +40,9 @@ alone, and raises nothing, also far out on the q-disk.  Isolation stays
 per module pair: the stacked pass runs with numpy's floating-point errors
 off, and a pair whose data are not finite (a FloatingPointError) or
 whose highest-weight kernels fail the gap test (a DegeneratePointError)
-fails its own requests alone; a template build, a stack or a kappa scan
+fails its own requests alone; a template build, a stack or a kappa call
 that raises an arithmetic error fails the requests of its spin, its
-stack or its scan.  The read rule read_result raises a copy of a stored
+stack or its call.  The read rule read_result raises a copy of a stored
 error or refuses a singular operator.  solve_intertwiner is the rule over
 one solve_requests call, and r_matrix its call for one request (which
 builds the template of its whole spin).  The distinct module and zeta
@@ -53,16 +53,16 @@ the ratios, their products and the gauged entries, then the intertwining
 residual, which forms the dense operators block by block.  At the suite's
 sizes a call costs mostly its fixed part (2 cores, one BLAS thread, the
 template built: about 0.27 ms for one kappa request at m = 3, 0.13 ms of
-it the stack and 0.09 ms the kappa scan, against about 0.04 ms for each
+it the stack and 0.09 ms the kappa call, against about 0.04 ms for each
 further request of the same stack, of any module pair; 0.35 ms for 12
 kappa requests at m = 1), so a `suite` run makes one solve_requests call
 (`qkz.solve_records`) for the records of all its check groups, which read
 their factors through its factor reader (`suite --m 3`: 3 templates, 3
-stacks and one kappa scan, the lattice probes of degenerate_detection
+stacks and one kappa call, the lattice probes of degenerate_detection
 among them).  A stack forms each
 request's Rcheck elementwise, its basis columns summed in a fixed order,
-and a kappa scan is elementwise numpy arithmetic, so each of its rows
-keeps the bits of a one-row scan: a result does not depend on the call
+and a kappa call is elementwise numpy arithmetic, so each of its rows
+keeps the bits of a one-row call: a result does not depend on the call
 that solved it.
 
 Normalization modes:
@@ -72,7 +72,7 @@ Normalization modes:
 Each zeta pair of a call is solved once, hw-normalized; a kappa request
 reads that solve times its kappa scalar, and the product is formed on
 each read.  The zeta pairs of one call that need a kappa scalar share one
-Pochhammer scan per (s, m, q context).
+kappa_sl2 call per (s, m, q).
 
 At zeta1/zeta2 = q^delta the kappa-normalized (V,V) family has a removable
 pole that no nullspace solve reaches; rcheck_resonant gives its value in
@@ -565,16 +565,16 @@ def normalize_hw(ratios) -> np.ndarray:
 def _kappa_scalars(reqs) -> list:
     """The scalar that apply_kappa takes for each kappa request, 1/kappa for a
     like pair and kappa for a mixed pair, or the error that request raises
-    alone; one kappa_sl2 scan for the requests of each (s, m, q context).  A
-    scan that raises (NUMERICAL_ERRORS) fails every request of its group, a
+    alone; one kappa_sl2 call for the requests of each (s, m, q).  A
+    call that raises (NUMERICAL_ERRORS) fails every request of its group, a
     kappa that is not finite its own request, and so does a kappa of 0 for
     a like pair."""
     out = [None] * len(reqs)
-    groups = {}  # (s, m, q, trunc_terms) -> the places of its requests
+    groups = {}  # (s, m, q) -> the places of its requests
     for i, req in enumerate(reqs):
-        key = req.grading.s0 + req.grading.s1, req.m, req.ctx.q, req.ctx.trunc_terms
+        key = req.grading.s0 + req.grading.s1, req.m, req.ctx.q
         groups.setdefault(key, []).append(i)
-    for (s, m, _, _), idx in groups.items():
+    for (s, m, _), idx in groups.items():
         ctx, errors = reqs[idx[0]].ctx, [None] * len(idx)
         try:
             with np.errstate(all="ignore"):
@@ -663,13 +663,13 @@ def solve_requests(reqs, cache: RCache = None) -> list:
     in one stack per spin, q and grading (_solve), which covers every module
     pair of that spin and reads the spin's one template, and serves both
     normalizations: a kappa request reads it through apply_kappa.  The
-    kappa requests whose solve succeeded share one kappa_sl2 scan per
-    (s, m, q context) (_kappa_scalars).  Errors are isolated as far as the
+    kappa requests whose solve succeeded share one kappa_sl2 call per
+    (s, m, q) (_kappa_scalars).  Errors are isolated as far as the
     work is shared: a module pair whose template data are not finite or
     fail the gap test (_Frame.errors) fails that pair's requests alone, and
     of NUMERICAL_ERRORS, a template build that raises one fails its whole
     spin's requests, a stack that raises one the requests of its spin, q
-    and grading, and a kappa scan its own.  The results live in the call;
+    and grading, and a kappa call its own.  The results live in the call;
     the cache (a fresh RCache by default) only shares the templates.
     """
     if cache is None:

@@ -1,25 +1,35 @@
 """q-numbers, q-Pochhammer products and closed-form normalization scalars.
 
-All infinite products and series are truncated at ctx.trunc_terms terms
-or at working precision, whichever comes first, with a geometric tail
-estimate; evaluation aborts rather than silently returning an
-under-resolved value.
+An infinite product (a; p)_inf, |p| < 1, is taken in closed form: for
+|x| < 1, log (x; p)_inf = -sum_{j>=1} x^j / (j (1 - p^j)) (Gasper and
+Rahman, Basic Hypergeometric Series, 2nd ed., 2004), whose terms fall at
+least as |x|^j / (j (1 - |p|)).  A product takes the explicit factors
+1 - a p^k while |a p^k| > _RHO = 1/4, K of them (so K follows from |a| and
+|p|, and p = 0 takes at most one), and J terms of the series at x = a p^K,
+with a remainder below 2^-54 (_log_series).  A ratio of products is exp of
+the numerators' logs minus the denominators', so products that underflow
+or overflow alone do not meet as 0/0, and only explicit factors can vanish
+(past them |1 - a p^k| >= 3/4).  A log rounds by about the unit roundoff
+times |x| / (1 - |p|) plus the |log| of its explicit factors, so a ratio's
+relative error grows as |log| of its products, with |p| (kappa at even m
+keeps about 3e-13 against its rational form at q = 0.999).
 
 The normalization scalars take z, the combination zeta12^s of the two
 spectral parameters, as a number or as a 1-D array of rows, and return a
 number or an array to match; the sl2 ones take m as a number or one per
-row.  All rows of one call share one scan over k (_poch_ratio): the 3-4
-Pochhammer products of every row are formed and multiplied at once, each
-row keeps its own stop and each product its own smallest factor and
-checks.  Every step is elementwise numpy arithmetic, and the powers of q
-are formed for each m as a one-m call forms them (_by_m), so each row has
-the bits and the error of a one-z call.  A call raises a copy of the
-error of its first failing row, taking the rows of each m in turn (in
-order of first appearance), as one-m calls in that order would;
-kappa_sl2 and rho0_sl2, given an `errors` list (one entry per row),
-record each row's first error there instead.
+row.  All rows of one call share the powers of p (_poch_ratio): the 3-4
+Pochhammer products of every row are formed at once, each product with
+its own explicit factors and checks.  Every step is elementwise numpy
+arithmetic or a sum of fixed length, and the powers of q are formed for
+each m as a one-m call forms them (_by_m), so each row has the bits and
+the error of a one-z call.  A call raises a copy of the error of its first
+failing row, taking the rows of each m in turn (in order of first
+appearance), as one-m calls in that order would; kappa_sl2 and rho0_sl2,
+given an `errors` list (one entry per row), record each row's first error
+there instead.
 """
 
+import cmath
 import math
 from collections import namedtuple
 
@@ -33,9 +43,11 @@ PochhammerResult = namedtuple("PochhammerResult", ["value", "tail_bound"])
 SeriesResult = namedtuple("SeriesResult", ["value", "tail_bound"])
 
 _POLE_TOL = 1e-9
-_TAIL_TOL = 1e-10  # largest accepted truncation tail bound of a product
+_RHO = 0.25  # a product takes explicit factors while |a p^k| > _RHO, the log series after
+_MAX_TERMS = 2**16  # the most explicit factors of a product, or terms of F_m
+_LOG_RANGE = 708.0  # exp(x) is a normal float for |x| <= _LOG_RANGE
 _NEGLIGIBLE = 2.0**-54  # a term below this, relative to the value, moves it by under half an ulp
-_SERIES_BLOCK = 4096  # series terms formed at once, so a long series needs no more memory
+_BLOCK = 4096  # factors or series terms formed at once, so a long product needs no more memory
 
 
 def q_number(nu: complex, ctx: QContext) -> complex:
@@ -99,122 +111,122 @@ def _by_m(ms, x, errors, shape, build) -> np.ndarray:
     return out
 
 
-def _scan_powers(p: complex, abs_p: float, reach: float, negligible: float, limit: int) -> tuple:
-    """(p^k, |p^k|) for k = 0 .. K, K the first k with reach |p^k| < negligible
-    or else limit: p^k a sequential product, as a loop forms it, and |p^k|
-    abs() of it (np.hypot; np.abs rounds differently).  The powers are formed
-    to a few past the estimate log(negligible / reach) / log |p|, then to
-    limit if that falls short (reach = 0 stops at k = 0, |p| = 0 by k = 1)."""
-    guess = 1
-    if reach > 0.0 and abs_p > 0.0:
-        guess = max(1, min(limit, int(math.log(negligible / reach) / math.log(abs_p)) + 3))
-    for n in (guess, limit):
-        powers = np.multiply.accumulate(np.concatenate(([1.0], np.full(n, p))))
-        moduli = np.hypot(powers.real, powers.imag)
-        below = reach * moduli < negligible
-        below[-1] |= n == limit
-        K = int(below.argmax())
-        if below[K]:
-            return powers[:K + 1], moduli[:K + 1]
+def _log_series(abs_p: float) -> tuple:
+    """(J, bound): the series terms J that |x| <= _RHO needs and the bound on the
+    rest, _RHO^(J+1) / ((J+1) (1 - |p|^(J+1)) (1 - _RHO)) (|1 - p^j| >=
+    1 - |p|^(J+1) for j > J), J the first with this below 2^-54."""
+    J = math.ceil(math.log(_NEGLIGIBLE * (1.0 - _RHO) * (1.0 - abs_p)) / math.log(_RHO)) - 1
+    return J, _RHO ** (J + 1) / ((J + 1) * (1.0 - abs_p ** (J + 1)) * (1.0 - _RHO))
 
 
-def _poch_ratio(rows, n_num: int, p: complex, ctx: QContext, what, errors) -> tuple:
+def _log_tail(x, pj) -> np.ndarray:
+    """log (x; p)_inf of each |x| <= _RHO by its J series terms, pj = p^1..p^J:
+    x^j by doubling, x^(i+d) = x^i x^d, and summed in order of j."""
+    J = len(pj)
+    terms = np.empty((J, len(x)), dtype=complex)
+    terms[0] = x
+    done = 1
+    while done < J:
+        step = min(done, J - done)
+        np.multiply(terms[:step], terms[done - 1], out=terms[done:done + step])
+        done += step
+    terms *= (-1.0 / (np.arange(1, J + 1) * (1.0 - pj)))[:, None]
+    return np.add.reduce(terms, axis=0)
+
+
+def _poch_ratio(rows, n_num: int, p: complex, what, errors) -> np.ndarray:
     """prod_i (a_i; p)_inf / prod_j (b_j; p)_inf for each row of arguments,
-    the n_num numerators a_i first and then the denominators b_j; returns
-    (ratios, tail bounds), one of each per row, the bound the largest of
-    the row's products.
+    the n_num numerators a_i first, as exp of their logs (module docstring).
 
-    One scan over k shares p^k (_scan_powers) between every product of
-    every row.  A row stops after ctx.trunc_terms factors, or earlier at the
-    first k with top |p^k| < 2^-54 (1 - |p|), top the row's largest
-    |argument|: from there on every factor moves its product by less than
-    half an ulp.  The scan is as long as the longest row with finite
-    arguments, the factors 1 - a p^k past a row's own stop are left out of
-    its product, and nothing grows with trunc_terms.  Then each product of a
-    row is checked in turn, numerators first, as if scanned alone: too few
-    factors if |a p^T| >= 0.5; unless `what` is None, a tail bound above
-    _TAIL_TOL and, for a denominator, a factor closer to 0 than _POLE_TOL;
-    and a product that is not finite (factors of huge arguments overflow
-    it, so the ratio would read inf/inf) is a ScalarDomainError.  Errors
-    name a denominator `what` and a numerator "Pochhammer factor"; each
-    goes to errors[row] unless that row already has one.  A row whose
-    products pass but whose ratio is not finite (they underflow, to 0/0 or
-    x/0) gets a ScalarDomainError too, and a row with an error reads NaN.
+    All arguments share the powers of p; the explicit factors are formed
+    _BLOCK at a time, those past an argument's own K read as 1, and the
+    logs are summed in a fixed order (numpy sums the leading axis of more
+    than one column in order), so each row has the bits of a one-row call.
+    Each product of a row is checked in turn, numerators first: an argument
+    that is not finite is a ScalarDomainError, one that needs more than
+    _MAX_TERMS factors a TruncationError, and unless `what` is None, a
+    denominator factor closer to 0 than _POLE_TOL a PoleError naming `what`
+    (a numerator is a "Pochhammer factor"); then a ratio out of the floats'
+    range is a ScalarDomainError, unless a numerator factor is 0.  Each goes
+    to errors[row] unless that row has one, and a row with one reads NaN.
     """
     abs_p = abs(p)
-    if abs_p >= 1.0:
+    if not abs_p < 1.0:
         raise DivergentBaseError(f"|p| must be < 1, got {abs_p:.6g}")
     a = np.asarray(rows, dtype=complex)  # (N, A)
-    modulus = np.abs(a)
-    top = modulus.max(axis=1, initial=0.0)
-    negligible = _NEGLIGIBLE * (1.0 - abs_p)
-    reach = float(top.max(initial=0.0, where=np.isfinite(top)))
-    powers, moduli = _scan_powers(p, abs_p, reach, negligible, ctx.trunc_terms)
-    K = len(powers) - 1
-    stopped = top[:, None] * moduli < negligible  # (N, K + 1)
-    stopped[:, K] = True  # a row with arguments that are not finite scans K factors
-    stop = stopped.argmax(axis=1)
-    scanned = np.arange(K) < stop[:, None, None]
-    with np.errstate(all="ignore"):  # a huge argument overflows its product
-        factors = 1.0 - a[:, :, None] * powers[:K]
-        values = np.prod(factors, axis=2, where=scanned)
-        # |log prod_{k>=T}| <= sum |a||p|^k / (1 - |a p^k|); geometric bound
-        head = modulus * moduli[stop][:, None]
-        tail = 2.0 * head / (1.0 - abs_p)
-        ratios = values[:, :n_num].prod(axis=1) / values[:, n_num:].prod(axis=1)
-    failing = (head >= 0.5) | ~np.isfinite(values)
+    shape, a = a.shape, a.ravel()
+    J = _log_series(abs_p)[0]
+    # log |p|^-1, and at p = 0 a number so large that each |a| > _RHO takes one factor
+    shrink = -math.log(abs_p) if abs_p > 0.0 else 1e300
+    with np.errstate(all="ignore"):
+        K = np.maximum(np.ceil(np.log(np.abs(a) * (1.0 / _RHO)) / shrink), 0.0)
+        unusable = ~(K <= _MAX_TERMS)  # an argument that is not finite or needs too many
+        K, a = np.where(unusable, 0, K).astype(int), np.where(unusable, 0.0, a)
+        longest = int(K.max(initial=0))
+        powers = p ** np.arange(max(longest, J) + 1)
+        logs = _log_tail(a * powers[K], powers[1:J + 1])
+        closest = np.zeros(len(a))  # least log |1 - a p^k| over the explicit factors, or 0
+        for start in range(0, longest, _BLOCK):
+            stop = min(start + _BLOCK, longest)
+            factors = np.log(np.where(np.arange(start, stop)[:, None] < K,
+                                      1.0 - powers[start:stop, None] * a, 1.0))
+            logs += np.add.reduce(factors, axis=0)
+            closest = np.fmin(closest, factors.real.min(axis=0))
+        logs = logs.reshape(shape)
+        logs[:, n_num:] *= -1.0
+        total = np.add.reduce(logs, axis=1)
+        ratios = np.exp(total)
+    failing, closest = unusable.reshape(shape), closest.reshape(shape)
     if what is not None:
-        # a denominator with a factor closer to 0 than _POLE_TOL; past a row's stop
-        # every factor is within 2^-54 of 1, so the test needs no mask
-        near = np.fmin.reduce(np.abs(factors[:, n_num:]), axis=2, initial=np.inf) < _POLE_TOL
-        failing |= tail > _TAIL_TOL
-        failing[:, n_num:] |= near
-    bad = failing.any(axis=1)
-    for r in np.flatnonzero(bad | ~np.isfinite(ratios)):
-        i = int(failing[r].argmax())
-        is_den = i >= n_num
-        name = what if is_den and what is not None else "Pochhammer factor"
-        if not bad[r]:  # finite products whose ratio is not
-            err = ScalarDomainError(f"Pochhammer ratio is not finite after {stop[r]} factors: "
-                                    "its products underflow or their quotient overflows")
-        elif head[r, i] >= 0.5:
-            err = TruncationError("trunc_terms too small for this Pochhammer argument")
-        elif what is not None and tail[r, i] > _TAIL_TOL:
-            err = TruncationError(
-                f"tail bound {tail[r, i]:.3g} exceeds {_TAIL_TOL:.0e} for {name}")
-        elif what is not None and is_den and near[r, i - n_num]:
-            closest = np.fmin.reduce(np.abs(factors[r, i, :stop[r]]), initial=np.inf)
-            err = PoleError(f"{what} has a vanishing factor (closest |1-a p^k| = {closest:.3g})")
-        else:
-            err = ScalarDomainError(f"{name} product overflows (not finite after "
-                                    f"{stop[r]} factors)")
-        errors[r] = errors[r] or err
+        failing[:, n_num:] |= closest[:, n_num:] < math.log(_POLE_TOL)
+    in_range = abs(total.real) <= _LOG_RANGE
+    if failing.any() or not in_range.all():  # some row fails
+        for r in np.flatnonzero(failing.any(axis=1) | ~in_range):
+            i = int(failing[r].argmax())
+            name = what if i >= n_num and what is not None else "Pochhammer factor"
+            if not failing[r, i]:
+                if total[r].real == -math.inf:  # a numerator factor is 0: the ratio is 0
+                    continue
+                err = ScalarDomainError("Pochhammer ratio is out of range: exp of its log over- "
+                                        "or underflows")
+            elif not cmath.isfinite(rows[r][i]):
+                err = ScalarDomainError(f"{name} argument is not finite")
+            elif closest[r, i] < math.log(_POLE_TOL):  # only a denominator's is tested
+                err = PoleError(f"{what} has a vanishing factor "
+                                f"(closest |1-a p^k| = {math.exp(closest[r, i]):.3g})")
+            else:
+                err = TruncationError(f"{name} needs more than {_MAX_TERMS} explicit factors")
+            errors[r] = errors[r] or err
     failed = [r for r, err in enumerate(errors) if err is not None]
     if failed:
         ratios[failed] = complex(math.nan, math.nan)
-    return ratios, tail.max(axis=1, initial=0.0)
+    return ratios
 
 
-def q_pochhammer(a: complex, p: complex, ctx: QContext) -> PochhammerResult:
-    """(a; p)_infinity = prod_{k>=0} (1 - a p^k), truncated, with tail bound."""
+def q_pochhammer(a: complex, p: complex) -> PochhammerResult:
+    """(a; p)_infinity = prod_{k>=0} (1 - a p^k), with the bound on the log
+    series terms it leaves out (_log_series)."""
     errors = [None]
-    values, (tail,) = _poch_ratio([(a,)], 1, p, ctx, None, errors)
-    return PochhammerResult(_finish(a, values, errors), float(tail))
+    values = _poch_ratio([(a,)], 1, p, None, errors)
+    return PochhammerResult(_finish(a, values, errors), _log_series(abs(p))[1])
 
 
 def f_series(m: int, zeta, ctx: QContext) -> SeriesResult:
-    """F_m(zeta) = sum_{n>=1} zeta^n / (n [m]_{q^n}), truncated, with tail bound,
-    for zeta a number or a 1-D array (value and bound shaped like zeta).
+    """F_m(zeta) = sum_{n>=1} zeta^n / (n [m]_{q^n}), with the bound on the terms
+    it leaves out, for zeta a number or a 1-D array (value and bound shaped
+    like zeta).
 
     With 1/[m]_{q^n} = q^{n(m-1)} (1 - q^{2n}) / (1 - q^{2nm}) (no negative
     powers of q), |term_n| <= C rho^n / n for rho = |zeta| |q|^(m-1) and
     C = (1 + |q|^2) / (1 - |q|^{2m}), so the terms after the N-th sum to at
     most C rho^(N+1) / ((N+1)(1 - rho)), the tail bound.  A row keeps the
     terms up to the first N where C rho^(N+1) / (1 - rho) is below 2^-54
-    |term_1|, and at most ctx.trunc_terms of them.  The terms of all rows
-    are formed as arrays, _SERIES_BLOCK of them at a time, and each row is
-    summed exactly (math.fsum of the real and imaginary parts).  A row with
-    |zeta| >= 1 diverges (DivergentBaseError, for the first such row).
+    |term_1|; a row that needs more than _MAX_TERMS of them is a
+    TruncationError.  The terms of all rows are formed as arrays, _BLOCK of
+    them at a time, and each row is summed exactly (math.fsum of the real
+    and imaginary parts).  A row with |zeta| >= 1 diverges
+    (DivergentBaseError, for the first such row; TruncationError for the
+    row that needs the most terms).
     """
     if m < 1:
         raise ScalarDomainError("m must be a positive integer")
@@ -230,11 +242,14 @@ def f_series(m: int, zeta, ctx: QContext) -> SeriesResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.log(_NEGLIGIBLE * first * (1.0 - rho) / C) / np.log(rho) - 1.0
     terms = np.where(np.isfinite(need) & (need > 1.0), np.ceil(need), 1.0)
-    terms = np.minimum(terms, ctx.trunc_terms).astype(int)
+    if terms.max(initial=0.0) > _MAX_TERMS:
+        raise TruncationError(f"F_{m} needs more than {_MAX_TERMS} terms at "
+                              f"|zeta| = {abs(x[terms.argmax()]):.6g}")
+    terms = terms.astype(int)
     w, longest = (x * q ** (m - 1))[:, None], int(terms.max(initial=1))
     parts = [[] for _ in x]
-    for start in range(0, longest, _SERIES_BLOCK):
-        n = np.arange(start + 1, min(start + _SERIES_BLOCK, longest) + 1)
+    for start in range(0, longest, _BLOCK):
+        n = np.arange(start + 1, min(start + _BLOCK, longest) + 1)
         block = np.where(n <= terms[:, None], w**n * (1.0 - (q**2) ** n)
                          / (n * (1.0 - (q ** (2 * m)) ** n)), 0.0)
         for part, row in zip(parts, block):
@@ -262,7 +277,7 @@ def rho0_sl2(m, z, ctx: QContext, errors=None):
         return np.array((np.full(len(xs), q ** (-mu * mu / 2.0)), q**2 * xs, q**2 * xs,
                          q ** (2 * mu + 2) * xs, q ** (-2 * mu + 2) * xs)).T
     rows = _by_m(m, x, own, (len(x), 5), build)
-    ratios, _ = _poch_ratio(rows[:, 1:], 2, q**4, ctx, "rho0 denominator", own)
+    ratios = _poch_ratio(rows[:, 1:], 2, q**4, "rho0 denominator", own)
     return _finish(z, rows[:, 0] * ratios, own if errors is None else (), m=m)
 
 
@@ -312,8 +327,8 @@ def _kappa_sl2_products(ms, x, ctx: QContext, errors) -> np.ndarray:
 
     def build(mu, xs):
         return np.array((q ** (2 * mu + 2) * xs, q**2 / xs, q ** (2 * mu + 2) / xs, q**2 * xs)).T
-    return _poch_ratio(_by_m(ms, x, errors, (len(x), 4), build), 2, q**4, ctx,
-                       "kappa denominator", errors)[0]
+    return _poch_ratio(_by_m(ms, x, errors, (len(x), 4), build), 2, q**4,
+                       "kappa denominator", errors)
 
 
 def kappa_sl2_even_rational(k: int, z: complex, ctx: QContext) -> complex:
@@ -346,7 +361,7 @@ def difference_patterns_sl2(m, z, ctx: QContext) -> dict:
     constant for odd m.  Both are returned so the sign convention can be
     probed rather than assumed.  The prefactor z^{m/2} of kappa(q^-2 z) is
     continued from z, as z^{m/2} q^{-m}: its principal branch at the
-    shifted point can lie across the cut.  One rho0_sl2 scan covers both
+    shifted point can lie across the cut.  One rho0_sl2 call covers both
     rho0 factors.  For the rows of each m in turn, the call raises the
     first error of rho0(q^-2 z), rho0(z), kappa(z) and kappa(q^-2 z), in
     that order.
@@ -385,8 +400,8 @@ def rho0_sllpo(l: int, z, ctx: QContext):
     Q = q ** (2 * (l + 1))
     x = _rows(z)
     errors = [None] * len(x)
-    ratios, _ = _poch_ratio(np.stack((q**2 * x, q ** (2 * l) * x, x, Q * x), axis=1),
-                            2, Q, ctx, "rho0 denominator", errors)
+    ratios = _poch_ratio(np.stack((q**2 * x, q ** (2 * l) * x, x, Q * x), axis=1),
+                         2, Q, "rho0 denominator", errors)
     return _finish(z, q ** (-l / (l + 1)) * ratios, errors)
 
 
@@ -406,7 +421,7 @@ def _kappa_sllpo_products(l: int, x, ctx: QContext, errors) -> np.ndarray:
     q = complex(ctx.q)
     Q = q ** (2 * (l + 1))
     rows = np.stack((q**2 / x, Q * x, q**2 * x, Q / x), axis=1)
-    return _poch_ratio(rows, 2, Q, ctx, "kappa denominator", errors)[0]
+    return _poch_ratio(rows, 2, Q, "kappa denominator", errors)
 
 
 def difference_patterns_sllpo(l: int, z, ctx: QContext) -> dict:
@@ -418,7 +433,7 @@ def difference_patterns_sllpo(l: int, z, ctx: QContext) -> dict:
     Here the mixed pattern is the constant one, equal to 1.  The prefactor
     z^{l/(l+1)} of kappa(Q^-1 z) is continued from z, as z^{l/(l+1)} q^{-2l}:
     its principal branch at the shifted point can lie across the cut.  One
-    rho0_sllpo scan covers both rho0 factors.  The call raises the first
+    rho0_sllpo call covers both rho0 factors.  The call raises the first
     error of rho0(Q^-1 z), rho0(z), kappa(z) and kappa(Q^-1 z), in that
     order.
     """

@@ -197,23 +197,21 @@ def string_matmul(steps, site_dims, M):
     lead = M.shape[:-2]  # (S,) for a stack, () for one block
     o, n = len(lead), len(dims)
     T = M.reshape(lead + dims + (cols,))
-    labels = list(range(n))  # labels[a]: the site that site axis a holds
+    stack = tuple(range(o))  # a stack's axis leads and stays
+    labels = [None] * o + list(range(n))  # labels[a]: the site that axis a of T holds
     steps = list(steps)  # built before the products, outside their errstate
     with np.errstate(all="ignore"):
         for op, where in steps:
             if op is None:
-                labels = [where[site] for site in labels]
+                labels[o:] = [where[site] for site in labels[o:]]
                 continue
             front = [labels.index(site) for site in where]
-            rest = sorted((a for a in range(n) if a not in front), key=labels.__getitem__)
-            axes = (*front, *rest, n)  # the column axis last, a stack axis first
-            T = T.transpose((0, *(a + 1 for a in axes)) if o else axes)
+            rest = sorted((a for a in range(o, o + n) if a not in front), key=labels.__getitem__)
+            T = T.transpose((*stack, *front, *rest, o + n))  # the column axis last
             shape = T.shape
             T = (np.asarray(op) @ T.reshape(*lead, prod(shape[o:o + len(where)]), -1)
                  ).reshape(shape)
-            labels = [*where, *(labels[a] for a in rest)]
-    order = sorted(range(n), key=labels.__getitem__)  # np.argsort costs more
-    axes = (*order, n)
-    return np.ascontiguousarray(T.transpose((0, *(a + 1 for a in axes)) if o else axes)
-                                ).reshape(M.shape)
+            labels[o:] = [*where, *(labels[a] for a in rest)]
+    order = sorted(range(o, o + n), key=labels.__getitem__)  # np.argsort costs more
+    return np.ascontiguousarray(T.transpose((*stack, *order, o + n))).reshape(M.shape)
 

@@ -111,7 +111,9 @@ class TestParsing:
         "suite --m 0", "verify theorems --m 0",
         # a tolerance must be a finite number >= 0: under inf a group error
         # (residual inf) would pass, and nan or a negative one fails every report
-        "suite --m 1 --trunc 8 --tol inf", "verify reps --tol nan", "suite --tol -1",
+        "suite --m 1 --tol inf", "verify reps --tol nan", "suite --tol -1",
+        # the retired truncation length: a product's explicit factors follow from its inputs
+        "suite --trunc 8", "verify scalars --trunc 8", "rmat --trunc 8", "scalars --trunc 8",
     ])
     def test_bad_command_line_exits_2_without_traceback(self, argv, tmp_path, capsys):
         argv = argv.format(missing=tmp_path / "missing" / "x.json", dir=tmp_path).split()
@@ -186,15 +188,16 @@ class TestVerify:
         assert all(rec["wall_ms"] is None for rec in data)
 
     def test_failing_group_still_reports(self, capsys):
-        # --trunc 8 is too short for the Pochhammer products: the group fails
-        # as one report, as it does in a suite run
-        code = main(["verify", "scalars", "--trunc", "8"])
+        # at q = 1e-30 a rho0 ratio of spin 4 is about 1e-360, below the floats:
+        # the group fails as one report, as it does in a suite run
+        code = main(["verify", "scalars", "--q", "1e-30"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == ""
         data = json.loads(captured.out)
         assert len(data) == 1
         assert data[0]["name"] == "scalars" and data[0]["params"] == {"group": "scalars"}
-        assert not data[0]["passed"] and data[0]["note"].startswith("TruncationError")
+        assert not data[0]["passed"] and data[0]["note"].startswith(
+            "ScalarDomainError: Pochhammer ratio is out of range")
 
     # command line, and the count of failing reports by (name, m)
     OVERFLOWING = [
@@ -444,6 +447,16 @@ def test_each_scalar_group_scans_once_per_function_and_base(argv, scans, monkeyp
     assert len(calls) == scans, calls
 
 
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+@pytest.mark.parametrize("q", ["0.98", "0.99", "0.999", "-0.99", "0,0.99"])
+def test_suite_passes_at_the_disk_edge(q, m, capsys):
+    # near the unit circle a Pochhammer product takes up to hundreds of
+    # explicit factors, and every check holds
+    code, out = run_cli(["suite", "--m", m, "--q", q, "--seed", "1"], capsys)
+    reports = json.loads(out)
+    assert code == 0 and len(reports) == 71 and all(r["passed"] for r in reports)
+
+
 def test_a_failing_scalar_group_keeps_no_solved_result_alive(capsys):
     # the scalars group fails at q = 1e-30 with a stored row error; it raises
     # a copy, so no traceback cycle through the error lists holds the group
@@ -571,14 +584,23 @@ def test_unbalanced_grading_solves_in_the_frame_of_the_smaller_gauge(capsys):
 
 
 class TestRmat:
-    def test_kappa_overflow_is_an_error(self, capsys):
-        # 256 factors of argument about 9e8 overflow both kappa products
-        code = main(["rmat", "--q", "0.95", "--zeta1", "1e-9", "--norm", "kappa", "--m", "1",
-                     "--s0", "1", "--s1", "0"])
+    def test_kappa_pole_is_an_error(self, capsys):
+        # at z = q^4 the kappa denominator (q^4 / z; q^4) has a factor within
+        # an ulp of 0
+        code = main(["rmat", "--q", "0.95", "--zeta1", repr(0.95**4), "--norm", "kappa",
+                     "--m", "1", "--s0", "1", "--s1", "0"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error:") and "overflows" in captured.err
+        assert captured.err.startswith("error: kappa denominator has a vanishing factor")
         assert captured.err.count("\n") == 1
+
+    def test_kappa_of_huge_arguments_is_finite(self, capsys):
+        # the kappa products of argument about 9e8 take about 110 explicit factors
+        # each, and their ratio is formed from logs: no product overflows
+        code, out = run_cli(["rmat", "--q", "0.95", "--zeta1", "1e-9", "--norm", "kappa",
+                             "--m", "1", "--s0", "1", "--s1", "0"], capsys)
+        data = json.loads(out)["data"]
+        assert code == 0 and all(np.isfinite(v) for entry in data for v in entry)
 
     def test_like_pair_keeps_its_matrix_beside_an_overflowing_dual_pair(self, capsys):
         # at q = 1e-150 the (V*, V*) data of spin 1 overflow, and rmat builds all
@@ -665,11 +687,11 @@ class TestDeterminism:
         # sha256 of `suite --m 1 --seed 7`: every seed below 2^32 draws the same
         # stream as before the 32-bit mask was removed.  A change that moves any
         # report bit of this run on purpose records its new digest (the last:
-        # the normalization scalars in one numpy arithmetic for every row)
+        # the Pochhammer products in closed form)
         code, out = run_cli(["suite", "--m", "1", "--seed", "7"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "f97b63fc0583bf075b594adedd81828c55ba302ae534e9b7ef5549216b3122eb"
+            "d5a6b7f32db78c2f416fb118bf32117a24e8227c0ebc988c70b305b449e52422"
 
     def test_seed_7_wide_report_is_unchanged(self, capsys):
         # sha256 of `suite --m 1 --samples 12 --seed 7`, the shape of the
@@ -678,7 +700,7 @@ class TestDeterminism:
         code, out = run_cli(["suite", "--m", "1", "--samples", "12", "--seed", "7"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "8ffd779c19986a915b978fe4ef1dfe22390bf57a6eb06b505dfc7f433b33ce03"
+            "bf6ad5beb3de570b7968ac4f26868deb64e17eb7e1c777df8dbc1f1847290960"
 
     def test_complex_q_wide_report_is_unchanged(self, capsys):
         # sha256 of `suite --m 1 --samples 12 --q 0.5,0.5 --seed 3`: the other
@@ -689,7 +711,7 @@ class TestDeterminism:
                              "--seed", "3"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "72585abb50d24e4ee6d54c9126a860c417b6f825a90a8d0027465b5b5320249c"
+            "1e45c3bacd6d6178336fa7f4e8d10611068da54ad9d295d3922c9fab8f391bbf"
 
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -763,15 +785,16 @@ class TestSuiteAcrossQ:
 
 class TestSuiteReporting:
     def test_failing_group_keeps_the_others(self, capsys):
-        # --trunc 8 is too short for the Pochhammer products: the groups that
-        # need them fail one report each, and every other group still reports
-        code = main(["suite", "--m", "1", "--trunc", "8"])
+        # at q = 1e-30 the groups whose operators or scalars overflow fail one
+        # report each, and every other group still reports
+        code = main(["suite", "--m", "1", "--q", "1e-30"])
         captured = capsys.readouterr()
         data = json.loads(captured.out)
         assert code == 1 and captured.err == ""
-        failing = [rec for rec in data if not rec["passed"]]
-        assert failing and all(rec["params"] == {"group": rec["name"]} and
-                               rec["note"].startswith("TruncationError") for rec in failing)
+        failing = {rec["name"]: rec["note"].split(":")[0] for rec in data if not rec["passed"]}
+        assert failing == {"crossing": "ConfigError", "invariances": "ConfigError",
+                           "scalars": "ScalarDomainError"}
+        assert all(rec["params"] == {"group": rec["name"]} for rec in data if not rec["passed"])
         assert {"double_dual", "self_dual", "rep_invariants"} <= {rec["name"] for rec in data}
 
     def test_text_mode_times_every_group(self, capsys):

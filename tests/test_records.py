@@ -33,12 +33,11 @@ DELTAS = (DeltaAssignment("general_v"), DeltaAssignment("general_vstar"))
 
 # each checking type: its values (every field, in order), then (field, bad value, message)
 CHECKED = {
-    QContext: ({"q": 0.7, "trunc_terms": 256}, [
+    QContext: ({"q": 0.7}, [
         ("q", complex(math.nan, 0), "q must be finite, got (nan+0j)"),
         ("q", 0, "q must be nonzero"),
         ("q", 1.2, "|q| must be < 1, got |q| = 1.2"),
         ("q", -0.9999999999999999, "q is numerically a root of unity: |q^2 - 1| <= 10*eps"),
-        ("trunc_terms", 0, "trunc_terms must be positive"),
     ]),
     GradingChoice: ({"s0": 1, "s1": 0}, [
         ("s0", -1, "grades must be nonnegative with s0 + s1 >= 1"),
@@ -115,7 +114,7 @@ def test_no_record_can_be_set(record):
 
 def test_equal_values_are_equal_and_hash_equal():
     pairs = [
-        (QContext(0.7), QContext(0.7 + 0j)), (QContext(0.7, 300), QContext(q=0.7, trunc_terms=300)),
+        (QContext(0.7), QContext(0.7 + 0j)), (QContext(0.3), QContext(q=0.3)),
         (GradingChoice(1, 0), GradingChoice(s0=1, s1=0)),
         (DeltaAssignment("self_dual_pair", 0.5, 2),
          DeltaAssignment("self_dual_pair", n=2, alpha=0.5)),

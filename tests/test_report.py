@@ -119,7 +119,7 @@ def test_report_writer_writes_every_report_of_a_run_as_before(capsys):
     reports = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for name in sorted(cli.CHECKS):
-            built = cli.CHECKS[name](config, cli._context(config), cli._grading(config))
+            built = cli.CHECKS[name](config, QContext(config.q), cli._grading(config))
             reports += [item for item in built if isinstance(item, VerificationReport)]
     assert reports
     for rep in reports:
@@ -187,7 +187,7 @@ def _group(name):
     config = cli.build_parser().parse_args(["suite"])
 
     def run():
-        built = cli.CHECKS[name](config, cli._context(config), cli._grading(config))
+        built = cli.CHECKS[name](config, QContext(config.q), cli._grading(config))
         records = [item for item in built if not isinstance(item, VerificationReport)]
         return ([item for item in built if isinstance(item, VerificationReport)]
                 + qkz.run_records(records))

@@ -822,7 +822,7 @@ def test_timing_rule_fires_on_planted_code(source, found):
 
 # public names that no program code reads, each kept for a reason
 UNREAD_ALLOWED = {
-    "q_pochhammer": "one product scanned alone: the reference for _poch_ratio in test_scalars",
+    "q_pochhammer": "one product alone: the reference for _poch_ratio in test_scalars",
     "permutation_op": "the dense reference for string_matmul's permutation steps, priced in "
                       "perfbench/spans.COSTS",
 }
