@@ -353,14 +353,16 @@ class TestBatchedScan:
             for name, value in _sl2_scalars(m, z, ctx).items():
                 assert _bits(got[name][r]) == _bits(value), (name, m, z)
 
+    @pytest.mark.parametrize("draw", [3, 8, 12, 15, 18, 20])
     @pytest.mark.parametrize("q", [0.7, 0.6 + 0.09j, 0.95, 0.99, 0.99j])
-    def test_rows_of_several_m_fail_as_one_m_calls_in_turn(self, q):
+    def test_rows_of_several_m_fail_as_one_m_calls_in_turn(self, q, draw):
         # a row's error is that of its one-m call; a call without an error
         # list raises as the calls of each m would, m in order of first
         # appearance, and the difference patterns as theirs would; some rows
-        # sit at a pole of their own m's denominators or of another m's
+        # sit at a pole of their own m's denominators or of another m's, and
+        # each draw places the m's, the arguments and the poles anew
         ctx = QContext(q)
-        rng = np.random.default_rng(31)
+        rng = np.random.default_rng([31, draw])
         for _ in range(4):
             ms = rng.permutation(np.repeat([3, 1, 4, 2], 3))
             zs = (0.1 + 1.9 * rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
