@@ -1,13 +1,12 @@
 """Compare the corpus reports of two source trees, line by line.
 
     python tests/compare_corpus.py OLD NEW [--line "suite --m 1 --seed 3" ...]
-                                           [--seeds 1 13]
 
 OLD and NEW are checkouts of the repository, each with its `src/` and
 `perfbench/`.  Each tree runs, in a process of its own, the command lines
 of this tree's `tests/test_report_corpus.py` (CORPUS and CLI_PINS) and any
---line, and the reduction_chains reports of perfbench at each seed, as the
-CLI serializes them.  For each line whose exit code or report moved, it
+--line, and the reduction_chains reports of perfbench at each of its
+CHAINS_SEEDS, as the CLI serializes them.  For each line whose exit code or report moved, it
 prints the exit codes, each report whose pass flag changed or that only one
 side has, and the worst ratio new/old of the residuals that moved (the
 `residual` of a report and its residual-valued params); a residual that is
@@ -150,10 +149,10 @@ def compare(old: dict, new: dict) -> list:
     return out + [f"{moved} of {len(old.keys() | new.keys())} lines moved"]
 
 
-def corpus_lines() -> list:
+def _corpus():
     sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
     import test_report_corpus
-    return [*test_report_corpus.CORPUS, *test_report_corpus.CLI_PINS]
+    return test_report_corpus
 
 
 def main(argv=None) -> int:
@@ -161,12 +160,11 @@ def main(argv=None) -> int:
     parser.add_argument("old")
     parser.add_argument("new")
     parser.add_argument("--line", action="append", default=[], help="an extra command line")
-    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 13],
-                        help="reduction_chains seeds")
     args = parser.parse_args(argv)
-    lines = [*corpus_lines(), *args.line]
-    report = compare(run_tree(args.old, lines, args.seeds),
-                     run_tree(args.new, lines, args.seeds))
+    corpus = _corpus()
+    lines = [*corpus.CORPUS, *corpus.CLI_PINS, *args.line]
+    seeds = list(corpus.CHAINS_SEEDS)
+    report = compare(run_tree(args.old, lines, seeds), run_tree(args.new, lines, seeds))
     print("\n".join(report))
     return 0 if report[-1].startswith("0 of") else 1
 

@@ -59,6 +59,9 @@ CORPUS = {
 CLI_PINS = ("suite --m 1 --seed 7", "suite --m 1 --samples 12 --seed 7",
             "suite --m 1 --samples 12 --q 0.5,0.5 --seed 3")
 
+# the reduction_chains seeds that tests/compare_corpus.py compares
+CHAINS_SEEDS = (1, 13)
+
 # the reduction_chains workload of perfbench at seed 1, its reports serialized as the CLI does
 CHAINS_DIGEST = "3ab61eb8d6de49af9bdcfc38dca8c93352495a81bddba997da1bba085a4de5fc"
 
